@@ -1,20 +1,20 @@
-"""Estimator hot-path benchmark: seed path vs cached fast-decode path.
+"""Estimator hot-path benchmark: scalar oracle vs the array-native path.
 
 Measures one OPT-30B/SPR-A100 512-token decode estimate two ways:
 
-* **seed** — the pre-optimization configuration: exact per-step decode
-  loop, caching disabled (``decode_eval="exact"``,
-  ``cache_enabled=False``).
-* **fast** — the optimized configuration: closed-form decode summation
-  plus the layer-latency / policy LRU caches
-  (``decode_eval="fast"``, ``cache_enabled=True``).
+* **seed** — the scalar reference of ``tests/oracles/eq1_scalar.py``:
+  a 64-candidate Eq. (1) scan per search and a per-step decode loop,
+  one policy and one context length at a time, with no caches.
+* **fast** — ``LiaEstimator`` as shipped: every search and every decode
+  step from one term table (``repro.core.terms``), with the Eq. (1)
+  policy cache (``cache_enabled=True``).
 
 Writes ``BENCH_estimator.json`` with per-repetition wall times, the
-average and cold-run speedups, and the exact-vs-fast relative error on
-every latency component.  A second phase regenerates the full
-Fig. 9+10+11 grids over the thread pool and over the
-``REPRO_SWEEP_PROCESSES`` process pool and compares wall time and row
-fingerprints.  The acceptance gates tracked by the repo:
+average and cold-run speedups, and the seed-vs-fast relative error on
+every latency component (the two are bit-identical, so it is 0).  A
+second phase regenerates the full Fig. 9+10+11 grids over the thread
+pool and over the ``REPRO_SWEEP_PROCESSES`` process pool and compares
+wall time and row fingerprints.  The acceptance gates tracked by the repo:
 
 * average estimator speedup >= 10x
 * max relative error < 1e-9
@@ -34,8 +34,10 @@ import hashlib
 import json
 import os
 import statistics
+import sys
 import time
-from typing import Dict, List
+from pathlib import Path
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.cache import cache_stats, clear_caches
 from repro.core.config import LiaConfig
@@ -43,6 +45,10 @@ from repro.core.estimator import LiaEstimator
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
+
+# The seed side is the scalar test oracle, importable from the root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import eq1_scalar  # noqa: E402
 
 MODEL = "opt-30b"
 SYSTEM = "spr-a100"
@@ -55,31 +61,34 @@ PROCESS_SWEEP_SPEEDUP_MIN = 3.0
 PROCESS_SWEEP_MIN_CORES = 4
 
 
-def _time_estimates(estimator: LiaEstimator, reps: int,
-                    fresh_caches: bool) -> Dict[str, object]:
-    """Wall times of ``reps`` estimates; optionally cold caches first."""
-    if fresh_caches:
-        clear_caches()
+def _time_stages(stages: Callable[[], Tuple], reps: int) -> Dict[str, object]:
+    """Wall times of ``reps`` cold-cache-first ``(prefill, decode)``
+    evaluations."""
+    clear_caches()
     times: List[float] = []
-    estimate = None
+    result: Tuple = ()
     for __ in range(reps):
         start = time.perf_counter()
-        estimate = estimator.estimate(REQUEST)
+        result = stages()
         times.append(time.perf_counter() - start)
     return {"times_s": times, "mean_s": statistics.mean(times),
-            "cold_s": times[0], "estimate": estimate}
+            "cold_s": times[0], "stages": result[:2],
+            "latency_s": result[0].time + result[1].time}
 
 
 def relative_error(seed, fast) -> float:
-    """Max relative error across total/prefill/decode latency fields."""
+    """Max relative error across total/prefill/decode latency fields
+    of two ``(prefill, decode)`` pairs."""
     worst = 0.0
+    (seed_prefill, seed_decode), (prefill, decode) = seed, fast
     for mine, theirs in [
-            (seed.latency, fast.latency),
-            (seed.prefill.time, fast.prefill.time),
-            (seed.decode.time, fast.decode.time),
-            (seed.decode.cpu_compute, fast.decode.cpu_compute),
-            (seed.decode.gpu_compute, fast.decode.gpu_compute),
-            (seed.decode.transfer, fast.decode.transfer)]:
+            (seed_prefill.time + seed_decode.time,
+             prefill.time + decode.time),
+            (seed_prefill.time, prefill.time),
+            (seed_decode.time, decode.time),
+            (seed_decode.cpu_compute, decode.cpu_compute),
+            (seed_decode.gpu_compute, decode.gpu_compute),
+            (seed_decode.transfer, decode.transfer)]:
         scale = max(abs(mine), abs(theirs), 1e-30)
         worst = max(worst, abs(mine - theirs) / scale)
     return worst
@@ -148,18 +157,19 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
     spec = get_model(MODEL)
     system = get_system(SYSTEM)
 
-    seed_config = LiaConfig(enforce_host_capacity=False,
-                            decode_eval="exact", cache_enabled=False)
-    fast_config = LiaConfig(enforce_host_capacity=False,
-                            decode_eval="fast", cache_enabled=True)
+    estimator = LiaEstimator(spec, system,
+                             LiaConfig(enforce_host_capacity=False))
 
-    seed = _time_estimates(LiaEstimator(spec, system, seed_config),
-                           reps, fresh_caches=True)
-    fast = _time_estimates(LiaEstimator(spec, system, fast_config),
-                           reps, fresh_caches=True)
+    def fast_stages() -> Tuple:
+        estimate = estimator.estimate(REQUEST)
+        return estimate.prefill, estimate.decode
+
+    seed = _time_stages(lambda: eq1_scalar.lia_stages(estimator, REQUEST),
+                        reps)
+    fast = _time_stages(fast_stages, reps)
     stats = cache_stats()
 
-    error = relative_error(seed["estimate"], fast["estimate"])
+    error = relative_error(seed["stages"], fast["stages"])
     process_sweep = process_sweep_phase()
     speedup_ok = (not process_sweep["speedup_gate_binds"]
                   or process_sweep["speedup"] >= PROCESS_SWEEP_SPEEDUP_MIN)
@@ -171,15 +181,16 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
                     "input_len": REQUEST.input_len,
                     "output_len": REQUEST.output_len},
         "reps": reps,
-        "seed": {"config": "decode_eval=exact, cache_enabled=False",
+        "seed": {"config": "scalar oracle (tests/oracles/eq1_scalar.py), "
+                           "no caches",
                  "times_s": seed["times_s"],
                  "mean_s": seed["mean_s"],
-                 "latency_s": seed["estimate"].latency},
-        "fast": {"config": "decode_eval=fast, cache_enabled=True",
+                 "latency_s": seed["latency_s"]},
+        "fast": {"config": "term-table estimator, cache_enabled=True",
                  "times_s": fast["times_s"],
                  "mean_s": fast["mean_s"],
                  "cold_s": fast["cold_s"],
-                 "latency_s": fast["estimate"].latency,
+                 "latency_s": fast["latency_s"],
                  "cache_stats": stats},
         "speedup_mean": seed["mean_s"] / fast["mean_s"],
         "speedup_cold": seed["cold_s"] / fast["cold_s"],

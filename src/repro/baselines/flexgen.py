@@ -19,8 +19,9 @@ Differences from LIA that this model reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
+from repro.arrays import Real
 from repro.core.config import LiaConfig
 from repro.core.estimator import (
     InferenceEstimate,
@@ -28,15 +29,16 @@ from repro.core.estimator import (
     StageBreakdown,
     check_host_capacity,
     host_memory_usage,
+    sum_steps,
 )
 from repro.core.gpu_residency import (
-    ResidencyPlan,
     gpu_working_set_bytes,
     plan_sublayer_residency,
 )
-from repro.core.latency import LayerLatency, layer_latency
-from repro.core.overlap import overlapped_layer_time, serial_layer_time
+from repro.core.latency import layer_latency
+from repro.core.overlap import Layer, overlapped_layer_time, serial_layer_time
 from repro.core.policy import FULL_GPU, PARTIAL_CPU, OffloadPolicy
+from repro.core.terms import layer_terms, on_cpu_mask, resident_mask
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
@@ -110,17 +112,7 @@ class FlexGenEstimator:
         return FULL_GPU
 
     # ------------------------------------------------------------------
-    def _layer(self, stage: Stage, policy: OffloadPolicy,
-               batch_size: int, context_len: int,
-               residency: ResidencyPlan,
-               kv_resident: bool) -> LayerLatency:
-        return layer_latency(
-            self.spec, stage, policy, batch_size, context_len,
-            self.system, self.config,
-            resident_sublayers=residency.resident_sublayers,
-            kv_resident=kv_resident)
-
-    def _stage_time(self, layer: LayerLatency, stage: Stage) -> float:
+    def _stage_time(self, layer: Layer, stage: Stage) -> Real:
         if not self.config.overlap:
             penalty = 1.0
             if stage is Stage.DECODE:
@@ -135,7 +127,7 @@ class FlexGenEstimator:
             layer, minibatches=self.settings.minibatches,
             compute_scale=self.settings.decode_compute_penalty)
 
-    def _stage_breakdown(self, layer: LayerLatency, stage: Stage,
+    def _stage_breakdown(self, layer: Layer, stage: Stage,
                          count: int = 1) -> StageBreakdown:
         return StageBreakdown(
             time=self._stage_time(layer, stage) * self.spec.n_layers * count,
@@ -176,18 +168,24 @@ class FlexGenEstimator:
                 device=self.system.gpu.name)
         memory = replace(memory, gpu_bytes=gpu_bytes)
 
-        prefill_layer = self._layer(Stage.PREFILL, FULL_GPU,
-                                    request.batch_size, request.input_len,
-                                    residency, kv_resident)
+        prefill_layer = layer_latency(
+            self.spec, Stage.PREFILL, FULL_GPU, request.batch_size,
+            request.input_len, self.system, self.config,
+            resident_sublayers=residency.resident_sublayers,
+            kv_resident=kv_resident)
         prefill = self._stage_breakdown(prefill_layer, Stage.PREFILL)
 
+        # Every decode step from one term table, summed in step order.
         decode_policy = self.decode_policy(request)
-        decode = StageBreakdown(0.0, 0.0, 0.0, 0.0)
-        for context_len in request.decode_context_lengths():
-            layer = self._layer(Stage.DECODE, decode_policy,
-                                request.batch_size, context_len,
-                                residency, kv_resident)
-            decode = decode + self._stage_breakdown(layer, Stage.DECODE)
+        decode_terms = layer_terms(
+            self.spec, Stage.DECODE, request.batch_size,
+            request.decode_context_lengths(), self.system, self.config,
+            kv_resident=kv_resident)
+        decode_layer = decode_terms.sums(
+            on_cpu_mask(decode_policy),
+            resident_mask(resident_sublayers=residency.resident_sublayers))
+        decode = sum_steps(self._stage_breakdown(decode_layer,
+                                                 Stage.DECODE))
 
         return InferenceEstimate(
             framework=self.framework_name,

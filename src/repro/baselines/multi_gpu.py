@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.arrays import Real
 from repro.core.config import LiaConfig
 from repro.core.estimator import (
     InferenceEstimate,
     MemoryUsage,
     StageBreakdown,
+    sum_steps,
 )
 from repro.core.gpu_residency import ResidencyPlan
 from repro.core.policy import FULL_GPU
@@ -99,7 +101,7 @@ class TensorParallelEstimator:
 
     # ------------------------------------------------------------------
     def _layer_time(self, stage: Stage, batch_size: int,
-                    context_len: int) -> float:
+                    context_len: Real) -> Real:
         """One decoder layer: sharded compute + two all-reduces."""
         gpu = self.system.gpu.engine
         n = self.system.n_gpus
@@ -134,13 +136,11 @@ class TensorParallelEstimator:
                                  cpu_compute=0.0,
                                  gpu_compute=prefill_layer * n_layers,
                                  transfer=0.0)
-        decode_time = 0.0
-        for context_len in request.decode_context_lengths():
-            decode_time += self._layer_time(Stage.DECODE,
-                                            request.batch_size,
-                                            context_len) * n_layers
-        decode = StageBreakdown(time=decode_time, cpu_compute=0.0,
-                                gpu_compute=decode_time, transfer=0.0)
+        steps = self._layer_time(Stage.DECODE, request.batch_size,
+                                 request.decode_context_lengths()) * n_layers
+        decode = sum_steps(StageBreakdown(time=steps, cpu_compute=0.0 * steps,
+                                          gpu_compute=steps,
+                                          transfer=0.0 * steps))
 
         memory = MemoryUsage(
             weight_bytes=float(self.spec.total_param_bytes),

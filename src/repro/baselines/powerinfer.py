@@ -21,11 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from repro.arrays import Real
 from repro.core.config import LiaConfig
 from repro.core.estimator import (
     InferenceEstimate,
     MemoryUsage,
     StageBreakdown,
+    sum_steps,
 )
 from repro.core.gpu_residency import ResidencyPlan
 from repro.core.policy import FULL_GPU, OffloadPolicy
@@ -127,7 +131,7 @@ class PowerInferEstimator:
         return -(-batch_size // self.settings.max_microbatch)
 
     def _attention_time(self, stage: Stage, batch_size: int,
-                        context_len: int) -> float:
+                        context_len: Real) -> Real:
         """GPU attention with resident weights and KV cache."""
         gpu = self.system.gpu.engine
         total = 0.0
@@ -207,21 +211,12 @@ class PowerInferEstimator:
             gpu_compute=(prefill_gpu - cold_stream) * n_layers,
             transfer=cold_stream * n_layers)
 
-        decode_time = 0.0
-        decode_cpu = 0.0
-        decode_gpu = 0.0
-        decode_xfer = 0.0
-        for context_len in request.decode_context_lengths():
-            attn = self._attention_time(Stage.DECODE, request.batch_size,
-                                        context_len)
-            ffn = self._ffn_time_decode(request.batch_size)
-            decode_time += (attn + ffn) * n_layers
-            decode_gpu += attn * n_layers
-            decode_cpu += ffn * 0.5 * n_layers
-            decode_xfer += ffn * 0.1 * n_layers
-        decode = StageBreakdown(time=decode_time, cpu_compute=decode_cpu,
-                                gpu_compute=decode_gpu,
-                                transfer=decode_xfer)
+        attn = self._attention_time(Stage.DECODE, request.batch_size,
+                                    request.decode_context_lengths())
+        ffn = np.full_like(attn, self._ffn_time_decode(request.batch_size))
+        decode = sum_steps(StageBreakdown(
+            time=(attn + ffn) * n_layers, cpu_compute=ffn * 0.5 * n_layers,
+            gpu_compute=attn * n_layers, transfer=ffn * 0.1 * n_layers))
 
         weights = float(self.spec.total_param_bytes)
         memory = MemoryUsage(

@@ -90,10 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=[32, 256, 1024])
     sweep.add_argument("--output-lens", type=int, nargs="+",
                        default=[32])
-    sweep.add_argument("--decode-eval", choices=["exact", "fast"],
-                       default="fast",
-                       help="per-step decode loop vs closed-form "
-                            "summation (see docs/PERFORMANCE.md)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="sweep worker threads (default: cpu count, "
                             "capped; 0 = serial; env "
@@ -411,8 +407,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     spec = get_model(args.model)
     system = get_system(args.system)
-    config = LiaConfig(enforce_host_capacity=False,
-                       decode_eval=args.decode_eval)
+    config = LiaConfig(enforce_host_capacity=False)
     clear_caches()
     points = [(batch, input_len, output_len)
               for batch in args.batches
@@ -430,7 +425,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     executor = (f"{processes} processes" if processes
                 else f"{workers} workers")
     print(f"{spec.name} on {system.name}: {len(points)} grid points, "
-          f"{executor}, decode_eval={args.decode_eval}")
+          f"{executor}")
     print(f"{'B':>6} {'L_in':>6} {'L_out':>6} {'latency_s':>12} "
           f"{'tokens_per_s':>14}  policy (prefill/decode)")
     rows = []
@@ -456,8 +451,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump({"model": spec.name, "system": system.name,
-                       "decode_eval": args.decode_eval, "rows": rows},
-                      handle, indent=2)
+                       "rows": rows}, handle, indent=2)
         print(f"wrote {args.json}")
     return 0
 

@@ -2,7 +2,7 @@
 
 * :mod:`repro.core.policy` — the offload-policy vector p of §5.1.
 * :mod:`repro.core.latency` — the Eq. (1)-(9) decoder-layer latency
-  model.
+  model, a per-sublayer view over the :mod:`repro.core.terms` table.
 * :mod:`repro.core.optimizer` — exhaustive policy search (the
   "algorithm front-end", C1).
 * :mod:`repro.core.gpu_residency` — Optimization-1 (layer-granular GPU

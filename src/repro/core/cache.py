@@ -1,15 +1,12 @@
 """Memoization layer for the analytic hot path.
 
 Every capacity and latency number in the reproduction funnels through
-two pure functions: :func:`repro.core.latency.layer_latency` (Eq. (2))
-and :func:`repro.core.optimizer.optimal_policy` (Eq. (1), 64 candidate
-evaluations per call).  A single request estimate re-evaluates them
-thousands of times with identical arguments, and the Fig. 9/10/11
-sweeps and the serving simulator multiply that again — the same
-reuse-of-identical-computation opportunity LLMServingSim exploits.
+:func:`repro.core.optimizer.optimal_policy` (Eq. (1)) and whole-request
+estimates, which the sweeps and serving engines re-ask with identical
+arguments — the reuse opportunity LLMServingSim exploits.
 
-Both functions are deterministic in their inputs, so memoized results
-are bit-identical to uncached ones (a property test enforces this).
+Both are deterministic in their inputs, so memoized results are
+bit-identical to uncached ones (a property test enforces this).
 The caches here are process-global, LRU-bounded, thread-safe (the
 sweep runner fans out over threads), and report hit/miss counters into
 the ambient :mod:`repro.telemetry` registry as
@@ -27,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Collection, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.telemetry.runtime import current as current_telemetry
 
@@ -132,14 +129,10 @@ class LruCache:
                 "hit_rate": self.hits / total if total else 0.0}
 
 
-#: Eq. (2) results: one decoder layer's latency decomposition.
-LAYER_LATENCY_CACHE = LruCache("layer_latency", maxsize=262144)
 #: Eq. (1) results: the winning policy for one (stage, B, L) point.
 OPTIMAL_POLICY_CACHE = LruCache("optimal_policy", maxsize=65536)
 #: Whole-request estimates: the serving warm-up path resolves the
-#: same handful of shapes on every fresh simulator, and one estimate
-#: costs ~10³ layer evaluations of pure-Python assembly even when
-#: the per-layer caches hit.
+#: same handful of shapes on every fresh simulator.
 ESTIMATE_CACHE = LruCache("estimate", maxsize=16384)
 #: Per-request stall outcomes of the piecewise degraded engine.  One
 #: outcome is pure in ``(scenario, stall probability, request index,
@@ -148,8 +141,7 @@ ESTIMATE_CACHE = LruCache("estimate", maxsize=16384)
 #: one scenario (benchmark reps, fleet what-ifs) hit here instead.
 STALL_OUTCOME_CACHE = LruCache("stall_outcome", maxsize=262144)
 
-_ALL_CACHES = (LAYER_LATENCY_CACHE, OPTIMAL_POLICY_CACHE,
-               ESTIMATE_CACHE, STALL_OUTCOME_CACHE)
+_ALL_CACHES = (OPTIMAL_POLICY_CACHE, ESTIMATE_CACHE, STALL_OUTCOME_CACHE)
 
 
 def clear_caches() -> None:
@@ -167,38 +159,6 @@ def clear_caches() -> None:
 def cache_stats() -> List[Dict[str, float]]:
     """Hit/miss/size rows for every analytic cache."""
     return [cache.stats() for cache in _ALL_CACHES]
-
-
-def cached_layer_latency(spec, stage, policy, batch_size: int,
-                         context_len: int, system, config,
-                         weights_resident: bool = False,
-                         resident_sublayers: Collection = (),
-                         kv_resident: bool = False):
-    """Memoized :func:`repro.core.latency.layer_latency`.
-
-    Key: ``(spec, system, config, stage, policy, B, L,
-    weights_resident, resident_sublayers, kv_resident)``.  Honors
-    ``config.cache_enabled`` so ablations can measure the uncached
-    path.
-    """
-    from repro.core.latency import layer_latency
-
-    if not config.cache_enabled:
-        return layer_latency(spec, stage, policy, batch_size,
-                             context_len, system, config,
-                             weights_resident=weights_resident,
-                             resident_sublayers=resident_sublayers,
-                             kv_resident=kv_resident)
-    key = (cache_token(spec), cache_token(system), config, stage,
-           policy, batch_size, context_len, weights_resident,
-           frozenset(resident_sublayers), kv_resident)
-    return LAYER_LATENCY_CACHE.get_or_compute(
-        key,
-        lambda: layer_latency(spec, stage, policy, batch_size,
-                              context_len, system, config,
-                              weights_resident=weights_resident,
-                              resident_sublayers=resident_sublayers,
-                              kv_resident=kv_resident))
 
 
 def cached_estimate(estimator, request):

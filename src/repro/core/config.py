@@ -71,15 +71,9 @@ class LiaConfig:
     #: data points beyond the 512 GB testbed (§7 "Memory constraints
     #: and latency model").
     enforce_host_capacity: bool = True
-    #: Decode-stage summation scheme: "exact" evaluates Eq. (2) at
-    #: every generated token's context length; "fast" exploits the
-    #: (piecewise) linearity of per-layer latency in L and sums in
-    #: closed form from the endpoint evaluations, adaptively
-    #: subdividing until the interpolation error vanishes (see
-    #: docs/PERFORMANCE.md).  Both agree to < 1e-9 relative error.
-    decode_eval: str = "exact"
-    #: Memoize Eq. (1)/(2) results in the process-global LRU caches of
-    #: :mod:`repro.core.cache`.  Results are bit-identical either way.
+    #: Memoize Eq. (1) results and whole estimates in the
+    #: process-global LRU caches of :mod:`repro.core.cache`.  Results
+    #: are bit-identical either way.
     cache_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -87,10 +81,6 @@ class LiaConfig:
             raise ConfigurationError(
                 "prefill_minibatches must be >= 1, got "
                 f"{self.prefill_minibatches}")
-        if self.decode_eval not in ("exact", "fast"):
-            raise ConfigurationError(
-                "decode_eval must be 'exact' or 'fast', got "
-                f"{self.decode_eval!r}")
         if not 0.0 <= self.gpu_working_reserve < 1.0:
             raise ConfigurationError(
                 "gpu_working_reserve must be in [0, 1)")
@@ -131,11 +121,6 @@ class LiaConfig:
         the cache spills to CXL (extension study)."""
         return replace(self, kv_cxl_fraction=cxl_fraction)
 
-    def with_fast_decode(self) -> "LiaConfig":
-        """The performance-layer decode path: closed-form summation
-        over the growing context (validated against "exact")."""
-        return replace(self, decode_eval="fast")
-
     def without_cache(self) -> "LiaConfig":
-        """Disable Eq. (1)/(2) memoization (the seed baseline path)."""
+        """Disable Eq. (1) and estimate memoization."""
         return replace(self, cache_enabled=False)

@@ -16,13 +16,15 @@ out-of-memory detection (Fig. 14's OOM entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional, Tuple
 
-from repro.core.cache import cached_layer_latency
+import numpy as np
+
 from repro.core.config import KvCachePlacement, LiaConfig, WeightPlacement
 from repro.core.gpu_residency import ResidencyPlan, plan_layer_residency
-from repro.core.optimizer import PolicyDecision, optimal_policy, stage_layer_time
+from repro.core.optimizer import optimal_policy, stage_layer_time
 from repro.core.policy import OffloadPolicy
+from repro.core.terms import layer_terms, on_cpu_mask, resident_mask
 from repro.errors import CapacityError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
@@ -35,7 +37,8 @@ class StageBreakdown:
     """Wall-clock and per-resource busy time of one stage.
 
     ``time`` honors the overlap configuration; the busy-time fields
-    are serial sums (they feed Table 5 and the energy model).
+    are serial sums (they feed Table 5 and the energy model); arrays
+    over steps until :func:`sum_steps` totals them.
     """
 
     time: float
@@ -51,30 +54,9 @@ class StageBreakdown:
             transfer=self.transfer + other.transfer,
         )
 
-    def __sub__(self, other: "StageBreakdown") -> "StageBreakdown":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor: float) -> "StageBreakdown":
-        """Every component multiplied by ``factor`` (closed-form sums)."""
-        return StageBreakdown(
-            time=self.time * factor,
-            cpu_compute=self.cpu_compute * factor,
-            gpu_compute=self.gpu_compute * factor,
-            transfer=self.transfer * factor,
-        )
-
     def components(self):
         return (self.time, self.cpu_compute, self.gpu_compute,
                 self.transfer)
-
-    def close_to(self, other: "StageBreakdown",
-                 rel_tol: float = 1e-12) -> bool:
-        """Componentwise relative agreement within ``rel_tol``."""
-        for mine, theirs in zip(self.components(), other.components()):
-            scale = max(abs(mine), abs(theirs))
-            if abs(mine - theirs) > rel_tol * scale + 1e-30:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -206,11 +188,12 @@ class LiaEstimator:
             ddr_bytes=memory.ddr_bytes, cxl_bytes=memory.cxl_bytes,
             gpu_bytes=gpu_bytes)
 
-        prefill = self._prefill_breakdown(request, residency)
-        decode, decode_policy = self._decode_breakdown(request, residency)
-        prefill_policy = self._stage_policy(Stage.PREFILL,
-                                            request.batch_size,
-                                            request.input_len).policy
+        prefill, prefill_policy = self._stage_breakdown(
+            Stage.PREFILL, request, np.array([request.input_len]),
+            residency)
+        decode, decode_policy = self._stage_breakdown(
+            Stage.DECODE, request, request.decode_context_lengths(),
+            residency)
         return InferenceEstimate(
             framework=self.framework_name,
             model=self.spec.name,
@@ -254,142 +237,43 @@ class LiaEstimator:
         return low
 
     # ------------------------------------------------------------------
-    def _stage_policy(self, stage: Stage, batch_size: int,
-                      context_len: int,
-                      weights_resident: bool = False) -> PolicyDecision:
-        return optimal_policy(self.spec, stage, batch_size, context_len,
-                              self.system, self.config,
-                              weights_resident=weights_resident)
-
-    def _mixed_layer_breakdown(self, stage: Stage, batch_size: int,
-                               context_len: int,
-                               residency: ResidencyPlan,
-                               streamed_policy: OffloadPolicy,
-                               resident_policy: OffloadPolicy
-                               ) -> StageBreakdown:
-        """One decoder-layer 'tick' averaged over resident and
-        streamed layers, scaled to all layers."""
+    def _stage_breakdown(self, stage: Stage, request: InferenceRequest,
+                         context_lens: np.ndarray,
+                         residency: ResidencyPlan
+                         ) -> Tuple[StageBreakdown, OffloadPolicy]:
+        """Stage time over every step's ``L`` in ``context_lens``, for
+        the streamed and resident layer groups of Optimization-1.  The
+        policies are chosen once, at ``L_in`` (the decode policy depends
+        on B, not L — §7.1), and one term table covers every step."""
+        streamed, resident = (
+            optimal_policy(self.spec, stage, request.batch_size,
+                           request.input_len, self.system, self.config,
+                           weights_resident=weights_resident)
+            for weights_resident in (False, True))
+        terms = layer_terms(self.spec, stage, request.batch_size,
+                            context_lens, self.system, self.config)
         n_resident = residency.n_resident_layers
-        n_streamed = residency.n_layers - n_resident
-        total = StageBreakdown(0.0, 0.0, 0.0, 0.0)
-        for count, policy, resident in (
-                (n_streamed, streamed_policy, False),
-                (n_resident, resident_policy, True)):
+        steps = StageBreakdown(0.0, 0.0, 0.0, 0.0)
+        for count, policy, weights_resident in (
+                (residency.n_layers - n_resident, streamed.policy, False),
+                (n_resident, resident.policy, True)):
             if count == 0:
                 continue
-            layer = cached_layer_latency(
-                self.spec, stage, policy, batch_size, context_len,
-                self.system, self.config, weights_resident=resident)
+            layer = terms.sums(on_cpu_mask(policy),
+                               resident_mask(weights_resident))
             time = stage_layer_time(layer, stage, self.config)
-            total = total + StageBreakdown(
+            steps = steps + StageBreakdown(
                 time=time * count,
                 cpu_compute=layer.cpu_compute * count,
                 gpu_compute=layer.gpu_compute * count,
                 transfer=layer.transfer * count)
-        return total
-
-    def _prefill_breakdown(self, request: InferenceRequest,
-                           residency: ResidencyPlan) -> StageBreakdown:
-        streamed = self._stage_policy(Stage.PREFILL, request.batch_size,
-                                      request.input_len)
-        resident = self._stage_policy(Stage.PREFILL, request.batch_size,
-                                      request.input_len,
-                                      weights_resident=True)
-        return self._mixed_layer_breakdown(
-            Stage.PREFILL, request.batch_size, request.input_len,
-            residency, streamed.policy, resident.policy)
-
-    def _decode_breakdown(self, request: InferenceRequest,
-                          residency: ResidencyPlan):
-        """Sum decode-step latencies over the growing context.
-
-        The decode policy is chosen once (it depends on B, not L —
-        §7.1) and reused for every generated token.  With
-        ``config.decode_eval == "fast"`` the per-step loop is replaced
-        by the closed-form summation of
-        :func:`sum_breakdowns_closed_form`, which exploits the
-        (piecewise) linearity of per-layer latency in the context
-        length L.
-        """
-        streamed = self._stage_policy(Stage.DECODE, request.batch_size,
-                                      request.input_len)
-        resident = self._stage_policy(Stage.DECODE, request.batch_size,
-                                      request.input_len,
-                                      weights_resident=True)
-
-        def step(context_len: int) -> StageBreakdown:
-            return self._mixed_layer_breakdown(
-                Stage.DECODE, request.batch_size, context_len,
-                residency, streamed.policy, resident.policy)
-
-        first = request.input_len
-        last = request.input_len + request.output_len - 1
-        if self.config.decode_eval == "fast":
-            return sum_breakdowns_closed_form(step, first,
-                                              last), streamed.policy
-        total = StageBreakdown(0.0, 0.0, 0.0, 0.0)
-        for context_len in request.decode_context_lengths():
-            total = total + step(context_len)
-        return total, streamed.policy
+        return sum_steps(steps), streamed.policy
 
 
-#: Below this many decode steps the closed form degenerates to the
-#: exact loop (its three endpoint probes would not save anything).
-_FAST_DECODE_MIN_SPAN = 8
+def sum_steps(steps: StageBreakdown) -> StageBreakdown:
+    """Total a breakdown whose fields are arrays over steps, left to
+    right (``np.add.accumulate``) as a per-step loop adds them."""
+    def total(values: np.ndarray) -> float:
+        return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
-#: Per-segment acceptance tolerance of the adaptive summation.  The
-#: accepted estimate is the *refined* (two-segment) trapezoid, whose
-#: true error is an order of magnitude below the coarse-vs-fine gap,
-#: so the end-to-end agreement with the exact loop sits far below the
-#: 1e-9 relative error the benchmark gate enforces.
-_FAST_DECODE_REL_TOL = 1e-12
-
-
-def sum_breakdowns_closed_form(
-        step: Callable[[int], StageBreakdown], first: int, last: int,
-        rel_tol: float = _FAST_DECODE_REL_TOL) -> StageBreakdown:
-    """``sum(step(L) for L in [first, last])`` without visiting every L.
-
-    Per-step decode latency is piecewise affine in the context length
-    L up to the smooth efficiency-curve ramp (docs/PERFORMANCE.md
-    derives this from Eqs. (2)-(9)): transfer terms are linear in the
-    KV bytes, which are linear in L, and roofline ``max()`` kinks make
-    the curve piecewise.  For an affine segment the integer sum is the
-    exact trapezoid ``n * (f(lo) + f(hi)) / 2``, so the summation
-    recursively bisects, accepts a segment once the half-interval
-    refinement agrees with the coarse trapezoid to ``rel_tol`` on all
-    four breakdown components, and falls back to the exact per-step
-    loop on spans shorter than :data:`_FAST_DECODE_MIN_SPAN` — the
-    worst case (a kink in every segment) degenerates to the exact
-    loop, never to a wrong answer.
-    """
-    evaluated: Dict[int, StageBreakdown] = {}
-
-    def f(context_len: int) -> StageBreakdown:
-        value = evaluated.get(context_len)
-        if value is None:
-            value = step(context_len)
-            evaluated[context_len] = value
-        return value
-
-    def trapezoid(lo: int, hi: int) -> StageBreakdown:
-        return (f(lo) + f(hi)).scaled((hi - lo + 1) / 2.0)
-
-    def segment(lo: int, hi: int) -> StageBreakdown:
-        if hi - lo + 1 <= _FAST_DECODE_MIN_SPAN:
-            total = f(lo)
-            for context_len in range(lo + 1, hi + 1):
-                total = total + f(context_len)
-            return total
-        mid = (lo + hi) // 2
-        coarse = trapezoid(lo, hi)
-        # Both halves share the midpoint sample; subtract its double
-        # count.  For an affine segment ``fine == coarse`` exactly.
-        fine = trapezoid(lo, mid) + trapezoid(mid, hi) - f(mid)
-        if fine.close_to(coarse, rel_tol):
-            return fine
-        return segment(lo, mid) + segment(mid + 1, hi)
-
-    if last < first:
-        return StageBreakdown(0.0, 0.0, 0.0, 0.0)
-    return segment(first, last)
+    return StageBreakdown(*(total(values) for values in steps.components()))

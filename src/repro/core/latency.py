@@ -28,30 +28,26 @@ degradation, which the roofline reproduces).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Collection, List, Tuple
+from typing import Collection, Iterable, Tuple, cast
 
-from repro.core.config import KvCachePlacement, LiaConfig, WeightPlacement
+import numpy as np
+
+from repro.core.config import LiaConfig
 from repro.core.policy import Device, OffloadPolicy
-from repro.errors import ConfigurationError
-from repro.hardware.roofline import ComputeEngine, MatmulKind
+from repro.core.terms import (LayerTerms, layer_terms, on_cpu_mask,
+                               resident_mask)
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
-from repro.models.sublayers import (
-    RESIDUAL_SOURCE,
-    Stage,
-    Sublayer,
-    SublayerCost,
-    sublayer_cost,
-)
-from repro.units import us
+from repro.models.sublayers import Stage, Sublayer, SublayerCost
 
-#: Device-boundary synchronization cost charged per cross-device
-#: activation/residual hand-off: stream synchronization, host-side
-#: dispatch, and cache-coherence settling.  It keeps near-tie policy
-#: comparisons honest — ping-ponging a sublayer across PCIe for a
-#: marginal compute win never pays in the real runtime.
-BOUNDARY_SYNC_LATENCY = us(100.0)
+
+def _fold(values: Iterable[float]) -> float:
+    """Left-to-right sum, the order :func:`repro.core.terms.fold`
+    reproduces (from Python 3.12, ``sum`` of floats is compensated)."""
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -103,17 +99,17 @@ class LayerLatency:
     @property
     def total(self) -> float:
         """Serial (non-overlapped) layer latency, Eq. (2)."""
-        return sum(s.total for s in self.sublayers)
+        return _fold(s.total for s in self.sublayers)
 
     @property
     def cpu_compute(self) -> float:
-        return sum(s.t_comp for s in self.sublayers
-                   if s.device is Device.CPU)
+        return _fold(s.t_comp for s in self.sublayers
+                     if s.device is Device.CPU)
 
     @property
     def gpu_compute(self) -> float:
-        return sum(s.t_comp for s in self.sublayers
-                   if s.device is Device.GPU)
+        return _fold(s.t_comp for s in self.sublayers
+                     if s.device is Device.GPU)
 
     @property
     def compute(self) -> float:
@@ -122,13 +118,14 @@ class LayerLatency:
     @property
     def transfer(self) -> float:
         """All PCIe time: loads plus stores."""
-        return sum(s.t_load + s.t_store for s in self.sublayers)
+        return _fold(s.t_load + s.t_store for s in self.sublayers)
 
     @property
     def prefetchable_transfer(self) -> float:
         """Weight transfers that overlap can hide (next-layer
         prefetch)."""
-        return sum(s.t_load_y for s in self.sublayers if s.y_prefetchable)
+        return _fold(s.t_load_y for s in self.sublayers
+                     if s.y_prefetchable)
 
     @property
     def dependent_transfer(self) -> float:
@@ -139,38 +136,38 @@ class LayerLatency:
     @property
     def transfer_bytes(self) -> float:
         """Total PCIe bytes the layer moves (§7.2's metric)."""
-        return sum(s.transfer_bytes for s in self.sublayers)
+        return _fold(s.transfer_bytes for s in self.sublayers)
 
 
-def _cpu_engine(system: SystemConfig, config: LiaConfig) -> ComputeEngine:
-    # CPUs without the configured engine (e.g. Grace has SVE2, not
-    # AMX) fall back to their best matmul engine.
-    if config.cpu_engine in system.cpu.engines:
-        return system.cpu.engine(config.cpu_engine)
-    return system.cpu.best_engine
-
-
-def _weight_pool_bandwidth(system: SystemConfig,
-                           config: LiaConfig) -> float:
-    """Streaming bandwidth of the pool holding model weights."""
-    if config.weight_placement is WeightPlacement.CXL:
-        if not system.has_cxl:
-            raise ConfigurationError(
-                f"{system.name}: weight_placement=CXL but the system "
-                "has no CXL expanders (use system.with_cxl())")
-        return system.cxl_pool.bandwidth
-    return system.cpu.memory.bandwidth
-
-
-def _kv_pool_bandwidth(system: SystemConfig, config: LiaConfig) -> float:
-    """Streaming bandwidth of the pool holding KV cache/activations."""
-    if config.kv_placement is KvCachePlacement.CXL:
-        if not system.has_cxl:
-            raise ConfigurationError(
-                f"{system.name}: kv_placement=CXL but the system has "
-                "no CXL expanders (use system.with_cxl())")
-        return system.cxl_pool.bandwidth
-    return system.cpu.memory.bandwidth
+def policy_layer(terms: LayerTerms, policy: OffloadPolicy,
+                 weights_resident: bool = False,
+                 resident_sublayers: Collection[Sublayer] = ()
+                 ) -> LayerLatency:
+    """The per-sublayer view of ``policy`` on a scalar-``L`` term table
+    (see :func:`layer_latency` for the residency flags)."""
+    fired = terms.firing(on_cpu_mask(policy), resident_mask(
+        weights_resident, resident_sublayers))
+    # One row per sublayer: its six terms, then the five masks as 0/1.
+    rows = np.stack((terms.comp_cpu, terms.comp_gpu, terms.load_x,
+                     terms.load_y, terms.load_r, terms.store) + fired,
+                    axis=-1).tolist()
+    parts = tuple(
+        SublayerLatency(
+            sublayer=sub, device=policy.device(sub), cost=cost,
+            t_load_x=x if fires_x else 0.0,
+            t_load_y=y if fires_y else 0.0,
+            t_load_r=r if fires_r else 0.0,
+            t_comp=comp_cpu if on_cpu else comp_gpu,
+            t_store=store if fires_store else 0.0,
+            y_prefetchable=bool(prefetchable),
+            bytes_x=cost.d_x if fires_x else 0.0,
+            bytes_y=cost.d_y if fires_y else 0.0,
+            bytes_r=cast(float, terms.bytes_r) if fires_r else 0.0,
+            bytes_store=cost.d_kv_out if fires_store else 0.0)
+        for sub, cost, on_cpu, (comp_cpu, comp_gpu, x, y, r, store, fires_x,
+                                fires_y, fires_r, fires_store, prefetchable)
+        in zip(Sublayer, terms.costs, policy.bits, rows))
+    return LayerLatency(stage=terms.stage, policy=policy, sublayers=parts)
 
 
 def layer_latency(spec: ModelSpec, stage: Stage, policy: OffloadPolicy,
@@ -189,119 +186,10 @@ def layer_latency(spec: ModelSpec, stage: Stage, policy: OffloadPolicy,
     same per sublayer class (FlexGen's coarser packing).  With
     ``kv_resident=True`` the KV cache's home is GPU memory instead of
     host memory (FlexGen at B=1, §3), flipping the direction of the
-    Eq. (5) decode KV loads and the Eq. (9) store.
+    Eq. (5) decode KV loads and the Eq. (9) store.  The terms come from
+    :func:`~repro.core.terms.layer_terms`.
     """
-    cpu = _cpu_engine(system, config)
-    gpu = system.gpu.engine
-    link = system.host_link
-    weight_bw = _weight_pool_bandwidth(system, config)
-    kv_bw = _kv_pool_bandwidth(system, config)
-    ddr_bw = system.cpu.memory.bandwidth
-
-    parts: List[SublayerLatency] = []
-    for sub in Sublayer:
-        cost = sublayer_cost(spec, sub, stage, batch_size, context_len)
-        i = int(sub)
-        on_cpu = policy.on_cpu(sub)
-
-        # --- Eq. (4): activation load when crossing the device
-        # boundary.  p_0 = p_6 (previous layer's last sublayer).
-        t_load_x = 0.0
-        bytes_x = 0.0
-        if policy.crosses_boundary(i):
-            bytes_x = cost.d_x
-            t_load_x = (BOUNDARY_SYNC_LATENCY
-                        + link.transfer_time(cost.d_x,
-                                             source_bandwidth=kv_bw))
-
-        # --- Eq. (5)/(7): second-operand load.
-        t_load_y = 0.0
-        bytes_y = 0.0
-        y_prefetchable = False
-        if sub.uses_parameters:
-            resident = weights_resident or sub in resident_sublayers
-            if not on_cpu and not resident:
-                bytes_y = cost.d_y
-                t_load_y = link.transfer_time(
-                    cost.d_y, source_bandwidth=weight_bw)
-                y_prefetchable = True
-        elif stage is Stage.PREFILL:
-            # Eq. (7), made consistent with the Eq. (9) store: the
-            # fresh K/V exist on sublayer 1's device and (after the
-            # store) at their host home, so a transfer is needed only
-            # when a GPU consumer faces CPU-generated KV.  The paper's
-            # printed XOR would double-charge the GPU->CPU direction
-            # already covered by Eq. (9).
-            if not on_cpu and policy.p(1) == 1:
-                bytes_y = cost.d_y
-                t_load_y = link.transfer_time(
-                    cost.d_y, source_bandwidth=kv_bw)
-        else:
-            # Decode: the KV cache is fetched from its home memory
-            # (host in LIA; GPU when kv_resident).
-            kv_on_cpu = not kv_resident
-            if on_cpu != kv_on_cpu:
-                bytes_y = cost.d_y
-                t_load_y = link.transfer_time(
-                    cost.d_y, source_bandwidth=kv_bw)
-
-        # --- Eq. (6): residual operand load.  The residual is the
-        # d_m-wide hidden state, regardless of the sublayer's own
-        # input width.
-        t_load_r = 0.0
-        bytes_r = 0.0
-        source = RESIDUAL_SOURCE.get(sub)
-        if source is not None and policy.p(i) != policy.p(int(source)):
-            tokens = context_len if stage is Stage.PREFILL else 1
-            bytes_r = (batch_size * tokens * spec.d_model
-                       * spec.bytes_per_param)
-            t_load_r = (BOUNDARY_SYNC_LATENCY
-                        + link.transfer_time(bytes_r,
-                                             source_bandwidth=kv_bw))
-
-        # --- Eq. (8): compute on the chosen engine.
-        kind = MatmulKind.GEMM
-        if sub.uses_kv_cache and stage is Stage.DECODE:
-            kind = MatmulKind.BATCHED_GEMV
-        if on_cpu:
-            slow_bytes = 0.0
-            slow_bw = float("inf")
-            if sub.uses_parameters and weight_bw < ddr_bw:
-                slow_bytes += cost.d_y
-                slow_bw = weight_bw
-            if sub.uses_kv_cache and kv_bw < ddr_bw:
-                slow_bytes += cost.d_y
-                slow_bw = kv_bw
-            elif (sub.uses_kv_cache and stage is Stage.DECODE
-                    and config.kv_cxl_fraction > 0.0 and system.has_cxl):
-                # Recency-window tiering: the cold prefix of the cache
-                # streams from CXL, the hot tail from DDR.
-                slow_bytes += cost.d_y * config.kv_cxl_fraction
-                slow_bw = system.cxl_pool.bandwidth
-            fast_bytes = cost.d_x + cost.d_y - slow_bytes
-            t_comp = cpu.matmul_time(cost.flops, fast_bytes, kind,
-                                     slow_bytes=slow_bytes,
-                                     slow_bandwidth=slow_bw)
-        else:
-            t_comp = gpu.matmul_time(cost.flops, cost.d_x + cost.d_y,
-                                     kind)
-
-        # --- Eq. (9): KV-cache store back to its home memory when
-        # generated on the other device.
-        t_store = 0.0
-        bytes_store = 0.0
-        kv_home_is_cpu = not kv_resident
-        if sub is Sublayer.QKV_MAPPING and on_cpu != kv_home_is_cpu:
-            bytes_store = cost.d_kv_out
-            t_store = link.transfer_time(cost.d_kv_out,
-                                         source_bandwidth=kv_bw)
-
-        parts.append(SublayerLatency(
-            sublayer=sub, device=policy.device(sub), cost=cost,
-            t_load_x=t_load_x, t_load_y=t_load_y, t_load_r=t_load_r,
-            t_comp=t_comp, t_store=t_store,
-            y_prefetchable=y_prefetchable,
-            bytes_x=bytes_x, bytes_y=bytes_y, bytes_r=bytes_r,
-            bytes_store=bytes_store))
-    return LayerLatency(stage=stage, policy=policy,
-                        sublayers=tuple(parts))
+    terms = layer_terms(spec, stage, batch_size, context_len, system,
+                        config, kv_resident=kv_resident)
+    return policy_layer(terms, policy, weights_resident,
+                        resident_sublayers)

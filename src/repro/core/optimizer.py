@@ -13,15 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.cache import (
-    OPTIMAL_POLICY_CACHE,
-    cache_token,
-    cached_layer_latency,
-)
+import numpy as np
+
+from repro.arrays import Real
+from repro.core.cache import OPTIMAL_POLICY_CACHE, cache_token
 from repro.core.config import LiaConfig
-from repro.core.latency import LayerLatency
-from repro.core.overlap import overlapped_layer_time, serial_layer_time
+from repro.core.latency import LayerLatency, policy_layer
+from repro.core.overlap import Layer, overlapped_layer_time, serial_layer_time
 from repro.core.policy import OffloadPolicy
+from repro.core.terms import (ALL_ON_CPU, ALL_POLICIES, layer_terms,
+                               on_cpu_mask, resident_mask)
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.sublayers import Stage
@@ -38,8 +39,8 @@ class PolicyDecision:
     layer: LayerLatency
 
 
-def stage_layer_time(layer: LayerLatency, stage: Stage,
-                     config: LiaConfig) -> float:
+def stage_layer_time(layer: Layer, stage: Stage,
+                     config: LiaConfig) -> Real:
     """Per-layer latency under the configured execution scheme."""
     if not config.overlap:
         return serial_layer_time(layer)
@@ -56,16 +57,19 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
                    weights_resident: bool = False) -> PolicyDecision:
     """Solve Eq. (1): the policy minimizing decoder-layer latency.
 
-    Honors ``config.forced_*_policy`` so the ablation harness can pin
+    All 64 candidates are scored at once from one
+    :func:`~repro.core.terms.layer_terms` table; the first minimum
+    wins, as in a scan over ``OffloadPolicy.all_policies()``.  Honors
+    ``config.forced_*_policy`` so the ablation harness can pin
     FlexGen's fixed policy.
     """
     forced = (config.forced_prefill_policy if stage is Stage.PREFILL
               else config.forced_decode_policy)
-    candidates: Sequence[OffloadPolicy]
+    candidates: Sequence[OffloadPolicy] = ALL_POLICIES
+    on_cpu = ALL_ON_CPU
     if forced is not None:
-        candidates = [forced]
-    else:
-        candidates = list(OffloadPolicy.all_policies())
+        candidates = (forced,)
+        on_cpu = on_cpu_mask(forced)[np.newaxis]
 
     telemetry = current_telemetry()
     if telemetry is not None:
@@ -79,20 +83,18 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
                                   stage=stage.value).inc(len(candidates))
 
     def search() -> PolicyDecision:
-        best = None
-        for policy in candidates:
-            layer = cached_layer_latency(
-                spec, stage, policy, batch_size, context_len, system,
-                config, weights_resident=weights_resident)
-            # Eq. (1)/(2) scores the *serial* layer latency; overlap
-            # is an execution-time optimization, not part of the
-            # objective — that is what keeps Fig. 9's B=1 decode
-            # region full-CPU.
-            time = serial_layer_time(layer)
-            if best is None or time < best.layer_time:
-                best = PolicyDecision(stage=stage, policy=policy,
-                                      layer_time=time, layer=layer)
-        return best
+        terms = layer_terms(spec, stage, batch_size, context_len, system,
+                            config)
+        # Eq. (1)/(2) scores the *serial* layer latency; overlap is an
+        # execution-time optimization, not part of the objective —
+        # that is what keeps Fig. 9's B=1 decode region full-CPU.
+        times = np.asarray(serial_layer_time(
+            terms.sums(on_cpu, resident_mask(weights_resident))))
+        best = int(np.argmin(times))
+        policy = candidates[best]
+        return PolicyDecision(
+            stage=stage, policy=policy, layer_time=float(times[best]),
+            layer=policy_layer(terms, policy, weights_resident))
 
     if not config.cache_enabled:
         return search()

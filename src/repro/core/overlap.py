@@ -26,15 +26,21 @@ graph so tests can check the closed form against simulation.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Union
 
+from repro.arrays import Real, maximum, minimum
 from repro.core.latency import LayerLatency
+from repro.core.terms import LayerSums
 from repro.errors import ConfigurationError
 from repro.sim.task import TaskGraph
 
 
-def overlapped_layer_time(layer: LayerLatency, minibatches: int = 1,
-                          compute_scale: float = 1.0) -> float:
+#: One layer's rollups, or the arrays of many policies or decode steps.
+Layer = Union[LayerLatency, LayerSums]
+
+
+def overlapped_layer_time(layer: Layer, minibatches: int = 1,
+                          compute_scale: float = 1.0) -> Real:
     """Steady-state per-layer latency with overlap enabled.
 
     ``minibatches=1`` is LIA's whole-batch decode scheme (cross-layer
@@ -50,13 +56,13 @@ def overlapped_layer_time(layer: LayerLatency, minibatches: int = 1,
     dependent = layer.dependent_transfer
     prefetchable = layer.prefetchable_transfer
     if minibatches == 1:
-        return max(compute + dependent, dependent + prefetchable)
+        return maximum(compute + dependent, dependent + prefetchable)
     pcie = dependent + prefetchable
-    return max(compute, pcie) + min(compute, pcie) / minibatches
+    return (maximum(compute, pcie)
+            + minimum(compute, pcie) / minibatches)
 
 
-def serial_layer_time(layer: LayerLatency,
-                      compute_scale: float = 1.0) -> float:
+def serial_layer_time(layer: Layer, compute_scale: float = 1.0) -> Real:
     """Per-layer latency with overlap disabled (Table 4 ablation)."""
     return (layer.compute * compute_scale + layer.dependent_transfer
             + layer.prefetchable_transfer)

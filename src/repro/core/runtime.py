@@ -114,12 +114,9 @@ class LiaRuntime:
         Uses the streamed-layer policy; ``n_layers`` defaults to the
         model's depth (cap it for readable Gantt output).
         """
-        decision = optimal_policy(self.spec, stage, request.batch_size,
-                                  request.input_len, self.system,
-                                  self.config)
-        layer = layer_latency(self.spec, stage, decision.policy,
-                              request.batch_size, request.input_len,
-                              self.system, self.config)
+        layer = optimal_policy(self.spec, stage, request.batch_size,
+                               request.input_len, self.system,
+                               self.config).layer
         depth = n_layers if n_layers is not None else self.spec.n_layers
         minibatches = (self.config.prefill_minibatches
                        if stage is Stage.PREFILL else 1)
@@ -146,37 +143,25 @@ class LiaRuntime:
                  else request.output_len)
         n_resident = round(plan.residency.resident_fraction * depth)
 
-        def layers_for(stage: Stage, policy_streamed, policy_resident,
-                       context_len: int):
+        def layers_for(stage: Stage, context_len: int):
+            # The estimator's policies, chosen at L_in per residency.
             layers = []
-            for index in range(depth):
-                resident = index < n_resident
-                policy = policy_resident if resident else policy_streamed
+            for weights_resident in (False, True):
+                policy = optimal_policy(
+                    self.spec, stage, request.batch_size,
+                    request.input_len, self.system, self.config,
+                    weights_resident=weights_resident).policy
                 layers.append(layer_latency(
                     self.spec, stage, policy, request.batch_size,
                     context_len, self.system, self.config,
-                    weights_resident=resident))
-            return layers
+                    weights_resident=weights_resident))
+            streamed, resident = layers
+            return [resident if index < n_resident else streamed
+                    for index in range(depth)]
 
-        prefill_streamed = optimal_policy(
-            self.spec, Stage.PREFILL, request.batch_size,
-            request.input_len, self.system, self.config).policy
-        prefill_resident = optimal_policy(
-            self.spec, Stage.PREFILL, request.batch_size,
-            request.input_len, self.system, self.config,
-            weights_resident=True).policy
-        decode_streamed = plan.decode_policy
-        decode_resident = optimal_policy(
-            self.spec, Stage.DECODE, request.batch_size,
-            request.input_len, self.system, self.config,
-            weights_resident=True).policy
-
-        prefill_layers = layers_for(Stage.PREFILL, prefill_streamed,
-                                    prefill_resident, request.input_len)
-        decode_layers = [
-            layers_for(Stage.DECODE, decode_streamed, decode_resident,
-                       request.input_len + step)
-            for step in range(steps)]
+        prefill_layers = layers_for(Stage.PREFILL, request.input_len)
+        decode_layers = [layers_for(Stage.DECODE, request.input_len + step)
+                         for step in range(steps)]
         minibatches = (self.config.prefill_minibatches
                        if self.config.overlap else 1)
         graph = build_request_graph(prefill_layers, decode_layers,

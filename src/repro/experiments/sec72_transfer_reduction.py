@@ -18,7 +18,6 @@ from repro.baselines.flexgen import FlexGenEstimator
 from repro.core.estimator import LiaEstimator
 from repro.core.latency import layer_latency
 from repro.core.optimizer import optimal_policy
-from repro.core.policy import FULL_GPU
 from repro.experiments.frameworks import EVAL_CONFIG
 from repro.experiments.reporting import ExperimentResult
 from repro.hardware.system import get_system
@@ -29,19 +28,13 @@ from repro.models.zoo import get_model
 
 def _lia_decode_bytes_per_token(spec, system, request) -> float:
     """LIA's per-token decode transfer bytes, resident + streamed."""
-    estimator = LiaEstimator(spec, system, EVAL_CONFIG)
-    estimate = estimator.estimate(request)
-    residency = estimate.residency
-    streamed_policy = estimate.decode_policy
-    resident_policy = optimal_policy(
-        spec, Stage.DECODE, request.batch_size, request.input_len,
-        system, EVAL_CONFIG, weights_resident=True).policy
-    streamed = layer_latency(spec, Stage.DECODE, streamed_policy,
-                             request.batch_size, request.input_len,
-                             system, EVAL_CONFIG)
-    resident = layer_latency(spec, Stage.DECODE, resident_policy,
-                             request.batch_size, request.input_len,
-                             system, EVAL_CONFIG, weights_resident=True)
+    residency = LiaEstimator(spec, system,
+                             EVAL_CONFIG).estimate(request).residency
+    streamed, resident = (
+        optimal_policy(spec, Stage.DECODE, request.batch_size,
+                       request.input_len, system, EVAL_CONFIG,
+                       weights_resident=weights_resident).layer
+        for weights_resident in (False, True))
     n_resident = residency.n_resident_layers
     n_streamed = residency.n_layers - n_resident
     return (streamed.transfer_bytes * n_streamed

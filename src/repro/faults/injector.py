@@ -43,9 +43,9 @@ FaultSignature = Tuple[Tuple[str, float], ...]
 #: determines every :func:`apply_faults` factor (each magnitude is
 #: part of the signature), so the construction is pure in the key.
 #: Sharing the resulting ``SystemConfig`` object across runs is what
-#: lets the identity-token analytic caches (``layer_latency`` /
-#: ``optimal_policy``, see :mod:`repro.core.cache`) hit across
-#: fresh simulators instead of re-solving Eq. (1)/(2) per run.
+#: lets the identity-token analytic caches (``optimal_policy`` /
+#: ``estimate``, see :mod:`repro.core.cache`) hit across fresh
+#: simulators instead of re-solving Eq. (1)/(2) per run.
 _DEGRADED_LOCK = threading.Lock()
 _DEGRADED_GLOBAL: Dict[Tuple[Any, FaultSignature], SystemConfig] = {}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.arrays import Real, lowest, where
 from repro.errors import ConfigurationError
 from repro.units import gb_per_s, us
 
@@ -32,21 +33,21 @@ class Link:
             raise ConfigurationError(
                 f"{self.name}: setup_latency must be >= 0")
 
-    def transfer_time(self, num_bytes: float,
-                      source_bandwidth: float = float("inf")) -> float:
+    def transfer_time(self, num_bytes: Real,
+                      source_bandwidth: float = float("inf")) -> Real:
         """Time to move ``num_bytes`` across the link.
 
         ``source_bandwidth`` caps the achievable rate when the data's
         home memory is slower than the link — the mechanism behind §6
         Observation-1 (a single 17 GB/s CXL expander throttles a
         32 GB/s PCIe 4.0 transfer; two interleaved expanders do not).
+        ``num_bytes`` may be an array.
         """
-        if num_bytes < 0.0:
+        if lowest(num_bytes) < 0.0:
             raise ConfigurationError("num_bytes must be >= 0")
-        if num_bytes == 0.0:
-            return 0.0
         rate = min(self.bandwidth, source_bandwidth)
-        return self.setup_latency + num_bytes / rate
+        return where(num_bytes == 0.0, 0.0,
+                     self.setup_latency + num_bytes / rate)
 
     def effective_rate(self, num_bytes: float,
                        source_bandwidth: float = float("inf")) -> float:

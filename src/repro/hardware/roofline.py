@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.arrays import Real, lowest, maximum, square_root, where
 from repro.errors import ConfigurationError
 
 
@@ -58,13 +59,11 @@ class EfficiencyCurve:
             raise ConfigurationError(
                 f"half_flops must be >= 0, got {self.half_flops}")
 
-    def __call__(self, flops: float) -> float:
-        if flops <= 0.0:
-            return 0.0
-        if self.half_flops == 0.0:
-            return self.max_efficiency
-        return self.max_efficiency / (1.0
-                                      + (self.half_flops / flops) ** 0.5)
+    def __call__(self, flops: Real) -> Real:
+        # With ``half_flops == 0`` the ramp is exactly 0.0: flat curve.
+        positive = flops > 0.0
+        ramp = square_root(self.half_flops / where(positive, flops, 1.0))
+        return where(positive, self.max_efficiency / (1.0 + ramp), 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,11 @@ class ComputeEngine:
             bandwidth *= BATCHED_GEMV_BANDWIDTH_EFFICIENCY
         return bandwidth
 
-    def matmul_time(self, flops: float, bytes_moved: float,
+    def matmul_time(self, flops: Real, bytes_moved: Real,
                     kind: MatmulKind = MatmulKind.GEMM,
                     bandwidth_scale: float = 1.0,
-                    slow_bytes: float = 0.0,
-                    slow_bandwidth: float = float("inf")) -> float:
+                    slow_bytes: Real = 0.0,
+                    slow_bandwidth: float = float("inf")) -> Real:
         """Execution time of one matmul, Eq. (8) style.
 
         ``bytes_moved`` is the operand traffic served by the engine's
@@ -120,26 +119,29 @@ class ComputeEngine:
         that part as ``slow_bytes`` with the tier's ``slow_bandwidth``;
         the degradation of Fig. 8(b) then emerges from the roofline:
         memory-bound sublayers (ops/byte ~ 1) slow down by the
-        bandwidth ratio, compute-bound ones barely notice.
+        bandwidth ratio, compute-bound ones barely notice.  The byte
+        and FLOP counts may be arrays.
         """
-        if flops < 0.0 or bytes_moved < 0.0 or slow_bytes < 0.0:
+        if (lowest(flops) < 0.0 or lowest(bytes_moved) < 0.0
+                or lowest(slow_bytes) < 0.0):
             raise ConfigurationError(
                 "flops and byte counts must be non-negative")
-        if flops == 0.0 and bytes_moved == 0.0 and slow_bytes == 0.0:
-            return 0.0
+        # Efficiency is zero only at zero FLOPs, whose time is 0.0;
+        # zero slow bytes add an exact 0.0.
         achievable = self.peak_flops * self.efficiency(flops)
-        compute_time = flops / achievable if achievable > 0.0 else 0.0
+        compute_time = flops / where(achievable > 0.0, achievable, 1.0)
         bandwidth = self.effective_bandwidth(kind, bandwidth_scale)
-        memory_time = bytes_moved / bandwidth
-        if slow_bytes > 0.0:
-            slow_effective = slow_bandwidth
-            if kind is MatmulKind.BATCHED_GEMV:
-                slow_effective *= BATCHED_GEMV_BANDWIDTH_EFFICIENCY
-            memory_time += slow_bytes / min(bandwidth, slow_effective)
+        slow_effective = slow_bandwidth
+        if kind is MatmulKind.BATCHED_GEMV:
+            slow_effective *= BATCHED_GEMV_BANDWIDTH_EFFICIENCY
+        memory_time = (bytes_moved / bandwidth
+                       + slow_bytes / min(bandwidth, slow_effective))
         # Classic roofline: execution is limited by the slower of the
         # compute pipeline and the memory system (they overlap within
         # one kernel), plus the fixed dispatch cost.
-        return max(compute_time, memory_time) + self.dispatch_overhead
+        idle = (flops == 0.0) & (bytes_moved == 0.0) & (slow_bytes == 0.0)
+        return where(idle, 0.0, maximum(compute_time, memory_time)
+                     + self.dispatch_overhead)
 
     def matmul_throughput(self, flops: float, bytes_moved: float,
                           kind: MatmulKind = MatmulKind.GEMM,

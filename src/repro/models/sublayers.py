@@ -29,6 +29,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.arrays import Real, lowest
 from repro.errors import ConfigurationError
 from repro.models.spec import FeedForwardKind, ModelSpec
 
@@ -107,23 +108,25 @@ class SublayerCost:
 
 
 def sublayer_cost(spec: ModelSpec, sublayer: Sublayer, stage: Stage,
-                  batch_size: int, seq_len: int) -> SublayerCost:
+                  batch_size: Real, seq_len: Real) -> SublayerCost:
     """Compute Table 1's ``D_X``, ``D_Y``, and ``C`` for one sublayer.
 
     ``seq_len`` is the *context length* ``L``: the input token length
     during prefill, and the number of tokens already in the KV cache
-    during decoding.  ``batch_size`` is ``B``.
+    during decoding.  ``batch_size`` is ``B``.  Either may be an array
+    (e.g. every decode step's ``L``); the size fields then are arrays
+    where they depend on it.
 
     For OPT models these reproduce Table 1 exactly, e.g. prefill FC1:
     ``D_X = 2 B L d_m``, ``D_Y = 8 d_m^2``, ``C = 8 B L d_m^2``.
     """
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    if seq_len < 1:
-        raise ConfigurationError(f"seq_len must be >= 1, got {seq_len}")
+    for name, value in (("batch_size", batch_size), ("seq_len", seq_len)):
+        low = lowest(value)
+        if low < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {low}")
 
-    b = float(batch_size)
-    length = float(seq_len)
+    b = batch_size * 1.0
+    length = seq_len * 1.0
     d = float(spec.d_model)
     kv = float(spec.kv_dim)
     d_ff = float(spec.d_ff)

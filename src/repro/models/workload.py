@@ -13,7 +13,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.models.spec import ModelSpec
@@ -67,15 +69,14 @@ class InferenceRequest:
         """Output tokens produced across the batch (throughput basis)."""
         return self.batch_size * self.output_len
 
-    def decode_context_lengths(self) -> Iterator[int]:
-        """Context length seen by each decoding step.
+    def decode_context_lengths(self) -> np.ndarray:
+        """Context length seen by each decoding step, as one array.
 
         The first decode step attends over the ``input_len`` prompt
         tokens plus the token emitted by prefill; the last attends over
         ``input_len + output_len - 1`` tokens.
         """
-        for step in range(self.output_len):
-            yield self.input_len + step
+        return np.arange(self.input_len, self.input_len + self.output_len)
 
     def fits_model(self, spec: ModelSpec) -> bool:
         """Whether the total sequence fits the model's context window."""

@@ -3,18 +3,14 @@
 import pytest
 
 from repro.core.cache import (
-    LAYER_LATENCY_CACHE,
     OPTIMAL_POLICY_CACHE,
     LruCache,
     cache_stats,
     cache_token,
-    cached_layer_latency,
     clear_caches,
 )
 from repro.core.config import LiaConfig
-from repro.core.latency import layer_latency
 from repro.core.optimizer import optimal_policy
-from repro.core.policy import OffloadPolicy
 from repro.hardware.system import SYSTEM_ZOO, get_system
 from repro.models.sublayers import Stage
 from repro.models.zoo import MODEL_ZOO, get_model
@@ -91,63 +87,6 @@ class TestCacheToken:
         assert len(tokens) == len(SYSTEM_ZOO)
 
 
-class TestCachedLayerLatency:
-    def test_bit_identical_to_uncached(self):
-        """Property: cached results match direct calls exactly."""
-        config = LiaConfig(enforce_host_capacity=False)
-        policies = [OffloadPolicy.from_string("000000"),
-                    OffloadPolicy.from_string("111111"),
-                    OffloadPolicy.from_string("111000")]
-        for model in ("opt-6.7b", "opt-30b"):
-            spec = get_model(model)
-            system = get_system("spr-a100")
-            for stage in Stage:
-                for policy in policies:
-                    for batch, length in [(1, 32), (16, 256), (64, 1024)]:
-                        direct = layer_latency(
-                            spec, stage, policy, batch, length, system,
-                            config)
-                        cached = cached_layer_latency(
-                            spec, stage, policy, batch, length, system,
-                            config)
-                        again = cached_layer_latency(
-                            spec, stage, policy, batch, length, system,
-                            config)
-                        assert cached == direct
-                        assert again == direct
-
-    def test_cache_disabled_bypasses_store(self):
-        spec = get_model("opt-30b")
-        system = get_system("spr-a100")
-        config = LiaConfig(enforce_host_capacity=False,
-                           cache_enabled=False)
-        cached_layer_latency(spec, Stage.DECODE,
-                             OffloadPolicy.from_string("111111"), 1, 128, system,
-                             config)
-        assert LAYER_LATENCY_CACHE.stats()["size"] == 0
-
-    def test_distinct_systems_do_not_collide(self):
-        """Identity tokens must keep unhashable systems apart."""
-        spec = get_model("opt-30b")
-        config = LiaConfig(enforce_host_capacity=False)
-        # Full-GPU policy: the A100 and H100 differ, so a key
-        # collision between the two systems would be visible.
-        policy = OffloadPolicy.from_string("000000")
-        for name in ("spr-a100", "spr-h100"):
-            system = get_system(name)
-            cached = cached_layer_latency(spec, Stage.DECODE, policy,
-                                          16, 512, system, config)
-            direct = layer_latency(spec, Stage.DECODE, policy, 16, 512,
-                                   system, config)
-            assert cached == direct
-        assert (cached_layer_latency(spec, Stage.DECODE, policy, 16,
-                                     512, get_system("spr-a100"),
-                                     config)
-                != cached_layer_latency(spec, Stage.DECODE, policy, 16,
-                                        512, get_system("spr-h100"),
-                                        config))
-
-
 class TestOptimalPolicyCache:
     def test_cached_decision_is_bit_identical(self):
         spec = get_model("opt-30b")
@@ -182,8 +121,7 @@ class TestOptimalPolicyCache:
 
     def test_cache_stats_lists_both_caches(self):
         names = {entry["cache"] for entry in cache_stats()}
-        assert names == {"layer_latency", "optimal_policy", "estimate",
-                         "stall_outcome"}
+        assert names == {"optimal_policy", "estimate", "stall_outcome"}
 
 
 class TestEstimatorCacheProperty:

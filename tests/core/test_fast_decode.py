@@ -1,32 +1,22 @@
-"""Fast (closed-form) decode summation vs the exact per-step loop.
+"""Array decode summation vs the exact per-step loop.
 
-The fast path exploits the near-affine structure of per-step decode
-latency in the context length; the adaptive summation must agree with
-the exact loop to well under the repo's 1e-9 acceptance gate on every
-model/system/shape combination, and degenerate spans must be exact.
+The estimator sums every decode step from one term table, as arrays
+over the context length, folded in step order by
+:func:`~repro.core.estimator.sum_steps`.  It must equal the per-step
+loop of ``tests/oracles/eq1_scalar.py`` exactly on every model/system/
+shape combination, and degenerate spans must be exact.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.cache import clear_caches
 from repro.core.config import LiaConfig
-from repro.core.estimator import (
-    LiaEstimator,
-    StageBreakdown,
-    sum_breakdowns_closed_form,
-)
-from repro.errors import ConfigurationError
+from repro.core.estimator import LiaEstimator, StageBreakdown, sum_steps
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
-
-REL_GATE = 1e-9
-
-
-def _assert_close(exact: StageBreakdown, fast: StageBreakdown) -> None:
-    for mine, theirs in zip(exact.components(), fast.components()):
-        scale = max(abs(mine), abs(theirs), 1e-30)
-        assert abs(mine - theirs) / scale < REL_GATE
+from tests.oracles import eq1_scalar
 
 
 @pytest.fixture(autouse=True)
@@ -36,45 +26,37 @@ def _fresh_caches():
     clear_caches()
 
 
+def _assert_exact(estimator: LiaEstimator, request: InferenceRequest):
+    estimate = estimator.estimate(request)
+    prefill, decode, _, decode_policy = eq1_scalar.lia_stages(estimator,
+                                                              request)
+    assert estimate.decode == decode
+    assert estimate.prefill == prefill
+    assert estimate.decode_policy == decode_policy
+    assert estimate.latency == prefill.time + decode.time
+
+
 class TestClosedFormSummation:
+    """:func:`sum_steps` folds per-step arrays exactly as a loop does."""
+
     def test_affine_function_is_exact(self):
-        """For affine f the trapezoid identity is an equality."""
-        def step(length):
-            value = 3.0 * length + 7.0
-            return StageBreakdown(time=value, cpu_compute=2.0 * length,
-                                  gpu_compute=0.5 * length + 1.0,
-                                  transfer=0.0)
-
-        total = sum_breakdowns_closed_form(step, 10, 500)
-        expected = sum((step(length).time for length in range(10, 501)))
-        assert total.time == pytest.approx(expected, rel=1e-12)
-        assert total.transfer == 0.0
-
-    def test_short_span_falls_back_to_exact_loop(self):
-        calls = []
-
-        def step(length):
-            calls.append(length)
-            return StageBreakdown(length, 0.0, 0.0, 0.0)
-
-        total = sum_breakdowns_closed_form(step, 5, 9)
-        assert total.time == sum(range(5, 10))
-        assert sorted(set(calls)) == list(range(5, 10))
+        lengths = np.arange(10, 501)
+        steps = StageBreakdown(time=3.0 * lengths + 7.0,
+                               cpu_compute=2.0 * lengths,
+                               gpu_compute=0.5 * lengths + 1.0,
+                               transfer=0.0 * lengths)
+        total = sum_steps(steps)
+        expected = StageBreakdown(0.0, 0.0, 0.0, 0.0)
+        for length in lengths.tolist():
+            expected = expected + StageBreakdown(
+                3.0 * length + 7.0, 2.0 * length, 0.5 * length + 1.0, 0.0)
+        assert total == expected
+        assert all(type(value) is float for value in total.components())
 
     def test_empty_span_is_zero(self):
-        total = sum_breakdowns_closed_form(
-            lambda length: StageBreakdown(1.0, 1.0, 1.0, 1.0), 10, 9)
+        empty = np.zeros(0)
+        total = sum_steps(StageBreakdown(empty, empty, empty, empty))
         assert total == StageBreakdown(0.0, 0.0, 0.0, 0.0)
-
-    def test_kinked_function_recurses_to_exactness(self):
-        """A roofline-style max() kink must not fool the trapezoid."""
-        def step(length):
-            value = max(2.0 * length, 500.0 + 0.5 * length)
-            return StageBreakdown(value, 0.0, 0.0, value)
-
-        total = sum_breakdowns_closed_form(step, 1, 1000)
-        expected = sum(step(length).time for length in range(1, 1001))
-        assert abs(total.time - expected) / expected < REL_GATE
 
 
 class TestFastVsExactEstimates:
@@ -93,50 +75,26 @@ class TestFastVsExactEstimates:
     ])
     def test_property_fast_matches_exact(self, model, system_name,
                                          batch, input_len, output_len):
-        spec = get_model(model)
-        system = get_system(system_name)
-        request = InferenceRequest(batch, input_len, output_len)
-        base = LiaConfig(enforce_host_capacity=False)
-        exact = LiaEstimator(spec, system, base).estimate(request)
-        fast = LiaEstimator(spec, system,
-                            base.with_fast_decode()).estimate(request)
-        _assert_close(exact.decode, fast.decode)
-        assert exact.prefill == fast.prefill
-        scale = max(abs(exact.latency), 1e-30)
-        assert abs(exact.latency - fast.latency) / scale < REL_GATE
+        estimator = LiaEstimator(get_model(model), get_system(system_name),
+                                 LiaConfig(enforce_host_capacity=False))
+        _assert_exact(estimator,
+                      InferenceRequest(batch, input_len, output_len))
 
     def test_single_decode_step(self):
-        spec = get_model("opt-30b")
-        system = get_system("spr-a100")
-        request = InferenceRequest(1, 64, 1)
-        base = LiaConfig(enforce_host_capacity=False)
-        exact = LiaEstimator(spec, system, base).estimate(request)
-        fast = LiaEstimator(spec, system,
-                            base.with_fast_decode()).estimate(request)
-        assert exact.decode == fast.decode
+        estimator = LiaEstimator(get_model("opt-30b"),
+                                 get_system("spr-a100"),
+                                 LiaConfig(enforce_host_capacity=False))
+        _assert_exact(estimator, InferenceRequest(1, 64, 1))
 
     def test_cxl_configuration(self):
-        """The fast path must also hold under CXL weight placement."""
-        spec = get_model("opt-175b")
+        """The array path must also hold under CXL weight placement."""
         system = get_system("spr-a100").with_cxl(n_expanders=2)
-        base = LiaConfig(enforce_host_capacity=False).with_cxl_weights()
-        request = InferenceRequest(8, 128, 128)
-        exact = LiaEstimator(spec, system, base).estimate(request)
-        fast = LiaEstimator(spec, system,
-                            base.with_fast_decode()).estimate(request)
-        _assert_close(exact.decode, fast.decode)
+        config = LiaConfig(enforce_host_capacity=False).with_cxl_weights()
+        estimator = LiaEstimator(get_model("opt-175b"), system, config)
+        _assert_exact(estimator, InferenceRequest(8, 128, 128))
 
 
 class TestConfigValidation:
-    def test_decode_eval_validated(self):
-        with pytest.raises(ConfigurationError):
-            LiaConfig(decode_eval="turbo")
-
-    def test_with_fast_decode(self):
-        config = LiaConfig()
-        assert config.decode_eval == "exact"
-        assert config.with_fast_decode().decode_eval == "fast"
-
     def test_without_cache(self):
         config = LiaConfig()
         assert config.cache_enabled

@@ -173,7 +173,7 @@ def test_sweep(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "2 grid points" in out  # 2 batches x 1 len x 1 len
     assert "opt-30b on spr-a100" in out
-    assert "cache layer_latency" in out
+    assert "cache optimal_policy" in out
     import json
 
     payload = json.loads(out_json.read_text())
@@ -307,16 +307,33 @@ def test_faults_unknown_preset(capsys):
     assert "known scenarios" in err and "Traceback" not in err
 
 
-def test_sweep_exact_matches_fast(capsys):
-    assert main(["sweep", "--batches", "1", "--input-lens", "64",
-                 "--output-lens", "8", "--decode-eval", "exact"]) == 0
-    exact_out = capsys.readouterr().out
-    assert main(["sweep", "--batches", "1", "--input-lens", "64",
-                 "--output-lens", "8", "--decode-eval", "fast"]) == 0
-    fast_out = capsys.readouterr().out
-    exact_row = [l for l in exact_out.splitlines() if l.lstrip().startswith("1 ")]
-    fast_row = [l for l in fast_out.splitlines() if l.lstrip().startswith("1 ")]
-    assert exact_row == fast_row
+def test_sweep_rows_equal_figure_rows(tmp_path):
+    """``repro sweep`` runs the figure drivers' estimator: its rows are
+    the Fig. 10 (B=1) and Fig. 11 (B=64) LIA rows, exactly."""
+    import json
+
+    from repro.experiments import (fig10_online_latency,
+                                   fig11_offline_throughput)
+
+    pairs = [("spr-a100", "opt-30b")]
+    fig10 = fig10_online_latency.run(pairs=pairs, frameworks=["lia"],
+                                     output_lens=[32])
+    fig11 = fig11_offline_throughput.run(pairs=pairs, frameworks=["lia"],
+                                         batch_sizes=[64],
+                                         output_lens=[32])
+    input_lens = sorted({row["input_len"] for row in fig10.rows})
+    out_json = tmp_path / "sweep.json"
+    assert main(["sweep", "--model", "opt-30b", "--system", "spr-a100",
+                 "--batches", "1", "64", "--output-lens", "32",
+                 "--input-lens", *map(str, input_lens),
+                 "--json", str(out_json)]) == 0
+    rows = {(row["batch_size"], row["input_len"]): row
+            for row in json.loads(out_json.read_text())["rows"]}
+    for row in fig10.rows:
+        assert rows[(1, row["input_len"])]["latency_s"] == row["latency_s"]
+    for row in fig11.rows:
+        assert (rows[(64, row["input_len"])]["tokens_per_s"]
+                == row["tokens_per_s"])
 
 
 def test_serve_fixed_fleet(capsys):
