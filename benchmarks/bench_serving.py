@@ -1,14 +1,14 @@
-"""Serving-engine benchmark: per-request loop vs vectorized engine.
+"""Serving-engine benchmark: per-request loop oracle vs the FIFO engine.
 
 Replays one million Poisson arrivals of a four-shape OPT-30B/SPR-A100
-mix through :class:`ServingSimulator` two ways:
+mix two ways:
 
-* **loop** — the seed per-request Python loop
-  (``run(..., vectorized=False)``) over materialized
+* **loop** — the per-request Python loop oracle of
+  ``tests/oracles/fifo_loop.py`` (``run_loop``) over materialized
   :class:`InferenceRequest` objects.
-* **vectorized** — the array engine (``run(..., vectorized=True)``)
-  over the columnar :class:`WorkloadVector`, exact Lindley-recursion
-  timeline plus array-backed statistics.
+* **vectorized** — the engine (``ServingSimulator.run``) over the
+  columnar :class:`WorkloadVector`: one exact Lindley-recursion
+  timeline plus columnar statistics.
 
 Both sides consume the *same* precomputed arrival trace (generation is
 untimed) and each timed region covers the full simulate-then-summarize
@@ -25,11 +25,11 @@ report, and its mean is compared against the vectorized run itself
 (``overhead_fraction``).  The SLO burn-rate evaluation is timed once,
 reported, and not gated.
 
-A fourth phase times the *degraded* engines under ``bench-composite``
+A fourth phase times the *degraded* runs under ``bench-composite``
 — a five-window fault schedule (PCIe downshift, GPU HBM pressure, a
 PCIe stall burst, CXL contention, CPU preemption) spanning the run —
-through the reference loop (:mod:`repro.serving.degradation`) and the
-piecewise-Lindley engine (:mod:`repro.serving.piecewise`).  The two
+through the loop oracle (``run_degraded``) and the piecewise-Lindley
+engine (:mod:`repro.serving.piecewise`).  The two
 degraded reports are compared bit-for-bit: timelines, served/dropped
 substreams, every :class:`FaultStats` counter, and the summary
 statistics.
@@ -76,7 +76,9 @@ import ctypes
 import gc
 import json
 import statistics
+import sys
 import time
+from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
@@ -89,6 +91,10 @@ from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving import (ServingSimulator, WorkloadVector,
                            arrivals_poisson)
+
+# The loop side is the test oracle, importable from the root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import fifo_loop  # noqa: E402
 
 MODEL = "opt-30b"
 SYSTEM = "spr-a100"
@@ -186,15 +192,15 @@ def _tune_allocator() -> None:
 
 def _summarize(report) -> Dict[str, float]:
     """The statistics a capacity planner reads off a serving run."""
-    if hasattr(report, "summary"):  # vectorized: one fused call
-        return report.summary(PERCENTILES)
-    summary = {f"p{round(fraction * 100)}": report.latency_percentile(fraction)
-               for fraction in PERCENTILES}
-    summary["utilization"] = report.utilization
-    summary["mean_queue_delay_s"] = report.mean_queue_delay
-    summary["makespan_s"] = report.makespan
-    summary["throughput_tokens_per_s"] = report.throughput_tokens_per_s
-    return summary
+    return report.summary(PERCENTILES)
+
+
+def _exact(report):
+    """The engine report with exact sorted percentiles at any size
+    (the loop oracle knows nothing else), so the bit-identity
+    comparison covers the percentile path too."""
+    report.exact_percentile_limit = report.n_served
+    return report
 
 
 def _time_runs(simulator: ServingSimulator, requests, arrivals,
@@ -203,24 +209,25 @@ def _time_runs(simulator: ServingSimulator, requests, arrivals,
     times: List[float] = []
     report = None
     summary: Dict[str, float] = {}
-    # ``streaming=False`` pins the vectorized report to exact sorted
-    # percentiles (the loop report knows nothing else), so the
-    # bit-identity comparison below covers the percentile path too.
-    # The degraded *loop* rejects the argument outright (it always
-    # materializes), so that engine runs with the default.
-    streaming = (None if scenario is not None and not vectorized
-                 else False)
+    if vectorized:
+        def serve():
+            return _exact(simulator.run(requests, arrivals,
+                                        scenario=scenario))
+    elif scenario is None:
+        def serve():
+            return fifo_loop.run_loop(simulator, requests, arrivals)
+    else:
+        def serve():
+            return fifo_loop.run_degraded(simulator, requests, arrivals,
+                                          scenario)
     # One untimed warm-up run per engine first: both engines measure
     # steady state (allocator, page cache, estimator caches), matching
     # how BENCH_estimator gates the warm fast path.
-    simulator.run(requests, arrivals, scenario=scenario,
-                  vectorized=vectorized, streaming=streaming)
+    serve()
     for __ in range(reps):
         gc.collect()  # pending garbage stays out of the timed window
         start = time.perf_counter()
-        report = simulator.run(requests, arrivals, scenario=scenario,
-                               vectorized=vectorized,
-                               streaming=streaming)
+        report = serve()
         summary = _summarize(report)
         times.append(time.perf_counter() - start)
     return {"times_s": times, "mean_s": statistics.mean(times),
@@ -408,11 +415,10 @@ def _time_scheduler(estimator, n_requests: int,
     arrivals = arrivals_poisson(n_requests, SCHED_RATE_PER_S, seed=SEED)
     arrival_array = np.asarray(arrivals, dtype=np.float64)
 
-    # FIFO baseline through the vectorized engine (bit-identical to
-    # the loop — the first phase proves that on every run).
+    # FIFO baseline through the engine (bit-identical to the loop
+    # oracle — the first phase proves that on every run).
     simulator = ServingSimulator(estimator)
-    fifo_report = simulator.run(workload, arrival_array,
-                                vectorized=True, streaming=False)
+    fifo_report = _exact(simulator.run(workload, arrival_array))
     fifo_summary = fifo_report.summary(PERCENTILES)
 
     scheduler_config = SchedulerConfig(
@@ -449,13 +455,8 @@ def _time_scheduler(estimator, n_requests: int,
                                                           arrivals)
     degenerate_identical = (
         _summarize(degenerate) == fifo_summary
-        and np.array_equal(
-            np.fromiter((record.start for record in degenerate.served),
-                        dtype=np.float64), fifo_report.starts)
-        and np.array_equal(
-            np.fromiter((record.finish
-                         for record in degenerate.served),
-                        dtype=np.float64), fifo_report.finishes))
+        and np.array_equal(degenerate.starts, fifo_report.starts)
+        and np.array_equal(degenerate.finishes, fifo_report.finishes))
 
     summary = _summarize(report)
     ratio = (summary["throughput_tokens_per_s"]
@@ -572,11 +573,13 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
                         request.output_len] for request in SHAPES],
         },
         "reps": reps,
-        "loop": {"config": "vectorized=False (per-request loop)",
+        "loop": {"config": "per-request loop oracle "
+                           "(tests/oracles/fifo_loop.py run_loop)",
                  "times_s": loop["times_s"],
                  "mean_s": loop["mean_s"],
                  "summary": loop["summary"]},
-        "vectorized": {"config": "vectorized=True (Lindley array engine)",
+        "vectorized": {"config": "ServingSimulator.run (Lindley array "
+                                 "engine)",
                        "times_s": vectorized["times_s"],
                        "mean_s": vectorized["mean_s"],
                        "cold_s": vectorized["cold_s"],
@@ -586,12 +589,13 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
             "chunks_per_request": scenario.chunks_per_request,
             "events": [[event.kind.value, event.start, event.duration,
                         event.magnitude] for event in scenario.events],
-            "loop": {"config": "scenario + vectorized=False "
-                               "(reference degraded loop)",
+            "loop": {"config": "scenario + loop oracle "
+                               "(tests/oracles/fifo_loop.py "
+                               "run_degraded)",
                      "times_s": degraded_loop["times_s"],
                      "mean_s": degraded_loop["mean_s"],
                      "summary": degraded_loop["summary"]},
-            "vectorized": {"config": "scenario + vectorized=True "
+            "vectorized": {"config": "scenario + ServingSimulator.run "
                                      "(piecewise-Lindley engine)",
                            "times_s": degraded_vec["times_s"],
                            "mean_s": degraded_vec["mean_s"],

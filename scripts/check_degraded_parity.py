@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Loop-vs-piecewise bit-identity sweep over every built-in preset.
+"""Loop-oracle-vs-engine bit-identity sweep over every built-in preset.
 
 CI runs this after the unit suite as a larger-n backstop: for each
 scenario in :func:`repro.faults.scenarios.builtin_scenarios` plus the
 admission-bounded presets below (a tight always-saturated queue and a
 deep mostly-open one, so both the batched attempt-zero probe path and
 the sequential drain fallback of the admission engine see thousands
-of requests), serve the same Poisson workload through the reference
-degraded loop and the piecewise-Lindley engine — single server and a
-4-replica fleet — and fail (exit 1) on the first surface that is not
-bit-identical: timelines, served/dropped index maps, drop reasons,
-:class:`FaultStats`, and the derived statistics (percentiles, queue
-delay, utilization).
+of requests), serve the same Poisson workload through the per-request
+loop oracle of ``tests/oracles/fifo_loop.py`` and the piecewise-
+Lindley engine — single server and a 4-replica fleet — and fail
+(exit 1) on the first surface that is not bit-identical: timelines,
+served/dropped index maps, drop reasons, :class:`FaultStats`, and the
+derived statistics (percentiles, queue delay, utilization).
 
 The unit tests in ``tests/serving/test_piecewise.py`` pin the same
 contract at small n; this sweep runs thousands of requests per preset
@@ -29,9 +29,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
-import numpy as np
+# The loop oracle lives in the test tree, importable from the root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles import fifo_loop  # noqa: E402
 
 MODEL = "opt-30b"
 SYSTEM = "spr-a100"
@@ -70,7 +73,8 @@ def _admission_presets():
 
 
 def _mismatches(label: str, loop, vec) -> List[str]:
-    """Bit-compare every surface of two single-server reports."""
+    """Bit-compare every surface of a loop report and an engine
+    report (single server, or a fleet's merged view)."""
     problems: List[str] = []
 
     def check(surface: str, ok: bool) -> None:
@@ -103,37 +107,6 @@ def _mismatches(label: str, loop, vec) -> List[str]:
     return problems
 
 
-def _fleet_mismatches(label: str, loop, vec) -> List[str]:
-    problems: List[str] = []
-
-    def check(surface: str, ok: bool) -> None:
-        if not ok:
-            problems.append(f"{label}: {surface} diverged")
-
-    check("merged starts",
-          np.array_equal(loop.merged.starts, vec.merged.starts))
-    check("merged finishes",
-          np.array_equal(loop.merged.finishes, vec.merged.finishes))
-    check("merged served_index",
-          np.array_equal(loop.merged.served_index,
-                         vec.merged.served_index))
-    check("merged dropped_index",
-          np.array_equal(loop.merged.dropped_index,
-                         vec.merged.dropped_index))
-    check("drop reasons",
-          loop.merged.dropped_reasons == vec.merged.dropped_reasons)
-    check("fault stats", loop.stats.as_dict() == vec.stats.as_dict())
-    check("n_dropped", loop.n_dropped == vec.n_dropped)
-    if loop.merged.n_served:
-        for fraction in (0.5, 0.95, 1.0):
-            check(f"p{int(fraction * 100)}",
-                  loop.latency_percentile(fraction)
-                  == vec.latency_percentile(fraction))
-        check("mean_queue_delay",
-              loop.mean_queue_delay == vec.mean_queue_delay)
-    return problems
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
@@ -151,8 +124,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.models.workload import InferenceRequest
     from repro.models.zoo import get_model
     from repro.serving import (MultiReplicaSimulator, ServingSimulator,
-                               WorkloadVector, arrivals_poisson,
-                               run_degraded, run_degraded_vectorized)
+                               WorkloadVector, arrivals_poisson, run_fifo)
 
     config = LiaConfig(enforce_host_capacity=False)
     estimator = LiaEstimator(get_model(MODEL), get_system(SYSTEM),
@@ -169,19 +141,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures: List[str] = []
     for name, scenario in sorted(scenarios.items()):
         started = time.perf_counter()
-        loop = run_degraded(ServingSimulator(estimator), requests,
-                            arrivals, scenario)
-        vec = run_degraded_vectorized(ServingSimulator(estimator),
-                                      workload, arrivals, scenario)
+        loop = fifo_loop.run_degraded(ServingSimulator(estimator),
+                                      requests, arrivals, scenario)
+        vec = run_fifo(ServingSimulator(estimator), workload, arrivals,
+                       scenario)
         problems = _mismatches(name, loop, vec)
 
-        fleet = MultiReplicaSimulator(estimator, args.replicas)
-        loop_fleet = fleet.run(workload, arrivals, scenario=scenario,
-                               vectorized=False)
-        vec_fleet = fleet.run(workload, arrivals, scenario=scenario,
-                              vectorized=True)
-        problems += _fleet_mismatches(f"{name} (k={args.replicas})",
-                                      loop_fleet, vec_fleet)
+        loop_fleet = fifo_loop.run_fleet_loop(
+            ServingSimulator(estimator), workload, arrivals, scenario,
+            args.replicas)
+        vec_fleet = MultiReplicaSimulator(estimator, args.replicas).run(
+            workload, arrivals, scenario=scenario)
+        problems += _mismatches(f"{name} (k={args.replicas})",
+                                loop_fleet, vec_fleet.merged)
 
         elapsed = time.perf_counter() - started
         if problems:

@@ -10,7 +10,7 @@ Commands:
   a metrics summary (see docs/OBSERVABILITY.md).
 * ``faults`` — run a degraded-serving simulation under a seeded
   fault scenario (see docs/ROBUSTNESS.md).
-* ``serve`` — vectorized million-request serving simulation with
+* ``serve`` — million-request serving simulation with
   multi-replica scale-out (see docs/PERFORMANCE.md).
 * ``monitor`` — windowed serving observability: time-series metrics,
   SLO burn-rate alerts with fault attribution, Perfetto counter
@@ -162,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write the machine-readable report here")
 
     serve = commands.add_parser(
-        "serve", help="vectorized serving simulation: millions of "
+        "serve", help="serving simulation: millions of "
                       "Poisson requests, optional replica scale-out "
                       "(see docs/PERFORMANCE.md)")
     serve.add_argument("--model", default="opt-30b")
@@ -178,9 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dispatch", choices=["round-robin",
                                               "least-loaded"],
                        default="round-robin")
-    serve.add_argument("--streaming", action="store_true",
-                       help="constant-memory percentiles (histogram "
-                            "sketch) regardless of request count")
     serve.add_argument("--shape", action="append", default=[],
                        metavar="B,L_IN,L_OUT",
                        help="request shape in the mix (repeatable); "
@@ -241,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="fault scenario preset (e.g. "
                               "gpu-pressure, pcie-flaky; see "
                               "`repro faults --list-presets`); runs "
-                              "the degraded loop server and "
+                              "one server under it and "
                               "attributes alerts to its fault "
                               "windows")
     monitor.add_argument("--windows", type=int, default=256,
@@ -526,7 +523,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                                            rate_per_s=args.rate,
                                            seed=args.seed)
             metadata["makespan_s"] = report.makespan
-            print(f"served {len(report.served)} requests in "
+            print(f"served {report.n_served} requests in "
                   f"{report.makespan:.3f} s "
                   f"(utilization {report.utilization:.1%})")
         else:  # schedule
@@ -606,15 +603,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
     name = scenario.name if scenario is not None else "(fault-free)"
     print(f"{spec.name} on {system.name}, scenario {name}: "
-          f"{len(report.served)}/{args.requests} served")
-    if report.served:
+          f"{report.n_served}/{args.requests} served")
+    if report.n_served:
         print(f"  p50 latency  : {report.latency_percentile(0.50):.3f} s")
         print(f"  p95 latency  : {report.latency_percentile(0.95):.3f} s")
         print(f"  p99 latency  : {report.latency_percentile(0.99):.3f} s")
         print(f"  makespan     : {report.makespan:.3f} s "
               f"(utilization {report.utilization:.1%})")
-    dropped = getattr(report, "dropped", [])
-    stats = getattr(report, "stats", None)
+    dropped = report.dropped
+    stats = report.stats
     if stats is not None:
         print(f"  dropped      : {len(dropped)} "
               f"({report.drop_rate:.1%} of offered)")
@@ -626,7 +623,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.out:
         metadata = {"mode": "faults", "model": spec.name,
                     "system": system.name, "scenario": name,
-                    "served": len(report.served),
+                    "served": report.n_served,
                     "dropped": len(dropped)}
         trace_path = write_chrome_trace(args.out,
                                         telemetry.tracer.spans,
@@ -658,7 +655,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             "percentiles": ({"p50": report.latency_percentile(0.50),
                              "p95": report.latency_percentile(0.95),
                              "p99": report.latency_percentile(0.99)}
-                            if report.served else None),
+                            if report.n_served else None),
             "fault_stats": stats.as_dict() if stats is not None else None,
         }
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -696,7 +693,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   for shape in _SERVE_DEFAULT_SHAPES])
     workload = WorkloadVector.sample_mix(shapes, args.num_requests,
                                          seed=args.seed)
-    streaming = True if args.streaming else None
 
     if args.scheduler == "continuous":
         return _serve_continuous(args, spec, system, config, shapes,
@@ -717,10 +713,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             LiaEstimator(spec, system, config), n_replicas,
             dispatch=args.dispatch)
         report = simulator.run_poisson(workload, args.rate,
-                                       seed=args.seed,
-                                       streaming=streaming)
+                                       seed=args.seed)
 
-    mode = "streaming" if args.streaming else "exact"
+    streaming = report.merged.streaming_percentiles
+    mode = "streaming" if streaming else "exact"
     print(f"served {report.n_served:,} requests on {n_replicas} "
           f"replica(s), {args.dispatch} dispatch "
           f"({mode} percentiles)")
@@ -747,7 +743,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "model": spec.name, "system": system.name,
             "num_requests": args.num_requests, "rate_per_s": args.rate,
             "seed": args.seed, "replicas": n_replicas,
-            "dispatch": args.dispatch, "streaming": bool(args.streaming),
+            "dispatch": args.dispatch, "streaming": streaming,
             "shapes": [[request.batch_size, request.input_len,
                         request.output_len] for request in shapes],
             "slo_p95_s": args.slo_p95 or None,
@@ -777,10 +773,6 @@ def _serve_continuous(args: argparse.Namespace, spec, system, config,
         raise ConfigurationError(
             "--slo-p95 fleet sizing runs on the FIFO engines; drop "
             "it with --scheduler continuous")
-    if args.streaming:
-        raise ConfigurationError(
-            "--streaming applies to the vectorized FIFO engine; the "
-            "continuous scheduler materializes its report")
 
     kv_capacities = None
     if (args.kv_hbm_gb > 0.0 or args.kv_ddr_gb > 0.0
@@ -802,7 +794,7 @@ def _serve_continuous(args: argparse.Namespace, spec, system, config,
 
     mode = ("fifo-degenerate"
             if scheduler_config.is_fifo_degenerate else args.join)
-    print(f"served {len(report.served):,} requests on "
+    print(f"served {report.n_served:,} requests on "
           f"{args.replicas} replica(s), continuous batching "
           f"(max batch {args.max_batch}, join {mode})")
     p50 = report.latency_percentile(0.50)
@@ -872,8 +864,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
     if args.preset and args.replicas > 1:
         raise ConfigurationError(
-            "--preset runs the single-server degraded loop; "
-            "use --replicas 1 with it")
+            "--preset runs a single server under the fault "
+            "scenario; use --replicas 1 with it")
     spec = get_model(args.model)
     system = get_system(args.system)
     config = LiaConfig(enforce_host_capacity=False)
@@ -1139,7 +1131,7 @@ def _fleet_continuous(args: argparse.Namespace, spec, system,
     usd_per_hour = CostModel(system).usd_per_hour()
 
     print(f"fleet {args.preset}: {spec.name} on {system.name}, "
-          f"trace {trace_spec.name} ({len(report.served):,} "
+          f"trace {trace_spec.name} ({report.n_served:,} "
           f"requests), chaos {chaos.name} (idle), continuous "
           f"batching x{n_replicas} replica(s)")
     p50 = report.latency_percentile(0.50)
@@ -1165,8 +1157,8 @@ def _fleet_continuous(args: argparse.Namespace, spec, system,
             "system": system.name, "trace": trace_spec.name,
             "scheduler": "continuous", "chaos": chaos.name,
             "n_replicas_initial": n_replicas,
-            "n_offered": len(report.served),
-            "n_served": len(report.served), "n_dropped": 0,
+            "n_offered": report.n_served,
+            "n_served": report.n_served, "n_dropped": 0,
             "availability": 1.0,
             "p50_s": p50, "p95_s": p95,
             "makespan_s": report.makespan,

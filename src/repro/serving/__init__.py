@@ -8,16 +8,16 @@ needs the two wrappers this package provides:
   driven) inference.
 * :mod:`repro.serving.simulator` — replay an online arrival trace
   through a FIFO-queued single-system server, reporting latency
-  percentiles and utilization.
+  percentiles and utilization in one columnar :class:`ServingReport`.
 * :mod:`repro.serving.planner` — pick the cheapest system that meets
   a latency SLO for a workload (the §7.6/§7.8 decision problem as an
   API).
-* :mod:`repro.serving.vectorized` — the million-request array
-  engine: exact Lindley-recursion timelines, columnar workloads, and
-  array-backed reports, bit-identical to the loop path.
-* :mod:`repro.serving.piecewise` — the same contract under fault
-  scenarios: piecewise-Lindley segments over the fault regimes,
-  bit-identical to the degraded reference loop.
+* :mod:`repro.serving.vectorized` — columnar workloads and the exact
+  Lindley-recursion timeline kernel.
+* :mod:`repro.serving.piecewise` — the one FIFO engine: piecewise-
+  Lindley segments over the fault regimes (a healthy run is a single
+  segment), bit-identical to the per-request reference loops kept in
+  ``tests/oracles/fifo_loop.py``.
 * :mod:`repro.serving.replicas` — k-replica scale-out (round-robin /
   least-loaded dispatch, optionally under a fault scenario) and
   SLO-driven fleet sizing.
@@ -32,31 +32,25 @@ needs the two wrappers this package provides:
 """
 
 from repro.serving.batcher import Batch, pack_requests
-from repro.serving.degradation import (DegradedServingReport,
-                                       DroppedRequest, FaultStats,
-                                       run_degraded)
+from repro.serving.degradation import FaultStats
 from repro.serving.fleet import (AutoscalerPolicy, ChaosStats,
                                  FleetPreset, FleetReport,
                                  FleetSimulator, builtin_fleet_presets,
                                  get_fleet_preset)
-from repro.serving.piecewise import (VectorizedDegradedReport,
-                                     run_degraded_vectorized)
+from repro.serving.piecewise import run_fifo
 from repro.serving.planner import (PlanChoice, ReplicaPlan,
                                    choose_system, plan_replicas)
-from repro.serving.replicas import (DegradedScaleOutReport,
-                                    MultiReplicaSimulator,
+from repro.serving.replicas import (MultiReplicaSimulator,
                                     ScaleOutReport, replicas_needed)
 from repro.serving.scheduler import (MIXED_SHAPES,
                                      ContinuousBatchScheduler,
                                      ContinuousServingReport,
                                      SchedulerConfig, StepProfile,
                                      run_continuous_fleet)
-from repro.serving.simulator import (ServedRequest, ServingReport,
-                                     ServingSimulator, arrivals_poisson,
-                                     validate_arrivals)
-from repro.serving.vectorized import (VectorizedServingReport,
-                                      WorkloadVector, lindley_timeline,
-                                      run_vectorized)
+from repro.serving.simulator import (DroppedRequest, ServedRequest,
+                                     ServingReport, ServingSimulator,
+                                     arrivals_poisson, validate_arrivals)
+from repro.serving.vectorized import WorkloadVector, lindley_timeline
 
 __all__ = [
     "AutoscalerPolicy",
@@ -66,13 +60,9 @@ __all__ = [
     "FleetSimulator",
     "builtin_fleet_presets",
     "get_fleet_preset",
-    "DegradedScaleOutReport",
-    "DegradedServingReport",
     "DroppedRequest",
     "FaultStats",
-    "VectorizedDegradedReport",
-    "run_degraded",
-    "run_degraded_vectorized",
+    "run_fifo",
     "Batch",
     "pack_requests",
     "ServedRequest",
@@ -87,10 +77,8 @@ __all__ = [
     "MultiReplicaSimulator",
     "ScaleOutReport",
     "replicas_needed",
-    "VectorizedServingReport",
     "WorkloadVector",
     "lindley_timeline",
-    "run_vectorized",
     "MIXED_SHAPES",
     "ContinuousBatchScheduler",
     "ContinuousServingReport",

@@ -1,9 +1,9 @@
 """Graceful degradation for the serving simulator.
 
 This module is the reaction half of the fault layer: given a seeded
-:class:`~repro.faults.spec.FaultScenario`, the degraded serving loop
-keeps the FIFO server of :mod:`repro.serving.simulator` answering
-requests while the platform misbehaves, using three mechanisms:
+:class:`~repro.faults.spec.FaultScenario`, the FIFO engine of
+:mod:`repro.serving.piecewise` keeps answering requests while the
+platform misbehaves, using three mechanisms:
 
 * **Admission control / backpressure** — when the queue is deeper
   than the scenario's bound, arriving requests are deferred with
@@ -22,28 +22,25 @@ requests while the platform misbehaves, using three mechanisms:
 
 Every decision draws from per-request RNGs derived from the scenario
 seed, so a degraded run is deterministic across worker counts and
-repeat invocations; with an idle scenario the loop reproduces the
-fault-free timeline bit for bit.
+repeat invocations; with an idle scenario the engine reproduces the
+fault-free timeline bit for bit.  :class:`DegradationController`
+holds the per-run reaction state the engine consults.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.cache import cached_estimate
 from repro.core.estimator import LiaEstimator
-from repro.errors import CapacityError, ConfigurationError
-from repro.experiments.runner import run_sweep
+from repro.errors import CapacityError
 from repro.faults.injector import FaultInjector, FaultSignature
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import (ServedRequest, ServingReport,
-                                     ServingSimulator, validate_arrivals)
-from repro.telemetry.bridge import (serving_report_to_metrics,
-                                    serving_report_to_spans)
+from repro.serving.simulator import ServingSimulator
 from repro.telemetry.runtime import Telemetry
 
 
@@ -86,68 +83,6 @@ class FaultStats:
         return (self.deferred + self.dropped + self.transfer_stalls
                 + self.policy_resolves + self.batch_shrinks
                 + self.unservable)
-
-
-@dataclass(frozen=True)
-class DroppedRequest:
-    """A request shed by admission control or unservable under faults."""
-
-    request: InferenceRequest
-    arrival: float
-    reason: str
-
-
-@dataclass
-class DegradedServingReport(ServingReport):
-    """A :class:`ServingReport` plus the degradation record."""
-
-    scenario_name: str = ""
-    dropped: List[DroppedRequest] = field(default_factory=list)
-    stats: FaultStats = field(default_factory=FaultStats)
-    #: The injected scenario itself; its event windows let SLO
-    #: monitors attribute alerts to specific faults (vs organic load).
-    scenario: Optional[FaultScenario] = None
-    #: Positions of ``served`` / ``dropped`` in the offered stream —
-    #: the multi-replica merge needs them to interleave substreams
-    #: back into global arrival order.
-    served_index: List[int] = field(default_factory=list)
-    dropped_index: List[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        # Unlike the base report, a fully-shed run is a legal (if
-        # grim) outcome: every request is accounted for in ``dropped``.
-        if not self.served and not self.dropped:
-            raise ConfigurationError("report needs at least one request")
-
-    def monitor(self, policy, **kwargs):
-        """Evaluate an SLO policy over this run, fault-attributed.
-
-        Convenience wrapper for
-        :func:`repro.telemetry.timeseries.monitor_report`; every
-        alert overlapping one of this report's fault windows is
-        attributed to that :class:`~repro.faults.spec.FaultEvent`.
-        """
-        from repro.telemetry.timeseries import monitor_report
-
-        return monitor_report(self, policy, **kwargs)
-
-    @property
-    def makespan(self) -> float:
-        return max((r.finish for r in self.served), default=0.0)
-
-    @property
-    def mean_queue_delay(self) -> float:
-        if not self.served:
-            return 0.0
-        return super().mean_queue_delay
-
-    @property
-    def n_offered(self) -> int:
-        return len(self.served) + len(self.dropped)
-
-    @property
-    def drop_rate(self) -> float:
-        return len(self.dropped) / self.n_offered if self.n_offered else 0.0
 
 
 @dataclass(frozen=True)
@@ -220,9 +155,9 @@ class DegradationController:
         ``pending_finishes`` is nondecreasing (FIFO finishes are), so
         the probe is a binary search — the count it returns is
         provably equal to the linear scan ``sum(1 for f in
-        pending_finishes if f > effective)`` the loop originally
-        performed (regression-tested), which is what makes
-        million-request admission-controlled loops tractable.
+        pending_finishes if f > effective)`` (regression-tested),
+        which is what makes million-request admission-controlled runs
+        tractable.
         """
         admission = self.scenario.admission
         if not admission.enabled:
@@ -280,36 +215,16 @@ class DegradationController:
             self._degraded_estimators[signature] = estimator
         return estimator
 
-    def plan_service(self, request: InferenceRequest, start: float,
-                     index: int) -> Optional[_ServicePlan]:
-        """The service plan for ``request`` starting at ``start``.
-
-        Without active capacity/latency faults this is the fault-free
-        estimate (bit-identical to the plain simulator).  Under
-        faults, the request is re-estimated on the degraded platform
-        (policy re-solve); a :class:`CapacityError` halves the batch
-        until it fits, and a batch that cannot fit even at B=1 sheds
-        the request (returns ``None``).
-        """
-        signature = self.injector.performance_signature(start)
-        if not signature:
-            return self._base_plan(request)
-        plan = self._resolve_plan(request, signature, start)
-        if plan is None:
-            self.stats.unservable += 1
-            self._count("faults.unservable")
-            return None
-        self._note_plan(plan, index, start)
-        return plan
-
     def _resolve_plan(self, request: InferenceRequest,
                       signature: FaultSignature,
                       time: float) -> Optional[_ServicePlan]:
         """The memoized (shape, signature) plan, free of stats side
-        effects — the piecewise engine resolves per segment and
-        bulk-accounts, the loop accounts per request via
-        :meth:`plan_service`.  ``None`` (memoized too) means the
-        shape does not fit the degraded platform even at B=1.
+        effects — the engine resolves per segment and accounts in
+        bulk.  Under faults the request is re-estimated on the
+        degraded platform (policy re-solve); a :class:`CapacityError`
+        halves the batch until it fits.  ``None`` (memoized too)
+        means the shape does not fit the degraded platform even at
+        B=1.
         """
         if not signature:
             return self._base_plan(request)
@@ -362,167 +277,3 @@ class DegradationController:
             self._count("faults.batch_shrinks", plan.shrinks)
             self._span(f"shrink:req{index}", start, start,
                        halvings=plan.shrinks)
-
-    # ------------------------------------------------------------------
-    # Transfer retry / backoff
-    # ------------------------------------------------------------------
-    def transfer_penalty(self, start: float, index: int,
-                         n_chunks: int) -> float:
-        """Extra seconds request ``index`` spends on stalled chunks.
-
-        Each stalled chunk costs one timeout, then retries on the
-        exponential-backoff schedule; a retry that stalls again costs
-        another timeout.  Chunks whose retry budget runs out are
-        counted as failures (the data rides the next refetch) and
-        charged one final timeout.
-        """
-        retry = self.scenario.retry
-        stalled = self.injector.chunk_stalls(start, index, n_chunks)
-        if not stalled:
-            return 0.0
-        penalty = 0.0
-        for chunk in stalled:
-            self.stats.transfer_stalls += 1
-            self._count("faults.transfer.stalls")
-            at = start + penalty
-            penalty += retry.timeout_s
-            self.stats.stall_seconds += retry.timeout_s
-            self._span(f"stall:req{index}:chunk{chunk}", at,
-                       at + retry.timeout_s, chunk=chunk)
-            recovered = False
-            for attempt in range(retry.max_retries):
-                delay = retry.backoff_delay(attempt)
-                at = start + penalty
-                penalty += delay
-                self.stats.transfer_retries += 1
-                self.stats.backoff_seconds += delay
-                self._count("faults.transfer.retries")
-                self._count("faults.backoff_seconds", delay)
-                self._span(f"backoff:req{index}:chunk{chunk}", at,
-                           at + delay, attempt=attempt)
-                if self.injector.retry_succeeds(index, chunk, attempt,
-                                                start):
-                    recovered = True
-                    break
-                penalty += retry.timeout_s
-                self.stats.stall_seconds += retry.timeout_s
-                self._span(f"stall:req{index}:chunk{chunk}",
-                           at + delay, at + delay + retry.timeout_s,
-                           chunk=chunk, attempt=attempt)
-            if not recovered:
-                self.stats.transfer_failures += 1
-                self._count("faults.transfer.failures")
-        return penalty
-
-
-def run_degraded(simulator: ServingSimulator,
-                 requests: Sequence[InferenceRequest],
-                 arrivals: Sequence[float],
-                 scenario: FaultScenario,
-                 indices: Optional[Sequence[int]] = None,
-                 quiet: bool = False) -> DegradedServingReport:
-    """Serve ``requests`` through the FIFO server under ``scenario``.
-
-    The loop mirrors :meth:`ServingSimulator.run` exactly — same
-    start/finish arithmetic, same shape memoization — and layers the
-    three degradation mechanisms on top, so an idle scenario yields a
-    bit-identical timeline.  This per-request loop is the *reference
-    engine*: :mod:`repro.serving.piecewise` reproduces it bit for bit
-    over piecewise-Lindley segments, and ``run`` routes large runs
-    there by default.  Distinct request shapes are pre-estimated
-    through :func:`repro.experiments.runner.run_sweep`; the runner
-    returns results in input order, so ``REPRO_SWEEP_WORKERS`` cannot
-    change any outcome.
-
-    ``indices`` relabels each position with a global request index —
-    the multi-replica dispatcher passes the substream's global
-    positions so RNG keying (and span naming) stays engine- and
-    replica-invariant.  ``quiet=True`` suppresses all telemetry (the
-    fleet path emits one merged view instead of per-replica rows).
-    """
-    if len(requests) != len(arrivals):
-        raise ConfigurationError(
-            "requests and arrivals must have equal length")
-    validate_arrivals(arrivals)
-    if indices is not None and len(indices) != len(requests):
-        raise ConfigurationError(
-            "indices and requests must have equal length")
-    telemetry = None if quiet else simulator._active_telemetry()
-    controller = DegradationController(simulator, scenario, telemetry)
-
-    # Warm the base-plan memo in deterministic input order; parallel
-    # workers only change wall-clock time, never a result bit.
-    distinct: List[InferenceRequest] = []
-    seen = set()
-    for request in requests:
-        if request not in seen:
-            seen.add(request)
-            distinct.append(request)
-    try:
-        estimator = simulator.estimator
-        for request, estimate in zip(
-                distinct,
-                run_sweep(lambda r: cached_estimate(estimator, r),
-                          distinct)):
-            controller._base_plans[request] = _ServicePlan(
-                latency=estimate.latency,
-                n_chunks=controller._chunks(estimate),
-                shrinks=0, resolved=False, policy_shifted=False)
-    except CapacityError:
-        # Oversized shapes surface per-request below, exactly where
-        # the fault-free path would raise them.
-        pass
-
-    served: List[ServedRequest] = []
-    dropped: List[DroppedRequest] = []
-    served_index: List[int] = []
-    dropped_index: List[int] = []
-    finishes: List[float] = []
-    free_at = 0.0
-    for position, (request, arrival) in enumerate(zip(requests,
-                                                      arrivals)):
-        index = (position if indices is None
-                 else int(indices[position]))
-        effective = controller.admit(arrival, index, finishes)
-        if effective is None:
-            dropped.append(DroppedRequest(
-                request=request, arrival=arrival,
-                reason="shed by admission control"))
-            dropped_index.append(position)
-            continue
-        start = max(effective, free_at)
-        plan = controller.plan_service(request, start, index)
-        if plan is None:
-            dropped.append(DroppedRequest(
-                request=request, arrival=arrival,
-                reason="does not fit the degraded platform at B=1"))
-            dropped_index.append(position)
-            continue
-        penalty = controller.transfer_penalty(start, index,
-                                              plan.n_chunks)
-        if plan.resolved or penalty > 0.0:
-            controller.stats.degraded_requests += 1
-        finish = start + plan.latency + penalty
-        served.append(ServedRequest(request=request, arrival=arrival,
-                                    start=start, finish=finish))
-        served_index.append(position)
-        finishes.append(finish)
-        free_at = finish
-
-    report = DegradedServingReport(
-        served=served, scenario_name=scenario.name, dropped=dropped,
-        stats=controller.stats, scenario=scenario,
-        served_index=served_index, dropped_index=dropped_index)
-    if telemetry is not None:
-        serving_report_to_metrics(
-            report, telemetry.metrics,
-            system=simulator.estimator.system.name,
-            model=simulator.estimator.spec.name)
-        for span in serving_report_to_spans(report):
-            telemetry.tracer.add_span(span.name, span.track,
-                                      span.start, span.finish,
-                                      **span.args)
-        telemetry.metrics.gauge(
-            "faults.dropped_requests",
-            scenario=scenario.name).set(len(dropped))
-    return report

@@ -40,7 +40,7 @@ from repro.errors import ConfigurationError
 from repro.faults.fleet import (FleetScenario, ReplicaFaultKind,
                                 get_fleet_scenario)
 from repro.serving.simulator import ServingSimulator, validate_arrivals
-from repro.serving.vectorized import WorkloadVector, shape_services
+from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import Telemetry
 from repro.workloads.spec import TraceSpec, get_trace
 
@@ -476,7 +476,7 @@ class FleetSimulator:
         if trace.size == 0:
             raise ConfigurationError("workload must contain requests")
         telemetry = self._simulator._active_telemetry()
-        services = shape_services(self._simulator, workload, telemetry)
+        services = workload.service_times(self.estimator)
         report = self._simulate(workload, trace, services, window_s)
         if telemetry is not None:
             self._emit_telemetry(report, telemetry)

@@ -1,21 +1,26 @@
-"""Piecewise-Lindley vectorization of the degraded serving path.
+"""The FIFO serving engine: piecewise-Lindley segments.
 
-The degraded loop in :mod:`repro.serving.degradation` is the same
-FIFO recurrence the fault-free loop walks, plus three per-request
-perturbations: a policy re-solve while capacity faults are active, a
+Every FIFO run goes through :func:`run_fifo`.  Served one request at a
+time, the timeline follows the recurrence
+``start_i = max(arrival_i, finish_{i-1})``, ``finish_i = start_i +
+latency_i + penalty_i``, with three per-request perturbations under a
+fault scenario: a policy re-solve while capacity faults are active, a
 stall penalty added to the finish, and (optionally) admission
 deferral.  Fault windows are time-bounded *a priori*, so the timeline
 splits into segments — :meth:`FaultInjector.regimes` — inside which
 the performance signature and stall probability are constant.  Each
-segment is then the plain array kernel again:
+segment is one call of the exact array kernel
+:func:`~repro.serving.vectorized.lindley_timeline`:
 
 * service times become one gather per segment (plan per distinct
   shape under the segment's signature, scattered onto the block),
-* stall penalties become a ``penalties`` column for the generalized
-  :func:`~repro.serving.vectorized.lindley_timeline` (which replays
-  the loop's two-addition ``(start + latency) + penalty`` fold), and
+* stall penalties become the kernel's ``penalties`` column (the
+  two-addition ``(start + latency) + penalty`` fold), and
 * queue backlog carries across segment boundaries through the
   kernel's ``free_at`` clamp.
+
+A healthy run is the same engine with zero fault windows: one
+infinite segment, hence one kernel call over the whole stream.
 
 **Speculation.** A request's *start* — not its arrival — picks its
 signature, and backlog can push starts past the segment boundary.
@@ -26,49 +31,38 @@ remainder re-enters the engine under the next segment.  The first
 request of a block always starts inside the segment that was chosen
 for it, so every commit makes progress.
 
-**Bit-identity is the contract** (the same one PR 4 established for
-the fault-free engine): timelines, ``FaultStats``, dropped records,
-and the ``serving.*``/``faults.*`` telemetry rows match the reference
-loop bit for bit.  All RNG draws key on ``(scenario seed, global
-request index)`` exactly like the loop, and the two float
-accumulators (``stall_seconds``, ``backoff_seconds``) fold per event
-in request order.
-
-Admission control probes the finishes of every previously admitted
-request, but the *first* probe of each decision is pure: a request
-whose queue-depth probe clears the bound at its raw arrival is
-admitted at that arrival with no controller state touched.  Served
-finishes are nondecreasing, so a speculative block batch-probes all
-of its depths with two ``searchsorted`` passes (committed finishes
-plus the block's own speculative finishes) and commits up to the
-first request whose probe would defer or shed; only that request
-re-enters the exact sequential
-:meth:`~repro.serving.degradation.DegradationController.admit`
-(deferral loop, backoff float folds, spans), and batching resumes
-behind it.  The plain sequential kernel is retained as the
-bit-identity reference the regression tests compare against.  The
-≥20× benchmark floor applies to the admissionless piecewise path.
+**Bit-identity with a per-request loop is the contract**: timelines,
+``FaultStats``, dropped records, and the ``serving.*``/``faults.*``
+telemetry rows equal those of the reference loops in
+``tests/oracles/fifo_loop.py``.  All RNG draws key on ``(scenario
+seed, global request index)``, and the two float accumulators
+(``stall_seconds``, ``backoff_seconds``) fold per event in request
+order.  Admission control batches its attempt-zero queue-depth probes
+per block (see :func:`_serve`).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.core.cache import STALL_OUTCOME_CACHE, pinned_token
-from repro.errors import ConfigurationError
+from repro.core.cache import (STALL_OUTCOME_CACHE, cached_estimate,
+                              pinned_token)
+from repro.errors import CapacityError, ConfigurationError
+from repro.faults.injector import FaultSignature
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
-from repro.serving.degradation import (DegradationController,
-                                       DroppedRequest, FaultStats,
-                                       _ServicePlan)
-from repro.serving.simulator import ServingSimulator, validate_arrivals
-from repro.serving.vectorized import (DEFAULT_SPAN_CAP,
-                                      VectorizedServingReport,
-                                      WorkloadVector, lindley_timeline)
+from repro.serving.degradation import DegradationController, _ServicePlan
+from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
+                                     ServingSimulator, validate_arrivals)
+from repro.serving.vectorized import WorkloadVector, lindley_timeline
+from repro.telemetry.bridge import (note_dropped_spans,
+                                    vectorized_report_to_metrics,
+                                    vectorized_report_to_spans)
 
 #: Speculative block size inside finite segments.  Commits are exact,
 #: so the cap only bounds wasted work when backlog pushes starts past
@@ -85,6 +79,11 @@ _ADMISSION_BLOCK_SEED = 32
 _UNSERVABLE_REASON = "does not fit the degraded platform at B=1"
 _SHED_REASON = "shed by admission control"
 
+_EMPTY_FLOATS = np.empty(0)
+_EMPTY_FLOATS.flags.writeable = False
+_EMPTY_INTS = np.empty(0, dtype=np.int64)
+_EMPTY_INTS.flags.writeable = False
+
 
 # ----------------------------------------------------------------------
 # Pure stall-outcome replication
@@ -92,13 +91,16 @@ _SHED_REASON = "shed by admission control"
 def _stall_outcome(scenario: FaultScenario, probability: float,
                    index: int, n_chunks: int
                    ) -> Tuple[float, Tuple[tuple, ...]]:
-    """(penalty, ops) of :meth:`DegradationController.transfer_penalty`
-    for one request, with the side effects reified as an op list.
+    """(penalty, ops) of one request's stalled transfer chunks, with
+    the side effects reified as an op list.
 
-    Replays :meth:`FaultInjector.chunk_stalls` /
-    :meth:`FaultInjector.retry_succeeds` draw for draw (same RNG
-    keys, same number of draws) and the penalty accumulation add for
-    add, so the returned penalty is the exact float the loop computes.
+    Each stalled chunk costs one timeout, then retries on the
+    exponential-backoff schedule; a retry that stalls again costs
+    another timeout, and a chunk whose retry budget runs out counts as
+    a failure.  The draws are those of
+    :meth:`FaultInjector.chunk_stalls` /
+    :meth:`FaultInjector.retry_succeeds` (same RNG keys, same number
+    of draws), and the penalty accumulates add for add in chunk order.
     Ops are applied in commit order by :func:`_apply_stall_ops`.
     """
     retry = scenario.retry
@@ -164,7 +166,7 @@ def _cached_stall_outcome(controller: DegradationController,
 def _apply_stall_ops(controller: DegradationController, index: int,
                      start: float, ops: Tuple[tuple, ...]) -> None:
     """Fold one request's stall ops into stats/counters/spans in the
-    exact order ``transfer_penalty`` performs them."""
+    order the stalls and retries happen."""
     stats = controller.stats
     timeout = controller.scenario.retry.timeout_s
     for op in ops:
@@ -205,8 +207,8 @@ class _PlanTable:
     """Columnar plan cache for one fault signature.
 
     One slot per workload shape, filled lazily with the codes a block
-    actually contains — matching the loop, which only resolves shapes
-    that arrive while the signature is active.
+    actually contains, so only shapes that arrive while the signature
+    is active are resolved.
     """
 
     __slots__ = ("latency", "n_chunks", "ok", "shifted", "shrinks",
@@ -221,9 +223,13 @@ class _PlanTable:
         self.filled = np.zeros(n_shapes, dtype=bool)
 
     def fill(self, controller: DegradationController,
-             shapes: Sequence[InferenceRequest], signature,
-             block_codes: np.ndarray, time: float) -> None:
-        missing = np.unique(block_codes[~self.filled[block_codes]])
+             shapes: Sequence[InferenceRequest],
+             signature: FaultSignature, block_codes: np.ndarray,
+             time: float) -> None:
+        if self.filled.all():
+            return
+        present = np.bincount(block_codes, minlength=self.filled.size)
+        missing = np.flatnonzero((present > 0) & ~self.filled)
         for code in missing.tolist():
             plan = self._plan_for(controller, shapes[code], signature,
                                   time)
@@ -238,167 +244,80 @@ class _PlanTable:
 
     @staticmethod
     def _plan_for(controller: DegradationController,
-                  shape: InferenceRequest, signature,
+                  shape: InferenceRequest, signature: FaultSignature,
                   time: float) -> Optional[_ServicePlan]:
         # A shape too large for even the *base* platform raises
-        # CapacityError here, exactly as the loop raises at that
-        # shape's first arrival (the warm-up swallows it so it
-        # surfaces per shape).
+        # CapacityError here, at that shape's first block (the warm-up
+        # swallows it so it surfaces per shape).
         if not signature:
             return controller._base_plan(shape)
         return controller._resolve_plan(shape, signature, time)
 
 
 # ----------------------------------------------------------------------
-# The array-backed degraded report
-# ----------------------------------------------------------------------
-class VectorizedDegradedReport(VectorizedServingReport):
-    """A :class:`DegradedServingReport` over arrays.
-
-    ``workload``/``arrivals``/``starts``/``finishes`` cover the
-    *served* substream; the offered stream, drop records, and
-    ``FaultStats`` ride alongside.  Scalar statistics fold in the
-    loop report's float order, so every field is bit-comparable with
-    the reference loop's report.
-    """
-
-    _allow_empty = True  # a fully-shed run is a legal (if grim) outcome
-
-    def __init__(self, offered: WorkloadVector,
-                 offered_arrivals: np.ndarray,
-                 served_index: np.ndarray, starts: np.ndarray,
-                 finishes: np.ndarray, dropped_index: np.ndarray,
-                 dropped_reasons: Sequence[str],
-                 scenario: FaultScenario, stats: FaultStats,
-                 streaming: Optional[bool] = None) -> None:
-        if dropped_index.size != len(dropped_reasons):
-            raise ConfigurationError(
-                "dropped_index and dropped_reasons must have equal "
-                "length")
-        super().__init__(offered.subset(served_index),
-                         offered_arrivals[served_index], starts,
-                         finishes, streaming=streaming)
-        self.offered = offered
-        self.offered_arrivals = offered_arrivals
-        self.served_index = served_index
-        self.dropped_index = dropped_index
-        self.dropped_reasons = tuple(dropped_reasons)
-        self.scenario = scenario
-        self.scenario_name = scenario.name
-        self.stats = stats
-        self._dropped: Optional[List[DroppedRequest]] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def n_offered(self) -> int:
-        return self.n_served + int(self.dropped_index.size)
-
-    @property
-    def drop_rate(self) -> float:
-        offered = self.n_offered
-        return self.dropped_index.size / offered if offered else 0.0
-
-    @property
-    def dropped_arrivals(self) -> np.ndarray:
-        """Arrival timestamps of the dropped substream (for windowed
-        time-series without materializing drop objects)."""
-        return self.offered_arrivals[self.dropped_index]
-
-    @property
-    def dropped(self) -> List[DroppedRequest]:
-        if self._dropped is None:
-            shapes = self.offered.shapes
-            codes = self.offered.codes[self.dropped_index].tolist()
-            arrivals = self.dropped_arrivals.tolist()
-            self._dropped = [
-                DroppedRequest(request=shapes[code], arrival=arrival,
-                               reason=reason)
-                for code, arrival, reason in zip(
-                    codes, arrivals, self.dropped_reasons)]
-        return self._dropped
-
-    # Empty-served guards mirror DegradedServingReport's overrides.
-    @property
-    def makespan(self) -> float:
-        if self.n_served == 0:
-            return 0.0
-        return super().makespan
-
-    @property
-    def utilization(self) -> float:
-        if self.n_served == 0:
-            return 0.0
-        return super().utilization
-
-    @property
-    def mean_queue_delay(self) -> float:
-        if self.n_served == 0:
-            return 0.0
-        return super().mean_queue_delay
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        if self.n_served == 0:
-            return 0.0
-        return super().throughput_tokens_per_s
-
-    def monitor(self, policy, **kwargs):
-        """Evaluate an SLO policy over this run, fault-attributed
-        (see :meth:`DegradedServingReport.monitor`)."""
-        from repro.telemetry.timeseries import monitor_report
-
-        return monitor_report(self, policy, **kwargs)
-
-
-# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+#: What a run without faults is served under: no windows, so
+#: :meth:`FaultInjector.regimes` is one infinite healthy segment and
+#: the whole stream is one :func:`lindley_timeline` call.
+_FAULT_FREE = FaultScenario(name="fault-free")
+
+
 def _warm_base_plans(controller: DegradationController,
-                     workload: WorkloadVector) -> None:
-    """Pre-estimate every present shape through the sweep runner —
-    the same warm-up ``run_degraded`` performs, so parallel workers
-    change wall-clock only."""
-    from repro.core.cache import cached_estimate
-    from repro.errors import CapacityError
-    from repro.experiments.runner import run_sweep
+                     workload: WorkloadVector) -> _PlanTable:
+    """Estimate every shape the stream uses, once, and return the
+    fault-free plan table filled from those estimates.
 
-    counts = workload.counts()
-    present = [shape for shape, count
-               in zip(workload.shapes, counts.tolist()) if count]
-    try:
-        estimator = controller.simulator.estimator
-        for shape, estimate in zip(
-                present,
-                run_sweep(lambda r: cached_estimate(estimator, r),
-                          present)):
-            controller._base_plans[shape] = _ServicePlan(
-                latency=estimate.latency,
-                n_chunks=controller._chunks(estimate),
-                shrinks=0, resolved=False, policy_shifted=False)
-    except CapacityError:
-        # Oversized shapes surface per shape at plan time, exactly
-        # where the loop raises them.
-        pass
+    Counts the estimates as a per-request loop with a shape memo
+    would: ``computed`` per distinct shape, ``memoized`` per repeat.
+    Shapes the stream never uses are marked filled (no block can hold
+    them); a shape too large for the base platform stays unfilled, so
+    its :class:`CapacityError` surfaces at its first block.
+    """
+    estimator = controller.simulator.estimator
+    table = _PlanTable(len(workload.shapes))
+    counts = workload.counts().tolist()
+    for code, (shape, count) in enumerate(zip(workload.shapes, counts)):
+        if not count:
+            table.filled[code] = True
+            continue
+        try:
+            estimate = cached_estimate(estimator, shape)
+        except CapacityError:
+            continue
+        plan = controller._base_plans[shape] = _ServicePlan(
+            latency=estimate.latency,
+            n_chunks=controller._chunks(estimate),
+            shrinks=0, resolved=False, policy_shifted=False)
+        table.latency[code] = plan.latency
+        table.n_chunks[code] = plan.n_chunks
+        table.filled[code] = True
+    present = sum(1 for count in counts if count)
+    controller._count("serving.estimates", present, result="computed")
+    if workload.n_requests > present:
+        controller._count("serving.estimates",
+                          workload.n_requests - present,
+                          result="memoized")
+    return table
 
 
-def run_degraded_vectorized(simulator: ServingSimulator,
-                            workload: WorkloadVector,
-                            arrivals: Sequence[float],
-                            scenario: FaultScenario,
-                            streaming: Optional[bool] = None,
-                            span_cap: int = DEFAULT_SPAN_CAP,
-                            indices: Optional[Sequence[int]] = None,
-                            quiet: bool = False
-                            ) -> VectorizedDegradedReport:
-    """Serve ``workload`` under ``scenario`` through the piecewise
-    engine — bit-identical to
-    :func:`repro.serving.degradation.run_degraded` on the same inputs
-    (timelines, :class:`FaultStats`, drops, and telemetry rows).
+def run_fifo(simulator: ServingSimulator, workload: WorkloadVector,
+             arrivals: ArrayLike,
+             scenario: Optional[FaultScenario] = None,
+             span_cap: int = DEFAULT_SPAN_CAP,
+             indices: Optional[ArrayLike] = None,
+             quiet: bool = False) -> ServingReport:
+    """Serve ``workload`` at ``arrivals`` through the FIFO engine.
 
-    ``indices``/``quiet`` mirror the loop's parameters for the
-    multi-replica dispatcher: global request indices keep RNG draws
-    and span names replica-invariant, and ``quiet`` suppresses
-    per-replica telemetry in favor of one merged fleet view.
+    ``scenario`` injects faults; ``None`` or an idle scenario serves
+    the healthy platform and returns a report without drop columns or
+    :class:`FaultStats`.  ``indices`` relabels each position with a
+    global request index, so a replica's RNG draws and span names
+    match a single-server run over the same requests.  ``quiet``
+    suppresses telemetry (the fleet emits one merged view instead).
+    Otherwise the run emits the ``serving.*``/``faults.*`` metrics
+    and per-request spans for the first ``span_cap`` served requests;
+    the rest are counted in ``serving.spans_dropped``.
     """
     trace = validate_arrivals(arrivals)
     if trace.size != workload.n_requests:
@@ -410,32 +329,27 @@ def run_degraded_vectorized(simulator: ServingSimulator,
         if idx.size != workload.n_requests:
             raise ConfigurationError(
                 "indices and requests must have equal length")
+    if scenario is not None and scenario.idle:
+        scenario = None
     telemetry = None if quiet else simulator._active_telemetry()
-    controller = DegradationController(simulator, scenario, telemetry)
-    _warm_base_plans(controller, workload)
-
-    if scenario.admission.enabled:
-        served_index, starts, finishes, dropped_index, reasons = (
-            _run_admission_piecewise(controller, workload, trace, idx))
-    else:
-        served_index, starts, finishes, dropped_index, reasons = (
-            _run_piecewise(controller, workload, trace, idx))
-
-    report = VectorizedDegradedReport(
-        offered=workload, offered_arrivals=trace,
-        served_index=served_index, starts=starts, finishes=finishes,
-        dropped_index=dropped_index, dropped_reasons=reasons,
-        scenario=scenario, stats=controller.stats,
-        streaming=streaming)
+    controller = DegradationController(simulator,
+                                       scenario or _FAULT_FREE,
+                                       telemetry)
+    served_index, starts, finishes, dropped_index, reasons = _serve(
+        controller, workload, trace, idx)
+    # Without faults nothing is dropped, and the report carries no
+    # drop columns or FaultStats.
+    faulted = scenario is not None
+    report = ServingReport(
+        workload, trace, starts, finishes, served_index=served_index,
+        dropped_index=dropped_index if faulted else None,
+        dropped_reasons=reasons,
+        stats=controller.stats if faulted else None, scenario=scenario)
     if telemetry is not None:
-        from repro.telemetry.bridge import (
-            note_dropped_spans, vectorized_report_to_metrics,
-            vectorized_report_to_spans)
-
-        vectorized_report_to_metrics(
-            report, telemetry.metrics,
-            system=simulator.estimator.system.name,
-            model=simulator.estimator.spec.name)
+        system = simulator.estimator.system.name
+        model = simulator.estimator.spec.name
+        vectorized_report_to_metrics(report, telemetry.metrics,
+                                     system=system, model=model)
         spans, dropped_spans = vectorized_report_to_spans(report,
                                                           cap=span_cap)
         for span in spans:
@@ -444,357 +358,92 @@ def run_degraded_vectorized(simulator: ServingSimulator,
                                       **span.args)
         if dropped_spans:
             telemetry.metrics.counter(
-                "serving.spans_dropped",
-                system=simulator.estimator.system.name,
-                model=simulator.estimator.spec.name).inc(dropped_spans)
+                "serving.spans_dropped", system=system,
+                model=model).inc(dropped_spans)
             note_dropped_spans(telemetry, dropped_spans,
-                               report.n_served,
-                               component="serving.piecewise",
+                               report.n_served, component="serving.fifo",
                                cap=span_cap)
-        telemetry.metrics.gauge(
-            "faults.dropped_requests",
-            scenario=scenario.name).set(int(dropped_index.size))
+        if scenario is not None:
+            telemetry.metrics.gauge(
+                "faults.dropped_requests",
+                scenario=scenario.name).set(report.n_dropped)
     return report
 
 
-def _run_piecewise(controller: DegradationController,
-                   workload: WorkloadVector, trace: np.ndarray,
-                   idx: Optional[np.ndarray]
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray, List[str]]:
-    """Mode A: admissionless piecewise-Lindley engine."""
-    stats = controller.stats
-    shapes = workload.shapes
-    codes = workload.codes
-    n = trace.size
-    segments = controller.injector.regimes()
-    seg_los = [segment[0] for segment in segments]
-    tables: dict = {}
+def _serve(controller: DegradationController, workload: WorkloadVector,
+           trace: np.ndarray, idx: Optional[np.ndarray]
+           ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray,
+                      np.ndarray, List[str]]:
+    """The piecewise-Lindley block loop.
 
-    served_starts = np.empty(n)
-    served_finishes = np.empty(n)
-    served_positions = np.empty(n, dtype=np.int64)
-    n_served = 0
-    dropped_positions: List[int] = []
+    Returns ``(served positions, starts, finishes, dropped positions,
+    drop reasons)``; the served positions are ``None`` when every
+    request was served.  A block that covers the whole stream commits
+    the kernel's arrays as they are.
 
-    pos = 0
-    free_at = 0.0
-    while pos < n:
-        arrival = trace[pos]
-        t0 = arrival if arrival >= free_at else free_at
-        lo, hi, signature, stall_p = segments[
-            bisect_right(seg_los, t0) - 1]
-        finite = math.isfinite(hi)
-        if finite:
-            block_end = int(np.searchsorted(trace, hi, side="left"))
-            block_end = min(block_end, pos + _BLOCK_CAP)
-        else:
-            block_end = n
-        block_end = max(block_end, pos + 1)
-        block_codes = codes[pos:block_end]
-        block_arrivals = trace[pos:block_end]
-
-        table = tables.get(signature)
-        if table is None:
-            table = tables[signature] = _PlanTable(len(shapes))
-        table.fill(controller, shapes, signature, block_codes, t0)
-
-        ok = table.ok[block_codes]
-        if finite and block_codes.size > 1:
-            # Capacity bound: every served request advances the clock
-            # by at least the cheapest servable latency, so at most
-            # ``1 + (hi - t0) / min_latency`` kept requests can start
-            # inside this segment.  Trimming the speculative block to
-            # that many kept rows bounds past-the-boundary rework
-            # (stall draws, kernel replay) to one block's overshoot.
-            kept_probe = np.flatnonzero(ok)
-            if kept_probe.size > 1:
-                cheapest = float(
-                    table.latency[block_codes[kept_probe]].min())
-                if cheapest > 0.0:
-                    capacity = 1 + int((hi - t0) / cheapest)
-                    if kept_probe.size > capacity:
-                        block_end = pos + int(kept_probe[capacity])
-                        block_codes = codes[pos:block_end]
-                        block_arrivals = trace[pos:block_end]
-                        ok = ok[:block_end - pos]
-        block_len = block_end - pos
-        if ok.all():
-            kept = None
-            kept_arrivals = block_arrivals
-            kept_latency = table.latency[block_codes]
-            drop = np.empty(0, dtype=np.int64)
-        else:
-            kept = np.flatnonzero(ok)
-            drop = np.flatnonzero(~ok)
-            kept_arrivals = block_arrivals[kept]
-            kept_latency = table.latency[block_codes[kept]]
-
-        outcomes = None
-        penalties = None
-        if stall_p > 0.0 and kept_arrivals.size:
-            kept_chunks = (table.n_chunks[block_codes] if kept is None
-                           else table.n_chunks[block_codes[kept]])
-            offsets = (np.arange(kept_arrivals.size, dtype=np.int64)
-                       if kept is None else kept)
-            request_ids = pos + offsets
-            if idx is not None:
-                request_ids = idx[request_ids]
-            outcomes = [
-                _cached_stall_outcome(controller, stall_p, int(rid),
-                                      int(nch))
-                for rid, nch in zip(request_ids.tolist(),
-                                    kept_chunks.tolist())]
-            penalties = np.fromiter((o[0] for o in outcomes),
-                                    dtype=np.float64,
-                                    count=len(outcomes))
-
-        if kept_arrivals.size:
-            kept_starts, kept_finishes = lindley_timeline(
-                kept_arrivals, kept_latency, penalties=penalties,
-                free_at=free_at)
-        else:
-            kept_starts = kept_finishes = np.empty(0)
-
-        # First-violation cut: commit only the prefix whose starts
-        # (or would-be starts of unservable drops) land in [lo, hi).
-        if not finite:
-            cut = block_len
-            kept_cut = int(kept_arrivals.size)
-            drop_cut = int(drop.size)
-        else:
-            kept_violation = int(np.searchsorted(kept_starts, hi,
-                                                 side="left"))
-            if kept is None:
-                cut = min(kept_violation, block_len)
-                kept_cut = cut
-                drop_cut = 0
-            else:
-                kept_edge = (int(kept[kept_violation])
-                             if kept_violation < kept.size
-                             else block_len)
-                previous = np.searchsorted(kept, drop) - 1
-                if kept_finishes.size:
-                    backlog = np.where(previous >= 0,
-                                       kept_finishes[previous], free_at)
-                else:
-                    backlog = free_at
-                probe = np.maximum(block_arrivals[drop], backlog)
-                drop_violation = int(np.searchsorted(probe, hi,
-                                                     side="left"))
-                drop_edge = (int(drop[drop_violation])
-                             if drop_violation < drop.size
-                             else block_len)
-                cut = min(kept_edge, drop_edge, block_len)
-                kept_cut = int(np.searchsorted(kept, cut, side="left"))
-                drop_cut = int(np.searchsorted(drop, cut, side="left"))
-
-        # Commit the prefix.
-        if kept_cut:
-            committed = (np.arange(kept_cut, dtype=np.int64)
-                         if kept is None else kept[:kept_cut])
-            served_starts[n_served:n_served + kept_cut] = (
-                kept_starts[:kept_cut])
-            served_finishes[n_served:n_served + kept_cut] = (
-                kept_finishes[:kept_cut])
-            served_positions[n_served:n_served + kept_cut] = (
-                pos + committed)
-            n_served += kept_cut
-            free_at = float(kept_finishes[kept_cut - 1])
-            committed_codes = block_codes[committed]
-            if signature:
-                stats.policy_resolves += kept_cut
-                controller._count("faults.policy_resolves", kept_cut)
-                shifted = int(np.count_nonzero(
-                    table.shifted[committed_codes]))
-                if shifted:
-                    stats.policy_shifts += shifted
-                    controller._count("faults.policy_shifts", shifted)
-                total_shrinks = int(table.shrinks[committed_codes].sum())
-                if total_shrinks:
-                    stats.batch_shrinks += total_shrinks
-                    controller._count("faults.batch_shrinks",
-                                      total_shrinks)
-                stats.degraded_requests += kept_cut
-            elif outcomes is not None:
-                stats.degraded_requests += sum(
-                    1 for outcome in outcomes[:kept_cut]
-                    if outcome[0] > 0.0)
-            need_spans = (controller.telemetry is not None and signature
-                          and bool(table.shrinks[committed_codes].any()))
-            if outcomes is not None or need_spans:
-                shrink_counts = (table.shrinks[committed_codes].tolist()
-                                 if need_spans else None)
-                start_list = kept_starts[:kept_cut].tolist()
-                global_ids = pos + committed
-                if idx is not None:
-                    global_ids = idx[global_ids]
-                for j, request_id in enumerate(global_ids.tolist()):
-                    if shrink_counts is not None and shrink_counts[j]:
-                        controller._span(f"shrink:req{request_id}",
-                                         start_list[j], start_list[j],
-                                         halvings=shrink_counts[j])
-                    if outcomes is not None and outcomes[j][1]:
-                        _apply_stall_ops(controller, request_id,
-                                         start_list[j], outcomes[j][1])
-        if drop_cut:
-            dropped_positions.extend(
-                (pos + drop[:drop_cut]).tolist())
-            stats.unservable += drop_cut
-            controller._count("faults.unservable", drop_cut)
-        pos += cut
-
-    reasons = [_UNSERVABLE_REASON] * len(dropped_positions)
-    return (served_positions[:n_served].copy(),
-            served_starts[:n_served].copy(),
-            served_finishes[:n_served].copy(),
-            np.array(dropped_positions, dtype=np.int64), reasons)
-
-
-def _run_admission_sequential(controller: DegradationController,
-                              workload: WorkloadVector,
-                              trace: np.ndarray,
-                              idx: Optional[np.ndarray]
-                              ) -> Tuple[np.ndarray, np.ndarray,
-                                         np.ndarray, np.ndarray,
-                                         List[str]]:
-    """Mode B reference: admission-bounded, sequential exact kernel.
-
-    Walks requests in order with the same controller the loop uses
-    (identical stats, counters, and span emission) over precomputed
-    segment tables, keeping the binary-search depth probe.  The
-    production path is :func:`_run_admission_piecewise`, which batches
-    the attempt-zero probes; this kernel is retained as the
-    bit-identity reference the regression tests and the parity sweep
-    compare against.
-    """
-    stats = controller.stats
-    shapes = workload.shapes
-    codes = workload.codes.tolist()
-    arrivals = trace.tolist()
-    n = trace.size
-    segments = controller.injector.regimes()
-    seg_los = [segment[0] for segment in segments]
-    tables: dict = {}
-
-    served_positions: List[int] = []
-    starts_list: List[float] = []
-    finishes: List[float] = []
-    dropped_positions: List[int] = []
-    reasons: List[str] = []
-    free_at = 0.0
-    probe_code = np.empty(1, dtype=np.int64)
-    for position in range(n):
-        arrival = arrivals[position]
-        index = position if idx is None else int(idx[position])
-        effective = controller.admit(arrival, index, finishes)
-        if effective is None:
-            dropped_positions.append(position)
-            reasons.append(_SHED_REASON)
-            continue
-        start = effective if effective >= free_at else free_at
-        lo, hi, signature, stall_p = segments[
-            bisect_right(seg_los, start) - 1]
-        table = tables.get(signature)
-        if table is None:
-            table = tables[signature] = _PlanTable(len(shapes))
-        code = codes[position]
-        if not table.filled[code]:
-            probe_code[0] = code
-            table.fill(controller, shapes, signature, probe_code, start)
-        if not table.ok[code]:
-            # plan_service accounts one unservable hit per occurrence.
-            stats.unservable += 1
-            controller._count("faults.unservable")
-            dropped_positions.append(position)
-            reasons.append(_UNSERVABLE_REASON)
-            continue
-        if signature:
-            plan = _ServicePlan(
-                latency=float(table.latency[code]),
-                n_chunks=int(table.n_chunks[code]),
-                shrinks=int(table.shrinks[code]), resolved=True,
-                policy_shifted=bool(table.shifted[code]))
-            controller._note_plan(plan, index, start)
-        penalty = 0.0
-        if stall_p > 0.0:
-            penalty, ops = _cached_stall_outcome(
-                controller, stall_p, index, int(table.n_chunks[code]))
-            if ops:
-                _apply_stall_ops(controller, index, start, ops)
-        if signature or penalty > 0.0:
-            stats.degraded_requests += 1
-        finish = start + float(table.latency[code]) + penalty
-        served_positions.append(position)
-        starts_list.append(start)
-        finishes.append(finish)
-        free_at = finish
-    return (np.array(served_positions, dtype=np.int64),
-            np.array(starts_list, dtype=np.float64),
-            np.array(finishes, dtype=np.float64),
-            np.array(dropped_positions, dtype=np.int64), reasons)
-
-
-def _run_admission_piecewise(controller: DegradationController,
-                             workload: WorkloadVector,
-                             trace: np.ndarray,
-                             idx: Optional[np.ndarray]
-                             ) -> Tuple[np.ndarray, np.ndarray,
-                                        np.ndarray, np.ndarray,
-                                        List[str]]:
-    """Mode B: admission-bounded scenarios, piecewise engine.
-
-    The attempt-zero admission probe is pure — a request whose
-    queue-depth probe clears ``max_queue_depth`` at its raw arrival
-    is admitted at that arrival and
+    With admission control, every block also batch-probes the
+    attempt-zero queue depth of its members.  That probe is pure — a
+    request whose depth clears ``max_queue_depth`` at its raw arrival
+    is admitted there and
     :meth:`~repro.serving.degradation.DegradationController.admit`
-    touches no state.  Served finishes are nondecreasing, so a
-    speculative block batch-probes every member's depth with two
-    ``searchsorted`` passes: committed finishes against the block
-    arrivals, plus the block's own speculative finishes (clamped to
-    each member's served-before prefix, which holds the earliest
-    finishes).  The block commits up to the first request whose probe
-    would defer or shed; that request alone re-enters the exact
-    sequential ``admit`` (deferral loop, stats, spans, backoff float
-    folds), and batching resumes behind it.  Segment-boundary cuts,
-    plan tables, stall outcomes, and the commit-order stats replay
-    are the Mode A machinery, so timelines, :class:`FaultStats`,
-    drops, and telemetry rows stay bit-identical to the reference
-    loop and to :func:`_run_admission_sequential`.
+    touches no state.  Served finishes are nondecreasing, so two
+    ``searchsorted`` passes give every depth: committed finishes
+    against the block arrivals, plus the block's own speculative
+    finishes (clamped to each member's served-before prefix, which
+    holds the earliest finishes).  The block commits up to the first
+    request whose probe would defer or shed; that request alone takes
+    the exact sequential ``admit`` (deferral loop, stats, spans,
+    backoff float folds), and batching resumes behind it.
     """
     stats = controller.stats
     shapes = workload.shapes
     codes = workload.codes
-    codes_list = codes.tolist()
-    arrivals_list = trace.tolist()
     n = trace.size
     max_depth = controller.scenario.admission.max_queue_depth
     segments = controller.injector.regimes()
     seg_los = [segment[0] for segment in segments]
-    tables: dict = {}
+    tables: Dict[FaultSignature, _PlanTable] = {
+        (): _warm_base_plans(controller, workload)}
 
-    served_starts = np.empty(n)
-    served_finishes = np.empty(n)
-    served_positions = np.empty(n, dtype=np.int64)
+    def table_for(signature: FaultSignature) -> _PlanTable:
+        table = tables.get(signature)
+        if table is None:
+            table = tables[signature] = _PlanTable(len(shapes))
+        return table
+
+    # Commit buffers, allocated on the first commit that does not
+    # cover the whole stream.
+    served_starts = served_finishes = _EMPTY_FLOATS
+    served_positions = _EMPTY_INTS
     n_served = 0
-    # The same finishes as a plain list: ``admit``'s binary search
-    # over a list of Python floats is ~3x cheaper than over an
-    # ndarray view (no per-comparison boxing), and the slow path is
-    # exactly where that search dominates.
+    # ``admit``'s binary search over a list of Python floats is ~3x
+    # cheaper than over an ndarray view (no per-comparison boxing).
     finishes_list: List[float] = []
     dropped_positions: List[int] = []
     dropped_reasons: List[str] = []
+
+    def buffers() -> None:
+        nonlocal served_starts, served_finishes, served_positions
+        if served_positions.size < n:
+            served_starts = np.empty(n)
+            served_finishes = np.empty(n)
+            served_positions = np.empty(n, dtype=np.int64)
+
     probe_code = np.empty(1, dtype=np.int64)
     pos = 0
     free_at = 0.0
-    adm_cap = _ADMISSION_BLOCK_SEED
+    adm_cap = _ADMISSION_BLOCK_SEED if max_depth else n
     seq_run = _ADMISSION_BLOCK_SEED
+    # The sequential path indexes one request at a time; Python lists
+    # make that ~3x cheaper than ndarray scalar access.
+    arrivals_list: List[float] = trace.tolist() if max_depth else []
+    codes_list: List[int] = codes.tolist() if max_depth else []
 
     def serve_slow(position: int) -> None:
-        """One request through the exact sequential kernel body —
-        used for the request at an admission violation (whose probe
-        defers or sheds and therefore mutates controller state) and
-        for saturated stretches where speculation cannot pay for
+        """One request through the exact sequential path — for the
+        request at an admission violation (whose probe defers or
+        sheds and therefore mutates controller state) and for
+        saturated stretches where speculation cannot pay for
         itself."""
         nonlocal free_at, n_served
         arrival = arrivals_list[position]
@@ -805,11 +454,8 @@ def _run_admission_piecewise(controller: DegradationController,
             dropped_reasons.append(_SHED_REASON)
             return
         start = effective if effective >= free_at else free_at
-        lo, hi, signature, stall_p = segments[
-            bisect_right(seg_los, start) - 1]
-        table = tables.get(signature)
-        if table is None:
-            table = tables[signature] = _PlanTable(len(shapes))
+        signature, stall_p = segments[bisect_right(seg_los, start) - 1][2:]
+        table = table_for(signature)
         code = codes_list[position]
         if not table.filled[code]:
             probe_code[0] = code
@@ -836,6 +482,7 @@ def _run_admission_piecewise(controller: DegradationController,
         if signature or penalty > 0.0:
             stats.degraded_requests += 1
         finish = start + float(table.latency[code]) + penalty
+        buffers()
         served_positions[n_served] = position
         served_starts[n_served] = start
         served_finishes[n_served] = finish
@@ -849,27 +496,28 @@ def _run_admission_piecewise(controller: DegradationController,
         lo, hi, signature, stall_p = segments[
             bisect_right(seg_los, t0) - 1]
         finite = math.isfinite(hi)
+        block_end = n
         if finite:
-            block_end = int(np.searchsorted(trace, hi, side="left"))
-            block_end = min(block_end, pos + _BLOCK_CAP)
-        else:
-            block_end = n
-        block_end = min(block_end, pos + adm_cap)
-        block_end = max(block_end, pos + 1)
+            block_end = min(int(np.searchsorted(trace, hi, side="left")),
+                            pos + _BLOCK_CAP)
+        block_end = max(min(block_end, pos + adm_cap), pos + 1)
         block_codes = codes[pos:block_end]
         block_arrivals = trace[pos:block_end]
 
-        table = tables.get(signature)
-        if table is None:
-            table = tables[signature] = _PlanTable(len(shapes))
+        table = table_for(signature)
         table.fill(controller, shapes, signature, block_codes, t0)
 
-        ok = table.ok[block_codes]
+        # ``None``: every shape of the table is servable.
+        ok = None if table.ok.all() else table.ok[block_codes]
         if finite and block_codes.size > 1:
-            # Same capacity bound as Mode A: at most
-            # ``1 + (hi - t0) / min_latency`` kept starts fit the
-            # segment, so trim the speculation to that many rows.
-            kept_probe = np.flatnonzero(ok)
+            # Capacity bound: every served request advances the clock
+            # by at least the cheapest servable latency, so at most
+            # ``1 + (hi - t0) / min_latency`` kept requests can start
+            # inside this segment.  Trimming the speculative block to
+            # that many kept rows bounds past-the-boundary rework
+            # (stall draws, kernel replay) to one block's overshoot.
+            kept_probe = (np.arange(block_codes.size) if ok is None
+                          else np.flatnonzero(ok))
             if kept_probe.size > 1:
                 cheapest = float(
                     table.latency[block_codes[kept_probe]].min())
@@ -879,72 +527,72 @@ def _run_admission_piecewise(controller: DegradationController,
                         block_end = pos + int(kept_probe[capacity])
                         block_codes = codes[pos:block_end]
                         block_arrivals = trace[pos:block_end]
-                        ok = ok[:block_end - pos]
+                        if ok is not None:
+                            ok = ok[:block_end - pos]
         block_len = block_end - pos
-        if ok.all():
-            kept = None
+        kept: Optional[np.ndarray] = None
+        if ok is None or ok.all():
             kept_arrivals = block_arrivals
-            kept_latency = table.latency[block_codes]
-            drop = np.empty(0, dtype=np.int64)
+            kept_codes = block_codes
+            drop = _EMPTY_INTS
         else:
             kept = np.flatnonzero(ok)
             drop = np.flatnonzero(~ok)
             kept_arrivals = block_arrivals[kept]
-            kept_latency = table.latency[block_codes[kept]]
+            kept_codes = block_codes[kept]
 
         outcomes = None
         penalties = None
         if stall_p > 0.0 and kept_arrivals.size:
-            kept_chunks = (table.n_chunks[block_codes] if kept is None
-                           else table.n_chunks[block_codes[kept]])
-            offsets = (np.arange(kept_arrivals.size, dtype=np.int64)
-                       if kept is None else kept)
-            request_ids = pos + offsets
+            request_ids = pos + (np.arange(kept_arrivals.size,
+                                           dtype=np.int64)
+                                 if kept is None else kept)
             if idx is not None:
                 request_ids = idx[request_ids]
             outcomes = [
                 _cached_stall_outcome(controller, stall_p, int(rid),
                                       int(nch))
                 for rid, nch in zip(request_ids.tolist(),
-                                    kept_chunks.tolist())]
+                                    table.n_chunks[kept_codes].tolist())]
             penalties = np.fromiter((o[0] for o in outcomes),
                                     dtype=np.float64,
                                     count=len(outcomes))
 
         if kept_arrivals.size:
             kept_starts, kept_finishes = lindley_timeline(
-                kept_arrivals, kept_latency, penalties=penalties,
-                free_at=free_at)
+                kept_arrivals, table.latency[kept_codes],
+                penalties=penalties, free_at=free_at)
         else:
-            kept_starts = kept_finishes = np.empty(0)
+            kept_starts = kept_finishes = _EMPTY_FLOATS
 
-        # Batched attempt-zero depth probes.  For block member i the
-        # probe counts admitted-but-unfinished requests at arrival_i:
-        # committed finishes (one global searchsorted) plus the
-        # block's own speculative kept finishes before i.  The local
-        # count is clamped to the served-before prefix, which holds
-        # the earliest finishes, so the clamp is exact even when a
-        # later finish ties the arrival.
-        if kept is None:
-            served_before = np.arange(block_len, dtype=np.int64)
-        else:
-            ok_counts = ok.astype(np.int64)
-            served_before = np.cumsum(ok_counts) - ok_counts
-        local = np.minimum(
-            np.searchsorted(kept_finishes, block_arrivals,
-                            side="right"),
-            served_before)
-        committed_leq = np.searchsorted(served_finishes[:n_served],
-                                        block_arrivals, side="right")
-        depth = (n_served + served_before) - (committed_leq + local)
-        violations = np.flatnonzero(depth >= max_depth)
-        adm_edge = int(violations[0]) if violations.size else block_len
+        adm_edge = block_len
+        if max_depth:
+            # Batched attempt-zero depth probes: admitted-but-
+            # unfinished requests at each member's arrival, committed
+            # (one global searchsorted) plus the block's own kept
+            # finishes before it.
+            if kept is None:
+                served_before = np.arange(block_len, dtype=np.int64)
+            else:
+                ok_counts = ok.astype(np.int64)
+                served_before = np.cumsum(ok_counts) - ok_counts
+            local = np.minimum(
+                np.searchsorted(kept_finishes, block_arrivals,
+                                side="right"),
+                served_before)
+            committed_leq = np.searchsorted(
+                served_finishes[:n_served], block_arrivals,
+                side="right")
+            depth = (n_served + served_before) - (committed_leq + local)
+            violations = np.flatnonzero(depth >= max_depth)
+            if violations.size:
+                adm_edge = int(violations[0])
 
-        # First-violation cut: Mode A's segment cut, then the
-        # admission edge on top.
-        if not finite:
-            seg_cut = block_len
-        else:
+        # First-violation cut: commit only the prefix whose starts (or
+        # would-be starts of unservable drops) land in [lo, hi), and
+        # stop at the first admission violation.
+        seg_cut = block_len
+        if finite:
             kept_violation = int(np.searchsorted(kept_starts, hi,
                                                  side="left"))
             if kept is None:
@@ -954,11 +602,9 @@ def _run_admission_piecewise(controller: DegradationController,
                              if kept_violation < kept.size
                              else block_len)
                 previous = np.searchsorted(kept, drop) - 1
-                if kept_finishes.size:
-                    backlog = np.where(previous >= 0,
-                                       kept_finishes[previous], free_at)
-                else:
-                    backlog = free_at
+                backlog = (np.where(previous >= 0,
+                                    kept_finishes[previous], free_at)
+                           if kept_finishes.size else free_at)
                 probe = np.maximum(block_arrivals[drop], backlog)
                 drop_violation = int(np.searchsorted(probe, hi,
                                                      side="left"))
@@ -968,69 +614,41 @@ def _run_admission_piecewise(controller: DegradationController,
                 seg_cut = min(kept_edge, drop_edge, block_len)
         cut = min(seg_cut, adm_edge)
         if kept is None:
-            kept_cut = cut
-            drop_cut = 0
+            kept_cut, drop_cut = cut, 0
         else:
             kept_cut = int(np.searchsorted(kept, cut, side="left"))
             drop_cut = int(np.searchsorted(drop, cut, side="left"))
 
-        # Commit the prefix (Mode A's commit-order stats replay).
         if kept_cut:
-            committed = (np.arange(kept_cut, dtype=np.int64)
-                         if kept is None else kept[:kept_cut])
-            served_starts[n_served:n_served + kept_cut] = (
-                kept_starts[:kept_cut])
-            served_finishes[n_served:n_served + kept_cut] = (
-                kept_finishes[:kept_cut])
-            served_positions[n_served:n_served + kept_cut] = (
-                pos + committed)
+            offsets = None if kept is None else kept[:kept_cut]
+            if kept_cut == n:
+                # One block served the whole stream: keep its arrays.
+                served_starts, served_finishes = kept_starts, kept_finishes
+            else:
+                buffers()
+                end = n_served + kept_cut
+                served_starts[n_served:end] = kept_starts[:kept_cut]
+                served_finishes[n_served:end] = kept_finishes[:kept_cut]
+                served_positions[n_served:end] = pos + (
+                    np.arange(kept_cut) if offsets is None else offsets)
             n_served += kept_cut
-            finishes_list.extend(kept_finishes[:kept_cut].tolist())
+            if max_depth:
+                finishes_list.extend(kept_finishes[:kept_cut].tolist())
             free_at = float(kept_finishes[kept_cut - 1])
-            committed_codes = block_codes[committed]
-            if signature:
-                stats.policy_resolves += kept_cut
-                controller._count("faults.policy_resolves", kept_cut)
-                shifted = int(np.count_nonzero(
-                    table.shifted[committed_codes]))
-                if shifted:
-                    stats.policy_shifts += shifted
-                    controller._count("faults.policy_shifts", shifted)
-                total_shrinks = int(table.shrinks[committed_codes].sum())
-                if total_shrinks:
-                    stats.batch_shrinks += total_shrinks
-                    controller._count("faults.batch_shrinks",
-                                      total_shrinks)
-                stats.degraded_requests += kept_cut
-            elif outcomes is not None:
-                stats.degraded_requests += sum(
-                    1 for outcome in outcomes[:kept_cut]
-                    if outcome[0] > 0.0)
-            need_spans = (controller.telemetry is not None and signature
-                          and bool(table.shrinks[committed_codes].any()))
-            if outcomes is not None or need_spans:
-                shrink_counts = (table.shrinks[committed_codes].tolist()
-                                 if need_spans else None)
-                start_list = kept_starts[:kept_cut].tolist()
-                global_ids = pos + committed
-                if idx is not None:
-                    global_ids = idx[global_ids]
-                for j, request_id in enumerate(global_ids.tolist()):
-                    if shrink_counts is not None and shrink_counts[j]:
-                        controller._span(f"shrink:req{request_id}",
-                                         start_list[j], start_list[j],
-                                         halvings=shrink_counts[j])
-                    if outcomes is not None and outcomes[j][1]:
-                        _apply_stall_ops(controller, request_id,
-                                         start_list[j], outcomes[j][1])
+            if signature or outcomes is not None:
+                _account_commit(controller, table, signature,
+                                kept_codes[:kept_cut],
+                                kept_starts[:kept_cut], outcomes,
+                                pos, offsets, idx)
         if drop_cut:
-            dropped_positions.extend(
-                (pos + drop[:drop_cut]).tolist())
+            dropped_positions.extend((pos + drop[:drop_cut]).tolist())
             dropped_reasons.extend([_UNSERVABLE_REASON] * drop_cut)
             stats.unservable += drop_cut
             controller._count("faults.unservable", drop_cut)
         pos += cut
 
+        if not max_depth:
+            continue
         if adm_edge <= seg_cut and adm_edge < block_len:
             # The cut landed on an admission violation: that request's
             # probe defers or sheds, so it takes the exact sequential
@@ -1042,7 +660,7 @@ def _run_admission_piecewise(controller: DegradationController,
                 # saturated and probes defer densely.  Drain a stretch
                 # sequentially, doubling the stretch while saturation
                 # persists, so the engine degrades to the sequential
-                # kernel plus a vanishing probing overhead instead of
+                # path plus a vanishing probing overhead instead of
                 # re-speculating per committed request.
                 stop = min(n, pos + seq_run)
                 while pos < stop:
@@ -1057,8 +675,54 @@ def _run_admission_piecewise(controller: DegradationController,
             seq_run = _ADMISSION_BLOCK_SEED
             adm_cap = min(2 * adm_cap, _BLOCK_CAP)
 
-    return (served_positions[:n_served].copy(),
-            served_starts[:n_served].copy(),
-            served_finishes[:n_served].copy(),
-            np.array(dropped_positions, dtype=np.int64),
-            dropped_reasons)
+    positions = None if n_served == n else served_positions[:n_served]
+    return (positions, served_starts[:n_served],
+            served_finishes[:n_served],
+            np.array(dropped_positions, dtype=np.int64), dropped_reasons)
+
+
+def _account_commit(controller: DegradationController, table: _PlanTable,
+                    signature: FaultSignature, codes: np.ndarray,
+                    starts: np.ndarray,
+                    outcomes: Optional[List[Tuple[float,
+                                                  Tuple[tuple, ...]]]],
+                    pos: int, offsets: Optional[np.ndarray],
+                    idx: Optional[np.ndarray]) -> None:
+    """Fold one committed prefix into stats, counters and spans in the
+    order a per-request pass would.  The prefix sits at block
+    ``offsets`` (``None``: the first ``codes.size`` rows) of the block
+    starting at stream position ``pos``."""
+    stats = controller.stats
+    count = int(codes.size)
+    shrinks = None
+    if signature:
+        stats.policy_resolves += count
+        controller._count("faults.policy_resolves", count)
+        shifted = int(np.count_nonzero(table.shifted[codes]))
+        if shifted:
+            stats.policy_shifts += shifted
+            controller._count("faults.policy_shifts", shifted)
+        shrinks = table.shrinks[codes]
+        total_shrinks = int(shrinks.sum())
+        if total_shrinks:
+            stats.batch_shrinks += total_shrinks
+            controller._count("faults.batch_shrinks", total_shrinks)
+        stats.degraded_requests += count
+        if controller.telemetry is None or not total_shrinks:
+            shrinks = None
+    elif outcomes is not None:
+        stats.degraded_requests += sum(
+            1 for outcome in outcomes[:count] if outcome[0] > 0.0)
+    if outcomes is None and shrinks is None:
+        return
+    shrink_counts = shrinks.tolist() if shrinks is not None else None
+    start_list = starts.tolist()
+    positions = pos + (np.arange(count) if offsets is None else offsets)
+    request_ids = positions if idx is None else idx[positions]
+    for j, request_id in enumerate(request_ids.tolist()):
+        if shrink_counts is not None and shrink_counts[j]:
+            controller._span(f"shrink:req{request_id}", start_list[j],
+                             start_list[j], halvings=shrink_counts[j])
+        if outcomes is not None and outcomes[j][1]:
+            _apply_stall_ops(controller, request_id, start_list[j],
+                             outcomes[j][1])

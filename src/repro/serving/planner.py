@@ -83,7 +83,7 @@ def choose_system(spec: ModelSpec, requests: Sequence[InferenceRequest],
                                       usd_per_hour=cost,
                                       reason=f"OOM: {error}"))
             continue
-        if not report.served:
+        if not report.n_served:
             choices.append(PlanChoice(
                 system=system, feasible=False,
                 p95_latency=float("inf"), usd_per_hour=cost,

@@ -1,4 +1,4 @@
-"""Multi-replica scale-out over the vectorized serving engine.
+"""Multi-replica scale-out over the FIFO serving engine.
 
 The paper's Fig. 10/11 latencies answer "how fast is one box"; a
 capacity planner asks "how many boxes".  This module simulates ``k``
@@ -6,8 +6,9 @@ independent single-server replicas behind a dispatcher:
 
 * ``round-robin`` — request *i* goes to replica ``i mod k``.  Each
   replica's sub-stream is still sorted by arrival, so every replica
-  timeline is one vectorized Lindley recursion; a million requests
-  over 8 replicas is 8 array scans.
+  is one call of the FIFO engine (:mod:`repro.serving.piecewise`),
+  with or without a fault scenario; a million healthy requests over
+  8 replicas is 8 array scans.
 * ``least-loaded`` — each request joins the replica that frees up
   earliest (join-earliest-free, the G/G/k discipline).  The decision
   depends on every earlier finish, so assignment is inherently
@@ -25,22 +26,20 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import (ServingSimulator, arrivals_poisson,
+from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
+                                     ServingSimulator, arrivals_poisson,
                                      validate_arrivals)
-from repro.serving.vectorized import (DEFAULT_SPAN_CAP,
-                                      VectorizedServingReport,
-                                      WorkloadVector, lindley_timeline,
-                                      shape_services)
+from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import Telemetry
 
 if TYPE_CHECKING:
     from repro.faults.spec import FaultScenario
     from repro.serving.degradation import FaultStats
-    from repro.serving.piecewise import VectorizedDegradedReport
 
 DISPATCH_POLICIES = ("round-robin", "least-loaded")
 
@@ -53,16 +52,23 @@ class ScaleOutReport:
     latency percentiles, queue delays, and throughput read exactly
     like a single-server report.  ``utilization`` is normalized by
     the fleet size (busy replica-seconds over ``k * makespan``).
+    Under a fault scenario ``merged`` also carries the dropped
+    requests, and ``stats`` folds the per-replica :class:`FaultStats`
+    in replica-id order (integer counters sum; the two float
+    accumulators add in that fixed order); without one ``stats`` and
+    ``scenario`` are ``None``.
     """
 
-    merged: VectorizedServingReport
-    per_replica: Tuple[VectorizedServingReport, ...]
+    merged: ServingReport
+    per_replica: Tuple[ServingReport, ...]
     #: The replica id behind each ``per_replica`` entry (replicas
-    #: that served nothing — possible when k > n — are omitted).
+    #: that were offered nothing — possible when k > n — are omitted).
     replica_ids: Tuple[int, ...]
     assignment: np.ndarray
     dispatch: str
     n_replicas: int
+    stats: Optional["FaultStats"] = None
+    scenario: Optional["FaultScenario"] = None
 
     @property
     def n_served(self) -> int:
@@ -89,38 +95,13 @@ class ScaleOutReport:
 
     @property
     def utilization(self) -> float:
-        busy = float(np.add.accumulate(
-            self.merged.service_times)[-1])
         makespan = self.makespan
-        return (busy / (self.n_replicas * makespan)
+        return (self.merged.busy_s / (self.n_replicas * makespan)
                 if makespan else 0.0)
-
-
-@dataclass
-class DegradedScaleOutReport(ScaleOutReport):
-    """A fleet run under a fault scenario.
-
-    ``merged`` is a
-    :class:`~repro.serving.piecewise.VectorizedDegradedReport` whose
-    served/dropped substreams interleave the replica timelines back
-    into global arrival order, so percentiles and queue delays pool
-    over every served request exactly like the single-server report.
-    ``stats`` folds the per-replica :class:`FaultStats` in replica-id
-    order (integer counters sum; the two float accumulators add in
-    that fixed order so the fold is engine-invariant).
-    """
-
-    stats: "FaultStats" = None  # type: ignore[assignment]
-    scenario: "FaultScenario" = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.stats is None or self.scenario is None:
-            raise ConfigurationError(
-                "a degraded fleet report needs stats and scenario")
 
     @property
     def scenario_name(self) -> str:
-        return self.scenario.name
+        return self.merged.scenario_name
 
     @property
     def n_offered(self) -> int:
@@ -128,14 +109,14 @@ class DegradedScaleOutReport(ScaleOutReport):
 
     @property
     def n_dropped(self) -> int:
-        return int(self.merged.dropped_index.size)
+        return self.merged.n_dropped
 
     @property
     def drop_rate(self) -> float:
         return self.merged.drop_rate
 
     @property
-    def dropped(self):
+    def dropped(self) -> list:
         return self.merged.dropped
 
 
@@ -160,29 +141,6 @@ def _fold_stats(per_replica_stats: Sequence["FaultStats"]) -> "FaultStats":
     return merged
 
 
-def _loop_report_to_vectorized(workload: WorkloadVector,
-                               trace: np.ndarray, report,
-                               scenario: "FaultScenario"
-                               ) -> "VectorizedDegradedReport":
-    """Re-express one replica's loop-engine report over arrays so the
-    fleet merge is engine-agnostic (the arrays carry the loop's exact
-    floats — no recomputation)."""
-    from repro.serving.piecewise import VectorizedDegradedReport
-
-    starts = np.array([s.start for s in report.served],
-                      dtype=np.float64)
-    finishes = np.array([s.finish for s in report.served],
-                        dtype=np.float64)
-    return VectorizedDegradedReport(
-        offered=workload, offered_arrivals=trace,
-        served_index=np.asarray(report.served_index, dtype=np.int64),
-        starts=starts, finishes=finishes,
-        dropped_index=np.asarray(report.dropped_index,
-                                 dtype=np.int64),
-        dropped_reasons=tuple(d.reason for d in report.dropped),
-        scenario=scenario, stats=report.stats)
-
-
 class MultiReplicaSimulator:
     """``k`` independent FIFO replicas behind one dispatcher."""
 
@@ -205,22 +163,15 @@ class MultiReplicaSimulator:
     # ------------------------------------------------------------------
     def run(self, requests: Union[Sequence[InferenceRequest],
                                   WorkloadVector],
-            arrivals: Sequence[float],
-            streaming: Optional[bool] = None,
-            scenario: Optional["FaultScenario"] = None,
-            vectorized: Optional[bool] = None) -> ScaleOutReport:
+            arrivals: ArrayLike,
+            scenario: Optional["FaultScenario"] = None
+            ) -> ScaleOutReport:
         """Dispatch ``requests`` over the fleet.
 
         ``scenario`` runs every replica under the fault layer
         (round-robin dispatch only — least-loaded assignment depends
         on every earlier finish, which shedding makes dispatch-order
-        ambiguous) and returns a :class:`DegradedScaleOutReport`.
-        ``vectorized`` picks the per-replica engine under a scenario:
-        the piecewise-Lindley engine by default, the reference loop
-        with ``vectorized=False`` (bit-identical by contract).
-        Without a scenario the fleet path is array-based only;
-        ``vectorized=False`` is a :class:`ConfigurationError` rather
-        than a silent ignore.
+        ambiguous).
         """
         workload = (requests if isinstance(requests, WorkloadVector)
                     else WorkloadVector.from_requests(requests))
@@ -231,51 +182,19 @@ class MultiReplicaSimulator:
         if trace.size == 0:
             raise ConfigurationError(
                 "workload must contain requests")
-        if scenario is not None and not scenario.idle:
-            return self._run_degraded(workload, trace, scenario,
-                                      streaming=streaming,
-                                      vectorized=vectorized)
-        if vectorized is False:
-            raise ConfigurationError(
-                "the fault-free fleet path is array-based only; "
-                "vectorized=False selects the reference loop and "
-                "requires a fault scenario")
+        if scenario is not None and scenario.idle:
+            scenario = None
         telemetry = self._simulator._active_telemetry()
-        services = shape_services(self._simulator, workload, telemetry)
-        n = trace.size
-        starts = np.empty(n)
-        finishes = np.empty(n)
         if self.dispatch == "round-robin":
-            assignment = np.arange(n, dtype=np.int64) % self.n_replicas
-            for replica in range(self.n_replicas):
-                index = np.flatnonzero(assignment == replica)
-                if index.size == 0:
-                    continue
-                sub_starts, sub_finishes = lindley_timeline(
-                    trace[index], services[index])
-                starts[index] = sub_starts
-                finishes[index] = sub_finishes
+            report = self._run_round_robin(workload, trace, scenario)
+        elif scenario is not None:
+            raise ConfigurationError(
+                "degraded fleet dispatch supports round-robin only: "
+                "least-loaded assignment depends on every earlier "
+                "finish, which admission shedding makes "
+                "dispatch-order ambiguous")
         else:
-            assignment = self._assign_least_loaded(
-                trace, services, starts, finishes)
-        merged = VectorizedServingReport(workload, trace, starts,
-                                         finishes, streaming=streaming)
-        per_replica = []
-        replica_ids = []
-        for replica in range(self.n_replicas):
-            index = np.flatnonzero(assignment == replica)
-            if index.size == 0:
-                continue
-            replica_ids.append(replica)
-            per_replica.append(VectorizedServingReport(
-                workload.subset(index), trace[index], starts[index],
-                finishes[index], streaming=streaming))
-        report = ScaleOutReport(merged=merged,
-                                per_replica=tuple(per_replica),
-                                replica_ids=tuple(replica_ids),
-                                assignment=assignment,
-                                dispatch=self.dispatch,
-                                n_replicas=self.n_replicas)
+            report = self._run_least_loaded(workload, trace)
         if telemetry is not None:
             self._emit_telemetry(report, telemetry)
         return report
@@ -283,109 +202,103 @@ class MultiReplicaSimulator:
     def run_poisson(self, requests: Union[Sequence[InferenceRequest],
                                           WorkloadVector],
                     rate_per_s: float, seed: int = 0,
-                    streaming: Optional[bool] = None,
-                    scenario: Optional["FaultScenario"] = None,
-                    vectorized: Optional[bool] = None) -> ScaleOutReport:
-        n_requests = (requests.n_requests
-                      if isinstance(requests, WorkloadVector)
-                      else len(requests))
-        arrivals = arrivals_poisson(n_requests, rate_per_s, seed=seed)
-        return self.run(requests, arrivals, streaming=streaming,
-                        scenario=scenario, vectorized=vectorized)
+                    scenario: Optional["FaultScenario"] = None
+                    ) -> ScaleOutReport:
+        arrivals = arrivals_poisson(len(requests), rate_per_s, seed=seed)
+        return self.run(requests, arrivals, scenario=scenario)
 
     # ------------------------------------------------------------------
-    def _run_degraded(self, workload: WorkloadVector, trace: np.ndarray,
-                      scenario: "FaultScenario",
-                      streaming: Optional[bool],
-                      vectorized: Optional[bool]
-                      ) -> DegradedScaleOutReport:
-        """Round-robin fleet dispatch under the fault layer.
+    def _run_round_robin(self, workload: WorkloadVector,
+                         trace: np.ndarray,
+                         scenario: Optional["FaultScenario"]
+                         ) -> ScaleOutReport:
+        """Request *i* goes to replica ``i mod k``.
 
-        Each replica serves its substream with *global* request
-        indices, so every RNG draw (stall outcomes, deferral backoff)
-        keys exactly as a single-server run over the same requests
-        would — engine- and fleet-size-invariant.  Replicas run
-        ``quiet`` (no per-replica telemetry); one merged fleet view
-        is emitted at the end.
+        Each replica serves its substream through the FIFO engine
+        with *global* request indices, so every RNG draw (stall
+        outcomes, deferral backoff) keys exactly as a single-server
+        run over the same requests would.  Replicas run ``quiet``;
+        :meth:`run` emits one merged fleet view.  The merge scatters
+        each replica's served rows back to their global positions.
         """
-        from repro.serving.degradation import run_degraded
-        from repro.serving.piecewise import (VectorizedDegradedReport,
-                                             run_degraded_vectorized)
+        from repro.serving.piecewise import run_fifo
 
-        if self.dispatch != "round-robin":
-            raise ConfigurationError(
-                "degraded fleet dispatch supports round-robin only: "
-                "least-loaded assignment depends on every earlier "
-                "finish, which admission shedding makes "
-                "dispatch-order ambiguous")
-        use_loop = vectorized is False
-        if use_loop and streaming is not None:
-            raise ConfigurationError(
-                "streaming= requires the vectorized engine; the "
-                "degraded loop materializes its report (pass "
-                "vectorized=True or leave streaming=None)")
-        telemetry = self._simulator._active_telemetry()
         n = trace.size
         assignment = np.arange(n, dtype=np.int64) % self.n_replicas
+        starts = np.empty(n)
+        finishes = np.empty(n)
+        served = np.zeros(n, dtype=bool)
         replica_ids: List[int] = []
-        per_replica: List[VectorizedDegradedReport] = []
-        served_parts: List[np.ndarray] = []
-        start_parts: List[np.ndarray] = []
-        finish_parts: List[np.ndarray] = []
+        per_replica: List[ServingReport] = []
         dropped_parts: List[np.ndarray] = []
-        reason_parts: List[Tuple[str, ...]] = []
-        for replica in range(self.n_replicas):
-            index = np.flatnonzero(assignment == replica)
-            if index.size == 0:
-                continue
-            sub_workload = workload.subset(index)
-            sub_trace = trace[index]
-            if use_loop:
-                loop_report = run_degraded(
-                    self._simulator, sub_workload.to_requests(),
-                    sub_trace.tolist(), scenario,
-                    indices=index.tolist(), quiet=True)
-                sub = _loop_report_to_vectorized(
-                    sub_workload, sub_trace, loop_report, scenario)
-            else:
-                sub = run_degraded_vectorized(
-                    self._simulator, sub_workload, sub_trace,
-                    scenario, streaming=streaming, indices=index,
-                    quiet=True)
+        reasons: List[str] = []
+        for replica in range(min(self.n_replicas, n)):
+            index = np.arange(replica, n, self.n_replicas,
+                              dtype=np.int64)
+            sub = run_fifo(self._simulator, workload.subset(index),
+                           trace[index], scenario, indices=index,
+                           quiet=True)
             replica_ids.append(replica)
             per_replica.append(sub)
-            served_parts.append(index[sub.served_index])
-            start_parts.append(sub.starts)
-            finish_parts.append(sub.finishes)
-            dropped_parts.append(index[sub.dropped_index])
-            reason_parts.append(sub.dropped_reasons)
-        stats = _fold_stats([sub.stats for sub in per_replica])
-        served_global = np.concatenate(served_parts)
-        order = np.argsort(served_global, kind="stable")
-        dropped_global = np.concatenate(dropped_parts)
-        dropped_order = np.argsort(dropped_global, kind="stable")
-        reasons_flat = [reason for part in reason_parts
-                        for reason in part]
-        merged = VectorizedDegradedReport(
-            offered=workload, offered_arrivals=trace,
-            served_index=served_global[order],
-            starts=np.concatenate(start_parts)[order],
-            finishes=np.concatenate(finish_parts)[order],
-            dropped_index=dropped_global[dropped_order],
-            dropped_reasons=tuple(reasons_flat[i]
-                                  for i in dropped_order.tolist()),
-            scenario=scenario, stats=stats, streaming=streaming)
-        report = DegradedScaleOutReport(
+            if sub.n_dropped:
+                index_served = index[sub.served_index]
+                dropped_parts.append(index[sub.dropped_index])
+                reasons.extend(sub.dropped_reasons)
+            else:
+                index_served = index
+            starts[index_served] = sub.starts
+            finishes[index_served] = sub.finishes
+            served[index_served] = True
+        stats = None
+        served_index: Optional[np.ndarray] = None
+        dropped_index: Optional[np.ndarray] = None
+        if scenario is not None:
+            stats = _fold_stats([sub.stats for sub in per_replica
+                                 if sub.stats is not None])
+            dropped_index = np.empty(0, dtype=np.int64)
+        if dropped_parts:
+            served_index = np.flatnonzero(served)
+            starts = starts[served_index]
+            finishes = finishes[served_index]
+            dropped_index = np.concatenate(dropped_parts)
+            order = np.argsort(dropped_index, kind="stable")
+            dropped_index = dropped_index[order]
+            reasons = [reasons[i] for i in order.tolist()]
+        merged = ServingReport(
+            workload, trace, starts, finishes,
+            served_index=served_index, dropped_index=dropped_index,
+            dropped_reasons=reasons, stats=stats, scenario=scenario)
+        return ScaleOutReport(
             merged=merged, per_replica=tuple(per_replica),
             replica_ids=tuple(replica_ids), assignment=assignment,
             dispatch=self.dispatch, n_replicas=self.n_replicas,
             stats=stats, scenario=scenario)
-        if telemetry is not None:
-            self._emit_telemetry(report, telemetry)
-            telemetry.metrics.gauge(
-                "faults.dropped_requests",
-                scenario=scenario.name).set(report.n_dropped)
-        return report
+
+    def _run_least_loaded(self, workload: WorkloadVector,
+                          trace: np.ndarray) -> ScaleOutReport:
+        """Each request joins the replica that frees up earliest
+        (join-earliest-free, the G/G/k discipline)."""
+        services = workload.service_times(self.estimator)
+        n = trace.size
+        starts = np.empty(n)
+        finishes = np.empty(n)
+        assignment = self._assign_least_loaded(trace, services, starts,
+                                               finishes)
+        per_replica = []
+        replica_ids = []
+        for replica in range(self.n_replicas):
+            index = np.flatnonzero(assignment == replica)
+            if index.size == 0:
+                continue
+            replica_ids.append(replica)
+            per_replica.append(ServingReport(
+                workload.subset(index), trace[index], starts[index],
+                finishes[index]))
+        return ScaleOutReport(
+            merged=ServingReport(workload, trace, starts, finishes),
+            per_replica=tuple(per_replica),
+            replica_ids=tuple(replica_ids), assignment=assignment,
+            dispatch=self.dispatch, n_replicas=self.n_replicas)
 
     # ------------------------------------------------------------------
     def _assign_least_loaded(self, arrivals: np.ndarray,
@@ -434,14 +347,13 @@ class MultiReplicaSimulator:
                     sub_report.utilization)
         spans, dropped = vectorized_report_to_spans(report.merged)
         assignment = report.assignment.tolist()
-        # Span names index the *served* substream; under a scenario
-        # the merged report maps those back to offered positions.
-        served_index = getattr(report.merged, "served_index", None)
+        # Span names index the *served* substream; the merged report
+        # maps those back to offered positions.
+        served_index = report.merged.served_index.tolist()
         for span in spans:
             index = int(span.name[len("request["):-1])
-            position = (index if served_index is None
-                        else int(served_index[index]))
-            track = (f"{span.track}[{assignment[position]}]")
+            replica = assignment[served_index[index]]
+            track = f"{span.track}[{replica}]"
             telemetry.tracer.add_span(span.name, track, span.start,
                                       span.finish, **span.args)
         if dropped:

@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.optimizer import optimal_policy
 from repro.cxl.residency import (KV_TIERS, KvResidency, KvTierCapacities,
@@ -51,15 +52,15 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.experiments.runner import run_sweep
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import (ServedRequest, ServingReport,
+from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      arrivals_poisson, validate_arrivals)
+from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.bridge import note_dropped_spans
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.runtime import current as current_telemetry
 
 if TYPE_CHECKING:
     from repro.core.estimator import LiaEstimator
-    from repro.serving.vectorized import WorkloadVector
 
 __all__ = [
     "MIXED_SHAPES",
@@ -69,10 +70,6 @@ __all__ = [
     "StepProfile",
     "run_continuous_fleet",
 ]
-
-#: Span budget for per-iteration decode-step spans, matching the
-#: vectorized engine's cap (``repro.serving.vectorized``).
-DEFAULT_SPAN_CAP = 1024
 
 #: The mixed-shape workload preset the serving benchmark's scheduler
 #: phase (and its CI throughput gate) runs on: mostly singleton
@@ -305,39 +302,47 @@ class _ActiveRequest:
         return self.steps_done >= self.request.output_len
 
 
-@dataclass
 class ContinuousServingReport(ServingReport):
     """A :class:`ServingReport` plus iteration-level evidence.
 
-    ``served`` carries the same per-request timelines, so every
-    inherited statistic (percentiles, utilization, throughput, queue
-    delay) is computed by the exact FIFO-report code — the degenerate
-    config's bit-identity contract rides on that.
+    The timeline columns hold every request in arrival order, so every
+    inherited statistic (percentiles, throughput, queue delay) is the
+    FIFO report's own code — the degenerate config's bit-identity
+    contract rides on that.
     """
 
-    iterations: int = 0
-    admissions: int = 0
-    #: Decode-busy-time-weighted mean of running-batch size.
-    occupancy_mean: float = 0.0
-    occupancy_peak: int = 0
-    policy_resolves: int = 0
-    kv_peak_bytes: Dict[str, float] = field(default_factory=dict)
-    kv_demotions: int = 0
-    kv_demoted_bytes: float = 0.0
-    #: Seconds the server spent prefilling or decoding.  Under
-    #: concurrency the FIFO formula (summed per-request service over
-    #: makespan) exceeds 1 by the batching factor; this is the real
-    #: busy integral.
-    server_busy_s: float = 0.0
+    def __init__(self, workload: WorkloadVector, arrivals: np.ndarray,
+                 starts: np.ndarray, finishes: np.ndarray, *,
+                 iterations: int = 0, admissions: int = 0,
+                 occupancy_mean: float = 0.0, occupancy_peak: int = 0,
+                 policy_resolves: int = 0,
+                 kv_peak_bytes: Optional[Dict[str, float]] = None,
+                 kv_demotions: int = 0, kv_demoted_bytes: float = 0.0,
+                 server_busy_s: float = 0.0) -> None:
+        super().__init__(workload, arrivals, starts, finishes)
+        self.iterations = iterations
+        self.admissions = admissions
+        #: Decode-busy-time-weighted mean of running-batch size.
+        self.occupancy_mean = occupancy_mean
+        self.occupancy_peak = occupancy_peak
+        self.policy_resolves = policy_resolves
+        self.kv_peak_bytes = dict(kv_peak_bytes or {})
+        self.kv_demotions = kv_demotions
+        self.kv_demoted_bytes = kv_demoted_bytes
+        #: Seconds the server spent prefilling or decoding.  Under
+        #: concurrency the FIFO formula (summed per-request service
+        #: over makespan) exceeds 1 by the batching factor; this is
+        #: the real busy integral.
+        self.server_busy_s = server_busy_s
 
     @property
     def utilization(self) -> float:
         """Busy fraction of the makespan.
 
-        The degenerate FIFO config sets ``server_busy_s`` with the
-        FIFO report's exact left-fold of per-request service times,
-        so this override divides the same floats the base property
-        would — bit-identity is preserved.
+        The degenerate FIFO config sets ``server_busy_s`` to the FIFO
+        report's ``busy_s`` (the same left fold of per-request service
+        times), so this override divides the same floats the base
+        property would.
         """
         return (self.server_busy_s / self.makespan
                 if self.makespan else 0.0)
@@ -345,10 +350,8 @@ class ContinuousServingReport(ServingReport):
     def fingerprint(self) -> bytes:
         """Byte-exact digest of the served timelines (determinism
         checks hash this across reps and worker counts)."""
-        timeline = np.asarray(
-            [(r.arrival, r.start, r.finish) for r in self.served],
-            dtype=np.float64)
-        return timeline.tobytes()
+        return np.column_stack(
+            (self.arrivals, self.starts, self.finishes)).tobytes()
 
 
 class ContinuousBatchScheduler:
@@ -395,29 +398,24 @@ class ContinuousBatchScheduler:
 
     # ------------------------------------------------------------------
     def run(self, requests: Union[Sequence[InferenceRequest],
-                                  "WorkloadVector"],
-            arrivals: Sequence[float]) -> ContinuousServingReport:
+                                  WorkloadVector],
+            arrivals: ArrayLike) -> ContinuousServingReport:
         """Serve ``requests`` arriving at ``arrivals`` (seconds)."""
-        # ``getattr`` (not isinstance) keeps WorkloadVector an import-
-        # free duck type here — the vectorized module is heavy.
-        to_requests = getattr(requests, "to_requests", None)
-        if to_requests is not None:
-            requests = to_requests()
-        request_list = list(requests)
         trace = validate_arrivals(arrivals)
-        if len(request_list) != trace.size:
+        if len(requests) != trace.size:
             raise ConfigurationError(
                 "requests and arrivals must have equal length")
-        if not request_list:
+        if not len(requests):
             raise ConfigurationError(
                 "scheduler needs at least one request")
-        arrival_list = [float(a) for a in trace]
+        workload = (requests if isinstance(requests, WorkloadVector)
+                    else WorkloadVector.from_requests(list(requests)))
         if self.config.is_fifo_degenerate:
-            return self._run_degenerate(request_list, arrival_list)
-        return self._run_iterative(request_list, arrival_list)
+            return self._run_degenerate(workload, trace)
+        return self._run_iterative(workload, trace)
 
     def run_poisson(self, requests: Union[Sequence[InferenceRequest],
-                                          "WorkloadVector"],
+                                          WorkloadVector],
                     rate_per_s: float, seed: int = 0
                     ) -> ContinuousServingReport:
         """Serve with seeded Poisson arrivals (the FIFO twin's API)."""
@@ -426,52 +424,42 @@ class ContinuousBatchScheduler:
         return self.run(requests, arrivals)
 
     # ------------------------------------------------------------------
-    def _run_degenerate(self, requests: List[InferenceRequest],
-                        arrivals: List[float]
-                        ) -> ContinuousServingReport:
+    def _run_degenerate(self, workload: WorkloadVector,
+                        trace: np.ndarray) -> ContinuousServingReport:
         """The collapsed solo-batch path: the FIFO closed form.
 
         With one uninterrupted request per batch, the iteration loop's
-        step sum telescopes to the whole-request estimate, so this
-        branch replays the FIFO loop's float operations *exactly* —
-        same ``max``, same memoized service latency, same
-        ``start + service`` — and the report is bit-identical to
-        :meth:`ServingSimulator.run` by construction.
+        step sum telescopes to the whole-request estimate, so the
+        timeline is the FIFO engine's, and the report is bit-identical
+        to :meth:`ServingSimulator.run` by construction.
         """
-        served: List[ServedRequest] = []
-        free_at = 0.0
-        latency_by_shape: Dict[InferenceRequest, float] = {}
-        telemetry = self._active_telemetry()
-        for request, arrival in zip(requests, arrivals):
-            start = max(arrival, free_at)
-            service = latency_by_shape.get(request)
-            if service is None:
-                service = self.estimator.estimate(request).latency
-                latency_by_shape[request] = service
-            finish = start + service
-            served.append(ServedRequest(request=request,
-                                        arrival=arrival, start=start,
-                                        finish=finish))
-            free_at = finish
-        busy = sum(r.service_time for r in served)
+        from repro.serving.piecewise import run_fifo
+        from repro.serving.simulator import ServingSimulator
+
+        fifo = run_fifo(ServingSimulator(self.estimator), workload,
+                        trace, quiet=True)
+        busy = fifo.busy_s
+        n = fifo.n_served
         report = ContinuousServingReport(
-            served,
-            iterations=len(served),
-            admissions=len(served),
+            workload, trace, fifo.starts, fifo.finishes,
+            iterations=n,
+            admissions=n,
             occupancy_mean=1.0 if busy > 0.0 else 0.0,
             occupancy_peak=1,
             policy_resolves=0,
             kv_peak_bytes={tier: 0.0 for tier in KV_TIERS},
             server_busy_s=busy,
         )
+        telemetry = self._active_telemetry()
         if telemetry is not None:
             self._emit_telemetry(telemetry, report, span_rows=[])
         return report
 
     # ------------------------------------------------------------------
-    def _run_iterative(self, requests: List[InferenceRequest],
-                       arrivals: List[float]
-                       ) -> ContinuousServingReport:
+    def _run_iterative(self, workload: WorkloadVector,
+                       trace: np.ndarray) -> ContinuousServingReport:
+        requests = workload.to_requests()
+        arrivals = trace.tolist()
         cfg = self.config
         estimator = self.estimator
         spec = estimator.spec
@@ -488,8 +476,8 @@ class ContinuousBatchScheduler:
             for i, (request, arrival)
             in enumerate(zip(requests, arrivals)))
         running: List[_ActiveRequest] = []
-        served_by_index: List[Optional[ServedRequest]] = (
-            [None] * len(requests))
+        starts = np.empty(len(requests))
+        finishes = np.empty(len(requests))
 
         clock = 0.0
         iterations = 0
@@ -602,14 +590,11 @@ class ContinuousBatchScheduler:
                            if not entry.done]
                 for entry in finished:
                     residency.release(entry.index)
-                    served_by_index[entry.index] = ServedRequest(
-                        request=entry.request, arrival=entry.arrival,
-                        start=entry.start, finish=clock)
+                    starts[entry.index] = entry.start
+                    finishes[entry.index] = clock
 
-        served = [record for record in served_by_index
-                  if record is not None]
         report = ContinuousServingReport(
-            served,
+            workload, trace, starts, finishes,
             iterations=iterations,
             admissions=admissions,
             occupancy_mean=(occupancy_time / busy_time
@@ -650,8 +635,8 @@ class ContinuousBatchScheduler:
 def run_continuous_fleet(estimator: "LiaEstimator",
                          requests: Union[
                              Sequence[InferenceRequest],
-                             "WorkloadVector"],
-                         arrivals: Sequence[float],
+                             WorkloadVector],
+                         arrivals: ArrayLike,
                          replicas: int,
                          scheduler_config: Optional[
                              SchedulerConfig] = None,
@@ -668,44 +653,37 @@ def run_continuous_fleet(estimator: "LiaEstimator",
     if replicas < 1:
         raise ConfigurationError(
             f"replicas must be >= 1, got {replicas}")
-    to_requests = getattr(requests, "to_requests", None)
-    if to_requests is not None:
-        requests = to_requests()
-    request_list = list(requests)
     trace = validate_arrivals(arrivals)
-    if len(request_list) != trace.size:
+    if len(requests) != trace.size:
         raise ConfigurationError(
             "requests and arrivals must have equal length")
-    if not request_list:
+    if not len(requests):
         raise ConfigurationError("fleet needs at least one request")
-    arrival_list = [float(a) for a in trace]
+    workload = (requests if isinstance(requests, WorkloadVector)
+                else WorkloadVector.from_requests(list(requests)))
     if replicas == 1:
         scheduler = ContinuousBatchScheduler(
             estimator, scheduler_config, telemetry=telemetry)
-        return scheduler.run(request_list, arrival_list)
+        return scheduler.run(workload, trace)
 
-    shards: List[Tuple[List[InferenceRequest], List[float]]] = [
-        ([], []) for _ in range(replicas)]
-    for i, (request, arrival) in enumerate(zip(request_list,
-                                               arrival_list)):
-        shard = shards[i % replicas]
-        shard[0].append(request)
-        shard[1].append(arrival)
-    live = [shard for shard in shards if shard[0]]
+    n = trace.size
+    shards = [np.arange(replica, n, replicas, dtype=np.int64)
+              for replica in range(min(replicas, n))]
 
-    def serve(shard: Tuple[List[InferenceRequest], List[float]]
-              ) -> ContinuousServingReport:
+    def serve(shard: np.ndarray) -> ContinuousServingReport:
         scheduler = ContinuousBatchScheduler(
             estimator, scheduler_config, telemetry=telemetry)
-        return scheduler.run(shard[0], shard[1])
+        return scheduler.run(workload.subset(shard), trace[shard])
 
-    reports = run_sweep(serve, live)
-    served = [record
-              for report in reports for record in report.served]
-    served.sort(key=lambda record: (record.arrival, record.start,
-                                    record.finish))
+    reports = run_sweep(serve, shards)
+    codes = np.concatenate([r.workload.codes for r in reports])
+    arrivals_all = np.concatenate([r.arrivals for r in reports])
+    starts = np.concatenate([r.starts for r in reports])
+    finishes = np.concatenate([r.finishes for r in reports])
+    order = np.lexsort((finishes, starts, arrivals_all))
     merged = ContinuousServingReport(
-        served,
+        WorkloadVector(shapes=workload.shapes, codes=codes[order]),
+        arrivals_all[order], starts[order], finishes[order],
         iterations=sum(r.iterations for r in reports),
         admissions=sum(r.admissions for r in reports),
         occupancy_mean=(

@@ -5,36 +5,52 @@ reproducibility), execute one at a time at the latency the LIA
 estimator predicts, and the report collects queueing delay, end-to-end
 latency percentiles, and server utilization — the numbers a capacity
 planner actually needs from the paper's latency results.
+
+Every FIFO run, healthy or fault-injected, goes through one engine:
+the piecewise-Lindley kernel of :mod:`repro.serving.piecewise` (a
+healthy run is one infinite fault-free segment).  Its result is the
+columnar :class:`ServingReport` defined here.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Any, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.core.estimator import LiaEstimator
 from repro.errors import ConfigurationError
 from repro.models.workload import InferenceRequest
-
-if TYPE_CHECKING:
-    from repro.faults.spec import FaultScenario
-    from repro.serving.scheduler import SchedulerConfig
-    from repro.serving.vectorized import WorkloadVector
-from repro.telemetry.bridge import (serving_report_to_metrics,
-                                    serving_report_to_spans)
+from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.runtime import current as current_telemetry
 
+if TYPE_CHECKING:
+    from repro.faults.spec import FaultScenario
+    from repro.serving.degradation import FaultStats
+    from repro.serving.scheduler import SchedulerConfig
+    from repro.telemetry.timeseries import MonitoringReport, SLOPolicy
 
-def validate_arrivals(arrivals: Sequence[float]) -> np.ndarray:
+#: Above this many served requests, ``latency_percentile`` answers
+#: from a streaming histogram (~2% relative error) instead of sorting
+#: the latency vector exactly.
+DEFAULT_EXACT_PERCENTILE_LIMIT = 262_144
+
+#: Per-request span emission cap: the first this many served requests
+#: get ``server``/``queue`` spans; the rest are counted in
+#: ``serving.spans_dropped``.
+DEFAULT_SPAN_CAP = 1024
+
+
+def validate_arrivals(arrivals: ArrayLike) -> np.ndarray:
     """Check an arrival trace in one vectorized pass.
 
-    Returns the trace as a float64 numpy array (the vectorized path
-    consumes it directly; the loop path only validates).  Rejects NaN
+    Returns the trace as a float64 numpy array.  Rejects NaN
     timestamps and any decreasing step — the previous
     ``list(arrivals) != sorted(arrivals)`` check was O(n log n) and
     silently order-dependent in the presence of NaN.
@@ -55,10 +71,10 @@ def arrivals_poisson(n_requests: int, rate_per_s: float,
                      seed: int = 0) -> List[float]:
     """Seeded Poisson arrival timestamps (``n_requests`` of them).
 
-    One ``random.Random(seed)`` stream of exponential gaps — the
-    exact generator :meth:`ServingSimulator.run_poisson` has always
-    used, extracted so the degraded path, the ``serve`` CLI, and the
-    serving benchmark all share one byte-identical arrival process.
+    One ``random.Random(seed)`` stream of exponential gaps, shared by
+    :meth:`ServingSimulator.run_poisson`, the ``serve`` CLI, and the
+    serving benchmark so all of them replay one byte-identical
+    arrival process.
     """
     if n_requests < 0:
         raise ConfigurationError(
@@ -97,58 +113,261 @@ class ServedRequest:
         return self.finish - self.arrival
 
 
-@dataclass
+@dataclass(frozen=True)
+class DroppedRequest:
+    """A request shed by admission control or unservable under faults."""
+
+    request: InferenceRequest
+    arrival: float
+    reason: str
+
+
+def _left_fold(values: np.ndarray) -> float:
+    """``((v0 + v1) + v2) + ...`` in index order, in place.
+
+    ``np.add.accumulate`` is a strictly sequential fold, unlike
+    ``np.sum`` (pairwise) or Python 3.12's compensated ``sum``, so the
+    total is reproducible against a plain scalar loop.
+    """
+    return float(np.add.accumulate(values, out=values)[-1])
+
+
 class ServingReport:
-    """Aggregate statistics of one simulated serving run."""
+    """The statistics of one serving run, held as columns.
 
-    served: List[ServedRequest]
-    #: Lazily computed sorted latency vector.  Degradation and the
-    #: planner query p50/p95/p99 back-to-back on one report; sorting
-    #: once instead of per call turns three O(n log n) passes into one.
-    _sorted_latencies: Optional[List[float]] = field(
-        default=None, init=False, repr=False, compare=False)
+    ``workload``/``arrivals``/``starts``/``finishes`` cover the
+    *served* requests in the order the server took them.  A run under
+    a fault scenario also keeps the offered stream and its drop
+    columns: ``served_index``/``dropped_index`` are positions in
+    ``offered``, ``dropped_reasons`` says why each drop happened, and
+    ``stats`` counts every fault reaction.  Runs without a scenario
+    have ``dropped_index``, ``stats`` and ``scenario`` set to ``None``.
 
-    def __post_init__(self) -> None:
-        if not self.served:
+    Scalar statistics fold floats left to right (the order a per-
+    request loop would add them in).  Percentiles are exact (one lazy
+    sort) up to ``exact_percentile_limit`` served requests and come
+    from a streaming histogram beyond it.  ``served`` and ``dropped``
+    build per-request objects on first access, an O(n) cost meant for
+    small runs and tests.
+    """
+
+    def __init__(self, workload: WorkloadVector, arrivals: np.ndarray,
+                 starts: np.ndarray, finishes: np.ndarray, *,
+                 served_index: Optional[np.ndarray] = None,
+                 dropped_index: Optional[np.ndarray] = None,
+                 dropped_reasons: Sequence[str] = (),
+                 stats: Optional["FaultStats"] = None,
+                 scenario: Optional["FaultScenario"] = None,
+                 exact_percentile_limit: int =
+                 DEFAULT_EXACT_PERCENTILE_LIMIT) -> None:
+        """``workload``/``arrivals`` are the offered stream; the
+        timeline covers the requests at ``served_index`` (``None``:
+        all of them, in order)."""
+        n_dropped = 0 if dropped_index is None else int(dropped_index.size)
+        if n_dropped != len(dropped_reasons):
+            raise ConfigurationError(
+                "dropped_index and dropped_reasons must have equal "
+                "length")
+        self.offered = workload
+        self.offered_arrivals = arrivals
+        self._served_index = served_index
+        if served_index is not None:
+            workload = workload.subset(served_index)
+            arrivals = arrivals[served_index]
+        if not (arrivals.size == starts.size == finishes.size
+                == workload.n_requests):
+            raise ConfigurationError(
+                "timeline arrays and workload must have equal length")
+        if arrivals.size + n_dropped == 0:
             raise ConfigurationError("report needs at least one request")
+        self.workload = workload
+        self.arrivals = arrivals
+        self.starts = starts
+        self.finishes = finishes
+        self.dropped_index = dropped_index
+        self.dropped_reasons = tuple(dropped_reasons)
+        self.stats = stats
+        self.scenario = scenario
+        self.exact_percentile_limit = exact_percentile_limit
+        self._sorted_latencies: Optional[np.ndarray] = None
+        self._histogram: Any = None
+        self._served: Optional[List[ServedRequest]] = None
+        self._makespan: Optional[float] = None
+
+    # ------------------------------------------------------------------
+    @property
+    def n_served(self) -> int:
+        return int(self.arrivals.size)
 
     @property
+    def served_index(self) -> np.ndarray:
+        if self._served_index is None:
+            return np.arange(self.n_served, dtype=np.int64)
+        return self._served_index
+
+    @property
+    def latencies(self) -> np.ndarray:
+        return self.finishes - self.arrivals
+
+    @property
+    def queue_delays(self) -> np.ndarray:
+        return self.starts - self.arrivals
+
+    @property
+    def service_times(self) -> np.ndarray:
+        return self.finishes - self.starts
+
+    @property
+    def streaming_percentiles(self) -> bool:
+        """Whether ``latency_percentile`` answers from the histogram."""
+        return self.n_served > self.exact_percentile_limit
+
+    # ------------------------------------------------------------------
+    @property
     def makespan(self) -> float:
-        return max(r.finish for r in self.served)
+        if self._makespan is None:
+            self._makespan = (float(np.max(self.finishes))
+                              if self.n_served else 0.0)
+        return self._makespan
+
+    @property
+    def busy_s(self) -> float:
+        """Summed service time, folded in serving order."""
+        return _left_fold(self.service_times) if self.n_served else 0.0
 
     @property
     def utilization(self) -> float:
-        busy = sum(r.service_time for r in self.served)
-        return busy / self.makespan if self.makespan else 0.0
+        makespan = self.makespan
+        return self.busy_s / makespan if makespan else 0.0
 
     @property
     def throughput_tokens_per_s(self) -> float:
-        tokens = sum(r.request.total_generated_tokens for r in self.served)
-        # Guarded like ``utilization``: a zero makespan (all-zero
-        # service times) reports zero throughput, not a crash.
-        return tokens / self.makespan if self.makespan else 0.0
+        # A zero makespan (all-zero service times) reports zero
+        # throughput, not a crash.
+        makespan = self.makespan
+        return (self.workload.total_generated_tokens / makespan
+                if makespan else 0.0)
+
+    @property
+    def mean_queue_delay(self) -> float:
+        if not self.n_served:
+            return 0.0
+        return _left_fold(self.queue_delays) / self.n_served
 
     def latency_percentile(self, fraction: float) -> float:
         """Latency at the given percentile, e.g. 0.5 or 0.95.
 
         Standard nearest-rank: the ``ceil(fraction * n)``-th smallest
-        sample.  (The previous ``int(fraction * n) - 1`` indexing
-        under-reported tails — p95 of 10 samples returned the
-        9th-smallest instead of the 10th.)
+        sample (exact below the size limit, a streaming-histogram
+        estimate above it).
         """
         if not 0.0 < fraction <= 1.0:
             raise ConfigurationError(
                 f"fraction must be in (0, 1], got {fraction}")
+        if not self.n_served:
+            raise ConfigurationError("no requests were served")
+        if self.streaming_percentiles:
+            return float(self._latency_histogram().quantile(fraction))
         if self._sorted_latencies is None:
-            self._sorted_latencies = sorted(
-                r.latency for r in self.served)
+            ordered = self.latencies  # fresh array; sort in place
+            ordered.sort()
+            self._sorted_latencies = ordered
         ordered = self._sorted_latencies
-        rank = min(len(ordered), max(1, math.ceil(fraction * len(ordered))))
-        return ordered[rank - 1]
+        rank = min(ordered.size,
+                   max(1, math.ceil(fraction * ordered.size)))
+        return float(ordered[rank - 1])
+
+    def summary(self, percentiles: Sequence[float] = (0.50, 0.95, 0.99)
+                ) -> dict:
+        """Every standard statistic in one call (the same bits the
+        individual properties return)."""
+        result = {
+            "utilization": self.utilization,
+            "mean_queue_delay_s": self.mean_queue_delay,
+            "makespan_s": self.makespan,
+            "throughput_tokens_per_s": self.throughput_tokens_per_s,
+        }
+        for fraction in percentiles:
+            result[f"p{round(fraction * 100)}"] = (
+                self.latency_percentile(fraction))
+        return result
+
+    def _latency_histogram(self) -> Any:
+        if self._histogram is None:
+            from repro.telemetry.metrics import StreamingHistogram
+
+            histogram = StreamingHistogram("serving.latency_s")
+            histogram.observe_array(self.latencies)
+            self._histogram = histogram
+        return self._histogram
+
+    # ------------------------------------------------------------------
+    @property
+    def served(self) -> List[ServedRequest]:
+        if self._served is None:
+            self._served = [
+                ServedRequest(request=request, arrival=arrival,
+                              start=start, finish=finish)
+                for request, arrival, start, finish
+                in self.iter_timeline()]
+        return self._served
+
+    def iter_timeline(self) -> Iterator[Tuple[InferenceRequest, float,
+                                              float, float]]:
+        """(shape, arrival, start, finish) rows without building
+        ``ServedRequest`` objects."""
+        shapes = self.workload.shapes
+        for code, arrival, start, finish in zip(
+                self.workload.codes.tolist(), self.arrivals.tolist(),
+                self.starts.tolist(), self.finishes.tolist()):
+            yield shapes[code], arrival, start, finish
+
+    # ------------------------------------------------------------------
+    @property
+    def scenario_name(self) -> str:
+        return self.scenario.name if self.scenario is not None else ""
 
     @property
-    def mean_queue_delay(self) -> float:
-        return sum(r.queue_delay for r in self.served) / len(self.served)
+    def n_dropped(self) -> int:
+        return 0 if self.dropped_index is None else int(
+            self.dropped_index.size)
+
+    @property
+    def n_offered(self) -> int:
+        return self.n_served + self.n_dropped
+
+    @property
+    def drop_rate(self) -> float:
+        return self.n_dropped / self.n_offered
+
+    @property
+    def dropped_arrivals(self) -> Optional[np.ndarray]:
+        """Arrival timestamps of the dropped requests (``None`` for a
+        run without a fault scenario)."""
+        if self.dropped_index is None:
+            return None
+        return self.offered_arrivals[self.dropped_index]
+
+    @property
+    def dropped(self) -> List[DroppedRequest]:
+        if self.dropped_index is None:
+            return []
+        shapes = self.offered.shapes
+        return [DroppedRequest(request=shapes[code], arrival=arrival,
+                               reason=reason)
+                for code, arrival, reason in zip(
+                    self.offered.codes[self.dropped_index].tolist(),
+                    self.offered_arrivals[self.dropped_index].tolist(),
+                    self.dropped_reasons)]
+
+    def monitor(self, policy: "SLOPolicy",
+                **kwargs: Any) -> "MonitoringReport":
+        """Evaluate an SLO policy over this run; alerts overlapping
+        one of the scenario's fault windows are attributed to it
+        (see :func:`repro.telemetry.timeseries.monitor_report`)."""
+        from repro.telemetry.timeseries import monitor_report
+
+        return monitor_report(self, policy, **kwargs)
 
 
 class ServingSimulator:
@@ -156,74 +375,44 @@ class ServingSimulator:
 
     With a :class:`Telemetry` attached (explicitly or via
     ``repro.telemetry.activate``), every run emits per-request
-    ``server``/``queue`` spans in sim-seconds and feeds the
-    ``serving.*`` queue-delay / service-time / latency histograms.
+    ``server``/``queue`` spans in sim-seconds (up to
+    :data:`DEFAULT_SPAN_CAP` requests) and feeds the ``serving.*``
+    queue-delay / service-time / latency histograms.
     """
 
     def __init__(self, estimator: LiaEstimator,
                  telemetry: Optional[Telemetry] = None) -> None:
         self.estimator = estimator
         self._telemetry = telemetry
-        #: Cross-run shape -> service-latency cache for the vectorized
-        #: path.  The estimator is pure in the request (the same
-        #: assumption the loop's per-run memoization makes), so the
-        #: mapping never goes stale for a fixed estimator.
-        self._service_latency_cache: Dict[InferenceRequest, float] = {}
 
     def _active_telemetry(self) -> Optional[Telemetry]:
         return (self._telemetry if self._telemetry is not None
                 else current_telemetry())
 
-    #: ``run(vectorized=None)`` switches to the vectorized engine at
-    #: this many requests; below it the loop path is just as fast and
-    #: returns the familiar materialized report.
-    AUTO_VECTORIZE_MIN_REQUESTS = 4096
-
     def run(self, requests: Union[Sequence[InferenceRequest],
-                                  "WorkloadVector"],
-            arrivals: Sequence[float],
+                                  WorkloadVector],
+            arrivals: ArrayLike,
             scenario: Optional["FaultScenario"] = None,
-            vectorized: Optional[bool] = None,
-            streaming: Optional[bool] = None,
             scheduler: Union[None, str, "SchedulerConfig"] = None
             ) -> ServingReport:
         """Serve ``requests`` arriving at ``arrivals`` (seconds).
 
+        ``requests`` is a request list or a columnar
+        :class:`~repro.serving.vectorized.WorkloadVector`; both give
+        the same report.  ``scenario`` injects faults (see
+        :mod:`repro.serving.degradation`); an idle scenario — no
+        fault windows, no admission bound — gives the same report as
+        none at all.
+
         ``scheduler`` picks the serving policy: ``None`` / ``"fifo"``
-        is the FIFO queue below; ``"continuous"`` (or a
+        is the FIFO queue; ``"continuous"`` (or a
         :class:`~repro.serving.scheduler.SchedulerConfig`) dispatches
         to the iteration-level continuous-batching engine of
         :mod:`repro.serving.scheduler`, which returns a
-        :class:`~repro.serving.scheduler.ContinuousServingReport`
-        (a :class:`ServingReport` subtype).  The continuous engine
-        has no degraded or array variant yet, so combining it with
-        ``scenario``/``vectorized``/``streaming`` is a
-        :class:`ConfigurationError`, never a silent ignore.
-
-        ``scenario`` switches to the fault-injected loop of
-        :mod:`repro.serving.degradation`.  ``None`` — and any *idle*
-        scenario (no fault windows, no admission bound) — takes the
-        plain path below, so enabling the fault layer without faults
-        is bit-for-bit identical to not having it.
-
-        ``requests`` may be a columnar
-        :class:`~repro.serving.vectorized.WorkloadVector` instead of a
-        request list; those always take the vectorized path (their
-        point is avoiding per-request Python objects).  ``vectorized``
-        forces the engine choice; the default picks the loop for small
-        runs and the Lindley-recursion array engine — bit-identical by
-        contract — from :data:`AUTO_VECTORIZE_MIN_REQUESTS` up.  The
-        same choice applies under a non-idle ``scenario``: large or
-        columnar runs take the piecewise-Lindley engine of
-        :mod:`repro.serving.piecewise`, ``vectorized=True`` forces it,
-        and ``vectorized=False`` forces the reference loop.
-        ``streaming`` forces (True) or forbids (False) streaming
-        percentiles on the vectorized report; combining it with the
-        degraded *loop* is a :class:`ConfigurationError` (the loop
-        materializes its report), never a silent no-op.
+        :class:`~repro.serving.scheduler.ContinuousServingReport`.
+        That engine has no fault-injected variant, so combining it
+        with a non-idle ``scenario`` is a :class:`ConfigurationError`.
         """
-        from repro.serving.vectorized import WorkloadVector, run_vectorized
-
         if scheduler is not None and scheduler != "fifo":
             from repro.serving.scheduler import (ContinuousBatchScheduler,
                                                  SchedulerConfig)
@@ -232,11 +421,6 @@ class ServingSimulator:
                 raise ConfigurationError(
                     "the continuous scheduler has no fault-injected "
                     "variant; run scenario= through the FIFO path")
-            if vectorized or streaming is not None:
-                raise ConfigurationError(
-                    "vectorized=/streaming= apply to the FIFO "
-                    "engines; the continuous scheduler is "
-                    "iteration-level")
             if isinstance(scheduler, SchedulerConfig):
                 scheduler_config: Optional[SchedulerConfig] = scheduler
             elif scheduler == "continuous":
@@ -250,94 +434,20 @@ class ServingSimulator:
                 telemetry=self._telemetry)
             return engine.run(requests, arrivals)
 
-        columnar = isinstance(requests, WorkloadVector)
-        n_requests = (requests.n_requests if columnar
-                      else len(requests))
-        if n_requests != len(arrivals):
-            raise ConfigurationError(
-                "requests and arrivals must have equal length")
-        if vectorized is None:
-            vectorized = (columnar
-                          or n_requests >= self.AUTO_VECTORIZE_MIN_REQUESTS)
-        if scenario is not None and not scenario.idle:
-            if vectorized:
-                from repro.serving.piecewise import (
-                    run_degraded_vectorized)
+        from repro.serving.piecewise import run_fifo
 
-                workload = (requests if columnar
-                            else WorkloadVector.from_requests(requests))
-                return run_degraded_vectorized(
-                    self, workload, arrivals, scenario,
-                    streaming=streaming)
-            if streaming is not None:
-                raise ConfigurationError(
-                    "streaming= requires the vectorized engine; the "
-                    "degraded loop materializes its report (pass "
-                    "vectorized=True or leave streaming=None)")
-            from repro.serving.degradation import run_degraded
-
-            if columnar:
-                requests = requests.to_requests()
-            return run_degraded(self, requests, arrivals, scenario)
-        if vectorized:
-            workload = (requests if columnar
-                        else WorkloadVector.from_requests(requests))
-            # run_vectorized validates the trace itself — one pass,
-            # not two.
-            return run_vectorized(self, workload, arrivals,
-                                  streaming=streaming)
-        validate_arrivals(arrivals)
-        if columnar:
-            requests = requests.to_requests()
-        served: List[ServedRequest] = []
-        free_at = 0.0
-        telemetry = self._active_telemetry()
-        # Request-shape memoization: the estimator is pure in the
-        # request, so a Poisson workload of identical (B, L_in, L_out)
-        # shapes estimates once per distinct shape, not per arrival.
-        latency_by_shape: Dict[InferenceRequest, float] = {}
-        for request, arrival in zip(requests, arrivals):
-            start = max(arrival, free_at)
-            service = latency_by_shape.get(request)
-            if service is None:
-                service = self.estimator.estimate(request).latency
-                latency_by_shape[request] = service
-                if telemetry is not None:
-                    telemetry.metrics.counter(
-                        "serving.estimates", result="computed").inc()
-            elif telemetry is not None:
-                telemetry.metrics.counter(
-                    "serving.estimates", result="memoized").inc()
-            finish = start + service
-            served.append(ServedRequest(request=request, arrival=arrival,
-                                        start=start, finish=finish))
-            free_at = finish
-        report = ServingReport(served)
-        if telemetry is not None:
-            serving_report_to_metrics(
-                report, telemetry.metrics,
-                system=self.estimator.system.name,
-                model=self.estimator.spec.name)
-            for span in serving_report_to_spans(report):
-                telemetry.tracer.add_span(span.name, span.track,
-                                          span.start, span.finish,
-                                          **span.args)
-        return report
+        workload = (requests if isinstance(requests, WorkloadVector)
+                    else WorkloadVector.from_requests(requests))
+        return run_fifo(self, workload, arrivals, scenario)
 
     def run_poisson(self, requests: Union[Sequence[InferenceRequest],
-                                          "WorkloadVector"],
+                                          WorkloadVector],
                     rate_per_s: float, seed: int = 0,
                     scenario: Optional["FaultScenario"] = None,
-                    vectorized: Optional[bool] = None,
-                    streaming: Optional[bool] = None,
                     scheduler: Union[None, str,
                                      "SchedulerConfig"] = None
                     ) -> ServingReport:
         """Serve with Poisson arrivals at ``rate_per_s`` (seeded)."""
-        n_requests = (requests.n_requests
-                      if hasattr(requests, "n_requests")
-                      else len(requests))
-        arrivals = arrivals_poisson(n_requests, rate_per_s, seed=seed)
+        arrivals = arrivals_poisson(len(requests), rate_per_s, seed=seed)
         return self.run(requests, arrivals, scenario=scenario,
-                        vectorized=vectorized, streaming=streaming,
                         scheduler=scheduler)

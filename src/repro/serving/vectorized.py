@@ -1,6 +1,6 @@
-"""Vectorized million-request serving engine.
+"""Columnar workloads and the exact Lindley-recursion kernel.
 
-The FIFO recurrence the loop in :mod:`repro.serving.simulator` walks,
+The FIFO recurrence a per-request serving loop walks,
 
 .. math::
 
@@ -29,35 +29,25 @@ refining until they reach a fixed point.  At the fixed point the
 result provably equals the loop's output bit for bit (induction over
 requests: every branch decision and every float op matches).
 
-Around the recursion:
-
-* :class:`WorkloadVector` — a columnar workload (unique request
-  shapes + an int code per arrival) so million-request runs never
-  materialize a million ``InferenceRequest`` objects.
-* batched shape estimation — one ``LiaEstimator.estimate`` per
-  *distinct* shape via the deterministic parallel sweep runner, then
-  a vectorized gather back onto arrivals.
-* :class:`VectorizedServingReport` — the array-backed report: exact
-  (sorted-array) percentiles below a size threshold, a
-  :class:`~repro.telemetry.metrics.StreamingHistogram` above it, and
-  lazy ``ServedRequest`` materialization for consumers that want the
-  classic view.
+Beside the kernel lives :class:`WorkloadVector`, a columnar workload
+(unique request shapes + an int code per arrival) so million-request
+runs never materialize a million ``InferenceRequest`` objects.  The
+serving engine built on both is :mod:`repro.serving.piecewise`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import run_sweep
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import (ServedRequest, ServingReport,
-                                     ServingSimulator, validate_arrivals)
-from repro.telemetry.runtime import Telemetry
+
+if TYPE_CHECKING:
+    from repro.core.estimator import LiaEstimator
 
 #: Busy periods longer than this use one ``np.add.accumulate`` each;
 #: shorter ones are replayed position-by-position, vectorized across
@@ -70,16 +60,6 @@ _LONG_SEGMENT = 64
 #: in practice the first algebraic guess is already the fixed point.
 _MAX_REFINEMENTS = 60
 
-#: Above this many served requests, ``latency_percentile`` answers
-#: from a streaming histogram (~2% relative error) instead of sorting
-#: the latency vector exactly.
-DEFAULT_EXACT_PERCENTILE_LIMIT = 262_144
-
-#: Per-request span emission cap for vectorized runs: the first this
-#: many requests get the same ``server``/``queue`` spans the loop
-#: emits; the rest are counted in ``serving.spans_dropped``.
-DEFAULT_SPAN_CAP = 1024
-
 
 # ----------------------------------------------------------------------
 # Columnar workloads
@@ -88,8 +68,8 @@ DEFAULT_SPAN_CAP = 1024
 class WorkloadVector:
     """A request stream as unique shapes plus one int code per arrival.
 
-    The loop path's per-request cost is dominated by touching a
-    million Python objects; a columnar workload keeps the shapes
+    A per-request loop's cost is dominated by touching a million
+    Python objects; a columnar workload keeps the shapes
     (rarely more than a handful) as real :class:`InferenceRequest`
     objects and the stream as a numpy int array.
     """
@@ -119,8 +99,7 @@ class WorkloadVector:
     @classmethod
     def from_requests(cls, requests: Sequence[InferenceRequest]
                       ) -> "WorkloadVector":
-        """Encode a request list; shapes keep first-occurrence order
-        (the same order the loop path estimates them in)."""
+        """Encode a request list; shapes keep first-occurrence order."""
         order: dict = {}
         codes = np.fromiter(
             (order.setdefault(request, len(order))
@@ -201,6 +180,17 @@ class WorkloadVector:
             object.__setattr__(self, "_tokens_per_request", cached)
         return cached
 
+    def service_times(self, estimator: "LiaEstimator") -> np.ndarray:
+        """Healthy per-arrival service times: one memoized estimate
+        per shape the stream uses, gathered onto the arrivals."""
+        from repro.core.cache import cached_estimate
+
+        latency = np.array(
+            [cached_estimate(estimator, shape).latency if count else 0.0
+             for shape, count in zip(self.shapes,
+                                     self.counts().tolist())])
+        return np.take(latency, self.codes)
+
     def request_at(self, index: int) -> InferenceRequest:
         return self.shapes[int(self.codes[index])]
 
@@ -228,8 +218,8 @@ def _exact_finishes(arrivals: np.ndarray, services: np.ndarray,
     the busy-period start indices (the caller reuses them).
 
     With ``penalties`` the per-request finish is the *two*-addition
-    fold ``(f + s_i) + p_i`` — the degraded loop's
-    ``start + plan.latency + penalty`` — so every replay mode below
+    fold ``(f + s_i) + p_i`` — a faulted request's
+    ``start + latency + penalty`` — so every replay mode below
     performs two adds per request in the loop's exact order.
     """
     n = arrivals.size
@@ -289,9 +279,8 @@ def _exact_finishes(arrivals: np.ndarray, services: np.ndarray,
     return segment_starts
 
 
-def lindley_timeline(arrivals: Sequence[float],
-                     services: Sequence[float],
-                     penalties: Optional[Sequence[float]] = None,
+def lindley_timeline(arrivals: ArrayLike, services: ArrayLike,
+                     penalties: Optional[ArrayLike] = None,
                      free_at: float = 0.0
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """(starts, finishes) of the FIFO timeline, bit-identical to the
@@ -303,7 +292,7 @@ def lindley_timeline(arrivals: Sequence[float],
     until they are a fixed point (almost always immediately).
 
     ``penalties`` adds a second per-request addition after the
-    service add — the degraded loop's ``(start + latency) + penalty``
+    service add — a faulted request's ``(start + latency) + penalty``
     — keeping the two-operation float order intact.  ``free_at``
     carries the queue backlog from a previous piecewise segment: the
     first start is clamped to it, exactly as the loop's running
@@ -374,267 +363,3 @@ def lindley_timeline(arrivals: Sequence[float],
         starts[i] = start
         finishes[i] = finish
     return starts, finishes
-
-
-# ----------------------------------------------------------------------
-# Array-backed report
-# ----------------------------------------------------------------------
-class VectorizedServingReport:
-    """A :class:`ServingReport` over arrays instead of objects.
-
-    Exposes the same statistics API (``makespan``, ``utilization``,
-    ``throughput_tokens_per_s``, ``mean_queue_delay``,
-    ``latency_percentile``); every scalar folds floats in the same
-    order as the loop report, so the numbers are bit-identical.
-    Percentiles are exact (one lazy ``np.sort``) up to
-    ``exact_percentile_limit`` served requests and answered from a
-    streaming histogram beyond it; ``streaming=True`` forces the
-    histogram, ``streaming=False`` forces the exact sort.
-
-    ``served`` materializes the classic ``ServedRequest`` list on
-    first access — an O(n) object build, intended for small runs and
-    equivalence tests, not the million-request path.
-    """
-
-    #: Subclasses that can legitimately serve zero requests (e.g. a
-    #: degraded run that sheds everything) flip this class attribute.
-    _allow_empty = False
-
-    def __init__(self, workload: WorkloadVector, arrivals: np.ndarray,
-                 starts: np.ndarray, finishes: np.ndarray,
-                 streaming: Optional[bool] = None,
-                 exact_percentile_limit: int =
-                 DEFAULT_EXACT_PERCENTILE_LIMIT) -> None:
-        if arrivals.size == 0 and not self._allow_empty:
-            raise ConfigurationError("report needs at least one request")
-        if not (arrivals.size == starts.size == finishes.size
-                == workload.n_requests):
-            raise ConfigurationError(
-                "timeline arrays and workload must have equal length")
-        self.workload = workload
-        self.arrivals = arrivals
-        self.starts = starts
-        self.finishes = finishes
-        self._streaming = streaming
-        self.exact_percentile_limit = exact_percentile_limit
-        self._sorted_latencies: Optional[np.ndarray] = None
-        self._histogram = None
-        self._served: Optional[List[ServedRequest]] = None
-        self._makespan: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def n_served(self) -> int:
-        return int(self.arrivals.size)
-
-    @property
-    def latencies(self) -> np.ndarray:
-        return self.finishes - self.arrivals
-
-    @property
-    def queue_delays(self) -> np.ndarray:
-        return self.starts - self.arrivals
-
-    @property
-    def service_times(self) -> np.ndarray:
-        return self.finishes - self.starts
-
-    @property
-    def streaming_percentiles(self) -> bool:
-        """Whether ``latency_percentile`` answers from the histogram."""
-        if self._streaming is not None:
-            return self._streaming
-        return self.n_served > self.exact_percentile_limit
-
-    # ------------------------------------------------------------------
-    @property
-    def makespan(self) -> float:
-        if self._makespan is None:
-            self._makespan = float(np.max(self.finishes))
-        return self._makespan
-
-    @property
-    def utilization(self) -> float:
-        # ``np.add.accumulate(...)[-1]`` is the same left fold as the
-        # loop report's ``sum(r.service_time for r in served)``; the
-        # accumulate runs in place on the fresh property array.
-        times = self.service_times
-        busy = float(np.add.accumulate(times, out=times)[-1])
-        return busy / self.makespan if self.makespan else 0.0
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        tokens = self.workload.total_generated_tokens
-        return tokens / self.makespan if self.makespan else 0.0
-
-    @property
-    def mean_queue_delay(self) -> float:
-        delays = self.queue_delays
-        total = float(np.add.accumulate(delays, out=delays)[-1])
-        return total / self.n_served
-
-    def latency_percentile(self, fraction: float) -> float:
-        """Nearest-rank latency percentile (see
-        :meth:`ServingReport.latency_percentile`); exact below the
-        size limit, streaming-histogram estimate above it."""
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError(
-                f"fraction must be in (0, 1], got {fraction}")
-        if self.streaming_percentiles:
-            return float(self._latency_histogram().quantile(fraction))
-        if self._sorted_latencies is None:
-            ordered = self.latencies  # fresh array; sort in place
-            ordered.sort()
-            self._sorted_latencies = ordered
-        ordered = self._sorted_latencies
-        rank = min(ordered.size,
-                   max(1, math.ceil(fraction * ordered.size)))
-        return float(ordered[rank - 1])
-
-    def summary(self, percentiles: Sequence[float] = (0.50, 0.95, 0.99)
-                ) -> dict:
-        """Every standard statistic in one call.
-
-        Values are the same bits the individual properties return.
-        """
-        result = {
-            "utilization": self.utilization,
-            "mean_queue_delay_s": self.mean_queue_delay,
-            "makespan_s": self.makespan,
-            "throughput_tokens_per_s": self.throughput_tokens_per_s,
-        }
-        for fraction in percentiles:
-            result[f"p{round(fraction * 100)}"] = (
-                self.latency_percentile(fraction))
-        return result
-
-    def _latency_histogram(self):
-        if self._histogram is None:
-            from repro.telemetry.metrics import StreamingHistogram
-
-            histogram = StreamingHistogram("serving.latency_s")
-            histogram.observe_array(self.latencies)
-            self._histogram = histogram
-        return self._histogram
-
-    # ------------------------------------------------------------------
-    @property
-    def served(self) -> List[ServedRequest]:
-        if self._served is None:
-            shapes = self.workload.shapes
-            self._served = [
-                ServedRequest(request=shapes[code], arrival=arrival,
-                              start=start, finish=finish)
-                for code, arrival, start, finish in zip(
-                    self.workload.codes.tolist(),
-                    self.arrivals.tolist(), self.starts.tolist(),
-                    self.finishes.tolist())]
-        return self._served
-
-    def materialize(self) -> ServingReport:
-        """The classic list-backed report (O(n) objects)."""
-        return ServingReport(list(self.served))
-
-    def iter_timeline(self) -> Iterator[Tuple[InferenceRequest, float,
-                                              float, float]]:
-        """(shape, arrival, start, finish) rows without building
-        ``ServedRequest`` objects."""
-        shapes = self.workload.shapes
-        for code, arrival, start, finish in zip(
-                self.workload.codes.tolist(), self.arrivals.tolist(),
-                self.starts.tolist(), self.finishes.tolist()):
-            yield shapes[code], arrival, start, finish
-
-
-# ----------------------------------------------------------------------
-# The engine
-# ----------------------------------------------------------------------
-def shape_services(simulator: ServingSimulator,
-                   workload: WorkloadVector,
-                   telemetry: Optional[Telemetry] = None) -> np.ndarray:
-    """Per-arrival service times: one estimate per distinct shape
-    (fanned out over the deterministic sweep runner), scattered back
-    onto the stream.  Counter totals match the loop's memoization:
-    ``computed`` per distinct shape, ``memoized`` per repeat.
-
-    Shapes already estimated by an earlier run on the same simulator
-    come from its service-latency cache — the cross-run analogue of
-    the loop's per-run shape memoization."""
-    from repro.experiments.runner import default_workers
-
-    cache = simulator._service_latency_cache
-    # Shapes the stream never uses (a sampled mix can skip one at
-    # small n) are neither estimated nor counted — exactly like the
-    # loop, which only ever sees shapes that arrive.
-    counts = workload.counts()
-    present = [shape for shape, count
-               in zip(workload.shapes, counts.tolist()) if count]
-    missing = [shape for shape in present if shape not in cache]
-    if missing:
-        estimates = run_sweep(simulator.estimator.estimate, missing,
-                              workers=min(default_workers(),
-                                          len(missing)))
-        for shape, estimate in zip(missing, estimates):
-            cache[shape] = estimate.latency
-    if telemetry is not None:
-        telemetry.metrics.counter(
-            "serving.estimates", result="computed").inc(len(present))
-        repeats = workload.n_requests - len(present)
-        if repeats:
-            telemetry.metrics.counter(
-                "serving.estimates", result="memoized").inc(repeats)
-    latencies = np.array([cache.get(shape, 0.0)
-                          for shape in workload.shapes],
-                         dtype=np.float64)
-    return np.take(latencies, workload.codes)
-
-
-def run_vectorized(simulator: ServingSimulator,
-                   workload: WorkloadVector,
-                   arrivals: Sequence[float],
-                   streaming: Optional[bool] = None,
-                   span_cap: int = DEFAULT_SPAN_CAP,
-                   extra_labels: Optional[dict] = None
-                   ) -> VectorizedServingReport:
-    """Serve ``workload`` at ``arrivals`` through the array engine.
-
-    Emits the same ``serving.*`` metrics and per-request spans as the
-    loop path when telemetry is active; span emission is capped at
-    ``span_cap`` requests, with the overflow counted in
-    ``serving.spans_dropped``.
-    """
-    trace = validate_arrivals(arrivals)
-    if trace.size != workload.n_requests:
-        raise ConfigurationError(
-            "requests and arrivals must have equal length")
-    telemetry = simulator._active_telemetry()
-    services = shape_services(simulator, workload, telemetry)
-    starts, finishes = lindley_timeline(trace, services)
-    report = VectorizedServingReport(workload, trace, starts, finishes,
-                                     streaming=streaming)
-    if telemetry is not None:
-        from repro.telemetry.bridge import (
-            note_dropped_spans, vectorized_report_to_metrics,
-            vectorized_report_to_spans)
-
-        labels = dict(extra_labels or {})
-        vectorized_report_to_metrics(
-            report, telemetry.metrics,
-            system=simulator.estimator.system.name,
-            model=simulator.estimator.spec.name, **labels)
-        spans, dropped = vectorized_report_to_spans(report,
-                                                    cap=span_cap)
-        for span in spans:
-            telemetry.tracer.add_span(span.name, span.track,
-                                      span.start, span.finish,
-                                      **span.args)
-        if dropped:
-            telemetry.metrics.counter(
-                "serving.spans_dropped",
-                system=simulator.estimator.system.name,
-                model=simulator.estimator.spec.name, **labels
-            ).inc(dropped)
-            note_dropped_spans(telemetry, dropped, report.n_served,
-                               component="serving.vectorized",
-                               cap=span_cap)
-    return report

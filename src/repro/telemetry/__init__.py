@@ -31,11 +31,11 @@ Typical use::
 from repro.telemetry.bridge import (
     note_dropped_spans,
     scheduler_report_to_metrics,
-    serving_report_to_metrics,
-    serving_report_to_spans,
     timeline_to_spans,
     timeline_to_trace_events,
     transfer_log_to_counters,
+    vectorized_report_to_metrics,
+    vectorized_report_to_spans,
 )
 from repro.telemetry.dashboard import write_dashboard_html
 from repro.telemetry.export import (
@@ -111,9 +111,9 @@ __all__ = [
     "write_timeseries_csv",
     "note_dropped_spans",
     "scheduler_report_to_metrics",
-    "serving_report_to_metrics",
-    "serving_report_to_spans",
     "timeline_to_spans",
     "timeline_to_trace_events",
     "transfer_log_to_counters",
+    "vectorized_report_to_metrics",
+    "vectorized_report_to_spans",
 ]

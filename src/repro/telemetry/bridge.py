@@ -71,33 +71,6 @@ def transfer_log_to_counters(log, metrics: MetricsRegistry) -> None:
                         destination=record.destination).inc()
 
 
-def serving_report_to_metrics(report, metrics: MetricsRegistry,
-                              system: str = "", model: str = "") -> None:
-    """Fold a :class:`ServingReport` into histograms and counters.
-
-    Histogram names follow ``serving.*``; the labels identify the
-    (model, system) pair so several runs can share one registry.
-    """
-    labels = {}
-    if system:
-        labels["system"] = system
-    if model:
-        labels["model"] = model
-    queue = metrics.histogram("serving.queue_delay_s", **labels)
-    service = metrics.histogram("serving.service_time_s", **labels)
-    latency = metrics.histogram("serving.latency_s", **labels)
-    requests = metrics.counter("serving.requests", **labels)
-    tokens = metrics.counter("serving.generated_tokens", **labels)
-    for served in report.served:
-        queue.observe(served.queue_delay)
-        service.observe(served.service_time)
-        latency.observe(served.latency)
-        requests.inc()
-        tokens.inc(served.request.total_generated_tokens)
-    metrics.gauge("serving.utilization", **labels).set(report.utilization)
-    metrics.gauge("serving.makespan_s", **labels).set(report.makespan)
-
-
 def scheduler_report_to_metrics(report, metrics: MetricsRegistry,
                                 system: str = "",
                                 model: str = "") -> None:
@@ -109,8 +82,8 @@ def scheduler_report_to_metrics(report, metrics: MetricsRegistry,
     gauges, and per-tier peak KV bytes under
     ``scheduler.kv_peak_bytes{tier=...}``.
     """
-    serving_report_to_metrics(report, metrics, system=system,
-                              model=model)
+    vectorized_report_to_metrics(report, metrics, system=system,
+                                 model=model)
     labels = {}
     if system:
         labels["system"] = system
@@ -121,7 +94,7 @@ def scheduler_report_to_metrics(report, metrics: MetricsRegistry,
     metrics.counter("scheduler.admissions",
                     **labels).inc(report.admissions)
     metrics.counter("scheduler.completions",
-                    **labels).inc(len(report.served))
+                    **labels).inc(report.n_served)
     metrics.counter("scheduler.policy_resolves",
                     **labels).inc(report.policy_resolves)
     metrics.counter("scheduler.kv_demotions",
@@ -138,11 +111,12 @@ def scheduler_report_to_metrics(report, metrics: MetricsRegistry,
 def vectorized_report_to_metrics(report, metrics: MetricsRegistry,
                                  system: str = "", model: str = "",
                                  **extra: str) -> None:
-    """The array-engine twin of :func:`serving_report_to_metrics`.
+    """Fold a :class:`ServingReport` into histograms and counters.
 
     Batch-feeds the ``serving.*`` histograms/counters/gauges from the
-    report's timeline arrays; the resulting registry state is
-    bit-identical to the loop path observing every request in order
+    report's timeline arrays; the labels identify the (model, system)
+    pair so several runs can share one registry.  The registry state
+    is bit-identical to observing every request in order
     (``StreamingHistogram.observe_array`` folds totals in the same
     order and re-checks bucket boundaries against ``math.log``).
     """
@@ -167,11 +141,14 @@ def vectorized_report_to_metrics(report, metrics: MetricsRegistry,
 
 def vectorized_report_to_spans(report,
                                cap: int = 1024) -> Tuple[List[Span], int]:
-    """Per-request spans for the first ``cap`` requests of an
-    array-backed report, plus the count of requests whose spans were
-    dropped.  Within the cap the spans match
-    :func:`serving_report_to_spans` exactly (same names, tracks,
-    timestamps, and args)."""
+    """Per-request spans for the first ``cap`` served requests of a
+    :class:`ServingReport`, plus the count of requests whose spans
+    were dropped.
+
+    Service intervals go on the ``server`` track (they are disjoint —
+    the FIFO serves one request at a time); the wait between arrival
+    and start goes on the ``queue`` track.
+    """
     n = report.n_served
     emit = n if cap < 0 else min(n, cap)
     spans: List[Span] = []
@@ -196,27 +173,3 @@ def vectorized_report_to_spans(report,
                   "output_len": request.output_len,
                   "latency_s": finish - arrival}))
     return spans, n - emit
-
-
-def serving_report_to_spans(report) -> List[Span]:
-    """Per-request service spans plus queue-wait spans.
-
-    Service intervals go on the ``server`` track (they are disjoint —
-    the FIFO serves one request at a time); the wait between arrival
-    and start goes on the ``queue`` track.
-    """
-    spans: List[Span] = []
-    for index, served in enumerate(report.served):
-        name = f"request[{index}]"
-        if served.queue_delay > 0.0:
-            spans.append(Span(name=name, track="queue",
-                              start=served.arrival, finish=served.start,
-                              args={"queue_delay_s": served.queue_delay}))
-        spans.append(Span(
-            name=name, track="server",
-            start=served.start, finish=served.finish,
-            args={"batch": served.request.batch_size,
-                  "input_len": served.request.input_len,
-                  "output_len": served.request.output_len,
-                  "latency_s": served.latency}))
-    return spans

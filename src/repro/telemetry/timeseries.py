@@ -33,8 +33,7 @@ percentiles are bucketed estimates — the same ``GROWTH`` buckets as
 :class:`~repro.telemetry.metrics.StreamingHistogram`, ~2.2% relative
 width — optionally over a deterministic stride sample when windows
 hold many samples.  Everything is a pure function of the timeline
-arrays, so the loop and vectorized engines (bit-identical timelines
-by contract) yield bit-identical series.
+arrays, so bit-identical timelines yield bit-identical series.
 
 **Performance.**  Single-server FIFO timelines are non-decreasing in
 arrivals, starts, *and* finishes (induction over the Lindley
@@ -666,50 +665,25 @@ def timeseries_from_report(report, *,
                            ) -> ServingTimeseries:
     """A :class:`ServingTimeseries` from any serving report.
 
-    Accepts the loop :class:`~repro.serving.simulator.ServingReport`
-    (including degraded reports, whose shed requests populate the
-    ``dropped`` channel), the vectorized report, and
-    :class:`~repro.serving.replicas.ScaleOutReport` (delegated to
-    :func:`fleet_timeseries`, returning the merged series).  Loop and
-    vectorized reports of the same run produce bit-identical series.
+    Accepts a :class:`~repro.serving.simulator.ServingReport`
+    (fault-injected runs' dropped requests populate the ``dropped``
+    channel) and a :class:`~repro.serving.replicas.ScaleOutReport`
+    (delegated to :func:`fleet_timeseries`, returning the merged
+    series).
     """
     from repro.serving.replicas import ScaleOutReport
-    from repro.serving.vectorized import VectorizedServingReport
 
     if isinstance(report, ScaleOutReport):
         return fleet_timeseries(
             report, grid=grid, n_windows=n_windows, window_s=window_s,
             percentile_stride=percentile_stride).merged
-    if isinstance(report, VectorizedServingReport):
-        # Degraded array-backed reports expose the shed substream's
-        # arrival timestamps; they populate the ``dropped`` channel
-        # exactly like the loop report's drop records.
-        return compute_timeseries(
-            report.arrivals, report.starts, report.finishes,
-            grid=grid, n_windows=n_windows, window_s=window_s,
-            weights={"tokens": report.workload.tokens_per_request()},
-            dropped_arrivals=getattr(report, "dropped_arrivals", None),
-            assume_sorted=assume_sorted,
-            percentile_stride=percentile_stride)
-    served = report.served
-    count = len(served)
-    arrivals = np.fromiter((r.arrival for r in served),
-                           dtype=np.float64, count=count)
-    starts = np.fromiter((r.start for r in served),
-                         dtype=np.float64, count=count)
-    finishes = np.fromiter((r.finish for r in served),
-                           dtype=np.float64, count=count)
-    tokens = np.fromiter(
-        (r.request.total_generated_tokens for r in served),
-        dtype=np.float64, count=count)
-    shed = getattr(report, "dropped", None)
-    dropped_arrivals = (np.fromiter((d.arrival for d in shed),
-                                    dtype=np.float64, count=len(shed))
-                        if shed else None)
+    # Fault-injected reports expose the dropped requests' arrival
+    # timestamps; they populate the ``dropped`` channel.
     return compute_timeseries(
-        arrivals, starts, finishes, grid=grid, n_windows=n_windows,
-        window_s=window_s, weights={"tokens": tokens},
-        dropped_arrivals=dropped_arrivals,
+        report.arrivals, report.starts, report.finishes,
+        grid=grid, n_windows=n_windows, window_s=window_s,
+        weights={"tokens": report.workload.tokens_per_request()},
+        dropped_arrivals=report.dropped_arrivals,
         assume_sorted=assume_sorted,
         percentile_stride=percentile_stride)
 
@@ -729,14 +703,10 @@ def occupancy_timeseries(report, *,
     ``max_batch_requests``.  Returns ``(grid, concurrency)`` with one
     float per window.
     """
-    served = report.served
-    count = len(served)
-    starts = np.sort(np.fromiter((r.start for r in served),
-                                 dtype=np.float64, count=count))
-    finishes = np.sort(np.fromiter((r.finish for r in served),
-                                   dtype=np.float64, count=count))
+    starts = np.sort(report.starts)
+    finishes = np.sort(report.finishes)
     if grid is None:
-        horizon = float(finishes[-1]) if count else 1.0
+        horizon = float(finishes[-1]) if finishes.size else 1.0
         grid = WindowGrid.cover(horizon, n_windows=n_windows,
                                 window_s=window_s)
     edges = grid.edges
@@ -790,7 +760,7 @@ def fleet_timeseries(report, *,
     merged_histogram = StreamingHistogram("serving.latency_s")
     orphan_drops: List[np.ndarray] = []
     for replica, sub in zip(report.replica_ids, report.per_replica):
-        shed = getattr(sub, "dropped_arrivals", None)
+        shed = sub.dropped_arrivals
         if sub.n_served == 0:
             # A fully-shed replica has no timeline to window, but its
             # drops still belong on the fleet's ``dropped`` channel.
@@ -1106,12 +1076,10 @@ def monitor_report(report, policy: SLOPolicy, *,
         report, grid=grid, n_windows=n_windows, window_s=window_s,
         assume_sorted=assume_sorted,
         percentile_stride=percentile_stride)
-    scenario = getattr(report, "scenario", None)
+    scenario = report.scenario
     events = scenario.events if scenario is not None else ()
-    name = getattr(report, "scenario_name", "") or (
-        scenario.name if scenario is not None else "")
     return evaluate_slo(series, policy, events=events,
-                        scenario_name=name)
+                        scenario_name=report.scenario_name)
 
 
 __all__ = [

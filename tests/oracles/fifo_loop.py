@@ -1,0 +1,507 @@
+"""Per-request loop references for the FIFO serving engine.
+
+:func:`repro.serving.piecewise.run_fifo` serves a whole stream with
+array kernels over piecewise-Lindley segments.  The functions here
+serve the same stream one request at a time, in plain Python, the way
+the recurrence reads on paper:
+
+* :func:`run_loop` — the healthy FIFO queue (``start = max(arrival,
+  free_at)``, ``finish = start + service``) with a per-run shape memo;
+* :func:`run_degraded` — the same loop under a fault scenario:
+  admission control, the policy re-solve/batch-shrink plan, and the
+  transfer-stall retry penalty, request by request;
+* :func:`run_admission_sequential` — the admission-bounded engine
+  path without its batched depth probes (every request through the
+  controller's exact ``admit``), over the engine's plan tables;
+* :func:`run_fleet_loop` — round-robin replicas of
+  :func:`run_degraded`, merged back into arrival order.
+
+Their reports (:class:`LoopReport`) hold per-request records and fold
+every statistic left to right with ``functools.reduce``, so the
+engine's columnar :class:`~repro.serving.simulator.ServingReport`
+must agree with them bit for bit.  The parity tests, the CI parity
+sweep and the serving benchmark compare against this module.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import operator
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.cache import cached_estimate
+from repro.errors import CapacityError, ConfigurationError
+from repro.experiments.runner import run_sweep
+from repro.faults.spec import FaultScenario
+from repro.models.workload import InferenceRequest
+from repro.serving.degradation import (DegradationController, FaultStats,
+                                       _ServicePlan)
+from repro.serving.piecewise import (_SHED_REASON, _UNSERVABLE_REASON,
+                                     _apply_stall_ops,
+                                     _cached_stall_outcome, _PlanTable,
+                                     _warm_base_plans)
+from repro.serving.simulator import (DroppedRequest, ServedRequest,
+                                     ServingSimulator, validate_arrivals)
+from repro.serving.vectorized import WorkloadVector
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.spans import Span
+
+
+def left_sum(values: Sequence[float]) -> float:
+    """``((v0 + v1) + v2) + ...`` — an explicit left fold.
+
+    Python 3.12's ``sum()`` of floats is compensated (Neumaier), so it
+    no longer reproduces a scalar loop's running total.
+    """
+    return functools.reduce(operator.add, values) if values else 0.0
+
+
+@dataclass
+class LoopReport:
+    """Per-request records of one loop run, with list statistics."""
+
+    served: List[ServedRequest]
+    dropped: List[DroppedRequest] = field(default_factory=list)
+    stats: Optional[FaultStats] = None
+    scenario: Optional[FaultScenario] = None
+    #: Positions of ``served`` / ``dropped`` in the offered stream.
+    served_index: List[int] = field(default_factory=list)
+    dropped_index: List[int] = field(default_factory=list)
+
+    @property
+    def makespan(self) -> float:
+        return max((r.finish for r in self.served), default=0.0)
+
+    @property
+    def utilization(self) -> float:
+        busy = left_sum([r.service_time for r in self.served])
+        return busy / self.makespan if self.makespan else 0.0
+
+    @property
+    def throughput_tokens_per_s(self) -> float:
+        tokens = sum(r.request.total_generated_tokens for r in self.served)
+        return tokens / self.makespan if self.makespan else 0.0
+
+    @property
+    def mean_queue_delay(self) -> float:
+        if not self.served:
+            return 0.0
+        return (left_sum([r.queue_delay for r in self.served])
+                / len(self.served))
+
+    def latency_percentile(self, fraction: float) -> float:
+        """Nearest rank: the ``ceil(fraction * n)``-th smallest."""
+        ordered = sorted(r.latency for r in self.served)
+        rank = min(len(ordered), max(1, math.ceil(fraction * len(ordered))))
+        return ordered[rank - 1]
+
+    def summary(self, percentiles: Sequence[float] = (0.50, 0.95, 0.99)
+                ) -> dict:
+        result = {
+            "utilization": self.utilization,
+            "mean_queue_delay_s": self.mean_queue_delay,
+            "makespan_s": self.makespan,
+            "throughput_tokens_per_s": self.throughput_tokens_per_s,
+        }
+        for fraction in percentiles:
+            result[f"p{round(fraction * 100)}"] = (
+                self.latency_percentile(fraction))
+        return result
+
+    @property
+    def n_offered(self) -> int:
+        return len(self.served) + len(self.dropped)
+
+    @property
+    def drop_rate(self) -> float:
+        return len(self.dropped) / self.n_offered if self.n_offered else 0.0
+
+
+# ----------------------------------------------------------------------
+# Telemetry, one request at a time
+# ----------------------------------------------------------------------
+def report_to_metrics(report: LoopReport, metrics: MetricsRegistry,
+                      system: str = "", model: str = "") -> None:
+    """The ``serving.*`` histograms, counters and gauges, observed per
+    request."""
+    labels = {}
+    if system:
+        labels["system"] = system
+    if model:
+        labels["model"] = model
+    queue = metrics.histogram("serving.queue_delay_s", **labels)
+    service = metrics.histogram("serving.service_time_s", **labels)
+    latency = metrics.histogram("serving.latency_s", **labels)
+    requests = metrics.counter("serving.requests", **labels)
+    tokens = metrics.counter("serving.generated_tokens", **labels)
+    for served in report.served:
+        queue.observe(served.queue_delay)
+        service.observe(served.service_time)
+        latency.observe(served.latency)
+        requests.inc()
+        tokens.inc(served.request.total_generated_tokens)
+    metrics.gauge("serving.utilization", **labels).set(report.utilization)
+    metrics.gauge("serving.makespan_s", **labels).set(report.makespan)
+
+
+def report_to_spans(report: LoopReport) -> List[Span]:
+    """A ``queue`` span for every wait and a ``server`` span for every
+    service interval, for every served request."""
+    spans: List[Span] = []
+    for index, served in enumerate(report.served):
+        name = f"request[{index}]"
+        if served.queue_delay > 0.0:
+            spans.append(Span(name=name, track="queue",
+                              start=served.arrival, finish=served.start,
+                              args={"queue_delay_s": served.queue_delay}))
+        spans.append(Span(
+            name=name, track="server",
+            start=served.start, finish=served.finish,
+            args={"batch": served.request.batch_size,
+                  "input_len": served.request.input_len,
+                  "output_len": served.request.output_len,
+                  "latency_s": served.latency}))
+    return spans
+
+
+def _emit(simulator: ServingSimulator, report: LoopReport) -> None:
+    telemetry = simulator._active_telemetry()
+    if telemetry is None:
+        return
+    report_to_metrics(report, telemetry.metrics,
+                      system=simulator.estimator.system.name,
+                      model=simulator.estimator.spec.name)
+    for span in report_to_spans(report):
+        telemetry.tracer.add_span(span.name, span.track, span.start,
+                                  span.finish, **span.args)
+
+
+# ----------------------------------------------------------------------
+# The healthy loop
+# ----------------------------------------------------------------------
+def run_loop(simulator: ServingSimulator,
+             requests: Sequence[InferenceRequest],
+             arrivals: Sequence[float]) -> LoopReport:
+    """Serve ``requests`` one at a time through the FIFO queue."""
+    if len(requests) != len(arrivals):
+        raise ConfigurationError(
+            "requests and arrivals must have equal length")
+    validate_arrivals(arrivals)
+    telemetry = simulator._active_telemetry()
+    served: List[ServedRequest] = []
+    free_at = 0.0
+    latency_by_shape: Dict[InferenceRequest, float] = {}
+    for request, arrival in zip(requests, arrivals):
+        start = max(arrival, free_at)
+        service = latency_by_shape.get(request)
+        if service is None:
+            service = simulator.estimator.estimate(request).latency
+            latency_by_shape[request] = service
+            if telemetry is not None:
+                telemetry.metrics.counter(
+                    "serving.estimates", result="computed").inc()
+        elif telemetry is not None:
+            telemetry.metrics.counter(
+                "serving.estimates", result="memoized").inc()
+        finish = start + service
+        served.append(ServedRequest(request=request, arrival=arrival,
+                                    start=start, finish=finish))
+        free_at = finish
+    report = LoopReport(served, served_index=list(range(len(served))))
+    _emit(simulator, report)
+    return report
+
+
+# ----------------------------------------------------------------------
+# The fault-injected loop
+# ----------------------------------------------------------------------
+def plan_service(controller: DegradationController,
+                 request: InferenceRequest, start: float,
+                 index: int) -> Optional[_ServicePlan]:
+    """The service plan for ``request`` starting at ``start``.
+
+    Without active capacity/latency faults this is the fault-free
+    estimate.  Under faults, the request is re-estimated on the
+    degraded platform; a shape that cannot fit even at B=1 is
+    unservable (``None``).
+    """
+    signature = controller.injector.performance_signature(start)
+    if not signature:
+        return controller._base_plan(request)
+    plan = controller._resolve_plan(request, signature, start)
+    if plan is None:
+        controller.stats.unservable += 1
+        controller._count("faults.unservable")
+        return None
+    controller._note_plan(plan, index, start)
+    return plan
+
+
+def transfer_penalty(controller: DegradationController, start: float,
+                     index: int, n_chunks: int) -> float:
+    """Extra seconds request ``index`` spends on stalled chunks.
+
+    Each stalled chunk costs one timeout, then retries on the
+    exponential-backoff schedule; a retry that stalls again costs
+    another timeout.  Chunks whose retry budget runs out are counted
+    as failures.
+    """
+    retry = controller.scenario.retry
+    stats = controller.stats
+    injector = controller.injector
+    stalled = injector.chunk_stalls(start, index, n_chunks)
+    penalty = 0.0
+    for chunk in stalled:
+        stats.transfer_stalls += 1
+        controller._count("faults.transfer.stalls")
+        at = start + penalty
+        penalty += retry.timeout_s
+        stats.stall_seconds += retry.timeout_s
+        controller._span(f"stall:req{index}:chunk{chunk}", at,
+                         at + retry.timeout_s, chunk=chunk)
+        recovered = False
+        for attempt in range(retry.max_retries):
+            delay = retry.backoff_delay(attempt)
+            at = start + penalty
+            penalty += delay
+            stats.transfer_retries += 1
+            stats.backoff_seconds += delay
+            controller._count("faults.transfer.retries")
+            controller._count("faults.backoff_seconds", delay)
+            controller._span(f"backoff:req{index}:chunk{chunk}", at,
+                             at + delay, attempt=attempt)
+            if injector.retry_succeeds(index, chunk, attempt, start):
+                recovered = True
+                break
+            penalty += retry.timeout_s
+            stats.stall_seconds += retry.timeout_s
+            controller._span(f"stall:req{index}:chunk{chunk}",
+                             at + delay, at + delay + retry.timeout_s,
+                             chunk=chunk, attempt=attempt)
+        if not recovered:
+            stats.transfer_failures += 1
+            controller._count("faults.transfer.failures")
+    return penalty
+
+
+def run_degraded(simulator: ServingSimulator,
+                 requests: Sequence[InferenceRequest],
+                 arrivals: Sequence[float], scenario: FaultScenario,
+                 indices: Optional[Sequence[int]] = None,
+                 quiet: bool = False) -> LoopReport:
+    """Serve ``requests`` one at a time under ``scenario``.
+
+    ``indices`` relabels each position with a global request index
+    (RNG keys and span names); ``quiet`` suppresses telemetry.
+    """
+    if len(requests) != len(arrivals):
+        raise ConfigurationError(
+            "requests and arrivals must have equal length")
+    validate_arrivals(arrivals)
+    telemetry = None if quiet else simulator._active_telemetry()
+    controller = DegradationController(simulator, scenario, telemetry)
+
+    distinct = list(dict.fromkeys(requests))
+    try:
+        estimator = simulator.estimator
+        for request, estimate in zip(
+                distinct,
+                run_sweep(lambda r: cached_estimate(estimator, r),
+                          distinct)):
+            controller._base_plans[request] = _ServicePlan(
+                latency=estimate.latency,
+                n_chunks=controller._chunks(estimate),
+                shrinks=0, resolved=False, policy_shifted=False)
+    except CapacityError:
+        pass  # oversized shapes raise at their first arrival
+    controller._count("serving.estimates", len(distinct),
+                      result="computed")
+    if len(requests) > len(distinct):
+        controller._count("serving.estimates",
+                          len(requests) - len(distinct),
+                          result="memoized")
+
+    report = LoopReport([], stats=controller.stats, scenario=scenario)
+    finishes: List[float] = []
+    free_at = 0.0
+    for position, (request, arrival) in enumerate(zip(requests,
+                                                      arrivals)):
+        index = position if indices is None else int(indices[position])
+        effective = controller.admit(arrival, index, finishes)
+        if effective is None:
+            report.dropped.append(DroppedRequest(
+                request=request, arrival=arrival, reason=_SHED_REASON))
+            report.dropped_index.append(position)
+            continue
+        start = max(effective, free_at)
+        plan = plan_service(controller, request, start, index)
+        if plan is None:
+            report.dropped.append(DroppedRequest(
+                request=request, arrival=arrival,
+                reason=_UNSERVABLE_REASON))
+            report.dropped_index.append(position)
+            continue
+        penalty = transfer_penalty(controller, start, index,
+                                   plan.n_chunks)
+        if plan.resolved or penalty > 0.0:
+            controller.stats.degraded_requests += 1
+        finish = start + plan.latency + penalty
+        report.served.append(ServedRequest(
+            request=request, arrival=arrival, start=start,
+            finish=finish))
+        report.served_index.append(position)
+        finishes.append(finish)
+        free_at = finish
+
+    if telemetry is not None:
+        _emit(simulator, report)
+        telemetry.metrics.gauge(
+            "faults.dropped_requests",
+            scenario=scenario.name).set(len(report.dropped))
+    return report
+
+
+def run_admission_sequential(controller: DegradationController,
+                             workload: WorkloadVector, trace: np.ndarray,
+                             idx: Optional[np.ndarray]
+                             ) -> Tuple[np.ndarray, np.ndarray,
+                                        np.ndarray, np.ndarray,
+                                        List[str]]:
+    """The admission-bounded engine path, one request at a time.
+
+    Same controller, plan tables and stall outcomes as the engine, but
+    every request goes through the exact sequential ``admit`` — no
+    batched depth probes.  Returns ``(served positions, starts,
+    finishes, dropped positions, drop reasons)``.
+    """
+    stats = controller.stats
+    shapes = workload.shapes
+    codes = workload.codes.tolist()
+    arrivals = trace.tolist()
+    segments = controller.injector.regimes()
+    seg_los = [segment[0] for segment in segments]
+    tables: Dict[tuple, _PlanTable] = {
+        (): _warm_base_plans(controller, workload)}
+
+    served_positions: List[int] = []
+    starts: List[float] = []
+    finishes: List[float] = []
+    dropped_positions: List[int] = []
+    reasons: List[str] = []
+    free_at = 0.0
+    probe_code = np.empty(1, dtype=np.int64)
+    for position in range(trace.size):
+        arrival = arrivals[position]
+        index = position if idx is None else int(idx[position])
+        effective = controller.admit(arrival, index, finishes)
+        if effective is None:
+            dropped_positions.append(position)
+            reasons.append(_SHED_REASON)
+            continue
+        start = effective if effective >= free_at else free_at
+        signature, stall_p = segments[bisect_right(seg_los, start) - 1][2:]
+        table = tables.get(signature)
+        if table is None:
+            table = tables[signature] = _PlanTable(len(shapes))
+        code = codes[position]
+        if not table.filled[code]:
+            probe_code[0] = code
+            table.fill(controller, shapes, signature, probe_code, start)
+        if not table.ok[code]:
+            stats.unservable += 1
+            controller._count("faults.unservable")
+            dropped_positions.append(position)
+            reasons.append(_UNSERVABLE_REASON)
+            continue
+        if signature:
+            controller._note_plan(_ServicePlan(
+                latency=float(table.latency[code]),
+                n_chunks=int(table.n_chunks[code]),
+                shrinks=int(table.shrinks[code]), resolved=True,
+                policy_shifted=bool(table.shifted[code])), index, start)
+        penalty = 0.0
+        if stall_p > 0.0:
+            penalty, ops = _cached_stall_outcome(
+                controller, stall_p, index, int(table.n_chunks[code]))
+            if ops:
+                _apply_stall_ops(controller, index, start, ops)
+        if signature or penalty > 0.0:
+            stats.degraded_requests += 1
+        finish = start + float(table.latency[code]) + penalty
+        served_positions.append(position)
+        starts.append(start)
+        finishes.append(finish)
+        free_at = finish
+    return (np.array(served_positions, dtype=np.int64),
+            np.array(starts, dtype=np.float64),
+            np.array(finishes, dtype=np.float64),
+            np.array(dropped_positions, dtype=np.int64), reasons)
+
+
+# ----------------------------------------------------------------------
+# Round-robin fleet of loops
+# ----------------------------------------------------------------------
+def fold_stats(per_replica: Sequence[FaultStats]) -> FaultStats:
+    """Per-replica stats summed in replica-id order."""
+    merged = FaultStats()
+    for stats in per_replica:
+        for key, value in stats.as_dict().items():
+            setattr(merged, key, getattr(merged, key) + value)
+    return merged
+
+
+def run_fleet_loop(simulator: ServingSimulator, workload: WorkloadVector,
+                   arrivals: Sequence[float], scenario: FaultScenario,
+                   n_replicas: int) -> LoopReport:
+    """Request *i* to replica ``i mod k``; each replica is
+    :func:`run_degraded` over its substream with global indices, and
+    the records merge back into offered order."""
+    requests = workload.to_requests()
+    arrivals = list(arrivals)
+    served: List[Tuple[int, ServedRequest]] = []
+    dropped: List[Tuple[int, DroppedRequest]] = []
+    stats: List[FaultStats] = []
+    for replica in range(min(n_replicas, len(requests))):
+        index = list(range(replica, len(requests), n_replicas))
+        sub = run_degraded(simulator, [requests[i] for i in index],
+                           [arrivals[i] for i in index], scenario,
+                           indices=index, quiet=True)
+        served += [(index[p], r)
+                   for p, r in zip(sub.served_index, sub.served)]
+        dropped += [(index[p], d)
+                    for p, d in zip(sub.dropped_index, sub.dropped)]
+        assert sub.stats is not None
+        stats.append(sub.stats)
+    served.sort(key=lambda item: item[0])
+    dropped.sort(key=lambda item: item[0])
+    return LoopReport(
+        served=[record for __, record in served],
+        dropped=[record for __, record in dropped],
+        stats=fold_stats(stats), scenario=scenario,
+        served_index=[position for position, __ in served],
+        dropped_index=[position for position, __ in dropped])
+
+
+def loop_timeseries(report: LoopReport, **kwargs):
+    """:func:`repro.telemetry.timeseries.compute_timeseries` over the
+    per-request records (dropped requests fill the ``dropped``
+    channel), for comparison with ``timeseries_from_report``."""
+    from repro.telemetry.timeseries import compute_timeseries
+
+    served = report.served
+    dropped = ([d.arrival for d in report.dropped]
+               if report.stats is not None else None)
+    return compute_timeseries(
+        np.array([r.arrival for r in served]),
+        np.array([r.start for r in served]),
+        np.array([r.finish for r in served]),
+        weights={"tokens": np.array(
+            [float(r.request.total_generated_tokens) for r in served])},
+        dropped_arrivals=(np.array(dropped) if dropped is not None
+                          else None),
+        **kwargs)

@@ -1,14 +1,15 @@
-"""Piecewise-Lindley degraded engine: bit-identity with the loop.
+"""Piecewise-Lindley FIFO engine under faults: bit-identity with
+the loop oracle.
 
 The contract under test is the one the module docstring of
-:mod:`repro.serving.piecewise` states: on identical inputs the
-piecewise engine and the reference loop produce bit-identical
-timelines, drop records, :class:`FaultStats`, and telemetry rows —
-across every built-in preset, across fault-window boundary edge
-cases, and through the multi-replica dispatcher.  Alongside ride the
-slow-path regression pins: the admission probe's depth counting and
-backoff accounting, pooled (not averaged) fleet percentiles, and the
-``run(vectorized=..., streaming=...)`` dispatch rules.
+:mod:`repro.serving.piecewise` states: on identical inputs the engine
+and the per-request reference loop of ``tests/oracles/fifo_loop.py``
+produce bit-identical timelines, drop records, :class:`FaultStats`,
+and telemetry rows — across every built-in preset, across
+fault-window boundary edge cases, and through the multi-replica
+dispatcher.  Alongside ride the slow-path regression pins: the
+admission probe's depth counting and backoff accounting, pooled (not
+averaged) fleet percentiles, and ``run()`` dispatch.
 """
 
 import math
@@ -24,16 +25,19 @@ from repro.faults.scenarios import builtin_scenarios, get_scenario
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
 from repro.models.workload import InferenceRequest
-from repro.serving import (DegradedScaleOutReport, DegradedServingReport,
-                           MultiReplicaSimulator, ServingSimulator,
-                           VectorizedDegradedReport, WorkloadVector,
-                           arrivals_poisson, lindley_timeline,
-                           run_degraded, run_degraded_vectorized)
+from repro.serving import (MultiReplicaSimulator, ScaleOutReport,
+                           ServingReport, ServingSimulator,
+                           WorkloadVector, arrivals_poisson,
+                           lindley_timeline, run_fifo)
 from repro.serving.degradation import DegradationController
 from repro.serving.piecewise import _apply_stall_ops, _stall_outcome
 from repro.telemetry.runtime import Telemetry, activate
 from repro.telemetry.timeseries import (fleet_timeseries,
                                         timeseries_from_report)
+from tests.oracles.fifo_loop import (LoopReport, loop_timeseries,
+                                     run_admission_sequential,
+                                     run_degraded, run_fleet_loop,
+                                     transfer_penalty)
 
 SHAPES = [InferenceRequest(8, 512, 64), InferenceRequest(4, 256, 32),
           InferenceRequest(1, 128, 16)]
@@ -55,15 +59,14 @@ def _workload(n, seed=0):
 def _run_both(simulator, workload, arrivals, scenario):
     loop = run_degraded(_fresh(simulator), workload.to_requests(),
                         arrivals, scenario)
-    vec = run_degraded_vectorized(_fresh(simulator), workload,
-                                  arrivals, scenario)
+    vec = run_fifo(_fresh(simulator), workload, arrivals, scenario)
     return loop, vec
 
 
 def _assert_parity(loop, vec):
     """Every bit-comparable surface of the two reports."""
-    assert isinstance(loop, DegradedServingReport)
-    assert isinstance(vec, VectorizedDegradedReport)
+    assert isinstance(loop, LoopReport)
+    assert isinstance(vec, ServingReport)
     assert vec.arrivals.tolist() == [r.arrival for r in loop.served]
     assert vec.starts.tolist() == [r.start for r in loop.served]
     assert vec.finishes.tolist() == [r.finish for r in loop.served]
@@ -121,8 +124,7 @@ def test_preset_telemetry_rows_and_spans_engine_invariant(simulator, name):
         run_degraded(_fresh(simulator), workload.to_requests(),
                      arrivals, scenario)
     with activate(t_vec):
-        run_degraded_vectorized(_fresh(simulator), workload, arrivals,
-                                scenario)
+        run_fifo(_fresh(simulator), workload, arrivals, scenario)
     assert _telemetry_rows(t_loop) == _telemetry_rows(t_vec)
     assert _span_set(t_loop) == _span_set(t_vec)
 
@@ -287,7 +289,7 @@ def test_stall_outcome_replays_transfer_penalty(simulator):
     shadow = DegradationController(_fresh(simulator), scenario)
     hit = False
     for index in range(40):
-        penalty = live.transfer_penalty(2.0, index, 5)
+        penalty = transfer_penalty(live, 2.0, index, 5)
         expected, ops = _stall_outcome(scenario, 0.3, index, 5)
         assert penalty == expected
         if ops:
@@ -377,11 +379,10 @@ def test_shed_requests_never_inflate_later_probes(simulator):
         for attempt in range(3):
             expected += 0.01 * 2.0 ** attempt
     assert loop.stats.backoff_seconds == expected
-    # And the admission-bounded piecewise engine reproduces it bit
-    # for bit.
-    vec = run_degraded_vectorized(
-        _fresh(simulator), WorkloadVector.from_requests(requests),
-        arrivals, scenario)
+    # And the admission-bounded engine reproduces it bit for bit.
+    vec = run_fifo(_fresh(simulator),
+                   WorkloadVector.from_requests(requests), arrivals,
+                   scenario)
     _assert_parity(loop, vec)
 
 
@@ -404,26 +405,25 @@ def test_depth_probe_bisect_matches_linear_scan(seed):
 # ----------------------------------------------------------------------
 def _run_admission_kernel(simulator, kernel, workload, arrivals,
                           scenario, idx=None, telemetry=None):
-    from repro.serving.piecewise import _warm_base_plans
     from repro.serving.simulator import validate_arrivals
 
     controller = DegradationController(_fresh(simulator), scenario,
                                        telemetry)
-    _warm_base_plans(controller, workload)
     trace = validate_arrivals(arrivals)
-    out = kernel(controller, workload, trace,
-                 None if idx is None
-                 else np.asarray(idx, dtype=np.int64))
+    out = list(kernel(controller, workload, trace,
+                      None if idx is None
+                      else np.asarray(idx, dtype=np.int64)))
+    if out[0] is None:  # the engine's "every request served"
+        out[0] = np.arange(trace.size)
     return out, controller.stats.as_dict()
 
 
 def _assert_kernels_identical(simulator, workload, arrivals, scenario,
                               idx=None, with_telemetry=False):
-    from repro.serving.piecewise import (_run_admission_piecewise,
-                                         _run_admission_sequential)
+    from repro.serving.piecewise import _serve
 
     outputs = []
-    for kernel in (_run_admission_sequential, _run_admission_piecewise):
+    for kernel in (run_admission_sequential, _serve):
         telemetry = Telemetry() if with_telemetry else None
         out, stats = _run_admission_kernel(simulator, kernel, workload,
                                            arrivals, scenario,
@@ -512,18 +512,18 @@ def test_admission_piecewise_honors_global_indices(simulator):
 
 
 # ----------------------------------------------------------------------
-# Satellite 3: run() dispatch honors vectorized=/streaming=
+# run() dispatch: every FIFO run takes the one engine
 # ----------------------------------------------------------------------
 def test_run_vectorized_true_is_honored_under_scenario(simulator):
+    # The public ``run()`` under a scenario is the engine, and it
+    # matches the loop oracle bit for bit on request-list input.
     scenario = get_scenario("gpu-pressure")
     workload = _workload(50, seed=1)
     arrivals = arrivals_poisson(50, 2.0, seed=1)
     vec = _fresh(simulator).run(workload.to_requests(), arrivals,
-                                scenario=scenario, vectorized=True)
-    assert isinstance(vec, VectorizedDegradedReport)
-    loop = _fresh(simulator).run(workload.to_requests(), arrivals,
-                                 scenario=scenario, vectorized=False)
-    assert isinstance(loop, DegradedServingReport)
+                                scenario=scenario)
+    loop = run_degraded(_fresh(simulator), workload.to_requests(),
+                        arrivals, scenario)
     _assert_parity(loop, vec)
 
 
@@ -533,75 +533,47 @@ def test_run_columnar_workload_takes_piecewise_engine(simulator):
     arrivals = arrivals_poisson(50, 2.0, seed=2)
     report = _fresh(simulator).run(workload, arrivals,
                                    scenario=scenario)
-    assert isinstance(report, VectorizedDegradedReport)
+    assert isinstance(report, ServingReport)
+    assert report.stats is not None
+    assert report.scenario_name == "cxl-contention"
+    listed = _fresh(simulator).run(workload.to_requests(), arrivals,
+                                   scenario=scenario)
+    assert listed.finishes.tolist() == report.finishes.tolist()
 
 
 def test_run_auto_vectorize_threshold_applies_to_degraded(simulator):
+    # Runs of every size, with or without a scenario, take the same
+    # engine.
     scenario = get_scenario("pcie-downshift")
-    sim = _fresh(simulator)
-    sim.AUTO_VECTORIZE_MIN_REQUESTS = 8
     workload = _workload(10, seed=3)
     arrivals = arrivals_poisson(10, 2.0, seed=3)
-    over = sim.run(workload.to_requests(), arrivals, scenario=scenario)
-    assert isinstance(over, VectorizedDegradedReport)
-    under = sim.run(workload.to_requests()[:4], arrivals[:4],
-                    scenario=scenario)
-    assert isinstance(under, DegradedServingReport)
-    assert not isinstance(under, VectorizedDegradedReport)
-
-
-def test_run_streaming_with_degraded_loop_raises(simulator):
-    scenario = get_scenario("pcie-downshift")
-    workload = _workload(10, seed=4)
-    arrivals = arrivals_poisson(10, 2.0, seed=4)
-    with pytest.raises(ConfigurationError, match="streaming"):
-        _fresh(simulator).run(workload.to_requests(), arrivals,
-                              scenario=scenario, vectorized=False,
-                              streaming=True)
-    # streaming works fine on the piecewise engine.
-    report = _fresh(simulator).run(workload.to_requests(), arrivals,
-                                   scenario=scenario, vectorized=True,
-                                   streaming=False)
-    assert isinstance(report, VectorizedDegradedReport)
+    for n in (1, 4, 10):
+        requests = workload.to_requests()[:n]
+        loop = run_degraded(_fresh(simulator), requests, arrivals[:n],
+                            scenario)
+        _assert_parity(loop, _fresh(simulator).run(
+            requests, arrivals[:n], scenario=scenario))
+        healthy = _fresh(simulator).run(requests, arrivals[:n])
+        assert healthy.stats is None and healthy.dropped_index is None
 
 
 # ----------------------------------------------------------------------
 # Multi-replica degraded dispatch
 # ----------------------------------------------------------------------
-def _assert_fleet_parity(loop_fleet, vec_fleet):
-    assert isinstance(loop_fleet, DegradedScaleOutReport)
-    assert isinstance(vec_fleet, DegradedScaleOutReport)
-    assert np.array_equal(loop_fleet.merged.starts,
-                          vec_fleet.merged.starts)
-    assert np.array_equal(loop_fleet.merged.finishes,
-                          vec_fleet.merged.finishes)
-    assert np.array_equal(loop_fleet.merged.served_index,
-                          vec_fleet.merged.served_index)
-    assert np.array_equal(loop_fleet.merged.dropped_index,
-                          vec_fleet.merged.dropped_index)
-    assert loop_fleet.merged.dropped_reasons == \
-        vec_fleet.merged.dropped_reasons
-    assert loop_fleet.stats.as_dict() == vec_fleet.stats.as_dict()
-    assert loop_fleet.n_dropped == vec_fleet.n_dropped
-    if loop_fleet.merged.n_served:
-        for fraction in (0.5, 0.95, 1.0):
-            assert loop_fleet.latency_percentile(fraction) == \
-                vec_fleet.latency_percentile(fraction)
-        assert loop_fleet.mean_queue_delay == vec_fleet.mean_queue_delay
-
-
 @pytest.mark.parametrize("name", ["gpu-pressure", "pcie-flaky",
                                   "noisy-neighbor"])
 def test_fleet_degraded_engines_bit_identical(simulator, name):
     scenario = get_scenario(name)
     workload = _workload(200, seed=6)
     arrivals = arrivals_poisson(200, 3.0, seed=6)
-    fleet = MultiReplicaSimulator(simulator.estimator, 4)
-    loop_fleet = fleet.run(workload, arrivals, scenario=scenario,
-                           vectorized=False)
-    vec_fleet = fleet.run(workload, arrivals, scenario=scenario,
-                          vectorized=True)
-    _assert_fleet_parity(loop_fleet, vec_fleet)
+    loop_fleet = run_fleet_loop(_fresh(simulator), workload, arrivals,
+                                scenario, 4)
+    vec_fleet = MultiReplicaSimulator(simulator.estimator, 4).run(
+        workload, arrivals, scenario=scenario)
+    assert isinstance(vec_fleet, ScaleOutReport)
+    _assert_parity(loop_fleet, vec_fleet.merged)
+    assert vec_fleet.stats.as_dict() == loop_fleet.stats.as_dict()
+    assert vec_fleet.n_dropped == len(loop_fleet.dropped)
 
 
 def test_fleet_single_replica_matches_single_server(simulator):
@@ -612,8 +584,7 @@ def test_fleet_single_replica_matches_single_server(simulator):
     arrivals = arrivals_poisson(120, 2.0, seed=8)
     fleet = MultiReplicaSimulator(simulator.estimator, 1)
     fleet_report = fleet.run(workload, arrivals, scenario=scenario)
-    single = run_degraded_vectorized(_fresh(simulator), workload,
-                                     arrivals, scenario)
+    single = run_fifo(_fresh(simulator), workload, arrivals, scenario)
     assert np.array_equal(fleet_report.merged.starts, single.starts)
     assert np.array_equal(fleet_report.merged.finishes, single.finishes)
     assert fleet_report.stats.as_dict() == single.stats.as_dict()
@@ -627,12 +598,11 @@ def test_fleet_degraded_error_paths(simulator):
                                   dispatch="least-loaded")
     with pytest.raises(ConfigurationError, match="round-robin"):
         least.run(workload, arrivals, scenario=scenario)
-    fleet = MultiReplicaSimulator(simulator.estimator, 2)
-    with pytest.raises(ConfigurationError, match="streaming"):
-        fleet.run(workload, arrivals, scenario=scenario,
-                  vectorized=False, streaming=True)
-    with pytest.raises(ConfigurationError):
-        fleet.run(workload, arrivals, vectorized=False)
+    # An idle scenario cannot perturb anything, so least-loaded
+    # dispatch serves it like a healthy run.
+    idle = least.run(workload, arrivals,
+                     scenario=FaultScenario(name="idle", seed=1))
+    assert idle.stats is None
 
 
 # ----------------------------------------------------------------------
@@ -642,7 +612,7 @@ def test_scaleout_percentiles_pool_over_all_replicas(simulator):
     workload = _workload(150, seed=10)
     arrivals = arrivals_poisson(150, 1.5, seed=10)
     report = MultiReplicaSimulator(simulator.estimator, 3).run(
-        workload, arrivals, streaming=False)
+        workload, arrivals)
     pooled = np.sort(report.merged.latencies)
     for fraction in (0.5, 0.9, 0.95, 0.99, 1.0):
         rank = min(pooled.size, max(1, math.ceil(fraction * pooled.size)))
@@ -678,7 +648,7 @@ def test_timeseries_engine_invariant_with_drops(simulator):
     arrivals = arrivals_poisson(200, 3.0, seed=14)
     loop, vec = _run_both(simulator, workload, arrivals, scenario)
     _assert_parity(loop, vec)
-    series_loop = timeseries_from_report(loop, n_windows=24)
+    series_loop = loop_timeseries(loop, n_windows=24)
     series_vec = timeseries_from_report(vec, n_windows=24)
     for channel in ("arrived", "started", "finished", "queue_depth",
                     "busy_s"):

@@ -26,11 +26,10 @@ def test_single_replica_matches_single_server(estimator):
     # k=1 is the plain simulator, bit for bit, under either policy.
     workload = _workload(200)
     arrivals = arrivals_poisson(200, 0.2, seed=1)
-    single = ServingSimulator(estimator).run(workload, arrivals,
-                                             streaming=False)
+    single = ServingSimulator(estimator).run(workload, arrivals)
     for dispatch in ("round-robin", "least-loaded"):
         fleet = MultiReplicaSimulator(estimator, 1, dispatch=dispatch)
-        report = fleet.run(workload, arrivals, streaming=False)
+        report = fleet.run(workload, arrivals)
         assert np.array_equal(report.merged.starts, single.starts)
         assert np.array_equal(report.merged.finishes, single.finishes)
         assert report.latency_percentile(0.95) == \

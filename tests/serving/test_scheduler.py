@@ -28,6 +28,7 @@ from repro.serving.scheduler import (
     run_continuous_fleet,
 )
 from repro.serving.simulator import ServingSimulator
+from tests.oracles.fifo_loop import run_loop
 
 CONFIG = LiaConfig(enforce_host_capacity=False)
 SHAPES = tuple(InferenceRequest(*shape) for shape in MIXED_SHAPES)
@@ -57,8 +58,7 @@ def _mix(n, rate=0.5, seed=0):
 # ----------------------------------------------------------------------
 def test_fifo_degenerate_is_bit_identical_to_simulator(estimator):
     requests, arrivals = _mix(300, rate=0.21)
-    fifo = ServingSimulator(estimator).run(requests, arrivals,
-                                           vectorized=False)
+    fifo = run_loop(ServingSimulator(estimator), requests, arrivals)
     degenerate = ContinuousBatchScheduler(
         estimator, SchedulerConfig.fifo_degenerate()).run(requests,
                                                           arrivals)
@@ -98,8 +98,7 @@ def test_degenerate_detection_requires_all_three_knobs():
 # ----------------------------------------------------------------------
 def test_continuous_beats_fifo_throughput_when_saturated(estimator):
     requests, arrivals = _mix(400)
-    fifo = ServingSimulator(estimator).run(requests, arrivals,
-                                           vectorized=False)
+    fifo = ServingSimulator(estimator).run(requests, arrivals)
     report = ContinuousBatchScheduler(estimator).run(requests,
                                                      arrivals)
     assert (report.throughput_tokens_per_s
@@ -265,8 +264,7 @@ def test_simulator_dispatches_scheduler_keyword(estimator):
         requests, arrivals,
         scheduler=SchedulerConfig(max_batch_requests=4))
     assert via_config.occupancy_peak <= 4
-    fifo = simulator.run(requests, arrivals, scheduler="fifo",
-                         vectorized=False)
+    fifo = simulator.run(requests, arrivals, scheduler="fifo")
     assert not isinstance(fifo, ContinuousServingReport)
 
 
@@ -278,12 +276,6 @@ def test_simulator_rejects_scheduler_with_fifo_only_knobs(estimator):
     with pytest.raises(ConfigurationError, match="fault-injected"):
         simulator.run(requests, arrivals,
                       scenario=get_scenario("noisy-neighbor"),
-                      scheduler="continuous")
-    with pytest.raises(ConfigurationError, match="FIFO engines"):
-        simulator.run(requests, arrivals, vectorized=True,
-                      scheduler="continuous")
-    with pytest.raises(ConfigurationError, match="FIFO engines"):
-        simulator.run(requests, arrivals, streaming=True,
                       scheduler="continuous")
     with pytest.raises(ConfigurationError, match="scheduler must be"):
         simulator.run(requests, arrivals, scheduler="orca")
@@ -378,12 +370,11 @@ def test_occupancy_timeseries_reflects_concurrency(estimator):
     assert float(occupancy.sum() * grid.window_s) == pytest.approx(
         total_service, rel=1e-9)
     # FIFO reports cap at one request in service.
-    fifo = ServingSimulator(estimator).run(requests, arrivals,
-                                           vectorized=False)
+    fifo = ServingSimulator(estimator).run(requests, arrivals)
     __, fifo_occ = occupancy_timeseries(fifo, n_windows=64)
     assert float(fifo_occ.max()) <= 1.0 + 1e-9
     # The generic windowed series consumes the continuous report
-    # through the same .served surface.
+    # through the same timeline columns.
     series = timeseries_from_report(report, n_windows=32)
     assert int(series.arrived.sum()) == 200
     assert int(series.finished.sum()) == 200

@@ -1,5 +1,6 @@
 """Online serving simulation."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import LiaConfig
@@ -8,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.simulator import ServingReport, ServingSimulator
+from repro.serving.vectorized import WorkloadVector
 
 
 @pytest.fixture
@@ -61,10 +63,18 @@ def test_higher_rate_means_more_queueing(simulator):
     assert fast.utilization >= slow.utilization
 
 
+def _empty_report():
+    empty = np.empty(0)
+    return ServingReport(
+        WorkloadVector(shapes=(InferenceRequest(1, 8, 1),),
+                       codes=np.empty(0, dtype=np.int64)),
+        empty, empty, empty)
+
+
 def test_percentile_empty_report_is_impossible():
     # An empty report cannot exist, so percentiles never see one.
     with pytest.raises(ConfigurationError, match="at least one"):
-        ServingReport([])
+        _empty_report()
 
 
 def test_percentile_single_request(simulator):
@@ -112,21 +122,21 @@ def test_input_validation(simulator):
     with pytest.raises(ConfigurationError):
         simulator.run_poisson(_requests(1), rate_per_s=0.0)
     with pytest.raises(ConfigurationError):
-        ServingReport([])
+        _empty_report()
 
 
 def _report_with_latencies(latencies):
     # Back-to-back zero-queue requests with the given service times.
-    from repro.serving.simulator import ServedRequest
-
-    served = []
+    starts = []
     clock = 0.0
     for latency in latencies:
-        served.append(ServedRequest(
-            request=InferenceRequest(1, 8, latency and 1 or 1),
-            arrival=clock, start=clock, finish=clock + latency))
+        starts.append(clock)
         clock += latency
-    return ServingReport(served)
+    starts = np.array(starts)
+    workload = WorkloadVector(shapes=(InferenceRequest(1, 8, 1),),
+                              codes=np.zeros(len(latencies), np.int64))
+    return ServingReport(workload, starts, starts,
+                         starts + np.array(latencies))
 
 
 def test_percentile_nearest_rank_regression():

@@ -1,11 +1,12 @@
-"""Bit-identity and unit tests for the vectorized serving engine.
+"""Bit-identity and unit tests for the healthy FIFO engine.
 
-The contract under test: ``ServingSimulator.run(..., vectorized=True)``
-returns the *same bits* as the per-request loop — timelines,
-percentiles, utilization, queue delay, and the ``serving.*``
-telemetry — for every workload the loop accepts.
+The contract under test: ``ServingSimulator.run`` returns the *same
+bits* as the per-request loop oracle (``tests/oracles/fifo_loop.py``)
+— timelines, percentiles, utilization, queue delay, and the
+``serving.*`` telemetry — for every workload the loop accepts.
 """
 
+import math
 import random
 
 import numpy as np
@@ -14,10 +15,12 @@ import pytest
 from repro.core.estimator import LiaEstimator
 from repro.errors import ConfigurationError
 from repro.models.workload import InferenceRequest
-from repro.serving import (ServingSimulator, VectorizedServingReport,
+from repro.serving import (ServingReport, ServingSimulator,
                            WorkloadVector, arrivals_poisson,
-                           lindley_timeline, validate_arrivals)
+                           lindley_timeline, run_fifo,
+                           validate_arrivals)
 from repro.telemetry import Telemetry, activate
+from tests.oracles.fifo_loop import left_sum, run_loop
 
 
 @pytest.fixture
@@ -26,7 +29,7 @@ def simulator(opt_30b, spr_a100, eval_config):
 
 
 def _fresh_simulator(simulator):
-    """Same estimator, empty cross-run service cache."""
+    """Same estimator, no telemetry attached."""
     return ServingSimulator(simulator.estimator)
 
 
@@ -44,7 +47,7 @@ def _serving_rows(telemetry):
 
 
 # ----------------------------------------------------------------------
-# The tentpole property: loop == vectorized, bit for bit
+# The tentpole property: loop oracle == engine, bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mix", sorted(SHAPE_MIXES))
 @pytest.mark.parametrize("n_requests,rate", [(1, 0.5), (7, 0.05),
@@ -59,14 +62,12 @@ def test_vectorized_bit_identical_to_loop(simulator, mix, n_requests,
 
     loop_telemetry = Telemetry()
     with activate(loop_telemetry):
-        loop = _fresh_simulator(simulator).run(
-            requests, arrivals, vectorized=False)
+        loop = run_loop(_fresh_simulator(simulator), requests, arrivals)
     vec_telemetry = Telemetry()
     with activate(vec_telemetry):
-        vec = _fresh_simulator(simulator).run(
-            workload, arrivals, vectorized=True, streaming=False)
+        vec = _fresh_simulator(simulator).run(workload, arrivals)
 
-    assert isinstance(vec, VectorizedServingReport)
+    assert isinstance(vec, ServingReport)
     # Timelines: every start and finish, to the last bit.
     assert vec.starts.tolist() == [r.start for r in loop.served]
     assert vec.finishes.tolist() == [r.finish for r in loop.served]
@@ -92,8 +93,7 @@ def test_vectorized_estimate_counters_match_loop(simulator):
     arrivals = arrivals_poisson(100, 0.2, seed=0)
     telemetry = Telemetry()
     with activate(telemetry):
-        _fresh_simulator(simulator).run(workload, arrivals,
-                                        vectorized=True)
+        _fresh_simulator(simulator).run(workload, arrivals)
     assert telemetry.metrics.counter_value(
         "serving.estimates", result="computed") == len(shapes)
     assert telemetry.metrics.counter_value(
@@ -107,12 +107,10 @@ def test_vectorized_spans_match_loop_below_cap(simulator):
     arrivals = arrivals_poisson(40, 0.3, seed=3)
     loop_telemetry = Telemetry()
     with activate(loop_telemetry):
-        _fresh_simulator(simulator).run(requests, arrivals,
-                                        vectorized=False)
+        run_loop(_fresh_simulator(simulator), requests, arrivals)
     vec_telemetry = Telemetry()
     with activate(vec_telemetry):
-        _fresh_simulator(simulator).run(workload, arrivals,
-                                        vectorized=True)
+        _fresh_simulator(simulator).run(workload, arrivals)
 
     def rows(telemetry):
         return [(s.name, s.track, s.start, s.finish)
@@ -124,14 +122,12 @@ def test_vectorized_spans_match_loop_below_cap(simulator):
 
 
 def test_vectorized_span_cap_counts_overflow(simulator):
-    from repro.serving.vectorized import run_vectorized
-
     workload = WorkloadVector.sample_mix(
         SHAPE_MIXES["single"], 50, seed=0)
     arrivals = arrivals_poisson(50, 0.5, seed=0)
     telemetry = Telemetry()
     with activate(telemetry):
-        run_vectorized(simulator, workload, arrivals, span_cap=8)
+        run_fifo(simulator, workload, arrivals, span_cap=8)
     # Spans exist only for the first 8 requests; the other 42 are
     # counted, not emitted.
     spanned = {int(s.name[len("request["):-1])
@@ -147,8 +143,6 @@ def test_span_cap_truncation_is_loud(simulator):
     # Satellite contract: a capped trace warns once and exposes the
     # loss on the shared ``telemetry.spans.dropped`` counter, on top
     # of the serving layer's own counter above.
-    from repro.serving.vectorized import run_vectorized
-
     workload = WorkloadVector.sample_mix(
         SHAPE_MIXES["single"], 50, seed=0)
     arrivals = arrivals_poisson(50, 0.5, seed=0)
@@ -156,25 +150,25 @@ def test_span_cap_truncation_is_loud(simulator):
     with activate(telemetry):
         with pytest.warns(RuntimeWarning,
                           match="span cap truncated the trace"):
-            run_vectorized(simulator, workload, arrivals, span_cap=8)
+            run_fifo(simulator, workload, arrivals, span_cap=8)
     assert telemetry.metrics.counter_value(
         "telemetry.spans.dropped",
-        component="serving.vectorized") == 42.0
+        component="serving.fifo") == 42.0
 
 
 def test_auto_vectorize_dispatch(simulator):
-    n = ServingSimulator.AUTO_VECTORIZE_MIN_REQUESTS
-    workload = WorkloadVector.sample_mix(SHAPE_MIXES["single"], n,
+    # Small or large, request list or columnar workload, every FIFO
+    # run is the one engine and returns the same columnar report.
+    workload = WorkloadVector.sample_mix(SHAPE_MIXES["single"], 64,
                                          seed=0)
-    arrivals = arrivals_poisson(n, 5.0, seed=0)
-    auto = simulator.run(workload.to_requests(), arrivals)
-    assert isinstance(auto, VectorizedServingReport)
-    forced = simulator.run(workload.to_requests()[:4], arrivals[:4])
-    assert not isinstance(forced, VectorizedServingReport)
-    # A columnar workload always takes the array engine.
-    small = WorkloadVector.sample_mix(SHAPE_MIXES["single"], 4, seed=0)
-    assert isinstance(simulator.run(small, arrivals[:4]),
-                      VectorizedServingReport)
+    arrivals = arrivals_poisson(64, 5.0, seed=0)
+    for n in (1, 4, 64):
+        listed = simulator.run(workload.to_requests()[:n], arrivals[:n])
+        columnar = simulator.run(workload.subset(np.arange(n)),
+                                 arrivals[:n])
+        assert type(listed) is ServingReport
+        assert type(columnar) is ServingReport
+        assert listed.finishes.tolist() == columnar.finishes.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -314,8 +308,8 @@ def test_arrivals_poisson_matches_inline_stream():
 def test_run_poisson_loop_vs_vectorized(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 200,
                                          seed=2)
-    loop = simulator.run_poisson(workload.to_requests(), 0.21, seed=2,
-                                 vectorized=False)
+    loop = run_loop(simulator, workload.to_requests(),
+                    arrivals_poisson(200, 0.21, seed=2))
     vec = simulator.run_poisson(workload, 0.21, seed=2)
     assert vec.starts.tolist() == [r.start for r in loop.served]
     assert vec.finishes.tolist() == [r.finish for r in loop.served]
@@ -324,16 +318,17 @@ def test_run_poisson_loop_vs_vectorized(simulator):
 # ----------------------------------------------------------------------
 # Report behavior
 # ----------------------------------------------------------------------
-def _vector_report(simulator, n, streaming=None, rate=0.5):
+def _vector_report(simulator, n, rate=0.5):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], n, seed=0)
     arrivals = arrivals_poisson(n, rate, seed=0)
-    return simulator.run(workload, arrivals, streaming=streaming)
+    return simulator.run(workload, arrivals)
 
 
 def test_streaming_percentiles_kick_in_above_limit(simulator):
-    exact = _vector_report(simulator, 64, streaming=False)
+    exact = _vector_report(simulator, 64)
     assert not exact.streaming_percentiles
-    forced = _vector_report(simulator, 64, streaming=True)
+    forced = _vector_report(simulator, 64)
+    forced.exact_percentile_limit = 63
     assert forced.streaming_percentiles
     # Streaming stays within the histogram's relative-error envelope.
     for fraction in (0.5, 0.95, 0.99):
@@ -342,7 +337,7 @@ def test_streaming_percentiles_kick_in_above_limit(simulator):
 
 
 def test_exact_percentile_sort_is_cached(simulator):
-    report = _vector_report(simulator, 32, streaming=False)
+    report = _vector_report(simulator, 32)
     report.latency_percentile(0.5)
     first = report._sorted_latencies
     assert first is not None
@@ -351,7 +346,7 @@ def test_exact_percentile_sort_is_cached(simulator):
 
 
 def test_summary_matches_individual_statistics(simulator):
-    report = _vector_report(simulator, 100, streaming=False)
+    report = _vector_report(simulator, 100)
     summary = report.summary((0.5, 0.95, 0.99))
     assert summary["p50"] == report.latency_percentile(0.5)
     assert summary["p95"] == report.latency_percentile(0.95)
@@ -364,22 +359,33 @@ def test_summary_matches_individual_statistics(simulator):
 
 
 def test_materialize_round_trip(simulator):
+    # ``served`` builds the per-request view lazily; ``iter_timeline``
+    # streams the same rows without objects.
     report = _vector_report(simulator, 10)
-    classic = report.materialize()
-    assert [r.start for r in classic.served] == report.starts.tolist()
-    assert classic.latency_percentile(0.5) == pytest.approx(
-        report.latency_percentile(0.5))
+    assert [r.start for r in report.served] == report.starts.tolist()
+    assert report.served[3].latency == report.latencies[3]
     rows = list(report.iter_timeline())
     assert len(rows) == 10
     assert rows[0][0] == report.workload.request_at(0)
+    assert [row[3] for row in rows] == report.finishes.tolist()
 
 
-def test_loop_report_percentile_cache(simulator):
-    # Satellite: the classic report sorts its latency vector once.
-    requests = [InferenceRequest(1, 128, 16)] * 5
-    report = simulator.run(requests, [0.0] * 5, vectorized=False)
-    report.latency_percentile(0.5)
-    cached = report._sorted_latencies
-    assert cached is not None
-    report.latency_percentile(0.99)
-    assert report._sorted_latencies is cached
+def test_parity_on_order_sensitive_service_sum(simulator):
+    # A trace whose total service time depends on the summation
+    # order: the exactly rounded sum (what Python 3.12's compensated
+    # ``sum()`` approximates) differs from the left fold.  The engine
+    # report and the loop oracle must both fold left to right, so
+    # their utilization and mean queue delay still agree bit for bit.
+    workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 3000,
+                                         seed=1)
+    arrivals = arrivals_poisson(3000, 0.21, seed=1)
+    loop = run_loop(_fresh_simulator(simulator), workload.to_requests(),
+                    arrivals)
+    vec = _fresh_simulator(simulator).run(workload, arrivals)
+    services = [r.service_time for r in loop.served]
+    delays = [r.queue_delay for r in loop.served]
+    assert math.fsum(services) != left_sum(services)
+    assert math.fsum(delays) != left_sum(delays)
+    assert vec.busy_s == left_sum(services)
+    assert vec.utilization == loop.utilization
+    assert vec.mean_queue_delay == loop.mean_queue_delay

@@ -1,15 +1,17 @@
 """Bridges from Timeline / TransferLog / ServingReport."""
 
+import numpy as np
 import pytest
 
 from repro.inference.tensors import TransferLog
-from repro.serving.simulator import ServedRequest, ServingReport
+from repro.serving.simulator import ServingReport
+from repro.serving.vectorized import WorkloadVector
 from repro.models.workload import InferenceRequest
 from repro.sim.trace import TaskRecord, Timeline
-from repro.telemetry.bridge import (serving_report_to_metrics,
-                                    serving_report_to_spans,
-                                    timeline_to_spans,
-                                    transfer_log_to_counters)
+from repro.telemetry.bridge import (timeline_to_spans,
+                                    transfer_log_to_counters,
+                                    vectorized_report_to_metrics,
+                                    vectorized_report_to_spans)
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -61,16 +63,16 @@ def test_transfer_log_reconciles_exactly():
 
 def _report():
     request = InferenceRequest(1, 8, 4)
-    return ServingReport([
-        ServedRequest(request, arrival=0.0, start=0.0, finish=1.0),
-        ServedRequest(request, arrival=0.5, start=1.0, finish=2.0),
-    ])
+    return ServingReport(
+        WorkloadVector(shapes=(request,), codes=np.zeros(2, np.int64)),
+        np.array([0.0, 0.5]), np.array([0.0, 1.0]),
+        np.array([1.0, 2.0]))
 
 
 def test_serving_report_metrics():
     registry = MetricsRegistry()
-    serving_report_to_metrics(_report(), registry, system="spr-a100",
-                              model="opt-30b")
+    vectorized_report_to_metrics(_report(), registry,
+                                 system="spr-a100", model="opt-30b")
     latency = registry.histogram("serving.latency_s",
                                  system="spr-a100", model="opt-30b")
     assert latency.count == 2
@@ -84,7 +86,8 @@ def test_serving_report_metrics():
 
 
 def test_serving_report_spans_split_queue_and_service():
-    spans = serving_report_to_spans(_report())
+    spans, dropped = vectorized_report_to_spans(_report())
+    assert dropped == 0
     server = [s for s in spans if s.track == "server"]
     queue = [s for s in spans if s.track == "queue"]
     assert len(server) == 2

@@ -3,8 +3,8 @@
 The contracts under test:
 
 * the vectorized windowing kernel is *exact* on its count channels
-  and busy-seconds integral, and bit-identical between the loop and
-  vectorized serving engines for the same run;
+  and busy-seconds integral, and bit-identical between the serving
+  engine's report and the per-request loop oracle for the same run;
 * the unsorted fallback (argsort) equals the sorted fast path;
 * :meth:`ServingTimeseries.merge` is the fleet aggregation
   primitive: split == whole, replicas sum to the direct fleet
@@ -28,6 +28,7 @@ from repro.telemetry.timeseries import (ORGANIC_LOAD, SLOPolicy,
                                         evaluate_slo, fleet_timeseries,
                                         monitor_report,
                                         timeseries_from_report)
+from tests.oracles.fifo_loop import loop_timeseries, run_loop
 
 SHAPE_MIXES = {
     "single": [InferenceRequest(1, 128, 16)],
@@ -123,8 +124,7 @@ def test_busy_seconds_match_bruteforce_integral(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 200,
                                          seed=5)
     arrivals = arrivals_poisson(200, 0.3, seed=5)
-    report = _fresh_simulator(simulator).run(workload, arrivals,
-                                             vectorized=True)
+    report = _fresh_simulator(simulator).run(workload, arrivals)
     series = timeseries_from_report(report, n_windows=37)
     edges = series.grid.edges
     expected = np.zeros(series.n_windows)
@@ -139,8 +139,7 @@ def test_conservation_and_final_drain(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["batched"], 300,
                                          seed=2)
     arrivals = arrivals_poisson(300, 0.4, seed=2)
-    report = _fresh_simulator(simulator).run(workload, arrivals,
-                                             vectorized=True)
+    report = _fresh_simulator(simulator).run(workload, arrivals)
     series = timeseries_from_report(report, n_windows=64)
     assert series.arrived.sum() == 300
     assert series.started.sum() == 300
@@ -153,7 +152,7 @@ def test_conservation_and_final_drain(simulator):
 
 
 # ----------------------------------------------------------------------
-# Loop vs vectorized parity, sorted vs unsorted
+# Loop oracle vs engine parity, sorted vs unsorted
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mix", sorted(SHAPE_MIXES))
 @pytest.mark.parametrize("n_requests,rate", [(64, 0.2), (400, 0.21)])
@@ -162,11 +161,10 @@ def test_loop_and_vectorized_series_bit_identical(simulator, mix,
     workload = WorkloadVector.sample_mix(SHAPE_MIXES[mix], n_requests,
                                          seed=7)
     arrivals = arrivals_poisson(n_requests, rate, seed=11)
-    loop = _fresh_simulator(simulator).run(
-        workload.to_requests(), arrivals, vectorized=False)
-    vec = _fresh_simulator(simulator).run(
-        workload, arrivals, vectorized=True, streaming=False)
-    loop_series = timeseries_from_report(loop, n_windows=48)
+    loop = run_loop(_fresh_simulator(simulator), workload.to_requests(),
+                    arrivals)
+    vec = _fresh_simulator(simulator).run(workload, arrivals)
+    loop_series = loop_timeseries(loop, n_windows=48)
     vec_series = timeseries_from_report(vec, n_windows=48)
     _series_equal(loop_series, vec_series)
     # Exact bad counts agree too (the SLO substrate).
@@ -179,8 +177,7 @@ def test_unsorted_fallback_matches_sorted_path(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 250,
                                          seed=9)
     arrivals = arrivals_poisson(250, 0.25, seed=9)
-    report = _fresh_simulator(simulator).run(workload, arrivals,
-                                             vectorized=True)
+    report = _fresh_simulator(simulator).run(workload, arrivals)
     grid = WindowGrid.cover(report.makespan, n_windows=40)
     sorted_series = compute_timeseries(
         np.asarray(arrivals), report.starts, report.finishes,
@@ -197,8 +194,7 @@ def test_windowed_percentiles_track_exact_order_statistics(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 500,
                                          seed=1)
     arrivals = arrivals_poisson(500, 0.21, seed=1)
-    report = _fresh_simulator(simulator).run(workload, arrivals,
-                                             vectorized=True)
+    report = _fresh_simulator(simulator).run(workload, arrivals)
     series = timeseries_from_report(report, n_windows=16,
                                     percentile_stride=1)
     latencies = report.finishes - np.asarray(arrivals)
@@ -224,8 +220,7 @@ def test_merge_of_split_halves_equals_whole(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["single"], 200,
                                          seed=4)
     arrivals = np.asarray(arrivals_poisson(200, 0.3, seed=4))
-    report = _fresh_simulator(simulator).run(workload, arrivals,
-                                             vectorized=True)
+    report = _fresh_simulator(simulator).run(workload, arrivals)
     grid = WindowGrid.cover(report.makespan, n_windows=32)
     whole = compute_timeseries(arrivals, report.starts,
                                report.finishes, grid=grid,
@@ -398,8 +393,7 @@ def test_monitor_report_on_fault_free_run_is_organic(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["single"], 200,
                                          seed=8)
     arrivals = arrivals_poisson(200, 0.3, seed=8)
-    report = _fresh_simulator(simulator).run(workload, arrivals,
-                                             vectorized=True)
+    report = _fresh_simulator(simulator).run(workload, arrivals)
     policy = SLOPolicy(latency_threshold_s=0.5, error_budget=0.05)
     monitoring = monitor_report(report, policy, n_windows=32)
     assert monitoring.scenario_name == ""
@@ -419,8 +413,7 @@ def test_counter_events_are_schema_clean(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["single"], 100,
                                          seed=0)
     arrivals = arrivals_poisson(100, 0.3, seed=0)
-    report = _fresh_simulator(simulator).run(workload, arrivals,
-                                             vectorized=True)
+    report = _fresh_simulator(simulator).run(workload, arrivals)
     series = timeseries_from_report(report, n_windows=16)
     events = timeseries_to_counter_events(series)
     assert events
@@ -441,8 +434,7 @@ def test_csv_and_dashboard_exports(tmp_path, simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 150,
                                          seed=12)
     arrivals = arrivals_poisson(150, 0.25, seed=12)
-    report = _fresh_simulator(simulator).run(workload, arrivals,
-                                             vectorized=True)
+    report = _fresh_simulator(simulator).run(workload, arrivals)
     policy = SLOPolicy(latency_threshold_s=1.0, error_budget=0.05)
     monitoring = monitor_report(report, policy, n_windows=24)
     series = monitoring.timeseries

@@ -290,7 +290,7 @@ def test_monitor_preset_attributes_alerts(capsys):
 def test_monitor_preset_conflicts_with_replicas(capsys):
     assert main(["monitor", "--preset", "gpu-pressure",
                  "--replicas", "2"]) == 1
-    assert "degraded loop" in capsys.readouterr().err
+    assert "single server" in capsys.readouterr().err
 
 
 def test_faults_preset_and_scenario_conflict(capsys, tmp_path):
@@ -368,10 +368,21 @@ def test_serve_slo_plans_fleet(capsys):
     assert "$" in out
 
 
-def test_serve_streaming_percentiles(capsys):
-    assert main(["serve", "--num-requests", "100", "--rate", "0.5",
-                 "--streaming"]) == 0
+def test_serve_streaming_percentiles(capsys, tmp_path):
+    # Exact percentiles up to the report's size limit, the streaming
+    # histogram beyond it; the header and the JSON say which.
+    import json
+
+    from repro.serving.simulator import DEFAULT_EXACT_PERCENTILE_LIMIT
+
+    assert main(["serve", "--num-requests", "100", "--rate", "0.5"]) == 0
+    assert "(exact percentiles)" in capsys.readouterr().out
+    path = tmp_path / "serve.json"
+    n = DEFAULT_EXACT_PERCENTILE_LIMIT + 1
+    assert main(["serve", "--num-requests", str(n), "--rate", "0.5",
+                 "--json", str(path)]) == 0
     assert "(streaming percentiles)" in capsys.readouterr().out
+    assert json.loads(path.read_text())["streaming"] is True
 
 
 def test_serve_bad_shape_is_clean_error(capsys):
