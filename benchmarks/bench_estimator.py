@@ -14,12 +14,21 @@ average and cold-run speedups, and the seed-vs-fast relative error on
 every latency component (the two are bit-identical, so it is 0).  A
 second phase regenerates the full Fig. 9+10+11 grids over the thread
 pool and over the ``REPRO_SWEEP_PROCESSES`` process pool and compares
-wall time and row fingerprints.  The acceptance gates tracked by the repo:
+wall time and row fingerprints.  A third phase builds the continuous
+scheduler's ``StepProfile`` grid for the continuous-kv workload
+(OPT-30B on SPR-A100 with two CXL expanders, max batch 32) two ways —
+one ``estimate`` per grid point vs one
+``LiaEstimator.decode_step_times`` call — and records the
+µs per grid point of each side (median and IQR after a warm-up) and
+whether the two grids are bit-identical.  The acceptance gates
+tracked by the repo:
 
 * average estimator speedup >= 10x
 * max relative error < 1e-9
 * process-sweep rows bit-identical across the thread path and
   process pools of 1, 2, and 4 workers (every machine)
+* step-profile grid bit-identical to the per-point estimates (every
+  machine)
 * full-grid regeneration >= 3x faster over processes than the
   thread-pool baseline (binds only where the run records >= 4 cores
   — the wall-clock half of the gate is meaningless on smaller boxes)
@@ -54,6 +63,13 @@ MODEL = "opt-30b"
 SYSTEM = "spr-a100"
 REQUEST = InferenceRequest(batch_size=1, input_len=256, output_len=512)
 REPS = 5
+
+#: The continuous-kv workload's scheduler: request shapes, max batch,
+#: and the system with its two CXL expanders.
+PROFILE_SHAPES = ((1, 128, 16), (1, 512, 64), (8, 1024, 64),
+                  (32, 1024, 32))
+PROFILE_MAX_BATCH = 32
+PROFILE_CXL_EXPANDERS = 2
 
 #: Full-grid regeneration must beat the thread baseline by this much
 #: on a machine with >= PROCESS_SWEEP_MIN_CORES cores.
@@ -153,6 +169,61 @@ def process_sweep_phase() -> Dict[str, object]:
     }
 
 
+def _quartiles_us(times: List[float], points: int) -> Dict[str, float]:
+    """Median and IQR of per-repetition wall times, in µs per point."""
+    q1, median, q3 = statistics.quantiles(
+        [t / points * 1e6 for t in times], n=4, method="inclusive")
+    return {"median_us_per_point": median, "iqr_us_per_point": q3 - q1}
+
+
+def step_profile_phase(reps: int) -> Dict[str, object]:
+    """The continuous-kv ``StepProfile`` grid: per-point ``estimate``
+    calls vs one ``decode_step_times`` table.
+
+    Both sides run once untimed (warm-up), then ``reps`` timed times
+    each, alternating.
+    """
+    from repro.serving.scheduler import SchedulerConfig, StepProfile
+
+    estimator = LiaEstimator(
+        get_model(MODEL),
+        get_system(SYSTEM).with_cxl(n_expanders=PROFILE_CXL_EXPANDERS),
+        LiaConfig(enforce_host_capacity=False))
+    profile = StepProfile.for_workload(
+        estimator, [InferenceRequest(*shape) for shape in PROFILE_SHAPES],
+        SchedulerConfig(max_batch_requests=PROFILE_MAX_BATCH))
+    batches, contexts = profile.batch_sizes, profile.context_lens
+    points = len(batches) * len(contexts)
+
+    def per_point() -> List[List[float]]:
+        return [[estimator.estimate(InferenceRequest(b, c, 1)).decode.time
+                 for c in contexts] for b in batches]
+
+    def grid() -> List[List[float]]:
+        return estimator.decode_step_times(batches, contexts).tolist()
+
+    sides = {"per_point": per_point, "grid": grid}
+    times: Dict[str, List[float]] = {name: [] for name in sides}
+    results = {name: fn() for name, fn in sides.items()}  # warm-up
+    for __ in range(reps):
+        for name, fn in sides.items():
+            start = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - start)
+    per_point_cost = _quartiles_us(times["per_point"], points)
+    grid_cost = _quartiles_us(times["grid"], points)
+    return {
+        "grid": {"batch_sizes": batches, "context_lens": contexts,
+                 "points": points},
+        "reps": reps,
+        "per_point": per_point_cost,
+        "grid_table": grid_cost,
+        "speedup_median": (per_point_cost["median_us_per_point"]
+                           / grid_cost["median_us_per_point"]),
+        "identical": results["per_point"] == results["grid"],
+    }
+
+
 def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
     spec = get_model(MODEL)
     system = get_system(SYSTEM)
@@ -170,6 +241,7 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
     stats = cache_stats()
 
     error = relative_error(seed["stages"], fast["stages"])
+    step_profile = step_profile_phase(reps=5 if quick else 15)
     process_sweep = process_sweep_phase()
     speedup_ok = (not process_sweep["speedup_gate_binds"]
                   or process_sweep["speedup"] >= PROCESS_SWEEP_SPEEDUP_MIN)
@@ -195,6 +267,7 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
         "speedup_mean": seed["mean_s"] / fast["mean_s"],
         "speedup_cold": seed["cold_s"] / fast["cold_s"],
         "max_relative_error": error,
+        "step_profile": step_profile,
         "process_sweep": process_sweep,
         "gates": {"speedup_mean_min": None if quick else 10.0,
                   "max_relative_error_max": 1e-9,
@@ -204,10 +277,12 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
         # repetitions the cold run dominates the mean, and shared CI
         # machines make wall-clock gates flaky.  The full run holds
         # the amortized speedup to the 10x floor.  Process-sweep
-        # bit-identity is a correctness gate and binds in every mode;
-        # its speedup floor binds whenever the machine has enough
-        # cores for the pool to fan out (quick included).
+        # and step-profile bit-identity are correctness gates and bind
+        # in every mode; the process-sweep speedup floor binds whenever
+        # the machine has enough cores for the pool to fan out (quick
+        # included).
         "pass": (error < 1e-9
+                 and step_profile["identical"]
                  and process_sweep["identical"]
                  and speedup_ok
                  and (quick
@@ -231,6 +306,11 @@ def main() -> int:
     print(f"speedup: {report['speedup_mean']:.1f}x mean, "
           f"{report['speedup_cold']:.1f}x cold; max rel error "
           f"{report['max_relative_error']:.2e}")
+    profile = report["step_profile"]
+    print(f"step profile: {profile['grid']['points']} points, per-point "
+          f"{profile['per_point']['median_us_per_point']:.0f} us/point vs "
+          f"grid {profile['grid_table']['median_us_per_point']:.1f} "
+          f"us/point (medians); identical={profile['identical']}")
     sweep = report["process_sweep"]
     binds = "binds" if sweep["speedup_gate_binds"] else \
         f"advisory on {sweep['cpu_count']} core(s)"

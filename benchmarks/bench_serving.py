@@ -434,8 +434,8 @@ def _time_scheduler(estimator, n_requests: int,
         report = scheduler.run(requests, arrivals)
         times.append(time.perf_counter() - start)
         fingerprints.add(report.fingerprint())
-    # Worker-count invariance (untimed): the StepProfile grid sweep
-    # must not leak thread scheduling into the timeline.
+    # Worker-count invariance (untimed): REPRO_SWEEP_WORKERS must not
+    # leak thread scheduling into the timeline.
     saved_workers = os.environ.get("REPRO_SWEEP_WORKERS")
     try:
         os.environ["REPRO_SWEEP_WORKERS"] = "1"

@@ -30,6 +30,8 @@ with a UTC timestamp.  ``check`` applies, per committed report:
   throughput ratio, fingerprint determinism, FIFO-degenerate
   bit-identity), so like the fleet gates they bind in ``--quick``
   too;
+* the step-profile grid's bit-identity to per-point estimates binds
+  everywhere, ``--quick`` included;
 * process-sweep gates bind in ``--quick`` as well: executor
   bit-identity always, and the process-vs-thread speedup floor
   whenever the entry's machine had enough cores to fan out (the
@@ -114,6 +116,9 @@ def entry_from_report(report: Dict[str, object],
     if isinstance(timeseries, dict):
         entry["timeseries_overhead"] = timeseries.get(
             "overhead_fraction")
+    step_profile = report.get("step_profile")
+    if isinstance(step_profile, dict):
+        entry["step_profile_identical"] = step_profile.get("identical")
     process_sweep = report.get("process_sweep")
     if isinstance(process_sweep, dict):
         entry["process_sweep_speedup"] = process_sweep.get("speedup")
@@ -226,6 +231,9 @@ def check_against_committed(latest: Dict[str, object],
     if latest.get("scheduler_fifo_degenerate_identical") is False:
         failures.append(f"{name}: FIFO-degenerate scheduler config no "
                         f"longer reproduces the FIFO report")
+    if latest.get("step_profile_identical") is False:
+        failures.append(f"{name}: StepProfile grid is not bit-identical "
+                        f"to the per-point estimates")
     # Process-sweep gates: bit-identity across executors is pure
     # correctness and binds everywhere, quick included.  The speedup
     # floor is wall clock, but the benchmark spawns its own pool and

@@ -15,14 +15,14 @@ out-of-memory detection (Fig. 14's OOM entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import KvCachePlacement, LiaConfig, WeightPlacement
 from repro.core.gpu_residency import ResidencyPlan, plan_layer_residency
-from repro.core.optimizer import optimal_policy, stage_layer_time
+from repro.core.optimizer import search_grid, stage_layer_time
 from repro.core.policy import OffloadPolicy
 from repro.core.terms import layer_terms, on_cpu_mask, resident_mask
 from repro.errors import CapacityError
@@ -167,27 +167,7 @@ class LiaEstimator:
     # ------------------------------------------------------------------
     def estimate(self, request: InferenceRequest) -> InferenceEstimate:
         """Estimate latency, throughput, and memory for one request."""
-        memory = host_memory_usage(self.spec, request, self.system,
-                                   self.config)
-        if self.config.enforce_host_capacity:
-            check_host_capacity(memory, self.system)
-        residency = plan_layer_residency(self.spec, self.system, request,
-                                         self.config)
-        gpu_bytes = residency.resident_bytes + residency.working_bytes
-        if gpu_bytes > self.system.gpu.memory_capacity:
-            raise CapacityError(
-                f"{self.system.name}: GPU working set "
-                f"{gpu_bytes / 2**30:.1f} GiB exceeds "
-                f"{self.system.gpu.memory_capacity / 2**30:.1f} GiB",
-                requested=gpu_bytes,
-                available=self.system.gpu.memory_capacity,
-                device=self.system.gpu.name)
-        memory = MemoryUsage(
-            weight_bytes=memory.weight_bytes, kv_bytes=memory.kv_bytes,
-            activation_bytes=memory.activation_bytes,
-            ddr_bytes=memory.ddr_bytes, cxl_bytes=memory.cxl_bytes,
-            gpu_bytes=gpu_bytes)
-
+        memory, residency = self._plan(request)
         prefill, prefill_policy = self._stage_breakdown(
             Stage.PREFILL, request, np.array([request.input_len]),
             residency)
@@ -206,6 +186,39 @@ class LiaEstimator:
             residency=residency,
             memory=memory,
         )
+
+    def decode_step_times(self, batch_sizes: Sequence[int],
+                          context_lens: Sequence[int]) -> np.ndarray:
+        """One decode step's time at every ``(B, L)`` of a grid.
+
+        Entry ``[i, j]`` is
+        ``estimate(InferenceRequest(batch_sizes[i], context_lens[j],
+        1)).decode.time`` bit for bit, from one broadcast term table:
+        each point keeps its own Eq. (1) winners and residency split,
+        and the first point (row-major) that ``estimate`` rejects
+        raises the same :class:`CapacityError`.
+        """
+        shape = (len(batch_sizes), len(context_lens))
+        plans = [self._plan(InferenceRequest(b, c, 1))[1]
+                 for b in batch_sizes for c in context_lens]
+        n_resident = np.array(
+            [plan.n_resident_layers for plan in plans]).reshape(shape)
+        n_streamed = np.array(
+            [plan.n_layers for plan in plans]).reshape(shape) - n_resident
+        terms = layer_terms(self.spec, Stage.DECODE,
+                            np.asarray(batch_sizes)[:, np.newaxis],
+                            np.asarray(context_lens), self.system,
+                            self.config)
+        total = np.zeros(shape)
+        for count, weights_resident in ((n_streamed, False),
+                                        (n_resident, True)):
+            winners = search_grid(terms, self.config,
+                                  weights_resident).winners_on_cpu
+            layer = terms.sums(winners, resident_mask(weights_resident))
+            time = stage_layer_time(layer, Stage.DECODE, self.config)
+            # As in _stage_breakdown: an empty group adds nothing.
+            total = np.where(count > 0, total + time * count, total)
+        return total
 
     def max_feasible_batch(self, input_len: int, output_len: int,
                            hi: int = 1 << 14) -> int:
@@ -237,28 +250,50 @@ class LiaEstimator:
         return low
 
     # ------------------------------------------------------------------
+    def _plan(self, request: InferenceRequest
+              ) -> Tuple[MemoryUsage, ResidencyPlan]:
+        """Memory placement and GPU residency of ``request``; raises
+        :class:`CapacityError` when the host pools (if enforced) or the
+        GPU working set overflow."""
+        memory = host_memory_usage(self.spec, request, self.system,
+                                   self.config)
+        if self.config.enforce_host_capacity:
+            check_host_capacity(memory, self.system)
+        residency = plan_layer_residency(self.spec, self.system, request,
+                                         self.config)
+        gpu_bytes = residency.resident_bytes + residency.working_bytes
+        if gpu_bytes > self.system.gpu.memory_capacity:
+            raise CapacityError(
+                f"{self.system.name}: GPU working set "
+                f"{gpu_bytes / 2**30:.1f} GiB exceeds "
+                f"{self.system.gpu.memory_capacity / 2**30:.1f} GiB",
+                requested=gpu_bytes,
+                available=self.system.gpu.memory_capacity,
+                device=self.system.gpu.name)
+        return replace(memory, gpu_bytes=gpu_bytes), residency
+
     def _stage_breakdown(self, stage: Stage, request: InferenceRequest,
                          context_lens: np.ndarray,
                          residency: ResidencyPlan
                          ) -> Tuple[StageBreakdown, OffloadPolicy]:
         """Stage time over every step's ``L`` in ``context_lens``, for
-        the streamed and resident layer groups of Optimization-1.  The
-        policies are chosen once, at ``L_in`` (the decode policy depends
-        on B, not L — §7.1), and one term table covers every step."""
-        streamed, resident = (
-            optimal_policy(self.spec, stage, request.batch_size,
-                           request.input_len, self.system, self.config,
-                           weights_resident=weights_resident)
-            for weights_resident in (False, True))
+        the streamed and resident layer groups of Optimization-1.  One
+        term table covers every step; the policies are chosen on its
+        first row, ``L_in`` (the decode policy depends on B, not L —
+        §7.1)."""
         terms = layer_terms(self.spec, stage, request.batch_size,
                             context_lens, self.system, self.config)
+        first = terms.point(0)
+        streamed = search_grid(first, self.config).policy()
         n_resident = residency.n_resident_layers
         steps = StageBreakdown(0.0, 0.0, 0.0, 0.0)
-        for count, policy, weights_resident in (
-                (residency.n_layers - n_resident, streamed.policy, False),
-                (n_resident, resident.policy, True)):
+        for count, weights_resident in (
+                (residency.n_layers - n_resident, False),
+                (n_resident, True)):
             if count == 0:
                 continue
+            policy = (search_grid(first, self.config, True).policy()
+                      if weights_resident else streamed)
             layer = terms.sums(on_cpu_mask(policy),
                                resident_mask(weights_resident))
             time = stage_layer_time(layer, stage, self.config)
@@ -267,7 +302,7 @@ class LiaEstimator:
                 cpu_compute=layer.cpu_compute * count,
                 gpu_compute=layer.gpu_compute * count,
                 transfer=layer.transfer * count)
-        return sum_steps(steps), streamed.policy
+        return sum_steps(steps), streamed
 
 
 def sum_steps(steps: StageBreakdown) -> StageBreakdown:

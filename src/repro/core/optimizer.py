@@ -5,13 +5,16 @@ for each stage, scoring each with the Eq. (2) layer-latency model
 (including overlap when enabled, since the runtime will execute with
 overlap).  The search is instantaneous — six binary decisions — and
 re-runs whenever ``(B, L)`` changes, which is how Fig. 9's policy maps
-are produced.
+are produced.  :func:`search_grid` solves it at every point of one
+term table, a single ``(B, L)`` or a whole grid; :func:`optimal_policy`
+is its memoized one-point case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,22 +24,74 @@ from repro.core.config import LiaConfig
 from repro.core.latency import LayerLatency, policy_layer
 from repro.core.overlap import Layer, overlapped_layer_time, serial_layer_time
 from repro.core.policy import OffloadPolicy
-from repro.core.terms import (ALL_ON_CPU, ALL_POLICIES, layer_terms,
-                               on_cpu_mask, resident_mask)
+from repro.core.terms import (ALL_ON_CPU, ALL_POLICIES, LayerTerms, Mask,
+                               layer_terms, on_cpu_mask, resident_mask)
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
-from repro.models.sublayers import Stage
+from repro.models.sublayers import NUM_SUBLAYERS, Stage
 from repro.telemetry.runtime import current as current_telemetry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyDecision:
-    """The winning policy for one (stage, B, L) point."""
+    """The winning policy for one (stage, B, L) point.
+
+    ``layer``, the winner's per-sublayer view, is built by
+    ``build_layer`` on first read: most callers (the scheduler's
+    re-solves, the Fig. 9 threshold bisections) read only ``policy``.
+    Equality and hashing cover ``(stage, policy, layer_time, layer)``,
+    as for a frozen dataclass of those four fields.
+    """
 
     stage: Stage
     policy: OffloadPolicy
     layer_time: float
-    layer: LayerLatency
+    build_layer: Callable[[], LayerLatency] = field(repr=False)
+
+    @cached_property
+    def layer(self) -> LayerLatency:
+        return self.build_layer()
+
+    def _key(self) -> Tuple[Stage, OffloadPolicy, float, LayerLatency]:
+        return (self.stage, self.policy, self.layer_time, self.layer)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PolicyDecision):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True)
+class PolicyGrid:
+    """Eq. (1) solved at every grid point of one term table."""
+
+    candidates: Tuple[OffloadPolicy, ...]
+    #: ``(k, 6)`` on-CPU masks of ``candidates``.
+    on_cpu: Mask
+    #: Index into ``candidates`` of each point's winner.
+    best: np.ndarray
+    #: Each winner's serial layer latency, the Eq. (1) objective.
+    layer_time: np.ndarray
+
+    def policy(self, index: Tuple[int, ...] = ()) -> OffloadPolicy:
+        """The winner at grid ``index`` (a 0-d grid's only point by
+        default)."""
+        return self.candidates[int(self.best[index])]
+
+    @property
+    def winners_on_cpu(self) -> Mask:
+        """The ``(..., 6)`` on-CPU mask of every point's winner."""
+        return self.on_cpu[self.best]
+
+
+def _forced_policy(stage: Stage,
+                   config: LiaConfig) -> Optional[OffloadPolicy]:
+    """The policy ``config`` pins for ``stage``, if any."""
+    return (config.forced_prefill_policy if stage is Stage.PREFILL
+            else config.forced_decode_policy)
 
 
 def stage_layer_time(layer: Layer, stage: Stage,
@@ -51,26 +106,46 @@ def stage_layer_time(layer: Layer, stage: Stage,
     return overlapped_layer_time(layer, minibatches=1)
 
 
+def search_grid(terms: LayerTerms, config: LiaConfig,
+                weights_resident: bool = False) -> PolicyGrid:
+    """Solve Eq. (1) at every grid point of ``terms``.
+
+    Every candidate — the 64 policies, or the one
+    ``config.forced_*_policy`` pins so the ablation harness can fix
+    FlexGen's policy — is scored at every point by one masked gather;
+    each point's first minimum wins, as in a scan over
+    ``OffloadPolicy.all_policies()``.
+    """
+    forced = _forced_policy(terms.stage, config)
+    candidates: Tuple[OffloadPolicy, ...] = ALL_POLICIES
+    on_cpu = ALL_ON_CPU
+    if forced is not None:
+        candidates = (forced,)
+        on_cpu = on_cpu_mask(forced)[np.newaxis]
+    # Candidates lead, ahead of the table's grid axes.
+    grid_ndim = terms.comp_cpu.ndim - 1
+    stack = on_cpu.reshape((len(candidates),) + (1,) * grid_ndim
+                           + (NUM_SUBLAYERS,))
+    # Eq. (1)/(2) scores the *serial* layer latency; overlap is an
+    # execution-time optimization, not part of the objective — that
+    # is what keeps Fig. 9's B=1 decode region full-CPU.
+    times = np.asarray(serial_layer_time(
+        terms.sums(stack, resident_mask(weights_resident))))
+    best = np.argmin(times, axis=0)
+    return PolicyGrid(
+        candidates=candidates, on_cpu=on_cpu, best=best,
+        layer_time=np.take_along_axis(times, best[np.newaxis], 0)[0])
+
+
 def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
                    context_len: int, system: SystemConfig,
                    config: LiaConfig,
                    weights_resident: bool = False) -> PolicyDecision:
     """Solve Eq. (1): the policy minimizing decoder-layer latency.
 
-    All 64 candidates are scored at once from one
-    :func:`~repro.core.terms.layer_terms` table; the first minimum
-    wins, as in a scan over ``OffloadPolicy.all_policies()``.  Honors
-    ``config.forced_*_policy`` so the ablation harness can pin
-    FlexGen's fixed policy.
+    The one-point case of :func:`search_grid`, memoized in
+    :data:`~repro.core.cache.OPTIMAL_POLICY_CACHE`.
     """
-    forced = (config.forced_prefill_policy if stage is Stage.PREFILL
-              else config.forced_decode_policy)
-    candidates: Sequence[OffloadPolicy] = ALL_POLICIES
-    on_cpu = ALL_ON_CPU
-    if forced is not None:
-        candidates = (forced,)
-        on_cpu = on_cpu_mask(forced)[np.newaxis]
-
     telemetry = current_telemetry()
     if telemetry is not None:
         # Fig. 9 sweep accounting: how many Eq. (1) searches were
@@ -80,21 +155,19 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
         telemetry.metrics.counter("policy.searches",
                                   stage=stage.value).inc()
         telemetry.metrics.counter("policy.evaluations",
-                                  stage=stage.value).inc(len(candidates))
+                                  stage=stage.value).inc(
+            len(ALL_POLICIES) if _forced_policy(stage, config) is None
+            else 1)
 
     def search() -> PolicyDecision:
         terms = layer_terms(spec, stage, batch_size, context_len, system,
                             config)
-        # Eq. (1)/(2) scores the *serial* layer latency; overlap is an
-        # execution-time optimization, not part of the objective —
-        # that is what keeps Fig. 9's B=1 decode region full-CPU.
-        times = np.asarray(serial_layer_time(
-            terms.sums(on_cpu, resident_mask(weights_resident))))
-        best = int(np.argmin(times))
-        policy = candidates[best]
+        grid = search_grid(terms, config, weights_resident)
+        policy = grid.policy()
         return PolicyDecision(
-            stage=stage, policy=policy, layer_time=float(times[best]),
-            layer=policy_layer(terms, policy, weights_resident))
+            stage=stage, policy=policy, layer_time=float(grid.layer_time),
+            build_layer=partial(policy_layer, terms, policy,
+                                weights_resident))
 
     if not config.cache_enabled:
         return search()

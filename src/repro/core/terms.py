@@ -4,16 +4,18 @@ At one ``(stage, B, L)`` every Eq. (2) term is fixed; a policy only
 picks which fire (CPU or GPU compute, and each PCIe load or store).
 :func:`layer_terms` evaluates every candidate term once into ``(..., 6)``
 arrays, and :meth:`LayerTerms.sums` scores one policy, or all 64 at
-once, by a masked gather.  ``L`` may be an array (one entry per decode
-step), so a whole decode stage is one table.  Sums fold the sublayers
-left to right, as :class:`~repro.core.latency.LayerLatency` adds them,
-and an unfired term adds an exact 0.0: results are bit-identical to
-evaluating one policy at one ``L``.
+once, by a masked gather.  ``B`` and ``L`` may be arrays that
+broadcast together (one ``L`` per decode step, or a whole ``(B, L)``
+grid), so a decode stage or a step-time profile is one table.  Sums
+fold the sublayers left to right, as
+:class:`~repro.core.latency.LayerLatency` adds them, and an unfired
+term adds an exact 0.0: results are bit-identical to evaluating one
+policy at one ``(B, L)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection, List, Tuple
 
 import numpy as np
@@ -32,6 +34,10 @@ from repro.units import us
 #: Boolean ``(..., 6)`` masks and float64 ``(..., 6)`` term tables.
 Mask = np.ndarray
 Table = np.ndarray
+
+#: The time-table fields of :class:`LayerTerms`, in field order.
+_TIME_FIELDS = ("comp_cpu", "comp_gpu", "load_x", "load_y", "load_r",
+                "store")
 
 #: Device-boundary synchronization cost charged per cross-device
 #: activation/residual hand-off: stream synchronization, host-side
@@ -106,7 +112,7 @@ def pool_bandwidth(system: SystemConfig, on_cxl: bool,
 @dataclass(frozen=True)
 class LayerSums:
     """The serial rollups of :class:`~repro.core.latency.LayerLatency`,
-    one entry per candidate policy or per decode step."""
+    one entry per candidate policy and grid point."""
 
     cpu_compute: Table
     gpu_compute: Table
@@ -126,9 +132,9 @@ class LayerSums:
 class LayerTerms:
     """Every candidate term of Eqs. (4)-(9) at one ``(stage, B, L)``.
 
-    Times are ``(..., 6)`` arrays, sublayers last, with a leading axis
-    when ``L`` is an array; ``costs`` and ``bytes_r`` (the Eq. (6)
-    residual size) are the Table 1 sizes behind them.
+    Times are ``(..., 6)`` arrays, sublayers last, after the grid axes
+    of ``B`` and ``L`` broadcast together; ``costs`` and ``bytes_r``
+    (the Eq. (6) residual size) are the Table 1 sizes behind them.
     """
 
     stage: Stage
@@ -144,10 +150,17 @@ class LayerTerms:
     load_r: Table
     store: Table
 
+    def point(self, index: int) -> "LayerTerms":
+        """The time tables at ``index`` of the first grid axis
+        (``costs`` and ``bytes_r`` keep the whole grid's sizes)."""
+        return replace(self, **{name: getattr(self, name)[index]
+                                for name in _TIME_FIELDS})
+
     def firing(self, on_cpu: Mask, resident: Mask) -> Tuple[Mask, ...]:
         """Masks of the Eq. (4), (5)/(7), (6) and (9) terms that fire
-        under ``on_cpu`` (a ``(6,)`` policy or a ``(k, 6)`` stack) with
-        ``resident`` weights, and of the prefetchable weight loads."""
+        under ``on_cpu`` (a ``(6,)`` policy, or any stack of them that
+        broadcasts against the tables) with ``resident`` weights, and
+        of the prefetchable weight loads."""
         on_gpu = ~on_cpu
         if self.stage is Stage.PREFILL:
             # Eq. (7), made consistent with the Eq. (9) store: the
@@ -166,7 +179,7 @@ class LayerTerms:
                 streamed)
 
     def sums(self, on_cpu: Mask, resident: Mask) -> LayerSums:
-        """Serial totals per policy of the stack or per step of ``L``."""
+        """Serial totals per policy of the stack and per grid point."""
         load_x, load_y, load_r, store, prefetchable = self.firing(
             on_cpu, resident)
         t_load_y = np.where(load_y, self.load_y, 0.0)
@@ -180,14 +193,16 @@ class LayerTerms:
                 np.where(prefetchable, t_load_y, 0.0)))
 
 
-def layer_terms(spec: ModelSpec, stage: Stage, batch_size: int,
+def layer_terms(spec: ModelSpec, stage: Stage, batch_size: Real,
                 context_len: Real, system: SystemConfig,
                 config: LiaConfig, kv_resident: bool = False
                 ) -> LayerTerms:
     """Evaluate every term of Eqs. (4)-(9) at one ``(stage, B, L)``.
 
     ``context_len`` is ``L`` — the prompt length in prefill, the KV
-    length while decoding — or an array of them.  Raises
+    length while decoding.  ``batch_size`` and ``context_len`` may be
+    arrays; the tables then have shape
+    ``np.broadcast_shapes(shape(B), shape(L)) + (6,)``.  Raises
     :class:`ConfigurationError` for ``B < 1``, ``L < 1``, or a CXL
     placement on a system without CXL.
     """
@@ -246,10 +261,11 @@ def layer_terms(spec: ModelSpec, stage: Stage, batch_size: int,
         for column, value in zip(columns, values):
             column.append(value)
 
+    grid = np.broadcast_shapes(np.shape(batch_size), np.shape(context_len))
     tables = []
     for column in columns:
-        table = np.empty(np.shape(context_len) + (NUM_SUBLAYERS,))
+        table = np.empty(grid + (NUM_SUBLAYERS,))
         for index, value in enumerate(column):
-            table[..., index] = value  # scalars broadcast over L
+            table[..., index] = value  # lower-rank terms broadcast
         tables.append(table)
     return LayerTerms(stage, kv_resident, costs, bytes_r, *tables)

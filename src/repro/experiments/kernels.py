@@ -11,9 +11,8 @@ closure per ``(kernel, ctx)``, so one worker builds each estimator
 once and its :mod:`repro.core.cache` state stays warm across chunks.
 
 The kernels cover the hot grids: the Fig. 9/10/11 drivers, the
-Eq. (1) ``policy_map``, the continuous scheduler's ``StepProfile``
-build, fleet-size sweeps over shared-memory workloads, and the
-trace x chaos x fleet grid.
+Eq. (1) ``policy_map``, fleet-size sweeps over shared-memory
+workloads, and the trace x chaos x fleet grid.
 """
 
 from __future__ import annotations
@@ -129,24 +128,6 @@ def policy_map_kernel(model: str, system: str, stage: Stage,
     def run(point: Tuple[int, int]) -> Any:
         return optimal_policy(spec, stage, point[0], point[1],
                               platform, config).policy
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# Continuous-batching step profile
-# ----------------------------------------------------------------------
-@sweep_kernel("scheduler.step")
-def scheduler_step_kernel(model: str, system: str,
-                          config: LiaConfig) -> Callable[[Any], Any]:
-    """Point ``(B, context)`` -> one decode-iteration latency."""
-    estimator = LiaEstimator(get_model(model), get_system(system),
-                             config)
-
-    def run(point: Tuple[int, int]) -> float:
-        request = InferenceRequest(batch_size=point[0],
-                                   input_len=point[1], output_len=1)
-        return estimator.estimate(request).decode.time
 
     return run
 

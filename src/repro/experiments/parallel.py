@@ -2,10 +2,10 @@
 
 :func:`repro.experiments.runner.run_sweep` fans grid points out over
 threads, which is enough for cache-hit-dominated estimator sweeps but
-leaves the big grids — Fig. 9/10/11 regeneration, ``StepProfile``
-builds, trace x fleet x scenario sweeps — GIL-bound around the numpy
-kernels.  This module adds a **multiprocess** executor behind the same
-deterministic interface:
+leaves the big grids — Fig. 9/10/11 regeneration, trace x fleet x
+scenario sweeps — GIL-bound around the numpy kernels.  This module
+adds a **multiprocess** executor behind the same deterministic
+interface:
 
 * **Named kernels, not pickled closures.**  Sweep work closes over
   model/system/estimator objects that are not picklable-by-contract.

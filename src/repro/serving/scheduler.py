@@ -13,8 +13,8 @@ Three LIA-specific couplings make this more than a queueing exercise:
 * **Step times come from the paper's cost model.**  A
   :class:`StepProfile` tabulates one-decode-step latency over a
   (aggregate batch, context length) grid — the Helix
-  ``MachineProfile`` bs→time idiom — with every grid point computed by
-  the Eq. (1)-backed estimator, then bilinearly interpolated.
+  ``MachineProfile`` bs→time idiom — computed by the Eq. (1)-backed
+  estimator as one broadcast term table, then bilinearly interpolated.
 * **Admission re-consults Eq. (1).**  Batch composition changes the
   optimal CPU/GPU split (Fig. 9's policy regions are batch-dependent),
   so every composition change re-solves
@@ -25,9 +25,8 @@ Three LIA-specific couplings make this more than a queueing exercise:
   ``cxl_step_penalty`` times the CXL-resident fraction.
 
 Determinism contract (house style): every decision is a pure function
-of (workload, arrivals, config) — no RNG, no wall clock — and the grid
-is evaluated through :func:`~repro.experiments.runner.run_sweep`, so
-reports are bit-identical across ``REPRO_SWEEP_WORKERS`` settings.
+of (workload, arrivals, config) — no RNG, no wall clock — so reports
+are bit-identical across runs and ``REPRO_SWEEP_WORKERS`` settings.
 The degenerate configuration :meth:`SchedulerConfig.fifo_degenerate`
 (one request per batch, join only into an empty batch, unbounded KV)
 collapses the iteration loop to the whole-request closed form and
@@ -39,8 +38,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Deque, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -157,22 +156,16 @@ class StepProfile:
 
     The Helix ``MachineProfile`` idiom: per-iteration time as an
     interpolated function of batch size, except the table is not
-    measured — every grid point is
-    ``estimate(InferenceRequest(B, c, 1))`` from the LIA estimator, so
-    the profile inherits the paper's batch-dependent CPU/GPU splits.
-    Grid evaluation goes through :func:`run_sweep` (thread-parallel,
-    results in input order; the ``scheduler.step`` kernel fans the
-    grid over the process pool when ``REPRO_SWEEP_PROCESSES`` asks for
-    it and the estimator rebuilds from the zoo by name), keeping
-    profiles bit-identical across ``REPRO_SWEEP_WORKERS`` and
-    ``REPRO_SWEEP_PROCESSES``.
+    measured — grid point ``(B, c)`` is
+    ``estimate(InferenceRequest(B, c, 1)).decode.time`` bit for bit,
+    and the whole grid is one
+    :meth:`~repro.core.estimator.LiaEstimator.decode_step_times` call,
+    so the profile inherits the paper's batch-dependent CPU/GPU splits.
     """
 
     def __init__(self, estimator: "LiaEstimator",
                  batch_sizes: Sequence[int],
-                 context_lens: Sequence[int],
-                 workers: Optional[int] = None,
-                 processes: Optional[int] = None) -> None:
+                 context_lens: Sequence[int]) -> None:
         batches = sorted(set(int(b) for b in batch_sizes))
         contexts = sorted(set(int(c) for c in context_lens))
         if not batches or batches[0] < 1:
@@ -185,34 +178,13 @@ class StepProfile:
         self.estimator = estimator
         self.batch_sizes = batches
         self.context_lens = contexts
-        points = [(b, c) for b in batches for c in contexts]
-
-        def decode_step(point: Tuple[int, int]) -> float:
-            request = InferenceRequest(batch_size=point[0],
-                                       input_len=point[1],
-                                       output_len=1)
-            return estimator.estimate(request).decode.time
-
-        from repro.experiments.kernels import zoo_resolvable
-        from repro.experiments.parallel import KernelCall
-
-        fn: Callable[[Tuple[int, int]], float] = decode_step
-        if zoo_resolvable(estimator.spec, estimator.system):
-            fn = KernelCall("scheduler.step",
-                            (estimator.spec.name, estimator.system.name,
-                             estimator.config))
-        values = run_sweep(fn, points, workers=workers,
-                           processes=processes)
-        self._decode_grid = np.asarray(values, dtype=np.float64).reshape(
-            len(batches), len(contexts))
+        self._decode_grid = estimator.decode_step_times(batches, contexts)
         self._prefill_cache: Dict[Tuple[int, int], float] = {}
 
     @classmethod
     def for_workload(cls, estimator: "LiaEstimator",
                      requests: Sequence[InferenceRequest],
-                     scheduler_config: "SchedulerConfig",
-                     workers: Optional[int] = None,
-                     processes: Optional[int] = None) -> "StepProfile":
+                     scheduler_config: "SchedulerConfig") -> "StepProfile":
         """Size the grid to what a run can actually reach.
 
         Batch axis: powers of two up to the largest possible aggregate
@@ -234,8 +206,7 @@ class StepProfile:
         ratio = (hi / lo) ** (1.0 / (n - 1)) if hi > lo else 1.0
         contexts = [int(round(lo * ratio ** i)) for i in range(n)]
         contexts.append(hi)
-        return cls(estimator, batches, contexts, workers=workers,
-                   processes=processes)
+        return cls(estimator, batches, contexts)
 
     @staticmethod
     def _interp(grid: List[int], position: float

@@ -1,17 +1,20 @@
 """Array-native Eq. (1) search and decode sums vs the scalar oracle.
 
-``optimal_policy`` scores all 64 candidates from one term table, and
-the LIA and FlexGen estimators sum every decode step as one array.
-Both must be bit-identical to the one-policy, one-step loops of
-``tests/oracles/eq1_scalar.py``: the winning policy, its ``layer_time``
-and per-sublayer ``LayerLatency``, and all four ``StageBreakdown``
-components, over models, systems and configurations that exercise
-every branch of Eqs. (4)-(9).
+``optimal_policy`` and ``search_grid`` score all 64 candidates from one
+term table (one point, or a whole ``(B, L)`` grid), the LIA and FlexGen
+estimators sum every decode step as one array, and
+``LiaEstimator.decode_step_times`` evaluates a ``(B, L)`` grid of
+decode steps from one broadcast table.  All must be bit-identical to
+the one-policy, one-step loops of ``tests/oracles/eq1_scalar.py`` (or,
+for the step grid, to per-point ``estimate`` calls): the winning
+policy, its ``layer_time`` and per-sublayer ``LayerLatency``, and all
+four ``StageBreakdown`` components, over models, systems and
+configurations that exercise every branch of Eqs. (4)-(9).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.flexgen import FlexGenEstimator, FlexGenSettings
 from repro.core.cache import clear_caches
@@ -21,10 +24,10 @@ from repro.core.estimator import (
     StageBreakdown,
     sum_steps,
 )
-from repro.core.optimizer import optimal_policy
+from repro.core.optimizer import optimal_policy, search_grid
 from repro.core.policy import FULL_CPU, FULL_GPU, PARTIAL_CPU
 from repro.core.terms import layer_terms
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import get_system
 from repro.models.quantize import quantize_weights
 from repro.models.sublayers import Stage
@@ -146,6 +149,104 @@ def test_flexgen_grid_covers_both_kv_homes_and_packing():
     for request in (small, large):
         assert (estimator.estimate(request).decode
                 == eq1_scalar.flexgen_decode(estimator, request))
+
+
+batch_grids = st.lists(batch_sizes, min_size=1, max_size=3, unique=True)
+context_grids = st.lists(context_lens, min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=model_names, system=system_names, config=config_names,
+       stage=st.sampled_from(list(Stage)), batches=batch_grids,
+       lengths=context_grids, weights_resident=st.booleans())
+def test_grid_search_matches_scalar_scan_at_every_point(
+        model, system, config, stage, batches, lengths, weights_resident):
+    spec, platform = MODELS[model], SYSTEMS[system]
+    config = CONFIGS[config].without_cache()
+    terms = layer_terms(spec, stage, np.array(batches)[:, np.newaxis],
+                        np.array(lengths), platform, config)
+    grid = search_grid(terms, config, weights_resident)
+    assert grid.best.shape == (len(batches), len(lengths))
+    for i, batch in enumerate(batches):
+        for j, length in enumerate(lengths):
+            oracle = eq1_scalar.optimal_policy(
+                spec, stage, batch, length, platform, config,
+                weights_resident=weights_resident)
+            assert grid.policy((i, j)) == oracle.policy
+            assert grid.layer_time[i, j] == oracle.layer_time
+
+
+def _per_point_decode_steps(estimator, batches, lengths):
+    return [[estimator.estimate(InferenceRequest(b, c, 1)).decode.time
+             for c in lengths] for b in batches]
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=model_names, system=system_names, config=config_names,
+       batches=batch_grids, lengths=context_grids)
+def test_decode_step_grid_matches_per_point_estimates(model, system,
+                                                      config, batches,
+                                                      lengths):
+    """Covers overlap on and off, no residency, a forced decode policy,
+    CXL systems and placements, and a CXL KV window."""
+    estimator = LiaEstimator(MODELS[model], SYSTEMS[system],
+                             CONFIGS[config])
+    grid = estimator.decode_step_times(batches, lengths)
+    assert grid.shape == (len(batches), len(lengths))
+    assert grid.tolist() == _per_point_decode_steps(estimator, batches,
+                                                    lengths)
+
+
+@pytest.mark.parametrize("system,config,groups", [
+    # 80 GB of HBM holds every OPT-30B layer: no streamed group.
+    ("spr-h100+cxl1", "default", {"resident"}),
+    ("spr-a100+cxl2", "no-residency", {"streamed"}),
+    ("spr-a100+cxl2", "default", {"streamed", "resident"}),
+])
+def test_decode_step_grid_skips_empty_layer_groups(system, config,
+                                                   groups):
+    estimator = LiaEstimator(MODELS["opt-30b"], SYSTEMS[system],
+                             CONFIGS[config])
+    batches, lengths = [1, 4], [64, 512]
+    for b in batches:
+        for c in lengths:
+            residency = estimator.estimate(
+                InferenceRequest(b, c, 1)).residency
+            present = {name for name, count in (
+                ("streamed",
+                 residency.n_layers - residency.n_resident_layers),
+                ("resident", residency.n_resident_layers)) if count}
+            assert present == groups
+    assert (estimator.decode_step_times(batches, lengths).tolist()
+            == _per_point_decode_steps(estimator, batches, lengths))
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=model_names,
+       batches=st.lists(st.integers(1, 4096), min_size=1, max_size=3),
+       lengths=st.lists(st.integers(1, 8192), min_size=1, max_size=3))
+@example(model="opt-175b", batches=[1, 4096], lengths=[64, 8192])
+def test_decode_step_grid_raises_where_estimate_does(model, batches,
+                                                     lengths):
+    """With host capacity enforced, the grid raises the first
+    (row-major) point's ``CapacityError`` exactly when some point's
+    ``estimate`` raises."""
+    estimator = LiaEstimator(MODELS[model], get_system("spr-a100"),
+                             LiaConfig())
+    first_error = None
+    for b in batches:
+        for c in lengths:
+            try:
+                estimator.estimate(InferenceRequest(b, c, 1))
+            except CapacityError as error:
+                first_error = first_error or error
+    if first_error is None:
+        assert (estimator.decode_step_times(batches, lengths).tolist()
+                == _per_point_decode_steps(estimator, batches, lengths))
+    else:
+        with pytest.raises(CapacityError) as raised:
+            estimator.decode_step_times(batches, lengths)
+        assert str(raised.value) == str(first_error)
 
 
 @pytest.mark.parametrize("forced", [False, True])

@@ -125,7 +125,7 @@ class TestRegistry:
         names = kernel_names()
         for expected in ("estimate", "fig09.policy", "fig10.latency",
                          "fig11.throughput", "fleet.cell", "policy_map",
-                         "replicas.fleet_size", "scheduler.step"):
+                         "replicas.fleet_size"):
             assert expected in names
 
     def test_unknown_kernel_is_one_line_error(self):

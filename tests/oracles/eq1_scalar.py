@@ -170,7 +170,8 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
         time = serial_layer_time(layer)
         if best is None or time < best.layer_time:
             best = PolicyDecision(stage=stage, policy=policy,
-                                  layer_time=time, layer=layer)
+                                  layer_time=time,
+                                  build_layer=lambda layer=layer: layer)
     assert best is not None
     return best
 

@@ -8,7 +8,6 @@ KV-tier admission coupling and the telemetry surface.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.core.config import LiaConfig
@@ -380,9 +379,13 @@ def test_occupancy_timeseries_reflects_concurrency(estimator):
     assert int(series.finished.sum()) == 200
 
 
-def test_step_profile_identical_across_process_counts(estimator):
-    serial = StepProfile(estimator, [1, 4, 16], [64, 256],
-                         processes=0)
-    pooled = StepProfile(estimator, [1, 4, 16], [64, 256],
-                         processes=2)
-    assert np.array_equal(serial._decode_grid, pooled._decode_grid)
+def test_step_profile_grid_matches_per_point_estimates(estimator,
+                                                       cxl_estimator):
+    """The profile's one-table grid is the per-point estimate at every
+    point, bit for bit."""
+    batches, contexts = [1, 4, 16, 32], [64, 256, 1100]
+    for model in (estimator, cxl_estimator):
+        profile = StepProfile(model, batches, contexts)
+        assert profile._decode_grid.tolist() == [
+            [model.estimate(InferenceRequest(b, c, 1)).decode.time
+             for c in contexts] for b in batches]

@@ -214,12 +214,13 @@ def test_check_flags_overhead_regression_full_mode_only(
 
 
 def _estimator_report(sweep_speedup=4.0, sweep_identical=True,
-                      cpu_count=8, passed=True):
+                      cpu_count=8, passed=True, profile_identical=True):
     return {
         "benchmark": "bench_estimator",
         "speedup_mean": 80.0,
         "speedup_cold": 5.0,
         "max_relative_error": 1e-14,
+        "step_profile": {"identical": profile_identical},
         "process_sweep": {"speedup": sweep_speedup,
                           "identical": sweep_identical,
                           "cpu_count": cpu_count},
@@ -242,6 +243,20 @@ def test_check_flags_process_sweep_identity_break_even_quick(
     assert tracker.main(["check", str(history),
                          "--committed", committed, "--quick"]) == 1
     assert "not bit-identical to the thread path" in \
+        capsys.readouterr().err
+
+
+def test_check_flags_step_profile_identity_break_even_quick(
+        tracker, tmp_path, capsys):
+    history = tmp_path / "history.jsonl"
+    committed = _write(tmp_path / "committed.json",
+                       _estimator_report())
+    broken = _write(tmp_path / "broken.json",
+                    _estimator_report(profile_identical=False))
+    tracker.main(["append", str(history), broken, "--commit", ""])
+    assert tracker.main(["check", str(history),
+                         "--committed", committed, "--quick"]) == 1
+    assert "StepProfile grid is not bit-identical" in \
         capsys.readouterr().err
 
 
