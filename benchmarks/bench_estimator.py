@@ -4,10 +4,9 @@ Measures one OPT-30B/SPR-A100 512-token decode estimate two ways:
 
 * **seed** — the scalar reference of ``tests/oracles/eq1_scalar.py``:
   a 64-candidate Eq. (1) scan per search and a per-step decode loop,
-  one policy and one context length at a time, with no caches.
+  one policy and one context length at a time.
 * **fast** — ``LiaEstimator`` as shipped: every search and every decode
-  step from one term table (``repro.core.terms``), with the Eq. (1)
-  policy cache (``cache_enabled=True``).
+  step from one term table (``repro.core.terms``).
 
 Writes ``BENCH_estimator.json`` with per-repetition wall times, the
 average and cold-run speedups, and the seed-vs-fast relative error on
@@ -48,7 +47,6 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.cache import cache_stats, clear_caches
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
 from repro.hardware.system import get_system
@@ -78,9 +76,7 @@ PROCESS_SWEEP_MIN_CORES = 4
 
 
 def _time_stages(stages: Callable[[], Tuple], reps: int) -> Dict[str, object]:
-    """Wall times of ``reps`` cold-cache-first ``(prefill, decode)``
-    evaluations."""
-    clear_caches()
+    """Wall times of ``reps`` ``(prefill, decode)`` evaluations."""
     times: List[float] = []
     result: Tuple = ()
     for __ in range(reps):
@@ -111,7 +107,7 @@ def relative_error(seed, fast) -> float:
 
 
 def _regen_fig_grids(processes: int) -> Dict[str, object]:
-    """Regenerate the full fig09+10+11 grids from cold caches.
+    """Regenerate the full fig09+10+11 grids.
 
     Returns the wall time and a sha256 fingerprint of every row, so
     callers can compare both speed and bit-identity across executors.
@@ -119,7 +115,6 @@ def _regen_fig_grids(processes: int) -> Dict[str, object]:
     """
     from repro.experiments import (fig09_policy_map, fig10_online_latency,
                                    fig11_offline_throughput)
-    clear_caches()
     start = time.perf_counter()
     results = [fig09_policy_map.run(processes=processes),
                fig10_online_latency.run(processes=processes),
@@ -238,7 +233,6 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
     seed = _time_stages(lambda: eq1_scalar.lia_stages(estimator, REQUEST),
                         reps)
     fast = _time_stages(fast_stages, reps)
-    stats = cache_stats()
 
     error = relative_error(seed["stages"], fast["stages"])
     step_profile = step_profile_phase(reps=5 if quick else 15)
@@ -253,17 +247,15 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
                     "input_len": REQUEST.input_len,
                     "output_len": REQUEST.output_len},
         "reps": reps,
-        "seed": {"config": "scalar oracle (tests/oracles/eq1_scalar.py), "
-                           "no caches",
+        "seed": {"config": "scalar oracle (tests/oracles/eq1_scalar.py)",
                  "times_s": seed["times_s"],
                  "mean_s": seed["mean_s"],
                  "latency_s": seed["latency_s"]},
-        "fast": {"config": "term-table estimator, cache_enabled=True",
+        "fast": {"config": "term-table estimator",
                  "times_s": fast["times_s"],
                  "mean_s": fast["mean_s"],
                  "cold_s": fast["cold_s"],
-                 "latency_s": fast["latency_s"],
-                 "cache_stats": stats},
+                 "latency_s": fast["latency_s"]},
         "speedup_mean": seed["mean_s"] / fast["mean_s"],
         "speedup_cold": seed["cold_s"] / fast["cold_s"],
         "max_relative_error": error,

@@ -221,8 +221,8 @@ def _time_runs(simulator: ServingSimulator, requests, arrivals,
             return fifo_loop.run_degraded(simulator, requests, arrivals,
                                           scenario)
     # One untimed warm-up run per engine first: both engines measure
-    # steady state (allocator, page cache, estimator caches), matching
-    # how BENCH_estimator gates the warm fast path.
+    # steady state (allocator, page cache).  Every timed run estimates
+    # its shapes afresh; no estimate outlives a run.
     serve()
     for __ in range(reps):
         gc.collect()  # pending garbage stays out of the timed window
@@ -348,7 +348,7 @@ def _time_fleet(estimator, n_requests: int,
     workload = WorkloadVector.sample_mix(SHAPES, n_requests, seed=SEED)
     simulator = FleetSimulator(estimator, n_replicas=FLEET_REPLICAS,
                                scenario=scenario)
-    simulator.run(workload, trace)  # warm-up (estimator caches)
+    simulator.run(workload, trace)  # warm-up (allocator, page cache)
     times: List[float] = []
     fingerprints = set()
     report = None

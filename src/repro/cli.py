@@ -398,14 +398,12 @@ def _cmd_policy_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core.cache import cache_stats, clear_caches
     from repro.experiments.parallel import KernelCall, default_processes
     from repro.experiments.runner import default_workers, run_sweep
 
     spec = get_model(args.model)
     system = get_system(args.system)
     config = LiaConfig(enforce_host_capacity=False)
-    clear_caches()
     points = [(batch, input_len, output_len)
               for batch in args.batches
               for input_len in args.input_lens
@@ -439,10 +437,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                      "tokens_per_s": estimate.throughput,
                      "prefill_policy": str(estimate.prefill_policy),
                      "decode_policy": str(estimate.decode_policy)})
-    for stats in cache_stats():
-        print(f"cache {stats['cache']}: {stats['size']} entries, "
-              f"{stats['hits']} hits / {stats['misses']} misses "
-              f"(hit rate {stats['hit_rate']:.1%})")
     if args.json:
         import json
 

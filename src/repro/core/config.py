@@ -71,10 +71,6 @@ class LiaConfig:
     #: data points beyond the 512 GB testbed (§7 "Memory constraints
     #: and latency model").
     enforce_host_capacity: bool = True
-    #: Memoize Eq. (1) results and whole estimates in the
-    #: process-global LRU caches of :mod:`repro.core.cache`.  Results
-    #: are bit-identical either way.
-    cache_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.prefill_minibatches < 1:
@@ -120,7 +116,3 @@ class LiaConfig:
         """Recency-window KV tiering: the coldest ``cxl_fraction`` of
         the cache spills to CXL (extension study)."""
         return replace(self, kv_cxl_fraction=cxl_fraction)
-
-    def without_cache(self) -> "LiaConfig":
-        """Disable Eq. (1) and estimate memoization."""
-        return replace(self, cache_enabled=False)

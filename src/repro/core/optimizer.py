@@ -7,7 +7,7 @@ overlap).  The search is instantaneous — six binary decisions — and
 re-runs whenever ``(B, L)`` changes, which is how Fig. 9's policy maps
 are produced.  :func:`search_grid` solves it at every point of one
 term table, a single ``(B, L)`` or a whole grid; :func:`optimal_policy`
-is its memoized one-point case.
+is its one-point case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays import Real
-from repro.core.cache import OPTIMAL_POLICY_CACHE, cache_token
 from repro.core.config import LiaConfig
 from repro.core.latency import LayerLatency, policy_layer
 from repro.core.overlap import Layer, overlapped_layer_time, serial_layer_time
@@ -143,37 +142,26 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
                    weights_resident: bool = False) -> PolicyDecision:
     """Solve Eq. (1): the policy minimizing decoder-layer latency.
 
-    The one-point case of :func:`search_grid`, memoized in
-    :data:`~repro.core.cache.OPTIMAL_POLICY_CACHE`.
+    The one-point case of :func:`search_grid`.
     """
     telemetry = current_telemetry()
     if telemetry is not None:
         # Fig. 9 sweep accounting: how many Eq. (1) searches were
-        # requested and how many candidate policies each one scores
-        # (logical counts — cache hits are tracked separately under
-        # ``cache.hits{cache=optimal_policy}``).
+        # requested and how many candidate policies each one scores.
         telemetry.metrics.counter("policy.searches",
                                   stage=stage.value).inc()
         telemetry.metrics.counter("policy.evaluations",
                                   stage=stage.value).inc(
             len(ALL_POLICIES) if _forced_policy(stage, config) is None
             else 1)
-
-    def search() -> PolicyDecision:
-        terms = layer_terms(spec, stage, batch_size, context_len, system,
-                            config)
-        grid = search_grid(terms, config, weights_resident)
-        policy = grid.policy()
-        return PolicyDecision(
-            stage=stage, policy=policy, layer_time=float(grid.layer_time),
-            build_layer=partial(policy_layer, terms, policy,
-                                weights_resident))
-
-    if not config.cache_enabled:
-        return search()
-    key = (cache_token(spec), cache_token(system), config, stage,
-           batch_size, context_len, weights_resident)
-    return OPTIMAL_POLICY_CACHE.get_or_compute(key, search)
+    terms = layer_terms(spec, stage, batch_size, context_len, system,
+                        config)
+    grid = search_grid(terms, config, weights_resident)
+    policy = grid.policy()
+    return PolicyDecision(
+        stage=stage, policy=policy, layer_time=float(grid.layer_time),
+        build_layer=partial(policy_layer, terms, policy,
+                            weights_resident))
 
 
 def policy_map(spec: ModelSpec, stage: Stage, batch_sizes: Sequence[int],

@@ -7,8 +7,8 @@ small picklable context (model/system *names*, a frozen
 rebuilds the sweep closure — estimator, simulator, attached arrays —
 inside the worker; the heavyweight model/system objects themselves
 never cross the process boundary.  Workers memoize the resolved
-closure per ``(kernel, ctx)``, so one worker builds each estimator
-once and its :mod:`repro.core.cache` state stays warm across chunks.
+closure per ``(kernel, ctx)``, so one worker rebuilds each estimator
+once, not once per chunk.
 
 The kernels cover the hot grids: the Fig. 9/10/11 drivers, the
 Eq. (1) ``policy_map``, fleet-size sweeps over shared-memory

@@ -1,8 +1,7 @@
 """Process-parallel sweep execution with shared-memory workloads.
 
 :func:`repro.experiments.runner.run_sweep` fans grid points out over
-threads, which is enough for cache-hit-dominated estimator sweeps but
-leaves the big grids — Fig. 9/10/11 regeneration, trace x fleet x
+threads, which leaves the big grids — Fig. 9/10/11 regeneration, trace x fleet x
 scenario sweeps — GIL-bound around the numpy kernels.  This module
 adds a **multiprocess** executor behind the same deterministic
 interface:
@@ -12,12 +11,11 @@ interface:
   A :class:`KernelCall` therefore names a *registered kernel* plus a
   small picklable context (model/system names, a frozen config, a
   shared-memory handle); each worker rebuilds the closure once via the
-  registry and memoizes it, so its :mod:`repro.core.cache` state stays
-  warm across chunks and sweeps.
+  registry and memoizes it across chunks and sweeps.
 * **Persistent spawn-safe pools.**  Worker pools use the ``spawn``
   start context (fork is unsafe under threads) and persist across
   ``run_process_sweep`` calls, amortizing interpreter start-up and
-  keeping per-worker caches warm.  :func:`shutdown_pools` tears them
+  closure rebuilds.  :func:`shutdown_pools` tears them
   down and unlinks every published shared-memory segment.
 * **Chunked ordered scheduling.**  Points split into chunks whose
   boundaries depend only on the point count — never the pool size —
@@ -383,8 +381,8 @@ def _run_chunk(call: KernelCall, points: List[Any],
                collect_telemetry: bool):
     """Execute one chunk inside a worker process.
 
-    Resolves the kernel through the per-process memo (warm caches
-    across chunks), runs the points in order, and — when the parent
+    Resolves the kernel through the per-process memo (one rebuild
+    per worker, not per chunk), runs the points in order, and — when the parent
     had ambient telemetry — runs them under a fresh registry whose
     state returns with the results for an ordered merge.
     """

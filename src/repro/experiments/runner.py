@@ -6,14 +6,12 @@ Every figure-level experiment is a map over independent grid points
 the persistent **process** pool of
 :mod:`repro.experiments.parallel` — and returns results **in input
 order**, so a parallel sweep is bit-identical to a serial one:
-parallelism is purely a wall-clock optimization, exactly like the
-caches in :mod:`repro.core.cache`.
+parallelism is purely a wall-clock optimization.
 
 Two executors, one interface:
 
 * **Threads** (default) — the work may close over model/system/config
-  objects that are not picklable-by-contract, and cache-hit-dominated
-  kernels compose with the shared process-global memo.  Capped at
+  objects that are not picklable-by-contract.  Capped at
   :data:`_MAX_DEFAULT_WORKERS` by default; the analytic kernel is
   GIL-bound beyond that.
 * **Processes** (``REPRO_SWEEP_PROCESSES`` / ``processes=``) — used
@@ -30,8 +28,8 @@ forces the same everywhere (useful when bisecting).
 
 The ambient telemetry context (a ``ContextVar``) does not propagate
 into pool threads on its own; the runner captures the caller's
-telemetry and re-activates it inside each worker so ``policy.*`` and
-``cache.*`` counters keep flowing during parallel sweeps.  The
+telemetry and re-activates it inside each worker so ``policy.*``
+counters keep flowing during parallel sweeps.  The
 process path does the equivalent with per-worker registries merged
 on join (see :mod:`repro.experiments.parallel`).
 """

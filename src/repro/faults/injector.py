@@ -5,10 +5,11 @@ point in simulated time and answers the two questions the serving
 layer asks:
 
 * *How degraded is the platform right now?* —
-  :meth:`FaultInjector.degraded_system` builds a
-  :class:`~repro.hardware.system.SystemConfig` copy with the active
-  faults applied (link downshift, CXL contention, HBM pressure, core
-  preemption), so the §5 policy optimizer re-solves Eq. (1) on the
+  :meth:`FaultInjector.performance_signature` names the active
+  capacity/latency faults (link downshift, CXL contention, HBM
+  pressure, core preemption), and :func:`signature_system` builds a
+  :class:`~repro.hardware.system.SystemConfig` copy with them
+  applied, so the §5 policy optimizer re-solves Eq. (1) on the
   hardware that actually exists at that moment.
 * *Did this transfer chunk stall?* — :meth:`FaultInjector.chunk_stalls`
   draws from a per-request RNG derived from the scenario seed and the
@@ -16,89 +17,34 @@ layer asks:
   count or evaluation order.
 
 Every answer is pure in ``(scenario, time, index)``; the injector
-holds no mutable state beyond a memo of degraded systems per active
-fault signature.
+holds no mutable state.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.cache import cache_token
 from repro.errors import ConfigurationError
 from repro.faults.spec import (PERFORMANCE_KINDS, FaultKind,
                                FaultScenario)
 from repro.hardware.system import SystemConfig
 from repro.telemetry.runtime import current as current_telemetry
 
-#: The (kind-value, magnitude) signature of an active fault set —
-#: the memo key for degraded-system construction.
+#: The (kind-value, magnitude) signature of an active fault set.  It
+#: fully determines every :func:`apply_faults` factor, so a run builds
+#: one degraded system per signature.
 FaultSignature = Tuple[Tuple[str, float], ...]
-
-#: Process-global memo of degraded systems keyed on the *identity*
-#: of the base system plus the fault signature.  A signature fully
-#: determines every :func:`apply_faults` factor (each magnitude is
-#: part of the signature), so the construction is pure in the key.
-#: Sharing the resulting ``SystemConfig`` object across runs is what
-#: lets the identity-token analytic caches (``optimal_policy`` /
-#: ``estimate``, see :mod:`repro.core.cache`) hit across fresh
-#: simulators instead of re-solving Eq. (1)/(2) per run.
-_DEGRADED_LOCK = threading.Lock()
-_DEGRADED_GLOBAL: Dict[Tuple[Any, FaultSignature], SystemConfig] = {}
-
-
-def clear_degraded_memo() -> None:
-    """Drop the process-global degraded-system memo (cold starts)."""
-    with _DEGRADED_LOCK:
-        _DEGRADED_GLOBAL.clear()
 
 
 class FaultInjector:
-    """Applies a scenario's fault windows to one system config."""
+    """Evaluates a scenario's fault windows in simulated time."""
 
     def __init__(self, scenario: FaultScenario) -> None:
         self.scenario = scenario
-        self._degraded_memo: Dict[
-            Tuple[str, FaultSignature], SystemConfig] = {}
 
     # ------------------------------------------------------------------
-    # Scalar degradation factors
-    # ------------------------------------------------------------------
-    def _scale(self, kind: FaultKind, time: float) -> float:
-        """Product of the active bandwidth-scale magnitudes of a kind."""
-        scale = 1.0
-        for event in self.scenario.events_of(kind):
-            if event.active_at(time):
-                scale *= event.magnitude
-        return scale
-
-    def link_scale(self, time: float) -> float:
-        """Host-link bandwidth scale in (0, 1] at ``time``."""
-        return self._scale(FaultKind.PCIE_DOWNSHIFT, time)
-
-    def cxl_scale(self, time: float) -> float:
-        """CXL pool bandwidth scale in (0, 1] at ``time``."""
-        return self._scale(FaultKind.CXL_CONTENTION, time)
-
-    def cpu_loss(self, time: float) -> float:
-        """Fraction of CPU compute lost to preemption at ``time``."""
-        available = 1.0
-        for event in self.scenario.events_of(FaultKind.CPU_PREEMPTION):
-            if event.active_at(time):
-                available *= 1.0 - event.magnitude
-        return 1.0 - available
-
-    def gpu_reserved_fraction(self, time: float) -> float:
-        """Fraction of HBM capacity stolen by pressure at ``time``."""
-        free = 1.0
-        for event in self.scenario.events_of(FaultKind.GPU_HBM_PRESSURE):
-            if event.active_at(time):
-                free *= 1.0 - event.magnitude
-        return 1.0 - free
-
     def stall_probability(self, time: float) -> float:
         """Per-chunk transfer stall probability at ``time``.
 
@@ -117,8 +63,8 @@ class FaultInjector:
         """Signature of the active capacity/latency faults at ``time``.
 
         Two instants with equal signatures see identical degraded
-        systems, so estimates memoize on the signature rather than on
-        raw timestamps.
+        systems, so a run plans per signature rather than per
+        timestamp.
         """
         active = []
         for kind in PERFORMANCE_KINDS:
@@ -144,8 +90,7 @@ class FaultInjector:
 
         This is the segmentation the piecewise-Lindley engine keys on:
         any two instants inside one segment are interchangeable for
-        :meth:`performance_signature`, :meth:`degraded_system` and
-        :meth:`stall_probability`.
+        :meth:`performance_signature` and :meth:`stall_probability`.
         """
         cuts = {0.0}
         for event in self.scenario.events:
@@ -159,40 +104,6 @@ class FaultInjector:
             segments.append((lo, hi, self.performance_signature(lo),
                              self.stall_probability(lo)))
         return tuple(segments)
-
-    def degraded_system(self, system: SystemConfig,
-                        time: float) -> SystemConfig:
-        """The platform as the active faults leave it at ``time``.
-
-        Returns ``system`` itself (same object) when nothing is
-        active, preserving bit-identity of the fault-free path.
-        Telemetry counter: ``faults.degraded_systems`` per fresh
-        construction.
-        """
-        signature = self.performance_signature(time)
-        if not signature:
-            return system
-        key = (system.name, signature)
-        memo = self._degraded_memo.get(key)
-        if memo is not None:
-            return memo
-        global_key = (cache_token(system), signature)
-        with _DEGRADED_LOCK:
-            degraded = _DEGRADED_GLOBAL.get(global_key)
-        if degraded is None:
-            built = apply_faults(
-                system, link_scale=self.link_scale(time),
-                cxl_scale=self.cxl_scale(time),
-                cpu_loss=self.cpu_loss(time),
-                gpu_reserved=self.gpu_reserved_fraction(time))
-            with _DEGRADED_LOCK:
-                degraded = _DEGRADED_GLOBAL.setdefault(global_key, built)
-        self._degraded_memo[key] = degraded
-        telemetry = current_telemetry()
-        if telemetry is not None:
-            telemetry.metrics.counter(
-                "faults.degraded_systems", system=system.name).inc()
-        return degraded
 
     # ------------------------------------------------------------------
     def chunk_stalls(self, time: float, index: int,
@@ -226,6 +137,36 @@ class FaultInjector:
         rng = self.scenario.rng_for(
             (index + 1) * 1_000_003 + chunk * 1_009 + attempt)
         return rng.random() >= probability
+
+
+def signature_system(system: SystemConfig,
+                     signature: FaultSignature) -> SystemConfig:
+    """``system`` under the capacity/latency faults of ``signature``.
+
+    Bandwidth faults compose as the product of their scales, losses as
+    ``1 - prod(1 - m_i)``, each folded in signature (scenario event)
+    order.  Returns ``system`` itself (same object) for the empty
+    signature, preserving bit-identity of the fault-free path.
+    Telemetry counter: ``faults.degraded_systems`` per construction.
+    """
+    if not signature:
+        return system
+    kept = dict.fromkeys(PERFORMANCE_KINDS, 1.0)
+    for value, magnitude in signature:
+        kind = FaultKind(value)
+        kept[kind] *= (magnitude if kind in (FaultKind.PCIE_DOWNSHIFT,
+                                             FaultKind.CXL_CONTENTION)
+                       else 1.0 - magnitude)
+    degraded = apply_faults(
+        system, link_scale=kept[FaultKind.PCIE_DOWNSHIFT],
+        cxl_scale=kept[FaultKind.CXL_CONTENTION],
+        cpu_loss=1.0 - kept[FaultKind.CPU_PREEMPTION],
+        gpu_reserved=1.0 - kept[FaultKind.GPU_HBM_PRESSURE])
+    telemetry = current_telemetry()
+    if telemetry is not None:
+        telemetry.metrics.counter(
+            "faults.degraded_systems", system=system.name).inc()
+    return degraded
 
 
 def apply_faults(system: SystemConfig, *, link_scale: float = 1.0,

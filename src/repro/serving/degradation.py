@@ -24,7 +24,8 @@ Every decision draws from per-request RNGs derived from the scenario
 seed, so a degraded run is deterministic across worker counts and
 repeat invocations; with an idle scenario the engine reproduces the
 fault-free timeline bit for bit.  :class:`DegradationController`
-holds the per-run reaction state the engine consults.
+holds the per-run reaction state the engine consults, and
+:class:`PlanTable` the per-call estimates it plans from.
 """
 
 from __future__ import annotations
@@ -32,15 +33,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.core.cache import cached_estimate
-from repro.core.estimator import LiaEstimator
+import numpy as np
+
+from repro.core.estimator import InferenceEstimate, LiaEstimator
 from repro.errors import CapacityError
-from repro.faults.injector import FaultInjector, FaultSignature
+from repro.faults.injector import (FaultInjector, FaultSignature,
+                                   signature_system)
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import ServingSimulator
+from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import Telemetry
 
 
@@ -87,42 +90,92 @@ class FaultStats:
 
 @dataclass(frozen=True)
 class _ServicePlan:
-    """How one request gets served under a fault signature."""
+    """How one request gets served under a fault signature.
+
+    ``policies`` are the (prefill, decode) policies it is served with.
+    """
 
     latency: float
     n_chunks: int
     shrinks: int
     resolved: bool
     policy_shifted: bool
+    policies: Tuple[str, str]
 
 
-#: Memo-miss sentinel for the degraded-plan cache, which stores
-#: ``None`` for shapes that are unservable under a signature.
-_MISSING = object()
+#: One platform's estimates, by shape.
+_Entries = Dict[InferenceRequest, Union[InferenceEstimate, CapacityError]]
+
+
+class PlanTable:
+    """One call's estimates: (fault signature, shape) to the estimate,
+    or to the :class:`CapacityError` estimating it raised.
+
+    The top-level serving call creates one — :func:`run_fifo`, one
+    :meth:`MultiReplicaSimulator.run`, one :func:`replicas_needed` or
+    serial :func:`sweep_fleet_sizes` search — and hands it to every
+    replica and fleet size it simulates, so the call estimates each
+    distinct point once, on one degraded estimator per signature.  A
+    signature that leaves the platform as it is (CXL contention on a
+    system without CXL) shares the healthy estimates.  The table dies
+    with the call: a second call starts cold.
+    """
+
+    def __init__(self, estimator: LiaEstimator) -> None:
+        self.estimator = estimator
+        self._platforms: Dict[FaultSignature,
+                              Tuple[LiaEstimator, _Entries]] = {
+            (): (estimator, {})}
+
+    def estimate(self, signature: FaultSignature,
+                 shape: InferenceRequest) -> InferenceEstimate:
+        """``shape`` estimated on the platform under ``signature``;
+        raises the point's :class:`CapacityError` at every ask."""
+        platform = self._platforms.get(signature)
+        if platform is None:
+            base = self.estimator
+            system = signature_system(base.system, signature)
+            platform = self._platforms[signature] = (
+                self._platforms[()] if system is base.system
+                else (LiaEstimator(base.spec, system, base.config), {}))
+        estimator, entries = platform
+        entry = entries.get(shape)
+        if entry is None:
+            try:
+                entry = estimator.estimate(shape)
+            except CapacityError as error:
+                entry = error
+            entries[shape] = entry
+        if isinstance(entry, CapacityError):
+            raise entry.with_traceback(None)
+        return entry
+
+    def service_times(self, workload: WorkloadVector) -> np.ndarray:
+        """Healthy per-arrival service times: one estimate per shape
+        the stream uses, gathered onto the arrivals."""
+        latency = np.array(
+            [self.estimate((), shape).latency if count else 0.0
+             for shape, count in zip(workload.shapes,
+                                     workload.counts().tolist())])
+        return np.take(latency, workload.codes)
 
 
 class DegradationController:
     """Per-run reaction state: admission, retries, policy re-solve.
 
-    One controller serves one ``run``; it memoizes service plans per
-    (request shape, active-fault signature) so repeated shapes inside
-    the same fault window re-use one estimate, mirroring the
-    fault-free path's shape memoization.
+    One controller serves one ``run``.  It plans from ``plans``, the
+    call's :class:`PlanTable`, and keeps the healthy plan of every
+    shape it has served.
     """
 
-    def __init__(self, simulator: ServingSimulator,
-                 scenario: FaultScenario,
+    def __init__(self, plans: PlanTable, scenario: FaultScenario,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.simulator = simulator
+        self.plans = plans
         self.scenario = scenario
         self.injector = FaultInjector(scenario)
         self.telemetry = telemetry
         self.stats = FaultStats()
         self._base_plans: Dict[InferenceRequest, _ServicePlan] = {}
-        self._degraded_plans: Dict[
-            Tuple[InferenceRequest, FaultSignature],
-            Optional[_ServicePlan]] = {}
-        self._degraded_estimators: Dict[FaultSignature, LiaEstimator] = {}
 
     # ------------------------------------------------------------------
     def _count(self, name: str, amount: float = 1.0, **labels: str) -> None:
@@ -188,92 +241,70 @@ class DegradationController:
     def _base_plan(self, request: InferenceRequest) -> _ServicePlan:
         plan = self._base_plans.get(request)
         if plan is None:
-            estimate = cached_estimate(self.simulator.estimator,
-                                       request)
-            plan = _ServicePlan(
+            estimate = self.plans.estimate((), request)
+            plan = self._base_plans[request] = _ServicePlan(
                 latency=estimate.latency,
                 n_chunks=self._chunks(estimate),
-                shrinks=0, resolved=False, policy_shifted=False)
-            self._base_plans[request] = plan
+                shrinks=0, resolved=False, policy_shifted=False,
+                policies=_policies(estimate))
         return plan
 
-    def _chunks(self, estimate) -> int:
+    def _chunks(self, estimate: InferenceEstimate) -> int:
         if self.scenario.chunks_per_request > 0:
             return self.scenario.chunks_per_request
         streamed = (estimate.residency.n_layers
                     - estimate.residency.n_resident_layers)
         return max(1, streamed)
 
-    def _degraded_estimator(self,
-                            signature: FaultSignature,
-                            time: float) -> LiaEstimator:
-        estimator = self._degraded_estimators.get(signature)
-        if estimator is None:
-            base = self.simulator.estimator
-            system = self.injector.degraded_system(base.system, time)
-            estimator = LiaEstimator(base.spec, system, base.config)
-            self._degraded_estimators[signature] = estimator
-        return estimator
-
     def _resolve_plan(self, request: InferenceRequest,
-                      signature: FaultSignature,
-                      time: float) -> Optional[_ServicePlan]:
-        """The memoized (shape, signature) plan, free of stats side
-        effects — the engine resolves per segment and accounts in
-        bulk.  Under faults the request is re-estimated on the
-        degraded platform (policy re-solve); a :class:`CapacityError`
-        halves the batch until it fits.  ``None`` (memoized too)
-        means the shape does not fit the degraded platform even at
-        B=1.
+                      signature: FaultSignature
+                      ) -> Optional[_ServicePlan]:
+        """The (shape, signature) plan, free of stats side effects —
+        the engine resolves per segment and accounts in bulk.  Under
+        faults the request is re-estimated on the degraded platform
+        (policy re-solve); a :class:`CapacityError` halves the batch
+        until it fits.  ``None`` means the shape does not fit the
+        degraded platform even at B=1.
         """
         if not signature:
             return self._base_plan(request)
-        key = (request, signature)
-        memo = self._degraded_plans.get(key, _MISSING)
-        if memo is not _MISSING:
-            return memo  # type: ignore[return-value]
-        estimator = self._degraded_estimator(signature, time)
-        base = self._base_plan_policy(request)
+        base = self._base_plan(request)
         batch = request.batch_size
         shrinks = 0
-        plan: Optional[_ServicePlan] = None
         while True:
             attempt = (request if batch == request.batch_size
                        else replace(request, batch_size=batch))
             try:
-                estimate = cached_estimate(estimator, attempt)
+                estimate = self.plans.estimate(signature, attempt)
             except CapacityError:
                 if batch == 1:
-                    break
+                    return None
                 batch = (batch + 1) // 2
                 shrinks += 1
                 continue
             pieces = math.ceil(request.batch_size / batch)
-            shifted = (str(estimate.decode_policy) != base[1]
-                       or str(estimate.prefill_policy) != base[0])
-            plan = _ServicePlan(
+            policies = _policies(estimate)
+            return _ServicePlan(
                 latency=estimate.latency * pieces,
                 n_chunks=self._chunks(estimate) * pieces,
                 shrinks=shrinks, resolved=True,
-                policy_shifted=shifted)
-            break
-        self._degraded_plans[key] = plan
-        return plan
+                policy_shifted=policies != base.policies,
+                policies=policies)
 
-    def _base_plan_policy(self,
-                          request: InferenceRequest) -> Tuple[str, str]:
-        estimate = cached_estimate(self.simulator.estimator, request)
-        return str(estimate.prefill_policy), str(estimate.decode_policy)
-
-    def _note_plan(self, plan: _ServicePlan, index: int,
+    def _note_plan(self, shifted: bool, shrinks: int, index: int,
                    start: float) -> None:
+        """Account one request served on a re-solved plan."""
         self.stats.policy_resolves += 1
         self._count("faults.policy_resolves")
-        if plan.policy_shifted:
+        if shifted:
             self.stats.policy_shifts += 1
             self._count("faults.policy_shifts")
-        if plan.shrinks:
-            self.stats.batch_shrinks += plan.shrinks
-            self._count("faults.batch_shrinks", plan.shrinks)
+        if shrinks:
+            self.stats.batch_shrinks += shrinks
+            self._count("faults.batch_shrinks", shrinks)
             self._span(f"shrink:req{index}", start, start,
-                       halvings=plan.shrinks)
+                       halvings=shrinks)
+
+
+def _policies(estimate: InferenceEstimate) -> Tuple[str, str]:
+    return str(estimate.prefill_policy), str(estimate.decode_policy)

@@ -39,6 +39,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.faults.fleet import (FleetScenario, ReplicaFaultKind,
                                 get_fleet_scenario)
+from repro.serving.degradation import PlanTable
 from repro.serving.simulator import ServingSimulator, validate_arrivals
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import Telemetry
@@ -476,7 +477,7 @@ class FleetSimulator:
         if trace.size == 0:
             raise ConfigurationError("workload must contain requests")
         telemetry = self._simulator._active_telemetry()
-        services = workload.service_times(self.estimator)
+        services = PlanTable(self.estimator).service_times(workload)
         report = self._simulate(workload, trace, services, window_s)
         if telemetry is not None:
             self._emit_telemetry(report, telemetry)

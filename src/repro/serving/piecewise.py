@@ -50,13 +50,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.core.cache import (STALL_OUTCOME_CACHE, cached_estimate,
-                              pinned_token)
 from repro.errors import CapacityError, ConfigurationError
 from repro.faults.injector import FaultSignature
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
-from repro.serving.degradation import DegradationController, _ServicePlan
+from repro.serving.degradation import DegradationController, PlanTable
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      ServingSimulator, validate_arrivals)
 from repro.serving.vectorized import WorkloadVector, lindley_timeline
@@ -135,34 +133,6 @@ def _stall_outcome(scenario: FaultScenario, probability: float,
     return penalty, tuple(ops)
 
 
-def _cached_stall_outcome(controller: DegradationController,
-                          probability: float, index: int,
-                          n_chunks: int
-                          ) -> Tuple[float, Tuple[tuple, ...]]:
-    """:func:`_stall_outcome` through the process-global memo.
-
-    The outcome is pure in its arguments (every draw keys on the
-    scenario seed and the request index), so memoized values are
-    bit-identical to recomputed ones; what the memo removes is the
-    Mersenne-Twister seeding cost — several microseconds per request,
-    the dominant term when a stall window is replayed more than once
-    (benchmark reps, fleet sizing sweeps, what-if reruns).  Honors
-    ``config.cache_enabled`` like every other analytic memo.
-
-    The scenario enters the key as a pinned identity token rather than
-    structurally: hashing a frozen ``FaultScenario`` walks its whole
-    event tuple on every dict probe, which at 10⁶ lookups costs more
-    than the MT seedings the memo saves.
-    """
-    scenario = controller.scenario
-    if not controller.simulator.estimator.config.cache_enabled:
-        return _stall_outcome(scenario, probability, index, n_chunks)
-    key = (pinned_token(scenario), probability, index, n_chunks)
-    return STALL_OUTCOME_CACHE.get_or_compute(
-        key, lambda: _stall_outcome(scenario, probability, index,
-                                    n_chunks))
-
-
 def _apply_stall_ops(controller: DegradationController, index: int,
                      start: float, ops: Tuple[tuple, ...]) -> None:
     """Fold one request's stall ops into stats/counters/spans in the
@@ -201,14 +171,14 @@ def _apply_stall_ops(controller: DegradationController, index: int,
 
 
 # ----------------------------------------------------------------------
-# Per-signature plan tables
+# Per-signature plan columns
 # ----------------------------------------------------------------------
-class _PlanTable:
-    """Columnar plan cache for one fault signature.
+class _PlanColumns:
+    """The plans of every workload shape under one fault signature.
 
-    One slot per workload shape, filled lazily with the codes a block
-    actually contains, so only shapes that arrive while the signature
-    is active are resolved.
+    One slot per shape, filled lazily with the codes a block actually
+    contains, so only shapes that arrive while the signature is active
+    are resolved.
     """
 
     __slots__ = ("latency", "n_chunks", "ok", "shifted", "shrinks",
@@ -224,15 +194,16 @@ class _PlanTable:
 
     def fill(self, controller: DegradationController,
              shapes: Sequence[InferenceRequest],
-             signature: FaultSignature, block_codes: np.ndarray,
-             time: float) -> None:
+             signature: FaultSignature, block_codes: np.ndarray) -> None:
         if self.filled.all():
             return
         present = np.bincount(block_codes, minlength=self.filled.size)
         missing = np.flatnonzero((present > 0) & ~self.filled)
         for code in missing.tolist():
-            plan = self._plan_for(controller, shapes[code], signature,
-                                  time)
+            # A shape too large for even the *base* platform raises
+            # CapacityError here, at that shape's first block (the
+            # warm-up swallows it so it surfaces per shape).
+            plan = controller._resolve_plan(shapes[code], signature)
             if plan is None:
                 self.ok[code] = False
             else:
@@ -241,17 +212,6 @@ class _PlanTable:
                 self.shifted[code] = plan.policy_shifted
                 self.shrinks[code] = plan.shrinks
             self.filled[code] = True
-
-    @staticmethod
-    def _plan_for(controller: DegradationController,
-                  shape: InferenceRequest, signature: FaultSignature,
-                  time: float) -> Optional[_ServicePlan]:
-        # A shape too large for even the *base* platform raises
-        # CapacityError here, at that shape's first block (the warm-up
-        # swallows it so it surfaces per shape).
-        if not signature:
-            return controller._base_plan(shape)
-        return controller._resolve_plan(shape, signature, time)
 
 
 # ----------------------------------------------------------------------
@@ -264,9 +224,9 @@ _FAULT_FREE = FaultScenario(name="fault-free")
 
 
 def _warm_base_plans(controller: DegradationController,
-                     workload: WorkloadVector) -> _PlanTable:
-    """Estimate every shape the stream uses, once, and return the
-    fault-free plan table filled from those estimates.
+                     workload: WorkloadVector) -> _PlanColumns:
+    """Plan every shape the stream uses on the healthy platform and
+    return the fault-free plan columns.
 
     Counts the estimates as a per-request loop with a shape memo
     would: ``computed`` per distinct shape, ``memoized`` per repeat.
@@ -274,23 +234,16 @@ def _warm_base_plans(controller: DegradationController,
     them); a shape too large for the base platform stays unfilled, so
     its :class:`CapacityError` surfaces at its first block.
     """
-    estimator = controller.simulator.estimator
-    table = _PlanTable(len(workload.shapes))
+    table = _PlanColumns(len(workload.shapes))
     counts = workload.counts().tolist()
     for code, (shape, count) in enumerate(zip(workload.shapes, counts)):
-        if not count:
-            table.filled[code] = True
-            continue
-        try:
-            estimate = cached_estimate(estimator, shape)
-        except CapacityError:
-            continue
-        plan = controller._base_plans[shape] = _ServicePlan(
-            latency=estimate.latency,
-            n_chunks=controller._chunks(estimate),
-            shrinks=0, resolved=False, policy_shifted=False)
-        table.latency[code] = plan.latency
-        table.n_chunks[code] = plan.n_chunks
+        if count:
+            try:
+                plan = controller._base_plan(shape)
+            except CapacityError:
+                continue
+            table.latency[code] = plan.latency
+            table.n_chunks[code] = plan.n_chunks
         table.filled[code] = True
     present = sum(1 for count in counts if count)
     controller._count("serving.estimates", present, result="computed")
@@ -306,7 +259,8 @@ def run_fifo(simulator: ServingSimulator, workload: WorkloadVector,
              scenario: Optional[FaultScenario] = None,
              span_cap: int = DEFAULT_SPAN_CAP,
              indices: Optional[ArrayLike] = None,
-             quiet: bool = False) -> ServingReport:
+             quiet: bool = False,
+             _plans: Optional[PlanTable] = None) -> ServingReport:
     """Serve ``workload`` at ``arrivals`` through the FIFO engine.
 
     ``scenario`` injects faults; ``None`` or an idle scenario serves
@@ -317,7 +271,9 @@ def run_fifo(simulator: ServingSimulator, workload: WorkloadVector,
     suppresses telemetry (the fleet emits one merged view instead).
     Otherwise the run emits the ``serving.*``/``faults.*`` metrics
     and per-request spans for the first ``span_cap`` served requests;
-    the rest are counted in ``serving.spans_dropped``.
+    the rest are counted in ``serving.spans_dropped``.  A call that
+    runs several replicas or fleet sizes passes its one
+    :class:`~repro.serving.degradation.PlanTable` as ``_plans``.
     """
     trace = validate_arrivals(arrivals)
     if trace.size != workload.n_requests:
@@ -332,8 +288,8 @@ def run_fifo(simulator: ServingSimulator, workload: WorkloadVector,
     if scenario is not None and scenario.idle:
         scenario = None
     telemetry = None if quiet else simulator._active_telemetry()
-    controller = DegradationController(simulator,
-                                       scenario or _FAULT_FREE,
+    plans = PlanTable(simulator.estimator) if _plans is None else _plans
+    controller = DegradationController(plans, scenario or _FAULT_FREE,
                                        telemetry)
     served_index, starts, finishes, dropped_index, reasons = _serve(
         controller, workload, trace, idx)
@@ -396,19 +352,20 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
     backoff float folds), and batching resumes behind it.
     """
     stats = controller.stats
+    scenario = controller.scenario
     shapes = workload.shapes
     codes = workload.codes
     n = trace.size
-    max_depth = controller.scenario.admission.max_queue_depth
+    max_depth = scenario.admission.max_queue_depth
     segments = controller.injector.regimes()
     seg_los = [segment[0] for segment in segments]
-    tables: Dict[FaultSignature, _PlanTable] = {
+    tables: Dict[FaultSignature, _PlanColumns] = {
         (): _warm_base_plans(controller, workload)}
 
-    def table_for(signature: FaultSignature) -> _PlanTable:
+    def table_for(signature: FaultSignature) -> _PlanColumns:
         table = tables.get(signature)
         if table is None:
-            table = tables[signature] = _PlanTable(len(shapes))
+            table = tables[signature] = _PlanColumns(len(shapes))
         return table
 
     # Commit buffers, allocated on the first commit that does not
@@ -459,7 +416,7 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
         code = codes_list[position]
         if not table.filled[code]:
             probe_code[0] = code
-            table.fill(controller, shapes, signature, probe_code, start)
+            table.fill(controller, shapes, signature, probe_code)
         if not table.ok[code]:
             stats.unservable += 1
             controller._count("faults.unservable")
@@ -467,16 +424,12 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
             dropped_reasons.append(_UNSERVABLE_REASON)
             return
         if signature:
-            plan = _ServicePlan(
-                latency=float(table.latency[code]),
-                n_chunks=int(table.n_chunks[code]),
-                shrinks=int(table.shrinks[code]), resolved=True,
-                policy_shifted=bool(table.shifted[code]))
-            controller._note_plan(plan, index, start)
+            controller._note_plan(bool(table.shifted[code]),
+                                  int(table.shrinks[code]), index, start)
         penalty = 0.0
         if stall_p > 0.0:
-            penalty, ops = _cached_stall_outcome(
-                controller, stall_p, index, int(table.n_chunks[code]))
+            penalty, ops = _stall_outcome(scenario, stall_p, index,
+                                          int(table.n_chunks[code]))
             if ops:
                 _apply_stall_ops(controller, index, start, ops)
         if signature or penalty > 0.0:
@@ -505,30 +458,31 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
         block_arrivals = trace[pos:block_end]
 
         table = table_for(signature)
-        table.fill(controller, shapes, signature, block_codes, t0)
+        table.fill(controller, shapes, signature, block_codes)
 
         # ``None``: every shape of the table is servable.
         ok = None if table.ok.all() else table.ok[block_codes]
         if finite and block_codes.size > 1:
-            # Capacity bound: every served request advances the clock
-            # by at least the cheapest servable latency, so at most
-            # ``1 + (hi - t0) / min_latency`` kept requests can start
-            # inside this segment.  Trimming the speculative block to
-            # that many kept rows bounds past-the-boundary rework
-            # (stall draws, kernel replay) to one block's overshoot.
+            # Capacity bound: a kept request starts no earlier than
+            # ``t0`` plus the latencies of the kept requests before it,
+            # so only those whose predecessors' latencies sum to at
+            # most ``hi - t0`` can start inside this segment.
+            # Trimming the speculative block to them bounds
+            # past-the-boundary rework (stall draws, kernel replay)
+            # to the idle gaps the sum ignores.  The bound only sizes
+            # the block: commits stay exact however it is cut.
             kept_probe = (np.arange(block_codes.size) if ok is None
                           else np.flatnonzero(ok))
             if kept_probe.size > 1:
-                cheapest = float(
-                    table.latency[block_codes[kept_probe]].min())
-                if cheapest > 0.0:
-                    capacity = 1 + int((hi - t0) / cheapest)
-                    if kept_probe.size > capacity:
-                        block_end = pos + int(kept_probe[capacity])
-                        block_codes = codes[pos:block_end]
-                        block_arrivals = trace[pos:block_end]
-                        if ok is not None:
-                            ok = ok[:block_end - pos]
+                elapsed = np.cumsum(table.latency[block_codes[kept_probe]])
+                capacity = 1 + int(np.searchsorted(elapsed, hi - t0,
+                                                   side="right"))
+                if kept_probe.size > capacity:
+                    block_end = pos + int(kept_probe[capacity])
+                    block_codes = codes[pos:block_end]
+                    block_arrivals = trace[pos:block_end]
+                    if ok is not None:
+                        ok = ok[:block_end - pos]
         block_len = block_end - pos
         kept: Optional[np.ndarray] = None
         if ok is None or ok.all():
@@ -550,8 +504,7 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
             if idx is not None:
                 request_ids = idx[request_ids]
             outcomes = [
-                _cached_stall_outcome(controller, stall_p, int(rid),
-                                      int(nch))
+                _stall_outcome(scenario, stall_p, int(rid), int(nch))
                 for rid, nch in zip(request_ids.tolist(),
                                     table.n_chunks[kept_codes].tolist())]
             penalties = np.fromiter((o[0] for o in outcomes),
@@ -681,7 +634,8 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
             np.array(dropped_positions, dtype=np.int64), dropped_reasons)
 
 
-def _account_commit(controller: DegradationController, table: _PlanTable,
+def _account_commit(controller: DegradationController,
+                    table: _PlanColumns,
                     signature: FaultSignature, codes: np.ndarray,
                     starts: np.ndarray,
                     outcomes: Optional[List[Tuple[float,

@@ -31,6 +31,7 @@ from numpy.typing import ArrayLike
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.workload import InferenceRequest
+from repro.serving.degradation import PlanTable
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      ServingSimulator, arrivals_poisson,
                                      validate_arrivals)
@@ -164,14 +165,16 @@ class MultiReplicaSimulator:
     def run(self, requests: Union[Sequence[InferenceRequest],
                                   WorkloadVector],
             arrivals: ArrayLike,
-            scenario: Optional["FaultScenario"] = None
-            ) -> ScaleOutReport:
+            scenario: Optional["FaultScenario"] = None,
+            _plans: Optional[PlanTable] = None) -> ScaleOutReport:
         """Dispatch ``requests`` over the fleet.
 
         ``scenario`` runs every replica under the fault layer
         (round-robin dispatch only — least-loaded assignment depends
         on every earlier finish, which shedding makes dispatch-order
-        ambiguous).
+        ambiguous).  Every replica plans from one
+        :class:`~repro.serving.degradation.PlanTable`: the run's own,
+        or the ``_plans`` of a search over fleet sizes.
         """
         workload = (requests if isinstance(requests, WorkloadVector)
                     else WorkloadVector.from_requests(requests))
@@ -185,8 +188,10 @@ class MultiReplicaSimulator:
         if scenario is not None and scenario.idle:
             scenario = None
         telemetry = self._simulator._active_telemetry()
+        plans = PlanTable(self.estimator) if _plans is None else _plans
         if self.dispatch == "round-robin":
-            report = self._run_round_robin(workload, trace, scenario)
+            report = self._run_round_robin(workload, trace, scenario,
+                                           plans)
         elif scenario is not None:
             raise ConfigurationError(
                 "degraded fleet dispatch supports round-robin only: "
@@ -194,7 +199,7 @@ class MultiReplicaSimulator:
                 "finish, which admission shedding makes "
                 "dispatch-order ambiguous")
         else:
-            report = self._run_least_loaded(workload, trace)
+            report = self._run_least_loaded(workload, trace, plans)
         if telemetry is not None:
             self._emit_telemetry(report, telemetry)
         return report
@@ -210,8 +215,8 @@ class MultiReplicaSimulator:
     # ------------------------------------------------------------------
     def _run_round_robin(self, workload: WorkloadVector,
                          trace: np.ndarray,
-                         scenario: Optional["FaultScenario"]
-                         ) -> ScaleOutReport:
+                         scenario: Optional["FaultScenario"],
+                         plans: PlanTable) -> ScaleOutReport:
         """Request *i* goes to replica ``i mod k``.
 
         Each replica serves its substream through the FIFO engine
@@ -237,7 +242,7 @@ class MultiReplicaSimulator:
                               dtype=np.int64)
             sub = run_fifo(self._simulator, workload.subset(index),
                            trace[index], scenario, indices=index,
-                           quiet=True)
+                           quiet=True, _plans=plans)
             replica_ids.append(replica)
             per_replica.append(sub)
             if sub.n_dropped:
@@ -275,10 +280,11 @@ class MultiReplicaSimulator:
             stats=stats, scenario=scenario)
 
     def _run_least_loaded(self, workload: WorkloadVector,
-                          trace: np.ndarray) -> ScaleOutReport:
+                          trace: np.ndarray,
+                          plans: PlanTable) -> ScaleOutReport:
         """Each request joins the replica that frees up earliest
         (join-earliest-free, the G/G/k discipline)."""
-        services = workload.service_times(self.estimator)
+        services = plans.service_times(workload)
         n = trace.size
         starts = np.empty(n)
         finishes = np.empty(n)
@@ -409,7 +415,11 @@ def sweep_fleet_sizes(estimator: LiaEstimator,
     once into ``multiprocessing.shared_memory`` and reattach zero-copy
     in every worker (the ``replicas.fleet_size`` kernel); segments are
     released as soon as the sweep returns.  Results are bit-identical
-    across thread, serial, and any ``processes`` count.
+    across thread, serial, and any ``processes`` count.  In process,
+    every fleet size plans from the call's one
+    :class:`~repro.serving.degradation.PlanTable`; serially that
+    estimates each shape once (threads may race to estimate a shape
+    twice, to the same value).
     """
     from repro.experiments.kernels import zoo_resolvable
     from repro.experiments.parallel import (KernelCall,
@@ -440,10 +450,12 @@ def sweep_fleet_sizes(estimator: LiaEstimator,
             release(handle)
         return summaries
 
+    plans = PlanTable(estimator)
+
     def cell(k: int) -> dict:
         report = MultiReplicaSimulator(estimator, k,
                                        dispatch=dispatch).run(
-                                           workload, trace)
+                                           workload, trace, _plans=plans)
         return fleet_size_summary(report)
 
     return run_sweep(cell, counts, workers=workers)
@@ -468,6 +480,9 @@ def replicas_needed(estimator: LiaEstimator,
     land exactly on the answer the binary search would re-derive
     (``max_replicas`` clamps, and power-of-two answers generally), so
     evaluations are memoized per ``k`` for the duration of the call.
+    Every fleet size plans from the call's one
+    :class:`~repro.serving.degradation.PlanTable`, so each shape is
+    estimated once per search.
     """
     if slo_p95_seconds <= 0.0:
         raise ConfigurationError("slo_p95_seconds must be positive")
@@ -475,12 +490,14 @@ def replicas_needed(estimator: LiaEstimator,
                 else WorkloadVector.from_requests(requests))
     trace = validate_arrivals(arrivals)
     seen: dict = {}
+    plans = PlanTable(estimator)
 
     def evaluate(k: int) -> Tuple[float, ScaleOutReport]:
         cached = seen.get(k)
         if cached is None:
             report = MultiReplicaSimulator(
-                estimator, k, dispatch=dispatch).run(workload, trace)
+                estimator, k, dispatch=dispatch).run(workload, trace,
+                                                     _plans=plans)
             cached = seen[k] = (report.latency_percentile(0.95), report)
         return cached
 

@@ -38,16 +38,13 @@ serving engine built on both is :mod:`repro.serving.piecewise`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.errors import ConfigurationError
 from repro.models.workload import InferenceRequest
-
-if TYPE_CHECKING:
-    from repro.core.estimator import LiaEstimator
 
 #: Busy periods longer than this use one ``np.add.accumulate`` each;
 #: shorter ones are replayed position-by-position, vectorized across
@@ -179,17 +176,6 @@ class WorkloadVector:
             cached = np.take(tokens, self.codes)
             object.__setattr__(self, "_tokens_per_request", cached)
         return cached
-
-    def service_times(self, estimator: "LiaEstimator") -> np.ndarray:
-        """Healthy per-arrival service times: one memoized estimate
-        per shape the stream uses, gathered onto the arrivals."""
-        from repro.core.cache import cached_estimate
-
-        latency = np.array(
-            [cached_estimate(estimator, shape).latency if count else 0.0
-             for shape, count in zip(self.shapes,
-                                     self.counts().tolist())])
-        return np.take(latency, self.codes)
 
     def request_at(self, index: int) -> InferenceRequest:
         return self.shapes[int(self.codes[index])]

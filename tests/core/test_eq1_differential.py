@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.flexgen import FlexGenEstimator, FlexGenSettings
-from repro.core.cache import clear_caches
 from repro.core.config import LiaConfig
 from repro.core.estimator import (
     LiaEstimator,
@@ -74,13 +73,6 @@ batch_sizes = st.one_of(st.integers(1, 64), st.integers(65, 2048))
 context_lens = st.one_of(st.integers(1, 64), st.integers(65, 2048))
 
 
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_caches()
-    yield
-    clear_caches()
-
-
 @settings(max_examples=120, deadline=None)
 @given(model=model_names, system=system_names, config=config_names,
        stage=st.sampled_from(list(Stage)), batch=batch_sizes,
@@ -89,7 +81,7 @@ def test_policy_search_matches_scalar_scan(model, system, config, stage,
                                            batch, length,
                                            weights_resident):
     args = (MODELS[model], stage, batch, length, SYSTEMS[system],
-            CONFIGS[config].without_cache())
+            CONFIGS[config])
     decision = optimal_policy(*args, weights_resident=weights_resident)
     oracle = eq1_scalar.optimal_policy(*args,
                                        weights_resident=weights_resident)
@@ -162,7 +154,7 @@ context_grids = st.lists(context_lens, min_size=1, max_size=3, unique=True)
 def test_grid_search_matches_scalar_scan_at_every_point(
         model, system, config, stage, batches, lengths, weights_resident):
     spec, platform = MODELS[model], SYSTEMS[system]
-    config = CONFIGS[config].without_cache()
+    config = CONFIGS[config]
     terms = layer_terms(spec, stage, np.array(batches)[:, np.newaxis],
                         np.array(lengths), platform, config)
     grid = search_grid(terms, config, weights_resident)

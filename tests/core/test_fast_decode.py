@@ -10,20 +10,12 @@ shape combination, and degenerate spans must be exact.
 import numpy as np
 import pytest
 
-from repro.core.cache import clear_caches
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator, StageBreakdown, sum_steps
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from tests.oracles import eq1_scalar
-
-
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_caches()
-    yield
-    clear_caches()
 
 
 def _assert_exact(estimator: LiaEstimator, request: InferenceRequest):
@@ -93,9 +85,3 @@ class TestFastVsExactEstimates:
         estimator = LiaEstimator(get_model("opt-175b"), system, config)
         _assert_exact(estimator, InferenceRequest(8, 128, 128))
 
-
-class TestConfigValidation:
-    def test_without_cache(self):
-        config = LiaConfig()
-        assert config.cache_enabled
-        assert not config.without_cache().cache_enabled

@@ -187,3 +187,18 @@ def test_prefill_transition_degenerate_bounds(opt_175b, spr_a100,
     product = prefill_policy_transition(opt_175b, spr_a100, eval_config,
                                         batch_size=900, lo=1, hi=512)
     assert product == 900
+
+
+def test_policy_counters_count_every_search(opt_30b, spr_a100):
+    """policy.searches counts calls, one per repeat of a point."""
+    from repro.telemetry import Telemetry, activate
+
+    config = LiaConfig(enforce_host_capacity=False)
+    telemetry = Telemetry()
+    with activate(telemetry):
+        optimal_policy(opt_30b, Stage.DECODE, 4, 64, spr_a100, config)
+        optimal_policy(opt_30b, Stage.DECODE, 4, 64, spr_a100, config)
+    assert telemetry.metrics.counter_value(
+        "policy.searches", stage="decode") == 2
+    assert telemetry.metrics.counter_value(
+        "policy.evaluations", stage="decode") == 128

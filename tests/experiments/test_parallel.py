@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from multiprocessing import shared_memory
 
-from repro.core.cache import clear_caches
 from repro.core.config import LiaConfig
 from repro.errors import ConfigurationError, SweepWorkerError
 from repro.experiments.parallel import (
@@ -422,10 +421,9 @@ class TestTelemetryMerge:
         assert runs[0] == runs[1] == runs[2]
 
     def test_policy_counters_match_serial(self):
-        # The satellite regression: ambient policy.*/cache.* counters
-        # must flow out of process workers and merge to exactly the
-        # serial totals.  Distinct grid points + a config no other
-        # test uses keep both sides' caches equally cold.
+        # The satellite regression: ambient policy.* counters must
+        # flow out of process workers and merge to exactly the serial
+        # totals.
         config = LiaConfig(enforce_host_capacity=False,
                            prefill_minibatches=7)
         call = KernelCall("policy_map",
@@ -435,20 +433,17 @@ class TestTelemetryMerge:
                            config))
         points = [(b, length) for b in (1, 3, 9, 27)
                   for length in (16, 48, 144)]
-        clear_caches()
         serial = Telemetry()
         with activate(serial):
             serial_out = run_process_sweep(call, points, processes=0)
-        clear_caches()
         pooled = Telemetry()
         with activate(pooled):
             pooled_out = run_process_sweep(call, points, processes=1)
         assert serial_out == pooled_out
         serial_rows = _counter_rows(serial)
         policy_rows = [row for row in serial_rows
-                       if str(row["metric"]).startswith(
-                           ("policy.", "cache."))]
-        assert policy_rows, "expected policy/cache counters"
+                       if str(row["metric"]).startswith("policy.")]
+        assert policy_rows, "expected policy counters"
         assert serial_rows == _counter_rows(pooled)
 
     def test_no_telemetry_no_merge_overhead(self):

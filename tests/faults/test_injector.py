@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.injector import FaultInjector, apply_faults
+from repro.faults.injector import (FaultInjector, apply_faults,
+                                   signature_system)
 from repro.faults.scenarios import builtin_scenarios, get_scenario
 from repro.faults.spec import FaultEvent, FaultKind, FaultScenario
 from repro.hardware.system import get_system
@@ -13,20 +14,30 @@ def _scenario(*events):
     return FaultScenario(name="test", seed=5, events=tuple(events))
 
 
+def _degraded(injector, system, time):
+    return signature_system(system, injector.performance_signature(time))
+
+
 # ----------------------------------------------------------------------
 # Scalar factors
 # ----------------------------------------------------------------------
 def test_factors_compose_only_inside_windows():
+    system = get_system("spr-a100")
     injector = FaultInjector(_scenario(
         FaultEvent(FaultKind.PCIE_DOWNSHIFT, start=10.0, duration=10.0,
                    magnitude=0.5),
         FaultEvent(FaultKind.PCIE_DOWNSHIFT, start=15.0, duration=10.0,
                    magnitude=0.8)))
-    assert injector.link_scale(0.0) == 1.0
-    assert injector.link_scale(12.0) == pytest.approx(0.5)
-    assert injector.link_scale(17.0) == pytest.approx(0.4)   # overlap
-    assert injector.link_scale(22.0) == pytest.approx(0.8)
-    assert injector.link_scale(30.0) == 1.0
+
+    def link_scale(time):
+        return (_degraded(injector, system, time).host_link.bandwidth
+                / system.host_link.bandwidth)
+
+    assert link_scale(0.0) == 1.0
+    assert link_scale(12.0) == pytest.approx(0.5)
+    assert link_scale(17.0) == pytest.approx(0.4)   # overlap
+    assert link_scale(22.0) == pytest.approx(0.8)
+    assert link_scale(30.0) == 1.0
 
 
 def test_stall_probability_composes_independently():
@@ -41,8 +52,12 @@ def test_cpu_loss_and_gpu_reservation_compose():
         FaultEvent(FaultKind.CPU_PREEMPTION, magnitude=0.5),
         FaultEvent(FaultKind.CPU_PREEMPTION, magnitude=0.5),
         FaultEvent(FaultKind.GPU_HBM_PRESSURE, magnitude=0.25)))
-    assert injector.cpu_loss(0.0) == pytest.approx(0.75)
-    assert injector.gpu_reserved_fraction(0.0) == pytest.approx(0.25)
+    system = get_system("spr-a100")
+    degraded = _degraded(injector, system, 0.0)
+    assert degraded.cpu.engines["amx"].peak_flops == pytest.approx(
+        system.cpu.engines["amx"].peak_flops * 0.25)
+    assert degraded.gpu.memory.capacity_bytes == pytest.approx(
+        system.gpu.memory.capacity_bytes * 0.75)
 
 
 # ----------------------------------------------------------------------
@@ -53,20 +68,52 @@ def test_degraded_system_is_same_object_when_quiet():
     injector = FaultInjector(_scenario(
         FaultEvent(FaultKind.PCIE_DOWNSHIFT, start=100.0, duration=10.0,
                    magnitude=0.5)))
-    assert injector.degraded_system(system, 0.0) is system
+    assert _degraded(injector, system, 0.0) is system
 
 
 def test_degraded_system_memoizes_per_signature():
+    """One degraded system per signature per run: the run's plan table
+    builds it once, however many requests, replicas and instants see
+    the signature — and the next run builds its own."""
+    from repro.core.config import LiaConfig
+    from repro.core.estimator import LiaEstimator
+    from repro.models.workload import InferenceRequest
+    from repro.models.zoo import get_model
+    from repro.serving.degradation import PlanTable
+    from repro.serving.replicas import MultiReplicaSimulator
+    from repro.serving.vectorized import WorkloadVector
+    from repro.telemetry import Telemetry, activate
+
     system = get_system("spr-a100")
-    injector = FaultInjector(_scenario(
-        FaultEvent(FaultKind.PCIE_DOWNSHIFT, duration=100.0,
-                   magnitude=0.5)))
-    first = injector.degraded_system(system, 1.0)
-    second = injector.degraded_system(system, 2.0)
-    assert first is second
-    assert first is not system
-    assert first.host_link.bandwidth == pytest.approx(
-        system.host_link.bandwidth * 0.5)
+    scenario = _scenario(
+        FaultEvent(FaultKind.PCIE_DOWNSHIFT, start=20.0, duration=100.0,
+                   magnitude=0.5),
+        FaultEvent(FaultKind.CPU_PREEMPTION, start=60.0, duration=100.0,
+                   magnitude=0.25))
+    estimator = LiaEstimator(get_model("opt-30b"), system,
+                             LiaConfig(enforce_host_capacity=False))
+    plans = PlanTable(estimator)
+    request = InferenceRequest(1, 128, 8)
+    signature = FaultInjector(scenario).performance_signature(30.0)
+    telemetry = Telemetry()
+    with activate(telemetry):
+        first = plans.estimate(signature, request)
+        second = plans.estimate(signature, InferenceRequest(1, 256, 8))
+    assert telemetry.metrics.counter_value(
+        "faults.degraded_systems", system=system.name) == 1
+    assert first.latency > estimator.estimate(request).latency
+    assert second.latency > first.latency
+
+    workload = WorkloadVector.from_requests([request] * 40)
+    arrivals = [5.0 * i for i in range(40)]
+    fleet = MultiReplicaSimulator(estimator, 4)
+    for run in (1, 2):
+        telemetry = Telemetry()
+        with activate(telemetry):
+            fleet.run(workload, arrivals, scenario=scenario)
+        # Three signatures (link, link+cpu, cpu), four replicas.
+        assert telemetry.metrics.counter_value(
+            "faults.degraded_systems", system=system.name) == 3
 
 
 def test_apply_faults_touches_only_requested_subsystems():

@@ -34,17 +34,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cache import cached_estimate
 from repro.errors import CapacityError, ConfigurationError
-from repro.experiments.runner import run_sweep
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
 from repro.serving.degradation import (DegradationController, FaultStats,
-                                       _ServicePlan)
+                                       PlanTable, _ServicePlan)
 from repro.serving.piecewise import (_SHED_REASON, _UNSERVABLE_REASON,
-                                     _apply_stall_ops,
-                                     _cached_stall_outcome, _PlanTable,
-                                     _warm_base_plans)
+                                     _apply_stall_ops, _PlanColumns,
+                                     _stall_outcome, _warm_base_plans)
 from repro.serving.simulator import (DroppedRequest, ServedRequest,
                                      ServingSimulator, validate_arrivals)
 from repro.serving.vectorized import WorkloadVector
@@ -221,24 +218,29 @@ def run_loop(simulator: ServingSimulator,
 # The fault-injected loop
 # ----------------------------------------------------------------------
 def plan_service(controller: DegradationController,
-                 request: InferenceRequest, start: float,
-                 index: int) -> Optional[_ServicePlan]:
+                 request: InferenceRequest, start: float, index: int,
+                 memo: Dict[tuple, Optional[_ServicePlan]]
+                 ) -> Optional[_ServicePlan]:
     """The service plan for ``request`` starting at ``start``.
 
     Without active capacity/latency faults this is the fault-free
     estimate.  Under faults, the request is re-estimated on the
     degraded platform; a shape that cannot fit even at B=1 is
-    unservable (``None``).
+    unservable (``None``).  ``memo`` holds the run's plans per
+    (shape, signature).
     """
     signature = controller.injector.performance_signature(start)
     if not signature:
         return controller._base_plan(request)
-    plan = controller._resolve_plan(request, signature, start)
+    key = (request, signature)
+    if key not in memo:
+        memo[key] = controller._resolve_plan(request, signature)
+    plan = memo[key]
     if plan is None:
         controller.stats.unservable += 1
         controller._count("faults.unservable")
         return None
-    controller._note_plan(plan, index, start)
+    controller._note_plan(plan.policy_shifted, plan.shrinks, index, start)
     return plan
 
 
@@ -304,21 +306,21 @@ def run_degraded(simulator: ServingSimulator,
             "requests and arrivals must have equal length")
     validate_arrivals(arrivals)
     telemetry = None if quiet else simulator._active_telemetry()
-    controller = DegradationController(simulator, scenario, telemetry)
+    controller = DegradationController(PlanTable(simulator.estimator),
+                                       scenario, telemetry)
 
     distinct = list(dict.fromkeys(requests))
-    try:
-        estimator = simulator.estimator
-        for request, estimate in zip(
-                distinct,
-                run_sweep(lambda r: cached_estimate(estimator, r),
-                          distinct)):
-            controller._base_plans[request] = _ServicePlan(
-                latency=estimate.latency,
-                n_chunks=controller._chunks(estimate),
-                shrinks=0, resolved=False, policy_shifted=False)
-    except CapacityError:
-        pass  # oversized shapes raise at their first arrival
+    for request in distinct:
+        try:
+            estimate = simulator.estimator.estimate(request)
+        except CapacityError:
+            continue  # oversized shapes raise at their first arrival
+        controller._base_plans[request] = _ServicePlan(
+            latency=estimate.latency,
+            n_chunks=controller._chunks(estimate),
+            shrinks=0, resolved=False, policy_shifted=False,
+            policies=(str(estimate.prefill_policy),
+                      str(estimate.decode_policy)))
     controller._count("serving.estimates", len(distinct),
                       result="computed")
     if len(requests) > len(distinct):
@@ -328,6 +330,7 @@ def run_degraded(simulator: ServingSimulator,
 
     report = LoopReport([], stats=controller.stats, scenario=scenario)
     finishes: List[float] = []
+    plans: Dict[tuple, Optional[_ServicePlan]] = {}
     free_at = 0.0
     for position, (request, arrival) in enumerate(zip(requests,
                                                       arrivals)):
@@ -339,7 +342,7 @@ def run_degraded(simulator: ServingSimulator,
             report.dropped_index.append(position)
             continue
         start = max(effective, free_at)
-        plan = plan_service(controller, request, start, index)
+        plan = plan_service(controller, request, start, index, plans)
         if plan is None:
             report.dropped.append(DroppedRequest(
                 request=request, arrival=arrival,
@@ -385,7 +388,7 @@ def run_admission_sequential(controller: DegradationController,
     arrivals = trace.tolist()
     segments = controller.injector.regimes()
     seg_los = [segment[0] for segment in segments]
-    tables: Dict[tuple, _PlanTable] = {
+    tables: Dict[tuple, _PlanColumns] = {
         (): _warm_base_plans(controller, workload)}
 
     served_positions: List[int] = []
@@ -407,11 +410,11 @@ def run_admission_sequential(controller: DegradationController,
         signature, stall_p = segments[bisect_right(seg_los, start) - 1][2:]
         table = tables.get(signature)
         if table is None:
-            table = tables[signature] = _PlanTable(len(shapes))
+            table = tables[signature] = _PlanColumns(len(shapes))
         code = codes[position]
         if not table.filled[code]:
             probe_code[0] = code
-            table.fill(controller, shapes, signature, probe_code, start)
+            table.fill(controller, shapes, signature, probe_code)
         if not table.ok[code]:
             stats.unservable += 1
             controller._count("faults.unservable")
@@ -419,15 +422,12 @@ def run_admission_sequential(controller: DegradationController,
             reasons.append(_UNSERVABLE_REASON)
             continue
         if signature:
-            controller._note_plan(_ServicePlan(
-                latency=float(table.latency[code]),
-                n_chunks=int(table.n_chunks[code]),
-                shrinks=int(table.shrinks[code]), resolved=True,
-                policy_shifted=bool(table.shifted[code])), index, start)
+            controller._note_plan(bool(table.shifted[code]),
+                                  int(table.shrinks[code]), index, start)
         penalty = 0.0
         if stall_p > 0.0:
-            penalty, ops = _cached_stall_outcome(
-                controller, stall_p, index, int(table.n_chunks[code]))
+            penalty, ops = _stall_outcome(controller.scenario, stall_p,
+                                          index, int(table.n_chunks[code]))
             if ops:
                 _apply_stall_ops(controller, index, start, ops)
         if signature or penalty > 0.0:

@@ -29,7 +29,7 @@ from repro.serving import (MultiReplicaSimulator, ScaleOutReport,
                            ServingReport, ServingSimulator,
                            WorkloadVector, arrivals_poisson,
                            lindley_timeline, run_fifo)
-from repro.serving.degradation import DegradationController
+from repro.serving.degradation import DegradationController, PlanTable
 from repro.serving.piecewise import _apply_stall_ops, _stall_outcome
 from repro.telemetry.runtime import Telemetry, activate
 from repro.telemetry.timeseries import (fleet_timeseries,
@@ -285,8 +285,10 @@ def test_stall_outcome_replays_transfer_penalty(simulator):
         retry=RetryPolicy(max_retries=2, timeout_s=0.05,
                           backoff_base_s=0.01),
         chunks_per_request=5)
-    live = DegradationController(_fresh(simulator), scenario)
-    shadow = DegradationController(_fresh(simulator), scenario)
+    live = DegradationController(PlanTable(simulator.estimator),
+                                 scenario)
+    shadow = DegradationController(PlanTable(simulator.estimator),
+                                   scenario)
     hit = False
     for index in range(40):
         penalty = transfer_penalty(live, 2.0, index, 5)
@@ -314,7 +316,7 @@ def _admission_controller(simulator, max_queue_depth,
         name="adm", seed=5,
         admission=AdmissionPolicy(max_queue_depth=max_queue_depth,
                                   max_deferrals=max_deferrals))
-    return DegradationController(_fresh(simulator), scenario)
+    return DegradationController(PlanTable(simulator.estimator), scenario)
 
 
 def test_admission_depth_ignores_finished_requests(simulator):
@@ -407,8 +409,8 @@ def _run_admission_kernel(simulator, kernel, workload, arrivals,
                           scenario, idx=None, telemetry=None):
     from repro.serving.simulator import validate_arrivals
 
-    controller = DegradationController(_fresh(simulator), scenario,
-                                       telemetry)
+    controller = DegradationController(PlanTable(simulator.estimator),
+                                       scenario, telemetry)
     trace = validate_arrivals(arrivals)
     out = list(kernel(controller, workload, trace,
                       None if idx is None

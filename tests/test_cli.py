@@ -173,7 +173,6 @@ def test_sweep(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "2 grid points" in out  # 2 batches x 1 len x 1 len
     assert "opt-30b on spr-a100" in out
-    assert "cache optimal_policy" in out
     import json
 
     payload = json.loads(out_json.read_text())
