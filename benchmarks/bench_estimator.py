@@ -11,26 +11,30 @@ Measures one OPT-30B/SPR-A100 512-token decode estimate two ways:
 Writes ``BENCH_estimator.json`` with per-repetition wall times, the
 average and cold-run speedups, and the seed-vs-fast relative error on
 every latency component (the two are bit-identical, so it is 0).  A
-second phase regenerates the full Fig. 9+10+11 grids over the thread
-pool and over the ``REPRO_SWEEP_PROCESSES`` process pool and compares
-wall time and row fingerprints.  A third phase builds the continuous
-scheduler's ``StepProfile`` grid for the continuous-kv workload
-(OPT-30B on SPR-A100 with two CXL expanders, max batch 32) two ways —
-one ``estimate`` per grid point vs one
-``LiaEstimator.decode_step_times`` call — and records the
-µs per grid point of each side (median and IQR after a warm-up) and
-whether the two grids are bit-identical.  The acceptance gates
-tracked by the repo:
+second phase builds the continuous scheduler's ``StepProfile`` grid
+for the continuous-kv workload (OPT-30B on SPR-A100 with two CXL
+expanders, max batch 32) two ways — one ``estimate`` per grid point
+vs one ``LiaEstimator.decode_step_times`` call — and records the µs
+per grid point of each side (median and IQR after a warm-up) and
+whether the two grids are bit-identical.  A third phase times the
+full Fig. 9+10+11 grid (398 rows, serial; median and IQR seconds
+after a warm-up) and fingerprints its rows.  A fourth races
+``sweep_fleet_grid`` in process against its process pool
+(:mod:`repro.serving.pool`) on a trace x chaos x fleet-size grid and
+compares wall time and summaries.  The acceptance gates tracked by
+the repo:
 
 * average estimator speedup >= 10x
 * max relative error < 1e-9
-* process-sweep rows bit-identical across the thread path and
-  process pools of 1, 2, and 4 workers (every machine)
 * step-profile grid bit-identical to the per-point estimates (every
   machine)
-* full-grid regeneration >= 3x faster over processes than the
-  thread-pool baseline (binds only where the run records >= 4 cores
-  — the wall-clock half of the gate is meaningless on smaller boxes)
+* figure-grid rows fingerprint to the committed
+  :data:`FIGURE_GRID_FINGERPRINT` (every machine)
+* process-sweep summaries identical in process and over pools of 1,
+  2, and 4 workers (every machine)
+* the fleet grid >= 3x faster over processes than in process (binds
+  only where the run records >= 4 cores — the wall-clock half of the
+  gate is meaningless on smaller boxes)
 
 Run: ``PYTHONPATH=src python benchmarks/bench_estimator.py [--quick]``
 """
@@ -69,8 +73,21 @@ PROFILE_SHAPES = ((1, 128, 16), (1, 512, 64), (8, 1024, 64),
 PROFILE_MAX_BATCH = 32
 PROFILE_CXL_EXPANDERS = 2
 
-#: Full-grid regeneration must beat the thread baseline by this much
-#: on a machine with >= PROCESS_SWEEP_MIN_CORES cores.
+#: sha256 of the fig09+10+11 rows (398 of them) as the drivers emit
+#: them; any change to a figure value changes it.
+FIGURE_GRID_FINGERPRINT = (
+    "a0ce57e037a733037dd26f1a008205fc87f7b74e9ee39fcf54f7b6df1400f6a1")
+
+#: The process-sweep fleet grid: trace x chaos x fleet size, each cell
+#: a whole fleet simulation of SWEEP_REQUESTS requests.
+SWEEP_TRACES = ("steady", "bursty")
+SWEEP_CHAOS = ("none", "replica-crash", "gray-failure")
+SWEEP_REPLICAS = (2, 4, 8, 16)
+SWEEP_REQUESTS = 40_000
+SWEEP_SHAPES = ((1, 128, 16), (1, 256, 32), (1, 512, 32))
+
+#: The fleet grid must beat the in-process baseline by this much on a
+#: machine with >= PROCESS_SWEEP_MIN_CORES cores.
 PROCESS_SWEEP_SPEEDUP_MIN = 3.0
 PROCESS_SWEEP_MIN_CORES = 4
 
@@ -106,56 +123,85 @@ def relative_error(seed, fast) -> float:
     return worst
 
 
-def _regen_fig_grids(processes: int) -> Dict[str, object]:
-    """Regenerate the full fig09+10+11 grids.
-
-    Returns the wall time and a sha256 fingerprint of every row, so
-    callers can compare both speed and bit-identity across executors.
-    ``processes=0`` is the thread-pool baseline.
-    """
+def _figure_rows() -> Tuple[int, str]:
+    """Regenerate the full fig09+10+11 grids: row count and a sha256
+    fingerprint of every row."""
     from repro.experiments import (fig09_policy_map, fig10_online_latency,
                                    fig11_offline_throughput)
-    start = time.perf_counter()
-    results = [fig09_policy_map.run(processes=processes),
-               fig10_online_latency.run(processes=processes),
-               fig11_offline_throughput.run(processes=processes)]
-    elapsed = time.perf_counter() - start
+    results = [fig09_policy_map.run(), fig10_online_latency.run(),
+               fig11_offline_throughput.run()]
     payload = json.dumps([r.rows for r in results], sort_keys=True,
                          default=repr).encode()
-    return {"seconds": elapsed, "rows": sum(len(r.rows) for r in results),
+    return (sum(len(r.rows) for r in results),
+            hashlib.sha256(payload).hexdigest())
+
+
+def figure_grid_phase(reps: int) -> Dict[str, object]:
+    """Serial fig09+10+11 regeneration: one warm-up, then ``reps``
+    timed runs (median and IQR seconds), fingerprint-gated against
+    :data:`FIGURE_GRID_FINGERPRINT`."""
+    rows, fingerprint = _figure_rows()  # warm-up
+    times: List[float] = []
+    for __ in range(reps):
+        start = time.perf_counter()
+        _figure_rows()
+        times.append(time.perf_counter() - start)
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"rows": rows, "reps": reps, "times_s": times,
+            "median_s": median, "iqr_s": q3 - q1,
+            "fingerprint": fingerprint,
+            "identical": fingerprint == FIGURE_GRID_FINGERPRINT}
+
+
+def _fleet_grid(processes: int) -> Dict[str, object]:
+    """One timed ``sweep_fleet_grid`` over the benchmark grid."""
+    from repro.serving.fleet import sweep_fleet_grid
+
+    estimator = LiaEstimator(get_model(MODEL), get_system(SYSTEM),
+                             LiaConfig(enforce_host_capacity=False))
+    start = time.perf_counter()
+    cells = sweep_fleet_grid(
+        estimator, SWEEP_TRACES, SWEEP_CHAOS, SWEEP_REPLICAS,
+        shapes=[InferenceRequest(*shape) for shape in SWEEP_SHAPES],
+        n_requests=SWEEP_REQUESTS, processes=processes)
+    elapsed = time.perf_counter() - start
+    payload = json.dumps(cells, sort_keys=True).encode()
+    return {"seconds": elapsed, "cells": len(cells),
             "fingerprint": hashlib.sha256(payload).hexdigest()}
 
 
 def process_sweep_phase() -> Dict[str, object]:
-    """Thread-pool vs process-pool full-grid regeneration.
+    """In-process vs process-pool ``sweep_fleet_grid``.
 
-    Times the thread baseline and a pool of ``min(4, cpu_count)``
+    Times the in-process baseline and a pool of ``min(4, cpu_count)``
     worker processes (pool spawned fresh inside the timed region, so
-    the speedup honestly pays the spawn cost), then re-runs the grids
-    at the other pool sizes in {1, 2, 4} to check that every executor
-    produces bit-identical rows.
+    the speedup honestly pays the spawn cost), then re-runs the grid
+    at the other pool sizes in {1, 2, 4} to check that every pool
+    size produces identical summaries.
     """
-    from repro.experiments.parallel import shutdown_pools
+    from repro.serving.pool import shutdown_pools
     cpu = os.cpu_count() or 1
     measured = min(PROCESS_SWEEP_MIN_CORES, max(1, cpu))
     shutdown_pools()
-    threads = _regen_fig_grids(0)
-    process = _regen_fig_grids(measured)
-    fingerprints = {"threads": threads["fingerprint"],
+    serial = _fleet_grid(0)
+    process = _fleet_grid(measured)
+    fingerprints = {"serial": serial["fingerprint"],
                     f"processes_{measured}": process["fingerprint"]}
     for size in (1, 2, PROCESS_SWEEP_MIN_CORES):
         key = f"processes_{size}"
         if key not in fingerprints:
-            fingerprints[key] = _regen_fig_grids(size)["fingerprint"]
+            fingerprints[key] = _fleet_grid(size)["fingerprint"]
     shutdown_pools()
-    speedup = threads["seconds"] / process["seconds"]
     return {
+        "grid": {"traces": list(SWEEP_TRACES), "chaos": list(SWEEP_CHAOS),
+                 "replicas": list(SWEEP_REPLICAS),
+                 "requests_per_cell": SWEEP_REQUESTS},
         "cpu_count": cpu,
         "processes": measured,
-        "rows": threads["rows"],
-        "thread_baseline_s": threads["seconds"],
+        "cells": serial["cells"],
+        "serial_s": serial["seconds"],
         "process_s": process["seconds"],
-        "speedup": speedup,
+        "speedup": serial["seconds"] / process["seconds"],
         "identical": len(set(fingerprints.values())) == 1,
         "fingerprints": fingerprints,
         # The wall-clock floor only means something when the pool can
@@ -236,6 +282,7 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
 
     error = relative_error(seed["stages"], fast["stages"])
     step_profile = step_profile_phase(reps=5 if quick else 15)
+    figure_grid = figure_grid_phase(reps=3 if quick else 7)
     process_sweep = process_sweep_phase()
     speedup_ok = (not process_sweep["speedup_gate_binds"]
                   or process_sweep["speedup"] >= PROCESS_SWEEP_SPEEDUP_MIN)
@@ -260,9 +307,11 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
         "speedup_cold": seed["cold_s"] / fast["cold_s"],
         "max_relative_error": error,
         "step_profile": step_profile,
+        "figure_grid": figure_grid,
         "process_sweep": process_sweep,
         "gates": {"speedup_mean_min": None if quick else 10.0,
                   "max_relative_error_max": 1e-9,
+                  "figure_grid_fingerprint": FIGURE_GRID_FINGERPRINT,
                   "process_sweep_speedup_min": PROCESS_SWEEP_SPEEDUP_MIN,
                   "process_sweep_min_cores": PROCESS_SWEEP_MIN_CORES},
         # Quick mode (CI smoke) gates only on correctness: with 2
@@ -303,11 +352,15 @@ def main() -> int:
           f"{profile['per_point']['median_us_per_point']:.0f} us/point vs "
           f"grid {profile['grid_table']['median_us_per_point']:.1f} "
           f"us/point (medians); identical={profile['identical']}")
+    figures = report["figure_grid"]
+    print(f"figure grid: {figures['rows']} rows, median "
+          f"{figures['median_s']:.3f}s (IQR {figures['iqr_s']:.3f}s); "
+          f"identical={figures['identical']}")
     sweep = report["process_sweep"]
     binds = "binds" if sweep["speedup_gate_binds"] else \
         f"advisory on {sweep['cpu_count']} core(s)"
-    print(f"process sweep: {sweep['rows']} rows, threads "
-          f"{sweep['thread_baseline_s']:.2f}s vs {sweep['processes']} "
+    print(f"process sweep: {sweep['cells']} fleet cells, in process "
+          f"{sweep['serial_s']:.2f}s vs {sweep['processes']} "
           f"processes {sweep['process_s']:.2f}s = "
           f"{sweep['speedup']:.2f}x ({binds}); "
           f"identical={sweep['identical']}")

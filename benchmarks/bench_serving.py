@@ -48,7 +48,7 @@ same mixed-shape workload at a saturating arrival rate.  The metrics
 gated here are *simulated-time* quantities — tokens per simulated
 second, not wall clock — so they bind in ``--quick`` too: the
 scheduler must beat FIFO throughput by the committed factor, every
-rep (and a forced ``REPRO_SWEEP_WORKERS=1`` rerun) must fingerprint
+rep (and an untimed rerun on a fresh scheduler) must fingerprint
 identically, and the FIFO-degenerate configuration (batch 1, join
 only into an empty batch, unbounded KV) must reproduce the FIFO
 report bit for bit.
@@ -63,7 +63,7 @@ The acceptance gates tracked by the repo:
 * fleet phase: deterministic reps, availability >= 99% with retries
   on, strict request loss with retries off (always)
 * scheduler phase: continuous/FIFO throughput ratio >= 1.3x,
-  deterministic fingerprints across reps and worker counts, and the
+  deterministic fingerprints across reps and a fresh rerun, and the
   degenerate config bit-identical to FIFO (always — sim-time gates)
 
 Run: ``PYTHONPATH=src python benchmarks/bench_serving.py [--quick]``
@@ -405,8 +405,6 @@ def _time_scheduler(estimator, n_requests: int,
     rep times are reported for trend-watching but never gated — the
     iteration loop is a per-decode-step Python pass.
     """
-    import os
-
     from repro.serving.scheduler import (ContinuousBatchScheduler,
                                          SchedulerConfig)
 
@@ -434,19 +432,11 @@ def _time_scheduler(estimator, n_requests: int,
         report = scheduler.run(requests, arrivals)
         times.append(time.perf_counter() - start)
         fingerprints.add(report.fingerprint())
-    # Worker-count invariance (untimed): REPRO_SWEEP_WORKERS must not
-    # leak thread scheduling into the timeline.
-    saved_workers = os.environ.get("REPRO_SWEEP_WORKERS")
-    try:
-        os.environ["REPRO_SWEEP_WORKERS"] = "1"
-        serial = ContinuousBatchScheduler(
-            estimator, scheduler_config).run(requests, arrivals)
-    finally:
-        if saved_workers is None:
-            os.environ.pop("REPRO_SWEEP_WORKERS", None)
-        else:
-            os.environ["REPRO_SWEEP_WORKERS"] = saved_workers
-    fingerprints.add(serial.fingerprint())
+    # Repeat-run identity (untimed): a fresh scheduler must write the
+    # same timeline.
+    fresh = ContinuousBatchScheduler(
+        estimator, scheduler_config).run(requests, arrivals)
+    fingerprints.add(fresh.fingerprint())
 
     # Degenerate config (batch 1, join="drain", unbounded KV) must
     # collapse to the FIFO report bit for bit — timeline and summary.

@@ -30,13 +30,14 @@ with a UTC timestamp.  ``check`` applies, per committed report:
   throughput ratio, fingerprint determinism, FIFO-degenerate
   bit-identity), so like the fleet gates they bind in ``--quick``
   too;
-* the step-profile grid's bit-identity to per-point estimates binds
-  everywhere, ``--quick`` included;
-* process-sweep gates bind in ``--quick`` as well: executor
-  bit-identity always, and the process-vs-thread speedup floor
-  whenever the entry's machine had enough cores to fan out (the
-  benchmark races its own pool against its own thread baseline, so
-  shared-machine noise largely cancels);
+* the step-profile grid's bit-identity to per-point estimates and
+  the figure grid's committed row fingerprint bind everywhere,
+  ``--quick`` included;
+* process-sweep gates bind in ``--quick`` as well: pool-vs-in-process
+  identity always, and the pool speedup floor whenever the entry's
+  machine had enough cores to fan out (the benchmark races its own
+  pool against its own in-process baseline, so shared-machine noise
+  largely cancels);
 * the run's own ``pass`` flag must be true.
 
 Stdlib only — it must run on a bare checkout.
@@ -119,6 +120,10 @@ def entry_from_report(report: Dict[str, object],
     step_profile = report.get("step_profile")
     if isinstance(step_profile, dict):
         entry["step_profile_identical"] = step_profile.get("identical")
+    figure_grid = report.get("figure_grid")
+    if isinstance(figure_grid, dict):
+        entry["figure_grid_identical"] = figure_grid.get("identical")
+        entry["figure_grid_median_s"] = figure_grid.get("median_s")
     process_sweep = report.get("process_sweep")
     if isinstance(process_sweep, dict):
         entry["process_sweep_speedup"] = process_sweep.get("speedup")
@@ -227,22 +232,25 @@ def check_against_committed(latest: Dict[str, object],
             f"the {ratio_gate:g}x gate")
     if latest.get("scheduler_deterministic") is False:
         failures.append(f"{name}: scheduler run is not deterministic "
-                        f"across reps/worker counts")
+                        f"across reps")
     if latest.get("scheduler_fifo_degenerate_identical") is False:
         failures.append(f"{name}: FIFO-degenerate scheduler config no "
                         f"longer reproduces the FIFO report")
     if latest.get("step_profile_identical") is False:
         failures.append(f"{name}: StepProfile grid is not bit-identical "
                         f"to the per-point estimates")
-    # Process-sweep gates: bit-identity across executors is pure
+    if latest.get("figure_grid_identical") is False:
+        failures.append(f"{name}: fig09+10+11 rows no longer match the "
+                        f"committed fingerprint")
+    # Process-sweep gates: pool-vs-in-process identity is pure
     # correctness and binds everywhere, quick included.  The speedup
     # floor is wall clock, but the benchmark spawns its own pool and
-    # compares against its own thread baseline on the same machine,
-    # so it binds in --quick too — whenever the entry's machine had
-    # enough cores for the pool to fan out.
+    # compares against its own in-process baseline on the same
+    # machine, so it binds in --quick too — whenever the entry's
+    # machine had enough cores for the pool to fan out.
     if latest.get("process_sweep_identical") is False:
-        failures.append(f"{name}: process-pool sweep rows are not "
-                        f"bit-identical to the thread path")
+        failures.append(f"{name}: process-pool sweep summaries are not "
+                        f"identical to the in-process path")
     sweep_gate = gates.get("process_sweep_speedup_min")
     sweep_speedup = latest.get("process_sweep_speedup")
     min_cores = gates.get("process_sweep_min_cores", 4)

@@ -5,7 +5,7 @@ Commands:
 * ``models`` / ``systems`` — list the zoos.
 * ``plan`` — choose policies and estimate one request.
 * ``policy-map`` — print a Fig. 9-style policy grid.
-* ``sweep`` — estimate a (batch, L_in, L_out) grid in parallel.
+* ``sweep`` — estimate a (batch, L_in, L_out) grid.
 * ``trace`` — run a workload and write a Perfetto/Chrome trace plus
   a metrics summary (see docs/OBSERVABILITY.md).
 * ``faults`` — run a degraded-serving simulation under a seeded
@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
-from repro.core.optimizer import optimal_policy
+from repro.core.optimizer import optimal_policy, policy_map
 from repro.errors import ConfigurationError, ReproError
 from repro.hardware.cpu import CPU_ZOO
 from repro.hardware.gpu import GPU_ZOO
@@ -80,8 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default=[32, 256, 1024, 2048])
 
     sweep = commands.add_parser(
-        "sweep", help="estimate a (batch, input-len, output-len) grid "
-                      "in parallel")
+        "sweep", help="estimate a (batch, input-len, output-len) grid")
     sweep.add_argument("--model", default="opt-30b")
     sweep.add_argument("--system", default="spr-a100")
     sweep.add_argument("--batches", type=int, nargs="+",
@@ -90,15 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=[32, 256, 1024])
     sweep.add_argument("--output-lens", type=int, nargs="+",
                        default=[32])
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="sweep worker threads (default: cpu count, "
-                            "capped; 0 = serial; env "
-                            "REPRO_SWEEP_WORKERS)")
-    sweep.add_argument("--processes", type=int, default=None,
-                       help="sweep worker *processes* — scales past "
-                            "the GIL with bit-identical results "
-                            "(default: env REPRO_SWEEP_PROCESSES; "
-                            "0 disables the process pool)")
     sweep.add_argument("--json", default="",
                        help="also write the rows as JSON here")
 
@@ -384,43 +374,29 @@ def _cmd_policy_map(args: argparse.Namespace) -> int:
     system = get_system(args.system)
     config = LiaConfig(enforce_host_capacity=False)
     stage = Stage(args.stage)
+    policies = policy_map(spec, stage, args.batches, args.lengths,
+                          system, config)
     header = "   B\\L " + "".join(f"{length:>22}" for length in args.lengths)
     print(f"{spec.name} on {system.name}, {stage.value} stage")
     print(header)
     for batch in args.batches:
-        cells = []
-        for length in args.lengths:
-            decision = optimal_policy(spec, stage, batch, length,
-                                      system, config)
-            cells.append(str(decision.policy))
+        cells = [str(policies[batch, length]) for length in args.lengths]
         print(f"{batch:>6} " + "".join(f"{c:>22}" for c in cells))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import KernelCall, default_processes
-    from repro.experiments.runner import default_workers, run_sweep
-
     spec = get_model(args.model)
     system = get_system(args.system)
-    config = LiaConfig(enforce_host_capacity=False)
+    estimator = LiaEstimator(spec, system,
+                             LiaConfig(enforce_host_capacity=False))
     points = [(batch, input_len, output_len)
               for batch in args.batches
               for input_len in args.input_lens
               for output_len in args.output_lens]
-    workers = (default_workers() if args.workers is None
-               else args.workers)
-    processes = (default_processes() if args.processes is None
-                 else args.processes)
-    # Every mode runs the same registered kernel, so serial, thread,
-    # and process sweeps print bit-identical rows.
-    estimates = run_sweep(
-        KernelCall("estimate", (spec.name, system.name, config)),
-        points, workers=workers, processes=processes)
-    executor = (f"{processes} processes" if processes
-                else f"{workers} workers")
-    print(f"{spec.name} on {system.name}: {len(points)} grid points, "
-          f"{executor}")
+    estimates = [estimator.estimate(InferenceRequest(*point))
+                 for point in points]
+    print(f"{spec.name} on {system.name}: {len(points)} grid points")
     print(f"{'B':>6} {'L_in':>6} {'L_out':>6} {'latency_s':>12} "
           f"{'tokens_per_s':>14}  policy (prefill/decode)")
     rows = []

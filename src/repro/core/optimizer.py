@@ -136,6 +136,20 @@ def search_grid(terms: LayerTerms, config: LiaConfig,
         layer_time=np.take_along_axis(times, best[np.newaxis], 0)[0])
 
 
+def _count_searches(stage: Stage, config: LiaConfig, points: int) -> None:
+    """Fig. 9 sweep accounting: ``points`` Eq. (1) searches requested,
+    and the candidate policies each one scores."""
+    telemetry = current_telemetry()
+    if telemetry is None:
+        return
+    telemetry.metrics.counter("policy.searches",
+                              stage=stage.value).inc(points)
+    telemetry.metrics.counter("policy.evaluations",
+                              stage=stage.value).inc(
+        points * (len(ALL_POLICIES)
+                  if _forced_policy(stage, config) is None else 1))
+
+
 def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
                    context_len: int, system: SystemConfig,
                    config: LiaConfig,
@@ -144,16 +158,7 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
 
     The one-point case of :func:`search_grid`.
     """
-    telemetry = current_telemetry()
-    if telemetry is not None:
-        # Fig. 9 sweep accounting: how many Eq. (1) searches were
-        # requested and how many candidate policies each one scores.
-        telemetry.metrics.counter("policy.searches",
-                                  stage=stage.value).inc()
-        telemetry.metrics.counter("policy.evaluations",
-                                  stage=stage.value).inc(
-            len(ALL_POLICIES) if _forced_policy(stage, config) is None
-            else 1)
+    _count_searches(stage, config, 1)
     terms = layer_terms(spec, stage, batch_size, context_len, system,
                         config)
     grid = search_grid(terms, config, weights_resident)
@@ -166,38 +171,24 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
 
 def policy_map(spec: ModelSpec, stage: Stage, batch_sizes: Sequence[int],
                context_lens: Sequence[int], system: SystemConfig,
-               config: LiaConfig,
-               workers: Optional[int] = None,
-               processes: Optional[int] = None
+               config: LiaConfig
                ) -> Dict[Tuple[int, int], OffloadPolicy]:
     """Fig. 9: the optimal policy over a (B, L) grid.
 
-    Returns ``{(batch_size, context_len): policy}``.  Grid points are
-    independent Eq. (1) searches, so they fan out over the sweep
-    runner — process-parallel via the ``policy_map`` kernel when
-    ``processes``/``REPRO_SWEEP_PROCESSES`` asks for it and the spec
-    and system rebuild from the zoo by name, thread-parallel
-    otherwise; the result is deterministic regardless of ``workers``
-    or ``processes``.
+    Returns ``{(batch_size, context_len): policy}`` in row-major grid
+    order.  One term table over ``(B[:, None], L[None, :])`` and one
+    :func:`search_grid` call solve every point; the telemetry counts
+    one search per point, as for per-point :func:`optimal_policy`.
     """
-    from repro.experiments.kernels import zoo_resolvable
-    from repro.experiments.parallel import KernelCall
-    from repro.experiments.runner import run_sweep
-
-    points = [(batch_size, context_len) for batch_size in batch_sizes
-              for context_len in context_lens]
-    if zoo_resolvable(spec, system):
-        policies = run_sweep(
-            KernelCall("policy_map",
-                       (spec.name, system.name, stage, config)),
-            points, workers=workers, processes=processes)
-        return dict(zip(points, policies))
-    decisions = run_sweep(
-        lambda point: optimal_policy(spec, stage, point[0], point[1],
-                                     system, config),
-        points, workers=workers)
-    return {point: decision.policy
-            for point, decision in zip(points, decisions)}
+    batches = np.asarray(batch_sizes)
+    lengths = np.asarray(context_lens)
+    terms = layer_terms(spec, stage, batches[:, np.newaxis],
+                        lengths[np.newaxis, :], system, config)
+    grid = search_grid(terms, config)
+    _count_searches(stage, config, batches.size * lengths.size)
+    return {(int(batch_size), int(context_len)): grid.policy((i, j))
+            for i, batch_size in enumerate(batches)
+            for j, context_len in enumerate(lengths)}
 
 
 def decode_policy_threshold(spec: ModelSpec, system: SystemConfig,

@@ -20,7 +20,7 @@ Two invariants hold at every point in time, property-tested in
 
 All decisions are deterministic functions of the admission order —
 no RNG, no wall clock — so scheduler runs are bit-identical across
-``REPRO_SWEEP_WORKERS`` settings by construction.
+repeat runs by construction.
 """
 
 from __future__ import annotations

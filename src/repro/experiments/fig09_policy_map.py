@@ -8,16 +8,15 @@ batch-size threshold that is independent of L.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.optimizer import (
     decode_policy_threshold,
+    policy_map,
     prefill_policy_transition,
 )
 from repro.experiments.frameworks import EVAL_CONFIG
-from repro.experiments.parallel import KernelCall
 from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import run_sweep
 from repro.hardware.system import get_system
 from repro.models.sublayers import Stage
 from repro.models.zoo import get_model
@@ -29,38 +28,27 @@ DEFAULT_LENGTHS = (32, 128, 512, 1024, 2048)
 def run(model: str = "opt-175b",
         system_names: Sequence[str] = ("spr-a100", "spr-h100"),
         batch_sizes: Sequence[int] = DEFAULT_BATCHES,
-        input_lens: Sequence[int] = DEFAULT_LENGTHS,
-        processes: Optional[int] = None) -> ExperimentResult:
+        input_lens: Sequence[int] = DEFAULT_LENGTHS) -> ExperimentResult:
     """Policy-map rows plus the two transition thresholds per system.
 
-    The grid's Eq. (1) searches are independent, so they fan out over
-    the sweep runner — thread-parallel by default, process-parallel
-    under ``processes``/``REPRO_SWEEP_PROCESSES`` (the grid travels as
-    the picklable ``fig09.policy`` kernel); the bisection thresholds
-    stay sequential (each probe depends on the last) but ride the
-    warmed policy cache.
+    Each (system, stage) grid is one :func:`policy_map` call — one
+    term table and one Eq. (1) grid search; the bisection thresholds
+    are sequential one-point searches (each probe depends on the
+    last).
     """
     spec = get_model(model)
     result = ExperimentResult(
         experiment_id="fig09",
         title=f"optimal offloading policies, {model}")
-    points_per_system = len(Stage) * len(batch_sizes) * len(input_lens)
-    points = [(system_name, stage.value, batch_size, input_len)
-              for system_name in system_names
-              for stage in Stage
-              for batch_size in batch_sizes
-              for input_len in input_lens]
-    policies = run_sweep(KernelCall("fig09.policy", (model, EVAL_CONFIG)),
-                         points, processes=processes)
-    for index, system_name in enumerate(system_names):
+    for system_name in system_names:
         system = get_system(system_name)
-        start = index * points_per_system
-        for (_, stage_value, batch_size, input_len), policy in zip(
-                points[start:start + points_per_system],
-                policies[start:start + points_per_system]):
-            result.add_row(system=system_name, stage=stage_value,
-                           batch_size=batch_size, input_len=input_len,
-                           policy=policy)
+        for stage in Stage:
+            policies = policy_map(spec, stage, batch_sizes, input_lens,
+                                  system, EVAL_CONFIG)
+            for (batch_size, input_len), policy in policies.items():
+                result.add_row(system=system_name, stage=stage.value,
+                               batch_size=batch_size,
+                               input_len=input_len, policy=str(policy))
         decode_b = decode_policy_threshold(spec, system, EVAL_CONFIG)
         prefill_bl = prefill_policy_transition(spec, system, EVAL_CONFIG)
         result.add_row(system=system_name, stage="thresholds",

@@ -10,12 +10,12 @@ FlexGen on SPR-A100; 2.1-2.5x / 1.1-1.5x vs IPEX and 4.9-7.0x /
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.experiments.parallel import KernelCall
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import run_sweep
-from repro.models.workload import paper_input_lengths
+from repro.experiments.frameworks import estimate_or_oom
+from repro.experiments.reporting import OOM, ExperimentResult
+from repro.hardware.system import get_system
+from repro.models.workload import InferenceRequest, paper_input_lengths
 from repro.models.zoo import get_model
 
 #: (system, model) pairs evaluated in Fig. 10.
@@ -31,37 +31,27 @@ DEFAULT_FRAMEWORKS = ("lia", "ipex", "flexgen")
 
 def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         frameworks: Sequence[str] = DEFAULT_FRAMEWORKS,
-        output_lens: Sequence[int] = (32, 256),
-        processes: Optional[int] = None) -> ExperimentResult:
-    """Latency rows (s/query) for the full Fig. 10 grid.
-
-    Each (system, model, framework, request) cell is an independent
-    estimate; the grid fans out over the sweep runner — threads by
-    default, the process pool under ``processes`` /
-    ``REPRO_SWEEP_PROCESSES`` via the ``fig10.latency`` kernel — in
-    deterministic input order either way.
-    """
+        output_lens: Sequence[int] = (32, 256)) -> ExperimentResult:
+    """Latency rows (s/query) for the full Fig. 10 grid, one
+    estimate per (system, model, framework, request) cell."""
     result = ExperimentResult(
         experiment_id="fig10",
         title="online inference latency (B=1)")
-    points = []
     for system_name, model in pairs:
         spec = get_model(model)
+        system = get_system(system_name)
         for output_len in output_lens:
             for input_len in paper_input_lengths(spec, output_len):
                 for framework in frameworks:
-                    points.append((system_name, model, framework,
-                                   input_len, output_len))
-
-    latencies = run_sweep(KernelCall("fig10.latency"), points,
-                          processes=processes)
-    for point, latency in zip(points, latencies):
-        system_name, model, framework, input_len, output_len = point
-        result.add_row(system=system_name, model=model,
-                       framework=framework,
-                       input_len=input_len,
-                       output_len=output_len,
-                       latency_s=latency)
+                    estimated = estimate_or_oom(
+                        framework, spec, system,
+                        InferenceRequest(1, input_len, output_len))
+                    result.add_row(
+                        system=system_name, model=model,
+                        framework=framework, input_len=input_len,
+                        output_len=output_len,
+                        latency_s=(OOM if estimated == OOM
+                                   else estimated.latency))
     return result
 
 

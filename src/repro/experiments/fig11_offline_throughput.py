@@ -11,13 +11,13 @@ off accordingly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.experiments.fig10_online_latency import DEFAULT_PAIRS
-from repro.experiments.parallel import KernelCall
-from repro.experiments.reporting import ExperimentResult
-from repro.experiments.runner import run_sweep
-from repro.models.workload import paper_input_lengths
+from repro.experiments.frameworks import estimate_or_oom
+from repro.experiments.reporting import OOM, ExperimentResult
+from repro.hardware.system import get_system
+from repro.models.workload import InferenceRequest, paper_input_lengths
 from repro.models.zoo import get_model
 
 DEFAULT_FRAMEWORKS = ("lia", "ipex", "flexgen")
@@ -26,40 +26,31 @@ DEFAULT_FRAMEWORKS = ("lia", "ipex", "flexgen")
 def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         frameworks: Sequence[str] = DEFAULT_FRAMEWORKS,
         batch_sizes: Sequence[int] = (64, 900),
-        output_lens: Sequence[int] = (32, 256),
-        processes: Optional[int] = None) -> ExperimentResult:
-    """Throughput rows (tokens/s) for the full Fig. 11 grid.
-
-    Grid cells are independent estimates; the sweep runner fans them
-    out — threads by default, the process pool under ``processes`` /
-    ``REPRO_SWEEP_PROCESSES`` via the ``fig11.throughput`` kernel —
-    and returns them in deterministic input order.
-    """
+        output_lens: Sequence[int] = (32, 256)) -> ExperimentResult:
+    """Throughput rows (tokens/s) for the full Fig. 11 grid, one
+    estimate per (system, model, framework, request) cell."""
     result = ExperimentResult(
         experiment_id="fig11",
         title="offline inference throughput (B=64, 900)")
-    points = []
     for system_name, model in pairs:
         spec = get_model(model)
+        system = get_system(system_name)
         for batch_size in batch_sizes:
             for output_len in output_lens:
                 for input_len in paper_input_lengths(spec, output_len):
                     for framework in frameworks:
-                        points.append((system_name, model, framework,
-                                       batch_size, input_len,
-                                       output_len))
-
-    throughputs = run_sweep(KernelCall("fig11.throughput"), points,
-                            processes=processes)
-    for point, throughput in zip(points, throughputs):
-        system_name, model, framework, batch_size, input_len, \
-            output_len = point
-        result.add_row(system=system_name, model=model,
-                       framework=framework,
-                       batch_size=batch_size,
-                       input_len=input_len,
-                       output_len=output_len,
-                       tokens_per_s=throughput)
+                        estimated = estimate_or_oom(
+                            framework, spec, system,
+                            InferenceRequest(batch_size, input_len,
+                                             output_len))
+                        result.add_row(
+                            system=system_name, model=model,
+                            framework=framework,
+                            batch_size=batch_size,
+                            input_len=input_len,
+                            output_len=output_len,
+                            tokens_per_s=(OOM if estimated == OOM
+                                          else estimated.throughput))
     return result
 
 

@@ -18,13 +18,12 @@ through an arrival trace (see :mod:`repro.workloads`) while:
 
 The simulation is one deterministic sequential pass in arrival
 order: every decision depends only on the trace, the service times,
-and the scenario schedule — never on wall clock, hash order, or
-``REPRO_SWEEP_WORKERS``.  With an idle scenario (no faults, no
-hedging) and no autoscaler the engine commits ``start =
-max(arrival, free)`` / ``finish = start + service`` in exactly the
-float-op order of the static round-robin fleet, so it reproduces
-:class:`ScaleOutReport` timelines bit for bit — the property
-``tests/serving/test_fleet.py`` pins.
+and the scenario schedule — never on wall clock or hash order.
+With an idle scenario (no faults, no hedging) and no autoscaler the
+engine commits ``start = max(arrival, free)`` / ``finish = start +
+service`` in exactly the float-op order of the static round-robin
+fleet, so it reproduces :class:`ScaleOutReport` timelines bit for
+bit — the property ``tests/serving/test_fleet.py`` pins.
 """
 
 from __future__ import annotations
@@ -36,10 +35,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import LiaConfig
+from repro.core.estimator import LiaEstimator
 from repro.errors import ConfigurationError
 from repro.faults.fleet import (FleetScenario, ReplicaFaultKind,
                                 get_fleet_scenario)
+from repro.hardware.system import get_system
+from repro.models.workload import InferenceRequest
+from repro.models.zoo import get_model
 from repro.serving.degradation import PlanTable
+from repro.serving.pool import run_process_sweep, use_pool
 from repro.serving.simulator import ServingSimulator, validate_arrivals
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import Telemetry
@@ -983,7 +988,7 @@ def run_fleet_cell(estimator, trace_name: str, chaos_name: str,
     specs, so regeneration is deterministic), the request mix samples
     from the shared ``(seed, shapes)`` contract, and only the scalar
     cross-section returns — the same dict whether the cell runs
-    in-process or inside a ``fleet.cell`` sweep worker.
+    in process or inside a pool worker.
     ``n_requests > 0`` rescales the trace (0 keeps the preset size).
     """
     trace_spec = get_trace(trace_name)
@@ -1012,44 +1017,52 @@ def run_fleet_cell(estimator, trace_name: str, chaos_name: str,
     }
 
 
+def _fleet_cells(estimator, shapes: Sequence, seed: int,
+                 n_requests: int,
+                 points: Sequence[Tuple[str, str, int]]
+                 ) -> List[Dict[str, Any]]:
+    """:func:`run_fleet_cell` at every ``(trace, chaos, k)`` point."""
+    return [run_fleet_cell(estimator, trace_name, chaos_name, k,
+                           shapes=shapes, seed=seed,
+                           n_requests=n_requests)
+            for trace_name, chaos_name, k in points]
+
+
+def _fleet_cell_chunk(model: str, system: str, config: LiaConfig,
+                      shapes: Tuple[InferenceRequest, ...], seed: int,
+                      n_requests: int,
+                      points: Sequence[Tuple[str, str, int]]
+                      ) -> List[Dict[str, Any]]:
+    """:func:`_fleet_cells` in a pool worker, with the estimator
+    rebuilt from the zoo by name."""
+    estimator = LiaEstimator(get_model(model), get_system(system), config)
+    return _fleet_cells(estimator, shapes, seed, n_requests, points)
+
+
 def sweep_fleet_grid(estimator, trace_names: Sequence[str],
                      chaos_names: Sequence[str],
                      replica_counts: Sequence[int], *,
                      shapes: Sequence, seed: int = 0,
                      n_requests: int = 0,
-                     workers: Optional[int] = None,
-                     processes: Optional[int] = None
+                     processes: int = 0
                      ) -> List[Dict[str, Any]]:
     """:func:`run_fleet_cell` over trace x chaos x fleet size.
 
-    Cells are independent simulations, so they fan out over the sweep
-    runner — the ``fleet.cell`` kernel carries only names, the seed,
-    and the (tiny) shape tuple across the process boundary.  Cell
-    order is the nested product order (traces outermost), identical
-    on every execution path.
+    Cells are independent simulations.  They run in process by default;
+    with ``processes > 0`` they fan out over the
+    :mod:`repro.serving.pool` process pool, carrying only names, the
+    seed, and the (tiny) shape tuple across the process boundary.
+    Cell order is the nested product order (traces outermost), and
+    results are bit-identical at any ``processes``.
     """
-    from repro.experiments.kernels import zoo_resolvable
-    from repro.experiments.parallel import KernelCall, default_processes
-    from repro.experiments.runner import run_sweep
-
     points = [(trace_name, chaos_name, int(k))
               for trace_name in trace_names
               for chaos_name in chaos_names
               for k in replica_counts]
-    resolved = default_processes() if processes is None else processes
-    if resolved > 0 and zoo_resolvable(estimator.spec,
-                                       estimator.system):
-        return run_sweep(
-            KernelCall("fleet.cell",
-                       (estimator.spec.name, estimator.system.name,
-                        estimator.config, tuple(shapes), seed,
-                        n_requests)),
-            points, workers=workers, processes=resolved)
-
-    def cell(point: Tuple[str, str, int]) -> Dict[str, Any]:
-        trace_name, chaos_name, k = point
-        return run_fleet_cell(estimator, trace_name, chaos_name, k,
-                              shapes=shapes, seed=seed,
-                              n_requests=n_requests)
-
-    return run_sweep(cell, points, workers=workers)
+    if use_pool(estimator, processes):
+        return run_process_sweep(
+            _fleet_cell_chunk,
+            (estimator.spec.name, estimator.system.name,
+             estimator.config, tuple(shapes), seed, n_requests),
+            points, processes=processes)
+    return _fleet_cells(estimator, shapes, seed, n_requests, points)

@@ -1,30 +1,30 @@
-"""Process-parallel sweep execution with shared-memory workloads.
+"""Process pool for the fleet sweeps, with shared-memory workloads.
 
-:func:`repro.experiments.runner.run_sweep` fans grid points out over
-threads, which leaves the big grids — Fig. 9/10/11 regeneration, trace x fleet x
-scenario sweeps — GIL-bound around the numpy kernels.  This module
-adds a **multiprocess** executor behind the same deterministic
-interface:
+Estimator grids (the figure drivers, ``policy_map``, ``repro sweep``)
+run as plain ordered loops: the estimator is array-native and a pool
+costs more than it saves there.  The fleet sweeps —
+:func:`~repro.serving.replicas.sweep_fleet_sizes` and
+:func:`~repro.serving.fleet.sweep_fleet_grid` — are different: every
+cell is a whole serving simulation, and a warm pool wins.  This module
+is what they fan out over:
 
-* **Named kernels, not pickled closures.**  Sweep work closes over
-  model/system/estimator objects that are not picklable-by-contract.
-  A :class:`KernelCall` therefore names a *registered kernel* plus a
-  small picklable context (model/system names, a frozen config, a
-  shared-memory handle); each worker rebuilds the closure once via the
-  registry and memoizes it across chunks and sweeps.
+* **Chunk functions, not closures.**  A sweep hands the pool a
+  picklable top-level function plus its arguments; each chunk runs
+  ``fn(*args, points)`` in a worker and returns one result per point.
+  The arguments carry model/system *names*, a frozen config and
+  shared-memory handles, so heavyweight objects never cross the
+  process boundary.
 * **Persistent spawn-safe pools.**  Worker pools use the ``spawn``
   start context (fork is unsafe under threads) and persist across
-  ``run_process_sweep`` calls, amortizing interpreter start-up and
-  closure rebuilds.  :func:`shutdown_pools` tears them
-  down and unlinks every published shared-memory segment.
+  sweeps, amortizing interpreter start-up.  :func:`shutdown_pools`
+  tears them down and unlinks every published shared-memory segment.
 * **Chunked ordered scheduling.**  Points split into chunks whose
   boundaries depend only on the point count — never the pool size —
-  and results return in input order, so a sweep is bit-identical
-  across ``REPRO_SWEEP_PROCESSES`` values and vs the thread/serial
-  paths.  The first failing chunk's exception propagates (lowest
-  chunk index, deterministically); a worker that dies mid-chunk
-  surfaces a one-line :class:`~repro.errors.SweepWorkerError` instead
-  of a hang.
+  and results return in input order, so a sweep is bit-identical at
+  any pool size and in process.  The first failing chunk's exception
+  propagates (lowest chunk index, deterministically); a worker that
+  dies mid-chunk surfaces a one-line
+  :class:`~repro.errors.SweepWorkerError` instead of a hang.
 * **Zero-copy workloads.**  Columnar arrays travel to workers through
   ``multiprocessing.shared_memory``: :func:`publish_array` /
   :func:`publish_workload` return small picklable handles that
@@ -33,204 +33,64 @@ interface:
 * **Deterministic telemetry.**  Each chunk runs under a fresh
   :class:`~repro.telemetry.runtime.Telemetry`; the parent merges the
   per-chunk registries into the ambient registry *in chunk order*, so
-  merged counters are bit-identical across process counts.  (Spans do
-  not cross the process boundary; ``telemetry.chunks`` counts the
+  merged counters are bit-identical across pool sizes.  (Spans do not
+  cross the process boundary; ``telemetry.chunks`` counts the
   merges.)
-* **Keyed RNG.**  :func:`sweep_rng` / :func:`sweep_generator` derive
-  a per-point RNG from ``(seed, point index)`` exactly like
-  :meth:`repro.faults.spec.FaultScenario.rng_for`, so sampled
-  workloads are worker-count-invariant by construction.
 """
 
 from __future__ import annotations
 
 import atexit
 import math
-import os
-import random
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Tuple)
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SweepWorkerError
+from repro.hardware.system import get_system
+from repro.models.zoo import get_model
 from repro.telemetry.runtime import Telemetry, activate
 from repro.telemetry.runtime import current as current_telemetry
 
 if TYPE_CHECKING:
+    from repro.core.estimator import LiaEstimator
     from repro.models.workload import InferenceRequest
     from repro.serving.vectorized import WorkloadVector
-
-#: Environment override for the process-pool size.  Unset or ``0``
-#: disables the process path (thread/serial execution); ``1`` runs a
-#: real one-worker pool — the strongest determinism probe, since it
-#: exercises the full pickle/spawn/merge machinery.
-PROCESSES_ENV = "REPRO_SWEEP_PROCESSES"
 
 #: A sweep splits into at most this many chunks.  Fixed — not derived
 #: from the pool size — so chunk boundaries, per-chunk telemetry, and
 #: the merge order depend only on the number of points; that is what
-#: makes results bit-identical across ``REPRO_SWEEP_PROCESSES``.
+#: makes results bit-identical across pool sizes.
 TARGET_CHUNKS = 32
 
-#: The fault injector's seed-mixing constant, reused so sweep RNG
-#: derivation follows the same ``(seed, index)`` keying contract.
-_SEED_MIX = 0x9E3779B1
+#: ``fn(*args, points) -> one result per point``.
+ChunkFn = Callable[..., List[Any]]
 
 
-def default_processes() -> int:
-    """Pool size from ``$REPRO_SWEEP_PROCESSES``; 0 = disabled.
+def use_pool(estimator: "LiaEstimator", processes: int) -> bool:
+    """Whether a fleet sweep over ``estimator`` goes to the pool.
 
-    Unlike the thread path's ``default_workers`` there is **no**
-    8-worker cap: process fan-out scales past the GIL, so the env
-    value is honored verbatim.
+    ``processes`` must be ``>= 0``; 0 keeps the sweep in process.
+    The pool ships zoo names, not objects, so a hand-built spec or a
+    mutated system (which would rebuild differently by name) stays in
+    process too.
     """
-    env = os.environ.get(PROCESSES_ENV, "").strip()
-    if not env:
-        return 0
+    if processes < 0:
+        raise ConfigurationError(
+            f"processes must be >= 0, got {processes}")
+    if processes == 0:
+        return False
     try:
-        value = int(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"{PROCESSES_ENV} must be an integer, got {env!r}"
-        ) from None
-    if value < 0:
-        raise ConfigurationError(
-            f"{PROCESSES_ENV} must be >= 0, got {value}")
-    return value
-
-
-# ----------------------------------------------------------------------
-# Kernel registry
-# ----------------------------------------------------------------------
-#: A kernel factory rebuilds the sweep closure from a picklable
-#: context: ``factory(*ctx) -> (point -> result)``.
-KernelFactory = Callable[..., Callable[[Any], Any]]
-
-_KERNELS: Dict[str, KernelFactory] = {}
-
-#: Per-process memo of resolved closures, keyed ``(kernel, ctx)`` —
-#: a worker rebuilds each estimator/simulator once, not per chunk.
-_RESOLVED: Dict[Any, Callable[[Any], Any]] = {}
-
-
-def sweep_kernel(name: str) -> Callable[[KernelFactory], KernelFactory]:
-    """Register ``factory`` under ``name`` (decorator)."""
-    if not name:
-        raise ConfigurationError("kernel name must be non-empty")
-
-    def register(factory: KernelFactory) -> KernelFactory:
-        existing = _KERNELS.get(name)
-        if existing is not None and existing is not factory:
-            raise ConfigurationError(
-                f"sweep kernel {name!r} is already registered")
-        _KERNELS[name] = factory
-        return factory
-
-    return register
-
-
-def kernel_names() -> List[str]:
-    """Registered kernel names (built-ins load on first use)."""
-    _load_builtin_kernels()
-    return sorted(_KERNELS)
-
-
-def _load_builtin_kernels() -> None:
-    # Imported lazily: the kernels module pulls in drivers/serving,
-    # which import the runner — a cycle at module-import time.
-    import repro.experiments.kernels  # noqa: F401
-
-
-def resolve_kernel(name: str) -> KernelFactory:
-    """The factory behind ``name``.
-
-    Besides registered names, ``"pkg.module:attr"`` resolves by
-    import — the escape hatch tests and downstream code use to run
-    kernels that are not part of the built-in registry (the module
-    must be importable inside spawned workers).
-    """
-    _load_builtin_kernels()
-    if ":" in name:
-        module_name, _, attr = name.partition(":")
-        try:
-            import importlib
-
-            module = importlib.import_module(module_name)
-        except ImportError as error:
-            raise ConfigurationError(
-                f"cannot import kernel module {module_name!r}: "
-                f"{error}") from None
-        factory = getattr(module, attr, None)
-        if factory is None:
-            raise ConfigurationError(
-                f"module {module_name!r} has no kernel {attr!r}")
-        return factory
-    factory = _KERNELS.get(name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown sweep kernel {name!r}; registered: "
-            f"{', '.join(kernel_names()) or '(none)'}")
-    return factory
-
-
-def _resolved_fn(name: str, ctx: Tuple[Any, ...]) -> Callable[[Any], Any]:
-    try:
-        key = (name, ctx)
-        hash(key)
-    except TypeError:
-        return resolve_kernel(name)(*ctx)
-    fn = _RESOLVED.get(key)
-    if fn is None:
-        fn = resolve_kernel(name)(*ctx)
-        _RESOLVED[key] = fn
-    return fn
-
-
-@dataclass(frozen=True)
-class KernelCall:
-    """A picklable sweep task: a kernel name plus its rebuild context.
-
-    Callable like the closure it names, so the thread/serial paths in
-    :func:`~repro.experiments.runner.run_sweep` accept it unchanged —
-    the process path is purely a transport decision.
-    """
-
-    kernel: str
-    ctx: Tuple[Any, ...] = ()
-
-    def resolve(self) -> Callable[[Any], Any]:
-        """Rebuild (or fetch the memoized) point function."""
-        return _resolved_fn(self.kernel, self.ctx)
-
-    def __call__(self, point: Any) -> Any:
-        return self.resolve()(point)
-
-
-# ----------------------------------------------------------------------
-# Keyed RNG (worker-count-invariant by construction)
-# ----------------------------------------------------------------------
-def sweep_rng(seed: int, index: int) -> random.Random:
-    """A stdlib RNG keyed ``(seed, point index)``.
-
-    The same derivation as ``FaultScenario.rng_for``: outcomes depend
-    only on the sweep seed and the point's position — never on which
-    worker runs it or in what order.
-    """
-    if index < 0:
-        raise ConfigurationError(f"index must be >= 0, got {index}")
-    return random.Random((seed << 24) ^ _SEED_MIX ^ index)
-
-
-def sweep_generator(seed: int, index: int) -> np.random.Generator:
-    """The numpy flavor of :func:`sweep_rng` (PCG64, keyed seed seq)."""
-    if index < 0:
-        raise ConfigurationError(f"index must be >= 0, got {index}")
-    return np.random.default_rng((seed, _SEED_MIX, index))
+        return (get_model(estimator.spec.name) is estimator.spec
+                and get_system(estimator.system.name)
+                is estimator.system)
+    except ConfigurationError:  # not a zoo name
+        return False
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +112,7 @@ _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
 class ShmArrayHandle:
     """A picklable handle to a numpy array in shared memory.
 
-    Travels inside :class:`KernelCall` contexts; ``array()`` in a
+    Travels among a chunk function's arguments; ``array()`` in a
     worker maps the segment and returns a zero-copy view.  The view
     is read-only by contract: chunks run concurrently over the same
     pages.
@@ -320,6 +180,14 @@ def retain(handle: ShmArrayHandle) -> None:
     segment.refs += 1
 
 
+def _unlink(segment: _Segment) -> None:
+    segment.shm.close()
+    try:
+        segment.shm.unlink()
+    except FileNotFoundError:
+        pass
+
+
 def release(handle: ShmArrayHandle) -> None:
     """Drop a reference; the last one closes and unlinks the segment.
 
@@ -332,11 +200,7 @@ def release(handle: ShmArrayHandle) -> None:
     segment.refs -= 1
     if segment.refs <= 0:
         del _PUBLISHED[handle.name]
-        segment.shm.close()
-        try:
-            segment.shm.unlink()
-        except FileNotFoundError:
-            pass
+        _unlink(segment)
 
 
 def published_segments() -> List[str]:
@@ -377,21 +241,19 @@ def release_workload(shared: SharedWorkload) -> None:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _run_chunk(call: KernelCall, points: List[Any],
+def _run_chunk(fn: ChunkFn, args: Tuple[Any, ...], points: List[Any],
                collect_telemetry: bool):
     """Execute one chunk inside a worker process.
 
-    Resolves the kernel through the per-process memo (one rebuild
-    per worker, not per chunk), runs the points in order, and — when the parent
-    had ambient telemetry — runs them under a fresh registry whose
-    state returns with the results for an ordered merge.
+    When the parent had ambient telemetry, the chunk runs under a
+    fresh registry whose state returns with the results for an
+    ordered merge.
     """
-    fn = call.resolve()
     if not collect_telemetry:
-        return [fn(point) for point in points], None
+        return fn(*args, points), None
     telemetry = Telemetry()
     with activate(telemetry):
-        results = [fn(point) for point in points]
+        results = fn(*args, points)
     return results, telemetry.metrics
 
 
@@ -421,12 +283,7 @@ def shutdown_pools() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
     _POOLS.clear()
     for name in list(_PUBLISHED):
-        segment = _PUBLISHED.pop(name)
-        segment.shm.close()
-        try:
-            segment.shm.unlink()
-        except FileNotFoundError:
-            pass
+        _unlink(_PUBLISHED.pop(name))
 
 
 def _discard_pool(processes: int) -> None:
@@ -443,7 +300,7 @@ def chunk_bounds(n_points: int) -> List[Tuple[int, int]]:
 
     A pure function of the point count (never the pool size), so the
     chunk a point lands in — and the telemetry merge order — is
-    invariant across ``REPRO_SWEEP_PROCESSES``.
+    invariant across pool sizes.
     """
     if n_points <= 0:
         return []
@@ -452,47 +309,48 @@ def chunk_bounds(n_points: int) -> List[Tuple[int, int]]:
             for start in range(0, n_points, size)]
 
 
-def run_process_sweep(call: KernelCall, points: Iterable[Any], *,
-                      processes: Optional[int] = None) -> List[Any]:
-    """Apply ``call`` to every point over the persistent process pool.
+def run_process_sweep(fn: ChunkFn, args: Sequence[Any],
+                      points: Iterable[Any], *,
+                      processes: int) -> List[Any]:
+    """``fn(*args, chunk)`` over every chunk of ``points``, in order.
 
-    Results return in input order; the lowest-indexed failing chunk's
-    exception propagates; a dead worker raises a one-line
-    :class:`SweepWorkerError`.  With ``processes`` ``None`` the pool
-    size comes from ``$REPRO_SWEEP_PROCESSES`` (0 falls back to a
-    single in-process pass through the same kernel).
+    ``fn`` must be a picklable top-level function returning one result
+    per point of its chunk.  Runs over the persistent pool of
+    ``processes`` workers (0 runs the whole sweep as one in-process
+    call).  Results return in input order; the lowest-indexed failing
+    chunk's exception propagates; a dead worker raises a one-line
+    :class:`SweepWorkerError`.
     """
     items = list(points)
-    if processes is None:
-        processes = default_processes()
+    call_args = tuple(args)
     if processes < 0:
         raise ConfigurationError(
             f"processes must be >= 0, got {processes}")
     if not items:
         return []
     if processes == 0:
-        fn = call.resolve()
-        return [fn(point) for point in items]
+        return fn(*call_args, items)
 
     telemetry = current_telemetry()
     collect = telemetry is not None
     pool = _pool(processes)
     bounds = chunk_bounds(len(items))
+    where = (f"{fn.__qualname__}, {len(items)} points, {processes} "
+             f"processes")
     futures: List[Future] = []
     try:
         for start, stop in bounds:
             futures.append(pool.submit(
-                _run_chunk, call, items[start:stop], collect))
+                _run_chunk, fn, call_args, items[start:stop], collect))
     except BrokenProcessPool:
         _discard_pool(processes)
         raise SweepWorkerError(
-            f"sweep worker died (kernel {call.kernel!r}, "
-            f"{len(items)} points, {processes} processes); rerun "
-            f"with {PROCESSES_ENV}=0 to bisect") from None
+            f"sweep worker died ({where}); rerun with processes=0 to "
+            f"bisect") from None
 
     results: List[Any] = []
     try:
-        for (start, stop), future in zip(bounds, futures):
+        for future in futures:
             chunk_results, chunk_metrics = future.result()
             results.extend(chunk_results)
             if collect and chunk_metrics is not None:
@@ -502,10 +360,8 @@ def run_process_sweep(call: KernelCall, points: Iterable[Any], *,
     except BrokenProcessPool:
         _discard_pool(processes)
         raise SweepWorkerError(
-            f"sweep worker died mid-chunk (kernel "
-            f"{call.kernel!r}, {len(items)} points, {processes} "
-            f"processes); rerun with {PROCESSES_ENV}=0 to bisect"
-            ) from None
+            f"sweep worker died mid-chunk ({where}); rerun with "
+            f"processes=0 to bisect") from None
     except Exception:
         for future in futures:
             future.cancel()

@@ -28,10 +28,17 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.typing import ArrayLike
 
+from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
+from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
+from repro.models.zoo import get_model
 from repro.serving.degradation import PlanTable
+from repro.serving.pool import (ShmArrayHandle, SharedWorkload,
+                                publish_array, publish_workload, release,
+                                release_workload, run_process_sweep,
+                                use_pool)
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      ServingSimulator, arrivals_poisson,
                                      validate_arrivals)
@@ -399,66 +406,67 @@ def fleet_size_summary(report: ScaleOutReport) -> dict:
     }
 
 
+def _fleet_size_summaries(estimator: LiaEstimator,
+                          workload: WorkloadVector, trace: np.ndarray,
+                          dispatch: str,
+                          counts: Sequence[int]) -> List[dict]:
+    """One :func:`fleet_size_summary` per fleet size in ``counts``,
+    every size planning from one shared :class:`PlanTable`."""
+    plans = PlanTable(estimator)
+    return [fleet_size_summary(
+        MultiReplicaSimulator(estimator, k, dispatch=dispatch).run(
+            workload, trace, _plans=plans)) for k in counts]
+
+
+def _fleet_size_chunk(model: str, system: str, config: LiaConfig,
+                      workload: SharedWorkload,
+                      arrivals: ShmArrayHandle, dispatch: str,
+                      counts: Sequence[int]) -> List[dict]:
+    """:func:`_fleet_size_summaries` in a pool worker: the estimator
+    rebuilds from the zoo by name, and the workload codes and arrival
+    trace attach zero-copy from shared memory."""
+    estimator = LiaEstimator(get_model(model), get_system(system), config)
+    return _fleet_size_summaries(estimator, workload.attach(),
+                                 arrivals.array(), dispatch, counts)
+
+
 def sweep_fleet_sizes(estimator: LiaEstimator,
                       requests: Union[Sequence[InferenceRequest],
                                       WorkloadVector],
                       arrivals: Sequence[float],
                       replica_counts: Sequence[int],
                       dispatch: str = "round-robin",
-                      workers: Optional[int] = None,
-                      processes: Optional[int] = None) -> List[dict]:
+                      processes: int = 0) -> List[dict]:
     """One :func:`fleet_size_summary` per fleet size, in input order.
 
     Fleet sizes are independent simulations over the *same* workload
-    and trace, so they fan out over the sweep runner.  On the process
-    path the workload's code column and the arrival trace publish
-    once into ``multiprocessing.shared_memory`` and reattach zero-copy
-    in every worker (the ``replicas.fleet_size`` kernel); segments are
-    released as soon as the sweep returns.  Results are bit-identical
-    across thread, serial, and any ``processes`` count.  In process,
-    every fleet size plans from the call's one
-    :class:`~repro.serving.degradation.PlanTable`; serially that
-    estimates each shape once (threads may race to estimate a shape
-    twice, to the same value).
+    and trace.  In process (``processes=0``, the default) every size
+    plans from the call's one
+    :class:`~repro.serving.degradation.PlanTable`.  With
+    ``processes > 0`` the sizes fan out over the
+    :mod:`repro.serving.pool` process pool: the workload's code column
+    and the arrival trace publish once into shared memory and reattach
+    zero-copy in every worker; segments are released as soon as the
+    sweep returns.  Results are bit-identical at any ``processes``.
     """
-    from repro.experiments.kernels import zoo_resolvable
-    from repro.experiments.parallel import (KernelCall,
-                                            default_processes,
-                                            publish_array,
-                                            publish_workload, release,
-                                            release_workload)
-    from repro.experiments.runner import run_sweep
-
     workload = (requests if isinstance(requests, WorkloadVector)
                 else WorkloadVector.from_requests(requests))
     trace = validate_arrivals(arrivals)
     counts = [int(k) for k in replica_counts]
-    resolved = default_processes() if processes is None else processes
-    if resolved > 0 and zoo_resolvable(estimator.spec,
-                                       estimator.system):
-        shared = publish_workload(workload)
-        handle = publish_array(trace)
-        try:
-            summaries: List[dict] = run_sweep(
-                KernelCall("replicas.fleet_size",
-                           (estimator.spec.name, estimator.system.name,
-                            estimator.config, shared, handle,
-                            dispatch)),
-                counts, workers=workers, processes=resolved)
-        finally:
-            release_workload(shared)
-            release(handle)
-        return summaries
-
-    plans = PlanTable(estimator)
-
-    def cell(k: int) -> dict:
-        report = MultiReplicaSimulator(estimator, k,
-                                       dispatch=dispatch).run(
-                                           workload, trace, _plans=plans)
-        return fleet_size_summary(report)
-
-    return run_sweep(cell, counts, workers=workers)
+    if not use_pool(estimator, processes):
+        return _fleet_size_summaries(estimator, workload, trace,
+                                     dispatch, counts)
+    shared = publish_workload(workload)
+    handle = publish_array(trace)
+    try:
+        return run_process_sweep(
+            _fleet_size_chunk,
+            (estimator.spec.name, estimator.system.name,
+             estimator.config, shared, handle, dispatch),
+            counts, processes=processes)
+    finally:
+        release_workload(shared)
+        release(handle)
 
 
 def replicas_needed(estimator: LiaEstimator,

@@ -26,7 +26,7 @@ Three LIA-specific couplings make this more than a queueing exercise:
 
 Determinism contract (house style): every decision is a pure function
 of (workload, arrivals, config) — no RNG, no wall clock — so reports
-are bit-identical across runs and ``REPRO_SWEEP_WORKERS`` settings.
+are bit-identical across runs.
 The degenerate configuration :meth:`SchedulerConfig.fifo_degenerate`
 (one request per batch, join only into an empty batch, unbounded KV)
 collapses the iteration loop to the whole-request closed form and
@@ -48,7 +48,6 @@ from repro.core.optimizer import optimal_policy
 from repro.cxl.residency import (KV_TIERS, KvResidency, KvTierCapacities,
                                  kv_capacities_from_system)
 from repro.errors import CapacityError, ConfigurationError
-from repro.experiments.runner import run_sweep
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
@@ -320,7 +319,7 @@ class ContinuousServingReport(ServingReport):
 
     def fingerprint(self) -> bytes:
         """Byte-exact digest of the served timelines (determinism
-        checks hash this across reps and worker counts)."""
+        checks hash this across repeat runs)."""
         return np.column_stack(
             (self.arrivals, self.starts, self.finishes)).tobytes()
 
@@ -617,9 +616,8 @@ def run_continuous_fleet(estimator: "LiaEstimator",
 
     The dispatch is keyed on the request *index* (``i % replicas``),
     so the partition — and therefore the merged report — is
-    deterministic and worker-count-invariant.  Per-replica runs go
-    through :func:`run_sweep`, so ``REPRO_SWEEP_WORKERS`` parallelizes
-    the fleet without changing a single bit of the result.
+    deterministic.  Replicas run one after another on the calling
+    thread.
     """
     if replicas < 1:
         raise ConfigurationError(
@@ -646,7 +644,7 @@ def run_continuous_fleet(estimator: "LiaEstimator",
             estimator, scheduler_config, telemetry=telemetry)
         return scheduler.run(workload.subset(shard), trace[shard])
 
-    reports = run_sweep(serve, shards)
+    reports = [serve(shard) for shard in shards]
     codes = np.concatenate([r.workload.codes for r in reports])
     arrivals_all = np.concatenate([r.arrivals for r in reports])
     starts = np.concatenate([r.starts for r in reports])

@@ -248,8 +248,8 @@ class MetricsRegistry:
         value (last-write-wins, matching sequential ``set`` order).
         ``other``'s series iterate in insertion order, so a fold over
         per-chunk registries in chunk order is deterministic — the
-        property the process-sweep executor relies on to keep merged
-        telemetry bit-identical across ``REPRO_SWEEP_PROCESSES``.
+        property the fleet-sweep process pool relies on to keep merged
+        telemetry bit-identical across pool sizes.
         Returns ``self`` so merges chain.
         """
         for key, counter in other._counters.items():

@@ -18,14 +18,13 @@ three canonical departures and a session model on top:
 * :func:`session_trace` — multi-turn chat sessions: session starts
   are Poisson, each session then replays a geometric number of turns
   separated by exponential think times, **keyed per session** exactly
-  like the fault injector keys per request, so any parallel consumer
-  sees the same trace regardless of worker count.
+  like the fault injector keys per request, so every consumer sees
+  the same trace.
 
 Every generator is a single deterministic pass over one seeded
 ``numpy`` Generator (plus per-session sub-streams keyed on
 ``(seed, session)``): the trace depends only on its arguments, never
-on scheduling, ``REPRO_SWEEP_WORKERS``, or how many replicas later
-consume it.  All functions return a sorted float64 array of absolute
+on scheduling or how many replicas later consume it.  All functions return a sorted float64 array of absolute
 timestamps starting at the first gap after ``t = 0``, the same
 convention as ``arrivals_poisson``.
 """

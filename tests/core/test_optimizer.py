@@ -11,6 +11,7 @@ from repro.core.optimizer import (
     prefill_policy_transition,
 )
 from repro.core.overlap import serial_layer_time
+from repro.errors import ConfigurationError
 from repro.core.policy import (
     FULL_CPU,
     FULL_GPU,
@@ -120,6 +121,34 @@ def test_policy_map_covers_grid(opt_175b, spr_a100, eval_config):
     assert set(grid) == {(1, 64), (1, 512), (1400, 64), (1400, 512)}
     assert grid[(1, 64)] == FULL_CPU
     assert grid[(1400, 64)] == PARTIAL_CPU
+
+
+@pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)
+def test_policy_map_grid_matches_per_point_searches(opt_175b, spr_a100,
+                                                    eval_config, stage):
+    """One grid search equals a per-point Eq. (1) search at every point
+    (row-major order), and counts one search per point."""
+    from repro.telemetry import Telemetry, activate
+
+    batches, lengths = (1, 16, 180, 900, 1400), (32, 512, 2048)
+    grid_telemetry, point_telemetry = Telemetry(), Telemetry()
+    with activate(grid_telemetry):
+        grid = policy_map(opt_175b, stage, batches, lengths, spr_a100,
+                          eval_config)
+    with activate(point_telemetry):
+        expected = {(b, length): optimal_policy(
+            opt_175b, stage, b, length, spr_a100, eval_config).policy
+            for b in batches for length in lengths}
+    assert list(grid.items()) == list(expected.items())
+    assert (grid_telemetry.metrics.snapshot()
+            == point_telemetry.metrics.snapshot())
+
+
+def test_policy_map_rejects_bad_grid(opt_175b, spr_a100, eval_config):
+    with pytest.raises(ConfigurationError,
+                       match="batch_size must be >= 1, got 0"):
+        policy_map(opt_175b, Stage.DECODE, (0, 16), (64,), spr_a100,
+                   eval_config)
 
 
 def test_moe_prefers_cpu_fc_sublayers(gnr_a100, eval_config):

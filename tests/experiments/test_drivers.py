@@ -206,32 +206,3 @@ def test_ext_robustness_rows():
 
     result = ext_robustness.run(errors=(1.0, 1.3), batch_sizes=(64,))
     assert all(row["penalty"] >= 1.0 - 1e-9 for row in result.rows)
-
-
-def test_fig_drivers_identical_across_process_counts():
-    # The tentpole contract on the paper grids themselves: fig09/10/11
-    # rows are bit-identical whether the grid runs serially or over
-    # the process pool.
-    serial = fig10_online_latency.run(
-        pairs=(("spr-a100", "opt-30b"),), output_lens=(32,),
-        processes=0)
-    pooled = fig10_online_latency.run(
-        pairs=(("spr-a100", "opt-30b"),), output_lens=(32,),
-        processes=2)
-    assert serial.rows == pooled.rows
-
-    serial = fig11_offline_throughput.run(
-        pairs=(("spr-a100", "opt-30b"),), batch_sizes=(64,),
-        output_lens=(32,), processes=0)
-    pooled = fig11_offline_throughput.run(
-        pairs=(("spr-a100", "opt-30b"),), batch_sizes=(64,),
-        output_lens=(32,), processes=2)
-    assert serial.rows == pooled.rows
-
-    serial = fig09_policy_map.run(system_names=("spr-a100",),
-                                  batch_sizes=(1, 64),
-                                  input_lens=(32, 512), processes=0)
-    pooled = fig09_policy_map.run(system_names=("spr-a100",),
-                                  batch_sizes=(1, 64),
-                                  input_lens=(32, 512), processes=2)
-    assert serial.rows == pooled.rows

@@ -1,9 +1,7 @@
-"""Tests of the process-parallel sweep executor.
+"""Tests of the fleet-sweep process pool (:mod:`repro.serving.pool`).
 
-The kernels under test live at module top level and are addressed via
-the ``"module:attr"`` escape hatch, so spawned workers (which know
-nothing about the parent's registry mutations) re-import them by
-name.
+The chunk functions under test live at module top level, so spawned
+workers unpickle them by reference and re-import this module by name.
 """
 
 import os
@@ -16,166 +14,101 @@ from hypothesis import strategies as st
 from multiprocessing import shared_memory
 
 from repro.core.config import LiaConfig
+from repro.core.estimator import LiaEstimator
+from repro.core.optimizer import optimal_policy
 from repro.errors import ConfigurationError, SweepWorkerError
-from repro.experiments.parallel import (
-    PROCESSES_ENV,
-    KernelCall,
-    SharedWorkload,
+from repro.hardware.system import get_system
+from repro.models.sublayers import Stage
+from repro.models.workload import InferenceRequest
+from repro.models.zoo import get_model
+from repro.serving.pool import (
+    ShmArrayHandle,
     chunk_bounds,
-    default_processes,
-    kernel_names,
     publish_array,
     publish_workload,
     published_segments,
     release,
     release_workload,
-    resolve_kernel,
     retain,
     run_process_sweep,
-    sweep_generator,
-    sweep_kernel,
-    sweep_rng,
 )
-from repro.experiments.runner import run_sweep
-from repro.models.workload import InferenceRequest
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry import Telemetry, activate
 
-SELF = "tests.experiments.test_parallel"
-
 
 # ----------------------------------------------------------------------
-# Kernels importable from spawned workers
+# Chunk functions importable from spawned workers
 # ----------------------------------------------------------------------
-def square_kernel(offset=0):
-    return lambda point: point * point + offset
+def square_chunk(offset, points):
+    return [point * point + offset for point in points]
 
 
-def slow_head_kernel():
+def slow_head_chunk(points):
     # The first points are much slower than the rest, so with >1
     # worker the later chunks finish first — ordering must not care.
-    def run(point):
+    out = []
+    for point in points:
         if point < 4:
             time.sleep(0.05)
-        return point * 10
+        out.append(point * 10)
+    return out
 
-    return run
 
-
-def faulty_kernel():
-    def run(point):
+def faulty_chunk(points):
+    for point in points:
         if point == 5:
             raise ValueError(f"bad point {point}")
-        return point
-
-    return run
+    return list(points)
 
 
-def crash_kernel():
-    def run(point):
-        if point == 7:
-            os._exit(13)
-        return point
-
-    return run
+def crash_chunk(points):
+    if 7 in points:
+        os._exit(13)
+    return list(points)
 
 
-def shm_sum_kernel(handle):
+def shm_sum_chunk(handle, points):
     array = handle.array()
-
-    def run(point):
-        return float(array[point:point + 2].sum())
-
-    return run
+    return [float(array[point:point + 2].sum()) for point in points]
 
 
-def write_attempt_kernel(handle):
-    def run(point):
+def write_attempt_chunk(handle, points):
+    out = []
+    for _ in points:
         array = handle.array()
         try:
             array[0] = -1.0
         except ValueError:
-            return "read-only"
-        return "writable"
+            out.append("read-only")
+        else:
+            out.append("writable")
+    return out
 
-    return run
 
+def telemetry_chunk(points):
+    from repro.telemetry.runtime import current
 
-def telemetry_kernel():
-    def run(point):
-        from repro.telemetry.runtime import current
-
-        active = current()
+    active = current()
+    for point in points:
         if active is not None:
             active.metrics.counter("parallel.test",
                                    parity=str(point % 2)).inc()
             active.metrics.histogram("parallel.values").observe(
                 float(point))
-        return point
-
-    return run
+    return list(points)
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtin_kernels_registered(self):
-        names = kernel_names()
-        for expected in ("estimate", "fig09.policy", "fig10.latency",
-                         "fig11.throughput", "fleet.cell", "policy_map",
-                         "replicas.fleet_size"):
-            assert expected in names
-
-    def test_unknown_kernel_is_one_line_error(self):
-        with pytest.raises(ConfigurationError, match="unknown sweep"):
-            resolve_kernel("no-such-kernel")
-
-    def test_duplicate_registration_rejected(self):
-        @sweep_kernel("parallel-test-dup")
-        def first():
-            return lambda p: p
-
-        with pytest.raises(ConfigurationError, match="already"):
-            @sweep_kernel("parallel-test-dup")
-            def second():
-                return lambda p: p
-
-    def test_module_attr_resolution(self):
-        factory = resolve_kernel(f"{SELF}:square_kernel")
-        assert factory is square_kernel
-
-    def test_module_attr_missing_attr(self):
-        with pytest.raises(ConfigurationError, match="no kernel"):
-            resolve_kernel(f"{SELF}:not_there")
-
-    def test_module_attr_missing_module(self):
-        with pytest.raises(ConfigurationError, match="cannot import"):
-            resolve_kernel("tests.experiments.nope:thing")
-
-    def test_kernel_call_is_callable_in_process(self):
-        call = KernelCall(f"{SELF}:square_kernel", (3,))
-        assert call(4) == 19
+def policy_chunk(model, system, stage, config, points):
+    spec, platform = get_model(model), get_system(system)
+    return [optimal_policy(spec, stage, batch, length, platform,
+                           config).policy
+            for batch, length in points]
 
 
-class TestDefaultProcesses:
-    def test_unset_disables(self, monkeypatch):
-        monkeypatch.delenv(PROCESSES_ENV, raising=False)
-        assert default_processes() == 0
-
-    def test_value_passes_through_uncapped(self, monkeypatch):
-        monkeypatch.setenv(PROCESSES_ENV, "64")
-        assert default_processes() == 64
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(PROCESSES_ENV, "lots")
-        with pytest.raises(ConfigurationError):
-            default_processes()
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv(PROCESSES_ENV, "-1")
-        with pytest.raises(ConfigurationError):
-            default_processes()
+def estimate_chunk(model, system, config, points):
+    estimator = LiaEstimator(get_model(model), get_system(system), config)
+    return [estimator.estimate(InferenceRequest(*point))
+            for point in points]
 
 
 # ----------------------------------------------------------------------
@@ -205,92 +138,54 @@ class TestChunkBounds:
 class TestRunProcessSweep:
     def test_results_in_input_order(self):
         points = list(range(40))
-        out = run_process_sweep(
-            KernelCall(f"{SELF}:square_kernel"), points, processes=2)
+        out = run_process_sweep(square_chunk, (0,), points, processes=2)
         assert out == [p * p for p in points]
 
     def test_ordered_under_unequal_chunk_costs(self):
         points = list(range(40))
-        out = run_process_sweep(
-            KernelCall(f"{SELF}:slow_head_kernel"), points, processes=2)
+        out = run_process_sweep(slow_head_chunk, (), points, processes=2)
         assert out == [p * 10 for p in points]
 
     def test_processes_zero_runs_in_process(self):
-        out = run_process_sweep(
-            KernelCall(f"{SELF}:square_kernel", (1,)), [1, 2, 3],
-            processes=0)
+        out = run_process_sweep(square_chunk, (1,), [1, 2, 3],
+                                processes=0)
         assert out == [2, 5, 10]
 
     def test_empty_points(self):
-        assert run_process_sweep(
-            KernelCall(f"{SELF}:square_kernel"), [], processes=2) == []
+        assert run_process_sweep(square_chunk, (0,), [],
+                                 processes=2) == []
 
     def test_first_exception_propagates(self):
         with pytest.raises(ValueError, match="bad point 5"):
-            run_process_sweep(
-                KernelCall(f"{SELF}:faulty_kernel"), list(range(40)),
-                processes=2)
+            run_process_sweep(faulty_chunk, (), list(range(40)),
+                              processes=2)
 
     def test_worker_crash_is_one_line_error(self):
         # Depending on timing the worker dies while chunks are still
         # being submitted or after — both must surface as a one-line
-        # SweepWorkerError naming the kernel and the bisect hint.
+        # SweepWorkerError naming the chunk function and the bisect
+        # hint.
         with pytest.raises(SweepWorkerError,
-                           match=r"worker died.*crash_kernel.*"
-                                 r"REPRO_SWEEP_PROCESSES=0"):
-            run_process_sweep(
-                KernelCall(f"{SELF}:crash_kernel"), list(range(40)),
-                processes=2)
+                           match=r"worker died.*crash_chunk.*"
+                                 r"processes=0"):
+            run_process_sweep(crash_chunk, (), list(range(40)),
+                              processes=2)
         # The broken pool was discarded; the next sweep gets a fresh
         # one and succeeds.
-        out = run_process_sweep(
-            KernelCall(f"{SELF}:square_kernel"), [1, 2], processes=2)
+        out = run_process_sweep(square_chunk, (0,), [1, 2], processes=2)
         assert out == [1, 4]
 
     def test_single_worker_pool_matches_serial(self):
         points = list(range(10))
-        serial = run_process_sweep(
-            KernelCall(f"{SELF}:square_kernel"), points, processes=0)
-        pooled = run_process_sweep(
-            KernelCall(f"{SELF}:square_kernel"), points, processes=1)
+        serial = run_process_sweep(square_chunk, (0,), points,
+                                   processes=0)
+        pooled = run_process_sweep(square_chunk, (0,), points,
+                                   processes=1)
         assert serial == pooled
 
-    def test_run_sweep_routes_kernel_calls(self):
-        points = list(range(8))
-        assert run_sweep(KernelCall(f"{SELF}:square_kernel"), points,
-                         processes=2) == [p * p for p in points]
-
-    def test_run_sweep_keeps_closures_on_threads(self, monkeypatch):
-        # A plain closure cannot cross the process boundary; the
-        # runner must not try.
-        import repro.experiments.runner as runner
-
-        def explode(*args, **kwargs):
-            raise AssertionError("closure reached the process pool")
-
-        monkeypatch.setattr(runner, "run_process_sweep", explode)
-        assert run_sweep(lambda p: p + 1, [1, 2, 3],
-                         processes=4) == [2, 3, 4]
-
-
-# ----------------------------------------------------------------------
-# Keyed RNG
-# ----------------------------------------------------------------------
-class TestKeyedRng:
-    def test_same_key_same_stream(self):
-        assert sweep_rng(3, 7).random() == sweep_rng(3, 7).random()
-        a = sweep_generator(3, 7).random(4)
-        b = sweep_generator(3, 7).random(4)
-        assert np.array_equal(a, b)
-
-    def test_different_index_different_stream(self):
-        assert sweep_rng(3, 7).random() != sweep_rng(3, 8).random()
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep_rng(0, -1)
-        with pytest.raises(ConfigurationError):
-            sweep_generator(0, -1)
+    def test_negative_processes_rejected(self):
+        with pytest.raises(ConfigurationError, match="processes"):
+            run_process_sweep(square_chunk, (0,), [1], processes=-1)
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +224,6 @@ class TestSharedMemory:
         release(handle)
 
     def test_retain_unpublished_rejected(self):
-        from repro.experiments.parallel import ShmArrayHandle
-
         with pytest.raises(ConfigurationError, match="not published"):
             retain(ShmArrayHandle(name="psm_nope", shape=(1,),
                                   dtype="<f8"))
@@ -339,9 +232,8 @@ class TestSharedMemory:
         source = np.arange(32, dtype=np.float64)
         handle = publish_array(source)
         try:
-            out = run_process_sweep(
-                KernelCall(f"{SELF}:shm_sum_kernel", (handle,)),
-                list(range(8)), processes=2)
+            out = run_process_sweep(shm_sum_chunk, (handle,),
+                                    list(range(8)), processes=2)
             expected = [float(source[p:p + 2].sum())
                         for p in range(8)]
             assert out == expected
@@ -351,9 +243,8 @@ class TestSharedMemory:
     def test_worker_views_are_read_only(self):
         handle = publish_array(np.ones(8))
         try:
-            out = run_process_sweep(
-                KernelCall(f"{SELF}:write_attempt_kernel", (handle,)),
-                [0, 1], processes=2)
+            out = run_process_sweep(write_attempt_chunk, (handle,),
+                                    [0, 1], processes=2)
             assert out == ["read-only", "read-only"]
         finally:
             release(handle)
@@ -376,9 +267,8 @@ class TestSharedMemory:
         # modules rely on between pytest runs.
         before = published_segments()
         handle = publish_array(np.zeros(128))
-        run_process_sweep(
-            KernelCall(f"{SELF}:shm_sum_kernel", (handle,)),
-            [0, 1, 2], processes=2)
+        run_process_sweep(shm_sum_chunk, (handle,), [0, 1, 2],
+                          processes=2)
         release(handle)
         assert published_segments() == before
 
@@ -397,12 +287,10 @@ class TestTelemetryMerge:
         points = list(range(24))
         serial = Telemetry()
         with activate(serial):
-            run_process_sweep(KernelCall(f"{SELF}:telemetry_kernel"),
-                              points, processes=0)
+            run_process_sweep(telemetry_chunk, (), points, processes=0)
         pooled = Telemetry()
         with activate(pooled):
-            run_process_sweep(KernelCall(f"{SELF}:telemetry_kernel"),
-                              points, processes=2)
+            run_process_sweep(telemetry_chunk, (), points, processes=2)
         assert _counter_rows(serial) == _counter_rows(pooled)
         assert pooled.metrics.counter_value("telemetry.chunks") > 0
 
@@ -412,33 +300,29 @@ class TestTelemetryMerge:
         for processes in (1, 2, 4):
             telemetry = Telemetry()
             with activate(telemetry):
-                run_process_sweep(
-                    KernelCall(f"{SELF}:telemetry_kernel"), points,
-                    processes=processes)
+                run_process_sweep(telemetry_chunk, (), points,
+                                  processes=processes)
             rows = [row for row in telemetry.metrics.snapshot()
                     if row["type"] == "histogram"]
             runs.append(rows)
         assert runs[0] == runs[1] == runs[2]
 
     def test_policy_counters_match_serial(self):
-        # The satellite regression: ambient policy.* counters must
-        # flow out of process workers and merge to exactly the serial
-        # totals.
+        # Ambient policy.* counters must flow out of process workers
+        # and merge to exactly the serial totals.
         config = LiaConfig(enforce_host_capacity=False,
                            prefill_minibatches=7)
-        call = KernelCall("policy_map",
-                          ("opt-tiny", "spr-a100",
-                           __import__("repro.models.sublayers",
-                                      fromlist=["Stage"]).Stage.DECODE,
-                           config))
+        args = ("opt-tiny", "spr-a100", Stage.DECODE, config)
         points = [(b, length) for b in (1, 3, 9, 27)
                   for length in (16, 48, 144)]
         serial = Telemetry()
         with activate(serial):
-            serial_out = run_process_sweep(call, points, processes=0)
+            serial_out = run_process_sweep(policy_chunk, args, points,
+                                           processes=0)
         pooled = Telemetry()
         with activate(pooled):
-            pooled_out = run_process_sweep(call, points, processes=1)
+            pooled_out = run_process_sweep(policy_chunk, args, points,
+                                           processes=1)
         assert serial_out == pooled_out
         serial_rows = _counter_rows(serial)
         policy_rows = [row for row in serial_rows
@@ -447,9 +331,8 @@ class TestTelemetryMerge:
         assert serial_rows == _counter_rows(pooled)
 
     def test_no_telemetry_no_merge_overhead(self):
-        out = run_process_sweep(
-            KernelCall(f"{SELF}:telemetry_kernel"), list(range(6)),
-            processes=2)
+        out = run_process_sweep(telemetry_chunk, (), list(range(6)),
+                                processes=2)
         assert out == list(range(6))
 
 
@@ -462,10 +345,10 @@ class TestTelemetryMerge:
                 min_size=2, max_size=8))
 def test_estimates_invariant_across_process_counts(points):
     config = LiaConfig(enforce_host_capacity=False)
-    call = KernelCall("estimate", ("opt-tiny", "spr-a100", config))
-    baseline = [e.latency
-                for e in run_process_sweep(call, points, processes=0)]
+    args = ("opt-tiny", "spr-a100", config)
+    baseline = [e.latency for e in run_process_sweep(
+        estimate_chunk, args, points, processes=0)]
     for processes in (1, 2):
         latencies = [e.latency for e in run_process_sweep(
-            call, points, processes=processes)]
+            estimate_chunk, args, points, processes=processes)]
         assert latencies == baseline

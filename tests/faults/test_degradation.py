@@ -7,12 +7,14 @@ import pytest
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
 from repro.faults.scenarios import get_scenario
+from repro.hardware.system import get_system
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.batcher import pack_requests, repack_under_pressure
 from repro.serving.planner import choose_system
+from repro.serving.pool import run_process_sweep
 from repro.serving.simulator import ServingSimulator
 from repro.telemetry.runtime import Telemetry, activate
 
@@ -137,17 +139,45 @@ def test_degraded_run_emits_fault_counters_and_spans(simulator):
 
 
 # ----------------------------------------------------------------------
-# Determinism across worker counts
+# Determinism across repeat runs and sweep workers
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", ["1", "4"])
-def test_degraded_runs_identical_across_sweep_workers(
-        simulator, monkeypatch, workers):
-    monkeypatch.setenv("REPRO_SWEEP_WORKERS", workers)
+def degraded_chunk(model, system, config, points):
+    """Noisy-neighbor runs at each seed in ``points``, rebuilt by name
+    so the chunk runs the same in process or in a pool worker."""
+    simulator = ServingSimulator(
+        LiaEstimator(get_model(model), get_system(system), config))
+    scenario = get_scenario("noisy-neighbor")
+    out = []
+    for seed in points:
+        report = simulator.run_poisson(REQUESTS, 0.05, seed=seed,
+                                       scenario=scenario)
+        out.append((_timeline(report), report.stats.as_dict()))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_degraded_runs_identical_across_sweep_workers(simulator, workers):
+    seeds = [7, 8, 9, 10]
+    estimator = simulator.estimator
+    pooled = run_process_sweep(
+        degraded_chunk,
+        (estimator.spec.name, estimator.system.name, estimator.config),
+        seeds, processes=workers)
+    # Compare against single runs computed fresh in process.
+    scenario = get_scenario("noisy-neighbor")
+    for seed, (timeline, stats) in zip(seeds, pooled):
+        reference = simulator.run_poisson(REQUESTS, 0.05, seed=seed,
+                                          scenario=scenario)
+        assert timeline == _timeline(reference)
+        assert stats == reference.stats.as_dict()
+    assert len(pooled) == len(seeds)
+
+
+def test_degraded_runs_identical_across_repeat_runs(simulator):
     scenario = get_scenario("noisy-neighbor")
     report = simulator.run_poisson(REQUESTS, 0.05, seed=7,
                                    scenario=scenario)
-    # Compare against a fixed single-worker reference computed fresh.
-    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "1")
+    # Compare against a reference computed fresh.
     reference = simulator.run_poisson(REQUESTS, 0.05, seed=7,
                                       scenario=scenario)
     assert _timeline(report) == _timeline(reference)

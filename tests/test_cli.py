@@ -53,6 +53,13 @@ def test_policy_map(capsys):
     assert "(1, 1, 1, 1, 1, 1)" in out
 
 
+def test_policy_map_bad_grid_fails_before_printing(capsys):
+    assert main(["policy-map", "--batches", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: batch_size must be >= 1, got 0\n"
+
+
 def test_experiment_list(capsys):
     assert main(["experiment", "--list"]) == 0
     out = capsys.readouterr().out
@@ -168,8 +175,7 @@ def test_sweep(capsys, tmp_path):
     out_json = tmp_path / "sweep.json"
     assert main(["sweep", "--model", "opt-30b", "--system", "spr-a100",
                  "--batches", "1", "16", "--input-lens", "32",
-                 "--output-lens", "8", "--workers", "2",
-                 "--json", str(out_json)]) == 0
+                 "--output-lens", "8", "--json", str(out_json)]) == 0
     out = capsys.readouterr().out
     assert "2 grid points" in out  # 2 batches x 1 len x 1 len
     assert "opt-30b on spr-a100" in out
