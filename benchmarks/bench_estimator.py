@@ -317,13 +317,14 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
         # Quick mode (CI smoke) gates only on correctness: with 2
         # repetitions the cold run dominates the mean, and shared CI
         # machines make wall-clock gates flaky.  The full run holds
-        # the amortized speedup to the 10x floor.  Process-sweep
-        # and step-profile bit-identity are correctness gates and bind
-        # in every mode; the process-sweep speedup floor binds whenever
-        # the machine has enough cores for the pool to fan out (quick
-        # included).
+        # the amortized speedup to the 10x floor.  Process-sweep and
+        # step-profile bit-identity and the figure-grid fingerprint
+        # are correctness gates and bind in every mode; the
+        # process-sweep speedup floor binds whenever the machine has
+        # enough cores for the pool to fan out (quick included).
         "pass": (error < 1e-9
                  and step_profile["identical"]
+                 and figure_grid["identical"]
                  and process_sweep["identical"]
                  and speedup_ok
                  and (quick

@@ -14,11 +14,13 @@ it even ignores inter-GPU communication.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.baselines.flexgen import FlexGenEstimator, FlexGenSettings
 from repro.core.config import LiaConfig
-from repro.core.estimator import InferenceEstimate
+from repro.core.estimator import (EstimateOrError, InferenceEstimate,
+                                  only_estimate)
+from repro.errors import CapacityError
 from repro.hardware.interconnect import Link
 from repro.hardware.memory import MemoryDevice
 from repro.hardware.roofline import ComputeEngine
@@ -77,6 +79,14 @@ class DataOffloadEstimator:
         self.system = pooled
 
     def estimate(self, request: InferenceRequest) -> InferenceEstimate:
-        """Memory-offloading-only end-to-end estimate."""
-        result = self._inner.estimate(request)
-        return replace(result, framework=self.framework_name)
+        """Memory-offloading-only end-to-end estimate: the one-point
+        case of :meth:`estimate_many`."""
+        return only_estimate(self.estimate_many([request]))
+
+    def estimate_many(self, requests: Sequence[InferenceRequest]
+                      ) -> List[EstimateOrError]:
+        """Memory-offloading-only estimates of every request, in
+        order, from the inner FlexGen estimator's tables."""
+        return [entry if isinstance(entry, CapacityError)
+                else replace(entry, framework=self.framework_name)
+                for entry in self._inner.estimate_many(requests)]

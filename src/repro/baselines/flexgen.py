@@ -19,26 +19,32 @@ Differences from LIA that this model reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arrays import Real
 from repro.core.config import LiaConfig
 from repro.core.estimator import (
+    EstimateOrError,
     InferenceEstimate,
     MemoryUsage,
     StageBreakdown,
     check_host_capacity,
+    RequestGrid,
     host_memory_usage,
-    sum_steps,
+    only_estimate,
+    split_rows,
 )
 from repro.core.gpu_residency import (
+    ResidencyPlan,
     gpu_working_set_bytes,
     plan_sublayer_residency,
 )
-from repro.core.latency import layer_latency
 from repro.core.overlap import Layer, overlapped_layer_time, serial_layer_time
 from repro.core.policy import FULL_GPU, PARTIAL_CPU, OffloadPolicy
-from repro.core.terms import layer_terms, on_cpu_mask, resident_mask
+from repro.core.terms import (check_placement, layer_terms, on_cpu_mask,
+                               resident_mask)
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
@@ -73,6 +79,11 @@ class FlexGenSettings:
                 f"{self.decode_compute_penalty}")
 
 
+#: One planned request: its index in the batch, the request, and its
+#: memory and sublayer-class residency plans.
+_Planned = Tuple[int, InferenceRequest, MemoryUsage, ResidencyPlan]
+
+
 class FlexGenEstimator:
     """Analytic model of FlexGen on a single-GPU system."""
 
@@ -88,6 +99,7 @@ class FlexGenEstimator:
         self.config = replace(base, cpu_engine=self.settings.cpu_engine,
                               overlap=base.overlap,
                               prefill_minibatches=self.settings.minibatches)
+        check_placement(system, self.config)
 
     # ------------------------------------------------------------------
     def kv_fits_gpu(self, request: InferenceRequest) -> bool:
@@ -107,7 +119,10 @@ class FlexGenEstimator:
     def decode_policy(self, request: InferenceRequest) -> OffloadPolicy:
         """FlexGen's empirical choice: CPU attention iff the KV cache
         lives on the host and compute offload is enabled."""
-        if self.settings.compute_offload and not self.kv_fits_gpu(request):
+        return self._decode_policy(self.kv_fits_gpu(request))
+
+    def _decode_policy(self, kv_resident: bool) -> OffloadPolicy:
+        if self.settings.compute_offload and not kv_resident:
             return PARTIAL_CPU
         return FULL_GPU
 
@@ -127,18 +142,55 @@ class FlexGenEstimator:
             layer, minibatches=self.settings.minibatches,
             compute_scale=self.settings.decode_compute_penalty)
 
-    def _stage_breakdown(self, layer: Layer, stage: Stage,
-                         count: int = 1) -> StageBreakdown:
+    def _stage_breakdown(self, layer: Layer, stage: Stage) -> StageBreakdown:
+        """All decoder layers of one step under ``layer``'s rollups."""
         return StageBreakdown(
-            time=self._stage_time(layer, stage) * self.spec.n_layers * count,
-            cpu_compute=layer.cpu_compute * self.spec.n_layers * count,
-            gpu_compute=layer.gpu_compute * self.spec.n_layers * count,
-            transfer=layer.transfer * self.spec.n_layers * count)
+            time=self._stage_time(layer, stage) * self.spec.n_layers,
+            cpu_compute=layer.cpu_compute * self.spec.n_layers,
+            gpu_compute=layer.gpu_compute * self.spec.n_layers,
+            transfer=layer.transfer * self.spec.n_layers)
 
     # ------------------------------------------------------------------
     def estimate(self, request: InferenceRequest) -> InferenceEstimate:
-        """FlexGen end-to-end estimate for one request."""
-        kv_resident = self.kv_fits_gpu(request)
+        """FlexGen end-to-end estimate for one request: the one-point
+        case of :meth:`estimate_many`."""
+        return only_estimate(self.estimate_many([request]))
+
+    def estimate_many(self, requests: Sequence[InferenceRequest]
+                      ) -> List[EstimateOrError]:
+        """Estimate every request, in order.
+
+        Requests split by KV home (GPU or host, :meth:`kv_fits_gpu`);
+        each group is one prefill term table and one decode table
+        with a row per request and a column per decode step.  A
+        request whose memory plan overflows gets the
+        :class:`CapacityError` that :meth:`estimate` raises.
+        """
+        entries: List[Optional[EstimateOrError]] = []
+        groups: Dict[bool, List[_Planned]] = {False: [], True: []}
+        for request in requests:
+            kv_resident = self.kv_fits_gpu(request)
+            try:
+                memory, residency = self._plan(request, kv_resident)
+            except CapacityError as error:
+                entries.append(error)
+                continue
+            groups[kv_resident].append(
+                (len(entries), request, memory, residency))
+            entries.append(None)
+        for kv_resident, planned in groups.items():
+            if planned:
+                for (index, *__), estimate in zip(
+                        planned, self._estimate_group(planned,
+                                                      kv_resident)):
+                    entries[index] = estimate
+        return entries  # type: ignore[return-value]
+
+    def _plan(self, request: InferenceRequest, kv_resident: bool
+              ) -> Tuple[MemoryUsage, ResidencyPlan]:
+        """Memory placement and sublayer-class residency of
+        ``request``; raises :class:`CapacityError` when the host pools
+        (if enforced) or the GPU footprint overflow."""
         memory = host_memory_usage(self.spec, request, self.system,
                                    self.config)
         if kv_resident:
@@ -166,36 +218,46 @@ class FlexGenEstimator:
                 requested=gpu_bytes,
                 available=self.system.gpu.memory_capacity,
                 device=self.system.gpu.name)
-        memory = replace(memory, gpu_bytes=gpu_bytes)
+        return replace(memory, gpu_bytes=gpu_bytes), residency
 
-        prefill_layer = layer_latency(
-            self.spec, Stage.PREFILL, FULL_GPU, request.batch_size,
-            request.input_len, self.system, self.config,
-            resident_sublayers=residency.resident_sublayers,
-            kv_resident=kv_resident)
-        prefill = self._stage_breakdown(prefill_layer, Stage.PREFILL)
+    def _estimate_group(self, planned: List[_Planned], kv_resident: bool
+                        ) -> List[InferenceEstimate]:
+        """Estimates of requests that share a KV home."""
+        grid = RequestGrid.from_requests(
+            [request for __, request, __, __ in planned])
+        # Each row's resident sublayer classes.
+        resident = np.array([
+            resident_mask(resident_sublayers=residency.resident_sublayers)
+            for *__, residency in planned])
+        prefill_terms = layer_terms(
+            self.spec, Stage.PREFILL, *grid.prefill, self.system,
+            self.config, kv_resident=kv_resident)
+        prefill = self._stage_breakdown(
+            prefill_terms.sums(on_cpu_mask(FULL_GPU), resident),
+            Stage.PREFILL)
 
-        # Every decode step from one term table, summed in step order.
-        decode_policy = self.decode_policy(request)
+        decode_policy = self._decode_policy(kv_resident)
         decode_terms = layer_terms(
-            self.spec, Stage.DECODE, request.batch_size,
-            request.decode_context_lengths(), self.system, self.config,
-            kv_resident=kv_resident)
-        decode_layer = decode_terms.sums(
-            on_cpu_mask(decode_policy),
-            resident_mask(resident_sublayers=residency.resident_sublayers))
-        decode = sum_steps(self._stage_breakdown(decode_layer,
-                                                 Stage.DECODE))
+            self.spec, Stage.DECODE, *grid.decode, self.system,
+            self.config, kv_resident=kv_resident)
+        decode = self._stage_breakdown(
+            decode_terms.sums(on_cpu_mask(decode_policy),
+                              grid.spread(resident)),
+            Stage.DECODE)
 
-        return InferenceEstimate(
-            framework=self.framework_name,
-            model=self.spec.name,
-            system=self.system.name,
-            request=request,
-            prefill=prefill,
-            decode=decode,
-            prefill_policy=FULL_GPU,
-            decode_policy=decode_policy,
-            residency=residency,
-            memory=memory,
-        )
+        return [
+            InferenceEstimate(
+                framework=self.framework_name,
+                model=self.spec.name,
+                system=self.system.name,
+                request=request,
+                prefill=prefill_row,
+                decode=decode_row,
+                prefill_policy=FULL_GPU,
+                decode_policy=decode_policy,
+                residency=residency,
+                memory=memory,
+            )
+            for (__, request, memory, residency), prefill_row, decode_row
+            in zip(planned, split_rows(prefill, len(planned)),
+                   split_rows(grid.fold_decode(decode), len(planned)))]

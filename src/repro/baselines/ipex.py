@@ -10,11 +10,13 @@ estimator pinned to the full-CPU policy with both optimizations off
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.core.config import LiaConfig
-from repro.core.estimator import InferenceEstimate, LiaEstimator
+from repro.core.estimator import (EstimateOrError, InferenceEstimate,
+                                  LiaEstimator, only_estimate)
 from repro.core.policy import FULL_CPU
+from repro.errors import CapacityError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.workload import InferenceRequest
@@ -42,17 +44,14 @@ class IpexEstimator:
         self.system = system
 
     def estimate(self, request: InferenceRequest) -> InferenceEstimate:
-        """CPU-only end-to-end estimate."""
-        result = self._inner.estimate(request)
-        return InferenceEstimate(
-            framework=self.framework_name,
-            model=result.model,
-            system=result.system,
-            request=result.request,
-            prefill=result.prefill,
-            decode=result.decode,
-            prefill_policy=result.prefill_policy,
-            decode_policy=result.decode_policy,
-            residency=result.residency,
-            memory=result.memory,
-        )
+        """CPU-only end-to-end estimate: the one-point case of
+        :meth:`estimate_many`."""
+        return only_estimate(self.estimate_many([request]))
+
+    def estimate_many(self, requests: Sequence[InferenceRequest]
+                      ) -> List[EstimateOrError]:
+        """CPU-only estimates of every request, in order, from the
+        inner LIA estimator's two tables."""
+        return [entry if isinstance(entry, CapacityError)
+                else replace(entry, framework=self.framework_name)
+                for entry in self._inner.estimate_many(requests)]

@@ -11,14 +11,16 @@ batch (B = 900 for OPT-175B) is detected exactly as Fig. 14 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.arrays import Real
 from repro.core.config import LiaConfig
 from repro.core.estimator import (
+    EstimateOrError,
     InferenceEstimate,
     MemoryUsage,
     StageBreakdown,
+    estimate_each,
     sum_steps,
 )
 from repro.core.gpu_residency import ResidencyPlan
@@ -123,6 +125,12 @@ class TensorParallelEstimator:
                      * self.spec.bytes_per_param)
         return (compute + 2.0 * self.allreduce.time(act_bytes)
                 + FRAMEWORK_OVERHEAD_PER_LAYER)
+
+    def estimate_many(self, requests: Sequence[InferenceRequest]
+                      ) -> List[EstimateOrError]:
+        """Every request's estimate, in order, or the
+        :class:`CapacityError` :meth:`estimate` raises for it."""
+        return estimate_each(self, requests)
 
     def estimate(self, request: InferenceRequest) -> InferenceEstimate:
         """Tensor-parallel end-to-end estimate (raises on OOM)."""

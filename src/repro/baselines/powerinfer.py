@@ -19,16 +19,18 @@ that this model reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.arrays import Real
 from repro.core.config import LiaConfig
 from repro.core.estimator import (
+    EstimateOrError,
     InferenceEstimate,
     MemoryUsage,
     StageBreakdown,
+    estimate_each,
     sum_steps,
 )
 from repro.core.gpu_residency import ResidencyPlan
@@ -192,6 +194,12 @@ class PowerInferEstimator:
         return compute + link.transfer_time(cold_bytes)
 
     # ------------------------------------------------------------------
+    def estimate_many(self, requests: Sequence[InferenceRequest]
+                      ) -> List[EstimateOrError]:
+        """Every request's estimate, in order, or the
+        :class:`CapacityError` :meth:`estimate` raises for it."""
+        return estimate_each(self, requests)
+
     def estimate(self, request: InferenceRequest) -> InferenceEstimate:
         """PowerInfer end-to-end estimate (raises CapacityError on the
         large-batch OOMs of Fig. 15)."""

@@ -29,7 +29,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import LiaConfig
-from repro.core.estimator import LiaEstimator
+from repro.core.estimator import LiaEstimator, only_estimate
 from repro.core.optimizer import optimal_policy, policy_map
 from repro.errors import ConfigurationError, ReproError
 from repro.hardware.cpu import CPU_ZOO
@@ -394,8 +394,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               for batch in args.batches
               for input_len in args.input_lens
               for output_len in args.output_lens]
-    estimates = [estimator.estimate(InferenceRequest(*point))
-                 for point in points]
+    # One batched call; the first point that does not fit raises.
+    estimates = [only_estimate([entry])
+                 for entry in estimator.estimate_many(
+                     [InferenceRequest(*point) for point in points])]
     print(f"{spec.name} on {system.name}: {len(points)} grid points")
     print(f"{'B':>6} {'L_in':>6} {'L_out':>6} {'latency_s':>12} "
           f"{'tokens_per_s':>14}  policy (prefill/decode)")

@@ -16,15 +16,16 @@ out-of-memory detection (Fig. 14's OOM entries).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import KvCachePlacement, LiaConfig, WeightPlacement
 from repro.core.gpu_residency import ResidencyPlan, plan_layer_residency
-from repro.core.optimizer import search_grid, stage_layer_time
+from repro.core.optimizer import PolicyGrid, search_grid, stage_layer_time
 from repro.core.policy import OffloadPolicy
-from repro.core.terms import layer_terms, on_cpu_mask, resident_mask
+from repro.core.terms import (LayerTerms, check_placement, layer_terms,
+                               resident_mask)
 from repro.errors import CapacityError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
@@ -107,6 +108,106 @@ class InferenceEstimate:
         return self.prefill + self.decode
 
 
+#: One ``estimate_many`` entry: the request's estimate, or the
+#: :class:`CapacityError` its ``estimate`` raises.
+EstimateOrError = Union[InferenceEstimate, CapacityError]
+
+
+def only_estimate(entries: Sequence[EstimateOrError]) -> InferenceEstimate:
+    """The one-point case of ``estimate_many``: its single entry, or
+    that entry's :class:`CapacityError` raised."""
+    (entry,) = entries
+    if isinstance(entry, CapacityError):
+        raise entry
+    return entry
+
+
+def estimate_each(estimator, requests: Sequence[InferenceRequest]
+                  ) -> List[EstimateOrError]:
+    """``estimate_many`` for closed-form models without a term table:
+    one ``estimator.estimate`` call per request."""
+    entries: List[EstimateOrError] = []
+    for request in requests:
+        try:
+            entries.append(estimator.estimate(request))
+        except CapacityError as error:
+            entries.append(error)
+    return entries
+
+
+@dataclass(frozen=True)
+class RequestGrid:
+    """The ``(B, L)`` points of ``n`` requests' term tables.
+
+    The prefill table has a point per request.  The decode table lays
+    every request's steps end to end, ``L_in`` to ``L_in + L_out - 1``
+    each, so it has ``sum(L_out)`` points and no padding.  ``B`` and
+    ``L_in`` are one int when every request shares them (a single
+    request, say), so their terms stay scalar: an array turns every
+    term it feeds into numpy dispatch.
+    """
+
+    batch: Union[int, np.ndarray]
+    input_len: Union[int, np.ndarray]
+    output_len: np.ndarray
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[InferenceRequest]
+                      ) -> "RequestGrid":
+        def shared(values: List[int]) -> Union[int, np.ndarray]:
+            return (values[0] if values.count(values[0]) == len(values)
+                    else np.array(values))
+
+        return cls(shared([request.batch_size for request in requests]),
+                   shared([request.input_len for request in requests]),
+                   np.array([request.output_len for request in requests]))
+
+    @property
+    def prefill(self) -> Tuple[Union[int, np.ndarray],
+                               Union[int, np.ndarray]]:
+        """``(B, L)`` of the prefill table."""
+        return self.batch, self.input_len
+
+    @property
+    def first_steps(self) -> np.ndarray:
+        """The decode-table index of each request's first step."""
+        return np.cumsum(self.output_len) - self.output_len
+
+    def spread(self, values: Union[int, np.ndarray]
+               ) -> Union[int, np.ndarray]:
+        """Per-request ``values`` repeated over each request's decode
+        steps; an int that every request shares stays as it is."""
+        if isinstance(values, np.ndarray):
+            return np.repeat(values, self.output_len, axis=0)
+        return values
+
+    @property
+    def decode(self) -> Tuple[Union[int, np.ndarray], np.ndarray]:
+        """``(B, L)`` of the decode table."""
+        steps = (np.arange(int(self.output_len.sum()))
+                 - self.spread(self.first_steps))
+        return self.spread(self.batch), self.spread(self.input_len) + steps
+
+    def fold_decode(self, steps: StageBreakdown) -> StageBreakdown:
+        """Each request's total of a breakdown over the decode table:
+        its steps folded left to right (``np.add.accumulate``, as a
+        per-step loop adds them)."""
+        ends = np.cumsum(self.output_len).tolist()
+        bounds = list(zip([0] + ends[:-1], ends))
+        return StageBreakdown(*(
+            np.array([np.add.accumulate(values[start:end])[-1]
+                      for start, end in bounds])
+            for values in steps.components()))
+
+
+def split_rows(stages: StageBreakdown, n: int) -> List[StageBreakdown]:
+    """One breakdown per request from one whose fields are ``(n,)``
+    arrays, or scalars that every request shares."""
+    fields = [[float(values)] * n if np.ndim(values) == 0
+              else values.tolist() for values in stages.components()]
+    return [StageBreakdown(*row) for row in zip(*fields)]
+
+
 def host_memory_usage(spec: ModelSpec, request: InferenceRequest,
                       system: SystemConfig,
                       config: LiaConfig) -> MemoryUsage:
@@ -163,29 +264,76 @@ class LiaEstimator:
         self.spec = spec
         self.system = system
         self.config = config or LiaConfig()
+        check_placement(system, self.config)
 
     # ------------------------------------------------------------------
     def estimate(self, request: InferenceRequest) -> InferenceEstimate:
-        """Estimate latency, throughput, and memory for one request."""
-        memory, residency = self._plan(request)
-        prefill, prefill_policy = self._stage_breakdown(
-            Stage.PREFILL, request, np.array([request.input_len]),
-            residency)
-        decode, decode_policy = self._stage_breakdown(
-            Stage.DECODE, request, request.decode_context_lengths(),
-            residency)
-        return InferenceEstimate(
-            framework=self.framework_name,
-            model=self.spec.name,
-            system=self.system.name,
-            request=request,
-            prefill=prefill,
-            decode=decode,
-            prefill_policy=prefill_policy,
-            decode_policy=decode_policy,
-            residency=residency,
-            memory=memory,
-        )
+        """Estimate latency, throughput, and memory for one request:
+        the one-point case of :meth:`estimate_many`."""
+        return only_estimate(self.estimate_many([request]))
+
+    def estimate_many(self, requests: Sequence[InferenceRequest]
+                      ) -> List[EstimateOrError]:
+        """Estimate every request, in order, from one prefill and one
+        decode term table.
+
+        The prefill table has one point per request; the decode table
+        one row per request and one column per decode step (rows
+        shorter than the longest ``L_out`` repeat their last context).
+        Each row's policies are solved on its prefill point and on its
+        first decode step, ``L_in`` (the decode policy depends on B,
+        not L — §7.1), and its decode steps are summed left to right.
+        A request whose memory plan overflows gets the
+        :class:`CapacityError` that :meth:`estimate` raises.
+        """
+        entries: List[Optional[EstimateOrError]] = []
+        planned = []
+        for request in requests:
+            try:
+                memory, residency = self._plan(request)
+            except CapacityError as error:
+                entries.append(error)
+                continue
+            planned.append((len(entries), request, memory, residency))
+            entries.append(None)
+        if not planned:
+            return entries  # type: ignore[return-value]
+
+        grid = RequestGrid.from_requests(
+            [request for __, request, __, __ in planned])
+        n_resident = np.array([residency.n_resident_layers
+                               for *__, residency in planned])
+        n_streamed = np.array([residency.n_layers
+                               for *__, residency in planned]) - n_resident
+        prefill_terms = layer_terms(self.spec, Stage.PREFILL, *grid.prefill,
+                                    self.system, self.config)
+        prefill, prefill_policies = self._stage_totals(
+            prefill_terms, n_streamed, n_resident)
+        decode_terms = layer_terms(self.spec, Stage.DECODE, *grid.decode,
+                                   self.system, self.config)
+        decode, decode_policies = self._stage_totals(
+            decode_terms, n_streamed, n_resident, grid)
+
+        prefills = split_rows(prefill, len(planned))
+        decodes = split_rows(grid.fold_decode(decode), len(planned))
+        prefill_best, decode_best = (
+            np.broadcast_to(policies.best, n_streamed.shape).tolist()
+            for policies in (prefill_policies, decode_policies))
+        for row, (index, request, memory, residency) in enumerate(planned):
+            entries[index] = InferenceEstimate(
+                framework=self.framework_name,
+                model=self.spec.name,
+                system=self.system.name,
+                request=request,
+                prefill=prefills[row],
+                decode=decodes[row],
+                prefill_policy=prefill_policies.candidates[
+                    prefill_best[row]],
+                decode_policy=decode_policies.candidates[decode_best[row]],
+                residency=residency,
+                memory=memory,
+            )
+        return entries  # type: ignore[return-value]
 
     def decode_step_times(self, batch_sizes: Sequence[int],
                           context_lens: Sequence[int]) -> np.ndarray:
@@ -209,16 +357,7 @@ class LiaEstimator:
                             np.asarray(batch_sizes)[:, np.newaxis],
                             np.asarray(context_lens), self.system,
                             self.config)
-        total = np.zeros(shape)
-        for count, weights_resident in ((n_streamed, False),
-                                        (n_resident, True)):
-            winners = search_grid(terms, self.config,
-                                  weights_resident).winners_on_cpu
-            layer = terms.sums(winners, resident_mask(weights_resident))
-            time = stage_layer_time(layer, Stage.DECODE, self.config)
-            # As in _stage_breakdown: an empty group adds nothing.
-            total = np.where(count > 0, total + time * count, total)
-        return total
+        return self._stage_totals(terms, n_streamed, n_resident)[0].time
 
     def max_feasible_batch(self, input_len: int, output_len: int,
                            hi: int = 1 << 14) -> int:
@@ -272,37 +411,45 @@ class LiaEstimator:
                 device=self.system.gpu.name)
         return replace(memory, gpu_bytes=gpu_bytes), residency
 
-    def _stage_breakdown(self, stage: Stage, request: InferenceRequest,
-                         context_lens: np.ndarray,
-                         residency: ResidencyPlan
-                         ) -> Tuple[StageBreakdown, OffloadPolicy]:
-        """Stage time over every step's ``L`` in ``context_lens``, for
-        the streamed and resident layer groups of Optimization-1.  One
-        term table covers every step; the policies are chosen on its
-        first row, ``L_in`` (the decode policy depends on B, not L —
-        §7.1)."""
-        terms = layer_terms(self.spec, stage, request.batch_size,
-                            context_lens, self.system, self.config)
-        first = terms.point(0)
-        streamed = search_grid(first, self.config).policy()
-        n_resident = residency.n_resident_layers
-        steps = StageBreakdown(0.0, 0.0, 0.0, 0.0)
-        for count, weights_resident in (
-                (residency.n_layers - n_resident, False),
-                (n_resident, True)):
-            if count == 0:
+    def _stage_totals(self, terms: LayerTerms, n_streamed: np.ndarray,
+                      n_resident: np.ndarray,
+                      grid: Optional[RequestGrid] = None
+                      ) -> Tuple[StageBreakdown, PolicyGrid]:
+        """Every point's breakdown of ``terms`` over Optimization-1's
+        streamed and resident layer groups, and the streamed group's
+        Eq. (1) winners.
+
+        ``n_streamed`` and ``n_resident`` hold each point's group
+        sizes (a 0-d table broadcasts over them), and each point's
+        winners are solved on the point itself.  With ``grid``,
+        ``terms`` is its decode table and the sizes are per request:
+        each request's winners are solved on its first step, ``L_in``
+        (the decode policy depends on B, not L — §7.1), and hold for
+        all its steps.  A group no point has is skipped, and a point
+        adds nothing for a group it lacks.
+        """
+        policies = terms
+        if grid is not None:
+            policies = terms.point(grid.first_steps)
+            n_streamed, n_resident = (grid.spread(n_streamed),
+                                      grid.spread(n_resident))
+        total = [np.zeros(terms.comp_cpu.shape[:-1])] * 4
+        streamed = search_grid(policies, self.config)
+        for count, weights_resident in ((n_streamed, False),
+                                        (n_resident, True)):
+            if not count.any():
                 continue
-            policy = (search_grid(first, self.config, True).policy()
-                      if weights_resident else streamed)
-            layer = terms.sums(on_cpu_mask(policy),
-                               resident_mask(weights_resident))
-            time = stage_layer_time(layer, stage, self.config)
-            steps = steps + StageBreakdown(
-                time=time * count,
-                cpu_compute=layer.cpu_compute * count,
-                gpu_compute=layer.gpu_compute * count,
-                transfer=layer.transfer * count)
-        return sum_steps(steps), streamed
+            winners = (search_grid(policies, self.config, True)
+                       if weights_resident else streamed).winners_on_cpu
+            if grid is not None:
+                winners = grid.spread(winners)
+            layer = terms.sums(winners, resident_mask(weights_resident))
+            time = stage_layer_time(layer, terms.stage, self.config)
+            total = [np.where(count > 0, field + part * count, field)
+                     for field, part in zip(total, (
+                         time, layer.cpu_compute, layer.gpu_compute,
+                         layer.transfer))]
+        return StageBreakdown(*total), streamed
 
 
 def sum_steps(steps: StageBreakdown) -> StageBreakdown:

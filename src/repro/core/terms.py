@@ -16,7 +16,7 @@ policy at one ``(B, L)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Collection, List, Tuple
+from typing import Collection, List, Tuple, Union
 
 import numpy as np
 
@@ -109,6 +109,15 @@ def pool_bandwidth(system: SystemConfig, on_cxl: bool,
     return system.cxl_pool.bandwidth
 
 
+def check_placement(system: SystemConfig, config: LiaConfig) -> None:
+    """Raise :class:`ConfigurationError` when ``config`` places weights
+    or KV cache on CXL and ``system`` has no CXL expanders."""
+    pool_bandwidth(system, config.weight_placement is WeightPlacement.CXL,
+                   "weight_placement")
+    pool_bandwidth(system, config.kv_placement is KvCachePlacement.CXL,
+                   "kv_placement")
+
+
 @dataclass(frozen=True)
 class LayerSums:
     """The serial rollups of :class:`~repro.core.latency.LayerLatency`,
@@ -150,9 +159,10 @@ class LayerTerms:
     load_r: Table
     store: Table
 
-    def point(self, index: int) -> "LayerTerms":
-        """The time tables at ``index`` of the first grid axis
-        (``costs`` and ``bytes_r`` keep the whole grid's sizes)."""
+    def point(self, index: Union[int, np.ndarray]) -> "LayerTerms":
+        """The time tables at ``index`` of the first grid axis, an int
+        or an array of them (``costs`` and ``bytes_r`` keep the whole
+        grid's sizes)."""
         return replace(self, **{name: getattr(self, name)[index]
                                 for name in _TIME_FIELDS})
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro.experiments.frameworks import estimate_or_oom
+from repro.experiments.frameworks import estimates_or_oom
 from repro.experiments.reporting import OOM, ExperimentResult
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest, paper_input_lengths
@@ -32,26 +32,30 @@ DEFAULT_FRAMEWORKS = ("lia", "ipex", "flexgen")
 def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         frameworks: Sequence[str] = DEFAULT_FRAMEWORKS,
         output_lens: Sequence[int] = (32, 256)) -> ExperimentResult:
-    """Latency rows (s/query) for the full Fig. 10 grid, one
-    estimate per (system, model, framework, request) cell."""
+    """Latency rows (s/query) for the full Fig. 10 grid: one
+    ``estimate_many`` call per (system, model, framework), rows in
+    (system, model, request, framework) order."""
     result = ExperimentResult(
         experiment_id="fig10",
         title="online inference latency (B=1)")
     for system_name, model in pairs:
         spec = get_model(model)
         system = get_system(system_name)
-        for output_len in output_lens:
-            for input_len in paper_input_lengths(spec, output_len):
-                for framework in frameworks:
-                    estimated = estimate_or_oom(
-                        framework, spec, system,
-                        InferenceRequest(1, input_len, output_len))
-                    result.add_row(
-                        system=system_name, model=model,
-                        framework=framework, input_len=input_len,
-                        output_len=output_len,
-                        latency_s=(OOM if estimated == OOM
-                                   else estimated.latency))
+        requests = [InferenceRequest(1, input_len, output_len)
+                    for output_len in output_lens
+                    for input_len in paper_input_lengths(spec, output_len)]
+        estimates = {framework: estimates_or_oom(framework, spec, system,
+                                                 requests)
+                     for framework in frameworks}
+        for index, request in enumerate(requests):
+            for framework in frameworks:
+                estimated = estimates[framework][index]
+                result.add_row(
+                    system=system_name, model=model,
+                    framework=framework, input_len=request.input_len,
+                    output_len=request.output_len,
+                    latency_s=(OOM if estimated == OOM
+                               else estimated.latency))
     return result
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.experiments.fig10_online_latency import DEFAULT_PAIRS
-from repro.experiments.frameworks import estimate_or_oom
+from repro.experiments.frameworks import estimates_or_oom
 from repro.experiments.reporting import OOM, ExperimentResult
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest, paper_input_lengths
@@ -27,30 +27,33 @@ def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         frameworks: Sequence[str] = DEFAULT_FRAMEWORKS,
         batch_sizes: Sequence[int] = (64, 900),
         output_lens: Sequence[int] = (32, 256)) -> ExperimentResult:
-    """Throughput rows (tokens/s) for the full Fig. 11 grid, one
-    estimate per (system, model, framework, request) cell."""
+    """Throughput rows (tokens/s) for the full Fig. 11 grid: one
+    ``estimate_many`` call per (system, model, framework), rows in
+    (system, model, request, framework) order."""
     result = ExperimentResult(
         experiment_id="fig11",
         title="offline inference throughput (B=64, 900)")
     for system_name, model in pairs:
         spec = get_model(model)
         system = get_system(system_name)
-        for batch_size in batch_sizes:
-            for output_len in output_lens:
-                for input_len in paper_input_lengths(spec, output_len):
-                    for framework in frameworks:
-                        estimated = estimate_or_oom(
-                            framework, spec, system,
-                            InferenceRequest(batch_size, input_len,
-                                             output_len))
-                        result.add_row(
-                            system=system_name, model=model,
-                            framework=framework,
-                            batch_size=batch_size,
-                            input_len=input_len,
-                            output_len=output_len,
-                            tokens_per_s=(OOM if estimated == OOM
-                                          else estimated.throughput))
+        requests = [InferenceRequest(batch_size, input_len, output_len)
+                    for batch_size in batch_sizes
+                    for output_len in output_lens
+                    for input_len in paper_input_lengths(spec, output_len)]
+        estimates = {framework: estimates_or_oom(framework, spec, system,
+                                                 requests)
+                     for framework in frameworks}
+        for index, request in enumerate(requests):
+            for framework in frameworks:
+                estimated = estimates[framework][index]
+                result.add_row(
+                    system=system_name, model=model,
+                    framework=framework,
+                    batch_size=request.batch_size,
+                    input_len=request.input_len,
+                    output_len=request.output_len,
+                    tokens_per_s=(OOM if estimated == OOM
+                                  else estimated.throughput))
     return result
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines import (
     DataOffloadEstimator,
@@ -49,12 +49,21 @@ def build_estimator(framework: str, spec: ModelSpec,
     return factory(spec, system, config or EVAL_CONFIG)
 
 
+def estimates_or_oom(framework: str, spec: ModelSpec,
+                     system: SystemConfig,
+                     requests: Sequence[InferenceRequest],
+                     config: Optional[LiaConfig] = None) -> List:
+    """Estimate every request with one ``estimate_many`` call, in
+    order, mapping each CapacityError to the OOM sentinel."""
+    estimator = build_estimator(framework, spec, system, config)
+    return [OOM if isinstance(entry, CapacityError) else entry
+            for entry in estimator.estimate_many(requests)]
+
+
 def estimate_or_oom(framework: str, spec: ModelSpec,
                     system: SystemConfig, request: InferenceRequest,
                     config: Optional[LiaConfig] = None):
-    """Run one estimate, mapping CapacityError to the OOM sentinel."""
-    estimator = build_estimator(framework, spec, system, config)
-    try:
-        return estimator.estimate(request)
-    except CapacityError:
-        return OOM
+    """Run one estimate, mapping CapacityError to the OOM sentinel:
+    the one-point case of :func:`estimates_or_oom`."""
+    return estimates_or_oom(framework, spec, system, [request],
+                            config)[0]

@@ -151,12 +151,19 @@ class PlanTable:
         return entry
 
     def service_times(self, workload: WorkloadVector) -> np.ndarray:
-        """Healthy per-arrival service times: one estimate per shape
-        the stream uses, gathered onto the arrivals."""
+        """Healthy per-arrival service times: the shapes the stream
+        uses, estimated in one batched call, gathered onto the
+        arrivals.  The first used shape that does not fit raises its
+        :class:`CapacityError`."""
+        used = [count > 0 for count in workload.counts().tolist()]
+        estimator, entries = self._platforms[()]
+        missing = [shape for shape, uses in zip(workload.shapes, used)
+                   if uses and shape not in entries]
+        if missing:
+            entries.update(zip(missing, estimator.estimate_many(missing)))
         latency = np.array(
-            [self.estimate((), shape).latency if count else 0.0
-             for shape, count in zip(workload.shapes,
-                                     workload.counts().tolist())])
+            [self.estimate((), shape).latency if uses else 0.0
+             for shape, uses in zip(workload.shapes, used)])
         return np.take(latency, workload.codes)
 
 

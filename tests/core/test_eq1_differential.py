@@ -2,22 +2,26 @@
 
 ``optimal_policy`` and ``search_grid`` score all 64 candidates from one
 term table (one point, or a whole ``(B, L)`` grid), the LIA and FlexGen
-estimators sum every decode step as one array, and
-``LiaEstimator.decode_step_times`` evaluates a ``(B, L)`` grid of
-decode steps from one broadcast table.  All must be bit-identical to
-the one-policy, one-step loops of ``tests/oracles/eq1_scalar.py`` (or,
-for the step grid, to per-point ``estimate`` calls): the winning
-policy, its ``layer_time`` and per-sublayer ``LayerLatency``, and all
-four ``StageBreakdown`` components, over models, systems and
-configurations that exercise every branch of Eqs. (4)-(9).
+estimators sum every decode step as one array, their
+``estimate_many`` estimates a request list from one prefill and one
+decode table, and ``LiaEstimator.decode_step_times`` evaluates a
+``(B, L)`` grid of decode steps from one broadcast table.  All must be
+bit-identical to the one-policy, one-step loops of
+``tests/oracles/eq1_scalar.py`` (or, for the step grid and the
+batches, to per-point ``estimate`` calls): the winning policy, its
+``layer_time`` and per-sublayer ``LayerLatency``, and all four
+``StageBreakdown`` components, over models, systems and configurations
+that exercise every branch of Eqs. (4)-(9).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.flexgen import FlexGenEstimator, FlexGenSettings
-from repro.core.config import LiaConfig
+from repro.core.config import KvCachePlacement, LiaConfig
 from repro.core.estimator import (
     LiaEstimator,
     StageBreakdown,
@@ -141,6 +145,102 @@ def test_flexgen_grid_covers_both_kv_homes_and_packing():
     for request in (small, large):
         assert (estimator.estimate(request).decode
                 == eq1_scalar.flexgen_decode(estimator, request))
+
+
+@st.composite
+def request_lists(draw, batches=batch_sizes):
+    """1-4 requests: one shared B or a B each, ``L_out`` often 1."""
+    shared = draw(batches) if draw(st.booleans()) else None
+    return [InferenceRequest(shared or draw(batches),
+                             draw(st.integers(1, 2048)),
+                             draw(st.one_of(st.just(1),
+                                            st.integers(1, 48))))
+            for __ in range(draw(st.integers(1, 4)))]
+
+
+def _per_point(estimator, request):
+    try:
+        return estimator.estimate(request)
+    except CapacityError as error:
+        return error
+
+
+def _assert_matches_per_point(estimator, requests, entries):
+    """``entries`` equal per-point ``estimate`` in every field, and hold
+    the same ``CapacityError`` where it raises; returns the estimated
+    requests."""
+    assert len(entries) == len(requests)
+    estimated = []
+    for request, entry in zip(requests, entries):
+        expected = _per_point(estimator, request)
+        if isinstance(expected, CapacityError):
+            assert isinstance(entry, CapacityError)
+            assert str(entry) == str(expected)
+        else:
+            assert entry == expected
+            estimated.append((request, entry))
+    return estimated
+
+
+#: B=2048 x L_in=2048 of OPT-175B overflows host memory; the others fit.
+_MIXED_OOM = [InferenceRequest(1, 64, 8), InferenceRequest(2048, 2048, 1),
+              InferenceRequest(4, 512, 16)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=model_names, system=system_names, config=config_names,
+       requests=request_lists(), enforce=st.booleans())
+@example(model="opt-175b", system="spr-a100+cxl2", config="default",
+         requests=_MIXED_OOM, enforce=True)
+@example(model="opt-175b", system="spr-a100+cxl2", config="default",
+         requests=_MIXED_OOM[1:2], enforce=True)
+def test_lia_estimate_many_matches_scalar_oracle(model, system, config,
+                                                 requests, enforce):
+    estimator = LiaEstimator(
+        MODELS[model], SYSTEMS[system],
+        replace(CONFIGS[config], enforce_host_capacity=enforce))
+    entries = estimator.estimate_many(requests)
+    for request, entry in _assert_matches_per_point(estimator, requests,
+                                                    entries):
+        assert ((entry.prefill, entry.decode, entry.prefill_policy,
+                 entry.decode_policy)
+                == eq1_scalar.lia_stages(estimator, request))
+
+
+def test_estimate_many_keeps_oom_positions():
+    """The host-capacity error lands at its request's position, and
+    ``estimate`` raises that same error."""
+    estimator = LiaEstimator(MODELS["opt-175b"], SYSTEMS["spr-a100+cxl2"],
+                             LiaConfig())
+    entries = estimator.estimate_many(_MIXED_OOM)
+    assert [isinstance(entry, CapacityError) for entry in entries] == [
+        False, True, False]
+    with pytest.raises(CapacityError, match="DDR needs") as raised:
+        estimator.estimate(_MIXED_OOM[1])
+    assert str(raised.value) == str(entries[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=model_names, system=system_names,
+       config=st.sampled_from(["default", "no-overlap", "cxl-weights",
+                               "kv-window"]),
+       compute_offload=st.booleans(),
+       requests=request_lists(st.integers(1, 256)), enforce=st.booleans())
+def test_flexgen_estimate_many_matches_scalar_oracles(
+        model, system, config, compute_offload, requests, enforce):
+    """Both KV homes in one list: prefill against the scalar
+    ``layer_latency`` layer, decode against the per-step loop."""
+    estimator = FlexGenEstimator(
+        MODELS[model], SYSTEMS[system],
+        replace(CONFIGS[config], enforce_host_capacity=enforce),
+        FlexGenSettings(compute_offload=compute_offload))
+    entries = estimator.estimate_many(requests)
+    for request, entry in _assert_matches_per_point(estimator, requests,
+                                                    entries):
+        assert entry.prefill == eq1_scalar.flexgen_prefill(estimator,
+                                                           request)
+        assert entry.decode == eq1_scalar.flexgen_decode(estimator,
+                                                         request)
 
 
 batch_grids = st.lists(batch_sizes, min_size=1, max_size=3, unique=True)
@@ -307,6 +407,11 @@ class TestBoundaryValidation:
         (LiaConfig(enforce_host_capacity=False,
                    kv_placement=_BASE.with_all_cxl().kv_placement),
          "kv_placement"),
+        # Host capacity enforced (the default): the placement is
+        # rejected before any capacity check.
+        (LiaConfig().with_cxl_weights(), "weight_placement"),
+        (LiaConfig().with_all_cxl(), "weight_placement"),
+        (LiaConfig(kv_placement=KvCachePlacement.CXL), "kv_placement"),
     ])
     def test_cxl_placement_without_cxl(self, config, placement):
         message = (f"^spr-a100: {placement}=CXL but the system has "
@@ -317,3 +422,5 @@ class TestBoundaryValidation:
         with pytest.raises(ConfigurationError, match=message):
             LiaEstimator(self.spec, self.system, config).estimate(
                 InferenceRequest(1, 64, 4))
+        with pytest.raises(ConfigurationError, match=message):
+            FlexGenEstimator(self.spec, self.system, config)

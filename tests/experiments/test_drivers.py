@@ -26,7 +26,11 @@ from repro.experiments import (
     tab4_ablation,
     tab5_breakdown,
 )
-from repro.experiments.frameworks import build_estimator
+from repro.experiments.frameworks import (FRAMEWORKS, build_estimator,
+                                         estimate_or_oom, estimates_or_oom)
+from repro.hardware.system import get_system
+from repro.models.workload import InferenceRequest
+from repro.models.zoo import get_model
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import OOM
 
@@ -163,6 +167,22 @@ def test_build_estimator_registry(opt_30b, spr_a100):
         assert estimator.framework_name == name
     with pytest.raises(ConfigurationError, match="unknown framework"):
         build_estimator("vllm", opt_30b, spr_a100)
+
+
+@pytest.mark.parametrize("framework", sorted(FRAMEWORKS))
+def test_estimates_or_oom_matches_per_point_calls(framework):
+    """One batched call per framework gives each request's per-point
+    estimate, and OOM where that overflows (B=900 for PowerInfer and
+    tensor parallelism)."""
+    spec, system = get_model("opt-30b"), get_system("dgx-a100")
+    requests = [InferenceRequest(1, 32, 1), InferenceRequest(900, 1792, 32),
+                InferenceRequest(64, 256, 256), InferenceRequest(1, 1792, 256)]
+    batched = estimates_or_oom(framework, spec, system, requests)
+    assert batched == [estimate_or_oom(framework, spec, system, request)
+                       for request in requests]
+    assert batched[0] != OOM
+    assert (batched[1] == OOM) == (framework in ("powerinfer",
+                                                 "tensor-parallel"))
 
 
 def test_sec72_rows():

@@ -2,9 +2,10 @@
 
 One policy, one context length, one sublayer at a time: the per-
 sublayer Eqs. (4)-(9) evaluation, the 64-candidate Eq. (1) scan, and
-the per-step decode loops of the LIA and FlexGen estimators, written
-as plain Python loops over scalar calls of the shared cost formulas
-(``sublayer_cost``, ``Link.transfer_time``, ``ComputeEngine.matmul_time``).
+the prefill and per-step decode loops of the LIA and FlexGen
+estimators, written as plain Python loops over scalar calls of the
+shared cost formulas (``sublayer_cost``, ``Link.transfer_time``,
+``ComputeEngine.matmul_time``).
 The library's table-driven path must agree with this module bit for
 bit (``tests/core/test_eq1_differential.py``); the estimator benchmark
 times it as its slow side.
@@ -21,7 +22,7 @@ from repro.core.gpu_residency import plan_layer_residency
 from repro.core.latency import LayerLatency, SublayerLatency
 from repro.core.optimizer import PolicyDecision, stage_layer_time
 from repro.core.overlap import serial_layer_time
-from repro.core.policy import OffloadPolicy
+from repro.core.policy import FULL_GPU, OffloadPolicy
 from repro.core.terms import (
     BOUNDARY_SYNC_LATENCY,
     cpu_engine,
@@ -227,6 +228,18 @@ def lia_stages(estimator: LiaEstimator, request: InferenceRequest
                                     *policies[Stage.DECODE])
     return (prefill, decode, policies[Stage.PREFILL][0],
             policies[Stage.DECODE][0])
+
+
+def flexgen_prefill(estimator: FlexGenEstimator,
+                    request: InferenceRequest) -> StageBreakdown:
+    """FlexGen's prefill stage: one full-GPU layer at ``L_in``."""
+    layer = layer_latency(
+        estimator.spec, Stage.PREFILL, FULL_GPU, request.batch_size,
+        request.input_len, estimator.system, estimator.config,
+        resident_sublayers=estimator.estimate(
+            request).residency.resident_sublayers,
+        kv_resident=estimator.kv_fits_gpu(request))
+    return estimator._stage_breakdown(layer, Stage.PREFILL)
 
 
 def flexgen_decode(estimator: FlexGenEstimator,

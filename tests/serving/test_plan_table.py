@@ -4,14 +4,17 @@ estimates — a second identical call costs what the first did."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
+from repro.errors import CapacityError
 from repro.faults.spec import FaultEvent, FaultKind, FaultScenario
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
+from repro.serving.degradation import PlanTable
 from repro.serving.replicas import MultiReplicaSimulator, replicas_needed
 from repro.serving.simulator import ServingSimulator, arrivals_poisson
 from repro.serving.vectorized import WorkloadVector
@@ -35,15 +38,17 @@ def estimator():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Every ``LiaEstimator.estimate`` call as ``(system, request)``."""
+    """Every request ``LiaEstimator`` estimates, as ``(system,
+    request)``: ``estimate`` is the one-point case of
+    ``estimate_many``, so this sees both."""
     seen = []
-    original = LiaEstimator.estimate
+    original = LiaEstimator.estimate_many
 
-    def counted(self, request):
-        seen.append((self.system.name, request))
-        return original(self, request)
+    def counted(self, requests):
+        seen.extend((self.system.name, request) for request in requests)
+        return original(self, requests)
 
-    monkeypatch.setattr(LiaEstimator, "estimate", counted)
+    monkeypatch.setattr(LiaEstimator, "estimate_many", counted)
     return seen
 
 
@@ -92,3 +97,22 @@ def test_replicas_needed_estimates_each_shape_once(estimator, calls):
         assert search == Counter({(system, shape): 1 for shape in SHAPES})
     k, __ = replicas_needed(estimator, workload, arrivals, 30.0)
     assert k > 2  # the search simulated several fleet sizes
+
+
+def test_service_times_raise_first_used_shape_that_does_not_fit(calls):
+    """One batched call estimates the shapes a stream uses; the first
+    of them (in shape order) that overflows host memory raises."""
+    estimator = LiaEstimator(get_model("opt-175b"), get_system("spr-a100"),
+                             LiaConfig())
+    shapes = (InferenceRequest(1, 128, 8), InferenceRequest(2048, 2048, 8),
+              InferenceRequest(4096, 2048, 8))
+    errors = estimator.estimate_many(shapes)[1:]
+    assert all(isinstance(error, CapacityError) for error in errors)
+    for codes, error in (([2, 0, 1], errors[0]), ([2, 0], errors[1])):
+        del calls[:]
+        with pytest.raises(CapacityError) as raised:
+            PlanTable(estimator).service_times(
+                WorkloadVector(shapes, np.array(codes)))
+        assert str(raised.value) == str(error)
+        assert sorted(request.batch_size for __, request in calls) == sorted(
+            shapes[code].batch_size for code in codes)
