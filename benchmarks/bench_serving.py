@@ -370,6 +370,8 @@ def _time_fleet(estimator, n_requests: int,
             redispatch=RedispatchPolicy(max_retries=0))).run(
         workload, trace)
     mean_s = statistics.mean(times)
+    q1, median_s, q3 = statistics.quantiles(times, n=4,
+                                            method="inclusive")
     return {
         "config": (f"FleetSimulator(replica-crash, "
                    f"k={FLEET_REPLICAS}, bursty trace)"),
@@ -402,8 +404,8 @@ def _time_scheduler(estimator, n_requests: int,
     saturating Poisson trace; the gated quantities are simulated-time
     statistics (throughput ratio, fingerprint determinism, degenerate
     bit-identity), so they hold in ``--quick`` as well.  Wall-clock
-    rep times are reported for trend-watching but never gated — the
-    iteration loop is a per-decode-step Python pass.
+    rep times (one warm-up, then median and IQR of ``reps`` timed
+    runs) are reported for trend-watching but never gated.
     """
     from repro.serving.scheduler import (ContinuousBatchScheduler,
                                          SchedulerConfig)
@@ -452,6 +454,8 @@ def _time_scheduler(estimator, n_requests: int,
     ratio = (summary["throughput_tokens_per_s"]
              / fifo_summary["throughput_tokens_per_s"])
     mean_s = statistics.mean(times)
+    q1, median_s, q3 = statistics.quantiles(times, n=4,
+                                            method="inclusive")
     return {
         "config": (f"ContinuousBatchScheduler(max_batch="
                    f"{SCHED_MAX_BATCH}, join=step, derived KV tiers) "
@@ -461,6 +465,9 @@ def _time_scheduler(estimator, n_requests: int,
         "times_s": times,
         "mean_s": mean_s,
         "requests_per_s": n_requests / mean_s,
+        "median_s": median_s,
+        "iqr_s": q3 - q1,
+        "median_requests_per_s": n_requests / median_s,
         "summary": summary,
         "fifo_summary": fifo_summary,
         "throughput_ratio": ratio,
@@ -679,7 +686,10 @@ def main() -> int:
     sched = report["scheduler"]
     print(f"scheduler ({sched['n_requests']:,} requests, rate "
           f"{sched['rate_per_s']}/s): {sched['throughput_ratio']:.2f}x "
-          f"FIFO throughput, occupancy {sched['occupancy_mean']:.2f} "
+          f"FIFO throughput, median {sched['median_s']:.3f} s (IQR "
+          f"{sched['iqr_s']:.3f} s, "
+          f"{sched['median_requests_per_s']:,.0f} req/s), occupancy "
+          f"{sched['occupancy_mean']:.2f} "
           f"mean / {sched['occupancy_peak']} peak, deterministic="
           f"{sched['deterministic']}, degenerate_identical="
           f"{sched['fifo_degenerate_identical']}")

@@ -29,7 +29,8 @@ with a UTC timestamp.  ``check`` applies, per committed report:
 * scheduler gates are simulated-time quantities (continuous/FIFO
   throughput ratio, fingerprint determinism, FIFO-degenerate
   bit-identity), so like the fleet gates they bind in ``--quick``
-  too;
+  too; the scheduler's wall-clock ``scheduler_requests_per_s``
+  (median over reps) is recorded as a trend and never gated;
 * the step-profile grid's bit-identity to per-point estimates and
   the figure grid's committed row fingerprint bind everywhere,
   ``--quick`` included;
@@ -110,6 +111,9 @@ def entry_from_report(report: Dict[str, object],
             "deterministic")
         entry["scheduler_fifo_degenerate_identical"] = scheduler.get(
             "fifo_degenerate_identical")
+        # Trend only: wall-clock, never gated by ``check``.
+        entry["scheduler_requests_per_s"] = scheduler.get(
+            "median_requests_per_s", scheduler.get("requests_per_s"))
     workload = report.get("workload")
     if isinstance(workload, dict) and "n_requests" in workload:
         entry["n_requests"] = workload["n_requests"]

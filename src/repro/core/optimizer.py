@@ -169,6 +169,23 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
                             weights_resident))
 
 
+def solve_points(spec: ModelSpec, stage: Stage,
+                 points: Sequence[Tuple[int, int]], system: SystemConfig,
+                 config: LiaConfig) -> Dict[Tuple[int, int], OffloadPolicy]:
+    """Solve Eq. (1) at every ``(B, L)`` point of ``points``.
+
+    One term table over the distinct points solves them all; the
+    telemetry counts one search per entry of ``points``, as for
+    per-point :func:`optimal_policy` calls.
+    """
+    distinct = sorted(set(points))
+    batches, contexts = np.array(distinct).T
+    grid = search_grid(layer_terms(spec, stage, batches, contexts, system,
+                                   config), config)
+    _count_searches(stage, config, len(points))
+    return {point: grid.policy((i,)) for i, point in enumerate(distinct)}
+
+
 def policy_map(spec: ModelSpec, stage: Stage, batch_sizes: Sequence[int],
                context_lens: Sequence[int], system: SystemConfig,
                config: LiaConfig

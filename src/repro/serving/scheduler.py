@@ -17,8 +17,11 @@ Three LIA-specific couplings make this more than a queueing exercise:
   estimator as one broadcast term table, then bilinearly interpolated.
 * **Admission re-consults Eq. (1).**  Batch composition changes the
   optimal CPU/GPU split (Fig. 9's policy regions are batch-dependent),
-  so every composition change re-solves
-  :func:`~repro.core.optimizer.optimal_policy` for the aggregate batch.
+  so every composition change re-solves Eq. (1) for the aggregate
+  batch: on the spot (:func:`~repro.core.optimizer.optimal_policy`)
+  when the coming steps read the decision, otherwise together with
+  the run's other unread re-solves, in one
+  :func:`~repro.core.optimizer.solve_points` table at the end.
 * **KV placement feeds back into step time.**  When the re-solved
   policy keeps the attention sublayers on the CPU, KV bytes demoted to
   CXL stall AMX (Observation-2); the step stretches by
@@ -38,13 +41,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Deque, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.core.optimizer import optimal_policy
+from repro.core.optimizer import optimal_policy, solve_points
 from repro.cxl.residency import (KV_TIERS, KvResidency, KvTierCapacities,
                                  kv_capacities_from_system)
 from repro.errors import CapacityError, ConfigurationError
@@ -78,6 +81,15 @@ MIXED_SHAPES: Tuple[Tuple[int, int, int], ...] = (
     (1, 512, 32),
     (8, 256, 32),
 )
+
+
+def _seeded_fold(start: float, values: np.ndarray) -> np.ndarray:
+    """``[start, start + v0, (start + v0) + v1, ...]``: the running
+    totals a loop adding ``values`` to ``start`` one by one holds."""
+    totals = np.empty(values.size + 1)
+    totals[0] = start
+    totals[1:] = values
+    return np.add.accumulate(totals)
 
 
 @dataclass(frozen=True)
@@ -160,11 +172,15 @@ class StepProfile:
     and the whole grid is one
     :meth:`~repro.core.estimator.LiaEstimator.decode_step_times` call,
     so the profile inherits the paper's batch-dependent CPU/GPU splits.
+    Prefill times of the ``prompts`` shapes, ``(B, L_in)`` pairs, come
+    from one :meth:`~repro.core.estimator.LiaEstimator.estimate_many`
+    call.
     """
 
     def __init__(self, estimator: "LiaEstimator",
                  batch_sizes: Sequence[int],
-                 context_lens: Sequence[int]) -> None:
+                 context_lens: Sequence[int],
+                 prompts: Iterable[Tuple[int, int]] = ()) -> None:
         batches = sorted(set(int(b) for b in batch_sizes))
         contexts = sorted(set(int(c) for c in context_lens))
         if not batches or batches[0] < 1:
@@ -177,8 +193,10 @@ class StepProfile:
         self.estimator = estimator
         self.batch_sizes = batches
         self.context_lens = contexts
+        self._batch_axis = np.array(batches)
+        self._context_axis = np.array(contexts)
         self._decode_grid = estimator.decode_step_times(batches, contexts)
-        self._prefill_cache: Dict[Tuple[int, int], float] = {}
+        self._prefill = self._prefill_times(prompts)
 
     @classmethod
     def for_workload(cls, estimator: "LiaEstimator",
@@ -189,7 +207,8 @@ class StepProfile:
         Batch axis: powers of two up to the largest possible aggregate
         batch (``max_batch_requests`` × largest member batch).  Context
         axis: ``context_grid_points`` geometric levels between the
-        shortest prompt and the longest final context.
+        shortest prompt and the longest final context.  Prefill: every
+        distinct prompt shape of ``requests``.
         """
         if not requests:
             raise ConfigurationError("profile needs at least one request")
@@ -205,51 +224,73 @@ class StepProfile:
         ratio = (hi / lo) ** (1.0 / (n - 1)) if hi > lo else 1.0
         contexts = [int(round(lo * ratio ** i)) for i in range(n)]
         contexts.append(hi)
-        return cls(estimator, batches, contexts)
+        prompts = {(r.batch_size, r.input_len) for r in requests}
+        return cls(estimator, batches, contexts, prompts)
+
+    def _prefill_times(self, prompts: Iterable[Tuple[int, int]]
+                       ) -> Dict[Tuple[int, int],
+                                 Union[float, CapacityError]]:
+        """Each prompt shape's prefill time, or the
+        :class:`CapacityError` its estimate raises."""
+        shapes = sorted(set(prompts))
+        entries = self.estimator.estimate_many(
+            [InferenceRequest(batch_size=batch, input_len=length,
+                              output_len=1)
+             for batch, length in shapes])
+        return {shape: (entry if isinstance(entry, CapacityError)
+                        else entry.prefill.time)
+                for shape, entry in zip(shapes, entries)}
 
     @staticmethod
-    def _interp(grid: List[int], position: float
-                ) -> Tuple[int, int, float]:
-        """Bracketing indices + weight, clamped at the grid edges."""
-        if position <= grid[0]:
-            return 0, 0, 0.0
-        if position >= grid[-1]:
-            return len(grid) - 1, len(grid) - 1, 0.0
-        hi = 1
-        while grid[hi] < position:
-            hi += 1
-        lo = hi - 1
-        weight = (position - grid[lo]) / (grid[hi] - grid[lo])
+    def _brackets(axis: np.ndarray, positions: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bracketing indices + weight of every position, clamped at
+        the axis edges (a clamped position gets ``lo == hi`` and
+        weight 0)."""
+        hi = np.minimum(axis.searchsorted(positions), axis.size - 1)
+        inside = (positions > axis[0]) & (positions < axis[-1])
+        lo = hi - inside
+        below = axis[lo]
+        weight = np.divide(positions - below, axis[hi] - below,
+                           out=np.zeros(np.shape(positions)),
+                           where=inside)
         return lo, hi, weight
 
-    def decode_step_time(self, batch_size: float,
-                         context_len: float) -> float:
-        """One decode iteration of an aggregate batch (bilinear)."""
-        b_lo, b_hi, wb = self._interp(self.batch_sizes, batch_size)
-        c_lo, c_hi, wc = self._interp(self.context_lens, context_len)
+    def decode_step_times(self, batch_sizes: ArrayLike,
+                          context_lens: ArrayLike) -> np.ndarray:
+        """One decode iteration of an aggregate batch at every
+        broadcast ``(batch_sizes, context_lens)`` point (bilinear)."""
+        b_lo, b_hi, wb = self._brackets(self._batch_axis,
+                                        np.asarray(batch_sizes))
+        c_lo, c_hi, wc = self._brackets(self._context_axis,
+                                        np.asarray(context_lens))
         grid = self._decode_grid
         low = grid[b_lo, c_lo] + wc * (grid[b_lo, c_hi]
                                        - grid[b_lo, c_lo])
         high = grid[b_hi, c_lo] + wc * (grid[b_hi, c_hi]
                                         - grid[b_hi, c_lo])
-        return float(low + wb * (high - low))
+        return low + wb * (high - low)
+
+    def decode_step_time(self, batch_size: float,
+                         context_len: float) -> float:
+        """One decode iteration of an aggregate batch: the one-point
+        case of :meth:`decode_step_times`."""
+        return float(self.decode_step_times(batch_size, context_len))
 
     def prefill_time(self, request: InferenceRequest) -> float:
-        """Exact (memoized) prefill latency of one member's prompt.
+        """Exact prefill latency of one member's prompt.
 
-        Prompts come from a small set of distinct shapes, so exact
-        estimation beats interpolation here — one estimator call per
-        shape, not per admission.
+        A shape outside the profile's ``prompts`` is estimated on the
+        spot; a shape whose estimate does not fit raises its
+        :class:`CapacityError`.
         """
         key = (request.batch_size, request.input_len)
-        cached = self._prefill_cache.get(key)
-        if cached is None:
-            probe = InferenceRequest(batch_size=request.batch_size,
-                                     input_len=request.input_len,
-                                     output_len=1)
-            cached = self.estimator.estimate(probe).prefill.time
-            self._prefill_cache[key] = cached
-        return cached
+        entry = self._prefill.get(key)
+        if entry is None:
+            entry = self._prefill_times([key])[key]
+        if isinstance(entry, CapacityError):
+            raise entry
+        return entry
 
 
 @dataclass
@@ -288,7 +329,8 @@ class ContinuousServingReport(ServingReport):
                  policy_resolves: int = 0,
                  kv_peak_bytes: Optional[Dict[str, float]] = None,
                  kv_demotions: int = 0, kv_demoted_bytes: float = 0.0,
-                 server_busy_s: float = 0.0) -> None:
+                 server_busy_s: float = 0.0,
+                 decode_busy_s: float = 0.0) -> None:
         super().__init__(workload, arrivals, starts, finishes)
         self.iterations = iterations
         self.admissions = admissions
@@ -304,6 +346,9 @@ class ContinuousServingReport(ServingReport):
         #: over makespan) exceeds 1 by the batching factor; this is
         #: the real busy integral.
         self.server_busy_s = server_busy_s
+        #: Seconds spent in decode steps: the weight behind
+        #: ``occupancy_mean``, which merging replicas averages by.
+        self.decode_busy_s = decode_busy_s
 
     @property
     def utilization(self) -> float:
@@ -419,6 +464,10 @@ class ContinuousBatchScheduler:
             policy_resolves=0,
             kv_peak_bytes={tier: 0.0 for tier in KV_TIERS},
             server_busy_s=busy,
+            # The closed form does not split prefill from decode; every
+            # busy second runs one request, so the whole busy time
+            # weighs the occupancy of 1.
+            decode_busy_s=busy,
         )
         telemetry = self._active_telemetry()
         if telemetry is not None:
@@ -428,6 +477,16 @@ class ContinuousBatchScheduler:
     # ------------------------------------------------------------------
     def _run_iterative(self, workload: WorkloadVector,
                        trace: np.ndarray) -> ContinuousServingReport:
+        """Serve from one membership event to the next.
+
+        Between events the running set, its aggregate batch, the KV
+        ledger and the Eq. (1) decision are fixed and the max context
+        grows by one per step, so each turn folds a whole run of
+        decode steps at once: the same floats, in the same order, as
+        one step per turn (``tests/oracles/scheduler_loop.py``).
+        A turn ends at the first finish or, when the head request
+        could join, at the first step whose end reaches its arrival.
+        """
         requests = workload.to_requests()
         arrivals = trace.tolist()
         cfg = self.config
@@ -458,110 +517,140 @@ class ContinuousBatchScheduler:
         occupancy_peak = 0
         policy_resolves = 0
         kv_peak = {tier: 0.0 for tier in KV_TIERS}
-        members: frozenset = frozenset()
+        #: Whether the last turn's steps finished a request: with an
+        #: admission, the batch-composition changes that re-solve Eq. (1).
+        released = False
         kv_on_cpu = False
+        #: Re-solves whose decision no step reads, as (B, L) points,
+        #: solved together when the run ends.
+        unread: List[Tuple[int, int]] = []
         #: (start, finish, n_running, aggregate_batch) per iteration,
         #: capped at cfg.span_cap; the total count feeds the drop note.
         span_rows: List[Tuple[float, float, int, int]] = []
 
-        while pending or running:
-            if not running and pending:
-                head_arrival = pending[0][2]
-                if clock < head_arrival:
-                    clock = head_arrival
-            can_join = cfg.join == "step" or not running
-            admitted: List[_ActiveRequest] = []
-            while (pending and can_join
-                   and len(running) < cfg.max_batch_requests
-                   and pending[0][2] <= clock):
-                index, request, arrival = pending[0]
-                kv_bytes = float(spec.kv_cache_bytes(
-                    request.batch_size, request.max_context_len))
-                if not residency.admit(index, kv_bytes):
-                    if not running:
-                        raise CapacityError(
-                            f"request {index} "
-                            f"(B={request.batch_size}, "
-                            f"L={request.max_context_len}) needs "
-                            f"{kv_bytes:.3e} KV bytes but the tiers "
-                            f"hold {capacities.total_bytes:.3e} "
-                            "combined",
-                            requested=kv_bytes,
-                            available=capacities.total_bytes,
-                            device="kv-tiers")
-                    # Head waits for the batch to drain; later
-                    # requests wait behind it (FIFO admission).
+        try:
+            while pending or running:
+                if not running and pending:
+                    head_arrival = pending[0][2]
+                    if clock < head_arrival:
+                        clock = head_arrival
+                can_join = cfg.join == "step" or not running
+                #: The head could join but has not arrived yet: its
+                #: arrival ends the next run of steps.
+                awaiting_head = False
+                admitted: List[_ActiveRequest] = []
+                while (pending and can_join
+                       and len(running) < cfg.max_batch_requests):
+                    index, request, arrival = pending[0]
+                    if arrival > clock:
+                        awaiting_head = True
+                        break
+                    kv_bytes = float(spec.kv_cache_bytes(
+                        request.batch_size, request.max_context_len))
+                    if not residency.admit(index, kv_bytes):
+                        if not running:
+                            raise CapacityError(
+                                f"request {index} "
+                                f"(B={request.batch_size}, "
+                                f"L={request.max_context_len}) needs "
+                                f"{kv_bytes:.3e} KV bytes but the tiers "
+                                f"hold {capacities.total_bytes:.3e} "
+                                "combined",
+                                requested=kv_bytes,
+                                available=capacities.total_bytes,
+                                device="kv-tiers")
+                        # Head waits for the batch to drain; later
+                        # requests wait behind it (FIFO admission).  A
+                        # refused admit changes nothing, so only a
+                        # release can let it in.
+                        break
+                    pending.popleft()
+                    entry = _ActiveRequest(index=index, request=request,
+                                           arrival=arrival, start=clock)
+                    running.append(entry)
+                    admitted.append(entry)
+                    admissions += 1
+                for tier in KV_TIERS:
+                    used = residency.used(tier)
+                    if used > kv_peak[tier]:
+                        kv_peak[tier] = used
+
+                if not running:
+                    # An empty batch admits its head or raises, so
+                    # nothing is pending either.
                     break
-                pending.popleft()
-                entry = _ActiveRequest(index=index, request=request,
-                                       arrival=arrival, start=clock)
-                running.append(entry)
-                admitted.append(entry)
-                admissions += 1
-            for tier in KV_TIERS:
-                used = residency.used(tier)
-                if used > kv_peak[tier]:
-                    kv_peak[tier] = used
 
-            now_members = frozenset(entry.index for entry in running)
-            if now_members != members:
-                members = now_members
-                if cfg.resolve_policy and running:
-                    aggregate = sum(entry.request.batch_size
-                                    for entry in running)
-                    context = max(entry.context_len
-                                  for entry in running)
-                    decision = optimal_policy(
-                        spec, Stage.DECODE, aggregate, context,
-                        system, lia_config)
+                n_running = len(running)
+                aggregate = sum(entry.request.batch_size
+                                for entry in running)
+                context = max(entry.context_len for entry in running)
+                # The KV ledger, and so the stretch, changes only with
+                # membership: it holds until the next change.
+                stretch = self._cxl_stretch(residency)
+                if cfg.resolve_policy and (admitted or released):
                     policy_resolves += 1
-                    kv_on_cpu = any(
-                        not decision.policy.on_gpu(sub)
-                        for sub in Sublayer if sub.uses_kv_cache)
+                    if stretch == 1.0:
+                        # No step until the next change reads it.
+                        unread.append((aggregate, context))
+                    else:
+                        decision = optimal_policy(
+                            spec, Stage.DECODE, aggregate, context,
+                            system, lia_config)
+                        kv_on_cpu = any(
+                            not decision.policy.on_gpu(sub)
+                            for sub in Sublayer if sub.uses_kv_cache)
 
-            # New members prefill before the batch's next decode step
-            # (ORCA interleaves prefill iterations; modeled serially).
-            for entry in admitted:
-                entry.start = clock
-                prefill = profile.prefill_time(entry.request)
-                clock += prefill
-                prefill_busy += prefill
+                # New members prefill before the batch's next decode
+                # step (ORCA interleaves prefill iterations; modeled
+                # serially).
+                for entry in admitted:
+                    entry.start = clock
+                    prefill = profile.prefill_time(entry.request)
+                    clock += prefill
+                    prefill_busy += prefill
 
-            if not running:
-                continue
+                k = min(entry.request.output_len - entry.steps_done
+                        for entry in running)
+                steps = profile.decode_step_times(
+                    aggregate, np.arange(context, context + k))
+                if kv_on_cpu and stretch != 1.0:
+                    steps = steps * stretch
+                clocks = _seeded_fold(clock, steps)
+                if awaiting_head:
+                    joins = int(np.searchsorted(clocks[1:], pending[0][2]))
+                    if joins < k:
+                        k = joins + 1
+                        steps = steps[:k]
+                        clocks = clocks[:k + 1]
+                iterations += k
+                clock = float(clocks[-1])
+                busy_time = float(_seeded_fold(busy_time, steps)[-1])
+                occupancy_time = float(_seeded_fold(
+                    occupancy_time, steps * n_running)[-1])
+                if n_running > occupancy_peak:
+                    occupancy_peak = n_running
+                rows = min(k, cfg.span_cap - len(span_rows))
+                if rows > 0:
+                    bounds = clocks[:rows + 1].tolist()
+                    span_rows.extend(
+                        (start, finish, n_running, aggregate)
+                        for start, finish in zip(bounds, bounds[1:]))
 
-            iterations += 1
-            aggregate = sum(entry.request.batch_size
-                            for entry in running)
-            context = max(entry.context_len for entry in running)
-            step = profile.decode_step_time(aggregate, context)
-            if kv_on_cpu and cfg.cxl_step_penalty > 0.0:
-                total_kv = residency.total_used
-                if total_kv > 0.0:
-                    cxl_fraction = residency.used("cxl") / total_kv
-                    # Observation-2: CPU attention reading CXL-resident
-                    # KV runs at expander, not DDR, bandwidth.
-                    step *= 1.0 + cfg.cxl_step_penalty * cxl_fraction
-            step_start = clock
-            clock += step
-            busy_time += step
-            occupancy_time += step * len(running)
-            if len(running) > occupancy_peak:
-                occupancy_peak = len(running)
-            if len(span_rows) < cfg.span_cap:
-                span_rows.append((step_start, clock, len(running),
-                                  aggregate))
-
-            for entry in running:
-                entry.steps_done += 1
-            finished = [entry for entry in running if entry.done]
-            if finished:
-                running = [entry for entry in running
-                           if not entry.done]
-                for entry in finished:
-                    residency.release(entry.index)
-                    starts[entry.index] = entry.start
-                    finishes[entry.index] = clock
+                for entry in running:
+                    entry.steps_done += k
+                finished = [entry for entry in running if entry.done]
+                released = bool(finished)
+                if released:
+                    running = [entry for entry in running
+                               if not entry.done]
+                    for entry in finished:
+                        residency.release(entry.index)
+                        starts[entry.index] = entry.start
+                        finishes[entry.index] = clock
+        finally:
+            if unread:
+                solve_points(spec, Stage.DECODE, unread, system,
+                             lia_config)
 
         report = ContinuousServingReport(
             workload, trace, starts, finishes,
@@ -575,10 +664,27 @@ class ContinuousBatchScheduler:
             kv_demotions=residency.demotions,
             kv_demoted_bytes=residency.demoted_bytes,
             server_busy_s=busy_time + prefill_busy,
+            decode_busy_s=busy_time,
         )
         if telemetry is not None:
             self._emit_telemetry(telemetry, report, span_rows)
         return report
+
+    def _cxl_stretch(self, residency: KvResidency) -> float:
+        """The factor a decode step stretches by when the Eq. (1)
+        decision computes attention on the CPU, 1.0 when there is no
+        CXL-resident KV to stretch it.
+
+        Observation-2: CPU attention reading CXL-resident KV runs at
+        expander, not DDR, bandwidth.
+        """
+        penalty = self.config.cxl_step_penalty
+        if penalty > 0.0:
+            total_kv = residency.total_used
+            if total_kv > 0.0:
+                cxl_fraction = residency.used("cxl") / total_kv
+                return 1.0 + penalty * cxl_fraction
+        return 1.0
 
     # ------------------------------------------------------------------
     def _emit_telemetry(self, telemetry: Telemetry,
@@ -645,6 +751,7 @@ def run_continuous_fleet(estimator: "LiaEstimator",
         return scheduler.run(workload.subset(shard), trace[shard])
 
     reports = [serve(shard) for shard in shards]
+    decode_busy = math.fsum(r.decode_busy_s for r in reports)
     codes = np.concatenate([r.workload.codes for r in reports])
     arrivals_all = np.concatenate([r.arrivals for r in reports])
     starts = np.concatenate([r.starts for r in reports])
@@ -655,10 +762,12 @@ def run_continuous_fleet(estimator: "LiaEstimator",
         arrivals_all[order], starts[order], finishes[order],
         iterations=sum(r.iterations for r in reports),
         admissions=sum(r.admissions for r in reports),
+        # Each replica's mean weighs by its decode-busy time, as
+        # within one run: replicas' steps differ in length.
         occupancy_mean=(
-            sum(r.occupancy_mean * r.iterations for r in reports)
-            / sum(r.iterations for r in reports)
-            if sum(r.iterations for r in reports) else 0.0),
+            math.fsum(r.occupancy_mean * r.decode_busy_s
+                      for r in reports) / decode_busy
+            if decode_busy > 0.0 else 0.0),
         occupancy_peak=max(r.occupancy_peak for r in reports),
         policy_resolves=sum(r.policy_resolves for r in reports),
         kv_peak_bytes={
@@ -672,5 +781,6 @@ def run_continuous_fleet(estimator: "LiaEstimator",
         # average replica busy fraction (the fleet convention).
         server_busy_s=(math.fsum(r.server_busy_s for r in reports)
                        / len(reports)),
+        decode_busy_s=decode_busy,
     )
     return merged

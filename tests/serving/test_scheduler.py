@@ -6,6 +6,8 @@ every run is deterministic across reps — plus the
 KV-tier admission coupling and the telemetry surface.
 """
 
+import math
+
 import pytest
 
 from repro.core.config import LiaConfig
@@ -288,6 +290,33 @@ def test_continuous_fleet_shards_deterministically(estimator):
     with pytest.raises(ConfigurationError):
         run_continuous_fleet(estimator, requests, arrivals,
                              replicas=0)
+
+
+def test_fleet_occupancy_weighs_replicas_by_decode_busy_time(estimator):
+    """Round-robin puts the long-step shape on replica 0 and the
+    short-step one on replica 1, so per-replica iteration counts are
+    the wrong weights for the merged decode-busy-time mean."""
+    long_steps, short_steps = (InferenceRequest(8, 1024, 24),
+                               InferenceRequest(1, 64, 8))
+    requests = [long_steps if i % 2 == 0 else short_steps
+                for i in range(40)]
+    arrivals = [0.05 * i for i in range(40)]
+    config = SchedulerConfig(max_batch_requests=4)
+    replicas = [ContinuousBatchScheduler(estimator, config).run(
+        requests[replica::2], arrivals[replica::2])
+        for replica in range(2)]
+    merged = run_continuous_fleet(estimator, requests, arrivals,
+                                  replicas=2, scheduler_config=config)
+    busy = [report.decode_busy_s for report in replicas]
+    assert busy[0] > 5 * busy[1]
+    by_time = (math.fsum(report.occupancy_mean * report.decode_busy_s
+                         for report in replicas) / math.fsum(busy))
+    by_iterations = (sum(report.occupancy_mean * report.iterations
+                         for report in replicas)
+                     / sum(report.iterations for report in replicas))
+    assert merged.occupancy_mean == by_time
+    assert merged.occupancy_mean != pytest.approx(by_iterations)
+    assert merged.decode_busy_s == math.fsum(busy)
 
 
 def test_session_trace_never_deadlocks(estimator):

@@ -31,7 +31,8 @@ def _serving_report(speedup=80.0, overhead=0.05, quick=False,
                     degraded_identical=True, fleet_availability=1.0,
                     fleet_deterministic=True, fleet_loses=True,
                     scheduler_ratio=2.2, scheduler_deterministic=True,
-                    scheduler_degenerate=True):
+                    scheduler_degenerate=True,
+                    scheduler_requests_per_s=9000.0):
     return {
         "benchmark": "bench_serving",
         "workload": {"n_requests": 1_000_000},
@@ -47,7 +48,8 @@ def _serving_report(speedup=80.0, overhead=0.05, quick=False,
         "scheduler": {
             "throughput_ratio": scheduler_ratio,
             "deterministic": scheduler_deterministic,
-            "fifo_degenerate_identical": scheduler_degenerate},
+            "fifo_degenerate_identical": scheduler_degenerate,
+            "median_requests_per_s": scheduler_requests_per_s},
         "gates": {"speedup_mean_min": None if quick else 50.0,
                   "bit_identical": True,
                   "timeseries_overhead_max": None if quick else 0.10,
@@ -357,3 +359,18 @@ def test_committed_history_gates_committed_reports(tracker):
         ["check", str(root / "BENCH_history.jsonl"),
          "--committed", str(root / "BENCH_serving.json"),
          "--committed", str(root / "BENCH_estimator.json")]) == 0
+
+
+def test_scheduler_requests_per_s_is_a_trend_not_a_gate(tracker,
+                                                         tmp_path):
+    history = tmp_path / "history.jsonl"
+    committed = _write(tmp_path / "committed.json",
+                       _serving_report())
+    slow = _write(tmp_path / "slow.json",
+                  _serving_report(scheduler_requests_per_s=900.0))
+    tracker.main(["append", str(history), slow, "--commit", ""])
+    entry = json.loads(history.read_text().splitlines()[-1])
+    assert entry["scheduler_requests_per_s"] == 900.0
+    # Wall-clock on a shared host: recorded, never gated.
+    assert tracker.main(["check", str(history),
+                         "--committed", committed]) == 0
