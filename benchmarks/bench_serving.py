@@ -32,7 +32,12 @@ through the loop oracle (``run_degraded``) and the piecewise-Lindley
 engine (:mod:`repro.serving.piecewise`).  The two
 degraded reports are compared bit-for-bit: timelines, served/dropped
 substreams, every :class:`FaultStats` counter, and the summary
-statistics.
+statistics.  Its admission sub-run serves the same trace under the
+composite schedule behind ``AdmissionPolicy(64, 3)``, which the trace
+saturates, so the engine's admission rounds carry the shed stretches:
+one warm-up, then the median and IQR of the timed reps, and the
+report compared bit for bit with the sequential admission reference
+(``run_admission_sequential``).
 
 A fifth phase times the **fleet** control plane
 (:mod:`repro.serving.fleet`): the ``replica-crash`` chaos scenario
@@ -57,8 +62,8 @@ The acceptance gates tracked by the repo:
 
 * mean speedup >= 50x on the million-request run
 * degraded mean speedup >= 20x on the million-request composite run
-* bit-identical reports, fault-free and degraded (always, including
-  ``--quick``)
+* bit-identical reports, fault-free, degraded and admission-bounded
+  (always, including ``--quick``)
 * windowed-metrics overhead < 10% of the vectorized run (full mode)
 * fleet phase: deterministic reps, availability >= 99% with retries
   on, strict request loss with retries off (always)
@@ -85,7 +90,8 @@ import numpy as np
 
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
-from repro.faults.spec import FaultEvent, FaultKind, FaultScenario
+from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
+                               FaultScenario)
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
@@ -120,6 +126,9 @@ TS_OVERHEAD_MAX = 0.15
 #: Committed floor for the degraded (piecewise-Lindley) engine on the
 #: million-request composite run.
 DEGRADED_SPEEDUP_MIN = 20.0
+#: The degraded phase's admission sub-run: queue-depth bound and
+#: deferrals before a shed.
+ADMISSION_POLICY = AdmissionPolicy(max_queue_depth=64, max_deferrals=3)
 #: Fleet phase: the control plane is a sequential per-request Python
 #: pass, so it runs at a fixed size independent of the engine phases.
 FLEET_N_REQUESTS = 100_000
@@ -293,6 +302,63 @@ def _bit_identical_degraded(loop, vectorized) -> bool:
             and np.array_equal(loop["dropped_index"],
                                vec_report.dropped_index)
             and loop["stats"] == vec_report.stats.as_dict())
+
+
+def _time_admission(estimator, workload, arrival_array,
+                    composite: FaultScenario,
+                    reps: int) -> Dict[str, object]:
+    """Timed admission sub-run: the composite schedule behind
+    :data:`ADMISSION_POLICY`, through the engine (one warm-up, then
+    median and IQR of ``reps`` timed runs), bit-compared with the
+    sequential admission reference."""
+    from dataclasses import replace
+
+    from repro.serving.degradation import DegradationController, PlanTable
+
+    scenario = replace(composite, admission=ADMISSION_POLICY)
+    simulator = ServingSimulator(estimator)
+    simulator.run(workload, arrival_array, scenario=scenario)  # warm-up
+    times: List[float] = []
+    report = None
+    for __ in range(reps):
+        gc.collect()
+        start = time.perf_counter()
+        report = simulator.run(workload, arrival_array, scenario=scenario)
+        times.append(time.perf_counter() - start)
+    # Untimed reference: every request through the exact sequential
+    # ``admit`` over a fresh controller.
+    controller = DegradationController(PlanTable(estimator), scenario)
+    served, starts, finishes, dropped, reasons = (
+        fifo_loop.run_admission_sequential(controller, workload,
+                                           arrival_array, None))
+    identical = (np.array_equal(served, report.served_index)
+                 and np.array_equal(starts, report.starts)
+                 and np.array_equal(finishes, report.finishes)
+                 and np.array_equal(dropped, report.dropped_index)
+                 and reasons == [d.reason for d in report.dropped]
+                 and controller.stats.as_dict()
+                 == report.stats.as_dict())
+    n_requests = workload.n_requests
+    if len(times) > 1:
+        q1, median_s, q3 = statistics.quantiles(times, n=4,
+                                                method="inclusive")
+    else:
+        q1 = median_s = q3 = times[0]
+    return {
+        "config": (f"scenario + AdmissionPolicy(max_queue_depth="
+                   f"{ADMISSION_POLICY.max_queue_depth}, max_deferrals="
+                   f"{ADMISSION_POLICY.max_deferrals}) + "
+                   "ServingSimulator.run (admission rounds)"),
+        "max_queue_depth": ADMISSION_POLICY.max_queue_depth,
+        "max_deferrals": ADMISSION_POLICY.max_deferrals,
+        "times_s": times,
+        "median_s": median_s,
+        "iqr_s": q3 - q1,
+        "median_requests_per_s": n_requests / median_s,
+        "stats": report.stats.as_dict(),
+        "dropped_requests": int(report.dropped_index.size),
+        "bit_identical": identical,
+    }
 
 
 def _time_timeseries(vectorized, reps: int) -> Dict[str, object]:
@@ -528,6 +594,8 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
                         / degraded_vec["mean_s"])
     degraded_stats = degraded_vec["report"].stats.as_dict()
     degraded_dropped = int(degraded_vec["report"].dropped_index.size)
+    admission = _time_admission(estimator, workload, arrival_array,
+                                scenario, reps)
 
     fleet = _time_fleet(
         estimator,
@@ -602,6 +670,7 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
             "dropped_requests": degraded_dropped,
             "speedup_mean": degraded_speedup,
             "bit_identical": degraded_identical,
+            "admission": admission,
         },
         "fleet": fleet,
         "scheduler": scheduler,
@@ -623,6 +692,7 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
                       None if quick else DEGRADED_SPEEDUP_MIN,
                   "bit_identical": True,
                   "degraded_bit_identical": True,
+                  "admission_bit_identical": True,
                   "timeseries_overhead_max":
                       None if quick else TS_OVERHEAD_MAX,
                   "fleet_availability_min": FLEET_AVAILABILITY_MIN,
@@ -640,7 +710,8 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
         # million-request run additionally holds the mean speedups to
         # their floors and the windowed-metrics overhead under its
         # ceiling.
-        "pass": (identical and degraded_identical and fleet_ok
+        "pass": (identical and degraded_identical
+                 and admission["bit_identical"] and fleet_ok
                  and scheduler_ok
                  and (quick
                       or (speedup_mean >= 50.0
@@ -675,6 +746,14 @@ def main() -> int:
           f"{degraded['speedup_mean']:.1f}x; bit_identical="
           f"{degraded['bit_identical']}; dropped="
           f"{degraded['dropped_requests']}")
+    admission = degraded["admission"]
+    print(f"admission (max_queue_depth {admission['max_queue_depth']}, "
+          f"max_deferrals {admission['max_deferrals']}): median "
+          f"{admission['median_s'] * 1e3:.1f} ms (IQR "
+          f"{admission['iqr_s'] * 1e3:.1f} ms, "
+          f"{admission['median_requests_per_s']:,.0f} req/s); "
+          f"dropped={admission['dropped_requests']}; bit_identical="
+          f"{admission['bit_identical']}")
     fleet = report["fleet"]
     print(f"fleet ({fleet['n_requests']:,} requests, replica-crash): "
           f"{fleet['mean_s']:.2f} s mean "

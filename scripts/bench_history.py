@@ -31,6 +31,10 @@ with a UTC timestamp.  ``check`` applies, per committed report:
   bit-identity), so like the fleet gates they bind in ``--quick``
   too; the scheduler's wall-clock ``scheduler_requests_per_s``
   (median over reps) is recorded as a trend and never gated;
+* the admission sub-run's bit-identity to the sequential admission
+  reference binds everywhere; its wall-clock
+  ``admission_requests_per_s`` (median over reps) is a trend, never
+  gated;
 * the step-profile grid's bit-identity to per-point estimates and
   the figure grid's committed row fingerprint bind everywhere,
   ``--quick`` included;
@@ -95,6 +99,13 @@ def entry_from_report(report: Dict[str, object],
     if isinstance(degraded, dict):
         entry["degraded_speedup_mean"] = degraded.get("speedup_mean")
         entry["degraded_bit_identical"] = degraded.get("bit_identical")
+        admission = degraded.get("admission")
+        if isinstance(admission, dict):
+            entry["admission_bit_identical"] = admission.get(
+                "bit_identical")
+            # Trend only: wall-clock, never gated by ``check``.
+            entry["admission_requests_per_s"] = admission.get(
+                "median_requests_per_s")
     fleet = report.get("fleet")
     if isinstance(fleet, dict):
         entry["fleet_availability"] = fleet.get("availability")
@@ -201,6 +212,9 @@ def check_against_committed(latest: Dict[str, object],
             and not latest["degraded_bit_identical"]):
         failures.append(f"{name}: degraded engines are not "
                         f"bit-identical")
+    if latest.get("admission_bit_identical") is False:
+        failures.append(f"{name}: admission engine is not bit-identical "
+                        f"to the sequential admission reference")
     degraded_gate = gates.get("degraded_speedup_mean_min")
     degraded_speedup = latest.get("degraded_speedup_mean")
     if degraded_speedup is not None:

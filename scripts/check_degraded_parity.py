@@ -3,15 +3,17 @@
 
 CI runs this after the unit suite as a larger-n backstop: for each
 scenario in :func:`repro.faults.scenarios.builtin_scenarios` plus the
-admission-bounded presets below (a tight always-saturated queue and a
-deep mostly-open one, so both the batched attempt-zero probe path and
-the sequential drain fallback of the admission engine see thousands
-of requests), serve the same Poisson workload through the per-request
-loop oracle of ``tests/oracles/fifo_loop.py`` and the piecewise-
-Lindley engine — single server and a 4-replica fleet — and fail
-(exit 1) on the first surface that is not bit-identical: timelines,
-served/dropped index maps, drop reasons, :class:`FaultStats`, and the
-derived statistics (percentiles, queue delay, utilization).
+admission-bounded presets below (a tight always-saturated queue, a
+deep mostly-open one, and the benchmark's five-window composite
+schedule behind a saturated 64-deep queue, so the batched
+attempt-zero probes of speculative blocks and the admission rounds
+of a full queue both see thousands of requests), serve the same
+Poisson workload through the per-request loop oracle of
+``tests/oracles/fifo_loop.py`` and the piecewise-Lindley engine —
+single server and a 4-replica fleet — and fail (exit 1) on the first
+surface that is not bit-identical: timelines, served/dropped index
+maps, drop reasons, :class:`FaultStats`, and the derived statistics
+(percentiles, queue delay, utilization).
 
 The unit tests in ``tests/serving/test_piecewise.py`` pin the same
 contract at small n; this sweep runs thousands of requests per preset
@@ -40,16 +42,38 @@ MODEL = "opt-30b"
 SYSTEM = "spr-a100"
 
 
-def _admission_presets():
+#: The benchmark's composite schedule: (kind, start, duration,
+#: magnitude) with start and duration as fractions of the trace.
+COMPOSITE_WINDOWS = (("pcie-downshift", 0.06, 0.20, 0.6),
+                     ("gpu-hbm-pressure", 0.22, 0.18, 0.35),
+                     ("pcie-stall", 0.33, 0.03, 0.05),
+                     ("cxl-contention", 0.55, 0.20, 0.55),
+                     ("cpu-preemption", 0.80, 0.10, 0.3))
+
+
+def _admission_presets(horizon: float):
     """Admission-bounded sweep presets (not builtin scenarios): a
-    tight queue that saturates at the sweep's arrival rate and a deep
-    one that stays mostly open, covering the admission engine's
-    sequential-drain and batched-probe regimes respectively."""
+    tight queue that saturates at the sweep's arrival rate, a deep
+    one that stays mostly open, and ``admission-bench`` — the five
+    composite windows over ``horizon`` seconds behind
+    ``AdmissionPolicy(64, 3)``, which the default rate saturates.
+    They cover the admission engine's rounds and its batched-probe
+    blocks."""
     from repro.faults.spec import (AdmissionPolicy, FaultEvent,
                                    FaultKind, FaultScenario,
                                    RetryPolicy)
 
     return {
+        "admission-bench": FaultScenario(
+            name="admission-bench", seed=7, chunks_per_request=12,
+            events=tuple(FaultEvent(FaultKind(kind),
+                                    start=start * horizon,
+                                    duration=duration * horizon,
+                                    magnitude=magnitude)
+                         for kind, start, duration, magnitude
+                         in COMPOSITE_WINDOWS),
+            admission=AdmissionPolicy(max_queue_depth=64,
+                                      max_deferrals=3)),
         "admission-tight": FaultScenario(
             name="admission-tight", seed=7,
             admission=AdmissionPolicy(max_queue_depth=2,
@@ -137,7 +161,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 seed=args.seed)
     requests = workload.to_requests()
 
-    scenarios = {**builtin_scenarios(), **_admission_presets()}
+    scenarios = {**builtin_scenarios(),
+                 **_admission_presets(float(arrivals[-1]))}
     failures: List[str] = []
     for name, scenario in sorted(scenarios.items()):
         started = time.perf_counter()

@@ -38,7 +38,9 @@ telemetry rows equal those of the reference loops in
 seed, global request index)``, and the two float accumulators
 (``stall_seconds``, ``backoff_seconds``) fold per event in request
 order.  Admission control batches its attempt-zero queue-depth probes
-per block (see :func:`_serve`).
+per block, and once the queue is full it serves in admission rounds:
+up to ``max_queue_depth`` admissions, and every shed between them, per
+array pass (see :func:`_serve`).
 """
 
 from __future__ import annotations
@@ -69,9 +71,9 @@ _BLOCK_CAP = 1 << 16
 
 #: Starting speculative block size for the admission engine.  The cap
 #: doubles after every block free of admission violations and shrinks
-#: back toward the observed commit length when a probe would defer,
-#: so wasted speculation stays proportional to committed work even
-#: when the queue saturates and probes defer densely.
+#: back toward the observed commit length after one, so wasted
+#: speculation stays proportional to committed work when the queue
+#: keeps filling up.
 _ADMISSION_BLOCK_SEED = 32
 
 _UNSERVABLE_REASON = "does not fit the degraded platform at B=1"
@@ -134,9 +136,12 @@ def _stall_outcome(scenario: FaultScenario, probability: float,
 
 
 def _apply_stall_ops(controller: DegradationController, index: int,
-                     start: float, ops: Tuple[tuple, ...]) -> None:
+                     start: float, ops: Tuple[tuple, ...],
+                     fold_backoff: bool = True) -> None:
     """Fold one request's stall ops into stats/counters/spans in the
-    order the stalls and retries happen."""
+    order the stalls and retries happen.  ``fold_backoff=False``
+    leaves the retry delays out of ``backoff_seconds`` (stats and
+    counter) for a caller that folds them itself."""
     stats = controller.stats
     timeout = controller.scenario.retry.timeout_s
     for op in ops:
@@ -153,9 +158,10 @@ def _apply_stall_ops(controller: DegradationController, index: int,
             __, chunk, attempt, offset, delay = op
             at = start + offset
             stats.transfer_retries += 1
-            stats.backoff_seconds += delay
             controller._count("faults.transfer.retries")
-            controller._count("faults.backoff_seconds", delay)
+            if fold_backoff:
+                stats.backoff_seconds += delay
+                controller._count("faults.backoff_seconds", delay)
             controller._span(f"backoff:req{index}:chunk{chunk}", at,
                              at + delay, attempt=attempt)
         elif kind == "retry_stall":
@@ -330,7 +336,7 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
            trace: np.ndarray, idx: Optional[np.ndarray]
            ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray,
                       np.ndarray, List[str]]:
-    """The piecewise-Lindley block loop.
+    """The piecewise-Lindley block loop, with admission rounds.
 
     Returns ``(served positions, starts, finishes, dropped positions,
     drop reasons)``; the served positions are ``None`` when every
@@ -347,16 +353,35 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
     against the block arrivals, plus the block's own speculative
     finishes (clamped to each member's served-before prefix, which
     holds the earliest finishes).  The block commits up to the first
-    request whose probe would defer or shed; that request alone takes
-    the exact sequential ``admit`` (deferral loop, stats, spans,
-    backoff float folds), and batching resumes behind it.
+    request whose probe would defer or shed.
+
+    From that request on the engine serves in **admission rounds**.
+    With ``m`` requests served, finish list ``F`` and bound ``D``, a
+    probe at time ``e`` sees depth ``m - bisect_right(F, e)``, and
+    ``depth < D`` is the same test as ``m < D or F[m - D] <= e``.  The
+    next ``D`` admissions ``k = m .. m + D - 1`` therefore face
+    thresholds ``T_k = F[k - D]`` that are all committed before any
+    of them is served.  A request's probes are the float chain
+    ``a, a + d0, (a + d0) + d1, ...``; the last one is nondecreasing
+    in the arrival, so the first request that can take slot ``k`` is
+    one ``searchsorted`` of ``T_k`` into the last-probe column, and
+    the admitted positions are ``k + maximum.accumulate(first - k)``.
+    Each is admitted at its first probe ``>= T_k``; every request
+    between two admitted ones sheds after ``max_deferrals``
+    deferrals.  One :func:`lindley_timeline` call serves the admitted
+    requests from ``free_at``, and the round is cut like a block at
+    the first start past the segment boundary.  An admitted request
+    that is unservable takes no slot, so the round ends on it.
+    Rounds repeat until one neither defers nor sheds; then
+    speculative blocks resume.
     """
     stats = controller.stats
     scenario = controller.scenario
     shapes = workload.shapes
     codes = workload.codes
     n = trace.size
-    max_depth = scenario.admission.max_queue_depth
+    admission = scenario.admission
+    max_depth = admission.max_queue_depth
     segments = controller.injector.regimes()
     seg_los = [segment[0] for segment in segments]
     tables: Dict[FaultSignature, _PlanColumns] = {
@@ -373,75 +398,161 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
     served_starts = served_finishes = _EMPTY_FLOATS
     served_positions = _EMPTY_INTS
     n_served = 0
-    # ``admit``'s binary search over a list of Python floats is ~3x
-    # cheaper than over an ndarray view (no per-comparison boxing).
-    finishes_list: List[float] = []
     dropped_positions: List[int] = []
     dropped_reasons: List[str] = []
-
-    def buffers() -> None:
-        nonlocal served_starts, served_finishes, served_positions
-        if served_positions.size < n:
-            served_starts = np.empty(n)
-            served_finishes = np.empty(n)
-            served_positions = np.empty(n, dtype=np.int64)
-
-    probe_code = np.empty(1, dtype=np.int64)
     pos = 0
     free_at = 0.0
-    adm_cap = _ADMISSION_BLOCK_SEED if max_depth else n
-    seq_run = _ADMISSION_BLOCK_SEED
-    # The sequential path indexes one request at a time; Python lists
-    # make that ~3x cheaper than ndarray scalar access.
-    arrivals_list: List[float] = trace.tolist() if max_depth else []
-    codes_list: List[int] = codes.tolist() if max_depth else []
 
-    def serve_slow(position: int) -> None:
-        """One request through the exact sequential path — for the
-        request at an admission violation (whose probe defers or
-        sheds and therefore mutates controller state) and for
-        saturated stretches where speculation cannot pay for
-        itself."""
-        nonlocal free_at, n_served
-        arrival = arrivals_list[position]
-        index = position if idx is None else int(idx[position])
-        effective = controller.admit(arrival, index, finishes_list)
-        if effective is None:
-            dropped_positions.append(position)
-            dropped_reasons.append(_SHED_REASON)
-            return
-        start = effective if effective >= free_at else free_at
-        signature, stall_p = segments[bisect_right(seg_los, start) - 1][2:]
-        table = table_for(signature)
-        code = codes_list[position]
-        if not table.filled[code]:
-            probe_code[0] = code
-            table.fill(controller, shapes, signature, probe_code)
-        if not table.ok[code]:
+    def commit(starts: np.ndarray, finishes: np.ndarray,
+               positions: Optional[np.ndarray]) -> None:
+        """Append served rows; ``positions`` ``None`` means the rows
+        sit contiguously from ``pos``."""
+        nonlocal served_starts, served_finishes, served_positions
+        nonlocal n_served, free_at
+        count = starts.size
+        if count == n:
+            # One block served the whole stream: keep its arrays.
+            served_starts, served_finishes = starts, finishes
+        else:
+            if served_positions.size < n:
+                served_starts = np.empty(n)
+                served_finishes = np.empty(n)
+                served_positions = np.empty(n, dtype=np.int64)
+            stop = n_served + count
+            served_starts[n_served:stop] = starts
+            served_finishes[n_served:stop] = finishes
+            served_positions[n_served:stop] = (
+                pos + np.arange(count) if positions is None
+                else positions)
+        n_served += count
+        free_at = float(finishes[-1])
+
+    def stall_draws(stall_p: float, positions: np.ndarray,
+                    n_chunks: np.ndarray
+                    ) -> Tuple[List[Tuple[float, Tuple[tuple, ...]]],
+                               np.ndarray]:
+        """Stall outcomes and penalty column of the requests at
+        stream ``positions``."""
+        request_ids = positions if idx is None else idx[positions]
+        outcomes = [_stall_outcome(scenario, stall_p, rid, nch)
+                    for rid, nch in zip(request_ids.tolist(),
+                                        n_chunks.tolist())]
+        penalties = np.fromiter((o[0] for o in outcomes),
+                                dtype=np.float64, count=len(outcomes))
+        return outcomes, penalties
+
+    adm_cap = n
+    if max_depth:
+        adm_cap = _ADMISSION_BLOCK_SEED
+        round_cap = min(max_depth, _BLOCK_CAP)
+        delays = [scenario.retry.backoff_delay(attempt)
+                  for attempt in range(admission.max_deferrals)]
+        # Every request's last admission probe, the same float chain
+        # ``admit`` walks.
+        last_probe = trace.copy()
+        for delay in delays:
+            last_probe += delay
+
+    def admission_round() -> bool:
+        """Serve one admission round from ``pos``; True when it
+        deferred or shed."""
+        nonlocal pos
+        m = n_served
+        # Rounds start at an attempt-zero violation, so m >= max_depth
+        # and every threshold is a committed finish.
+        thresholds = served_finishes[m - max_depth:
+                                     m - max_depth + round_cap]
+        ramp = np.arange(thresholds.size)
+        first = pos + np.searchsorted(last_probe[pos:], thresholds,
+                                      side="left")
+        admitted = ramp + np.maximum.accumulate(first - ramp)
+        n_admitted = int(np.searchsorted(admitted, n, side="left"))
+        admitted = admitted[:n_admitted]
+        # Admission probes: each request stops at its first probe at
+        # or past its threshold.
+        effective = trace[admitted]
+        attempts = np.zeros(n_admitted, dtype=np.int64)
+        for delay in delays:
+            late = effective < thresholds[:n_admitted]
+            if not late.any():
+                break
+            effective[late] += delay
+            attempts += late
+
+        served = 0
+        unservable = False
+        starts = finishes = _EMPTY_FLOATS
+        outcomes = None
+        if n_admitted:
+            e0 = float(effective[0])
+            t0 = e0 if e0 >= free_at else free_at
+            __, hi, signature, stall_p = segments[
+                bisect_right(seg_los, t0) - 1]
+            table = table_for(signature)
+            adm_codes = codes[admitted]
+            table.fill(controller, shapes, signature, adm_codes)
+            bad = (_EMPTY_INTS if table.ok.all()
+                   else np.flatnonzero(~table.ok[adm_codes]))
+            servable = int(bad[0]) if bad.size else n_admitted
+            kept = servable
+            if math.isfinite(hi) and kept > 1:
+                kept = min(kept, _capacity(
+                    table.latency[adm_codes[:kept]], hi - t0))
+            penalties = None
+            if stall_p > 0.0 and kept:
+                outcomes, penalties = stall_draws(
+                    stall_p, admitted[:kept],
+                    table.n_chunks[adm_codes[:kept]])
+            starts, finishes = lindley_timeline(
+                effective[:kept], table.latency[adm_codes[:kept]],
+                penalties=penalties, free_at=free_at)
+            served = (int(np.searchsorted(starts, hi, side="left"))
+                      if math.isfinite(hi) else kept)
+            if served == servable < n_admitted:
+                # The first unservable admission is dropped in this
+                # segment if it would start inside it.
+                backlog = float(finishes[-1]) if served else free_at
+                e_u = float(effective[served])
+                unservable = (e_u if e_u >= backlog else backlog) < hi
+        if unservable:
+            end = int(admitted[served]) + 1
+        elif served < n_admitted:
+            end = int(admitted[served])
+        elif n_admitted < thresholds.size:
+            end = n  # no request left can take the next slot
+        else:
+            end = int(admitted[-1]) + 1
+
+        rows = end - pos
+        decided = admitted[:served + unservable] - pos
+        defers = np.full(rows, admission.max_deferrals, dtype=np.int64)
+        defers[decided] = attempts[:decided.size]
+        shed = np.ones(rows, dtype=bool)
+        shed[decided] = False
+        shed_positions = pos + np.flatnonzero(shed)
+        committed_finishes = served_finishes[:m]
+        if served:
+            commit(starts[:served], finishes[:served], admitted[:served])
+            halvings = _count_resolves(
+                controller, table, signature, adm_codes[:served],
+                outcomes)
+        else:
+            halvings = None
+        _account_round(
+            controller, delays, trace[pos:end],
+            np.arange(pos, end) if idx is None else idx[pos:end], defers,
+            decided[:served], starts[:served], halvings,
+            None if outcomes is None else outcomes[:served],
+            committed_finishes, int(shed_positions.size))
+        dropped_positions.extend(shed_positions.tolist())
+        dropped_reasons.extend([_SHED_REASON] * shed_positions.size)
+        if unservable:
             stats.unservable += 1
             controller._count("faults.unservable")
-            dropped_positions.append(position)
+            dropped_positions.append(end - 1)
             dropped_reasons.append(_UNSERVABLE_REASON)
-            return
-        if signature:
-            controller._note_plan(bool(table.shifted[code]),
-                                  int(table.shrinks[code]), index, start)
-        penalty = 0.0
-        if stall_p > 0.0:
-            penalty, ops = _stall_outcome(scenario, stall_p, index,
-                                          int(table.n_chunks[code]))
-            if ops:
-                _apply_stall_ops(controller, index, start, ops)
-        if signature or penalty > 0.0:
-            stats.degraded_requests += 1
-        finish = start + float(table.latency[code]) + penalty
-        buffers()
-        served_positions[n_served] = position
-        served_starts[n_served] = start
-        served_finishes[n_served] = finish
-        finishes_list.append(finish)
-        n_served += 1
-        free_at = finish
+        pos = end
+        return bool(shed_positions.size) or bool(defers.any())
 
     while pos < n:
         arrival = trace[pos]
@@ -474,9 +585,8 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
             kept_probe = (np.arange(block_codes.size) if ok is None
                           else np.flatnonzero(ok))
             if kept_probe.size > 1:
-                elapsed = np.cumsum(table.latency[block_codes[kept_probe]])
-                capacity = 1 + int(np.searchsorted(elapsed, hi - t0,
-                                                   side="right"))
+                capacity = _capacity(
+                    table.latency[block_codes[kept_probe]], hi - t0)
                 if kept_probe.size > capacity:
                     block_end = pos + int(kept_probe[capacity])
                     block_codes = codes[pos:block_end]
@@ -498,18 +608,11 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
         outcomes = None
         penalties = None
         if stall_p > 0.0 and kept_arrivals.size:
-            request_ids = pos + (np.arange(kept_arrivals.size,
-                                           dtype=np.int64)
-                                 if kept is None else kept)
-            if idx is not None:
-                request_ids = idx[request_ids]
-            outcomes = [
-                _stall_outcome(scenario, stall_p, int(rid), int(nch))
-                for rid, nch in zip(request_ids.tolist(),
-                                    table.n_chunks[kept_codes].tolist())]
-            penalties = np.fromiter((o[0] for o in outcomes),
-                                    dtype=np.float64,
-                                    count=len(outcomes))
+            outcomes, penalties = stall_draws(
+                stall_p,
+                pos + (np.arange(kept_arrivals.size, dtype=np.int64)
+                       if kept is None else kept),
+                table.n_chunks[kept_codes])
 
         if kept_arrivals.size:
             kept_starts, kept_finishes = lindley_timeline(
@@ -574,20 +677,8 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
 
         if kept_cut:
             offsets = None if kept is None else kept[:kept_cut]
-            if kept_cut == n:
-                # One block served the whole stream: keep its arrays.
-                served_starts, served_finishes = kept_starts, kept_finishes
-            else:
-                buffers()
-                end = n_served + kept_cut
-                served_starts[n_served:end] = kept_starts[:kept_cut]
-                served_finishes[n_served:end] = kept_finishes[:kept_cut]
-                served_positions[n_served:end] = pos + (
-                    np.arange(kept_cut) if offsets is None else offsets)
-            n_served += kept_cut
-            if max_depth:
-                finishes_list.extend(kept_finishes[:kept_cut].tolist())
-            free_at = float(kept_finishes[kept_cut - 1])
+            commit(kept_starts[:kept_cut], kept_finishes[:kept_cut],
+                   None if offsets is None else pos + offsets)
             if signature or outcomes is not None:
                 _account_commit(controller, table, signature,
                                 kept_codes[:kept_cut],
@@ -603,35 +694,59 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
         if not max_depth:
             continue
         if adm_edge <= seg_cut and adm_edge < block_len:
-            # The cut landed on an admission violation: that request's
-            # probe defers or sheds, so it takes the exact sequential
-            # path before batching resumes behind it.
-            serve_slow(pos)
-            pos += 1
-            if cut < _ADMISSION_BLOCK_SEED:
-                # Speculation did not pay for itself — the queue is
-                # saturated and probes defer densely.  Drain a stretch
-                # sequentially, doubling the stretch while saturation
-                # persists, so the engine degrades to the sequential
-                # path plus a vanishing probing overhead instead of
-                # re-speculating per committed request.
-                stop = min(n, pos + seq_run)
-                while pos < stop:
-                    serve_slow(pos)
-                    pos += 1
-                seq_run = min(2 * seq_run, _BLOCK_CAP)
-                adm_cap = _ADMISSION_BLOCK_SEED
-            else:
-                seq_run = _ADMISSION_BLOCK_SEED
-                adm_cap = max(_ADMISSION_BLOCK_SEED, 2 * cut)
+            # The cut landed on an admission violation: serve in
+            # admission rounds until one neither defers nor sheds.
+            while pos < n and admission_round():
+                pass
+            adm_cap = max(_ADMISSION_BLOCK_SEED, 2 * cut)
         else:
-            seq_run = _ADMISSION_BLOCK_SEED
             adm_cap = min(2 * adm_cap, _BLOCK_CAP)
 
     positions = None if n_served == n else served_positions[:n_served]
     return (positions, served_starts[:n_served],
             served_finishes[:n_served],
             np.array(dropped_positions, dtype=np.int64), dropped_reasons)
+
+
+def _capacity(latencies: np.ndarray, room: float) -> int:
+    """How many back-to-back requests with ``latencies`` can start
+    within ``room`` seconds of the first start (a sizing bound: the
+    prefix sum ignores idle gaps and rounds as numpy does)."""
+    return 1 + int(np.searchsorted(np.cumsum(latencies), room,
+                                   side="right"))
+
+
+def _count_resolves(controller: DegradationController,
+                    table: _PlanColumns, signature: FaultSignature,
+                    codes: np.ndarray,
+                    outcomes: Optional[List[Tuple[float,
+                                                  Tuple[tuple, ...]]]]
+                    ) -> Optional[List[int]]:
+    """Fold the re-solve, shift, shrink and degraded counts of a
+    committed run of served requests into stats and counters.
+    Returns each request's batch halvings when shrink spans are due
+    (telemetry on and some request shrank), else ``None``."""
+    stats = controller.stats
+    count = int(codes.size)
+    if signature:
+        stats.policy_resolves += count
+        controller._count("faults.policy_resolves", count)
+        shifted = int(np.count_nonzero(table.shifted[codes]))
+        if shifted:
+            stats.policy_shifts += shifted
+            controller._count("faults.policy_shifts", shifted)
+        shrinks = table.shrinks[codes]
+        total_shrinks = int(shrinks.sum())
+        if total_shrinks:
+            stats.batch_shrinks += total_shrinks
+            controller._count("faults.batch_shrinks", total_shrinks)
+        stats.degraded_requests += count
+        if controller.telemetry is not None and total_shrinks:
+            return shrinks.tolist()
+    elif outcomes is not None:
+        stats.degraded_requests += sum(
+            1 for outcome in outcomes[:count] if outcome[0] > 0.0)
+    return None
 
 
 def _account_commit(controller: DegradationController,
@@ -646,37 +761,131 @@ def _account_commit(controller: DegradationController,
     order a per-request pass would.  The prefix sits at block
     ``offsets`` (``None``: the first ``codes.size`` rows) of the block
     starting at stream position ``pos``."""
-    stats = controller.stats
-    count = int(codes.size)
-    shrinks = None
-    if signature:
-        stats.policy_resolves += count
-        controller._count("faults.policy_resolves", count)
-        shifted = int(np.count_nonzero(table.shifted[codes]))
-        if shifted:
-            stats.policy_shifts += shifted
-            controller._count("faults.policy_shifts", shifted)
-        shrinks = table.shrinks[codes]
-        total_shrinks = int(shrinks.sum())
-        if total_shrinks:
-            stats.batch_shrinks += total_shrinks
-            controller._count("faults.batch_shrinks", total_shrinks)
-        stats.degraded_requests += count
-        if controller.telemetry is None or not total_shrinks:
-            shrinks = None
-    elif outcomes is not None:
-        stats.degraded_requests += sum(
-            1 for outcome in outcomes[:count] if outcome[0] > 0.0)
-    if outcomes is None and shrinks is None:
+    halvings = _count_resolves(controller, table, signature, codes,
+                               outcomes)
+    if outcomes is None and halvings is None:
         return
-    shrink_counts = shrinks.tolist() if shrinks is not None else None
     start_list = starts.tolist()
-    positions = pos + (np.arange(count) if offsets is None else offsets)
+    positions = pos + (np.arange(codes.size) if offsets is None
+                       else offsets)
     request_ids = positions if idx is None else idx[positions]
     for j, request_id in enumerate(request_ids.tolist()):
-        if shrink_counts is not None and shrink_counts[j]:
+        if halvings is not None and halvings[j]:
             controller._span(f"shrink:req{request_id}", start_list[j],
-                             start_list[j], halvings=shrink_counts[j])
+                             start_list[j], halvings=halvings[j])
         if outcomes is not None and outcomes[j][1]:
             _apply_stall_ops(controller, request_id, start_list[j],
                              outcomes[j][1])
+
+
+def _account_round(controller: DegradationController,
+                   delays: Sequence[float], arrivals: np.ndarray,
+                   request_ids: np.ndarray, defers: np.ndarray,
+                   served_rows: np.ndarray, starts: np.ndarray,
+                   halvings: Optional[List[int]],
+                   outcomes: Optional[List[Tuple[float,
+                                                 Tuple[tuple, ...]]]],
+                   committed_finishes: np.ndarray, n_shed: int) -> None:
+    """Fold one admission round's deferrals, sheds and served-request
+    events into stats, counters and spans in event order.
+
+    The round's rows are consecutive stream positions; row ``i``
+    arrives at ``arrivals[i]`` and defers ``defers[i]`` times, and the
+    rows in ``served_rows`` are served from ``starts``, with
+    ``halvings`` and stall ``outcomes``.  ``backoff_seconds`` (stats
+    and counter) is one seeded left fold over the round's addends:
+    each row's deferral delays, then its stall-retry delays.
+    ``committed_finishes`` are the finishes served before the round
+    (a defer span's ``depth`` arg reads them).
+    """
+    stats = controller.stats
+    telemetry = controller.telemetry
+    n_deferred = int(defers.sum())
+    if n_deferred:
+        stats.deferred += n_deferred
+        controller._count("faults.admission.deferred", n_deferred)
+    has_ops = outcomes is not None and any(o[1] for o in outcomes)
+    if telemetry is None and not has_ops:
+        # No per-event work: the addends are each row's delay prefix.
+        first = np.cumsum(defers) - defers
+        addends = np.asarray(delays)[np.arange(n_deferred)
+                                     - np.repeat(first, defers)]
+    else:
+        addends = _round_events(controller, delays, arrivals,
+                                request_ids, defers, served_rows,
+                                starts, halvings, outcomes,
+                                committed_finishes)
+    if len(addends):
+        stats.backoff_seconds = _left_fold(stats.backoff_seconds,
+                                           addends)
+        if telemetry is not None:
+            counter = telemetry.metrics.counter("faults.backoff_seconds")
+            counter.value = _left_fold(counter.value, addends)
+    if n_shed:
+        stats.dropped += n_shed
+        controller._count("faults.admission.dropped", n_shed)
+
+
+def _round_events(controller: DegradationController,
+                  delays: Sequence[float], arrivals: np.ndarray,
+                  request_ids: np.ndarray, defers: np.ndarray,
+                  served_rows: np.ndarray, starts: np.ndarray,
+                  halvings: Optional[List[int]],
+                  outcomes: Optional[List[Tuple[float,
+                                                Tuple[tuple, ...]]]],
+                  committed_finishes: np.ndarray) -> List[float]:
+    """Emit a round's per-request events row by row (defer spans, then
+    the served request's shrink span and stall ops) and return its
+    backoff addends in event order."""
+    telemetry = controller.telemetry
+    rows = arrivals.size
+    served_at = np.full(rows, -1, dtype=np.int64)
+    served_at[served_rows] = np.arange(served_rows.size)
+    if telemetry is not None:
+        # Every row's probe ladder and the depth each probe saw: the
+        # served count before the row, less the committed finishes at
+        # or before the probe (the round's own finishes are all later).
+        probes = np.empty((len(delays), rows))
+        if len(delays):
+            probes[0] = arrivals
+            for attempt in range(1, len(delays)):
+                np.add(probes[attempt - 1], delays[attempt - 1],
+                       out=probes[attempt])
+        is_served = (served_at >= 0).astype(np.int64)
+        served_before = (committed_finishes.size + np.cumsum(is_served)
+                         - is_served)
+        depths = (served_before - np.searchsorted(
+            committed_finishes, probes, side="right")).tolist()
+        probe_rows = probes.tolist()
+    start_list = starts.tolist()
+    addends: List[float] = []
+    for row, (request_id, count, j) in enumerate(zip(
+            request_ids.tolist(), defers.tolist(), served_at.tolist())):
+        for attempt in range(count):
+            delay = delays[attempt]
+            addends.append(delay)
+            if telemetry is not None:
+                at = probe_rows[attempt][row]
+                controller._span(f"defer:req{request_id}", at, at + delay,
+                                 attempt=attempt,
+                                 depth=depths[attempt][row])
+        if j < 0:
+            continue
+        if halvings is not None and halvings[j]:
+            controller._span(f"shrink:req{request_id}", start_list[j],
+                             start_list[j], halvings=halvings[j])
+        if outcomes is not None and outcomes[j][1]:
+            ops = outcomes[j][1]
+            _apply_stall_ops(controller, request_id, start_list[j], ops,
+                             fold_backoff=False)
+            addends.extend(op[4] for op in ops if op[0] == "retry")
+    return addends
+
+
+def _left_fold(seed: float, addends: Sequence[float]) -> float:
+    """``((seed + a0) + a1) + ...``: ``np.add.accumulate`` is a strict
+    left fold, so this equals the per-event ``+=`` chain."""
+    values = np.empty(len(addends) + 1)
+    values[0] = seed
+    values[1:] = addends
+    return float(np.add.accumulate(values)[-1])

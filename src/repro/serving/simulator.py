@@ -51,7 +51,9 @@ def validate_arrivals(arrivals: ArrayLike) -> np.ndarray:
     """Check an arrival trace in one vectorized pass.
 
     Returns the trace as a float64 numpy array.  Rejects NaN
-    timestamps and any decreasing step — the previous
+    timestamps, any decreasing step, and timestamps that are negative
+    (an idle server would book a phantom queue delay from time 0) or
+    infinite (the report's statistics would turn NaN) — the previous
     ``list(arrivals) != sorted(arrivals)`` check was O(n log n) and
     silently order-dependent in the presence of NaN.
     """
@@ -64,6 +66,12 @@ def validate_arrivals(arrivals: ArrayLike) -> np.ndarray:
         raise ConfigurationError("arrivals must not contain NaN")
     if trace.size > 1 and bool((trace[1:] < trace[:-1]).any()):
         raise ConfigurationError("arrivals must be non-decreasing")
+    # Sorted and NaN-free: the ends bound every timestamp.
+    if trace.size and trace[0] < 0.0:
+        raise ConfigurationError(
+            f"arrivals must be >= 0, got {float(trace[0])}")
+    if trace.size and trace[-1] == np.inf:
+        raise ConfigurationError("arrivals must be finite")
     return trace
 
 

@@ -48,8 +48,10 @@ from repro.models.workload import InferenceRequest
 
 #: Busy periods longer than this use one ``np.add.accumulate`` each;
 #: shorter ones are replayed position-by-position, vectorized across
-#: all short periods at once.  sqrt-ish split: Python-level call count
-#: is bounded by ``_LONG_SEGMENT + n / _LONG_SEGMENT``.
+#: all short periods at once, unless there are fewer short periods
+#: than the longest one is long (then every period is one scan).
+#: sqrt-ish split: Python-level call count is bounded by
+#: ``_LONG_SEGMENT + n / _LONG_SEGMENT``.
 _LONG_SEGMENT = 64
 
 #: Boundary refinements before falling back to the exact Python loop.
@@ -218,6 +220,12 @@ def _exact_finishes(arrivals: np.ndarray, services: np.ndarray,
         out[segment_starts] += penalties[segment_starts]
     lengths = np.diff(np.append(segment_starts, n))
     long_mask = lengths > _LONG_SEGMENT
+    short_count = segment_starts.size - int(np.count_nonzero(long_mask))
+    if short_count and short_count < int(lengths[~long_mask].max()):
+        # Fewer short periods than lockstep steps (one busy period of
+        # a saturated queue, say): a scan per period is fewer numpy
+        # calls than stepping through the longest one.
+        long_mask[:] = True
     # Short busy periods advance in lockstep: step k extends every
     # period longer than k by one request, f_i = f_{i-1} + s_i.
     # Sorting by length makes the step-k active set a suffix (one

@@ -18,13 +18,17 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
 from repro.errors import ConfigurationError
 from repro.faults.scenarios import builtin_scenarios, get_scenario
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
+from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
+from repro.models.zoo import get_model
 from repro.serving import (MultiReplicaSimulator, ScaleOutReport,
                            ServingReport, ServingSimulator,
                            WorkloadVector, arrivals_poisson,
@@ -253,26 +257,58 @@ def test_backlog_carries_across_boundary(simulator):
 # ----------------------------------------------------------------------
 # The Lindley kernel itself (penalties + free_at carry-in)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", range(4))
-def test_lindley_kernel_matches_scalar_fold(seed):
-    rng = random.Random(seed)
-    n = 200
-    arrivals = np.cumsum([rng.uniform(0.0, 0.3) for __ in range(n)])
-    services = np.array([rng.uniform(0.01, 0.4) for __ in range(n)])
-    penalties = np.array([0.0 if rng.random() < 0.5
-                          else rng.uniform(0.0, 0.2) for __ in range(n)])
-    free_at = rng.uniform(0.0, 2.0)
+def _assert_kernel_matches_scalar_fold(arrivals, services, penalties,
+                                      free_at):
     starts, finishes = lindley_timeline(arrivals, services,
                                         penalties=penalties,
                                         free_at=free_at)
     clock = free_at
-    for i in range(n):
+    for i in range(len(arrivals)):
         start = arrivals[i] if arrivals[i] >= clock else clock
         # The loop's exact two-addition order:
-        finish = (start + services[i]) + penalties[i]
+        finish = start + services[i]
+        if penalties is not None:
+            finish = finish + penalties[i]
         assert starts[i] == start
         assert finishes[i] == finish
         clock = finish
+
+
+def _kernel_case(rng, gaps, with_penalties, with_free_at):
+    n = len(gaps)
+    services = np.array([rng.uniform(0.01, 0.4) for __ in range(n)])
+    penalties = (np.array([0.0 if rng.random() < 0.5
+                           else rng.uniform(0.0, 0.2) for __ in range(n)])
+                 if with_penalties else None)
+    free_at = rng.uniform(0.0, 2.0) if with_free_at else 0.0
+    return np.cumsum(gaps), services, penalties, free_at
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lindley_kernel_matches_scalar_fold(seed):
+    rng = random.Random(seed)
+    gaps = [rng.uniform(0.0, 0.3) for __ in range(200)]
+    _assert_kernel_matches_scalar_fold(
+        *_kernel_case(rng, gaps, True, True))
+
+
+@pytest.mark.parametrize("length", [2, 5, 64, 65, 300])
+@pytest.mark.parametrize("with_penalties", [False, True])
+@pytest.mark.parametrize("with_free_at", [False, True])
+def test_lindley_kernel_single_and_few_periods(length, with_penalties,
+                                               with_free_at):
+    """One busy period (a saturated queue's round) and a few short
+    ones both take the per-period scan; a few short periods beside a
+    long one keep the lockstep/scan split.  Every mode folds exactly
+    as the scalar loop."""
+    rng = random.Random(length)
+    single = [0.0] * length
+    few = ([0.0] * length + [100.0] + [0.001] * (length // 2 + 1)
+           + [100.0] + [0.0] * 3)
+    mixed = [100.0 if i % 7 == 0 else 0.0 for i in range(70)] + [0.0] * 80
+    for gaps in (single, few, mixed):
+        _assert_kernel_matches_scalar_fold(
+            *_kernel_case(rng, gaps, with_penalties, with_free_at))
 
 
 # ----------------------------------------------------------------------
@@ -461,9 +497,9 @@ def test_admission_piecewise_matches_sequential_open_queue(simulator):
 
 
 def test_admission_piecewise_matches_sequential_saturated(simulator):
-    """A saturated queue forces the sequential drain fallback (dense
-    deferrals and sheds); stats, backoff float folds, and drop order
-    still match bit for bit."""
+    """A saturated queue serves in admission rounds (dense deferrals
+    and sheds); stats, backoff float folds, and drop order still
+    match bit for bit."""
     scenario = FaultScenario(
         name="adm-sat", seed=4,
         admission=AdmissionPolicy(max_queue_depth=1, max_deferrals=2),
@@ -511,6 +547,185 @@ def test_admission_piecewise_honors_global_indices(simulator):
     idx = list(range(100, 500, 2))  # as a replica shard would pass
     _assert_kernels_identical(simulator, workload, arrivals, scenario,
                               idx=idx, with_telemetry=True)
+
+
+# ----------------------------------------------------------------------
+# Admission rounds vs the sequential reference, drawn
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(5))
+def test_depth_bound_is_a_threshold_on_the_finish_list(seed):
+    """``depth < D`` with ``depth = m - bisect_right(F[:m], e)`` is the
+    same test as ``m < D or F[m - D] <= e`` — the identity that fixes
+    the next ``D`` admission thresholds before any of them is
+    served."""
+    rng = random.Random(seed)
+    finishes = sorted(rng.choice([1.0, 2.5, 2.5, 4.0])
+                      + round(rng.uniform(0.0, 6.0), 1)
+                      for __ in range(40))
+    probes = finishes + [-1.0, 0.0, 11.0] + [
+        round(rng.uniform(0.0, 11.0), 1) for __ in range(40)]
+    for m in range(len(finishes) + 1):
+        for bound in range(1, m + 3):
+            for e in probes:
+                bisect_test = m - bisect_right(finishes[:m], e) < bound
+                assert bisect_test == (m < bound
+                                       or finishes[m - bound] <= e)
+
+
+#: Shapes for the drawn admission runs: under HBM pressure of
+#: magnitude 0.94 the third halves its batch once and the fourth does
+#: not fit at B=1, so the unservable cut runs inside rounds.
+ROUND_SHAPES = (InferenceRequest(1, 128, 16), InferenceRequest(4, 256, 32),
+                InferenceRequest(8, 512, 64), InferenceRequest(1, 2048, 64))
+ROUND_ESTIMATOR = LiaEstimator(get_model("opt-30b"), get_system("spr-a100"),
+                               LiaConfig(enforce_host_capacity=False))
+
+
+@st.composite
+def admission_cases(draw):
+    n = draw(st.integers(1, 400))
+    codes = draw(st.lists(st.integers(0, len(ROUND_SHAPES) - 1),
+                          min_size=n, max_size=n))
+    scale = draw(st.sampled_from([0.0, 0.01, 0.3, 3.0]))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 4.0]),
+                         min_size=n, max_size=n))
+    arrivals = (np.cumsum(gaps) * scale).tolist()
+    horizon = arrivals[-1] + 60.0
+    events = []
+    for kind, magnitudes in ((FaultKind.PCIE_STALL, [0.05, 0.3]),
+                             (FaultKind.GPU_HBM_PRESSURE, [0.35, 0.94])):
+        if draw(st.booleans()):
+            start = draw(st.floats(0.0, 1.0)) * horizon
+            events.append(FaultEvent(
+                kind, start=start,
+                duration=draw(st.floats(0.01, 1.0)) * horizon,
+                magnitude=draw(st.sampled_from(magnitudes))))
+    scenario = FaultScenario(
+        name="rounds", seed=draw(st.integers(0, 50)),
+        events=tuple(events),
+        chunks_per_request=draw(st.sampled_from([0, 3])),
+        retry=RetryPolicy(
+            max_retries=draw(st.integers(0, 3)),
+            timeout_s=draw(st.sampled_from([0.05, 2.0])),
+            backoff_base_s=draw(st.sampled_from([0.0, 0.02, 200.0])),
+            backoff_factor=draw(st.sampled_from([1.0, 2.0]))),
+        admission=AdmissionPolicy(
+            max_queue_depth=draw(st.one_of(
+                st.sampled_from([1, 2, 3, 8, 16, 64]),
+                st.integers(1, 200))),
+            max_deferrals=draw(st.integers(0, 4))))
+    idx = (None if draw(st.booleans())
+           else (np.arange(n, dtype=np.int64) * 3 + 11).tolist())
+    return (WorkloadVector(ROUND_SHAPES, np.array(codes, dtype=np.int64)),
+            arrivals, scenario, idx, draw(st.booleans()))
+
+
+def _assert_rounds_match_sequential(workload, arrivals, scenario, idx,
+                                    with_telemetry):
+    from repro.serving.piecewise import _serve
+
+    outputs = []
+    for kernel in (run_admission_sequential, _serve):
+        telemetry = Telemetry() if with_telemetry else None
+        controller = DegradationController(PlanTable(ROUND_ESTIMATOR),
+                                           scenario, telemetry)
+        out = list(kernel(controller, workload,
+                          np.asarray(arrivals, dtype=np.float64),
+                          None if idx is None
+                          else np.asarray(idx, dtype=np.int64)))
+        if out[0] is None:  # the engine's "every request served"
+            out[0] = np.arange(workload.n_requests)
+        rows = spans = None
+        if telemetry is not None:
+            rows = _telemetry_rows(telemetry)
+            spans = [(s.name, s.track, s.start, s.finish, s.args)
+                     for s in telemetry.tracer.spans]
+        outputs.append(([o.tolist() if isinstance(o, np.ndarray) else o
+                         for o in out],
+                        controller.stats.as_dict(), rows, spans))
+    oracle, engine = outputs
+    assert engine[0] == oracle[0]  # positions, timelines, drops, reasons
+    assert engine[1] == oracle[1]  # FaultStats, float folds included
+    assert engine[2] == oracle[2]  # serving.*/faults.* rows
+    assert engine[3] == oracle[3]  # spans, in event order
+    return oracle[1]
+
+
+def test_rounds_cut_on_an_unservable_admission():
+    """A saturated queue across an HBM-pressure window where one shape
+    cannot be served: rounds shed, defer, and drop the unservable
+    admission without giving it a slot."""
+    n = 300
+    workload = WorkloadVector(ROUND_SHAPES,
+                              np.arange(n, dtype=np.int64) % 4)
+    arrivals = (np.arange(n) * 2.0).tolist()
+    scenario = FaultScenario(
+        name="rounds-unservable", seed=3,
+        events=(FaultEvent(FaultKind.GPU_HBM_PRESSURE, start=20.0,
+                           duration=600.0, magnitude=0.94),
+                FaultEvent(FaultKind.PCIE_STALL, start=0.0,
+                           duration=300.0, magnitude=0.3)),
+        chunks_per_request=3,
+        retry=RetryPolicy(max_retries=2, timeout_s=0.05,
+                          backoff_base_s=0.5, backoff_factor=2.0),
+        admission=AdmissionPolicy(max_queue_depth=6, max_deferrals=2))
+    stats = _assert_rounds_match_sequential(workload, arrivals, scenario,
+                                            None, True)
+    assert stats["unservable"] > 0
+    assert stats["dropped"] > 0 and stats["deferred"] > 0
+    assert stats["transfer_retries"] > 0
+
+
+def test_rounds_cut_at_a_segment_boundary():
+    """Saturated rounds running into stall-window and HBM-pressure
+    edges: long stall timeouts push starts past a boundary that the
+    latency-only capacity bound lets through, so the round is cut at
+    the first start past it and the rest re-enter under the next
+    segment's plans and stall probability."""
+    n = 400
+    workload = WorkloadVector.sample_mix(ROUND_SHAPES[:3], n, seed=4)
+    arrivals = arrivals_poisson(n, 0.5, seed=4)
+    horizon = arrivals[-1]
+    scenario = FaultScenario(
+        name="rounds-boundary", seed=2,
+        events=(FaultEvent(FaultKind.PCIE_STALL, start=0.1 * horizon,
+                           duration=0.4 * horizon, magnitude=0.3),
+                FaultEvent(FaultKind.GPU_HBM_PRESSURE,
+                           start=0.3 * horizon, duration=0.4 * horizon,
+                           magnitude=0.35)),
+        chunks_per_request=3,
+        retry=RetryPolicy(max_retries=2, timeout_s=2.0,
+                          backoff_base_s=0.02, backoff_factor=2.0),
+        admission=AdmissionPolicy(max_queue_depth=16, max_deferrals=2))
+    stats = _assert_rounds_match_sequential(workload, arrivals, scenario,
+                                            None, True)
+    assert stats["dropped"] > 0 and stats["transfer_stalls"] > 0
+
+
+def test_round_probe_exactly_at_a_finish_is_admitted():
+    """A burst of one shape with the backoff step equal to its
+    service time: every deferred probe lands exactly on a finish
+    (both are the same float chain), where the depth test admits."""
+    shape = ROUND_SHAPES[0]
+    latency = PlanTable(ROUND_ESTIMATOR).estimate((), shape).latency
+    n = 60
+    workload = WorkloadVector((shape,), np.zeros(n, dtype=np.int64))
+    scenario = FaultScenario(
+        name="rounds-ties", seed=1,
+        retry=RetryPolicy(backoff_base_s=latency, backoff_factor=1.0),
+        admission=AdmissionPolicy(max_queue_depth=3, max_deferrals=4))
+    stats = _assert_rounds_match_sequential(workload, [0.0] * n,
+                                            scenario, None, True)
+    # Three admitted at 0 (finishing at s, 2s, 3s), then one each
+    # exactly at the probes s, 2s, 3s and 4s; the rest shed.
+    assert stats["dropped"] == n - 7
+    assert stats["deferred"] == (1 + 2 + 3 + 4) + 4 * (n - 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=admission_cases())
+def test_admission_rounds_match_sequential_reference(case):
+    _assert_rounds_match_sequential(*case)
 
 
 # ----------------------------------------------------------------------

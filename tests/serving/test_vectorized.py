@@ -289,6 +289,17 @@ def test_validate_arrivals_rejects_decreasing_and_2d():
     assert isinstance(out, np.ndarray) and out.dtype == np.float64
 
 
+def test_validate_arrivals_rejects_infinite_and_negative():
+    with pytest.raises(ConfigurationError, match="finite"):
+        validate_arrivals([0.0, 1.0, float("inf")])
+    with pytest.raises(ConfigurationError, match=">= 0"):
+        validate_arrivals([float("-inf"), 1.0])
+    with pytest.raises(ConfigurationError, match=">= 0"):
+        validate_arrivals([-5.0, 1.0])
+    assert validate_arrivals([-0.0, 2.0]).tolist() == [0.0, 2.0]
+    assert validate_arrivals([]).size == 0
+
+
 def test_arrivals_poisson_matches_inline_stream():
     # Byte-identical to the generator run_poisson always used: one
     # random.Random(seed) stream of expovariate gaps.

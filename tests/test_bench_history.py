@@ -32,7 +32,9 @@ def _serving_report(speedup=80.0, overhead=0.05, quick=False,
                     fleet_deterministic=True, fleet_loses=True,
                     scheduler_ratio=2.2, scheduler_deterministic=True,
                     scheduler_degenerate=True,
-                    scheduler_requests_per_s=9000.0):
+                    scheduler_requests_per_s=9000.0,
+                    admission_requests_per_s=900_000.0,
+                    admission_identical=True):
     return {
         "benchmark": "bench_serving",
         "workload": {"n_requests": 1_000_000},
@@ -41,7 +43,11 @@ def _serving_report(speedup=80.0, overhead=0.05, quick=False,
         "bit_identical": True,
         "timeseries": {"overhead_fraction": overhead},
         "degraded": {"speedup_mean": degraded_speedup,
-                     "bit_identical": degraded_identical},
+                     "bit_identical": degraded_identical,
+                     "admission": {
+                         "median_requests_per_s":
+                             admission_requests_per_s,
+                         "bit_identical": admission_identical}},
         "fleet": {"availability": fleet_availability,
                   "deterministic": fleet_deterministic,
                   "ablation": {"strictly_loses": fleet_loses}},
@@ -374,3 +380,29 @@ def test_scheduler_requests_per_s_is_a_trend_not_a_gate(tracker,
     # Wall-clock on a shared host: recorded, never gated.
     assert tracker.main(["check", str(history),
                          "--committed", committed]) == 0
+
+
+def test_admission_requests_per_s_is_a_trend_not_a_gate(tracker,
+                                                        tmp_path):
+    history = tmp_path / "history.jsonl"
+    committed = _write(tmp_path / "committed.json",
+                       _serving_report())
+    slow = _write(tmp_path / "slow.json",
+                  _serving_report(admission_requests_per_s=1000.0))
+    tracker.main(["append", str(history), slow, "--commit", ""])
+    entry = json.loads(history.read_text().splitlines()[-1])
+    assert entry["admission_requests_per_s"] == 1000.0
+    # Wall-clock on a shared host: recorded, never gated.
+    assert tracker.main(["check", str(history),
+                         "--committed", committed]) == 0
+
+
+def test_admission_bit_identity_binds_in_quick_mode(tracker, tmp_path):
+    history = tmp_path / "history.jsonl"
+    committed = _write(tmp_path / "committed.json",
+                       _serving_report())
+    broken = _write(tmp_path / "broken.json",
+                    _serving_report(quick=True, admission_identical=False))
+    tracker.main(["append", str(history), broken, "--commit", ""])
+    assert tracker.main(["check", str(history), "--committed", committed,
+                         "--quick"]) == 1
