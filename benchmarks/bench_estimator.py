@@ -18,11 +18,8 @@ vs one ``LiaEstimator.decode_step_times`` call — and records the µs
 per grid point of each side (median and IQR after a warm-up) and
 whether the two grids are bit-identical.  A third phase times the
 full Fig. 9+10+11 grid (398 rows, serial; median and IQR seconds
-after a warm-up) and fingerprints its rows.  A fourth races
-``sweep_fleet_grid`` in process against its process pool
-(:mod:`repro.serving.pool`) on a trace x chaos x fleet-size grid and
-compares wall time and summaries.  The acceptance gates tracked by
-the repo:
+after a warm-up) and fingerprints its rows.  The acceptance gates
+tracked by the repo:
 
 * average estimator speedup >= 10x
 * max relative error < 1e-9
@@ -30,11 +27,6 @@ the repo:
   machine)
 * figure-grid rows fingerprint to the committed
   :data:`FIGURE_GRID_FINGERPRINT` (every machine)
-* process-sweep summaries identical in process and over pools of 1,
-  2, and 4 workers (every machine)
-* the fleet grid >= 3x faster over processes than in process (binds
-  only where the run records >= 4 cores — the wall-clock half of the
-  gate is meaningless on smaller boxes)
 
 Run: ``PYTHONPATH=src python benchmarks/bench_estimator.py [--quick]``
 """
@@ -44,7 +36,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import statistics
 import sys
 import time
@@ -77,19 +68,6 @@ PROFILE_CXL_EXPANDERS = 2
 #: them; any change to a figure value changes it.
 FIGURE_GRID_FINGERPRINT = (
     "a0ce57e037a733037dd26f1a008205fc87f7b74e9ee39fcf54f7b6df1400f6a1")
-
-#: The process-sweep fleet grid: trace x chaos x fleet size, each cell
-#: a whole fleet simulation of SWEEP_REQUESTS requests.
-SWEEP_TRACES = ("steady", "bursty")
-SWEEP_CHAOS = ("none", "replica-crash", "gray-failure")
-SWEEP_REPLICAS = (2, 4, 8, 16)
-SWEEP_REQUESTS = 40_000
-SWEEP_SHAPES = ((1, 128, 16), (1, 256, 32), (1, 512, 32))
-
-#: The fleet grid must beat the in-process baseline by this much on a
-#: machine with >= PROCESS_SWEEP_MIN_CORES cores.
-PROCESS_SWEEP_SPEEDUP_MIN = 3.0
-PROCESS_SWEEP_MIN_CORES = 4
 
 
 def _time_stages(stages: Callable[[], Tuple], reps: int) -> Dict[str, object]:
@@ -151,63 +129,6 @@ def figure_grid_phase(reps: int) -> Dict[str, object]:
             "median_s": median, "iqr_s": q3 - q1,
             "fingerprint": fingerprint,
             "identical": fingerprint == FIGURE_GRID_FINGERPRINT}
-
-
-def _fleet_grid(processes: int) -> Dict[str, object]:
-    """One timed ``sweep_fleet_grid`` over the benchmark grid."""
-    from repro.serving.fleet import sweep_fleet_grid
-
-    estimator = LiaEstimator(get_model(MODEL), get_system(SYSTEM),
-                             LiaConfig(enforce_host_capacity=False))
-    start = time.perf_counter()
-    cells = sweep_fleet_grid(
-        estimator, SWEEP_TRACES, SWEEP_CHAOS, SWEEP_REPLICAS,
-        shapes=[InferenceRequest(*shape) for shape in SWEEP_SHAPES],
-        n_requests=SWEEP_REQUESTS, processes=processes)
-    elapsed = time.perf_counter() - start
-    payload = json.dumps(cells, sort_keys=True).encode()
-    return {"seconds": elapsed, "cells": len(cells),
-            "fingerprint": hashlib.sha256(payload).hexdigest()}
-
-
-def process_sweep_phase() -> Dict[str, object]:
-    """In-process vs process-pool ``sweep_fleet_grid``.
-
-    Times the in-process baseline and a pool of ``min(4, cpu_count)``
-    worker processes (pool spawned fresh inside the timed region, so
-    the speedup honestly pays the spawn cost), then re-runs the grid
-    at the other pool sizes in {1, 2, 4} to check that every pool
-    size produces identical summaries.
-    """
-    from repro.serving.pool import shutdown_pools
-    cpu = os.cpu_count() or 1
-    measured = min(PROCESS_SWEEP_MIN_CORES, max(1, cpu))
-    shutdown_pools()
-    serial = _fleet_grid(0)
-    process = _fleet_grid(measured)
-    fingerprints = {"serial": serial["fingerprint"],
-                    f"processes_{measured}": process["fingerprint"]}
-    for size in (1, 2, PROCESS_SWEEP_MIN_CORES):
-        key = f"processes_{size}"
-        if key not in fingerprints:
-            fingerprints[key] = _fleet_grid(size)["fingerprint"]
-    shutdown_pools()
-    return {
-        "grid": {"traces": list(SWEEP_TRACES), "chaos": list(SWEEP_CHAOS),
-                 "replicas": list(SWEEP_REPLICAS),
-                 "requests_per_cell": SWEEP_REQUESTS},
-        "cpu_count": cpu,
-        "processes": measured,
-        "cells": serial["cells"],
-        "serial_s": serial["seconds"],
-        "process_s": process["seconds"],
-        "speedup": serial["seconds"] / process["seconds"],
-        "identical": len(set(fingerprints.values())) == 1,
-        "fingerprints": fingerprints,
-        # The wall-clock floor only means something when the pool can
-        # actually fan out; identity binds everywhere.
-        "speedup_gate_binds": cpu >= PROCESS_SWEEP_MIN_CORES,
-    }
 
 
 def _quartiles_us(times: List[float], points: int) -> Dict[str, float]:
@@ -283,9 +204,6 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
     error = relative_error(seed["stages"], fast["stages"])
     step_profile = step_profile_phase(reps=5 if quick else 15)
     figure_grid = figure_grid_phase(reps=3 if quick else 7)
-    process_sweep = process_sweep_phase()
-    speedup_ok = (not process_sweep["speedup_gate_binds"]
-                  or process_sweep["speedup"] >= PROCESS_SWEEP_SPEEDUP_MIN)
     report = {
         "benchmark": "bench_estimator",
         "model": MODEL,
@@ -308,25 +226,18 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
         "max_relative_error": error,
         "step_profile": step_profile,
         "figure_grid": figure_grid,
-        "process_sweep": process_sweep,
         "gates": {"speedup_mean_min": None if quick else 10.0,
                   "max_relative_error_max": 1e-9,
-                  "figure_grid_fingerprint": FIGURE_GRID_FINGERPRINT,
-                  "process_sweep_speedup_min": PROCESS_SWEEP_SPEEDUP_MIN,
-                  "process_sweep_min_cores": PROCESS_SWEEP_MIN_CORES},
+                  "figure_grid_fingerprint": FIGURE_GRID_FINGERPRINT},
         # Quick mode (CI smoke) gates only on correctness: with 2
         # repetitions the cold run dominates the mean, and shared CI
         # machines make wall-clock gates flaky.  The full run holds
-        # the amortized speedup to the 10x floor.  Process-sweep and
-        # step-profile bit-identity and the figure-grid fingerprint
-        # are correctness gates and bind in every mode; the
-        # process-sweep speedup floor binds whenever the machine has
-        # enough cores for the pool to fan out (quick included).
+        # the amortized speedup to the 10x floor.  Step-profile
+        # bit-identity and the figure-grid fingerprint are correctness
+        # gates and bind in every mode.
         "pass": (error < 1e-9
                  and step_profile["identical"]
                  and figure_grid["identical"]
-                 and process_sweep["identical"]
-                 and speedup_ok
                  and (quick
                       or seed["mean_s"] / fast["mean_s"] >= 10.0)),
     }
@@ -357,14 +268,6 @@ def main() -> int:
     print(f"figure grid: {figures['rows']} rows, median "
           f"{figures['median_s']:.3f}s (IQR {figures['iqr_s']:.3f}s); "
           f"identical={figures['identical']}")
-    sweep = report["process_sweep"]
-    binds = "binds" if sweep["speedup_gate_binds"] else \
-        f"advisory on {sweep['cpu_count']} core(s)"
-    print(f"process sweep: {sweep['cells']} fleet cells, in process "
-          f"{sweep['serial_s']:.2f}s vs {sweep['processes']} "
-          f"processes {sweep['process_s']:.2f}s = "
-          f"{sweep['speedup']:.2f}x ({binds}); "
-          f"identical={sweep['identical']}")
     print(f"wrote {args.out} (pass={report['pass']})")
     return 0 if report["pass"] else 1
 

@@ -38,11 +38,6 @@ with a UTC timestamp.  ``check`` applies, per committed report:
 * the step-profile grid's bit-identity to per-point estimates and
   the figure grid's committed row fingerprint bind everywhere,
   ``--quick`` included;
-* process-sweep gates bind in ``--quick`` as well: pool-vs-in-process
-  identity always, and the pool speedup floor whenever the entry's
-  machine had enough cores to fan out (the benchmark races its own
-  pool against its own in-process baseline, so shared-machine noise
-  largely cancels);
 * the run's own ``pass`` flag must be true.
 
 Stdlib only — it must run on a bare checkout.
@@ -139,13 +134,6 @@ def entry_from_report(report: Dict[str, object],
     if isinstance(figure_grid, dict):
         entry["figure_grid_identical"] = figure_grid.get("identical")
         entry["figure_grid_median_s"] = figure_grid.get("median_s")
-    process_sweep = report.get("process_sweep")
-    if isinstance(process_sweep, dict):
-        entry["process_sweep_speedup"] = process_sweep.get("speedup")
-        entry["process_sweep_identical"] = process_sweep.get(
-            "identical")
-        entry["process_sweep_cpu_count"] = process_sweep.get(
-            "cpu_count")
     return entry
 
 
@@ -260,25 +248,6 @@ def check_against_committed(latest: Dict[str, object],
     if latest.get("figure_grid_identical") is False:
         failures.append(f"{name}: fig09+10+11 rows no longer match the "
                         f"committed fingerprint")
-    # Process-sweep gates: pool-vs-in-process identity is pure
-    # correctness and binds everywhere, quick included.  The speedup
-    # floor is wall clock, but the benchmark spawns its own pool and
-    # compares against its own in-process baseline on the same
-    # machine, so it binds in --quick too — whenever the entry's
-    # machine had enough cores for the pool to fan out.
-    if latest.get("process_sweep_identical") is False:
-        failures.append(f"{name}: process-pool sweep summaries are not "
-                        f"identical to the in-process path")
-    sweep_gate = gates.get("process_sweep_speedup_min")
-    sweep_speedup = latest.get("process_sweep_speedup")
-    min_cores = gates.get("process_sweep_min_cores", 4)
-    cpu_count = latest.get("process_sweep_cpu_count")
-    if (sweep_gate is not None and sweep_speedup is not None
-            and cpu_count is not None and cpu_count >= min_cores
-            and sweep_speedup < sweep_gate):
-        failures.append(
-            f"{name}: process-sweep speedup {sweep_speedup:.2f}x "
-            f"under the {sweep_gate:g}x gate on {cpu_count} cores")
     overhead_gate = gates.get("timeseries_overhead_max")
     overhead = latest.get("timeseries_overhead")
     if (not quick and overhead_gate is not None

@@ -27,10 +27,6 @@ class CapacityError(ReproError):
         self.device = device
 
 
-class SweepWorkerError(ReproError):
-    """A process-sweep worker died or its pool broke mid-sweep."""
-
-
 class PolicyError(ReproError):
     """An offloading policy vector is malformed or infeasible."""
 

@@ -21,11 +21,12 @@ platform misbehaves, using three mechanisms:
   is shed at B=1).
 
 Every decision draws from per-request RNGs derived from the scenario
-seed, so a degraded run is deterministic across worker counts and
-repeat invocations; with an idle scenario the engine reproduces the
-fault-free timeline bit for bit.  :class:`DegradationController`
-holds the per-run reaction state the engine consults, and
-:class:`PlanTable` the per-call estimates it plans from.
+seed, so a degraded run is deterministic across interpreters (hash
+seeds) and repeat invocations; with an idle scenario the engine
+reproduces the fault-free timeline bit for bit.
+:class:`DegradationController` holds the per-run reaction state the
+engine consults, and :class:`PlanTable` the per-call estimates it
+plans from.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class PlanTable:
     or to the :class:`CapacityError` estimating it raised.
 
     The top-level serving call creates one — :func:`run_fifo`, one
-    :meth:`MultiReplicaSimulator.run`, one :func:`replicas_needed` or
-    serial :func:`sweep_fleet_sizes` search — and hands it to every
+    :meth:`MultiReplicaSimulator.run`, one :func:`replicas_needed`
+    search or :func:`sweep_fleet_sizes` sweep — and hands it to every
     replica and fleet size it simulates, so the call estimates each
     distinct point once, on one degraded estimator per signature.  A
     signature that leaves the platform as it is (CXL contention on a

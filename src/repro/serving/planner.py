@@ -134,9 +134,9 @@ def plan_replicas(spec: ModelSpec,
     Scales one system horizontally (the vectorized multi-replica
     engine) until the merged p95 under the seeded Poisson arrival
     process meets the SLO, and prices the resulting fleet.  Raises
-    :class:`CapacityError` if no fleet up to ``max_replicas`` can —
-    the per-request service time alone violates the SLO, so a faster
-    *system* (``choose_system``), not more of this one, is the fix.
+    :class:`CapacityError` if no fleet up to ``max_replicas`` can; when
+    the message blames the service time alone, a faster *system*
+    (``choose_system``), not more of this one, is the fix.
     """
     from repro.serving.replicas import replicas_needed
     from repro.serving.vectorized import WorkloadVector

@@ -28,17 +28,10 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
-from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
-from repro.models.zoo import get_model
 from repro.serving.degradation import PlanTable
-from repro.serving.pool import (ShmArrayHandle, SharedWorkload,
-                                publish_array, publish_workload, release,
-                                release_workload, run_process_sweep,
-                                use_pool)
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      ServingSimulator, arrivals_poisson,
                                      validate_arrivals)
@@ -380,12 +373,10 @@ class MultiReplicaSimulator:
 
 
 def fleet_size_summary(report: ScaleOutReport) -> dict:
-    """The compact, picklable cross-section of one fleet-size cell.
+    """The compact cross-section of one fleet-size cell.
 
-    Used identically by the in-process path and the
-    ``replicas.fleet_size`` worker kernel, so both paths return the
-    same dict — including a sha256 fingerprint over the merged finish
-    times, the bit-identity witness the process-sweep tests compare.
+    Scalars only, plus a sha256 fingerprint over the merged finish
+    times: the bit-identity witness two runs of a sweep compare.
     """
     import hashlib
 
@@ -406,67 +397,25 @@ def fleet_size_summary(report: ScaleOutReport) -> dict:
     }
 
 
-def _fleet_size_summaries(estimator: LiaEstimator,
-                          workload: WorkloadVector, trace: np.ndarray,
-                          dispatch: str,
-                          counts: Sequence[int]) -> List[dict]:
-    """One :func:`fleet_size_summary` per fleet size in ``counts``,
-    every size planning from one shared :class:`PlanTable`."""
-    plans = PlanTable(estimator)
-    return [fleet_size_summary(
-        MultiReplicaSimulator(estimator, k, dispatch=dispatch).run(
-            workload, trace, _plans=plans)) for k in counts]
-
-
-def _fleet_size_chunk(model: str, system: str, config: LiaConfig,
-                      workload: SharedWorkload,
-                      arrivals: ShmArrayHandle, dispatch: str,
-                      counts: Sequence[int]) -> List[dict]:
-    """:func:`_fleet_size_summaries` in a pool worker: the estimator
-    rebuilds from the zoo by name, and the workload codes and arrival
-    trace attach zero-copy from shared memory."""
-    estimator = LiaEstimator(get_model(model), get_system(system), config)
-    return _fleet_size_summaries(estimator, workload.attach(),
-                                 arrivals.array(), dispatch, counts)
-
-
 def sweep_fleet_sizes(estimator: LiaEstimator,
                       requests: Union[Sequence[InferenceRequest],
                                       WorkloadVector],
                       arrivals: Sequence[float],
                       replica_counts: Sequence[int],
-                      dispatch: str = "round-robin",
-                      processes: int = 0) -> List[dict]:
+                      dispatch: str = "round-robin") -> List[dict]:
     """One :func:`fleet_size_summary` per fleet size, in input order.
 
     Fleet sizes are independent simulations over the *same* workload
-    and trace.  In process (``processes=0``, the default) every size
-    plans from the call's one
-    :class:`~repro.serving.degradation.PlanTable`.  With
-    ``processes > 0`` the sizes fan out over the
-    :mod:`repro.serving.pool` process pool: the workload's code column
-    and the arrival trace publish once into shared memory and reattach
-    zero-copy in every worker; segments are released as soon as the
-    sweep returns.  Results are bit-identical at any ``processes``.
+    and trace, run one after another; every size plans from the
+    call's one :class:`~repro.serving.degradation.PlanTable`.
     """
     workload = (requests if isinstance(requests, WorkloadVector)
                 else WorkloadVector.from_requests(requests))
     trace = validate_arrivals(arrivals)
-    counts = [int(k) for k in replica_counts]
-    if not use_pool(estimator, processes):
-        return _fleet_size_summaries(estimator, workload, trace,
-                                     dispatch, counts)
-    shared = publish_workload(workload)
-    handle = publish_array(trace)
-    try:
-        return run_process_sweep(
-            _fleet_size_chunk,
-            (estimator.spec.name, estimator.system.name,
-             estimator.config, shared, handle, dispatch),
-            counts, processes=processes)
-    finally:
-        release_workload(shared)
-        release(handle)
+    plans = PlanTable(estimator)
+    return [fleet_size_summary(
+        MultiReplicaSimulator(estimator, int(k), dispatch=dispatch).run(
+            workload, trace, _plans=plans)) for k in replica_counts]
 
 
 def replicas_needed(estimator: LiaEstimator,
@@ -480,50 +429,45 @@ def replicas_needed(estimator: LiaEstimator,
 
     Doubles the fleet until feasible, then binary-searches the gap
     (queueing delay shrinks as replicas are added, so p95 is
-    monotone in ``k`` for FIFO dispatch).  Raises
-    :class:`CapacityError` when even ``max_replicas`` misses the SLO
-    — the service time alone exceeds it, so no fleet can help.
-
-    Each fleet size is simulated at most once: the doubling phase can
-    land exactly on the answer the binary search would re-derive
-    (``max_replicas`` clamps, and power-of-two answers generally), so
-    evaluations are memoized per ``k`` for the duration of the call.
-    Every fleet size plans from the call's one
+    monotone in ``k`` for FIFO dispatch).  Each fleet size is
+    simulated once — the bisection only probes sizes strictly between
+    two evaluated ones — and only the best feasible report is kept
+    alive between sizes.  Every fleet size plans from the call's one
     :class:`~repro.serving.degradation.PlanTable`, so each shape is
     estimated once per search.
+
+    Raises :class:`ConfigurationError` for ``max_replicas < 1`` and
+    :class:`CapacityError` when even ``max_replicas`` misses the SLO;
+    the message says whether the p95 service time alone violates it
+    (no fleet can help) or queueing does (a larger cap might).
     """
     if slo_p95_seconds <= 0.0:
         raise ConfigurationError("slo_p95_seconds must be positive")
+    if max_replicas < 1:
+        raise ConfigurationError(
+            f"max_replicas must be >= 1, got {max_replicas}")
     workload = (requests if isinstance(requests, WorkloadVector)
                 else WorkloadVector.from_requests(requests))
     trace = validate_arrivals(arrivals)
-    seen: dict = {}
     plans = PlanTable(estimator)
 
     def evaluate(k: int) -> Tuple[float, ScaleOutReport]:
-        cached = seen.get(k)
-        if cached is None:
-            report = MultiReplicaSimulator(
-                estimator, k, dispatch=dispatch).run(workload, trace,
-                                                     _plans=plans)
-            cached = seen[k] = (report.latency_percentile(0.95), report)
-        return cached
+        report = MultiReplicaSimulator(
+            estimator, k, dispatch=dispatch).run(workload, trace,
+                                                 _plans=plans)
+        return report.latency_percentile(0.95), report
 
-    low = 1
-    p95, report = evaluate(low)
-    if p95 <= slo_p95_seconds:
-        return low, report
-    high = low
+    low = high = 1
+    p95, report = evaluate(high)
     while p95 > slo_p95_seconds:
         if high >= max_replicas:
-            raise CapacityError(
-                f"p95 {p95:.1f}s still exceeds the {slo_p95_seconds:.1f}s "
-                f"SLO at {max_replicas} replicas; the per-request "
-                "service time alone violates the SLO")
-        low = high
-        high = min(max_replicas, high * 2)
+            raise CapacityError(_over_slo_message(
+                report, p95, slo_p95_seconds, max_replicas))
+        low, high = high, min(max_replicas, high * 2)
+        del report  # release before the next size runs
         p95, report = evaluate(high)
     best = (high, report)
+    del report
     while high - low > 1:
         mid = (low + high) // 2
         p95, mid_report = evaluate(mid)
@@ -532,4 +476,19 @@ def replicas_needed(estimator: LiaEstimator,
             best = (mid, mid_report)
         else:
             low = mid
+        del mid_report
     return best
+
+
+def _over_slo_message(report: ScaleOutReport, p95: float,
+                      slo_p95_seconds: float, max_replicas: int) -> str:
+    """Why the ``max_replicas`` fleet still misses the SLO."""
+    service_p95 = float(np.quantile(report.merged.service_times, 0.95,
+                                    method="inverted_cdf"))
+    head = (f"p95 {p95:.1f}s still exceeds the {slo_p95_seconds:.1f}s "
+            f"SLO at the {max_replicas}-replica cap")
+    if service_p95 > slo_p95_seconds:
+        return (f"{head}; the p95 service time {service_p95:.1f}s alone "
+                f"violates the SLO, so no fleet can meet it")
+    return (f"{head}; the p95 service time is {service_p95:.1f}s, so "
+            f"queueing, not service, misses the SLO: raise max_replicas")

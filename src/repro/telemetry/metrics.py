@@ -240,27 +240,6 @@ class MetricsRegistry:
     def histograms(self) -> Iterator[StreamingHistogram]:
         return iter(self._histograms.values())
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry's state into this one, in place.
-
-        Counters add, histograms merge bucket-wise (see
-        :meth:`StreamingHistogram.merge`), and gauges take ``other``'s
-        value (last-write-wins, matching sequential ``set`` order).
-        ``other``'s series iterate in insertion order, so a fold over
-        per-chunk registries in chunk order is deterministic — the
-        property the fleet-sweep process pool relies on to keep merged
-        telemetry bit-identical across pool sizes.
-        Returns ``self`` so merges chain.
-        """
-        for key, counter in other._counters.items():
-            self.counter(counter.name, **dict(key[1])).inc(counter.value)
-        for key, gauge in other._gauges.items():
-            self.gauge(gauge.name, **dict(key[1])).set(gauge.value)
-        for key, histogram in other._histograms.items():
-            self.histogram(histogram.name,
-                           **dict(key[1])).merge(histogram)
-        return self
-
     def counter_value(self, name: str, **labels: str) -> float:
         """Current value, 0.0 if the series was never touched."""
         key = (name, _label_key(labels))

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.config import LiaConfig
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
@@ -55,3 +62,20 @@ def online_request():
 @pytest.fixture
 def offline_request():
     return InferenceRequest(batch_size=64, input_len=256, output_len=32)
+
+
+@pytest.fixture
+def fresh_interpreter():
+    """Run a script in a new Python interpreter and return what it prints,
+    parsed as JSON. The script reads its input as JSON from ``sys.argv[1]``;
+    ``hash_seed`` sets the interpreter's ``PYTHONHASHSEED``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+
+    def run(script, payload, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(payload)], env=env,
+            capture_output=True, text=True, check=True, timeout=120)
+        return json.loads(out.stdout)
+
+    return run

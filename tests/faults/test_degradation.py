@@ -1,20 +1,17 @@
 """Degraded serving: bit-identity, reactions, and determinism."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
 from repro.faults.scenarios import get_scenario
-from repro.hardware.system import get_system
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
 from repro.models.workload import InferenceRequest
-from repro.models.zoo import get_model
 from repro.serving.batcher import pack_requests, repack_under_pressure
 from repro.serving.planner import choose_system
-from repro.serving.pool import run_process_sweep
 from repro.serving.simulator import ServingSimulator
 from repro.telemetry.runtime import Telemetry, activate
 
@@ -139,38 +136,57 @@ def test_degraded_run_emits_fault_counters_and_spans(simulator):
 
 
 # ----------------------------------------------------------------------
-# Determinism across repeat runs and sweep workers
+# Determinism across repeat runs and interpreters
 # ----------------------------------------------------------------------
-def degraded_chunk(model, system, config, points):
-    """Noisy-neighbor runs at each seed in ``points``, rebuilt by name
-    so the chunk runs the same in process or in a pool worker."""
-    simulator = ServingSimulator(
-        LiaEstimator(get_model(model), get_system(system), config))
-    scenario = get_scenario("noisy-neighbor")
-    out = []
-    for seed in points:
-        report = simulator.run_poisson(REQUESTS, 0.05, seed=seed,
-                                       scenario=scenario)
-        out.append((_timeline(report), report.stats.as_dict()))
-    return out
+#: Runs noisy-neighbor degraded runs at the seeds given on argv in a fresh
+#: interpreter and prints each run's timeline and stats as JSON.
+DEGRADED_RUNS = """
+import json
+import sys
+from repro.core.config import LiaConfig
+from repro.core.estimator import LiaEstimator
+from repro.faults.scenarios import get_scenario
+from repro.hardware.system import get_system
+from repro.models.workload import InferenceRequest
+from repro.models.zoo import get_model
+from repro.serving.simulator import ServingSimulator
+
+simulator = ServingSimulator(LiaEstimator(
+    get_model("opt-30b"), get_system("spr-a100"),
+    LiaConfig(enforce_host_capacity=False)))
+scenario = get_scenario("noisy-neighbor")
+runs = []
+for seed in json.loads(sys.argv[1]):
+    report = simulator.run_poisson([InferenceRequest(8, 512, 64)] * 10,
+                                   0.05, seed=seed, scenario=scenario)
+    runs.append([[(s.arrival, s.start, s.finish) for s in report.served],
+                 report.stats.as_dict()])
+print(json.dumps(runs))
+"""
+
+
+def _as_json(value):
+    return json.loads(json.dumps(value))
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_degraded_runs_identical_across_sweep_workers(simulator, workers):
+def test_degraded_runs_identical_across_sweep_workers(simulator, workers,
+                                                      fresh_interpreter):
+    """Seeds 7-10 split across ``workers`` fresh interpreters, each with
+    its own hash seed, reproduce fresh in-process runs exactly: fault
+    draws depend on nothing an interpreter chooses for itself."""
     seeds = [7, 8, 9, 10]
-    estimator = simulator.estimator
-    pooled = run_process_sweep(
-        degraded_chunk,
-        (estimator.spec.name, estimator.system.name, estimator.config),
-        seeds, processes=workers)
-    # Compare against single runs computed fresh in process.
+    size = len(seeds) // workers
     scenario = get_scenario("noisy-neighbor")
-    for seed, (timeline, stats) in zip(seeds, pooled):
-        reference = simulator.run_poisson(REQUESTS, 0.05, seed=seed,
-                                          scenario=scenario)
-        assert timeline == _timeline(reference)
-        assert stats == reference.stats.as_dict()
-    assert len(pooled) == len(seeds)
+    for hash_seed in range(workers):
+        chunk = seeds[hash_seed * size:(hash_seed + 1) * size]
+        runs = fresh_interpreter(DEGRADED_RUNS, chunk, hash_seed)
+        assert len(runs) == len(chunk)
+        for seed, (timeline, stats) in zip(chunk, runs):
+            reference = simulator.run_poisson(REQUESTS, 0.05, seed=seed,
+                                              scenario=scenario)
+            assert timeline == _as_json(_timeline(reference))
+            assert stats == _as_json(reference.stats.as_dict())
 
 
 def test_degraded_runs_identical_across_repeat_runs(simulator):

@@ -134,11 +134,41 @@ def test_replicas_needed_infeasible_slo(estimator):
                         slo_p95_seconds=1e-6, max_replicas=8)
 
 
+@pytest.mark.parametrize("max_replicas", [0, -5])
+def test_replicas_needed_rejects_cap_below_one(estimator, max_replicas):
+    with pytest.raises(ConfigurationError, match="max_replicas"):
+        replicas_needed(estimator, _workload(10),
+                        arrivals_poisson(10, 0.01, seed=0),
+                        slo_p95_seconds=1e6, max_replicas=max_replicas)
+
+
+def test_replicas_needed_cap_message_blames_the_right_cause(estimator):
+    # Queueing-bound: each request is served well inside the SLO, but
+    # one replica cannot keep up with the arrival rate.
+    workload = _workload(400)
+    arrivals = arrivals_poisson(400, 5.0, seed=1)
+    services = MultiReplicaSimulator(estimator, 1).run(
+        workload, arrivals).merged.service_times
+    slo = 2.0 * float(services.max())
+    with pytest.raises(CapacityError) as queueing:
+        replicas_needed(estimator, workload, arrivals,
+                        slo_p95_seconds=slo, max_replicas=1)
+    message = str(queueing.value)
+    assert "alone violates" not in message
+    assert "queueing" in message
+    assert "1-replica cap" in message
+    # Service-bound: no fleet makes a request faster than itself.
+    with pytest.raises(CapacityError) as service:
+        replicas_needed(estimator, workload, arrivals,
+                        slo_p95_seconds=1e-6, max_replicas=4)
+    assert "4-replica cap" in str(service.value)
+    assert "alone violates the SLO" in str(service.value)
+
+
 def test_replicas_needed_simulates_each_fleet_size_once(estimator,
                                                        monkeypatch):
-    """The doubling phase can land on the exact answer the binary
-    search re-derives; the per-``k`` memo must keep every fleet size
-    to a single simulation."""
+    """The bisection only probes sizes strictly between two evaluated
+    ones, so no fleet size is ever simulated twice."""
     import repro.serving.replicas as replicas_module
 
     evaluated = []
@@ -186,27 +216,21 @@ def test_replica_telemetry_gauges(estimator):
     assert any(track.startswith("server[") for track in tracks)
 
 
-def test_sweep_fleet_sizes_process_path_matches_serial(estimator):
-    from repro.serving.pool import published_segments
+def test_sweep_fleet_sizes_in_input_order_with_fingerprints(estimator):
     from repro.serving.replicas import sweep_fleet_sizes
 
     workload = _workload(200)
     arrivals = arrivals_poisson(200, 5.0, seed=2)
-    serial = sweep_fleet_sizes(estimator, workload, arrivals, [1, 2, 4])
-    for processes in (1, 2):
-        pooled = sweep_fleet_sizes(estimator, workload, arrivals,
-                                   [1, 2, 4], processes=processes)
-        assert serial == pooled
-    assert [s["n_replicas"] for s in serial] == [1, 2, 4]
-    assert all(s["fingerprint"] for s in serial)
-    # The sweep published its workload/trace segments and released
-    # them before returning — nothing may leak into later tests.
-    assert published_segments() == []
+    out = sweep_fleet_sizes(estimator, workload, arrivals, [4, 1, 2])
+    assert [s["n_replicas"] for s in out] == [4, 1, 2]
+    assert all(s["fingerprint"] for s in out)
+    # Each size is its own simulation: the same size alone agrees.
+    alone = sweep_fleet_sizes(estimator, workload, arrivals, [2])
+    assert out[2] == alone[0]
 
 
-def test_sweep_fleet_sizes_falls_back_off_zoo(spr_a100, eval_config):
-    # A hand-built spec cannot rebuild by name inside a worker; the
-    # sweep must quietly take the in-process path instead.
+def test_sweep_fleet_sizes_hand_built_spec(spr_a100, eval_config):
+    # A spec that is not in the model zoo sweeps like any other.
     from dataclasses import replace
 
     from repro.models.zoo import get_model
@@ -216,6 +240,5 @@ def test_sweep_fleet_sizes_falls_back_off_zoo(spr_a100, eval_config):
     estimator = LiaEstimator(spec, spr_a100, eval_config)
     workload = _workload(50)
     arrivals = arrivals_poisson(50, 5.0, seed=3)
-    out = sweep_fleet_sizes(estimator, workload, arrivals, [1, 2],
-                            processes=2)
+    out = sweep_fleet_sizes(estimator, workload, arrivals, [1, 2])
     assert [s["n_replicas"] for s in out] == [1, 2]

@@ -221,8 +221,7 @@ def test_check_flags_overhead_regression_full_mode_only(
                          "--committed", committed, "--quick"]) == 0
 
 
-def _estimator_report(sweep_speedup=4.0, sweep_identical=True,
-                      cpu_count=8, passed=True, profile_identical=True,
+def _estimator_report(passed=True, profile_identical=True,
                       figures_identical=True):
     return {
         "benchmark": "bench_estimator",
@@ -232,29 +231,10 @@ def _estimator_report(sweep_speedup=4.0, sweep_identical=True,
         "step_profile": {"identical": profile_identical},
         "figure_grid": {"identical": figures_identical,
                         "median_s": 0.3},
-        "process_sweep": {"speedup": sweep_speedup,
-                          "identical": sweep_identical,
-                          "cpu_count": cpu_count},
         "gates": {"speedup_mean_min": 10.0,
-                  "max_relative_error_max": 1e-9,
-                  "process_sweep_speedup_min": 3.0,
-                  "process_sweep_min_cores": 4},
+                  "max_relative_error_max": 1e-9},
         "pass": passed,
     }
-
-
-def test_check_flags_process_sweep_identity_break_even_quick(
-        tracker, tmp_path, capsys):
-    history = tmp_path / "history.jsonl"
-    committed = _write(tmp_path / "committed.json",
-                       _estimator_report())
-    broken = _write(tmp_path / "broken.json",
-                    _estimator_report(sweep_identical=False))
-    tracker.main(["append", str(history), broken, "--commit", ""])
-    assert tracker.main(["check", str(history),
-                         "--committed", committed, "--quick"]) == 1
-    assert "not identical to the in-process path" in \
-        capsys.readouterr().err
 
 
 def test_check_flags_step_profile_identity_break_even_quick(
@@ -282,37 +262,6 @@ def test_check_flags_figure_grid_fingerprint_break_even_quick(
     assert tracker.main(["check", str(history),
                          "--committed", committed, "--quick"]) == 1
     assert "committed fingerprint" in capsys.readouterr().err
-
-
-def test_check_flags_process_sweep_speedup_regression_in_quick(
-        tracker, tmp_path, capsys):
-    history = tmp_path / "history.jsonl"
-    committed = _write(tmp_path / "committed.json",
-                       _estimator_report())
-    slow = _write(tmp_path / "slow.json",
-                  _estimator_report(sweep_speedup=1.2, cpu_count=8))
-    tracker.main(["append", str(history), slow, "--commit", ""])
-    # The floor binds in --quick: the benchmark's in-process baseline
-    # and process pool race on the same machine, so noise cancels.
-    assert tracker.main(["check", str(history),
-                         "--committed", committed, "--quick"]) == 1
-    assert "process-sweep speedup 1.20x under" in \
-        capsys.readouterr().err
-
-
-def test_process_sweep_speedup_floor_skipped_on_small_machines(
-        tracker, tmp_path):
-    history = tmp_path / "history.jsonl"
-    committed = _write(tmp_path / "committed.json",
-                       _estimator_report())
-    small = _write(tmp_path / "small.json",
-                   _estimator_report(sweep_speedup=1.0, cpu_count=1))
-    tracker.main(["append", str(history), small, "--commit", ""])
-    # One core cannot fan out; only identity binds there.
-    assert tracker.main(["check", str(history),
-                         "--committed", committed]) == 0
-    assert tracker.main(["check", str(history),
-                         "--committed", committed, "--quick"]) == 0
 
 
 def test_check_latest_entry_wins_and_failed_runs_flagged(
