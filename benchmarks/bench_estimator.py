@@ -18,8 +18,13 @@ vs one ``LiaEstimator.decode_step_times`` call — and records the µs
 per grid point of each side (median and IQR after a warm-up) and
 whether the two grids are bit-identical.  A third phase times the
 full Fig. 9+10+11 grid (398 rows, serial; median and IQR seconds
-after a warm-up) and fingerprints its rows.  The acceptance gates
-tracked by the repo:
+after a warm-up) and fingerprints its rows.  A fourth, report-only
+phase (``term_table``) times one Eq. (4)-(9) term table
+(``layer_terms``) and one Eq. (1) search on it (``search_grid``) in
+µs per call (median and IQR after a warm-up) at three shapes the
+figure grid builds, and records whether every table element equals
+the scalar oracle's term as a uint64 and every searched point its
+winner.  The acceptance gates tracked by the repo:
 
 * average estimator speedup >= 10x
 * max relative error < 1e-9
@@ -27,6 +32,7 @@ tracked by the repo:
   machine)
 * figure-grid rows fingerprint to the committed
   :data:`FIGURE_GRID_FINGERPRINT` (every machine)
+* term tables and searches bit-identical to the oracle (every machine)
 
 Run: ``PYTHONPATH=src python benchmarks/bench_estimator.py [--quick]``
 """
@@ -42,9 +48,14 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
+from repro.core.optimizer import search_grid
+from repro.core.terms import layer_terms
 from repro.hardware.system import get_system
+from repro.models.sublayers import Stage
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 
@@ -63,6 +74,10 @@ PROFILE_SHAPES = ((1, 128, 16), (1, 512, 64), (8, 1024, 64),
                   (32, 1024, 32))
 PROFILE_MAX_BATCH = 32
 PROFILE_CXL_EXPANDERS = 2
+
+#: ``LayerTerms``' time tables, in the column order of the oracle's
+#: ``point_terms`` rows.
+TIME_FIELDS = ("comp_cpu", "comp_gpu", "load_x", "load_y", "load_r", "store")
 
 #: sha256 of the fig09+10+11 rows (398 of them) as the drivers emit
 #: them; any change to a figure value changes it.
@@ -186,6 +201,105 @@ def step_profile_phase(reps: int) -> Dict[str, object]:
     }
 
 
+def _term_table_shapes() -> List[Tuple[str, object, object, Stage,
+                                      object, object]]:
+    """``(name, model, system, stage, B, L)`` of three term tables the
+    Fig. 9+10+11 grid builds: a scalar prefill probe of the Fig. 9
+    transition search, OPT-30B's Fig. 10 decode table (every request's
+    steps end to end, 864 points) and the Fig. 9 decode policy map."""
+    from repro.experiments.fig09_policy_map import (DEFAULT_BATCHES,
+                                                    DEFAULT_LENGTHS)
+    from repro.core.estimator import RequestGrid
+    from repro.models.workload import paper_input_lengths
+
+    opt_30b, opt_175b = get_model("opt-30b"), get_model("opt-175b")
+    system = get_system(SYSTEM)
+    requests = [InferenceRequest(1, input_len, output_len)
+                for output_len in (32, 256)
+                for input_len in paper_input_lengths(opt_30b, output_len)]
+    return [
+        ("prefill_scalar", opt_175b, system, Stage.PREFILL, 1, 512),
+        ("decode_864", opt_30b, system, Stage.DECODE,
+         *RequestGrid.from_requests(requests).decode),
+        ("policy_map_9x5", opt_175b, system, Stage.DECODE,
+         np.array(DEFAULT_BATCHES)[:, np.newaxis],
+         np.array(DEFAULT_LENGTHS)[np.newaxis, :]),
+    ]
+
+
+def _us_per_call(fn: Callable[[], object], reps: int) -> Dict[str, float]:
+    """Median and IQR µs per call of ``fn``: after a warm-up call, each
+    of ``reps`` repetitions times a batch of calls lasting ~5 ms."""
+    start = time.perf_counter()
+    fn()  # warm-up
+    batch = max(1, int(5e-3 / (time.perf_counter() - start)))
+    times: List[float] = []
+    for __ in range(reps):
+        start = time.perf_counter()
+        for __ in range(batch):
+            fn()
+        times.append((time.perf_counter() - start) / batch)
+    q1, median, q3 = statistics.quantiles(
+        [t * 1e6 for t in times], n=4, method="inclusive")
+    return {"median_us": median, "iqr_us": q3 - q1, "calls_per_rep": batch}
+
+
+def _matches_oracle(terms, grid, spec, system, config, stage,
+                    batches, lengths, search: bool) -> bool:
+    """Every element of the six time tables equals the oracle's term as
+    a uint64, and (with ``search``) every point's winner and its
+    ``layer_time`` equal the oracle's 64-candidate scan."""
+    points = np.broadcast_arrays(batches, lengths)
+    for index in np.ndindex(*points[0].shape):
+        batch, length = (int(values[index]) for values in points)
+        expected = np.array(eq1_scalar.point_terms(
+            spec, stage, batch, length, system, config))
+        got = np.array([getattr(terms, name)[index]
+                        for name in TIME_FIELDS]).T
+        if not np.array_equal(got.view(np.uint64),
+                              expected.view(np.uint64)):
+            return False
+        if search:
+            oracle = eq1_scalar.optimal_policy(spec, stage, batch, length,
+                                               system, config)
+            if (grid.policy(index) != oracle.policy
+                    or grid.layer_time[index] != oracle.layer_time):
+                return False
+    return True
+
+
+def term_table_phase(reps: int) -> Dict[str, object]:
+    """µs per ``layer_terms`` and per ``search_grid`` call at the
+    :func:`_term_table_shapes`, and their bit-identity to the oracle
+    (report-only: no speed gate)."""
+    config = LiaConfig()
+    shapes: Dict[str, object] = {}
+    for name, spec, system, stage, batches, lengths in (
+            _term_table_shapes()):
+        def table(spec=spec, system=system, stage=stage, batches=batches,
+                  lengths=lengths):
+            return layer_terms(spec, stage, batches, lengths, system,
+                               config)
+
+        terms = table()
+        grid = search_grid(terms, config)
+        shapes[name] = {
+            "stage": stage.value, "model": spec.name,
+            "grid_shape": list(terms.comp_cpu.shape[:-1]),
+            "layer_terms": _us_per_call(table, reps),
+            "search_grid": _us_per_call(
+                lambda terms=terms: search_grid(terms, config), reps),
+            # The oracle's 64-candidate scan costs ~10 ms per point:
+            # searched points are checked on the small grids only.
+            "identical": _matches_oracle(
+                terms, grid, spec, system, config, stage, batches,
+                lengths, search=terms.comp_cpu.size <= 64 * 6),
+        }
+    return {"reps": reps, "shapes": shapes,
+            "identical": all(shape["identical"]
+                             for shape in shapes.values())}
+
+
 def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
     spec = get_model(MODEL)
     system = get_system(SYSTEM)
@@ -204,6 +318,7 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
     error = relative_error(seed["stages"], fast["stages"])
     step_profile = step_profile_phase(reps=5 if quick else 15)
     figure_grid = figure_grid_phase(reps=3 if quick else 7)
+    term_table = term_table_phase(reps=5 if quick else 15)
     report = {
         "benchmark": "bench_estimator",
         "model": MODEL,
@@ -226,6 +341,7 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
         "max_relative_error": error,
         "step_profile": step_profile,
         "figure_grid": figure_grid,
+        "term_table": term_table,
         "gates": {"speedup_mean_min": None if quick else 10.0,
                   "max_relative_error_max": 1e-9,
                   "figure_grid_fingerprint": FIGURE_GRID_FINGERPRINT},
@@ -233,11 +349,13 @@ def run(reps: int = REPS, quick: bool = False) -> Dict[str, object]:
         # repetitions the cold run dominates the mean, and shared CI
         # machines make wall-clock gates flaky.  The full run holds
         # the amortized speedup to the 10x floor.  Step-profile
-        # bit-identity and the figure-grid fingerprint are correctness
-        # gates and bind in every mode.
+        # bit-identity, the figure-grid fingerprint and the term
+        # tables' bit-identity are correctness gates and bind in every
+        # mode; the term-table timings gate nothing.
         "pass": (error < 1e-9
                  and step_profile["identical"]
                  and figure_grid["identical"]
+                 and term_table["identical"]
                  and (quick
                       or seed["mean_s"] / fast["mean_s"] >= 10.0)),
     }
@@ -268,6 +386,11 @@ def main() -> int:
     print(f"figure grid: {figures['rows']} rows, median "
           f"{figures['median_s']:.3f}s (IQR {figures['iqr_s']:.3f}s); "
           f"identical={figures['identical']}")
+    for name, shape in report["term_table"]["shapes"].items():
+        print(f"term table {name} {shape['grid_shape']}: layer_terms "
+              f"{shape['layer_terms']['median_us']:.0f} us, search_grid "
+              f"{shape['search_grid']['median_us']:.0f} us (medians); "
+              f"identical={shape['identical']}")
     print(f"wrote {args.out} (pass={report['pass']})")
     return 0 if report["pass"] else 1
 

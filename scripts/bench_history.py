@@ -35,9 +35,10 @@ with a UTC timestamp.  ``check`` applies, per committed report:
   reference binds everywhere; its wall-clock
   ``admission_requests_per_s`` (median over reps) is a trend, never
   gated;
-* the step-profile grid's bit-identity to per-point estimates and
-  the figure grid's committed row fingerprint bind everywhere,
-  ``--quick`` included;
+* the step-profile grid's bit-identity to per-point estimates, the
+  figure grid's committed row fingerprint and the term tables'
+  bit-identity to the scalar oracle bind everywhere, ``--quick``
+  included;
 * the run's own ``pass`` flag must be true.
 
 Stdlib only — it must run on a bare checkout.
@@ -134,6 +135,9 @@ def entry_from_report(report: Dict[str, object],
     if isinstance(figure_grid, dict):
         entry["figure_grid_identical"] = figure_grid.get("identical")
         entry["figure_grid_median_s"] = figure_grid.get("median_s")
+    term_table = report.get("term_table")
+    if isinstance(term_table, dict):
+        entry["term_table_identical"] = term_table.get("identical")
     return entry
 
 
@@ -248,6 +252,9 @@ def check_against_committed(latest: Dict[str, object],
     if latest.get("figure_grid_identical") is False:
         failures.append(f"{name}: fig09+10+11 rows no longer match the "
                         f"committed fingerprint")
+    if latest.get("term_table_identical") is False:
+        failures.append(f"{name}: term tables or searches are not "
+                        f"bit-identical to the scalar oracle")
     overhead_gate = gates.get("timeseries_overhead_max")
     overhead = latest.get("timeseries_overhead")
     if (not quick and overhead_gate is not None

@@ -1,14 +1,15 @@
 """Scalar-or-array evaluation for the cost-model formulas.
 
-``sublayer_cost``, ``Link.transfer_time`` and the roofline
-``ComputeEngine.matmul_time`` each have one implementation that takes a
-Python float (and returns one) or an ndarray (one entry per decode
-step, say).  Their branches go through :func:`where`.
+``Link.transfer_time`` and the roofline ``ComputeEngine.matmul_time``
+each have one implementation that takes a Python float (and returns
+one) or an ndarray — a whole ``(..., 6)`` sublayer table of
+:func:`~repro.models.sublayers.sublayer_costs`, say.  Their branches go
+through :func:`where`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Union
+from typing import Any, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +32,21 @@ def maximum(a: Any, b: Any) -> Any:
 def minimum(a: Any, b: Any) -> Any:
     """``min(a, b)`` elementwise (ties keep ``a``, as ``min`` does)."""
     return where(b < a, b, a)
+
+
+def everywhere(condition: Any) -> Any:
+    """``condition``, or plain ``True`` when an array of it holds at
+    every element, so :func:`where` can skip the elementwise select."""
+    if isinstance(condition, np.ndarray) and condition.all():
+        return True
+    return condition
+
+
+def expand_to(values: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``values`` broadcast to ``shape`` (itself when it has it)."""
+    if values.shape == shape:
+        return values
+    return np.broadcast_to(values, shape)
 
 
 def lowest(value: Any) -> Any:

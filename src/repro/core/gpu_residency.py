@@ -12,13 +12,16 @@ wastes the capacity remainder — §5.2's OPT-30B example: LIA places
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from repro.core.config import LiaConfig
 from repro.errors import ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
-from repro.models.sublayers import Stage, Sublayer, sublayer_cost
+from repro.models.sublayers import (USES_PARAMETERS, Stage, Sublayer,
+                                    sublayer_costs)
 from repro.models.workload import InferenceRequest
 
 
@@ -108,14 +111,17 @@ def plan_layer_residency(spec: ModelSpec, system: SystemConfig,
     )
 
 
+def _class_bytes(spec: ModelSpec) -> List[float]:
+    """:func:`sublayer_class_bytes` of every sublayer, in order, from
+    one Table 1 evaluation."""
+    d_y = sublayer_costs(spec, Stage.DECODE, 1, 1).d_y
+    return np.where(USES_PARAMETERS, d_y * spec.n_layers, 0.0).tolist()
+
+
 def sublayer_class_bytes(spec: ModelSpec, sublayer: Sublayer) -> float:
     """Weight bytes of one sublayer class across *all* decoder layers
     (FlexGen's packing unit).  KV sublayers have no weights."""
-    if not sublayer.uses_parameters:
-        return 0.0
-    cost = sublayer_cost(spec, sublayer, Stage.DECODE, batch_size=1,
-                         seq_len=1)
-    return cost.d_y * spec.n_layers
+    return _class_bytes(spec)[int(sublayer) - 1]
 
 
 def plan_sublayer_residency(spec: ModelSpec, system: SystemConfig,
@@ -138,8 +144,8 @@ def plan_sublayer_residency(spec: ModelSpec, system: SystemConfig,
     available = _available_bytes(spec, system, request, config,
                                  extra_reserved_bytes)
     classes = sorted(
-        ((sublayer_class_bytes(spec, s), s)
-         for s in Sublayer if s.uses_parameters),
+        ((size, s) for size, s in zip(_class_bytes(spec), Sublayer)
+         if s.uses_parameters),
         key=lambda pair: pair[0])
     resident: list = []
     used = 0.0

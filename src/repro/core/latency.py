@@ -166,7 +166,8 @@ def policy_layer(terms: LayerTerms, policy: OffloadPolicy,
             bytes_store=cost.d_kv_out if fires_store else 0.0)
         for sub, cost, on_cpu, (comp_cpu, comp_gpu, x, y, r, store, fires_x,
                                 fires_y, fires_r, fires_store, prefetchable)
-        in zip(Sublayer, terms.costs, policy.bits, rows))
+        in zip(Sublayer, map(terms.costs.column, Sublayer), policy.bits,
+               rows))
     return LayerLatency(stage=terms.stage, policy=policy, sublayers=parts)
 
 

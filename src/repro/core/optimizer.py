@@ -23,8 +23,9 @@ from repro.core.config import LiaConfig
 from repro.core.latency import LayerLatency, policy_layer
 from repro.core.overlap import Layer, overlapped_layer_time, serial_layer_time
 from repro.core.policy import OffloadPolicy
-from repro.core.terms import (ALL_ON_CPU, ALL_POLICIES, LayerTerms, Mask,
-                               layer_terms, on_cpu_mask, resident_mask)
+from repro.core.terms import (ALL_FIRING, ALL_ON_CPU, ALL_POLICIES,
+                               LayerTerms, Mask, layer_terms, on_cpu_mask,
+                               resident_mask)
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.sublayers import NUM_SUBLAYERS, Stage
@@ -118,22 +119,26 @@ def search_grid(terms: LayerTerms, config: LiaConfig,
     forced = _forced_policy(terms.stage, config)
     candidates: Tuple[OffloadPolicy, ...] = ALL_POLICIES
     on_cpu = ALL_ON_CPU
-    if forced is not None:
+    if forced is None:
+        fired = ALL_FIRING[terms.stage, terms.kv_resident,
+                           weights_resident]
+    else:
         candidates = (forced,)
         on_cpu = on_cpu_mask(forced)[np.newaxis]
+        fired = terms.firing(on_cpu, resident_mask(weights_resident))
     # Candidates lead, ahead of the table's grid axes.
-    grid_ndim = terms.comp_cpu.ndim - 1
-    stack = on_cpu.reshape((len(candidates),) + (1,) * grid_ndim
-                           + (NUM_SUBLAYERS,))
+    shape = ((len(candidates),) + (1,) * (terms.comp_cpu.ndim - 1)
+             + (NUM_SUBLAYERS,))
     # Eq. (1)/(2) scores the *serial* layer latency; overlap is an
     # execution-time optimization, not part of the objective — that
     # is what keeps Fig. 9's B=1 decode region full-CPU.
-    times = np.asarray(serial_layer_time(
-        terms.sums(stack, resident_mask(weights_resident))))
-    best = np.argmin(times, axis=0)
+    times = np.asarray(serial_layer_time(terms.fired_sums(
+        on_cpu.reshape(shape),
+        tuple(mask.reshape(shape) for mask in fired))))
+    # The minimum is the first minimum's own value.
     return PolicyGrid(
-        candidates=candidates, on_cpu=on_cpu, best=best,
-        layer_time=np.take_along_axis(times, best[np.newaxis], 0)[0])
+        candidates=candidates, on_cpu=on_cpu,
+        best=np.argmin(times, axis=0), layer_time=times.min(axis=0))
 
 
 def _count_searches(stage: Stage, config: LiaConfig, points: int) -> None:

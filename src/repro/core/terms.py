@@ -2,12 +2,15 @@
 
 At one ``(stage, B, L)`` every Eq. (2) term is fixed; a policy only
 picks which fire (CPU or GPU compute, and each PCIe load or store).
-:func:`layer_terms` evaluates every candidate term once into ``(..., 6)``
-arrays, and :meth:`LayerTerms.sums` scores one policy, or all 64 at
-once, by a masked gather.  ``B`` and ``L`` may be arrays that
-broadcast together (one ``L`` per decode step, or a whole ``(B, L)``
-grid), so a decode stage or a step-time profile is one table.  Sums
-fold the sublayers left to right, as
+:func:`layer_terms` evaluates every candidate term in one broadcast
+pass over a trailing sublayer axis: the Table 1 costs arrive as
+``(..., 6)`` arrays, and what differs between sublayers (matmul kind,
+slow memory tier, second-operand home, residual input) enters as
+constant ``(6,)`` vectors.  :meth:`LayerTerms.sums` scores one policy,
+or all 64 at once, by a masked gather.  ``B`` and ``L`` may be arrays
+that broadcast together (one ``L`` per decode step, or a whole
+``(B, L)`` grid), so a decode stage or a step-time profile is one
+table.  Sums fold the sublayers left to right, as
 :class:`~repro.core.latency.LayerLatency` adds them, and an unfired
 term adds an exact 0.0: results are bit-identical to evaluating one
 policy at one ``(B, L)``.
@@ -16,19 +19,20 @@ policy at one ``(B, L)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Collection, List, Tuple, Union
+from typing import Collection, Dict, Tuple, Union
 
 import numpy as np
 
-from repro.arrays import Real
+from repro.arrays import Real, expand_to
 from repro.core.config import KvCachePlacement, LiaConfig, WeightPlacement
 from repro.core.policy import OffloadPolicy
 from repro.errors import ConfigurationError
-from repro.hardware.roofline import ComputeEngine, MatmulKind
+from repro.hardware.roofline import ComputeEngine
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
-from repro.models.sublayers import (NUM_SUBLAYERS, RESIDUAL_SOURCE, Stage,
-                                    Sublayer, SublayerCost, sublayer_cost)
+from repro.models.sublayers import (NUM_SUBLAYERS, RESIDUAL_SOURCE,
+                                    USES_KV_CACHE, USES_PARAMETERS, Stage,
+                                    Sublayer, SublayerCosts, sublayer_costs)
 from repro.units import us
 
 #: Boolean ``(..., 6)`` masks and float64 ``(..., 6)`` term tables.
@@ -46,14 +50,16 @@ _TIME_FIELDS = ("comp_cpu", "comp_gpu", "load_x", "load_y", "load_r",
 #: marginal compute win never pays in the real runtime.
 BOUNDARY_SYNC_LATENCY = us(100.0)
 
-#: Sublayers whose second operand is model weights (1, 4, 5, 6).
-USES_PARAMETERS: Mask = np.array([sub.uses_parameters for sub in Sublayer])
 #: Column of :math:`p_{i-1}` for each sublayer (:math:`p_0 = p_6`).
 _PREVIOUS = np.roll(np.arange(NUM_SUBLAYERS), 1)
 #: Column of each sublayer's Eq. (6) residual source; a sublayer
 #: without one points at itself, so its term never fires.
 _RESIDUAL = np.array([int(RESIDUAL_SOURCE.get(sub, sub)) - 1
                       for sub in Sublayer])
+#: Sublayers with an Eq. (6) residual input (4 and 6).
+_HAS_RESIDUAL: Mask = np.array([sub in RESIDUAL_SOURCE for sub in Sublayer])
+#: No sublayer: prefill runs every matmul as a GEMM.
+_NO_SUBLAYER: Mask = np.zeros(NUM_SUBLAYERS, dtype=bool)
 
 #: The 64 Eq. (1) candidates in ``OffloadPolicy.all_policies()`` order,
 #: and their on-CPU masks as one ``(64, 6)`` array.
@@ -61,8 +67,8 @@ ALL_POLICIES: Tuple[OffloadPolicy, ...] = tuple(OffloadPolicy.all_policies())
 ALL_ON_CPU: Mask = np.array([policy.bits for policy in ALL_POLICIES],
                             dtype=bool)
 # Shared by every caller in the process: read-only.
-USES_PARAMETERS.setflags(write=False)
-ALL_ON_CPU.setflags(write=False)
+for _mask in (_HAS_RESIDUAL, _NO_SUBLAYER, ALL_ON_CPU):
+    _mask.setflags(write=False)
 
 
 def on_cpu_mask(policy: OffloadPolicy) -> Mask:
@@ -77,6 +83,43 @@ def resident_mask(weights_resident: bool = False,
     listed sublayer classes (FlexGen's coarser packing)."""
     return USES_PARAMETERS & np.array(
         [weights_resident or sub in resident_sublayers for sub in Sublayer])
+
+
+def firing(stage: Stage, kv_resident: bool, on_cpu: Mask,
+           resident: Mask) -> Tuple[Mask, ...]:
+    """Masks of the Eq. (4), (5)/(7), (6) and (9) terms that fire
+    under ``on_cpu`` (a ``(6,)`` policy, or any stack of them) with
+    ``resident`` weights and the KV cache in GPU memory if
+    ``kv_resident``, and of the prefetchable weight loads."""
+    on_gpu = ~on_cpu
+    if stage is Stage.PREFILL:
+        # Eq. (7), made consistent with the Eq. (9) store: the fresh
+        # K/V exist on sublayer 1's device and (after the store) at
+        # their host home, so a transfer is needed only when a GPU
+        # consumer faces CPU-generated KV.
+        kv_load = on_gpu & on_cpu[..., :1]
+    else:
+        # Decode: the KV cache is fetched from its home memory.
+        kv_load = on_cpu == kv_resident
+    streamed = USES_PARAMETERS & on_gpu & ~resident
+    return (on_cpu != on_cpu[..., _PREVIOUS],
+            np.where(USES_PARAMETERS, streamed, kv_load),
+            on_cpu != on_cpu[..., _RESIDUAL],
+            on_cpu == kv_resident,
+            streamed)
+
+
+#: :func:`firing` of all 64 candidates at once, for every ``(stage,
+#: kv_resident, weights_resident)``: the masks an Eq. (1) search
+#: scores with.
+ALL_FIRING: Dict[Tuple[Stage, bool, bool], Tuple[Mask, ...]] = {
+    (stage, kv_resident, weights_resident): firing(
+        stage, kv_resident, ALL_ON_CPU, resident_mask(weights_resident))
+    for stage in Stage for kv_resident in (False, True)
+    for weights_resident in (False, True)}
+for _masks in ALL_FIRING.values():
+    for _mask in _masks:
+        _mask.setflags(write=False)
 
 
 def fold(values: Table) -> Table:
@@ -142,15 +185,16 @@ class LayerTerms:
     """Every candidate term of Eqs. (4)-(9) at one ``(stage, B, L)``.
 
     Times are ``(..., 6)`` arrays, sublayers last, after the grid axes
-    of ``B`` and ``L`` broadcast together; ``costs`` and ``bytes_r``
-    (the Eq. (6) residual size) are the Table 1 sizes behind them.
+    of ``B`` and ``L`` broadcast together; ``costs`` (the same shape)
+    and ``bytes_r`` (the Eq. (6) residual size, grid axes only) are the
+    Table 1 sizes behind them.
     """
 
     stage: Stage
     #: The KV cache lives in GPU memory (FlexGen at B=1), not host
     #: memory: flips the Eq. (5) decode loads and the Eq. (9) store.
     kv_resident: bool
-    costs: Tuple[SublayerCost, ...]
+    costs: SublayerCosts
     bytes_r: Real
     comp_cpu: Table
     comp_gpu: Table
@@ -167,40 +211,61 @@ class LayerTerms:
                                 for name in _TIME_FIELDS})
 
     def firing(self, on_cpu: Mask, resident: Mask) -> Tuple[Mask, ...]:
-        """Masks of the Eq. (4), (5)/(7), (6) and (9) terms that fire
-        under ``on_cpu`` (a ``(6,)`` policy, or any stack of them that
-        broadcasts against the tables) with ``resident`` weights, and
-        of the prefetchable weight loads."""
-        on_gpu = ~on_cpu
-        if self.stage is Stage.PREFILL:
-            # Eq. (7), made consistent with the Eq. (9) store: the
-            # fresh K/V exist on sublayer 1's device and (after the
-            # store) at their host home, so a transfer is needed only
-            # when a GPU consumer faces CPU-generated KV.
-            kv_load = on_gpu & on_cpu[..., :1]
-        else:
-            # Decode: the KV cache is fetched from its home memory.
-            kv_load = on_cpu == self.kv_resident
-        streamed = USES_PARAMETERS & on_gpu & ~resident
-        return (on_cpu != on_cpu[..., _PREVIOUS],
-                np.where(USES_PARAMETERS, streamed, kv_load),
-                on_cpu != on_cpu[..., _RESIDUAL],
-                on_cpu == self.kv_resident,
-                streamed)
+        """:func:`firing` on this table's stage and KV home, for a
+        policy stack that broadcasts against the tables."""
+        return firing(self.stage, self.kv_resident, on_cpu, resident)
 
     def sums(self, on_cpu: Mask, resident: Mask) -> LayerSums:
         """Serial totals per policy of the stack and per grid point."""
-        load_x, load_y, load_r, store, prefetchable = self.firing(
-            on_cpu, resident)
-        t_load_y = np.where(load_y, self.load_y, 0.0)
-        t_load = (np.where(load_x, self.load_x, 0.0) + t_load_y
-                  + np.where(load_r, self.load_r, 0.0))
+        if on_cpu.ndim == self.comp_cpu.ndim:
+            # One policy per grid point: lay the masks out column by
+            # column, as the tables are, so every select is contiguous.
+            on_cpu = np.asfortranarray(on_cpu)
+        return self.fired_sums(on_cpu, self.firing(on_cpu, resident))
+
+    def fired_sums(self, on_cpu: Mask, fired: Tuple[Mask, ...]
+                   ) -> LayerSums:
+        """:meth:`sums` with the stack's :meth:`firing` masks given.
+
+        Every table entry is a finite time >= 0 (``sublayer_costs``
+        admits only finite ``B`` and ``L``), so multiplying by a mask
+        selects exactly as ``np.where(mask, table, 0.0)`` does —
+        ``t * 1.0 == t`` and ``t * 0.0 == 0.0`` — at a fraction of the
+        cost on large grids.
+        """
+        load_x, load_y, load_r, store, prefetchable = fired
+        t_load_y = self.load_y * load_y
+        t_load = self.load_x * load_x + t_load_y + self.load_r * load_r
         return LayerSums(
-            cpu_compute=fold(np.where(on_cpu, self.comp_cpu, 0.0)),
-            gpu_compute=fold(np.where(on_cpu, 0.0, self.comp_gpu)),
-            transfer=fold(t_load + np.where(store, self.store, 0.0)),
-            prefetchable_transfer=fold(
-                np.where(prefetchable, t_load_y, 0.0)))
+            cpu_compute=fold(self.comp_cpu * on_cpu),
+            gpu_compute=fold(self.comp_gpu * ~on_cpu),
+            transfer=fold(t_load + self.store * store),
+            prefetchable_transfer=fold(t_load_y * prefetchable))
+
+
+def _slow_tier(stage: Stage, system: SystemConfig, config: LiaConfig,
+               weight_bw: float, kv_bw: float
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. (8) on the CPU: operands in a tier slower than DDR (CXL)
+    stream at that tier's bandwidth.  Returns, per sublayer, the share
+    of ``D_Y`` in the slow tier and the tier's bandwidth (``inf`` where
+    the share is 0.0)."""
+    share = np.zeros(NUM_SUBLAYERS)
+    bandwidth = np.full(NUM_SUBLAYERS, float("inf"))
+    ddr_bw = system.cpu.memory.bandwidth
+    if weight_bw < ddr_bw:
+        share[USES_PARAMETERS] = 1.0
+        bandwidth[USES_PARAMETERS] = weight_bw
+    if kv_bw < ddr_bw:
+        share[USES_KV_CACHE] = 1.0
+        bandwidth[USES_KV_CACHE] = kv_bw
+    elif (stage is Stage.DECODE and config.kv_cxl_fraction > 0.0
+            and system.has_cxl):
+        # Recency-window tiering: the cold prefix of the cache streams
+        # from CXL, the hot tail from DDR.
+        share[USES_KV_CACHE] = config.kv_cxl_fraction
+        bandwidth[USES_KV_CACHE] = system.cxl_pool.bandwidth
+    return share, bandwidth
 
 
 def layer_terms(spec: ModelSpec, stage: Stage, batch_size: Real,
@@ -212,12 +277,13 @@ def layer_terms(spec: ModelSpec, stage: Stage, batch_size: Real,
     ``context_len`` is ``L`` — the prompt length in prefill, the KV
     length while decoding.  ``batch_size`` and ``context_len`` may be
     arrays; the tables then have shape
-    ``np.broadcast_shapes(shape(B), shape(L)) + (6,)``.  Raises
-    :class:`ConfigurationError` for ``B < 1``, ``L < 1``, or a CXL
-    placement on a system without CXL.
+    ``np.broadcast_shapes(shape(B), shape(L)) + (6,)``.  One broadcast
+    pass builds each table from the :func:`sublayer_costs` arrays and
+    constant per-sublayer vectors, with no loop over sublayers.  Raises
+    :class:`ConfigurationError` for a ``B`` or ``L`` that is not finite
+    and >= 1, or a CXL placement on a system without CXL.
     """
     cpu = cpu_engine(system, config)
-    gpu = system.gpu.engine
     link = system.host_link
     weight_bw = pool_bandwidth(
         system, config.weight_placement is WeightPlacement.CXL,
@@ -225,57 +291,31 @@ def layer_terms(spec: ModelSpec, stage: Stage, batch_size: Real,
     kv_bw = pool_bandwidth(
         system, config.kv_placement is KvCachePlacement.CXL,
         "kv_placement")
-    ddr_bw = system.cpu.memory.bandwidth
-    costs = tuple(sublayer_cost(spec, sub, stage, batch_size, context_len)
-                  for sub in Sublayer)
+    costs = sublayer_costs(spec, stage, batch_size, context_len)
+    gemv = USES_KV_CACHE if stage is Stage.DECODE else _NO_SUBLAYER
+    slow_share, slow_bw = _slow_tier(stage, system, config, weight_bw,
+                                     kv_bw)
+    slow_bytes = costs.d_y * slow_share if slow_share.any() else 0.0
+    operand_bytes = costs.d_x + costs.d_y
     # Eq. (6): the residual is the d_m-wide hidden state, regardless
     # of the sublayer's own input width.
     tokens = context_len if stage is Stage.PREFILL else 1
     bytes_r = batch_size * tokens * spec.d_model * spec.bytes_per_param
     load_r = (BOUNDARY_SYNC_LATENCY
               + link.transfer_time(bytes_r, source_bandwidth=kv_bw))
-
-    # One list per time field of LayerTerms, in field order.
-    columns: List[List[Real]] = [[] for _ in range(6)]
-    for sub, cost in zip(Sublayer, costs):
-        kind = MatmulKind.GEMM
-        if sub.uses_kv_cache and stage is Stage.DECODE:
-            kind = MatmulKind.BATCHED_GEMV
-        # Eq. (8) on the CPU: operands in a tier slower than DDR (CXL)
-        # stream at that tier's bandwidth.
-        slow_bytes: Real = 0.0
-        slow_bw = float("inf")
-        if sub.uses_parameters and weight_bw < ddr_bw:
-            slow_bytes += cost.d_y
-            slow_bw = weight_bw
-        if sub.uses_kv_cache and kv_bw < ddr_bw:
-            slow_bytes += cost.d_y
-            slow_bw = kv_bw
-        elif (sub.uses_kv_cache and stage is Stage.DECODE
-                and config.kv_cxl_fraction > 0.0 and system.has_cxl):
-            # Recency-window tiering: the cold prefix of the cache
-            # streams from CXL, the hot tail from DDR.
-            slow_bytes += cost.d_y * config.kv_cxl_fraction
-            slow_bw = system.cxl_pool.bandwidth
-        fast_bytes = cost.d_x + cost.d_y - slow_bytes
-        y_bw = weight_bw if sub.uses_parameters else kv_bw
-        values: Tuple[Real, ...] = (
-            cpu.matmul_time(cost.flops, fast_bytes, kind,
-                            slow_bytes=slow_bytes, slow_bandwidth=slow_bw),
-            gpu.matmul_time(cost.flops, cost.d_x + cost.d_y, kind),
-            BOUNDARY_SYNC_LATENCY
-            + link.transfer_time(cost.d_x, source_bandwidth=kv_bw),
-            link.transfer_time(cost.d_y, source_bandwidth=y_bw),
-            load_r if sub in RESIDUAL_SOURCE else 0.0,
-            link.transfer_time(cost.d_kv_out, source_bandwidth=kv_bw))
-        for column, value in zip(columns, values):
-            column.append(value)
-
-    grid = np.broadcast_shapes(np.shape(batch_size), np.shape(context_len))
-    tables = []
-    for column in columns:
-        table = np.empty(grid + (NUM_SUBLAYERS,))
-        for index, value in enumerate(column):
-            table[..., index] = value  # lower-rank terms broadcast
-        tables.append(table)
-    return LayerTerms(stage, kv_resident, costs, bytes_r, *tables)
+    return LayerTerms(
+        stage, kv_resident, costs, bytes_r,
+        comp_cpu=cpu.matmul_time(
+            costs.flops, operand_bytes - slow_bytes, gemv,
+            slow_bytes=slow_bytes, slow_bandwidth=slow_bw),
+        comp_gpu=system.gpu.engine.matmul_time(
+            costs.flops, operand_bytes, gemv),
+        load_x=(BOUNDARY_SYNC_LATENCY
+                + link.transfer_time(costs.d_x, source_bandwidth=kv_bw)),
+        load_y=link.transfer_time(
+            costs.d_y, source_bandwidth=np.where(USES_PARAMETERS,
+                                                 weight_bw, kv_bw)),
+        load_r=expand_to(np.where(_HAS_RESIDUAL,
+                                  np.asarray(load_r)[..., np.newaxis], 0.0),
+                         costs.flops.shape),
+        store=link.transfer_time(costs.d_kv_out, source_bandwidth=kv_bw))

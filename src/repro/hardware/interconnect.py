@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.arrays import Real, lowest, where
+from repro.arrays import Real, lowest, minimum, where
 from repro.errors import ConfigurationError
 from repro.units import gb_per_s, us
 
@@ -34,19 +34,23 @@ class Link:
                 f"{self.name}: setup_latency must be >= 0")
 
     def transfer_time(self, num_bytes: Real,
-                      source_bandwidth: float = float("inf")) -> Real:
+                      source_bandwidth: Real = float("inf")) -> Real:
         """Time to move ``num_bytes`` across the link.
 
         ``source_bandwidth`` caps the achievable rate when the data's
         home memory is slower than the link — the mechanism behind §6
         Observation-1 (a single 17 GB/s CXL expander throttles a
         32 GB/s PCIe 4.0 transfer; two interleaved expanders do not).
-        ``num_bytes`` may be an array.
+        ``num_bytes`` may be an array; on a ``(..., 6)`` sublayer
+        table, ``source_bandwidth`` may be a ``(6,)`` vector, one home
+        per sublayer.
         """
-        if lowest(num_bytes) < 0.0:
+        least = lowest(num_bytes)
+        if not least >= 0.0:
             raise ConfigurationError("num_bytes must be >= 0")
-        rate = min(self.bandwidth, source_bandwidth)
-        return where(num_bytes == 0.0, 0.0,
+        rate = minimum(self.bandwidth, source_bandwidth)
+        # Moving nothing takes no time, not even the setup.
+        return where(least == 0.0 and num_bytes == 0.0, 0.0,
                      self.setup_latency + num_bytes / rate)
 
     def effective_rate(self, num_bytes: float,

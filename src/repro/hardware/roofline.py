@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Union
 
-from repro.arrays import Real, lowest, maximum, square_root, where
+import numpy as np
+
+from repro.arrays import (Real, everywhere, lowest, maximum, minimum,
+                          square_root, where)
 from repro.errors import ConfigurationError
 
 
@@ -33,6 +37,19 @@ class MatmulKind(enum.Enum):
 #: patterns.  Calibrated so that SPR-AMX GEMV lands at the paper's
 #: measured 199 GFLOPS (= 0.765 x 260 GB/s at 1 FLOP/byte).
 BATCHED_GEMV_BANDWIDTH_EFFICIENCY = 0.765
+
+#: A matmul's access pattern, or a boolean array that is True where it
+#: is a batched GEMV (one entry per sublayer of a cost table).
+Kind = Union[MatmulKind, np.ndarray]
+
+
+def _gemv_scaled(kind: Kind, bandwidth: Real) -> Real:
+    """``bandwidth``, scaled by the batched-GEMV efficiency where
+    ``kind`` is a batched GEMV."""
+    gemv = kind if isinstance(kind, np.ndarray) else (
+        kind is MatmulKind.BATCHED_GEMV)
+    return where(gemv, bandwidth * BATCHED_GEMV_BANDWIDTH_EFFICIENCY,
+                 bandwidth)
 
 
 @dataclass(frozen=True)
@@ -60,8 +77,10 @@ class EfficiencyCurve:
                 f"half_flops must be >= 0, got {self.half_flops}")
 
     def __call__(self, flops: Real) -> Real:
+        """Fraction of peak at ``flops``, a float or an array (e.g. a
+        ``(..., 6)`` sublayer table); zero FLOPs give 0.0."""
         # With ``half_flops == 0`` the ramp is exactly 0.0: flat curve.
-        positive = flops > 0.0
+        positive = everywhere(flops > 0.0)
         ramp = square_root(self.half_flops / where(positive, flops, 1.0))
         return where(positive, self.max_efficiency / (1.0 + ramp), 0.0)
 
@@ -94,23 +113,20 @@ class ComputeEngine:
                 f"{self.name}: dispatch_overhead must be >= 0")
 
     # ------------------------------------------------------------------
-    def effective_bandwidth(self, kind: MatmulKind = MatmulKind.GEMM,
-                            bandwidth_scale: float = 1.0) -> float:
+    def effective_bandwidth(self, kind: Kind = MatmulKind.GEMM,
+                            bandwidth_scale: float = 1.0) -> Real:
         """Bandwidth achievable for the given access pattern.
 
         ``bandwidth_scale`` lets callers model operands resident in a
         slower tier (e.g. CXL memory), per §6's Observation-2.
         """
-        bandwidth = self.mem_bandwidth * bandwidth_scale
-        if kind is MatmulKind.BATCHED_GEMV:
-            bandwidth *= BATCHED_GEMV_BANDWIDTH_EFFICIENCY
-        return bandwidth
+        return _gemv_scaled(kind, self.mem_bandwidth * bandwidth_scale)
 
     def matmul_time(self, flops: Real, bytes_moved: Real,
-                    kind: MatmulKind = MatmulKind.GEMM,
+                    kind: Kind = MatmulKind.GEMM,
                     bandwidth_scale: float = 1.0,
                     slow_bytes: Real = 0.0,
-                    slow_bandwidth: float = float("inf")) -> Real:
+                    slow_bandwidth: Real = float("inf")) -> Real:
         """Execution time of one matmul, Eq. (8) style.
 
         ``bytes_moved`` is the operand traffic served by the engine's
@@ -120,26 +136,31 @@ class ComputeEngine:
         the degradation of Fig. 8(b) then emerges from the roofline:
         memory-bound sublayers (ops/byte ~ 1) slow down by the
         bandwidth ratio, compute-bound ones barely notice.  The byte
-        and FLOP counts may be arrays.
+        and FLOP counts may be arrays; on a ``(..., 6)`` sublayer
+        table, ``kind`` may be a ``(6,)`` batched-GEMV mask and
+        ``slow_bandwidth`` a ``(6,)`` vector, one entry per sublayer.
         """
-        if (lowest(flops) < 0.0 or lowest(bytes_moved) < 0.0
-                or lowest(slow_bytes) < 0.0):
+        least_flops = lowest(flops)
+        if not (least_flops >= 0.0 and lowest(bytes_moved) >= 0.0
+                and lowest(slow_bytes) >= 0.0):
             raise ConfigurationError(
                 "flops and byte counts must be non-negative")
         # Efficiency is zero only at zero FLOPs, whose time is 0.0;
-        # zero slow bytes add an exact 0.0.
+        # zero slow bytes would add an exact 0.0, so none is added.
         achievable = self.peak_flops * self.efficiency(flops)
-        compute_time = flops / where(achievable > 0.0, achievable, 1.0)
+        compute_time = flops / where(everywhere(achievable > 0.0),
+                                     achievable, 1.0)
         bandwidth = self.effective_bandwidth(kind, bandwidth_scale)
-        slow_effective = slow_bandwidth
-        if kind is MatmulKind.BATCHED_GEMV:
-            slow_effective *= BATCHED_GEMV_BANDWIDTH_EFFICIENCY
-        memory_time = (bytes_moved / bandwidth
-                       + slow_bytes / min(bandwidth, slow_effective))
+        memory_time = bytes_moved / bandwidth
+        if isinstance(slow_bytes, np.ndarray) or slow_bytes != 0.0:
+            memory_time = memory_time + slow_bytes / minimum(
+                bandwidth, _gemv_scaled(kind, slow_bandwidth))
         # Classic roofline: execution is limited by the slower of the
         # compute pipeline and the memory system (they overlap within
         # one kernel), plus the fixed dispatch cost.
-        idle = (flops == 0.0) & (bytes_moved == 0.0) & (slow_bytes == 0.0)
+        # Only a matmul with zero FLOPs and bytes is idle.
+        idle = least_flops == 0.0 and (
+            (flops == 0.0) & (bytes_moved == 0.0) & (slow_bytes == 0.0))
         return where(idle, 0.0, maximum(compute_time, memory_time)
                      + self.dispatch_overhead)
 

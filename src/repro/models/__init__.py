@@ -7,9 +7,11 @@ from repro.models.sublayers import (
     Stage,
     Sublayer,
     SublayerCost,
+    SublayerCosts,
     decoder_layer_costs,
     ops_per_byte_heatmap,
     sublayer_cost,
+    sublayer_costs,
 )
 from repro.models.quantize import quantize_weights, weight_compression_ratio
 from repro.models.workload import (
@@ -29,9 +31,11 @@ __all__ = [
     "Stage",
     "Sublayer",
     "SublayerCost",
+    "SublayerCosts",
     "decoder_layer_costs",
     "ops_per_byte_heatmap",
     "sublayer_cost",
+    "sublayer_costs",
     "quantize_weights",
     "weight_compression_ratio",
     "InferenceRequest",

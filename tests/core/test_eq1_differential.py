@@ -33,7 +33,7 @@ from repro.core.terms import layer_terms
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import get_system
 from repro.models.quantize import quantize_weights
-from repro.models.sublayers import Stage
+from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.telemetry import Telemetry, activate
@@ -268,6 +268,49 @@ def test_grid_search_matches_scalar_scan_at_every_point(
             assert grid.layer_time[i, j] == oracle.layer_time
 
 
+#: ``LayerTerms``' time tables, in the column order of the oracle's
+#: ``point_terms`` rows.
+TIME_FIELDS = ("comp_cpu", "comp_gpu", "load_x", "load_y", "load_r", "store")
+COST_FIELDS = ("d_x", "d_y", "flops", "d_out", "d_kv_out")
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=model_names, system=system_names, config=config_names,
+       stage=st.sampled_from(list(Stage)), batches=batch_grids,
+       lengths=context_grids, kv_resident=st.booleans())
+def test_every_table_element_matches_scalar_terms(
+        model, system, config, stage, batches, lengths, kv_resident):
+    """Every element of the six time tables, fired or not, and of the
+    Table 1 costs behind them equals the oracle's per-point value as a
+    uint64: a wrong term that never wins a search fails here too."""
+    spec, platform = MODELS[model], SYSTEMS[system]
+    config = CONFIGS[config]
+    terms = layer_terms(spec, stage, np.array(batches)[:, np.newaxis],
+                        np.array(lengths)[np.newaxis, :], platform, config,
+                        kv_resident=kv_resident)
+    shape = (len(batches), len(lengths), 6)
+    expected = np.array([[eq1_scalar.point_terms(spec, stage, b, c,
+                                                 platform, config)
+                          for c in lengths] for b in batches])
+    for index, name in enumerate(TIME_FIELDS):
+        table = getattr(terms, name)
+        assert table.shape == shape, name
+        assert np.array_equal(_bits(table), _bits(expected[..., index])), name
+    costs = [[[eq1_scalar.sublayer_cost(spec, sub, stage, b, c)
+               for sub in Sublayer] for c in lengths] for b in batches]
+    for name in COST_FIELDS:
+        table = getattr(terms.costs, name)
+        assert table.shape == shape, name
+        assert np.array_equal(
+            _bits(table),
+            _bits([[[getattr(cost, name) for cost in row] for row in grid]
+                   for grid in costs])), name
+
+
 def _per_point_decode_steps(estimator, batches, lengths):
     return [[estimator.estimate(InferenceRequest(b, c, 1)).decode.time
              for c in lengths] for b in batches]
@@ -383,6 +426,30 @@ class TestBoundaryValidation:
         with pytest.raises(ConfigurationError,
                            match="^input_len must be >= 1, got 0$"):
             InferenceRequest(1, 0, 8)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_batch_and_context(self, value):
+        """NaN used to slip past the ``>= 1`` checks, so the search
+        took the first candidate (FULL_GPU) over NaN scores, and an
+        infinite ``L`` built infinite tables."""
+        message = f" must be finite, got {value}$"
+        with pytest.raises(ConfigurationError, match="^batch_size" + message):
+            optimal_policy(self.spec, Stage.DECODE, value, 5, self.system,
+                           _BASE)
+        with pytest.raises(ConfigurationError, match="^seq_len" + message):
+            optimal_policy(self.spec, Stage.PREFILL, 1, value, self.system,
+                           _BASE)
+        for stage in Stage:
+            with pytest.raises(ConfigurationError,
+                               match="^batch_size" + message):
+                layer_terms(self.spec, stage,
+                            np.array([[1.0], [value], [4.0]]),
+                            np.array([64, 512]), self.system, _BASE)
+            with pytest.raises(ConfigurationError,
+                               match="^seq_len" + message):
+                layer_terms(self.spec, stage, 4, np.array([64.0, value]),
+                            self.system, _BASE)
 
     def test_zero_output_length(self):
         with pytest.raises(ConfigurationError,

@@ -1,5 +1,6 @@
 """Interconnect links."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -51,6 +52,25 @@ def test_zero_transfer_is_free():
 def test_negative_transfer_rejected():
     with pytest.raises(ConfigurationError):
         get_link("pcie4").transfer_time(-1)
+
+
+@pytest.mark.parametrize("nan", [float("nan"), np.array([1.0, float("nan")])])
+def test_nan_transfer_rejected(nan):
+    with pytest.raises(ConfigurationError):
+        get_link("pcie4").transfer_time(nan)
+
+
+def test_source_bandwidth_vector_matches_scalar_calls():
+    """A ``(6,)`` source-bandwidth vector (one home per sublayer) gives
+    each column the scalar call's time, bit for bit."""
+    link = get_link("pcie4")
+    num_bytes = np.array([[0.0, 1e3, 5e9, 2e6, 1.0, 3e10]] * 2)
+    num_bytes[1] *= 3.0
+    source = np.array([np.inf, 10e9, 17e9, 260e9, 1e9, 29.44e9])
+    table = link.transfer_time(num_bytes, source_bandwidth=source)
+    assert table.tolist() == [
+        [link.transfer_time(row[j], source_bandwidth=source[j])
+         for j in range(6)] for row in num_bytes]
 
 
 def test_link_validation():

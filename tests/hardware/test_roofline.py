@@ -1,5 +1,6 @@
 """Roofline compute-time model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -97,6 +98,39 @@ def test_negative_inputs_rejected(engine):
         engine.matmul_time(-1.0, 0.0)
     with pytest.raises(ConfigurationError):
         engine.matmul_time(0.0, -1.0)
+
+
+@pytest.mark.parametrize("nan", [float("nan"), np.array([1.0, float("nan")])])
+def test_nan_inputs_rejected(engine, nan):
+    for args in ((nan, 0.0), (0.0, nan)):
+        with pytest.raises(ConfigurationError):
+            engine.matmul_time(*args)
+    with pytest.raises(ConfigurationError):
+        engine.matmul_time(0.0, 0.0, slow_bytes=nan)
+
+
+def test_sublayer_vectors_match_scalar_calls(engine):
+    """A ``(6,)`` batched-GEMV mask and slow-tier bandwidth vector give
+    each column of a ``(..., 6)`` table the scalar call's time, bit for
+    bit."""
+    flops = np.array([[0.0, 1e3, 1e9, 1e12, 5e8, 2e10],
+                      [7e6, 0.0, 3e11, 1.0, 4e9, 8e13]])
+    bytes_moved = np.array([[0.0, 2e3, 1e9, 1e6, 0.0, 4e8],
+                            [1e9, 0.0, 5e6, 3e9, 2e7, 1e3]])
+    slow_bytes = np.array([[0.0, 1e3, 0.0, 5e8, 2e9, 0.0],
+                           [0.0, 0.0, 1e8, 0.0, 3e6, 2e9]])
+    gemv = np.array([False, True, True, False, True, False])
+    slow_bandwidth = np.array([np.inf, 50e9, 300e9, 20e9, np.inf, 1e9])
+    table = engine.matmul_time(flops, bytes_moved, gemv,
+                               slow_bytes=slow_bytes,
+                               slow_bandwidth=slow_bandwidth)
+    kinds = [MatmulKind.BATCHED_GEMV if g else MatmulKind.GEMM
+             for g in gemv]
+    expected = [[engine.matmul_time(flops[i, j], bytes_moved[i, j],
+                                    kinds[j], slow_bytes=slow_bytes[i, j],
+                                    slow_bandwidth=slow_bandwidth[j])
+                 for j in range(6)] for i in range(2)]
+    assert table.tolist() == expected
 
 
 def test_measured_peak(engine):

@@ -3,9 +3,11 @@
 One policy, one context length, one sublayer at a time: the per-
 sublayer Eqs. (4)-(9) evaluation, the 64-candidate Eq. (1) scan, and
 the prefill and per-step decode loops of the LIA and FlexGen
-estimators, written as plain Python loops over scalar calls of the
-shared cost formulas (``sublayer_cost``, ``Link.transfer_time``,
-``ComputeEngine.matmul_time``).
+estimators, written as plain Python loops over scalar formulas.  The
+cost formulas themselves — Table 1 (:func:`sublayer_cost`), the
+Eq. (8) roofline (:func:`matmul_time`) and the PCIe link
+(:func:`transfer_time`) — are scalar copies kept here, so the library's
+one-pass sublayer-axis table is checked against code it does not share.
 The library's table-driven path must agree with this module bit for
 bit (``tests/core/test_eq1_differential.py``); the estimator benchmark
 times it as its slow side.
@@ -28,25 +30,148 @@ from repro.core.terms import (
     cpu_engine,
     pool_bandwidth,
 )
-from repro.hardware.roofline import MatmulKind
+from repro.errors import ConfigurationError
+from repro.hardware.interconnect import Link
+from repro.hardware.roofline import (
+    BATCHED_GEMV_BANDWIDTH_EFFICIENCY,
+    ComputeEngine,
+    MatmulKind,
+)
 from repro.hardware.system import SystemConfig
-from repro.models.spec import ModelSpec
+from repro.models.spec import FeedForwardKind, ModelSpec
 from repro.models.sublayers import (
     RESIDUAL_SOURCE,
     Stage,
     Sublayer,
-    sublayer_cost,
+    SublayerCost,
 )
 from repro.models.workload import InferenceRequest
 
 
-def layer_latency(spec: ModelSpec, stage: Stage, policy: OffloadPolicy,
-                  batch_size: int, context_len: int,
-                  system: SystemConfig, config: LiaConfig,
-                  weights_resident: bool = False,
-                  resident_sublayers: Collection[Sublayer] = (),
-                  kv_resident: bool = False) -> LayerLatency:
-    """Eq. (2) for one policy at one ``L``, sublayer by sublayer."""
+def sublayer_cost(spec: ModelSpec, sublayer: Sublayer, stage: Stage,
+                  batch_size: float, seq_len: float) -> SublayerCost:
+    """Table 1's ``D_X``, ``D_Y`` and ``C`` of one sublayer at one
+    ``(B, L)``."""
+    for name, value in (("batch_size", batch_size), ("seq_len", seq_len)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
+    b = batch_size * 1.0
+    length = seq_len * 1.0
+    d = float(spec.d_model)
+    kv = float(spec.kv_dim)
+    d_ff = float(spec.d_ff)
+    e = float(spec.bytes_per_param)
+    w = float(spec.bytes_per_weight)
+    t = length if stage is Stage.PREFILL else 1.0
+
+    if sublayer is Sublayer.QKV_MAPPING:
+        weights = d * (d + 2.0 * kv)
+        return SublayerCost(
+            sublayer, stage,
+            d_x=e * b * t * d,
+            d_y=w * weights,
+            flops=2.0 * b * t * weights,
+            d_out=e * b * t * d,
+            d_kv_out=2.0 * e * b * t * kv,
+        )
+    if sublayer in (Sublayer.ATTENTION_SCORE, Sublayer.ATTENTION_CONTEXT):
+        flops = 2.0 * b * t * length * d
+        if sublayer is Sublayer.ATTENTION_SCORE:
+            d_x = e * b * t * d
+            d_out = e * b * spec.n_heads * t * length
+        else:
+            d_x = e * b * spec.n_heads * t * length
+            d_out = e * b * t * d
+        return SublayerCost(
+            sublayer, stage,
+            d_x=d_x,
+            d_y=e * b * length * kv,
+            flops=flops,
+            d_out=d_out,
+        )
+    if sublayer is Sublayer.OUTPUT_PROJECTION:
+        return SublayerCost(
+            sublayer, stage,
+            d_x=e * b * t * d,
+            d_y=w * d * d,
+            flops=2.0 * b * t * d * d,
+            d_out=e * b * t * d,
+        )
+    if sublayer is Sublayer.FC1:
+        n_in = float(spec.ffn_matrices_in)
+        stored = n_in * d * d_ff
+        active = stored
+        if spec.feed_forward is FeedForwardKind.MOE:
+            stored *= spec.n_experts
+            active *= spec.top_k_experts
+        return SublayerCost(
+            sublayer, stage,
+            d_x=e * b * t * d,
+            d_y=w * stored,
+            flops=2.0 * b * t * active,
+            d_out=e * b * t * d_ff,
+        )
+    stored = d * d_ff
+    active = stored
+    if spec.feed_forward is FeedForwardKind.MOE:
+        stored *= spec.n_experts
+        active *= spec.top_k_experts
+    return SublayerCost(
+        sublayer, stage,
+        d_x=e * b * t * d_ff,
+        d_y=w * stored,
+        flops=2.0 * b * t * active,
+        d_out=e * b * t * d,
+    )
+
+
+def matmul_time(engine: ComputeEngine, flops: float, bytes_moved: float,
+                kind: MatmulKind = MatmulKind.GEMM,
+                slow_bytes: float = 0.0,
+                slow_bandwidth: float = float("inf")) -> float:
+    """The Eq. (8) roofline of one matmul on ``engine``, with the
+    efficiency curve's ``pow`` ramp."""
+    curve = engine.efficiency
+    efficiency = 0.0
+    if flops > 0.0:
+        ramp = (curve.half_flops / flops) ** 0.5
+        efficiency = curve.max_efficiency / (1.0 + ramp)
+    achievable = engine.peak_flops * efficiency
+    compute_time = flops / (achievable if achievable > 0.0 else 1.0)
+    bandwidth = engine.mem_bandwidth * 1.0
+    slow_effective = slow_bandwidth
+    if kind is MatmulKind.BATCHED_GEMV:
+        bandwidth *= BATCHED_GEMV_BANDWIDTH_EFFICIENCY
+        slow_effective *= BATCHED_GEMV_BANDWIDTH_EFFICIENCY
+    memory_time = (bytes_moved / bandwidth
+                   + slow_bytes / min(bandwidth, slow_effective))
+    if flops == 0.0 and bytes_moved == 0.0 and slow_bytes == 0.0:
+        return 0.0
+    return max(compute_time, memory_time) + engine.dispatch_overhead
+
+
+def transfer_time(link: Link, num_bytes: float,
+                  source_bandwidth: float = float("inf")) -> float:
+    """Setup latency plus bytes over the slower of the link and the
+    data's home memory."""
+    if num_bytes == 0.0:
+        return 0.0
+    return (link.setup_latency
+            + num_bytes / min(link.bandwidth, source_bandwidth))
+
+
+#: The six candidate terms of one sublayer, in ``LayerTerms`` field
+#: order: ``(comp_cpu, comp_gpu, load_x, load_y, load_r, store)``.
+Terms = Tuple[float, float, float, float, float, float]
+
+
+def sublayer_terms(spec: ModelSpec, stage: Stage, sub: Sublayer,
+                   batch_size: int, context_len: int,
+                   system: SystemConfig, config: LiaConfig
+                   ) -> Tuple[SublayerCost, float, Terms]:
+    """Every Eq. (4)-(9) term of one sublayer at one ``(B, L)``, fired
+    or not, with its Table 1 cost and the Eq. (6) residual bytes."""
     cpu = cpu_engine(system, config)
     gpu = system.gpu.engine
     link = system.host_link
@@ -57,10 +182,72 @@ def layer_latency(spec: ModelSpec, stage: Stage, policy: OffloadPolicy,
         system, config.kv_placement is KvCachePlacement.CXL,
         "kv_placement")
     ddr_bw = system.cpu.memory.bandwidth
+    cost = sublayer_cost(spec, sub, stage, batch_size, context_len)
 
+    # Eq. (4): activation load when crossing the device boundary.
+    load_x = (BOUNDARY_SYNC_LATENCY
+              + transfer_time(link, cost.d_x, source_bandwidth=kv_bw))
+    # Eq. (5)/(7): second-operand load from the weights' or the KV
+    # cache's home pool.
+    load_y = transfer_time(
+        link, cost.d_y,
+        source_bandwidth=weight_bw if sub.uses_parameters else kv_bw)
+    # Eq. (6): residual operand load.
+    tokens = context_len if stage is Stage.PREFILL else 1
+    bytes_r = batch_size * tokens * spec.d_model * spec.bytes_per_param
+    load_r = 0.0
+    if sub in RESIDUAL_SOURCE:
+        load_r = (BOUNDARY_SYNC_LATENCY
+                  + transfer_time(link, bytes_r, source_bandwidth=kv_bw))
+
+    # Eq. (8): compute on either engine.
+    kind = MatmulKind.GEMM
+    if sub.uses_kv_cache and stage is Stage.DECODE:
+        kind = MatmulKind.BATCHED_GEMV
+    slow_bytes = 0.0
+    slow_bw = float("inf")
+    if sub.uses_parameters and weight_bw < ddr_bw:
+        slow_bytes += cost.d_y
+        slow_bw = weight_bw
+    if sub.uses_kv_cache and kv_bw < ddr_bw:
+        slow_bytes += cost.d_y
+        slow_bw = kv_bw
+    elif (sub.uses_kv_cache and stage is Stage.DECODE
+            and config.kv_cxl_fraction > 0.0 and system.has_cxl):
+        slow_bytes += cost.d_y * config.kv_cxl_fraction
+        slow_bw = system.cxl_pool.bandwidth
+    fast_bytes = cost.d_x + cost.d_y - slow_bytes
+    comp_cpu = matmul_time(cpu, cost.flops, fast_bytes, kind,
+                           slow_bytes=slow_bytes, slow_bandwidth=slow_bw)
+    comp_gpu = matmul_time(gpu, cost.flops, cost.d_x + cost.d_y, kind)
+
+    # Eq. (9): KV-cache store to its home memory.
+    store = transfer_time(link, cost.d_kv_out, source_bandwidth=kv_bw)
+    return cost, bytes_r, (comp_cpu, comp_gpu, load_x, load_y, load_r,
+                           store)
+
+
+def point_terms(spec: ModelSpec, stage: Stage, batch_size: int,
+                context_len: int, system: SystemConfig,
+                config: LiaConfig) -> List[Terms]:
+    """The candidate terms of all six sublayers at one ``(B, L)``: one
+    row of ``LayerTerms``' six time tables per sublayer."""
+    return [sublayer_terms(spec, stage, sub, batch_size, context_len,
+                           system, config)[2] for sub in Sublayer]
+
+
+def layer_latency(spec: ModelSpec, stage: Stage, policy: OffloadPolicy,
+                  batch_size: int, context_len: int,
+                  system: SystemConfig, config: LiaConfig,
+                  weights_resident: bool = False,
+                  resident_sublayers: Collection[Sublayer] = (),
+                  kv_resident: bool = False) -> LayerLatency:
+    """Eq. (2) for one policy at one ``L``, sublayer by sublayer."""
     parts: List[SublayerLatency] = []
     for sub in Sublayer:
-        cost = sublayer_cost(spec, sub, stage, batch_size, context_len)
+        cost, bytes_r, (comp_cpu, comp_gpu, load_x, load_y, load_r,
+                        store) = sublayer_terms(
+            spec, stage, sub, batch_size, context_len, system, config)
         i = int(sub)
         on_cpu = policy.on_cpu(sub)
 
@@ -69,86 +256,40 @@ def layer_latency(spec: ModelSpec, stage: Stage, policy: OffloadPolicy,
         bytes_x = 0.0
         if policy.crosses_boundary(i):
             bytes_x = cost.d_x
-            t_load_x = (BOUNDARY_SYNC_LATENCY
-                        + link.transfer_time(cost.d_x,
-                                             source_bandwidth=kv_bw))
+            t_load_x = load_x
 
         # Eq. (5)/(7): second-operand load.
-        t_load_y = 0.0
-        bytes_y = 0.0
+        y_fires = False
         y_prefetchable = False
         if sub.uses_parameters:
             resident = weights_resident or sub in resident_sublayers
-            if not on_cpu and not resident:
-                bytes_y = cost.d_y
-                t_load_y = link.transfer_time(
-                    cost.d_y, source_bandwidth=weight_bw)
-                y_prefetchable = True
+            y_fires = y_prefetchable = not on_cpu and not resident
         elif stage is Stage.PREFILL:
-            if not on_cpu and policy.p(1) == 1:
-                bytes_y = cost.d_y
-                t_load_y = link.transfer_time(
-                    cost.d_y, source_bandwidth=kv_bw)
+            y_fires = not on_cpu and policy.p(1) == 1
         else:
-            kv_on_cpu = not kv_resident
-            if on_cpu != kv_on_cpu:
-                bytes_y = cost.d_y
-                t_load_y = link.transfer_time(
-                    cost.d_y, source_bandwidth=kv_bw)
+            y_fires = on_cpu != (not kv_resident)
+        t_load_y = load_y if y_fires else 0.0
+        bytes_y = cost.d_y if y_fires else 0.0
 
         # Eq. (6): residual operand load.
-        t_load_r = 0.0
-        bytes_r = 0.0
         source = RESIDUAL_SOURCE.get(sub)
-        if source is not None and policy.p(i) != policy.p(int(source)):
-            tokens = context_len if stage is Stage.PREFILL else 1
-            bytes_r = (batch_size * tokens * spec.d_model
-                       * spec.bytes_per_param)
-            t_load_r = (BOUNDARY_SYNC_LATENCY
-                        + link.transfer_time(bytes_r,
-                                             source_bandwidth=kv_bw))
-
-        # Eq. (8): compute on the chosen engine.
-        kind = MatmulKind.GEMM
-        if sub.uses_kv_cache and stage is Stage.DECODE:
-            kind = MatmulKind.BATCHED_GEMV
-        if on_cpu:
-            slow_bytes = 0.0
-            slow_bw = float("inf")
-            if sub.uses_parameters and weight_bw < ddr_bw:
-                slow_bytes += cost.d_y
-                slow_bw = weight_bw
-            if sub.uses_kv_cache and kv_bw < ddr_bw:
-                slow_bytes += cost.d_y
-                slow_bw = kv_bw
-            elif (sub.uses_kv_cache and stage is Stage.DECODE
-                    and config.kv_cxl_fraction > 0.0 and system.has_cxl):
-                slow_bytes += cost.d_y * config.kv_cxl_fraction
-                slow_bw = system.cxl_pool.bandwidth
-            fast_bytes = cost.d_x + cost.d_y - slow_bytes
-            t_comp = cpu.matmul_time(cost.flops, fast_bytes, kind,
-                                     slow_bytes=slow_bytes,
-                                     slow_bandwidth=slow_bw)
-        else:
-            t_comp = gpu.matmul_time(cost.flops, cost.d_x + cost.d_y,
-                                     kind)
+        r_fires = (source is not None
+                   and policy.p(i) != policy.p(int(source)))
 
         # Eq. (9): KV-cache store to its home memory.
-        t_store = 0.0
-        bytes_store = 0.0
-        kv_home_is_cpu = not kv_resident
-        if sub is Sublayer.QKV_MAPPING and on_cpu != kv_home_is_cpu:
-            bytes_store = cost.d_kv_out
-            t_store = link.transfer_time(cost.d_kv_out,
-                                         source_bandwidth=kv_bw)
+        store_fires = (sub is Sublayer.QKV_MAPPING
+                       and on_cpu != (not kv_resident))
 
         parts.append(SublayerLatency(
             sublayer=sub, device=policy.device(sub), cost=cost,
-            t_load_x=t_load_x, t_load_y=t_load_y, t_load_r=t_load_r,
-            t_comp=t_comp, t_store=t_store,
+            t_load_x=t_load_x, t_load_y=t_load_y,
+            t_load_r=load_r if r_fires else 0.0,
+            t_comp=comp_cpu if on_cpu else comp_gpu,
+            t_store=store if store_fires else 0.0,
             y_prefetchable=y_prefetchable,
-            bytes_x=bytes_x, bytes_y=bytes_y, bytes_r=bytes_r,
-            bytes_store=bytes_store))
+            bytes_x=bytes_x, bytes_y=bytes_y,
+            bytes_r=bytes_r if r_fires else 0.0,
+            bytes_store=cost.d_kv_out if store_fires else 0.0))
     return LayerLatency(stage=stage, policy=policy,
                         sublayers=tuple(parts))
 

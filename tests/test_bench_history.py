@@ -222,7 +222,7 @@ def test_check_flags_overhead_regression_full_mode_only(
 
 
 def _estimator_report(passed=True, profile_identical=True,
-                      figures_identical=True):
+                      figures_identical=True, tables_identical=True):
     return {
         "benchmark": "bench_estimator",
         "speedup_mean": 80.0,
@@ -231,6 +231,7 @@ def _estimator_report(passed=True, profile_identical=True,
         "step_profile": {"identical": profile_identical},
         "figure_grid": {"identical": figures_identical,
                         "median_s": 0.3},
+        "term_table": {"identical": tables_identical},
         "gates": {"speedup_mean_min": 10.0,
                   "max_relative_error_max": 1e-9},
         "pass": passed,
@@ -262,6 +263,19 @@ def test_check_flags_figure_grid_fingerprint_break_even_quick(
     assert tracker.main(["check", str(history),
                          "--committed", committed, "--quick"]) == 1
     assert "committed fingerprint" in capsys.readouterr().err
+
+
+def test_check_flags_term_table_identity_break_even_quick(
+        tracker, tmp_path, capsys):
+    history = tmp_path / "history.jsonl"
+    committed = _write(tmp_path / "committed.json",
+                       _estimator_report())
+    broken = _write(tmp_path / "broken.json",
+                    _estimator_report(tables_identical=False))
+    tracker.main(["append", str(history), broken, "--commit", ""])
+    assert tracker.main(["check", str(history),
+                         "--committed", committed, "--quick"]) == 1
+    assert "bit-identical to the scalar oracle" in capsys.readouterr().err
 
 
 def test_check_latest_entry_wins_and_failed_runs_flagged(
