@@ -5,7 +5,8 @@ replica; this module describes faults of the **fleet** — whole
 replicas crashing, running slow (gray failure), or bouncing through
 a restart with a cold cache.  The same design rules apply: frozen
 dataclasses, eager one-line :class:`ConfigurationError` validation,
-exact dict round-trips, JSON/YAML loading, and named presets.
+and named presets; dict round-trips and JSON/YAML loading go through
+the one spec codec in :mod:`repro.specs`.
 
 Semantics (enforced by :class:`repro.serving.fleet.FleetSimulator`):
 
@@ -26,11 +27,12 @@ Semantics (enforced by :class:`repro.serving.fleet.FleetSimulator`):
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import ConfigurationError
+from repro.specs import (build_all, load_spec, lookup, spec_from_dict,
+                         spec_to_dict)
 
 __all__ = [
     "FleetScenario",
@@ -218,163 +220,26 @@ class FleetScenario:
 
 
 # ----------------------------------------------------------------------
-# Dict / file loading (mirrors repro.faults.spec)
+# Dict / file loading (the codec rules live in repro.specs)
 # ----------------------------------------------------------------------
-_FAULT_KEYS = {"kind", "replica", "start", "duration", "magnitude",
-               "warmup_s"}
-_HEALTH_KEYS = {"failure_threshold", "cooldown_s", "half_open_probes",
-                "slow_tolerance"}
-_REDISPATCH_KEYS = {"max_retries", "hedge_after_s"}
-_SCENARIO_KEYS = {"name", "seed", "faults", "health", "redispatch"}
-
-
-def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"{where} must be a mapping, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(data: Mapping[str, Any], allowed: set,
-                where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"{where} has unknown keys {unknown}; "
-            f"allowed: {sorted(allowed)}")
-
-
-def _number(data: Mapping[str, Any], key: str, default: float,
-            where: str) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"{where}.{key} must be a number, "
-            f"got {type(value).__name__}")
-    return float(value)
-
-
-def _integer(data: Mapping[str, Any], key: str, default: int,
-             where: str) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{where}.{key} must be an integer, "
-            f"got {type(value).__name__}")
-    return value
-
-
 def replica_fault_from_dict(data: Any) -> ReplicaFault:
     """Build a validated :class:`ReplicaFault` from a plain dict."""
-    data = _require_mapping(data, "replica fault")
-    _check_keys(data, _FAULT_KEYS, "replica fault")
-    kind_name = data.get("kind")
-    try:
-        kind = ReplicaFaultKind(kind_name)
-    except ValueError:
-        known = ", ".join(kind.value for kind in ReplicaFaultKind)
-        raise ConfigurationError(
-            f"unknown replica fault kind {kind_name!r}; "
-            f"known kinds: {known}") from None
-    where = f"replica fault {kind.value}"
-    return ReplicaFault(
-        kind=kind,
-        replica=_integer(data, "replica", 0, where),
-        start=_number(data, "start", 0.0, where),
-        duration=_number(data, "duration", float("inf"), where),
-        magnitude=_number(data, "magnitude", 0.0, where),
-        warmup_s=_number(data, "warmup_s", 0.0, where))
+    return spec_from_dict(ReplicaFault, data, "replica fault")
 
 
 def fleet_from_dict(data: Any) -> FleetScenario:
     """Build a validated :class:`FleetScenario` from a plain dict."""
-    data = _require_mapping(data, "fleet scenario")
-    _check_keys(data, _SCENARIO_KEYS, "fleet scenario")
-    name = data.get("name", "fleet")
-    if not isinstance(name, str):
-        raise ConfigurationError(
-            f"fleet scenario.name must be a string, "
-            f"got {type(name).__name__}")
-    faults_data = data.get("faults", [])
-    if not isinstance(faults_data, (list, tuple)):
-        raise ConfigurationError(
-            "fleet scenario.faults must be a list, "
-            f"got {type(faults_data).__name__}")
-    health_data = _require_mapping(data.get("health", {}),
-                                   "fleet scenario.health")
-    _check_keys(health_data, _HEALTH_KEYS, "fleet scenario.health")
-    redispatch_data = _require_mapping(data.get("redispatch", {}),
-                                       "fleet scenario.redispatch")
-    _check_keys(redispatch_data, _REDISPATCH_KEYS,
-                "fleet scenario.redispatch")
-    health = HealthPolicy(
-        failure_threshold=_integer(health_data, "failure_threshold",
-                                   3, "health"),
-        cooldown_s=_number(health_data, "cooldown_s", 120.0, "health"),
-        half_open_probes=_integer(health_data, "half_open_probes", 1,
-                                  "health"),
-        slow_tolerance=_number(health_data, "slow_tolerance", 3.0,
-                               "health"))
-    redispatch = RedispatchPolicy(
-        max_retries=_integer(redispatch_data, "max_retries", 2,
-                             "redispatch"),
-        hedge_after_s=_number(redispatch_data, "hedge_after_s", 0.0,
-                              "redispatch"))
-    return FleetScenario(
-        name=name, seed=_integer(data, "seed", 0, "fleet scenario"),
-        faults=tuple(replica_fault_from_dict(entry)
-                     for entry in faults_data),
-        health=health, redispatch=redispatch)
+    return spec_from_dict(FleetScenario, data, "fleet scenario")
 
 
 def fleet_to_dict(scenario: FleetScenario) -> Dict[str, Any]:
     """The inverse of :func:`fleet_from_dict` (exact round-trip)."""
-    return {
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "faults": [
-            {"kind": fault.kind.value, "replica": fault.replica,
-             "start": fault.start, "duration": fault.duration,
-             "magnitude": fault.magnitude, "warmup_s": fault.warmup_s}
-            for fault in scenario.faults],
-        "health": {
-            "failure_threshold": scenario.health.failure_threshold,
-            "cooldown_s": scenario.health.cooldown_s,
-            "half_open_probes": scenario.health.half_open_probes,
-            "slow_tolerance": scenario.health.slow_tolerance,
-        },
-        "redispatch": {
-            "max_retries": scenario.redispatch.max_retries,
-            "hedge_after_s": scenario.redispatch.hedge_after_s,
-        },
-    }
+    return spec_to_dict(scenario)
 
 
 def load_fleet_scenario(path: str) -> FleetScenario:
     """Load a fleet scenario from a JSON (always) or YAML file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        raise ConfigurationError(
-            f"cannot read fleet scenario {path!r}: {error}") from error
-    data: Optional[Any] = None
-    if path.endswith((".yaml", ".yml")):
-        try:
-            import yaml
-        except ImportError as error:
-            raise ConfigurationError(
-                f"cannot load YAML fleet scenario {path!r}: "
-                "PyYAML is not installed") from error
-        data = yaml.safe_load(text)
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"fleet scenario {path!r} is not valid JSON: "
-                f"{error}") from error
-    return fleet_from_dict(data)
+    return load_spec(FleetScenario, path, "fleet scenario")
 
 
 # ----------------------------------------------------------------------
@@ -452,16 +317,9 @@ _PRESETS = {
 
 def builtin_fleet_scenarios() -> Dict[str, FleetScenario]:
     """Every built-in fleet scenario, by name (sorted)."""
-    return {name: _PRESETS[name]() for name in sorted(_PRESETS)}
+    return build_all(_PRESETS)
 
 
 def get_fleet_scenario(name: str) -> FleetScenario:
     """Look up one preset; unknown names raise a one-line error."""
-    try:
-        build = _PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(_PRESETS))
-        raise ConfigurationError(
-            f"unknown fleet scenario {name!r}; "
-            f"known scenarios: {known}") from None
-    return build()
+    return lookup(_PRESETS, name, "fleet scenario")

@@ -73,9 +73,6 @@ class FaultInjector:
                     active.append((kind.value, event.magnitude))
         return tuple(active)
 
-    def any_performance_fault(self, time: float) -> bool:
-        return bool(self.performance_signature(time))
-
     def regimes(self) -> Tuple[
             Tuple[float, float, FaultSignature, float], ...]:
         """The scenario's piecewise-constant fault regimes.

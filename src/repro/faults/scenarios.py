@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.errors import ConfigurationError
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
+from repro.specs import build_all, lookup
 
 
 def _pcie_downshift() -> FaultScenario:
@@ -94,15 +94,9 @@ _PRESETS = {
 
 def builtin_scenarios() -> Dict[str, FaultScenario]:
     """All presets, keyed by name."""
-    return {name: build() for name, build in sorted(_PRESETS.items())}
+    return build_all(_PRESETS)
 
 
 def get_scenario(name: str) -> FaultScenario:
     """Look up a preset scenario by name."""
-    try:
-        return _PRESETS[name]()
-    except KeyError:
-        known = ", ".join(sorted(_PRESETS))
-        raise ConfigurationError(
-            f"unknown fault scenario {name!r}; known scenarios: "
-            f"{known}") from None
+    return lookup(_PRESETS, name, "fault scenario")

@@ -8,21 +8,22 @@ degradation-policy knobs the serving layer reacts with (admission
 control and retry/backoff, see :mod:`repro.serving.degradation`).
 
 Scenarios load from JSON always and from YAML when PyYAML is
-importable; both map onto the same dictionary schema documented in
-docs/ROBUSTNESS.md.  Everything is validated eagerly so a malformed
-spec fails with one :class:`ConfigurationError` line, not a traceback
-deep inside the simulator.
+importable, through the one spec codec in :mod:`repro.specs`; the
+dictionary schema is documented in docs/ROBUSTNESS.md.  Everything is
+validated eagerly so a malformed spec fails with one
+:class:`ConfigurationError` line, not a traceback deep inside the
+simulator.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
+from repro.specs import load_spec, spec_from_dict, spec_to_dict
 
 
 class FaultKind(enum.Enum):
@@ -177,6 +178,9 @@ class FaultScenario:
     chunks_per_request: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be >= 0, got {self.seed}")
         if self.chunks_per_request < 0:
             raise ConfigurationError(
                 f"chunks_per_request must be >= 0, "
@@ -209,156 +213,23 @@ class FaultScenario:
 
 
 # ----------------------------------------------------------------------
-# Dictionary / file loading
+# Dictionary / file loading (the codec rules live in repro.specs)
 # ----------------------------------------------------------------------
-_EVENT_KEYS = {"kind", "start", "duration", "magnitude"}
-_RETRY_KEYS = {"max_retries", "timeout_s", "backoff_base_s",
-               "backoff_factor"}
-_ADMISSION_KEYS = {"max_queue_depth", "max_deferrals"}
-_SCENARIO_KEYS = {"name", "seed", "events", "retry", "admission",
-                  "chunks_per_request"}
-
-
-def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"{where} must be a mapping, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(data: Mapping[str, Any], allowed: set, where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"{where}: unknown keys {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}")
-
-
-def _number(data: Mapping[str, Any], key: str, default: float,
-            where: str) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def event_from_dict(data: Mapping[str, Any]) -> FaultEvent:
     """Build one :class:`FaultEvent` from its dictionary form."""
-    data = _require_mapping(data, "fault event")
-    _check_keys(data, _EVENT_KEYS, "fault event")
-    kind_name = data.get("kind")
-    try:
-        kind = FaultKind(kind_name)
-    except ValueError:
-        known = ", ".join(k.value for k in FaultKind)
-        raise ConfigurationError(
-            f"unknown fault kind {kind_name!r}; known kinds: "
-            f"{known}") from None
-    return FaultEvent(
-        kind=kind,
-        start=_number(data, "start", 0.0, kind.value),
-        duration=_number(data, "duration", float("inf"), kind.value),
-        magnitude=_number(data, "magnitude", 0.0, kind.value))
+    return spec_from_dict(FaultEvent, data, "fault event")
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> FaultScenario:
     """Build a :class:`FaultScenario` from its dictionary form."""
-    data = _require_mapping(data, "scenario")
-    _check_keys(data, _SCENARIO_KEYS, "scenario")
-    events_data = data.get("events", [])
-    if not isinstance(events_data, Sequence) or isinstance(
-            events_data, (str, bytes)):
-        raise ConfigurationError("scenario.events must be a list")
-    retry_data = _require_mapping(data.get("retry", {}), "scenario.retry")
-    _check_keys(retry_data, _RETRY_KEYS, "scenario.retry")
-    admission_data = _require_mapping(data.get("admission", {}),
-                                      "scenario.admission")
-    _check_keys(admission_data, _ADMISSION_KEYS, "scenario.admission")
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigurationError(
-            f"scenario.seed must be an integer, got {seed!r}")
-    return FaultScenario(
-        name=str(data.get("name", "scenario")),
-        seed=seed,
-        events=tuple(event_from_dict(e) for e in events_data),
-        retry=RetryPolicy(
-            max_retries=int(_number(retry_data, "max_retries", 3,
-                                    "scenario.retry")),
-            timeout_s=_number(retry_data, "timeout_s", 0.05,
-                              "scenario.retry"),
-            backoff_base_s=_number(retry_data, "backoff_base_s", 0.01,
-                                   "scenario.retry"),
-            backoff_factor=_number(retry_data, "backoff_factor", 2.0,
-                                   "scenario.retry")),
-        admission=AdmissionPolicy(
-            max_queue_depth=int(_number(admission_data,
-                                        "max_queue_depth", 0,
-                                        "scenario.admission")),
-            max_deferrals=int(_number(admission_data, "max_deferrals",
-                                      3, "scenario.admission"))),
-        chunks_per_request=int(_number(data, "chunks_per_request", 0,
-                                       "scenario")))
+    return spec_from_dict(FaultScenario, data, "scenario")
 
 
 def scenario_to_dict(scenario: FaultScenario) -> Dict[str, Any]:
-    """The JSON/YAML-serializable form of a scenario."""
-    events: List[Dict[str, Any]] = []
-    for event in scenario.events:
-        entry: Dict[str, Any] = {"kind": event.kind.value,
-                                 "start": event.start,
-                                 "magnitude": event.magnitude}
-        if event.duration != float("inf"):
-            entry["duration"] = event.duration
-        events.append(entry)
-    return {
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "events": events,
-        "retry": {
-            "max_retries": scenario.retry.max_retries,
-            "timeout_s": scenario.retry.timeout_s,
-            "backoff_base_s": scenario.retry.backoff_base_s,
-            "backoff_factor": scenario.retry.backoff_factor,
-        },
-        "admission": {
-            "max_queue_depth": scenario.admission.max_queue_depth,
-            "max_deferrals": scenario.admission.max_deferrals,
-        },
-        "chunks_per_request": scenario.chunks_per_request,
-    }
+    """The JSON-serializable form of a scenario (exact round-trip)."""
+    return spec_to_dict(scenario)
 
 
 def load_scenario(path: str) -> FaultScenario:
     """Load a scenario spec from a ``.json``/``.yaml``/``.yml`` file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        raise ConfigurationError(
-            f"cannot read scenario file {path!r}: {error}") from None
-    if path.endswith((".yaml", ".yml")):
-        data = _parse_yaml(text, path)
-    else:
-        try:
-            data = json.loads(text)
-        except ValueError as error:
-            raise ConfigurationError(
-                f"scenario file {path!r} is not valid JSON: "
-                f"{error}") from None
-    return scenario_from_dict(_require_mapping(data, f"scenario {path!r}"))
-
-
-def _parse_yaml(text: str, path: str) -> Any:
-    try:
-        import yaml
-    except ImportError:
-        raise ConfigurationError(
-            f"scenario file {path!r} is YAML but PyYAML is not "
-            "installed; use the JSON form instead") from None
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as error:
-        raise ConfigurationError(
-            f"scenario file {path!r} is not valid YAML: {error}") from None
+    return load_spec(FaultScenario, path, "scenario")

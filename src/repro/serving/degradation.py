@@ -32,9 +32,8 @@ plans from.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -197,53 +196,6 @@ class DegradationController:
                                            finish, **args)
 
     # ------------------------------------------------------------------
-    # Admission control
-    # ------------------------------------------------------------------
-    def admit(self, arrival: float, index: int,
-              pending_finishes: Sequence[float]) -> Optional[float]:
-        """Admission decision for the request arriving at ``arrival``.
-
-        Returns the effective (possibly deferred) arrival time, or
-        ``None`` when the request is shed.  Queue depth counts
-        previously *admitted* requests still unfinished at the probe
-        time — shed requests never enter ``pending_finishes`` and a
-        still-deferred request has not been admitted yet, so neither
-        can inflate the depth another request probes against.  Each
-        deferral waits one exponential-backoff step; the final probe
-        that ends in a shed adds no backoff (``backoff_seconds``
-        counts exactly ``max_deferrals`` delays for a shed request).
-
-        ``pending_finishes`` is nondecreasing (FIFO finishes are), so
-        the probe is a binary search — the count it returns is
-        provably equal to the linear scan ``sum(1 for f in
-        pending_finishes if f > effective)`` (regression-tested),
-        which is what makes million-request admission-controlled runs
-        tractable.
-        """
-        admission = self.scenario.admission
-        if not admission.enabled:
-            return arrival
-        effective = arrival
-        for attempt in range(admission.max_deferrals + 1):
-            depth = (len(pending_finishes)
-                     - bisect_right(pending_finishes, effective))
-            if depth < admission.max_queue_depth:
-                return effective
-            if attempt == admission.max_deferrals:
-                break
-            delay = self.scenario.retry.backoff_delay(attempt)
-            self.stats.deferred += 1
-            self.stats.backoff_seconds += delay
-            self._count("faults.admission.deferred")
-            self._count("faults.backoff_seconds", delay)
-            self._span(f"defer:req{index}", effective, effective + delay,
-                       attempt=attempt, depth=depth)
-            effective += delay
-        self.stats.dropped += 1
-        self._count("faults.admission.dropped")
-        return None
-
-    # ------------------------------------------------------------------
     # Service planning: policy re-solve + batch shrink
     # ------------------------------------------------------------------
     def _base_plan(self, request: InferenceRequest) -> _ServicePlan:
@@ -298,20 +250,6 @@ class DegradationController:
                 shrinks=shrinks, resolved=True,
                 policy_shifted=policies != base.policies,
                 policies=policies)
-
-    def _note_plan(self, shifted: bool, shrinks: int, index: int,
-                   start: float) -> None:
-        """Account one request served on a re-solved plan."""
-        self.stats.policy_resolves += 1
-        self._count("faults.policy_resolves")
-        if shifted:
-            self.stats.policy_shifts += 1
-            self._count("faults.policy_shifts")
-        if shrinks:
-            self.stats.batch_shrinks += shrinks
-            self._count("faults.batch_shrinks", shrinks)
-            self._span(f"shrink:req{index}", start, start,
-                       halvings=shrinks)
 
 
 def _policies(estimate: InferenceEstimate) -> Tuple[str, str]:

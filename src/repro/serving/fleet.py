@@ -41,6 +41,7 @@ from repro.faults.fleet import (FleetScenario, ReplicaFaultKind,
 from repro.serving.degradation import PlanTable
 from repro.serving.simulator import ServingSimulator, validate_arrivals
 from repro.serving.vectorized import WorkloadVector
+from repro.specs import build_all, lookup
 from repro.telemetry.runtime import Telemetry
 from repro.workloads.spec import TraceSpec, get_trace
 
@@ -953,20 +954,12 @@ _FLEET_PRESETS = {
 
 def builtin_fleet_presets() -> Dict[str, FleetPreset]:
     """Every built-in fleet preset, by name (sorted)."""
-    return {name: _FLEET_PRESETS[name]()
-            for name in sorted(_FLEET_PRESETS)}
+    return build_all(_FLEET_PRESETS)
 
 
 def get_fleet_preset(name: str) -> FleetPreset:
     """Look up one preset; unknown names raise a one-line error."""
-    try:
-        build = _FLEET_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(_FLEET_PRESETS))
-        raise ConfigurationError(
-            f"unknown fleet preset {name!r}; "
-            f"known presets: {known}") from None
-    return build()
+    return lookup(_FLEET_PRESETS, name, "fleet preset")
 
 
 # ----------------------------------------------------------------------

@@ -346,9 +346,8 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
     With admission control, every block also batch-probes the
     attempt-zero queue depth of its members.  That probe is pure — a
     request whose depth clears ``max_queue_depth`` at its raw arrival
-    is admitted there and
-    :meth:`~repro.serving.degradation.DegradationController.admit`
-    touches no state.  Served finishes are nondecreasing, so two
+    is admitted there, and sequential admission (the ``admit``
+    reference in ``tests/oracles/fifo_loop.py``) touches no state.  Served finishes are nondecreasing, so two
     ``searchsorted`` passes give every depth: committed finishes
     against the block arrivals, plus the block's own speculative
     finishes (clamped to each member's served-before prefix, which

@@ -15,7 +15,6 @@ columnar :class:`ServingReport` defined here.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Iterator, List, Optional,
                     Sequence, Tuple, Union)
@@ -29,6 +28,7 @@ from repro.models.workload import InferenceRequest
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.runtime import current as current_telemetry
+from repro.workloads.traces import arrivals_poisson
 
 if TYPE_CHECKING:
     from repro.faults.spec import FaultScenario
@@ -73,30 +73,6 @@ def validate_arrivals(arrivals: ArrayLike) -> np.ndarray:
     if trace.size and trace[-1] == np.inf:
         raise ConfigurationError("arrivals must be finite")
     return trace
-
-
-def arrivals_poisson(n_requests: int, rate_per_s: float,
-                     seed: int = 0) -> List[float]:
-    """Seeded Poisson arrival timestamps (``n_requests`` of them).
-
-    One ``random.Random(seed)`` stream of exponential gaps, shared by
-    :meth:`ServingSimulator.run_poisson`, the ``serve`` CLI, and the
-    serving benchmark so all of them replay one byte-identical
-    arrival process.
-    """
-    if n_requests < 0:
-        raise ConfigurationError(
-            f"n_requests must be >= 0, got {n_requests}")
-    if rate_per_s <= 0.0:
-        raise ConfigurationError(
-            f"rate_per_s must be positive, got {rate_per_s}")
-    rng = random.Random(seed)
-    arrivals = []
-    clock = 0.0
-    for __ in range(n_requests):
-        clock += rng.expovariate(rate_per_s)
-        arrivals.append(clock)
-    return arrivals
 
 
 @dataclass(frozen=True)

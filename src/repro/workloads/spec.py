@@ -1,23 +1,25 @@
 """Declarative trace specifications: validation, loading, presets.
 
-The JSON/YAML surface for :mod:`repro.workloads.traces`, mirroring
-the fault-scenario spec (:mod:`repro.faults.spec`): every invalid
-field raises a one-line :class:`ConfigurationError` at construction
-time, dicts round-trip exactly, and a handful of named presets give
-the CLI and tests a shared vocabulary.
+The JSON/YAML surface for :mod:`repro.workloads.traces`: every
+invalid field raises a one-line :class:`ConfigurationError` at
+construction time, dicts round-trip exactly through the one spec
+codec in :mod:`repro.specs`, and a handful of named presets give the
+CLI and tests a shared vocabulary.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.specs import (build_all, load_spec, lookup, spec_from_dict,
+                         spec_to_dict)
 from repro.workloads.traces import (arrivals_diurnal, arrivals_heavy_tail,
-                                    arrivals_mmpp, arrivals_sessions)
+                                    arrivals_mmpp, arrivals_poisson,
+                                    arrivals_sessions)
 
 __all__ = [
     "TRACE_KINDS",
@@ -31,48 +33,6 @@ __all__ = [
 
 #: The arrival-process families a spec can name.
 TRACE_KINDS = ("poisson", "diurnal", "bursty", "heavy-tail", "sessions")
-
-_TRACE_KEYS = {
-    "name", "kind", "n_requests", "rate_per_s", "seed", "amplitude",
-    "period_s", "burst_factor", "burst_fraction", "mean_dwell_s",
-    "distribution", "sigma", "alpha", "turns_mean", "think_mean_s",
-}
-
-
-def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"{where} must be a mapping, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(data: Mapping[str, Any], allowed: set,
-                where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"{where} has unknown keys {unknown}; "
-            f"allowed: {sorted(allowed)}")
-
-
-def _number(data: Mapping[str, Any], key: str, default: float,
-            where: str) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"{where}.{key} must be a number, "
-            f"got {type(value).__name__}")
-    return float(value)
-
-
-def _integer(data: Mapping[str, Any], key: str, default: int,
-             where: str) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{where}.{key} must be an integer, "
-            f"got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -123,18 +83,9 @@ class TraceSpec:
     def generate(self) -> np.ndarray:
         """The trace as a sorted float64 array of timestamps."""
         if self.kind == "poisson":
-            import random
-
-            # The exact arrivals_poisson stream (stdlib Random), so a
-            # "poisson" spec reproduces every existing run byte for
-            # byte rather than a parallel numpy approximation.
-            rng = random.Random(self.seed)
-            out = np.empty(self.n_requests, dtype=np.float64)
-            clock = 0.0
-            for i in range(self.n_requests):
-                clock += rng.expovariate(self.rate_per_s)
-                out[i] = clock
-            return out
+            return np.asarray(arrivals_poisson(
+                self.n_requests, self.rate_per_s, seed=self.seed),
+                dtype=np.float64)
         if self.kind == "diurnal":
             return arrivals_diurnal(
                 self.n_requests, self.rate_per_s,
@@ -163,82 +114,17 @@ class TraceSpec:
 
 def trace_from_dict(data: Any) -> TraceSpec:
     """Build a validated :class:`TraceSpec` from a plain dict."""
-    data = _require_mapping(data, "trace spec")
-    _check_keys(data, _TRACE_KEYS, "trace spec")
-    name = data.get("name", "trace")
-    if not isinstance(name, str):
-        raise ConfigurationError(
-            f"trace spec.name must be a string, "
-            f"got {type(name).__name__}")
-    kind = data.get("kind", "poisson")
-    if not isinstance(kind, str):
-        raise ConfigurationError(
-            f"trace spec.kind must be a string, "
-            f"got {type(kind).__name__}")
-    distribution = data.get("distribution", "lognormal")
-    if not isinstance(distribution, str):
-        raise ConfigurationError(
-            f"trace spec.distribution must be a string, "
-            f"got {type(distribution).__name__}")
-    where = "trace spec"
-    return TraceSpec(
-        name=name, kind=kind,
-        n_requests=_integer(data, "n_requests", 10_000, where),
-        rate_per_s=_number(data, "rate_per_s", 1.0, where),
-        seed=_integer(data, "seed", 0, where),
-        amplitude=_number(data, "amplitude", 0.8, where),
-        period_s=_number(data, "period_s", 3600.0, where),
-        burst_factor=_number(data, "burst_factor", 6.0, where),
-        burst_fraction=_number(data, "burst_fraction", 0.15, where),
-        mean_dwell_s=_number(data, "mean_dwell_s", 300.0, where),
-        distribution=distribution,
-        sigma=_number(data, "sigma", 1.5, where),
-        alpha=_number(data, "alpha", 1.8, where),
-        turns_mean=_number(data, "turns_mean", 4.0, where),
-        think_mean_s=_number(data, "think_mean_s", 30.0, where))
+    return spec_from_dict(TraceSpec, data, "trace spec")
 
 
 def trace_to_dict(spec: TraceSpec) -> Dict[str, Any]:
     """The inverse of :func:`trace_from_dict` (exact round-trip)."""
-    return {
-        "name": spec.name, "kind": spec.kind,
-        "n_requests": spec.n_requests,
-        "rate_per_s": spec.rate_per_s, "seed": spec.seed,
-        "amplitude": spec.amplitude, "period_s": spec.period_s,
-        "burst_factor": spec.burst_factor,
-        "burst_fraction": spec.burst_fraction,
-        "mean_dwell_s": spec.mean_dwell_s,
-        "distribution": spec.distribution, "sigma": spec.sigma,
-        "alpha": spec.alpha, "turns_mean": spec.turns_mean,
-        "think_mean_s": spec.think_mean_s,
-    }
+    return spec_to_dict(spec)
 
 
 def load_trace(path: str) -> TraceSpec:
     """Load a trace spec from a JSON (always) or YAML file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as error:
-        raise ConfigurationError(
-            f"cannot read trace spec {path!r}: {error}") from error
-    data: Optional[Any] = None
-    if path.endswith((".yaml", ".yml")):
-        try:
-            import yaml
-        except ImportError as error:
-            raise ConfigurationError(
-                f"cannot load YAML trace spec {path!r}: "
-                "PyYAML is not installed") from error
-        data = yaml.safe_load(text)
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"trace spec {path!r} is not valid JSON: "
-                f"{error}") from error
-    return trace_from_dict(data)
+    return load_spec(TraceSpec, path, "trace spec")
 
 
 def _steady() -> TraceSpec:
@@ -279,16 +165,9 @@ _PRESETS = {
 
 def builtin_traces() -> Dict[str, TraceSpec]:
     """Every built-in trace preset, by name (sorted)."""
-    return {name: _PRESETS[name]() for name in sorted(_PRESETS)}
+    return build_all(_PRESETS)
 
 
 def get_trace(name: str) -> TraceSpec:
     """Look up one preset; unknown names raise a one-line error."""
-    try:
-        build = _PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(_PRESETS))
-        raise ConfigurationError(
-            f"unknown trace preset {name!r}; "
-            f"known presets: {known}") from None
-    return build()
+    return lookup(_PRESETS, name, "trace preset")

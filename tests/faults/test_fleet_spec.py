@@ -180,6 +180,8 @@ def test_round_trip_preserves_custom_scenario():
     ({"redispatch": {"max_retries": 0.5}},
      "max_retries must be an integer"),
     ({"redispatch": {"panic": True}}, "unknown keys ['panic']"),
+    ({"faults": [{"kind": "replica-crash"}]},
+     "missing required key 'replica'"),
 ])
 def test_fleet_from_dict_rejects_malformed_specs(data, fragment):
     with pytest.raises(ConfigurationError) as error:

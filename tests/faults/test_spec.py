@@ -133,6 +133,18 @@ def test_scenario_from_dict_errors():
         scenario_from_dict({"events": "pcie-stall"})
 
 
+@pytest.mark.parametrize("data, fragment", [
+    ({"retry": {"max_retries": 2.7}}, "max_retries must be an integer"),
+    ({"admission": {"max_queue_depth": 16.9}},
+     "max_queue_depth must be an integer"),
+    ({"chunks_per_request": 3.5}, "chunks_per_request must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),
+])
+def test_scenario_from_dict_rejects_bad_counts(data, fragment):
+    with pytest.raises(ConfigurationError, match=fragment):
+        scenario_from_dict(data)
+
+
 def test_load_scenario_json(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({

@@ -12,7 +12,7 @@ the recurrence reads on paper:
   transfer-stall retry penalty, request by request;
 * :func:`run_admission_sequential` — the admission-bounded engine
   path without its batched depth probes (every request through the
-  controller's exact ``admit``), over the engine's plan tables;
+  sequential :func:`admit`), over the engine's plan tables;
 * :func:`run_fleet_loop` — round-robin replicas of
   :func:`run_degraded`, merged back into arrival order.
 
@@ -217,6 +217,65 @@ def run_loop(simulator: ServingSimulator,
 # ----------------------------------------------------------------------
 # The fault-injected loop
 # ----------------------------------------------------------------------
+def admit(controller: DegradationController, arrival: float, index: int,
+          pending_finishes: Sequence[float]) -> Optional[float]:
+    """Admission decision for the request arriving at ``arrival``.
+
+    Returns the effective (possibly deferred) arrival time, or
+    ``None`` when the request is shed.  Queue depth counts previously
+    *admitted* requests still unfinished at the probe time — shed
+    requests never enter ``pending_finishes`` and a still-deferred
+    request has not been admitted yet, so neither can inflate the
+    depth another request probes against.  Each deferral waits one
+    exponential-backoff step; the final probe that ends in a shed adds
+    no backoff (``backoff_seconds`` counts exactly ``max_deferrals``
+    delays for a shed request).
+
+    ``pending_finishes`` is nondecreasing (FIFO finishes are), so the
+    probe is a binary search, equal to the linear scan ``sum(1 for f
+    in pending_finishes if f > effective)``.
+    """
+    scenario = controller.scenario
+    admission = scenario.admission
+    if not admission.enabled:
+        return arrival
+    stats = controller.stats
+    effective = arrival
+    for attempt in range(admission.max_deferrals + 1):
+        depth = (len(pending_finishes)
+                 - bisect_right(pending_finishes, effective))
+        if depth < admission.max_queue_depth:
+            return effective
+        if attempt == admission.max_deferrals:
+            break
+        delay = scenario.retry.backoff_delay(attempt)
+        stats.deferred += 1
+        stats.backoff_seconds += delay
+        controller._count("faults.admission.deferred")
+        controller._count("faults.backoff_seconds", delay)
+        controller._span(f"defer:req{index}", effective, effective + delay,
+                         attempt=attempt, depth=depth)
+        effective += delay
+    stats.dropped += 1
+    controller._count("faults.admission.dropped")
+    return None
+
+
+def note_plan(controller: DegradationController, shifted: bool,
+              shrinks: int, index: int, start: float) -> None:
+    """Account one request served on a re-solved plan."""
+    controller.stats.policy_resolves += 1
+    controller._count("faults.policy_resolves")
+    if shifted:
+        controller.stats.policy_shifts += 1
+        controller._count("faults.policy_shifts")
+    if shrinks:
+        controller.stats.batch_shrinks += shrinks
+        controller._count("faults.batch_shrinks", shrinks)
+        controller._span(f"shrink:req{index}", start, start,
+                         halvings=shrinks)
+
+
 def plan_service(controller: DegradationController,
                  request: InferenceRequest, start: float, index: int,
                  memo: Dict[tuple, Optional[_ServicePlan]]
@@ -240,7 +299,7 @@ def plan_service(controller: DegradationController,
         controller.stats.unservable += 1
         controller._count("faults.unservable")
         return None
-    controller._note_plan(plan.policy_shifted, plan.shrinks, index, start)
+    note_plan(controller, plan.policy_shifted, plan.shrinks, index, start)
     return plan
 
 
@@ -335,7 +394,7 @@ def run_degraded(simulator: ServingSimulator,
     for position, (request, arrival) in enumerate(zip(requests,
                                                       arrivals)):
         index = position if indices is None else int(indices[position])
-        effective = controller.admit(arrival, index, finishes)
+        effective = admit(controller, arrival, index, finishes)
         if effective is None:
             report.dropped.append(DroppedRequest(
                 request=request, arrival=arrival, reason=_SHED_REASON))
@@ -378,7 +437,7 @@ def run_admission_sequential(controller: DegradationController,
     """The admission-bounded engine path, one request at a time.
 
     Same controller, plan tables and stall outcomes as the engine, but
-    every request goes through the exact sequential ``admit`` — no
+    every request goes through the exact sequential :func:`admit` — no
     batched depth probes.  Returns ``(served positions, starts,
     finishes, dropped positions, drop reasons)``.
     """
@@ -401,7 +460,7 @@ def run_admission_sequential(controller: DegradationController,
     for position in range(trace.size):
         arrival = arrivals[position]
         index = position if idx is None else int(idx[position])
-        effective = controller.admit(arrival, index, finishes)
+        effective = admit(controller, arrival, index, finishes)
         if effective is None:
             dropped_positions.append(position)
             reasons.append(_SHED_REASON)
@@ -422,8 +481,8 @@ def run_admission_sequential(controller: DegradationController,
             reasons.append(_UNSERVABLE_REASON)
             continue
         if signature:
-            controller._note_plan(bool(table.shifted[code]),
-                                  int(table.shrinks[code]), index, start)
+            note_plan(controller, bool(table.shifted[code]),
+                      int(table.shrinks[code]), index, start)
         penalty = 0.0
         if stall_p > 0.0:
             penalty, ops = _stall_outcome(controller.scenario, stall_p,

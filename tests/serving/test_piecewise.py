@@ -38,7 +38,7 @@ from repro.serving.piecewise import _apply_stall_ops, _stall_outcome
 from repro.telemetry.runtime import Telemetry, activate
 from repro.telemetry.timeseries import (fleet_timeseries,
                                         timeseries_from_report)
-from tests.oracles.fifo_loop import (LoopReport, loop_timeseries,
+from tests.oracles.fifo_loop import (LoopReport, admit, loop_timeseries,
                                      run_admission_sequential,
                                      run_degraded, run_fleet_loop,
                                      transfer_penalty)
@@ -359,7 +359,7 @@ def test_admission_depth_ignores_finished_requests(simulator):
     controller = _admission_controller(simulator, max_queue_depth=1)
     # Three admitted requests, all finished before this arrival:
     # depth 0, admitted immediately, no deferral.
-    assert controller.admit(5.0, 0, [1.0, 2.0, 3.0]) == 5.0
+    assert admit(controller, 5.0, 0, [1.0, 2.0, 3.0]) == 5.0
     assert controller.stats.deferred == 0
     assert controller.stats.backoff_seconds == 0.0
 
@@ -368,7 +368,7 @@ def test_admission_finish_exactly_at_probe_counts_as_done(simulator):
     # The probe counts strictly-later finishes (f > effective); a
     # request finishing exactly at the arrival has left the queue.
     controller = _admission_controller(simulator, max_queue_depth=1)
-    assert controller.admit(5.0, 0, [5.0]) == 5.0
+    assert admit(controller, 5.0, 0, [5.0]) == 5.0
     assert controller.stats.deferred == 0
 
 
@@ -376,7 +376,7 @@ def test_admission_deferral_admits_when_queue_drains(simulator):
     # Depth 1 at arrival, but the pending request finishes during the
     # first backoff: exactly one deferral, then admitted.
     controller = _admission_controller(simulator, max_queue_depth=1)
-    effective = controller.admit(5.0, 0, [5.005])
+    effective = admit(controller, 5.0, 0, [5.005])
     assert effective == 5.0 + 0.01
     assert controller.stats.deferred == 1
     assert controller.stats.dropped == 0
@@ -387,7 +387,7 @@ def test_admission_shed_charges_exactly_max_deferrals_backoffs(simulator):
     """The final probe that ends in a shed adds no extra backoff:
     ``backoff_seconds`` counts exactly ``max_deferrals`` delays."""
     controller = _admission_controller(simulator, max_queue_depth=1)
-    assert controller.admit(5.0, 0, [100.0]) is None
+    assert admit(controller, 5.0, 0, [100.0]) is None
     assert controller.stats.deferred == 3
     assert controller.stats.dropped == 1
     # The exact left-to-right fold of the three backoff delays.

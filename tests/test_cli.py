@@ -396,6 +396,18 @@ def test_serve_bad_shape_is_clean_error(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--chaos", "--trace"])
+def test_fleet_malformed_spec_file_is_one_line_error(capsys, tmp_path,
+                                                     flag):
+    pytest.importorskip("yaml")
+    path = tmp_path / "bad.yaml"
+    path.write_text("name: x\nfaults: [ {kind: replica-crash\n")
+    assert main(["fleet", flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid YAML" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_fleet_list_presets(capsys):
     assert main(["fleet", "--list-presets"]) == 0
     out = capsys.readouterr().out
