@@ -74,19 +74,20 @@ class ReplicaFault:
             raise ConfigurationError(
                 f"replica must be an integer >= 0, "
                 f"got {self.replica!r}")
-        if self.start < 0.0:
+        # Written so that NaN fails every check.
+        if not self.start >= 0.0:
             raise ConfigurationError(
                 f"start must be >= 0, got {self.start}")
-        if self.duration <= 0.0:
+        if not self.duration > 0.0:
             raise ConfigurationError(
                 f"duration must be positive, got {self.duration}")
         if self.kind is ReplicaFaultKind.REPLICA_SLOW:
-            if self.magnitude <= 1.0:
+            if not self.magnitude > 1.0:
                 raise ConfigurationError(
                     "replica-slow magnitude is a slowdown factor and "
                     f"must be > 1, got {self.magnitude}")
         elif self.kind is ReplicaFaultKind.REPLICA_RESTART:
-            if self.magnitude < 1.0:
+            if not self.magnitude >= 1.0:
                 raise ConfigurationError(
                     "replica-restart magnitude is the warm-up "
                     f"slowdown and must be >= 1, got {self.magnitude}")
@@ -94,7 +95,7 @@ class ReplicaFault:
             raise ConfigurationError(
                 "replica-crash takes no magnitude, "
                 f"got {self.magnitude}")
-        if self.warmup_s < 0.0:
+        if not self.warmup_s >= 0.0:
             raise ConfigurationError(
                 f"warmup_s must be >= 0, got {self.warmup_s}")
         if (self.warmup_s > 0.0
@@ -146,14 +147,14 @@ class HealthPolicy:
             raise ConfigurationError(
                 f"failure_threshold must be >= 1, "
                 f"got {self.failure_threshold}")
-        if self.cooldown_s <= 0.0:
+        if not self.cooldown_s > 0.0:
             raise ConfigurationError(
                 f"cooldown_s must be positive, got {self.cooldown_s}")
         if self.half_open_probes < 1:
             raise ConfigurationError(
                 f"half_open_probes must be >= 1, "
                 f"got {self.half_open_probes}")
-        if self.slow_tolerance <= 1.0:
+        if not self.slow_tolerance > 1.0:
             raise ConfigurationError(
                 f"slow_tolerance must be > 1, "
                 f"got {self.slow_tolerance}")
@@ -179,7 +180,7 @@ class RedispatchPolicy:
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.hedge_after_s < 0.0:
+        if not self.hedge_after_s >= 0.0:
             raise ConfigurationError(
                 f"hedge_after_s must be >= 0, "
                 f"got {self.hedge_after_s}")

@@ -71,11 +71,12 @@ class FaultEvent:
     magnitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.start < 0.0:
+        # Written so that NaN fails every check.
+        if not self.start >= 0.0:
             raise ConfigurationError(
                 f"fault {self.kind.value}: start must be >= 0, "
                 f"got {self.start}")
-        if self.duration <= 0.0:
+        if not self.duration > 0.0:
             raise ConfigurationError(
                 f"fault {self.kind.value}: duration must be > 0, "
                 f"got {self.duration}")
@@ -121,13 +122,13 @@ class RetryPolicy:
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.timeout_s < 0.0:
+        if not self.timeout_s >= 0.0:
             raise ConfigurationError(
                 f"timeout_s must be >= 0, got {self.timeout_s}")
-        if self.backoff_base_s < 0.0:
+        if not self.backoff_base_s >= 0.0:
             raise ConfigurationError(
                 f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise ConfigurationError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}")
 

@@ -39,7 +39,8 @@ from repro.errors import ConfigurationError
 from repro.faults.fleet import (FleetScenario, ReplicaFaultKind,
                                 get_fleet_scenario)
 from repro.serving.degradation import PlanTable
-from repro.serving.simulator import ServingSimulator, validate_arrivals
+from repro.serving.simulator import (ServingSimulator, nearest_rank,
+                                     validate_arrivals)
 from repro.serving.vectorized import WorkloadVector
 from repro.specs import build_all, lookup
 from repro.telemetry.runtime import Telemetry
@@ -245,10 +246,8 @@ class FleetReport:
         if not self.served_index.size:
             raise ConfigurationError(
                 "no requests were served")
-        latencies = np.sort(
-            self.finishes - self.arrivals[self.served_index])
-        rank = max(1, math.ceil(fraction * latencies.size))
-        return float(latencies[rank - 1])
+        return nearest_rank(
+            self.finishes - self.arrivals[self.served_index], fraction)
 
     def per_class_p95(self) -> Dict[str, float]:
         """p95 latency per request class (distinct workload shape)."""
@@ -259,11 +258,9 @@ class FleetReport:
             mask = codes == code
             if not bool(mask.any()):
                 continue
-            sub = np.sort(latencies[mask])
-            rank = max(1, math.ceil(0.95 * sub.size))
             key = (f"{shape.batch_size}x{shape.input_len}"
                    f"x{shape.output_len}")
-            out[key] = float(sub[rank - 1])
+            out[key] = nearest_rank(latencies[mask], 0.95)
         return out
 
     def cost_per_million_requests(self, usd_per_hour: float) -> float:

@@ -22,6 +22,7 @@ p95 SLO — the paper-faithful "how many A100 boxes do I need" sweep.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
@@ -34,8 +35,9 @@ from repro.models.workload import InferenceRequest
 from repro.serving.degradation import PlanTable
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      ServingSimulator, arrivals_poisson,
-                                     validate_arrivals)
+                                     nearest_rank, validate_arrivals)
 from repro.serving.vectorized import WorkloadVector
+from repro.telemetry.metrics import StreamingHistogram
 from repro.telemetry.runtime import Telemetry
 
 if TYPE_CHECKING:
@@ -219,17 +221,21 @@ class MultiReplicaSimulator:
                          plans: PlanTable) -> ScaleOutReport:
         """Request *i* goes to replica ``i mod k``.
 
-        Each replica serves its substream through the FIFO engine
-        with *global* request indices, so every RNG draw (stall
-        outcomes, deferral backoff) keys exactly as a single-server
-        run over the same requests would.  Replicas run ``quiet``;
-        :meth:`run` emits one merged fleet view.  The merge scatters
-        each replica's served rows back to their global positions.
+        Each replica serves its substream — a strided view of the
+        workload codes, a strided copy of the trace — through the
+        FIFO engine with *global* request indices, so every RNG draw
+        (stall outcomes, deferral backoff) keys exactly as a
+        single-server run over the same requests would.  Replicas run
+        ``quiet``; :meth:`run` emits one merged fleet view.  The merge
+        writes each replica's rows back through the same stride, or,
+        when the replica dropped requests, scatters its served rows
+        to their global positions.
         """
         from repro.serving.piecewise import run_fifo
 
         n = trace.size
-        assignment = np.arange(n, dtype=np.int64) % self.n_replicas
+        k = self.n_replicas
+        assignment = np.arange(n, dtype=np.int64) % k
         starts = np.empty(n)
         finishes = np.empty(n)
         served = np.zeros(n, dtype=bool)
@@ -237,23 +243,27 @@ class MultiReplicaSimulator:
         per_replica: List[ServingReport] = []
         dropped_parts: List[np.ndarray] = []
         reasons: List[str] = []
-        for replica in range(min(self.n_replicas, n)):
-            index = np.arange(replica, n, self.n_replicas,
-                              dtype=np.int64)
-            sub = run_fifo(self._simulator, workload.subset(index),
-                           trace[index], scenario, indices=index,
-                           quiet=True, _plans=plans)
+        for replica in range(min(k, n)):
+            rows = slice(replica, None, k)
+            index = np.arange(replica, n, k, dtype=np.int64)
+            # The replica report keeps its arrivals: a contiguous copy
+            # of the strided view, which windowed metrics re-read.
+            sub = run_fifo(self._simulator, workload.subset(rows),
+                           np.ascontiguousarray(trace[rows]), scenario,
+                           indices=index, quiet=True, _plans=plans)
             replica_ids.append(replica)
             per_replica.append(sub)
             if sub.n_dropped:
                 index_served = index[sub.served_index]
                 dropped_parts.append(index[sub.dropped_index])
                 reasons.extend(sub.dropped_reasons)
+                starts[index_served] = sub.starts
+                finishes[index_served] = sub.finishes
+                served[index_served] = True
             else:
-                index_served = index
-            starts[index_served] = sub.starts
-            finishes[index_served] = sub.finishes
-            served[index_served] = True
+                starts[rows] = sub.starts
+                finishes[rows] = sub.finishes
+                served[rows] = True
         stats = None
         served_index: Optional[np.ndarray] = None
         dropped_index: Optional[np.ndarray] = None
@@ -430,11 +440,17 @@ def replicas_needed(estimator: LiaEstimator,
     Doubles the fleet until feasible, then binary-searches the gap
     (queueing delay shrinks as replicas are added, so p95 is
     monotone in ``k`` for FIFO dispatch).  Each fleet size is
-    simulated once — the bisection only probes sizes strictly between
-    two evaluated ones — and only the best feasible report is kept
-    alive between sizes.  Every fleet size plans from the call's one
-    :class:`~repro.serving.degradation.PlanTable`, so each shape is
-    estimated once per search.
+    simulated at most once — the bisection only probes sizes strictly
+    between two evaluated ones — and only the best feasible report is
+    kept alive between sizes.  Every fleet size plans from the call's
+    one :class:`~repro.serving.degradation.PlanTable`, so each shape
+    is estimated once per search.
+
+    Under round-robin dispatch a probed size below ``max_replicas``
+    is first checked against :func:`backlog_bound`: when the bound's
+    p95 already exceeds the SLO by more than the streaming estimate's
+    error, the size misses it and is not simulated.  Probes, answer
+    and report are those of simulating every probed size.
 
     Raises :class:`ConfigurationError` for ``max_replicas < 1`` and
     :class:`CapacityError` when even ``max_replicas`` misses the SLO;
@@ -450,8 +466,25 @@ def replicas_needed(estimator: LiaEstimator,
                 else WorkloadVector.from_requests(requests))
     trace = validate_arrivals(arrivals)
     plans = PlanTable(estimator)
+    # Malformed input is left to the first simulation's checks.  A
+    # shape that does not fit raises its CapacityError here, as the
+    # first simulation would.
+    services = (plans.service_times(workload)
+                if dispatch == "round-robin"
+                and 0 < trace.size == workload.n_requests else None)
+    # A streaming p95 is a bucket midpoint, within one bucket below
+    # the order statistic; the second factor covers the rounding of
+    # the bucket index.
+    bound_limit = slo_p95_seconds * StreamingHistogram.GROWTH ** 2
 
-    def evaluate(k: int) -> Tuple[float, ScaleOutReport]:
+    def evaluate(k: int) -> Tuple[float, Optional[ScaleOutReport]]:
+        """``(p95, report)`` of the k-replica fleet, or ``(inf,
+        None)`` when the backlog bound alone shows it misses the
+        SLO.  The cap is always simulated: its report explains a
+        :class:`CapacityError`."""
+        if services is not None and k < max_replicas and nearest_rank(
+                backlog_bound(trace, services, k), 0.95) > bound_limit:
+            return math.inf, None
         report = MultiReplicaSimulator(
             estimator, k, dispatch=dispatch).run(workload, trace,
                                                  _plans=plans)
@@ -461,23 +494,53 @@ def replicas_needed(estimator: LiaEstimator,
     p95, report = evaluate(high)
     while p95 > slo_p95_seconds:
         if high >= max_replicas:
+            assert report is not None  # the cap is always simulated
             raise CapacityError(_over_slo_message(
                 report, p95, slo_p95_seconds, max_replicas))
         low, high = high, min(max_replicas, high * 2)
         del report  # release before the next size runs
         p95, report = evaluate(high)
+    assert report is not None  # it met the SLO, so it was simulated
     best = (high, report)
     del report
     while high - low > 1:
         mid = (low + high) // 2
         p95, mid_report = evaluate(mid)
         if p95 <= slo_p95_seconds:
+            assert mid_report is not None
             high = mid
             best = (mid, mid_report)
         else:
             low = mid
         del mid_report
     return best
+
+
+def backlog_bound(arrivals: np.ndarray, services: np.ndarray,
+                  n_replicas: int) -> np.ndarray:
+    """A lower bound on every request's healthy round-robin latency.
+
+    Replica ``j`` serves requests ``j, j + k, j + 2k, ...``.  Its
+    ``r``-th finish is at least the left fold ``c_r = (a_j + S_j) +
+    S_{j+k} + ...`` of its service times from its first arrival — the
+    backlog it would carry if it never idled — and ``c_r - a`` is at
+    most the latency, exactly in floats: the engine computes ``f_r =
+    max(a, f_{r-1}) + S``, and ``fl(x + S)`` and ``fl(x - a)`` are
+    nondecreasing in ``x``, so ``c_r <= f_r`` holds step by step.  All
+    replicas fold at once, as one ``np.add.accumulate`` down the
+    columns of the ``(ceil(n / k), k)`` matrix of the padded service
+    times (row-major order is arrival order).
+    """
+    n = arrivals.size
+    k = min(n_replicas, n)
+    rows = -(-n // k)
+    fold = np.zeros(rows * k)
+    fold[:n] = services
+    fold[:k] += arrivals[:k]
+    fold = np.add.accumulate(fold.reshape(rows, k), axis=0)
+    bound = fold.reshape(-1)[:n]
+    bound -= arrivals
+    return bound
 
 
 def _over_slo_message(report: ScaleOutReport, p95: float,

@@ -37,8 +37,8 @@ if TYPE_CHECKING:
     from repro.telemetry.timeseries import MonitoringReport, SLOPolicy
 
 #: Above this many served requests, ``latency_percentile`` answers
-#: from a streaming histogram (~2% relative error) instead of sorting
-#: the latency vector exactly.
+#: with the streaming-histogram estimate (~2% relative error) instead
+#: of sorting the latency vector exactly.
 DEFAULT_EXACT_PERCENTILE_LIMIT = 262_144
 
 #: Per-request span emission cap: the first this many served requests
@@ -106,6 +106,17 @@ class DroppedRequest:
     reason: str
 
 
+def nearest_rank(values: np.ndarray, fraction: float) -> float:
+    """The ``ceil(fraction * n)``-th smallest of ``values`` (rank
+    clamped to ``[1, n]``), found by one ``np.partition``.
+
+    Reorders ``values`` in place; pass a scratch array.
+    """
+    rank = min(values.size, max(1, math.ceil(fraction * values.size)))
+    values.partition(rank - 1)
+    return float(values[rank - 1])
+
+
 def _left_fold(values: np.ndarray) -> float:
     """``((v0 + v1) + v2) + ...`` in index order, in place.
 
@@ -129,8 +140,8 @@ class ServingReport:
 
     Scalar statistics fold floats left to right (the order a per-
     request loop would add them in).  Percentiles are exact (one lazy
-    sort) up to ``exact_percentile_limit`` served requests and come
-    from a streaming histogram beyond it.  ``served`` and ``dropped``
+    sort) up to ``exact_percentile_limit`` served requests and are the
+    streaming-histogram estimate beyond it.  ``served`` and ``dropped``
     build per-request objects on first access, an O(n) cost meant for
     small runs and tests.
     """
@@ -174,7 +185,6 @@ class ServingReport:
         self.scenario = scenario
         self.exact_percentile_limit = exact_percentile_limit
         self._sorted_latencies: Optional[np.ndarray] = None
-        self._histogram: Any = None
         self._served: Optional[List[ServedRequest]] = None
         self._makespan: Optional[float] = None
 
@@ -203,7 +213,8 @@ class ServingReport:
 
     @property
     def streaming_percentiles(self) -> bool:
-        """Whether ``latency_percentile`` answers from the histogram."""
+        """Whether ``latency_percentile`` answers with the histogram
+        estimate."""
         return self.n_served > self.exact_percentile_limit
 
     # ------------------------------------------------------------------
@@ -242,8 +253,14 @@ class ServingReport:
         """Latency at the given percentile, e.g. 0.5 or 0.95.
 
         Standard nearest-rank: the ``ceil(fraction * n)``-th smallest
-        sample (exact below the size limit, a streaming-histogram
-        estimate above it).
+        sample.  Up to ``exact_percentile_limit`` served requests that
+        sample is returned exactly (one cached sort).  Above it the
+        answer is what a
+        :class:`~repro.telemetry.metrics.StreamingHistogram` of every
+        latency would estimate — the midpoint of the sample's bucket,
+        clamped to the latency range; the maximum for ``fraction ==
+        1`` — but it is computed from the sample itself, selected by
+        one ``np.partition``, without building the histogram.
         """
         if not 0.0 < fraction <= 1.0:
             raise ConfigurationError(
@@ -251,7 +268,17 @@ class ServingReport:
         if not self.n_served:
             raise ConfigurationError("no requests were served")
         if self.streaming_percentiles:
-            return float(self._latency_histogram().quantile(fraction))
+            from repro.telemetry.metrics import StreamingHistogram
+
+            latencies = self.latencies  # fresh array; select in place
+            high = float(latencies.max())
+            if fraction == 1.0:
+                return high
+            low = float(latencies.min())
+            value = nearest_rank(latencies, fraction)
+            return StreamingHistogram.bucket_value(
+                StreamingHistogram.bucket_of(value) if value > 0.0
+                else None, low, high)
         if self._sorted_latencies is None:
             ordered = self.latencies  # fresh array; sort in place
             ordered.sort()
@@ -275,15 +302,6 @@ class ServingReport:
             result[f"p{round(fraction * 100)}"] = (
                 self.latency_percentile(fraction))
         return result
-
-    def _latency_histogram(self) -> Any:
-        if self._histogram is None:
-            from repro.telemetry.metrics import StreamingHistogram
-
-            histogram = StreamingHistogram("serving.latency_s")
-            histogram.observe_array(self.latencies)
-            self._histogram = histogram
-        return self._histogram
 
     # ------------------------------------------------------------------
     @property

@@ -38,7 +38,7 @@ serving engine built on both is :mod:`repro.serving.piecewise`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -182,8 +182,10 @@ class WorkloadVector:
     def request_at(self, index: int) -> InferenceRequest:
         return self.shapes[int(self.codes[index])]
 
-    def subset(self, indices: np.ndarray) -> "WorkloadVector":
-        """The sub-stream at ``indices`` (shared shape table)."""
+    def subset(self, indices: Union[np.ndarray, slice]
+               ) -> "WorkloadVector":
+        """The sub-stream at ``indices`` (shared shape table); a
+        slice gives a view of the codes, not a copy."""
         return WorkloadVector(shapes=self.shapes,
                               codes=self.codes[indices])
 

@@ -6,8 +6,9 @@ Fault scenarios (:mod:`repro.faults.spec`), fleet-chaos scenarios
 ``__post_init__`` checks values.  This module maps any of them to and
 from plain dicts by reading the dataclass's fields and type hints:
 
-* ``float`` takes any number; ``int`` only an integer (no bool, no
-  float); ``str`` only a string;
+* ``float`` takes any finite number, and ``inf`` only where the
+  field's default is ``inf`` (an open-ended ``duration``); ``int``
+  only an integer (no bool, no float); ``str`` only a string;
 * an :class:`~enum.Enum` takes its ``value``, and an unknown value
   lists the known ones;
 * a nested spec takes a mapping, and ``Tuple[X, ...]`` a list;
@@ -68,7 +69,8 @@ def spec_from_dict(cls: Type[S], data: Any, where: str) -> S:
         if field.name in data:
             values[field.name] = _decode(hints[field.name],
                                          data[field.name],
-                                         f"{where}.{field.name}")
+                                         f"{where}.{field.name}",
+                                         field.default)
         elif (field.default is dataclasses.MISSING
               and field.default_factory is dataclasses.MISSING):
             raise ConfigurationError(
@@ -76,7 +78,8 @@ def spec_from_dict(cls: Type[S], data: Any, where: str) -> S:
     return cls(**values)
 
 
-def _decode(hint: Any, value: Any, where: str) -> Any:
+def _decode(hint: Any, value: Any, where: str,
+            default: Any = dataclasses.MISSING) -> Any:
     if dataclasses.is_dataclass(hint):
         return spec_from_dict(hint, value, where)
     if typing.get_origin(hint) is tuple:
@@ -101,10 +104,18 @@ def _decode(hint: Any, value: Any, where: str) -> Any:
     if hint is not float:
         return value
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer literal past float range
         raise ConfigurationError(
             f"{where} is out of float range") from None
+    # JSON's NaN/Infinity tokens and YAML's .nan/.inf parse as floats;
+    # the dataclass checks cannot be trusted with NaN, and spec_to_dict
+    # can only omit an infinity that is the default.
+    if math.isnan(number):
+        raise ConfigurationError(f"{where} must be a number, got NaN")
+    if math.isinf(number) and number != default:
+        raise ConfigurationError(f"{where} must be finite, got {number}")
+    return number
 
 
 def spec_to_dict(spec: Any) -> Dict[str, Any]:

@@ -91,8 +91,26 @@ class StreamingHistogram:
         if value <= 0.0:
             self._nonpositive += 1
             return
-        index = math.floor(math.log(value) / math.log(self.GROWTH))
+        index = self.bucket_of(value)
         self._buckets[index] = self._buckets.get(index, 0) + 1
+
+    @classmethod
+    def bucket_of(cls, value: float) -> int:
+        """The bucket a positive ``value`` lands in."""
+        return math.floor(math.log(value) / math.log(cls.GROWTH))
+
+    @classmethod
+    def bucket_value(cls, index: Optional[int], low: float,
+                     high: float) -> float:
+        """What a quantile reads from bucket ``index`` of samples
+        spanning ``[low, high]``: the bucket's geometric midpoint
+        clamped to that range, or ``max(low, 0)`` for the bucket of
+        zero and negative values (``index`` ``None``)."""
+        if index is None:
+            return max(low, 0.0)
+        lower = cls.GROWTH ** index
+        upper = cls.GROWTH ** (index + 1)
+        return min(max(math.sqrt(lower * upper), low), high)
 
     def observe_array(self, values) -> None:
         """Batch-observe a numpy array of values.
@@ -127,11 +145,16 @@ class StreamingHistogram:
         fraction = quotient - index
         for at in np.flatnonzero((fraction < 1e-9)
                                  | (fraction > 1.0 - 1e-9)).tolist():
-            index[at] = math.floor(
-                math.log(float(positive[at])) / inv_log_growth)
-        buckets, counts = np.unique(index.astype(np.int64),
-                                    return_counts=True)
-        for bucket, count in zip(buckets.tolist(), counts.tolist()):
+            index[at] = self.bucket_of(float(positive[at]))
+        # All positive float64 values span ~67k buckets, so counting
+        # by offset from the lowest is one linear pass where
+        # ``np.unique`` would sort.
+        indices = index.astype(np.int64)
+        first = int(indices.min())
+        counts = np.bincount(indices - first)
+        buckets = np.flatnonzero(counts)
+        for bucket, count in zip((buckets + first).tolist(),
+                                 counts[buckets].tolist()):
             self._buckets[bucket] = self._buckets.get(bucket, 0) + count
 
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
@@ -180,14 +203,11 @@ class StreamingHistogram:
         rank = min(self.count, max(1, math.ceil(fraction * self.count)))
         seen = self._nonpositive
         if rank <= seen:
-            return max(self.min, 0.0) if self.min is not None else 0.0
+            return self.bucket_value(None, self.min, self.max)
         for index in sorted(self._buckets):
             seen += self._buckets[index]
             if rank <= seen:
-                lower = self.GROWTH ** index
-                upper = self.GROWTH ** (index + 1)
-                mid = math.sqrt(lower * upper)
-                return min(max(mid, self.min), self.max)
+                return self.bucket_value(index, self.min, self.max)
         return self.max
 
     def percentiles(self, fractions=(0.5, 0.95, 0.99)) -> Dict[str, float]:

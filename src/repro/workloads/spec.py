@@ -73,7 +73,7 @@ class TraceSpec:
         if self.n_requests < 0:
             raise ConfigurationError(
                 f"n_requests must be >= 0, got {self.n_requests}")
-        if self.rate_per_s <= 0.0:
+        if not self.rate_per_s > 0.0:  # NaN fails too
             raise ConfigurationError(
                 f"rate_per_s must be positive, got {self.rate_per_s}")
         if self.seed < 0:

@@ -50,6 +50,20 @@ def _crash(**kwargs):
     (lambda: ReplicaFault(ReplicaFaultKind.REPLICA_RESTART, replica=0,
                           magnitude=0.5),
      "replica-restart magnitude is the warm-up"),
+    # NaN compares false both ways; it must not slip past the checks.
+    pytest.param(lambda: _crash(start=float("nan")), "start must be >= 0",
+                 id="nan-start"),
+    pytest.param(lambda: _crash(duration=float("nan")),
+                 "duration must be positive", id="nan-duration"),
+    pytest.param(lambda: ReplicaFault(ReplicaFaultKind.REPLICA_SLOW,
+                                      replica=0, magnitude=float("nan")),
+                 "replica-slow magnitude is a slowdown factor",
+                 id="nan-slow-magnitude"),
+    pytest.param(lambda: ReplicaFault(ReplicaFaultKind.REPLICA_RESTART,
+                                      replica=0, duration=10.0,
+                                      magnitude=2.0,
+                                      warmup_s=float("nan")),
+                 "warmup_s must be >= 0", id="nan-warmup_s"),
 ])
 def test_replica_fault_validation(build, fragment):
     with pytest.raises(ConfigurationError) as error:
@@ -108,6 +122,10 @@ def test_restart_downtime_then_warmup():
     (lambda: RedispatchPolicy(hedge_after_s=-0.1),
      "hedge_after_s must be >= 0"),
     (lambda: FleetScenario(seed=-1), "seed must be >= 0"),
+    pytest.param(lambda: HealthPolicy(cooldown_s=float("nan")),
+                 "cooldown_s must be positive", id="nan-cooldown_s"),
+    pytest.param(lambda: RedispatchPolicy(hedge_after_s=float("nan")),
+                 "hedge_after_s must be >= 0", id="nan-hedge_after_s"),
 ])
 def test_policy_validation(build, fragment):
     with pytest.raises(ConfigurationError) as error:
@@ -182,6 +200,9 @@ def test_round_trip_preserves_custom_scenario():
     ({"redispatch": {"panic": True}}, "unknown keys ['panic']"),
     ({"faults": [{"kind": "replica-crash"}]},
      "missing required key 'replica'"),
+    ({"faults": [{"kind": "replica-crash", "replica": 0,
+                  "start": float("nan")}]},
+     "faults[0].start must be a number, got NaN"),
 ])
 def test_fleet_from_dict_rejects_malformed_specs(data, fragment):
     with pytest.raises(ConfigurationError) as error:

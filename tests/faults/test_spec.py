@@ -36,6 +36,8 @@ def test_event_defaults_to_whole_run():
     (FaultKind.GPU_HBM_PRESSURE, 1.0),    # fraction must be < 1
     (FaultKind.CPU_PREEMPTION, -0.01),
     (FaultKind.PCIE_STALL, 1.01),         # probability <= 1
+    (FaultKind.PCIE_STALL, float("nan")),
+    (FaultKind.PCIE_DOWNSHIFT, float("nan")),
 ])
 def test_event_magnitude_ranges(kind, magnitude):
     with pytest.raises(ConfigurationError):
@@ -47,6 +49,11 @@ def test_event_rejects_negative_start_and_zero_duration():
         FaultEvent(FaultKind.PCIE_STALL, start=-1.0, magnitude=0.1)
     with pytest.raises(ConfigurationError):
         FaultEvent(FaultKind.PCIE_STALL, duration=0.0, magnitude=0.1)
+    # NaN compares false both ways; it must not slip past the checks.
+    for field in ("start", "duration"):
+        with pytest.raises(ConfigurationError, match=field):
+            FaultEvent(FaultKind.PCIE_STALL, magnitude=0.1,
+                       **{field: float("nan")})
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +73,9 @@ def test_retry_policy_validation():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ConfigurationError):
         RetryPolicy(backoff_factor=0.5)
+    for field in ("timeout_s", "backoff_base_s", "backoff_factor"):
+        with pytest.raises(ConfigurationError, match=field):
+            RetryPolicy(**{field: float("nan")})
 
 
 def test_admission_disabled_at_zero_depth():
@@ -139,6 +149,12 @@ def test_scenario_from_dict_errors():
      "max_queue_depth must be an integer"),
     ({"chunks_per_request": 3.5}, "chunks_per_request must be an integer"),
     ({"seed": -1}, "seed must be >= 0"),
+    # NaN passes no range check, so the codec names it.
+    ({"events": [{"kind": "pcie-stall", "start": float("nan"),
+                  "magnitude": 0.1}]},
+     r"events\[0\]\.start must be a number, got NaN"),
+    ({"retry": {"timeout_s": float("nan")}},
+     "timeout_s must be a number, got NaN"),
 ])
 def test_scenario_from_dict_rejects_bad_counts(data, fragment):
     with pytest.raises(ConfigurationError, match=fragment):

@@ -1,7 +1,9 @@
 """Counters, gauges, and streaming histograms."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -110,6 +112,33 @@ def _state(histogram):
     return (dict(histogram._buckets), histogram._nonpositive,
             histogram.count, pytest.approx(histogram.total),
             histogram.min, histogram.max)
+
+
+def test_observe_array_matches_observe_at_bucket_boundaries():
+    # Values at exact bucket edges GROWTH**i and one float either side
+    # of them, where the array path's floor has to agree with the
+    # scalar one, among ordinary samples, zeros and negatives.
+    growth = StreamingHistogram.GROWTH
+    edges = [growth ** index for index in range(-300, 300, 7)]
+    rng = random.Random(31)
+    values = ([rng.lognormvariate(0.0, 3.0) for __ in range(2000)]
+              + [0.0, -0.0, -2.5, 1.0] + edges
+              + [math.nextafter(edge, 0.0) for edge in edges]
+              + [math.nextafter(edge, math.inf) for edge in edges])
+    rng.shuffle(values)
+    looped = _observe(values)
+    batched = StreamingHistogram("lat")
+    batched.observe_array(np.array(values[:1500]))
+    batched.observe_array(np.array(values[1500:]))
+    assert batched._buckets == looped._buckets
+    assert (batched._nonpositive, batched.count, batched.total,
+            batched.min, batched.max) == (
+        looped._nonpositive, looped.count, looped.total, looped.min,
+        looped.max)
+    # A fresh histogram takes its buckets in ascending order.
+    fresh = StreamingHistogram("lat")
+    fresh.observe_array(np.array(values))
+    assert list(fresh._buckets) == sorted(looped._buckets)
 
 
 def test_histogram_merge_equals_single_stream():

@@ -59,6 +59,10 @@ def test_open_ended_windows_round_trip_through_strict_json(tmp_path):
         ReplicaFault(ReplicaFaultKind.REPLICA_CRASH, replica=1,
                      start=60.0),))
     assert "duration" not in fleet_to_dict(chaos)["faults"][0]
+    # Written out anyway (JSON's Infinity), the default still loads.
+    assert scenario_from_dict({"events": [
+        {"kind": "pcie-stall", "start": 5.0, "magnitude": 0.1,
+         "duration": float("inf")}]}) == scenario
     assert _strict_file_round_trip(scenario, scenario_to_dict,
                                    load_scenario,
                                    tmp_path / "s.json") == scenario
@@ -105,6 +109,11 @@ def test_undecodable_file_is_a_one_line_error(family, tmp_path):
     ({1: "one", "zz": 2}, "unknown keys [1, 'zz']"),
     ({"health": {"cooldown_s": 10 ** 400}},
      "fleet scenario.health.cooldown_s is out of float range"),
+    ({"health": {"cooldown_s": float("nan")}},
+     "fleet scenario.health.cooldown_s must be a number, got NaN"),
+    ({"faults": [{"kind": "replica-crash", "replica": 0,
+                  "start": float("inf")}]},
+     "fleet scenario.faults[0].start must be finite, got inf"),
 ])
 def test_errors_name_the_offending_key(data, fragment):
     with pytest.raises(ConfigurationError) as error:

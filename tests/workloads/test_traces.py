@@ -174,6 +174,7 @@ def test_get_trace_unknown_preset_is_one_line():
     ({"rate_per_s": 0.0}, "rate_per_s must be positive"),
     ({"rate_per_s": -2.0}, "rate_per_s must be positive"),
     ({"seed": -5}, "seed must be >= 0"),
+    ({"rate_per_s": float("nan")}, "rate_per_s must be positive"),
 ])
 def test_spec_constructor_rejects_bad_fields(fields, fragment):
     with pytest.raises(ConfigurationError) as error:
@@ -191,6 +192,7 @@ def test_spec_constructor_rejects_bad_fields(fields, fragment):
     ({"n_requests": True}, "n_requests must be an integer"),
     ({"rate_per_s": "fast"}, "rate_per_s must be a number"),
     ({"distribution": 3}, "distribution must be a string"),
+    ({"rate_per_s": float("nan")}, "rate_per_s must be a number, got NaN"),
 ])
 def test_trace_from_dict_rejects_malformed_specs(data, fragment):
     with pytest.raises(ConfigurationError) as error:
