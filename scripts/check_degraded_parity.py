@@ -168,8 +168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         started = time.perf_counter()
         loop = fifo_loop.run_degraded(ServingSimulator(estimator),
                                       requests, arrivals, scenario)
-        vec = run_fifo(ServingSimulator(estimator), workload, arrivals,
-                       scenario)
+        vec = run_fifo(estimator, workload, arrivals, scenario)
         problems = _mismatches(name, loop, vec)
 
         loop_fleet = fifo_loop.run_fleet_loop(

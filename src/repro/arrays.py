@@ -4,17 +4,22 @@
 each have one implementation that takes a Python float (and returns
 one) or an ndarray — a whole ``(..., 6)`` sublayer table of
 :func:`~repro.models.sublayers.sublayer_costs`, say.  Their branches go
-through :func:`where`.
+through :func:`where`.  :func:`left_fold` is the one sequential sum
+that the serving reports, the engines and the telemetry histograms
+fold their floats with.
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
 #: A scalar or an ndarray of float64 values.
 Real = Union[float, np.ndarray]
+
+#: Block length of :func:`left_fold`'s scratch buffer.
+_FOLD_BLOCK = 1 << 14
 
 
 def where(condition: Any, if_true: Any, if_false: Any) -> Any:
@@ -62,3 +67,29 @@ def square_root(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return np.float_power(value, 0.5)
     return value ** 0.5
+
+
+def left_fold(start: float, values: Any,
+              out: Optional[np.ndarray] = None) -> float:
+    """``((start + v0) + v1) + ...`` in index order.
+
+    ``np.add.accumulate`` is a strictly sequential scan, unlike
+    ``np.sum`` (pairwise) or Python 3.12's compensated ``sum``, so the
+    total equals the ``+=`` chain of a scalar loop bit for bit.
+    Without ``out``, ``values`` is neither copied whole nor modified:
+    the fold runs block by block through a small scratch buffer.  Given
+    ``out`` (``len(values)`` floats, which may be ``values`` itself),
+    the fold runs there in one block and leaves every running total in
+    it.
+    """
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    total = float(start)
+    if not flat.size:
+        return total
+    buffer = np.empty(min(flat.size, _FOLD_BLOCK)) if out is None else out
+    for lo in range(0, flat.size, buffer.size):
+        block = buffer[:min(buffer.size, flat.size - lo)]
+        block[:] = flat[lo:lo + block.size]
+        block[0] += total  # == total + v0: addition commutes exactly
+        total = float(np.add.accumulate(block, out=block)[-1])
+    return total

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.core.config import LiaConfig
@@ -559,17 +560,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     system = get_system(args.system)
     config = LiaConfig(enforce_host_capacity=False)
     telemetry = Telemetry() if args.out else None
-    simulator = ServingSimulator(LiaEstimator(spec, system, config),
-                                 telemetry=telemetry)
+    simulator = ServingSimulator(LiaEstimator(spec, system, config))
     requests = [InferenceRequest(args.batch, args.input_len,
                                  args.output_len)
                 for __ in range(args.requests)]
-    if telemetry is not None:
-        with activate(telemetry):
-            report = simulator.run_poisson(requests, rate_per_s=args.rate,
-                                           seed=args.seed,
-                                           scenario=scenario)
-    else:
+    with activate(telemetry) if telemetry is not None else nullcontext():
         report = simulator.run_poisson(requests, rate_per_s=args.rate,
                                        seed=args.seed, scenario=scenario)
 
@@ -827,7 +822,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.serving import MultiReplicaSimulator, WorkloadVector
     from repro.serving.simulator import ServingSimulator
     from repro.telemetry import (SLOPolicy, Telemetry, activate,
-                                 evaluate_slo, fleet_timeseries,
                                  monitor_report,
                                  timeseries_to_counter_events,
                                  write_chrome_trace,
@@ -877,13 +871,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                        short_window_s=args.short_window,
                        burn_rate_threshold=args.burn_threshold)
 
-    fleet = None
-    if args.replicas > 1:
-        fleet = fleet_timeseries(report, n_windows=args.windows)
-        monitoring = evaluate_slo(fleet.merged, policy)
-    else:
-        monitoring = monitor_report(report, policy,
-                                    n_windows=args.windows)
+    monitoring = monitor_report(report, policy, n_windows=args.windows)
     series = monitoring.timeseries
 
     source = "auto: 1.25 x p95" if auto_threshold else "given"
@@ -932,7 +920,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         print(f"wrote {path}")
     if args.html:
         path = write_dashboard_html(
-            args.html, monitoring, fleet=fleet,
+            args.html, monitoring,
+            fleet=report if args.replicas > 1 else None,
             title=f"{spec.name} on {system.name}",
             metadata=metadata)
         print(f"wrote {path}")

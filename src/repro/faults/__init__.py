@@ -21,8 +21,7 @@ from repro.faults.fleet import (FleetScenario, HealthPolicy,
                                 get_fleet_scenario,
                                 load_fleet_scenario,
                                 replica_fault_from_dict)
-from repro.faults.injector import (FaultInjector, apply_faults,
-                                   make_injector)
+from repro.faults.injector import FaultInjector, apply_faults
 from repro.faults.scenarios import builtin_scenarios, get_scenario
 from repro.faults.spec import (PERFORMANCE_KINDS, AdmissionPolicy,
                                FaultEvent, FaultKind, FaultScenario,
@@ -54,7 +53,6 @@ __all__ = [
     "get_scenario",
     "load_fleet_scenario",
     "load_scenario",
-    "make_injector",
     "replica_fault_from_dict",
     "scenario_from_dict",
     "scenario_to_dict",

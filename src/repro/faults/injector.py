@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.spec import (PERFORMANCE_KINDS, FaultKind,
@@ -240,10 +240,3 @@ def _preempted_cpu(cpu, loss: float):
         tdp_watts=cpu.tdp_watts,
         price_usd=cpu.price_usd)
 
-
-def make_injector(
-        scenario: Optional[FaultScenario]) -> Optional["FaultInjector"]:
-    """``None``-propagating constructor used by the serving layer."""
-    if scenario is None:
-        return None
-    return FaultInjector(scenario)

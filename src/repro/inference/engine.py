@@ -31,7 +31,6 @@ from repro.inference.tensors import (DeviceTensor, TransferLog,
                                      TransferRecord)
 from repro.inference.transformer import TinyTransformer
 from repro.models.sublayers import Sublayer
-from repro.telemetry.runtime import Telemetry
 from repro.telemetry.runtime import current as current_telemetry
 from repro.telemetry.spans import TickClock
 
@@ -67,7 +66,6 @@ class CooperativeEngine:
                  decode_policy: OffloadPolicy,
                  weights_home: str = "cpu",
                  resident_layers: Optional[List[int]] = None,
-                 telemetry: Optional[Telemetry] = None,
                  fault_model: Optional["TransferFaultModel"] = None
                  ) -> None:
         self.model = model
@@ -78,25 +76,21 @@ class CooperativeEngine:
         self.log = TransferLog()
         self.caches: List[KVCache] = make_caches(model.spec.n_layers)
         self._position = 0
-        self._telemetry = telemetry
         # Accounting-only: stall/retry draws per logged transfer, never
         # touching tokens or the TransferLog (see repro.faults.engine).
         self.fault_model = fault_model
         self.log.subscribe(self._on_transfer)
 
     # ------------------------------------------------------------------
-    # Telemetry: sublayer spans on the device tracks, transfer spans
-    # on the pcie track, byte counters mirroring the TransferLog.
+    # Telemetry, under ``repro.telemetry.activate``: sublayer spans on
+    # the device tracks, transfer spans on the pcie track, byte
+    # counters mirroring the TransferLog.
     # The engine has no latency model, so spans run on a logical
     # TickClock — one tick per event — giving an ordered,
     # Perfetto-loadable structure trace rather than a timing claim.
     # ------------------------------------------------------------------
-    def _active_telemetry(self) -> Optional[Telemetry]:
-        return (self._telemetry if self._telemetry is not None
-                else current_telemetry())
-
     def _on_transfer(self, record: TransferRecord) -> None:
-        telemetry = self._active_telemetry()
+        telemetry = current_telemetry()
         if self.fault_model is not None and not self.fault_model.idle:
             self.fault_model.on_transfer(record.label, telemetry)
         if telemetry is None:
@@ -118,7 +112,7 @@ class CooperativeEngine:
     @contextmanager
     def _span(self, name: str, track: str, **args: object) -> Iterator[None]:
         """A tracer span that costs one tick of engine compute."""
-        telemetry = self._active_telemetry()
+        telemetry = current_telemetry()
         if telemetry is None:
             yield
             return
@@ -265,7 +259,7 @@ class CooperativeEngine:
             next_token = logits[:, -1, :].argmax(axis=-1)
             generated.append(next_token)
         tokens = np.stack(generated, axis=1)
-        telemetry = self._active_telemetry()
+        telemetry = current_telemetry()
         if telemetry is not None:
             telemetry.metrics.counter("engine.generated_tokens").inc(
                 tokens.size)

@@ -32,7 +32,7 @@ plans from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -65,20 +65,9 @@ class FaultStats:
     degraded_requests: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "deferred": self.deferred,
-            "dropped": self.dropped,
-            "transfer_stalls": self.transfer_stalls,
-            "transfer_retries": self.transfer_retries,
-            "transfer_failures": self.transfer_failures,
-            "policy_resolves": self.policy_resolves,
-            "policy_shifts": self.policy_shifts,
-            "batch_shrinks": self.batch_shrinks,
-            "unservable": self.unservable,
-            "backoff_seconds": self.backoff_seconds,
-            "stall_seconds": self.stall_seconds,
-            "degraded_requests": self.degraded_requests,
-        }
+        """Every counter, in field order."""
+        return {item.name: getattr(self, item.name)
+                for item in fields(self)}
 
     @property
     def total_faults(self) -> int:
@@ -112,8 +101,8 @@ class PlanTable:
     or to the :class:`CapacityError` estimating it raised.
 
     The top-level serving call creates one — :func:`run_fifo`, one
-    :meth:`MultiReplicaSimulator.run`, one :func:`replicas_needed`
-    search or :func:`sweep_fleet_sizes` sweep — and hands it to every
+    :meth:`MultiReplicaSimulator.run` or one :func:`replicas_needed`
+    search — and hands it to every
     replica and fleet size it simulates, so the call estimates each
     distinct point once, on one degraded estimator per signature.  A
     signature that leaves the platform as it is (CXL contention on a

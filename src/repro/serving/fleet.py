@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,11 +39,11 @@ from repro.errors import ConfigurationError
 from repro.faults.fleet import (FleetScenario, ReplicaFaultKind,
                                 get_fleet_scenario)
 from repro.serving.degradation import PlanTable
-from repro.serving.simulator import (ServingSimulator, nearest_rank,
-                                     validate_arrivals)
+from repro.serving.simulator import nearest_rank, validate_stream
 from repro.serving.vectorized import WorkloadVector
 from repro.specs import build_all, lookup
 from repro.telemetry.runtime import Telemetry
+from repro.telemetry.runtime import current as current_telemetry
 from repro.workloads.spec import TraceSpec, get_trace
 
 #: EMA weight for the autoscaler's demand filter (per window).
@@ -57,8 +57,6 @@ __all__ = [
     "FleetSimulator",
     "builtin_fleet_presets",
     "get_fleet_preset",
-    "run_fleet_cell",
-    "sweep_fleet_grid",
 ]
 
 
@@ -154,25 +152,9 @@ class ChaosStats:
     replica_seconds: float = 0.0  # integral of active replicas over time
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "crash_failures": self.crash_failures,
-            "killed_in_flight": self.killed_in_flight,
-            "retries": self.retries,
-            "redispatched": self.redispatched,
-            "drops": self.drops,
-            "no_healthy_drops": self.no_healthy_drops,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "slow_attempts": self.slow_attempts,
-            "breaker_ejections": self.breaker_ejections,
-            "breaker_probes": self.breaker_probes,
-            "breaker_closes": self.breaker_closes,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "provisioned": self.provisioned,
-            "drained": self.drained,
-            "replica_seconds": self.replica_seconds,
-        }
+        """Every counter, in field order."""
+        return {item.name: getattr(self, item.name)
+                for item in fields(self)}
 
 
 @dataclass
@@ -436,8 +418,7 @@ class FleetSimulator:
     def __init__(self, estimator, n_replicas: int = 1,
                  scenario: Optional[FleetScenario] = None,
                  autoscaler: Optional[AutoscalerPolicy] = None,
-                 dispatch: str = "round-robin",
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 dispatch: str = "round-robin") -> None:
         if n_replicas < 1:
             raise ConfigurationError(
                 f"n_replicas must be >= 1, got {n_replicas}")
@@ -457,23 +438,14 @@ class FleetSimulator:
             raise ConfigurationError(
                 f"autoscaler.min_replicas ({autoscaler.min_replicas})"
                 f" exceeds the initial fleet size ({n_replicas})")
-        self._simulator = ServingSimulator(estimator,
-                                           telemetry=telemetry)
 
     # ------------------------------------------------------------------
     def run(self, requests: Sequence, arrivals: Sequence[float],
             window_s: Optional[float] = None) -> FleetReport:
         """Serve ``requests`` (a :class:`WorkloadVector` or request
         sequence) through the fleet along ``arrivals``."""
-        workload = (requests if isinstance(requests, WorkloadVector)
-                    else WorkloadVector.from_requests(requests))
-        trace = validate_arrivals(arrivals)
-        if trace.size != workload.n_requests:
-            raise ConfigurationError(
-                "requests and arrivals must have equal length")
-        if trace.size == 0:
-            raise ConfigurationError("workload must contain requests")
-        telemetry = self._simulator._active_telemetry()
+        workload, trace = validate_stream(requests, arrivals)
+        telemetry = current_telemetry()
         services = PlanTable(self.estimator).service_times(workload)
         report = self._simulate(workload, trace, services, window_s)
         if telemetry is not None:
@@ -889,13 +861,11 @@ class FleetPreset:
     dispatch: str = "round-robin"
     autoscaler: Optional[AutoscalerPolicy] = None
 
-    def simulator(self, estimator,
-                  telemetry: Optional[Telemetry] = None
-                  ) -> FleetSimulator:
+    def simulator(self, estimator) -> FleetSimulator:
         return FleetSimulator(
             estimator, n_replicas=self.n_replicas,
             scenario=self.chaos, autoscaler=self.autoscaler,
-            dispatch=self.dispatch, telemetry=telemetry)
+            dispatch=self.dispatch)
 
 
 def _preset_bursty_chaos() -> FleetPreset:
@@ -957,63 +927,3 @@ def builtin_fleet_presets() -> Dict[str, FleetPreset]:
 def get_fleet_preset(name: str) -> FleetPreset:
     """Look up one preset; unknown names raise a one-line error."""
     return lookup(_FLEET_PRESETS, name, "fleet preset")
-
-
-# ----------------------------------------------------------------------
-# Trace x chaos x fleet-size grid sweeps
-# ----------------------------------------------------------------------
-def run_fleet_cell(estimator, trace_name: str, chaos_name: str,
-                   n_replicas: int, *, shapes: Sequence,
-                   seed: int = 0, n_requests: int = 0
-                   ) -> Dict[str, Any]:
-    """One grid cell: a whole :class:`FleetSimulator` run, summarized.
-
-    The trace and chaos presets rebuild by name (both are seeded
-    specs, so regeneration is deterministic), the request mix samples
-    from the shared ``(seed, shapes)`` contract, and only the scalar
-    cross-section returns.
-    ``n_requests > 0`` rescales the trace (0 keeps the preset size).
-    """
-    trace_spec = get_trace(trace_name)
-    if n_requests > 0:
-        trace_spec = trace_spec.scaled(n_requests)
-    workload = WorkloadVector.sample_mix(
-        tuple(shapes), trace_spec.n_requests, seed=seed)
-    arrivals = trace_spec.generate()
-    scenario = get_fleet_scenario(chaos_name)
-    simulator = FleetSimulator(estimator, n_replicas=n_replicas,
-                               scenario=scenario)
-    report = simulator.run(workload, arrivals)
-    return {
-        "trace": trace_name,
-        "chaos": chaos_name,
-        "n_replicas": n_replicas,
-        "n_offered": report.n_offered,
-        "n_served": report.n_served,
-        "n_dropped": report.n_dropped,
-        "availability": report.availability,
-        "p50_s": report.latency_percentile(0.50),
-        "p95_s": report.latency_percentile(0.95),
-        "p99_s": report.latency_percentile(0.99),
-        "makespan_s": report.makespan,
-        "replica_seconds": report.replica_seconds,
-    }
-
-
-def sweep_fleet_grid(estimator, trace_names: Sequence[str],
-                     chaos_names: Sequence[str],
-                     replica_counts: Sequence[int], *,
-                     shapes: Sequence, seed: int = 0,
-                     n_requests: int = 0
-                     ) -> List[Dict[str, Any]]:
-    """:func:`run_fleet_cell` over trace x chaos x fleet size.
-
-    Cells are independent simulations, run one after another in the
-    nested product order (traces outermost).
-    """
-    return [run_fleet_cell(estimator, trace_name, chaos_name, int(k),
-                           shapes=shapes, seed=seed,
-                           n_requests=n_requests)
-            for trace_name in trace_names
-            for chaos_name in chaos_names
-            for k in replica_counts]

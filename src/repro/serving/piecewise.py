@@ -47,22 +47,25 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
 
+from repro.arrays import left_fold
+from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
 from repro.faults.injector import FaultSignature
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
 from repro.serving.degradation import DegradationController, PlanTable
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
-                                     ServingSimulator, validate_arrivals)
+                                     validate_stream)
 from repro.serving.vectorized import WorkloadVector, lindley_timeline
 from repro.telemetry.bridge import (note_dropped_spans,
                                     vectorized_report_to_metrics,
                                     vectorized_report_to_spans)
+from repro.telemetry.runtime import current as current_telemetry
 
 #: Speculative block size inside finite segments.  Commits are exact,
 #: so the cap only bounds wasted work when backlog pushes starts past
@@ -260,14 +263,16 @@ def _warm_base_plans(controller: DegradationController,
     return table
 
 
-def run_fifo(simulator: ServingSimulator, workload: WorkloadVector,
+def run_fifo(estimator: LiaEstimator,
+             requests: Union[Sequence[InferenceRequest], WorkloadVector],
              arrivals: ArrayLike,
              scenario: Optional[FaultScenario] = None,
              span_cap: int = DEFAULT_SPAN_CAP,
              indices: Optional[ArrayLike] = None,
              quiet: bool = False,
              _plans: Optional[PlanTable] = None) -> ServingReport:
-    """Serve ``workload`` at ``arrivals`` through the FIFO engine.
+    """Serve ``requests`` at ``arrivals`` through the FIFO engine,
+    with service times from ``estimator``.
 
     ``scenario`` injects faults; ``None`` or an idle scenario serves
     the healthy platform and returns a report without drop columns or
@@ -275,16 +280,15 @@ def run_fifo(simulator: ServingSimulator, workload: WorkloadVector,
     global request index, so a replica's RNG draws and span names
     match a single-server run over the same requests.  ``quiet``
     suppresses telemetry (the fleet emits one merged view instead).
-    Otherwise the run emits the ``serving.*``/``faults.*`` metrics
+    Otherwise, under an active
+    :class:`~repro.telemetry.runtime.Telemetry`, the run emits the
+    ``serving.*``/``faults.*`` metrics
     and per-request spans for the first ``span_cap`` served requests;
     the rest are counted in ``serving.spans_dropped``.  A call that
     runs several replicas or fleet sizes passes its one
     :class:`~repro.serving.degradation.PlanTable` as ``_plans``.
     """
-    trace = validate_arrivals(arrivals)
-    if trace.size != workload.n_requests:
-        raise ConfigurationError(
-            "requests and arrivals must have equal length")
+    workload, trace = validate_stream(requests, arrivals)
     idx: Optional[np.ndarray] = None
     if indices is not None:
         idx = np.asarray(indices, dtype=np.int64)
@@ -293,8 +297,8 @@ def run_fifo(simulator: ServingSimulator, workload: WorkloadVector,
                 "indices and requests must have equal length")
     if scenario is not None and scenario.idle:
         scenario = None
-    telemetry = None if quiet else simulator._active_telemetry()
-    plans = PlanTable(simulator.estimator) if _plans is None else _plans
+    telemetry = None if quiet else current_telemetry()
+    plans = PlanTable(estimator) if _plans is None else _plans
     controller = DegradationController(plans, scenario or _FAULT_FREE,
                                        telemetry)
     served_index, starts, finishes, dropped_index, reasons = _serve(
@@ -308,8 +312,8 @@ def run_fifo(simulator: ServingSimulator, workload: WorkloadVector,
         dropped_reasons=reasons,
         stats=controller.stats if faulted else None, scenario=scenario)
     if telemetry is not None:
-        system = simulator.estimator.system.name
-        model = simulator.estimator.spec.name
+        system = estimator.system.name
+        model = estimator.spec.name
         vectorized_report_to_metrics(report, telemetry.metrics,
                                      system=system, model=model)
         spans, dropped_spans = vectorized_report_to_spans(report,
@@ -815,11 +819,11 @@ def _account_round(controller: DegradationController,
                                 starts, halvings, outcomes,
                                 committed_finishes)
     if len(addends):
-        stats.backoff_seconds = _left_fold(stats.backoff_seconds,
-                                           addends)
+        stats.backoff_seconds = left_fold(stats.backoff_seconds,
+                                          addends)
         if telemetry is not None:
             counter = telemetry.metrics.counter("faults.backoff_seconds")
-            counter.value = _left_fold(counter.value, addends)
+            counter.value = left_fold(counter.value, addends)
     if n_shed:
         stats.dropped += n_shed
         controller._count("faults.admission.dropped", n_shed)
@@ -879,12 +883,3 @@ def _round_events(controller: DegradationController,
                              fold_backoff=False)
             addends.extend(op[4] for op in ops if op[0] == "retry")
     return addends
-
-
-def _left_fold(seed: float, addends: Sequence[float]) -> float:
-    """``((seed + a0) + a1) + ...``: ``np.add.accumulate`` is a strict
-    left fold, so this equals the per-event ``+=`` chain."""
-    values = np.empty(len(addends) + 1)
-    values[0] = seed
-    values[1:] = addends
-    return float(np.add.accumulate(values)[-1])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,11 +34,12 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.models.workload import InferenceRequest
 from repro.serving.degradation import PlanTable
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
-                                     ServingSimulator, arrivals_poisson,
-                                     nearest_rank, validate_arrivals)
+                                     arrivals_poisson, nearest_rank,
+                                     validate_arrivals, validate_stream)
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.metrics import StreamingHistogram
 from repro.telemetry.runtime import Telemetry
+from repro.telemetry.runtime import current as current_telemetry
 
 if TYPE_CHECKING:
     from repro.faults.spec import FaultScenario
@@ -124,23 +125,14 @@ class ScaleOutReport:
 
 
 def _fold_stats(per_replica_stats: Sequence["FaultStats"]) -> "FaultStats":
-    """Merge per-replica stats in replica-id order."""
+    """Merge per-replica stats field by field, in replica-id order."""
     from repro.serving.degradation import FaultStats
 
     merged = FaultStats()
     for stats in per_replica_stats:
-        merged.deferred += stats.deferred
-        merged.dropped += stats.dropped
-        merged.transfer_stalls += stats.transfer_stalls
-        merged.transfer_retries += stats.transfer_retries
-        merged.transfer_failures += stats.transfer_failures
-        merged.policy_resolves += stats.policy_resolves
-        merged.policy_shifts += stats.policy_shifts
-        merged.batch_shrinks += stats.batch_shrinks
-        merged.unservable += stats.unservable
-        merged.backoff_seconds += stats.backoff_seconds
-        merged.stall_seconds += stats.stall_seconds
-        merged.degraded_requests += stats.degraded_requests
+        for item in fields(FaultStats):
+            setattr(merged, item.name, getattr(merged, item.name)
+                    + getattr(stats, item.name))
     return merged
 
 
@@ -148,8 +140,7 @@ class MultiReplicaSimulator:
     """``k`` independent FIFO replicas behind one dispatcher."""
 
     def __init__(self, estimator: LiaEstimator, n_replicas: int,
-                 dispatch: str = "round-robin",
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 dispatch: str = "round-robin") -> None:
         if n_replicas < 1:
             raise ConfigurationError(
                 f"n_replicas must be >= 1, got {n_replicas}")
@@ -160,8 +151,6 @@ class MultiReplicaSimulator:
         self.estimator = estimator
         self.n_replicas = n_replicas
         self.dispatch = dispatch
-        self._simulator = ServingSimulator(estimator,
-                                           telemetry=telemetry)
 
     # ------------------------------------------------------------------
     def run(self, requests: Union[Sequence[InferenceRequest],
@@ -178,18 +167,10 @@ class MultiReplicaSimulator:
         :class:`~repro.serving.degradation.PlanTable`: the run's own,
         or the ``_plans`` of a search over fleet sizes.
         """
-        workload = (requests if isinstance(requests, WorkloadVector)
-                    else WorkloadVector.from_requests(requests))
-        trace = validate_arrivals(arrivals)
-        if trace.size != workload.n_requests:
-            raise ConfigurationError(
-                "requests and arrivals must have equal length")
-        if trace.size == 0:
-            raise ConfigurationError(
-                "workload must contain requests")
+        workload, trace = validate_stream(requests, arrivals)
         if scenario is not None and scenario.idle:
             scenario = None
-        telemetry = self._simulator._active_telemetry()
+        telemetry = current_telemetry()
         plans = PlanTable(self.estimator) if _plans is None else _plans
         if self.dispatch == "round-robin":
             report = self._run_round_robin(workload, trace, scenario,
@@ -248,7 +229,7 @@ class MultiReplicaSimulator:
             index = np.arange(replica, n, k, dtype=np.int64)
             # The replica report keeps its arrivals: a contiguous copy
             # of the strided view, which windowed metrics re-read.
-            sub = run_fifo(self._simulator, workload.subset(rows),
+            sub = run_fifo(self.estimator, workload.subset(rows),
                            np.ascontiguousarray(trace[rows]), scenario,
                            indices=index, quiet=True, _plans=plans)
             replica_ids.append(replica)
@@ -393,39 +374,19 @@ def fleet_size_summary(report: ScaleOutReport) -> dict:
     fingerprint = hashlib.sha256(
         np.ascontiguousarray(report.merged.finishes,
                              dtype=np.float64).tobytes()).hexdigest()
+    p50, p95, p99 = report.merged.latency_percentiles((0.50, 0.95, 0.99))
     return {
         "n_replicas": report.n_replicas,
         "n_served": report.n_served,
-        "p50_s": report.latency_percentile(0.50),
-        "p95_s": report.latency_percentile(0.95),
-        "p99_s": report.latency_percentile(0.99),
+        "p50_s": p50,
+        "p95_s": p95,
+        "p99_s": p99,
         "mean_queue_delay_s": report.mean_queue_delay,
         "makespan_s": report.makespan,
         "throughput_tokens_per_s": report.throughput_tokens_per_s,
         "utilization": report.utilization,
         "fingerprint": fingerprint,
     }
-
-
-def sweep_fleet_sizes(estimator: LiaEstimator,
-                      requests: Union[Sequence[InferenceRequest],
-                                      WorkloadVector],
-                      arrivals: Sequence[float],
-                      replica_counts: Sequence[int],
-                      dispatch: str = "round-robin") -> List[dict]:
-    """One :func:`fleet_size_summary` per fleet size, in input order.
-
-    Fleet sizes are independent simulations over the *same* workload
-    and trace, run one after another; every size plans from the
-    call's one :class:`~repro.serving.degradation.PlanTable`.
-    """
-    workload = (requests if isinstance(requests, WorkloadVector)
-                else WorkloadVector.from_requests(requests))
-    trace = validate_arrivals(arrivals)
-    plans = PlanTable(estimator)
-    return [fleet_size_summary(
-        MultiReplicaSimulator(estimator, int(k), dispatch=dispatch).run(
-            workload, trace, _plans=plans)) for k in replica_counts]
 
 
 def replicas_needed(estimator: LiaEstimator,

@@ -47,6 +47,7 @@ from typing import (TYPE_CHECKING, Deque, Dict, Iterable, List, Optional,
 import numpy as np
 from numpy.typing import ArrayLike
 
+from repro.arrays import left_fold
 from repro.core.optimizer import optimal_policy, solve_points
 from repro.cxl.residency import (KV_TIERS, KvResidency, KvTierCapacities,
                                  kv_capacities_from_system)
@@ -54,7 +55,7 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
-                                     arrivals_poisson, validate_arrivals)
+                                     arrivals_poisson, validate_stream)
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.bridge import note_dropped_spans
 from repro.telemetry.runtime import Telemetry
@@ -81,15 +82,6 @@ MIXED_SHAPES: Tuple[Tuple[int, int, int], ...] = (
     (1, 512, 32),
     (8, 256, 32),
 )
-
-
-def _seeded_fold(start: float, values: np.ndarray) -> np.ndarray:
-    """``[start, start + v0, (start + v0) + v1, ...]``: the running
-    totals a loop adding ``values`` to ``start`` one by one holds."""
-    totals = np.empty(values.size + 1)
-    totals[0] = start
-    totals[1:] = values
-    return np.add.accumulate(totals)
 
 
 @dataclass(frozen=True)
@@ -379,15 +371,10 @@ class ContinuousBatchScheduler:
     """
 
     def __init__(self, estimator: "LiaEstimator",
-                 scheduler_config: Optional[SchedulerConfig] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 scheduler_config: Optional[SchedulerConfig] = None
+                 ) -> None:
         self.estimator = estimator
         self.config = scheduler_config or SchedulerConfig()
-        self._telemetry = telemetry
-
-    def _active_telemetry(self) -> Optional[Telemetry]:
-        return (self._telemetry if self._telemetry is not None
-                else current_telemetry())
 
     # ------------------------------------------------------------------
     def _resolve_capacities(self) -> KvTierCapacities:
@@ -415,16 +402,12 @@ class ContinuousBatchScheduler:
     def run(self, requests: Union[Sequence[InferenceRequest],
                                   WorkloadVector],
             arrivals: ArrayLike) -> ContinuousServingReport:
-        """Serve ``requests`` arriving at ``arrivals`` (seconds)."""
-        trace = validate_arrivals(arrivals)
-        if len(requests) != trace.size:
-            raise ConfigurationError(
-                "requests and arrivals must have equal length")
-        if not len(requests):
-            raise ConfigurationError(
-                "scheduler needs at least one request")
-        workload = (requests if isinstance(requests, WorkloadVector)
-                    else WorkloadVector.from_requests(list(requests)))
+        """Serve ``requests`` arriving at ``arrivals`` (seconds).
+
+        Inside ``with repro.telemetry.activate(telemetry):`` the run
+        feeds the ``scheduler.*`` metrics and ``decode-step`` spans.
+        """
+        workload, trace = validate_stream(requests, arrivals)
         if self.config.is_fifo_degenerate:
             return self._run_degenerate(workload, trace)
         return self._run_iterative(workload, trace)
@@ -449,10 +432,8 @@ class ContinuousBatchScheduler:
         to :meth:`ServingSimulator.run` by construction.
         """
         from repro.serving.piecewise import run_fifo
-        from repro.serving.simulator import ServingSimulator
 
-        fifo = run_fifo(ServingSimulator(self.estimator), workload,
-                        trace, quiet=True)
+        fifo = run_fifo(self.estimator, workload, trace, quiet=True)
         busy = fifo.busy_s
         n = fifo.n_served
         report = ContinuousServingReport(
@@ -469,7 +450,7 @@ class ContinuousBatchScheduler:
             # weighs the occupancy of 1.
             decode_busy_s=busy,
         )
-        telemetry = self._active_telemetry()
+        telemetry = current_telemetry()
         if telemetry is not None:
             self._emit_telemetry(telemetry, report, span_rows=[])
         return report
@@ -494,7 +475,7 @@ class ContinuousBatchScheduler:
         spec = estimator.spec
         system = estimator.system
         lia_config = estimator.config
-        telemetry = self._active_telemetry()
+        telemetry = current_telemetry()
 
         capacities = self._resolve_capacities()
         residency = KvResidency(capacities)
@@ -615,7 +596,9 @@ class ContinuousBatchScheduler:
                     aggregate, np.arange(context, context + k))
                 if kv_on_cpu and stretch != 1.0:
                     steps = steps * stretch
-                clocks = _seeded_fold(clock, steps)
+                clocks = np.empty(k + 1)
+                clocks[0] = clock
+                left_fold(clock, steps, out=clocks[1:])
                 if awaiting_head:
                     joins = int(np.searchsorted(clocks[1:], pending[0][2]))
                     if joins < k:
@@ -624,9 +607,9 @@ class ContinuousBatchScheduler:
                         clocks = clocks[:k + 1]
                 iterations += k
                 clock = float(clocks[-1])
-                busy_time = float(_seeded_fold(busy_time, steps)[-1])
-                occupancy_time = float(_seeded_fold(
-                    occupancy_time, steps * n_running)[-1])
+                busy_time = left_fold(busy_time, steps)
+                occupancy_time = left_fold(occupancy_time,
+                                           steps * n_running)
                 if n_running > occupancy_peak:
                     occupancy_peak = n_running
                 rows = min(k, cfg.span_cap - len(span_rows))
@@ -715,8 +698,7 @@ def run_continuous_fleet(estimator: "LiaEstimator",
                          arrivals: ArrayLike,
                          replicas: int,
                          scheduler_config: Optional[
-                             SchedulerConfig] = None,
-                         telemetry: Optional[Telemetry] = None
+                             SchedulerConfig] = None
                          ) -> ContinuousServingReport:
     """Round-robin ``requests`` over ``replicas`` schedulers.
 
@@ -728,26 +710,17 @@ def run_continuous_fleet(estimator: "LiaEstimator",
     if replicas < 1:
         raise ConfigurationError(
             f"replicas must be >= 1, got {replicas}")
-    trace = validate_arrivals(arrivals)
-    if len(requests) != trace.size:
-        raise ConfigurationError(
-            "requests and arrivals must have equal length")
-    if not len(requests):
-        raise ConfigurationError("fleet needs at least one request")
-    workload = (requests if isinstance(requests, WorkloadVector)
-                else WorkloadVector.from_requests(list(requests)))
+    workload, trace = validate_stream(requests, arrivals)
     if replicas == 1:
-        scheduler = ContinuousBatchScheduler(
-            estimator, scheduler_config, telemetry=telemetry)
-        return scheduler.run(workload, trace)
+        return ContinuousBatchScheduler(estimator, scheduler_config).run(
+            workload, trace)
 
     n = trace.size
     shards = [np.arange(replica, n, replicas, dtype=np.int64)
               for replica in range(min(replicas, n))]
 
     def serve(shard: np.ndarray) -> ContinuousServingReport:
-        scheduler = ContinuousBatchScheduler(
-            estimator, scheduler_config, telemetry=telemetry)
+        scheduler = ContinuousBatchScheduler(estimator, scheduler_config)
         return scheduler.run(workload.subset(shard), trace[shard])
 
     reports = [serve(shard) for shard in shards]

@@ -11,7 +11,7 @@ The unified observability layer (see docs/OBSERVABILITY.md):
   serving timelines into queue-depth/utilization/throughput/
   percentile series in O(n); :func:`evaluate_slo` runs multi-window
   burn-rate SLO monitors over them with fault attribution, and
-  :func:`fleet_timeseries` aggregates replicas.
+  :func:`fleet_timeseries` merges a fleet's replicas.
 * Exporters — Chrome trace-event JSON (Perfetto /
   chrome://tracing) with span and counter tracks, JSON/CSV metric
   dumps, windowed CSV series, and a self-contained HTML dashboard.
@@ -59,7 +59,6 @@ from repro.telemetry.spans import Span, TickClock, Tracer
 from repro.telemetry.timeseries import (
     ORGANIC_LOAD,
     AlertAttribution,
-    FleetTimeseries,
     MonitoringReport,
     SLOAlert,
     SLOPolicy,
@@ -70,7 +69,6 @@ from repro.telemetry.timeseries import (
     evaluate_slo,
     fleet_timeseries,
     monitor_report,
-    occupancy_timeseries,
     timeseries_from_report,
 )
 
@@ -87,7 +85,6 @@ __all__ = [
     "current",
     "ORGANIC_LOAD",
     "AlertAttribution",
-    "FleetTimeseries",
     "MonitoringReport",
     "SLOAlert",
     "SLOPolicy",
@@ -98,7 +95,6 @@ __all__ = [
     "evaluate_slo",
     "fleet_timeseries",
     "monitor_report",
-    "occupancy_timeseries",
     "timeseries_from_report",
     "build_chrome_trace",
     "render_metrics",

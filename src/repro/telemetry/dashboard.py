@@ -136,25 +136,28 @@ def _alert_table(monitoring) -> str:
             + "".join(rows) + "</table>")
 
 
-def _replica_section(fleet) -> str:
+def _replica_section(report) -> str:
+    """One row per replica of a
+    :class:`~repro.serving.replicas.ScaleOutReport` that served
+    requests: served count, p95 latency and busy fraction of the fleet
+    makespan."""
+    makespan = report.makespan
     rows = []
-    for replica in sorted(fleet.per_replica):
-        series = fleet.per_replica[replica]
-        busy = float(series.busy_s.sum())
-        horizon = series.grid.horizon - series.grid.t0
-        utilization = busy / horizon if horizon else 0.0
-        sketch = fleet.replica_histograms[replica]
+    for replica, sub in zip(report.replica_ids, report.per_replica):
+        if not sub.n_served:
+            continue
+        utilization = sub.busy_s / makespan if makespan else 0.0
         width = min(100.0, utilization * 100.0)
         rows.append(
             "<tr>"
             f"<td>{replica}</td>"
-            f"<td>{int(series.finished.sum())}</td>"
-            f"<td>{_format_value(sketch.quantile(0.95))} s</td>"
+            f"<td>{sub.n_served}</td>"
+            f"<td>{_format_value(sub.latency_percentile(0.95))} s</td>"
             f'<td><span class="bar" style="width:8em">'
             f'<i style="width:{width:.1f}%"></i></span> '
             f"{utilization * 100:.1f}%</td></tr>")
-    fleet_p95 = fleet.merged_histogram.quantile(0.95)
-    return (f"<h2>Fleet · {fleet.n_replicas} replicas "
+    fleet_p95 = report.latency_percentile(0.95)
+    return (f"<h2>Fleet · {report.n_replicas} replicas "
             f"(merged p95 {_format_value(fleet_p95)} s)</h2>"
             "<table><tr><th>replica</th><th>served</th>"
             "<th>p95 latency</th><th>utilization</th></tr>"
@@ -169,8 +172,8 @@ def write_dashboard_html(path, monitoring, fleet=None,
 
     ``monitoring`` is a
     :class:`~repro.telemetry.timeseries.MonitoringReport`; ``fleet``
-    an optional :class:`~repro.telemetry.timeseries.FleetTimeseries`
-    for the per-replica section.
+    an optional :class:`~repro.serving.replicas.ScaleOutReport` for
+    the per-replica section.
     """
     series = monitoring.timeseries
     policy = monitoring.policy

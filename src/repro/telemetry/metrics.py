@@ -117,19 +117,20 @@ class StreamingHistogram:
 
         Produces *exactly* the state that observing each element in
         order would: the running total folds left-to-right
-        (``np.add.accumulate`` is a sequential scan, so the float
-        rounding matches), and bucket indices computed with ``np.log``
+        (:func:`~repro.arrays.left_fold`, so the float rounding
+        matches), and bucket indices computed with ``np.log``
         are re-checked with ``math.log`` whenever the quotient sits
         within 1e-9 of an integer boundary — the only place the two
         libm implementations could disagree on the floor.
         """
         import numpy as np
 
+        from repro.arrays import left_fold
+
         flat = np.asarray(values, dtype=np.float64).ravel()
         if flat.size == 0:
             return
-        self.total = float(np.add.accumulate(
-            np.concatenate(([self.total], flat)))[-1])
+        self.total = left_fold(self.total, flat)
         self.count += int(flat.size)
         low = float(flat.min())
         high = float(flat.max())

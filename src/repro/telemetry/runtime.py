@@ -1,10 +1,10 @@
 """The telemetry handle and its ambient activation context.
 
-Instrumented code paths take an optional :class:`Telemetry`
-parameter; code that cannot thread a parameter through (the policy
-optimizer's Eq. (1) search, deep inside every estimate) reads the
-*ambient* telemetry installed by ``with activate(telemetry):``.
-When nothing is active, :func:`current` returns ``None`` and
+Instrumented components — the serving engines, the fleet
+simulators, the functional engine, the policy optimizer's Eq. (1)
+search deep inside every estimate — all read the *ambient* telemetry
+installed by ``with activate(telemetry):``; none takes a telemetry
+parameter.  When nothing is active, :func:`current` returns ``None`` and
 instrumentation reduces to one branch — runs without telemetry pay
 essentially nothing.
 """

@@ -22,10 +22,9 @@ The layer has three parts:
   budget, and :func:`attribute_alerts` pins every alert on the
   overlapping :class:`~repro.faults.spec.FaultEvent` windows — or on
   organic load when no fault overlaps.
-* :func:`fleet_timeseries` — per-replica series for a
-  :class:`~repro.serving.replicas.ScaleOutReport` plus their sum on
-  a shared grid; latency sketches combine through
-  :meth:`~repro.telemetry.metrics.StreamingHistogram.merge`.
+* :func:`fleet_timeseries` — the series of a
+  :class:`~repro.serving.replicas.ScaleOutReport`: its replicas'
+  series on one shared grid, merged.
 
 **Exactness.**  Count channels and busy seconds are exact (integer
 counts; the busy integral is closed-form per window).  Windowed
@@ -668,15 +667,14 @@ def timeseries_from_report(report, *,
     Accepts a :class:`~repro.serving.simulator.ServingReport`
     (fault-injected runs' dropped requests populate the ``dropped``
     channel) and a :class:`~repro.serving.replicas.ScaleOutReport`
-    (delegated to :func:`fleet_timeseries`, returning the merged
-    series).
+    (delegated to :func:`fleet_timeseries`).
     """
     from repro.serving.replicas import ScaleOutReport
 
     if isinstance(report, ScaleOutReport):
         return fleet_timeseries(
             report, grid=grid, n_windows=n_windows, window_s=window_s,
-            percentile_stride=percentile_stride).merged
+            percentile_stride=percentile_stride)
     # Fault-injected reports expose the dropped requests' arrival
     # timestamps; they populate the ``dropped`` channel.
     return compute_timeseries(
@@ -688,78 +686,27 @@ def timeseries_from_report(report, *,
         percentile_stride=percentile_stride)
 
 
-def occupancy_timeseries(report, *,
-                         grid: Optional[WindowGrid] = None,
-                         n_windows: int = DEFAULT_N_WINDOWS,
-                         window_s: Optional[float] = None
-                         ) -> Tuple[WindowGrid, np.ndarray]:
-    """Per-window mean concurrency of a serving report.
-
-    The batch-occupancy view of the continuous-batching scheduler:
-    how many requests shared the server in each window, on average —
-    ``∫ in-service(t) dt / window_s`` via the exact
-    :func:`_busy_seconds` integral.  FIFO reports cap at 1.0 by
-    construction; a healthy continuous-batching run sits near its
-    ``max_batch_requests``.  Returns ``(grid, concurrency)`` with one
-    float per window.
-    """
-    starts = np.sort(report.starts)
-    finishes = np.sort(report.finishes)
-    if grid is None:
-        horizon = float(finishes[-1]) if finishes.size else 1.0
-        grid = WindowGrid.cover(horizon, n_windows=n_windows,
-                                window_s=window_s)
-    edges = grid.edges
-    start_counts = _edge_counts(starts, edges)
-    finish_counts = _edge_counts(finishes, edges)
-    busy = _busy_seconds(grid, starts, finishes,
-                         start_counts, finish_counts)
-    return grid, busy / grid.window_s
-
-
-@dataclass
-class FleetTimeseries:
-    """Per-replica series plus their sum on one shared grid."""
-
-    merged: ServingTimeseries
-    per_replica: Dict[int, ServingTimeseries]
-    #: Streaming latency sketches: one per replica, and their
-    #: :meth:`StreamingHistogram.merge` fold for the fleet.
-    replica_histograms: Dict[int, StreamingHistogram]
-    merged_histogram: StreamingHistogram
-    n_replicas: int
-
-    @property
-    def grid(self) -> WindowGrid:
-        return self.merged.grid
-
-
 def fleet_timeseries(report, *,
                      grid: Optional[WindowGrid] = None,
                      n_windows: int = DEFAULT_N_WINDOWS,
                      window_s: Optional[float] = None,
                      percentile_stride: Optional[int] = None
-                     ) -> FleetTimeseries:
-    """Fleet-level series for a
-    :class:`~repro.serving.replicas.ScaleOutReport`.
+                     ) -> ServingTimeseries:
+    """The series of a :class:`~repro.serving.replicas.ScaleOutReport`.
 
     Every replica timeline is single-server FIFO — sorted by
     construction — so each per-replica series takes the fast path;
-    the merged series is their :meth:`ServingTimeseries.merge` fold
+    the fleet series is their :meth:`ServingTimeseries.merge` fold
     (count channels exactly equal a direct computation over the
-    interleaved fleet timeline).  Latency distributions aggregate as
-    :class:`StreamingHistogram` sketches via ``merge``.
+    interleaved fleet timeline).
     """
     if grid is None:
         grid = WindowGrid.cover(report.merged.makespan,
                                 n_windows=n_windows,
                                 window_s=window_s)
-    per_replica: Dict[int, ServingTimeseries] = {}
-    histograms: Dict[int, StreamingHistogram] = {}
     merged_series: Optional[ServingTimeseries] = None
-    merged_histogram = StreamingHistogram("serving.latency_s")
     orphan_drops: List[np.ndarray] = []
-    for replica, sub in zip(report.replica_ids, report.per_replica):
+    for sub in report.per_replica:
         shed = sub.dropped_arrivals
         if sub.n_served == 0:
             # A fully-shed replica has no timeline to window, but its
@@ -772,14 +719,8 @@ def fleet_timeseries(report, *,
             weights={"tokens": sub.workload.tokens_per_request()},
             dropped_arrivals=shed,
             assume_sorted=True, percentile_stride=percentile_stride)
-        per_replica[replica] = series
         merged_series = (series if merged_series is None
                          else merged_series.merge(series))
-        sketch = StreamingHistogram(
-            "serving.latency_s", labels=(("replica", str(replica)),))
-        sketch.observe_array(sub.latencies)
-        histograms[replica] = sketch
-        merged_histogram.merge(sketch)
     if merged_series is None:
         raise ConfigurationError("fleet report served no requests")
     if orphan_drops:
@@ -789,11 +730,7 @@ def fleet_timeseries(report, *,
             merged_series.dropped = counts
         else:
             merged_series.dropped = merged_series.dropped + counts
-    return FleetTimeseries(merged=merged_series,
-                           per_replica=per_replica,
-                           replica_histograms=histograms,
-                           merged_histogram=merged_histogram,
-                           n_replicas=report.n_replicas)
+    return merged_series
 
 
 # ----------------------------------------------------------------------
@@ -1086,7 +1023,6 @@ __all__ = [
     "DEFAULT_N_WINDOWS",
     "ORGANIC_LOAD",
     "AlertAttribution",
-    "FleetTimeseries",
     "MonitoringReport",
     "SLOAlert",
     "SLOPolicy",
@@ -1097,6 +1033,5 @@ __all__ = [
     "evaluate_slo",
     "fleet_timeseries",
     "monitor_report",
-    "occupancy_timeseries",
     "timeseries_from_report",
 ]

@@ -17,11 +17,10 @@ def model(tiny_spec):
     return TinyTransformer(tiny_spec, seed=0)
 
 
-def _generate(model, fault_model=None, telemetry=None):
+def _generate(model, fault_model=None):
     engine = CooperativeEngine(
         model, OffloadPolicy.from_string("101010"),
-        OffloadPolicy.from_string("010101"),
-        telemetry=telemetry, fault_model=fault_model)
+        OffloadPolicy.from_string("010101"), fault_model=fault_model)
     prompt = (np.arange(6) % model.spec.vocab_size)[None, :]
     return engine.generate(prompt, max_new_tokens=3)
 
@@ -57,7 +56,7 @@ def test_fault_model_emits_counters_and_retry_spans(model):
     telemetry = Telemetry()
     fault_model = TransferFaultModel(get_scenario("pcie-flaky"))
     with activate(telemetry):
-        _generate(model, fault_model, telemetry=telemetry)
+        _generate(model, fault_model)
     metrics = {sample["metric"]: sample["value"]
                for sample in telemetry.metrics.snapshot()}
     assert metrics.get("faults.engine.stalls", 0) == fault_model.stalls

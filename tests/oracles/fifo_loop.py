@@ -46,6 +46,7 @@ from repro.serving.simulator import (DroppedRequest, ServedRequest,
                                      ServingSimulator, validate_arrivals)
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.runtime import current as current_telemetry
 from repro.telemetry.spans import Span
 
 
@@ -167,7 +168,7 @@ def report_to_spans(report: LoopReport) -> List[Span]:
 
 
 def _emit(simulator: ServingSimulator, report: LoopReport) -> None:
-    telemetry = simulator._active_telemetry()
+    telemetry = current_telemetry()
     if telemetry is None:
         return
     report_to_metrics(report, telemetry.metrics,
@@ -189,7 +190,7 @@ def run_loop(simulator: ServingSimulator,
         raise ConfigurationError(
             "requests and arrivals must have equal length")
     validate_arrivals(arrivals)
-    telemetry = simulator._active_telemetry()
+    telemetry = current_telemetry()
     served: List[ServedRequest] = []
     free_at = 0.0
     latency_by_shape: Dict[InferenceRequest, float] = {}
@@ -364,7 +365,7 @@ def run_degraded(simulator: ServingSimulator,
         raise ConfigurationError(
             "requests and arrivals must have equal length")
     validate_arrivals(arrivals)
-    telemetry = None if quiet else simulator._active_telemetry()
+    telemetry = None if quiet else current_telemetry()
     controller = DegradationController(PlanTable(simulator.estimator),
                                        scenario, telemetry)
 

@@ -38,6 +38,7 @@ from repro.serving.scheduler import (ContinuousBatchScheduler,
                                      _ActiveRequest)
 from repro.serving.simulator import validate_arrivals
 from repro.serving.vectorized import WorkloadVector
+from repro.telemetry.runtime import current as current_telemetry
 
 
 class LoopProfile:
@@ -110,7 +111,7 @@ def run_loop(scheduler: ContinuousBatchScheduler,
     spec = estimator.spec
     system = estimator.system
     lia_config = estimator.config
-    telemetry = scheduler._active_telemetry()
+    telemetry = current_telemetry()
 
     capacities = scheduler._resolve_capacities()
     residency = KvResidency(capacities)

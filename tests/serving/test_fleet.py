@@ -314,8 +314,7 @@ def test_fleet_telemetry_gauges(estimator):
 
     telemetry = Telemetry()
     simulator = FleetSimulator(
-        estimator, 3, scenario=get_fleet_scenario("replica-crash"),
-        telemetry=telemetry)
+        estimator, 3, scenario=get_fleet_scenario("replica-crash"))
     workload = _workload(120, seed=10)
     arrivals = _trace(120, rate=1.5, seed=10)
     with activate(telemetry):
@@ -343,23 +342,3 @@ def test_validation(estimator):
         fleet.run(_workload(3), [0.0])
     with pytest.raises(ConfigurationError, match="at least one request"):
         fleet.run([], [])
-
-
-def test_sweep_fleet_grid_in_product_order(estimator):
-    from repro.serving.fleet import run_fleet_cell, sweep_fleet_grid
-
-    shapes = (InferenceRequest(1, 128, 16),
-              InferenceRequest(1, 256, 32))
-    kwargs = dict(shapes=shapes, seed=4, n_requests=120)
-    cells = sweep_fleet_grid(estimator, ["steady"],
-                             ["none", "replica-crash"], [1, 2], **kwargs)
-    # Cell order is the nested product order, and each cell matches a
-    # direct run_fleet_cell call.
-    assert [(c["trace"], c["chaos"], c["n_replicas"])
-            for c in cells] == [("steady", "none", 1),
-                                ("steady", "none", 2),
-                                ("steady", "replica-crash", 1),
-                                ("steady", "replica-crash", 2)]
-    direct = run_fleet_cell(estimator, "steady", "replica-crash", 2,
-                            **kwargs)
-    assert cells[3] == direct

@@ -63,7 +63,7 @@ def _workload(n, seed=0):
 def _run_both(simulator, workload, arrivals, scenario):
     loop = run_degraded(_fresh(simulator), workload.to_requests(),
                         arrivals, scenario)
-    vec = run_fifo(_fresh(simulator), workload, arrivals, scenario)
+    vec = run_fifo(simulator.estimator, workload, arrivals, scenario)
     return loop, vec
 
 
@@ -128,7 +128,7 @@ def test_preset_telemetry_rows_and_spans_engine_invariant(simulator, name):
         run_degraded(_fresh(simulator), workload.to_requests(),
                      arrivals, scenario)
     with activate(t_vec):
-        run_fifo(_fresh(simulator), workload, arrivals, scenario)
+        run_fifo(simulator.estimator, workload, arrivals, scenario)
     assert _telemetry_rows(t_loop) == _telemetry_rows(t_vec)
     assert _span_set(t_loop) == _span_set(t_vec)
 
@@ -418,7 +418,7 @@ def test_shed_requests_never_inflate_later_probes(simulator):
             expected += 0.01 * 2.0 ** attempt
     assert loop.stats.backoff_seconds == expected
     # And the admission-bounded engine reproduces it bit for bit.
-    vec = run_fifo(_fresh(simulator),
+    vec = run_fifo(simulator.estimator,
                    WorkloadVector.from_requests(requests), arrivals,
                    scenario)
     _assert_parity(loop, vec)
@@ -801,7 +801,7 @@ def test_fleet_single_replica_matches_single_server(simulator):
     arrivals = arrivals_poisson(120, 2.0, seed=8)
     fleet = MultiReplicaSimulator(simulator.estimator, 1)
     fleet_report = fleet.run(workload, arrivals, scenario=scenario)
-    single = run_fifo(_fresh(simulator), workload, arrivals, scenario)
+    single = run_fifo(simulator.estimator, workload, arrivals, scenario)
     assert np.array_equal(fleet_report.merged.starts, single.starts)
     assert np.array_equal(fleet_report.merged.finishes, single.finishes)
     assert fleet_report.stats.as_dict() == single.stats.as_dict()
@@ -884,5 +884,5 @@ def test_fleet_timeseries_counts_shed_requests(simulator):
     report = MultiReplicaSimulator(simulator.estimator, 3).run(
         workload, arrivals, scenario=scenario)
     series = fleet_timeseries(report, n_windows=16)
-    assert series.merged.dropped is not None
-    assert int(series.merged.dropped.sum()) == report.n_dropped
+    assert series.dropped is not None
+    assert int(series.dropped.sum()) == report.n_dropped

@@ -203,8 +203,7 @@ def test_replica_telemetry_gauges(estimator):
     from repro.telemetry import Telemetry, activate
 
     telemetry = Telemetry()
-    fleet = MultiReplicaSimulator(estimator, 2,
-                                  telemetry=telemetry)
+    fleet = MultiReplicaSimulator(estimator, 2)
     with activate(telemetry):
         fleet.run_poisson(_workload(20), 0.5, seed=0)
     system = estimator.system.name
@@ -214,31 +213,3 @@ def test_replica_telemetry_gauges(estimator):
     assert gauge.value == 2.0
     tracks = telemetry.tracer.tracks()
     assert any(track.startswith("server[") for track in tracks)
-
-
-def test_sweep_fleet_sizes_in_input_order_with_fingerprints(estimator):
-    from repro.serving.replicas import sweep_fleet_sizes
-
-    workload = _workload(200)
-    arrivals = arrivals_poisson(200, 5.0, seed=2)
-    out = sweep_fleet_sizes(estimator, workload, arrivals, [4, 1, 2])
-    assert [s["n_replicas"] for s in out] == [4, 1, 2]
-    assert all(s["fingerprint"] for s in out)
-    # Each size is its own simulation: the same size alone agrees.
-    alone = sweep_fleet_sizes(estimator, workload, arrivals, [2])
-    assert out[2] == alone[0]
-
-
-def test_sweep_fleet_sizes_hand_built_spec(spr_a100, eval_config):
-    # A spec that is not in the model zoo sweeps like any other.
-    from dataclasses import replace
-
-    from repro.models.zoo import get_model
-    from repro.serving.replicas import sweep_fleet_sizes
-
-    spec = replace(get_model("opt-30b"), name="opt-30b-custom")
-    estimator = LiaEstimator(spec, spr_a100, eval_config)
-    workload = _workload(50)
-    arrivals = arrivals_poisson(50, 5.0, seed=3)
-    out = sweep_fleet_sizes(estimator, workload, arrivals, [1, 2])
-    assert [s["n_replicas"] for s in out] == [1, 2]

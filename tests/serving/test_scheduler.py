@@ -240,38 +240,6 @@ def test_config_validation_is_a_clean_error():
 
 
 # ----------------------------------------------------------------------
-# Simulator dispatch
-# ----------------------------------------------------------------------
-def test_simulator_dispatches_scheduler_keyword(estimator):
-    requests, arrivals = _mix(80)
-    simulator = ServingSimulator(estimator)
-    report = simulator.run(requests, arrivals, scheduler="continuous")
-    assert isinstance(report, ContinuousServingReport)
-    direct = ContinuousBatchScheduler(estimator).run(requests,
-                                                     arrivals)
-    assert report.fingerprint() == direct.fingerprint()
-    via_config = simulator.run(
-        requests, arrivals,
-        scheduler=SchedulerConfig(max_batch_requests=4))
-    assert via_config.occupancy_peak <= 4
-    fifo = simulator.run(requests, arrivals, scheduler="fifo")
-    assert not isinstance(fifo, ContinuousServingReport)
-
-
-def test_simulator_rejects_scheduler_with_fifo_only_knobs(estimator):
-    from repro.faults.scenarios import get_scenario
-
-    requests, arrivals = _mix(20)
-    simulator = ServingSimulator(estimator)
-    with pytest.raises(ConfigurationError, match="fault-injected"):
-        simulator.run(requests, arrivals,
-                      scenario=get_scenario("noisy-neighbor"),
-                      scheduler="continuous")
-    with pytest.raises(ConfigurationError, match="scheduler must be"):
-        simulator.run(requests, arrivals, scheduler="orca")
-
-
-# ----------------------------------------------------------------------
 # Fleet + workload traces
 # ----------------------------------------------------------------------
 def test_continuous_fleet_shards_deterministically(estimator):
@@ -344,12 +312,13 @@ def test_session_trace_never_deadlocks(estimator):
 # Telemetry
 # ----------------------------------------------------------------------
 def test_scheduler_emits_counters_gauges_and_spans(estimator):
-    from repro.telemetry import Telemetry
+    from repro.telemetry import Telemetry, activate
 
     telemetry = Telemetry()
     requests, arrivals = _mix(120)
-    report = ContinuousBatchScheduler(
-        estimator, telemetry=telemetry).run(requests, arrivals)
+    with activate(telemetry):
+        report = ContinuousBatchScheduler(estimator).run(requests,
+                                                         arrivals)
     metrics = telemetry.metrics
     labels = {"system": estimator.system.name,
               "model": estimator.spec.name}
@@ -373,13 +342,19 @@ def test_scheduler_emits_counters_gauges_and_spans(estimator):
 
 
 def test_occupancy_timeseries_reflects_concurrency(estimator):
-    from repro.telemetry.timeseries import (occupancy_timeseries,
+    from repro.telemetry.timeseries import (compute_timeseries,
                                             timeseries_from_report)
+
+    def concurrency(report):
+        """Per-window mean concurrency: busy seconds over the window."""
+        series = compute_timeseries(report.arrivals, report.starts,
+                                    report.finishes, n_windows=64)
+        return series.grid, series.busy_s / series.grid.window_s
 
     requests, arrivals = _mix(200)
     report = ContinuousBatchScheduler(estimator).run(requests,
                                                      arrivals)
-    grid, occupancy = occupancy_timeseries(report, n_windows=64)
+    grid, occupancy = concurrency(report)
     assert occupancy.shape == (64,)
     assert float(occupancy.max()) > 1.0  # batching happened
     # Exact integral: sum(occupancy * window) == total service time.
@@ -388,7 +363,7 @@ def test_occupancy_timeseries_reflects_concurrency(estimator):
         total_service, rel=1e-9)
     # FIFO reports cap at one request in service.
     fifo = ServingSimulator(estimator).run(requests, arrivals)
-    __, fifo_occ = occupancy_timeseries(fifo, n_windows=64)
+    __, fifo_occ = concurrency(fifo)
     assert float(fifo_occ.max()) <= 1.0 + 1e-9
     # The generic windowed series consumes the continuous report
     # through the same timeline columns.

@@ -127,7 +127,7 @@ def test_vectorized_span_cap_counts_overflow(simulator):
     arrivals = arrivals_poisson(50, 0.5, seed=0)
     telemetry = Telemetry()
     with activate(telemetry):
-        run_fifo(simulator, workload, arrivals, span_cap=8)
+        run_fifo(simulator.estimator, workload, arrivals, span_cap=8)
     # Spans exist only for the first 8 requests; the other 42 are
     # counted, not emitted.
     spanned = {int(s.name[len("request["):-1])
@@ -150,7 +150,7 @@ def test_span_cap_truncation_is_loud(simulator):
     with activate(telemetry):
         with pytest.warns(RuntimeWarning,
                           match="span cap truncated the trace"):
-            run_fifo(simulator, workload, arrivals, span_cap=8)
+            run_fifo(simulator.estimator, workload, arrivals, span_cap=8)
     assert telemetry.metrics.counter_value(
         "telemetry.spans.dropped",
         component="serving.fifo") == 42.0

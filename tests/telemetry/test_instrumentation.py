@@ -32,9 +32,9 @@ def _prompt(batch=1, length=6):
 def test_engine_byte_counters_equal_pcie_bytes(tiny_model):
     telemetry = Telemetry()
     engine = CooperativeEngine(tiny_model, prefill_policy=PARTIAL_CPU,
-                               decode_policy=FULL_CPU,
-                               telemetry=telemetry)
-    result = engine.generate(_prompt(), max_new_tokens=3)
+                               decode_policy=FULL_CPU)
+    with activate(telemetry):
+        result = engine.generate(_prompt(), max_new_tokens=3)
     counted = sum(counter.value
                   for counter in telemetry.metrics.counters()
                   if counter.name == "pcie.bytes")
@@ -49,9 +49,9 @@ def test_engine_byte_counters_equal_pcie_bytes(tiny_model):
 def test_engine_spans_cover_stages_and_sublayers(tiny_model, tiny_spec):
     telemetry = Telemetry()
     engine = CooperativeEngine(tiny_model, prefill_policy=PARTIAL_CPU,
-                               decode_policy=PARTIAL_CPU,
-                               telemetry=telemetry)
-    engine.generate(_prompt(), max_new_tokens=2)
+                               decode_policy=PARTIAL_CPU)
+    with activate(telemetry):
+        engine.generate(_prompt(), max_new_tokens=2)
     tracer = telemetry.tracer
     engine_spans = tracer.spans_on("engine")
     names = [span.name for span in engine_spans]
@@ -127,10 +127,10 @@ def test_serving_simulator_fills_histograms(opt_30b, spr_a100,
 
     telemetry = Telemetry()
     simulator = ServingSimulator(
-        LiaEstimator(opt_30b, spr_a100, eval_config),
-        telemetry=telemetry)
+        LiaEstimator(opt_30b, spr_a100, eval_config))
     requests = [InferenceRequest(1, 64, 8) for __ in range(5)]
-    report = simulator.run(requests, [0.0] * 5)
+    with activate(telemetry):
+        report = simulator.run(requests, [0.0] * 5)
     latency = telemetry.metrics.histogram(
         "serving.latency_s", system=spr_a100.name, model=opt_30b.name)
     assert latency.count == 5

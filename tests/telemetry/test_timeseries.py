@@ -267,8 +267,6 @@ def test_fleet_timeseries_matches_direct_computation(simulator):
                                       dispatch="round-robin")
     report = fleet_sim.run_poisson(workload, 0.6, seed=6)
     fleet = fleet_timeseries(report, n_windows=40)
-    assert fleet.n_replicas == 3
-    assert len(fleet.per_replica) == 3
     # Direct: one unsorted computation over the interleaved fleet
     # timeline must agree with the per-replica merge.
     arrivals = np.concatenate(
@@ -278,19 +276,13 @@ def test_fleet_timeseries_matches_direct_computation(simulator):
     finishes = np.concatenate(
         [sub.finishes for sub in report.per_replica])
     direct = compute_timeseries(arrivals, starts, finishes,
-                                grid=fleet.merged.grid)
-    assert np.array_equal(fleet.merged.arrived, direct.arrived)
-    assert np.array_equal(fleet.merged.started, direct.started)
-    assert np.array_equal(fleet.merged.finished, direct.finished)
-    assert np.array_equal(fleet.merged.queue_depth,
-                          direct.queue_depth)
-    np.testing.assert_allclose(fleet.merged.busy_s, direct.busy_s,
-                               atol=1e-9)
-    assert fleet.merged.n_servers == 3
-    assert fleet.merged_histogram.count == report.n_served
-    per_replica_counts = sum(
-        sketch.count for sketch in fleet.replica_histograms.values())
-    assert per_replica_counts == report.n_served
+                                grid=fleet.grid)
+    assert np.array_equal(fleet.arrived, direct.arrived)
+    assert np.array_equal(fleet.started, direct.started)
+    assert np.array_equal(fleet.finished, direct.finished)
+    assert np.array_equal(fleet.queue_depth, direct.queue_depth)
+    np.testing.assert_allclose(fleet.busy_s, direct.busy_s, atol=1e-9)
+    assert fleet.n_servers == 3
 
 
 # ----------------------------------------------------------------------
@@ -455,3 +447,37 @@ def test_csv_and_dashboard_exports(tmp_path, simulator):
     assert text.startswith("<!DOCTYPE html>")
     assert "queue depth" in text
     assert "SLO alerts" in text
+
+
+def test_dashboard_fleet_section_reads_the_scale_out_report(tmp_path,
+                                                            simulator):
+    import re
+
+    from repro.telemetry import write_dashboard_html
+    from repro.telemetry.dashboard import _format_value
+
+    workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 600,
+                                         seed=6)
+    report = MultiReplicaSimulator(simulator.estimator, 3).run_poisson(
+        workload, 0.6, seed=6)
+    monitoring = monitor_report(report, SLOPolicy(latency_threshold_s=5.0),
+                                n_windows=24)
+    text = write_dashboard_html(tmp_path / "fleet.html", monitoring,
+                                fleet=report).read_text()
+    __, found, section = text.partition("<h2>Fleet · 3 replicas")
+    assert found
+    fleet_p95 = _format_value(report.latency_percentile(0.95))
+    assert section.startswith(f" (merged p95 {fleet_p95} s)</h2>")
+    table = section.split("</table>", 1)[0]
+    rows = re.findall(r"<tr><td>(\d+)</td><td>(\d+)</td>"
+                      r"<td>([^<]*) s</td>.*?</span> ([\d.]+)%</td></tr>",
+                      table)
+    assert [int(row[0]) for row in rows] == [0, 1, 2]
+    assert [int(row[1]) for row in rows] == [
+        sub.n_served for sub in report.per_replica]
+    assert [row[2] for row in rows] == [
+        _format_value(sub.latency_percentile(0.95))
+        for sub in report.per_replica]
+    assert [row[3] for row in rows] == [
+        f"{sub.busy_s / report.makespan * 100:.1f}"
+        for sub in report.per_replica]
