@@ -4,7 +4,11 @@
 each have one implementation that takes a Python float (and returns
 one) or an ndarray — a whole ``(..., 6)`` sublayer table of
 :func:`~repro.models.sublayers.sublayer_costs`, say.  Their branches go
-through :func:`where`.  :func:`left_fold` is the one sequential sum
+through :func:`where`.  The memory planners of
+:mod:`repro.core.gpu_residency` and :mod:`repro.core.estimator` work
+the same way over many requests' shapes, and :func:`first_index` /
+:func:`at` pick out the first point where a plan fails.
+:func:`left_fold` is the one sequential sum
 that the serving reports, the engines and the telemetry histograms
 fold their floats with.
 """
@@ -52,6 +56,40 @@ def expand_to(values: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if values.shape == shape:
         return values
     return np.broadcast_to(values, shape)
+
+
+def as_float(value: Any) -> Any:
+    """``float(value)``, elementwise on arrays."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float64)
+    return float(value)
+
+
+def as_int(value: Any) -> Any:
+    """``int(value)`` (truncation), elementwise on arrays."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.int64)
+    return int(value)
+
+
+def first_index(condition: Any) -> Optional[Tuple[int, ...]]:
+    """The first index (row-major) where ``condition`` holds: ``()``
+    for a true scalar, ``None`` where it holds nowhere."""
+    if isinstance(condition, np.ndarray):
+        if not condition.any():
+            return None
+        return tuple(int(i) for i in np.unravel_index(
+            int(np.argmax(condition)), condition.shape))
+    return () if condition else None
+
+
+def at(value: Any, index: Tuple[int, ...]) -> Any:
+    """The element of ``value`` at ``index`` as a Python scalar, with
+    ``value`` broadcast to the indexed shape (a scalar is itself)."""
+    if isinstance(value, np.ndarray):
+        return value[tuple(i if n > 1 else 0 for i, n in zip(
+            index[len(index) - value.ndim:], value.shape))].item()
+    return value
 
 
 def lowest(value: Any) -> Any:

@@ -15,13 +15,16 @@ out-of-memory detection (Fig. 14's OOM entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
+from repro.arrays import Real, as_float, first_index
 from repro.core.config import KvCachePlacement, LiaConfig, WeightPlacement
-from repro.core.gpu_residency import ResidencyPlan, plan_layer_residency
+from repro.core.gpu_residency import (RequestLike, ResidencyPlan,
+                                      plan_layer_residency)
 from repro.core.optimizer import PolicyGrid, search_grid, stage_layer_time
 from repro.core.policy import OffloadPolicy
 from repro.core.terms import (LayerTerms, check_placement, layer_terms,
@@ -30,7 +33,7 @@ from repro.errors import CapacityError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.sublayers import Stage
-from repro.models.workload import InferenceRequest
+from repro.models.workload import InferenceRequest, RequestPoints
 
 
 @dataclass(frozen=True)
@@ -208,15 +211,18 @@ def split_rows(stages: StageBreakdown, n: int) -> List[StageBreakdown]:
     return [StageBreakdown(*row) for row in zip(*fields)]
 
 
-def host_memory_usage(spec: ModelSpec, request: InferenceRequest,
+def host_memory_usage(spec: ModelSpec, request: RequestLike,
                       system: SystemConfig,
                       config: LiaConfig) -> MemoryUsage:
-    """Place weights, KV cache, and activations into DDR/CXL pools."""
+    """Place weights, KV cache, and activations into DDR/CXL pools.
+
+    For a :class:`RequestPoints`, each field is an array over its
+    points (or a float they share)."""
     weights = float(spec.total_param_bytes)
-    kv = float(spec.kv_cache_bytes(request.batch_size,
-                                   request.input_len + request.output_len))
-    activations = float(spec.peak_activation_bytes(request.batch_size,
-                                                   request.input_len))
+    kv = as_float(spec.kv_cache_bytes(request.batch_size,
+                                      request.input_len + request.output_len))
+    activations = as_float(spec.peak_activation_bytes(request.batch_size,
+                                                      request.input_len))
     ddr = 0.0
     cxl = 0.0
     if config.weight_placement is WeightPlacement.CXL:
@@ -232,6 +238,16 @@ def host_memory_usage(spec: ModelSpec, request: InferenceRequest,
     return MemoryUsage(weight_bytes=weights, kv_bytes=kv,
                        activation_bytes=activations, ddr_bytes=ddr,
                        cxl_bytes=cxl, gpu_bytes=0.0)
+
+
+def host_overflows(memory: MemoryUsage, system: SystemConfig) -> Real:
+    """Where :func:`check_host_capacity` raises: a host pool overflows,
+    or bytes go to CXL on a system without it.  A bool, or a mask over
+    the points of an array plan."""
+    overflows = memory.ddr_bytes > system.cpu.memory.capacity_bytes
+    if not system.has_cxl:
+        return overflows | (memory.cxl_bytes > 0.0)
+    return overflows | (memory.cxl_bytes > system.cxl_pool.capacity_bytes)
 
 
 def check_host_capacity(memory: MemoryUsage, system: SystemConfig) -> None:
@@ -252,6 +268,41 @@ def check_host_capacity(memory: MemoryUsage, system: SystemConfig) -> None:
                 f"{cxl_capacity / 2**30:.1f} GiB",
                 requested=memory.cxl_bytes, available=cxl_capacity,
                 device="cxl-pool")
+
+
+class PointPlans(NamedTuple):
+    """Memory plans from one pass of the float-or-array planners: for
+    a :class:`RequestPoints`, each field is an array over its points
+    (or a value they share)."""
+
+    memory: MemoryUsage
+    residency: ResidencyPlan
+    #: Where the point's ``estimate`` raises.
+    failed: Real
+
+    @property
+    def n_resident(self) -> np.ndarray:
+        """Optimization-1's resident layer count at every point."""
+        return np.broadcast_to(self.residency.n_resident_layers,
+                               np.shape(self.failed))
+
+    @property
+    def n_streamed(self) -> np.ndarray:
+        """The streamed layer count at every point."""
+        return self.residency.n_layers - self.n_resident
+
+    def rows(self, n: int) -> List[Tuple[MemoryUsage, ResidencyPlan]]:
+        """The one-point memory usage and residency plan of each of
+        ``n`` aligned points: a field is an ``(n,)`` array, or a value
+        every point shares."""
+        def split(plan):
+            columns = [value.tolist() if isinstance(value, np.ndarray)
+                       else [value] * n
+                       for value in (getattr(plan, field.name)
+                                     for field in fields(plan))]
+            return [type(plan)(*row) for row in zip(*columns)]
+
+        return list(zip(split(self.memory), split(self.residency)))
 
 
 class LiaEstimator:
@@ -286,25 +337,22 @@ class LiaEstimator:
         A request whose memory plan overflows gets the
         :class:`CapacityError` that :meth:`estimate` raises.
         """
-        entries: List[Optional[EstimateOrError]] = []
-        planned = []
-        for request in requests:
-            try:
-                memory, residency = self._plan(request)
-            except CapacityError as error:
-                entries.append(error)
-                continue
-            planned.append((len(entries), request, memory, residency))
-            entries.append(None)
+        if not requests:
+            return []
+        grid = RequestGrid.from_requests(requests)
+        plans, errors = self._plan_each(
+            RequestPoints(grid.batch, grid.input_len, grid.output_len))
+        entries: List[Optional[EstimateOrError]] = [
+            errors.get(index) for index in range(len(requests))]
+        planned = [index for index, entry in enumerate(entries)
+                   if entry is None]
         if not planned:
             return entries  # type: ignore[return-value]
-
-        grid = RequestGrid.from_requests(
-            [request for __, request, __, __ in planned])
-        n_resident = np.array([residency.n_resident_layers
-                               for *__, residency in planned])
-        n_streamed = np.array([residency.n_layers
-                               for *__, residency in planned]) - n_resident
+        if errors:
+            grid = RequestGrid.from_requests(
+                [requests[index] for index in planned])
+        n_resident = plans.n_resident[planned]
+        n_streamed = plans.n_streamed[planned]
         prefill_terms = layer_terms(self.spec, Stage.PREFILL, *grid.prefill,
                                     self.system, self.config)
         prefill, prefill_policies = self._stage_totals(
@@ -319,12 +367,14 @@ class LiaEstimator:
         prefill_best, decode_best = (
             np.broadcast_to(policies.best, n_streamed.shape).tolist()
             for policies in (prefill_policies, decode_policies))
-        for row, (index, request, memory, residency) in enumerate(planned):
+        rows = plans.rows(len(requests))
+        for row, index in enumerate(planned):
+            memory, residency = rows[index]
             entries[index] = InferenceEstimate(
                 framework=self.framework_name,
                 model=self.spec.name,
                 system=self.system.name,
-                request=request,
+                request=requests[index],
                 prefill=prefills[row],
                 decode=decodes[row],
                 prefill_policy=prefill_policies.candidates[
@@ -341,23 +391,42 @@ class LiaEstimator:
 
         Entry ``[i, j]`` is
         ``estimate(InferenceRequest(batch_sizes[i], context_lens[j],
-        1)).decode.time`` bit for bit, from one broadcast term table:
-        each point keeps its own Eq. (1) winners and residency split,
-        and the first point (row-major) that ``estimate`` rejects
-        raises the same :class:`CapacityError`.
+        1)).decode.time`` bit for bit, from one array memory plan and
+        one broadcast term table: each point keeps its own Eq. (1)
+        winners and residency split, and the first point (row-major)
+        that ``estimate`` rejects raises the same error.
         """
-        shape = (len(batch_sizes), len(context_lens))
-        plans = [self._plan(InferenceRequest(b, c, 1))[1]
-                 for b in batch_sizes for c in context_lens]
-        n_resident = np.array(
-            [plan.n_resident_layers for plan in plans]).reshape(shape)
-        n_streamed = np.array(
-            [plan.n_layers for plan in plans]).reshape(shape) - n_resident
-        terms = layer_terms(self.spec, Stage.DECODE,
-                            np.asarray(batch_sizes)[:, np.newaxis],
-                            np.asarray(context_lens), self.system,
-                            self.config)
-        return self._stage_totals(terms, n_streamed, n_resident)[0].time
+        points = RequestPoints(np.asarray(batch_sizes)[:, np.newaxis],
+                               np.asarray(context_lens)[np.newaxis, :], 1)
+        plans = self._plan_points(points)
+        point = first_index(plans.failed)
+        if point is not None:
+            self._plan(points.at(point))  # raises that point's error
+        terms = layer_terms(self.spec, Stage.DECODE, points.batch_size,
+                            points.input_len, self.system, self.config)
+        return self._stage_totals(terms, plans.n_streamed,
+                                  plans.n_resident)[0].time
+
+    def prefill_times(self, batch_sizes: Sequence[int],
+                      input_lens: Sequence[int]
+                      ) -> List[Union[float, CapacityError]]:
+        """The prefill time of every aligned ``(B, L_in)`` point.
+
+        Entry ``i`` is ``estimate(InferenceRequest(batch_sizes[i],
+        input_lens[i], 1)).prefill.time`` bit for bit, or the
+        :class:`CapacityError` that estimate raises, from one array
+        memory plan and one prefill term table: the decode stage, which
+        ``estimate`` also sums, is never built.
+        """
+        points = RequestPoints(np.asarray(batch_sizes),
+                               np.asarray(input_lens), 1)
+        plans, errors = self._plan_each(points)
+        terms = layer_terms(self.spec, Stage.PREFILL, points.batch_size,
+                            points.input_len, self.system, self.config)
+        times = self._stage_totals(terms, plans.n_streamed,
+                                   plans.n_resident)[0].time
+        return [errors.get(point, time)
+                for point, time in enumerate(times.tolist())]
 
     def max_feasible_batch(self, input_len: int, output_len: int,
                            hi: int = 1 << 14) -> int:
@@ -389,27 +458,56 @@ class LiaEstimator:
         return low
 
     # ------------------------------------------------------------------
-    def _plan(self, request: InferenceRequest
-              ) -> Tuple[MemoryUsage, ResidencyPlan]:
-        """Memory placement and GPU residency of ``request``; raises
-        :class:`CapacityError` when the host pools (if enforced) or the
-        GPU working set overflow."""
+    def _plan_points(self, request: RequestLike) -> PointPlans:
+        """Memory placement and GPU residency of ``request``, and
+        whether its ``estimate`` fails: its plan overflows the host
+        pools (if enforced) or the GPU working set, or (for a
+        :class:`RequestPoints`) its shape is not a request.  Each an
+        array over the points of a :class:`RequestPoints`."""
         memory = host_memory_usage(self.spec, request, self.system,
                                    self.config)
-        if self.config.enforce_host_capacity:
-            check_host_capacity(memory, self.system)
         residency = plan_layer_residency(self.spec, self.system, request,
                                          self.config)
         gpu_bytes = residency.resident_bytes + residency.working_bytes
-        if gpu_bytes > self.system.gpu.memory_capacity:
+        failed = gpu_bytes > self.system.gpu.memory_capacity
+        if self.config.enforce_host_capacity:
+            failed = host_overflows(memory, self.system) | failed
+        if isinstance(request, RequestPoints):
+            failed = failed | request.invalid
+        return PointPlans(replace(memory, gpu_bytes=gpu_bytes), residency,
+                          failed)
+
+    def _plan_each(self, points: RequestPoints
+                   ) -> Tuple[PointPlans, Dict[int, CapacityError]]:
+        """The array plan of aligned points, and the
+        :class:`CapacityError` of every point where it fails: the
+        scalar :meth:`_plan`'s at that point, so the message is exact
+        (an invalid point raises its ``ConfigurationError``)."""
+        plans = self._plan_points(points)
+        errors: Dict[int, CapacityError] = {}
+        for point in np.flatnonzero(plans.failed).tolist():
+            try:
+                self._plan(points.at((point,)))
+            except CapacityError as error:
+                errors[point] = error
+        return plans, errors
+
+    def _plan(self, request: InferenceRequest
+              ) -> Tuple[MemoryUsage, ResidencyPlan]:
+        """:meth:`_plan_points` of one request; raises
+        :class:`CapacityError` when its plan overflows."""
+        memory, residency, failed = self._plan_points(request)
+        if failed:
+            if self.config.enforce_host_capacity:
+                check_host_capacity(memory, self.system)
+            capacity = self.system.gpu.memory_capacity
             raise CapacityError(
                 f"{self.system.name}: GPU working set "
-                f"{gpu_bytes / 2**30:.1f} GiB exceeds "
-                f"{self.system.gpu.memory_capacity / 2**30:.1f} GiB",
-                requested=gpu_bytes,
-                available=self.system.gpu.memory_capacity,
+                f"{memory.gpu_bytes / 2**30:.1f} GiB exceeds "
+                f"{capacity / 2**30:.1f} GiB",
+                requested=memory.gpu_bytes, available=capacity,
                 device=self.system.gpu.name)
-        return replace(memory, gpu_bytes=gpu_bytes), residency
+        return memory, residency
 
     def _stage_totals(self, terms: LayerTerms, n_streamed: np.ndarray,
                       n_resident: np.ndarray,

@@ -12,17 +12,21 @@ wastes the capacity remainder — §5.2's OPT-30B example: LIA places
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
+from repro.arrays import Real, as_int, maximum, minimum
 from repro.core.config import LiaConfig
 from repro.errors import ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.sublayers import (USES_PARAMETERS, Stage, Sublayer,
                                     sublayer_costs)
-from repro.models.workload import InferenceRequest
+from repro.models.workload import InferenceRequest, RequestPoints
+
+#: One request, or many as the aligned arrays of a RequestPoints.
+RequestLike = Union[InferenceRequest, RequestPoints]
 
 
 @dataclass(frozen=True)
@@ -55,53 +59,57 @@ _ACTIVATION_CAP_FRACTION = 0.15
 _KV_SLICE_CAP_FRACTION = 0.25
 
 
-def gpu_working_set_bytes(spec: ModelSpec, request: InferenceRequest,
+def gpu_working_set_bytes(spec: ModelSpec, request: RequestLike,
                           config: LiaConfig,
-                          gpu_capacity: float = float("inf")) -> float:
+                          gpu_capacity: float = float("inf")) -> Real:
     """GPU memory the streaming pipeline needs before residency packs
     anything: double-buffered layer weights, the live activation
     chunk, and a streamed per-layer KV slice (in case attention
-    scoring runs on the GPU)."""
+    scoring runs on the GPU).  Elementwise over the points of a
+    :class:`~repro.models.workload.RequestPoints`."""
     weights = 2.0 * spec.layer_param_bytes
     # Prefill computes one mini-batch at a time, so only that chunk's
     # activations are live on the GPU.
-    chunk = max(request.batch_size // max(config.prefill_minibatches, 1),
-                1)
+    chunk = maximum(request.batch_size // max(config.prefill_minibatches, 1),
+                    1)
     activations = spec.peak_activation_bytes(chunk,
-                                             max(request.input_len, 1))
-    activations = min(activations, _ACTIVATION_CAP_FRACTION * gpu_capacity)
+                                             maximum(request.input_len, 1))
+    activations = minimum(activations,
+                          _ACTIVATION_CAP_FRACTION * gpu_capacity)
     # GPU-side attention streams the KV cache in chunks (FlexGen-style
     # blocked attention).
     kv_layer = (2 * request.batch_size * request.max_context_len
                 * spec.kv_dim * spec.bytes_per_param)
-    kv_slice = min(0.5 * kv_layer, _KV_SLICE_CAP_FRACTION * gpu_capacity)
+    kv_slice = minimum(0.5 * kv_layer, _KV_SLICE_CAP_FRACTION * gpu_capacity)
     return weights + activations + kv_slice
 
 
-def _available_bytes(spec: ModelSpec, system: SystemConfig,
-                     request: InferenceRequest, config: LiaConfig,
-                     extra_reserved_bytes: float = 0.0) -> float:
+def _available_bytes(system: SystemConfig, config: LiaConfig,
+                     working: Real, extra_reserved_bytes: float = 0.0
+                     ) -> Real:
     capacity = system.gpu.memory_capacity * (1.0
                                              - config.gpu_working_reserve)
-    working = gpu_working_set_bytes(spec, request, config,
-                                    gpu_capacity=system.gpu.memory_capacity)
     return capacity - working - extra_reserved_bytes
 
 
 def plan_layer_residency(spec: ModelSpec, system: SystemConfig,
-                         request: InferenceRequest,
+                         request: RequestLike,
                          config: LiaConfig) -> ResidencyPlan:
-    """LIA's plan: greedily pack whole decoder layers (§5.2)."""
+    """LIA's plan: greedily pack whole decoder layers (§5.2).
+
+    For a :class:`~repro.models.workload.RequestPoints`, the resident
+    layer count, resident bytes and working set are arrays over its
+    points (the count stays ``0`` without residency)."""
     working = gpu_working_set_bytes(spec, request, config,
                                     gpu_capacity=system.gpu.memory_capacity)
     if not config.gpu_residency:
         return ResidencyPlan(granularity="layer", n_layers=spec.n_layers,
                              n_resident_layers=0, resident_bytes=0.0,
                              working_bytes=working)
-    available = _available_bytes(spec, system, request, config)
+    available = _available_bytes(system, config, working)
     per_layer = float(spec.layer_param_bytes)
-    n_resident = int(max(0.0, available) // per_layer)
-    n_resident = min(n_resident, spec.n_layers)
+    n_resident = as_int(maximum(0.0, available) // per_layer)
+    n_resident = minimum(n_resident, spec.n_layers)
     return ResidencyPlan(
         granularity="layer",
         n_layers=spec.n_layers,
@@ -141,7 +149,7 @@ def plan_sublayer_residency(spec: ModelSpec, system: SystemConfig,
         return ResidencyPlan(granularity="sublayer-class",
                              n_layers=spec.n_layers, n_resident_layers=0,
                              resident_bytes=0.0, working_bytes=working)
-    available = _available_bytes(spec, system, request, config,
+    available = _available_bytes(system, config, working,
                                  extra_reserved_bytes)
     classes = sorted(
         ((size, s) for size, s in zip(_class_bytes(spec), Sublayer)

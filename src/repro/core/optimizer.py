@@ -141,9 +141,10 @@ def search_grid(terms: LayerTerms, config: LiaConfig,
         best=np.argmin(times, axis=0), layer_time=times.min(axis=0))
 
 
-def _count_searches(stage: Stage, config: LiaConfig, points: int) -> None:
+def count_searches(stage: Stage, config: LiaConfig, points: int) -> None:
     """Fig. 9 sweep accounting: ``points`` Eq. (1) searches requested,
-    and the candidate policies each one scores."""
+    and the candidate policies each one scores.  A caller that skips a
+    search whose answer nobody reads still counts it here."""
     telemetry = current_telemetry()
     if telemetry is None:
         return
@@ -163,7 +164,7 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
 
     The one-point case of :func:`search_grid`.
     """
-    _count_searches(stage, config, 1)
+    count_searches(stage, config, 1)
     terms = layer_terms(spec, stage, batch_size, context_len, system,
                         config)
     grid = search_grid(terms, config, weights_resident)
@@ -172,23 +173,6 @@ def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
         stage=stage, policy=policy, layer_time=float(grid.layer_time),
         build_layer=partial(policy_layer, terms, policy,
                             weights_resident))
-
-
-def solve_points(spec: ModelSpec, stage: Stage,
-                 points: Sequence[Tuple[int, int]], system: SystemConfig,
-                 config: LiaConfig) -> Dict[Tuple[int, int], OffloadPolicy]:
-    """Solve Eq. (1) at every ``(B, L)`` point of ``points``.
-
-    One term table over the distinct points solves them all; the
-    telemetry counts one search per entry of ``points``, as for
-    per-point :func:`optimal_policy` calls.
-    """
-    distinct = sorted(set(points))
-    batches, contexts = np.array(distinct).T
-    grid = search_grid(layer_terms(spec, stage, batches, contexts, system,
-                                   config), config)
-    _count_searches(stage, config, len(points))
-    return {point: grid.policy((i,)) for i, point in enumerate(distinct)}
 
 
 def policy_map(spec: ModelSpec, stage: Stage, batch_sizes: Sequence[int],
@@ -207,7 +191,7 @@ def policy_map(spec: ModelSpec, stage: Stage, batch_sizes: Sequence[int],
     terms = layer_terms(spec, stage, batches[:, np.newaxis],
                         lengths[np.newaxis, :], system, config)
     grid = search_grid(terms, config)
-    _count_searches(stage, config, batches.size * lengths.size)
+    count_searches(stage, config, batches.size * lengths.size)
     return {(int(batch_size), int(context_len)): grid.policy((i, j))
             for i, batch_size in enumerate(batches)
             for j, context_len in enumerate(lengths)}

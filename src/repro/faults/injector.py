@@ -11,10 +11,12 @@ layer asks:
   :class:`~repro.hardware.system.SystemConfig` copy with them
   applied, so the §5 policy optimizer re-solves Eq. (1) on the
   hardware that actually exists at that moment.
-* *Did this transfer chunk stall?* — :meth:`FaultInjector.chunk_stalls`
-  draws from a per-request RNG derived from the scenario seed and the
-  request index, so outcomes are reproducible regardless of worker
-  count or evaluation order.
+* *How likely is a transfer chunk to stall?* —
+  :meth:`FaultInjector.stall_probability`.  The serving engine draws
+  each chunk's outcome from a per-request RNG derived from the
+  scenario seed and the request index
+  (:meth:`~repro.faults.spec.FaultScenario.rng_for`), so outcomes are
+  reproducible regardless of worker count or evaluation order.
 
 Every answer is pure in ``(scenario, time, index)``; the injector
 holds no mutable state.
@@ -101,39 +103,6 @@ class FaultInjector:
             segments.append((lo, hi, self.performance_signature(lo),
                              self.stall_probability(lo)))
         return tuple(segments)
-
-    # ------------------------------------------------------------------
-    def chunk_stalls(self, time: float, index: int,
-                     n_chunks: int) -> Tuple[int, ...]:
-        """Indices of the transfer chunks that stall for request
-        ``index`` when its service starts at ``time``.
-
-        Deterministic in (scenario seed, request index): the draw uses
-        :meth:`FaultScenario.rng_for`, never a shared RNG stream.
-        """
-        if n_chunks < 0:
-            raise ConfigurationError(
-                f"n_chunks must be >= 0, got {n_chunks}")
-        probability = self.stall_probability(time)
-        if probability <= 0.0 or n_chunks == 0:
-            return ()
-        rng = self.scenario.rng_for(index)
-        return tuple(chunk for chunk in range(n_chunks)
-                     if rng.random() < probability)
-
-    def retry_succeeds(self, index: int, chunk: int,
-                       attempt: int, time: float) -> bool:
-        """Whether retry ``attempt`` of a stalled chunk goes through.
-
-        Derives a fresh deterministic RNG from (request, chunk,
-        attempt) so the outcome is stable under any execution order.
-        """
-        probability = self.stall_probability(time)
-        if probability <= 0.0:
-            return True
-        rng = self.scenario.rng_for(
-            (index + 1) * 1_000_003 + chunk * 1_009 + attempt)
-        return rng.random() >= probability
 
 
 def signature_system(system: SystemConfig,

@@ -210,7 +210,13 @@ class FaultScenario:
         """
         if index < 0:
             raise ConfigurationError(f"index must be >= 0, got {index}")
-        return random.Random((self.seed << 24) ^ 0x9E3779B1 ^ index)
+        return random.Random(self.rng_key(index))
+
+    def rng_key(self, index: int) -> int:
+        """The seed of :meth:`rng_for`: ``rng.seed(rng_key(index))``
+        puts any ``random.Random`` in the state ``rng_for(index)``
+        starts in, so a block of draws can reuse one generator."""
+        return (self.seed << 24) ^ 0x9E3779B1 ^ index
 
 
 # ----------------------------------------------------------------------

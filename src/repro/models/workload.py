@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.arrays import at
 from repro.errors import ConfigurationError
 from repro.models.spec import ModelSpec
 
@@ -81,6 +82,41 @@ class InferenceRequest:
     def fits_model(self, spec: ModelSpec) -> bool:
         """Whether the total sequence fits the model's context window."""
         return self.input_len + self.output_len <= spec.max_seq_len
+
+
+@dataclass(frozen=True)
+class RequestPoints:
+    """Many requests' ``(B, L_in, L_out)``: arrays (or ints) that
+    broadcast together, one point per element.
+
+    The float-or-array memory planners read it as they read an
+    :class:`InferenceRequest`, and plan every point in one pass.
+    Unlike a request, it is not validated on construction:
+    :attr:`invalid` marks the points whose request would not build.
+    """
+
+    batch_size: Union[int, np.ndarray]
+    input_len: Union[int, np.ndarray]
+    output_len: Union[int, np.ndarray]
+
+    @property
+    def max_context_len(self) -> Union[int, np.ndarray]:
+        """:attr:`InferenceRequest.max_context_len` of every point."""
+        return self.input_len + self.output_len - 1
+
+    @property
+    def invalid(self) -> Union[bool, np.ndarray]:
+        """Where :class:`InferenceRequest` rejects the point."""
+        return ((np.asarray(self.batch_size) < 1)
+                | (np.asarray(self.input_len) < 1)
+                | (np.asarray(self.output_len) < 1))
+
+    def at(self, index: Tuple[int, ...]) -> InferenceRequest:
+        """The request at ``index``; raises the point's
+        :class:`ConfigurationError` where it is :attr:`invalid`."""
+        return InferenceRequest(at(self.batch_size, index),
+                                at(self.input_len, index),
+                                at(self.output_len, index))
 
 
 def make_request(batch_size: int, input_len: int,

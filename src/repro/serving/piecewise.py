@@ -46,6 +46,7 @@ array pass (see :func:`_serve`).
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -91,51 +92,60 @@ _EMPTY_INTS.flags.writeable = False
 # ----------------------------------------------------------------------
 # Pure stall-outcome replication
 # ----------------------------------------------------------------------
-def _stall_outcome(scenario: FaultScenario, probability: float,
-                   index: int, n_chunks: int
-                   ) -> Tuple[float, Tuple[tuple, ...]]:
-    """(penalty, ops) of one request's stalled transfer chunks, with
+def _stall_outcomes(scenario: FaultScenario, probability: float,
+                    indices: Sequence[int], n_chunks: Sequence[int]
+                    ) -> List[Tuple[float, Tuple[tuple, ...]]]:
+    """(penalty, ops) of each request's stalled transfer chunks, with
     the side effects reified as an op list.
 
     Each stalled chunk costs one timeout, then retries on the
     exponential-backoff schedule; a retry that stalls again costs
     another timeout, and a chunk whose retry budget runs out counts as
-    a failure.  The draws are those of
-    :meth:`FaultInjector.chunk_stalls` /
-    :meth:`FaultInjector.retry_succeeds` (same RNG keys, same number
-    of draws), and the penalty accumulates add for add in chunk order.
-    Ops are applied in commit order by :func:`_apply_stall_ops`.
+    a failure.  The draws are the FIFO oracle's ``chunk_stalls`` /
+    ``retry_succeeds`` (``tests/oracles/fifo_loop.py``): the same RNG
+    keys, the same number of draws, from one ``random.Random``
+    reseeded per key to the state :meth:`FaultScenario.rng_for` gives.
+    The penalty accumulates add for add in chunk order, and ops are
+    built only for a request that stalled; :func:`_apply_stall_ops`
+    applies them in commit order.
     """
+    calm: Tuple[float, Tuple[tuple, ...]] = (0.0, ())
+    if probability <= 0.0:
+        return [calm] * len(indices)
     retry = scenario.retry
-    if probability <= 0.0 or n_chunks == 0:
-        return 0.0, ()
-    rng = scenario.rng_for(index)
-    stalled = tuple(chunk for chunk in range(n_chunks)
-                    if rng.random() < probability)
-    if not stalled:
-        return 0.0, ()
-    penalty = 0.0
-    ops: List[tuple] = []
-    for chunk in stalled:
-        offset = penalty
-        penalty += retry.timeout_s
-        ops.append(("stall", chunk, offset))
-        recovered = False
-        for attempt in range(retry.max_retries):
-            delay = retry.backoff_delay(attempt)
+    key = scenario.rng_key
+    rng = random.Random()
+    reseed, draw = rng.seed, rng.random
+    outcomes: List[Tuple[float, Tuple[tuple, ...]]] = []
+    for index, n in zip(indices, n_chunks):
+        reseed(key(index))
+        stalled = [chunk for chunk in range(n) if draw() < probability]
+        if not stalled:
+            outcomes.append(calm)
+            continue
+        penalty = 0.0
+        ops: List[tuple] = []
+        for chunk in stalled:
             offset = penalty
-            penalty += delay
-            ops.append(("retry", chunk, attempt, offset, delay))
-            rng2 = scenario.rng_for(
-                (index + 1) * 1_000_003 + chunk * 1_009 + attempt)
-            if rng2.random() >= probability:
-                recovered = True
-                break
             penalty += retry.timeout_s
-            ops.append(("retry_stall", chunk, attempt, offset, delay))
-        if not recovered:
-            ops.append(("failure", chunk))
-    return penalty, tuple(ops)
+            ops.append(("stall", chunk, offset))
+            recovered = False
+            for attempt in range(retry.max_retries):
+                delay = retry.backoff_delay(attempt)
+                offset = penalty
+                penalty += delay
+                ops.append(("retry", chunk, attempt, offset, delay))
+                reseed(key((index + 1) * 1_000_003 + chunk * 1_009
+                           + attempt))
+                if draw() >= probability:
+                    recovered = True
+                    break
+                penalty += retry.timeout_s
+                ops.append(("retry_stall", chunk, attempt, offset, delay))
+            if not recovered:
+                ops.append(("failure", chunk))
+        outcomes.append((penalty, tuple(ops)))
+    return outcomes
 
 
 def _apply_stall_ops(controller: DegradationController, index: int,
@@ -437,9 +447,8 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
         """Stall outcomes and penalty column of the requests at
         stream ``positions``."""
         request_ids = positions if idx is None else idx[positions]
-        outcomes = [_stall_outcome(scenario, stall_p, rid, nch)
-                    for rid, nch in zip(request_ids.tolist(),
-                                        n_chunks.tolist())]
+        outcomes = _stall_outcomes(scenario, stall_p, request_ids.tolist(),
+                                   n_chunks.tolist())
         penalties = np.fromiter((o[0] for o in outcomes),
                                 dtype=np.float64, count=len(outcomes))
         return outcomes, penalties

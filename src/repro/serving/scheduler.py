@@ -18,10 +18,9 @@ Three LIA-specific couplings make this more than a queueing exercise:
 * **Admission re-consults Eq. (1).**  Batch composition changes the
   optimal CPU/GPU split (Fig. 9's policy regions are batch-dependent),
   so every composition change re-solves Eq. (1) for the aggregate
-  batch: on the spot (:func:`~repro.core.optimizer.optimal_policy`)
-  when the coming steps read the decision, otherwise together with
-  the run's other unread re-solves, in one
-  :func:`~repro.core.optimizer.solve_points` table at the end.
+  batch (:func:`~repro.core.optimizer.optimal_policy`).  A re-solve
+  whose decision no step reads — no KV sits in CXL to stretch the
+  steps — is counted as a resolve and a search, but not evaluated.
 * **KV placement feeds back into step time.**  When the re-solved
   policy keeps the attention sublayers on the CPU, KV bytes demoted to
   CXL stall AMX (Observation-2); the step stretches by
@@ -39,6 +38,7 @@ reproduces the FIFO :class:`ServingSimulator` report bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Deque, Dict, Iterable, List, Optional,
@@ -48,7 +48,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.arrays import left_fold
-from repro.core.optimizer import optimal_policy, solve_points
+from repro.core.optimizer import count_searches, optimal_policy
 from repro.cxl.residency import (KV_TIERS, KvResidency, KvTierCapacities,
                                  kv_capacities_from_system)
 from repro.errors import CapacityError, ConfigurationError
@@ -165,8 +165,8 @@ class StepProfile:
     :meth:`~repro.core.estimator.LiaEstimator.decode_step_times` call,
     so the profile inherits the paper's batch-dependent CPU/GPU splits.
     Prefill times of the ``prompts`` shapes, ``(B, L_in)`` pairs, come
-    from one :meth:`~repro.core.estimator.LiaEstimator.estimate_many`
-    call.
+    from one :meth:`~repro.core.estimator.LiaEstimator.prefill_times`
+    call (a prefill-only term table).
     """
 
     def __init__(self, estimator: "LiaEstimator",
@@ -185,7 +185,6 @@ class StepProfile:
         self.estimator = estimator
         self.batch_sizes = batches
         self.context_lens = contexts
-        self._batch_axis = np.array(batches)
         self._context_axis = np.array(contexts)
         self._decode_grid = estimator.decode_step_times(batches, contexts)
         self._prefill = self._prefill_times(prompts)
@@ -225,13 +224,10 @@ class StepProfile:
         """Each prompt shape's prefill time, or the
         :class:`CapacityError` its estimate raises."""
         shapes = sorted(set(prompts))
-        entries = self.estimator.estimate_many(
-            [InferenceRequest(batch_size=batch, input_len=length,
-                              output_len=1)
-             for batch, length in shapes])
-        return {shape: (entry if isinstance(entry, CapacityError)
-                        else entry.prefill.time)
-                for shape, entry in zip(shapes, entries)}
+        batches = [batch for batch, __ in shapes]
+        lengths = [length for __, length in shapes]
+        return dict(zip(shapes, self.estimator.prefill_times(batches,
+                                                             lengths)))
 
     @staticmethod
     def _brackets(axis: np.ndarray, positions: np.ndarray
@@ -248,19 +244,31 @@ class StepProfile:
                            where=inside)
         return lo, hi, weight
 
-    def decode_step_times(self, batch_sizes: ArrayLike,
+    @staticmethod
+    def _scalar_brackets(axis: List[int], position: float
+                         ) -> Tuple[int, int, float]:
+        """:meth:`_brackets` of one position on a list axis."""
+        hi = min(bisect_left(axis, position), len(axis) - 1)
+        if axis[0] < position < axis[-1]:
+            below = axis[hi - 1]
+            return hi - 1, hi, (position - below) / (axis[hi] - below)
+        return hi, hi, 0.0
+
+    def decode_step_times(self, batch_size: float,
                           context_lens: ArrayLike) -> np.ndarray:
-        """One decode iteration of an aggregate batch at every
-        broadcast ``(batch_sizes, context_lens)`` point (bilinear)."""
-        b_lo, b_hi, wb = self._brackets(self._batch_axis,
-                                        np.asarray(batch_sizes))
+        """One decode iteration of an aggregate batch at every context
+        of ``context_lens`` (bilinear).
+
+        The batch is bracketed in Python floats, the contexts as one
+        array: the scheduler reads one batch and a run of contexts per
+        turn."""
+        b_lo, b_hi, wb = self._scalar_brackets(self.batch_sizes,
+                                               batch_size)
         c_lo, c_hi, wc = self._brackets(self._context_axis,
                                         np.asarray(context_lens))
-        grid = self._decode_grid
-        low = grid[b_lo, c_lo] + wc * (grid[b_lo, c_hi]
-                                       - grid[b_lo, c_lo])
-        high = grid[b_hi, c_lo] + wc * (grid[b_hi, c_hi]
-                                        - grid[b_hi, c_lo])
+        low_row, high_row = self._decode_grid[b_lo], self._decode_grid[b_hi]
+        low = low_row[c_lo] + wc * (low_row[c_hi] - low_row[c_lo])
+        high = high_row[c_lo] + wc * (high_row[c_hi] - high_row[c_lo])
         return low + wb * (high - low)
 
     def decode_step_time(self, batch_size: float,
@@ -502,12 +510,14 @@ class ContinuousBatchScheduler:
         #: admission, the batch-composition changes that re-solve Eq. (1).
         released = False
         kv_on_cpu = False
-        #: Re-solves whose decision no step reads, as (B, L) points,
-        #: solved together when the run ends.
-        unread: List[Tuple[int, int]] = []
+        #: Re-solves whose decision no step reads: counted as searches
+        #: when the run ends, never evaluated.
+        unread = 0
         #: (start, finish, n_running, aggregate_batch) per iteration,
-        #: capped at cfg.span_cap; the total count feeds the drop note.
+        #: capped at cfg.span_cap, for the telemetry only; the total
+        #: count feeds the drop note.
         span_rows: List[Tuple[float, float, int, int]] = []
+        span_cap = cfg.span_cap if telemetry is not None else 0
 
         try:
             while pending or running:
@@ -572,7 +582,7 @@ class ContinuousBatchScheduler:
                     policy_resolves += 1
                     if stretch == 1.0:
                         # No step until the next change reads it.
-                        unread.append((aggregate, context))
+                        unread += 1
                     else:
                         decision = optimal_policy(
                             spec, Stage.DECODE, aggregate, context,
@@ -612,7 +622,7 @@ class ContinuousBatchScheduler:
                                            steps * n_running)
                 if n_running > occupancy_peak:
                     occupancy_peak = n_running
-                rows = min(k, cfg.span_cap - len(span_rows))
+                rows = min(k, span_cap - len(span_rows))
                 if rows > 0:
                     bounds = clocks[:rows + 1].tolist()
                     span_rows.extend(
@@ -632,8 +642,7 @@ class ContinuousBatchScheduler:
                         finishes[entry.index] = clock
         finally:
             if unread:
-                solve_points(spec, Stage.DECODE, unread, system,
-                             lia_config)
+                count_searches(Stage.DECODE, lia_config, unread)
 
         report = ContinuousServingReport(
             workload, trace, starts, finishes,

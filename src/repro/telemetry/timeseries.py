@@ -538,7 +538,6 @@ def compute_timeseries(arrivals: np.ndarray, starts: np.ndarray,
                        weights: Optional[Dict[str, np.ndarray]] = None,
                        dropped_arrivals: Optional[np.ndarray] = None,
                        assume_sorted: Optional[bool] = None,
-                       percentile_stride: Optional[int] = None,
                        n_servers: int = 1) -> ServingTimeseries:
     """Windowed series from one timeline (see module docstring).
 
@@ -549,10 +548,10 @@ def compute_timeseries(arrivals: np.ndarray, starts: np.ndarray,
     where arrivals, starts, and finishes are provably non-decreasing;
     ``None`` probes (O(n), branch-free) and falls back to one stable
     argsort when the timeline is interleaved (merged fleets).
-    ``percentile_stride`` controls the deterministic latency
-    subsample feeding the windowed-percentile histogram (``None``
-    targets :data:`TARGET_SAMPLES_PER_WINDOW` per window; ``1``
-    ingests everything).
+    The windowed-percentile histogram ingests a deterministic stride
+    subsample of the latencies, about
+    :data:`TARGET_SAMPLES_PER_WINDOW` per window (every latency when
+    there are fewer; the stride is kept as ``percentile_stride``).
     """
     a = np.asarray(arrivals, dtype=np.float64)
     s = np.asarray(starts, dtype=np.float64)
@@ -610,15 +609,7 @@ def compute_timeseries(arrivals: np.ndarray, starts: np.ndarray,
     # sample.  The sampled cumulative counts per edge follow from the
     # exact ones in closed form: of the elements before ``c``,
     # ``ceil(c / stride)`` have indices divisible by ``stride``.
-    if percentile_stride is None:
-        stride = max(1, n // (grid.n_windows
-                              * TARGET_SAMPLES_PER_WINDOW))
-    else:
-        if percentile_stride < 1:
-            raise ConfigurationError(
-                f"percentile_stride must be >= 1, "
-                f"got {percentile_stride}")
-        stride = int(percentile_stride)
+    stride = max(1, n // (grid.n_windows * TARGET_SAMPLES_PER_WINDOW))
     source = _LatencySource(a_by_finish, f_sorted, finish_counts)
     sample = source.sample(stride)
     sample_counts = -(-finish_counts // stride)
@@ -659,8 +650,7 @@ def timeseries_from_report(report, *,
                            grid: Optional[WindowGrid] = None,
                            n_windows: int = DEFAULT_N_WINDOWS,
                            window_s: Optional[float] = None,
-                           assume_sorted: Optional[bool] = None,
-                           percentile_stride: Optional[int] = None
+                           assume_sorted: Optional[bool] = None
                            ) -> ServingTimeseries:
     """A :class:`ServingTimeseries` from any serving report.
 
@@ -673,8 +663,7 @@ def timeseries_from_report(report, *,
 
     if isinstance(report, ScaleOutReport):
         return fleet_timeseries(
-            report, grid=grid, n_windows=n_windows, window_s=window_s,
-            percentile_stride=percentile_stride)
+            report, grid=grid, n_windows=n_windows, window_s=window_s)
     # Fault-injected reports expose the dropped requests' arrival
     # timestamps; they populate the ``dropped`` channel.
     return compute_timeseries(
@@ -682,15 +671,13 @@ def timeseries_from_report(report, *,
         grid=grid, n_windows=n_windows, window_s=window_s,
         weights={"tokens": report.workload.tokens_per_request()},
         dropped_arrivals=report.dropped_arrivals,
-        assume_sorted=assume_sorted,
-        percentile_stride=percentile_stride)
+        assume_sorted=assume_sorted)
 
 
 def fleet_timeseries(report, *,
                      grid: Optional[WindowGrid] = None,
                      n_windows: int = DEFAULT_N_WINDOWS,
-                     window_s: Optional[float] = None,
-                     percentile_stride: Optional[int] = None
+                     window_s: Optional[float] = None
                      ) -> ServingTimeseries:
     """The series of a :class:`~repro.serving.replicas.ScaleOutReport`.
 
@@ -718,7 +705,7 @@ def fleet_timeseries(report, *,
             sub.arrivals, sub.starts, sub.finishes, grid=grid,
             weights={"tokens": sub.workload.tokens_per_request()},
             dropped_arrivals=shed,
-            assume_sorted=True, percentile_stride=percentile_stride)
+            assume_sorted=True)
         merged_series = (series if merged_series is None
                          else merged_series.merge(series))
     if merged_series is None:
@@ -1000,8 +987,7 @@ def monitor_report(report, policy: SLOPolicy, *,
                    grid: Optional[WindowGrid] = None,
                    n_windows: int = DEFAULT_N_WINDOWS,
                    window_s: Optional[float] = None,
-                   assume_sorted: Optional[bool] = None,
-                   percentile_stride: Optional[int] = None
+                   assume_sorted: Optional[bool] = None
                    ) -> MonitoringReport:
     """Timeseries + SLO evaluation + fault attribution in one call.
 
@@ -1011,8 +997,7 @@ def monitor_report(report, policy: SLOPolicy, *,
     """
     series = timeseries_from_report(
         report, grid=grid, n_windows=n_windows, window_s=window_s,
-        assume_sorted=assume_sorted,
-        percentile_stride=percentile_stride)
+        assume_sorted=assume_sorted)
     scenario = report.scenario
     events = scenario.events if scenario is not None else ()
     return evaluate_slo(series, policy, events=events,

@@ -18,13 +18,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.baselines.flexgen import FlexGenEstimator, FlexGenSettings
 from repro.core.config import KvCachePlacement, LiaConfig
 from repro.core.estimator import (
     LiaEstimator,
+    MemoryUsage,
     StageBreakdown,
+    check_host_capacity,
+    host_overflows,
     sum_steps,
 )
 from repro.core.optimizer import optimal_policy, search_grid
@@ -34,7 +37,7 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import get_system
 from repro.models.quantize import quantize_weights
 from repro.models.sublayers import Stage, Sublayer
-from repro.models.workload import InferenceRequest
+from repro.models.workload import InferenceRequest, RequestPoints
 from repro.models.zoo import get_model
 from repro.telemetry import Telemetry, activate
 from tests.oracles import eq1_scalar
@@ -205,6 +208,13 @@ def test_lia_estimate_many_matches_scalar_oracle(model, system, config,
         assert ((entry.prefill, entry.decode, entry.prefill_policy,
                  entry.decode_policy)
                 == eq1_scalar.lia_stages(estimator, request))
+        # One array plan over the list gives each request its scalar
+        # plan, Python scalars included.
+        memory, residency = estimator._plan(request)
+        assert (entry.memory, entry.residency) == (memory, residency)
+        assert [type(value) for value in vars(entry.memory).values()] \
+            == [type(value) for value in vars(memory).values()]
+        assert type(entry.residency.n_resident_layers) is int
 
 
 def test_estimate_many_keeps_oom_positions():
@@ -384,6 +394,117 @@ def test_decode_step_grid_raises_where_estimate_does(model, batches,
         assert str(raised.value) == str(first_error)
 
 
+#: Systems for the memory planner: the CXL ones, and one without CXL,
+#: where a KV window's CXL share makes the host check raise.
+PLAN_SYSTEMS = {**SYSTEMS, "spr-a100": get_system("spr-a100")}
+
+
+def _outcome(call):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return call()
+    except (CapacityError, ConfigurationError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=model_names, system=st.sampled_from(sorted(PLAN_SYSTEMS)),
+       gpu_residency=st.booleans(),
+       prefill_minibatches=st.sampled_from([1, 2, 4, 8]),
+       enforce_host_capacity=st.booleans(),
+       kv_home=st.sampled_from(["ddr", "window", "cxl"]),
+       batches=st.lists(st.integers(1, 4096), min_size=1, max_size=3),
+       lengths=st.lists(st.integers(1, 8192), min_size=1, max_size=3))
+# A KV window without CXL: the host check raises ConfigurationError.
+@example(model="opt-175b", system="spr-a100", gpu_residency=True,
+         prefill_minibatches=4, enforce_host_capacity=True,
+         kv_home="window", batches=[1, 4096], lengths=[64, 8192])
+# KV on CXL: the CXL pool overflows while DDR still fits.
+@example(model="opt-30b", system="spr-a100+cxl2", gpu_residency=True,
+         prefill_minibatches=1, enforce_host_capacity=True,
+         kv_home="cxl", batches=[1, 512], lengths=[64, 2048])
+def test_array_plan_matches_scalar_plans(model, system, gpu_residency,
+                                         prefill_minibatches,
+                                         enforce_host_capacity, kv_home,
+                                         batches, lengths):
+    """One array memory plan over a ``(B, L)`` grid gives every point
+    its scalar plan's resident layers and bytes, and fails exactly
+    where the scalar plan raises; the prefill-only column gives each
+    point its ``estimate``'s prefill time or error."""
+    assume(kv_home != "cxl" or PLAN_SYSTEMS[system].has_cxl)
+    config = LiaConfig(
+        gpu_residency=gpu_residency,
+        prefill_minibatches=prefill_minibatches,
+        enforce_host_capacity=enforce_host_capacity,
+        kv_cxl_fraction=0.4 if kv_home == "window" else 0.0,
+        kv_placement=(KvCachePlacement.CXL if kv_home == "cxl"
+                      else KvCachePlacement.DDR))
+    estimator = LiaEstimator(MODELS[model], PLAN_SYSTEMS[system], config)
+    points = RequestPoints(np.array(batches)[:, np.newaxis],
+                           np.array(lengths)[np.newaxis, :], 1)
+    memory, residency, failed = estimator._plan_points(points)
+    shape = (len(batches), len(lengths))
+    n_resident = np.broadcast_to(residency.n_resident_layers, shape)
+    gpu_bytes = np.broadcast_to(memory.gpu_bytes, shape)
+    for i, batch in enumerate(batches):
+        for j, length in enumerate(lengths):
+            scalar = _outcome(lambda: estimator._plan(
+                InferenceRequest(batch, length, 1)))
+            if isinstance(scalar[0], type):
+                assert failed[i, j]
+                continue
+            assert not failed[i, j]
+            point_memory, plan = scalar
+            assert n_resident[i, j] == plan.n_resident_layers
+            assert gpu_bytes[i, j] == point_memory.gpu_bytes
+
+    prompts = [(batch, length) for batch in batches for length in lengths]
+    expected = [_outcome(lambda: estimator.estimate(
+        InferenceRequest(batch, length, 1)).prefill.time)
+        for batch, length in prompts]
+    column = _outcome(lambda: estimator.prefill_times(
+        [batch for batch, __ in prompts],
+        [length for __, length in prompts]))
+    unconfigured = [entry for entry in expected
+                    if isinstance(entry, tuple)
+                    and entry[0] is ConfigurationError]
+    if unconfigured:
+        assert column == unconfigured[0]
+    else:
+        assert [entry if isinstance(entry, float)
+                else (type(entry), str(entry)) for entry in column] \
+            == expected
+    first = next((entry for entry in (
+        _outcome(lambda: estimator._plan(InferenceRequest(b, c, 1)))
+        for b in batches for c in lengths)
+        if isinstance(entry[0], type)), None)
+    if first is not None:
+        assert _outcome(lambda: estimator.decode_step_times(
+            batches, lengths)) == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(sorted(PLAN_SYSTEMS)),
+       ddr_share=st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0, 2),
+       cxl_share=st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0, 2))
+def test_host_overflow_mask_matches_check_host_capacity(system, ddr_share,
+                                                        cxl_share):
+    """``host_overflows`` marks a usage, as a bool or as an array,
+    exactly where ``check_host_capacity`` raises: DDR or CXL over
+    capacity, or any byte in CXL on a system without it."""
+    system = PLAN_SYSTEMS[system]
+    ddr = ddr_share * system.cpu.memory.capacity_bytes
+    cxl = cxl_share * (system.cxl_pool.capacity_bytes if system.has_cxl
+                       else system.cpu.memory.capacity_bytes)
+    memory = MemoryUsage(0.0, 0.0, 0.0, ddr, cxl, 0.0)
+    raises = _outcome(lambda: check_host_capacity(memory, system)) \
+        is not None
+    assert bool(host_overflows(memory, system)) == raises
+    points = replace(memory, ddr_bytes=np.array([ddr, 0.0]),
+                     cxl_bytes=np.array([cxl, 0.0]))
+    assert host_overflows(points, system).tolist() == [raises, False]
+
+
 @pytest.mark.parametrize("forced", [False, True])
 def test_policy_evaluations_count_logical_candidates(forced):
     config = (_BASE.with_forced_policy(PARTIAL_CPU, PARTIAL_CPU) if forced
@@ -426,6 +547,14 @@ class TestBoundaryValidation:
         with pytest.raises(ConfigurationError,
                            match="^input_len must be >= 1, got 0$"):
             InferenceRequest(1, 0, 8)
+        # The array planners raise the error the point's request
+        # raises, not the term table's.
+        estimator = LiaEstimator(self.spec, self.system, _BASE)
+        for call in (lambda: estimator.decode_step_times([4], [64, 0]),
+                     lambda: estimator.prefill_times([4, 4], [64, 0])):
+            with pytest.raises(ConfigurationError,
+                               match="^input_len must be >= 1, got 0$"):
+                call()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])

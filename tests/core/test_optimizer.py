@@ -9,7 +9,6 @@ from repro.core.optimizer import (
     optimal_policy,
     policy_map,
     prefill_policy_transition,
-    solve_points,
 )
 from repro.core.overlap import serial_layer_time
 from repro.errors import ConfigurationError
@@ -142,28 +141,6 @@ def test_policy_map_grid_matches_per_point_searches(opt_175b, spr_a100,
             for b in batches for length in lengths}
     assert list(grid.items()) == list(expected.items())
     assert (grid_telemetry.metrics.snapshot()
-            == point_telemetry.metrics.snapshot())
-
-
-@pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)
-def test_solve_points_matches_per_point_searches(opt_175b, spr_a100,
-                                                 eval_config, stage):
-    """One table over the distinct (B, L) pairs equals a per-pair Eq. (1)
-    search, and counts one search per pair asked for, repeats
-    included."""
-    from repro.telemetry import Telemetry, activate
-
-    points = [(1400, 512), (1, 64), (900, 2048), (1, 64), (16, 32)]
-    table_telemetry, point_telemetry = Telemetry(), Telemetry()
-    with activate(table_telemetry):
-        solved = solve_points(opt_175b, stage, points, spr_a100,
-                              eval_config)
-    with activate(point_telemetry):
-        expected = [optimal_policy(opt_175b, stage, b, length, spr_a100,
-                                   eval_config).policy
-                    for b, length in points]
-    assert [solved[point] for point in points] == expected
-    assert (table_telemetry.metrics.snapshot()
             == point_telemetry.metrics.snapshot())
 
 

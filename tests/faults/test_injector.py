@@ -1,4 +1,5 @@
-"""Fault injector: degraded hardware copies and deterministic draws."""
+"""Fault injector: degraded hardware copies, and the deterministic
+chunk draws of the FIFO oracle (``tests/oracles/fifo_loop.py``)."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.faults.injector import (FaultInjector, apply_faults,
 from repro.faults.scenarios import builtin_scenarios, get_scenario
 from repro.faults.spec import FaultEvent, FaultKind, FaultScenario
 from repro.hardware.system import get_system
+from tests.oracles.fifo_loop import chunk_stalls, retry_succeeds
 
 
 def _scenario(*events):
@@ -151,9 +153,9 @@ def test_chunk_stalls_deterministic_and_seed_sensitive():
     a = FaultInjector(FaultScenario(seed=1, events=(event,)))
     b = FaultInjector(FaultScenario(seed=1, events=(event,)))
     c = FaultInjector(FaultScenario(seed=2, events=(event,)))
-    draws_a = [a.chunk_stalls(0.0, i, 40) for i in range(6)]
-    draws_b = [b.chunk_stalls(0.0, i, 40) for i in range(6)]
-    draws_c = [c.chunk_stalls(0.0, i, 40) for i in range(6)]
+    draws_a = [chunk_stalls(a, 0.0, i, 40) for i in range(6)]
+    draws_b = [chunk_stalls(b, 0.0, i, 40) for i in range(6)]
+    draws_c = [chunk_stalls(c, 0.0, i, 40) for i in range(6)]
     assert draws_a == draws_b
     assert draws_a != draws_c
     assert all(s == tuple(sorted(set(s))) for s in draws_a)
@@ -161,22 +163,22 @@ def test_chunk_stalls_deterministic_and_seed_sensitive():
 
 def test_chunk_stalls_empty_without_probability():
     injector = FaultInjector(_scenario())
-    assert injector.chunk_stalls(0.0, 0, 100) == ()
+    assert chunk_stalls(injector, 0.0, 0, 100) == ()
     with pytest.raises(ConfigurationError):
-        injector.chunk_stalls(0.0, 0, -1)
+        chunk_stalls(injector, 0.0, 0, -1)
 
 
 def test_retry_succeeds_deterministic():
     injector = FaultInjector(_scenario(
         FaultEvent(FaultKind.PCIE_STALL, magnitude=0.4)))
-    outcomes = [injector.retry_succeeds(3, chunk, attempt, 0.0)
+    outcomes = [retry_succeeds(injector, 3, chunk, attempt, 0.0)
                 for chunk in range(4) for attempt in range(3)]
-    again = [injector.retry_succeeds(3, chunk, attempt, 0.0)
+    again = [retry_succeeds(injector, 3, chunk, attempt, 0.0)
              for chunk in range(4) for attempt in range(3)]
     assert outcomes == again
     # Stall probability zero -> always succeeds, no draws needed.
     calm = FaultInjector(_scenario())
-    assert calm.retry_succeeds(0, 0, 0, 0.0)
+    assert retry_succeeds(calm, 0, 0, 0, 0.0)
 
 
 # ----------------------------------------------------------------------

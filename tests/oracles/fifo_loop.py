@@ -10,6 +10,10 @@ the recurrence reads on paper:
 * :func:`run_degraded` — the same loop under a fault scenario:
   admission control, the policy re-solve/batch-shrink plan, and the
   transfer-stall retry penalty, request by request;
+* :func:`chunk_stalls` / :func:`retry_succeeds` — one request's
+  transfer-stall draws, one fresh ``FaultScenario.rng_for`` generator
+  per key, which :func:`transfer_penalty` folds and the engine's block
+  of draws (``piecewise._stall_outcomes``) must replay;
 * :func:`run_admission_sequential` — the admission-bounded engine
   path without its batched depth probes (every request through the
   sequential :func:`admit`), over the engine's plan tables;
@@ -35,13 +39,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CapacityError, ConfigurationError
+from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
 from repro.serving.degradation import (DegradationController, FaultStats,
                                        PlanTable, _ServicePlan)
 from repro.serving.piecewise import (_SHED_REASON, _UNSERVABLE_REASON,
                                      _apply_stall_ops, _PlanColumns,
-                                     _stall_outcome, _warm_base_plans)
+                                     _stall_outcomes, _warm_base_plans)
 from repro.serving.simulator import (DroppedRequest, ServedRequest,
                                      ServingSimulator, validate_arrivals)
 from repro.serving.vectorized import WorkloadVector
@@ -304,6 +309,39 @@ def plan_service(controller: DegradationController,
     return plan
 
 
+def chunk_stalls(injector: FaultInjector, time: float, index: int,
+                 n_chunks: int) -> Tuple[int, ...]:
+    """Indices of the transfer chunks that stall for request ``index``
+    when its service starts at ``time``.
+
+    Deterministic in (scenario seed, request index): the draw uses
+    :meth:`FaultScenario.rng_for`, never a shared RNG stream.
+    """
+    if n_chunks < 0:
+        raise ConfigurationError(f"n_chunks must be >= 0, got {n_chunks}")
+    probability = injector.stall_probability(time)
+    if probability <= 0.0 or n_chunks == 0:
+        return ()
+    rng = injector.scenario.rng_for(index)
+    return tuple(chunk for chunk in range(n_chunks)
+                 if rng.random() < probability)
+
+
+def retry_succeeds(injector: FaultInjector, index: int, chunk: int,
+                   attempt: int, time: float) -> bool:
+    """Whether retry ``attempt`` of a stalled chunk goes through.
+
+    Derives a fresh deterministic RNG from (request, chunk, attempt)
+    so the outcome is stable under any execution order.
+    """
+    probability = injector.stall_probability(time)
+    if probability <= 0.0:
+        return True
+    rng = injector.scenario.rng_for(
+        (index + 1) * 1_000_003 + chunk * 1_009 + attempt)
+    return rng.random() >= probability
+
+
 def transfer_penalty(controller: DegradationController, start: float,
                      index: int, n_chunks: int) -> float:
     """Extra seconds request ``index`` spends on stalled chunks.
@@ -316,7 +354,7 @@ def transfer_penalty(controller: DegradationController, start: float,
     retry = controller.scenario.retry
     stats = controller.stats
     injector = controller.injector
-    stalled = injector.chunk_stalls(start, index, n_chunks)
+    stalled = chunk_stalls(injector, start, index, n_chunks)
     penalty = 0.0
     for chunk in stalled:
         stats.transfer_stalls += 1
@@ -337,7 +375,7 @@ def transfer_penalty(controller: DegradationController, start: float,
             controller._count("faults.backoff_seconds", delay)
             controller._span(f"backoff:req{index}:chunk{chunk}", at,
                              at + delay, attempt=attempt)
-            if injector.retry_succeeds(index, chunk, attempt, start):
+            if retry_succeeds(injector, index, chunk, attempt, start):
                 recovered = True
                 break
             penalty += retry.timeout_s
@@ -486,8 +524,9 @@ def run_admission_sequential(controller: DegradationController,
                       int(table.shrinks[code]), index, start)
         penalty = 0.0
         if stall_p > 0.0:
-            penalty, ops = _stall_outcome(controller.scenario, stall_p,
-                                          index, int(table.n_chunks[code]))
+            (penalty, ops), = _stall_outcomes(
+                controller.scenario, stall_p, [index],
+                [int(table.n_chunks[code])])
             if ops:
                 _apply_stall_ops(controller, index, start, ops)
         if signature or penalty > 0.0:

@@ -34,7 +34,7 @@ from repro.serving import (MultiReplicaSimulator, ScaleOutReport,
                            WorkloadVector, arrivals_poisson,
                            lindley_timeline, run_fifo)
 from repro.serving.degradation import DegradationController, PlanTable
-from repro.serving.piecewise import _apply_stall_ops, _stall_outcome
+from repro.serving.piecewise import _apply_stall_ops, _stall_outcomes
 from repro.telemetry.runtime import Telemetry, activate
 from repro.telemetry.timeseries import (fleet_timeseries,
                                         timeseries_from_report)
@@ -312,9 +312,11 @@ def test_lindley_kernel_single_and_few_periods(length, with_penalties,
 
 
 # ----------------------------------------------------------------------
-# Stall-outcome replication (transfer_penalty == _stall_outcome)
+# Stall-outcome replication (transfer_penalty == _stall_outcomes)
 # ----------------------------------------------------------------------
 def test_stall_outcome_replays_transfer_penalty(simulator):
+    """One block of draws (one reseeded generator, chunk counts that
+    vary) replays the oracle's per-request injector draws."""
     scenario = FaultScenario(
         name="always-stall", seed=13,
         events=(FaultEvent(FaultKind.PCIE_STALL, magnitude=0.3),),
@@ -325,22 +327,25 @@ def test_stall_outcome_replays_transfer_penalty(simulator):
                                  scenario)
     shadow = DegradationController(PlanTable(simulator.estimator),
                                    scenario)
+    indices = list(range(40))
+    n_chunks = [5 if index % 7 else index % 3 for index in indices]
+    outcomes = _stall_outcomes(scenario, 0.3, indices, n_chunks)
     hit = False
-    for index in range(40):
-        penalty = transfer_penalty(live, 2.0, index, 5)
-        expected, ops = _stall_outcome(scenario, 0.3, index, 5)
+    for index, chunks, (expected, ops) in zip(indices, n_chunks,
+                                              outcomes):
+        penalty = transfer_penalty(live, 2.0, index, chunks)
         assert penalty == expected
         if ops:
             hit = True
             _apply_stall_ops(shadow, index, 2.0, ops)
-    assert hit  # p=0.3 over 200 chunk draws: stalls certainly occurred
+    assert hit  # p=0.3 over ~190 chunk draws: stalls certainly occurred
     assert shadow.stats.as_dict() == live.stats.as_dict()
 
 
 def test_stall_outcome_trivial_cases():
     scenario = FaultScenario(name="s", seed=0)
-    assert _stall_outcome(scenario, 0.0, 5, 8) == (0.0, ())
-    assert _stall_outcome(scenario, 0.5, 5, 0) == (0.0, ())
+    assert _stall_outcomes(scenario, 0.0, [5], [8]) == [(0.0, ())]
+    assert _stall_outcomes(scenario, 0.5, [5], [0]) == [(0.0, ())]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The event-to-event scheduler against its per-iteration oracle.
 
 :meth:`ContinuousBatchScheduler.run` folds whole runs of decode steps
-between membership events and defers the Eq. (1) re-solves no step
-reads; ``tests/oracles/scheduler_loop.run_loop`` takes one decode
+between membership events and only counts the Eq. (1) re-solves no
+step reads; ``tests/oracles/scheduler_loop.run_loop`` takes one decode
 iteration per turn and solves every re-solve on the spot.  Every
 report field, the timeline fingerprint, every span and every metric —
 ``policy.searches{stage=decode}`` included — must agree exactly, over
@@ -152,28 +152,28 @@ def test_refused_head_waits_for_a_release(join):
 
 def test_both_resolve_branches_run_and_count(monkeypatch):
     """Spilled KV makes steps read Eq. (1) (solved on the spot); an
-    all-HBM batch does not (queued, solved once at the end).  Both
-    kinds count as searches and resolves, as in the oracle."""
-    on_spot, queued = [], []
+    all-HBM batch does not (counted once at the end, never solved).
+    Both kinds count as searches and resolves, as in the oracle."""
+    on_spot, unread = [], []
     optimal_policy = scheduler_module.optimal_policy
-    solve_points = scheduler_module.solve_points
+    count_searches = scheduler_module.count_searches
 
     def spot(*args, **kwargs):
         on_spot.append(args[2:4])
         return optimal_policy(*args, **kwargs)
 
-    def batch(spec, stage, points, *args, **kwargs):
-        queued.extend(points)
-        return solve_points(spec, stage, points, *args, **kwargs)
+    def count(stage, config, points):
+        unread.append(points)
+        return count_searches(stage, config, points)
 
     monkeypatch.setattr(scheduler_module, "optimal_policy", spot)
-    monkeypatch.setattr(scheduler_module, "solve_points", batch)
+    monkeypatch.setattr(scheduler_module, "count_searches", count)
     requests, arrivals, config = _spilling_case()
     (fields, __), searches, *__ = assert_matches_oracle(
         requests, arrivals, config)
     resolves = fields[REPORT_FIELDS.index("policy_resolves")]
-    assert on_spot and queued
-    assert len(on_spot) + len(queued) == resolves == searches
+    assert on_spot and len(unread) == 1 and unread[0] > 0
+    assert len(on_spot) + unread[0] == resolves == searches
 
 
 @given(batch=st.one_of(st.integers(-2, 80),
@@ -193,6 +193,19 @@ def test_decode_step_times_match_the_scalar_scan(batch, contexts):
             for context in contexts] == times.tolist()
 
 
+def test_every_integer_batch_matches_the_scalar_scan():
+    """The scheduler's aggregate batch is an int: every one up to past
+    the axis end agrees with the oracle's scan bit for bit."""
+    profile = StepProfile(ESTIMATOR, [1, 2, 8, 32, 64],
+                          [64, 128, 256, 700, 1100])
+    oracle = LoopProfile(profile)
+    contexts = np.array([1, 64, 100, 700, 900, 1300])
+    for batch in range(0, 70):
+        times = profile.decode_step_times(batch, contexts).tolist()
+        assert times == [oracle.decode_step_time(batch, context)
+                         for context in contexts.tolist()], batch
+
+
 def test_single_point_axes_clamp_everywhere():
     profile = StepProfile(ESTIMATOR, [4], [300])
     oracle = LoopProfile(profile)
@@ -203,13 +216,13 @@ def test_single_point_axes_clamp_everywhere():
 
 def test_prefill_times_come_from_one_batched_call(monkeypatch):
     calls = []
-    estimate_many = LiaEstimator.estimate_many
+    prefill_times = LiaEstimator.prefill_times
 
-    def counting(self, requests):
-        calls.append(len(requests))
-        return estimate_many(self, requests)
+    def counting(self, batch_sizes, input_lens):
+        calls.append(len(batch_sizes))
+        return prefill_times(self, batch_sizes, input_lens)
 
-    monkeypatch.setattr(LiaEstimator, "estimate_many", counting)
+    monkeypatch.setattr(LiaEstimator, "prefill_times", counting)
     requests = [InferenceRequest(*shape) for shape in
                 ((1, 128, 4), (8, 256, 2), (1, 128, 9), (2, 64, 3))]
     profile = StepProfile.for_workload(ESTIMATOR, requests,
@@ -219,7 +232,7 @@ def test_prefill_times_come_from_one_batched_call(monkeypatch):
     for request in requests:
         assert (profile.prefill_time(request)
                 == oracle.prefill_time(request))
-    assert calls == [3] + [1] * 3  # the oracle's per-shape estimates
+    assert calls == [3]  # the oracle estimates each shape itself
 
 
 def test_prefill_capacity_error_is_stored_and_raised_on_use():

@@ -195,8 +195,8 @@ def test_windowed_percentiles_track_exact_order_statistics(simulator):
                                          seed=1)
     arrivals = arrivals_poisson(500, 0.21, seed=1)
     report = _fresh_simulator(simulator).run(workload, arrivals)
-    series = timeseries_from_report(report, n_windows=16,
-                                    percentile_stride=1)
+    series = timeseries_from_report(report, n_windows=16)
+    assert series.percentile_stride == 1  # 500 < 16 windows x 128
     latencies = report.finishes - np.asarray(arrivals)
     windows = np.minimum(
         np.searchsorted(series.grid.edges, report.finishes,
@@ -223,14 +223,12 @@ def test_merge_of_split_halves_equals_whole(simulator):
     report = _fresh_simulator(simulator).run(workload, arrivals)
     grid = WindowGrid.cover(report.makespan, n_windows=32)
     whole = compute_timeseries(arrivals, report.starts,
-                               report.finishes, grid=grid,
-                               percentile_stride=1)
+                               report.finishes, grid=grid)
     even = compute_timeseries(arrivals[0::2], report.starts[0::2],
-                              report.finishes[0::2], grid=grid,
-                              percentile_stride=1)
+                              report.finishes[0::2], grid=grid)
     odd = compute_timeseries(arrivals[1::2], report.starts[1::2],
-                             report.finishes[1::2], grid=grid,
-                             percentile_stride=1)
+                             report.finishes[1::2], grid=grid)
+    assert whole.percentile_stride == 1  # every latency ingested
     merged = even.merge(odd)
     assert np.array_equal(merged.arrived, whole.arrived)
     assert np.array_equal(merged.finished, whole.finished)
@@ -297,8 +295,7 @@ def _synthetic_spike_series(n=400, spike=slice(200, 240)):
     order = np.argsort(finishes, kind="stable")
     grid = WindowGrid(t0=0.0, window_s=4.0, n_windows=100)
     return compute_timeseries(arrivals[order], arrivals[order],
-                              finishes[order], grid=grid,
-                              percentile_stride=1)
+                              finishes[order], grid=grid)
 
 
 def test_burn_rate_alert_fires_on_spike_and_attributes_fault():

@@ -97,7 +97,7 @@ def test_exported_counter_tracks_validate(validator, tmp_path):
     finishes = arrivals + 0.5
     grid = WindowGrid(t0=0.0, window_s=8.0, n_windows=4)
     series = compute_timeseries(arrivals, arrivals, finishes,
-                                grid=grid, percentile_stride=1)
+                                grid=grid)
     # Window 2 finished nothing: its percentile sample is NaN and
     # must be absent from the counter track, not emitted as NaN.
     assert np.isnan(series.percentile(0.95)[2])
