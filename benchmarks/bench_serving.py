@@ -559,7 +559,7 @@ def run(n_requests: int = N_REQUESTS, reps: int = REPS,
 
     # Untimed setup: both sides replay the same arrival trace in their
     # native format — the loop gets the object list and the Python
-    # float list (what run_poisson always fed it), the array engine
+    # float list (what arrivals_poisson returns), the array engine
     # the columnar workload and the float64 array of the same values.
     workload = WorkloadVector.sample_mix(SHAPES, n_requests, seed=SEED)
     requests = workload.to_requests()

@@ -49,8 +49,9 @@ from repro.serving.scheduler import (MIXED_SHAPES,
                                      run_continuous_fleet)
 from repro.serving.simulator import (DroppedRequest, ServedRequest,
                                      ServingReport, ServingSimulator,
-                                     arrivals_poisson, validate_arrivals)
+                                     validate_arrivals)
 from repro.serving.vectorized import WorkloadVector, lindley_timeline
+from repro.workloads.traces import arrivals_poisson
 
 __all__ = [
     "AutoscalerPolicy",

@@ -24,7 +24,8 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import SystemConfig, get_system
 from repro.models.spec import ModelSpec
 from repro.models.workload import InferenceRequest
-from repro.serving.simulator import ServingSimulator, arrivals_poisson
+from repro.serving.simulator import ServingSimulator
+from repro.workloads.traces import arrivals_poisson
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,16 @@ def choose_system(spec: ModelSpec, requests: Sequence[InferenceRequest],
     if not requests:
         raise ConfigurationError("workload must contain requests")
     config = config or LiaConfig()
+    arrivals = arrivals_poisson(len(requests), arrival_rate_per_s,
+                                seed=seed)
     choices: List[PlanChoice] = []
     for name in candidates:
         system = get_system(name)
         estimator = LiaEstimator(spec, system, config)
         cost = CostModel(system).usd_per_hour()
         try:
-            report = ServingSimulator(estimator).run_poisson(
-                requests, arrival_rate_per_s, seed=seed,
-                scenario=scenario)
+            report = ServingSimulator(estimator).run(
+                requests, arrivals, scenario=scenario)
         except CapacityError as error:
             choices.append(PlanChoice(system=system, feasible=False,
                                       p95_latency=float("inf"),

@@ -34,8 +34,8 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.models.workload import InferenceRequest
 from repro.serving.degradation import PlanTable
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
-                                     arrivals_poisson, nearest_rank,
-                                     validate_arrivals, validate_stream)
+                                     nearest_rank, validate_arrivals,
+                                     validate_stream)
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.metrics import StreamingHistogram
 from repro.telemetry.runtime import Telemetry
@@ -186,14 +186,6 @@ class MultiReplicaSimulator:
         if telemetry is not None:
             self._emit_telemetry(report, telemetry)
         return report
-
-    def run_poisson(self, requests: Union[Sequence[InferenceRequest],
-                                          WorkloadVector],
-                    rate_per_s: float, seed: int = 0,
-                    scenario: Optional["FaultScenario"] = None
-                    ) -> ScaleOutReport:
-        arrivals = arrivals_poisson(len(requests), rate_per_s, seed=seed)
-        return self.run(requests, arrivals, scenario=scenario)
 
     # ------------------------------------------------------------------
     def _run_round_robin(self, workload: WorkloadVector,

@@ -55,7 +55,7 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
-                                     arrivals_poisson, validate_stream)
+                                     validate_stream)
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.bridge import note_dropped_spans
 from repro.telemetry.runtime import Telemetry
@@ -129,6 +129,10 @@ class SchedulerConfig:
         if self.span_cap < 0:
             raise ConfigurationError(
                 f"span_cap must be >= 0, got {self.span_cap}")
+        if self.kv_unbounded and self.kv_capacities is not None:
+            raise ConfigurationError(
+                "kv_unbounded disables the KV budgets; drop "
+                "kv_capacities or kv_unbounded")
 
     @property
     def is_fifo_degenerate(self) -> bool:
@@ -372,10 +376,9 @@ class ContinuousServingReport(ServingReport):
 class ContinuousBatchScheduler:
     """ORCA-style iteration-level scheduler over the LIA cost model.
 
-    Drop-in peer of :class:`ServingSimulator`: same ``run`` /
-    ``run_poisson`` surface, same report statistics, but requests
-    share the server concurrently and admission is gated by per-tier
-    KV capacity.
+    Drop-in peer of :class:`ServingSimulator`: same ``run`` surface,
+    same report statistics, but requests share the server concurrently
+    and admission is gated by per-tier KV capacity.
     """
 
     def __init__(self, estimator: "LiaEstimator",
@@ -419,15 +422,6 @@ class ContinuousBatchScheduler:
         if self.config.is_fifo_degenerate:
             return self._run_degenerate(workload, trace)
         return self._run_iterative(workload, trace)
-
-    def run_poisson(self, requests: Union[Sequence[InferenceRequest],
-                                          WorkloadVector],
-                    rate_per_s: float, seed: int = 0
-                    ) -> ContinuousServingReport:
-        """Serve with seeded Poisson arrivals (the FIFO twin's API)."""
-        arrivals = arrivals_poisson(len(requests), rate_per_s,
-                                    seed=seed)
-        return self.run(requests, arrivals)
 
     # ------------------------------------------------------------------
     def _run_degenerate(self, workload: WorkloadVector,

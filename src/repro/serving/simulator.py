@@ -27,7 +27,6 @@ from repro.core.estimator import LiaEstimator
 from repro.errors import ConfigurationError
 from repro.models.workload import InferenceRequest
 from repro.serving.vectorized import WorkloadVector
-from repro.workloads.traces import arrivals_poisson
 
 if TYPE_CHECKING:
     from repro.faults.spec import FaultScenario
@@ -441,12 +440,3 @@ class ServingSimulator:
         from repro.serving.piecewise import run_fifo
 
         return run_fifo(self.estimator, requests, arrivals, scenario)
-
-    def run_poisson(self, requests: Union[Sequence[InferenceRequest],
-                                          WorkloadVector],
-                    rate_per_s: float, seed: int = 0,
-                    scenario: Optional["FaultScenario"] = None
-                    ) -> ServingReport:
-        """Serve with Poisson arrivals at ``rate_per_s`` (seeded)."""
-        arrivals = arrivals_poisson(len(requests), rate_per_s, seed=seed)
-        return self.run(requests, arrivals, scenario=scenario)

@@ -113,6 +113,9 @@ class WindowGrid:
         equal windows.  A degenerate span (all events at ``t0``)
         gets one-second windows rather than a zero division.
         """
+        if window_s is None and n_windows < 1:
+            raise ConfigurationError(
+                f"n_windows must be >= 1, got {n_windows}")
         span = horizon - t0
         if window_s is not None:
             if window_s <= 0.0:
@@ -403,7 +406,8 @@ class ServingTimeseries:
         Count channels, busy seconds, weighted sums, and the latency
         bucket histograms all add; the result answers fleet-level
         questions exactly as if every replica reported into one
-        collector.
+        collector.  The fleet control-plane channels (``replicas``,
+        ``availability``) describe a whole fleet and are not merged.
         """
         if (self.grid != other.grid):
             raise ConfigurationError(
@@ -423,16 +427,6 @@ class ServingTimeseries:
             for part in (self.dropped, other.dropped):
                 if part is not None:
                     dropped = dropped + part
-        if self.replicas is None and other.replicas is None:
-            replicas = None
-        else:
-            replicas = np.zeros(self.n_windows, dtype=np.int64)
-            for part in (self.replicas, other.replicas):
-                if part is not None:
-                    replicas = replicas + part
-        availability = _merge_availability(
-            self.availability, self.arrived,
-            other.availability, other.arrived)
         counts, offset = _merge_bucket_counts(
             self._bucket_counts, self._bucket_offset,
             other._bucket_counts, other._bucket_offset)
@@ -445,8 +439,6 @@ class ServingTimeseries:
             busy_s=self.busy_s + other.busy_s,
             weighted=weighted,
             dropped=dropped,
-            replicas=replicas,
-            availability=availability,
             n_servers=self.n_servers + other.n_servers,
             percentile_stride=max(self.percentile_stride,
                                   other.percentile_stride),
@@ -488,24 +480,6 @@ class ServingTimeseries:
                 None if math.isnan(value) else value
                 for value in values.tolist()]
         return document
-
-
-def _merge_availability(left: Optional[np.ndarray],
-                        left_arrived: np.ndarray,
-                        right: Optional[np.ndarray],
-                        right_arrived: np.ndarray
-                        ) -> Optional[np.ndarray]:
-    """Arrival-weighted per-window availability of two sub-fleets;
-    a side without the channel is treated as fully available."""
-    if left is None and right is None:
-        return None
-    ones_left = np.ones(left_arrived.size, dtype=np.float64)
-    l = left if left is not None else ones_left
-    r = right if right is not None else ones_left
-    total = left_arrived + right_arrived
-    weighted = l * left_arrived + r * right_arrived
-    return np.where(total > 0, weighted / np.maximum(total, 1),
-                    1.0).astype(np.float64)
 
 
 def _merge_bucket_counts(left: Optional[np.ndarray], left_offset: int,

@@ -14,6 +14,7 @@ from repro.serving.batcher import pack_requests, repack_under_pressure
 from repro.serving.planner import choose_system
 from repro.serving.simulator import ServingSimulator
 from repro.telemetry.runtime import Telemetry, activate
+from repro.workloads.traces import arrivals_poisson
 
 
 @pytest.fixture
@@ -32,9 +33,10 @@ REQUESTS = [InferenceRequest(8, 512, 64)] * 10
 # Bit-identity of the idle fault layer
 # ----------------------------------------------------------------------
 def test_idle_scenario_is_bit_identical(simulator):
-    base = simulator.run_poisson(REQUESTS, 0.05, seed=3)
-    idle = simulator.run_poisson(
-        REQUESTS, 0.05, seed=3,
+    arrivals = arrivals_poisson(len(REQUESTS), 0.05, seed=3)
+    base = simulator.run(REQUESTS, arrivals)
+    idle = simulator.run(
+        REQUESTS, arrivals,
         scenario=FaultScenario(name="armed-but-idle", seed=99))
     assert _timeline(base) == _timeline(idle)
     # No fault shell either: an idle scenario reports like no scenario.
@@ -127,7 +129,8 @@ def test_degraded_run_emits_fault_counters_and_spans(simulator):
     telemetry = Telemetry()
     scenario = get_scenario("noisy-neighbor")
     with activate(telemetry):
-        simulator.run_poisson(REQUESTS, 0.05, seed=7, scenario=scenario)
+        simulator.run(REQUESTS, arrivals_poisson(len(REQUESTS), 0.05, seed=7),
+                      scenario=scenario)
     metrics = {sample["metric"] for sample in
                telemetry.metrics.snapshot()}
     assert any(name.startswith("faults.") for name in metrics)
@@ -150,6 +153,7 @@ from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.simulator import ServingSimulator
+from repro.workloads.traces import arrivals_poisson
 
 simulator = ServingSimulator(LiaEstimator(
     get_model("opt-30b"), get_system("spr-a100"),
@@ -157,8 +161,9 @@ simulator = ServingSimulator(LiaEstimator(
 scenario = get_scenario("noisy-neighbor")
 runs = []
 for seed in json.loads(sys.argv[1]):
-    report = simulator.run_poisson([InferenceRequest(8, 512, 64)] * 10,
-                                   0.05, seed=seed, scenario=scenario)
+    report = simulator.run([InferenceRequest(8, 512, 64)] * 10,
+                           arrivals_poisson(10, 0.05, seed=seed),
+                           scenario=scenario)
     runs.append([[(s.arrival, s.start, s.finish) for s in report.served],
                  report.stats.as_dict()])
 print(json.dumps(runs))
@@ -183,19 +188,19 @@ def test_degraded_runs_identical_across_sweep_workers(simulator, workers,
         runs = fresh_interpreter(DEGRADED_RUNS, chunk, hash_seed)
         assert len(runs) == len(chunk)
         for seed, (timeline, stats) in zip(chunk, runs):
-            reference = simulator.run_poisson(REQUESTS, 0.05, seed=seed,
-                                              scenario=scenario)
+            reference = simulator.run(
+                REQUESTS, arrivals_poisson(len(REQUESTS), 0.05, seed=seed),
+                scenario=scenario)
             assert timeline == _as_json(_timeline(reference))
             assert stats == _as_json(reference.stats.as_dict())
 
 
 def test_degraded_runs_identical_across_repeat_runs(simulator):
     scenario = get_scenario("noisy-neighbor")
-    report = simulator.run_poisson(REQUESTS, 0.05, seed=7,
-                                   scenario=scenario)
+    arrivals = arrivals_poisson(len(REQUESTS), 0.05, seed=7)
+    report = simulator.run(REQUESTS, arrivals, scenario=scenario)
     # Compare against a reference computed fresh.
-    reference = simulator.run_poisson(REQUESTS, 0.05, seed=7,
-                                      scenario=scenario)
+    reference = simulator.run(REQUESTS, arrivals, scenario=scenario)
     assert _timeline(report) == _timeline(reference)
     assert report.stats.as_dict() == reference.stats.as_dict()
 

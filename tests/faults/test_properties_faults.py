@@ -16,6 +16,7 @@ from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.simulator import ServingSimulator
+from repro.workloads.traces import arrivals_poisson
 
 CONFIG = LiaConfig(enforce_host_capacity=False)
 
@@ -123,9 +124,9 @@ def test_enabled_but_idle_layer_is_bit_identical(simulator, seed):
     idle = FaultScenario(name="idle", seed=seed,
                          retry=RetryPolicy(max_retries=seed % 4))
     assert idle.idle
-    base = simulator.run_poisson(_REQUESTS, 0.05, seed=1)
-    layered = simulator.run_poisson(_REQUESTS, 0.05, seed=1,
-                                    scenario=idle)
+    arrivals = arrivals_poisson(len(_REQUESTS), 0.05, seed=1)
+    base = simulator.run(_REQUESTS, arrivals)
+    layered = simulator.run(_REQUESTS, arrivals, scenario=idle)
     assert _timeline(base) == _timeline(layered)
 
 
@@ -138,8 +139,9 @@ def test_seeded_scenarios_deterministic_across_repeat_runs(simulator,
     order."""
     results = []
     for _ in range(2):
-        report = simulator.run_poisson(_REQUESTS, 0.05, seed=2,
-                                       scenario=scenario)
+        report = simulator.run(
+            _REQUESTS, arrivals_poisson(len(_REQUESTS), 0.05, seed=2),
+            scenario=scenario)
         dropped = [(d.arrival, d.reason)
                    for d in getattr(report, "dropped", [])]
         stats = getattr(report, "stats", None)

@@ -16,7 +16,8 @@ from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.degradation import PlanTable
 from repro.serving.replicas import MultiReplicaSimulator, replicas_needed
-from repro.serving.simulator import ServingSimulator, arrivals_poisson
+from repro.serving.simulator import ServingSimulator
+from repro.workloads.traces import arrivals_poisson
 from repro.serving.vectorized import WorkloadVector
 
 #: Under the HBM-pressure window the batch-8 shape no longer fits and

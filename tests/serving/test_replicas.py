@@ -38,7 +38,7 @@ def test_single_replica_matches_single_server(estimator):
 
 def test_round_robin_assignment_pattern(estimator):
     fleet = MultiReplicaSimulator(estimator, 3)
-    report = fleet.run_poisson(_workload(10), 0.5, seed=0)
+    report = fleet.run(_workload(10), arrivals_poisson(10, 0.5, seed=0))
     assert report.assignment.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
     assert report.n_served == 10
     assert report.replica_ids == (0, 1, 2)
@@ -205,7 +205,7 @@ def test_replica_telemetry_gauges(estimator):
     telemetry = Telemetry()
     fleet = MultiReplicaSimulator(estimator, 2)
     with activate(telemetry):
-        fleet.run_poisson(_workload(20), 0.5, seed=0)
+        fleet.run(_workload(20), arrivals_poisson(20, 0.5, seed=0))
     system = estimator.system.name
     model = estimator.spec.name
     gauge = telemetry.metrics.gauge("serving.replicas", system=system,

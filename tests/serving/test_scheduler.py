@@ -92,6 +92,12 @@ def test_degenerate_detection_requires_all_three_knobs():
                                kv_unbounded=True).is_fifo_degenerate
 
 
+def test_unbounded_kv_rejects_explicit_budgets():
+    with pytest.raises(ConfigurationError, match="kv_unbounded"):
+        SchedulerConfig(kv_unbounded=True,
+                        kv_capacities=KvTierCapacities(1e9, 1e9, 1e9))
+
+
 # ----------------------------------------------------------------------
 # Batching pays, deterministically
 # ----------------------------------------------------------------------
@@ -135,14 +141,13 @@ def test_admission_is_fifo_under_batch_pressure(estimator):
     assert starts == sorted(starts)
 
 
-def test_run_poisson_matches_explicit_arrivals(estimator):
+def test_request_list_matches_workload_vector(estimator):
     workload = WorkloadVector.sample_mix(SHAPES, 120, seed=3)
-    requests = workload.to_requests()
     arrivals = arrivals_poisson(120, 0.4, seed=11)
     scheduler = ContinuousBatchScheduler(estimator)
-    via_trace = scheduler.run(workload, arrivals)
-    via_poisson = scheduler.run_poisson(requests, 0.4, seed=11)
-    assert via_trace.fingerprint() == via_poisson.fingerprint()
+    via_vector = scheduler.run(workload, arrivals)
+    via_list = scheduler.run(workload.to_requests(), arrivals)
+    assert via_vector.fingerprint() == via_list.fingerprint()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.simulator import ServingReport, ServingSimulator
 from repro.serving.vectorized import WorkloadVector
+from repro.workloads.traces import arrivals_poisson
 
 
 @pytest.fixture
@@ -49,16 +50,16 @@ def test_percentiles_and_throughput(simulator):
 
 
 def test_poisson_deterministic_with_seed(simulator):
-    a = simulator.run_poisson(_requests(5), rate_per_s=0.5, seed=3)
-    b = simulator.run_poisson(_requests(5), rate_per_s=0.5, seed=3)
+    a = simulator.run(_requests(5), arrivals_poisson(5, 0.5, seed=3))
+    b = simulator.run(_requests(5), arrivals_poisson(5, 0.5, seed=3))
     assert [r.arrival for r in a.served] == [r.arrival for r in b.served]
-    c = simulator.run_poisson(_requests(5), rate_per_s=0.5, seed=4)
+    c = simulator.run(_requests(5), arrivals_poisson(5, 0.5, seed=4))
     assert [r.arrival for r in a.served] != [r.arrival for r in c.served]
 
 
 def test_higher_rate_means_more_queueing(simulator):
-    slow = simulator.run_poisson(_requests(8), rate_per_s=0.01, seed=0)
-    fast = simulator.run_poisson(_requests(8), rate_per_s=10.0, seed=0)
+    slow = simulator.run(_requests(8), arrivals_poisson(8, 0.01, seed=0))
+    fast = simulator.run(_requests(8), arrivals_poisson(8, 10.0, seed=0))
     assert fast.mean_queue_delay >= slow.mean_queue_delay
     assert fast.utilization >= slow.utilization
 
@@ -120,7 +121,7 @@ def test_input_validation(simulator):
     with pytest.raises(ConfigurationError, match="non-decreasing"):
         simulator.run(_requests(2), [1.0, 0.0])
     with pytest.raises(ConfigurationError):
-        simulator.run_poisson(_requests(1), rate_per_s=0.0)
+        simulator.run(_requests(1), arrivals_poisson(1, 0.0))
     with pytest.raises(ConfigurationError):
         _empty_report()
 

@@ -301,7 +301,7 @@ def test_validate_arrivals_rejects_infinite_and_negative():
 
 
 def test_arrivals_poisson_matches_inline_stream():
-    # Byte-identical to the generator run_poisson always used: one
+    # Byte-identical to the generator the serving CLI always used: one
     # random.Random(seed) stream of expovariate gaps.
     rng = random.Random(9)
     clock, expected = 0.0, []
@@ -314,14 +314,16 @@ def test_arrivals_poisson_matches_inline_stream():
         arrivals_poisson(-1, 1.0)
     with pytest.raises(ConfigurationError):
         arrivals_poisson(5, 0.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        arrivals_poisson(5, math.inf)
 
 
-def test_run_poisson_loop_vs_vectorized(simulator):
+def test_poisson_stream_loop_vs_vectorized(simulator):
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 200,
                                          seed=2)
-    loop = run_loop(simulator, workload.to_requests(),
-                    arrivals_poisson(200, 0.21, seed=2))
-    vec = simulator.run_poisson(workload, 0.21, seed=2)
+    arrivals = arrivals_poisson(200, 0.21, seed=2)
+    loop = run_loop(simulator, workload.to_requests(), arrivals)
+    vec = simulator.run(workload, arrivals)
     assert vec.starts.tolist() == [r.start for r in loop.served]
     assert vec.finishes.tolist() == [r.finish for r in loop.served]
 

@@ -80,6 +80,12 @@ def test_window_grid_cover_and_lookup():
     assert degenerate.window_s > 0.0
 
 
+@pytest.mark.parametrize("horizon", [10.0, 0.0])
+def test_window_grid_cover_rejects_zero_windows(horizon):
+    with pytest.raises(ConfigurationError, match="n_windows must be >= 1"):
+        WindowGrid.cover(horizon, n_windows=0)
+
+
 def test_handcrafted_channels_are_exact():
     # Three back-to-back requests on one always-busy server:
     # arrive 0/1/2, start 0/2/4, finish 2/4/6.
@@ -263,7 +269,7 @@ def test_fleet_timeseries_matches_direct_computation(simulator):
                                          seed=6)
     fleet_sim = MultiReplicaSimulator(simulator.estimator, 3,
                                       dispatch="round-robin")
-    report = fleet_sim.run_poisson(workload, 0.6, seed=6)
+    report = fleet_sim.run(workload, arrivals_poisson(600, 0.6, seed=6))
     fleet = fleet_timeseries(report, n_windows=40)
     # Direct: one unsorted computation over the interleaved fleet
     # timeline must agree with the per-replica merge.
@@ -455,8 +461,8 @@ def test_dashboard_fleet_section_reads_the_scale_out_report(tmp_path,
 
     workload = WorkloadVector.sample_mix(SHAPE_MIXES["tier1"], 600,
                                          seed=6)
-    report = MultiReplicaSimulator(simulator.estimator, 3).run_poisson(
-        workload, 0.6, seed=6)
+    report = MultiReplicaSimulator(simulator.estimator, 3).run(
+        workload, arrivals_poisson(600, 0.6, seed=6))
     monitoring = monitor_report(report, SLOPolicy(latency_threshold_s=5.0),
                                 n_windows=24)
     text = write_dashboard_html(tmp_path / "fleet.html", monitoring,

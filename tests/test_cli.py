@@ -446,3 +446,51 @@ def test_fleet_chaos_file_override(capsys, tmp_path):
                  "--chaos", str(chaos_path)]) == 0
     out = capsys.readouterr().out
     assert "chaos gray-failure" in out
+
+
+def test_partial_kv_override_keeps_the_derived_tiers(tmp_path):
+    """``--kv-ddr-gb`` alone replaces the DDR budget only: HBM keeps
+    its system-derived budget, so the HBM peak does not move."""
+    import json
+
+    peaks = []
+    for override in ([], ["--kv-ddr-gb", "100"]):
+        path = tmp_path / "serve.json"
+        assert main(["serve", "--scheduler", "continuous",
+                     "--num-requests", "200", "--rate", "0.5",
+                     *override, "--json", str(path)]) == 0
+        peaks.append(json.loads(path.read_text())["batching"]
+                     ["kv_peak_bytes"])
+    assert peaks[0]["hbm"] > 0.0
+    assert peaks[1]["hbm"] == peaks[0]["hbm"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["monitor", "--num-requests", "50", "--windows", "0"],
+     "n_windows must be >= 1, got 0"),
+    (["fleet", "--preset", "replica-crash", "--num-requests", "50",
+      "--html", "fleet.html", "--windows", "0"],
+     "n_windows must be >= 1, got 0"),
+    (["serve", "--num-requests", "10", "--rate", "inf"],
+     "rate_per_s must be finite, got inf"),
+    (["monitor", "--num-requests", "10", "--rate", "inf"],
+     "rate_per_s must be finite, got inf"),
+    (["fleet", "--num-requests", "-5"], "--num-requests must be >= 0"),
+    (["serve", "--slo-p95", "-1"], "--slo-p95 must be >= 0"),
+    (["serve", "--slo-p95", "nan"], "--slo-p95 must be >= 0"),
+    (["serve", "--scheduler", "continuous", "--kv-hbm-gb", "-1"],
+     "--kv-hbm-gb must be >= 0"),
+    (["serve", "--scheduler", "continuous", "--kv-cxl-gb", "-2"],
+     "--kv-cxl-gb must be >= 0"),
+    (["serve", "--scheduler", "continuous", "--num-requests", "10",
+      "--kv-unbounded", "--kv-hbm-gb", "1"],
+     "kv_unbounded disables the KV budgets"),
+])
+def test_rejected_inputs_are_one_line_errors(capsys, tmp_path,
+                                              monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "fleet.html").exists()
