@@ -4,7 +4,7 @@
 CI runs this after the unit suite as a larger-n backstop: for each
 scenario in :func:`repro.faults.scenarios.builtin_scenarios` plus the
 admission-bounded presets below (a tight always-saturated queue, a
-deep mostly-open one, and the benchmark's five-window composite
+deep mostly-open one, and perfbench serve-faults' five-window composite
 schedule behind a saturated 64-deep queue, so the batched
 attempt-zero probes of speculative blocks and the admission rounds
 of a full queue both see thousands of requests), serve the same
@@ -42,7 +42,7 @@ MODEL = "opt-30b"
 SYSTEM = "spr-a100"
 
 
-#: The benchmark's composite schedule: (kind, start, duration,
+#: perfbench serve-faults' composite schedule: (kind, start, duration,
 #: magnitude) with start and duration as fractions of the trace.
 COMPOSITE_WINDOWS = (("pcie-downshift", 0.06, 0.20, 0.6),
                      ("gpu-hbm-pressure", 0.22, 0.18, 0.35),

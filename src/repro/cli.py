@@ -306,6 +306,21 @@ def _reject_negative(args: argparse.Namespace, *dests: str) -> None:
                 f"it unset), got {value}")
 
 
+def _reject_continuous_only(args: argparse.Namespace, *dests: str) -> None:
+    """Continuous-scheduler flags moved off their defaults need
+    ``--scheduler continuous``; the FIFO engines would ignore them."""
+    if args.scheduler == "continuous":
+        return
+    defaults = _build_parser().parse_args([args.command])
+    given = [f"--{dest.replace('_', '-')}" for dest in dests
+             if getattr(args, dest) != getattr(defaults, dest)]
+    if given:
+        raise ConfigurationError(
+            f"{', '.join(given)} {'needs' if len(given) == 1 else 'need'} "
+            "--scheduler continuous (the FIFO engines ignore "
+            f"{'it' if len(given) == 1 else 'them'})")
+
+
 def _parse_shape(spelled: str) -> InferenceRequest:
     parts = spelled.split(",")
     if len(parts) != 3:
@@ -709,6 +724,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     _reject_negative(args, "slo_p95", "kv_hbm_gb", "kv_ddr_gb",
                      "kv_cxl_gb")
+    _reject_continuous_only(args, "max_batch", "join", "kv_hbm_gb",
+                            "kv_ddr_gb", "kv_cxl_gb", "kv_unbounded")
     continuous = args.scheduler == "continuous"
     if continuous and args.slo_p95 > 0.0:
         raise ConfigurationError(
@@ -792,6 +809,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                                  write_dashboard_html,
                                  write_timeseries_csv)
 
+    _reject_negative(args, "slo_threshold", "long_window", "short_window")
     if args.preset and args.replicas > 1:
         raise ConfigurationError(
             "--preset runs a single server under the fault "
@@ -910,6 +928,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return load(spelled) if os.path.exists(spelled) else get(spelled)
 
     _reject_negative(args, "num_requests")
+    _reject_continuous_only(args, "max_batch")
     preset = get_fleet_preset(args.preset)
     trace_spec = override(args.trace, preset.trace, load_trace, get_trace)
     chaos = override(args.chaos, preset.chaos, load_fleet_scenario,

@@ -73,8 +73,8 @@ __all__ = [
     "run_continuous_fleet",
 ]
 
-#: The mixed-shape workload preset the serving benchmark's scheduler
-#: phase (and its CI throughput gate) runs on: mostly singleton
+#: The mixed-shape workload preset the throughput-vs-FIFO test
+#: (``tests/serving/test_scheduler.py``) runs on: mostly singleton
 #: requests of varying context plus one pre-batched shape.
 MIXED_SHAPES: Tuple[Tuple[int, int, int], ...] = (
     (1, 128, 16),

@@ -62,8 +62,9 @@ DEFAULT_N_WINDOWS = 256
 #: samples per window; larger windows are strided down to it.  128
 #: samples put the p99 rank at the top sample or two of a window —
 #: inside the ~2.2% bucket quantization that already limits the
-#: estimate — while keeping the whole metrics pass under the 10%
-#: overhead budget that ``benchmarks/bench_serving.py`` gates.
+#: estimate — while keeping the whole metrics pass a small share of
+#: the serving run it observes (perfbench's capacity-plan ``monitor``
+#: call times it on a 1M-request fleet).
 TARGET_SAMPLES_PER_WINDOW = 128
 
 #: Hard cap on distinct latency buckets per window row, bounding the

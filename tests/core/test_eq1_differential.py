@@ -620,3 +620,54 @@ class TestBoundaryValidation:
                 InferenceRequest(1, 64, 4))
         with pytest.raises(ConfigurationError, match=message):
             FlexGenEstimator(self.spec, self.system, config)
+
+
+def _figure_grid_tables():
+    """Three term tables the fig09+10+11 grid builds: a scalar prefill
+    probe of the Fig. 9 transition search, OPT-30B's Fig. 10 decode
+    table (every request's steps end to end, 864 points) and the
+    Fig. 9 decode policy map (9 x 5)."""
+    from repro.core.estimator import RequestGrid
+    from repro.experiments.fig09_policy_map import (DEFAULT_BATCHES,
+                                                    DEFAULT_LENGTHS)
+    from repro.models.workload import paper_input_lengths
+
+    opt_30b, opt_175b = MODELS["opt-30b"], MODELS["opt-175b"]
+    requests = [InferenceRequest(1, input_len, output_len)
+                for output_len in (32, 256)
+                for input_len in paper_input_lengths(opt_30b, output_len)]
+    return {
+        "prefill-scalar": (opt_175b, Stage.PREFILL, 1, 512),
+        "fig10-decode": (opt_30b, Stage.DECODE,
+                         *RequestGrid.from_requests(requests).decode),
+        "fig09-policy-map": (opt_175b, Stage.DECODE,
+                             np.array(DEFAULT_BATCHES)[:, np.newaxis],
+                             np.array(DEFAULT_LENGTHS)[np.newaxis, :]),
+    }
+
+
+@pytest.mark.parametrize("name", ["prefill-scalar", "fig10-decode",
+                                  "fig09-policy-map"])
+def test_figure_grid_tables_match_scalar_terms(name):
+    """At full figure-grid size, every element of the six time tables
+    equals the oracle's term as a uint64, and (on the grids small
+    enough for its 64-candidate scan) every point's winner and
+    ``layer_time`` equal the oracle's."""
+    spec, stage, batches, lengths = _figure_grid_tables()[name]
+    system, config = get_system("spr-a100"), LiaConfig()
+    terms = layer_terms(spec, stage, batches, lengths, system, config)
+    grid = search_grid(terms, config)
+    points = np.broadcast_arrays(batches, lengths)
+    search = points[0].size <= 64
+    for index in np.ndindex(*points[0].shape):
+        batch, length = (int(values[index]) for values in points)
+        expected = eq1_scalar.point_terms(spec, stage, batch, length,
+                                          system, config)
+        got = np.array([getattr(terms, field)[index]
+                        for field in TIME_FIELDS]).T
+        assert np.array_equal(_bits(got), _bits(expected)), (batch, length)
+        if search:
+            oracle = eq1_scalar.optimal_policy(spec, stage, batch, length,
+                                               system, config)
+            assert grid.policy(index) == oracle.policy, (batch, length)
+            assert grid.layer_time[index] == oracle.layer_time

@@ -9,8 +9,7 @@ Eq. (8) roofline (:func:`matmul_time`) and the PCIe link
 (:func:`transfer_time`) — are scalar copies kept here, so the library's
 one-pass sublayer-axis table is checked against code it does not share.
 The library's table-driven path must agree with this module bit for
-bit (``tests/core/test_eq1_differential.py``); the estimator benchmark
-times it as its slow side.
+bit (``tests/core/test_eq1_differential.py``).
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ the recurrence reads on paper:
 Their reports (:class:`LoopReport`) hold per-request records and fold
 every statistic left to right with ``functools.reduce``, so the
 engine's columnar :class:`~repro.serving.simulator.ServingReport`
-must agree with them bit for bit.  The parity tests, the CI parity
-sweep and the serving benchmark compare against this module.
+must agree with them bit for bit.  The parity tests and the CI parity
+sweep compare against this module.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ averaged) fleet percentiles, and ``run()`` dispatch.
 import math
 import random
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.serving import (MultiReplicaSimulator, ScaleOutReport,
                            ServingReport, ServingSimulator,
                            WorkloadVector, arrivals_poisson,
                            lindley_timeline, run_fifo)
+from repro.serving import piecewise
 from repro.serving.degradation import DegradationController, PlanTable
 from repro.serving.piecewise import _apply_stall_ops, _stall_outcomes
 from repro.telemetry.runtime import Telemetry, activate
@@ -252,6 +254,72 @@ def test_backlog_carries_across_boundary(simulator):
     # started degraded and some healthy: both plans were exercised.
     assert vec.stats.policy_resolves > 0
     assert vec.stats.policy_resolves < 30
+
+
+#: The composite schedule of perfbench's serve-faults workload: (kind,
+#: start, duration, magnitude), start and duration as fractions of the
+#: trace.
+COMPOSITE_WINDOWS = (("pcie-downshift", 0.06, 0.20, 0.6),
+                     ("gpu-hbm-pressure", 0.22, 0.18, 0.35),
+                     ("pcie-stall", 0.33, 0.03, 0.05),
+                     ("cxl-contention", 0.55, 0.20, 0.55),
+                     ("cpu-preemption", 0.80, 0.10, 0.3))
+
+
+def _composite(horizon):
+    return FaultScenario(
+        name="composite", seed=7, chunks_per_request=12,
+        events=tuple(FaultEvent(FaultKind(kind), start=start * horizon,
+                                duration=duration * horizon,
+                                magnitude=magnitude)
+                     for kind, start, duration, magnitude
+                     in COMPOSITE_WINDOWS))
+
+
+#: A 64-deep queue that the capacity mix at rho ~ 0.95 saturates.
+QUEUE_64 = AdmissionPolicy(max_queue_depth=64, max_deferrals=3)
+
+
+@pytest.mark.parametrize("block_cap", [16, 64])
+@pytest.mark.parametrize("admission", [AdmissionPolicy(), QUEUE_64],
+                         ids=["open", "queue64"])
+@pytest.mark.parametrize("name", ["gpu-pressure", "composite"])
+def test_block_cap_splits_keep_parity(simulator, monkeypatch, name,
+                                      admission, block_cap):
+    """A finite segment longer than ``_BLOCK_CAP`` requests is served
+    in several speculative blocks (and admission blocks and rounds no
+    longer than the cap).  At the shipped cap only a 65,537-request
+    segment splits, so the cap is shrunk until thousands of requests
+    cut every fault window many times; each block's commit must
+    continue the loop exactly."""
+    monkeypatch.setattr(piecewise, "_BLOCK_CAP", block_cap)
+    n = 3000
+    workload = _workload(n, seed=5)
+    arrivals = arrivals_poisson(n, 0.14, seed=5)
+    scenario = replace(get_scenario(name) if name == "gpu-pressure"
+                       else _composite(arrivals[-1]), admission=admission)
+    loop, vec = _run_both(simulator, workload, arrivals, scenario)
+    _assert_parity(loop, vec)
+    assert vec.n_served + len(vec.dropped) == n
+
+
+@pytest.mark.parametrize("admission", [AdmissionPolicy(), QUEUE_64],
+                         ids=["open", "queue64"])
+def test_composite_at_scale_matches_loop(simulator, admission):
+    """50,000 requests of perfbench's four-shape capacity mix at
+    rho ~ 0.95 under the composite schedule, behind a saturated 64-deep
+    queue or none: thousands of stalls, re-solves and sheds, and long
+    admission-round stretches, each bit-identical to the loop."""
+    n = 50_000
+    shapes = [InferenceRequest(1, 128, 16), InferenceRequest(1, 256, 32),
+              InferenceRequest(1, 512, 32), InferenceRequest(8, 256, 32)]
+    workload = WorkloadVector.sample_mix(shapes, n, seed=0)
+    arrivals = arrivals_poisson(n, 0.21, seed=0)
+    scenario = replace(_composite(arrivals[-1]), admission=admission)
+    loop, vec = _run_both(simulator, workload, arrivals, scenario)
+    _assert_parity(loop, vec)
+    assert vec.stats.transfer_stalls > 0
+    assert bool(vec.dropped) == admission.enabled
 
 
 # ----------------------------------------------------------------------

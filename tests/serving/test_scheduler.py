@@ -387,3 +387,21 @@ def test_step_profile_grid_matches_per_point_estimates(estimator,
         assert profile._decode_grid.tolist() == [
             [model.estimate(InferenceRequest(b, c, 1)).decode.time
              for c in contexts] for b in batches]
+
+
+def test_continuous_kv_profile_grid_matches_per_point_estimates():
+    """The full grid perfbench's continuous-kv workload builds (two CXL
+    expanders, max batch 32, its four shapes) is the per-point
+    estimate at every point, bit for bit."""
+    estimator = LiaEstimator(get_model("opt-30b"),
+                             get_system("spr-a100").with_cxl(n_expanders=2),
+                             CONFIG)
+    shapes = [InferenceRequest(*shape) for shape in
+              ((1, 128, 16), (1, 512, 64), (8, 1024, 64), (32, 1024, 32))]
+    profile = StepProfile.for_workload(
+        estimator, shapes, SchedulerConfig(max_batch_requests=32))
+    batches, contexts = profile.batch_sizes, profile.context_lens
+    assert len(batches) * len(contexts) == 88
+    assert profile._decode_grid.tolist() == [
+        [estimator.estimate(InferenceRequest(b, c, 1)).decode.time
+         for c in contexts] for b in batches]

@@ -485,6 +485,24 @@ def test_partial_kv_override_keeps_the_derived_tiers(tmp_path):
     (["serve", "--scheduler", "continuous", "--num-requests", "10",
       "--kv-unbounded", "--kv-hbm-gb", "1"],
      "kv_unbounded disables the KV budgets"),
+    (["monitor", "--slo-threshold", "-1"], "--slo-threshold must be >= 0"),
+    (["monitor", "--long-window", "-5"], "--long-window must be >= 0"),
+    (["monitor", "--short-window", "-5"], "--short-window must be >= 0"),
+    (["serve", "--max-batch", "0"],
+     "--max-batch needs --scheduler continuous"),
+    (["serve", "--join", "drain"], "--join needs --scheduler continuous"),
+    (["serve", "--kv-hbm-gb", "2"],
+     "--kv-hbm-gb needs --scheduler continuous"),
+    (["serve", "--kv-ddr-gb", "2"],
+     "--kv-ddr-gb needs --scheduler continuous"),
+    (["serve", "--kv-cxl-gb", "2"],
+     "--kv-cxl-gb needs --scheduler continuous"),
+    (["serve", "--scheduler", "fifo", "--kv-unbounded"],
+     "--kv-unbounded needs --scheduler continuous"),
+    (["serve", "--slo-p95", "60", "--max-batch", "4", "--join", "drain"],
+     "--max-batch, --join need --scheduler continuous"),
+    (["fleet", "--max-batch", "0"],
+     "--max-batch needs --scheduler continuous"),
 ])
 def test_rejected_inputs_are_one_line_errors(capsys, tmp_path,
                                               monkeypatch, argv, message):
@@ -494,3 +512,14 @@ def test_rejected_inputs_are_one_line_errors(capsys, tmp_path,
     assert err.startswith("error: ") and message in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "fleet.html").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--max-batch", "8", "--join", "step", "--kv-hbm-gb", "0"],
+    ["fleet", "--preset", "replica-crash", "--max-batch", "8"],
+])
+def test_continuous_flags_at_their_defaults_run_fifo(capsys, argv):
+    """Spelling a continuous-only flag at its default changes nothing,
+    so the FIFO engines accept it."""
+    assert main([*argv, "--num-requests", "50"]) == 0
+    assert capsys.readouterr().err == ""

@@ -7,6 +7,9 @@ the regression or regenerate the snapshot deliberately with
 ``scripts/gen_goldens.py`` and justify the move in review.
 """
 
+import hashlib
+import json
+import math
 import os
 
 import pytest
@@ -40,3 +43,29 @@ def test_goldens_contain_policy_vectors():
     for row in grid:
         bits = [c for c in str(row["policy"]) if c in "01"]
         assert len(bits) == 6, f"not a 6-bit policy: {row['policy']!r}"
+
+
+#: sha256 of the full fig09+10+11 grids (398 rows) as the drivers emit
+#: them.  The snapshots above compare with a relative tolerance; this
+#: fingerprint holds every row bit for bit.
+FIGURE_GRID_FINGERPRINT = (
+    "a0ce57e037a733037dd26f1a008205fc87f7b74e9ee39fcf54f7b6df1400f6a1")
+
+
+def _fingerprint(grids):
+    payload = json.dumps(grids, sort_keys=True, default=repr).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
+def test_figure_grid_rows_match_fingerprint():
+    from repro.experiments import (fig09_policy_map, fig10_online_latency,
+                                   fig11_offline_throughput)
+
+    grids = [fig09_policy_map.run().rows, fig10_online_latency.run().rows,
+             fig11_offline_throughput.run().rows]
+    assert sum(len(rows) for rows in grids) == 398
+    assert _fingerprint(grids) == FIGURE_GRID_FINGERPRINT
+    # One ulp on one value moves the fingerprint.
+    row = grids[1][0]
+    row["latency_s"] = math.nextafter(row["latency_s"], math.inf)
+    assert _fingerprint(grids) != FIGURE_GRID_FINGERPRINT
