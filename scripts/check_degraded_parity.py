@@ -98,7 +98,7 @@ def _admission_presets(horizon: float):
 
 def _mismatches(label: str, loop, vec) -> List[str]:
     """Bit-compare every surface of a loop report and an engine
-    report (single server, or a fleet's merged view)."""
+    report (single server, or a whole fleet)."""
     problems: List[str] = []
 
     def check(surface: str, ok: bool) -> None:
@@ -177,7 +177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         vec_fleet = MultiReplicaSimulator(estimator, args.replicas).run(
             workload, arrivals, scenario=scenario)
         problems += _mismatches(f"{name} (k={args.replicas})",
-                                loop_fleet, vec_fleet.merged)
+                                loop_fleet, vec_fleet)
 
         elapsed = time.perf_counter() - started
         if problems:

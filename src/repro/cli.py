@@ -755,7 +755,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         how = f"continuous batching (max batch {args.max_batch}, join {join})"
         engine, sizing = {"scheduler": "continuous"}, {}
     else:
-        streaming = report.merged.streaming_percentiles
+        streaming = report.streaming_percentiles
         how = (f"{args.dispatch} dispatch "
                f"({'streaming' if streaming else 'exact'} percentiles)")
         engine = {"dispatch": args.dispatch, "streaming": streaming}
@@ -774,8 +774,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if scheduler is not None:
         tail = {"batching": _batching_summary(report, scheduler, 13)}
     else:
-        per_replica = dict(zip(map(str, report.replica_ids),
-                               report.replica_utilizations))
+        per_replica = {str(replica): sub.utilization for replica, sub
+                       in zip(report.replica_ids, report.per_replica)}
         tail = {"replica_utilizations": per_replica}
         if n_replicas > 1:
             print("  per-replica  : " + ", ".join(
@@ -975,8 +975,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             _write_json(args.json, {
                 **head, "scheduler": "continuous", "chaos": chaos.name,
                 "n_replicas_initial": n_replicas,
-                "n_offered": report.n_served, "n_served": report.n_served,
-                "n_dropped": 0, "availability": 1.0,
+                "n_offered": report.n_offered, "n_served": report.n_served,
+                "n_dropped": report.n_dropped,
+                "availability": report.availability,
                 "p50_s": p50, "p95_s": p95, "makespan_s": report.makespan,
                 "throughput_tokens_per_s": report.throughput_tokens_per_s,
                 "usd_per_hour_per_replica": usd_per_hour,
@@ -1018,11 +1019,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             "cost_per_million_requests_usd": cost, **report.to_dict()})
     if args.html:
         from repro.telemetry import (SLOPolicy, evaluate_slo,
+                                     timeseries_from_report,
                                      write_dashboard_html)
 
-        series = report.timeseries(n_windows=args.windows)
         monitoring = evaluate_slo(
-            series, SLOPolicy(latency_threshold_s=preset.slo_p95_s))
+            timeseries_from_report(report, n_windows=args.windows),
+            SLOPolicy(latency_threshold_s=preset.slo_p95_s))
         path = write_dashboard_html(
             args.html, monitoring,
             title=f"fleet {args.preset}: {spec.name} on "

@@ -212,6 +212,12 @@ class FleetScenario:
         so the run must be bit-identical to a static fleet."""
         return not self.faults and not self.redispatch.hedging
 
+    @property
+    def events(self) -> Tuple[ReplicaFault, ...]:
+        """The fault windows SLO alerts are attributed to, under the
+        name :class:`~repro.faults.spec.FaultScenario` gives them."""
+        return self.faults
+
     def faults_for(self, replica: int) -> Tuple[ReplicaFault, ...]:
         """This replica's windows, in start order."""
         return tuple(sorted(

@@ -31,7 +31,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -39,12 +40,16 @@ from repro.errors import ConfigurationError
 from repro.faults.fleet import (FleetScenario, ReplicaFaultKind,
                                 get_fleet_scenario)
 from repro.serving.degradation import PlanTable
-from repro.serving.simulator import nearest_rank, validate_stream
+from repro.serving.simulator import (ServingReport, nearest_rank,
+                                     validate_stream)
 from repro.serving.vectorized import WorkloadVector
 from repro.specs import build_all, lookup
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.runtime import current as current_telemetry
 from repro.workloads.spec import TraceSpec, get_trace
+
+if TYPE_CHECKING:
+    from repro.telemetry.timeseries import ServingTimeseries, WindowGrid
 
 #: EMA weight for the autoscaler's demand filter (per window).
 _EMA_ALPHA = 0.3
@@ -157,92 +162,73 @@ class ChaosStats:
                 for item in fields(self)}
 
 
-@dataclass
-class FleetReport:
-    """One fleet run: timelines, per-window control state, accounting.
+class FleetReport(ServingReport):
+    """One fleet run: the fleet's report plus per-window control state.
 
-    The served timeline (``served_index`` / ``starts`` / ``finishes``
-    / ``assignment``) is in global arrival order; dropped requests
-    carry the fault kind that exhausted their budget.  The invariant
-    ``n_served + n_dropped == n_offered`` holds by construction and
-    is re-checked in ``__post_init__``.
+    ``workload``/``arrivals`` are the offered stream; the served
+    timeline (``served_index`` / ``starts`` / ``finishes`` /
+    ``assignment``) is in global arrival order, and dropped requests
+    carry the fault kind that exhausted their budget.  Percentiles are
+    exact at every size.
     """
 
-    workload: WorkloadVector
-    arrivals: np.ndarray
-    served_index: np.ndarray
-    starts: np.ndarray
-    finishes: np.ndarray
-    assignment: np.ndarray
-    dropped_index: np.ndarray
-    dropped_reasons: Tuple[str, ...]
-    stats: ChaosStats
-    scenario: FleetScenario
-    #: Control-plane timeline: ``(time, active_replicas)`` after each
-    #: membership change, starting with the initial fleet at t=0.
-    scale_events: Tuple[Tuple[float, int], ...]
-    window_s: float
-    n_replicas_initial: int
-    autoscaled: bool
-
-    def __post_init__(self) -> None:
-        if self.n_served + self.n_dropped != self.n_offered:
-            raise ConfigurationError(
-                f"fleet accounting violated: {self.n_served} served "
-                f"+ {self.n_dropped} dropped != {self.n_offered} "
-                "offered")
+    def __init__(self, workload: WorkloadVector, arrivals: np.ndarray,
+                 served_index: np.ndarray, starts: np.ndarray,
+                 finishes: np.ndarray, *, assignment: np.ndarray,
+                 dropped_index: np.ndarray,
+                 dropped_reasons: Sequence[str], stats: ChaosStats,
+                 scenario: FleetScenario,
+                 scale_events: Tuple[Tuple[float, int], ...],
+                 replica_spans: Tuple[Tuple[float, float], ...],
+                 window_s: float, n_replicas_initial: int,
+                 autoscaled: bool) -> None:
+        super().__init__(workload, arrivals, starts, finishes,
+                         served_index=served_index,
+                         dropped_index=dropped_index,
+                         dropped_reasons=dropped_reasons, stats=stats,
+                         scenario=scenario,
+                         exact_percentile_limit=workload.n_requests)
+        self.assignment = assignment
+        #: Control-plane timeline: ``(time, active_replicas)`` after
+        #: each membership change, starting with the initial fleet at
+        #: t=0.
+        self.scale_events = scale_events
+        #: ``(active_from, end)`` of every replica the run provisioned;
+        #: their lengths sum to ``replica_seconds``.
+        self.replica_spans = replica_spans
+        self.window_s = window_s
+        self.n_replicas_initial = n_replicas_initial
+        self.autoscaled = autoscaled
 
     # -- scalar accounting --------------------------------------------
     @property
-    def n_offered(self) -> int:
-        return int(self.arrivals.size)
-
-    @property
-    def n_served(self) -> int:
-        return int(self.served_index.size)
-
-    @property
-    def n_dropped(self) -> int:
-        return int(self.dropped_index.size)
-
-    @property
-    def availability(self) -> float:
-        return (self.n_served / self.n_offered if self.n_offered
-                else 1.0)
-
-    @property
     def makespan(self) -> float:
-        if self.finishes.size:
-            return float(np.max(self.finishes))
-        return float(self.arrivals[-1]) if self.arrivals.size else 0.0
+        """Last finish; the last arrival when nothing was served."""
+        if not self.n_served:
+            return float(self.offered_arrivals[-1])
+        return super().makespan
 
     @property
     def replica_seconds(self) -> float:
+        """Integral of the provisioned replicas over time."""
         return self.stats.replica_seconds
 
-    def latency_percentile(self, fraction: float) -> float:
-        """Nearest-rank-ceil percentile over served latencies."""
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError(
-                f"fraction must be in (0, 1], got {fraction}")
-        if not self.served_index.size:
-            raise ConfigurationError(
-                "no requests were served")
-        return nearest_rank(
-            self.finishes - self.arrivals[self.served_index], fraction)
+    @property
+    def utilization(self) -> float:
+        """Busy seconds over the replica-seconds provisioned."""
+        replica_seconds = self.replica_seconds
+        return self.busy_s / replica_seconds if replica_seconds else 0.0
 
     def per_class_p95(self) -> Dict[str, float]:
         """p95 latency per request class (distinct workload shape)."""
         out: Dict[str, float] = {}
-        codes = self.workload.codes[self.served_index]
-        latencies = self.finishes - self.arrivals[self.served_index]
+        latencies = self.latencies
         for code, shape in enumerate(self.workload.shapes):
-            mask = codes == code
-            if not bool(mask.any()):
-                continue
-            key = (f"{shape.batch_size}x{shape.input_len}"
-                   f"x{shape.output_len}")
-            out[key] = nearest_rank(latencies[mask], 0.95)
+            mask = self.workload.codes == code
+            if mask.any():
+                out[f"{shape.batch_size}x{shape.input_len}"
+                    f"x{shape.output_len}"] = nearest_rank(
+                        latencies[mask], 0.95)
         return out
 
     def cost_per_million_requests(self, usd_per_hour: float) -> float:
@@ -257,30 +243,24 @@ class FleetReport:
 
     # -- per-window control channels ----------------------------------
     @property
-    def n_windows(self) -> int:
-        horizon = max(self.makespan,
-                      self.scale_events[-1][0]
-                      if self.scale_events else 0.0)
-        return max(1, int(math.ceil(horizon / self.window_s))) \
-            if horizon > 0.0 else 1
+    def grid(self) -> "WindowGrid":
+        """``window_s`` windows covering the run and every scale
+        event."""
+        from repro.telemetry.timeseries import WindowGrid
 
-    def window_edges(self) -> np.ndarray:
-        return np.arange(self.n_windows + 1, dtype=np.float64) \
-            * self.window_s
+        horizon = max(self.makespan, self.scale_events[-1][0])
+        return WindowGrid.cover(horizon, window_s=self.window_s)
 
     def replica_counts(self,
                        edges: Optional[np.ndarray] = None
                        ) -> np.ndarray:
         """Active replicas at each window start (step-sampled)."""
         if edges is None:
-            edges = self.window_edges()
+            edges = self.grid.edges
         times = np.array([t for t, __ in self.scale_events],
                          dtype=np.float64)
         counts = np.array([n for __, n in self.scale_events],
                           dtype=np.int64)
-        if times.size == 0:
-            return np.full(edges.size - 1, self.n_replicas_initial,
-                           dtype=np.int64)
         slot = np.searchsorted(times, edges[:-1], side="right") - 1
         return counts[np.clip(slot, 0, counts.size - 1)]
 
@@ -290,39 +270,41 @@ class FleetReport:
         """Per-window ``(arrived, dropped, availability)`` by arrival
         time; windows with no arrivals report availability 1.0."""
         if edges is None:
-            edges = self.window_edges()
-        arrived, __ = np.histogram(self.arrivals, bins=edges)
-        dropped, __ = np.histogram(
-            self.arrivals[self.dropped_index], bins=edges)
-        with np.errstate(invalid="ignore"):
-            availability = np.where(
-                arrived > 0, 1.0 - dropped / np.maximum(arrived, 1),
-                1.0)
+            edges = self.grid.edges
+        arrived, __ = np.histogram(self.offered_arrivals, bins=edges)
+        dropped, __ = np.histogram(self.dropped_arrivals, bins=edges)
+        availability = np.where(
+            arrived > 0, 1.0 - dropped / np.maximum(arrived, 1), 1.0)
         return arrived.astype(np.int64), dropped.astype(np.int64), \
             availability.astype(np.float64)
 
-    def timeseries(self, n_windows: int = 64,
-                   assume_sorted: Optional[bool] = None):
-        """The windowed observability view with the control-plane
-        channels (replica count, availability) attached."""
-        from repro.telemetry.timeseries import compute_timeseries
-
-        series = compute_timeseries(
-            self.arrivals[self.served_index], self.starts,
-            self.finishes, n_windows=n_windows,
-            dropped_arrivals=self.arrivals[self.dropped_index],
-            assume_sorted=assume_sorted)
+    def attach_control_channels(self, series: "ServingTimeseries"
+                                ) -> "ServingTimeseries":
+        """Attach the per-window replica count and availability to
+        ``series``, a series of this run, and make its utilization
+        each window's busy seconds over the replica-seconds
+        provisioned in it
+        (:func:`~repro.telemetry.timeseries.timeseries_from_report`
+        calls this)."""
         edges = series.grid.edges
         __, ___, availability = self.windowed_availability(edges)
         series.replicas = self.replica_counts(edges)
         series.availability = availability
+        # Replica-seconds provisioned in each window: the overlap of
+        # every replica's span with it.
+        spans = np.asarray(self.replica_spans,
+                           dtype=np.float64).reshape(-1, 2)
+        provisioned = np.maximum(
+            np.minimum(spans[:, 1:], edges[1:])
+            - np.maximum(spans[:, :1], edges[:-1]), 0.0).sum(axis=0)
+        series.n_servers = provisioned / series.grid.window_s
         return series
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready summary (the ``repro fleet`` payload core)."""
         arrived, dropped, availability = self.windowed_availability()
         return {
-            "scenario": self.scenario.name,
+            "scenario": self.scenario_name,
             "n_offered": self.n_offered,
             "n_served": self.n_served,
             "n_dropped": self.n_dropped,
@@ -799,15 +781,15 @@ class FleetSimulator:
             end - begin for begin, end in retired)
 
         return FleetReport(
-            workload=workload, arrivals=trace,
-            served_index=np.asarray(served_idx, dtype=np.int64),
-            starts=np.asarray(starts, dtype=np.float64),
-            finishes=np.asarray(finishes, dtype=np.float64),
+            workload, trace, np.asarray(served_idx, dtype=np.int64),
+            np.asarray(starts, dtype=np.float64),
+            np.asarray(finishes, dtype=np.float64),
             assignment=np.asarray(assignment, dtype=np.int64),
             dropped_index=np.asarray(dropped_idx, dtype=np.int64),
-            dropped_reasons=tuple(dropped_reasons),
+            dropped_reasons=dropped_reasons,
             stats=stats, scenario=scenario,
             scale_events=tuple(scale_events),
+            replica_spans=tuple(retired),
             window_s=window_s,
             n_replicas_initial=self.n_replicas,
             autoscaled=policy is not None)
@@ -815,9 +797,12 @@ class FleetSimulator:
     # ------------------------------------------------------------------
     def _emit_telemetry(self, report: FleetReport,
                         telemetry: Telemetry) -> None:
+        from repro.telemetry.bridge import vectorized_report_to_metrics
+
         system = self.estimator.system.name
         model = self.estimator.spec.name
         labels = {"system": system, "model": model}
+        vectorized_report_to_metrics(report, telemetry.metrics, **labels)
         telemetry.metrics.gauge("fleet.replicas", **labels).set(
             float(report.replica_counts()[-1]))
         telemetry.metrics.gauge("fleet.replica_seconds",

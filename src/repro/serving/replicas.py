@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from dataclasses import fields
+from typing import (TYPE_CHECKING, Any, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -48,80 +49,43 @@ if TYPE_CHECKING:
 DISPATCH_POLICIES = ("round-robin", "least-loaded")
 
 
-@dataclass
-class ScaleOutReport:
-    """One fleet simulation: merged stats plus per-replica views.
+class ScaleOutReport(ServingReport):
+    """One fleet simulation: the fleet's report plus per-replica views.
 
-    ``merged`` holds the full timeline in global arrival order, so
+    The timeline is the whole fleet's in global arrival order, so
     latency percentiles, queue delays, and throughput read exactly
     like a single-server report.  ``utilization`` is normalized by
     the fleet size (busy replica-seconds over ``k * makespan``).
-    Under a fault scenario ``merged`` also carries the dropped
+    Under a fault scenario the report also carries the dropped
     requests, and ``stats`` folds the per-replica :class:`FaultStats`
     in replica-id order (integer counters sum; the two float
-    accumulators add in that fixed order); without one ``stats`` and
-    ``scenario`` are ``None``.
+    accumulators add in that fixed order).
     """
 
-    merged: ServingReport
-    per_replica: Tuple[ServingReport, ...]
-    #: The replica id behind each ``per_replica`` entry (replicas
-    #: that were offered nothing — possible when k > n — are omitted).
-    replica_ids: Tuple[int, ...]
-    assignment: np.ndarray
-    dispatch: str
-    n_replicas: int
-    stats: Optional["FaultStats"] = None
-    scenario: Optional["FaultScenario"] = None
-
-    @property
-    def n_served(self) -> int:
-        return self.merged.n_served
-
-    @property
-    def makespan(self) -> float:
-        return self.merged.makespan
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        return self.merged.throughput_tokens_per_s
-
-    @property
-    def mean_queue_delay(self) -> float:
-        return self.merged.mean_queue_delay
-
-    def latency_percentile(self, fraction: float) -> float:
-        return self.merged.latency_percentile(fraction)
-
-    @property
-    def replica_utilizations(self) -> List[float]:
-        return [report.utilization for report in self.per_replica]
+    def __init__(self, workload: WorkloadVector, arrivals: np.ndarray,
+                 starts: np.ndarray, finishes: np.ndarray, *,
+                 per_replica: Tuple[ServingReport, ...],
+                 replica_ids: Tuple[int, ...], assignment: np.ndarray,
+                 dispatch: str, n_replicas: int,
+                 **columns: Any) -> None:
+        """``columns`` are :class:`ServingReport`'s keywords: the drop
+        columns, fault stats and scenario of a degraded run."""
+        super().__init__(workload, arrivals, starts, finishes, **columns)
+        self.per_replica = per_replica
+        #: The replica id behind each ``per_replica`` entry (replicas
+        #: that were offered nothing — possible when k > n — are
+        #: omitted).
+        self.replica_ids = replica_ids
+        self.assignment = assignment
+        self.dispatch = dispatch
+        self.n_replicas = n_replicas
 
     @property
     def utilization(self) -> float:
+        """Busy replica-seconds over ``n_replicas * makespan``."""
         makespan = self.makespan
-        return (self.merged.busy_s / (self.n_replicas * makespan)
+        return (self.busy_s / (self.n_replicas * makespan)
                 if makespan else 0.0)
-
-    @property
-    def scenario_name(self) -> str:
-        return self.merged.scenario_name
-
-    @property
-    def n_offered(self) -> int:
-        return self.merged.n_offered
-
-    @property
-    def n_dropped(self) -> int:
-        return self.merged.n_dropped
-
-    @property
-    def drop_rate(self) -> float:
-        return self.merged.drop_rate
-
-    @property
-    def dropped(self) -> list:
-        return self.merged.dropped
 
 
 def _fold_stats(per_replica_stats: Sequence["FaultStats"]) -> "FaultStats":
@@ -252,15 +216,13 @@ class MultiReplicaSimulator:
             order = np.argsort(dropped_index, kind="stable")
             dropped_index = dropped_index[order]
             reasons = [reasons[i] for i in order.tolist()]
-        merged = ServingReport(
-            workload, trace, starts, finishes,
-            served_index=served_index, dropped_index=dropped_index,
-            dropped_reasons=reasons, stats=stats, scenario=scenario)
         return ScaleOutReport(
-            merged=merged, per_replica=tuple(per_replica),
+            workload, trace, starts, finishes,
+            per_replica=tuple(per_replica),
             replica_ids=tuple(replica_ids), assignment=assignment,
             dispatch=self.dispatch, n_replicas=self.n_replicas,
-            stats=stats, scenario=scenario)
+            served_index=served_index, dropped_index=dropped_index,
+            dropped_reasons=reasons, stats=stats, scenario=scenario)
 
     def _run_least_loaded(self, workload: WorkloadVector,
                           trace: np.ndarray,
@@ -284,7 +246,7 @@ class MultiReplicaSimulator:
                 workload.subset(index), trace[index], starts[index],
                 finishes[index]))
         return ScaleOutReport(
-            merged=ServingReport(workload, trace, starts, finishes),
+            workload, trace, starts, finishes,
             per_replica=tuple(per_replica),
             replica_ids=tuple(replica_ids), assignment=assignment,
             dispatch=self.dispatch, n_replicas=self.n_replicas)
@@ -323,7 +285,7 @@ class MultiReplicaSimulator:
 
         system = self.estimator.system.name
         model = self.estimator.spec.name
-        vectorized_report_to_metrics(report.merged, telemetry.metrics,
+        vectorized_report_to_metrics(report, telemetry.metrics,
                                      system=system, model=model)
         telemetry.metrics.gauge(
             "serving.replicas", system=system, model=model).set(
@@ -334,11 +296,11 @@ class MultiReplicaSimulator:
                 "serving.replica_utilization", system=system,
                 model=model, replica=str(replica)).set(
                     sub_report.utilization)
-        spans, dropped = vectorized_report_to_spans(report.merged)
+        spans, dropped = vectorized_report_to_spans(report)
         assignment = report.assignment.tolist()
-        # Span names index the *served* substream; the merged report
+        # Span names index the *served* substream; ``served_index``
         # maps those back to offered positions.
-        served_index = report.merged.served_index.tolist()
+        served_index = report.served_index.tolist()
         for span in spans:
             index = int(span.name[len("request["):-1])
             replica = assignment[served_index[index]]
@@ -350,35 +312,9 @@ class MultiReplicaSimulator:
                 "serving.spans_dropped", system=system,
                 model=model).inc(dropped)
             note_dropped_spans(telemetry, dropped,
-                               report.merged.n_served,
+                               report.n_served,
                                component="serving.replicas",
                                cap=DEFAULT_SPAN_CAP)
-
-
-def fleet_size_summary(report: ScaleOutReport) -> dict:
-    """The compact cross-section of one fleet-size cell.
-
-    Scalars only, plus a sha256 fingerprint over the merged finish
-    times: the bit-identity witness two runs of a sweep compare.
-    """
-    import hashlib
-
-    fingerprint = hashlib.sha256(
-        np.ascontiguousarray(report.merged.finishes,
-                             dtype=np.float64).tobytes()).hexdigest()
-    p50, p95, p99 = report.merged.latency_percentiles((0.50, 0.95, 0.99))
-    return {
-        "n_replicas": report.n_replicas,
-        "n_served": report.n_served,
-        "p50_s": p50,
-        "p95_s": p95,
-        "p99_s": p99,
-        "mean_queue_delay_s": report.mean_queue_delay,
-        "makespan_s": report.makespan,
-        "throughput_tokens_per_s": report.throughput_tokens_per_s,
-        "utilization": report.utilization,
-        "fingerprint": fingerprint,
-    }
 
 
 def replicas_needed(estimator: LiaEstimator,
@@ -499,7 +435,7 @@ def backlog_bound(arrivals: np.ndarray, services: np.ndarray,
 def _over_slo_message(report: ScaleOutReport, p95: float,
                       slo_p95_seconds: float, max_replicas: int) -> str:
     """Why the ``max_replicas`` fleet still misses the SLO."""
-    service_p95 = float(np.quantile(report.merged.service_times, 0.95,
+    service_p95 = float(np.quantile(report.service_times, 0.95,
                                     method="inverted_cdf"))
     head = (f"p95 {p95:.1f}s still exceeds the {slo_p95_seconds:.1f}s "
             f"SLO at the {max_replicas}-replica cap")

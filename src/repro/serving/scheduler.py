@@ -104,8 +104,6 @@ class SchedulerConfig:
     #: Step-time stretch per unit of CXL-resident KV fraction when the
     #: decode policy computes attention on the CPU (Observation-2).
     cxl_step_penalty: float = 0.15
-    #: Re-solve Eq. (1) whenever the batch composition changes.
-    resolve_policy: bool = True
     #: Context-axis resolution of the :class:`StepProfile` grid.
     context_grid_points: int = 8
     span_cap: int = DEFAULT_SPAN_CAP
@@ -572,7 +570,7 @@ class ContinuousBatchScheduler:
                 # The KV ledger, and so the stretch, changes only with
                 # membership: it holds until the next change.
                 stretch = self._cxl_stretch(residency)
-                if cfg.resolve_policy and (admitted or released):
+                if admitted or released:
                     policy_resolves += 1
                     if stretch == 1.0:
                         # No step until the next change reads it.

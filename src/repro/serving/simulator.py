@@ -152,6 +152,10 @@ class ServingReport:
     ``offered``, ``dropped_reasons`` says why each drop happened, and
     ``stats`` counts every fault reaction.  Runs without a scenario
     have ``dropped_index``, ``stats`` and ``scenario`` set to ``None``.
+    Served plus dropped requests always account for the whole offered
+    stream; construction checks it.  Every serving engine returns one
+    of these: the continuous-batching, scale-out and chaos-fleet
+    reports are subclasses.
 
     Scalar statistics fold floats left to right (the order a per-
     request loop would add them in).  Percentiles are exact (one lazy
@@ -188,6 +192,11 @@ class ServingReport:
                 == workload.n_requests):
             raise ConfigurationError(
                 "timeline arrays and workload must have equal length")
+        if arrivals.size + n_dropped != self.offered_arrivals.size:
+            raise ConfigurationError(
+                f"report accounting violated: {arrivals.size} served + "
+                f"{n_dropped} dropped != {self.offered_arrivals.size} "
+                "offered")
         if arrivals.size + n_dropped == 0:
             raise ConfigurationError("report needs at least one request")
         self.workload = workload
@@ -379,6 +388,11 @@ class ServingReport:
     @property
     def drop_rate(self) -> float:
         return self.n_dropped / self.n_offered
+
+    @property
+    def availability(self) -> float:
+        """Share of the offered requests that were served."""
+        return self.n_served / self.n_offered
 
     @property
     def dropped_arrivals(self) -> Optional[np.ndarray]:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -310,10 +310,13 @@ class ServingTimeseries:
     dropped: Optional[np.ndarray] = None
     #: Fleet control-plane channels (optional): active replicas at
     #: each window start and per-window availability — attached by
-    #: :meth:`repro.serving.fleet.FleetReport.timeseries`.
+    #: :meth:`repro.serving.fleet.FleetReport.attach_control_channels`.
     replicas: Optional[np.ndarray] = None
     availability: Optional[np.ndarray] = None
-    n_servers: int = 1
+    #: Servers behind the busy seconds: one count for the whole run,
+    #: or per window the mean number provisioned in it (a fleet whose
+    #: membership changes).
+    n_servers: Union[int, np.ndarray] = 1
     percentile_stride: int = 1
     #: One :class:`_LatencySource` per merged timeline — the exact
     #: substrate for ``bad_counts``.
@@ -458,7 +461,7 @@ class ServingTimeseries:
             "t0": self.grid.t0,
             "window_s": self.grid.window_s,
             "n_windows": self.grid.n_windows,
-            "n_servers": self.n_servers,
+            "n_servers": np.asarray(self.n_servers).tolist(),
             "percentile_stride": self.percentile_stride,
             "arrived": self.arrived.tolist(),
             "started": self.started.tolist(),
@@ -631,9 +634,12 @@ def timeseries_from_report(report, *,
 
     Accepts a :class:`~repro.serving.simulator.ServingReport`
     (fault-injected runs' dropped requests populate the ``dropped``
-    channel) and a :class:`~repro.serving.replicas.ScaleOutReport`
-    (delegated to :func:`fleet_timeseries`).
+    channel), a :class:`~repro.serving.replicas.ScaleOutReport`
+    (delegated to :func:`fleet_timeseries`) and a
+    :class:`~repro.serving.fleet.FleetReport` (its control-plane
+    channels attached).
     """
+    from repro.serving.fleet import FleetReport
     from repro.serving.replicas import ScaleOutReport
 
     if isinstance(report, ScaleOutReport):
@@ -641,12 +647,15 @@ def timeseries_from_report(report, *,
             report, grid=grid, n_windows=n_windows, window_s=window_s)
     # Fault-injected reports expose the dropped requests' arrival
     # timestamps; they populate the ``dropped`` channel.
-    return compute_timeseries(
+    series = compute_timeseries(
         report.arrivals, report.starts, report.finishes,
         grid=grid, n_windows=n_windows, window_s=window_s,
         weights={"tokens": report.workload.tokens_per_request()},
         dropped_arrivals=report.dropped_arrivals,
         assume_sorted=assume_sorted)
+    if isinstance(report, FleetReport):
+        report.attach_control_channels(series)
+    return series
 
 
 def fleet_timeseries(report, *,
@@ -663,35 +672,26 @@ def fleet_timeseries(report, *,
     interleaved fleet timeline).
     """
     if grid is None:
-        grid = WindowGrid.cover(report.merged.makespan,
+        grid = WindowGrid.cover(report.makespan,
                                 n_windows=n_windows,
                                 window_s=window_s)
     merged_series: Optional[ServingTimeseries] = None
-    orphan_drops: List[np.ndarray] = []
     for sub in report.per_replica:
-        shed = sub.dropped_arrivals
         if sub.n_served == 0:
-            # A fully-shed replica has no timeline to window, but its
-            # drops still belong on the fleet's ``dropped`` channel.
-            if shed is not None and shed.size:
-                orphan_drops.append(shed)
-            continue
+            continue  # a fully-shed replica has no timeline to window
         series = compute_timeseries(
             sub.arrivals, sub.starts, sub.finishes, grid=grid,
             weights={"tokens": sub.workload.tokens_per_request()},
-            dropped_arrivals=shed,
             assume_sorted=True)
         merged_series = (series if merged_series is None
                          else merged_series.merge(series))
     if merged_series is None:
         raise ConfigurationError("fleet report served no requests")
-    if orphan_drops:
-        extra = np.sort(np.concatenate(orphan_drops))
-        counts = np.diff(_edge_counts(extra, merged_series.grid.edges))
-        if merged_series.dropped is None:
-            merged_series.dropped = counts
-        else:
-            merged_series.dropped = merged_series.dropped + counts
+    # The fleet's drops, fully-shed replicas' included, in one pass.
+    shed = report.dropped_arrivals
+    if shed is not None:
+        merged_series.dropped = np.diff(_edge_counts(np.sort(shed),
+                                                     grid.edges))
     return merged_series
 
 

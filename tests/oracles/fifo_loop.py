@@ -75,6 +75,8 @@ class LoopReport:
     #: Positions of ``served`` / ``dropped`` in the offered stream.
     served_index: List[int] = field(default_factory=list)
     dropped_index: List[int] = field(default_factory=list)
+    #: Servers the busy time is shared by (a fleet's replica count).
+    n_replicas: int = 1
 
     @property
     def makespan(self) -> float:
@@ -83,7 +85,8 @@ class LoopReport:
     @property
     def utilization(self) -> float:
         busy = left_sum([r.service_time for r in self.served])
-        return busy / self.makespan if self.makespan else 0.0
+        return (busy / (self.n_replicas * self.makespan)
+                if self.makespan else 0.0)
 
     @property
     def throughput_tokens_per_s(self) -> float:
@@ -583,7 +586,8 @@ def run_fleet_loop(simulator: ServingSimulator, workload: WorkloadVector,
         dropped=[record for __, record in dropped],
         stats=fold_stats(stats), scenario=scenario,
         served_index=[position for position, __ in served],
-        dropped_index=[position for position, __ in dropped])
+        dropped_index=[position for position, __ in dropped],
+        n_replicas=n_replicas)
 
 
 def loop_timeseries(report: LoopReport, **kwargs):

@@ -6,12 +6,16 @@ misses the SLO.  :func:`replicas_needed_exhaustive` is the same search
 without that shortcut: doubling then bisection, every probed size
 simulated in full.  Answers, reports and errors must agree with the
 library function; the differential tests and the CI capacity-search
-step compare against this module.
+step compare against this module.  :func:`fleet_size_summary` is the
+cross-section they compare reports by.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
@@ -67,3 +71,27 @@ def replicas_needed_exhaustive(
         else:
             low = mid
     return best[0], best[1], probed
+
+
+def fleet_size_summary(report: ScaleOutReport) -> dict:
+    """The compact cross-section of one fleet-size cell.
+
+    Scalars only, plus a sha256 fingerprint over the fleet's finish
+    times: the bit-identity witness two searches compare.
+    """
+    fingerprint = hashlib.sha256(
+        np.ascontiguousarray(report.finishes,
+                             dtype=np.float64).tobytes()).hexdigest()
+    p50, p95, p99 = report.latency_percentiles((0.50, 0.95, 0.99))
+    return {
+        "n_replicas": report.n_replicas,
+        "n_served": report.n_served,
+        "p50_s": p50,
+        "p95_s": p95,
+        "p99_s": p99,
+        "mean_queue_delay_s": report.mean_queue_delay,
+        "makespan_s": report.makespan,
+        "throughput_tokens_per_s": report.throughput_tokens_per_s,
+        "utilization": report.utilization,
+        "fingerprint": fingerprint,
+    }

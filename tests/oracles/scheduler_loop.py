@@ -183,7 +183,7 @@ def run_loop(scheduler: ContinuousBatchScheduler,
         now_members = frozenset(entry.index for entry in running)
         if now_members != members:
             members = now_members
-            if cfg.resolve_policy and running:
+            if running:
                 aggregate = sum(entry.request.batch_size
                                 for entry in running)
                 context = max(entry.context_len

@@ -20,11 +20,12 @@ from repro.models.zoo import get_model
 from repro.serving import (MultiReplicaSimulator, WorkloadVector,
                            arrivals_poisson, replicas_needed)
 from repro.serving.degradation import PlanTable
-from repro.serving.replicas import backlog_bound, fleet_size_summary
+from repro.serving.replicas import backlog_bound
 from repro.serving.simulator import (DEFAULT_EXACT_PERCENTILE_LIMIT,
                                      ServingReport, nearest_rank)
 from repro.telemetry.metrics import StreamingHistogram
-from tests.oracles.replicas_search import replicas_needed_exhaustive
+from tests.oracles.replicas_search import (fleet_size_summary,
+                                           replicas_needed_exhaustive)
 
 SHAPES = [InferenceRequest(1, 128, 16), InferenceRequest(1, 256, 32),
           InferenceRequest(8, 256, 32)]
@@ -112,7 +113,7 @@ def test_backlog_bound_never_exceeds_simulated_latency(estimator, gaps,
     services = PlanTable(estimator).service_times(workload)
     bound = backlog_bound(arrivals, services, k)
     assert bound.shape == arrivals.shape
-    assert (bound <= report.merged.latencies).all()
+    assert (bound <= report.latencies).all()
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
@@ -124,7 +125,7 @@ def test_backlog_bound_is_exact_when_replicas_never_idle(estimator, k):
     report = MultiReplicaSimulator(estimator, k).run(workload, arrivals)
     bound = backlog_bound(
         arrivals, PlanTable(estimator).service_times(workload), k)
-    assert np.array_equal(bound, report.merged.latencies)
+    assert np.array_equal(bound, report.latencies)
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +166,7 @@ def test_search_matches_exhaustive_oracle(estimator, monkeypatch, n,
                                 dispatch=dispatch)
     assert k == oracle_k
     assert fleet_size_summary(report) == fleet_size_summary(oracle)
-    assert oracle.merged.streaming_percentiles == (
+    assert oracle.streaming_percentiles == (
         n > DEFAULT_EXACT_PERCENTILE_LIMIT)
     # Only probed sizes are simulated, each once, the answer always.
     assert set(simulated) <= set(probed)

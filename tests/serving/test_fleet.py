@@ -33,10 +33,11 @@ from repro.faults.fleet import (FleetScenario, HealthPolicy,
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
-from repro.serving import (AutoscalerPolicy, FleetSimulator,
-                           MultiReplicaSimulator, WorkloadVector,
-                           builtin_fleet_presets, get_fleet_preset,
-                           replicas_needed)
+from repro.serving import (AutoscalerPolicy, FleetReport, FleetSimulator,
+                           MultiReplicaSimulator, ServingReport,
+                           WorkloadVector, builtin_fleet_presets,
+                           get_fleet_preset, replicas_needed)
+from repro.telemetry import SLOPolicy, timeseries_from_report
 from repro.workloads import TraceSpec, get_trace
 
 SHAPES = [InferenceRequest(1, 128, 16), InferenceRequest(1, 256, 32)]
@@ -78,11 +79,28 @@ def test_idle_fleet_reproduces_static_fleet(estimator, dispatch):
     fleet = FleetSimulator(estimator, 3, dispatch=dispatch).run(
         workload, arrivals)
     assert fleet.n_dropped == 0
-    assert np.array_equal(fleet.starts, static.merged.starts)
-    assert np.array_equal(fleet.finishes, static.merged.finishes)
+    assert np.array_equal(fleet.starts, static.starts)
+    assert np.array_equal(fleet.finishes, static.finishes)
     assert np.array_equal(fleet.assignment, static.assignment)
-    assert fleet.latency_percentile(0.95) == \
-        static.latency_percentile(0.95)
+    _assert_same_surface(fleet, static)
+
+
+def _assert_same_surface(fleet, static):
+    """An idle chaos fleet and the static fleet answer every shared
+    :class:`ServingReport` statistic with the same bits."""
+    assert isinstance(fleet, ServingReport)
+    assert isinstance(static, ServingReport)
+    fractions = (0.5, 0.95, 0.99)
+    assert fleet.latency_percentiles(fractions) == \
+        static.latency_percentiles(fractions)
+    assert fleet.mean_queue_delay == static.mean_queue_delay
+    assert fleet.makespan == static.makespan
+    assert fleet.throughput_tokens_per_s == \
+        static.throughput_tokens_per_s
+    # Idle and static, every replica spans the whole makespan, so the
+    # fsum of k spans is k * makespan exactly.
+    assert fleet.replica_seconds == static.n_replicas * static.makespan
+    assert fleet.utilization == static.utilization
 
 
 @settings(max_examples=6, deadline=None)
@@ -104,9 +122,10 @@ def test_any_idle_scenario_is_transparent(estimator, seed, retries,
     fleet = FleetSimulator(estimator, 2, scenario=scenario,
                            dispatch=dispatch).run(workload, arrivals)
     assert fleet.n_dropped == 0
-    assert np.array_equal(fleet.starts, static.merged.starts)
-    assert np.array_equal(fleet.finishes, static.merged.finishes)
+    assert np.array_equal(fleet.starts, static.starts)
+    assert np.array_equal(fleet.finishes, static.finishes)
     assert np.array_equal(fleet.assignment, static.assignment)
+    _assert_same_surface(fleet, static)
 
 
 # ----------------------------------------------------------------------
@@ -155,11 +174,20 @@ def test_report_rejects_inconsistent_accounting(estimator):
     workload = _workload(10)
     arrivals = _trace(10)
     report = FleetSimulator(estimator, 2).run(workload, arrivals)
-    from dataclasses import replace
 
+    # Request 3 is both served and dropped: 10 + 1 != 10 offered.
     with pytest.raises(ConfigurationError, match="accounting"):
-        replace(report, dropped_index=np.array([3], dtype=np.int64),
-                dropped_reasons=("replica-crash",))
+        FleetReport(
+            report.offered, report.offered_arrivals,
+            report.served_index, report.starts, report.finishes,
+            assignment=report.assignment,
+            dropped_index=np.array([3], dtype=np.int64),
+            dropped_reasons=("replica-crash",), stats=report.stats,
+            scenario=report.scenario, scale_events=report.scale_events,
+            replica_spans=report.replica_spans,
+            window_s=report.window_s,
+            n_replicas_initial=report.n_replicas_initial,
+            autoscaled=report.autoscaled)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +224,8 @@ def test_crash_without_retries_strictly_loses_requests(estimator):
     # Every loss arrived before the crash window closed (a request
     # arriving just before the crash can still be killed in flight;
     # after recovery nothing fails).
-    lost = report.arrivals[report.dropped_index]
+    lost = report.dropped_arrivals
+    assert lost.size == report.n_dropped
     assert (lost < 200.0).all()
 
 
@@ -284,19 +313,78 @@ def test_report_windows_and_timeseries_channels(estimator):
         scenario=get_fleet_scenario("replica-crash")).run(
         workload, arrivals)
     counts = report.replica_counts()
-    assert counts.shape == (report.n_windows,)
+    assert counts.shape == (report.grid.n_windows,)
     arrived, dropped, availability = report.windowed_availability()
     assert int(arrived.sum()) == report.n_offered
     assert int(dropped.sum()) == report.n_dropped
     assert ((0.0 <= availability) & (availability <= 1.0)).all()
-    series = report.timeseries(n_windows=16)
+    series = timeseries_from_report(report, n_windows=16)
     assert series.replicas.shape == (16,)
     assert series.availability.shape == (16,)
     payload = report.to_dict()
     assert payload["n_offered"] == 200
     assert payload["n_served"] + payload["n_dropped"] == 200
     assert payload["scenario"] == "replica-crash"
-    assert len(payload["replica_counts"]) == report.n_windows
+    assert len(payload["replica_counts"]) == report.grid.n_windows
+
+
+@pytest.mark.parametrize("name", sorted(builtin_fleet_presets()))
+def test_windowed_utilization_never_exceeds_one(estimator, name):
+    """Each window's busy seconds fit in the replica-seconds
+    provisioned in it, draining replicas included."""
+    preset = get_fleet_preset(name)
+    trace = preset.trace.generate()
+    workload = _workload(trace.size, seed=0)
+    report = preset.simulator(estimator).run(workload, trace)
+    series = timeseries_from_report(report, n_windows=64)
+    # A fully busy window divides two float sums of one real number
+    # (busy intervals, provisioned spans): allow their rounding only.
+    assert series.utilization.max() <= 1.0 + 1e-12, name
+    monitored = report.monitor(
+        SLOPolicy(latency_threshold_s=preset.slo_p95_s)).timeseries
+    assert monitored.utilization.max() <= 1.0 + 1e-12, name
+    assert 0.0 < report.utilization <= 1.0, name
+
+
+def test_report_reads_offered_and_served_rows_apart(estimator):
+    workload = _workload(300, seed=5)
+    arrivals = _trace(300, rate=1.5, seed=5)
+    report = FleetSimulator(
+        estimator, 3, scenario=_crash_scenario(0)).run(
+        workload, arrivals)
+    assert 0 < report.n_dropped < 300
+    assert report.n_offered == report.offered.n_requests == 300
+    assert np.array_equal(report.offered_arrivals, arrivals)
+    # ``arrivals``/``workload`` are the served rows only.
+    assert report.arrivals.size == report.n_served
+    assert np.array_equal(report.arrivals,
+                          arrivals[report.served_index])
+    assert np.array_equal(report.workload.codes,
+                          workload.codes[report.served_index])
+    assert np.array_equal(report.dropped_arrivals,
+                          arrivals[report.dropped_index])
+    assert [d.arrival for d in report.dropped] == \
+        report.dropped_arrivals.tolist()
+    assert report.availability == report.n_served / 300
+
+
+def test_monitor_attributes_alerts_to_the_replica_crash(estimator):
+    preset = get_fleet_preset("replica-crash")
+    trace = preset.trace.scaled(1500).generate()
+    workload = _workload(trace.size, seed=0)
+    report = preset.simulator(estimator).run(workload, trace)
+    (crash,) = report.scenario.faults
+    threshold = 1.5 * report.latency_percentile(0.5)
+    monitoring = report.monitor(SLOPolicy(latency_threshold_s=threshold),
+                                window_s=60.0)
+    assert monitoring.scenario_name == "replica-crash"
+    inside = [alert for alert in monitoring.alerts
+              if alert.start_s < crash.end and alert.end_s > crash.start]
+    assert inside
+    for alert in inside:
+        assert alert.cause == "replica-crash"
+    # Far from the crash, alerts stay organic.
+    assert monitoring.alerts[-1].cause == "organic-load"
 
 
 def test_fleet_presets_are_runnable(estimator):
@@ -323,6 +411,25 @@ def test_fleet_telemetry_gauges(estimator):
               "model": estimator.spec.name}
     gauge = telemetry.metrics.gauge("fleet.replicas", **labels)
     assert gauge.value == float(report.replica_counts()[-1])
+    utilization = telemetry.metrics.gauge("serving.utilization",
+                                          **labels)
+    assert utilization.value == report.utilization
+    assert 0.0 < utilization.value <= 1.0
+
+
+def test_scale_out_telemetry_gauge_is_fleet_normalized(estimator):
+    from repro.telemetry import Telemetry, activate
+
+    telemetry = Telemetry()
+    with activate(telemetry):
+        report = MultiReplicaSimulator(estimator, 3).run(
+            _workload(120, seed=10), _trace(120, rate=3.0, seed=10))
+    gauge = telemetry.metrics.gauge(
+        "serving.utilization", system=estimator.system.name,
+        model=estimator.spec.name)
+    assert gauge.value == report.utilization
+    assert report.busy_s / report.makespan > 1.0  # un-normalized
+    assert 0.0 < gauge.value <= 1.0
 
 
 # ----------------------------------------------------------------------

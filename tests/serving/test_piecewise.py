@@ -861,7 +861,7 @@ def test_fleet_degraded_engines_bit_identical(simulator, name):
     vec_fleet = MultiReplicaSimulator(simulator.estimator, 4).run(
         workload, arrivals, scenario=scenario)
     assert isinstance(vec_fleet, ScaleOutReport)
-    _assert_parity(loop_fleet, vec_fleet.merged)
+    _assert_parity(loop_fleet, vec_fleet)
     assert vec_fleet.stats.as_dict() == loop_fleet.stats.as_dict()
     assert vec_fleet.n_dropped == len(loop_fleet.dropped)
 
@@ -875,8 +875,8 @@ def test_fleet_single_replica_matches_single_server(simulator):
     fleet = MultiReplicaSimulator(simulator.estimator, 1)
     fleet_report = fleet.run(workload, arrivals, scenario=scenario)
     single = run_fifo(simulator.estimator, workload, arrivals, scenario)
-    assert np.array_equal(fleet_report.merged.starts, single.starts)
-    assert np.array_equal(fleet_report.merged.finishes, single.finishes)
+    assert np.array_equal(fleet_report.starts, single.starts)
+    assert np.array_equal(fleet_report.finishes, single.finishes)
     assert fleet_report.stats.as_dict() == single.stats.as_dict()
 
 
@@ -903,15 +903,14 @@ def test_scaleout_percentiles_pool_over_all_replicas(simulator):
     arrivals = arrivals_poisson(150, 1.5, seed=10)
     report = MultiReplicaSimulator(simulator.estimator, 3).run(
         workload, arrivals)
-    pooled = np.sort(report.merged.latencies)
+    pooled = np.sort(np.concatenate(
+        [sub.latencies for sub in report.per_replica]))
+    assert pooled.size == report.n_served
     for fraction in (0.5, 0.9, 0.95, 0.99, 1.0):
         rank = min(pooled.size, max(1, math.ceil(fraction * pooled.size)))
         assert report.latency_percentile(fraction) == \
             float(pooled[rank - 1])
-        assert report.latency_percentile(fraction) == \
-            report.merged.latency_percentile(fraction)
-    delays = report.merged.starts - report.merged.arrivals
-    assert report.mean_queue_delay == report.merged.mean_queue_delay
+    delays = report.starts - report.arrivals
     assert report.mean_queue_delay == pytest.approx(float(delays.mean()))
 
 
@@ -922,7 +921,7 @@ def test_degraded_scaleout_percentiles_pool(simulator):
     report = MultiReplicaSimulator(simulator.estimator, 3).run(
         workload, arrivals, scenario=scenario)
     assert report.n_dropped > 0  # the preset sheds under this load
-    pooled = np.sort(report.merged.latencies)
+    pooled = np.sort(report.latencies)
     rank = min(pooled.size, max(1, math.ceil(0.95 * pooled.size)))
     assert report.latency_percentile(0.95) == float(pooled[rank - 1])
     assert report.n_offered == workload.n_requests

@@ -30,8 +30,8 @@ def test_single_replica_matches_single_server(estimator):
     for dispatch in ("round-robin", "least-loaded"):
         fleet = MultiReplicaSimulator(estimator, 1, dispatch=dispatch)
         report = fleet.run(workload, arrivals)
-        assert np.array_equal(report.merged.starts, single.starts)
-        assert np.array_equal(report.merged.finishes, single.finishes)
+        assert np.array_equal(report.starts, single.starts)
+        assert np.array_equal(report.finishes, single.finishes)
         assert report.latency_percentile(0.95) == \
             single.latency_percentile(0.95)
 
@@ -90,7 +90,7 @@ def test_idle_replicas_are_omitted_from_per_replica(estimator):
         _workload(2), [0.0, 1.0])
     assert report.replica_ids == (0, 1)
     assert len(report.per_replica) == 2
-    assert len(report.replica_utilizations) == 2
+    assert [sub.n_served for sub in report.per_replica] == [1, 1]
 
 
 def test_merged_statistics_cover_all_replicas(estimator):
@@ -148,7 +148,7 @@ def test_replicas_needed_cap_message_blames_the_right_cause(estimator):
     workload = _workload(400)
     arrivals = arrivals_poisson(400, 5.0, seed=1)
     services = MultiReplicaSimulator(estimator, 1).run(
-        workload, arrivals).merged.service_times
+        workload, arrivals).service_times
     slo = 2.0 * float(services.max())
     with pytest.raises(CapacityError) as queueing:
         replicas_needed(estimator, workload, arrivals,

@@ -108,7 +108,6 @@ def cases(draw):
         join=draw(st.sampled_from(["step", "drain"])),
         kv_capacities=capacities,
         cxl_step_penalty=draw(st.sampled_from([0.0, 0.15, 2.0])),
-        resolve_policy=draw(st.sampled_from([True, True, False])),
         context_grid_points=draw(st.sampled_from([2, 3, 8])),
         span_cap=draw(st.sampled_from([0, 1, 5, 1024])))
     return requests, arrivals, config

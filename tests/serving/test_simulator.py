@@ -78,6 +78,27 @@ def test_percentile_empty_report_is_impossible():
         _empty_report()
 
 
+@pytest.mark.parametrize("served_index, dropped_index", [
+    (None, [1]),          # all three served, one also dropped
+    ([0, 1], []),         # request 2 neither served nor dropped
+    ([0, 2], [1, 2]),     # request 2 both served and dropped
+])
+def test_report_rejects_inconsistent_accounting(served_index,
+                                                dropped_index):
+    workload = WorkloadVector(shapes=(InferenceRequest(1, 8, 1),),
+                              codes=np.zeros(3, dtype=np.int64))
+    arrivals = np.array([0.0, 1.0, 2.0])
+    n_served = 3 if served_index is None else len(served_index)
+    timeline = np.arange(n_served, dtype=np.float64)
+    with pytest.raises(ConfigurationError, match="accounting"):
+        ServingReport(
+            workload, arrivals, timeline, timeline + 1.0,
+            served_index=(None if served_index is None
+                          else np.array(served_index)),
+            dropped_index=np.array(dropped_index),
+            dropped_reasons=["queue-full"] * len(dropped_index))
+
+
 def test_percentile_single_request(simulator):
     report = simulator.run(_requests(1), [0.0])
     only = report.served[0].latency
