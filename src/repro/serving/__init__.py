@@ -38,8 +38,7 @@ from repro.serving.fleet import (AutoscalerPolicy, ChaosStats,
                                  FleetSimulator, builtin_fleet_presets,
                                  get_fleet_preset)
 from repro.serving.piecewise import run_fifo
-from repro.serving.planner import (PlanChoice, ReplicaPlan,
-                                   choose_system, plan_replicas)
+from repro.serving.planner import PlanChoice, choose_system
 from repro.serving.replicas import (MultiReplicaSimulator,
                                     ScaleOutReport, replicas_needed)
 from repro.serving.scheduler import (MIXED_SHAPES,
@@ -72,9 +71,7 @@ __all__ = [
     "arrivals_poisson",
     "validate_arrivals",
     "PlanChoice",
-    "ReplicaPlan",
     "choose_system",
-    "plan_replicas",
     "MultiReplicaSimulator",
     "ScaleOutReport",
     "replicas_needed",

@@ -31,9 +31,8 @@ plans from.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -77,21 +76,6 @@ class FaultStats:
                 + self.unservable)
 
 
-@dataclass(frozen=True)
-class _ServicePlan:
-    """How one request gets served under a fault signature.
-
-    ``policies`` are the (prefill, decode) policies it is served with.
-    """
-
-    latency: float
-    n_chunks: int
-    shrinks: int
-    resolved: bool
-    policy_shifted: bool
-    policies: Tuple[str, str]
-
-
 #: One platform's estimates, by shape.
 _Entries = Dict[InferenceRequest, Union[InferenceEstimate, CapacityError]]
 
@@ -116,10 +100,12 @@ class PlanTable:
                               Tuple[LiaEstimator, _Entries]] = {
             (): (estimator, {})}
 
-    def estimate(self, signature: FaultSignature,
-                 shape: InferenceRequest) -> InferenceEstimate:
-        """``shape`` estimated on the platform under ``signature``;
-        raises the point's :class:`CapacityError` at every ask."""
+    def entries(self, signature: FaultSignature,
+                shapes: Sequence[InferenceRequest]
+                ) -> List[Union[InferenceEstimate, CapacityError]]:
+        """``shapes`` estimated on the platform under ``signature``, each
+        as its estimate or the :class:`CapacityError` estimating it
+        raised; the shapes not yet estimated go in one batched call."""
         platform = self._platforms.get(signature)
         if platform is None:
             base = self.estimator
@@ -128,40 +114,46 @@ class PlanTable:
                 self._platforms[()] if system is base.system
                 else (LiaEstimator(base.spec, system, base.config), {}))
         estimator, entries = platform
-        entry = entries.get(shape)
-        if entry is None:
-            try:
-                entry = estimator.estimate(shape)
-            except CapacityError as error:
-                entry = error
-            entries[shape] = entry
-        if isinstance(entry, CapacityError):
-            raise entry.with_traceback(None)
-        return entry
+        missing = [shape for shape in dict.fromkeys(shapes)
+                   if shape not in entries]
+        if missing:
+            entries.update(zip(missing, estimator.estimate_many(missing)))
+        return [entries[shape] for shape in shapes]
+
+    def estimate(self, signature: FaultSignature,
+                 shape: InferenceRequest) -> InferenceEstimate:
+        """``shape`` estimated on the platform under ``signature``;
+        raises the point's :class:`CapacityError` at every ask."""
+        entry, = self.entries(signature, [shape])
+        return _checked(entry)
 
     def service_times(self, workload: WorkloadVector) -> np.ndarray:
         """Healthy per-arrival service times: the shapes the stream
         uses, estimated in one batched call, gathered onto the
         arrivals.  The first used shape that does not fit raises its
         :class:`CapacityError`."""
-        used = [count > 0 for count in workload.counts().tolist()]
-        estimator, entries = self._platforms[()]
-        missing = [shape for shape, uses in zip(workload.shapes, used)
-                   if uses and shape not in entries]
-        if missing:
-            entries.update(zip(missing, estimator.estimate_many(missing)))
-        latency = np.array(
-            [self.estimate((), shape).latency if uses else 0.0
-             for shape, uses in zip(workload.shapes, used)])
+        used = np.flatnonzero(workload.counts())
+        latency = np.zeros(len(workload.shapes))
+        latency[used] = [_checked(entry).latency for entry in self.entries(
+            (), [workload.shapes[code] for code in used.tolist()])]
         return np.take(latency, workload.codes)
+
+
+def _checked(entry: Union[InferenceEstimate, CapacityError]
+            ) -> InferenceEstimate:
+    """A :class:`PlanTable` entry's estimate; raises its
+    :class:`CapacityError`."""
+    if isinstance(entry, CapacityError):
+        raise entry.with_traceback(None)
+    return entry
 
 
 class DegradationController:
     """Per-run reaction state: admission, retries, policy re-solve.
 
-    One controller serves one ``run``.  It plans from ``plans``, the
-    call's :class:`PlanTable`, and keeps the healthy plan of every
-    shape it has served.
+    One controller serves one ``run``: it holds the run's
+    :class:`FaultStats` and fault injector, and ``plans``, the call's
+    :class:`PlanTable`.
     """
 
     def __init__(self, plans: PlanTable, scenario: FaultScenario,
@@ -171,7 +163,6 @@ class DegradationController:
         self.injector = FaultInjector(scenario)
         self.telemetry = telemetry
         self.stats = FaultStats()
-        self._base_plans: Dict[InferenceRequest, _ServicePlan] = {}
 
     # ------------------------------------------------------------------
     def _count(self, name: str, amount: float = 1.0, **labels: str) -> None:
@@ -183,63 +174,3 @@ class DegradationController:
         if self.telemetry is not None:
             self.telemetry.tracer.add_span(name, "faults", start,
                                            finish, **args)
-
-    # ------------------------------------------------------------------
-    # Service planning: policy re-solve + batch shrink
-    # ------------------------------------------------------------------
-    def _base_plan(self, request: InferenceRequest) -> _ServicePlan:
-        plan = self._base_plans.get(request)
-        if plan is None:
-            estimate = self.plans.estimate((), request)
-            plan = self._base_plans[request] = _ServicePlan(
-                latency=estimate.latency,
-                n_chunks=self._chunks(estimate),
-                shrinks=0, resolved=False, policy_shifted=False,
-                policies=_policies(estimate))
-        return plan
-
-    def _chunks(self, estimate: InferenceEstimate) -> int:
-        if self.scenario.chunks_per_request > 0:
-            return self.scenario.chunks_per_request
-        streamed = (estimate.residency.n_layers
-                    - estimate.residency.n_resident_layers)
-        return max(1, streamed)
-
-    def _resolve_plan(self, request: InferenceRequest,
-                      signature: FaultSignature
-                      ) -> Optional[_ServicePlan]:
-        """The (shape, signature) plan, free of stats side effects —
-        the engine resolves per segment and accounts in bulk.  Under
-        faults the request is re-estimated on the degraded platform
-        (policy re-solve); a :class:`CapacityError` halves the batch
-        until it fits.  ``None`` means the shape does not fit the
-        degraded platform even at B=1.
-        """
-        if not signature:
-            return self._base_plan(request)
-        base = self._base_plan(request)
-        batch = request.batch_size
-        shrinks = 0
-        while True:
-            attempt = (request if batch == request.batch_size
-                       else replace(request, batch_size=batch))
-            try:
-                estimate = self.plans.estimate(signature, attempt)
-            except CapacityError:
-                if batch == 1:
-                    return None
-                batch = (batch + 1) // 2
-                shrinks += 1
-                continue
-            pieces = math.ceil(request.batch_size / batch)
-            policies = _policies(estimate)
-            return _ServicePlan(
-                latency=estimate.latency * pieces,
-                n_chunks=self._chunks(estimate) * pieces,
-                shrinks=shrinks, resolved=True,
-                policy_shifted=policies != base.policies,
-                policies=policies)
-
-
-def _policies(estimate: InferenceEstimate) -> Tuple[str, str]:
-    return str(estimate.prefill_policy), str(estimate.decode_policy)

@@ -677,8 +677,7 @@ class FleetSimulator:
                     stats.breaker_closes += 1
             replica.consecutive = 0
 
-        def commit(rid: int, outcome: _Attempt,
-                   service: float) -> None:
+        def commit(rid: int, outcome: _Attempt) -> None:
             nonlocal busy_since_boundary
             replica = replicas[rid]
             replica.free_at = outcome.finish
@@ -712,7 +711,7 @@ class FleetSimulator:
                     last_reason = candidate.reason
                     first = False
                     continue
-                commit(rid, candidate, service)
+                commit(rid, candidate)
                 slow = (candidate.slow_factor
                         >= health.slow_tolerance)
                 record_success(rid, slow)
@@ -730,7 +729,7 @@ class FleetSimulator:
                         twin = attempt(other, effective, service)
                         if twin.ok:
                             stats.hedges += 1
-                            commit(other, twin, service)
+                            commit(other, twin)
                             slow_twin = (twin.slow_factor
                                          >= health.slow_tolerance)
                             record_success(other, slow_twin)

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -149,12 +150,11 @@ def _stall_outcomes(scenario: FaultScenario, probability: float,
 
 
 def _apply_stall_ops(controller: DegradationController, index: int,
-                     start: float, ops: Tuple[tuple, ...],
-                     fold_backoff: bool = True) -> None:
+                     start: float, ops: Tuple[tuple, ...]) -> None:
     """Fold one request's stall ops into stats/counters/spans in the
-    order the stalls and retries happen.  ``fold_backoff=False``
-    leaves the retry delays out of ``backoff_seconds`` (stats and
-    counter) for a caller that folds them itself."""
+    order the stalls and retries happen.  The retry delays stay out of
+    ``backoff_seconds`` (stats and counter): :func:`_account_round`
+    folds them with the round's other backoff addends."""
     stats = controller.stats
     timeout = controller.scenario.retry.timeout_s
     for op in ops:
@@ -172,9 +172,6 @@ def _apply_stall_ops(controller: DegradationController, index: int,
             at = start + offset
             stats.transfer_retries += 1
             controller._count("faults.transfer.retries")
-            if fold_backoff:
-                stats.backoff_seconds += delay
-                controller._count("faults.backoff_seconds", delay)
             controller._span(f"backoff:req{index}:chunk{chunk}", at,
                              at + delay, attempt=attempt)
         elif kind == "retry_stall":
@@ -195,21 +192,28 @@ def _apply_stall_ops(controller: DegradationController, index: int,
 class _PlanColumns:
     """The plans of every workload shape under one fault signature.
 
-    One slot per shape, filled lazily with the codes a block actually
-    contains, so only shapes that arrive while the signature is active
-    are resolved.
+    One slot per shape, filled from the call's :class:`PlanTable` with
+    the codes a block actually contains, so only shapes that arrive
+    while the signature is active are planned; shapes the stream never
+    uses start filled.  A shape is planned from its estimate on the
+    platform under the signature — the healthy estimate, or under
+    faults the policy re-solve on the degraded platform.  A
+    :class:`CapacityError` there halves the batch until it fits, and
+    the shape is then served as ``pieces`` halved batches back to back;
+    a shape that does not fit at B=1 is unservable (``ok`` false).
     """
 
     __slots__ = ("latency", "n_chunks", "ok", "shifted", "shrinks",
                  "filled")
 
-    def __init__(self, n_shapes: int) -> None:
+    def __init__(self, used: np.ndarray) -> None:
+        n_shapes = used.size
         self.latency = np.zeros(n_shapes)
         self.n_chunks = np.zeros(n_shapes, dtype=np.int64)
         self.ok = np.ones(n_shapes, dtype=bool)
         self.shifted = np.zeros(n_shapes, dtype=bool)
         self.shrinks = np.zeros(n_shapes, dtype=np.int64)
-        self.filled = np.zeros(n_shapes, dtype=bool)
+        self.filled = ~used
 
     def fill(self, controller: DegradationController,
              shapes: Sequence[InferenceRequest],
@@ -217,20 +221,41 @@ class _PlanColumns:
         if self.filled.all():
             return
         present = np.bincount(block_codes, minlength=self.filled.size)
-        missing = np.flatnonzero((present > 0) & ~self.filled)
-        for code in missing.tolist():
-            # A shape too large for even the *base* platform raises
-            # CapacityError here, at that shape's first block (the
-            # warm-up swallows it so it surfaces per shape).
-            plan = controller._resolve_plan(shapes[code], signature)
-            if plan is None:
-                self.ok[code] = False
-            else:
-                self.latency[code] = plan.latency
-                self.n_chunks[code] = plan.n_chunks
-                self.shifted[code] = plan.policy_shifted
-                self.shrinks[code] = plan.shrinks
+        missing = np.flatnonzero((present > 0) & ~self.filled).tolist()
+        if not missing:
+            return
+        plans = controller.plans
+        wanted = [shapes[code] for code in missing]
+        healthy = plans.entries((), wanted)
+        for base in healthy:
+            # A shape too large for even the healthy platform raises
+            # here, at that shape's first block.
+            if isinstance(base, CapacityError):
+                raise base.with_traceback(None)
+        chunks = controller.scenario.chunks_per_request
+        for code, shape, base, estimate in zip(
+                missing, wanted, healthy, plans.entries(signature, wanted)):
             self.filled[code] = True
+            batch = shape.batch_size
+            shrinks = 0
+            while isinstance(estimate, CapacityError) and batch > 1:
+                batch = (batch + 1) // 2
+                shrinks += 1
+                estimate, = plans.entries(
+                    signature, [replace(shape, batch_size=batch)])
+            if isinstance(estimate, CapacityError):
+                self.ok[code] = False
+                continue
+            pieces = math.ceil(shape.batch_size / batch)
+            residency = estimate.residency
+            streamed = (chunks if chunks > 0 else max(
+                1, residency.n_layers - residency.n_resident_layers))
+            self.latency[code] = estimate.latency * pieces
+            self.n_chunks[code] = streamed * pieces
+            self.shrinks[code] = shrinks
+            self.shifted[code] = (
+                (estimate.prefill_policy, estimate.decode_policy)
+                != (base.prefill_policy, base.decode_policy))
 
 
 # ----------------------------------------------------------------------
@@ -240,37 +265,6 @@ class _PlanColumns:
 #: :meth:`FaultInjector.regimes` is one infinite healthy segment and
 #: the whole stream is one :func:`lindley_timeline` call.
 _FAULT_FREE = FaultScenario(name="fault-free")
-
-
-def _warm_base_plans(controller: DegradationController,
-                     workload: WorkloadVector) -> _PlanColumns:
-    """Plan every shape the stream uses on the healthy platform and
-    return the fault-free plan columns.
-
-    Counts the estimates as a per-request loop with a shape memo
-    would: ``computed`` per distinct shape, ``memoized`` per repeat.
-    Shapes the stream never uses are marked filled (no block can hold
-    them); a shape too large for the base platform stays unfilled, so
-    its :class:`CapacityError` surfaces at its first block.
-    """
-    table = _PlanColumns(len(workload.shapes))
-    counts = workload.counts().tolist()
-    for code, (shape, count) in enumerate(zip(workload.shapes, counts)):
-        if count:
-            try:
-                plan = controller._base_plan(shape)
-            except CapacityError:
-                continue
-            table.latency[code] = plan.latency
-            table.n_chunks[code] = plan.n_chunks
-        table.filled[code] = True
-    present = sum(1 for count in counts if count)
-    controller._count("serving.estimates", present, result="computed")
-    if workload.n_requests > present:
-        controller._count("serving.estimates",
-                          workload.n_requests - present,
-                          result="memoized")
-    return table
 
 
 def run_fifo(estimator: LiaEstimator,
@@ -311,6 +305,14 @@ def run_fifo(estimator: LiaEstimator,
     plans = PlanTable(estimator) if _plans is None else _plans
     controller = DegradationController(plans, scenario or _FAULT_FREE,
                                        telemetry)
+    # The estimates a per-request loop with a shape memo counts: one
+    # computed per distinct shape, one memoized per repeat.
+    present = int(np.count_nonzero(workload.counts()))
+    controller._count("serving.estimates", present, result="computed")
+    if workload.n_requests > present:
+        controller._count("serving.estimates",
+                          workload.n_requests - present,
+                          result="memoized")
     served_index, starts, finishes, dropped_index, reasons = _serve(
         controller, workload, trace, idx)
     # Without faults nothing is dropped, and the report carries no
@@ -397,13 +399,13 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
     max_depth = admission.max_queue_depth
     segments = controller.injector.regimes()
     seg_los = [segment[0] for segment in segments]
-    tables: Dict[FaultSignature, _PlanColumns] = {
-        (): _warm_base_plans(controller, workload)}
+    used = workload.counts() > 0
+    tables: Dict[FaultSignature, _PlanColumns] = {}
 
     def table_for(signature: FaultSignature) -> _PlanColumns:
         table = tables.get(signature)
         if table is None:
-            table = tables[signature] = _PlanColumns(len(shapes))
+            table = tables[signature] = _PlanColumns(used)
         return table
 
     # Commit buffers, allocated on the first commit that does not
@@ -454,6 +456,7 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
         return outcomes, penalties
 
     adm_cap = n
+    delays: List[float] = []
     if max_depth:
         adm_cap = _ADMISSION_BLOCK_SEED
         round_cap = min(max_depth, _BLOCK_CAP)
@@ -545,15 +548,12 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
         committed_finishes = served_finishes[:m]
         if served:
             commit(starts[:served], finishes[:served], admitted[:served])
-            halvings = _count_resolves(
-                controller, table, signature, adm_codes[:served],
-                outcomes)
-        else:
-            halvings = None
         _account_round(
             controller, delays, trace[pos:end],
             np.arange(pos, end) if idx is None else idx[pos:end], defers,
-            decided[:served], starts[:served], halvings,
+            decided[:served], starts[:served],
+            table if served and signature else None,
+            codes[admitted[:served]],
             None if outcomes is None else outcomes[:served],
             committed_finishes, int(shed_positions.size))
         dropped_positions.extend(shed_positions.tolist())
@@ -692,10 +692,19 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
             commit(kept_starts[:kept_cut], kept_finishes[:kept_cut],
                    None if offsets is None else pos + offsets)
             if signature or outcomes is not None:
-                _account_commit(controller, table, signature,
-                                kept_codes[:kept_cut],
-                                kept_starts[:kept_cut], outcomes,
-                                pos, offsets, idx)
+                # The commit is accounted as an admission round that
+                # neither defers nor sheds.
+                if outcomes is not None:
+                    outcomes = outcomes[:kept_cut]
+                _account_round(
+                    controller, delays, trace[pos:pos + cut],
+                    np.arange(pos, pos + cut) if idx is None
+                    else idx[pos:pos + cut],
+                    np.zeros(cut, dtype=np.int64),
+                    np.arange(kept_cut) if offsets is None else offsets,
+                    kept_starts[:kept_cut],
+                    table if signature else None, kept_codes[:kept_cut],
+                    outcomes, _EMPTY_FLOATS, 0)
         if drop_cut:
             dropped_positions.extend((pos + drop[:drop_cut]).tolist())
             dropped_reasons.extend([_UNSERVABLE_REASON] * drop_cut)
@@ -728,90 +737,51 @@ def _capacity(latencies: np.ndarray, room: float) -> int:
                                    side="right"))
 
 
-def _count_resolves(controller: DegradationController,
-                    table: _PlanColumns, signature: FaultSignature,
-                    codes: np.ndarray,
-                    outcomes: Optional[List[Tuple[float,
-                                                  Tuple[tuple, ...]]]]
-                    ) -> Optional[List[int]]:
-    """Fold the re-solve, shift, shrink and degraded counts of a
-    committed run of served requests into stats and counters.
-    Returns each request's batch halvings when shrink spans are due
-    (telemetry on and some request shrank), else ``None``."""
-    stats = controller.stats
-    count = int(codes.size)
-    if signature:
-        stats.policy_resolves += count
-        controller._count("faults.policy_resolves", count)
-        shifted = int(np.count_nonzero(table.shifted[codes]))
-        if shifted:
-            stats.policy_shifts += shifted
-            controller._count("faults.policy_shifts", shifted)
-        shrinks = table.shrinks[codes]
-        total_shrinks = int(shrinks.sum())
-        if total_shrinks:
-            stats.batch_shrinks += total_shrinks
-            controller._count("faults.batch_shrinks", total_shrinks)
-        stats.degraded_requests += count
-        if controller.telemetry is not None and total_shrinks:
-            return shrinks.tolist()
-    elif outcomes is not None:
-        stats.degraded_requests += sum(
-            1 for outcome in outcomes[:count] if outcome[0] > 0.0)
-    return None
-
-
-def _account_commit(controller: DegradationController,
-                    table: _PlanColumns,
-                    signature: FaultSignature, codes: np.ndarray,
-                    starts: np.ndarray,
-                    outcomes: Optional[List[Tuple[float,
-                                                  Tuple[tuple, ...]]]],
-                    pos: int, offsets: Optional[np.ndarray],
-                    idx: Optional[np.ndarray]) -> None:
-    """Fold one committed prefix into stats, counters and spans in the
-    order a per-request pass would.  The prefix sits at block
-    ``offsets`` (``None``: the first ``codes.size`` rows) of the block
-    starting at stream position ``pos``."""
-    halvings = _count_resolves(controller, table, signature, codes,
-                               outcomes)
-    if outcomes is None and halvings is None:
-        return
-    start_list = starts.tolist()
-    positions = pos + (np.arange(codes.size) if offsets is None
-                       else offsets)
-    request_ids = positions if idx is None else idx[positions]
-    for j, request_id in enumerate(request_ids.tolist()):
-        if halvings is not None and halvings[j]:
-            controller._span(f"shrink:req{request_id}", start_list[j],
-                             start_list[j], halvings=halvings[j])
-        if outcomes is not None and outcomes[j][1]:
-            _apply_stall_ops(controller, request_id, start_list[j],
-                             outcomes[j][1])
-
-
 def _account_round(controller: DegradationController,
                    delays: Sequence[float], arrivals: np.ndarray,
                    request_ids: np.ndarray, defers: np.ndarray,
                    served_rows: np.ndarray, starts: np.ndarray,
-                   halvings: Optional[List[int]],
+                   resolved: Optional[_PlanColumns], codes: np.ndarray,
                    outcomes: Optional[List[Tuple[float,
                                                  Tuple[tuple, ...]]]],
                    committed_finishes: np.ndarray, n_shed: int) -> None:
     """Fold one admission round's deferrals, sheds and served-request
-    events into stats, counters and spans in event order.
+    events into stats, counters and spans in event order.  A block
+    commit is a round that neither defers nor sheds.
 
     The round's rows are consecutive stream positions; row ``i``
     arrives at ``arrivals[i]`` and defers ``defers[i]`` times, and the
-    rows in ``served_rows`` are served from ``starts``, with
-    ``halvings`` and stall ``outcomes``.  ``backoff_seconds`` (stats
-    and counter) is one seeded left fold over the round's addends:
-    each row's deferral delays, then its stall-retry delays.
-    ``committed_finishes`` are the finishes served before the round
-    (a defer span's ``depth`` arg reads them).
+    rows in ``served_rows`` are served from ``starts`` as shapes
+    ``codes``, with stall ``outcomes``.  ``resolved`` holds their
+    re-solved plans when a fault signature was active (``None``: the
+    healthy plans).  ``backoff_seconds`` (stats and counter) is one
+    seeded left fold over the round's addends: each row's deferral
+    delays, then its stall-retry delays.  ``committed_finishes`` are
+    the finishes served before the round (a defer span's ``depth`` arg
+    reads them).
     """
     stats = controller.stats
     telemetry = controller.telemetry
+    halvings: Optional[List[int]] = None
+    if resolved is not None:
+        count = int(codes.size)
+        stats.policy_resolves += count
+        controller._count("faults.policy_resolves", count)
+        shifted = int(np.count_nonzero(resolved.shifted[codes]))
+        if shifted:
+            stats.policy_shifts += shifted
+            controller._count("faults.policy_shifts", shifted)
+        shrinks = resolved.shrinks[codes]
+        total_shrinks = int(shrinks.sum())
+        if total_shrinks:
+            stats.batch_shrinks += total_shrinks
+            controller._count("faults.batch_shrinks", total_shrinks)
+            if telemetry is not None:
+                halvings = shrinks.tolist()
+        stats.degraded_requests += count
+    elif outcomes is not None:
+        stats.degraded_requests += sum(
+            1 for outcome in outcomes if outcome[0] > 0.0)
     n_deferred = int(defers.sum())
     if n_deferred:
         stats.deferred += n_deferred
@@ -853,7 +823,7 @@ def _round_events(controller: DegradationController,
     rows = arrivals.size
     served_at = np.full(rows, -1, dtype=np.int64)
     served_at[served_rows] = np.arange(served_rows.size)
-    if telemetry is not None:
+    if telemetry is not None and defers.any():
         # Every row's probe ladder and the depth each probe saw: the
         # served count before the row, less the committed finishes at
         # or before the probe (the round's own finishes are all later).
@@ -888,7 +858,6 @@ def _round_events(controller: DegradationController,
                              start_list[j], halvings=halvings[j])
         if outcomes is not None and outcomes[j][1]:
             ops = outcomes[j][1]
-            _apply_stall_ops(controller, request_id, start_list[j], ops,
-                             fold_backoff=False)
+            _apply_stall_ops(controller, request_id, start_list[j], ops)
             addends.extend(op[4] for op in ops if op[0] == "retry")
     return addends

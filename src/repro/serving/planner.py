@@ -10,14 +10,12 @@ workload), and rank the survivors by amortized $/hour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.config import LiaConfig
 
 if TYPE_CHECKING:
     from repro.faults.spec import FaultScenario
-    from repro.serving.replicas import ScaleOutReport
-    from repro.serving.vectorized import WorkloadVector
 from repro.core.estimator import LiaEstimator
 from repro.energy.cost import CostModel
 from repro.errors import CapacityError, ConfigurationError
@@ -103,62 +101,3 @@ def choose_system(spec: ModelSpec, requests: Sequence[InferenceRequest],
                                   p95_latency=p95, usd_per_hour=cost))
     choices.sort(key=lambda c: (not c.feasible, c.usd_per_hour))
     return choices
-
-
-@dataclass(frozen=True)
-class ReplicaPlan:
-    """How many boxes of one system a workload needs for its SLO."""
-
-    system: SystemConfig
-    n_replicas: int
-    p95_latency: float
-    usd_per_hour: float
-    dispatch: str
-
-    @property
-    def name(self) -> str:
-        return self.system.name
-
-
-def plan_replicas(spec: ModelSpec,
-                  requests: Union[Sequence[InferenceRequest],
-                                  "WorkloadVector"],
-                  slo_p95_seconds: float,
-                  system_name: str = "spr-a100",
-                  arrival_rate_per_s: float = 0.01,
-                  config: Optional[LiaConfig] = None,
-                  seed: int = 0,
-                  dispatch: str = "round-robin",
-                  max_replicas: int = 1024
-                  ) -> "tuple[ReplicaPlan, ScaleOutReport]":
-    """The "how many A100 boxes do I need" question as an API.
-
-    Scales one system horizontally (the vectorized multi-replica
-    engine) until the merged p95 under the seeded Poisson arrival
-    process meets the SLO, and prices the resulting fleet.  Raises
-    :class:`CapacityError` if no fleet up to ``max_replicas`` can; when
-    the message blames the service time alone, a faster *system*
-    (``choose_system``), not more of this one, is the fix.
-    """
-    from repro.serving.replicas import replicas_needed
-    from repro.serving.vectorized import WorkloadVector
-
-    if not isinstance(requests, WorkloadVector) and not requests:
-        raise ConfigurationError("workload must contain requests")
-    config = config or LiaConfig()
-    system = get_system(system_name)
-    estimator = LiaEstimator(spec, system, config)
-    n_requests = (requests.n_requests
-                  if isinstance(requests, WorkloadVector)
-                  else len(requests))
-    arrivals = arrivals_poisson(n_requests, arrival_rate_per_s,
-                                seed=seed)
-    n_replicas, report = replicas_needed(
-        estimator, requests, arrivals, slo_p95_seconds,
-        dispatch=dispatch, max_replicas=max_replicas)
-    plan = ReplicaPlan(
-        system=system, n_replicas=n_replicas,
-        p95_latency=report.latency_percentile(0.95),
-        usd_per_hour=n_replicas * CostModel(system).usd_per_hour(),
-        dispatch=dispatch)
-    return plan, report

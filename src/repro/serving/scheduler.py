@@ -757,4 +757,14 @@ def run_continuous_fleet(estimator: "LiaEstimator",
                        / len(reports)),
         decode_busy_s=decode_busy,
     )
+    telemetry = current_telemetry()
+    if telemetry is not None:
+        # Each replica's run set the gauges from its own report; the
+        # fleet's come from the merged one.  Counters and histograms
+        # already count each request once.
+        from repro.telemetry.bridge import scheduler_report_to_gauges
+
+        scheduler_report_to_gauges(merged, telemetry.metrics,
+                                   system=estimator.system.name,
+                                   model=estimator.spec.name)
     return merged

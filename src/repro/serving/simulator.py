@@ -199,6 +199,19 @@ class ServingReport:
                 "offered")
         if arrivals.size + n_dropped == 0:
             raise ConfigurationError("report needs at least one request")
+        if served_index is not None:
+            # The counts agree; each offered request must also be
+            # served or dropped exactly once.
+            n_offered = self.offered_arrivals.size
+            covered = (served_index if dropped_index is None
+                       else np.concatenate((served_index, dropped_index)))
+            if (covered.min() < 0 or covered.max() >= n_offered
+                    or not (np.bincount(covered, minlength=n_offered)
+                            == 1).all()):
+                raise ConfigurationError(
+                    "report accounting violated: served and dropped "
+                    f"indexes do not partition the {n_offered} offered "
+                    "requests")
         self.workload = workload
         self.arrivals = arrivals
         self.starts = starts

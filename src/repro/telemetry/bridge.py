@@ -10,11 +10,14 @@ one exporter path serves every subsystem.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.telemetry.export import spans_to_trace_events
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Span
+
+if TYPE_CHECKING:
+    from repro.serving.scheduler import ContinuousServingReport
 
 
 def note_dropped_spans(telemetry, dropped: int, total: int,
@@ -99,6 +102,26 @@ def scheduler_report_to_metrics(report, metrics: MetricsRegistry,
                     **labels).inc(report.policy_resolves)
     metrics.counter("scheduler.kv_demotions",
                     **labels).inc(report.kv_demotions)
+    scheduler_report_to_gauges(report, metrics, system=system,
+                               model=model)
+
+
+def scheduler_report_to_gauges(report: "ContinuousServingReport",
+                               metrics: MetricsRegistry,
+                               system: str = "",
+                               model: str = "") -> None:
+    """Set the gauges of a :class:`ContinuousServingReport`: serving
+    utilization and makespan, batch occupancy and per-tier peak KV
+    bytes.  A continuous fleet sets them once more from its merged
+    report, over the values its last replica's run left."""
+    labels = {}
+    if system:
+        labels["system"] = system
+    if model:
+        labels["model"] = model
+    metrics.gauge("serving.utilization",
+                  **labels).set(report.utilization)
+    metrics.gauge("serving.makespan_s", **labels).set(report.makespan)
     metrics.gauge("scheduler.occupancy_mean",
                   **labels).set(report.occupancy_mean)
     metrics.gauge("scheduler.occupancy_peak",

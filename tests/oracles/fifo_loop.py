@@ -10,13 +10,16 @@ the recurrence reads on paper:
 * :func:`run_degraded` — the same loop under a fault scenario:
   admission control, the policy re-solve/batch-shrink plan, and the
   transfer-stall retry penalty, request by request;
+* :class:`Planner` — the §5 re-solve as a scalar loop: one estimate
+  per attempt on the degraded platform, halving the batch until it
+  fits, with no help from the engine's plan columns;
 * :func:`chunk_stalls` / :func:`retry_succeeds` — one request's
   transfer-stall draws, one fresh ``FaultScenario.rng_for`` generator
   per key, which :func:`transfer_penalty` folds and the engine's block
   of draws (``piecewise._stall_outcomes``) must replay;
-* :func:`run_admission_sequential` — the admission-bounded engine
-  path without its batched depth probes (every request through the
-  sequential :func:`admit`), over the engine's plan tables;
+* :func:`run_admission_sequential` — the fault-injected loop with the
+  engine's kernel signature, so a test can run it beside the engine's
+  batched depth probes and admission rounds on one controller type;
 * :func:`run_fleet_loop` — round-robin replicas of
   :func:`run_degraded`, merged back into arrival order.
 
@@ -33,20 +36,20 @@ import functools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.estimator import InferenceEstimate, LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import (FaultInjector, FaultSignature,
+                                   signature_system)
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
 from repro.serving.degradation import (DegradationController, FaultStats,
-                                       PlanTable, _ServicePlan)
-from repro.serving.piecewise import (_SHED_REASON, _UNSERVABLE_REASON,
-                                     _apply_stall_ops, _PlanColumns,
-                                     _stall_outcomes, _warm_base_plans)
+                                       PlanTable)
+from repro.serving.piecewise import _SHED_REASON, _UNSERVABLE_REASON
 from repro.serving.simulator import (DroppedRequest, ServedRequest,
                                      ServingSimulator, validate_arrivals)
 from repro.serving.vectorized import WorkloadVector
@@ -270,46 +273,106 @@ def admit(controller: DegradationController, arrival: float, index: int,
     return None
 
 
-def note_plan(controller: DegradationController, shifted: bool,
-              shrinks: int, index: int, start: float) -> None:
+@dataclass(frozen=True)
+class Plan:
+    """How one request is served under a fault signature."""
+
+    latency: float
+    n_chunks: int
+    shrinks: int
+    shifted: bool
+
+
+class Planner:
+    """The §5 policy re-solve, one scalar estimate at a time.
+
+    Under a fault signature a request is re-estimated on the degraded
+    platform, so Eq. (1) is searched again there.  If the pressured
+    platform cannot hold the batch, the batch is halved until it fits,
+    and the request is served as ``pieces`` halved batches back to
+    back.  The plan's policies *shift* when they differ from the
+    healthy estimate's.  Each (request, signature) plan is computed
+    once per run.
+    """
+
+    def __init__(self, estimator: LiaEstimator,
+                 scenario: FaultScenario) -> None:
+        self.scenario = scenario
+        self._estimators: Dict[FaultSignature, LiaEstimator] = {
+            (): estimator}
+        self._plans: Dict[Tuple[InferenceRequest, FaultSignature],
+                          Optional[Plan]] = {}
+
+    def estimate(self, signature: FaultSignature,
+                 request: InferenceRequest) -> InferenceEstimate:
+        """``request`` on the platform under ``signature``; raises its
+        :class:`CapacityError` when it does not fit."""
+        estimator = self._estimators.get(signature)
+        if estimator is None:
+            base = self._estimators[()]
+            estimator = self._estimators[signature] = LiaEstimator(
+                base.spec, signature_system(base.system, signature),
+                base.config)
+        return estimator.estimate(request)
+
+    def chunks(self, estimate: InferenceEstimate) -> int:
+        """Transfer chunks of one pass: the scenario's fixed count, or
+        one per streamed (non-resident) layer."""
+        if self.scenario.chunks_per_request > 0:
+            return self.scenario.chunks_per_request
+        residency = estimate.residency
+        return max(1, residency.n_layers - residency.n_resident_layers)
+
+    def plan(self, request: InferenceRequest,
+             signature: FaultSignature) -> Optional[Plan]:
+        """The plan of ``request`` under ``signature``; ``None`` when it
+        does not fit the degraded platform even at B=1.  A request too
+        large for the healthy platform raises its
+        :class:`CapacityError`."""
+        key = (request, signature)
+        if key not in self._plans:
+            self._plans[key] = self._solve(request, signature)
+        return self._plans[key]
+
+    def _solve(self, request: InferenceRequest,
+               signature: FaultSignature) -> Optional[Plan]:
+        healthy = self.estimate((), request)
+        if not signature:
+            return Plan(healthy.latency, self.chunks(healthy), 0, False)
+        batch = request.batch_size
+        shrinks = 0
+        while True:
+            try:
+                estimate = self.estimate(
+                    signature, replace(request, batch_size=batch))
+                break
+            except CapacityError:
+                if batch == 1:
+                    return None
+                batch = (batch + 1) // 2
+                shrinks += 1
+        pieces = math.ceil(request.batch_size / batch)
+        return Plan(
+            latency=estimate.latency * pieces,
+            n_chunks=self.chunks(estimate) * pieces, shrinks=shrinks,
+            shifted=(str(estimate.prefill_policy),
+                     str(estimate.decode_policy))
+            != (str(healthy.prefill_policy), str(healthy.decode_policy)))
+
+
+def note_plan(controller: DegradationController, plan: Plan, index: int,
+              start: float) -> None:
     """Account one request served on a re-solved plan."""
     controller.stats.policy_resolves += 1
     controller._count("faults.policy_resolves")
-    if shifted:
+    if plan.shifted:
         controller.stats.policy_shifts += 1
         controller._count("faults.policy_shifts")
-    if shrinks:
-        controller.stats.batch_shrinks += shrinks
-        controller._count("faults.batch_shrinks", shrinks)
+    if plan.shrinks:
+        controller.stats.batch_shrinks += plan.shrinks
+        controller._count("faults.batch_shrinks", plan.shrinks)
         controller._span(f"shrink:req{index}", start, start,
-                         halvings=shrinks)
-
-
-def plan_service(controller: DegradationController,
-                 request: InferenceRequest, start: float, index: int,
-                 memo: Dict[tuple, Optional[_ServicePlan]]
-                 ) -> Optional[_ServicePlan]:
-    """The service plan for ``request`` starting at ``start``.
-
-    Without active capacity/latency faults this is the fault-free
-    estimate.  Under faults, the request is re-estimated on the
-    degraded platform; a shape that cannot fit even at B=1 is
-    unservable (``None``).  ``memo`` holds the run's plans per
-    (shape, signature).
-    """
-    signature = controller.injector.performance_signature(start)
-    if not signature:
-        return controller._base_plan(request)
-    key = (request, signature)
-    if key not in memo:
-        memo[key] = controller._resolve_plan(request, signature)
-    plan = memo[key]
-    if plan is None:
-        controller.stats.unservable += 1
-        controller._count("faults.unservable")
-        return None
-    note_plan(controller, plan.policy_shifted, plan.shrinks, index, start)
-    return plan
+                         halvings=plan.shrinks)
 
 
 def chunk_stalls(injector: FaultInjector, time: float, index: int,
@@ -405,63 +468,28 @@ def run_degraded(simulator: ServingSimulator,
     if len(requests) != len(arrivals):
         raise ConfigurationError(
             "requests and arrivals must have equal length")
-    validate_arrivals(arrivals)
+    trace = validate_arrivals(arrivals)
     telemetry = None if quiet else current_telemetry()
     controller = DegradationController(PlanTable(simulator.estimator),
                                        scenario, telemetry)
-
-    distinct = list(dict.fromkeys(requests))
-    for request in distinct:
-        try:
-            estimate = simulator.estimator.estimate(request)
-        except CapacityError:
-            continue  # oversized shapes raise at their first arrival
-        controller._base_plans[request] = _ServicePlan(
-            latency=estimate.latency,
-            n_chunks=controller._chunks(estimate),
-            shrinks=0, resolved=False, policy_shifted=False,
-            policies=(str(estimate.prefill_policy),
-                      str(estimate.decode_policy)))
-    controller._count("serving.estimates", len(distinct),
-                      result="computed")
-    if len(requests) > len(distinct):
-        controller._count("serving.estimates",
-                          len(requests) - len(distinct),
+    distinct = len(set(requests))
+    controller._count("serving.estimates", distinct, result="computed")
+    if len(requests) > distinct:
+        controller._count("serving.estimates", len(requests) - distinct,
                           result="memoized")
-
-    report = LoopReport([], stats=controller.stats, scenario=scenario)
-    finishes: List[float] = []
-    plans: Dict[tuple, Optional[_ServicePlan]] = {}
-    free_at = 0.0
-    for position, (request, arrival) in enumerate(zip(requests,
-                                                      arrivals)):
-        index = position if indices is None else int(indices[position])
-        effective = admit(controller, arrival, index, finishes)
-        if effective is None:
-            report.dropped.append(DroppedRequest(
-                request=request, arrival=arrival, reason=_SHED_REASON))
-            report.dropped_index.append(position)
-            continue
-        start = max(effective, free_at)
-        plan = plan_service(controller, request, start, index, plans)
-        if plan is None:
-            report.dropped.append(DroppedRequest(
-                request=request, arrival=arrival,
-                reason=_UNSERVABLE_REASON))
-            report.dropped_index.append(position)
-            continue
-        penalty = transfer_penalty(controller, start, index,
-                                   plan.n_chunks)
-        if plan.resolved or penalty > 0.0:
-            controller.stats.degraded_requests += 1
-        finish = start + plan.latency + penalty
-        report.served.append(ServedRequest(
-            request=request, arrival=arrival, start=start,
-            finish=finish))
-        report.served_index.append(position)
-        finishes.append(finish)
-        free_at = finish
-
+    served, starts, finishes, dropped, reasons = run_admission_sequential(
+        controller, WorkloadVector.from_requests(requests), trace,
+        None if indices is None else np.asarray(indices, dtype=np.int64))
+    report = LoopReport(
+        [ServedRequest(request=requests[p], arrival=arrivals[p],
+                       start=start, finish=finish)
+         for p, start, finish in zip(served.tolist(), starts.tolist(),
+                                     finishes.tolist())],
+        [DroppedRequest(request=requests[p], arrival=arrivals[p],
+                        reason=reason)
+         for p, reason in zip(dropped.tolist(), reasons)],
+        stats=controller.stats, scenario=scenario,
+        served_index=served.tolist(), dropped_index=dropped.tolist())
     if telemetry is not None:
         _emit(simulator, report)
         telemetry.metrics.gauge(
@@ -476,65 +504,48 @@ def run_admission_sequential(controller: DegradationController,
                              ) -> Tuple[np.ndarray, np.ndarray,
                                         np.ndarray, np.ndarray,
                                         List[str]]:
-    """The admission-bounded engine path, one request at a time.
+    """The fault-injected FIFO queue, one request at a time.
 
-    Same controller, plan tables and stall outcomes as the engine, but
-    every request goes through the exact sequential :func:`admit` — no
-    batched depth probes.  Returns ``(served positions, starts,
+    Each request goes through the sequential :func:`admit`, is planned
+    by a :class:`Planner` of its own at its start time's signature,
+    and draws its stalls through :func:`transfer_penalty`; only the
+    estimator comes from ``controller``.  ``idx`` relabels positions
+    with global request indices.  Returns ``(served positions, starts,
     finishes, dropped positions, drop reasons)``.
     """
     stats = controller.stats
-    shapes = workload.shapes
-    codes = workload.codes.tolist()
-    arrivals = trace.tolist()
-    segments = controller.injector.regimes()
-    seg_los = [segment[0] for segment in segments]
-    tables: Dict[tuple, _PlanColumns] = {
-        (): _warm_base_plans(controller, workload)}
-
+    injector = controller.injector
+    planner = Planner(controller.plans.estimator, controller.scenario)
+    requests = workload.to_requests()
     served_positions: List[int] = []
     starts: List[float] = []
     finishes: List[float] = []
     dropped_positions: List[int] = []
     reasons: List[str] = []
     free_at = 0.0
-    probe_code = np.empty(1, dtype=np.int64)
-    for position in range(trace.size):
-        arrival = arrivals[position]
+    for position, arrival in enumerate(trace.tolist()):
         index = position if idx is None else int(idx[position])
         effective = admit(controller, arrival, index, finishes)
         if effective is None:
             dropped_positions.append(position)
             reasons.append(_SHED_REASON)
             continue
-        start = effective if effective >= free_at else free_at
-        signature, stall_p = segments[bisect_right(seg_los, start) - 1][2:]
-        table = tables.get(signature)
-        if table is None:
-            table = tables[signature] = _PlanColumns(len(shapes))
-        code = codes[position]
-        if not table.filled[code]:
-            probe_code[0] = code
-            table.fill(controller, shapes, signature, probe_code)
-        if not table.ok[code]:
+        start = max(effective, free_at)
+        signature = injector.performance_signature(start)
+        plan = planner.plan(requests[position], signature)
+        if plan is None:
             stats.unservable += 1
             controller._count("faults.unservable")
             dropped_positions.append(position)
             reasons.append(_UNSERVABLE_REASON)
             continue
         if signature:
-            note_plan(controller, bool(table.shifted[code]),
-                      int(table.shrinks[code]), index, start)
-        penalty = 0.0
-        if stall_p > 0.0:
-            (penalty, ops), = _stall_outcomes(
-                controller.scenario, stall_p, [index],
-                [int(table.n_chunks[code])])
-            if ops:
-                _apply_stall_ops(controller, index, start, ops)
+            note_plan(controller, plan, index, start)
+        penalty = transfer_penalty(controller, start, index,
+                                   plan.n_chunks)
         if signature or penalty > 0.0:
             stats.degraded_requests += 1
-        finish = start + float(table.latency[code]) + penalty
+        finish = start + plan.latency + penalty
         served_positions.append(position)
         starts.append(start)
         finishes.append(finish)

@@ -256,6 +256,47 @@ def test_backlog_carries_across_boundary(simulator):
     assert vec.stats.policy_resolves < 30
 
 
+#: HBM pressure that halves the batch-8 shape, a PCIe downshift that
+#: moves the halved batch's prefill to the CPU while both are active,
+#: and a stall window over both, so the halved plan's chunk count
+#: reaches the stall draws.
+SHRINK_AND_SHIFT = FaultScenario(
+    name="shrink-and-shift", seed=3,
+    events=(FaultEvent(FaultKind.GPU_HBM_PRESSURE, start=100.0,
+                       duration=900.0, magnitude=0.9),
+            FaultEvent(FaultKind.PCIE_DOWNSHIFT, start=400.0,
+                       duration=900.0, magnitude=0.3),
+            FaultEvent(FaultKind.PCIE_STALL, start=0.0, duration=1500.0,
+                       magnitude=0.05)))
+
+
+def test_resolve_matches_the_oracle_planner():
+    """The engine's §5 re-solve (halved batches served as ``pieces``,
+    their chunk counts, the policy-shift test against the healthy
+    plan) against the oracle's own scalar planner: timelines,
+    FaultStats, telemetry rows and every ``shrink:`` span in order."""
+    estimator = LiaEstimator(get_model("opt-66b"), get_system("spr-a100"),
+                             LiaConfig(enforce_host_capacity=False))
+    shapes = [InferenceRequest(1, 128, 8), InferenceRequest(8, 512, 16)]
+    workload = WorkloadVector.sample_mix(shapes, 150, seed=1)
+    arrivals = arrivals_poisson(150, 0.1, seed=2)
+    t_loop, t_vec = Telemetry(), Telemetry()
+    with activate(t_loop):
+        loop = run_degraded(ServingSimulator(estimator),
+                            workload.to_requests(), arrivals,
+                            SHRINK_AND_SHIFT)
+    with activate(t_vec):
+        vec = run_fifo(estimator, workload, arrivals, SHRINK_AND_SHIFT)
+    _assert_parity(loop, vec)
+    assert vec.stats.batch_shrinks > 0 and vec.stats.policy_shifts > 0
+    assert vec.stats.transfer_stalls > 0
+    shrinks = [[(s.name, s.start, s.args) for s in t.tracer.spans
+                if s.name.startswith("shrink:")] for t in (t_loop, t_vec)]
+    assert shrinks[0] == shrinks[1] and shrinks[0]
+    assert _telemetry_rows(t_loop) == _telemetry_rows(t_vec)
+    assert _span_set(t_loop) == _span_set(t_vec)
+
+
 #: The composite schedule of perfbench's serve-faults workload: (kind,
 #: start, duration, magnitude), start and duration as fractions of the
 #: trace.
@@ -406,6 +447,11 @@ def test_stall_outcome_replays_transfer_penalty(simulator):
         if ops:
             hit = True
             _apply_stall_ops(shadow, index, 2.0, ops)
+            # The engine folds the retry delays with the round's other
+            # backoff addends, in op order.
+            for op in ops:
+                if op[0] == "retry":
+                    shadow.stats.backoff_seconds += op[4]
     assert hit  # p=0.3 over ~190 chunk draws: stalls certainly occurred
     assert shadow.stats.as_dict() == live.stats.as_dict()
 

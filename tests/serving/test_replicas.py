@@ -8,7 +8,7 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.models.workload import InferenceRequest
 from repro.serving import (MultiReplicaSimulator, ServingSimulator,
                            WorkloadVector, arrivals_poisson,
-                           plan_replicas, replicas_needed)
+                           replicas_needed)
 
 SHAPES = [InferenceRequest(1, 128, 16), InferenceRequest(1, 256, 32)]
 
@@ -187,16 +187,6 @@ def test_replicas_needed_simulates_each_fleet_size_once(estimator,
     assert report.latency_percentile(0.95) <= 8.0
     assert len(evaluated) == len(set(evaluated)), evaluated
     assert needed in evaluated
-
-
-def test_plan_replicas_prices_the_fleet(opt_30b):
-    plan, report = plan_replicas(opt_30b, _workload(80),
-                                 slo_p95_seconds=60.0,
-                                 arrival_rate_per_s=0.5)
-    assert plan.n_replicas == report.n_replicas
-    assert report.latency_percentile(0.95) <= 60.0
-    assert plan.p95_latency == report.latency_percentile(0.95)
-    assert plan.usd_per_hour > 0.0
 
 
 def test_replica_telemetry_gauges(estimator):

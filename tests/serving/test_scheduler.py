@@ -292,6 +292,35 @@ def test_fleet_occupancy_weighs_replicas_by_decode_busy_time(estimator):
     assert merged.decode_busy_s == math.fsum(busy)
 
 
+def test_fleet_telemetry_gauges_read_the_merged_report(estimator):
+    """Every replica's run sets the gauges from its own report; the
+    fleet's gauges must read the merged report, while counters and
+    histograms still count each request once."""
+    from repro.telemetry import Telemetry, activate
+
+    requests, arrivals = _mix(60)
+    telemetry = Telemetry()
+    with activate(telemetry):
+        merged = run_continuous_fleet(
+            estimator, requests, arrivals, replicas=3,
+            scheduler_config=SchedulerConfig(max_batch_requests=4))
+    metrics = telemetry.metrics
+    labels = {"system": estimator.system.name,
+              "model": estimator.spec.name}
+    expected = {"serving.utilization": merged.utilization,
+                "serving.makespan_s": merged.makespan,
+                "scheduler.occupancy_mean": merged.occupancy_mean,
+                "scheduler.occupancy_peak": float(merged.occupancy_peak)}
+    for name, value in expected.items():
+        assert metrics.gauge(name, **labels).value == value, name
+    for tier, peak in merged.kv_peak_bytes.items():
+        assert metrics.gauge("scheduler.kv_peak_bytes", tier=tier,
+                             **labels).value == peak, tier
+    assert metrics.counter_value("serving.requests", **labels) == 60
+    assert metrics.counter_value("scheduler.completions", **labels) == 60
+    assert metrics.histogram("serving.latency_s", **labels).count == 60
+
+
 def test_session_trace_never_deadlocks(estimator):
     from repro.workloads import get_trace
 

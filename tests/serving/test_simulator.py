@@ -82,6 +82,7 @@ def test_percentile_empty_report_is_impossible():
     (None, [1]),          # all three served, one also dropped
     ([0, 1], []),         # request 2 neither served nor dropped
     ([0, 2], [1, 2]),     # request 2 both served and dropped
+    ([0, 1], [1]),        # request 1 both, request 2 neither
 ])
 def test_report_rejects_inconsistent_accounting(served_index,
                                                 dropped_index):
