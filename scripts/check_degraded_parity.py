@@ -15,6 +15,11 @@ surface that is not bit-identical: timelines, served/dropped index
 maps, drop reasons, :class:`FaultStats`, and the derived statistics
 (percentiles, queue delay, utilization).
 
+A last case puts a shape too large for the healthy platform behind
+admission control that would shed it: the loop oracle, the single
+server and the fleet must each raise the same one-line
+:class:`~repro.errors.CapacityError` before serving anything.
+
 The unit tests in ``tests/serving/test_piecewise.py`` pin the same
 contract at small n; this sweep runs thousands of requests per preset
 so segment-boundary and backlog-carry paths that only open up under
@@ -131,6 +136,51 @@ def _mismatches(label: str, loop, vec) -> List[str]:
     return problems
 
 
+def _capacity_problems(replicas: int) -> List[str]:
+    """opt-175b on spr-a100: a (2048, 2048, 8) batch overflows host
+    memory.  Behind a one-deep queue it would be shed, yet every engine
+    must refuse the stream with the oracle's error."""
+    from repro.core.estimator import LiaEstimator
+    from repro.errors import CapacityError
+    from repro.faults.spec import AdmissionPolicy, FaultScenario
+    from repro.hardware.system import get_system
+    from repro.models.workload import InferenceRequest
+    from repro.models.zoo import get_model
+    from repro.serving import MultiReplicaSimulator, ServingSimulator
+
+    estimator = LiaEstimator(get_model("opt-175b"), get_system(SYSTEM))
+    requests = [InferenceRequest(1, 128, 8),
+                InferenceRequest(2048, 2048, 8)]
+    arrivals = [0.0, 0.0]
+    scenario = FaultScenario(
+        name="capacity",
+        admission=AdmissionPolicy(max_queue_depth=1, max_deferrals=1))
+    runs = {
+        "loop oracle": lambda: fifo_loop.run_degraded(
+            ServingSimulator(estimator), requests, arrivals, scenario),
+        "single server": lambda: ServingSimulator(estimator).run(
+            requests, arrivals, scenario=scenario),
+        f"{replicas}-replica fleet": lambda: MultiReplicaSimulator(
+            estimator, replicas).run(requests, arrivals,
+                                     scenario=scenario),
+    }
+    messages = {}
+    for label, run in runs.items():
+        try:
+            run()
+            messages[label] = "no CapacityError"
+        except CapacityError as error:
+            messages[label] = str(error)
+    expected = messages["loop oracle"]
+    problems = [f"capacity: {label} answered {message!r}, the loop "
+                f"oracle {expected!r}"
+                for label, message in messages.items()
+                if message != expected]
+    if expected == "no CapacityError":
+        problems.append("capacity: the loop oracle served the stream")
+    return problems
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
@@ -189,6 +239,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{len(loop.dropped)} dropped, single + "
                   f"{args.replicas}-replica bit-identical "
                   f"({elapsed:.1f}s)")
+    capacity = _capacity_problems(args.replicas)
+    if capacity:
+        failures.extend(capacity)
+        print(f"FAIL capacity: {len(capacity)} divergent engine(s)",
+              file=sys.stderr)
+    else:
+        print("ok   capacity: oracle, single server and "
+              f"{args.replicas}-replica fleet raise the same error")
     if failures:
         for message in failures:
             print(f"FAIL {message}", file=sys.stderr)

@@ -356,33 +356,28 @@ def _stream(args: argparse.Namespace, n_requests: int,
 
 def _run_engine(estimator: LiaEstimator, requests, arrivals,
                 replicas: Optional[int] = None,
-                dispatch: str = "round-robin", scenario=None,
+                dispatch: str = "round-robin", scenario=None, chaos=None,
                 autoscaler=None, scheduler=None):
     """The engine switch: with a ``scheduler`` config, a continuous
-    fleet (its chaos ``scenario`` must be idle); with ``replicas=None``
-    a single FIFO server under the fault ``scenario``; else a FIFO
-    fleet, chaos-injected when given a fleet ``scenario``."""
-    from repro.serving import (FleetSimulator, MultiReplicaSimulator,
-                               ServingSimulator, run_continuous_fleet)
+    fleet (its ``chaos`` must be idle); with ``replicas=None`` a single
+    FIFO server under the fault ``scenario``; else a FIFO fleet."""
+    from repro.serving import (MultiReplicaSimulator, ServingSimulator,
+                               run_continuous_fleet)
 
     if scheduler is not None:
-        if scenario is not None and not scenario.idle:
+        if chaos is not None and not chaos.idle:
             raise ConfigurationError(
                 f"the continuous scheduler has no chaos-injected "
-                f"variant yet; scenario {scenario.name!r} is not idle "
+                f"variant yet; scenario {chaos.name!r} is not idle "
                 "(pass --chaos none)")
         return run_continuous_fleet(estimator, requests, arrivals,
                                     replicas, scheduler_config=scheduler)
     if replicas is None:
         return ServingSimulator(estimator).run(requests, arrivals,
                                                scenario=scenario)
-    if scenario is None:
-        return MultiReplicaSimulator(estimator, replicas,
-                                     dispatch=dispatch).run(requests,
-                                                            arrivals)
-    return FleetSimulator(estimator, n_replicas=replicas,
-                          scenario=scenario, autoscaler=autoscaler,
-                          dispatch=dispatch).run(requests, arrivals)
+    return MultiReplicaSimulator(
+        estimator, replicas, dispatch=dispatch, chaos=chaos,
+        autoscaler=autoscaler).run(requests, arrivals, scenario=scenario)
 
 
 def _percentiles(report, fractions: Sequence[float] = (0.50, 0.95, 0.99)
@@ -949,7 +944,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "not wired to the continuous scheduler yet")
         scheduler = SchedulerConfig(max_batch_requests=args.max_batch)
     report = _run_engine(estimator, workload, arrivals, n_replicas,
-                         dispatch=preset.dispatch, scenario=chaos,
+                         dispatch=preset.dispatch, chaos=chaos,
                          autoscaler=preset.autoscaler,
                          scheduler=scheduler)
     usd_per_hour = CostModel(system).usd_per_hour()

@@ -8,7 +8,9 @@ dataclasses, eager one-line :class:`ConfigurationError` validation,
 and named presets; dict round-trips and JSON/YAML loading go through
 the one spec codec in :mod:`repro.specs`.
 
-Semantics (enforced by :class:`repro.serving.fleet.FleetSimulator`):
+Semantics (enforced by the fleet loop of :mod:`repro.serving.fleet`,
+which :class:`~repro.serving.replicas.MultiReplicaSimulator` runs
+when given ``chaos``):
 
 * ``replica-crash`` — the replica is down on ``[start, start +
   duration)``.  Requests in flight at the crash instant are killed
@@ -108,12 +110,6 @@ class ReplicaFault:
     def end(self) -> float:
         return self.start + self.duration
 
-    def down_at(self, time: float) -> bool:
-        """Is the replica unable to serve at ``time``?"""
-        if self.kind is ReplicaFaultKind.REPLICA_SLOW:
-            return False
-        return self.start <= time < self.end
-
     def slow_factor_at(self, time: float) -> float:
         """Service-time multiplier at ``time`` (1.0 when healthy)."""
         if self.kind is ReplicaFaultKind.REPLICA_SLOW:
@@ -195,16 +191,10 @@ class FleetScenario:
     """A chaos schedule plus the fleet's reaction policies."""
 
     name: str = "fleet"
-    seed: int = 0
     faults: Tuple[ReplicaFault, ...] = ()
     health: HealthPolicy = field(default_factory=HealthPolicy)
     redispatch: RedispatchPolicy = field(
         default_factory=RedispatchPolicy)
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigurationError(
-                f"seed must be >= 0, got {self.seed}")
 
     @property
     def idle(self) -> bool:
@@ -255,7 +245,7 @@ def load_fleet_scenario(path: str) -> FleetScenario:
 def _replica_crash() -> FleetScenario:
     """One replica dies mid-run and comes back; retries mop up."""
     return FleetScenario(
-        name="replica-crash", seed=1,
+        name="replica-crash",
         faults=(ReplicaFault(ReplicaFaultKind.REPLICA_CRASH,
                              replica=1, start=900.0, duration=600.0),),
         redispatch=RedispatchPolicy(max_retries=2))
@@ -264,7 +254,7 @@ def _replica_crash() -> FleetScenario:
 def _gray_failure() -> FleetScenario:
     """A replica answers 4x slow; only the breaker notices."""
     return FleetScenario(
-        name="gray-failure", seed=2,
+        name="gray-failure",
         faults=(ReplicaFault(ReplicaFaultKind.REPLICA_SLOW,
                              replica=0, start=600.0, duration=1800.0,
                              magnitude=4.0),),
@@ -276,7 +266,7 @@ def _gray_failure() -> FleetScenario:
 def _rolling_restart() -> FleetScenario:
     """Staggered restarts across the fleet, each with a cold cache."""
     return FleetScenario(
-        name="rolling-restart", seed=3,
+        name="rolling-restart",
         faults=tuple(
             ReplicaFault(ReplicaFaultKind.REPLICA_RESTART,
                          replica=replica,
@@ -295,13 +285,13 @@ def _none() -> FleetScenario:
     the :attr:`FleetScenario.idle` contract a run under it is
     bit-identical to running with no chaos at all.
     """
-    return FleetScenario(name="none", seed=0)
+    return FleetScenario(name="none")
 
 
 def _bursty_chaos() -> FleetScenario:
     """A crash and a gray failure overlapping the traffic burst."""
     return FleetScenario(
-        name="bursty-chaos", seed=4,
+        name="bursty-chaos",
         faults=(
             ReplicaFault(ReplicaFaultKind.REPLICA_CRASH,
                          replica=2, start=700.0, duration=500.0),

@@ -35,8 +35,7 @@ from repro.serving.batcher import Batch, pack_requests
 from repro.serving.degradation import FaultStats
 from repro.serving.fleet import (AutoscalerPolicy, ChaosStats,
                                  FleetPreset, FleetReport,
-                                 FleetSimulator, builtin_fleet_presets,
-                                 get_fleet_preset)
+                                 builtin_fleet_presets, get_fleet_preset)
 from repro.serving.piecewise import run_fifo
 from repro.serving.planner import PlanChoice, choose_system
 from repro.serving.replicas import (MultiReplicaSimulator,
@@ -57,7 +56,6 @@ __all__ = [
     "ChaosStats",
     "FleetPreset",
     "FleetReport",
-    "FleetSimulator",
     "builtin_fleet_presets",
     "get_fleet_preset",
     "DroppedRequest",

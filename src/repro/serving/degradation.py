@@ -127,15 +127,22 @@ class PlanTable:
         entry, = self.entries(signature, [shape])
         return _checked(entry)
 
-    def service_times(self, workload: WorkloadVector) -> np.ndarray:
-        """Healthy per-arrival service times: the shapes the stream
-        uses, estimated in one batched call, gathered onto the
-        arrivals.  The first used shape that does not fit raises its
+    def used_estimates(self, workload: WorkloadVector
+                       ) -> List[InferenceEstimate]:
+        """Healthy estimates of the shapes the stream uses, in
+        ``workload.shapes`` order, from one batched call.  The first
+        used shape that does not fit raises its
         :class:`CapacityError`."""
-        used = np.flatnonzero(workload.counts())
+        used = np.flatnonzero(workload.counts()).tolist()
+        return [_checked(entry) for entry in self.entries(
+            (), [workload.shapes[code] for code in used])]
+
+    def service_times(self, workload: WorkloadVector) -> np.ndarray:
+        """Healthy per-arrival service times: :meth:`used_estimates`
+        gathered onto the arrivals."""
         latency = np.zeros(len(workload.shapes))
-        latency[used] = [_checked(entry).latency for entry in self.entries(
-            (), [workload.shapes[code] for code in used.tolist()])]
+        latency[np.flatnonzero(workload.counts())] = [
+            estimate.latency for estimate in self.used_estimates(workload)]
         return np.take(latency, workload.codes)
 
 

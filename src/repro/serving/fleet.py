@@ -1,9 +1,9 @@
 """Fleet-level resilience: chaos, health-checked failover, autoscaling.
 
-:class:`~repro.serving.replicas.MultiReplicaSimulator` answers "what
-does a *static, healthy* fleet do"; this module puts the **control
-plane** under test.  A :class:`FleetSimulator` drives a replica fleet
-through an arrival trace (see :mod:`repro.workloads`) while:
+:class:`~repro.serving.replicas.MultiReplicaSimulator` is the one FIFO
+fleet engine.  Given a ``chaos`` schedule or an ``autoscaler`` it runs
+:func:`simulate_fleet`, which puts the fleet's **control plane** under
+test while it serves an arrival trace (see :mod:`repro.workloads`):
 
 * replicas crash, run slow (gray failure), or restart cold according
   to a :class:`~repro.faults.fleet.FleetScenario` schedule;
@@ -20,10 +20,10 @@ The simulation is one deterministic sequential pass in arrival
 order: every decision depends only on the trace, the service times,
 and the scenario schedule — never on wall clock or hash order.
 With an idle scenario (no faults, no hedging) and no autoscaler the
-engine commits ``start = max(arrival, free)`` / ``finish = start +
-service`` in exactly the float-op order of the static round-robin
-fleet, so it reproduces :class:`ScaleOutReport` timelines bit for
-bit — the property ``tests/serving/test_fleet.py`` pins.
+loop commits ``start = max(arrival, free)`` / ``finish = start +
+service`` in exactly the float-op order of the static fleet, so it
+reproduces :class:`~repro.serving.replicas.ScaleOutReport` timelines
+bit for bit — the property ``tests/serving/test_fleet.py`` pins.
 """
 
 from __future__ import annotations
@@ -39,16 +39,13 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.faults.fleet import (FleetScenario, ReplicaFaultKind,
                                 get_fleet_scenario)
-from repro.serving.degradation import PlanTable
-from repro.serving.simulator import (ServingReport, nearest_rank,
-                                     validate_stream)
+from repro.serving.simulator import ServingReport, nearest_rank
 from repro.serving.vectorized import WorkloadVector
 from repro.specs import build_all, lookup
-from repro.telemetry.runtime import Telemetry
-from repro.telemetry.runtime import current as current_telemetry
 from repro.workloads.spec import TraceSpec, get_trace
 
 if TYPE_CHECKING:
+    from repro.serving.replicas import MultiReplicaSimulator
     from repro.telemetry.timeseries import ServingTimeseries, WindowGrid
 
 #: EMA weight for the autoscaler's demand filter (per window).
@@ -59,9 +56,9 @@ __all__ = [
     "ChaosStats",
     "FleetPreset",
     "FleetReport",
-    "FleetSimulator",
     "builtin_fleet_presets",
     "get_fleet_preset",
+    "simulate_fleet",
 ]
 
 
@@ -326,42 +323,19 @@ class FleetReport(ServingReport):
 class _Replica:
     """Mutable per-replica state: queue head, breaker, fault windows."""
 
-    __slots__ = ("rid", "free_at", "active_from", "down", "slow",
-                 "state", "consecutive", "open_until", "probes_left")
+    __slots__ = ("rid", "free_at", "active_from", "faults", "state",
+                 "consecutive", "open_until", "probes_left")
 
     def __init__(self, rid: int, active_from: float,
                  scenario: FleetScenario) -> None:
         self.rid = rid
         self.free_at = active_from
         self.active_from = active_from
-        down: List[Tuple[float, float, str]] = []
-        slow: List[Tuple[float, float, float]] = []
-        for fault in scenario.faults_for(rid):
-            if fault.kind is ReplicaFaultKind.REPLICA_SLOW:
-                slow.append((fault.start, fault.end, fault.magnitude))
-            elif fault.kind is ReplicaFaultKind.REPLICA_CRASH:
-                down.append((fault.start, fault.end,
-                             fault.kind.value))
-            else:  # restart: downtime, then a warm-up slow window
-                down.append((fault.start, fault.end,
-                             fault.kind.value))
-                if fault.warmup_s > 0.0:
-                    slow.append((fault.end,
-                                 fault.end + fault.warmup_s,
-                                 fault.magnitude))
-        self.down = down
-        self.slow = slow
+        self.faults = scenario.faults_for(rid)
         self.state = "closed"
         self.consecutive = 0
         self.open_until = 0.0
         self.probes_left = 0
-
-    def slow_factor(self, time: float) -> float:
-        factor = 1.0
-        for (w0, w1, scale) in self.slow:
-            if w0 <= time < w1 and scale > factor:
-                factor = scale
-        return factor
 
 
 class _Attempt:
@@ -383,439 +357,330 @@ class _Attempt:
         self.slow_factor = slow_factor
 
 
-class FleetSimulator:
-    """A replica fleet with a health-checked dispatcher on top.
+def simulate_fleet(workload: WorkloadVector, trace: np.ndarray,
+                   services: np.ndarray, n_replicas: int, dispatch: str,
+                   scenario: FleetScenario,
+                   policy: Optional[AutoscalerPolicy]) -> FleetReport:
+    """The control-plane loop behind a chaos or autoscaled
+    :class:`~repro.serving.replicas.MultiReplicaSimulator`: serve the
+    stream at the healthy ``services`` times through ``n_replicas``
+    replicas under the chaos ``scenario`` and the optional autoscaler
+    ``policy``, with a health-checked dispatcher choosing among the
+    trusted replicas by ``dispatch``."""
+    health = scenario.health
+    redispatch = scenario.redispatch
+    stats = ChaosStats()
+    horizon = float(trace[-1]) if trace.size else 0.0
+    window_s = (policy.interval_s if policy is not None
+                else max(horizon / 64.0, 1e-9))
 
-    ``scenario`` schedules replica chaos (default: idle);
-    ``autoscaler`` enables reactive scaling (default: the fleet stays
-    at ``n_replicas``).  ``dispatch`` picks the policy over the
-    healthy rotation: ``round-robin`` or ``least-loaded``
-    (join-earliest-free) — both reproduce the static
-    :class:`MultiReplicaSimulator` fleet bit for bit under an idle
-    scenario.  Least-loaded is the resilient choice under chaos and
-    autoscaling: it drains the backlog stranded on loaded replicas
-    through whatever capacity is healthy.
-    """
+    replicas: Dict[int, _Replica] = {
+        rid: _Replica(rid, 0.0, scenario) for rid in range(n_replicas)}
+    rotation: List[int] = sorted(replicas)
+    pointer = 0
+    scale_events: List[Tuple[float, int]] = [(0.0, len(rotation))]
+    pending: List[Tuple[float, int]] = []  # (activation time, rid)
+    retired: List[Tuple[float, float]] = []  # (from, to) spans
 
-    def __init__(self, estimator, n_replicas: int = 1,
-                 scenario: Optional[FleetScenario] = None,
-                 autoscaler: Optional[AutoscalerPolicy] = None,
-                 dispatch: str = "round-robin") -> None:
-        if n_replicas < 1:
-            raise ConfigurationError(
-                f"n_replicas must be >= 1, got {n_replicas}")
-        from repro.serving.replicas import DISPATCH_POLICIES
+    # Autoscaler state.
+    next_boundary = (policy.interval_s if policy is not None
+                     else float("inf"))
+    finish_heap: List[Tuple[float, bool]] = []
+    busy_since_boundary = 0.0
+    prev_rate = 0.0
+    low_streak = 0
 
-        if dispatch not in DISPATCH_POLICIES:
-            raise ConfigurationError(
-                f"unknown dispatch policy {dispatch!r}; "
-                f"known policies: {', '.join(DISPATCH_POLICIES)}")
-        self.estimator = estimator
-        self.n_replicas = n_replicas
-        self.dispatch = dispatch
-        self.scenario = scenario or FleetScenario(name="idle")
-        self.autoscaler = autoscaler
-        if (autoscaler is not None
-                and autoscaler.min_replicas > n_replicas):
-            raise ConfigurationError(
-                f"autoscaler.min_replicas ({autoscaler.min_replicas})"
-                f" exceeds the initial fleet size ({n_replicas})")
+    n = trace.size
+    served_idx: List[int] = []
+    starts: List[float] = []
+    finishes: List[float] = []
+    assignment: List[int] = []
+    dropped_idx: List[int] = []
+    dropped_reasons: List[str] = []
+    hedging = redispatch.hedging
+    least_loaded = dispatch == "least-loaded"
 
-    # ------------------------------------------------------------------
-    def run(self, requests: Sequence, arrivals: Sequence[float],
-            window_s: Optional[float] = None) -> FleetReport:
-        """Serve ``requests`` (a :class:`WorkloadVector` or request
-        sequence) through the fleet along ``arrivals``."""
-        workload, trace = validate_stream(requests, arrivals)
-        telemetry = current_telemetry()
-        services = PlanTable(self.estimator).service_times(workload)
-        report = self._simulate(workload, trace, services, window_s)
-        if telemetry is not None:
-            self._emit_telemetry(report, telemetry)
-        return report
+    def activate(time: float, rid: int) -> None:
+        replicas[rid] = _Replica(rid, time, scenario)
+        rotation.append(rid)
+        rotation.sort()
+        scale_events.append((time, len(rotation)))
 
-    # ------------------------------------------------------------------
-    def _simulate(self, workload: WorkloadVector, trace: np.ndarray,
-                  services: np.ndarray,
-                  window_s: Optional[float]) -> FleetReport:
-        scenario = self.scenario
-        policy = self.autoscaler
-        health = scenario.health
-        redispatch = scenario.redispatch
-        stats = ChaosStats()
-        horizon = float(trace[-1]) if trace.size else 0.0
-        if window_s is None:
-            window_s = (policy.interval_s if policy is not None
-                        else max(horizon / 64.0, 1e-9))
+    def drain(time: float, rid: int) -> None:
+        nonlocal pointer
+        replica = replicas.pop(rid)
+        position = rotation.index(rid)
+        rotation.remove(rid)
+        if position < pointer:
+            pointer -= 1
+        if rotation:
+            pointer %= len(rotation)
+        else:
+            pointer = 0
+        end = max(replica.free_at, time)
+        retired.append((replica.active_from, end))
+        scale_events.append((time, len(rotation)))
 
-        replicas: Dict[int, _Replica] = {
-            rid: _Replica(rid, 0.0, scenario)
-            for rid in range(self.n_replicas)}
-        rotation: List[int] = sorted(replicas)
-        pointer = 0
-        scale_events: List[Tuple[float, int]] = [(0.0, len(rotation))]
-        pending: List[Tuple[float, int]] = []  # (activation time, rid)
-        retired: List[Tuple[float, float]] = []  # (from, to) spans
-
-        # Autoscaler state.
-        next_boundary = (policy.interval_s if policy is not None
-                         else float("inf"))
-        finish_heap: List[Tuple[float, bool]] = []
+    def boundary(time: float) -> None:
+        nonlocal busy_since_boundary, low_streak, prev_rate
+        assert policy is not None
+        finished = bad = 0
+        while finish_heap and finish_heap[0][0] <= time:
+            __, was_bad = heapq.heappop(finish_heap)
+            finished += 1
+            bad += was_bad
+        burn = ((bad / finished) / policy.error_budget
+                if finished else 0.0)
+        active = len(rotation)
+        capacity = active + len(pending)
+        backlog = sum(max(0.0, replicas[rid].free_at - time)
+                      for rid in rotation)
+        per_replica_backlog = backlog / active if active else 0.0
+        demand_rate = busy_since_boundary / policy.interval_s
+        # Feed-forward on a smoothed demand signal: capacity ordered
+        # now arrives one provisioning lag late, so project the
+        # (EMA-filtered) rising trend that far ahead.  Falling demand
+        # is taken at face value — the drain path handles it.  Raw
+        # window-to-window deltas are Poisson noise; differencing the
+        # EMA keeps the lead term from amplifying them.
+        smoothed = (_EMA_ALPHA * demand_rate
+                    + (1.0 - _EMA_ALPHA) * prev_rate)
+        lead = 1.0 + policy.provisioning_lag_s / policy.interval_s
+        projected = smoothed + max(0.0, smoothed - prev_rate) * lead
+        target = int(math.ceil(projected / policy.target_utilization))
+        prev_rate = smoothed
+        if (burn >= policy.burn_threshold
+                or per_replica_backlog > policy.scale_up_backlog_s):
+            target = max(target, capacity + 1)
+        target = min(max(target, policy.min_replicas),
+                     policy.max_replicas)
+        if target > capacity:
+            add = target - capacity
+            stats.scale_ups += 1
+            stats.provisioned += add
+            for __ in range(add):
+                rid = _next_replica_id(replicas, pending)
+                pending.append((time + policy.provisioning_lag_s, rid))
+            pending.sort()
+            low_streak = 0
+        elif target < active and not pending:
+            low_streak += 1
+            if (low_streak >= policy.scale_down_hold
+                    and active > policy.min_replicas):
+                surplus = min(active - target,
+                              active - policy.min_replicas)
+                stats.scale_downs += 1
+                stats.drained += surplus
+                for __ in range(surplus):
+                    drain(time, rotation[-1])
+        else:
+            low_streak = 0
         busy_since_boundary = 0.0
-        prev_rate = 0.0
-        low_streak = 0
 
-        n = trace.size
-        served_idx: List[int] = []
-        starts: List[float] = []
-        finishes: List[float] = []
-        assignment: List[int] = []
-        dropped_idx: List[int] = []
-        dropped_reasons: List[str] = []
-        hedging = redispatch.hedging
-        least_loaded = self.dispatch == "least-loaded"
-
-        def activate(time: float, rid: int) -> None:
-            nonlocal pointer
-            replicas[rid] = _Replica(rid, time, scenario)
-            rotation.append(rid)
-            rotation.sort()
-            scale_events.append((time, len(rotation)))
-
-        def drain(time: float, rid: int) -> None:
-            nonlocal pointer
-            replica = replicas.pop(rid)
-            position = rotation.index(rid)
-            rotation.remove(rid)
-            if position < pointer:
-                pointer -= 1
-            if rotation:
-                pointer %= len(rotation)
+    def advance_control(now: float) -> None:
+        nonlocal next_boundary
+        while True:
+            activation = pending[0][0] if pending else float("inf")
+            upcoming = min(activation, next_boundary)
+            if upcoming > now:
+                return
+            if activation <= next_boundary:
+                time, rid = pending.pop(0)
+                activate(time, rid)
             else:
-                pointer = 0
-            end = max(replica.free_at, time)
-            retired.append((replica.active_from, end))
-            scale_events.append((time, len(rotation)))
+                assert policy is not None
+                boundary(next_boundary)
+                next_boundary += policy.interval_s
 
-        def boundary(time: float) -> None:
-            nonlocal busy_since_boundary, low_streak, prev_rate
-            assert policy is not None
-            finished = bad = 0
-            while finish_heap and finish_heap[0][0] <= time:
-                __, was_bad = heapq.heappop(finish_heap)
-                finished += 1
-                bad += was_bad
-            burn = ((bad / finished) / policy.error_budget
-                    if finished else 0.0)
+    def trusted(replica: _Replica, effective: float) -> bool:
+        """Refresh the breaker at ``effective``; may a request be
+        routed to ``replica``?"""
+        if replica.state == "open" and effective >= replica.open_until:
+            replica.state = "half-open"
+            replica.probes_left = health.half_open_probes
+        return replica.state == "closed" or (
+            replica.state == "half-open" and replica.probes_left > 0)
+
+    def eligible(effective: float) -> Optional[_Replica]:
+        """Next replica the dispatcher trusts at ``effective``
+        (round-robin advances the rotation pointer past the pick;
+        least-loaded joins the earliest-free candidate).  A half-open
+        pick spends one probe."""
+        nonlocal pointer
+        chosen: Optional[_Replica] = None
+        if least_loaded:
+            for rid in rotation:
+                replica = replicas[rid]
+                if trusted(replica, effective) and (
+                        chosen is None
+                        or replica.free_at < chosen.free_at):
+                    chosen = replica
+        else:
             active = len(rotation)
-            capacity = active + len(pending)
-            backlog = sum(max(0.0, replicas[rid].free_at - time)
-                          for rid in rotation)
-            per_replica_backlog = backlog / active if active else 0.0
-            demand_rate = busy_since_boundary / policy.interval_s
-            # Feed-forward on a smoothed demand signal: capacity
-            # ordered now arrives one provisioning lag late, so
-            # project the (EMA-filtered) rising trend that far ahead.
-            # Falling demand is taken at face value — the drain path
-            # handles it.  Raw window-to-window deltas are Poisson
-            # noise; differencing the EMA keeps the lead term from
-            # amplifying them.
-            smoothed = (_EMA_ALPHA * demand_rate
-                        + (1.0 - _EMA_ALPHA) * prev_rate)
-            lead = 1.0 + policy.provisioning_lag_s / policy.interval_s
-            projected = smoothed + max(
-                0.0, smoothed - prev_rate) * lead
-            target = int(math.ceil(
-                projected / policy.target_utilization))
-            prev_rate = smoothed
-            if (burn >= policy.burn_threshold
-                    or per_replica_backlog
-                    > policy.scale_up_backlog_s):
-                target = max(target, capacity + 1)
-            target = min(max(target, policy.min_replicas),
-                         policy.max_replicas)
-            if target > capacity:
-                add = target - capacity
-                stats.scale_ups += 1
-                stats.provisioned += add
-                for __ in range(add):
-                    rid = _next_replica_id(replicas, pending)
-                    pending.append(
-                        (time + policy.provisioning_lag_s, rid))
-                pending.sort()
-                low_streak = 0
-            elif target < active and not pending:
-                low_streak += 1
-                if (low_streak >= policy.scale_down_hold
-                        and active > policy.min_replicas):
-                    surplus = min(active - target,
-                                  active - policy.min_replicas)
-                    stats.scale_downs += 1
-                    stats.drained += surplus
-                    for __ in range(surplus):
-                        drain(time, rotation[-1])
-            else:
-                low_streak = 0
-            busy_since_boundary = 0.0
-
-        def advance_control(now: float) -> None:
-            nonlocal next_boundary
-            while True:
-                activation = pending[0][0] if pending else float("inf")
-                upcoming = min(activation, next_boundary)
-                if upcoming > now:
-                    return
-                if activation <= next_boundary:
-                    time, rid = pending.pop(0)
-                    activate(time, rid)
-                else:
-                    boundary(next_boundary)
-                    next_boundary += policy.interval_s
-
-        def refresh(replica: _Replica, effective: float) -> None:
-            if (replica.state == "open"
-                    and effective >= replica.open_until):
-                replica.state = "half-open"
-                replica.probes_left = health.half_open_probes
-
-        def eligible(effective: float) -> Optional[int]:
-            """Next replica the dispatcher trusts at ``effective``
-            (round-robin advances the rotation pointer past the pick;
-            least-loaded joins the earliest-free candidate)."""
-            nonlocal pointer
-            active = len(rotation)
-            if least_loaded:
-                best_key = None
-                best_rid = -1
-                for rid in rotation:
-                    replica = replicas[rid]
-                    refresh(replica, effective)
-                    if replica.state == "open":
-                        continue
-                    if (replica.state == "half-open"
-                            and replica.probes_left <= 0):
-                        continue
-                    key = (replica.free_at, rid)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_rid = rid
-                if best_key is None:
-                    return None
-                chosen = replicas[best_rid]
-                if chosen.state == "half-open":
-                    chosen.probes_left -= 1
-                    stats.breaker_probes += 1
-                return best_rid
             for offset in range(active):
                 position = (pointer + offset) % active
-                rid = rotation[position]
-                replica = replicas[rid]
-                refresh(replica, effective)
-                if replica.state == "open":
-                    continue
-                if replica.state == "half-open":
-                    if replica.probes_left <= 0:
-                        continue
-                    replica.probes_left -= 1
-                    stats.breaker_probes += 1
-                pointer = (position + 1) % active
-                return rid
-            return None
-
-        def attempt(rid: int, effective: float,
-                    service: float) -> _Attempt:
-            replica = replicas[rid]
-            start = effective if effective > replica.free_at \
-                else replica.free_at
-            for (w0, w1, kind) in replica.down:
-                if start >= w1:
-                    continue
-                if start >= w0:
-                    return _Attempt(
-                        False,
-                        fail_time=effective if effective > w0 else w0,
-                        reason=kind)
-                factor = replica.slow_factor(start)
-                finish = start + (service if factor == 1.0
-                                  else service * factor)
-                if finish > w0:
-                    return _Attempt(False, fail_time=w0, reason=kind,
-                                    in_flight=True)
-                return _Attempt(True, start=start, finish=finish,
-                                slow_factor=factor)
-            factor = replica.slow_factor(start)
-            finish = start + (service if factor == 1.0
-                              else service * factor)
-            return _Attempt(True, start=start, finish=finish,
-                            slow_factor=factor)
-
-        def record_failure(rid: int, time: float) -> None:
-            replica = replicas.get(rid)
-            if replica is None:
-                return
-            replica.consecutive += 1
-            if replica.state == "half-open" or (
-                    replica.state == "closed"
-                    and replica.consecutive
-                    >= health.failure_threshold):
-                replica.state = "open"
-                replica.open_until = time + health.cooldown_s
-                replica.consecutive = 0
-                stats.breaker_ejections += 1
-
-        def record_success(rid: int, slow: bool) -> None:
-            replica = replicas.get(rid)
-            if replica is None:
-                return
-            if slow:
-                stats.slow_attempts += 1
-                record_failure(rid, replica.free_at)
-                return
-            if replica.state == "half-open":
-                if replica.probes_left <= 0:
-                    replica.state = "closed"
-                    stats.breaker_closes += 1
-            replica.consecutive = 0
-
-        def commit(rid: int, outcome: _Attempt) -> None:
-            nonlocal busy_since_boundary
-            replica = replicas[rid]
-            replica.free_at = outcome.finish
-            busy_since_boundary += outcome.finish - outcome.start
-
-        for i in range(n):
-            arrival = float(trace[i])
-            advance_control(arrival)
-            service = float(services[i])
-            effective = arrival
-            attempts_left = redispatch.max_retries + 1
-            first = True
-            outcome: Optional[_Attempt] = None
-            winner = -1
-            last_reason = "no-healthy-replica"
-            while attempts_left > 0:
-                rid = eligible(effective)
-                if rid is None:
+                replica = replicas[rotation[position]]
+                if trusted(replica, effective):
+                    pointer = (position + 1) % active
+                    chosen = replica
                     break
-                attempts_left -= 1
-                if not first:
-                    stats.retries += 1
-                candidate = attempt(rid, effective, service)
-                if not candidate.ok:
-                    stats.crash_failures += 1
-                    if candidate.in_flight:
-                        stats.killed_in_flight += 1
-                        replicas[rid].free_at = candidate.fail_time
-                    record_failure(rid, candidate.fail_time)
-                    effective = candidate.fail_time
-                    last_reason = candidate.reason
-                    first = False
-                    continue
-                commit(rid, candidate)
-                slow = (candidate.slow_factor
-                        >= health.slow_tolerance)
-                record_success(rid, slow)
-                outcome = candidate
-                winner = rid
-                if not first:
-                    stats.redispatched += 1
-                # Hedge a queued dispatch: duplicate on the next
-                # healthy replica, earlier finish wins, both
-                # replicas' time is spent.
-                if (hedging and candidate.start - effective
-                        > redispatch.hedge_after_s):
-                    other = eligible(effective)
-                    if other is not None and other != rid:
-                        twin = attempt(other, effective, service)
-                        if twin.ok:
-                            stats.hedges += 1
-                            commit(other, twin)
-                            slow_twin = (twin.slow_factor
-                                         >= health.slow_tolerance)
-                            record_success(other, slow_twin)
-                            if twin.finish < candidate.finish:
-                                stats.hedge_wins += 1
-                                outcome = twin
-                                winner = other
-                        else:
-                            stats.crash_failures += 1
-                            if twin.in_flight:
-                                stats.killed_in_flight += 1
-                                replicas[other].free_at = \
-                                    twin.fail_time
-                            record_failure(other, twin.fail_time)
-                break
-            if outcome is None:
-                stats.drops += 1
-                if last_reason == "no-healthy-replica":
-                    stats.no_healthy_drops += 1
-                dropped_idx.append(i)
-                dropped_reasons.append(last_reason)
+        if chosen is not None and chosen.state == "half-open":
+            chosen.probes_left -= 1
+            stats.breaker_probes += 1
+        return chosen
+
+    def attempt(replica: _Replica, effective: float,
+                service: float) -> _Attempt:
+        start = effective if effective > replica.free_at \
+            else replica.free_at
+        factor = max((fault.slow_factor_at(start)
+                      for fault in replica.faults), default=1.0)
+        finish = start + (service if factor == 1.0
+                          else service * factor)
+        for fault in replica.faults:
+            # The first crash or restart downtime not yet over.
+            if (fault.kind is ReplicaFaultKind.REPLICA_SLOW
+                    or start >= fault.end):
                 continue
-            served_idx.append(i)
-            starts.append(outcome.start)
-            finishes.append(outcome.finish)
-            assignment.append(winner)
-            if policy is not None:
-                heapq.heappush(
-                    finish_heap,
-                    (outcome.finish,
-                     outcome.finish - arrival > policy.slo_p95_s))
+            if start >= fault.start:
+                return _Attempt(
+                    False, fail_time=(effective if effective > fault.start
+                                      else fault.start),
+                    reason=fault.kind.value)
+            if finish > fault.start:
+                return _Attempt(False, fail_time=fault.start,
+                                reason=fault.kind.value, in_flight=True)
+            break
+        return _Attempt(True, start=start, finish=finish,
+                        slow_factor=factor)
 
-        # Let the autoscaler keep walking boundaries until the queue
-        # drains, so scale-down (and its replica-seconds savings) is
-        # accounted past the last arrival.
+    def record_failure(replica: _Replica, time: float) -> None:
+        replica.consecutive += 1
+        if replica.state == "half-open" or (
+                replica.state == "closed"
+                and replica.consecutive >= health.failure_threshold):
+            replica.state = "open"
+            replica.open_until = time + health.cooldown_s
+            replica.consecutive = 0
+            stats.breaker_ejections += 1
+
+    def failed(replica: _Replica, outcome: _Attempt) -> None:
+        """Account an attempt a down replica refused or killed."""
+        stats.crash_failures += 1
+        if outcome.in_flight:
+            stats.killed_in_flight += 1
+            replica.free_at = outcome.fail_time
+        record_failure(replica, outcome.fail_time)
+
+    def served(replica: _Replica, outcome: _Attempt) -> None:
+        """Commit a completed attempt; an attempt slowed past the
+        tolerance counts toward the breaker as a failure."""
+        nonlocal busy_since_boundary
+        replica.free_at = outcome.finish
+        busy_since_boundary += outcome.finish - outcome.start
+        if outcome.slow_factor >= health.slow_tolerance:
+            stats.slow_attempts += 1
+            record_failure(replica, replica.free_at)
+            return
+        if replica.state == "half-open" and replica.probes_left <= 0:
+            replica.state = "closed"
+            stats.breaker_closes += 1
+        replica.consecutive = 0
+
+    for i in range(n):
+        arrival = float(trace[i])
+        advance_control(arrival)
+        service = float(services[i])
+        effective = arrival
+        attempts_left = redispatch.max_retries + 1
+        first = True
+        outcome: Optional[_Attempt] = None
+        winner = -1
+        last_reason = "no-healthy-replica"
+        while attempts_left > 0:
+            replica = eligible(effective)
+            if replica is None:
+                break
+            attempts_left -= 1
+            if not first:
+                stats.retries += 1
+            candidate = attempt(replica, effective, service)
+            if not candidate.ok:
+                failed(replica, candidate)
+                effective = candidate.fail_time
+                last_reason = candidate.reason
+                first = False
+                continue
+            served(replica, candidate)
+            outcome = candidate
+            winner = replica.rid
+            if not first:
+                stats.redispatched += 1
+            # Hedge a queued dispatch: duplicate on the next healthy
+            # replica, earlier finish wins, both replicas' time is
+            # spent.
+            if (hedging and candidate.start - effective
+                    > redispatch.hedge_after_s):
+                other = eligible(effective)
+                if other is not None and other is not replica:
+                    twin = attempt(other, effective, service)
+                    if twin.ok:
+                        stats.hedges += 1
+                        served(other, twin)
+                        if twin.finish < candidate.finish:
+                            stats.hedge_wins += 1
+                            outcome = twin
+                            winner = other.rid
+                    else:
+                        failed(other, twin)
+            break
+        if outcome is None:
+            stats.drops += 1
+            if last_reason == "no-healthy-replica":
+                stats.no_healthy_drops += 1
+            dropped_idx.append(i)
+            dropped_reasons.append(last_reason)
+            continue
+        served_idx.append(i)
+        starts.append(outcome.start)
+        finishes.append(outcome.finish)
+        assignment.append(winner)
         if policy is not None:
-            tail = max([replicas[rid].free_at for rid in rotation]
-                       + [horizon])
-            advance_control(tail)
+            heapq.heappush(
+                finish_heap,
+                (outcome.finish,
+                 outcome.finish - arrival > policy.slo_p95_s))
 
-        end_time = max([f for f in finishes] + [horizon]) \
-            if finishes or horizon else 0.0
-        for rid in rotation:
-            replica = replicas[rid]
-            retired.append((replica.active_from,
-                            max(end_time, replica.active_from)))
-        stats.replica_seconds = math.fsum(
-            end - begin for begin, end in retired)
+    # Let the autoscaler keep walking boundaries until the queue
+    # drains, so scale-down (and its replica-seconds savings) is
+    # accounted past the last arrival.
+    if policy is not None:
+        tail = max([replicas[rid].free_at for rid in rotation]
+                   + [horizon])
+        advance_control(tail)
 
-        return FleetReport(
-            workload, trace, np.asarray(served_idx, dtype=np.int64),
-            np.asarray(starts, dtype=np.float64),
-            np.asarray(finishes, dtype=np.float64),
-            assignment=np.asarray(assignment, dtype=np.int64),
-            dropped_index=np.asarray(dropped_idx, dtype=np.int64),
-            dropped_reasons=dropped_reasons,
-            stats=stats, scenario=scenario,
-            scale_events=tuple(scale_events),
-            replica_spans=tuple(retired),
-            window_s=window_s,
-            n_replicas_initial=self.n_replicas,
-            autoscaled=policy is not None)
+    end_time = max([f for f in finishes] + [horizon]) \
+        if finishes or horizon else 0.0
+    for rid in rotation:
+        replica = replicas[rid]
+        retired.append((replica.active_from,
+                        max(end_time, replica.active_from)))
+    stats.replica_seconds = math.fsum(
+        end - begin for begin, end in retired)
 
-    # ------------------------------------------------------------------
-    def _emit_telemetry(self, report: FleetReport,
-                        telemetry: Telemetry) -> None:
-        from repro.telemetry.bridge import vectorized_report_to_metrics
-
-        system = self.estimator.system.name
-        model = self.estimator.spec.name
-        labels = {"system": system, "model": model}
-        vectorized_report_to_metrics(report, telemetry.metrics, **labels)
-        telemetry.metrics.gauge("fleet.replicas", **labels).set(
-            float(report.replica_counts()[-1]))
-        telemetry.metrics.gauge("fleet.replica_seconds",
-                                **labels).set(report.replica_seconds)
-        stats = report.stats
-        for key, value in (("retries", stats.retries),
-                           ("drops", stats.drops),
-                           ("hedges", stats.hedges),
-                           ("ejections", stats.breaker_ejections),
-                           ("scale_ups", stats.scale_ups),
-                           ("scale_downs", stats.scale_downs)):
-            if value:
-                telemetry.metrics.counter(
-                    "fleet.control", event=key, **labels).inc(value)
+    return FleetReport(
+        workload, trace, np.asarray(served_idx, dtype=np.int64),
+        np.asarray(starts, dtype=np.float64),
+        np.asarray(finishes, dtype=np.float64),
+        assignment=np.asarray(assignment, dtype=np.int64),
+        dropped_index=np.asarray(dropped_idx, dtype=np.int64),
+        dropped_reasons=dropped_reasons,
+        stats=stats, scenario=scenario,
+        scale_events=tuple(scale_events),
+        replica_spans=tuple(retired),
+        window_s=window_s,
+        n_replicas_initial=n_replicas,
+        autoscaled=policy is not None)
 
 
 def _next_replica_id(replicas: Dict[int, _Replica],
@@ -845,11 +710,12 @@ class FleetPreset:
     dispatch: str = "round-robin"
     autoscaler: Optional[AutoscalerPolicy] = None
 
-    def simulator(self, estimator) -> FleetSimulator:
-        return FleetSimulator(
-            estimator, n_replicas=self.n_replicas,
-            scenario=self.chaos, autoscaler=self.autoscaler,
-            dispatch=self.dispatch)
+    def simulator(self, estimator) -> "MultiReplicaSimulator":
+        from repro.serving.replicas import MultiReplicaSimulator
+
+        return MultiReplicaSimulator(
+            estimator, self.n_replicas, dispatch=self.dispatch,
+            chaos=self.chaos, autoscaler=self.autoscaler)
 
 
 def _preset_bursty_chaos() -> FleetPreset:

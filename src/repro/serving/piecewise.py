@@ -226,12 +226,9 @@ class _PlanColumns:
             return
         plans = controller.plans
         wanted = [shapes[code] for code in missing]
-        healthy = plans.entries((), wanted)
-        for base in healthy:
-            # A shape too large for even the healthy platform raises
-            # here, at that shape's first block.
-            if isinstance(base, CapacityError):
-                raise base.with_traceback(None)
+        # run_fifo has checked every used shape against the healthy
+        # platform, so these lookups find estimates.
+        healthy = [plans.estimate((), shape) for shape in wanted]
         chunks = controller.scenario.chunks_per_request
         for code, shape, base, estimate in zip(
                 missing, wanted, healthy, plans.entries(signature, wanted)):
@@ -303,11 +300,14 @@ def run_fifo(estimator: LiaEstimator,
         scenario = None
     telemetry = None if quiet else current_telemetry()
     plans = PlanTable(estimator) if _plans is None else _plans
+    # A used shape too large for the healthy platform raises its
+    # CapacityError before anything is served, whether or not
+    # admission control would shed its requests.
+    present = len(plans.used_estimates(workload))
     controller = DegradationController(plans, scenario or _FAULT_FREE,
                                        telemetry)
     # The estimates a per-request loop with a shape memo counts: one
     # computed per distinct shape, one memoized per repeat.
-    present = int(np.count_nonzero(workload.counts()))
     controller._count("serving.estimates", present, result="computed")
     if workload.n_requests > present:
         controller._count("serving.estimates",

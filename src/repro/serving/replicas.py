@@ -1,8 +1,10 @@
 """Multi-replica scale-out over the FIFO serving engine.
 
 The paper's Fig. 10/11 latencies answer "how fast is one box"; a
-capacity planner asks "how many boxes".  This module simulates ``k``
-independent single-server replicas behind a dispatcher:
+capacity planner asks "how many boxes".  :class:`MultiReplicaSimulator`
+is the one FIFO fleet engine.  Without a ``chaos`` schedule or an
+``autoscaler`` it simulates ``k`` independent single-server replicas
+behind a dispatcher:
 
 * ``round-robin`` — request *i* goes to replica ``i mod k``.  Each
   replica's sub-stream is still sorted by arrival, so every replica
@@ -15,6 +17,11 @@ independent single-server replicas behind a dispatcher:
   sequential: an O(n log k) heap walk that still avoids per-request
   object churn.
 
+With ``chaos`` or an ``autoscaler`` the fleet runs the control-plane
+loop of :mod:`repro.serving.fleet` instead (crashes, breakers,
+re-dispatch, scaling) and returns a
+:class:`~repro.serving.fleet.FleetReport`.
+
 :func:`replicas_needed` binary-searches the smallest fleet meeting a
 p95 SLO — the paper-faithful "how many A100 boxes do I need" sweep.
 """
@@ -25,15 +32,17 @@ import heapq
 import math
 from dataclasses import fields
 from typing import (TYPE_CHECKING, Any, List, Optional, Sequence, Tuple,
-                    Union)
+                    Union, cast)
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
+from repro.faults.fleet import FleetScenario
 from repro.models.workload import InferenceRequest
 from repro.serving.degradation import PlanTable
+from repro.serving.fleet import AutoscalerPolicy, FleetReport, simulate_fleet
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      nearest_rank, validate_arrivals,
                                      validate_stream)
@@ -101,10 +110,22 @@ def _fold_stats(per_replica_stats: Sequence["FaultStats"]) -> "FaultStats":
 
 
 class MultiReplicaSimulator:
-    """``k`` independent FIFO replicas behind one dispatcher."""
+    """``k`` FIFO replicas behind one dispatcher.
+
+    ``chaos`` schedules replica crashes, gray failures and restarts
+    under a health-checked dispatcher; ``autoscaler`` lets the fleet
+    grow and drain from ``n_replicas``.  With either, :meth:`run`
+    returns a :class:`~repro.serving.fleet.FleetReport`; an idle
+    ``chaos`` schedule and no autoscaler reproduce the static fleet
+    bit for bit.  ``least-loaded`` dispatch is the resilient choice
+    under chaos and autoscaling: it drains the backlog stranded on
+    loaded replicas through whatever capacity is healthy.
+    """
 
     def __init__(self, estimator: LiaEstimator, n_replicas: int,
-                 dispatch: str = "round-robin") -> None:
+                 dispatch: str = "round-robin",
+                 chaos: Optional[FleetScenario] = None,
+                 autoscaler: Optional[AutoscalerPolicy] = None) -> None:
         if n_replicas < 1:
             raise ConfigurationError(
                 f"n_replicas must be >= 1, got {n_replicas}")
@@ -112,39 +133,59 @@ class MultiReplicaSimulator:
             raise ConfigurationError(
                 f"dispatch must be one of {DISPATCH_POLICIES}, "
                 f"got {dispatch!r}")
+        if autoscaler is not None and autoscaler.min_replicas > n_replicas:
+            raise ConfigurationError(
+                f"autoscaler.min_replicas ({autoscaler.min_replicas})"
+                f" exceeds the initial fleet size ({n_replicas})")
         self.estimator = estimator
         self.n_replicas = n_replicas
         self.dispatch = dispatch
+        self.chaos = chaos
+        self.autoscaler = autoscaler
 
     # ------------------------------------------------------------------
     def run(self, requests: Union[Sequence[InferenceRequest],
                                   WorkloadVector],
             arrivals: ArrayLike,
             scenario: Optional["FaultScenario"] = None,
-            _plans: Optional[PlanTable] = None) -> ScaleOutReport:
+            _plans: Optional[PlanTable] = None
+            ) -> Union[ScaleOutReport, FleetReport]:
         """Dispatch ``requests`` over the fleet.
 
         ``scenario`` runs every replica under the fault layer
         (round-robin dispatch only — least-loaded assignment depends
         on every earlier finish, which shedding makes dispatch-order
-        ambiguous).  Every replica plans from one
+        ambiguous — and not with ``chaos`` or an autoscaler).  Every
+        replica plans from one
         :class:`~repro.serving.degradation.PlanTable`: the run's own,
         or the ``_plans`` of a search over fleet sizes.
         """
         workload, trace = validate_stream(requests, arrivals)
         if scenario is not None and scenario.idle:
             scenario = None
-        telemetry = current_telemetry()
-        plans = PlanTable(self.estimator) if _plans is None else _plans
-        if self.dispatch == "round-robin":
-            report = self._run_round_robin(workload, trace, scenario,
-                                           plans)
-        elif scenario is not None:
+        controlled = self.chaos is not None or self.autoscaler is not None
+        if scenario is not None and controlled:
+            raise ConfigurationError(
+                f"fault scenario {scenario.name!r} cannot run on a chaos "
+                "or autoscaled fleet: its replicas have no fault layer")
+        if scenario is not None and self.dispatch != "round-robin":
             raise ConfigurationError(
                 "degraded fleet dispatch supports round-robin only: "
                 "least-loaded assignment depends on every earlier "
                 "finish, which admission shedding makes "
                 "dispatch-order ambiguous")
+        telemetry = current_telemetry()
+        plans = PlanTable(self.estimator) if _plans is None else _plans
+        report: Union[ScaleOutReport, FleetReport]
+        if controlled:
+            report = simulate_fleet(
+                workload, trace, plans.service_times(workload),
+                self.n_replicas, self.dispatch,
+                self.chaos or FleetScenario(name="idle"),
+                self.autoscaler)
+        elif self.dispatch == "round-robin":
+            report = self._run_round_robin(workload, trace, scenario,
+                                           plans)
         else:
             report = self._run_least_loaded(workload, trace, plans)
         if telemetry is not None:
@@ -277,7 +318,7 @@ class MultiReplicaSimulator:
             finishes[i] = finish
         return assignment
 
-    def _emit_telemetry(self, report: ScaleOutReport,
+    def _emit_telemetry(self, report: Union[ScaleOutReport, FleetReport],
                         telemetry: Telemetry) -> None:
         from repro.telemetry.bridge import (note_dropped_spans,
                                             vectorized_report_to_metrics,
@@ -285,14 +326,31 @@ class MultiReplicaSimulator:
 
         system = self.estimator.system.name
         model = self.estimator.spec.name
-        vectorized_report_to_metrics(report, telemetry.metrics,
-                                     system=system, model=model)
-        telemetry.metrics.gauge(
-            "serving.replicas", system=system, model=model).set(
-                report.n_replicas)
+        metrics = telemetry.metrics
+        vectorized_report_to_metrics(report, metrics, system=system,
+                                     model=model)
+        if isinstance(report, FleetReport):
+            metrics.gauge("fleet.replicas", system=system,
+                          model=model).set(
+                float(report.replica_counts()[-1]))
+            metrics.gauge("fleet.replica_seconds", system=system,
+                          model=model).set(report.replica_seconds)
+            stats = report.stats
+            for key, value in (("retries", stats.retries),
+                               ("drops", stats.drops),
+                               ("hedges", stats.hedges),
+                               ("ejections", stats.breaker_ejections),
+                               ("scale_ups", stats.scale_ups),
+                               ("scale_downs", stats.scale_downs)):
+                if value:
+                    metrics.counter("fleet.control", event=key,
+                                    system=system, model=model).inc(value)
+            return
+        metrics.gauge("serving.replicas", system=system,
+                      model=model).set(report.n_replicas)
         for replica, sub_report in zip(report.replica_ids,
                                        report.per_replica):
-            telemetry.metrics.gauge(
+            metrics.gauge(
                 "serving.replica_utilization", system=system,
                 model=model, replica=str(replica)).set(
                     sub_report.utilization)
@@ -308,9 +366,8 @@ class MultiReplicaSimulator:
             telemetry.tracer.add_span(span.name, track, span.start,
                                       span.finish, **span.args)
         if dropped:
-            telemetry.metrics.counter(
-                "serving.spans_dropped", system=system,
-                model=model).inc(dropped)
+            metrics.counter("serving.spans_dropped", system=system,
+                            model=model).inc(dropped)
             note_dropped_spans(telemetry, dropped,
                                report.n_served,
                                component="serving.replicas",
@@ -374,9 +431,9 @@ def replicas_needed(estimator: LiaEstimator,
         if services is not None and k < max_replicas and nearest_rank(
                 backlog_bound(trace, services, k), 0.95) > bound_limit:
             return math.inf, None
-        report = MultiReplicaSimulator(
+        report = cast(ScaleOutReport, MultiReplicaSimulator(
             estimator, k, dispatch=dispatch).run(workload, trace,
-                                                 _plans=plans)
+                                                 _plans=plans))
         return report.latency_percentile(0.95), report
 
     low = high = 1

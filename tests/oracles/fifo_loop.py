@@ -469,6 +469,11 @@ def run_degraded(simulator: ServingSimulator,
         raise ConfigurationError(
             "requests and arrivals must have equal length")
     trace = validate_arrivals(arrivals)
+    # A request too large for the healthy platform raises its
+    # CapacityError before anything is served (first occurrence
+    # first), even when admission would shed it.
+    for request in dict.fromkeys(requests):
+        simulator.estimator.estimate(request)
     telemetry = None if quiet else current_telemetry()
     controller = DegradationController(PlanTable(simulator.estimator),
                                        scenario, telemetry)

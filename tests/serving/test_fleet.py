@@ -2,9 +2,10 @@
 
 The properties pinned here are the PR's acceptance bar:
 
-* an **idle** scenario (no faults, no hedging, no autoscaler)
-  reproduces the static :class:`MultiReplicaSimulator` fleet bit for
-  bit, under either dispatch policy;
+* an **idle** chaos scenario (no faults, no hedging), or an
+  autoscaler that cannot scale, runs the control-plane loop of
+  :class:`MultiReplicaSimulator` and reproduces its static fleet bit
+  for bit, under either dispatch policy;
 * chaos runs are deterministic — bit-identical reports across
   repeated runs;
 * accounting never leaks a request:
@@ -33,7 +34,7 @@ from repro.faults.fleet import (FleetScenario, HealthPolicy,
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
-from repro.serving import (AutoscalerPolicy, FleetReport, FleetSimulator,
+from repro.serving import (AutoscalerPolicy, FleetReport,
                            MultiReplicaSimulator, ServingReport,
                            WorkloadVector, builtin_fleet_presets,
                            get_fleet_preset, replicas_needed)
@@ -70,19 +71,40 @@ def _fingerprint(report):
 # ----------------------------------------------------------------------
 # Idle scenario == static fleet, bit for bit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("dispatch", ["round-robin", "least-loaded"])
-def test_idle_fleet_reproduces_static_fleet(estimator, dispatch):
+def _reproduces_static_fleet(estimator, dispatch, **controls):
+    """The 3-replica fleet under ``controls`` (which run the control
+    loop) against the static fleet (the array paths), bit for bit."""
     workload = _workload(200)
     arrivals = _trace(200, rate=1.0)
     static = MultiReplicaSimulator(estimator, 3, dispatch=dispatch).run(
         workload, arrivals)
-    fleet = FleetSimulator(estimator, 3, dispatch=dispatch).run(
-        workload, arrivals)
+    fleet = MultiReplicaSimulator(estimator, 3, dispatch=dispatch,
+                                  **controls).run(workload, arrivals)
+    assert isinstance(fleet, FleetReport)
     assert fleet.n_dropped == 0
     assert np.array_equal(fleet.starts, static.starts)
     assert np.array_equal(fleet.finishes, static.finishes)
     assert np.array_equal(fleet.assignment, static.assignment)
     _assert_same_surface(fleet, static)
+    return fleet
+
+
+@pytest.mark.parametrize("dispatch", ["round-robin", "least-loaded"])
+def test_idle_fleet_reproduces_static_fleet(estimator, dispatch):
+    _reproduces_static_fleet(estimator, dispatch,
+                             chaos=FleetScenario(name="idle"))
+
+
+@pytest.mark.parametrize("dispatch", ["round-robin", "least-loaded"])
+def test_pinned_autoscaler_reproduces_static_fleet(estimator, dispatch):
+    """An autoscaler held at the fleet's size walks every window
+    boundary of the control loop yet never scales."""
+    fleet = _reproduces_static_fleet(
+        estimator, dispatch,
+        autoscaler=AutoscalerPolicy(slo_p95_s=10.0, min_replicas=3,
+                                    max_replicas=3))
+    assert fleet.autoscaled
+    assert fleet.stats.scale_ups == fleet.stats.drained == 0
 
 
 def _assert_same_surface(fleet, static):
@@ -108,10 +130,10 @@ def _assert_same_surface(fleet, static):
        dispatch=st.sampled_from(["round-robin", "least-loaded"]))
 def test_any_idle_scenario_is_transparent(estimator, seed, retries,
                                           dispatch):
-    """Whatever its seed, health knobs, or retry budget, a scenario
-    with no faults and no hedging never touches the timeline."""
+    """Whatever its health knobs or retry budget, a scenario with no
+    faults and no hedging never touches the timeline."""
     scenario = FleetScenario(
-        name="idle-ish", seed=seed,
+        name="idle-ish",
         health=HealthPolicy(failure_threshold=1 + seed % 5),
         redispatch=RedispatchPolicy(max_retries=retries))
     assert scenario.idle
@@ -119,8 +141,8 @@ def test_any_idle_scenario_is_transparent(estimator, seed, retries,
     arrivals = _trace(80, rate=1.0)
     static = MultiReplicaSimulator(estimator, 2, dispatch=dispatch).run(
         workload, arrivals)
-    fleet = FleetSimulator(estimator, 2, scenario=scenario,
-                           dispatch=dispatch).run(workload, arrivals)
+    fleet = MultiReplicaSimulator(estimator, 2, dispatch=dispatch,
+                                  chaos=scenario).run(workload, arrivals)
     assert fleet.n_dropped == 0
     assert np.array_equal(fleet.starts, static.starts)
     assert np.array_equal(fleet.finishes, static.finishes)
@@ -137,7 +159,7 @@ def test_chaos_run_is_deterministic_across_repeat_runs(estimator):
     scenario = get_fleet_scenario("bursty-chaos")
     prints = []
     for _ in range(3):
-        report = FleetSimulator(estimator, 4, scenario=scenario).run(
+        report = MultiReplicaSimulator(estimator, 4, chaos=scenario).run(
             workload, arrivals)
         prints.append(_fingerprint(report))
     assert prints[0] == prints[1] == prints[2]
@@ -160,7 +182,7 @@ def test_accounting_invariant_across_builtin_scenarios(estimator):
     workload = _workload(300, seed=3)
     arrivals = _trace(300, rate=2.0, seed=3)
     for name, scenario in builtin_fleet_scenarios().items():
-        report = FleetSimulator(estimator, 4, scenario=scenario).run(
+        report = MultiReplicaSimulator(estimator, 4, chaos=scenario).run(
             workload, arrivals)
         assert report.n_served + report.n_dropped == 300, name
         assert 0.0 <= report.availability <= 1.0, name
@@ -173,7 +195,9 @@ def test_accounting_invariant_across_builtin_scenarios(estimator):
 def test_report_rejects_inconsistent_accounting(estimator):
     workload = _workload(10)
     arrivals = _trace(10)
-    report = FleetSimulator(estimator, 2).run(workload, arrivals)
+    report = MultiReplicaSimulator(
+        estimator, 2, chaos=FleetScenario(name="idle")).run(
+        workload, arrivals)
 
     # Request 3 is both served and dropped: 10 + 1 != 10 offered.
     with pytest.raises(ConfigurationError, match="accounting"):
@@ -195,7 +219,7 @@ def test_report_rejects_inconsistent_accounting(estimator):
 # ----------------------------------------------------------------------
 def _crash_scenario(max_retries):
     return FleetScenario(
-        name="crash", seed=1,
+        name="crash",
         faults=(ReplicaFault(ReplicaFaultKind.REPLICA_CRASH,
                              replica=1, start=50.0, duration=150.0),),
         redispatch=RedispatchPolicy(max_retries=max_retries))
@@ -204,8 +228,8 @@ def _crash_scenario(max_retries):
 def test_crash_with_retries_loses_nothing(estimator):
     workload = _workload(400, seed=5)
     arrivals = _trace(400, rate=1.5, seed=5)
-    report = FleetSimulator(
-        estimator, 3, scenario=_crash_scenario(2)).run(
+    report = MultiReplicaSimulator(
+        estimator, 3, chaos=_crash_scenario(2)).run(
         workload, arrivals)
     assert report.availability == 1.0
     assert report.stats.crash_failures > 0
@@ -216,8 +240,8 @@ def test_crash_with_retries_loses_nothing(estimator):
 def test_crash_without_retries_strictly_loses_requests(estimator):
     workload = _workload(400, seed=5)
     arrivals = _trace(400, rate=1.5, seed=5)
-    report = FleetSimulator(
-        estimator, 3, scenario=_crash_scenario(0)).run(
+    report = MultiReplicaSimulator(
+        estimator, 3, chaos=_crash_scenario(0)).run(
         workload, arrivals)
     assert report.n_dropped > 0
     assert set(report.dropped_reasons) == {"replica-crash"}
@@ -231,7 +255,7 @@ def test_crash_without_retries_strictly_loses_requests(estimator):
 
 def test_gray_failure_trips_the_breaker_but_serves(estimator):
     scenario = FleetScenario(
-        name="gray", seed=2,
+        name="gray",
         faults=(ReplicaFault(ReplicaFaultKind.REPLICA_SLOW,
                              replica=0, start=20.0, duration=400.0,
                              magnitude=5.0),),
@@ -240,13 +264,50 @@ def test_gray_failure_trips_the_breaker_but_serves(estimator):
         redispatch=RedispatchPolicy(max_retries=1))
     workload = _workload(300, seed=6)
     arrivals = _trace(300, rate=1.0, seed=6)
-    report = FleetSimulator(estimator, 3, scenario=scenario).run(
+    report = MultiReplicaSimulator(estimator, 3, chaos=scenario).run(
         workload, arrivals)
     # Gray failure never refuses a request — the breaker just stops
     # routing to the slow replica after enough inflated attempts.
     assert report.availability == 1.0
     assert report.stats.slow_attempts > 0
     assert report.stats.breaker_ejections >= 1
+
+
+def test_fault_windows_cut_attempts_at_their_edges(estimator):
+    """One replica, no retries.  A crash on [100, 150) kills the
+    request in flight at 100 and refuses every attempt inside the
+    window, including one queued behind the kill; a restart refuses
+    its downtime; overlapping slow windows stretch service by the
+    largest factor."""
+    shape = SHAPES[0]
+    service = estimator.estimate(shape).latency
+    assert 1.0 < service < 10.0
+    scenario = FleetScenario(
+        name="edges",
+        faults=(ReplicaFault(ReplicaFaultKind.REPLICA_CRASH, replica=0,
+                             start=100.0, duration=50.0),
+                # Down on [250, 260), then 3x slow until 360.
+                ReplicaFault(ReplicaFaultKind.REPLICA_RESTART,
+                             replica=0, start=250.0, duration=10.0,
+                             magnitude=3.0, warmup_s=100.0),
+                ReplicaFault(ReplicaFaultKind.REPLICA_SLOW, replica=0,
+                             start=300.0, duration=100.0,
+                             magnitude=4.0)),
+        health=HealthPolicy(failure_threshold=10),
+        redispatch=RedispatchPolicy(max_retries=0))
+    arrivals = [98.0, 99.0, 149.0, 150.0, 255.0, 270.0, 320.0, 380.0,
+                420.0]
+    report = MultiReplicaSimulator(estimator, 1, chaos=scenario).run(
+        [shape] * len(arrivals), arrivals)
+    assert report.dropped_index.tolist() == [0, 1, 2, 4]
+    assert list(report.dropped_reasons) == ["replica-crash"] * 3 + [
+        "replica-restart"]
+    assert report.stats.crash_failures == 4
+    assert report.stats.killed_in_flight == 1
+    assert report.starts.tolist() == [150.0, 270.0, 320.0, 380.0, 420.0]
+    assert report.finishes.tolist() == [
+        150.0 + service, 270.0 + service * 3.0, 320.0 + service * 4.0,
+        380.0 + service * 4.0, 420.0 + service]
 
 
 def test_hedging_duplicates_queued_dispatches(estimator):
@@ -256,9 +317,8 @@ def test_hedging_duplicates_queued_dispatches(estimator):
     assert not scenario.idle
     workload = _workload(200, seed=7)
     arrivals = _trace(200, rate=4.0, seed=7)
-    report = FleetSimulator(estimator, 3, scenario=scenario,
-                            dispatch="least-loaded").run(
-        workload, arrivals)
+    report = MultiReplicaSimulator(estimator, 3, dispatch="least-loaded",
+                                   chaos=scenario).run(workload, arrivals)
     assert report.availability == 1.0
     assert report.stats.hedges > 0
     assert 0 <= report.stats.hedge_wins <= report.stats.hedges
@@ -293,8 +353,8 @@ def test_autoscaler_respects_replica_bounds(estimator):
                               provisioning_lag_s=30.0)
     workload = _workload(600, seed=8)
     arrivals = _trace(600, rate=3.0, seed=8)
-    report = FleetSimulator(estimator, 2, autoscaler=policy,
-                            dispatch="least-loaded").run(
+    report = MultiReplicaSimulator(estimator, 2, dispatch="least-loaded",
+                                   autoscaler=policy).run(
         workload, arrivals)
     counts = report.replica_counts()
     assert counts.min() >= 2
@@ -308,9 +368,8 @@ def test_autoscaler_respects_replica_bounds(estimator):
 def test_report_windows_and_timeseries_channels(estimator):
     workload = _workload(200, seed=9)
     arrivals = get_trace("bursty").scaled(200).generate()
-    report = FleetSimulator(
-        estimator, 4,
-        scenario=get_fleet_scenario("replica-crash")).run(
+    report = MultiReplicaSimulator(
+        estimator, 4, chaos=get_fleet_scenario("replica-crash")).run(
         workload, arrivals)
     counts = report.replica_counts()
     assert counts.shape == (report.grid.n_windows,)
@@ -349,8 +408,8 @@ def test_windowed_utilization_never_exceeds_one(estimator, name):
 def test_report_reads_offered_and_served_rows_apart(estimator):
     workload = _workload(300, seed=5)
     arrivals = _trace(300, rate=1.5, seed=5)
-    report = FleetSimulator(
-        estimator, 3, scenario=_crash_scenario(0)).run(
+    report = MultiReplicaSimulator(
+        estimator, 3, chaos=_crash_scenario(0)).run(
         workload, arrivals)
     assert 0 < report.n_dropped < 300
     assert report.n_offered == report.offered.n_requests == 300
@@ -401,8 +460,8 @@ def test_fleet_telemetry_gauges(estimator):
     from repro.telemetry import Telemetry, activate
 
     telemetry = Telemetry()
-    simulator = FleetSimulator(
-        estimator, 3, scenario=get_fleet_scenario("replica-crash"))
+    simulator = MultiReplicaSimulator(
+        estimator, 3, chaos=get_fleet_scenario("replica-crash"))
     workload = _workload(120, seed=10)
     arrivals = _trace(120, rate=1.5, seed=10)
     with activate(telemetry):
@@ -437,15 +496,34 @@ def test_scale_out_telemetry_gauge_is_fleet_normalized(estimator):
 # ----------------------------------------------------------------------
 def test_validation(estimator):
     with pytest.raises(ConfigurationError, match="n_replicas"):
-        FleetSimulator(estimator, 0)
+        MultiReplicaSimulator(estimator, 0)
     with pytest.raises(ConfigurationError, match="dispatch"):
-        FleetSimulator(estimator, 1, dispatch="chaotic")
+        MultiReplicaSimulator(estimator, 1, dispatch="chaotic")
     with pytest.raises(ConfigurationError, match="min_replicas"):
-        FleetSimulator(estimator, 1,
-                       autoscaler=AutoscalerPolicy(slo_p95_s=10.0,
-                                                   min_replicas=2))
-    fleet = FleetSimulator(estimator, 2)
+        MultiReplicaSimulator(
+            estimator, 1,
+            autoscaler=AutoscalerPolicy(slo_p95_s=10.0, min_replicas=2))
+    fleet = MultiReplicaSimulator(estimator, 2,
+                                  chaos=FleetScenario(name="idle"))
     with pytest.raises(ConfigurationError, match="equal length"):
         fleet.run(_workload(3), [0.0])
     with pytest.raises(ConfigurationError, match="at least one request"):
         fleet.run([], [])
+
+
+@pytest.mark.parametrize("chaos, autoscaler", [
+    (get_fleet_scenario("replica-crash"), None),
+    (None, AutoscalerPolicy(slo_p95_s=10.0, min_replicas=2)),
+], ids=["chaos", "autoscaler"])
+def test_fault_scenario_rejected_on_a_controlled_fleet(estimator, chaos,
+                                                       autoscaler):
+    from repro.faults.scenarios import get_scenario
+
+    fleet = MultiReplicaSimulator(estimator, 2, chaos=chaos,
+                                  autoscaler=autoscaler)
+    with pytest.raises(ConfigurationError) as error:
+        fleet.run(_workload(10), _trace(10),
+                  scenario=get_scenario("pcie-downshift"))
+    message = str(error.value)
+    assert "\n" not in message
+    assert "'pcie-downshift' cannot run on a chaos or autoscaled" in message

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.faults.scenarios import builtin_scenarios, get_scenario
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
@@ -939,6 +939,31 @@ def test_fleet_degraded_error_paths(simulator):
     idle = least.run(workload, arrivals,
                      scenario=FaultScenario(name="idle", seed=1))
     assert idle.stats is None
+
+
+def test_unfit_shape_raises_before_admission_sheds_it():
+    """A shape too large for the healthy platform fails the stream
+    with one error at the API boundary, in every engine and the loop
+    oracle alike, even when admission would shed its request."""
+    estimator = LiaEstimator(get_model("opt-175b"), get_system("spr-a100"))
+    requests = [InferenceRequest(1, 128, 8), InferenceRequest(2048, 2048, 8)]
+    arrivals = [0.0, 0.0]
+    scenario = FaultScenario(
+        name="capacity",
+        admission=AdmissionPolicy(max_queue_depth=1, max_deferrals=1))
+    messages = []
+    for run in (
+            lambda: ServingSimulator(estimator).run(requests, arrivals,
+                                                    scenario=scenario),
+            lambda: run_degraded(ServingSimulator(estimator), requests,
+                                 arrivals, scenario),
+            lambda: MultiReplicaSimulator(estimator, 2).run(
+                requests, arrivals, scenario=scenario)):
+        with pytest.raises(CapacityError) as error:
+            run()
+        messages.append(str(error.value))
+    assert messages == [
+        "spr-a100: DDR needs 19213.2 GiB but has 512.0 GiB"] * 3
 
 
 # ----------------------------------------------------------------------
