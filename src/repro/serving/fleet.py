@@ -501,17 +501,20 @@ def simulate_fleet(workload: WorkloadVector, trace: np.ndarray,
         return replica.state == "closed" or (
             replica.state == "half-open" and replica.probes_left > 0)
 
-    def eligible(effective: float) -> Optional[_Replica]:
-        """Next replica the dispatcher trusts at ``effective``
-        (round-robin advances the rotation pointer past the pick;
-        least-loaded joins the earliest-free candidate).  A half-open
-        pick spends one probe."""
+    def eligible(effective: float,
+                 exclude: Optional[_Replica] = None) -> Optional[_Replica]:
+        """Next replica other than ``exclude`` that the dispatcher
+        trusts at ``effective`` (round-robin advances the rotation
+        pointer past the pick; least-loaded joins the earliest-free
+        candidate).  A half-open pick spends one probe, and every pick
+        is attempted."""
         nonlocal pointer
         chosen: Optional[_Replica] = None
         if least_loaded:
             for rid in rotation:
                 replica = replicas[rid]
-                if trusted(replica, effective) and (
+                if replica is not exclude and trusted(
+                        replica, effective) and (
                         chosen is None
                         or replica.free_at < chosen.free_at):
                     chosen = replica
@@ -520,7 +523,7 @@ def simulate_fleet(workload: WorkloadVector, trace: np.ndarray,
             for offset in range(active):
                 position = (pointer + offset) % active
                 replica = replicas[rotation[position]]
-                if trusted(replica, effective):
+                if replica is not exclude and trusted(replica, effective):
                     pointer = (position + 1) % active
                     chosen = replica
                     break
@@ -621,8 +624,8 @@ def simulate_fleet(workload: WorkloadVector, trace: np.ndarray,
             # spent.
             if (hedging and candidate.start - effective
                     > redispatch.hedge_after_s):
-                other = eligible(effective)
-                if other is not None and other is not replica:
+                other = eligible(effective, exclude=replica)
+                if other is not None:
                     twin = attempt(other, effective, service)
                     if twin.ok:
                         stats.hedges += 1

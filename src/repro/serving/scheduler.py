@@ -14,13 +14,16 @@ Three LIA-specific couplings make this more than a queueing exercise:
   :class:`StepProfile` tabulates one-decode-step latency over a
   (aggregate batch, context length) grid — the Helix
   ``MachineProfile`` bs→time idiom — computed by the Eq. (1)-backed
-  estimator as one broadcast term table, then bilinearly interpolated.
+  estimator as one broadcast term table, then bilinearly interpolated
+  in Python floats, one run of contexts per turn.
 * **Admission re-consults Eq. (1).**  Batch composition changes the
   optimal CPU/GPU split (Fig. 9's policy regions are batch-dependent),
   so every composition change re-solves Eq. (1) for the aggregate
-  batch (:func:`~repro.core.optimizer.optimal_policy`).  A re-solve
-  whose decision no step reads — no KV sits in CXL to stretch the
-  steps — is counted as a resolve and a search, but not evaluated.
+  batch.  A re-solve whose decision no step reads — no KV sits in CXL
+  to stretch the steps — is counted as a resolve and a search, but not
+  evaluated.  The first re-solve a step reads is solved on the spot;
+  later ones take its answer, and term tables of up to 1,024 points
+  check them when the run ends (a wrong guess reruns the loop once).
 * **KV placement feeds back into step time.**  When the re-solved
   policy keeps the attention sublayers on the CPU, KV bytes demoted to
   CXL stall AMX (Observation-2); the step stretches by
@@ -41,18 +44,19 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Deque, Dict, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from heapq import heappop, heappush
+from typing import (TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.arrays import left_fold
-from repro.core.optimizer import count_searches, optimal_policy
+from repro.core.optimizer import count_searches, search_grid
+from repro.core.terms import layer_terms
 from repro.cxl.residency import (KV_TIERS, KvResidency, KvTierCapacities,
                                  kv_capacities_from_system)
 from repro.errors import CapacityError, ConfigurationError
-from repro.models.sublayers import Stage, Sublayer
+from repro.models.sublayers import USES_KV_CACHE, Stage
 from repro.models.workload import InferenceRequest
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      validate_stream)
@@ -187,8 +191,8 @@ class StepProfile:
         self.estimator = estimator
         self.batch_sizes = batches
         self.context_lens = contexts
-        self._context_axis = np.array(contexts)
         self._decode_grid = estimator.decode_step_times(batches, contexts)
+        self._rows: List[List[float]] = self._decode_grid.tolist()
         self._prefill = self._prefill_times(prompts)
 
     @classmethod
@@ -232,52 +236,56 @@ class StepProfile:
                                                              lengths)))
 
     @staticmethod
-    def _brackets(axis: np.ndarray, positions: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bracketing indices + weight of every position, clamped at
-        the axis edges (a clamped position gets ``lo == hi`` and
-        weight 0)."""
-        hi = np.minimum(axis.searchsorted(positions), axis.size - 1)
-        inside = (positions > axis[0]) & (positions < axis[-1])
-        lo = hi - inside
-        below = axis[lo]
-        weight = np.divide(positions - below, axis[hi] - below,
-                           out=np.zeros(np.shape(positions)),
-                           where=inside)
-        return lo, hi, weight
-
-    @staticmethod
-    def _scalar_brackets(axis: List[int], position: float
-                         ) -> Tuple[int, int, float]:
-        """:meth:`_brackets` of one position on a list axis."""
+    def _bracket(axis: List[int], position: float
+                 ) -> Tuple[int, int, float]:
+        """Bracketing indices + weight of ``position`` on ``axis``,
+        clamped at the axis edges (a clamped position gets
+        ``lo == hi`` and weight 0)."""
         hi = min(bisect_left(axis, position), len(axis) - 1)
         if axis[0] < position < axis[-1]:
             below = axis[hi - 1]
             return hi - 1, hi, (position - below) / (axis[hi] - below)
         return hi, hi, 0.0
 
-    def decode_step_times(self, batch_size: float,
-                          context_lens: ArrayLike) -> np.ndarray:
-        """One decode iteration of an aggregate batch at every context
-        of ``context_lens`` (bilinear).
+    def decode_steps(self, batch_size: float,
+                     context_len: float) -> Iterator[float]:
+        """One decode iteration of an aggregate batch at each context
+        ``context_len``, ``context_len + 1``, ... (bilinear, endless).
 
-        The batch is bracketed in Python floats, the contexts as one
-        array: the scheduler reads one batch and a run of contexts per
-        turn."""
-        b_lo, b_hi, wb = self._scalar_brackets(self.batch_sizes,
-                                               batch_size)
-        c_lo, c_hi, wc = self._brackets(self._context_axis,
-                                        np.asarray(context_lens))
-        low_row, high_row = self._decode_grid[b_lo], self._decode_grid[b_hi]
-        low = low_row[c_lo] + wc * (low_row[c_hi] - low_row[c_lo])
-        high = high_row[c_lo] + wc * (high_row[c_hi] - high_row[c_lo])
-        return low + wb * (high - low)
+        The batch is bracketed once, the context only when it leaves
+        its bracket; every step is Python float arithmetic, the same
+        IEEE ops as the oracle's one-point scan
+        (``tests/oracles/scheduler_loop.py``)."""
+        b_lo, b_hi, wb = self._bracket(self.batch_sizes, batch_size)
+        low_row, high_row = self._rows[b_lo], self._rows[b_hi]
+        axis = self.context_lens
+        context = context_len
+        while True:
+            c_lo, c_hi, __ = self._bracket(axis, context)
+            inside = c_lo != c_hi
+            # The last context this bracket holds for: clamped below
+            # up to the first grid point, clamped above for good.
+            last: float
+            if inside:
+                last = min(axis[c_hi], axis[-1] - 1)
+            else:
+                last = axis[0] if context <= axis[0] else math.inf
+            below, width = axis[c_lo], axis[c_hi] - axis[c_lo]
+            low_at, high_at = low_row[c_lo], high_row[c_lo]
+            low_rise = low_row[c_hi] - low_at
+            high_rise = high_row[c_hi] - high_at
+            while context <= last:
+                wc = (context - below) / width if inside else 0.0
+                low = low_at + wc * low_rise
+                high = high_at + wc * high_rise
+                yield low + wb * (high - low)
+                context += 1
 
     def decode_step_time(self, batch_size: float,
                          context_len: float) -> float:
-        """One decode iteration of an aggregate batch: the one-point
-        case of :meth:`decode_step_times`."""
-        return float(self.decode_step_times(batch_size, context_len))
+        """One decode iteration of an aggregate batch (bilinear): the
+        first step of :meth:`decode_steps`."""
+        return next(self.decode_steps(batch_size, context_len))
 
     def prefill_time(self, request: InferenceRequest) -> float:
         """Exact prefill latency of one member's prompt.
@@ -295,24 +303,77 @@ class StepProfile:
         return entry
 
 
-@dataclass
-class _ActiveRequest:
-    """One member of the running batch."""
+def _attention_on_cpu(estimator: "LiaEstimator", aggregate: ArrayLike,
+                      context: ArrayLike) -> np.ndarray:
+    """Whether the Eq. (1) decode winner computes attention on the CPU
+    at each ``(aggregate batch, context)`` point: one term table and
+    one :func:`~repro.core.optimizer.search_grid` call, which decide
+    each point exactly as :func:`~repro.core.optimizer.optimal_policy`
+    does.  Counts no search."""
+    terms = layer_terms(estimator.spec, Stage.DECODE, aggregate, context,
+                        estimator.system, estimator.config)
+    on_cpu = search_grid(terms, estimator.config).winners_on_cpu
+    return on_cpu[..., USES_KV_CACHE].any(axis=-1)
 
-    index: int
-    request: InferenceRequest
-    arrival: float
-    start: float
-    steps_done: int = 0
 
-    @property
-    def context_len(self) -> int:
-        """Context the *next* decode step attends over."""
-        return self.request.input_len + self.steps_done
+#: Guessed reads checked per term table: bounds the table's memory
+#: (every point scores 64 policies over 6 sublayers).
+_CHECK_BLOCK = 1024
 
-    @property
-    def done(self) -> bool:
-        return self.steps_done >= self.request.output_len
+
+class _ReadResolves:
+    """The Eq. (1) answers one pass of the turn loop reads.
+
+    A re-solve is *read* when KV sits in CXL, so the step stretch
+    depends on whether attention runs on the CPU.  Without ``known``
+    answers the pass guesses: it solves its first read on the spot,
+    answers every later read alike and records their points for
+    :meth:`verified` to check, :data:`_CHECK_BLOCK` points per term
+    table.  With them, the first reads
+    take the ``known`` answers and every later read is solved on the
+    spot.
+    """
+
+    def __init__(self, estimator: "LiaEstimator",
+                 known: Optional[List[bool]] = None) -> None:
+        self.estimator = estimator
+        self.guessing = known is None
+        self.known = known or []
+        self.reads = 0
+        self.guess: Optional[bool] = None
+        self.aggregates: List[int] = []
+        self.contexts: List[int] = []
+
+    def answer(self, aggregate: int, context: int) -> bool:
+        read = self.reads
+        self.reads += 1
+        if read < len(self.known):
+            return self.known[read]
+        if self.guess is not None:
+            self.aggregates.append(aggregate)
+            self.contexts.append(context)
+            return self.guess
+        answer = bool(_attention_on_cpu(self.estimator, aggregate,
+                                        context))
+        if self.guessing:
+            self.guess = answer
+        return answer
+
+    def verified(self) -> Optional[List[bool]]:
+        """``None`` when every guess was right; otherwise the true
+        answers of every read up to the first wrong guess."""
+        guess = self.guess
+        if guess is None:
+            return None
+        for lo in range(0, len(self.aggregates), _CHECK_BLOCK):
+            hi = lo + _CHECK_BLOCK
+            truth = _attention_on_cpu(self.estimator,
+                                      np.array(self.aggregates[lo:hi]),
+                                      np.array(self.contexts[lo:hi]))
+            wrong = np.flatnonzero(truth != guess)
+            if wrong.size:
+                return [guess] * (lo + 1) + truth[:wrong[0] + 1].tolist()
+        return None
 
 
 class ContinuousServingReport(ServingReport):
@@ -369,6 +430,12 @@ class ContinuousServingReport(ServingReport):
         checks hash this across repeat runs)."""
         return np.column_stack(
             (self.arrivals, self.starts, self.finishes)).tobytes()
+
+
+#: One pass of the turn loop: its report, or the capacity error it hit;
+#: its step spans; its Eq. (1) re-solve count.
+_Pass = Tuple[Union[ContinuousServingReport, CapacityError],
+              List[Tuple[float, float, int, int]], int]
 
 
 class ContinuousBatchScheduler:
@@ -462,32 +529,70 @@ class ContinuousBatchScheduler:
 
         Between events the running set, its aggregate batch, the KV
         ledger and the Eq. (1) decision are fixed and the max context
-        grows by one per step, so each turn folds a whole run of
-        decode steps at once: the same floats, in the same order, as
-        one step per turn (``tests/oracles/scheduler_loop.py``).
-        A turn ends at the first finish or, when the head request
-        could join, at the first step whose end reaches its arrival.
+        grows by one per step, so each turn walks a whole run of decode
+        steps in Python floats (:meth:`StepProfile.decode_steps`): the
+        same floats, added in the same order, as one step per turn
+        (``tests/oracles/scheduler_loop.py``).  A turn ends at the
+        first finish or, when the head request could join, at the
+        first step whose end reaches its arrival.
+
+        The Eq. (1) re-solves that steps read are guessed, then checked
+        in term tables when the run ends (:class:`_ReadResolves`).  A
+        wrong guess reruns the loop once, with the checked answers up
+        to the first wrong one and on-spot solves after it; a
+        :class:`CapacityError` is raised only from a pass whose guesses
+        hold.  Every re-solve, read or not, is one
+        ``policy.searches`` point, as in the oracle.
         """
         requests = workload.to_requests()
         arrivals = trace.tolist()
-        cfg = self.config
-        estimator = self.estimator
-        spec = estimator.spec
-        system = estimator.system
-        lia_config = estimator.config
-        telemetry = current_telemetry()
-
         capacities = self._resolve_capacities()
-        residency = KvResidency(capacities)
-        profile = StepProfile.for_workload(estimator, requests, cfg)
+        profile = StepProfile.for_workload(self.estimator, requests,
+                                           self.config)
+        telemetry = current_telemetry()
+        span_cap = self.config.span_cap if telemetry is not None else 0
 
+        def serve(reads: _ReadResolves) -> _Pass:
+            return self._serve(workload, trace, requests, arrivals,
+                               profile, capacities, reads, span_cap)
+
+        reads = _ReadResolves(self.estimator)
+        outcome = serve(reads)
+        known = reads.verified()
+        if known is not None:
+            outcome = serve(_ReadResolves(self.estimator, known))
+        report, span_rows, resolves = outcome
+        if resolves:
+            count_searches(Stage.DECODE, self.estimator.config, resolves)
+        if isinstance(report, CapacityError):
+            raise report
+        if telemetry is not None:
+            self._emit_telemetry(telemetry, report, span_rows)
+        return report
+
+    def _serve(self, workload: WorkloadVector, trace: np.ndarray,
+               requests: List[InferenceRequest], arrivals: List[float],
+               profile: StepProfile, capacities: KvTierCapacities,
+               reads: _ReadResolves, span_cap: int) -> _Pass:
+        """One pass of the turn loop, its Eq. (1) reads answered by
+        ``reads``: the report or the :class:`CapacityError` the pass
+        hit, the first ``span_cap`` step spans, and the re-solve
+        count."""
+        cfg = self.config
+        spec = self.estimator.spec
+        residency = KvResidency(capacities)
         pending: Deque[Tuple[int, InferenceRequest, float]] = deque(
-            (i, request, arrival)
-            for i, (request, arrival)
-            in enumerate(zip(requests, arrivals)))
-        running: List[_ActiveRequest] = []
+            zip(range(len(requests)), requests, arrivals))
         starts = np.empty(len(requests))
         finishes = np.empty(len(requests))
+        #: The running set: each member's (finish step, index), and its
+        #: (admission step - prompt length, finish step), whose least
+        #: first entry puts the longest context at ``iterations`` minus
+        #: it.  Finished members leave the second heap lazily.
+        finishing: List[Tuple[int, int]] = []
+        context_bases: List[Tuple[int, int]] = []
+        n_running = 0
+        aggregate = 0
 
         clock = 0.0
         iterations = 0
@@ -501,37 +606,33 @@ class ContinuousBatchScheduler:
         #: Whether the last turn's steps finished a request: with an
         #: admission, the batch-composition changes that re-solve Eq. (1).
         released = False
-        kv_on_cpu = False
-        #: Re-solves whose decision no step reads: counted as searches
-        #: when the run ends, never evaluated.
-        unread = 0
+        stretch = 1.0
+        #: Whether steps stretch: KV sits in CXL and Eq. (1) computes
+        #: attention on the CPU.
+        stretched = False
         #: (start, finish, n_running, aggregate_batch) per iteration,
-        #: capped at cfg.span_cap, for the telemetry only; the total
-        #: count feeds the drop note.
+        #: for the telemetry only.
         span_rows: List[Tuple[float, float, int, int]] = []
-        span_cap = cfg.span_cap if telemetry is not None else 0
 
         try:
-            while pending or running:
-                if not running and pending:
-                    head_arrival = pending[0][2]
-                    if clock < head_arrival:
-                        clock = head_arrival
-                can_join = cfg.join == "step" or not running
-                #: The head could join but has not arrived yet: its
-                #: arrival ends the next run of steps.
-                awaiting_head = False
-                admitted: List[_ActiveRequest] = []
+            while pending or n_running:
+                if not n_running and clock < pending[0][2]:
+                    clock = pending[0][2]
+                can_join = cfg.join == "step" or not n_running
+                #: Arrival of a head that could join but has not
+                #: arrived: it ends the next run of steps.
+                head_arrival = math.inf
+                admitted: List[int] = []
                 while (pending and can_join
-                       and len(running) < cfg.max_batch_requests):
+                       and n_running < cfg.max_batch_requests):
                     index, request, arrival = pending[0]
                     if arrival > clock:
-                        awaiting_head = True
+                        head_arrival = arrival
                         break
                     kv_bytes = float(spec.kv_cache_bytes(
                         request.batch_size, request.max_context_len))
                     if not residency.admit(index, kv_bytes):
-                        if not running:
+                        if not n_running:
                             raise CapacityError(
                                 f"request {index} "
                                 f"(B={request.batch_size}, "
@@ -548,93 +649,72 @@ class ContinuousBatchScheduler:
                         # release can let it in.
                         break
                     pending.popleft()
-                    entry = _ActiveRequest(index=index, request=request,
-                                           arrival=arrival, start=clock)
-                    running.append(entry)
-                    admitted.append(entry)
+                    finish = iterations + request.output_len
+                    heappush(finishing, (finish, index))
+                    heappush(context_bases,
+                             (iterations - request.input_len, finish))
+                    n_running += 1
+                    aggregate += request.batch_size
+                    admitted.append(index)
                     admissions += 1
                 for tier in KV_TIERS:
                     used = residency.used(tier)
                     if used > kv_peak[tier]:
                         kv_peak[tier] = used
 
-                if not running:
+                if not n_running:
                     # An empty batch admits its head or raises, so
                     # nothing is pending either.
                     break
 
-                n_running = len(running)
-                aggregate = sum(entry.request.batch_size
-                                for entry in running)
-                context = max(entry.context_len for entry in running)
-                # The KV ledger, and so the stretch, changes only with
-                # membership: it holds until the next change.
-                stretch = self._cxl_stretch(residency)
+                while context_bases[0][1] <= iterations:
+                    heappop(context_bases)
+                context = iterations - context_bases[0][0]
                 if admitted or released:
+                    # The KV ledger, and so the stretch, changes only
+                    # with membership: it holds until the next change.
                     policy_resolves += 1
-                    if stretch == 1.0:
-                        # No step until the next change reads it.
-                        unread += 1
-                    else:
-                        decision = optimal_policy(
-                            spec, Stage.DECODE, aggregate, context,
-                            system, lia_config)
-                        kv_on_cpu = any(
-                            not decision.policy.on_gpu(sub)
-                            for sub in Sublayer if sub.uses_kv_cache)
+                    stretch = self._cxl_stretch(residency)
+                    stretched = stretch != 1.0 and reads.answer(
+                        aggregate, context)
 
                 # New members prefill before the batch's next decode
                 # step (ORCA interleaves prefill iterations; modeled
                 # serially).
-                for entry in admitted:
-                    entry.start = clock
-                    prefill = profile.prefill_time(entry.request)
+                for index in admitted:
+                    starts[index] = clock
+                    prefill = profile.prefill_time(requests[index])
                     clock += prefill
                     prefill_busy += prefill
 
-                k = min(entry.request.output_len - entry.steps_done
-                        for entry in running)
-                steps = profile.decode_step_times(
-                    aggregate, np.arange(context, context + k))
-                if kv_on_cpu and stretch != 1.0:
-                    steps = steps * stretch
-                clocks = np.empty(k + 1)
-                clocks[0] = clock
-                left_fold(clock, steps, out=clocks[1:])
-                if awaiting_head:
-                    joins = int(np.searchsorted(clocks[1:], pending[0][2]))
-                    if joins < k:
-                        k = joins + 1
-                        steps = steps[:k]
-                        clocks = clocks[:k + 1]
-                iterations += k
-                clock = float(clocks[-1])
-                busy_time = left_fold(busy_time, steps)
-                occupancy_time = left_fold(occupancy_time,
-                                           steps * n_running)
+                k = finishing[0][0] - iterations
+                taken = 0
+                for step in profile.decode_steps(aggregate, context):
+                    if stretched:
+                        step *= stretch
+                    start = clock
+                    clock += step
+                    busy_time += step
+                    occupancy_time += step * n_running
+                    if len(span_rows) < span_cap:
+                        span_rows.append((start, clock, n_running,
+                                          aggregate))
+                    taken += 1
+                    if taken == k or clock >= head_arrival:
+                        break
+                iterations += taken
                 if n_running > occupancy_peak:
                     occupancy_peak = n_running
-                rows = min(k, span_cap - len(span_rows))
-                if rows > 0:
-                    bounds = clocks[:rows + 1].tolist()
-                    span_rows.extend(
-                        (start, finish, n_running, aggregate)
-                        for start, finish in zip(bounds, bounds[1:]))
 
-                for entry in running:
-                    entry.steps_done += k
-                finished = [entry for entry in running if entry.done]
-                released = bool(finished)
-                if released:
-                    running = [entry for entry in running
-                               if not entry.done]
-                    for entry in finished:
-                        residency.release(entry.index)
-                        starts[entry.index] = entry.start
-                        finishes[entry.index] = clock
-        finally:
-            if unread:
-                count_searches(Stage.DECODE, lia_config, unread)
+                released = finishing[0][0] == iterations
+                while finishing and finishing[0][0] == iterations:
+                    __, index = heappop(finishing)
+                    residency.release(index)
+                    finishes[index] = clock
+                    n_running -= 1
+                    aggregate -= requests[index].batch_size
+        except CapacityError as error:
+            return error, span_rows, policy_resolves
 
         report = ContinuousServingReport(
             workload, trace, starts, finishes,
@@ -650,9 +730,7 @@ class ContinuousBatchScheduler:
             server_busy_s=busy_time + prefill_busy,
             decode_busy_s=busy_time,
         )
-        if telemetry is not None:
-            self._emit_telemetry(telemetry, report, span_rows)
-        return report
+        return report, span_rows, policy_resolves
 
     def _cxl_stretch(self, residency: KvResidency) -> float:
         """The factor a decode step stretches by when the Eq. (1)

@@ -1,10 +1,11 @@
 """Per-iteration loop reference for the continuous-batching scheduler.
 
 :meth:`repro.serving.scheduler.ContinuousBatchScheduler.run` advances
-from one membership event to the next: it folds whole runs of decode
-steps with array kernels, and solves Eq. (1) on the spot only when a
-step's time depends on the answer.  :func:`run_loop` serves the same
-stream one decode iteration at a time, in plain Python:
+from one membership event to the next: each turn walks a whole run of
+decode steps, and the Eq. (1) re-solves that steps read take a guessed
+answer that one table checks when the run ends.  :func:`run_loop`
+serves the same stream one decode iteration at a time, in plain
+Python:
 
 * every iteration re-reads the running set, interpolates its step
   time one point at a time (:class:`LoopProfile`, a linear bracket
@@ -24,6 +25,7 @@ lane in CI).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Tuple, Union
 
 import numpy as np
@@ -34,11 +36,30 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
 from repro.serving.scheduler import (ContinuousBatchScheduler,
-                                     ContinuousServingReport, StepProfile,
-                                     _ActiveRequest)
+                                     ContinuousServingReport, StepProfile)
 from repro.serving.simulator import validate_arrivals
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import current as current_telemetry
+
+
+@dataclass
+class _ActiveRequest:
+    """One member of the running batch."""
+
+    index: int
+    request: InferenceRequest
+    arrival: float
+    start: float
+    steps_done: int = 0
+
+    @property
+    def context_len(self) -> int:
+        """Context the *next* decode step attends over."""
+        return self.request.input_len + self.steps_done
+
+    @property
+    def done(self) -> bool:
+        return self.steps_done >= self.request.output_len
 
 
 class LoopProfile:

@@ -324,6 +324,31 @@ def test_hedging_duplicates_queued_dispatches(estimator):
     assert 0 <= report.stats.hedge_wins <= report.stats.hedges
 
 
+def test_hedge_spends_no_probe_on_the_primary(estimator):
+    """A hedge never picks the primary's own replica, so it spends no
+    half-open probe without an attempt: the lone replica's breaker
+    closes after its three probes instead of staying half-open with
+    none left and refusing every later request."""
+    shape = SHAPES[0]
+    scenario = FleetScenario(
+        name="lone-hedge",
+        faults=(ReplicaFault(ReplicaFaultKind.REPLICA_CRASH, replica=0,
+                             start=10.0, duration=2.0),),
+        health=HealthPolicy(failure_threshold=1, cooldown_s=5.0,
+                            half_open_probes=3),
+        redispatch=RedispatchPolicy(max_retries=0, hedge_after_s=0.1))
+    arrivals = [10.0, 16.0, 16.5, 100.0, 200.0, 1000.0]
+    report = MultiReplicaSimulator(estimator, 1, chaos=scenario).run(
+        [shape] * len(arrivals), arrivals)
+    # Request 2 queues behind request 1, so it would hedge.
+    assert report.starts[1] - arrivals[2] > 0.1
+    assert report.dropped_index.tolist() == [0]
+    assert list(report.dropped_reasons) == ["replica-crash"]
+    assert report.stats.breaker_probes == 3
+    assert report.stats.breaker_closes == 1
+    assert report.stats.hedges == 0
+
+
 # ----------------------------------------------------------------------
 # Autoscaler: SLO at >= 30% lower replica-seconds than static
 # ----------------------------------------------------------------------

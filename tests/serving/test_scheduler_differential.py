@@ -28,16 +28,12 @@ from repro.serving.scheduler import (ContinuousBatchScheduler,
                                      SchedulerConfig, StepProfile)
 from repro.telemetry import Telemetry
 from repro.telemetry.runtime import activate
+from tests.oracles.scheduler_cases import REPORT_FIELDS, flip_case
 from tests.oracles.scheduler_loop import LoopProfile, run_loop
 
 SPEC = get_model("opt-30b")
 ESTIMATOR = LiaEstimator(SPEC, get_system("spr-a100").with_cxl(2),
                          LiaConfig(enforce_host_capacity=False))
-
-REPORT_FIELDS = ("iterations", "admissions", "occupancy_mean",
-                 "occupancy_peak", "policy_resolves", "kv_peak_bytes",
-                 "kv_demotions", "kv_demoted_bytes", "server_busy_s",
-                 "decode_busy_s")
 
 
 def _kv_bytes(shape):
@@ -69,8 +65,8 @@ def _engine(scheduler, requests, arrivals):
     return scheduler.run(requests, arrivals)
 
 
-def assert_matches_oracle(requests, arrivals, config):
-    scheduler = ContinuousBatchScheduler(ESTIMATOR, config)
+def assert_matches_oracle(requests, arrivals, config, estimator=ESTIMATOR):
+    scheduler = ContinuousBatchScheduler(estimator, config)
     engine = _serve(_engine, scheduler, requests, arrivals)
     oracle = _serve(run_loop, scheduler, requests, arrivals)
     assert engine[0] == oracle[0]  # report fields + fingerprint
@@ -149,30 +145,134 @@ def test_refused_head_waits_for_a_release(join):
     assert report.kv_peak_bytes["cxl"] > 0.0
 
 
-def test_both_resolve_branches_run_and_count(monkeypatch):
-    """Spilled KV makes steps read Eq. (1) (solved on the spot); an
-    all-HBM batch does not (counted once at the end, never solved).
-    Both kinds count as searches and resolves, as in the oracle."""
-    on_spot, unread = [], []
-    optimal_policy = scheduler_module.optimal_policy
+def _spy_resolves(monkeypatch):
+    """Record the points of every Eq. (1) answer the engine computes
+    (a scalar on-spot solve or one checking table), every
+    ``count_searches`` call, and every guess check's outcome."""
+    solved, counted, checks = [], [], []
+    attention_on_cpu = scheduler_module._attention_on_cpu
     count_searches = scheduler_module.count_searches
+    verified = scheduler_module._ReadResolves.verified
 
-    def spot(*args, **kwargs):
-        on_spot.append(args[2:4])
-        return optimal_policy(*args, **kwargs)
+    def solve(estimator, aggregate, context):
+        solved.append(np.size(aggregate) if np.ndim(aggregate) else None)
+        return attention_on_cpu(estimator, aggregate, context)
 
     def count(stage, config, points):
-        unread.append(points)
+        counted.append(points)
         return count_searches(stage, config, points)
 
-    monkeypatch.setattr(scheduler_module, "optimal_policy", spot)
+    def check(reads):
+        checks.append(verified(reads))
+        return checks[-1]
+
+    monkeypatch.setattr(scheduler_module, "_attention_on_cpu", solve)
     monkeypatch.setattr(scheduler_module, "count_searches", count)
+    monkeypatch.setattr(scheduler_module._ReadResolves, "verified", check)
+    return solved, counted, checks
+
+
+def test_arrival_at_a_step_end_joins_after_that_step():
+    """A head arriving exactly when a decode step ends joins right
+    after that step: the oracle admits every arrival at or before the
+    clock, so the turn must end on reaching the arrival, not passing
+    it."""
+    shape = InferenceRequest(1, 64, 8)
+    config = SchedulerConfig(max_batch_requests=2, kv_unbounded=True)
+    telemetry = Telemetry()
+    with activate(telemetry):
+        ContinuousBatchScheduler(ESTIMATOR, config).run([shape], [0.0])
+    steps = [span for span in telemetry.tracer.spans
+             if span.name == "decode-step"]
+    arrival = steps[2].finish  # the solo run's third step ends here
+    assert_matches_oracle([shape, shape], [0.0, arrival], config)
+    report = ContinuousBatchScheduler(ESTIMATOR, config).run(
+        [shape, shape], [0.0, arrival])
+    assert report.starts[1] == arrival
+
+
+def test_walk_reads_the_axis_end_exactly():
+    """At the last grid context a walk reads that grid point, as the
+    oracle's clamped scan does, not the bracket below it at weight 1:
+    ``a + (b - a)`` need not round to ``b``."""
+    profile = StepProfile(ESTIMATOR, [1], [64, 128])
+    profile._decode_grid = np.array([[0.7661368727868479,
+                                      0.26251833548202747]])
+    profile._rows = profile._decode_grid.tolist()
+    oracle = LoopProfile(profile)
+    walk = profile.decode_steps(1, 126)
+    assert [next(walk) for __ in range(4)] == [
+        oracle.decode_step_time(1, context) for context in range(126, 130)]
+
+
+def test_resolves_are_guessed_checked_and_counted_once(monkeypatch):
+    """Spilled KV makes steps read Eq. (1): the first read is solved on
+    the spot, the rest are guessed and checked in one table; an
+    all-HBM batch reads nothing.  Every re-solve counts as one search
+    in a single count, as many as the oracle's."""
+    solved, counted, checks = _spy_resolves(monkeypatch)
     requests, arrivals, config = _spilling_case()
     (fields, __), searches, *__ = assert_matches_oracle(
         requests, arrivals, config)
     resolves = fields[REPORT_FIELDS.index("policy_resolves")]
-    assert on_spot and len(unread) == 1 and unread[0] > 0
-    assert len(on_spot) + unread[0] == resolves == searches
+    # Engine, then oracle: only the engine calls either spy.
+    assert counted == [resolves] and resolves == searches
+    assert checks == [None]  # every guess held: one pass
+    # The first read, solved on the spot, then one table of the rest.
+    assert len(solved) == 2 and solved[0] is None and solved[1] >= 1
+    # Without KV in CXL no step reads Eq. (1): nothing is solved, and
+    # every re-solve is still counted.
+    del solved[:], counted[:], checks[:]
+    unbounded = SchedulerConfig(max_batch_requests=4, kv_unbounded=True)
+    (fields, __), searches, *__ = assert_matches_oracle(
+        requests, arrivals, unbounded)
+    resolves = fields[REPORT_FIELDS.index("policy_resolves")]
+    assert solved == [] and checks == [None]
+    assert counted == [resolves] == [searches] and resolves > 0
+
+
+@pytest.mark.parametrize("block", [scheduler_module._CHECK_BLOCK, 4])
+def test_flip_case_reruns_once_and_matches_the_oracle(monkeypatch, block):
+    """On the flip case the first read's answer is wrong for later
+    reads: the checking tables find it (in the first table, or in the
+    third of four-point ones), one rerun takes the checked answers and
+    solves on the spot after the first wrong guess, and every report
+    field, span and search count equals the oracle's."""
+    monkeypatch.setattr(scheduler_module, "_CHECK_BLOCK", block)
+    solved, counted, checks = _spy_resolves(monkeypatch)
+    scheduler, requests, arrivals = flip_case()
+    (fields, __), searches, *__ = assert_matches_oracle(
+        requests, arrivals, scheduler.config, scheduler.estimator)
+    known = checks[0]
+    assert len(checks) == 1 and known is not None
+    assert known[-1] != known[0] and len(set(known[:-1])) == 1
+    tables = [points for points in solved if points is not None]
+    assert max(tables) <= block and len(known) - 1 <= sum(tables)
+    # The first read is solved on the spot, then the checking tables
+    # run; the rerun solves on the spot every read after the checked
+    # ones.
+    assert solved[0] is None and solved[1:len(tables) + 1] == tables
+    assert solved[len(tables) + 1:] and set(
+        solved[len(tables) + 1:]) == {None}
+    assert counted == [fields[REPORT_FIELDS.index("policy_resolves")]]
+    assert counted == [searches]
+
+
+def test_capacity_error_waits_for_its_guesses(monkeypatch):
+    """A pass that ends in a capacity error raises it only once its
+    guesses are checked, and counts the searches before it once."""
+    solved, counted, checks = _spy_resolves(monkeypatch)
+    big = (8, 512, 20)
+    unit = _kv_bytes(big)
+    requests = [InferenceRequest(*shape)
+                for shape in ((1, 64, 4), big, big, (64, 2048, 64))]
+    config = SchedulerConfig(
+        max_batch_requests=4,
+        kv_capacities=KvTierCapacities(0.25 * unit, 0.25 * unit, unit))
+    (outcome, __), searches, *__ = assert_matches_oracle(
+        requests, [0.0, 0.01, 0.02, 0.03], config)
+    assert outcome == "capacity-error"
+    assert len(checks) == 1 and counted == [searches] and searches > 0
 
 
 @given(batch=st.one_of(st.integers(-2, 80),
@@ -181,15 +281,29 @@ def test_both_resolve_branches_run_and_count(monkeypatch):
                          max_size=20))
 @example(batch=8, contexts=[64, 128, 256, 1100, 1200])  # on the axes
 @settings(max_examples=60, deadline=None)
-def test_decode_step_times_match_the_scalar_scan(batch, contexts):
+def test_decode_step_time_matches_the_scalar_scan(batch, contexts):
     profile = StepProfile(ESTIMATOR, [1, 2, 8, 32, 64],
                           [64, 128, 256, 700, 1100])
     oracle = LoopProfile(profile)
-    times = profile.decode_step_times(batch, contexts)
-    assert times.tolist() == [oracle.decode_step_time(batch, context)
-                              for context in contexts]
     assert [profile.decode_step_time(batch, context)
-            for context in contexts] == times.tolist()
+            for context in contexts] == [
+        oracle.decode_step_time(batch, context) for context in contexts]
+
+
+@given(batch=st.integers(0, 70), start=st.integers(-3, 1200),
+       steps=st.integers(1, 200))
+@example(batch=8, start=60, steps=1100)  # crosses every bracket
+@settings(max_examples=60, deadline=None)
+def test_decode_steps_walk_matches_the_scalar_scan(batch, start, steps):
+    """A turn's walk re-brackets the context incrementally: every step
+    of it equals the oracle's one-point scan at that context."""
+    profile = StepProfile(ESTIMATOR, [1, 2, 8, 32, 64],
+                          [64, 128, 256, 700, 1100])
+    oracle = LoopProfile(profile)
+    walk = profile.decode_steps(batch, start)
+    assert [next(walk) for __ in range(steps)] == [
+        oracle.decode_step_time(batch, context)
+        for context in range(start, start + steps)]
 
 
 def test_every_integer_batch_matches_the_scalar_scan():
@@ -198,19 +312,24 @@ def test_every_integer_batch_matches_the_scalar_scan():
     profile = StepProfile(ESTIMATOR, [1, 2, 8, 32, 64],
                           [64, 128, 256, 700, 1100])
     oracle = LoopProfile(profile)
-    contexts = np.array([1, 64, 100, 700, 900, 1300])
+    contexts = [1, 64, 100, 700, 900, 1300]
     for batch in range(0, 70):
-        times = profile.decode_step_times(batch, contexts).tolist()
-        assert times == [oracle.decode_step_time(batch, context)
-                         for context in contexts.tolist()], batch
+        assert [profile.decode_step_time(batch, context)
+                for context in contexts] == [
+            oracle.decode_step_time(batch, context)
+            for context in contexts], batch
 
 
 def test_single_point_axes_clamp_everywhere():
     profile = StepProfile(ESTIMATOR, [4], [300])
     oracle = LoopProfile(profile)
-    contexts = [1, 300, 5000]
-    assert profile.decode_step_times(1, contexts).tolist() == [
-        oracle.decode_step_time(1, context) for context in contexts]
+    walk = profile.decode_steps(1, 298)
+    assert [next(walk) for __ in range(5)] == [
+        oracle.decode_step_time(1, context)
+        for context in range(298, 303)]
+    assert [profile.decode_step_time(1, context)
+            for context in (1, 300, 5000)] == [
+        oracle.decode_step_time(1, context) for context in (1, 300, 5000)]
 
 
 def test_prefill_times_come_from_one_batched_call(monkeypatch):
