@@ -1,20 +1,24 @@
 """The algorithm front-end (C1): optimal compute-offloading search.
 
 LIA solves Eq. (1) by exhaustive enumeration of the 64 policy vectors
-for each stage, scoring each with the Eq. (2) layer-latency model
-(including overlap when enabled, since the runtime will execute with
-overlap).  The search is instantaneous — six binary decisions — and
-re-runs whenever ``(B, L)`` changes, which is how Fig. 9's policy maps
-are produced.  :func:`search_grid` solves it at every point of one
-term table, a single ``(B, L)`` or a whole grid; :func:`optimal_policy`
-is its one-point case.
+for each stage, scoring each with the serial Eq. (2) layer latency.
+The search is instantaneous — six binary decisions — and re-runs
+whenever ``(B, L)`` changes, which is how Fig. 9's policy maps are
+produced.  :func:`search_grid` solves it at every point of one term
+table, a single ``(B, L)`` or a whole grid; :func:`optimal_policy` is
+its one-point case.  :func:`candidate_scores` scores the 64 candidates
+by folding the sublayers left to right over the policy bits, so
+candidates that share a bit prefix share their partial sums.  The
+§7.1 threshold bisections solve their probes in tables too: each table
+holds every midpoint the next few halvings could visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from functools import cached_property, partial, reduce
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from repro.core.policy import OffloadPolicy
 from repro.core.terms import (ALL_FIRING, ALL_ON_CPU, ALL_POLICIES,
                                LayerTerms, Mask, layer_terms, on_cpu_mask,
                                resident_mask)
+from repro.errors import ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.sublayers import NUM_SUBLAYERS, Stage
@@ -37,8 +42,7 @@ class PolicyDecision:
     """The winning policy for one (stage, B, L) point.
 
     ``layer``, the winner's per-sublayer view, is built by
-    ``build_layer`` on first read: most callers (the scheduler's
-    re-solves, the Fig. 9 threshold bisections) read only ``policy``.
+    ``build_layer`` on first read: most callers read only ``policy``.
     Equality and hashing cover ``(stage, policy, layer_time, layer)``,
     as for a frozen dataclass of those four fields.
     """
@@ -106,35 +110,158 @@ def stage_layer_time(layer: Layer, stage: Stage,
     return overlapped_layer_time(layer, minibatches=1)
 
 
+#: One sublayer's share of a firing mask in :func:`candidate_scores`:
+#: ``None`` where it never fires, ``True`` where it always does, else
+#: 0.0/1.0 over the policy bits it varies on (length 1 on the others).
+_Select = Union[None, bool, np.ndarray]
+#: The candidate axes: one per policy bit, ``p_1`` first, so C order
+#: over them is ``OffloadPolicy.all_policies()`` order.
+_BITS = (2,) * NUM_SUBLAYERS
+
+
+def _fold_plans() -> Dict[Tuple[Stage, bool, bool],
+                          Tuple[Tuple[_Select, ...], ...]]:
+    """Per ``ALL_FIRING`` key, the on-CPU, on-GPU and five firing masks
+    of the 64 candidates, each cut per sublayer to the bits it varies
+    on (:data:`_Select`).  Masks shared by several keys are cut once."""
+    masks = [ALL_ON_CPU, ~ALL_ON_CPU] + [
+        mask for fired in ALL_FIRING.values() for mask in fired]
+    seen: Dict[bytes, int] = {}
+    index = [seen.setdefault(mask.tobytes(), len(seen)) for mask in masks]
+    # (distinct mask, sublayer, candidate).
+    table = np.stack([masks[index.index(i)].T for i in range(len(seen))])
+    # Candidates c and c ^ (32 >> k) differ in bit k alone.
+    flip = np.arange(64) ^ (32 >> np.arange(NUM_SUBLAYERS))[:, np.newaxis]
+    varies = (np.take(table, flip, axis=-1)
+              != table[:, :, np.newaxis]).any(axis=-1)
+    bits = table.reshape(table.shape[:2] + _BITS + (1,)).astype(float)
+    cuts = (slice(0, 1), slice(None))
+
+    def cut(i: int, j: int, some: bool, every: bool) -> _Select:
+        if not some:
+            return None
+        if every:
+            return True
+        return bits[i, j][tuple(cuts[k] for k in varies[i, j].tolist())]
+
+    rows = [tuple(cut(i, j, some, every) for j, (some, every)
+                  in enumerate(zip(*flags)))
+            for i, flags in enumerate(zip(table.any(axis=-1).tolist(),
+                                          table.all(axis=-1).tolist()))]
+    return {key: tuple(rows[index[i]] for i in
+                       (0, 1, *range(2 + 5 * n, 7 + 5 * n)))
+            for n, key in enumerate(ALL_FIRING)}
+
+
+_FOLD_PLANS = _fold_plans()
+
+
+def _select(column: np.ndarray, fires: _Select) -> Optional[np.ndarray]:
+    """``column * mask`` (``None`` for an all-0.0 product), as
+    :meth:`LayerTerms.fired_sums` multiplies: ``t * 1.0 == t`` and
+    ``t * 0.0 == 0.0`` for the finite times >= 0 of a term table."""
+    if fires is None:
+        return None
+    if fires is True:
+        return column
+    return column * fires
+
+
+def _add(total: Optional[np.ndarray],
+         term: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``total + term``, where ``None`` is an exact 0.0 (adding 0.0 to
+    a sum of times >= 0 leaves it unchanged)."""
+    if total is None:
+        return term
+    if term is None:
+        return total
+    return total + term
+
+
+def _fold(products: Iterable[Optional[np.ndarray]]
+          ) -> Optional[np.ndarray]:
+    """The left-to-right sum of ``products`` (``None`` is 0.0)."""
+    return reduce(_add, products, None)
+
+
+def candidate_scores(terms: LayerTerms,
+                     weights_resident: bool = False) -> np.ndarray:
+    """The Eq. (1) objective of all 64 candidates at every grid point
+    of ``terms``: a ``(64, *grid)`` table, candidates in
+    ``OffloadPolicy.all_policies()`` order.
+
+    Folds the sublayers left to right over a ``(2,) * 6 + (N,)``
+    broadcast of the policy bits.  Sublayer ``j``'s terms vary only
+    with the bits their firing masks vary on: ``p_j``, plus at most
+    ``p_{j-1}`` (``p_0 = p_6``), its residual source's bit and ``p_1``
+    (prefill's KV load).  So each partial sum is computed once per
+    distinct bit prefix, not once per candidate.  Every candidate sees
+    the same products and adds, in the same order, as
+    :meth:`LayerTerms.fired_sums` with ``ALL_FIRING``, and the
+    objective is :func:`serial_layer_time`'s: every score is
+    bit-identical to the scalar scan's.
+    """
+    on_cpu, on_gpu, fires_x, fires_y, fires_r, fires_store, prefetch = (
+        _FOLD_PLANS[terms.stage, terms.kv_resident, weights_resident])
+    grid = terms.comp_cpu.shape[:-1]
+    points = int(np.prod(grid))
+    # (sublayer, point) views of the six time tables.
+    comp_cpu, comp_gpu, load_x, load_y, load_r, store = (
+        table.reshape(points, NUM_SUBLAYERS).T
+        for table in (terms.comp_cpu, terms.comp_gpu, terms.load_x,
+                      terms.load_y, terms.load_r, terms.store))
+    cpu = _fold(map(_select, comp_cpu, on_cpu))
+    gpu = _fold(map(_select, comp_gpu, on_gpu))
+    # Every candidate's compute differs, so ``total`` is a fresh table
+    # over every candidate axis, and the transfer sums are added to it
+    # in place; the compute folds are freed before those are built.
+    assert cpu is not None and gpu is not None
+    total = cpu + gpu
+    del cpu, gpu
+    transfer: Optional[np.ndarray] = None
+    prefetchable: Optional[np.ndarray] = None
+    for j in range(NUM_SUBLAYERS):
+        t_load_y = _select(load_y[j], fires_y[j])
+        t_load = _add(_add(_select(load_x[j], fires_x[j]), t_load_y),
+                      _select(load_r[j], fires_r[j]))
+        transfer = _add(transfer, _add(t_load, _select(store[j],
+                                                       fires_store[j])))
+        if t_load_y is not None:
+            prefetchable = _add(prefetchable,
+                                _select(t_load_y, prefetch[j]))
+    # serial_layer_time: compute + dependent + prefetchable transfer.
+    assert transfer is not None
+    if prefetchable is None:
+        total += transfer
+    else:
+        total += transfer - prefetchable
+        total += prefetchable
+    return total.reshape((len(ALL_POLICIES),) + grid)
+
+
 def search_grid(terms: LayerTerms, config: LiaConfig,
                 weights_resident: bool = False) -> PolicyGrid:
     """Solve Eq. (1) at every grid point of ``terms``.
 
-    Every candidate — the 64 policies, or the one
-    ``config.forced_*_policy`` pins so the ablation harness can fix
-    FlexGen's policy — is scored at every point by one masked gather;
-    each point's first minimum wins, as in a scan over
-    ``OffloadPolicy.all_policies()``.
+    Every candidate — the 64 policies (:func:`candidate_scores`), or
+    the one ``config.forced_*_policy`` pins so the ablation harness can
+    fix FlexGen's policy — is scored at every point; each point's
+    first minimum wins, as in a scan over
+    ``OffloadPolicy.all_policies()``.  Eq. (1)/(2) scores the *serial*
+    layer latency; overlap is an execution-time optimization, not part
+    of the objective — that is what keeps Fig. 9's B=1 decode region
+    full-CPU.
     """
     forced = _forced_policy(terms.stage, config)
-    candidates: Tuple[OffloadPolicy, ...] = ALL_POLICIES
-    on_cpu = ALL_ON_CPU
     if forced is None:
-        fired = ALL_FIRING[terms.stage, terms.kv_resident,
-                           weights_resident]
+        candidates: Tuple[OffloadPolicy, ...] = ALL_POLICIES
+        on_cpu = ALL_ON_CPU
+        times = candidate_scores(terms, weights_resident)
     else:
         candidates = (forced,)
         on_cpu = on_cpu_mask(forced)[np.newaxis]
-        fired = terms.firing(on_cpu, resident_mask(weights_resident))
-    # Candidates lead, ahead of the table's grid axes.
-    shape = ((len(candidates),) + (1,) * (terms.comp_cpu.ndim - 1)
-             + (NUM_SUBLAYERS,))
-    # Eq. (1)/(2) scores the *serial* layer latency; overlap is an
-    # execution-time optimization, not part of the objective — that
-    # is what keeps Fig. 9's B=1 decode region full-CPU.
-    times = np.asarray(serial_layer_time(terms.fired_sums(
-        on_cpu.reshape(shape),
-        tuple(mask.reshape(shape) for mask in fired))))
+        times = np.asarray(serial_layer_time(terms.sums(
+            on_cpu[0], resident_mask(weights_resident))))[np.newaxis]
     # The minimum is the first minimum's own value.
     return PolicyGrid(
         candidates=candidates, on_cpu=on_cpu,
@@ -197,6 +324,71 @@ def policy_map(spec: ModelSpec, stage: Stage, batch_sizes: Sequence[int],
             for j, context_len in enumerate(lengths)}
 
 
+#: Halvings whose midpoints one probe table holds: 2**6 - 1 points.
+_PROBE_DEPTH = 6
+
+
+def _midpoints(low: int, high: int, depth: int) -> List[int]:
+    """Every midpoint the next ``depth`` halvings of ``(low, high)``
+    could visit."""
+    if depth == 0 or high - low <= 1:
+        return []
+    mid = (low + high) // 2
+    return ([mid] + _midpoints(low, mid, depth - 1)
+            + _midpoints(mid, high, depth - 1))
+
+
+def _bisect(full_cpu: Callable[[np.ndarray], List[bool]], lo: int,
+            hi: int) -> Tuple[int, int]:
+    """``(answer, probes)`` of the bisection that returns ``lo`` where
+    ``lo`` is not full-CPU, ``hi`` where ``hi`` is, and else the first
+    point of the halving walk's final ``(low, high]`` bracket.
+
+    ``full_cpu`` answers a table of points at once.  Each table holds
+    every midpoint the next :data:`_PROBE_DEPTH` halvings could visit
+    (the first one ``lo`` and ``hi`` too), and the walk takes the same
+    halvings as a one-probe-at-a-time loop, so the answer is the
+    loop's even where ``full_cpu`` is not monotone.  ``probes`` counts
+    the points the walk reads, the loop's searches.
+    """
+    answers: Dict[int, bool] = {}
+
+    def solve(points: List[int]) -> None:
+        answers.update(zip(points, full_cpu(np.array(points))))
+
+    solve([lo, hi] + _midpoints(lo, hi, _PROBE_DEPTH))
+    if not answers[lo]:
+        return lo, 1
+    if answers[hi]:
+        return hi, 2
+    low, high, probes = lo, hi, 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if mid not in answers:
+            solve(_midpoints(low, high, _PROBE_DEPTH))
+        probes += 1
+        if answers[mid]:
+            low = mid
+        else:
+            high = mid
+    return high, probes
+
+
+def _full_cpu(spec: ModelSpec, stage: Stage, batch_size: Real,
+              context_len: Real, system: SystemConfig,
+              config: LiaConfig) -> List[bool]:
+    """Whether the Eq. (1) winner is full-CPU at each point of one
+    table (one of ``batch_size`` and ``context_len`` an array)."""
+    terms = layer_terms(spec, stage, batch_size, context_len, system,
+                        config)
+    return search_grid(terms, config).winners_on_cpu.all(axis=-1).tolist()
+
+
+def _check_bounds(lo: int, hi: int) -> None:
+    if lo > hi:
+        raise ConfigurationError(f"lo must be <= hi, got lo={lo}, hi={hi}")
+
+
 def decode_policy_threshold(spec: ModelSpec, system: SystemConfig,
                             config: LiaConfig, context_len: int = 512,
                             lo: int = 1, hi: int = 4096) -> int:
@@ -204,25 +396,16 @@ def decode_policy_threshold(spec: ModelSpec, system: SystemConfig,
 
     §7.1 reports this threshold at B = 858 for OPT-175B on SPR-A100
     and shows it is independent of L.  Found by bisection on "policy
-    is full-CPU".
+    is full-CPU" (:func:`_bisect`), one Eq. (1) search counted per
+    probe.  Raises :class:`ConfigurationError` when ``lo > hi``.
     """
-    def full_cpu(batch_size: int) -> bool:
-        decision = optimal_policy(spec, Stage.DECODE, batch_size,
-                                  context_len, system, config)
-        return decision.policy.all_cpu
-
-    if not full_cpu(lo):
-        return lo
-    if full_cpu(hi):
-        return hi
-    low, high = lo, hi
-    while high - low > 1:
-        mid = (low + high) // 2
-        if full_cpu(mid):
-            low = mid
-        else:
-            high = mid
-    return high
+    _check_bounds(lo, hi)
+    threshold, probes = _bisect(
+        lambda batch_sizes: _full_cpu(spec, Stage.DECODE, batch_sizes,
+                                      context_len, system, config),
+        lo, hi)
+    count_searches(Stage.DECODE, config, probes)
+    return threshold
 
 
 def prefill_policy_transition(spec: ModelSpec, system: SystemConfig,
@@ -230,31 +413,23 @@ def prefill_policy_transition(spec: ModelSpec, system: SystemConfig,
                               lo: int = 1, hi: int = 65536) -> int:
     """The B*L product where prefill flips away from full-CPU (§7.1
     reports BL ~ 850 for OPT-175B on SPR-A100).  Searches over L for a
-    fixed B.
+    fixed B, by the same bisection as :func:`decode_policy_threshold`.
 
     Every return path yields a consistent ``B * L`` product for an L
     actually probed (the bounds floor to ``max(lo // B, 1)`` and
     ``max(hi // B, 1)``), so for non-divisible batch sizes the result
     is always a multiple of ``batch_size`` and never exceeds ``hi``
     (unless ``hi < batch_size``, where ``B * 1`` is the smallest
-    representable product).
+    representable product).  Raises :class:`ConfigurationError` when
+    ``batch_size < 1`` or ``lo > hi``.
     """
-    def full_cpu(context_len: int) -> bool:
-        decision = optimal_policy(spec, Stage.PREFILL, batch_size,
-                                  context_len, system, config)
-        return decision.policy.all_cpu
-
-    lo_len = max(lo // batch_size, 1)
-    hi_len = max(hi // batch_size, 1)
-    if not full_cpu(lo_len):
-        return lo_len * batch_size
-    if full_cpu(hi_len):
-        return hi_len * batch_size
-    low, high = lo_len, hi_len
-    while high - low > 1:
-        mid = (low + high) // 2
-        if full_cpu(mid):
-            low = mid
-        else:
-            high = mid
-    return high * batch_size
+    if batch_size < 1:
+        raise ConfigurationError(
+            f"batch_size must be >= 1, got {batch_size}")
+    _check_bounds(lo, hi)
+    length, probes = _bisect(
+        lambda context_lens: _full_cpu(spec, Stage.PREFILL, batch_size,
+                                       context_lens, system, config),
+        max(lo // batch_size, 1), max(hi // batch_size, 1))
+    count_searches(Stage.PREFILL, config, probes)
+    return length * batch_size

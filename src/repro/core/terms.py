@@ -7,10 +7,11 @@ pass over a trailing sublayer axis: the Table 1 costs arrive as
 ``(..., 6)`` arrays, and what differs between sublayers (matmul kind,
 slow memory tier, second-operand home, residual input) enters as
 constant ``(6,)`` vectors.  :meth:`LayerTerms.sums` scores one policy,
-or all 64 at once, by a masked gather.  ``B`` and ``L`` may be arrays
-that broadcast together (one ``L`` per decode step, or a whole
-``(B, L)`` grid), so a decode stage or a step-time profile is one
-table.  Sums fold the sublayers left to right, as
+or a stack of them, by a masked gather; the Eq. (1) search scores all
+64 with :func:`~repro.core.optimizer.candidate_scores`.  ``B`` and
+``L`` may be arrays that broadcast together (one ``L`` per decode
+step, or a whole ``(B, L)`` grid), so a decode stage or a step-time
+profile is one table.  Sums fold the sublayers left to right, as
 :class:`~repro.core.latency.LayerLatency` adds them, and an unfired
 term adds an exact 0.0: results are bit-identical to evaluating one
 policy at one ``(B, L)``.
@@ -58,6 +59,8 @@ _RESIDUAL = np.array([int(RESIDUAL_SOURCE.get(sub, sub)) - 1
                       for sub in Sublayer])
 #: Sublayers with an Eq. (6) residual input (4 and 6).
 _HAS_RESIDUAL: Mask = np.array([sub in RESIDUAL_SOURCE for sub in Sublayer])
+#: The one sublayer with an Eq. (9) store: QKV mapping emits the K/V.
+_STORES_KV: Mask = np.array([sub is Sublayer.QKV_MAPPING for sub in Sublayer])
 #: No sublayer: prefill runs every matmul as a GEMM.
 _NO_SUBLAYER: Mask = np.zeros(NUM_SUBLAYERS, dtype=bool)
 
@@ -67,7 +70,7 @@ ALL_POLICIES: Tuple[OffloadPolicy, ...] = tuple(OffloadPolicy.all_policies())
 ALL_ON_CPU: Mask = np.array([policy.bits for policy in ALL_POLICIES],
                             dtype=bool)
 # Shared by every caller in the process: read-only.
-for _mask in (_HAS_RESIDUAL, _NO_SUBLAYER, ALL_ON_CPU):
+for _mask in (_HAS_RESIDUAL, _STORES_KV, _NO_SUBLAYER, ALL_ON_CPU):
     _mask.setflags(write=False)
 
 
@@ -105,7 +108,7 @@ def firing(stage: Stage, kv_resident: bool, on_cpu: Mask,
     return (on_cpu != on_cpu[..., _PREVIOUS],
             np.where(USES_PARAMETERS, streamed, kv_load),
             on_cpu != on_cpu[..., _RESIDUAL],
-            on_cpu == kv_resident,
+            _STORES_KV & (on_cpu == kv_resident),
             streamed)
 
 

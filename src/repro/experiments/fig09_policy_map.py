@@ -32,9 +32,9 @@ def run(model: str = "opt-175b",
     """Policy-map rows plus the two transition thresholds per system.
 
     Each (system, stage) grid is one :func:`policy_map` call — one
-    term table and one Eq. (1) grid search; the bisection thresholds
-    are sequential one-point searches (each probe depends on the
-    last).
+    term table and one Eq. (1) grid search.  Each bisection threshold
+    solves its probes in a few term tables, each holding every
+    midpoint the next halvings could visit.
     """
     spec = get_model(model)
     result = ExperimentResult(

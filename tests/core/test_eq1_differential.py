@@ -1,17 +1,18 @@
 """Array-native Eq. (1) search and decode sums vs the scalar oracle.
 
 ``optimal_policy`` and ``search_grid`` score all 64 candidates from one
-term table (one point, or a whole ``(B, L)`` grid), the LIA and FlexGen
-estimators sum every decode step as one array, their
+term table (one point, or a whole ``(B, L)`` grid) with the prefix-fold
+kernel ``candidate_scores``, the LIA and FlexGen estimators sum every
+decode step as one array, their
 ``estimate_many`` estimates a request list from one prefill and one
 decode table, and ``LiaEstimator.decode_step_times`` evaluates a
 ``(B, L)`` grid of decode steps from one broadcast table.  All must be
 bit-identical to the one-policy, one-step loops of
 ``tests/oracles/eq1_scalar.py`` (or, for the step grid and the
 batches, to per-point ``estimate`` calls): the winning policy, its
-``layer_time`` and per-sublayer ``LayerLatency``, and all four
-``StageBreakdown`` components, over models, systems and configurations
-that exercise every branch of Eqs. (4)-(9).
+``layer_time`` and per-sublayer ``LayerLatency``, every candidate's
+score, and all four ``StageBreakdown`` components, over models,
+systems and configurations that exercise every branch of Eqs. (4)-(9).
 """
 
 from dataclasses import replace
@@ -30,7 +31,7 @@ from repro.core.estimator import (
     host_overflows,
     sum_steps,
 )
-from repro.core.optimizer import optimal_policy, search_grid
+from repro.core.optimizer import candidate_scores, optimal_policy, search_grid
 from repro.core.policy import FULL_CPU, FULL_GPU, PARTIAL_CPU
 from repro.core.terms import layer_terms
 from repro.errors import CapacityError, ConfigurationError
@@ -319,6 +320,46 @@ def test_every_table_element_matches_scalar_terms(
             _bits(table),
             _bits([[[getattr(cost, name) for cost in row] for row in grid]
                    for grid in costs])), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(model=model_names, system=system_names, config=config_names,
+       stage=st.sampled_from(list(Stage)), batch=batch_sizes,
+       length=context_lens, kv_resident=st.booleans(),
+       weights_resident=st.booleans())
+def test_every_candidate_score_matches_scalar_scan(
+        model, system, config, stage, batch, length, kv_resident,
+        weights_resident):
+    """All 64 scores of the prefix-fold kernel, not only the winner,
+    equal the scalar scan's serial layer times as uint64s."""
+    args = (MODELS[model], stage, batch, length, SYSTEMS[system],
+            CONFIGS[config])
+    terms = layer_terms(*args, kv_resident=kv_resident)
+    scores = candidate_scores(terms, weights_resident)
+    assert scores.shape == (64,)
+    expected = eq1_scalar.candidate_scores(
+        *args, weights_resident=weights_resident, kv_resident=kv_resident)
+    assert np.array_equal(_bits(scores), _bits(expected))
+
+
+@pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)
+@pytest.mark.parametrize("kv_resident", [False, True])
+@pytest.mark.parametrize("weights_resident", [False, True])
+def test_1024_point_table_matches_masked_products(stage, kv_resident,
+                                                  weights_resident):
+    """A 32 x 32 (B, L) table scores bit for bit as the all-candidate
+    masked-product reference does, every candidate at every point."""
+    rng = np.random.default_rng(1024)
+    batches = rng.integers(1, 2048, 32)[:, np.newaxis]
+    lengths = rng.integers(1, 4096, 32)[np.newaxis, :]
+    terms = layer_terms(MODELS["opt-175b"], stage, batches, lengths,
+                        SYSTEMS["spr-a100+cxl2"], CONFIGS["kv-window"],
+                        kv_resident=kv_resident)
+    scores = candidate_scores(terms, weights_resident)
+    assert scores.shape == (64, 32, 32)
+    assert np.array_equal(
+        _bits(scores),
+        _bits(eq1_scalar.masked_product_scores(terms, weights_resident)))
 
 
 def _per_point_decode_steps(estimator, batches, lengths):

@@ -10,13 +10,23 @@ Eq. (8) roofline (:func:`matmul_time`) and the PCIe link
 one-pass sublayer-axis table is checked against code it does not share.
 The library's table-driven path must agree with this module bit for
 bit (``tests/core/test_eq1_differential.py``).
+
+Two more references stand for library code that was replaced: the
+all-candidate ``(64, *grid, 6)`` masked-product scoring that
+``search_grid`` used before its prefix-fold kernel
+(:func:`masked_product_scores`), and the §7.1 threshold bisections as
+loops of one-point ``optimal_policy`` probes
+(:func:`decode_policy_threshold`, :func:`prefill_policy_transition`).
 """
 
 from __future__ import annotations
 
 from typing import Collection, List, Optional, Tuple
 
+import numpy as np
+
 from repro.baselines.flexgen import FlexGenEstimator
+from repro.core import optimizer
 from repro.core.config import KvCachePlacement, LiaConfig, WeightPlacement
 from repro.core.estimator import LiaEstimator, StageBreakdown
 from repro.core.gpu_residency import plan_layer_residency
@@ -25,7 +35,10 @@ from repro.core.optimizer import PolicyDecision, stage_layer_time
 from repro.core.overlap import serial_layer_time
 from repro.core.policy import FULL_GPU, OffloadPolicy
 from repro.core.terms import (
+    ALL_FIRING,
+    ALL_ON_CPU,
     BOUNDARY_SYNC_LATENCY,
+    LayerTerms,
     cpu_engine,
     pool_bandwidth,
 )
@@ -291,6 +304,72 @@ def layer_latency(spec: ModelSpec, stage: Stage, policy: OffloadPolicy,
             bytes_store=cost.d_kv_out if store_fires else 0.0))
     return LayerLatency(stage=stage, policy=policy,
                         sublayers=tuple(parts))
+
+
+def candidate_scores(spec: ModelSpec, stage: Stage, batch_size: int,
+                     context_len: int, system: SystemConfig,
+                     config: LiaConfig, weights_resident: bool = False,
+                     kv_resident: bool = False) -> List[float]:
+    """The 64 candidates' serial layer latencies at one ``(B, L)``, in
+    ``OffloadPolicy.all_policies()`` order: the Eq. (1) objective the
+    scan minimizes."""
+    return [serial_layer_time(layer_latency(
+        spec, stage, policy, batch_size, context_len, system, config,
+        weights_resident=weights_resident, kv_resident=kv_resident))
+        for policy in OffloadPolicy.all_policies()]
+
+
+def masked_product_scores(terms: LayerTerms,
+                          weights_resident: bool = False) -> np.ndarray:
+    """``(64, *grid)`` candidate scores of ``terms`` from one masked
+    product per candidate, grid point and sublayer: the 64 on-CPU
+    masks and their ``ALL_FIRING`` masks lead the table's grid axes,
+    and ``LayerTerms.fired_sums`` folds each candidate's products."""
+    shape = ((len(ALL_ON_CPU),) + (1,) * (terms.comp_cpu.ndim - 1)
+             + (ALL_ON_CPU.shape[1],))
+    fired = ALL_FIRING[terms.stage, terms.kv_resident, weights_resident]
+    return np.asarray(serial_layer_time(terms.fired_sums(
+        ALL_ON_CPU.reshape(shape),
+        tuple(mask.reshape(shape) for mask in fired))))
+
+
+def _bisect(full_cpu, lo: int, hi: int) -> int:
+    """The §7.1 bisection, one probe at a time."""
+    if not full_cpu(lo):
+        return lo
+    if full_cpu(hi):
+        return hi
+    low, high = lo, hi
+    while high - low > 1:
+        mid = (low + high) // 2
+        if full_cpu(mid):
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+def decode_policy_threshold(spec: ModelSpec, system: SystemConfig,
+                            config: LiaConfig, context_len: int = 512,
+                            lo: int = 1, hi: int = 4096) -> int:
+    """``optimizer.decode_policy_threshold`` as a loop of one-point
+    ``optimal_policy`` probes (each counts one search)."""
+    return _bisect(
+        lambda batch_size: optimizer.optimal_policy(
+            spec, Stage.DECODE, batch_size, context_len, system,
+            config).policy.all_cpu, lo, hi)
+
+
+def prefill_policy_transition(spec: ModelSpec, system: SystemConfig,
+                              config: LiaConfig, batch_size: int = 1,
+                              lo: int = 1, hi: int = 65536) -> int:
+    """``optimizer.prefill_policy_transition`` as a loop of one-point
+    ``optimal_policy`` probes over L (each counts one search)."""
+    return batch_size * _bisect(
+        lambda context_len: optimizer.optimal_policy(
+            spec, Stage.PREFILL, batch_size, context_len, system,
+            config).policy.all_cpu,
+        max(lo // batch_size, 1), max(hi // batch_size, 1))
 
 
 def optimal_policy(spec: ModelSpec, stage: Stage, batch_size: int,
