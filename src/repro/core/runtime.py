@@ -15,7 +15,7 @@ execution back-ends this reproduction provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -143,24 +143,32 @@ class LiaRuntime:
                  else request.output_len)
         n_resident = round(plan.residency.resident_fraction * depth)
 
-        def layers_for(stage: Stage, context_len: int):
-            # The estimator's policies, chosen at L_in per residency.
-            layers = []
-            for weights_resident in (False, True):
-                policy = optimal_policy(
-                    self.spec, stage, request.batch_size,
-                    request.input_len, self.system, self.config,
-                    weights_resident=weights_resident).policy
-                layers.append(layer_latency(
-                    self.spec, stage, policy, request.batch_size,
-                    context_len, self.system, self.config,
-                    weights_resident=weights_resident))
-            streamed, resident = layers
+        def policies_for(stage: Stage) -> List[OffloadPolicy]:
+            # The estimator's policies, chosen at L_in per residency
+            # (streamed, then resident): one search each per stage.
+            return [optimal_policy(
+                self.spec, stage, request.batch_size, request.input_len,
+                self.system, self.config,
+                weights_resident=weights_resident).policy
+                for weights_resident in (False, True)]
+
+        def layers_for(stage: Stage, policies: List[OffloadPolicy],
+                       context_len: int):
+            streamed, resident = (
+                layer_latency(self.spec, stage, policy, request.batch_size,
+                              context_len, self.system, self.config,
+                              weights_resident=weights_resident)
+                for policy, weights_resident in zip(policies,
+                                                    (False, True)))
             return [resident if index < n_resident else streamed
                     for index in range(depth)]
 
-        prefill_layers = layers_for(Stage.PREFILL, request.input_len)
-        decode_layers = [layers_for(Stage.DECODE, request.input_len + step)
+        prefill_layers = layers_for(Stage.PREFILL,
+                                    policies_for(Stage.PREFILL),
+                                    request.input_len)
+        decode_policies = policies_for(Stage.DECODE)
+        decode_layers = [layers_for(Stage.DECODE, decode_policies,
+                                    request.input_len + step)
                          for step in range(steps)]
         minibatches = (self.config.prefill_minibatches
                        if self.config.overlap else 1)

@@ -31,9 +31,10 @@ from repro.errors import ConfigurationError
 from repro.hardware.roofline import ComputeEngine
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
-from repro.models.sublayers import (NUM_SUBLAYERS, RESIDUAL_SOURCE,
-                                    USES_KV_CACHE, USES_PARAMETERS, Stage,
-                                    Sublayer, SublayerCosts, sublayer_costs)
+from repro.models.sublayers import (KV_STORE_SUBLAYERS, NUM_SUBLAYERS,
+                                    RESIDUAL_SOURCE, USES_KV_CACHE,
+                                    USES_PARAMETERS, Stage, Sublayer,
+                                    SublayerCosts, sublayer_costs)
 from repro.units import us
 
 #: Boolean ``(..., 6)`` masks and float64 ``(..., 6)`` term tables.
@@ -59,8 +60,6 @@ _RESIDUAL = np.array([int(RESIDUAL_SOURCE.get(sub, sub)) - 1
                       for sub in Sublayer])
 #: Sublayers with an Eq. (6) residual input (4 and 6).
 _HAS_RESIDUAL: Mask = np.array([sub in RESIDUAL_SOURCE for sub in Sublayer])
-#: The one sublayer with an Eq. (9) store: QKV mapping emits the K/V.
-_STORES_KV: Mask = np.array([sub is Sublayer.QKV_MAPPING for sub in Sublayer])
 #: No sublayer: prefill runs every matmul as a GEMM.
 _NO_SUBLAYER: Mask = np.zeros(NUM_SUBLAYERS, dtype=bool)
 
@@ -70,7 +69,7 @@ ALL_POLICIES: Tuple[OffloadPolicy, ...] = tuple(OffloadPolicy.all_policies())
 ALL_ON_CPU: Mask = np.array([policy.bits for policy in ALL_POLICIES],
                             dtype=bool)
 # Shared by every caller in the process: read-only.
-for _mask in (_HAS_RESIDUAL, _STORES_KV, _NO_SUBLAYER, ALL_ON_CPU):
+for _mask in (_HAS_RESIDUAL, _NO_SUBLAYER, ALL_ON_CPU):
     _mask.setflags(write=False)
 
 
@@ -108,7 +107,7 @@ def firing(stage: Stage, kv_resident: bool, on_cpu: Mask,
     return (on_cpu != on_cpu[..., _PREVIOUS],
             np.where(USES_PARAMETERS, streamed, kv_load),
             on_cpu != on_cpu[..., _RESIDUAL],
-            _STORES_KV & (on_cpu == kv_resident),
+            KV_STORE_SUBLAYERS & (on_cpu == kv_resident),
             streamed)
 
 

@@ -116,10 +116,15 @@ class SublayerCost:
 #: operand is model weights (1, 4, 5, 6), and the KV-cache ones (2, 3).
 USES_PARAMETERS = np.array([sub.uses_parameters for sub in Sublayer])
 USES_KV_CACHE = ~USES_PARAMETERS
+#: The sublayers that emit KV cache, the Eq. (9) store: QKV mapping
+#: alone.  Every other column of ``d_kv_out`` is 0.0.
+KV_STORE_SUBLAYERS = np.array([sub is Sublayer.QKV_MAPPING
+                               for sub in Sublayer])
 _SCORE = np.array([sub is Sublayer.ATTENTION_SCORE for sub in Sublayer])
 _CONTEXT = np.array([sub is Sublayer.ATTENTION_CONTEXT for sub in Sublayer])
 # Shared by every caller in the process: read-only.
-for _mask in (USES_PARAMETERS, USES_KV_CACHE, _SCORE, _CONTEXT):
+for _mask in (USES_PARAMETERS, USES_KV_CACHE, KV_STORE_SUBLAYERS,
+              _SCORE, _CONTEXT):
     _mask.setflags(write=False)
 
 #: Column of each sublayer's successor (sublayer 6 -> 1).
@@ -245,10 +250,11 @@ def sublayer_costs(spec: ModelSpec, stage: Stage, batch_size: Real,
            * np.where(USES_KV_CACHE, length,
                       (qkv_weights, 0.0, 0.0, d, stored[0], stored[1]))
            * np.array((1.0, kv, kv, d, 1.0, 1.0)))
-    # Only sublayer 1 emits KV cache; decode's depends on B alone.
+    # Only KV_STORE_SUBLAYERS emit KV cache; decode's depends on B
+    # alone.
     d_kv_out = expand_to(
-        ((np.array((2.0 * e, 0.0, 0.0, 0.0, 0.0, 0.0)) * b) * t)
-        * np.array((kv, 1.0, 1.0, 1.0, 1.0, 1.0)), shape)
+        ((np.where(KV_STORE_SUBLAYERS, 2.0 * e, 0.0) * b) * t)
+        * np.where(KV_STORE_SUBLAYERS, kv, 1.0), shape)
     return SublayerCosts(stage, d_x=d_x, d_y=d_y, flops=flops,
                          d_kv_out=d_kv_out)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.models.sublayers import (
+    KV_STORE_SUBLAYERS,
     NUM_SUBLAYERS,
     RESIDUAL_SOURCE,
     Stage,
@@ -11,6 +12,7 @@ from repro.models.sublayers import (
     decoder_layer_costs,
     ops_per_byte_heatmap,
     sublayer_cost,
+    sublayer_costs,
 )
 from repro.models.zoo import get_model
 
@@ -190,6 +192,15 @@ def test_gqa_kv_costs_shrink():
     # KV operand is kv_dim-wide, 8x smaller than d_model for Llama 2.
     assert cost.d_y == 2 * B * L * llama.kv_dim
     assert llama.kv_dim * 8 == llama.d_model
+
+
+@pytest.mark.parametrize("model", ["opt-30b", "llama2-70b", "opt-moe-8x30b"])
+@pytest.mark.parametrize("stage", list(Stage))
+def test_kv_store_sublayers_are_the_kv_bytes(model, stage):
+    # The Eq. (9) store fires only on KV_STORE_SUBLAYERS: exactly the
+    # columns with KV bytes to store.
+    costs = sublayer_costs(get_model(model), stage, B, L)
+    assert ((costs.d_kv_out != 0.0) == KV_STORE_SUBLAYERS).all()
 
 
 def test_invalid_inputs_rejected(spec):
