@@ -694,23 +694,29 @@ def _scheduler_config(args: argparse.Namespace,
                       estimator: LiaEstimator):
     """``serve``'s continuous-batching config.  A ``--kv-*-gb``
     override replaces its own tier only; the others keep the budgets
-    derived from the system."""
+    derived from the system.  ``--kv-unbounded`` lifts every budget."""
     import dataclasses
 
-    from repro.serving.scheduler import (ContinuousBatchScheduler,
-                                         SchedulerConfig)
+    from repro.cxl.residency import (KvTierCapacities,
+                                     kv_capacities_from_system)
+    from repro.serving.scheduler import SchedulerConfig
 
     given = {f"{tier}_bytes": getattr(args, f"kv_{tier}_gb") * 1e9
              for tier in ("hbm", "ddr", "cxl")
              if getattr(args, f"kv_{tier}_gb") > 0.0}
     kv_capacities = None
-    if given:
-        derived = ContinuousBatchScheduler(
-            estimator)._resolve_capacities()
-        kv_capacities = dataclasses.replace(derived, **given)
+    if args.kv_unbounded:
+        if given:
+            raise ConfigurationError(
+                "--kv-unbounded disables the KV budgets; drop "
+                "--kv-*-gb or --kv-unbounded")
+        kv_capacities = KvTierCapacities.unbounded()
+    elif given:
+        kv_capacities = dataclasses.replace(
+            kv_capacities_from_system(estimator.spec, estimator.system),
+            **given)
     return SchedulerConfig(max_batch_requests=args.max_batch,
-                           join=args.join, kv_capacities=kv_capacities,
-                           kv_unbounded=bool(args.kv_unbounded))
+                           join=args.join, kv_capacities=kv_capacities)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

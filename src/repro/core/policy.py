@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from repro.errors import PolicyError
 from repro.models.sublayers import NUM_SUBLAYERS, Sublayer
@@ -45,11 +45,6 @@ class OffloadPolicy:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "OffloadPolicy":
-        """Build from an iterable of six 0/1 values, p_1 first."""
-        return cls(tuple(int(b) for b in bits))
-
     @classmethod
     def from_string(cls, text: str) -> "OffloadPolicy":
         """Parse e.g. ``"011000"`` (p_1 ... p_6)."""

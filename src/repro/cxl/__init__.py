@@ -4,10 +4,9 @@
   transfer bandwidth vs. data size and interleaving width
   (Observation-1), and AMX throughput degradation when operands live
   in CXL (Observation-2).
-* :mod:`repro.cxl.allocator` — byte-accurate placement of named
-  allocations across DDR and CXL pools.
 * :mod:`repro.cxl.tiering` — the memory-offloading policy: all
-  parameters in CXL, KV cache and activations in DDR; DDR savings and
+  parameters in CXL, KV cache and activations in DDR, fit-checked by
+  :func:`~repro.core.estimator.check_host_capacity`; DDR savings and
   the larger feasible batch sizes of Table 3.
 * :mod:`repro.cxl.residency` — per-request KV-cache residency
   accounting across GPU HBM / DDR / CXL for the continuous-batching
@@ -15,7 +14,6 @@
   capacity/conservation invariants.
 """
 
-from repro.cxl.allocator import Allocation, TieredAllocator
 from repro.cxl.bandwidth import (
     cpu_throughput_degradation,
     transfer_bandwidth_series,
@@ -33,8 +31,6 @@ from repro.cxl.tiering import (
 )
 
 __all__ = [
-    "Allocation",
-    "TieredAllocator",
     "cpu_throughput_degradation",
     "transfer_bandwidth_series",
     "CxlTieringPlan",

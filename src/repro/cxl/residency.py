@@ -9,6 +9,9 @@ with room (HBM first, then DDR, then CXL), demotes the *coldest*
 resident request's HBM bytes downward when a new sequence needs the
 fast tier (new sequences are the hot ones — their KV is appended to
 and read every step), and releases everything on completion.
+The tier budgets come from :func:`kv_capacities_from_system`, the
+one place the §6 placement (weights to CXL whenever expanders exist)
+sizes them.
 
 Two invariants hold at every point in time, property-tested in
 ``tests/cxl/test_residency.py``:
@@ -27,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 
@@ -76,49 +79,41 @@ class KvTierCapacities:
 
 #: Fraction of GPU memory the serving stack budgets for KV cache; the
 #: rest holds resident layers and working buffers (Optimization-1).
-DEFAULT_HBM_KV_FRACTION = 0.5
+HBM_KV_FRACTION = 0.5
 
 
-def kv_capacities_from_system(spec: ModelSpec, system: SystemConfig,
-                              weights_in_cxl: Optional[bool] = None,
-                              hbm_kv_fraction: float =
-                              DEFAULT_HBM_KV_FRACTION
-                              ) -> KvTierCapacities:
-    """Derive the per-tier KV budgets of one (model, system) pair.
+def kv_capacities_from_system(spec: ModelSpec,
+                              system: SystemConfig) -> KvTierCapacities:
+    """Derive the per-tier KV budgets of one (model, system) pair under
+    the §6 placement: the weights move to CXL whenever the system has
+    expanders (the scheduler serves large aggregate batches, the
+    regime where Observation-1 makes the CXL hop free).
 
-    * **HBM** — ``hbm_kv_fraction`` of GPU memory (the remainder is
-      resident layers + working buffers under Optimization-1).
-    * **DDR** — CPU memory minus the model weights when they live in
-      DDR (the §6 default), the full pool when CXL holds them.
-    * **CXL** — the interleaved expander pool minus the weights when
-      the §6 offloading policy placed them there; zero without
-      expanders.
-
-    ``weights_in_cxl=None`` applies the §6 prescription: weights move
-    to CXL whenever the system has expanders (the scheduler serves
-    large aggregate batches, the regime where Observation-1 makes the
-    CXL hop free).
+    * **HBM** — :data:`HBM_KV_FRACTION` of GPU memory (the remainder
+      is resident layers + working buffers under Optimization-1).
+    * **DDR** — the full pool with expanders; without them, CPU memory
+      minus the weights (at least 0).
+    * **CXL** — the interleaved expander pool minus the weights; zero
+      without expanders.  Weights larger than the pool raise a
+      :class:`CapacityError`.
     """
-    if not 0.0 <= hbm_kv_fraction <= 1.0:
-        raise ConfigurationError(
-            f"hbm_kv_fraction must be in [0, 1], got {hbm_kv_fraction}")
-    if weights_in_cxl is None:
-        weights_in_cxl = system.has_cxl
-    if weights_in_cxl and not system.has_cxl:
-        raise ConfigurationError(
-            f"{system.name} has no CXL expanders to hold weights; "
-            "use system.with_cxl()")
     weights = float(spec.total_param_bytes)
-    hbm = hbm_kv_fraction * float(system.gpu.memory_capacity)
+    hbm = HBM_KV_FRACTION * float(system.gpu.memory_capacity)
     ddr = float(system.cpu.memory.capacity_bytes)
-    cxl = (float(system.cxl_pool.capacity_bytes)
-           if system.has_cxl else 0.0)
-    if weights_in_cxl:
-        cxl = max(0.0, cxl - weights)
-    else:
-        ddr = max(0.0, ddr - weights)
+    if not system.has_cxl:
+        return KvTierCapacities(hbm_bytes=hbm,
+                                ddr_bytes=max(0.0, ddr - weights),
+                                cxl_bytes=0.0)
+    pool = system.cxl_pool
+    cxl = float(pool.capacity_bytes)
+    if weights > cxl:
+        raise CapacityError(
+            f"{system.name}: {spec.name} weights need "
+            f"{weights / 2**30:.1f} GiB but CXL has "
+            f"{cxl / 2**30:.1f} GiB",
+            requested=weights, available=cxl, device=pool.name)
     return KvTierCapacities(hbm_bytes=hbm, ddr_bytes=ddr,
-                            cxl_bytes=cxl)
+                            cxl_bytes=cxl - weights)
 
 
 class KvResidency:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.config import LiaConfig
-from repro.core.estimator import LiaEstimator, host_memory_usage
-from repro.cxl.allocator import TieredAllocator
+from repro.core.estimator import (LiaEstimator, check_host_capacity,
+                                  host_memory_usage)
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
@@ -27,9 +27,9 @@ from repro.telemetry.runtime import current as current_telemetry
 
 @dataclass(frozen=True)
 class CxlTieringPlan:
-    """Placement outcome of the §6 policy for one request."""
+    """Placement outcome of the §6 policy for one request: weights in
+    CXL, KV cache and activations in DDR."""
 
-    weights_to_cxl: bool
     ddr_bytes: float
     cxl_bytes: float
     ddr_bytes_without_cxl: float
@@ -48,31 +48,22 @@ def plan_tiering(spec: ModelSpec, request: InferenceRequest,
                  config: Optional[LiaConfig] = None) -> CxlTieringPlan:
     """Place one request's data across DDR and CXL pools.
 
-    Uses the :class:`TieredAllocator` to validate that the placement
-    actually fits, then reports the DDR savings.
+    The placement is :func:`host_memory_usage` under
+    :meth:`LiaConfig.with_cxl_weights`; :func:`check_host_capacity`
+    raises a :class:`CapacityError` when it does not fit.  Reports the
+    DDR savings against ``config``'s own placement.
     """
     if not system.has_cxl:
         raise ConfigurationError(
             f"{system.name} has no CXL expanders; use system.with_cxl()")
     config = config or LiaConfig()
-    cxl_config = config.with_cxl_weights()
-    tiered = host_memory_usage(spec, request, system, cxl_config)
+    tiered = host_memory_usage(spec, request, system,
+                               config.with_cxl_weights())
+    check_host_capacity(tiered, system)
     baseline = host_memory_usage(spec, request, system, config)
-
-    allocator = TieredAllocator()
-    allocator.add_pool(system.cpu.memory)
-    allocator.add_pool(system.cxl_pool)
-    allocator.allocate("weights", system.cxl_pool.name,
-                       tiered.weight_bytes)
-    allocator.allocate("kv-cache", system.cpu.memory.name,
-                       tiered.kv_bytes)
-    allocator.allocate("activations", system.cpu.memory.name,
-                       tiered.activation_bytes)
-
     plan = CxlTieringPlan(
-        weights_to_cxl=True,
-        ddr_bytes=allocator.used(system.cpu.memory.name),
-        cxl_bytes=allocator.used(system.cxl_pool.name),
+        ddr_bytes=tiered.ddr_bytes,
+        cxl_bytes=tiered.cxl_bytes,
         ddr_bytes_without_cxl=baseline.ddr_bytes,
     )
     telemetry = current_telemetry()
@@ -118,7 +109,6 @@ def adaptive_config(spec: ModelSpec, request: InferenceRequest,
     weights stay in DDR — unless DDR alone cannot hold the request,
     in which case capacity forces the CXL placement.
     """
-    from repro.core.estimator import check_host_capacity, host_memory_usage
     from repro.core.optimizer import optimal_policy
     from repro.models.sublayers import Stage, Sublayer
 

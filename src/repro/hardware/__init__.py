@@ -10,7 +10,6 @@ from repro.hardware.roofline import ComputeEngine, EfficiencyCurve, MatmulKind
 from repro.hardware.cpu import CPU_ZOO, CpuSpec, get_cpu
 from repro.hardware.gpu import GPU_ZOO, GpuSpec, get_gpu
 from repro.hardware.memory import (
-    InterleavedMemory,
     MemoryDevice,
     MemoryKind,
     cxl_expander,
@@ -30,7 +29,6 @@ __all__ = [
     "GPU_ZOO",
     "GpuSpec",
     "get_gpu",
-    "InterleavedMemory",
     "MemoryDevice",
     "MemoryKind",
     "cxl_expander",

@@ -125,9 +125,6 @@ def interleave(devices: Sequence[MemoryDevice],
     )
 
 
-#: Backwards-compatible alias used by the CXL allocator.
-InterleavedMemory = interleave
-
 #: Baseline DDR5 load-to-use latency.
 _DDR_LATENCY = ns(90)
 #: Extra latency of CXL memory over DDR (Sun et al., MICRO '23).

@@ -106,11 +106,6 @@ class SublayerCost:
             return 0.0
         return self.flops / total_bytes
 
-    @property
-    def is_gemv_like(self) -> bool:
-        """Memory-bound heuristic used by microbenchmark selection."""
-        return self.ops_per_byte < 4.0
-
 
 #: Masks over the trailing sublayer axis: the sublayers whose second
 #: operand is model weights (1, 4, 5, 6), and the KV-cache ones (2, 3).

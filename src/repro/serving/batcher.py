@@ -29,10 +29,6 @@ class Batch:
     #: Fraction of prompt tokens that are real (not padding).
     prompt_efficiency: float
 
-    @property
-    def padded_tokens(self) -> int:
-        return self.request.batch_size * self.request.input_len
-
 
 def _fits(spec: ModelSpec, system: SystemConfig, config: LiaConfig,
           request: InferenceRequest) -> bool:

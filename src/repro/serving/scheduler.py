@@ -23,7 +23,8 @@ Three LIA-specific couplings make this more than a queueing exercise:
   to stretch the steps — is counted as a resolve and a search, but not
   evaluated.  The first re-solve a step reads is solved on the spot;
   later ones take its answer, and term tables of up to 1,024 points
-  check them when the run ends (a wrong guess reruns the loop once).
+  check them when the run ends (a wrong guess reruns the loop once,
+  solving every read on the spot).
 * **KV placement feeds back into step time.**  When the re-solved
   policy keeps the attention sublayers on the CPU, KV bytes demoted to
   CXL stall AMX (Observation-2); the step stretches by
@@ -98,13 +99,13 @@ class SchedulerConfig:
     ``kv_capacities=None`` derives the per-tier budgets from the
     estimator's system (see
     :func:`~repro.cxl.residency.kv_capacities_from_system`);
-    ``kv_unbounded=True`` disables KV admission control entirely.
+    :meth:`KvTierCapacities.unbounded` disables KV admission control
+    entirely.
     """
 
     max_batch_requests: int = 8
     join: str = "step"
     kv_capacities: Optional[KvTierCapacities] = None
-    kv_unbounded: bool = False
     #: Step-time stretch per unit of CXL-resident KV fraction when the
     #: decode policy computes attention on the CPU (Observation-2).
     cxl_step_penalty: float = 0.15
@@ -131,10 +132,6 @@ class SchedulerConfig:
         if self.span_cap < 0:
             raise ConfigurationError(
                 f"span_cap must be >= 0, got {self.span_cap}")
-        if self.kv_unbounded and self.kv_capacities is not None:
-            raise ConfigurationError(
-                "kv_unbounded disables the KV budgets; drop "
-                "kv_capacities or kv_unbounded")
 
     @property
     def is_fifo_degenerate(self) -> bool:
@@ -146,10 +143,9 @@ class SchedulerConfig:
         the sum of the solo iteration steps *is* the whole-request
         estimate and the FIFO closed form applies exactly.
         """
-        unbounded = self.kv_unbounded or (
-            self.kv_capacities is not None
-            and all(math.isinf(c)
-                    for c in self.kv_capacities.as_tuple()))
+        unbounded = (self.kv_capacities is not None
+                     and all(math.isinf(c)
+                             for c in self.kv_capacities.as_tuple()))
         return (self.max_batch_requests == 1 and self.join == "drain"
                 and unbounded)
 
@@ -157,7 +153,7 @@ class SchedulerConfig:
     def fifo_degenerate(cls) -> "SchedulerConfig":
         """The config contractually bit-identical to the FIFO path."""
         return cls(max_batch_requests=1, join="drain",
-                   kv_unbounded=True)
+                   kv_capacities=KvTierCapacities.unbounded())
 
 
 class StepProfile:
@@ -325,30 +321,22 @@ class _ReadResolves:
     """The Eq. (1) answers one pass of the turn loop reads.
 
     A re-solve is *read* when KV sits in CXL, so the step stretch
-    depends on whether attention runs on the CPU.  Without ``known``
-    answers the pass guesses: it solves its first read on the spot,
-    answers every later read alike and records their points for
-    :meth:`verified` to check, :data:`_CHECK_BLOCK` points per term
-    table.  With them, the first reads
-    take the ``known`` answers and every later read is solved on the
-    spot.
+    depends on whether attention runs on the CPU.  A guessing pass
+    solves its first read on the spot, answers every later read alike
+    and records their points for :meth:`verified` to check,
+    :data:`_CHECK_BLOCK` points per term table.  A pass that does not
+    guess solves every read on the spot.
     """
 
     def __init__(self, estimator: "LiaEstimator",
-                 known: Optional[List[bool]] = None) -> None:
+                 guessing: bool = True) -> None:
         self.estimator = estimator
-        self.guessing = known is None
-        self.known = known or []
-        self.reads = 0
+        self.guessing = guessing
         self.guess: Optional[bool] = None
         self.aggregates: List[int] = []
         self.contexts: List[int] = []
 
     def answer(self, aggregate: int, context: int) -> bool:
-        read = self.reads
-        self.reads += 1
-        if read < len(self.known):
-            return self.known[read]
         if self.guess is not None:
             self.aggregates.append(aggregate)
             self.contexts.append(context)
@@ -359,21 +347,16 @@ class _ReadResolves:
             self.guess = answer
         return answer
 
-    def verified(self) -> Optional[List[bool]]:
-        """``None`` when every guess was right; otherwise the true
-        answers of every read up to the first wrong guess."""
-        guess = self.guess
-        if guess is None:
-            return None
+    def verified(self) -> bool:
+        """Whether every guess was right."""
         for lo in range(0, len(self.aggregates), _CHECK_BLOCK):
             hi = lo + _CHECK_BLOCK
             truth = _attention_on_cpu(self.estimator,
                                       np.array(self.aggregates[lo:hi]),
                                       np.array(self.contexts[lo:hi]))
-            wrong = np.flatnonzero(truth != guess)
-            if wrong.size:
-                return [guess] * (lo + 1) + truth[:wrong[0] + 1].tolist()
-        return None
+            if (truth != self.guess).any():
+                return False
+        return True
 
 
 class ContinuousServingReport(ServingReport):
@@ -453,28 +436,6 @@ class ContinuousBatchScheduler:
         self.config = scheduler_config or SchedulerConfig()
 
     # ------------------------------------------------------------------
-    def _resolve_capacities(self) -> KvTierCapacities:
-        if self.config.kv_unbounded:
-            return KvTierCapacities.unbounded()
-        if self.config.kv_capacities is not None:
-            return self.config.kv_capacities
-        system = self.estimator.system
-        weights_in_cxl: Optional[bool] = None
-        if system.has_cxl:
-            # §6 placement for the serving regime: consult the tiering
-            # plan (weights to CXL, KV to DDR) the way the paper's
-            # offloading policy prescribes.
-            from repro.cxl.tiering import plan_tiering
-
-            probe = InferenceRequest(batch_size=1, input_len=1,
-                                     output_len=1)
-            plan = plan_tiering(self.estimator.spec, probe, system,
-                                self.estimator.config)
-            weights_in_cxl = plan.weights_to_cxl
-        return kv_capacities_from_system(self.estimator.spec, system,
-                                         weights_in_cxl=weights_in_cxl)
-
-    # ------------------------------------------------------------------
     def run(self, requests: Union[Sequence[InferenceRequest],
                                   WorkloadVector],
             arrivals: ArrayLike) -> ContinuousServingReport:
@@ -538,15 +499,17 @@ class ContinuousBatchScheduler:
 
         The Eq. (1) re-solves that steps read are guessed, then checked
         in term tables when the run ends (:class:`_ReadResolves`).  A
-        wrong guess reruns the loop once, with the checked answers up
-        to the first wrong one and on-spot solves after it; a
-        :class:`CapacityError` is raised only from a pass whose guesses
-        hold.  Every re-solve, read or not, is one
+        wrong guess reruns the loop once, every read solved on the
+        spot; a :class:`CapacityError` is raised only from a pass whose
+        guesses hold.  Every re-solve, read or not, is one
         ``policy.searches`` point, as in the oracle.
         """
         requests = workload.to_requests()
         arrivals = trace.tolist()
-        capacities = self._resolve_capacities()
+        capacities = self.config.kv_capacities
+        if capacities is None:
+            capacities = kv_capacities_from_system(self.estimator.spec,
+                                                   self.estimator.system)
         profile = StepProfile.for_workload(self.estimator, requests,
                                            self.config)
         telemetry = current_telemetry()
@@ -558,9 +521,8 @@ class ContinuousBatchScheduler:
 
         reads = _ReadResolves(self.estimator)
         outcome = serve(reads)
-        known = reads.verified()
-        if known is not None:
-            outcome = serve(_ReadResolves(self.estimator, known))
+        if not reads.verified():
+            outcome = serve(_ReadResolves(self.estimator, guessing=False))
         report, span_rows, resolves = outcome
         if resolves:
             count_searches(Stage.DECODE, self.estimator.config, resolves)

@@ -139,11 +139,6 @@ class WindowGrid:
         return (self.t0
                 + np.arange(self.n_windows + 1) * self.window_s)
 
-    @property
-    def centers(self) -> np.ndarray:
-        return (self.t0 + (np.arange(self.n_windows) + 0.5)
-                * self.window_s)
-
     def window_of(self, time: float) -> int:
         """The (clamped) window index holding ``time``."""
         raw = int((time - self.t0) // self.window_s)
@@ -338,14 +333,6 @@ class ServingTimeseries:
     def utilization(self) -> np.ndarray:
         """Busy fraction per window (of ``n_servers`` servers)."""
         return self.busy_s / (self.grid.window_s * self.n_servers)
-
-    @property
-    def arrival_rate(self) -> np.ndarray:
-        return self.arrived / self.grid.window_s
-
-    @property
-    def completion_rate(self) -> np.ndarray:
-        return self.finished / self.grid.window_s
 
     @property
     def tokens(self) -> Optional[np.ndarray]:
@@ -792,10 +779,6 @@ class SLOAlert:
     n_bad: int
     n_requests: int
     attributions: Tuple[AlertAttribution, ...] = ()
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
     @property
     def cause(self) -> str:

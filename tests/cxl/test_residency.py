@@ -17,7 +17,7 @@ from repro.cxl.residency import (
     KvTierCapacities,
     kv_capacities_from_system,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import get_system
 from repro.models.zoo import get_model
 
@@ -179,7 +179,17 @@ def test_capacities_from_system_follow_section6_placement():
     assert tiered.cxl_bytes == pytest.approx(
         float(cxl_system.cxl_pool.capacity_bytes) - weights)
 
-    with pytest.raises(ConfigurationError, match="no CXL expanders"):
-        kv_capacities_from_system(spec, base, weights_in_cxl=True)
-    with pytest.raises(ConfigurationError, match="hbm_kv_fraction"):
-        kv_capacities_from_system(spec, base, hbm_kv_fraction=1.5)
+
+def test_capacities_from_system_reject_weights_beyond_the_cxl_pool():
+    # opt-175b needs 325 GiB; two expanders give 256 GiB.
+    spec = get_model("opt-175b")
+    system = get_system("spr-a100").with_cxl(n_expanders=2)
+    with pytest.raises(CapacityError, match="weights need") as excinfo:
+        kv_capacities_from_system(spec, system)
+    assert "\n" not in str(excinfo.value)
+    assert excinfo.value.requested == float(spec.total_param_bytes)
+    assert excinfo.value.available == float(
+        system.cxl_pool.capacity_bytes)
+    # Without expanders the weights stay in DDR and nothing raises.
+    assert kv_capacities_from_system(
+        spec, get_system("spr-a100")).cxl_bytes == 0.0

@@ -8,7 +8,7 @@ from repro.cxl.tiering import (
     max_batch_with_and_without_cxl,
     plan_tiering,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 
@@ -21,7 +21,6 @@ def cxl_system(spr_a100):
 def test_plan_moves_weights_only(opt_30b, cxl_system):
     request = InferenceRequest(900, 32, 32)
     plan = plan_tiering(opt_30b, request, cxl_system)
-    assert plan.weights_to_cxl
     assert plan.cxl_bytes == pytest.approx(opt_30b.total_param_bytes)
     assert plan.ddr_bytes < plan.ddr_bytes_without_cxl
 
@@ -43,6 +42,27 @@ def test_requires_cxl_system(opt_30b, spr_a100):
         plan_tiering(opt_30b, InferenceRequest(64, 32, 32), spr_a100)
 
 
+def test_ddr_overflow_is_a_one_line_capacity_error(opt_30b, cxl_system):
+    # The weights leave DDR, but KV for B=8000 at 2K tokens does not
+    # fit the 512 GiB that remain.
+    with pytest.raises(CapacityError, match="DDR needs") as excinfo:
+        plan_tiering(opt_30b, InferenceRequest(8000, 2000, 48),
+                     cxl_system)
+    assert "\n" not in str(excinfo.value)
+    assert excinfo.value.device == cxl_system.cpu.memory.name
+    assert excinfo.value.requested > excinfo.value.available
+
+
+def test_cxl_overflow_is_a_one_line_capacity_error(spr_a100):
+    # opt-175b's 325 GiB of weights overflow two 128 GiB expanders.
+    system = spr_a100.with_cxl(n_expanders=2)
+    with pytest.raises(CapacityError, match="CXL needs") as excinfo:
+        plan_tiering(get_model("opt-175b"), InferenceRequest(1, 32, 32),
+                     system)
+    assert "\n" not in str(excinfo.value)
+    assert excinfo.value.requested > excinfo.value.available
+
+
 def test_max_batch_increases_with_cxl(opt_30b, spr_a100):
     # Table 3 / abstract: CXL offloading raises the feasible batch by
     # up to ~1.76x.
@@ -53,8 +73,8 @@ def test_max_batch_increases_with_cxl(opt_30b, spr_a100):
 
 
 def test_savings_fraction_zero_baseline():
-    plan = CxlTieringPlan(weights_to_cxl=True, ddr_bytes=0.0,
-                          cxl_bytes=1.0, ddr_bytes_without_cxl=0.0)
+    plan = CxlTieringPlan(ddr_bytes=0.0, cxl_bytes=1.0,
+                          ddr_bytes_without_cxl=0.0)
     assert plan.ddr_savings_fraction == 0.0
 
 

@@ -31,7 +31,8 @@ from typing import Deque, Dict, List, Tuple, Union
 import numpy as np
 
 from repro.core.optimizer import optimal_policy
-from repro.cxl.residency import KV_TIERS, KvResidency
+from repro.cxl.residency import (KV_TIERS, KvResidency,
+                                 kv_capacities_from_system)
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
@@ -134,7 +135,9 @@ def run_loop(scheduler: ContinuousBatchScheduler,
     lia_config = estimator.config
     telemetry = current_telemetry()
 
-    capacities = scheduler._resolve_capacities()
+    capacities = cfg.kv_capacities
+    if capacities is None:
+        capacities = kv_capacities_from_system(spec, system)
     residency = KvResidency(capacities)
     profile = LoopProfile(
         StepProfile.for_workload(estimator, requests, cfg))

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
-from repro.cxl.residency import KvTierCapacities
+from repro.cxl.residency import KvTierCapacities, kv_capacities_from_system
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
@@ -86,16 +86,12 @@ def test_degenerate_detection_requires_all_three_knobs():
         kv_capacities=KvTierCapacities.unbounded()).is_fifo_degenerate
     assert not SchedulerConfig(max_batch_requests=1,
                                join="drain").is_fifo_degenerate
-    assert not SchedulerConfig(max_batch_requests=1,
-                               kv_unbounded=True).is_fifo_degenerate
-    assert not SchedulerConfig(join="drain",
-                               kv_unbounded=True).is_fifo_degenerate
-
-
-def test_unbounded_kv_rejects_explicit_budgets():
-    with pytest.raises(ConfigurationError, match="kv_unbounded"):
-        SchedulerConfig(kv_unbounded=True,
-                        kv_capacities=KvTierCapacities(1e9, 1e9, 1e9))
+    assert not SchedulerConfig(
+        max_batch_requests=1,
+        kv_capacities=KvTierCapacities.unbounded()).is_fifo_degenerate
+    assert not SchedulerConfig(
+        join="drain",
+        kv_capacities=KvTierCapacities.unbounded()).is_fifo_degenerate
 
 
 # ----------------------------------------------------------------------
@@ -174,8 +170,9 @@ def test_kv_pressure_only_delays_never_drops(estimator):
         float(spec.kv_cache_bytes(r.batch_size, r.max_context_len))
         for r in requests)
     roomy = ContinuousBatchScheduler(
-        estimator, SchedulerConfig(kv_unbounded=True)).run(requests,
-                                                           arrivals)
+        estimator, SchedulerConfig(
+            kv_capacities=KvTierCapacities.unbounded())).run(requests,
+                                                             arrivals)
     # Just enough room for the single largest request: admission
     # serializes under pressure but every request is still served.
     tight = ContinuousBatchScheduler(
@@ -199,16 +196,46 @@ def test_request_larger_than_all_tiers_is_a_capacity_error(estimator):
 
 
 def test_derived_capacities_consult_the_tiering_plan(cxl_estimator):
-    scheduler = ContinuousBatchScheduler(cxl_estimator)
-    capacities = scheduler._resolve_capacities()
+    """Without explicit budgets a run admits under the §6 budgets of
+    ``kv_capacities_from_system``."""
     system = cxl_estimator.system
     weights = float(cxl_estimator.spec.total_param_bytes)
+    capacities = kv_capacities_from_system(cxl_estimator.spec, system)
     # §6: weights in CXL, so DDR is all KV and the expander pool is
     # charged for the weights.
-    assert capacities.ddr_bytes == pytest.approx(
-        float(system.cpu.memory.capacity_bytes))
-    assert capacities.cxl_bytes == pytest.approx(
+    assert capacities.ddr_bytes == float(system.cpu.memory.capacity_bytes)
+    assert capacities.cxl_bytes == (
         float(system.cxl_pool.capacity_bytes) - weights)
+    # A run without explicit budgets admits under exactly these: the
+    # same run with them spelled out is the same report.
+    requests, arrivals = _mix(60)
+    derived = ContinuousBatchScheduler(cxl_estimator).run(requests,
+                                                          arrivals)
+    explicit = ContinuousBatchScheduler(
+        cxl_estimator, SchedulerConfig(kv_capacities=capacities)).run(
+        requests, arrivals)
+    assert derived.fingerprint() == explicit.fingerprint()
+    assert derived.kv_peak_bytes == explicit.kv_peak_bytes
+
+
+def test_weights_larger_than_the_cxl_pool_fail_before_serving():
+    """opt-175b's weights (325 GiB) overflow two expanders (256 GiB):
+    the run raises the one-line §6 capacity error before any step."""
+    from repro.telemetry import Telemetry, activate
+
+    system = get_system("spr-a100").with_cxl(n_expanders=2)
+    estimator = LiaEstimator(get_model("opt-175b"), system, CONFIG)
+    telemetry = Telemetry()
+    with activate(telemetry), pytest.raises(CapacityError) as excinfo:
+        ContinuousBatchScheduler(estimator).run(
+            [InferenceRequest(1, 64, 4)], [0.0])
+    message = str(excinfo.value)
+    assert "\n" not in message and "weights need" in message
+    assert excinfo.value.requested > excinfo.value.available
+    assert telemetry.metrics.counter_value(
+        "scheduler.iterations", system=system.name,
+        model="opt-175b") == 0
+    assert not telemetry.tracer.spans
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +400,20 @@ def test_scheduler_emits_counters_gauges_and_spans(estimator):
     assert len(spans) <= 1024 + 1  # step spans + possible drop note
     assert all(span.name == "decode-step" for span in spans
                if span.name != "dropped-spans")
+
+
+def test_cxl_run_counts_no_tiering_plan(cxl_estimator):
+    """Deriving the KV budgets places no request, so a continuous run
+    on a CXL system adds no ``cxl.plans`` or ``cxl.tier_bytes``."""
+    from repro.telemetry import Telemetry, activate
+
+    telemetry = Telemetry()
+    requests, arrivals = _mix(20)
+    with activate(telemetry):
+        ContinuousBatchScheduler(cxl_estimator).run(requests, arrivals)
+    names = {counter.name for counter in telemetry.metrics.counters()}
+    assert "scheduler.iterations" in names
+    assert not names & {"cxl.plans", "cxl.tier_bytes"}
 
 
 def test_occupancy_timeseries_reflects_concurrency(estimator):

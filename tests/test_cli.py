@@ -484,7 +484,7 @@ def test_partial_kv_override_keeps_the_derived_tiers(tmp_path):
      "--kv-cxl-gb must be >= 0"),
     (["serve", "--scheduler", "continuous", "--num-requests", "10",
       "--kv-unbounded", "--kv-hbm-gb", "1"],
-     "kv_unbounded disables the KV budgets"),
+     "--kv-unbounded disables the KV budgets"),
     (["monitor", "--slo-threshold", "-1"], "--slo-threshold must be >= 0"),
     (["monitor", "--long-window", "-5"], "--long-window must be >= 0"),
     (["monitor", "--short-window", "-5"], "--short-window must be >= 0"),

@@ -1,8 +1,7 @@
-"""Property-based tests for the allocator, batcher, and serving
-simulator (stateful/fuzz style)."""
+"""Property-based tests for the batcher, the serving simulator and
+the estimator (fuzz style)."""
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import LiaConfig
@@ -12,45 +11,12 @@ from repro.core.estimator import (
     host_memory_usage,
 )
 from repro.core.optimizer import optimal_policy
-from repro.cxl.allocator import TieredAllocator
-from repro.errors import CapacityError
-from repro.hardware.memory import cxl_expander, ddr_subsystem
 from repro.hardware.system import get_system
 from repro.models.sublayers import Stage
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.batcher import pack_requests
 from repro.serving.simulator import ServingSimulator
-
-
-# ----------------------------------------------------------------------
-# Allocator: no interleaving of operations can over-commit a pool.
-# ----------------------------------------------------------------------
-@settings(max_examples=50, deadline=None)
-@given(ops=st.lists(
-    st.tuples(st.sampled_from(["alloc", "release"]),
-              st.integers(0, 9),
-              st.floats(0, 80 * 2**30)),
-    min_size=1, max_size=40))
-def test_allocator_never_overcommits(ops):
-    allocator = TieredAllocator()
-    allocator.add_pool(cxl_expander("pool", capacity_gib=128))
-    live = set()
-    for index, (kind, label_id, size) in enumerate(ops):
-        label = f"a{label_id}"
-        if kind == "alloc" and label not in live:
-            try:
-                allocator.allocate(label, "pool", size)
-                live.add(label)
-            except CapacityError:
-                pass
-        elif kind == "release" and label in live:
-            allocator.release(label)
-            live.remove(label)
-        used = allocator.used("pool")
-        assert 0.0 <= used <= allocator.capacity("pool")
-        assert used == pytest.approx(
-            sum(a.num_bytes for a in allocator.allocations("pool")))
 
 
 # ----------------------------------------------------------------------
