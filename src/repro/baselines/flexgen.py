@@ -19,32 +19,36 @@ Differences from LIA that this model reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays import Real
+from repro.arrays import Real, as_float, where
 from repro.core.config import LiaConfig
 from repro.core.estimator import (
     EstimateOrError,
     InferenceEstimate,
     MemoryUsage,
+    PointPlans,
+    RequestTables,
     StageBreakdown,
     check_host_capacity,
-    RequestGrid,
+    estimate_from_tables,
     host_memory_usage,
+    host_overflows,
     only_estimate,
+    plan_each,
     split_rows,
 )
 from repro.core.gpu_residency import (
+    RequestLike,
     ResidencyPlan,
     gpu_working_set_bytes,
     plan_sublayer_residency,
 )
 from repro.core.overlap import Layer, overlapped_layer_time, serial_layer_time
 from repro.core.policy import FULL_GPU, PARTIAL_CPU, OffloadPolicy
-from repro.core.terms import (check_placement, layer_terms, on_cpu_mask,
-                               resident_mask)
+from repro.core.terms import check_placement, on_cpu_mask, resident_mask
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
@@ -79,11 +83,6 @@ class FlexGenSettings:
                 f"{self.decode_compute_penalty}")
 
 
-#: One planned request: its index in the batch, the request, and its
-#: memory and sublayer-class residency plans.
-_Planned = Tuple[int, InferenceRequest, MemoryUsage, ResidencyPlan]
-
-
 class FlexGenEstimator:
     """Analytic model of FlexGen on a single-GPU system."""
 
@@ -102,9 +101,10 @@ class FlexGenEstimator:
         check_placement(system, self.config)
 
     # ------------------------------------------------------------------
-    def kv_fits_gpu(self, request: InferenceRequest) -> bool:
+    def kv_fits_gpu(self, request: RequestLike) -> Real:
         """True when KV cache + activations fit beside the working set
-        (FlexGen keeps them on the GPU then, as in Fig. 3's B=1)."""
+        (FlexGen keeps them on the GPU then, as in Fig. 3's B=1).
+        Elementwise over the points of a :class:`RequestPoints`."""
         kv = self.spec.kv_cache_bytes(request.batch_size,
                                       request.max_context_len + 1)
         act = self.spec.peak_activation_bytes(request.batch_size,
@@ -158,95 +158,50 @@ class FlexGenEstimator:
 
     def estimate_many(self, requests: Sequence[InferenceRequest]
                       ) -> List[EstimateOrError]:
-        """Estimate every request, in order.
+        """Estimate every request, in order, from one prefill and one
+        decode term table (:meth:`estimate_tables`)."""
+        return estimate_from_tables(self, requests)
 
-        Requests split by KV home (GPU or host, :meth:`kv_fits_gpu`);
-        each group is one prefill term table and one decode table
-        with a row per request and a column per decode step.  A
-        request whose memory plan overflows gets the
-        :class:`CapacityError` that :meth:`estimate` raises.
+    def estimate_tables(self, tables: RequestTables
+                        ) -> List[EstimateOrError]:
+        """Estimate the requests of ``tables``, in order.
+
+        Tables built on another CPU engine are read with FlexGen's
+        AVX-512 ``comp_cpu``.  Each request keeps its own KV home
+        (:meth:`kv_fits_gpu`), which only flips firing masks, so both
+        homes share the tables.  A request whose memory plan overflows
+        gets the :class:`CapacityError` that :meth:`estimate` raises;
+        its table rows are evaluated with the others and dropped.
         """
-        entries: List[Optional[EstimateOrError]] = []
-        groups: Dict[bool, List[_Planned]] = {False: [], True: []}
-        for request in requests:
-            kv_resident = self.kv_fits_gpu(request)
-            try:
-                memory, residency = self._plan(request, kv_resident)
-            except CapacityError as error:
-                entries.append(error)
-                continue
-            groups[kv_resident].append(
-                (len(entries), request, memory, residency))
-            entries.append(None)
-        for kv_resident, planned in groups.items():
-            if planned:
-                for (index, *__), estimate in zip(
-                        planned, self._estimate_group(planned,
-                                                      kv_resident)):
-                    entries[index] = estimate
-        return entries  # type: ignore[return-value]
-
-    def _plan(self, request: InferenceRequest, kv_resident: bool
-              ) -> Tuple[MemoryUsage, ResidencyPlan]:
-        """Memory placement and sublayer-class residency of
-        ``request``; raises :class:`CapacityError` when the host pools
-        (if enforced) or the GPU footprint overflow."""
-        memory = host_memory_usage(self.spec, request, self.system,
-                                   self.config)
-        if kv_resident:
-            # Host only stores weights; KV/activations stay on GPU.
-            memory = MemoryUsage(
-                weight_bytes=memory.weight_bytes, kv_bytes=0.0,
-                activation_bytes=0.0, ddr_bytes=memory.weight_bytes,
-                cxl_bytes=0.0, gpu_bytes=0.0)
-        if self.config.enforce_host_capacity:
-            check_host_capacity(memory, self.system)
-
-        kv_gpu_bytes = 0.0
-        if kv_resident:
-            kv_gpu_bytes = float(self.spec.kv_cache_bytes(
-                request.batch_size, request.max_context_len + 1))
-        residency = plan_sublayer_residency(
-            self.spec, self.system, request, self.config,
-            extra_reserved_bytes=kv_gpu_bytes)
-        gpu_bytes = (residency.resident_bytes + residency.working_bytes
-                     + kv_gpu_bytes)
-        if gpu_bytes > self.system.gpu.memory_capacity:
-            raise CapacityError(
-                f"{self.system.name}: FlexGen GPU footprint "
-                f"{gpu_bytes / 2**30:.1f} GiB exceeds capacity",
-                requested=gpu_bytes,
-                available=self.system.gpu.memory_capacity,
-                device=self.system.gpu.name)
-        return replace(memory, gpu_bytes=gpu_bytes), residency
-
-    def _estimate_group(self, planned: List[_Planned], kv_resident: bool
-                        ) -> List[InferenceEstimate]:
-        """Estimates of requests that share a KV home."""
-        grid = RequestGrid.from_requests(
-            [request for __, request, __, __ in planned])
+        tables = tables.read_as(self.spec, self.system, self.config)
+        grid, requests = tables.grid, tables.requests
+        plans, errors = plan_each(self, grid.points)
+        n = len(requests)
+        if len(errors) == n:
+            return [errors[index] for index in range(n)]
+        rows = plans.rows(n)
+        kv_resident = self.kv_fits_gpu(grid.points)
         # Each row's resident sublayer classes.
         resident = np.array([
             resident_mask(resident_sublayers=residency.resident_sublayers)
-            for *__, residency in planned])
-        prefill_terms = layer_terms(
-            self.spec, Stage.PREFILL, *grid.prefill, self.system,
-            self.config, kv_resident=kv_resident)
+            for __, residency in rows])
         prefill = self._stage_breakdown(
-            prefill_terms.sums(on_cpu_mask(FULL_GPU), resident),
+            replace(tables.prefill, kv_resident=kv_resident).sums(
+                on_cpu_mask(FULL_GPU), resident),
             Stage.PREFILL)
 
-        decode_policy = self._decode_policy(kv_resident)
-        decode_terms = layer_terms(
-            self.spec, Stage.DECODE, *grid.decode, self.system,
-            self.config, kv_resident=kv_resident)
+        decode_policies = [self._decode_policy(home)
+                           for home in kv_resident.tolist()]
         decode = self._stage_breakdown(
-            decode_terms.sums(on_cpu_mask(decode_policy),
-                              grid.spread(resident)),
+            replace(tables.decode,
+                    kv_resident=grid.spread(kv_resident)).sums(
+                grid.spread(np.array([on_cpu_mask(policy)
+                                      for policy in decode_policies])),
+                grid.spread(resident)),
             Stage.DECODE)
 
         return [
-            InferenceEstimate(
+            errors[index] if index in errors else InferenceEstimate(
                 framework=self.framework_name,
                 model=self.spec.name,
                 system=self.system.name,
@@ -258,6 +213,55 @@ class FlexGenEstimator:
                 residency=residency,
                 memory=memory,
             )
-            for (__, request, memory, residency), prefill_row, decode_row
-            in zip(planned, split_rows(prefill, len(planned)),
-                   split_rows(grid.fold_decode(decode), len(planned)))]
+            for index, (request, (memory, residency), prefill_row,
+                        decode_row, decode_policy) in enumerate(zip(
+                requests, rows, split_rows(prefill, n),
+                split_rows(grid.fold_decode(decode), n), decode_policies))]
+
+    # ------------------------------------------------------------------
+    def _plan_points(self, request: RequestLike) -> PointPlans:
+        """Memory placement and sublayer-class residency of
+        ``request``, and whether its ``estimate`` fails: the host pools
+        (if enforced) or the GPU footprint overflow.  Each an array
+        over the points of a :class:`RequestPoints`."""
+        spec, system, config = self.spec, self.system, self.config
+        kv_resident = self.kv_fits_gpu(request)
+        memory = host_memory_usage(spec, request, system, config)
+        # With the KV cache on the GPU, the host stores only weights.
+        memory = MemoryUsage(
+            weight_bytes=memory.weight_bytes,
+            kv_bytes=where(kv_resident, 0.0, memory.kv_bytes),
+            activation_bytes=where(kv_resident, 0.0,
+                                   memory.activation_bytes),
+            ddr_bytes=where(kv_resident, memory.weight_bytes,
+                            memory.ddr_bytes),
+            cxl_bytes=where(kv_resident, 0.0, memory.cxl_bytes),
+            gpu_bytes=0.0)
+        kv_gpu_bytes = where(kv_resident, as_float(spec.kv_cache_bytes(
+            request.batch_size, request.max_context_len + 1)), 0.0)
+        residency = plan_sublayer_residency(
+            spec, system, request, config,
+            extra_reserved_bytes=kv_gpu_bytes)
+        gpu_bytes = (residency.resident_bytes + residency.working_bytes
+                     + kv_gpu_bytes)
+        failed = gpu_bytes > system.gpu.memory_capacity
+        if config.enforce_host_capacity:
+            failed = host_overflows(memory, system) | failed
+        return PointPlans(replace(memory, gpu_bytes=gpu_bytes), residency,
+                          failed)
+
+    def _plan(self, request: InferenceRequest
+              ) -> Tuple[MemoryUsage, ResidencyPlan]:
+        """:meth:`_plan_points` of one request; raises
+        :class:`CapacityError` when its plan overflows."""
+        memory, residency, failed = self._plan_points(request)
+        if failed:
+            if self.config.enforce_host_capacity:
+                check_host_capacity(memory, self.system)
+            raise CapacityError(
+                f"{self.system.name}: FlexGen GPU footprint "
+                f"{memory.gpu_bytes / 2**30:.1f} GiB exceeds capacity",
+                requested=memory.gpu_bytes,
+                available=self.system.gpu.memory_capacity,
+                device=self.system.gpu.name)
+        return memory, residency

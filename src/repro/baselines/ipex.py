@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import LiaConfig
 from repro.core.estimator import (EstimateOrError, InferenceEstimate,
-                                  LiaEstimator, only_estimate)
+                                  LiaEstimator, RequestTables,
+                                  estimate_from_tables, only_estimate)
 from repro.core.policy import FULL_CPU
-from repro.errors import CapacityError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.workload import InferenceRequest
@@ -40,6 +40,8 @@ class IpexEstimator:
             forced_decode_policy=FULL_CPU,
         )
         self._inner = LiaEstimator(spec, system, self.config)
+        # The inner estimator labels its estimates as IPEX's.
+        self._inner.framework_name = self.framework_name
         self.spec = spec
         self.system = system
 
@@ -50,8 +52,12 @@ class IpexEstimator:
 
     def estimate_many(self, requests: Sequence[InferenceRequest]
                       ) -> List[EstimateOrError]:
-        """CPU-only estimates of every request, in order, from the
-        inner LIA estimator's two tables."""
-        return [entry if isinstance(entry, CapacityError)
-                else replace(entry, framework=self.framework_name)
-                for entry in self._inner.estimate_many(requests)]
+        """CPU-only estimates of every request, in order, from one
+        prefill and one decode term table (:meth:`estimate_tables`)."""
+        return estimate_from_tables(self, requests)
+
+    def estimate_tables(self, tables: RequestTables
+                        ) -> List[EstimateOrError]:
+        """CPU-only estimates of the requests of ``tables``: the inner
+        LIA estimator's, which reads the same tables."""
+        return self._inner.estimate_tables(tables)

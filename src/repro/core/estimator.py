@@ -16,7 +16,7 @@ out-of-memory detection (Fig. 14's OOM entries).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
 import numpy as np
@@ -27,9 +27,9 @@ from repro.core.gpu_residency import (RequestLike, ResidencyPlan,
                                       plan_layer_residency)
 from repro.core.optimizer import PolicyGrid, search_grid, stage_layer_time
 from repro.core.policy import OffloadPolicy
-from repro.core.terms import (LayerTerms, check_placement, layer_terms,
-                               resident_mask)
-from repro.errors import CapacityError
+from repro.core.terms import (LayerTerms, check_placement, cpu_compute,
+                               cpu_engine, layer_terms, resident_mask)
+from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.sublayers import Stage
@@ -166,6 +166,11 @@ class RequestGrid:
                    np.array([request.output_len for request in requests]))
 
     @property
+    def points(self) -> RequestPoints:
+        """Every request's ``(B, L_in, L_out)``, for the planners."""
+        return RequestPoints(self.batch, self.input_len, self.output_len)
+
+    @property
     def prefill(self) -> Tuple[Union[int, np.ndarray],
                                Union[int, np.ndarray]]:
         """``(B, L)`` of the prefill table."""
@@ -178,11 +183,15 @@ class RequestGrid:
 
     def spread(self, values: Union[int, np.ndarray]
                ) -> Union[int, np.ndarray]:
-        """Per-request ``values`` repeated over each request's decode
-        steps; an int that every request shares stays as it is."""
-        if isinstance(values, np.ndarray):
-            return np.repeat(values, self.output_len, axis=0)
-        return values
+        """Per-request ``values`` (an ``(n, ...)`` array) repeated over
+        each request's decode steps.  A value that every request
+        shares stays one value: an int as it is, equal rows as their
+        first, which broadcasts over the steps as the repeats would."""
+        if not isinstance(values, np.ndarray):
+            return values
+        if (values == values[0]).all():
+            return values[0]
+        return np.repeat(values, self.output_len, axis=0)
 
     @property
     def decode(self) -> Tuple[Union[int, np.ndarray], np.ndarray]:
@@ -201,6 +210,83 @@ class RequestGrid:
             np.array([np.add.accumulate(values[start:end])[-1]
                       for start, end in bounds])
             for values in steps.components()))
+
+
+def _placement(config: LiaConfig) -> str:
+    """The host placement a term table depends on, for messages."""
+    return (f"weights={config.weight_placement.value}, "
+            f"kv={config.kv_placement.value}, "
+            f"kv_cxl_fraction={config.kv_cxl_fraction}")
+
+
+@dataclass(frozen=True)
+class RequestTables:
+    """The prefill and decode term tables of one request list, laid
+    out as its :class:`RequestGrid`, and the model, system and
+    configuration they were built under.
+
+    A term table depends on the configuration only through the host
+    placement (weights, KV cache, ``kv_cxl_fraction``) and the CPU
+    engine.  So the LIA, IPEX and FlexGen estimators of one model and
+    system all estimate from one pair of tables (:meth:`read_as`):
+    each plans memory and picks policies itself, and a reader on
+    another CPU engine recomputes only ``comp_cpu``.
+    """
+
+    spec: ModelSpec
+    system: SystemConfig
+    config: LiaConfig
+    requests: Tuple[InferenceRequest, ...]
+    grid: RequestGrid
+    prefill: LayerTerms
+    decode: LayerTerms
+
+    @classmethod
+    def build(cls, spec: ModelSpec, system: SystemConfig,
+              config: LiaConfig, requests: Sequence[InferenceRequest]
+              ) -> "RequestTables":
+        """The two tables of a nonempty request list: a prefill point
+        per request, and every request's decode steps end to end."""
+        grid = RequestGrid.from_requests(requests)
+        return cls(spec, system, config, tuple(requests), grid,
+                   layer_terms(spec, Stage.PREFILL, *grid.prefill, system,
+                               config),
+                   layer_terms(spec, Stage.DECODE, *grid.decode, system,
+                               config))
+
+    def read_as(self, spec: ModelSpec, system: SystemConfig,
+                config: LiaConfig) -> "RequestTables":
+        """These tables as an estimator of ``spec`` on ``system`` under
+        ``config`` would build them: ``comp_cpu`` is recomputed
+        (:func:`~repro.core.terms.cpu_compute`) when ``config`` selects
+        another CPU engine.  Raises :class:`ConfigurationError` when the
+        model, the system or the host placement differ."""
+        if (spec != self.spec or system != self.system
+                or (config.weight_placement, config.kv_placement,
+                    config.kv_cxl_fraction)
+                != (self.config.weight_placement, self.config.kv_placement,
+                    self.config.kv_cxl_fraction)):
+            raise ConfigurationError(
+                f"term tables of {self.spec.name} on {self.system.name} "
+                f"({_placement(self.config)}) cannot be read as "
+                f"{spec.name} on {system.name} ({_placement(config)})")
+        if cpu_engine(system, config) == cpu_engine(system, self.config):
+            return self
+        return replace(self, config=config, **{
+            stage: replace(terms, comp_cpu=cpu_compute(terms.costs, system,
+                                                       config))
+            for stage, terms in (("prefill", self.prefill),
+                                 ("decode", self.decode))})
+
+
+def estimate_from_tables(estimator, requests: Sequence[InferenceRequest]
+                         ) -> List[EstimateOrError]:
+    """``estimator.estimate_many(requests)``: its ``estimate_tables``
+    fed the :class:`RequestTables` its own configuration builds."""
+    if not requests:
+        return []
+    return estimator.estimate_tables(RequestTables.build(
+        estimator.spec, estimator.system, estimator.config, requests))
 
 
 def split_rows(stages: StageBreakdown, n: int) -> List[StageBreakdown]:
@@ -305,6 +391,22 @@ class PointPlans(NamedTuple):
         return list(zip(split(self.memory), split(self.residency)))
 
 
+def plan_each(estimator, points: RequestPoints
+              ) -> Tuple[Any, Dict[int, CapacityError]]:
+    """``estimator``'s array plan of aligned points, and the
+    :class:`CapacityError` of every point where it fails: its scalar
+    ``_plan``'s at that point, so the message is exact (an invalid
+    point raises its ``ConfigurationError``)."""
+    plans = estimator._plan_points(points)
+    errors: Dict[int, CapacityError] = {}
+    for point in np.flatnonzero(plans.failed).tolist():
+        try:
+            estimator._plan(points.at((point,)))
+        except CapacityError as error:
+            errors[point] = error
+    return plans, errors
+
+
 class LiaEstimator:
     """Analytic twin of the LIA runtime for one (model, system) pair."""
 
@@ -326,64 +428,53 @@ class LiaEstimator:
     def estimate_many(self, requests: Sequence[InferenceRequest]
                       ) -> List[EstimateOrError]:
         """Estimate every request, in order, from one prefill and one
-        decode term table.
+        decode term table (:meth:`estimate_tables`)."""
+        return estimate_from_tables(self, requests)
 
-        The prefill table has one point per request; the decode table
-        one row per request and one column per decode step (rows
-        shorter than the longest ``L_out`` repeat their last context).
-        Each row's policies are solved on its prefill point and on its
-        first decode step, ``L_in`` (the decode policy depends on B,
-        not L — §7.1), and its decode steps are summed left to right.
-        A request whose memory plan overflows gets the
-        :class:`CapacityError` that :meth:`estimate` raises.
+    def estimate_tables(self, tables: RequestTables
+                        ) -> List[EstimateOrError]:
+        """Estimate the requests of ``tables``, in order.
+
+        Each request's policies are solved on its prefill point and on
+        its first decode step, ``L_in`` (the decode policy depends on
+        B, not L — §7.1), and its decode steps are summed left to
+        right.  A request whose memory plan overflows gets the
+        :class:`CapacityError` that :meth:`estimate` raises; its table
+        rows are evaluated with the others and dropped.
         """
-        if not requests:
-            return []
-        grid = RequestGrid.from_requests(requests)
-        plans, errors = self._plan_each(
-            RequestPoints(grid.batch, grid.input_len, grid.output_len))
-        entries: List[Optional[EstimateOrError]] = [
-            errors.get(index) for index in range(len(requests))]
-        planned = [index for index, entry in enumerate(entries)
-                   if entry is None]
-        if not planned:
-            return entries  # type: ignore[return-value]
-        if errors:
-            grid = RequestGrid.from_requests(
-                [requests[index] for index in planned])
-        n_resident = plans.n_resident[planned]
-        n_streamed = plans.n_streamed[planned]
-        prefill_terms = layer_terms(self.spec, Stage.PREFILL, *grid.prefill,
-                                    self.system, self.config)
+        tables = tables.read_as(self.spec, self.system, self.config)
+        grid, requests = tables.grid, tables.requests
+        plans, errors = plan_each(self, grid.points)
+        if len(errors) == len(requests):
+            return [errors[index] for index in range(len(requests))]
+        n_resident, n_streamed = plans.n_resident, plans.n_streamed
         prefill, prefill_policies = self._stage_totals(
-            prefill_terms, n_streamed, n_resident)
-        decode_terms = layer_terms(self.spec, Stage.DECODE, *grid.decode,
-                                   self.system, self.config)
+            tables.prefill, n_streamed, n_resident)
         decode, decode_policies = self._stage_totals(
-            decode_terms, n_streamed, n_resident, grid)
+            tables.decode, n_streamed, n_resident, grid)
 
-        prefills = split_rows(prefill, len(planned))
-        decodes = split_rows(grid.fold_decode(decode), len(planned))
+        prefills = split_rows(prefill, len(requests))
+        decodes = split_rows(grid.fold_decode(decode), len(requests))
         prefill_best, decode_best = (
             np.broadcast_to(policies.best, n_streamed.shape).tolist()
             for policies in (prefill_policies, decode_policies))
-        rows = plans.rows(len(requests))
-        for row, index in enumerate(planned):
-            memory, residency = rows[index]
-            entries[index] = InferenceEstimate(
+        return [
+            errors[index] if index in errors else InferenceEstimate(
                 framework=self.framework_name,
                 model=self.spec.name,
                 system=self.system.name,
-                request=requests[index],
-                prefill=prefills[row],
-                decode=decodes[row],
+                request=request,
+                prefill=prefills[index],
+                decode=decodes[index],
                 prefill_policy=prefill_policies.candidates[
-                    prefill_best[row]],
-                decode_policy=decode_policies.candidates[decode_best[row]],
+                    prefill_best[index]],
+                decode_policy=decode_policies.candidates[
+                    decode_best[index]],
                 residency=residency,
                 memory=memory,
             )
-        return entries  # type: ignore[return-value]
+            for index, (request, (memory, residency)) in enumerate(
+                zip(requests, plans.rows(len(requests))))]
 
     def decode_step_times(self, batch_sizes: Sequence[int],
                           context_lens: Sequence[int]) -> np.ndarray:
@@ -420,7 +511,7 @@ class LiaEstimator:
         """
         points = RequestPoints(np.asarray(batch_sizes),
                                np.asarray(input_lens), 1)
-        plans, errors = self._plan_each(points)
+        plans, errors = plan_each(self, points)
         terms = layer_terms(self.spec, Stage.PREFILL, points.batch_size,
                             points.input_len, self.system, self.config)
         times = self._stage_totals(terms, plans.n_streamed,
@@ -476,21 +567,6 @@ class LiaEstimator:
             failed = failed | request.invalid
         return PointPlans(replace(memory, gpu_bytes=gpu_bytes), residency,
                           failed)
-
-    def _plan_each(self, points: RequestPoints
-                   ) -> Tuple[PointPlans, Dict[int, CapacityError]]:
-        """The array plan of aligned points, and the
-        :class:`CapacityError` of every point where it fails: the
-        scalar :meth:`_plan`'s at that point, so the message is exact
-        (an invalid point raises its ``ConfigurationError``)."""
-        plans = self._plan_points(points)
-        errors: Dict[int, CapacityError] = {}
-        for point in np.flatnonzero(plans.failed).tolist():
-            try:
-                self._plan(points.at((point,)))
-            except CapacityError as error:
-                errors[point] = error
-        return plans, errors
 
     def _plan(self, request: InferenceRequest
               ) -> Tuple[MemoryUsage, ResidencyPlan]:

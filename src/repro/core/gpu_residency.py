@@ -11,7 +11,7 @@ wastes the capacity remainder — §5.2's OPT-30B example: LIA places
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -85,7 +85,7 @@ def gpu_working_set_bytes(spec: ModelSpec, request: RequestLike,
 
 
 def _available_bytes(system: SystemConfig, config: LiaConfig,
-                     working: Real, extra_reserved_bytes: float = 0.0
+                     working: Real, extra_reserved_bytes: Real = 0.0
                      ) -> Real:
     capacity = system.gpu.memory_capacity * (1.0
                                              - config.gpu_working_reserve)
@@ -133,42 +133,49 @@ def sublayer_class_bytes(spec: ModelSpec, sublayer: Sublayer) -> float:
 
 
 def plan_sublayer_residency(spec: ModelSpec, system: SystemConfig,
-                            request: InferenceRequest,
-                            config: LiaConfig,
-                            extra_reserved_bytes: float = 0.0
+                            request: RequestLike, config: LiaConfig,
+                            extra_reserved_bytes: Real = 0.0
                             ) -> ResidencyPlan:
     """FlexGen's plan: pack whole sublayer classes, smallest first.
 
     Packing smallest-first maximizes the number of resident classes;
     the coarse granularity strands capacity that LIA's layer plan
-    would use (§5.2).
+    would use (§5.2).  A greedy pass takes each class that still fits.
+    With the sizes ascending, once one class is skipped every later
+    one is too, so the resident classes are always a prefix of the
+    order, and the running totals (``np.add.accumulate``, the greedy's
+    own left fold) give every point's prefix at once.
+
+    For a :class:`~repro.models.workload.RequestPoints` (and
+    ``extra_reserved_bytes`` an array over its points, or a float they
+    share), the byte fields are arrays over its points and
+    ``resident_sublayers`` an object array of each point's tuple.
     """
     working = gpu_working_set_bytes(spec, request, config,
                                     gpu_capacity=system.gpu.memory_capacity)
+    plan = ResidencyPlan(granularity="sublayer-class",
+                         n_layers=spec.n_layers, n_resident_layers=0,
+                         resident_bytes=0.0, working_bytes=working)
     if not config.gpu_residency:
-        return ResidencyPlan(granularity="sublayer-class",
-                             n_layers=spec.n_layers, n_resident_layers=0,
-                             resident_bytes=0.0, working_bytes=working)
+        return plan
+    sizes = _class_bytes(spec)
+    order = sorted((sub for sub in Sublayer if sub.uses_parameters),
+                   key=lambda sub: sizes[int(sub) - 1])
+    totals = np.add.accumulate([0.0] + [sizes[int(sub) - 1]
+                                        for sub in order])
     available = _available_bytes(system, config, working,
                                  extra_reserved_bytes)
-    classes = sorted(
-        ((size, s) for size, s in zip(_class_bytes(spec), Sublayer)
-         if s.uses_parameters),
-        key=lambda pair: pair[0])
-    resident: list = []
-    used = 0.0
-    for size, sub in classes:
-        if used + size <= available:
-            resident.append(sub)
-            used += size
-    return ResidencyPlan(
-        granularity="sublayer-class",
-        n_layers=spec.n_layers,
-        n_resident_layers=0,
-        resident_bytes=used,
-        working_bytes=working,
-        resident_sublayers=tuple(resident),
-    )
+    if not isinstance(available, np.ndarray):
+        n_classes = int(np.count_nonzero(totals[1:] <= available))
+        return replace(plan, resident_bytes=totals[n_classes].item(),
+                       resident_sublayers=tuple(order[:n_classes]))
+    n_classes = np.count_nonzero(totals[1:] <= available[..., np.newaxis],
+                                 axis=-1)
+    prefixes = np.empty(len(totals), dtype=object)
+    for count in range(len(totals)):
+        prefixes[count] = tuple(order[:count])
+    return replace(plan, resident_bytes=totals[n_classes],
+                   resident_sublayers=prefixes[n_classes])
 
 
 def resident_weight_fraction(spec: ModelSpec, plan: ResidencyPlan) -> float:

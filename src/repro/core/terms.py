@@ -11,7 +11,10 @@ or a stack of them, by a masked gather; the Eq. (1) search scores all
 64 with :func:`~repro.core.optimizer.candidate_scores`.  ``B`` and
 ``L`` may be arrays that broadcast together (one ``L`` per decode
 step, or a whole ``(B, L)`` grid), so a decode stage or a step-time
-profile is one table.  Sums fold the sublayers left to right, as
+profile is one table.  The KV cache's home (host or GPU) only
+flips firing masks, and the CPU engine enters only the ``comp_cpu``
+column (:func:`cpu_compute`), so frameworks that differ in just those
+read one table.  Sums fold the sublayers left to right, as
 :class:`~repro.core.latency.LayerLatency` adds them, and an unfired
 term adds an exact 0.0: results are bit-identical to evaluating one
 policy at one ``(B, L)``.
@@ -87,12 +90,15 @@ def resident_mask(weights_resident: bool = False,
         [weights_resident or sub in resident_sublayers for sub in Sublayer])
 
 
-def firing(stage: Stage, kv_resident: bool, on_cpu: Mask,
+def firing(stage: Stage, kv_resident: Union[bool, Mask], on_cpu: Mask,
            resident: Mask) -> Tuple[Mask, ...]:
     """Masks of the Eq. (4), (5)/(7), (6) and (9) terms that fire
     under ``on_cpu`` (a ``(6,)`` policy, or any stack of them) with
-    ``resident`` weights and the KV cache in GPU memory if
-    ``kv_resident``, and of the prefetchable weight loads."""
+    ``resident`` weights and the KV cache in GPU memory where
+    ``kv_resident`` holds (a bool, or a mask over the grid points),
+    and of the prefetchable weight loads."""
+    if isinstance(kv_resident, np.ndarray):
+        kv_resident = kv_resident[..., np.newaxis]
     on_gpu = ~on_cpu
     if stage is Stage.PREFILL:
         # Eq. (7), made consistent with the Eq. (9) store: the fresh
@@ -154,13 +160,23 @@ def pool_bandwidth(system: SystemConfig, on_cxl: bool,
     return system.cxl_pool.bandwidth
 
 
+def host_bandwidths(system: SystemConfig,
+                    config: LiaConfig) -> Tuple[float, float]:
+    """Streaming bandwidths of the weights' and the KV cache's host
+    pools; raises :class:`ConfigurationError` when ``config`` places
+    either on CXL and ``system`` has no CXL expanders."""
+    return (pool_bandwidth(
+                system, config.weight_placement is WeightPlacement.CXL,
+                "weight_placement"),
+            pool_bandwidth(
+                system, config.kv_placement is KvCachePlacement.CXL,
+                "kv_placement"))
+
+
 def check_placement(system: SystemConfig, config: LiaConfig) -> None:
     """Raise :class:`ConfigurationError` when ``config`` places weights
     or KV cache on CXL and ``system`` has no CXL expanders."""
-    pool_bandwidth(system, config.weight_placement is WeightPlacement.CXL,
-                   "weight_placement")
-    pool_bandwidth(system, config.kv_placement is KvCachePlacement.CXL,
-                   "kv_placement")
+    host_bandwidths(system, config)
 
 
 @dataclass(frozen=True)
@@ -195,7 +211,9 @@ class LayerTerms:
     stage: Stage
     #: The KV cache lives in GPU memory (FlexGen at B=1), not host
     #: memory: flips the Eq. (5) decode loads and the Eq. (9) store.
-    kv_resident: bool
+    #: A bool, or a mask over the grid points (FlexGen's requests each
+    #: have their own KV home).  Only the firing masks read it.
+    kv_resident: Union[bool, Mask]
     costs: SublayerCosts
     bytes_r: Real
     comp_cpu: Table
@@ -270,6 +288,26 @@ def _slow_tier(stage: Stage, system: SystemConfig, config: LiaConfig,
     return share, bandwidth
 
 
+def cpu_compute(costs: SublayerCosts, system: SystemConfig,
+                config: LiaConfig) -> Real:
+    """The Eq. (8) CPU compute time of every sublayer at every point of
+    ``costs``, on the engine ``config`` selects (:func:`cpu_engine`).
+
+    It is the only term of a :class:`LayerTerms` table that depends on
+    the CPU engine: a framework on another engine (FlexGen's AVX-512)
+    reads a shared table with this column recomputed from its
+    ``costs``.
+    """
+    weight_bw, kv_bw = host_bandwidths(system, config)
+    gemv = USES_KV_CACHE if costs.stage is Stage.DECODE else _NO_SUBLAYER
+    slow_share, slow_bw = _slow_tier(costs.stage, system, config,
+                                     weight_bw, kv_bw)
+    slow_bytes = costs.d_y * slow_share if slow_share.any() else 0.0
+    return cpu_engine(system, config).matmul_time(
+        costs.flops, costs.d_x + costs.d_y - slow_bytes, gemv,
+        slow_bytes=slow_bytes, slow_bandwidth=slow_bw)
+
+
 def layer_terms(spec: ModelSpec, stage: Stage, batch_size: Real,
                 context_len: Real, system: SystemConfig,
                 config: LiaConfig, kv_resident: bool = False
@@ -285,20 +323,10 @@ def layer_terms(spec: ModelSpec, stage: Stage, batch_size: Real,
     :class:`ConfigurationError` for a ``B`` or ``L`` that is not finite
     and >= 1, or a CXL placement on a system without CXL.
     """
-    cpu = cpu_engine(system, config)
     link = system.host_link
-    weight_bw = pool_bandwidth(
-        system, config.weight_placement is WeightPlacement.CXL,
-        "weight_placement")
-    kv_bw = pool_bandwidth(
-        system, config.kv_placement is KvCachePlacement.CXL,
-        "kv_placement")
+    weight_bw, kv_bw = host_bandwidths(system, config)
     costs = sublayer_costs(spec, stage, batch_size, context_len)
     gemv = USES_KV_CACHE if stage is Stage.DECODE else _NO_SUBLAYER
-    slow_share, slow_bw = _slow_tier(stage, system, config, weight_bw,
-                                     kv_bw)
-    slow_bytes = costs.d_y * slow_share if slow_share.any() else 0.0
-    operand_bytes = costs.d_x + costs.d_y
     # Eq. (6): the residual is the d_m-wide hidden state, regardless
     # of the sublayer's own input width.
     tokens = context_len if stage is Stage.PREFILL else 1
@@ -307,11 +335,9 @@ def layer_terms(spec: ModelSpec, stage: Stage, batch_size: Real,
               + link.transfer_time(bytes_r, source_bandwidth=kv_bw))
     return LayerTerms(
         stage, kv_resident, costs, bytes_r,
-        comp_cpu=cpu.matmul_time(
-            costs.flops, operand_bytes - slow_bytes, gemv,
-            slow_bytes=slow_bytes, slow_bandwidth=slow_bw),
+        comp_cpu=cpu_compute(costs, system, config),
         comp_gpu=system.gpu.engine.matmul_time(
-            costs.flops, operand_bytes, gemv),
+            costs.flops, costs.d_x + costs.d_y, gemv),
         load_x=(BOUNDARY_SYNC_LATENCY
                 + link.transfer_time(costs.d_x, source_bandwidth=kv_bw)),
         load_y=link.transfer_time(

@@ -13,11 +13,10 @@ larger B, up to 1.45x higher throughput).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.config import LiaConfig
-from repro.core.estimator import (LiaEstimator, check_host_capacity,
-                                  host_memory_usage)
+from repro.core.estimator import check_host_capacity, host_memory_usage
 from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
@@ -75,24 +74,6 @@ def plan_tiering(spec: ModelSpec, request: InferenceRequest,
         telemetry.metrics.counter("cxl.plans",
                                   system=system.name).inc()
     return plan
-
-
-def max_batch_with_and_without_cxl(spec: ModelSpec, system: SystemConfig,
-                                   input_len: int, output_len: int,
-                                   config: Optional[LiaConfig] = None
-                                   ) -> Tuple[int, int]:
-    """The Table 3 batch-size comparison: (without CXL, with CXL).
-
-    "With CXL" means weights move to the expander pool, freeing DDR
-    for KV cache — e.g. 900 -> ~1.6K for OPT-30B at L_in=32.
-    """
-    config = config or LiaConfig()
-    base = LiaEstimator(spec, system, config)
-    without = base.max_feasible_batch(input_len, output_len)
-    cxl_system = system if system.has_cxl else system.with_cxl()
-    tiered = LiaEstimator(spec, cxl_system, config.with_cxl_weights())
-    with_cxl = tiered.max_feasible_batch(input_len, output_len)
-    return without, with_cxl
 
 
 def adaptive_config(spec: ModelSpec, request: InferenceRequest,

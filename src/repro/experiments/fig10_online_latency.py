@@ -33,8 +33,9 @@ def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         frameworks: Sequence[str] = DEFAULT_FRAMEWORKS,
         output_lens: Sequence[int] = (32, 256)) -> ExperimentResult:
     """Latency rows (s/query) for the full Fig. 10 grid: one
-    ``estimate_many`` call per (system, model, framework), rows in
-    (system, model, request, framework) order."""
+    :func:`estimates_or_oom` call per (system, model), whose frameworks
+    share its term tables, rows in (system, model, request, framework)
+    order."""
     result = ExperimentResult(
         experiment_id="fig10",
         title="online inference latency (B=1)")
@@ -44,9 +45,7 @@ def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         requests = [InferenceRequest(1, input_len, output_len)
                     for output_len in output_lens
                     for input_len in paper_input_lengths(spec, output_len)]
-        estimates = {framework: estimates_or_oom(framework, spec, system,
-                                                 requests)
-                     for framework in frameworks}
+        estimates = estimates_or_oom(frameworks, spec, system, requests)
         for index, request in enumerate(requests):
             for framework in frameworks:
                 estimated = estimates[framework][index]

@@ -28,8 +28,9 @@ def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
         batch_sizes: Sequence[int] = (64, 900),
         output_lens: Sequence[int] = (32, 256)) -> ExperimentResult:
     """Throughput rows (tokens/s) for the full Fig. 11 grid: one
-    ``estimate_many`` call per (system, model, framework), rows in
-    (system, model, request, framework) order."""
+    :func:`estimates_or_oom` call per (system, model), whose frameworks
+    share its term tables, rows in (system, model, request, framework)
+    order."""
     result = ExperimentResult(
         experiment_id="fig11",
         title="offline inference throughput (B=64, 900)")
@@ -40,9 +41,7 @@ def run(pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
                     for batch_size in batch_sizes
                     for output_len in output_lens
                     for input_len in paper_input_lengths(spec, output_len)]
-        estimates = {framework: estimates_or_oom(framework, spec, system,
-                                                 requests)
-                     for framework in frameworks}
+        estimates = estimates_or_oom(frameworks, spec, system, requests)
         for index, request in enumerate(requests):
             for framework in frameworks:
                 estimated = estimates[framework][index]

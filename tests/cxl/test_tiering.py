@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.config import LiaConfig
-from repro.cxl.tiering import (
-    CxlTieringPlan,
-    max_batch_with_and_without_cxl,
-    plan_tiering,
-)
+from repro.cxl.tiering import CxlTieringPlan, plan_tiering
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
@@ -61,15 +57,6 @@ def test_cxl_overflow_is_a_one_line_capacity_error(spr_a100):
                      system)
     assert "\n" not in str(excinfo.value)
     assert excinfo.value.requested > excinfo.value.available
-
-
-def test_max_batch_increases_with_cxl(opt_30b, spr_a100):
-    # Table 3 / abstract: CXL offloading raises the feasible batch by
-    # up to ~1.76x.
-    without, with_cxl = max_batch_with_and_without_cxl(
-        opt_30b, spr_a100, input_len=1024, output_len=32)
-    assert with_cxl > without
-    assert 1.1 <= with_cxl / without <= 2.2
 
 
 def test_savings_fraction_zero_baseline():

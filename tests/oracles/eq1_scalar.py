@@ -11,6 +11,11 @@ one-pass sublayer-axis table is checked against code it does not share.
 The library's table-driven path must agree with this module bit for
 bit (``tests/core/test_eq1_differential.py``).
 
+FlexGen's memory plan has a scalar reference too
+(:func:`flexgen_kv_fits_gpu`, :func:`flexgen_plan`): one request at a
+time, its sublayer classes packed by a greedy loop, where the library
+plans a request list in one array pass.
+
 Two more references stand for library code that was replaced: the
 all-candidate ``(64, *grid, 6)`` masked-product scoring that
 ``search_grid`` used before its prefix-fold kernel
@@ -21,6 +26,7 @@ loops of one-point ``optimal_policy`` probes
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Collection, List, Optional, Tuple
 
 import numpy as np
@@ -28,12 +34,15 @@ import numpy as np
 from repro.baselines.flexgen import FlexGenEstimator
 from repro.core import optimizer
 from repro.core.config import KvCachePlacement, LiaConfig, WeightPlacement
-from repro.core.estimator import LiaEstimator, StageBreakdown
-from repro.core.gpu_residency import plan_layer_residency
+from repro.core.estimator import (LiaEstimator, MemoryUsage,
+                                  StageBreakdown, check_host_capacity,
+                                  host_memory_usage)
+from repro.core.gpu_residency import (ResidencyPlan, gpu_working_set_bytes,
+                                      plan_layer_residency)
 from repro.core.latency import LayerLatency, SublayerLatency
 from repro.core.optimizer import PolicyDecision, stage_layer_time
 from repro.core.overlap import serial_layer_time
-from repro.core.policy import FULL_GPU, OffloadPolicy
+from repro.core.policy import FULL_GPU, PARTIAL_CPU, OffloadPolicy
 from repro.core.terms import (
     ALL_FIRING,
     ALL_ON_CPU,
@@ -42,7 +51,7 @@ from repro.core.terms import (
     cpu_engine,
     pool_bandwidth,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.interconnect import Link
 from repro.hardware.roofline import (
     BATCHED_GEMV_BANDWIDTH_EFFICIENCY,
@@ -449,30 +458,103 @@ def lia_stages(estimator: LiaEstimator, request: InferenceRequest
             policies[Stage.DECODE][0])
 
 
+def flexgen_kv_fits_gpu(estimator: FlexGenEstimator,
+                        request: InferenceRequest) -> bool:
+    """Whether FlexGen keeps ``request``'s KV cache and activations on
+    the GPU: they fit beside the working set."""
+    spec, config = estimator.spec, estimator.config
+    capacity = estimator.system.gpu.memory_capacity
+    kv = spec.kv_cache_bytes(request.batch_size,
+                             request.max_context_len + 1)
+    act = spec.peak_activation_bytes(request.batch_size, request.input_len)
+    working = gpu_working_set_bytes(spec, request, config,
+                                    gpu_capacity=capacity)
+    return kv + act + working <= capacity * (1.0
+                                             - config.gpu_working_reserve)
+
+
+def flexgen_plan(estimator: FlexGenEstimator, request: InferenceRequest
+                 ) -> Tuple[MemoryUsage, ResidencyPlan]:
+    """FlexGen's memory placement and sublayer-class residency of one
+    request, packing the classes smallest first in a greedy loop;
+    raises :class:`CapacityError` when the host pools (if enforced) or
+    the GPU footprint overflow."""
+    spec, system, config = (estimator.spec, estimator.system,
+                            estimator.config)
+    kv_resident = flexgen_kv_fits_gpu(estimator, request)
+    memory = host_memory_usage(spec, request, system, config)
+    if kv_resident:
+        # Host only stores weights; KV/activations stay on GPU.
+        memory = MemoryUsage(
+            weight_bytes=memory.weight_bytes, kv_bytes=0.0,
+            activation_bytes=0.0, ddr_bytes=memory.weight_bytes,
+            cxl_bytes=0.0, gpu_bytes=0.0)
+    if config.enforce_host_capacity:
+        check_host_capacity(memory, system)
+
+    kv_gpu_bytes = 0.0
+    if kv_resident:
+        kv_gpu_bytes = float(spec.kv_cache_bytes(
+            request.batch_size, request.max_context_len + 1))
+    capacity = system.gpu.memory_capacity
+    working = gpu_working_set_bytes(spec, request, config,
+                                    gpu_capacity=capacity)
+    resident: list = []
+    used = 0.0
+    if config.gpu_residency:
+        available = (capacity * (1.0 - config.gpu_working_reserve)
+                     - working - kv_gpu_bytes)
+        classes = sorted(
+            ((sublayer_cost(spec, sub, Stage.DECODE, 1, 1).d_y
+              * spec.n_layers, sub)
+             for sub in Sublayer if sub.uses_parameters),
+            key=lambda pair: pair[0])
+        for size, sub in classes:
+            if used + size <= available:
+                resident.append(sub)
+                used += size
+    residency = ResidencyPlan(
+        granularity="sublayer-class", n_layers=spec.n_layers,
+        n_resident_layers=0, resident_bytes=used, working_bytes=working,
+        resident_sublayers=tuple(resident))
+    gpu_bytes = used + working + kv_gpu_bytes
+    if gpu_bytes > capacity:
+        raise CapacityError(
+            f"{system.name}: FlexGen GPU footprint "
+            f"{gpu_bytes / 2**30:.1f} GiB exceeds capacity",
+            requested=gpu_bytes, available=capacity,
+            device=system.gpu.name)
+    return replace(memory, gpu_bytes=gpu_bytes), residency
+
+
 def flexgen_prefill(estimator: FlexGenEstimator,
                     request: InferenceRequest) -> StageBreakdown:
     """FlexGen's prefill stage: one full-GPU layer at ``L_in``."""
     layer = layer_latency(
         estimator.spec, Stage.PREFILL, FULL_GPU, request.batch_size,
         request.input_len, estimator.system, estimator.config,
-        resident_sublayers=estimator.estimate(
-            request).residency.resident_sublayers,
-        kv_resident=estimator.kv_fits_gpu(request))
+        resident_sublayers=flexgen_plan(
+            estimator, request)[1].resident_sublayers,
+        kv_resident=flexgen_kv_fits_gpu(estimator, request))
     return estimator._stage_breakdown(layer, Stage.PREFILL)
 
 
 def flexgen_decode(estimator: FlexGenEstimator,
                    request: InferenceRequest) -> StageBreakdown:
-    """FlexGen's decode stage as a loop over steps."""
-    estimate = estimator.estimate(request)
-    kv_resident = estimator.kv_fits_gpu(request)
+    """FlexGen's decode stage as a loop over steps: CPU attention
+    scoring iff the KV cache lives on the host and compute offload is
+    enabled."""
+    residency = flexgen_plan(estimator, request)[1]
+    kv_resident = flexgen_kv_fits_gpu(estimator, request)
+    policy = (PARTIAL_CPU if estimator.settings.compute_offload
+              and not kv_resident else FULL_GPU)
     decode = StageBreakdown(0.0, 0.0, 0.0, 0.0)
     for context_len in request.decode_context_lengths().tolist():
         layer = layer_latency(
-            estimator.spec, Stage.DECODE, estimate.decode_policy,
+            estimator.spec, Stage.DECODE, policy,
             request.batch_size, context_len, estimator.system,
             estimator.config,
-            resident_sublayers=estimate.residency.resident_sublayers,
+            resident_sublayers=residency.resident_sublayers,
             kv_resident=kv_resident)
         decode = decode + estimator._stage_breakdown(layer, Stage.DECODE)
     return decode
