@@ -476,14 +476,17 @@ class LiaEstimator:
             for index, (request, (memory, residency)) in enumerate(
                 zip(requests, plans.rows(len(requests))))]
 
-    def decode_step_times(self, batch_sizes: Sequence[int],
-                          context_lens: Sequence[int]) -> np.ndarray:
-        """One decode step's time at every ``(B, L)`` of a grid.
+    def decode_step_grid(self, batch_sizes: Sequence[int],
+                         context_lens: Sequence[int]
+                         ) -> Tuple[np.ndarray, PolicyGrid]:
+        """One decode step's time at every ``(B, L)`` of a grid, and the
+        streamed layers' Eq. (1) winners there.
 
-        Entry ``[i, j]`` is
+        Time ``[i, j]`` is
         ``estimate(InferenceRequest(batch_sizes[i], context_lens[j],
-        1)).decode.time`` bit for bit, from one array memory plan and
-        one broadcast term table: each point keeps its own Eq. (1)
+        1)).decode.time`` bit for bit, and winner ``(i, j)`` is
+        ``optimal_policy`` at that point, from one array memory plan
+        and one broadcast term table: each point keeps its own Eq. (1)
         winners and residency split, and the first point (row-major)
         that ``estimate`` rejects raises the same error.
         """
@@ -495,8 +498,9 @@ class LiaEstimator:
             self._plan(points.at(point))  # raises that point's error
         terms = layer_terms(self.spec, Stage.DECODE, points.batch_size,
                             points.input_len, self.system, self.config)
-        return self._stage_totals(terms, plans.n_streamed,
-                                  plans.n_resident)[0].time
+        totals, policies = self._stage_totals(terms, plans.n_streamed,
+                                              plans.n_resident)
+        return totals.time, policies
 
     def prefill_times(self, batch_sizes: Sequence[int],
                       input_lens: Sequence[int]

@@ -68,17 +68,26 @@ class PolicyDecision:
         return hash(self._key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyGrid:
-    """Eq. (1) solved at every grid point of one term table."""
+    """Eq. (1) solved at every grid point of one term table.
+
+    ``layer_time``, each winner's score, is taken on first read: a
+    forced policy wins without being scored, and most callers read
+    only the winners.
+    """
 
     candidates: Tuple[OffloadPolicy, ...]
     #: ``(k, 6)`` on-CPU masks of ``candidates``.
     on_cpu: Mask
     #: Index into ``candidates`` of each point's winner.
     best: np.ndarray
-    #: Each winner's serial layer latency, the Eq. (1) objective.
-    layer_time: np.ndarray
+    score: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def layer_time(self) -> np.ndarray:
+        """Each winner's serial layer latency, the Eq. (1) objective."""
+        return self.score()
 
     def policy(self, index: Tuple[int, ...] = ()) -> OffloadPolicy:
         """The winner at grid ``index`` (a 0-d grid's only point by
@@ -243,29 +252,37 @@ def search_grid(terms: LayerTerms, config: LiaConfig,
                 weights_resident: bool = False) -> PolicyGrid:
     """Solve Eq. (1) at every grid point of ``terms``.
 
-    Every candidate — the 64 policies (:func:`candidate_scores`), or
-    the one ``config.forced_*_policy`` pins so the ablation harness can
-    fix FlexGen's policy — is scored at every point; each point's
-    first minimum wins, as in a scan over
-    ``OffloadPolicy.all_policies()``.  Eq. (1)/(2) scores the *serial*
+    The 64 policies are scored at every point
+    (:func:`candidate_scores`), and each point's first minimum wins, as
+    in a scan over ``OffloadPolicy.all_policies()``.  A policy
+    ``config.forced_*_policy`` pins (so the ablation harness can fix
+    FlexGen's) wins everywhere, and is scored only if its
+    ``layer_time`` is read.  Eq. (1)/(2) scores the *serial*
     layer latency; overlap is an execution-time optimization, not part
     of the objective — that is what keeps Fig. 9's B=1 decode region
     full-CPU.
     """
     forced = _forced_policy(terms.stage, config)
     if forced is None:
-        candidates: Tuple[OffloadPolicy, ...] = ALL_POLICIES
-        on_cpu = ALL_ON_CPU
         times = candidate_scores(terms, weights_resident)
-    else:
-        candidates = (forced,)
-        on_cpu = on_cpu_mask(forced)[np.newaxis]
-        times = np.asarray(serial_layer_time(terms.sums(
-            on_cpu[0], resident_mask(weights_resident))))[np.newaxis]
-    # The minimum is the first minimum's own value.
+        # The minimum is the first minimum's own value; taken now, so
+        # the (64, ...) table is freed on return.
+        return PolicyGrid(candidates=ALL_POLICIES, on_cpu=ALL_ON_CPU,
+                          best=np.argmin(times, axis=0),
+                          score=partial(np.asarray, times.min(axis=0)))
+    on_cpu = on_cpu_mask(forced)[np.newaxis]
     return PolicyGrid(
-        candidates=candidates, on_cpu=on_cpu,
-        best=np.argmin(times, axis=0), layer_time=times.min(axis=0))
+        candidates=(forced,), on_cpu=on_cpu,
+        best=np.zeros(terms.comp_cpu.shape[:-1], dtype=np.intp),
+        score=partial(_scored, terms, on_cpu[0], weights_resident))
+
+
+def _scored(terms: LayerTerms, on_cpu: Mask,
+            weights_resident: bool) -> np.ndarray:
+    """The Eq. (1) objective of one policy at every point of
+    ``terms``."""
+    return np.asarray(serial_layer_time(terms.sums(
+        on_cpu, resident_mask(weights_resident))))
 
 
 def count_searches(stage: Stage, config: LiaConfig, points: int) -> None:

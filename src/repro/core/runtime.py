@@ -41,6 +41,17 @@ from repro.sim.trace import Timeline
 _FUNCTIONAL_PARAM_LIMIT = 50_000_000
 
 
+def _check_cap(name: str, value: Optional[int], least: int) -> None:
+    """Reject a replay cap that is not an int of at least ``least``
+    (``None`` means no cap)."""
+    if value is None:
+        return
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < least):
+        raise ConfigurationError(
+            f"{name} must be an int >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RuntimePlan:
     """Everything LIA decides before executing a request."""
@@ -114,6 +125,7 @@ class LiaRuntime:
         Uses the streamed-layer policy; ``n_layers`` defaults to the
         model's depth (cap it for readable Gantt output).
         """
+        _check_cap("n_layers", n_layers, 1)
         layer = optimal_policy(self.spec, stage, request.batch_size,
                                request.input_len, self.system,
                                self.config).layer
@@ -137,6 +149,8 @@ class LiaRuntime:
         """
         from repro.core.overlap import build_request_graph
 
+        _check_cap("n_layers", n_layers, 1)
+        _check_cap("decode_steps", decode_steps, 0)
         plan = self.plan(request)
         depth = n_layers if n_layers is not None else self.spec.n_layers
         steps = (decode_steps if decode_steps is not None

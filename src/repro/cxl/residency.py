@@ -13,6 +13,15 @@ The tier budgets come from :func:`kv_capacities_from_system`, the
 one place the §6 placement (weights to CXL whenever expanders exist)
 sizes them.
 
+The ledger keeps one insertion-ordered ``{request id: bytes}`` map per
+tier.  HBM bytes are placed only at admission, so the HBM map is the
+demotion order: a demotion walks only HBM holders, and a release
+re-sums only the tiers it touches, each over its own map.  Its tier
+totals are a list the scheduler reads in place.  Every ``used``
+value, demotion count and demoted byte equals that of the
+per-request ledger it replaced (``tests/oracles/kv_ledger.py``), float
+for float.
+
 Two invariants hold at every point in time, property-tested in
 ``tests/cxl/test_residency.py``:
 
@@ -116,6 +125,16 @@ def kv_capacities_from_system(spec: ModelSpec,
                             cxl_bytes=cxl - weights)
 
 
+#: Tier indices in the order a request's tiers first receive bytes:
+#: HBM only ever at admission, so first; DDR before CXL, unless a
+#: demotion brings a request DDR bytes after it holds CXL ones.  A
+#: request's parts are summed in this order, which sets the rounding
+#: of what :meth:`KvResidency.release` returns.
+_TIER_ORDER = (0, 1, 2)
+_CXL_FIRST = (0, 2, 1)
+_TIER_INDEX = {tier: index for index, tier in enumerate(KV_TIERS)}
+
+
 class KvResidency:
     """Ledger of live KV allocations across the three tiers.
 
@@ -124,16 +143,26 @@ class KvResidency:
     coldness order for demotion: the longest-resident request's HBM
     bytes are pushed down first, because its decode is the furthest
     along and new sequences append hot KV every step.
+
+    Each tier keeps one insertion-ordered ``{request id: bytes}`` map
+    of the requests holding bytes there.  HBM bytes are only ever
+    placed at admission, so the HBM map is the demotion order, and a
+    demotion walks only HBM holders.  Admission and demotion add and
+    subtract tier totals incrementally; a release re-derives each tier
+    it touches as the ``math.fsum`` of that tier's map alone.
     """
 
     def __init__(self, capacities: KvTierCapacities) -> None:
         self.capacities = capacities
-        self._capacity: Dict[str, float] = dict(
-            zip(KV_TIERS, capacities.as_tuple()))
-        self._used: Dict[str, float] = {tier: 0.0 for tier in KV_TIERS}
-        #: request id -> per-tier bytes; insertion order = admission
-        #: order (Python dicts preserve it), which is coldness order.
-        self._allocations: Dict[int, Dict[str, float]] = {}
+        self._capacity = capacities.as_tuple()
+        #: Live bytes per tier, in :data:`KV_TIERS` order.  Updated in
+        #: place, so a caller may hold the list across operations.
+        self.used_bytes: List[float] = [0.0, 0.0, 0.0]
+        #: Per tier, request id -> the bytes it holds there (> 0).
+        self._held: Tuple[Dict[int, float], ...] = ({}, {}, {})
+        #: Live request id -> whether its CXL bytes came before its
+        #: DDR bytes (the order :meth:`_parts` lists them in).
+        self._live: Dict[int, bool] = {}
         self.demotions = 0
         self.demoted_bytes = 0.0
 
@@ -141,46 +170,53 @@ class KvResidency:
     def used(self, tier: str) -> float:
         """Live bytes resident in ``tier``."""
         try:
-            return self._used[tier]
+            return self.used_bytes[_TIER_INDEX[tier]]
         except KeyError:
             raise ConfigurationError(
                 f"unknown KV tier {tier!r}; tiers: "
                 f"{', '.join(KV_TIERS)}") from None
 
     def free(self, tier: str) -> float:
-        return self._capacity[tier] - self.used(tier)
+        used = self.used(tier)
+        return self._capacity[_TIER_INDEX[tier]] - used
 
     @property
     def total_used(self) -> float:
-        return sum(self._used.values())
+        return sum(self.used_bytes)
 
     @property
     def total_free(self) -> float:
-        return sum(self._capacity[tier] - self._used[tier]
-                   for tier in KV_TIERS)
+        return sum(capacity - used for capacity, used
+                   in zip(self._capacity, self.used_bytes))
 
     @property
     def n_resident(self) -> int:
-        return len(self._allocations)
+        return len(self._live)
+
+    def _parts(self, request_id: int) -> List[Tuple[int, float]]:
+        """``(tier index, bytes)`` of one live request, in the order
+        its tiers first received bytes."""
+        order = _CXL_FIRST if self._live[request_id] else _TIER_ORDER
+        return [(tier, self._held[tier][request_id]) for tier in order
+                if request_id in self._held[tier]]
 
     def allocation(self, request_id: int) -> Dict[str, float]:
         """Copy of one request's per-tier placement."""
-        try:
-            return dict(self._allocations[request_id])
-        except KeyError:
+        if request_id not in self._live:
             raise ConfigurationError(
-                f"request {request_id} holds no KV allocation"
-            ) from None
+                f"request {request_id} holds no KV allocation")
+        return {KV_TIERS[tier]: nbytes
+                for tier, nbytes in self._parts(request_id)}
 
     def cxl_fraction(self, request_id: int) -> float:
         """Fraction of one request's KV bytes resident in CXL."""
-        allocation = self._allocations.get(request_id)
-        if not allocation:
+        if request_id not in self._live:
             return 0.0
-        total = sum(allocation.values())
+        parts = self._parts(request_id)
+        total = sum(nbytes for __, nbytes in parts)
         if total <= 0.0:
             return 0.0
-        return allocation.get("cxl", 0.0) / total
+        return self._held[2].get(request_id, 0.0) / total
 
     # ------------------------------------------------------------------
     def fits(self, nbytes: float) -> bool:
@@ -199,56 +235,51 @@ class KvResidency:
         if nbytes < 0.0 or math.isnan(nbytes):
             raise ConfigurationError(
                 f"KV bytes must be >= 0, got {nbytes}")
-        if request_id in self._allocations:
+        if request_id in self._live:
             raise ConfigurationError(
                 f"request {request_id} already holds a KV allocation")
-        if not self.fits(nbytes):
+        capacity, used = self._capacity, self.used_bytes
+        if not nbytes <= ((capacity[0] - used[0]) + (capacity[1] - used[1])
+                          + (capacity[2] - used[2])):
             return False
-        want_hbm = min(nbytes, self._capacity["hbm"])
-        if want_hbm > self.free("hbm"):
-            self._demote_hbm(want_hbm - self.free("hbm"))
-        placed: Dict[str, float] = {}
+        want_hbm = min(nbytes, capacity[0])
+        if want_hbm > capacity[0] - used[0]:
+            self._demote_hbm(want_hbm - (capacity[0] - used[0]))
         remaining = nbytes
-        for tier in KV_TIERS:
+        for tier, held in enumerate(self._held):
             if remaining <= 0.0:
                 break
-            take = min(remaining, self.free(tier))
+            take = min(remaining, capacity[tier] - used[tier])
             if take > 0.0:
-                placed[tier] = take
-                self._used[tier] += take
+                held[request_id] = take
+                used[tier] += take
                 remaining -= take
-        # fits() guaranteed room; float cancellation can leave a
-        # vanishing residue, absorbed into the last tier with room.
+        # The combined check guaranteed room; float cancellation can
+        # leave a vanishing residue, absorbed into CXL.
         if remaining > 0.0:
-            last = next(tier for tier in reversed(KV_TIERS)
-                        if self._capacity[tier] > 0.0
-                        or tier == KV_TIERS[-1])
-            placed[last] = placed.get(last, 0.0) + remaining
-            self._used[last] += remaining
-        self._allocations[request_id] = placed
+            cxl = self._held[2]
+            cxl[request_id] = cxl.get(request_id, 0.0) + remaining
+            used[2] += remaining
+        self._live[request_id] = False
         return True
 
     def release(self, request_id: int) -> float:
         """Evict one request's KV; returns the bytes freed."""
-        try:
-            allocation = self._allocations.pop(request_id)
-        except KeyError:
+        if request_id not in self._live:
             raise ConfigurationError(
-                f"request {request_id} holds no KV allocation"
-            ) from None
+                f"request {request_id} holds no KV allocation")
         freed = 0.0
-        for tier, nbytes in allocation.items():
-            # Re-derive the tier's usage from the surviving
-            # allocations rather than subtracting incrementally:
-            # admissions and demotions add bytes in a different order
-            # than releases subtract them, so incremental updates
-            # accumulate float residue that eventually breaks
-            # conservation against the allocation ledger (an emptied
-            # tier could report ~1e-6 bytes still in use).
-            self._used[tier] = math.fsum(
-                alloc.get(tier, 0.0)
-                for alloc in self._allocations.values())
+        for tier, nbytes in self._parts(request_id):
+            held = self._held[tier]
+            del held[request_id]
+            # Re-derive the tier's usage from its surviving holders
+            # rather than subtracting: admissions and demotions add
+            # bytes in a different order than releases subtract them,
+            # so incremental updates accumulate float residue (an
+            # emptied tier could report ~1e-6 bytes still in use).
+            self.used_bytes[tier] = math.fsum(held.values())
             freed += nbytes
+        del self._live[request_id]
         return freed
 
     # ------------------------------------------------------------------
@@ -260,44 +291,54 @@ class KvResidency:
         then simply takes less HBM.
         """
         remaining = nbytes
-        ids: List[int] = [rid for rid, alloc in
-                          self._allocations.items()
-                          if alloc.get("hbm", 0.0) > 0.0]
-        for rid in ids:
+        __, ddr_capacity, cxl_capacity = self._capacity
+        hbm_used, ddr_used, cxl_used = self.used_bytes
+        hbm, ddr, cxl = self._held
+        drained: List[int] = []
+        for rid, movable in hbm.items():
             if remaining <= 0.0:
                 break
-            allocation = self._allocations[rid]
-            movable = allocation.get("hbm", 0.0)
-            lower_free = self.free("ddr") + self.free("cxl")
-            move = min(movable, remaining, lower_free)
+            ddr_free = ddr_capacity - ddr_used
+            cxl_free = cxl_capacity - cxl_used
+            move = min(movable, remaining, ddr_free + cxl_free)
             if move <= 0.0:
                 break
             left = move
-            for tier in ("ddr", "cxl"):
-                take = min(left, self.free(tier))
-                if take > 0.0:
-                    allocation[tier] = allocation.get(tier, 0.0) + take
-                    self._used[tier] += take
-                    left -= take
+            take = min(left, ddr_free)
+            if take > 0.0:
+                if rid not in ddr and rid in cxl:
+                    self._live[rid] = True
+                ddr[rid] = ddr.get(rid, 0.0) + take
+                ddr_used += take
+                left -= take
+            take = min(left, cxl_free)
+            if take > 0.0:
+                cxl[rid] = cxl.get(rid, 0.0) + take
+                cxl_used += take
+                left -= take
             moved = move - left
-            allocation["hbm"] = movable - moved
-            self._used["hbm"] -= moved
-            if allocation["hbm"] <= 0.0:
-                del allocation["hbm"]
+            rest = movable - moved
+            if rest <= 0.0:
+                drained.append(rid)
+            else:
+                hbm[rid] = rest
+            hbm_used -= moved
             remaining -= moved
             self.demotions += 1
             self.demoted_bytes += moved
+        self.used_bytes[:] = (hbm_used, ddr_used, cxl_used)
+        for rid in drained:
+            del hbm[rid]
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert the capacity and conservation invariants (tests)."""
-        for tier in KV_TIERS:
-            if self._used[tier] > self._capacity[tier] * (1 + 1e-12):
+        for tier, used, capacity in zip(KV_TIERS, self.used_bytes,
+                                        self._capacity):
+            if used > capacity * (1 + 1e-12):
                 raise AssertionError(
-                    f"{tier}: used {self._used[tier]} exceeds "
-                    f"capacity {self._capacity[tier]}")
-        ledger = sum(sum(alloc.values())
-                     for alloc in self._allocations.values())
+                    f"{tier}: used {used} exceeds capacity {capacity}")
+        ledger = sum(sum(held.values()) for held in self._held)
         if not math.isclose(ledger, self.total_used,
                             rel_tol=1e-9, abs_tol=1e-6):
             raise AssertionError(

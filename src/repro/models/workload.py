@@ -50,15 +50,19 @@ class InferenceRequest:
     output_len: int
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-        if self.input_len < 1:
-            raise ConfigurationError(
-                f"input_len must be >= 1, got {self.input_len}")
-        if self.output_len < 1:
-            raise ConfigurationError(
-                f"output_len must be >= 1, got {self.output_len}")
+        for name in ("batch_size", "input_len", "output_len"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if (not isinstance(value, (int, np.integer))
+                        or isinstance(value, bool)):
+                    raise ConfigurationError(
+                        f"{name} must be an integer, got {value!r}")
+                # numpy integers (and int subclasses) become plain ints.
+                value = int(value)
+                object.__setattr__(self, name, value)
+            if value < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {value}")
 
     @property
     def max_context_len(self) -> int:

@@ -21,10 +21,11 @@ Three LIA-specific couplings make this more than a queueing exercise:
   so every composition change re-solves Eq. (1) for the aggregate
   batch.  A re-solve whose decision no step reads — no KV sits in CXL
   to stretch the steps — is counted as a resolve and a search, but not
-  evaluated.  The first re-solve a step reads is solved on the spot;
-  later ones take its answer, and term tables of up to 1,024 points
-  check them when the run ends (a wrong guess reruns the loop once,
-  solving every read on the spot).
+  evaluated.  A re-solve a step reads takes the answer the
+  :class:`StepProfile` grid solved at its lower bracketing point, and
+  term tables of up to 1,024 points check every such guess when the
+  run ends (a wrong guess reruns the loop once, solving every read on
+  the spot).
 * **KV placement feeds back into step time.**  When the re-solved
   policy keeps the attention sublayers on the CPU, KV bytes demoted to
   CXL stall AMX (Observation-2); the step stretches by
@@ -42,7 +43,7 @@ reproduces the FIFO :class:`ServingSimulator` report bit for bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -52,7 +53,7 @@ from typing import (TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List,
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.core.optimizer import count_searches, search_grid
+from repro.core.optimizer import PolicyGrid, count_searches, search_grid
 from repro.core.terms import layer_terms
 from repro.cxl.residency import (KV_TIERS, KvResidency, KvTierCapacities,
                                  kv_capacities_from_system)
@@ -164,11 +165,13 @@ class StepProfile:
     measured — grid point ``(B, c)`` is
     ``estimate(InferenceRequest(B, c, 1)).decode.time`` bit for bit,
     and the whole grid is one
-    :meth:`~repro.core.estimator.LiaEstimator.decode_step_times` call,
+    :meth:`~repro.core.estimator.LiaEstimator.decode_step_grid` call,
     so the profile inherits the paper's batch-dependent CPU/GPU splits.
-    Prefill times of the ``prompts`` shapes, ``(B, L_in)`` pairs, come
-    from one :meth:`~repro.core.estimator.LiaEstimator.prefill_times`
-    call (a prefill-only term table).
+    The same call's Eq. (1) winners say at every grid point whether
+    attention runs on the CPU (:meth:`attention_on_cpu`).  Prefill
+    times of the ``prompts`` shapes, ``(B, L_in)`` pairs, come from one
+    :meth:`~repro.core.estimator.LiaEstimator.prefill_times` call (a
+    prefill-only term table).
     """
 
     def __init__(self, estimator: "LiaEstimator",
@@ -187,8 +190,11 @@ class StepProfile:
         self.estimator = estimator
         self.batch_sizes = batches
         self.context_lens = contexts
-        self._decode_grid = estimator.decode_step_times(batches, contexts)
+        self._decode_grid, policies = estimator.decode_step_grid(
+            batches, contexts)
         self._rows: List[List[float]] = self._decode_grid.tolist()
+        self._attention: List[List[bool]] = _attention_placed_on_cpu(
+            policies).tolist()
         self._prefill = self._prefill_times(prompts)
 
     @classmethod
@@ -283,6 +289,15 @@ class StepProfile:
         first step of :meth:`decode_steps`."""
         return next(self.decode_steps(batch_size, context_len))
 
+    def attention_on_cpu(self, batch_size: float,
+                         context_len: float) -> bool:
+        """Whether the Eq. (1) decode winner computes attention on the
+        CPU at the grid point that brackets ``(batch_size,
+        context_len)`` from below (the axis start below it)."""
+        row = max(bisect_right(self.batch_sizes, batch_size) - 1, 0)
+        column = max(bisect_right(self.context_lens, context_len) - 1, 0)
+        return self._attention[row][column]
+
     def prefill_time(self, request: InferenceRequest) -> float:
         """Exact prefill latency of one member's prompt.
 
@@ -299,6 +314,12 @@ class StepProfile:
         return entry
 
 
+def _attention_placed_on_cpu(policies: PolicyGrid) -> np.ndarray:
+    """Whether each point's Eq. (1) winner computes a KV-reading
+    (attention) sublayer on the CPU."""
+    return policies.winners_on_cpu[..., USES_KV_CACHE].any(axis=-1)
+
+
 def _attention_on_cpu(estimator: "LiaEstimator", aggregate: ArrayLike,
                       context: ArrayLike) -> np.ndarray:
     """Whether the Eq. (1) decode winner computes attention on the CPU
@@ -308,8 +329,7 @@ def _attention_on_cpu(estimator: "LiaEstimator", aggregate: ArrayLike,
     does.  Counts no search."""
     terms = layer_terms(estimator.spec, Stage.DECODE, aggregate, context,
                         estimator.system, estimator.config)
-    on_cpu = search_grid(terms, estimator.config).winners_on_cpu
-    return on_cpu[..., USES_KV_CACHE].any(axis=-1)
+    return _attention_placed_on_cpu(search_grid(terms, estimator.config))
 
 
 #: Guessed reads checked per term table: bounds the table's memory
@@ -322,30 +342,31 @@ class _ReadResolves:
 
     A re-solve is *read* when KV sits in CXL, so the step stretch
     depends on whether attention runs on the CPU.  A guessing pass
-    solves its first read on the spot, answers every later read alike
-    and records their points for :meth:`verified` to check,
-    :data:`_CHECK_BLOCK` points per term table.  A pass that does not
-    guess solves every read on the spot.
+    (one given a ``profile``) answers each read with the profile grid's
+    answer at the read's lower bracketing point
+    (:meth:`StepProfile.attention_on_cpu`), solved with the grid and so
+    free, and records the read for :meth:`verified` to check,
+    :data:`_CHECK_BLOCK` points per term table.  A pass without a
+    profile solves every read on the spot.
     """
 
     def __init__(self, estimator: "LiaEstimator",
-                 guessing: bool = True) -> None:
+                 profile: Optional[StepProfile] = None) -> None:
         self.estimator = estimator
-        self.guessing = guessing
-        self.guess: Optional[bool] = None
+        self.profile = profile
         self.aggregates: List[int] = []
         self.contexts: List[int] = []
+        self.guesses: List[bool] = []
 
     def answer(self, aggregate: int, context: int) -> bool:
-        if self.guess is not None:
-            self.aggregates.append(aggregate)
-            self.contexts.append(context)
-            return self.guess
-        answer = bool(_attention_on_cpu(self.estimator, aggregate,
-                                        context))
-        if self.guessing:
-            self.guess = answer
-        return answer
+        if self.profile is None:
+            return bool(_attention_on_cpu(self.estimator, aggregate,
+                                          context))
+        guess = self.profile.attention_on_cpu(aggregate, context)
+        self.aggregates.append(aggregate)
+        self.contexts.append(context)
+        self.guesses.append(guess)
+        return guess
 
     def verified(self) -> bool:
         """Whether every guess was right."""
@@ -354,7 +375,7 @@ class _ReadResolves:
             truth = _attention_on_cpu(self.estimator,
                                       np.array(self.aggregates[lo:hi]),
                                       np.array(self.contexts[lo:hi]))
-            if (truth != self.guess).any():
+            if (truth != np.array(self.guesses[lo:hi])).any():
                 return False
         return True
 
@@ -497,12 +518,13 @@ class ContinuousBatchScheduler:
         first finish or, when the head request could join, at the
         first step whose end reaches its arrival.
 
-        The Eq. (1) re-solves that steps read are guessed, then checked
-        in term tables when the run ends (:class:`_ReadResolves`).  A
-        wrong guess reruns the loop once, every read solved on the
-        spot; a :class:`CapacityError` is raised only from a pass whose
-        guesses hold.  Every re-solve, read or not, is one
-        ``policy.searches`` point, as in the oracle.
+        The Eq. (1) re-solves that steps read are guessed from the
+        profile grid, then checked in term tables when the run ends
+        (:class:`_ReadResolves`).  A wrong guess reruns the loop once,
+        every read solved on the spot; a :class:`CapacityError` is
+        raised only from a pass whose guesses hold.  Every re-solve,
+        read or not, is one ``policy.searches`` point, as in the
+        oracle.
         """
         requests = workload.to_requests()
         arrivals = trace.tolist()
@@ -519,10 +541,10 @@ class ContinuousBatchScheduler:
             return self._serve(workload, trace, requests, arrivals,
                                profile, capacities, reads, span_cap)
 
-        reads = _ReadResolves(self.estimator)
+        reads = _ReadResolves(self.estimator, profile)
         outcome = serve(reads)
         if not reads.verified():
-            outcome = serve(_ReadResolves(self.estimator, guessing=False))
+            outcome = serve(_ReadResolves(self.estimator))
         report, span_rows, resolves = outcome
         if resolves:
             count_searches(Stage.DECODE, self.estimator.config, resolves)
@@ -543,10 +565,18 @@ class ContinuousBatchScheduler:
         cfg = self.config
         spec = self.estimator.spec
         residency = KvResidency(capacities)
-        pending: Deque[Tuple[int, InferenceRequest, float]] = deque(
-            zip(range(len(requests)), requests, arrivals))
-        starts = np.empty(len(requests))
-        finishes = np.empty(len(requests))
+        #: Live KV bytes per tier, updated in place by the ledger.
+        used = residency.used_bytes
+        shape_kv = [float(spec.kv_cache_bytes(shape.batch_size,
+                                              shape.max_context_len))
+                    for shape in workload.shapes]
+        pending: Deque[Tuple[int, InferenceRequest, float, float]] = deque(
+            zip(range(len(requests)), requests, arrivals,
+                [shape_kv[code] for code in workload.codes.tolist()]))
+        starts = [0.0] * len(requests)
+        finishes = [0.0] * len(requests)
+        step_joins = cfg.join == "step"
+        max_batch = cfg.max_batch_requests
         #: The running set: each member's (finish step, index), and its
         #: (admission step - prompt length, finish step), whose least
         #: first entry puts the longest context at ``iterations`` minus
@@ -564,7 +594,9 @@ class ContinuousBatchScheduler:
         occupancy_time = 0.0
         occupancy_peak = 0
         policy_resolves = 0
-        kv_peak = {tier: 0.0 for tier in KV_TIERS}
+        penalty = cfg.cxl_step_penalty
+        #: Peak live bytes per tier; tier usage only grows on admission.
+        kv_peak = [0.0, 0.0, 0.0]
         #: Whether the last turn's steps finished a request: with an
         #: admission, the batch-composition changes that re-solve Eq. (1).
         released = False
@@ -580,19 +612,16 @@ class ContinuousBatchScheduler:
             while pending or n_running:
                 if not n_running and clock < pending[0][2]:
                     clock = pending[0][2]
-                can_join = cfg.join == "step" or not n_running
+                can_join = step_joins or not n_running
                 #: Arrival of a head that could join but has not
                 #: arrived: it ends the next run of steps.
                 head_arrival = math.inf
                 admitted: List[int] = []
-                while (pending and can_join
-                       and n_running < cfg.max_batch_requests):
-                    index, request, arrival = pending[0]
+                while pending and can_join and n_running < max_batch:
+                    index, request, arrival, kv_bytes = pending[0]
                     if arrival > clock:
                         head_arrival = arrival
                         break
-                    kv_bytes = float(spec.kv_cache_bytes(
-                        request.batch_size, request.max_context_len))
                     if not residency.admit(index, kv_bytes):
                         if not n_running:
                             raise CapacityError(
@@ -619,10 +648,9 @@ class ContinuousBatchScheduler:
                     aggregate += request.batch_size
                     admitted.append(index)
                     admissions += 1
-                for tier in KV_TIERS:
-                    used = residency.used(tier)
-                    if used > kv_peak[tier]:
-                        kv_peak[tier] = used
+                if admitted:
+                    kv_peak = [max(peak, now)
+                               for peak, now in zip(kv_peak, used)]
 
                 if not n_running:
                     # An empty batch admits its head or raises, so
@@ -635,8 +663,13 @@ class ContinuousBatchScheduler:
                 if admitted or released:
                     # The KV ledger, and so the stretch, changes only
                     # with membership: it holds until the next change.
+                    # Observation-2: CPU attention reading CXL-resident
+                    # KV runs at expander, not DDR, bandwidth.
                     policy_resolves += 1
-                    stretch = self._cxl_stretch(residency)
+                    stretch = 1.0
+                    total_kv = sum(used)
+                    if penalty > 0.0 and total_kv > 0.0:
+                        stretch = 1.0 + penalty * (used[2] / total_kv)
                     stretched = stretch != 1.0 and reads.answer(
                         aggregate, context)
 
@@ -651,6 +684,7 @@ class ContinuousBatchScheduler:
 
                 k = finishing[0][0] - iterations
                 taken = 0
+                spans_left = span_cap - len(span_rows)
                 for step in profile.decode_steps(aggregate, context):
                     if stretched:
                         step *= stretch
@@ -658,9 +692,10 @@ class ContinuousBatchScheduler:
                     clock += step
                     busy_time += step
                     occupancy_time += step * n_running
-                    if len(span_rows) < span_cap:
+                    if spans_left > 0:
                         span_rows.append((start, clock, n_running,
                                           aggregate))
+                        spans_left -= 1
                     taken += 1
                     if taken == k or clock >= head_arrival:
                         break
@@ -679,36 +714,20 @@ class ContinuousBatchScheduler:
             return error, span_rows, policy_resolves
 
         report = ContinuousServingReport(
-            workload, trace, starts, finishes,
+            workload, trace, np.array(starts), np.array(finishes),
             iterations=iterations,
             admissions=admissions,
             occupancy_mean=(occupancy_time / busy_time
                             if busy_time > 0.0 else 0.0),
             occupancy_peak=occupancy_peak,
             policy_resolves=policy_resolves,
-            kv_peak_bytes=kv_peak,
+            kv_peak_bytes=dict(zip(KV_TIERS, kv_peak)),
             kv_demotions=residency.demotions,
             kv_demoted_bytes=residency.demoted_bytes,
             server_busy_s=busy_time + prefill_busy,
             decode_busy_s=busy_time,
         )
         return report, span_rows, policy_resolves
-
-    def _cxl_stretch(self, residency: KvResidency) -> float:
-        """The factor a decode step stretches by when the Eq. (1)
-        decision computes attention on the CPU, 1.0 when there is no
-        CXL-resident KV to stretch it.
-
-        Observation-2: CPU attention reading CXL-resident KV runs at
-        expander, not DDR, bandwidth.
-        """
-        penalty = self.config.cxl_step_penalty
-        if penalty > 0.0:
-            total_kv = residency.total_used
-            if total_kv > 0.0:
-                cxl_fraction = residency.used("cxl") / total_kv
-                return 1.0 + penalty * cxl_fraction
-        return 1.0
 
     # ------------------------------------------------------------------
     def _emit_telemetry(self, telemetry: Telemetry,

@@ -5,7 +5,7 @@ term table (one point, or a whole ``(B, L)`` grid) with the prefix-fold
 kernel ``candidate_scores``, the LIA and FlexGen estimators sum every
 decode step as one array, their
 ``estimate_many`` estimates a request list from one prefill and one
-decode table, and ``LiaEstimator.decode_step_times`` evaluates a
+decode table, and ``LiaEstimator.decode_step_grid`` evaluates a
 ``(B, L)`` grid of decode steps from one broadcast table.  All must be
 bit-identical to the one-policy, one-step loops of
 ``tests/oracles/eq1_scalar.py`` (or, for the step grid and the
@@ -377,10 +377,15 @@ def test_decode_step_grid_matches_per_point_estimates(model, system,
     CXL systems and placements, and a CXL KV window."""
     estimator = LiaEstimator(MODELS[model], SYSTEMS[system],
                              CONFIGS[config])
-    grid = estimator.decode_step_times(batches, lengths)
+    grid, policies = estimator.decode_step_grid(batches, lengths)
     assert grid.shape == (len(batches), len(lengths))
     assert grid.tolist() == _per_point_decode_steps(estimator, batches,
                                                     lengths)
+    assert [[policies.policy((i, j)) for j in range(len(lengths))]
+            for i in range(len(batches))] == [
+        [optimal_policy(estimator.spec, Stage.DECODE, b, c,
+                        estimator.system, estimator.config).policy
+         for c in lengths] for b in batches]
 
 
 @pytest.mark.parametrize("system,config,groups", [
@@ -403,7 +408,7 @@ def test_decode_step_grid_skips_empty_layer_groups(system, config,
                  residency.n_layers - residency.n_resident_layers),
                 ("resident", residency.n_resident_layers)) if count}
             assert present == groups
-    assert (estimator.decode_step_times(batches, lengths).tolist()
+    assert (estimator.decode_step_grid(batches, lengths)[0].tolist()
             == _per_point_decode_steps(estimator, batches, lengths))
 
 
@@ -427,11 +432,11 @@ def test_decode_step_grid_raises_where_estimate_does(model, batches,
             except CapacityError as error:
                 first_error = first_error or error
     if first_error is None:
-        assert (estimator.decode_step_times(batches, lengths).tolist()
+        assert (estimator.decode_step_grid(batches, lengths)[0].tolist()
                 == _per_point_decode_steps(estimator, batches, lengths))
     else:
         with pytest.raises(CapacityError) as raised:
-            estimator.decode_step_times(batches, lengths)
+            estimator.decode_step_grid(batches, lengths)
         assert str(raised.value) == str(first_error)
 
 
@@ -520,7 +525,7 @@ def test_array_plan_matches_scalar_plans(model, system, gpu_residency,
         for b in batches for c in lengths)
         if isinstance(entry[0], type)), None)
     if first is not None:
-        assert _outcome(lambda: estimator.decode_step_times(
+        assert _outcome(lambda: estimator.decode_step_grid(
             batches, lengths)) == first
 
 
@@ -591,7 +596,7 @@ class TestBoundaryValidation:
         # The array planners raise the error the point's request
         # raises, not the term table's.
         estimator = LiaEstimator(self.spec, self.system, _BASE)
-        for call in (lambda: estimator.decode_step_times([4], [64, 0]),
+        for call in (lambda: estimator.decode_step_grid([4], [64, 0]),
                      lambda: estimator.prefill_times([4, 4], [64, 0])):
             with pytest.raises(ConfigurationError,
                                match="^input_len must be >= 1, got 0$"):

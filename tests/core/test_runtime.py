@@ -90,3 +90,22 @@ def test_simulate_request_resources(opt_30b, spr_a100, eval_config):
                                         n_layers=4, decode_steps=2)
     assert set(timeline.by_resource()) <= {"compute", "pcie"}
     assert timeline.makespan > 0.0
+
+
+@pytest.mark.parametrize("caps, message", [
+    ({"decode_steps": -1}, "decode_steps must be an int >= 0, got -1"),
+    ({"decode_steps": 1.5}, "decode_steps must be an int >= 0, got 1.5"),
+    ({"n_layers": 0}, "n_layers must be an int >= 1, got 0"),
+    ({"n_layers": True}, "n_layers must be an int >= 1, got True"),
+])
+def test_simulate_request_rejects_bad_caps(opt_30b, spr_a100, eval_config,
+                                           caps, message):
+    runtime = LiaRuntime(opt_30b, spr_a100, eval_config)
+    with pytest.raises(ConfigurationError) as raised:
+        runtime.simulate_request(InferenceRequest(1, 128, 4),
+                                 **{"n_layers": 2, **caps})
+    assert str(raised.value) == message
+    if "n_layers" in caps:
+        with pytest.raises(ConfigurationError, match=message):
+            runtime.simulate_timeline(InferenceRequest(1, 128, 4),
+                                      Stage.DECODE, caps["n_layers"])

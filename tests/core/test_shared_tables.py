@@ -24,12 +24,13 @@ from repro.core.estimator import LiaEstimator, RequestTables
 from repro.errors import CapacityError, ConfigurationError
 from repro.experiments import (fig10_online_latency,
                                fig11_offline_throughput)
-from repro.experiments.frameworks import (build_estimator,
+from repro.experiments.frameworks import (EVAL_CONFIG, build_estimator,
                                           estimate_frameworks,
                                           estimates_or_oom)
 from repro.experiments.reporting import OOM
 from repro.hardware.system import get_system
-from repro.models.workload import InferenceRequest, RequestPoints
+from repro.models.workload import (InferenceRequest, RequestPoints,
+                                   paper_input_lengths)
 from tests.core.test_eq1_differential import (CONFIGS, MODELS, SYSTEMS,
                                               _MIXED_OOM, config_names,
                                               model_names, request_lists,
@@ -177,6 +178,28 @@ def test_figure_pair_call_builds_two_tables(figure, call_counts):
     assert {row["framework"] for row in result.rows} == set(
         TABLE_FRAMEWORKS)
     assert call_counts == {"layer_terms": 2, "flexgen_plan": 0}
+
+
+def test_forced_policy_winners_are_not_scored(monkeypatch):
+    """IPEX pins the full-CPU policy in both stages, so on Fig. 11's
+    OPT-175B list on spr-a100 its estimates sum that policy once per
+    stage, for the stage totals; its Eq. (1) searches score nothing."""
+    spec, system = MODELS["opt-175b"], get_system("spr-a100")
+    requests = [InferenceRequest(batch_size, input_len, output_len)
+                for batch_size in (64, 900) for output_len in (32, 256)
+                for input_len in paper_input_lengths(spec, output_len)]
+    tables = RequestTables.build(spec, system, EVAL_CONFIG, requests)
+    stages = []
+    fired_sums = terms.LayerTerms.fired_sums
+
+    def counted(self, *args):
+        stages.append(self.stage.value)
+        return fired_sums(self, *args)
+
+    monkeypatch.setattr(terms.LayerTerms, "fired_sums", counted)
+    entries = build_estimator("ipex", spec, system).estimate_tables(tables)
+    assert stages == ["prefill", "decode"]
+    assert not any(isinstance(entry, CapacityError) for entry in entries)
 
 
 #: Systems for the FlexGen planner: the CXL ones, and one without CXL,

@@ -1,5 +1,6 @@
 """Workload descriptions and generators."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -30,6 +31,29 @@ def test_request_validation():
     for bad in ((0, 10, 10), (1, 0, 10), (1, 10, 0)):
         with pytest.raises(ConfigurationError):
             make_request(*bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1.5, 128, 4), "batch_size must be an integer, got 1.5"),
+    ((True, 128, 4), "batch_size must be an integer, got True"),
+    ((2, 128.5, 4), "input_len must be an integer, got 128.5"),
+    ((2, 128, 4.0), "output_len must be an integer, got 4.0"),
+    ((2, float("nan"), 4), "input_len must be an integer, got nan"),
+    ((np.True_, 128, 4), "batch_size must be an integer, got np.True_"),
+])
+def test_non_integer_fields_fail_at_construction(bad, message):
+    with pytest.raises(ConfigurationError) as raised:
+        InferenceRequest(*bad)
+    assert str(raised.value) == message
+
+
+def test_numpy_integer_fields_become_ints():
+    request = InferenceRequest(np.int64(8), np.int32(128), np.uint8(4))
+    assert request == InferenceRequest(8, 128, 4)
+    assert [type(value) for value in (request.batch_size,
+                                      request.input_len,
+                                      request.output_len)] == [int] * 3
+    assert hash(request) == hash(InferenceRequest(8, 128, 4))
 
 
 def test_paper_lmax_values():

@@ -1,9 +1,9 @@
 """Request streams the continuous-batching scheduler is checked on.
 
 Shared by the oracle differential
-(``tests/serving/test_scheduler_differential.py``), the pinned long
-runs (``tests/serving/test_scheduler_pins.py``) and the scheduler lane
-in CI, so each names one stream the same way everywhere.  Each builder
+(``tests/serving/test_scheduler_differential.py``) and the pinned long
+runs (``tests/serving/test_scheduler_pins.py``), so each names one
+stream the same way everywhere.  Each builder
 returns ``(scheduler, requests, arrivals)``.
 """
 

@@ -13,13 +13,14 @@ Python:
 * every batch-composition change solves Eq. (1) with the scalar
   :func:`~repro.core.optimizer.optimal_policy` right away;
 * every admitted shape's prefill time is one ``estimate`` call,
-  memoized per shape.
+  memoized per shape;
+* KV is booked in the per-request ledger of
+  ``tests/oracles/kv_ledger.py``, not the engine's per-tier one.
 
 The engine's :class:`~repro.serving.scheduler.ContinuousServingReport`
 — timelines, counters, spans and ``policy.searches`` — must agree
 with this loop bit for bit
-(``tests/serving/test_scheduler_differential.py`` and the scheduler
-lane in CI).
+(``tests/serving/test_scheduler_differential.py``).
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from typing import Deque, Dict, List, Tuple, Union
 import numpy as np
 
 from repro.core.optimizer import optimal_policy
-from repro.cxl.residency import (KV_TIERS, KvResidency,
-                                 kv_capacities_from_system)
+from repro.cxl.residency import KV_TIERS, kv_capacities_from_system
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
@@ -41,6 +41,7 @@ from repro.serving.scheduler import (ContinuousBatchScheduler,
 from repro.serving.simulator import validate_arrivals
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.runtime import current as current_telemetry
+from tests.oracles.kv_ledger import KvResidency
 
 
 @dataclass

@@ -10,12 +10,14 @@ drawn shapes, arrival traces, batch caps, join modes, span caps and
 tight HBM/DDR/CXL budgets that push KV into CXL.
 """
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core import terms
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
 from repro.cxl.residency import KvTierCapacities
@@ -28,7 +30,8 @@ from repro.serving.scheduler import (ContinuousBatchScheduler,
                                      SchedulerConfig, StepProfile)
 from repro.telemetry import Telemetry
 from repro.telemetry.runtime import activate
-from tests.oracles.scheduler_cases import REPORT_FIELDS, flip_case
+from tests.oracles.scheduler_cases import (REPORT_FIELDS,
+                                           continuous_kv_case, flip_case)
 from tests.oracles.scheduler_loop import LoopProfile, run_loop
 
 SPEC = get_model("opt-30b")
@@ -113,6 +116,19 @@ def cases(draw):
 @given(case=cases())
 def test_scheduler_matches_per_iteration_oracle(case):
     assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_continuous_kv_streams_match_the_oracle(seed):
+    """The continuous-kv shapes at 100 requests: opt-30b on spr-a100
+    with two CXL expanders, max batch 32, an equal share of each shape
+    in seeded order, Poisson arrivals at 0.1/s.  Seeds 0 and 3 spill
+    KV to CXL, so steps read Eq. (1) there."""
+    scheduler, requests, arrivals = continuous_kv_case(100, seed)
+    (fields, __), *__ = assert_matches_oracle(
+        requests, arrivals, scheduler.config, scheduler.estimator)
+    spilled = fields[REPORT_FIELDS.index("kv_peak_bytes")]["cxl"] > 0.0
+    assert spilled == (seed in (0, 3))
 
 
 def _spilling_case(join="step", penalty=0.15):
@@ -207,9 +223,9 @@ def test_walk_reads_the_axis_end_exactly():
 
 
 def test_resolves_are_guessed_checked_and_counted_once(monkeypatch):
-    """Spilled KV makes steps read Eq. (1): the first read is solved on
-    the spot, the rest are guessed and checked in one table; an
-    all-HBM batch reads nothing.  Every re-solve counts as one search
+    """Spilled KV makes steps read Eq. (1): every read is guessed from
+    the step profile's grid and checked in one table; an all-HBM batch
+    reads nothing.  Every re-solve counts as one search
     in a single count, as many as the oracle's."""
     solved, counted, checks = _spy_resolves(monkeypatch)
     requests, arrivals, config = _spilling_case()
@@ -219,8 +235,8 @@ def test_resolves_are_guessed_checked_and_counted_once(monkeypatch):
     # Engine, then oracle: only the engine calls either spy.
     assert counted == [resolves] and resolves == searches
     assert checks == [True]  # every guess held: one pass
-    # The first read, solved on the spot, then one table of the rest.
-    assert len(solved) == 2 and solved[0] is None and solved[1] >= 1
+    # One table of every read, the first included; none on the spot.
+    assert len(solved) == 1 and solved[0] >= 1
     # Without KV in CXL no step reads Eq. (1): nothing is solved, and
     # every re-solve is still counted.
     del solved[:], counted[:], checks[:]
@@ -235,10 +251,10 @@ def test_resolves_are_guessed_checked_and_counted_once(monkeypatch):
 
 @pytest.mark.parametrize("block", [scheduler_module._CHECK_BLOCK, 4])
 def test_flip_case_reruns_once_and_matches_the_oracle(monkeypatch, block):
-    """On the flip case the first read's answer is wrong for later
-    reads: the checking tables find it (in the first table, or in the
-    third of four-point ones), one rerun solves every read on the spot,
-    and every report field, span and search count equals the
+    """On the flip case the step profile's grid guesses some reads
+    wrong: the checking tables find the first (in the first table, or
+    in the third of four-point ones), one rerun solves every read on
+    the spot, and every report field, span and search count equals the
     oracle's."""
     monkeypatch.setattr(scheduler_module, "_CHECK_BLOCK", block)
     solved, counted, checks = _spy_resolves(monkeypatch)
@@ -249,14 +265,38 @@ def test_flip_case_reruns_once_and_matches_the_oracle(monkeypatch, block):
     tables = [points for points in solved if points is not None]
     assert max(tables) <= block
     assert len(tables) == (3 if block == 4 else 1)
-    # The first read is solved on the spot, then the checking tables
-    # run up to the one holding the wrong guess; the rerun solves
-    # every read on the spot, the first wrong guess (read 11) and past.
-    assert solved[0] is None and solved[1:len(tables) + 1] == tables
-    rerun = solved[len(tables) + 1:]
+    # The checking tables run up to the one holding the first wrong
+    # guess; the rerun solves every read on the spot, the first wrong
+    # guess (read 11) and past.
+    assert solved[:len(tables)] == tables
+    rerun = solved[len(tables):]
     assert set(rerun) == {None} and len(rerun) > 11
     assert counted == [fields[REPORT_FIELDS.index("policy_resolves")]]
     assert counted == [searches]
+
+
+def test_cold_continuous_kv_call_builds_three_term_tables(monkeypatch):
+    """A seed-0 continuous-kv call at 100 requests builds its step
+    profile's decode grid, its prefill table and one table checking
+    its 33 reads, which the decode grid guessed right: no read is
+    solved on the spot."""
+    tables = []
+    layer_terms = terms.layer_terms
+
+    def counted(*args, **kwargs):
+        tables.append(args[1])
+        return layer_terms(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro")
+                and getattr(module, "layer_terms", None) is layer_terms):
+            monkeypatch.setattr(module, "layer_terms", counted)
+    solved, __, checks = _spy_resolves(monkeypatch)
+    scheduler, requests, arrivals = continuous_kv_case(100, 0)
+    scheduler.run(requests, arrivals)
+    assert solved == [33] and checks == [True]
+    assert [stage.value for stage in tables] == ["decode", "prefill",
+                                                 "decode"]
 
 
 def test_capacity_error_waits_for_its_guesses(monkeypatch):

@@ -1,7 +1,7 @@
 """Long continuous-batching runs pinned to their exact reports.
 
 The per-iteration oracle differential (``test_scheduler_differential``)
-covers up to 30 requests per drawn case and the CI lane 100 per seed.
+covers up to 30 requests per drawn case and 100 per continuous-kv seed.
 Two runs here reach further, and their every report field and the
 sha256 of their timeline fingerprint are pinned as literals:
 
