@@ -6,7 +6,8 @@ Uses the `opt-tiny` spec (same OPT architecture, laptop-sized) so the
 numpy transformer actually executes.  Demonstrates the two properties
 the performance results rest on:
 
-* any offload policy produces identical tokens, and
+* any offload policy, LIA's own choice included, produces identical
+  tokens, and
 * the logged cross-device traffic equals the Table 1 byte counts the
   latency model charges.
 
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import get_model
+from repro import LiaRuntime, get_model, get_system
 from repro.core.policy import FULL_CPU, FULL_GPU, PARTIAL_CPU
 from repro.inference.engine import CooperativeEngine
 from repro.inference.transformer import TinyTransformer
 from repro.models.sublayers import Stage, Sublayer, sublayer_cost
+from repro.models.workload import InferenceRequest
 
 
 def main() -> None:
@@ -51,6 +53,14 @@ def main() -> None:
     assert all(np.array_equal(reference, r.tokens)
                for r in results.values())
     print("\nall policies generated identical tokens ✔\n")
+
+    # The policies LIA itself picks for this request shape on SPR-A100.
+    runtime = LiaRuntime(spec, get_system("spr-a100"))
+    plan = runtime.plan(InferenceRequest(*prompt.shape, new_tokens))
+    chosen = runtime.generate(prompt, new_tokens)
+    assert np.array_equal(reference, chosen.tokens)
+    print(f"LIA's choice on spr-a100, policy {plan.prefill_policy}/"
+          f"{plan.decode_policy}: identical tokens ✔\n")
 
     # ------------------------------------------------------------------
     # Audit: the engine's logged weight traffic equals Table 1's D_Y.

@@ -34,9 +34,7 @@ from repro.models import (
     Stage,
     Sublayer,
     get_model,
-    list_models,
     make_request,
-    ops_per_byte_heatmap,
 )
 from repro.telemetry import Telemetry, activate
 
@@ -61,9 +59,7 @@ __all__ = [
     "Stage",
     "Sublayer",
     "get_model",
-    "list_models",
     "make_request",
-    "ops_per_byte_heatmap",
     "Telemetry",
     "activate",
     "__version__",

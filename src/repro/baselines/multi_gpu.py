@@ -176,7 +176,3 @@ class TensorParallelEstimator:
             residency=residency,
             memory=memory,
         )
-
-    def per_gpu_throughput(self, request: InferenceRequest) -> float:
-        """Tokens/s divided by GPU count (the Fig. 14 metric)."""
-        return self.estimate(request).throughput / self.system.n_gpus

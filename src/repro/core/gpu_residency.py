@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.arrays import Real, as_int, maximum, minimum
 from repro.core.config import LiaConfig
-from repro.errors import ConfigurationError
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
 from repro.models.sublayers import (USES_PARAMETERS, Stage, Sublayer,
@@ -42,13 +41,6 @@ class ResidencyPlan:
     #: FlexGen only: which sublayer classes are resident everywhere.
     resident_sublayers: Tuple[Sublayer, ...] = ()
 
-    @property
-    def resident_fraction(self) -> float:
-        """Fraction of decoder layers fully resident (LIA) — 0 for the
-        sublayer-class plan, which uses `resident_weight_fraction`."""
-        if self.n_layers == 0:
-            return 0.0
-        return self.n_resident_layers / self.n_layers
 
 
 #: Prefill activations and streamed KV slices are chunked to bounded
@@ -120,16 +112,11 @@ def plan_layer_residency(spec: ModelSpec, system: SystemConfig,
 
 
 def _class_bytes(spec: ModelSpec) -> List[float]:
-    """:func:`sublayer_class_bytes` of every sublayer, in order, from
-    one Table 1 evaluation."""
+    """Weight bytes of each sublayer class across *all* decoder layers
+    (FlexGen's packing unit), in sublayer order, from one Table 1
+    evaluation.  KV sublayers have no weights."""
     d_y = sublayer_costs(spec, Stage.DECODE, 1, 1).d_y
     return np.where(USES_PARAMETERS, d_y * spec.n_layers, 0.0).tolist()
-
-
-def sublayer_class_bytes(spec: ModelSpec, sublayer: Sublayer) -> float:
-    """Weight bytes of one sublayer class across *all* decoder layers
-    (FlexGen's packing unit).  KV sublayers have no weights."""
-    return _class_bytes(spec)[int(sublayer) - 1]
 
 
 def plan_sublayer_residency(spec: ModelSpec, system: SystemConfig,
@@ -177,10 +164,3 @@ def plan_sublayer_residency(spec: ModelSpec, system: SystemConfig,
     return replace(plan, resident_bytes=totals[n_classes],
                    resident_sublayers=prefixes[n_classes])
 
-
-def resident_weight_fraction(spec: ModelSpec, plan: ResidencyPlan) -> float:
-    """Fraction of decoder weight bytes resident under either plan."""
-    total = float(spec.layer_param_bytes * spec.n_layers)
-    if total == 0.0:
-        raise ConfigurationError("model has no decoder weights")
-    return min(1.0, plan.resident_bytes / total)

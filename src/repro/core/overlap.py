@@ -114,64 +114,3 @@ def build_stage_graph(layer: LayerLatency, n_layers: int,
             chunk_done.append(comp_id)
         prev_chunk_done = chunk_done
     return graph
-
-
-def build_request_graph(prefill_layers: List[LayerLatency],
-                        decode_step_layers: List[List[LayerLatency]],
-                        prefill_minibatches: int = 2,
-                        compute_scale: float = 1.0) -> TaskGraph:
-    """One task graph covering a whole request: the prefill pipeline
-    followed by each decoding step's layer chain.
-
-    ``prefill_layers`` holds one :class:`LayerLatency` per decoder
-    layer (so resident and streamed layers can differ);
-    ``decode_step_layers`` holds, per generated token, the same.
-    Decode steps chain off the previous stage's last compute, while
-    their weight prefetches only contend for the PCIe resource — the
-    Fig. 7 structure extended across stages.
-
-    Mini-batch chunk *m* consumes the fraction ``(m+1)/minibatches``
-    of the batch, so it chains to the predecessor chunk that finishes
-    producing that fraction.  In particular the single chunk of a
-    decode step (1 mini-batch) after a 2-mini-batch prefill depends on
-    prefill's *final* chunk — chaining it to chunk 0 (the old
-    ``m % len(chain_from)`` indexing) let decoding start before the
-    prefill pipeline drained.
-    """
-    if not prefill_layers:
-        raise ConfigurationError("need at least one prefill layer")
-    graph = TaskGraph()
-    prev_chunk_done: List[str] = []
-
-    def add_layer(tag: str, layer: LayerLatency, minibatches: int,
-                  chain_from: List[str]) -> List[str]:
-        compute = layer.compute * compute_scale
-        dependent = layer.dependent_transfer
-        prefetchable = layer.prefetchable_transfer
-        weights_id = f"{tag}.w"
-        graph.add(weights_id, "pcie", prefetchable,
-                  label=f"weights {tag}")
-        chunk_done: List[str] = []
-        for m in range(minibatches):
-            deps = [weights_id]
-            if chain_from:
-                covered = -(-(m + 1) * len(chain_from) // minibatches)
-                deps.append(chain_from[max(covered - 1, 0)])
-            xfer_id = f"{tag}.d{m}"
-            graph.add(xfer_id, "pcie", dependent / minibatches,
-                      deps=deps, label=f"dep xfer {tag} mb{m}")
-            comp_id = f"{tag}.c{m}"
-            graph.add(comp_id, "compute", compute / minibatches,
-                      deps=[xfer_id], label=f"compute {tag} mb{m}")
-            chunk_done.append(comp_id)
-        return chunk_done
-
-    for index, layer in enumerate(prefill_layers):
-        prev_chunk_done = add_layer(f"p{index}", layer,
-                                    prefill_minibatches,
-                                    prev_chunk_done)
-    for step, layers in enumerate(decode_step_layers):
-        for index, layer in enumerate(layers):
-            prev_chunk_done = add_layer(f"g{step}.{index}", layer, 1,
-                                        prev_chunk_done)
-    return graph

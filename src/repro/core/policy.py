@@ -83,27 +83,9 @@ class OffloadPolicy:
     def on_gpu(self, sublayer: Sublayer) -> bool:
         return self.device(sublayer) is Device.GPU
 
-    def crosses_boundary(self, index: int) -> bool:
-        """True when sublayer *index* runs on a different device from
-        sublayer *index - 1* — the Eq. (4) activation-transfer
-        condition :math:`p_i \\oplus p_{i-1} = 1`."""
-        return self.p(index) != self.p(index - 1)
-
     @property
     def all_cpu(self) -> bool:
         return all(b == 1 for b in self.bits)
-
-    @property
-    def all_gpu(self) -> bool:
-        return all(b == 0 for b in self.bits)
-
-    @property
-    def cpu_sublayers(self) -> Tuple[Sublayer, ...]:
-        return tuple(s for s in Sublayer if self.on_cpu(s))
-
-    @property
-    def gpu_sublayers(self) -> Tuple[Sublayer, ...]:
-        return tuple(s for s in Sublayer if self.on_gpu(s))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(b) for b in self.bits) + ")"

@@ -15,14 +15,13 @@ execution back-ends this reproduction provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.config import LiaConfig
 from repro.core.estimator import InferenceEstimate, LiaEstimator
 from repro.core.gpu_residency import ResidencyPlan, plan_layer_residency
-from repro.core.latency import layer_latency
 from repro.core.optimizer import optimal_policy
 from repro.core.overlap import build_stage_graph
 from repro.core.policy import OffloadPolicy
@@ -39,17 +38,6 @@ from repro.sim.trace import Timeline
 #: Upper bound on parameters for the functional engine (beyond this a
 #: real run would not fit in process memory; use the estimator).
 _FUNCTIONAL_PARAM_LIMIT = 50_000_000
-
-
-def _check_cap(name: str, value: Optional[int], least: int) -> None:
-    """Reject a replay cap that is not an int of at least ``least``
-    (``None`` means no cap)."""
-    if value is None:
-        return
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or value < least):
-        raise ConfigurationError(
-            f"{name} must be an int >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,11 @@ class LiaRuntime:
         Uses the streamed-layer policy; ``n_layers`` defaults to the
         model's depth (cap it for readable Gantt output).
         """
-        _check_cap("n_layers", n_layers, 1)
+        if n_layers is not None and (
+                not isinstance(n_layers, (int, np.integer))
+                or isinstance(n_layers, bool) or n_layers < 1):
+            raise ConfigurationError(
+                f"n_layers must be an int >= 1, got {n_layers!r}")
         layer = optimal_policy(self.spec, stage, request.batch_size,
                                request.input_len, self.system,
                                self.config).layer
@@ -135,57 +127,4 @@ class LiaRuntime:
         if not self.config.overlap:
             minibatches = 1
         graph = build_stage_graph(layer, depth, minibatches=minibatches)
-        return Simulator(graph).run()
-
-    def simulate_request(self, request: InferenceRequest,
-                         n_layers: Optional[int] = None,
-                         decode_steps: Optional[int] = None) -> Timeline:
-        """Replay a whole request (prefill + decode steps) on the DES.
-
-        Uses the same policies and residency split the estimator
-        chooses; cap ``n_layers``/``decode_steps`` to keep the
-        timeline readable.  The returned makespan validates the
-        closed-form estimate within the pipeline-fill slack.
-        """
-        from repro.core.overlap import build_request_graph
-
-        _check_cap("n_layers", n_layers, 1)
-        _check_cap("decode_steps", decode_steps, 0)
-        plan = self.plan(request)
-        depth = n_layers if n_layers is not None else self.spec.n_layers
-        steps = (decode_steps if decode_steps is not None
-                 else request.output_len)
-        n_resident = round(plan.residency.resident_fraction * depth)
-
-        def policies_for(stage: Stage) -> List[OffloadPolicy]:
-            # The estimator's policies, chosen at L_in per residency
-            # (streamed, then resident): one search each per stage.
-            return [optimal_policy(
-                self.spec, stage, request.batch_size, request.input_len,
-                self.system, self.config,
-                weights_resident=weights_resident).policy
-                for weights_resident in (False, True)]
-
-        def layers_for(stage: Stage, policies: List[OffloadPolicy],
-                       context_len: int):
-            streamed, resident = (
-                layer_latency(self.spec, stage, policy, request.batch_size,
-                              context_len, self.system, self.config,
-                              weights_resident=weights_resident)
-                for policy, weights_resident in zip(policies,
-                                                    (False, True)))
-            return [resident if index < n_resident else streamed
-                    for index in range(depth)]
-
-        prefill_layers = layers_for(Stage.PREFILL,
-                                    policies_for(Stage.PREFILL),
-                                    request.input_len)
-        decode_policies = policies_for(Stage.DECODE)
-        decode_layers = [layers_for(Stage.DECODE, decode_policies,
-                                    request.input_len + step)
-                         for step in range(steps)]
-        minibatches = (self.config.prefill_minibatches
-                       if self.config.overlap else 1)
-        graph = build_request_graph(prefill_layers, decode_layers,
-                                    prefill_minibatches=minibatches)
         return Simulator(graph).run()

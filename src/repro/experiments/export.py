@@ -91,20 +91,3 @@ def default_drivers() -> Dict[str, Callable[[], ExperimentResult]]:
         "ext-robustness": ext_robustness.run,
         "ext-kv-tiering": ext_kv_tiering.run,
     }
-
-
-def export_all(directory, experiment_ids=None) -> List[Path]:
-    """Run (a subset of) the experiment registry and export each to
-    ``<directory>/<id>.csv``.  Returns the written paths."""
-    directory = Path(directory)
-    drivers = default_drivers()
-    selected = experiment_ids or sorted(drivers)
-    unknown = [name for name in selected if name not in drivers]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown experiment ids: {', '.join(unknown)}")
-    written = []
-    for name in selected:
-        result = drivers[name]()
-        written.append(to_csv(result, directory / f"{name}.csv"))
-    return written

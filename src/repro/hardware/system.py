@@ -8,7 +8,7 @@ and the 3xV100 + low-end-CPU alternative (§8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
@@ -69,18 +69,6 @@ class SystemConfig:
         if not self.cxl_devices:
             raise ConfigurationError(f"{self.name}: no CXL devices")
         return interleave(self.cxl_devices, name=f"{self.name}-cxl")
-
-    @property
-    def total_gpu_memory(self) -> float:
-        return sum(g.memory_capacity for g in self.gpus)
-
-    @property
-    def host_memory_capacity(self) -> float:
-        """CPU DDR plus CXL capacity, in bytes."""
-        total = self.cpu.memory.capacity_bytes
-        if self.has_cxl:
-            total += self.cxl_pool.capacity_bytes
-        return total
 
     @property
     def tdp_watts(self) -> float:

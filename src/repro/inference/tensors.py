@@ -9,7 +9,7 @@ transfer terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -67,10 +67,6 @@ class TransferLog:
         for rec in self._records:
             grouped[rec.label] = grouped.get(rec.label, 0) + rec.num_bytes
         return grouped
-
-    def bytes_between(self, source: str, destination: str) -> int:
-        return sum(r.num_bytes for r in self._records
-                   if r.source == source and r.destination == destination)
 
     def clear(self) -> None:
         self._records.clear()

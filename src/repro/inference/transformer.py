@@ -20,8 +20,42 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernels.quant import bf16_matmul_reference, bf16_round
 from repro.models.spec import FeedForwardKind, ModelSpec
+
+
+def bf16_round(values: np.ndarray) -> np.ndarray:
+    """Round an FP32 array to the nearest BF16-representable values.
+
+    BF16 is FP32 with the bottom 16 mantissa bits dropped; numpy has
+    no native bfloat16, so this rounds the raw bit pattern to nearest
+    even on bit 16, the rounding mode AMX and tensor cores implement.
+    The result is float32 (the values are exactly representable in
+    BF16).
+    """
+    as_f32 = np.ascontiguousarray(values, dtype=np.float32)
+    bits = as_f32.view(np.uint32)
+    # Round-to-nearest-even: add 0x7FFF plus the LSB of the kept part.
+    lsb = (bits >> 16) & 1
+    rounded = bits + 0x7FFF + lsb
+    truncated = (rounded & 0xFFFF0000).astype(np.uint32)
+    result = truncated.view(np.float32).copy()
+    # Preserve NaNs (the bit trick can flush NaN payloads oddly).
+    nan_mask = np.isnan(as_f32)
+    if nan_mask.any():
+        result[nan_mask] = np.float32("nan")
+    return result.reshape(values.shape)
+
+
+def bf16_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference BF16 matmul: BF16 inputs, FP32 accumulation.
+
+    This is the numerical contract shared by AMX's TMUL and NVIDIA
+    tensor cores, so CPU- and GPU-computed sublayers agree bit-for-bit
+    in the functional engine.
+    """
+    a16 = bf16_round(a).astype(np.float32)
+    b16 = bf16_round(b).astype(np.float32)
+    return a16 @ b16
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray,
@@ -229,18 +263,3 @@ class TinyTransformer:
                             self.final_ln_beta)
         return bf16_matmul_reference(normed, self.embedding.T)
 
-    # ------------------------------------------------------------------
-    def forward_reference(self, tokens: np.ndarray) -> np.ndarray:
-        """Single-shot full-context forward pass (no KV cache).
-
-        The ground truth the KV-cached engine must match.
-        """
-        hidden = self.embed(tokens)
-        for layer in range(self.spec.n_layers):
-            q, k, v = self.qkv_mapping(hidden, layer)
-            scores = self.attention_scores(q, k, causal=True)
-            context = self.attention_context(scores, v)
-            attn_out = self.output_projection(context, hidden, layer)
-            ffn_hidden = self.fc1(attn_out, layer)
-            hidden = self.fc2(ffn_hidden, attn_out, layer)
-        return self.lm_head(hidden)

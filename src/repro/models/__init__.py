@@ -8,20 +8,17 @@ from repro.models.sublayers import (
     Sublayer,
     SublayerCost,
     SublayerCosts,
-    decoder_layer_costs,
-    ops_per_byte_heatmap,
     sublayer_cost,
     sublayer_costs,
 )
-from repro.models.quantize import quantize_weights, weight_compression_ratio
+from repro.models.quantize import quantize_weights
 from repro.models.workload import (
     InferenceRequest,
     TraceKind,
     azure_trace_lengths,
     make_request,
-    sweep_requests,
 )
-from repro.models.zoo import MODEL_ZOO, get_model, list_models
+from repro.models.zoo import MODEL_ZOO, get_model
 
 __all__ = [
     "AttentionKind",
@@ -32,18 +29,13 @@ __all__ = [
     "Sublayer",
     "SublayerCost",
     "SublayerCosts",
-    "decoder_layer_costs",
-    "ops_per_byte_heatmap",
     "sublayer_cost",
     "sublayer_costs",
     "quantize_weights",
-    "weight_compression_ratio",
     "InferenceRequest",
     "TraceKind",
     "azure_trace_lengths",
     "make_request",
-    "sweep_requests",
     "MODEL_ZOO",
     "get_model",
-    "list_models",
 ]

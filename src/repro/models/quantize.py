@@ -40,12 +40,3 @@ def quantize_weights(spec: ModelSpec,
     suffix = "-int8" if bytes_per_param == 1 else f"-q{bytes_per_param}"
     return replace(spec, name=spec.name + suffix,
                    bytes_per_weight=bytes_per_param)
-
-
-def weight_compression_ratio(original: ModelSpec,
-                             quantized: ModelSpec) -> float:
-    """How much smaller the quantized weights are (2.0 for BF16→INT8)."""
-    if original.layer_params != quantized.layer_params:
-        raise ConfigurationError(
-            "specs differ in architecture, not just precision")
-    return original.total_param_bytes / quantized.total_param_bytes

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -259,25 +259,3 @@ def sublayer_cost(spec: ModelSpec, sublayer: Sublayer, stage: Stage,
     """Table 1's ``D_X``, ``D_Y`` and ``C`` for one sublayer: one
     column of :func:`sublayer_costs` (see there for the arguments)."""
     return sublayer_costs(spec, stage, batch_size, seq_len).column(sublayer)
-
-
-def decoder_layer_costs(spec: ModelSpec, stage: Stage, batch_size: int,
-                        seq_len: int) -> List[SublayerCost]:
-    """Costs of all six sublayers of one decoder layer, in order."""
-    costs = sublayer_costs(spec, stage, batch_size, seq_len)
-    return [costs.column(sub) for sub in Sublayer]
-
-
-def ops_per_byte_heatmap(spec: ModelSpec, batch_size: int,
-                         seq_len: int) -> Dict[str, Dict[str, float]]:
-    """Arithmetic-intensity heatmap of Figure 1.
-
-    Returns ``{stage name: {sublayer name: ops/byte}}`` for the given
-    batch size and input token length.  For OPT-175B at L=512, B=180
-    the values range from ~1 (attention scoring in decode) to tens of
-    thousands (FC sublayers in prefill), as the paper reports.
-    """
-    return {stage.value: {
-        cost.sublayer.name: cost.ops_per_byte
-        for cost in decoder_layer_costs(spec, stage, batch_size, seq_len)}
-        for stage in Stage}

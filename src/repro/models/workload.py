@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +36,24 @@ TRACE_OUTPUT_LENGTH = {
 }
 
 
+def _integer(name: str, value):
+    """``value`` as a plain int, or an integer array as it is.
+
+    numpy integers (and int subclasses) become plain ints; a float,
+    NaN or bool (or an array of them) raises one line naming ``name``
+    and the first offending value."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu":
+            return value
+        if value.size == 0:
+            return value.astype(np.int64)
+        value = value.flat[0].item()
+    elif isinstance(value, (int, np.integer)) and not isinstance(value,
+                                                                   bool):
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InferenceRequest:
     """One inference job: a batch of prompts decoded to completion.
@@ -53,12 +71,7 @@ class InferenceRequest:
         for name in ("batch_size", "input_len", "output_len"):
             value = getattr(self, name)
             if type(value) is not int:
-                if (not isinstance(value, (int, np.integer))
-                        or isinstance(value, bool)):
-                    raise ConfigurationError(
-                        f"{name} must be an integer, got {value!r}")
-                # numpy integers (and int subclasses) become plain ints.
-                value = int(value)
+                value = _integer(name, value)
                 object.__setattr__(self, name, value)
             if value < 1:
                 raise ConfigurationError(
@@ -83,10 +96,6 @@ class InferenceRequest:
         """
         return np.arange(self.input_len, self.input_len + self.output_len)
 
-    def fits_model(self, spec: ModelSpec) -> bool:
-        """Whether the total sequence fits the model's context window."""
-        return self.input_len + self.output_len <= spec.max_seq_len
-
 
 @dataclass(frozen=True)
 class RequestPoints:
@@ -94,14 +103,23 @@ class RequestPoints:
     broadcast together, one point per element.
 
     The float-or-array memory planners read it as they read an
-    :class:`InferenceRequest`, and plan every point in one pass.
-    Unlike a request, it is not validated on construction:
-    :attr:`invalid` marks the points whose request would not build.
+    :class:`InferenceRequest`, and plan every point in one pass.  Its
+    axes must be integers, as a request's fields must: numpy integers
+    become ints, and a float or bool axis raises the same one-line
+    :class:`ConfigurationError`.  Unlike a request, it accepts points
+    below 1: :attr:`invalid` marks the points whose request would not
+    build.
     """
 
     batch_size: Union[int, np.ndarray]
     input_len: Union[int, np.ndarray]
     output_len: Union[int, np.ndarray]
+
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "input_len", "output_len"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, _integer(name, value))
 
     @property
     def max_context_len(self) -> Union[int, np.ndarray]:
@@ -141,13 +159,6 @@ def max_input_len(spec: ModelSpec, output_len: int) -> int:
 def paper_input_lengths(spec: ModelSpec, output_len: int) -> List[int]:
     """The input-length sweep used by Figs. 10-12: 32, 256, and L_max."""
     return [32, 256, max_input_len(spec, output_len)]
-
-
-def sweep_requests(batch_sizes: Sequence[int], input_lens: Sequence[int],
-                   output_lens: Sequence[int]) -> List[InferenceRequest]:
-    """Cartesian sweep over (B, L_in, L_out), in deterministic order."""
-    return [InferenceRequest(b, li, lo)
-            for b in batch_sizes for li in input_lens for lo in output_lens]
 
 
 def azure_trace_lengths(n_requests: int, spec: ModelSpec,

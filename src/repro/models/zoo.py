@@ -9,7 +9,7 @@ are the synthetic Mixture-of-Experts variants used in the §7.1
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.models.spec import AttentionKind, FeedForwardKind, ModelSpec
@@ -151,8 +151,3 @@ def get_model(name: str) -> ModelSpec:
         known = ", ".join(sorted(MODEL_ZOO))
         raise ConfigurationError(
             f"unknown model {name!r}; known models: {known}") from None
-
-
-def list_models() -> List[str]:
-    """Names of all registered models, sorted."""
-    return sorted(MODEL_ZOO)

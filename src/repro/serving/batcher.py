@@ -95,34 +95,3 @@ def pack_requests(requests: Sequence[InferenceRequest],
         close()
     return batches
 
-
-def repack_under_pressure(batches: Sequence[Batch], spec: ModelSpec,
-                          degraded_system: SystemConfig,
-                          config: LiaConfig) -> List[Batch]:
-    """Re-pack offline batches for a degraded platform.
-
-    The offline analogue of the serving loop's batch-shrink fallback:
-    when fault injection leaves less memory than the plan assumed
-    (GPU HBM pressure, a contended CXL pool), batches that no longer
-    fit are split back into their padded member requests and repacked
-    against the degraded system.  Batches that still fit pass through
-    unchanged, so an undisturbed platform returns the input packing
-    bit for bit.
-    """
-    repacked: List[Batch] = []
-    for batch in batches:
-        if _fits(spec, degraded_system, config, batch.request):
-            repacked.append(batch)
-            continue
-        members = [InferenceRequest(1, batch.request.input_len,
-                                    batch.request.output_len)
-                   for __ in range(batch.n_members)]
-        for piece in pack_requests(members, spec, degraded_system,
-                                   config,
-                                   max_batch=batch.request.batch_size):
-            # Padding efficiency cannot improve by splitting a padded
-            # batch; carry the original's real-token accounting.
-            repacked.append(Batch(
-                request=piece.request, n_members=piece.n_members,
-                prompt_efficiency=batch.prompt_efficiency))
-    return repacked

@@ -369,13 +369,23 @@ class _ReadResolves:
         return guess
 
     def verified(self) -> bool:
-        """Whether every guess was right."""
-        for lo in range(0, len(self.aggregates), _CHECK_BLOCK):
-            hi = lo + _CHECK_BLOCK
-            truth = _attention_on_cpu(self.estimator,
-                                      np.array(self.aggregates[lo:hi]),
-                                      np.array(self.contexts[lo:hi]))
-            if (truth != np.array(self.guesses[lo:hi])).any():
+        """Whether every guess was right.
+
+        Each distinct read point is scored once, in first-read order,
+        :data:`_CHECK_BLOCK` points per term table, and every recorded
+        guess is compared with its point's answer."""
+        slots: Dict[Tuple[int, int], int] = {}
+        read_slot = np.array([slots.setdefault(point, len(slots))
+                              for point in zip(self.aggregates,
+                                               self.contexts)])
+        points = np.array(list(slots)).reshape(-1, 2)
+        guesses = np.array(self.guesses)
+        for lo in range(0, len(points), _CHECK_BLOCK):
+            block = points[lo:lo + _CHECK_BLOCK]
+            truth = _attention_on_cpu(self.estimator, block[:, 0],
+                                      block[:, 1])
+            reads = (read_slot >= lo) & (read_slot < lo + len(block))
+            if (truth[read_slot[reads] - lo] != guesses[reads]).any():
                 return False
         return True
 

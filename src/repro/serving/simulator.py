@@ -108,10 +108,6 @@ class ServedRequest:
         return self.start - self.arrival
 
     @property
-    def service_time(self) -> float:
-        return self.finish - self.start
-
-    @property
     def latency(self) -> float:
         return self.finish - self.arrival
 

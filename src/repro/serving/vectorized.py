@@ -179,9 +179,6 @@ class WorkloadVector:
             object.__setattr__(self, "_tokens_per_request", cached)
         return cached
 
-    def request_at(self, index: int) -> InferenceRequest:
-        return self.shapes[int(self.codes[index])]
-
     def subset(self, indices: Union[np.ndarray, slice]
                ) -> "WorkloadVector":
         """The sub-stream at ``indices`` (shared shape table); a

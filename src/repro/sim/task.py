@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import SimulationError
@@ -40,12 +40,6 @@ class TaskGraph:
 
     def __len__(self) -> int:
         return len(self._tasks)
-
-    def __contains__(self, task_id: str) -> bool:
-        return task_id in self._tasks
-
-    def __iter__(self):
-        return iter(self._tasks.values())
 
     def get(self, task_id: str) -> Task:
         try:
@@ -95,11 +89,3 @@ class TaskGraph:
             cyclic = sorted(set(self._tasks) - seen)
             raise SimulationError(f"task graph has a cycle among {cyclic}")
         return order
-
-    def critical_path_length(self) -> float:
-        """Lower bound on makespan ignoring resource contention."""
-        finish: Dict[str, float] = {}
-        for task in self.topological_order():
-            start = max((finish[d] for d in task.deps), default=0.0)
-            finish[task.task_id] = start + task.duration
-        return max(finish.values(), default=0.0)

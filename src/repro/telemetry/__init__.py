@@ -13,10 +13,10 @@ The unified observability layer (see docs/OBSERVABILITY.md):
   burn-rate SLO monitors over them with fault attribution, and
   :func:`fleet_timeseries` merges a fleet's replicas.
 * Exporters — Chrome trace-event JSON (Perfetto /
-  chrome://tracing) with span and counter tracks, JSON/CSV metric
+  chrome://tracing) with span and counter tracks, JSON metric
   dumps, windowed CSV series, and a self-contained HTML dashboard.
-* Bridges — adapters from ``Timeline``, ``TransferLog``, and
-  ``ServingReport`` into the above.
+* Bridges — adapters from ``Timeline`` and ``ServingReport`` into
+  the above.
 
 Typical use::
 
@@ -33,7 +33,6 @@ from repro.telemetry.bridge import (
     scheduler_report_to_metrics,
     timeline_to_spans,
     timeline_to_trace_events,
-    transfer_log_to_counters,
     vectorized_report_to_metrics,
     vectorized_report_to_spans,
 )
@@ -44,7 +43,6 @@ from repro.telemetry.export import (
     spans_to_trace_events,
     timeseries_to_counter_events,
     write_chrome_trace,
-    write_metrics_csv,
     write_metrics_json,
     write_timeseries_csv,
 )
@@ -102,14 +100,12 @@ __all__ = [
     "timeseries_to_counter_events",
     "write_chrome_trace",
     "write_dashboard_html",
-    "write_metrics_csv",
     "write_metrics_json",
     "write_timeseries_csv",
     "note_dropped_spans",
     "scheduler_report_to_metrics",
     "timeline_to_spans",
     "timeline_to_trace_events",
-    "transfer_log_to_counters",
     "vectorized_report_to_metrics",
     "vectorized_report_to_spans",
 ]

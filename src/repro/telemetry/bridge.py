@@ -1,10 +1,10 @@
 """Bridges from pre-telemetry structures into the telemetry layer.
 
 The repro grew ad-hoc evidence containers before it had telemetry:
-``Timeline`` (DES gantt data), ``TransferLog`` (functional-engine
-PCIe accounting), ``ServingReport`` (queueing statistics).  These
-adapters round-trip each of them into spans/counters/histograms so
-one exporter path serves every subsystem.
+``Timeline`` (DES gantt data) and ``ServingReport`` (queueing
+statistics).  These adapters round-trip each of them into
+spans/counters/histograms so one exporter path serves every
+subsystem.
 """
 
 from __future__ import annotations
@@ -57,21 +57,6 @@ def timeline_to_trace_events(timeline, time_scale: float = 1e6,
     return spans_to_trace_events(timeline_to_spans(timeline),
                                  time_scale=time_scale,
                                  track_ids=track_ids)
-
-
-def transfer_log_to_counters(log, metrics: MetricsRegistry) -> None:
-    """Reconcile a :class:`TransferLog` into byte counters.
-
-    Emits ``pcie.bytes{source,destination}`` per direction and
-    ``pcie.transfers`` per direction; the summed counter values equal
-    ``log.total_bytes`` exactly (the engine's acceptance invariant).
-    """
-    for record in log.records:
-        metrics.counter("pcie.bytes", source=record.source,
-                        destination=record.destination
-                        ).inc(record.num_bytes)
-        metrics.counter("pcie.transfers", source=record.source,
-                        destination=record.destination).inc()
 
 
 def scheduler_report_to_metrics(report, metrics: MetricsRegistry,

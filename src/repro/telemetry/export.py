@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, and JSON/CSV metric dumps.
+"""Exporters: Chrome trace-event JSON, and JSON metric dumps.
 
 The trace format is the Trace Event Format's JSON-object flavour —
 ``{"traceEvents": [...]}`` with complete ("X") duration events and
@@ -6,9 +6,8 @@ thread-name ("M") metadata — which both Perfetto and chrome://tracing
 load directly.  Timestamps are microseconds; sim-time seconds are
 scaled by ``time_scale`` (default 1e6).
 
-Metric dumps follow the ``repro.experiments.export`` conventions: a
-leading comment line with the title, then one row per metric series
-with the union of keys as columns.
+A metric dump is the registry snapshot under a title: one row per
+metric series.
 """
 
 from __future__ import annotations
@@ -217,27 +216,6 @@ def write_metrics_json(path, registry: MetricsRegistry,
     with path.open("w") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")
-    return path
-
-
-def write_metrics_csv(path, registry: MetricsRegistry,
-                      title: str = "telemetry metrics") -> Path:
-    """Dump the registry snapshot as CSV (experiments.export style)."""
-    rows = _flat_rows(registry)
-    if not rows:
-        raise ConfigurationError("nothing to export: registry is empty")
-    columns: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        handle.write(f"# {title}\n")
-        writer = csv.DictWriter(handle, fieldnames=columns, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
     return path
 
 

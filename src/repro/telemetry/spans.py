@@ -75,9 +75,6 @@ class Tracer:
     def spans(self) -> List[Span]:
         return list(self._spans)
 
-    def __len__(self) -> int:
-        return len(self._spans)
-
     # ------------------------------------------------------------------
     @contextmanager
     def span(self, name: str, track: str = "main",
@@ -125,9 +122,6 @@ class Tracer:
             if span.track not in seen:
                 seen.append(span.track)
         return seen
-
-    def spans_on(self, track: str) -> List[Span]:
-        return [s for s in self._spans if s.track == track]
 
     def busy_time(self, track: str) -> float:
         return sum(s.duration for s in self._spans if s.track == track)

@@ -130,19 +130,10 @@ class WindowGrid:
                    n_windows=n_windows)
 
     @property
-    def horizon(self) -> float:
-        return self.t0 + self.window_s * self.n_windows
-
-    @property
     def edges(self) -> np.ndarray:
         """The ``n_windows + 1`` window boundaries."""
         return (self.t0
                 + np.arange(self.n_windows + 1) * self.window_s)
-
-    def window_of(self, time: float) -> int:
-        """The (clamped) window index holding ``time``."""
-        raw = int((time - self.t0) // self.window_s)
-        return min(max(raw, 0), self.n_windows - 1)
 
 
 # ----------------------------------------------------------------------

@@ -51,11 +51,6 @@ def tflops(value: float) -> float:
     return value * TERA
 
 
-def gflops(value: float) -> float:
-    """Convert a throughput quoted in GFLOPS to FLOP/second."""
-    return value * GIGA
-
-
 def ghz(value: float) -> float:
     """Convert a frequency quoted in GHz to Hz."""
     return value * GIGA
@@ -74,23 +69,3 @@ def us(value: float) -> float:
 def ms(value: float) -> float:
     """Convert a latency quoted in milliseconds to seconds."""
     return value * 1e-3
-
-
-def to_gib(num_bytes: float) -> float:
-    """Express a byte count in GiB (for reporting)."""
-    return num_bytes / GIB
-
-
-def to_gb(num_bytes: float) -> float:
-    """Express a byte count in decimal GB (for reporting)."""
-    return num_bytes / GIGA
-
-
-def to_tflops(flops_per_s: float) -> float:
-    """Express a FLOP/s rate in TFLOPS (for reporting)."""
-    return flops_per_s / TERA
-
-
-def to_gflops(flops_per_s: float) -> float:
-    """Express a FLOP/s rate in GFLOPS (for reporting)."""
-    return flops_per_s / GIGA

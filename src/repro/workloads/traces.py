@@ -236,11 +236,6 @@ class SessionTrace:
     def n_requests(self) -> int:
         return int(self.arrivals.size)
 
-    @property
-    def n_sessions(self) -> int:
-        return int(np.unique(self.session).size) if self.session.size \
-            else 0
-
 
 def session_trace(n_requests: int, rate_per_s: float, *,
                   turns_mean: float = 4.0,

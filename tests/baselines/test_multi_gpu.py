@@ -71,13 +71,6 @@ def test_dgx_competitive_at_b64(opt_175b, dgx, gnr_a100, eval_config):
     assert 0.5 <= ratio <= 1.3
 
 
-def test_per_gpu_throughput_helper(opt_175b, dgx):
-    estimator = TensorParallelEstimator(opt_175b, dgx)
-    request = InferenceRequest(1, 128, 8)
-    assert estimator.per_gpu_throughput(request) == pytest.approx(
-        estimator.estimate(request).throughput / 8)
-
-
 def test_more_gpus_do_not_slow_decode(opt_175b, dgx):
     # Sanity: the 8-way shard beats a hypothetical 2-way shard in
     # per-step latency (compute shrinks faster than all-reduce grows

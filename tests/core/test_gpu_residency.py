@@ -4,10 +4,9 @@ import pytest
 
 from repro.core.config import LiaConfig
 from repro.core.gpu_residency import (
+    _class_bytes,
     plan_layer_residency,
     plan_sublayer_residency,
-    resident_weight_fraction,
-    sublayer_class_bytes,
 )
 from repro.models.sublayers import Sublayer
 from repro.models.workload import InferenceRequest
@@ -26,7 +25,7 @@ def test_paper_opt30b_example(opt_30b, spr_a100, request_b1):
                                 LiaConfig())
     per_layer_gb = opt_30b.layer_param_bytes / 1e9
     assert per_layer_gb == pytest.approx(1.23, abs=0.1)
-    assert 0.5 <= plan.resident_fraction <= 0.75
+    assert 0.5 <= plan.n_resident_layers / plan.n_layers <= 0.75
     assert plan.resident_bytes <= spr_a100.gpu.memory_capacity
 
 
@@ -38,8 +37,7 @@ def test_layer_plan_finer_than_sublayer_plan(opt_30b, spr_a100,
     lia = plan_layer_residency(opt_30b, spr_a100, request_b1, config)
     flexgen = plan_sublayer_residency(opt_30b, spr_a100, request_b1,
                                       config)
-    assert (resident_weight_fraction(opt_30b, lia)
-            >= resident_weight_fraction(opt_30b, flexgen))
+    assert lia.resident_bytes >= flexgen.resident_bytes
 
 
 def test_disabled_residency_is_empty(opt_30b, spr_a100, request_b1):
@@ -67,16 +65,17 @@ def test_large_model_fewer_layers_resident(opt_30b, opt_175b, spr_a100):
     request = InferenceRequest(1, 256, 32)
     small = plan_layer_residency(opt_30b, spr_a100, request, config)
     big = plan_layer_residency(opt_175b, spr_a100, request, config)
-    assert big.resident_fraction < small.resident_fraction
+    assert (big.n_resident_layers / big.n_layers
+            < small.n_resident_layers / small.n_layers)
 
 
 def test_sublayer_class_bytes(opt_30b):
     d = opt_30b.d_model
     n = opt_30b.n_layers
-    assert sublayer_class_bytes(opt_30b, Sublayer.QKV_MAPPING) == \
-        6 * d * d * n
-    assert sublayer_class_bytes(opt_30b, Sublayer.FC1) == 8 * d * d * n
-    assert sublayer_class_bytes(opt_30b, Sublayer.ATTENTION_SCORE) == 0.0
+    class_bytes = _class_bytes(opt_30b)
+    assert class_bytes[int(Sublayer.QKV_MAPPING) - 1] == 6 * d * d * n
+    assert class_bytes[int(Sublayer.FC1) - 1] == 8 * d * d * n
+    assert class_bytes[int(Sublayer.ATTENTION_SCORE) - 1] == 0.0
 
 
 def test_sublayer_plan_packs_smallest_first(opt_30b, spr_a100,

@@ -87,62 +87,3 @@ def test_full_cpu_layer_has_nothing_to_overlap(opt_175b, spr_a100):
                           spr_a100, LiaConfig())
     assert overlapped_layer_time(layer) == pytest.approx(
         serial_layer_time(layer))
-
-
-def _stage_layers(opt_175b, spr_a100, stage, policy, batch, length):
-    return layer_latency(opt_175b, stage, policy, batch, length,
-                         spr_a100, LiaConfig(enforce_host_capacity=False))
-
-
-def test_decode_chains_to_final_prefill_chunk(opt_175b, spr_a100):
-    # Regression: the old m % len(chain_from) indexing chained the
-    # single decode chunk to prefill chunk 0, letting decoding start
-    # before the prefill pipeline drained.
-    from repro.core.overlap import build_request_graph
-
-    prefill = [_stage_layers(opt_175b, spr_a100, Stage.PREFILL,
-                             FULL_GPU, 64, 512) for __ in range(3)]
-    decode = [[_stage_layers(opt_175b, spr_a100, Stage.DECODE,
-                             FULL_GPU, 64, 512)]]
-    graph = build_request_graph(prefill, decode, prefill_minibatches=2)
-    timeline = simulate(graph)
-    last_prefill_chunk = timeline.record("p2.c1")
-    first_decode_xfer = timeline.record("g0.0.d0")
-    assert first_decode_xfer.start >= last_prefill_chunk.finish
-
-
-def test_equal_width_stages_still_pipeline(opt_175b, spr_a100):
-    # The ceil-index fix must not serialize equal-minibatch stages:
-    # chunk m of layer i+1 still chains to chunk m of layer i (it
-    # covers the same batch fraction), preserving Fig. 7 pipelining.
-    from repro.core.overlap import build_request_graph
-
-    prefill = [_stage_layers(opt_175b, spr_a100, Stage.PREFILL,
-                             FULL_GPU, 64, 512) for __ in range(4)]
-    graph = build_request_graph(prefill, [], prefill_minibatches=2)
-    assert "p0.c0" in graph.get("p1.d0").deps
-    assert "p0.c1" not in graph.get("p1.d0").deps
-    assert "p0.c1" in graph.get("p1.d1").deps
-
-
-def test_request_graph_des_matches_closed_form(opt_175b, spr_a100):
-    # Whole-request DES vs the per-stage closed-form periods: the
-    # amortized rates agree within pipeline-fill slack.
-    from repro.core.overlap import build_request_graph
-
-    n_layers, steps = 12, 4
-    pl = _stage_layers(opt_175b, spr_a100, Stage.PREFILL, FULL_GPU,
-                       64, 512)
-    dl = _stage_layers(opt_175b, spr_a100, Stage.DECODE, FULL_GPU,
-                       64, 512)
-    graph = build_request_graph([pl] * n_layers,
-                                [[dl] * n_layers] * steps,
-                                prefill_minibatches=2)
-    makespan = simulate(graph).makespan
-    closed = (n_layers * overlapped_layer_time(pl, minibatches=2)
-              + steps * n_layers * overlapped_layer_time(dl,
-                                                         minibatches=1))
-    assert makespan == pytest.approx(closed, rel=0.15)
-    serial = (n_layers * serial_layer_time(pl)
-              + steps * n_layers * serial_layer_time(dl))
-    assert makespan <= serial * 1.001

@@ -36,20 +36,20 @@ def test_p0_equals_p6():
     assert policy.p(0) == policy.p(6)
 
 
+def _crosses(policy, index):
+    """Eq. (4)'s activation-transfer condition p_i xor p_(i-1)."""
+    return policy.p(index) != policy.p(index - 1)
+
+
 def test_boundary_crossings():
     policy = OffloadPolicy.from_string("011000")
     # p0 = p6 = 0; crossings at sublayers 2 (0->1) and 4 (1->0).
-    assert not policy.crosses_boundary(1)
-    assert policy.crosses_boundary(2)
-    assert not policy.crosses_boundary(3)
-    assert policy.crosses_boundary(4)
-    assert not policy.crosses_boundary(5)
-    assert not policy.crosses_boundary(6)
+    assert [i for i in range(1, 7) if _crosses(policy, i)] == [2, 4]
 
 
 def test_full_policies_never_cross():
     for policy in (FULL_CPU, FULL_GPU):
-        assert not any(policy.crosses_boundary(i) for i in range(1, 7))
+        assert not any(_crosses(policy, i) for i in range(1, 7))
 
 
 def test_all_policies_enumerates_64_unique():
@@ -66,11 +66,10 @@ def test_from_string_variants():
 
 
 def test_cpu_gpu_sublayer_partition():
-    assert PARTIAL_CPU.cpu_sublayers == (Sublayer.ATTENTION_SCORE,
-                                         Sublayer.ATTENTION_CONTEXT)
-    assert len(PARTIAL_CPU.gpu_sublayers) == 4
-    assert FULL_CPU.all_cpu and not FULL_CPU.all_gpu
-    assert FULL_GPU.all_gpu and not FULL_GPU.all_cpu
+    on_cpu = [s for s in Sublayer if PARTIAL_CPU.on_cpu(s)]
+    assert on_cpu == [Sublayer.ATTENTION_SCORE, Sublayer.ATTENTION_CONTEXT]
+    assert sum(PARTIAL_CPU.on_gpu(s) for s in Sublayer) == 4
+    assert FULL_CPU.all_cpu and not FULL_GPU.all_cpu
 
 
 def test_malformed_policies_rejected():

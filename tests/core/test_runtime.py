@@ -68,44 +68,14 @@ def test_timeline_overlap_beats_serial(opt_175b, spr_a100, eval_config):
     assert overlapped.makespan <= serial.makespan * 1.01
 
 
-def test_simulate_request_matches_estimator(opt_30b, spr_a100,
-                                            eval_config):
-    """The full-request DES replay converges to the closed-form
-    estimate (scaled to the capped depth/steps)."""
-    runtime = LiaRuntime(opt_30b, spr_a100, eval_config)
-    request = InferenceRequest(64, 256, 32)
-    depth, steps = 12, 4
-    timeline = runtime.simulate_request(request, n_layers=depth,
-                                        decode_steps=steps)
-    estimate = runtime.plan(request).estimate
-    scaled = ((estimate.prefill.time
-               + estimate.decode.time * steps / request.output_len)
-              * depth / opt_30b.n_layers)
-    assert timeline.makespan == pytest.approx(scaled, rel=0.12)
-
-
-def test_simulate_request_resources(opt_30b, spr_a100, eval_config):
-    runtime = LiaRuntime(opt_30b, spr_a100, eval_config)
-    timeline = runtime.simulate_request(InferenceRequest(1, 64, 8),
-                                        n_layers=4, decode_steps=2)
-    assert set(timeline.by_resource()) <= {"compute", "pcie"}
-    assert timeline.makespan > 0.0
-
-
-@pytest.mark.parametrize("caps, message", [
-    ({"decode_steps": -1}, "decode_steps must be an int >= 0, got -1"),
-    ({"decode_steps": 1.5}, "decode_steps must be an int >= 0, got 1.5"),
-    ({"n_layers": 0}, "n_layers must be an int >= 1, got 0"),
-    ({"n_layers": True}, "n_layers must be an int >= 1, got True"),
+@pytest.mark.parametrize("n_layers, message", [
+    (0, "n_layers must be an int >= 1, got 0"),
+    (True, "n_layers must be an int >= 1, got True"),
 ])
-def test_simulate_request_rejects_bad_caps(opt_30b, spr_a100, eval_config,
-                                           caps, message):
+def test_simulate_timeline_rejects_bad_caps(opt_30b, spr_a100, eval_config,
+                                            n_layers, message):
     runtime = LiaRuntime(opt_30b, spr_a100, eval_config)
     with pytest.raises(ConfigurationError) as raised:
-        runtime.simulate_request(InferenceRequest(1, 128, 4),
-                                 **{"n_layers": 2, **caps})
+        runtime.simulate_timeline(InferenceRequest(1, 128, 4),
+                                  Stage.DECODE, n_layers)
     assert str(raised.value) == message
-    if "n_layers" in caps:
-        with pytest.raises(ConfigurationError, match=message):
-            runtime.simulate_timeline(InferenceRequest(1, 128, 4),
-                                      Stage.DECODE, caps["n_layers"])

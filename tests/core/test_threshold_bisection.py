@@ -18,12 +18,12 @@ from repro.core.optimizer import (_bisect, decode_policy_threshold,
                                   prefill_policy_transition)
 from repro.errors import ConfigurationError
 from repro.hardware.system import SYSTEM_ZOO, get_system
-from repro.models.zoo import get_model, list_models
+from repro.models.zoo import MODEL_ZOO, get_model
 from repro.telemetry import Telemetry, activate
 from tests.oracles import eq1_scalar
 
 CONFIG = LiaConfig(enforce_host_capacity=False)
-PAIRS = list(itertools.product(list_models(), SYSTEM_ZOO))
+PAIRS = list(itertools.product(sorted(MODEL_ZOO), SYSTEM_ZOO))
 
 
 def _searches(call, stage):

@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.export import default_drivers, export_all, to_csv
+from repro.experiments.export import default_drivers, to_csv
 from repro.experiments.reporting import ExperimentResult
 
 
@@ -43,15 +43,3 @@ def test_registry_covers_all_paper_artifacts():
                  "sec8-v100", "sec8-cxl-cost", "ext-int8",
                  "ext-multigpu"):
         assert name in drivers
-
-
-def test_export_all_subset(tmp_path):
-    written = export_all(tmp_path, experiment_ids=["fig01", "tab5"])
-    names = sorted(p.name for p in written)
-    assert names == ["fig01.csv", "tab5.csv"]
-    assert all(p.exists() for p in written)
-
-
-def test_export_all_unknown_id(tmp_path):
-    with pytest.raises(ConfigurationError, match="unknown"):
-        export_all(tmp_path, experiment_ids=["fig99"])

@@ -1,7 +1,6 @@
 """Degraded serving: bit-identity, reactions, and determinism."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.faults.scenarios import get_scenario
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
 from repro.models.workload import InferenceRequest
-from repro.serving.batcher import pack_requests, repack_under_pressure
 from repro.serving.planner import choose_system
 from repro.serving.simulator import ServingSimulator
 from repro.telemetry.runtime import Telemetry, activate
@@ -215,30 +213,3 @@ def test_planner_ranks_under_fault_scenario(opt_30b):
                             scenario=get_scenario("pcie-downshift"))
     assert len(choices) == 2
     assert any(c.feasible for c in choices)
-
-
-def test_repack_under_pressure_passthrough_and_split(opt_30b,
-                                                     spr_a100,
-                                                     eval_config):
-    singles = [InferenceRequest(1, 256, 32) for __ in range(16)]
-    batches = pack_requests(singles, opt_30b, spr_a100, eval_config,
-                            max_batch=16)
-    # Undisturbed platform: the exact same packing comes back.
-    assert repack_under_pressure(batches, opt_30b, spr_a100,
-                                 eval_config) == batches
-    # Shrink host DDR to just under the B=16 footprint, so whole
-    # batches overflow but halves still fit.
-    from repro.core.estimator import host_memory_usage
-    footprint = host_memory_usage(opt_30b, batches[0].request,
-                                  spr_a100, eval_config).ddr_bytes
-    fraction = 1.0 - 0.999 * footprint / spr_a100.cpu.memory.capacity_bytes
-    squeezed = replace(
-        spr_a100,
-        cpu=replace(spr_a100.cpu,
-                    memory=spr_a100.cpu.memory.with_reserved_fraction(
-                        fraction)))
-    repacked = repack_under_pressure(batches, opt_30b, squeezed,
-                                     eval_config)
-    assert sum(b.n_members for b in repacked) == 16
-    assert max(b.request.batch_size for b in repacked) < max(
-        b.request.batch_size for b in batches)

@@ -12,6 +12,7 @@ from repro.core.policy import (
 from repro.inference.engine import CooperativeEngine
 from repro.inference.transformer import TinyTransformer
 from repro.models.sublayers import Stage, Sublayer, sublayer_cost
+from tests.oracles.transformer_reference import forward_reference
 
 
 @pytest.fixture
@@ -65,7 +66,7 @@ def test_matches_reference_forward(model):
     # the same next token at each step.
     sequence = prompt.copy()
     for step in range(3):
-        logits = model.forward_reference(sequence)
+        logits = forward_reference(model, sequence)
         expected = logits[:, -1, :].argmax(axis=-1)
         assert expected[0] == result.tokens[0, step]
         sequence = np.concatenate([sequence, expected[:, None]], axis=1)

@@ -56,15 +56,6 @@ def test_bytes_by_label_groups():
     assert grouped["kv"] == 8
 
 
-def test_bytes_between_directions():
-    log = TransferLog()
-    a = DeviceTensor(np.zeros(4, dtype=np.float32), "cpu")
-    b = a.to("gpu", log, "h2d")
-    b.to("cpu", log, "d2h")
-    assert log.bytes_between("cpu", "gpu") == 8
-    assert log.bytes_between("gpu", "cpu") == 8
-
-
 def test_clear():
     log = TransferLog()
     DeviceTensor(np.zeros(4, dtype=np.float32), "cpu").to("gpu", log, "x")

@@ -11,6 +11,7 @@ from repro.inference.transformer import (
     softmax,
 )
 from repro.models.zoo import get_model
+from tests.oracles.transformer_reference import forward_reference
 
 
 @pytest.fixture
@@ -64,10 +65,10 @@ def test_causal_masking(model):
     # The first token's output must not depend on later tokens.
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, model.spec.vocab_size, (1, 8))
-    logits_full = model.forward_reference(tokens)
+    logits_full = forward_reference(model, tokens)
     tokens_changed = tokens.copy()
     tokens_changed[0, -1] = (tokens[0, -1] + 1) % model.spec.vocab_size
-    logits_changed = model.forward_reference(tokens_changed)
+    logits_changed = forward_reference(model, tokens_changed)
     np.testing.assert_array_equal(logits_full[:, 0, :],
                                   logits_changed[:, 0, :])
     assert not np.array_equal(logits_full[:, -1, :],
@@ -76,7 +77,7 @@ def test_causal_masking(model):
 
 def test_forward_shapes(model):
     tokens = np.zeros((2, 5), dtype=np.int64)
-    logits = model.forward_reference(tokens)
+    logits = forward_reference(model, tokens)
     assert logits.shape == (2, 5, model.spec.vocab_size)
     assert np.isfinite(logits).all()
 
@@ -105,7 +106,7 @@ def test_llama_tiny_gqa_swiglu_runs():
     # SwiGLU: FC1 packs gate + up projections.
     assert model.layers[0].w_fc1.shape == (64, 2 * spec.d_ff)
     tokens = np.arange(10, dtype=np.int64).reshape(2, 5)
-    logits = model.forward_reference(tokens)
+    logits = forward_reference(model, tokens)
     assert logits.shape == (2, 5, spec.vocab_size)
     assert np.isfinite(logits).all()
 
@@ -114,9 +115,9 @@ def test_llama_tiny_causal(tiny_spec):
     model = TinyTransformer(get_model("llama-tiny"), seed=1)
     rng = np.random.default_rng(0)
     tokens = rng.integers(0, model.spec.vocab_size, (1, 6))
-    logits = model.forward_reference(tokens)
+    logits = forward_reference(model, tokens)
     changed = tokens.copy()
     changed[0, -1] = (tokens[0, -1] + 1) % model.spec.vocab_size
-    logits_changed = model.forward_reference(changed)
+    logits_changed = forward_reference(model, changed)
     np.testing.assert_array_equal(logits[:, 0, :],
                                   logits_changed[:, 0, :])

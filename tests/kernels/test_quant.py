@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kernels.quant import bf16_matmul_reference, bf16_round
+from repro.inference.transformer import bf16_matmul_reference, bf16_round
 
 
 def test_bf16_representable_values_unchanged():

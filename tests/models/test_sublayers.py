@@ -5,12 +5,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.models.sublayers import (
     KV_STORE_SUBLAYERS,
-    NUM_SUBLAYERS,
     RESIDUAL_SOURCE,
     Stage,
     Sublayer,
-    decoder_layer_costs,
-    ops_per_byte_heatmap,
     sublayer_cost,
     sublayer_costs,
 )
@@ -123,12 +120,6 @@ def test_decode_output_projection(spec):
 # ----------------------------------------------------------------------
 # Structural behaviour
 # ----------------------------------------------------------------------
-def test_six_sublayers_in_layer(spec):
-    costs = decoder_layer_costs(spec, Stage.PREFILL, B, L)
-    assert len(costs) == NUM_SUBLAYERS
-    assert [c.sublayer for c in costs] == list(Sublayer)
-
-
 def test_parameter_vs_kv_classification():
     params = {s for s in Sublayer if s.uses_parameters}
     kv = {s for s in Sublayer if s.uses_kv_cache}
@@ -153,9 +144,18 @@ def test_decode_attention_ops_per_byte_is_one(spec):
         assert cost.ops_per_byte == pytest.approx(1.0, abs=0.05)
 
 
+def _heatmap(spec, batch_size, seq_len):
+    """Fig. 1's {stage: {sublayer name: ops/byte}}."""
+    return {stage.value: {sub.name: sublayer_cost(spec, sub, stage,
+                                                  batch_size,
+                                                  seq_len).ops_per_byte
+                          for sub in Sublayer}
+            for stage in Stage}
+
+
 def test_heatmap_range_matches_paper(spec):
     # Fig. 1: ops/byte spans ~1 to tens of thousands at L=512, B=180.
-    heatmap = ops_per_byte_heatmap(spec, 180, 512)
+    heatmap = _heatmap(spec, 180, 512)
     values = [v for row in heatmap.values() for v in row.values()]
     assert min(values) == pytest.approx(1.0, abs=0.05)
     assert max(values) > 10_000
@@ -164,7 +164,7 @@ def test_heatmap_range_matches_paper(spec):
 def test_prefill_heatmap_extremes(spec):
     # §4 picks FC1 (most compute-intensive) and QK^T in decode (most
     # memory-intensive) as the extremes.
-    heatmap = ops_per_byte_heatmap(spec, 180, 512)
+    heatmap = _heatmap(spec, 180, 512)
     prefill = heatmap[Stage.PREFILL.value]
     decode = heatmap[Stage.DECODE.value]
     assert max(prefill, key=prefill.get) == "FC1"

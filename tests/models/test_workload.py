@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.estimator import LiaEstimator
 from repro.errors import ConfigurationError
 from repro.models.workload import (
     InferenceRequest,
+    RequestPoints,
     TraceKind,
     azure_trace_lengths,
     make_request,
     max_input_len,
     paper_input_lengths,
-    sweep_requests,
 )
 from repro.models.zoo import get_model
 
@@ -56,25 +57,34 @@ def test_numpy_integer_fields_become_ints():
     assert hash(request) == hash(InferenceRequest(8, 128, 4))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda estimator: estimator.decode_step_grid([1.5], [64]),
+     "batch_size must be an integer, got 1.5"),
+    (lambda estimator: estimator.decode_step_grid([True], [64]),
+     "batch_size must be an integer, got True"),
+    (lambda estimator: estimator.prefill_times([1.5], [64]),
+     "batch_size must be an integer, got 1.5"),
+], ids=["decode-grid-float", "decode-grid-bool", "prefill-float"])
+def test_array_entry_points_reject_non_integer_axes(opt_30b, spr_a100,
+                                                    call, message):
+    with pytest.raises(ConfigurationError) as raised:
+        call(LiaEstimator(opt_30b, spr_a100))
+    assert str(raised.value) == message
+
+
+def test_request_points_normalize_numpy_integers():
+    points = RequestPoints(np.int64(8), np.array([64, 128], dtype=np.int32),
+                           np.uint8(1))
+    assert (type(points.batch_size), type(points.output_len)) == (int, int)
+    assert points.input_len.dtype == np.int32
+
+
 def test_paper_lmax_values():
     # §7: L_max is 2016 for L_out=32 and 1792 for L_out=256.
     opt = get_model("opt-175b")
     assert max_input_len(opt, 32) == 2016
     assert max_input_len(opt, 256) == 1792
     assert paper_input_lengths(opt, 32) == [32, 256, 2016]
-
-
-def test_fits_model():
-    opt = get_model("opt-175b")
-    assert make_request(1, 2016, 32).fits_model(opt)
-    assert not make_request(1, 2017, 32).fits_model(opt)
-
-
-def test_sweep_is_cartesian():
-    requests = sweep_requests((1, 64), (32, 256), (32,))
-    assert len(requests) == 4
-    assert requests[0] == InferenceRequest(1, 32, 32)
-    assert requests[-1] == InferenceRequest(64, 256, 32)
 
 
 def test_azure_trace_is_deterministic_and_bounded():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.models.zoo import MODEL_ZOO, get_model, list_models
+from repro.models.zoo import MODEL_ZOO, get_model
 
 
 def test_paper_models_present():
@@ -31,12 +31,6 @@ def test_parameter_counts_match_names():
 def test_unknown_model_raises():
     with pytest.raises(ConfigurationError, match="unknown model"):
         get_model("gpt-5")
-
-
-def test_list_models_sorted():
-    names = list_models()
-    assert names == sorted(names)
-    assert "opt-175b" in names
 
 
 def test_tiny_model_is_small():

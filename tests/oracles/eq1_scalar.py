@@ -275,7 +275,7 @@ def layer_latency(spec: ModelSpec, stage: Stage, policy: OffloadPolicy,
         # Eq. (4): activation load when crossing the device boundary.
         t_load_x = 0.0
         bytes_x = 0.0
-        if policy.crosses_boundary(i):
+        if policy.p(i) != policy.p(i - 1):
             bytes_x = cost.d_x
             t_load_x = load_x
 

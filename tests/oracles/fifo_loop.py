@@ -87,7 +87,7 @@ class LoopReport:
 
     @property
     def utilization(self) -> float:
-        busy = left_sum([r.service_time for r in self.served])
+        busy = left_sum([r.finish - r.start for r in self.served])
         return (busy / (self.n_replicas * self.makespan)
                 if self.makespan else 0.0)
 
@@ -150,7 +150,7 @@ def report_to_metrics(report: LoopReport, metrics: MetricsRegistry,
     tokens = metrics.counter("serving.generated_tokens", **labels)
     for served in report.served:
         queue.observe(served.queue_delay)
-        service.observe(served.service_time)
+        service.observe(served.finish - served.start)
         latency.observe(served.latency)
         requests.inc()
         tokens.inc(served.request.total_generated_tokens)

@@ -275,6 +275,29 @@ def test_flip_case_reruns_once_and_matches_the_oracle(monkeypatch, block):
     assert counted == [searches]
 
 
+@pytest.mark.parametrize("case, reads, points", [
+    (flip_case, 84, 61), (continuous_kv_case, 663, 617)])
+def test_checks_score_each_distinct_read_point_once(monkeypatch, case,
+                                                    reads, points):
+    """A guessing pass scores every distinct ``(aggregate, context)``
+    read point once, however often it was read: the flip case reads 84
+    times at 61 points, the 5,000-request stream 663 times at 617."""
+    solved, __, checks = _spy_resolves(monkeypatch)
+    recorded = []
+    check = scheduler_module._ReadResolves.verified
+
+    def counted(self):
+        recorded.append(len(self.guesses))
+        return check(self)
+
+    monkeypatch.setattr(scheduler_module._ReadResolves, "verified", counted)
+    scheduler, requests, arrivals = case()
+    scheduler.run(requests, arrivals)
+    assert recorded == [reads]
+    assert [n for n in solved if n is not None] == [points]
+    assert checks == [case is continuous_kv_case]
+
+
 def test_cold_continuous_kv_call_builds_three_term_tables(monkeypatch):
     """A seed-0 continuous-kv call at 100 requests builds its step
     profile's decode grid, its prefill table and one table checking

@@ -212,12 +212,9 @@ def test_request_shape_memoization(simulator):
         "serving.estimates", result="computed") == 2
     assert telemetry.metrics.counter_value(
         "serving.estimates", result="memoized") == 2
-    # service_time is finish - start, so equal memoized services can
+    # A service is finish - start, so equal memoized services can
     # differ by an ulp after the add/subtract round trip.
-    served = report.served
-    assert served[0].service_time == pytest.approx(
-        served[1].service_time, rel=1e-12)
-    assert served[1].service_time == pytest.approx(
-        served[3].service_time, rel=1e-12)
-    assert served[2].service_time != pytest.approx(
-        served[0].service_time, rel=1e-6)
+    service = [r.finish - r.start for r in report.served]
+    assert service[0] == pytest.approx(service[1], rel=1e-12)
+    assert service[1] == pytest.approx(service[3], rel=1e-12)
+    assert service[2] != pytest.approx(service[0], rel=1e-6)

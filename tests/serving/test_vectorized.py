@@ -220,7 +220,7 @@ def test_workload_round_trip_preserves_order():
     assert workload.to_requests() == requests
     assert len(workload) == 3
     assert workload.shapes == (requests[0], requests[1])
-    assert workload.request_at(2) == requests[0]
+    assert workload.shapes[workload.codes[2]] == requests[0]
 
 
 def test_workload_sample_mix_deterministic():
@@ -379,7 +379,7 @@ def test_materialize_round_trip(simulator):
     assert report.served[3].latency == report.latencies[3]
     rows = list(report.iter_timeline())
     assert len(rows) == 10
-    assert rows[0][0] == report.workload.request_at(0)
+    assert rows[0][0] == report.workload.to_requests()[0]
     assert [row[3] for row in rows] == report.finishes.tolist()
 
 
@@ -395,7 +395,7 @@ def test_parity_on_order_sensitive_service_sum(simulator):
     loop = run_loop(_fresh_simulator(simulator), workload.to_requests(),
                     arrivals)
     vec = _fresh_simulator(simulator).run(workload, arrivals)
-    services = [r.service_time for r in loop.served]
+    services = [r.finish - r.start for r in loop.served]
     delays = [r.queue_delay for r in loop.served]
     assert math.fsum(services) != left_sum(services)
     assert math.fsum(delays) != left_sum(delays)

@@ -1,15 +1,13 @@
-"""Bridges from Timeline / TransferLog / ServingReport."""
+"""Bridges from Timeline / ServingReport."""
 
 import numpy as np
 import pytest
 
-from repro.inference.tensors import TransferLog
 from repro.serving.simulator import ServingReport
 from repro.serving.vectorized import WorkloadVector
 from repro.models.workload import InferenceRequest
 from repro.sim.trace import TaskRecord, Timeline
 from repro.telemetry.bridge import (timeline_to_spans,
-                                    transfer_log_to_counters,
                                     vectorized_report_to_metrics,
                                     vectorized_report_to_spans)
 from repro.telemetry.metrics import MetricsRegistry
@@ -41,24 +39,6 @@ def test_timeline_to_trace_events_method():
     # Sim seconds -> trace microseconds.
     c0 = next(e for e in complete if e["args"]["task_id"] == "c0")
     assert c0["dur"] == pytest.approx(2e6)
-
-
-def test_transfer_log_reconciles_exactly():
-    log = TransferLog()
-    log.record("weights:L0", "cpu", "gpu", 1000)
-    log.record("act:L0:S2", "cpu", "gpu", 24)
-    log.record("act:L0:S3", "gpu", "cpu", 8)
-    registry = MetricsRegistry()
-    transfer_log_to_counters(log, registry)
-    assert registry.counter_value("pcie.bytes", source="cpu",
-                                  destination="gpu") == 1024
-    assert registry.counter_value("pcie.bytes", source="gpu",
-                                  destination="cpu") == 8
-    total = sum(counter.value for counter in registry.counters()
-                if counter.name == "pcie.bytes")
-    assert total == log.total_bytes
-    assert registry.counter_value("pcie.transfers", source="cpu",
-                                  destination="gpu") == 2
 
 
 def _report():

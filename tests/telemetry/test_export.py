@@ -1,7 +1,6 @@
 """Chrome trace and metric-dump exporters, checked against the
 schema validator CI uses (scripts/validate_trace.py)."""
 
-import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -12,7 +11,6 @@ from repro.errors import ConfigurationError
 from repro.telemetry.export import (build_chrome_trace, render_metrics,
                                     spans_to_trace_events,
                                     write_chrome_trace,
-                                    write_metrics_csv,
                                     write_metrics_json)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Span
@@ -113,20 +111,6 @@ def test_metrics_json_round_trip(tmp_path):
     assert byte_row["value"] == 4096
     assert byte_row["labels"] == {"source": "cpu",
                                   "destination": "gpu"}
-
-
-def test_metrics_csv_follows_export_conventions(tmp_path):
-    path = write_metrics_csv(tmp_path / "metrics.csv", _registry())
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# ")
-    rows = list(csv.DictReader(lines[1:]))
-    assert {row["metric"] for row in rows} == {"pcie.bytes",
-                                               "latency_s",
-                                               "utilization"}
-    byte_row = next(r for r in rows if r["metric"] == "pcie.bytes")
-    assert byte_row["labels"] == "destination=gpu,source=cpu"
-    with pytest.raises(ConfigurationError):
-        write_metrics_csv(tmp_path / "empty.csv", MetricsRegistry())
 
 
 def test_render_metrics_is_human_readable():

@@ -53,14 +53,14 @@ def test_engine_spans_cover_stages_and_sublayers(tiny_model, tiny_spec):
     with activate(telemetry):
         engine.generate(_prompt(), max_new_tokens=2)
     tracer = telemetry.tracer
-    engine_spans = tracer.spans_on("engine")
+    engine_spans = [s for s in tracer.spans if s.track == "engine"]
     names = [span.name for span in engine_spans]
     assert "prefill" in names and "decode[0]" in names
     # 6 sublayers per layer per forward pass (prefill + 1 decode).
-    device_spans = tracer.spans_on("cpu") + tracer.spans_on("gpu")
+    device_spans = [s for s in tracer.spans if s.track in ("cpu", "gpu")]
     assert len(device_spans) == 2 * 6 * tiny_spec.n_layers
     # Transfer spans carry their byte counts.
-    pcie_spans = tracer.spans_on("pcie")
+    pcie_spans = [s for s in tracer.spans if s.track == "pcie"]
     assert pcie_spans and all(span.args["bytes"] > 0
                               for span in pcie_spans)
     # Stage spans envelop everything that ran inside them.
@@ -138,6 +138,7 @@ def test_serving_simulator_fills_histograms(opt_30b, spr_a100,
     for fraction in (0.5, 0.95):
         assert latency.quantile(fraction) == pytest.approx(
             report.latency_percentile(fraction), rel=0.05)
-    server_spans = telemetry.tracer.spans_on("server")
+    server_spans = [s for s in telemetry.tracer.spans
+                    if s.track == "server"]
     assert len(server_spans) == 5
     assert server_spans[-1].finish == pytest.approx(report.makespan)

@@ -37,7 +37,7 @@ def test_span_args_and_tracks():
         span.args["extra"] = True
         tracer.tick()
     assert tracer.tracks() == ["pcie"]
-    only = tracer.spans_on("pcie")[0]
+    only = next(s for s in tracer.spans if s.track == "pcie")
     assert only.args == {"bytes": 128, "extra": True}
     assert tracer.busy_time("pcie") == pytest.approx(1.0)
 

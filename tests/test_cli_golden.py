@@ -39,6 +39,7 @@ MATRIX = {
               "256", "--output-lens", "8", "--json", "sweep.json"],
     "experiment-list": ["experiment", "--list"],
     "experiment-fig01": ["experiment", "fig01", "--csv-dir", "csv"],
+    "calibrate": ["calibrate"],
     "trace-engine": ["trace", "--decode-policy", "011000",
                      "--out", "engine.trace.json"],
     "trace-serving": ["trace", "--mode", "serving", "--model", "opt-30b",
@@ -96,6 +97,12 @@ MATRIX = {
     "fleet-trace": ["fleet", "--preset", "bursty-chaos", "--trace",
                     "steady", "--num-requests", "300", "--replicas",
                     "2", "--shape", "1,128,16", "--json", "fleet.json"],
+    "fleet-trace-heavy-tail": ["fleet", "--preset", "replica-crash",
+                               "--trace", "heavy-tail", "--num-requests",
+                               "300", "--json", "fleet.json"],
+    "fleet-trace-sessions": ["fleet", "--preset", "replica-crash",
+                             "--trace", "sessions", "--num-requests",
+                             "300", "--json", "fleet.json"],
     "fleet-continuous": ["fleet", "--preset", "replica-crash",
                          "--chaos", "none", "--scheduler", "continuous",
                          "--num-requests", "300", "--max-batch", "4",

@@ -16,20 +16,12 @@ def test_capacity_conversions():
 
 def test_throughput_conversions():
     assert units.tflops(90.1) == 90.1e12
-    assert units.gflops(199) == 199e9
-    assert units.to_tflops(20e12) == 20.0
-    assert units.to_gflops(199e9) == 199.0
 
 
 def test_time_conversions():
     assert units.ns(150) == pytest.approx(150e-9)
     assert units.us(8) == pytest.approx(8e-6)
     assert units.ms(1.2) == pytest.approx(0.0012)
-
-
-def test_reporting_conversions():
-    assert units.to_gib(2**31) == 2.0
-    assert units.to_gb(3e9) == 3.0
 
 
 def test_data_format_sizes():
