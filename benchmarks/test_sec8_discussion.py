@@ -1,7 +1,5 @@
 """§8 discussion: Grace-Hopper, cheap-GPU alternatives, CXL cost."""
 
-import pytest
-
 from repro.experiments import sec8_discussion
 
 

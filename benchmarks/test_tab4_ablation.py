@@ -1,7 +1,5 @@
 """Table 4: ablation of LIA's optimizations and policy."""
 
-import pytest
-
 from repro.experiments import tab4_ablation
 
 

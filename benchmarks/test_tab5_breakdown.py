@@ -1,7 +1,5 @@
 """Table 5: runtime breakdown with overlap disabled."""
 
-import pytest
-
 from repro.experiments import tab5_breakdown
 
 

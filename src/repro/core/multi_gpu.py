@@ -26,7 +26,6 @@ from repro.hardware.memory import MemoryDevice
 from repro.hardware.roofline import ComputeEngine
 from repro.hardware.system import SystemConfig
 from repro.models.spec import ModelSpec
-from repro.models.sublayers import Stage
 from repro.models.workload import InferenceRequest
 
 

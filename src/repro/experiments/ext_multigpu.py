@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.multi_gpu import MultiGpuLiaEstimator, expand_gpu_side
+from repro.core.multi_gpu import MultiGpuLiaEstimator
 from repro.core.optimizer import decode_policy_threshold
 from repro.experiments.frameworks import EVAL_CONFIG
 from repro.experiments.reporting import ExperimentResult

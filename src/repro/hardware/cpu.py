@@ -11,7 +11,7 @@ GNR-AMX, ~4.4 TFLOPS for AVX512, and 199 GFLOPS SPR GEMV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigurationError

@@ -99,6 +99,7 @@ class PlanTable:
         self._platforms: Dict[FaultSignature,
                               Tuple[LiaEstimator, _Entries]] = {
             (): (estimator, {})}
+        self._services: Optional[Tuple[WorkloadVector, np.ndarray]] = None
 
     def entries(self, signature: FaultSignature,
                 shapes: Sequence[InferenceRequest]
@@ -139,11 +140,20 @@ class PlanTable:
 
     def service_times(self, workload: WorkloadVector) -> np.ndarray:
         """Healthy per-arrival service times: :meth:`used_estimates`
-        gathered onto the arrivals."""
+        gathered onto the arrivals.
+
+        The table keeps the last workload's column, read-only, so a
+        search over fleet sizes gathers it once for all of them.
+        """
+        if self._services is not None and self._services[0] is workload:
+            return self._services[1]
         latency = np.zeros(len(workload.shapes))
         latency[np.flatnonzero(workload.counts())] = [
             estimate.latency for estimate in self.used_estimates(workload)]
-        return np.take(latency, workload.codes)
+        times = np.take(latency, workload.codes)
+        times.flags.writeable = False
+        self._services = (workload, times)
+        return times
 
 
 def _checked(entry: Union[InferenceEstimate, CapacityError]

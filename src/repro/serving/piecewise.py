@@ -19,8 +19,10 @@ segment is one call of the exact array kernel
 * queue backlog carries across segment boundaries through the
   kernel's ``free_at`` clamp.
 
-A healthy run is the same engine with zero fault windows: one
-infinite segment, hence one kernel call over the whole stream.
+A healthy run has no segments: :func:`serve_healthy` is one kernel
+call over the whole stream, and a healthy round-robin replica of
+:class:`~repro.serving.replicas.MultiReplicaSimulator` is the same
+call over its strided substream.
 
 **Speculation.** A request's *start* — not its arrival — picks its
 signature, and backlog can push starts past the segment boundary.
@@ -258,10 +260,12 @@ class _PlanColumns:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-#: What a run without faults is served under: no windows, so
-#: :meth:`FaultInjector.regimes` is one infinite healthy segment and
-#: the whole stream is one :func:`lindley_timeline` call.
-_FAULT_FREE = FaultScenario(name="fault-free")
+def serve_healthy(workload: WorkloadVector, trace: np.ndarray,
+                  services: np.ndarray) -> ServingReport:
+    """The fault-free FIFO report of a checked stream: one
+    :func:`lindley_timeline` call over its healthy ``services``."""
+    starts, finishes = lindley_timeline(trace, services)
+    return ServingReport(workload, trace, starts, finishes)
 
 
 def run_fifo(estimator: LiaEstimator,
@@ -276,11 +280,12 @@ def run_fifo(estimator: LiaEstimator,
     with service times from ``estimator``.
 
     ``scenario`` injects faults; ``None`` or an idle scenario serves
-    the healthy platform and returns a report without drop columns or
-    :class:`FaultStats`.  ``indices`` relabels each position with a
-    global request index, so a replica's RNG draws and span names
-    match a single-server run over the same requests.  ``quiet``
-    suppresses telemetry (the fleet emits one merged view instead).
+    the healthy platform (:func:`serve_healthy`) and returns a report
+    without drop columns or :class:`FaultStats`.  ``indices`` relabels
+    each position with a global request index, so a replica's RNG
+    draws and span names match a single-server run over the same
+    requests.  ``quiet`` suppresses telemetry (the fleet emits one
+    merged view instead).
     Otherwise, under an active
     :class:`~repro.telemetry.runtime.Telemetry`, the run emits the
     ``serving.*``/``faults.*`` metrics
@@ -304,25 +309,25 @@ def run_fifo(estimator: LiaEstimator,
     # CapacityError before anything is served, whether or not
     # admission control would shed its requests.
     present = len(plans.used_estimates(workload))
-    controller = DegradationController(plans, scenario or _FAULT_FREE,
-                                       telemetry)
-    # The estimates a per-request loop with a shape memo counts: one
-    # computed per distinct shape, one memoized per repeat.
-    controller._count("serving.estimates", present, result="computed")
-    if workload.n_requests > present:
-        controller._count("serving.estimates",
-                          workload.n_requests - present,
-                          result="memoized")
-    served_index, starts, finishes, dropped_index, reasons = _serve(
-        controller, workload, trace, idx)
-    # Without faults nothing is dropped, and the report carries no
-    # drop columns or FaultStats.
-    faulted = scenario is not None
-    report = ServingReport(
-        workload, trace, starts, finishes, served_index=served_index,
-        dropped_index=dropped_index if faulted else None,
-        dropped_reasons=reasons,
-        stats=controller.stats if faulted else None, scenario=scenario)
+    if telemetry is not None:
+        # The estimates a per-request loop with a shape memo counts:
+        # one computed per distinct shape, one memoized per repeat.
+        estimates = telemetry.metrics.counter
+        estimates("serving.estimates", result="computed").inc(present)
+        if workload.n_requests > present:
+            estimates("serving.estimates", result="memoized").inc(
+                workload.n_requests - present)
+    if scenario is None:
+        report = serve_healthy(workload, trace,
+                               plans.service_times(workload))
+    else:
+        controller = DegradationController(plans, scenario, telemetry)
+        served_index, starts, finishes, dropped_index, reasons = _serve(
+            controller, workload, trace, idx)
+        report = ServingReport(
+            workload, trace, starts, finishes, served_index=served_index,
+            dropped_index=dropped_index, dropped_reasons=reasons,
+            stats=controller.stats, scenario=scenario)
     if telemetry is not None:
         system = estimator.system.name
         model = estimator.spec.name
@@ -352,7 +357,8 @@ def _serve(controller: DegradationController, workload: WorkloadVector,
            trace: np.ndarray, idx: Optional[np.ndarray]
            ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray,
                       np.ndarray, List[str]]:
-    """The piecewise-Lindley block loop, with admission rounds.
+    """The piecewise-Lindley block loop, with admission rounds, of a
+    run under a fault scenario (a healthy run is :func:`serve_healthy`).
 
     Returns ``(served positions, starts, finishes, dropped positions,
     drop reasons)``; the served positions are ``None`` when every

@@ -62,7 +62,8 @@ def choose_system(spec: ModelSpec, requests: Sequence[InferenceRequest],
     while degraded — the capacity question §6-7 answers for the happy
     path, asked about the unhappy one.
     """
-    if slo_p95_seconds <= 0.0:
+    # Written so that NaN fails.
+    if not slo_p95_seconds > 0.0:
         raise ConfigurationError("slo_p95_seconds must be positive")
     if not requests:
         raise ConfigurationError("workload must contain requests")

@@ -40,11 +40,11 @@ from numpy.typing import ArrayLike
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
 from repro.faults.fleet import FleetScenario
-from repro.models.workload import InferenceRequest
+from repro.models.workload import InferenceRequest, _integer
 from repro.serving.degradation import PlanTable
 from repro.serving.fleet import AutoscalerPolicy, FleetReport, simulate_fleet
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
-                                     nearest_rank, validate_arrivals,
+                                     _rank_index, validate_arrivals,
                                      validate_stream)
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.metrics import StreamingHistogram
@@ -126,9 +126,7 @@ class MultiReplicaSimulator:
                  dispatch: str = "round-robin",
                  chaos: Optional[FleetScenario] = None,
                  autoscaler: Optional[AutoscalerPolicy] = None) -> None:
-        if n_replicas < 1:
-            raise ConfigurationError(
-                f"n_replicas must be >= 1, got {n_replicas}")
+        n_replicas = _fleet_size("n_replicas", n_replicas)
         if dispatch not in DISPATCH_POLICIES:
             raise ConfigurationError(
                 f"dispatch must be one of {DISPATCH_POLICIES}, "
@@ -199,37 +197,53 @@ class MultiReplicaSimulator:
                          plans: PlanTable) -> ScaleOutReport:
         """Request *i* goes to replica ``i mod k``.
 
-        Each replica serves its substream — a strided view of the
-        workload codes, a strided copy of the trace — through the
-        FIFO engine with *global* request indices, so every RNG draw
-        (stall outcomes, deferral backoff) keys exactly as a
-        single-server run over the same requests would.  Replicas run
-        ``quiet``; :meth:`run` emits one merged fleet view.  The merge
-        writes each replica's rows back through the same stride, or,
-        when the replica dropped requests, scatters its served rows
-        to their global positions.
+        A healthy replica is :func:`~repro.serving.piecewise.
+        serve_healthy` over its substream: strided views of the
+        workload codes and of the fleet's one service-time column, and
+        a contiguous copy of its rows of the trace (the replica report
+        keeps it, and windowed metrics re-read it).  Under a fault
+        scenario each replica runs the FIFO engine with *global*
+        request indices, so every RNG draw (stall outcomes, deferral
+        backoff) keys exactly as a single-server run over the same
+        requests would.  Replicas run ``quiet``; :meth:`run` emits one
+        merged fleet view.  The split and the merge of healthy
+        timelines go block by block (:func:`_split`, :func:`_merge`); a
+        faulted replica's rows go back through its stride, or, when it
+        dropped requests, to their global positions.
         """
-        from repro.serving.piecewise import run_fifo
+        from repro.serving.piecewise import run_fifo, serve_healthy
 
         n = trace.size
         k = self.n_replicas
-        assignment = np.arange(n, dtype=np.int64) % k
+        live = min(k, n)
+        assignment = np.tile(np.arange(live, dtype=np.int64),
+                             -(-n // live))[:n]
         starts = np.empty(n)
         finishes = np.empty(n)
-        served = np.zeros(n, dtype=bool)
-        replica_ids: List[int] = []
+        parts = _split(trace, k, live)
         per_replica: List[ServingReport] = []
+        if scenario is None:
+            services = plans.service_times(workload)
+            for replica, arrivals in enumerate(parts):
+                rows = slice(replica, None, k)
+                per_replica.append(serve_healthy(
+                    workload.subset(rows), arrivals, services[rows]))
+            _merge([sub.starts for sub in per_replica], k, starts)
+            _merge([sub.finishes for sub in per_replica], k, finishes)
+            return ScaleOutReport(
+                workload, trace, starts, finishes,
+                per_replica=tuple(per_replica),
+                replica_ids=tuple(range(live)), assignment=assignment,
+                dispatch=self.dispatch, n_replicas=k)
+        served = np.zeros(n, dtype=bool)
         dropped_parts: List[np.ndarray] = []
         reasons: List[str] = []
-        for replica in range(min(k, n)):
+        for replica, arrivals in enumerate(parts):
             rows = slice(replica, None, k)
             index = np.arange(replica, n, k, dtype=np.int64)
-            # The replica report keeps its arrivals: a contiguous copy
-            # of the strided view, which windowed metrics re-read.
-            sub = run_fifo(self.estimator, workload.subset(rows),
-                           np.ascontiguousarray(trace[rows]), scenario,
-                           indices=index, quiet=True, _plans=plans)
-            replica_ids.append(replica)
+            sub = run_fifo(self.estimator, workload.subset(rows), arrivals,
+                           scenario, indices=index, quiet=True,
+                           _plans=plans)
             per_replica.append(sub)
             if sub.n_dropped:
                 index_served = index[sub.served_index]
@@ -242,13 +256,10 @@ class MultiReplicaSimulator:
                 starts[rows] = sub.starts
                 finishes[rows] = sub.finishes
                 served[rows] = True
-        stats = None
+        stats = _fold_stats([sub.stats for sub in per_replica
+                             if sub.stats is not None])
         served_index: Optional[np.ndarray] = None
-        dropped_index: Optional[np.ndarray] = None
-        if scenario is not None:
-            stats = _fold_stats([sub.stats for sub in per_replica
-                                 if sub.stats is not None])
-            dropped_index = np.empty(0, dtype=np.int64)
+        dropped_index = np.empty(0, dtype=np.int64)
         if dropped_parts:
             served_index = np.flatnonzero(served)
             starts = starts[served_index]
@@ -260,8 +271,8 @@ class MultiReplicaSimulator:
         return ScaleOutReport(
             workload, trace, starts, finishes,
             per_replica=tuple(per_replica),
-            replica_ids=tuple(replica_ids), assignment=assignment,
-            dispatch=self.dispatch, n_replicas=self.n_replicas,
+            replica_ids=tuple(range(live)), assignment=assignment,
+            dispatch=self.dispatch, n_replicas=k,
             served_index=served_index, dropped_index=dropped_index,
             dropped_reasons=reasons, stats=stats, scenario=scenario)
 
@@ -395,19 +406,23 @@ def replicas_needed(estimator: LiaEstimator,
     Under round-robin dispatch a probed size below ``max_replicas``
     is first checked against :func:`backlog_bound`: when the bound's
     p95 already exceeds the SLO by more than the streaming estimate's
-    error, the size misses it and is not simulated.  Probes, answer
-    and report are those of simulating every probed size.
+    error, the size misses it and is not simulated.  The probes share
+    one buffer and count the bounds within that limit instead of
+    selecting the p95.  Probes, answer and report are those of
+    simulating every probed size.
 
-    Raises :class:`ConfigurationError` for ``max_replicas < 1`` and
-    :class:`CapacityError` when even ``max_replicas`` misses the SLO;
-    the message says whether the p95 service time alone violates it
-    (no fleet can help) or queueing does (a larger cap might).
+    Raises :class:`ConfigurationError` for an SLO that is not positive
+    (NaN included; ``inf`` accepts any fleet) or a ``max_replicas``
+    that is not an integer >= 1, and :class:`CapacityError` when even
+    ``max_replicas`` misses the SLO; the message says whether the p95
+    service time alone violates it (no fleet can help) or queueing
+    does (a larger cap might).
     """
-    if slo_p95_seconds <= 0.0:
-        raise ConfigurationError("slo_p95_seconds must be positive")
-    if max_replicas < 1:
+    # Written so that NaN fails; ``inf`` accepts any fleet.
+    if not slo_p95_seconds > 0.0:
         raise ConfigurationError(
-            f"max_replicas must be >= 1, got {max_replicas}")
+            f"slo_p95_seconds must be positive, got {slo_p95_seconds}")
+    max_replicas = _fleet_size("max_replicas", max_replicas)
     workload = (requests if isinstance(requests, WorkloadVector)
                 else WorkloadVector.from_requests(requests))
     trace = validate_arrivals(arrivals)
@@ -418,6 +433,9 @@ def replicas_needed(estimator: LiaEstimator,
     services = (plans.service_times(workload)
                 if dispatch == "round-robin"
                 and 0 < trace.size == workload.n_requests else None)
+    # Every probe folds into this one buffer (untouched, so free,
+    # when nothing is probed).
+    scratch = np.empty(trace.size)
     # A streaming p95 is a bucket midpoint, within one bucket below
     # the order statistic; the second factor covers the rounding of
     # the bucket index.
@@ -428,8 +446,8 @@ def replicas_needed(estimator: LiaEstimator,
         None)`` when the backlog bound alone shows it misses the
         SLO.  The cap is always simulated: its report explains a
         :class:`CapacityError`."""
-        if services is not None and k < max_replicas and nearest_rank(
-                backlog_bound(trace, services, k), 0.95) > bound_limit:
+        if services is not None and k < max_replicas and _bound_misses(
+                trace, services, k, bound_limit, scratch):
             return math.inf, None
         report = cast(ScaleOutReport, MultiReplicaSimulator(
             estimator, k, dispatch=dispatch).run(workload, trace,
@@ -463,7 +481,8 @@ def replicas_needed(estimator: LiaEstimator,
 
 
 def backlog_bound(arrivals: np.ndarray, services: np.ndarray,
-                  n_replicas: int) -> np.ndarray:
+                  n_replicas: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """A lower bound on every request's healthy round-robin latency.
 
     Replica ``j`` serves requests ``j, j + k, j + 2k, ...``.  Its
@@ -473,20 +492,77 @@ def backlog_bound(arrivals: np.ndarray, services: np.ndarray,
     most the latency, exactly in floats: the engine computes ``f_r =
     max(a, f_{r-1}) + S``, and ``fl(x + S)`` and ``fl(x - a)`` are
     nondecreasing in ``x``, so ``c_r <= f_r`` holds step by step.  All
-    replicas fold at once, as one ``np.add.accumulate`` down the
-    columns of the ``(ceil(n / k), k)`` matrix of the padded service
-    times (row-major order is arrival order).
+    replicas fold at once, as one in-place ``np.add.accumulate`` down
+    the columns of the ``(n // k, k)`` matrix of the service times
+    (row-major order is arrival order); the last ``n % k`` requests
+    add onto the row above them.  ``out`` (``n`` floats or more)
+    receives the bound, which is then its first ``n`` entries.
     """
     n = arrivals.size
     k = min(n_replicas, n)
-    rows = -(-n // k)
-    fold = np.zeros(rows * k)
-    fold[:n] = services
-    fold[:k] += arrivals[:k]
-    fold = np.add.accumulate(fold.reshape(rows, k), axis=0)
-    bound = fold.reshape(-1)[:n]
+    full = n // k * k
+    bound = np.empty(n) if out is None else out[:n]
+    bound[:] = services
+    bound[:k] += arrivals[:k]
+    head = bound[:full].reshape(-1, k)
+    np.add.accumulate(head, axis=0, out=head)
+    bound[full:] += bound[full - k:n - k]
     bound -= arrivals
     return bound
+
+
+#: Rows per block when the healthy fleet splits a column into its
+#: replicas' substreams and merges their timelines back: a block of
+#: every replica's rows stays in cache while each replica's stride
+#: visits it.  One strided pass per replica over the whole column
+#: measured about 3x slower (1M requests over 8 replicas).
+_STRIDE_BLOCK = 8192
+
+
+def _split(column: np.ndarray, k: int, live: int) -> List[np.ndarray]:
+    """``column[j::k]`` of every replica ``j < live``, as contiguous
+    copies made block by block."""
+    n = column.size
+    parts = [np.empty(-(-(n - j) // k)) for j in range(live)]
+    for lo in range(0, parts[0].size, _STRIDE_BLOCK):
+        hi = lo + _STRIDE_BLOCK
+        for j, part in enumerate(parts):
+            part[lo:hi] = column[lo * k + j:hi * k:k]
+    return parts
+
+
+def _merge(parts: Sequence[np.ndarray], k: int, out: np.ndarray) -> None:
+    """Write ``parts[j]`` to ``out[j::k]`` for every replica, block by
+    block (the inverse of :func:`_split`)."""
+    for lo in range(0, parts[0].size, _STRIDE_BLOCK):
+        hi = lo + _STRIDE_BLOCK
+        for j, part in enumerate(parts):
+            out[lo * k + j:hi * k:k] = part[lo:hi]
+
+
+def _bound_misses(arrivals: np.ndarray, services: np.ndarray,
+                  n_replicas: int, limit: float,
+                  scratch: np.ndarray) -> bool:
+    """Whether the nearest-rank p95 of :func:`backlog_bound` exceeds
+    ``limit``: the p95 is the ``_rank_index(n, 0.95)``-th smallest
+    bound (0-based), so it does exactly when at most that many bounds
+    are within ``limit``.  Counting them needs no selection and no
+    copy; the bound folds into ``scratch``."""
+    bound = backlog_bound(arrivals, services, n_replicas, out=scratch)
+    return (int(np.count_nonzero(bound <= limit))
+            <= _rank_index(arrivals.size, 0.95))
+
+
+def _fleet_size(name: str, value: Any) -> int:
+    """``value`` as a plain int >= 1: numpy integers are normalized;
+    floats, NaN, bools and arrays raise one line naming ``name``."""
+    if isinstance(value, np.ndarray):
+        raise ConfigurationError(
+            f"{name} must be an integer, got {value!r}")
+    value = _integer(name, value)
+    if value < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _over_slo_message(report: ScaleOutReport, p95: float,

@@ -182,9 +182,21 @@ class WorkloadVector:
     def subset(self, indices: Union[np.ndarray, slice]
                ) -> "WorkloadVector":
         """The sub-stream at ``indices`` (shared shape table); a
-        slice gives a view of the codes, not a copy."""
-        return WorkloadVector(shapes=self.shapes,
-                              codes=self.codes[indices])
+        slice gives a view of the codes, not a copy.
+
+        Codes taken from a checked workload index its shapes, so only
+        the result's shape is checked: the range check's two passes
+        over the codes would read a strided view line by line.
+        """
+        codes = self.codes[indices]
+        if codes.ndim != 1:
+            raise ConfigurationError(
+                f"codes must be a flat array, got {codes.ndim} "
+                "dimensions")
+        sub = object.__new__(WorkloadVector)
+        object.__setattr__(sub, "shapes", self.shapes)
+        object.__setattr__(sub, "codes", codes)
+        return sub
 
     def to_requests(self) -> List[InferenceRequest]:
         """Materialize the classic request list (O(n) objects)."""
@@ -211,12 +223,6 @@ def _exact_finishes(arrivals: np.ndarray, services: np.ndarray,
     """
     n = arrivals.size
     segment_starts = np.flatnonzero(boundaries)
-    # At a busy-period start the loop does one add: a_j + s_j
-    # (then + p_j when penalties ride along).
-    out[segment_starts] = (arrivals[segment_starts]
-                           + services[segment_starts])
-    if penalties is not None:
-        out[segment_starts] += penalties[segment_starts]
     lengths = np.diff(np.append(segment_starts, n))
     long_mask = lengths > _LONG_SEGMENT
     short_count = segment_starts.size - int(np.count_nonzero(long_mask))
@@ -225,6 +231,16 @@ def _exact_finishes(arrivals: np.ndarray, services: np.ndarray,
         # a saturated queue, say): a scan per period is fewer numpy
         # calls than stepping through the longest one.
         long_mask[:] = True
+    if penalties is None and long_mask.any():
+        # Every later position of a long period folds in place from
+        # its service time; one bulk copy seeds them all.
+        np.copyto(out, services)
+    # At a busy-period start the loop does one add: a_j + s_j
+    # (then + p_j when penalties ride along).
+    out[segment_starts] = (arrivals[segment_starts]
+                           + services[segment_starts])
+    if penalties is not None:
+        out[segment_starts] += penalties[segment_starts]
     # Short busy periods advance in lockstep: step k extends every
     # period longer than k by one request, f_i = f_{i-1} + s_i.
     # Sorting by length makes the step-k active set a suffix (one
@@ -232,8 +248,13 @@ def _exact_finishes(arrivals: np.ndarray, services: np.ndarray,
     # running finish values stay in a contiguous buffer so each step
     # gathers only the service column.
     short_lengths = lengths[~long_mask]
-    # Stable sort: radix for the int lengths, which repeat heavily.
-    order = np.argsort(short_lengths, kind="stable")
+    # Stable sort, in the smallest dtype that holds a short length
+    # (uint8): numpy radix-sorts 8- and 16-bit keys but timsorts int64,
+    # ~10x slower at 150k lengths.  A stable order is unique, so the
+    # dtype cannot change it.
+    order = np.argsort(
+        short_lengths.astype(np.min_scalar_type(_LONG_SEGMENT)),
+        kind="stable")
     short_starts = segment_starts[~long_mask][order]
     short_lengths = short_lengths[order]
     running = out[short_starts]
@@ -260,8 +281,8 @@ def _exact_finishes(arrivals: np.ndarray, services: np.ndarray,
                              lengths[long_mask].tolist()):
         end = start + length
         if penalties is None:
-            out[start + 1:end] = services[start + 1:end]
-            np.add.accumulate(out[start:end], out=out[start:end])
+            period = out[start:end]
+            np.add.accumulate(period, out=period)
             continue
         buffer = np.empty(2 * length)
         buffer[0] = arrivals[start] + services[start]

@@ -15,7 +15,7 @@ simulator track per-request latency for arbitrarily long runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError

@@ -1,5 +1,5 @@
-"""Capacity search: the backlog bound, streaming p95 by selection, and
-the search's agreement with an exhaustive one.
+"""Capacity search: the backlog bound, its in-place probe, streaming
+p95 by selection, and the search's agreement with an exhaustive one.
 
 ``replicas_needed`` skips simulating a round-robin fleet size whose
 backlog bound already misses the SLO, and a streaming percentile is
@@ -20,7 +20,7 @@ from repro.models.zoo import get_model
 from repro.serving import (MultiReplicaSimulator, WorkloadVector,
                            arrivals_poisson, replicas_needed)
 from repro.serving.degradation import PlanTable
-from repro.serving.replicas import backlog_bound
+from repro.serving.replicas import _bound_misses, backlog_bound
 from repro.serving.simulator import (DEFAULT_EXACT_PERCENTILE_LIMIT,
                                      ServingReport, nearest_rank)
 from repro.telemetry.metrics import StreamingHistogram
@@ -126,6 +126,43 @@ def test_backlog_bound_is_exact_when_replicas_never_idle(estimator, k):
     bound = backlog_bound(
         arrivals, PlanTable(estimator).service_times(workload), k)
     assert np.array_equal(bound, report.latencies)
+
+
+# ----------------------------------------------------------------------
+# The in-place probe
+# ----------------------------------------------------------------------
+@st.composite
+def _probe_streams(draw):
+    """Arrivals and service times of up to 40 requests, some tied."""
+    n = draw(st.integers(1, 40))
+    times = st.one_of(st.just(0.0), st.floats(0.0, 50.0),
+                      st.sampled_from([1e-9, 7.25]))
+    gaps = draw(st.lists(times, min_size=n, max_size=n))
+    services = draw(st.lists(times, min_size=n, max_size=n))
+    origin = draw(st.sampled_from([0.0, 0.3, 1e4]))
+    return (origin + np.add.accumulate(np.array(gaps)),
+            np.array(services))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=_probe_streams(), shift=st.floats(-60.0, 60.0))
+def test_in_place_probe_decides_as_the_selected_p95(stream, shift):
+    # Every fleet size from 1 to n + 2 (so n < k and n % k != 0 both
+    # occur) folds into one buffer, stale from the size before and
+    # NaN-filled at first.  The limits are the size's own p95 (the
+    # probe must keep it), the float just below it (it must rule the
+    # size out), and a drawn offset from it.
+    arrivals, services = stream
+    n = arrivals.size
+    scratch = np.full(n, np.nan)
+    for k in range(1, n + 3):
+        p95 = nearest_rank(backlog_bound(arrivals, services, k), 0.95)
+        for limit in (p95, float(np.nextafter(p95, -np.inf)),
+                      p95 + shift):
+            expected = nearest_rank(
+                backlog_bound(arrivals, services, k), 0.95) > limit
+            assert _bound_misses(arrivals, services, k, limit,
+                                 scratch) == expected
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +276,11 @@ def test_margin_keeps_a_size_whose_streaming_p95_meets_the_slo(
     services = PlanTable(estimator).service_times(workload)
     assert nearest_rank(backlog_bound(arrivals, services, 1),
                         0.95) > slo
+    limit = slo * GROWTH ** 2
+    assert not nearest_rank(backlog_bound(arrivals, services, 1),
+                            0.95) > limit
+    assert not _bound_misses(arrivals, services, 1, limit,
+                             np.empty(n))
     k, found = replicas_needed(estimator, workload, arrivals, slo)
     assert k == 1
     assert fleet_size_summary(found) == fleet_size_summary(report)

@@ -117,3 +117,19 @@ def test_service_times_raise_first_used_shape_that_does_not_fit(calls):
         assert str(raised.value) == str(error)
         assert sorted(request.batch_size for __, request in calls) == sorted(
             shapes[code].batch_size for code in codes)
+
+
+def test_service_column_is_gathered_once_per_workload(estimator):
+    """A search's fleet sizes share one read-only service column; a
+    different workload object gets its own."""
+    plans = PlanTable(estimator)
+    workload = WorkloadVector(SHAPES, np.array([0, 1, 1, 0]))
+    column = plans.service_times(workload)
+    assert plans.service_times(workload) is column
+    assert not column.flags.writeable
+    with pytest.raises(ValueError):
+        column[0] = 0.0
+    again = WorkloadVector(SHAPES, np.array([0, 1, 1, 0]))
+    other = plans.service_times(again)
+    assert other is not column
+    assert np.array_equal(other.view(np.uint64), column.view(np.uint64))

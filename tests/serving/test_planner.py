@@ -64,3 +64,6 @@ def test_input_validation(workload, eval_config):
                       config=eval_config)
     with pytest.raises(ConfigurationError):
         choose_system(spec, [], slo_p95_seconds=1.0, config=eval_config)
+    with pytest.raises(ConfigurationError, match="positive"):
+        choose_system(spec, workload, slo_p95_seconds=float("nan"),
+                      config=eval_config)

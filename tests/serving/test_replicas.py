@@ -9,6 +9,7 @@ from repro.models.workload import InferenceRequest
 from repro.serving import (MultiReplicaSimulator, ServingSimulator,
                            WorkloadVector, arrivals_poisson,
                            replicas_needed)
+from repro.serving.piecewise import run_fifo
 
 SHAPES = [InferenceRequest(1, 128, 16), InferenceRequest(1, 256, 32)]
 
@@ -55,6 +56,30 @@ def test_round_robin_replica_timeline_is_per_replica_fifo(estimator):
     for sub in report.per_replica:
         # FIFO within the replica: service starts never overlap.
         assert (sub.starts[1:] >= sub.finishes[:-1] - 1e-12).all()
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, None])
+def test_healthy_replicas_equal_independent_runs(estimator, k):
+    # A healthy round-robin replica is the FIFO engine over its strided
+    # substream, bit for bit; ``None`` is a fleet larger than the
+    # stream (n + 2), whose idle replicas are omitted.
+    n = 400
+    workload = _workload(n, seed=3)
+    arrivals = np.asarray(arrivals_poisson(n, 1.0, seed=3))
+    k = n + 2 if k is None else k
+    report = MultiReplicaSimulator(estimator, k).run(workload, arrivals)
+    assert report.replica_ids == tuple(range(min(k, n)))
+    for replica, sub in zip(report.replica_ids, report.per_replica):
+        rows = slice(replica, None, k)
+        alone = run_fifo(estimator, workload.subset(rows), arrivals[rows])
+        for column in ("arrivals", "starts", "finishes"):
+            assert np.array_equal(
+                getattr(sub, column).view(np.uint64),
+                getattr(alone, column).view(np.uint64))
+        assert np.array_equal(sub.workload.codes, alone.workload.codes)
+        assert sub.dropped_index is None and sub.stats is None
+        assert np.array_equal(report.finishes[rows].view(np.uint64),
+                              sub.finishes.view(np.uint64))
 
 
 def test_more_replicas_cut_queueing(estimator):
@@ -112,6 +137,50 @@ def test_validation(estimator):
     fleet = MultiReplicaSimulator(estimator, 2)
     with pytest.raises(ConfigurationError, match="equal length"):
         fleet.run(_workload(3), [0.0])
+
+
+@pytest.mark.parametrize("size", [2.0, 2.5, float("nan"), True, False,
+                                  np.float64(2.0), np.array([2])])
+def test_fleet_size_must_be_an_integer(estimator, size):
+    with pytest.raises(ConfigurationError,
+                       match="n_replicas must be an integer"):
+        MultiReplicaSimulator(estimator, size)
+    with pytest.raises(ConfigurationError,
+                       match="max_replicas must be an integer"):
+        replicas_needed(estimator, _workload(10),
+                        arrivals_poisson(10, 0.01, seed=0),
+                        slo_p95_seconds=1e6, max_replicas=size)
+
+
+def test_numpy_fleet_sizes_are_normalized(estimator):
+    fleet = MultiReplicaSimulator(estimator, np.int64(2))
+    assert type(fleet.n_replicas) is int
+    report = fleet.run(_workload(10), arrivals_poisson(10, 0.5, seed=0))
+    assert report.n_replicas == 2 and type(report.n_replicas) is int
+    k, __ = replicas_needed(estimator, _workload(10),
+                            arrivals_poisson(10, 0.01, seed=0),
+                            slo_p95_seconds=1e6,
+                            max_replicas=np.int32(4))
+    assert k == 1
+
+
+def test_replicas_needed_rejects_a_nan_slo(estimator):
+    # NaN fails every comparison, so it used to pass the positivity
+    # check and answer k = 1 whatever the p95.
+    with pytest.raises(ConfigurationError, match="slo_p95_seconds"):
+        replicas_needed(estimator, _workload(10),
+                        arrivals_poisson(10, 1.0, seed=0),
+                        slo_p95_seconds=float("nan"))
+
+
+def test_infinite_slo_accepts_any_fleet(estimator):
+    workload = _workload(200)
+    arrivals = arrivals_poisson(200, 5.0, seed=1)
+    k, report = replicas_needed(estimator, workload, arrivals,
+                                slo_p95_seconds=float("inf"))
+    single = MultiReplicaSimulator(estimator, 1).run(workload, arrivals)
+    assert k == 1
+    assert np.array_equal(report.finishes, single.finishes)
 
 
 def test_replicas_needed_is_minimal(estimator):
