@@ -17,7 +17,7 @@ import statistics
 from collections import Counter
 
 from repro import LiaConfig, LiaEstimator, get_model, get_system
-from repro.models.workload import TraceKind, azure_trace_lengths
+from repro.models.workload import azure_trace_lengths
 
 CANDIDATE_SYSTEMS = ("spr-a100", "spr-h100", "gnr-a100", "gnr-h100")
 N_REQUESTS = 40
@@ -26,8 +26,7 @@ N_REQUESTS = 40
 def main() -> None:
     spec = get_model("opt-66b")
     config = LiaConfig(enforce_host_capacity=False)
-    trace = azure_trace_lengths(N_REQUESTS, spec,
-                                TraceKind.CONVERSATION, seed=7)
+    trace = azure_trace_lengths(N_REQUESTS, spec, seed=7)
     print(f"workload: {N_REQUESTS} conversational requests on "
           f"{spec.name} (L_out=256, uniform L_in)")
     print()

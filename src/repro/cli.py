@@ -28,6 +28,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.config import LiaConfig
@@ -414,6 +415,7 @@ def _batching_summary(report, config, width: int,
 
 
 def _write_json(path: str, payload: Dict[str, object]) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
     print(f"wrote {path}")
@@ -930,6 +932,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     _reject_negative(args, "num_requests")
     _reject_continuous_only(args, "max_batch")
+    if args.windows < 1:
+        raise ConfigurationError(
+            f"--windows: n_windows must be >= 1, got {args.windows}")
     preset = get_fleet_preset(args.preset)
     trace_spec = override(args.trace, preset.trace, load_trace, get_trace)
     chaos = override(args.chaos, preset.chaos, load_fleet_scenario,
@@ -1073,7 +1078,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ReproError as error:
+    except (ReproError, OSError) as error:  # OSError: an unwritable path
         print(f"error: {error}", file=sys.stderr)
         return 1
 

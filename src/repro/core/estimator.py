@@ -523,11 +523,12 @@ class LiaEstimator:
         return [errors.get(point, time)
                 for point, time in enumerate(times.tolist())]
 
-    def max_feasible_batch(self, input_len: int, output_len: int,
-                           hi: int = 1 << 14) -> int:
-        """Largest batch size whose host memory footprint fits — the
-        quantity CXL offloading raises in Table 3 and the abstract's
-        900 -> 1.6K claim."""
+    def max_feasible_batch(self, input_len: int, output_len: int) -> int:
+        """Largest batch size up to 16,384 whose host memory footprint
+        fits — the quantity CXL offloading raises in Table 3 and the
+        abstract's 900 -> 1.6K claim."""
+        hi = 1 << 14
+
         def fits(batch_size: int) -> bool:
             request = InferenceRequest(batch_size, input_len, output_len)
             try:

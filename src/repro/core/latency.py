@@ -68,10 +68,10 @@ class SublayerLatency:
     #: Bytes actually moved over PCIe by each term (zero when the
     #: corresponding condition of Eqs. (4)-(9) does not fire) — the
     #: basis of §7.2's transfer-reduction accounting.
-    bytes_x: float = 0.0
-    bytes_y: float = 0.0
-    bytes_r: float = 0.0
-    bytes_store: float = 0.0
+    bytes_x: float
+    bytes_y: float
+    bytes_r: float
+    bytes_store: float
 
     @property
     def t_load(self) -> float:

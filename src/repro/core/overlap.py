@@ -69,8 +69,7 @@ def serial_layer_time(layer: Layer, compute_scale: float = 1.0) -> Real:
 
 
 def build_stage_graph(layer: LayerLatency, n_layers: int,
-                      minibatches: int = 1,
-                      compute_scale: float = 1.0) -> TaskGraph:
+                      minibatches: int = 1) -> TaskGraph:
     """Materialize an ``n_layers``-deep schedule for the DES.
 
     Resources: ``compute`` (the sublayer chain, CPU or GPU — their
@@ -86,7 +85,7 @@ def build_stage_graph(layer: LayerLatency, n_layers: int,
     if n_layers < 1:
         raise ConfigurationError(f"n_layers must be >= 1, got {n_layers}")
     graph = TaskGraph()
-    compute = layer.compute * compute_scale
+    compute = layer.compute
     dependent = layer.dependent_transfer
     prefetchable = layer.prefetchable_transfer
 

@@ -55,13 +55,11 @@ class LiaRuntime:
     """End-to-end LIA for one (model, system, config) binding."""
 
     def __init__(self, spec: ModelSpec, system: SystemConfig,
-                 config: Optional[LiaConfig] = None,
-                 seed: int = 0) -> None:
+                 config: Optional[LiaConfig] = None) -> None:
         self.spec = spec
         self.system = system
         self.config = config or LiaConfig()
         self.estimator = LiaEstimator(spec, system, self.config)
-        self._seed = seed
         self._model: Optional[TinyTransformer] = None
 
     # ------------------------------------------------------------------
@@ -86,7 +84,7 @@ class LiaRuntime:
                 f"{self.spec.name} is too large for the functional "
                 "engine; use the estimator for performance results")
         if self._model is None:
-            self._model = TinyTransformer(self.spec, seed=self._seed)
+            self._model = TinyTransformer(self.spec)
         return self._model
 
     def generate(self, prompt: np.ndarray,

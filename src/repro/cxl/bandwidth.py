@@ -30,8 +30,7 @@ from repro.models.sublayers import Stage, Sublayer, sublayer_cost
 
 def transfer_bandwidth_series(
         link: Link, sizes_bytes: Sequence[float],
-        ddr: MemoryDevice,
-        n_expanders: Sequence[int] = (1, 2)) -> Dict[str, List[float]]:
+        ddr: MemoryDevice) -> Dict[str, List[float]]:
     """Fig. 8(a): achieved link bandwidth (bytes/s) per source pool.
 
     Returns ``{"ddr": [...], "cxl-x1": [...], "cxl-x2": [...]}``,
@@ -43,7 +42,7 @@ def transfer_bandwidth_series(
         "ddr": [link.effective_rate(size, ddr.bandwidth)
                 for size in sizes_bytes],
     }
-    for count in n_expanders:
+    for count in (1, 2):
         pool = interleave([cxl_expander(f"cxl{i}") for i in range(count)],
                           name=f"cxl-x{count}")
         series[f"cxl-x{count}"] = [
@@ -71,14 +70,13 @@ def _sublayer_time(engine: ComputeEngine, spec: ModelSpec,
 def cpu_throughput_degradation(
         system: SystemConfig, spec: ModelSpec,
         sublayer: Sublayer, stage: Stage,
-        batch_sizes: Sequence[int], seq_len: int,
-        engine_name: str = "amx") -> List[float]:
-    """Fig. 8(b): CXL-placed throughput normalized to DDR placement.
+        batch_sizes: Sequence[int], seq_len: int) -> List[float]:
+    """Fig. 8(b): CXL-placed AMX throughput normalized to DDR placement.
 
     Returns one ratio in (0, 1] per batch size; 1.0 means no
     degradation.  ``system`` must carry CXL expanders.
     """
-    engine = system.cpu.engine(engine_name)
+    engine = system.cpu.engine("amx")
     cxl_bw = system.cxl_pool.bandwidth
     ratios: List[float] = []
     for batch_size in batch_sizes:

@@ -26,18 +26,16 @@ class CostModel:
     """Per-hour operating cost of a system."""
 
     system: SystemConfig
-    amortization_years: float = AMORTIZATION_YEARS
-    electricity_usd_per_kwh: float = ELECTRICITY_USD_PER_KWH
 
     @property
     def capital_usd_per_hour(self) -> float:
-        hours = self.amortization_years * HOURS_PER_YEAR
+        hours = AMORTIZATION_YEARS * HOURS_PER_YEAR
         return self.system.price_usd / hours
 
     def power_usd_per_hour(self, average_power_watts: float) -> float:
         if average_power_watts < 0.0:
             raise ConfigurationError("power must be >= 0")
-        return average_power_watts / 1000.0 * self.electricity_usd_per_kwh
+        return average_power_watts / 1000.0 * ELECTRICITY_USD_PER_KWH
 
     def usd_per_hour(self, average_power_watts: float = None) -> float:
         """Total $/hour; defaults to TDP power as the paper does."""
@@ -47,14 +45,12 @@ class CostModel:
 
 
 def cost_per_million_tokens(system: SystemConfig,
-                            estimate: InferenceEstimate,
-                            use_measured_power: bool = True) -> float:
-    """Dollars per million generated tokens (the Fig. 14 metric)."""
-    model = CostModel(system)
-    power = None
-    if use_measured_power:
-        power = PowerModel(system).average_power(estimate)
-    usd_per_second = model.usd_per_hour(power) / SECONDS_PER_HOUR
+                            estimate: InferenceEstimate) -> float:
+    """Dollars per million generated tokens at the run's measured
+    power (the Fig. 14 metric)."""
+    power = PowerModel(system).average_power(estimate)
+    usd_per_second = (CostModel(system).usd_per_hour(power)
+                      / SECONDS_PER_HOUR)
     tokens_per_second = estimate.throughput
     if tokens_per_second <= 0.0:
         raise ConfigurationError("estimate has zero throughput")

@@ -57,17 +57,17 @@ _TABLE_READERS = (LiaEstimator, IpexEstimator, FlexGenEstimator)
 
 def estimate_frameworks(frameworks: Sequence[str], spec: ModelSpec,
                         system: SystemConfig,
-                        requests: Sequence[InferenceRequest],
-                        config: Optional[LiaConfig] = None
+                        requests: Sequence[InferenceRequest]
                         ) -> Dict[str, List[EstimateOrError]]:
     """Every framework's ``estimate_many(requests)`` entries.
 
     The frameworks that read Eqs. (4)-(9) term tables (LIA, IPEX,
     FlexGen) estimate from one prefill and one decode table, built
-    once under ``config``: they differ from each other's only in the
-    CPU engine's ``comp_cpu``, which each reader recomputes if it must.
+    once under :data:`EVAL_CONFIG`: they differ from each other's only
+    in the CPU engine's ``comp_cpu``, which each reader recomputes if
+    it must.
     """
-    config = config or EVAL_CONFIG
+    config = EVAL_CONFIG
     estimators = {framework: build_estimator(framework, spec, system,
                                              config)
                   for framework in frameworks}
@@ -85,21 +85,19 @@ def estimate_frameworks(frameworks: Sequence[str], spec: ModelSpec,
 
 def estimates_or_oom(frameworks: Sequence[str], spec: ModelSpec,
                      system: SystemConfig,
-                     requests: Sequence[InferenceRequest],
-                     config: Optional[LiaConfig] = None
+                     requests: Sequence[InferenceRequest]
                      ) -> Dict[str, List]:
     """:func:`estimate_frameworks`, mapping each CapacityError to the
     OOM sentinel."""
     return {framework: [OOM if isinstance(entry, CapacityError)
                         else entry for entry in framework_entries]
             for framework, framework_entries in estimate_frameworks(
-                frameworks, spec, system, requests, config).items()}
+                frameworks, spec, system, requests).items()}
 
 
 def estimate_or_oom(framework: str, spec: ModelSpec,
-                    system: SystemConfig, request: InferenceRequest,
-                    config: Optional[LiaConfig] = None):
+                    system: SystemConfig, request: InferenceRequest):
     """Run one estimate, mapping CapacityError to the OOM sentinel:
     the one-point case of :func:`estimates_or_oom`."""
-    return estimates_or_oom((framework,), spec, system, [request],
-                            config)[framework][0]
+    return estimates_or_oom((framework,), spec, system,
+                            [request])[framework][0]

@@ -11,21 +11,17 @@ from repro.errors import ConfigurationError
 OOM = "OOM"
 
 
-def format_table(rows: Sequence[Dict[str, object]],
-                 columns: Sequence[str] = ()) -> str:
+def format_table(rows: Sequence[Dict[str, object]]) -> str:
     """Render dict rows as an aligned plain-text table."""
     if not rows:
         return "(no rows)"
-    if columns:
-        columns = list(columns)
-    else:
-        # Union of all row keys, in first-seen order (rows from
-        # different panels may carry different columns).
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+    # Union of all row keys, in first-seen order (rows from different
+    # panels may carry different columns).
+    columns: List[str] = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
 
     def fmt(value: object) -> str:
         if isinstance(value, float):

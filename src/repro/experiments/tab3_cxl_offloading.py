@@ -25,8 +25,7 @@ from repro.models.zoo import get_model
 
 
 def _batch_matching_ddr_footprint(spec, system, config, target_ddr: float,
-                                  input_len: int, output_len: int,
-                                  hi: int = 1 << 14) -> int:
+                                  input_len: int, output_len: int) -> int:
     """Largest B whose *DDR* usage under CXL tiering stays within
     ``target_ddr`` bytes (weights are in CXL and don't count)."""
     cxl_config = config.with_cxl_weights()
@@ -36,7 +35,7 @@ def _batch_matching_ddr_footprint(spec, system, config, target_ddr: float,
         return host_memory_usage(spec, request, system,
                                  cxl_config).ddr_bytes
 
-    low, high = 1, hi
+    low, high = 1, 1 << 14
     if ddr_usage(high) <= target_ddr:
         return high
     while high - low > 1:

@@ -8,11 +8,9 @@ stalls, CXL bandwidth contention, CPU core preemption — and the
 :class:`~repro.hardware.system.SystemConfig` copies and per-chunk
 stall draws.  The serving loop's reaction (admission control,
 retry/backoff, policy re-solve, batch shrink) lives in
-:mod:`repro.serving.degradation`; the functional engine's
-transfer-retry accounting in :mod:`repro.faults.engine`.
+:mod:`repro.serving.degradation`.
 """
 
-from repro.faults.engine import TransferFaultModel
 from repro.faults.fleet import (FleetScenario, HealthPolicy,
                                 RedispatchPolicy, ReplicaFault,
                                 ReplicaFaultKind,
@@ -42,7 +40,6 @@ __all__ = [
     "ReplicaFault",
     "ReplicaFaultKind",
     "RetryPolicy",
-    "TransferFaultModel",
     "apply_faults",
     "builtin_fleet_scenarios",
     "builtin_scenarios",

@@ -15,7 +15,7 @@ layer asks:
   :meth:`FaultInjector.stall_probability`.  The serving engine draws
   each chunk's outcome from a per-request RNG derived from the
   scenario seed and the request index
-  (:meth:`~repro.faults.spec.FaultScenario.rng_for`), so outcomes are
+  (:meth:`~repro.faults.spec.FaultScenario.rng_key`), so outcomes are
   reproducible regardless of worker count or evaluation order.
 
 Every answer is pure in ``(scenario, time, index)``; the injector

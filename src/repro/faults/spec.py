@@ -18,7 +18,6 @@ simulator.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
@@ -200,22 +199,13 @@ class FaultScenario:
     def active_at(self, time: float) -> Tuple[FaultEvent, ...]:
         return tuple(e for e in self.events if e.active_at(time))
 
-    def rng_for(self, index: int) -> random.Random:
-        """A deterministic per-decision RNG.
-
-        Seeded from ``(scenario seed, decision index)`` with a fixed
-        mixing constant, so outcomes depend only on the scenario and
-        the request's position in the workload — never on worker
-        count, estimation order, or interleaving.
-        """
-        if index < 0:
-            raise ConfigurationError(f"index must be >= 0, got {index}")
-        return random.Random(self.rng_key(index))
-
     def rng_key(self, index: int) -> int:
-        """The seed of :meth:`rng_for`: ``rng.seed(rng_key(index))``
-        puts any ``random.Random`` in the state ``rng_for(index)``
-        starts in, so a block of draws can reuse one generator."""
+        """The seed of the per-decision RNG: ``random.Random(
+        rng_key(index))``.  It mixes ``(scenario seed, decision index)``
+        with a fixed constant, so outcomes depend only on the scenario
+        and the request's position in the workload — never on worker
+        count, estimation order, or interleaving — and a block of draws
+        can reuse one generator reseeded per key."""
         return (self.seed << 24) ^ 0x9E3779B1 ^ index
 
 

@@ -101,7 +101,7 @@ def _make_xeon(name: str, cores: int, clock_ghz: float,
                    price_usd=price_usd * sockets)
 
 
-def _make_grace(name: str = "grace") -> CpuSpec:
+def _make_grace() -> CpuSpec:
     """NVIDIA Grace (§8): SVE2 engine, 6.91 TFLOPS peak.
 
     The memory pool's ``bandwidth`` is the NVLink-C2C fabric rate the
@@ -121,7 +121,7 @@ def _make_grace(name: str = "grace") -> CpuSpec:
     )
     engines = {
         "sve2": ComputeEngine(
-            name=f"{name}-sve2",
+            name="grace-sve2",
             peak_flops=tflops(6.91),
             mem_bandwidth=512e9 * 0.85,
             efficiency=EfficiencyCurve(max_efficiency=0.35,
@@ -129,12 +129,13 @@ def _make_grace(name: str = "grace") -> CpuSpec:
             dispatch_overhead=us(2.0),
         ),
     }
-    return CpuSpec(name=name, cores=72, clock_hz=ghz(3.1), memory=memory,
+    return CpuSpec(name="grace", cores=72, clock_hz=ghz(3.1), memory=memory,
                    engines=engines, tdp_watts=250.0, price_usd=8000.0)
 
 
-def _make_lowend(name: str = "lowend-cpu") -> CpuSpec:
+def _make_lowend() -> CpuSpec:
     """A pre-AMX low-end server CPU for the §8 3xV100 comparison."""
+    name = "lowend-cpu"
     memory = ddr_subsystem(f"{name}-ddr4", channels=6, mt_per_s=3200,
                            capacity_gib=512, efficiency=0.80)
     engines = {

@@ -61,29 +61,23 @@ class Link:
             return 0.0
         return num_bytes / time
 
-    def degraded(self, bandwidth_scale: float,
-                 extra_setup_latency: float = 0.0) -> "Link":
+    def degraded(self, bandwidth_scale: float) -> "Link":
         """A degraded copy of this link (fault injection).
 
         ``bandwidth_scale`` in (0, 1] models a generation downshift —
-        a retrained PCIe Gen5 x16 running at Gen4 rates is scale 0.5 —
-        and ``extra_setup_latency`` adds per-transfer overhead (e.g.
-        replayed TLPs).  Scale 1.0 with zero extra latency returns
-        ``self`` unchanged, preserving fault-free bit-identity.
+        a retrained PCIe Gen5 x16 running at Gen4 rates is scale 0.5.
+        Scale 1.0 returns ``self`` unchanged, preserving fault-free
+        bit-identity.
         """
         if not 0.0 < bandwidth_scale <= 1.0:
             raise ConfigurationError(
                 f"{self.name}: bandwidth_scale must be in (0, 1], "
                 f"got {bandwidth_scale}")
-        if extra_setup_latency < 0.0:
-            raise ConfigurationError(
-                f"{self.name}: extra_setup_latency must be >= 0")
-        if bandwidth_scale == 1.0 and extra_setup_latency == 0.0:
+        if bandwidth_scale == 1.0:
             return self
         return Link(name=f"{self.name}!x{bandwidth_scale:g}",
                     bandwidth=self.bandwidth * bandwidth_scale,
-                    setup_latency=self.setup_latency
-                    + extra_setup_latency)
+                    setup_latency=self.setup_latency)
 
 
 #: x16 links per generation, with 92 % protocol efficiency.

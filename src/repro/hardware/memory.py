@@ -173,9 +173,9 @@ def hbm_stack(name: str, capacity_gib: float,
     )
 
 
-def cxl_expander(name: str = "cxl-expander", capacity_gib: float = 128,
-                 bandwidth_gb_s: float = 17.0) -> MemoryDevice:
-    """One Samsung-style CXL Type-3 expander built from DDR4 modules.
+def cxl_expander(name: str = "cxl-expander") -> MemoryDevice:
+    """One Samsung-style 128 GiB CXL Type-3 expander built from DDR4
+    modules.
 
     The 17 GB/s per-device bandwidth and the latency penalty match the
     figures used in §6 (Fig. 8a interleaves two such devices).
@@ -183,8 +183,8 @@ def cxl_expander(name: str = "cxl-expander", capacity_gib: float = 128,
     return MemoryDevice(
         name=name,
         kind=MemoryKind.CXL,
-        capacity_bytes=gib(capacity_gib),
-        bandwidth=gb_per_s(bandwidth_gb_s),
+        capacity_bytes=gib(128),
+        bandwidth=gb_per_s(17.0),
         latency=_DDR_LATENCY + _CXL_EXTRA_LATENCY,
         cost_per_gb=CXL_COST_PER_GB,
     )

@@ -165,13 +165,9 @@ class ComputeEngine:
                      + self.dispatch_overhead)
 
     def matmul_throughput(self, flops: float, bytes_moved: float,
-                          kind: MatmulKind = MatmulKind.GEMM,
-                          bandwidth_scale: float = 1.0,
-                          slow_bytes: float = 0.0,
-                          slow_bandwidth: float = float("inf")) -> float:
+                          kind: MatmulKind = MatmulKind.GEMM) -> float:
         """Achieved FLOP/s for one matmul (used by the Fig. 5 bench)."""
-        time = self.matmul_time(flops, bytes_moved, kind, bandwidth_scale,
-                                slow_bytes, slow_bandwidth)
+        time = self.matmul_time(flops, bytes_moved, kind)
         if time == 0.0:
             return 0.0
         return flops / time

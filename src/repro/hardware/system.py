@@ -86,12 +86,10 @@ class SystemConfig:
                 + sum(g.price_usd for g in self.gpus)
                 + memory_cost + cxl_cost + self.platform_price_usd)
 
-    def with_cxl(self, n_expanders: int = 2,
-                 capacity_gib: float = 128) -> "SystemConfig":
+    def with_cxl(self, n_expanders: int = 2) -> "SystemConfig":
         """A copy of this system with CXL expanders attached."""
-        devices = tuple(
-            cxl_expander(f"{self.name}-cxl{i}", capacity_gib=capacity_gib)
-            for i in range(n_expanders))
+        devices = tuple(cxl_expander(f"{self.name}-cxl{i}")
+                        for i in range(n_expanders))
         return SystemConfig(
             name=f"{self.name}+cxl{n_expanders}",
             cpu=self.cpu, gpus=self.gpus, host_link=self.host_link,

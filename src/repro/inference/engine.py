@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from repro.faults.engine import TransferFaultModel
 from repro.core.policy import OffloadPolicy
 from repro.errors import ConfigurationError
 from repro.inference.kv_cache import KVCache, make_caches
@@ -55,30 +53,22 @@ def _device_name(policy: OffloadPolicy, sublayer: Sublayer) -> str:
 class CooperativeEngine:
     """Executes generation under (prefill_policy, decode_policy).
 
-    ``weights_home`` is where parameters live ("cpu" in LIA's
-    framework assumption); a GPU-computed parameter sublayer logs a
-    weight transfer per use, unless the layer index is in
-    ``resident_layers`` (Optimization-1).
+    Parameters live on the CPU (LIA's framework assumption); a
+    GPU-computed parameter sublayer logs a weight transfer per use,
+    unless the layer index is in ``resident_layers`` (Optimization-1).
     """
 
     def __init__(self, model: TinyTransformer,
                  prefill_policy: OffloadPolicy,
                  decode_policy: OffloadPolicy,
-                 weights_home: str = "cpu",
-                 resident_layers: Optional[List[int]] = None,
-                 fault_model: Optional["TransferFaultModel"] = None
-                 ) -> None:
+                 resident_layers: Optional[List[int]] = None) -> None:
         self.model = model
         self.prefill_policy = prefill_policy
         self.decode_policy = decode_policy
-        self.weights_home = weights_home
         self.resident_layers = set(resident_layers or [])
         self.log = TransferLog()
         self.caches: List[KVCache] = make_caches(model.spec.n_layers)
         self._position = 0
-        # Accounting-only: stall/retry draws per logged transfer, never
-        # touching tokens or the TransferLog (see repro.faults.engine).
-        self.fault_model = fault_model
         self.log.subscribe(self._on_transfer)
 
     # ------------------------------------------------------------------
@@ -91,8 +81,6 @@ class CooperativeEngine:
     # ------------------------------------------------------------------
     def _on_transfer(self, record: TransferRecord) -> None:
         telemetry = current_telemetry()
-        if self.fault_model is not None and not self.fault_model.idle:
-            self.fault_model.on_transfer(record.label, telemetry)
         if telemetry is None:
             return
         telemetry.metrics.counter(
@@ -104,7 +92,7 @@ class CooperativeEngine:
         tracer = telemetry.tracer
         start = tracer.clock()
         if isinstance(tracer.clock, TickClock):
-            tracer.clock.advance()
+            tracer.clock.advance(1.0)
         tracer.add_span(record.label, "pcie", start, tracer.clock(),
                         bytes=record.num_bytes, source=record.source,
                         destination=record.destination)
@@ -119,19 +107,17 @@ class CooperativeEngine:
         with telemetry.tracer.span(name, track=track, **args):
             yield
             if isinstance(telemetry.tracer.clock, TickClock):
-                telemetry.tracer.clock.advance()
+                telemetry.tracer.clock.advance(1.0)
 
     # ------------------------------------------------------------------
     def _charge_weights(self, layer: int, sublayer: Sublayer,
                         device: str, num_bytes: int) -> None:
-        """Log a weight fetch when the consumer is not the weights'
-        home device and the layer is not GPU-resident."""
-        if device == self.weights_home:
+        """Log a weight fetch when the consumer is not the CPU and the
+        layer is not GPU-resident."""
+        if device == "cpu" or layer in self.resident_layers:
             return
-        if layer in self.resident_layers:
-            return
-        self.log.record(f"weights:L{layer}:{sublayer.name}",
-                        self.weights_home, device, num_bytes)
+        self.log.record(f"weights:L{layer}:{sublayer.name}", "cpu",
+                        device, num_bytes)
 
     def _forward_layer(self, hidden: DeviceTensor, layer: int,
                        policy: OffloadPolicy, causal: bool) -> DeviceTensor:

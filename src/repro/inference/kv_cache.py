@@ -21,11 +21,11 @@ class KVCache:
 
     Arrays have shape ``(batch, seq, kv_dim)``; ``append`` grows the
     sequence dimension by the new tokens (L at prefill, 1 per decode
-    step).  The cache is pinned to ``home_device`` ("cpu" in LIA).
+    step).  The cache is pinned to the CPU, LIA's home for all
+    intermediate values.
     """
 
-    def __init__(self, home_device: str = "cpu") -> None:
-        self.home_device = home_device
+    def __init__(self) -> None:
         self._k: Optional[np.ndarray] = None
         self._v: Optional[np.ndarray] = None
 
@@ -45,7 +45,7 @@ class KVCache:
 
     def append(self, keys: DeviceTensor, values: DeviceTensor,
                log: TransferLog, layer: int) -> None:
-        """Append new KV vectors, pulling them to the home device.
+        """Append new KV vectors, pulling them to the CPU.
 
         The pull is the Eq. (9) KV-store transfer when the QKV mapping
         ran on the GPU.
@@ -53,9 +53,8 @@ class KVCache:
         if keys.shape != values.shape:
             raise ConfigurationError(
                 f"K/V shapes differ: {keys.shape} vs {values.shape}")
-        keys_home = keys.to(self.home_device, log, f"kv-store:L{layer}")
-        values_home = values.to(self.home_device, log,
-                                f"kv-store:L{layer}")
+        keys_home = keys.to("cpu", log, f"kv-store:L{layer}")
+        values_home = values.to("cpu", log, f"kv-store:L{layer}")
         if self._k is None:
             self._k = keys_home.data.copy()
             self._v = values_home.data.copy()
@@ -70,12 +69,12 @@ class KVCache:
                layer: int) -> DeviceTensor:
         """Fetch the full K history onto ``device``.
 
-        A read from the non-home device logs the Eq. (5) KV transfer
+        A read onto the GPU logs the Eq. (5) KV transfer
         the paper's compute-offloading exists to avoid.
         """
         if self._k is None:
             raise PlacementError(f"layer {layer}: empty KV cache read")
-        k = DeviceTensor(self._k, self.home_device)
+        k = DeviceTensor(self._k, "cpu")
         return k.to(device, log, f"kv-load:L{layer}")
 
     def read_v(self, device: str, log: TransferLog,
@@ -83,7 +82,7 @@ class KVCache:
         """Fetch the full V history onto ``device`` (see `read_k`)."""
         if self._v is None:
             raise PlacementError(f"layer {layer}: empty KV cache read")
-        v = DeviceTensor(self._v, self.home_device)
+        v = DeviceTensor(self._v, "cpu")
         return v.to(device, log, f"kv-load:L{layer}")
 
     def read(self, device: str, log: TransferLog,
@@ -93,8 +92,8 @@ class KVCache:
                 self.read_v(device, log, layer))
 
 
-def make_caches(n_layers: int, home_device: str = "cpu") -> List[KVCache]:
+def make_caches(n_layers: int) -> List[KVCache]:
     """One cache per decoder layer."""
     if n_layers < 1:
         raise ConfigurationError(f"n_layers must be >= 1, got {n_layers}")
-    return [KVCache(home_device) for _ in range(n_layers)]
+    return [KVCache() for _ in range(n_layers)]

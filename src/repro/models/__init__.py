@@ -14,7 +14,6 @@ from repro.models.sublayers import (
 from repro.models.quantize import quantize_weights
 from repro.models.workload import (
     InferenceRequest,
-    TraceKind,
     azure_trace_lengths,
     make_request,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "sublayer_costs",
     "quantize_weights",
     "InferenceRequest",
-    "TraceKind",
     "azure_trace_lengths",
     "make_request",
     "MODEL_ZOO",

@@ -20,8 +20,7 @@ from repro.models.spec import ModelSpec
 from repro.units import BYTES_PER_INT8
 
 
-def quantize_weights(spec: ModelSpec,
-                     bytes_per_param: int = BYTES_PER_INT8) -> ModelSpec:
+def quantize_weights(spec: ModelSpec) -> ModelSpec:
     """An INT8-weight variant of ``spec`` (name gains an ``-int8``
     suffix).
 
@@ -29,14 +28,10 @@ def quantize_weights(spec: ModelSpec,
     Note the accuracy caveat the paper raises for compression
     approaches — this reproduction models performance only.
     """
-    if bytes_per_param < 1:
-        raise ConfigurationError(
-            f"bytes_per_param must be >= 1, got {bytes_per_param}")
-    if bytes_per_param >= spec.bytes_per_weight:
+    if BYTES_PER_INT8 >= spec.bytes_per_weight:
         raise ConfigurationError(
             f"{spec.name} already stores {spec.bytes_per_weight} "
-            f"B/weight; quantizing to {bytes_per_param} would not "
+            f"B/weight; quantizing to {BYTES_PER_INT8} would not "
             "shrink it")
-    suffix = "-int8" if bytes_per_param == 1 else f"-q{bytes_per_param}"
-    return replace(spec, name=spec.name + suffix,
-                   bytes_per_weight=bytes_per_param)
+    return replace(spec, name=spec.name + "-int8",
+                   bytes_per_weight=BYTES_PER_INT8)

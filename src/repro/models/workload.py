@@ -10,7 +10,6 @@ to the model maximum, with output lengths of 32 (code traces) and 256
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from typing import List, Tuple, Union
@@ -20,20 +19,6 @@ import numpy as np
 from repro.arrays import at
 from repro.errors import ConfigurationError
 from repro.models.spec import ModelSpec
-
-
-class TraceKind(enum.Enum):
-    """Azure trace families with their average output lengths."""
-
-    CODE = "code"
-    CONVERSATION = "conversation"
-
-
-#: Average output token lengths per trace family (§7).
-TRACE_OUTPUT_LENGTH = {
-    TraceKind.CODE: 32,
-    TraceKind.CONVERSATION: 256,
-}
 
 
 def _integer(name: str, value):
@@ -161,26 +146,29 @@ def paper_input_lengths(spec: ModelSpec, output_len: int) -> List[int]:
     return [32, 256, max_input_len(spec, output_len)]
 
 
-def azure_trace_lengths(n_requests: int, spec: ModelSpec,
-                        kind: TraceKind = TraceKind.CONVERSATION,
-                        seed: int = 0,
-                        min_input_len: int = 32) -> List[InferenceRequest]:
-    """Sample single-request workloads following the Azure trace model.
+#: Shortest sampled prompt of :func:`azure_trace_lengths`.
+_MIN_INPUT_LEN = 32
 
-    Input lengths are uniform over ``[min_input_len, max]`` (the paper
+
+def azure_trace_lengths(n_requests: int, spec: ModelSpec,
+                        seed: int = 0) -> List[InferenceRequest]:
+    """Sample single-request workloads following the Azure conversation
+    trace model.
+
+    Input lengths are uniform over ``[32, max]`` (the paper
     notes the Azure input-length distribution is approximately
-    uniform); output lengths are the trace family's average.
+    uniform); every output is the family's average, 256 tokens (§7).
     """
     if n_requests < 1:
         raise ConfigurationError(
             f"n_requests must be >= 1, got {n_requests}")
-    output_len = TRACE_OUTPUT_LENGTH[kind]
+    output_len = 256
     upper = max_input_len(spec, output_len)
-    if upper < min_input_len:
+    if upper < _MIN_INPUT_LEN:
         raise ConfigurationError(
             f"model {spec.name} context window too small for "
             f"output_len={output_len}")
     rng = random.Random(seed)
-    return [InferenceRequest(1, rng.randint(min_input_len, upper),
+    return [InferenceRequest(1, rng.randint(_MIN_INPUT_LEN, upper),
                              output_len)
             for _ in range(n_requests)]

@@ -15,8 +15,8 @@ from repro.errors import ConfigurationError
 from repro.models.spec import AttentionKind, FeedForwardKind, ModelSpec
 
 
-def _opt(name: str, n_layers: int, d_model: int, n_heads: int,
-         max_seq_len: int = 2048) -> ModelSpec:
+def _opt(name: str, n_layers: int, d_model: int,
+         n_heads: int) -> ModelSpec:
     """OPT family: multi-head attention, dense 4x FFN, vocab 50272."""
     return ModelSpec(
         name=name,
@@ -25,7 +25,6 @@ def _opt(name: str, n_layers: int, d_model: int, n_heads: int,
         n_heads=n_heads,
         d_ff=4 * d_model,
         vocab_size=50272,
-        max_seq_len=max_seq_len,
     )
 
 

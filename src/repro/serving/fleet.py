@@ -92,7 +92,7 @@ class AutoscalerPolicy:
     scale_down_hold: int = 3
 
     def __post_init__(self) -> None:
-        if self.slo_p95_s <= 0.0:
+        if not self.slo_p95_s > 0.0:
             raise ConfigurationError(
                 f"slo_p95_s must be positive, got {self.slo_p95_s}")
         if self.min_replicas < 1:
@@ -102,9 +102,10 @@ class AutoscalerPolicy:
             raise ConfigurationError(
                 f"max_replicas must be >= min_replicas, "
                 f"got {self.max_replicas} < {self.min_replicas}")
-        if self.interval_s <= 0.0:
+        if not 0.0 < self.interval_s < math.inf:
             raise ConfigurationError(
-                f"interval_s must be positive, got {self.interval_s}")
+                f"interval_s must be positive and finite, "
+                f"got {self.interval_s}")
         if self.provisioning_lag_s < 0.0:
             raise ConfigurationError(
                 f"provisioning_lag_s must be >= 0, "

@@ -107,7 +107,7 @@ def _stall_outcomes(scenario: FaultScenario, probability: float,
     a failure.  The draws are the FIFO oracle's ``chunk_stalls`` /
     ``retry_succeeds`` (``tests/oracles/fifo_loop.py``): the same RNG
     keys, the same number of draws, from one ``random.Random``
-    reseeded per key to the state :meth:`FaultScenario.rng_for` gives.
+    reseeded per key (:meth:`FaultScenario.rng_key`).
     The penalty accumulates add for add in chunk order, and ops are
     built only for a request that stalled; :func:`_apply_stall_ops`
     applies them in commit order.
@@ -272,7 +272,6 @@ def run_fifo(estimator: LiaEstimator,
              requests: Union[Sequence[InferenceRequest], WorkloadVector],
              arrivals: ArrayLike,
              scenario: Optional[FaultScenario] = None,
-             span_cap: int = DEFAULT_SPAN_CAP,
              indices: Optional[ArrayLike] = None,
              quiet: bool = False,
              _plans: Optional[PlanTable] = None) -> ServingReport:
@@ -289,7 +288,8 @@ def run_fifo(estimator: LiaEstimator,
     Otherwise, under an active
     :class:`~repro.telemetry.runtime.Telemetry`, the run emits the
     ``serving.*``/``faults.*`` metrics
-    and per-request spans for the first ``span_cap`` served requests;
+    and per-request spans for the first :data:`DEFAULT_SPAN_CAP` served
+    requests;
     the rest are counted in ``serving.spans_dropped``.  A call that
     runs several replicas or fleet sizes passes its one
     :class:`~repro.serving.degradation.PlanTable` as ``_plans``.
@@ -333,8 +333,8 @@ def run_fifo(estimator: LiaEstimator,
         model = estimator.spec.name
         vectorized_report_to_metrics(report, telemetry.metrics,
                                      system=system, model=model)
-        spans, dropped_spans = vectorized_report_to_spans(report,
-                                                          cap=span_cap)
+        spans, dropped_spans = vectorized_report_to_spans(
+            report, DEFAULT_SPAN_CAP)
         for span in spans:
             telemetry.tracer.add_span(span.name, span.track,
                                       span.start, span.finish,
@@ -345,7 +345,7 @@ def run_fifo(estimator: LiaEstimator,
                 model=model).inc(dropped_spans)
             note_dropped_spans(telemetry, dropped_spans,
                                report.n_served, component="serving.fifo",
-                               cap=span_cap)
+                               cap=DEFAULT_SPAN_CAP)
         if scenario is not None:
             telemetry.metrics.gauge(
                 "faults.dropped_requests",

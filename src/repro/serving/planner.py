@@ -45,16 +45,15 @@ def choose_system(spec: ModelSpec, requests: Sequence[InferenceRequest],
                   slo_p95_seconds: float,
                   candidates: Sequence[str] = ("spr-a100", "spr-h100",
                                                "gnr-a100", "gnr-h100"),
-                  arrival_rate_per_s: float = 0.01,
                   config: Optional[LiaConfig] = None,
-                  seed: int = 0,
                   scenario: Optional["FaultScenario"] = None
                   ) -> List[PlanChoice]:
     """Evaluate candidates; first entry is the recommended system.
 
-    Returns every candidate's :class:`PlanChoice`, feasible ones
-    first, sorted by $/hour; infeasible ones (SLO miss or OOM) follow
-    with their reasons.
+    Each candidate serves ``requests`` arriving as a seed-0 Poisson
+    stream at 0.01 requests/s.  Returns every candidate's
+    :class:`PlanChoice`, feasible ones first, sorted by $/hour;
+    infeasible ones (SLO miss or OOM) follow with their reasons.
 
     ``scenario`` plans *robustly*: each candidate is judged on its
     p95 under the given fault scenario (degraded serving loop), so
@@ -68,8 +67,7 @@ def choose_system(spec: ModelSpec, requests: Sequence[InferenceRequest],
     if not requests:
         raise ConfigurationError("workload must contain requests")
     config = config or LiaConfig()
-    arrivals = arrivals_poisson(len(requests), arrival_rate_per_s,
-                                seed=seed)
+    arrivals = arrivals_poisson(len(requests), 0.01, seed=0)
     choices: List[PlanChoice] = []
     for name in candidates:
         system = get_system(name)

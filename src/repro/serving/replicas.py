@@ -365,7 +365,8 @@ class MultiReplicaSimulator:
                 "serving.replica_utilization", system=system,
                 model=model, replica=str(replica)).set(
                     sub_report.utilization)
-        spans, dropped = vectorized_report_to_spans(report)
+        spans, dropped = vectorized_report_to_spans(report,
+                                                    DEFAULT_SPAN_CAP)
         assignment = report.assignment.tolist()
         # Span names index the *served* substream; ``served_index``
         # maps those back to offered positions.

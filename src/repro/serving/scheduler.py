@@ -29,7 +29,7 @@ Three LIA-specific couplings make this more than a queueing exercise:
 * **KV placement feeds back into step time.**  When the re-solved
   policy keeps the attention sublayers on the CPU, KV bytes demoted to
   CXL stall AMX (Observation-2); the step stretches by
-  ``cxl_step_penalty`` times the CXL-resident fraction.
+  :data:`CXL_STEP_PENALTY` times the CXL-resident fraction.
 
 Determinism contract (house style): every decision is a pure function
 of (workload, arrivals, config) — no RNG, no wall clock — so reports
@@ -79,6 +79,12 @@ __all__ = [
     "run_continuous_fleet",
 ]
 
+#: Step-time stretch per unit of CXL-resident KV fraction when the
+#: decode policy computes attention on the CPU (Observation-2).
+CXL_STEP_PENALTY = 0.15
+#: Context-axis resolution of the :class:`StepProfile` grid.
+CONTEXT_GRID_POINTS = 8
+
 #: The mixed-shape workload preset the throughput-vs-FIFO test
 #: (``tests/serving/test_scheduler.py``) runs on: mostly singleton
 #: requests of varying context plus one pre-batched shape.
@@ -107,12 +113,6 @@ class SchedulerConfig:
     max_batch_requests: int = 8
     join: str = "step"
     kv_capacities: Optional[KvTierCapacities] = None
-    #: Step-time stretch per unit of CXL-resident KV fraction when the
-    #: decode policy computes attention on the CPU (Observation-2).
-    cxl_step_penalty: float = 0.15
-    #: Context-axis resolution of the :class:`StepProfile` grid.
-    context_grid_points: int = 8
-    span_cap: int = DEFAULT_SPAN_CAP
 
     def __post_init__(self) -> None:
         if self.max_batch_requests < 1:
@@ -122,17 +122,6 @@ class SchedulerConfig:
         if self.join not in ("step", "drain"):
             raise ConfigurationError(
                 f"join must be 'step' or 'drain', got {self.join!r}")
-        if self.cxl_step_penalty < 0.0:
-            raise ConfigurationError(
-                f"cxl_step_penalty must be >= 0, got "
-                f"{self.cxl_step_penalty}")
-        if self.context_grid_points < 2:
-            raise ConfigurationError(
-                f"context_grid_points must be >= 2, got "
-                f"{self.context_grid_points}")
-        if self.span_cap < 0:
-            raise ConfigurationError(
-                f"span_cap must be >= 0, got {self.span_cap}")
 
     @property
     def is_fifo_degenerate(self) -> bool:
@@ -205,7 +194,7 @@ class StepProfile:
 
         Batch axis: powers of two up to the largest possible aggregate
         batch (``max_batch_requests`` × largest member batch).  Context
-        axis: ``context_grid_points`` geometric levels between the
+        axis: :data:`CONTEXT_GRID_POINTS` geometric levels between the
         shortest prompt and the longest final context.  Prefill: every
         distinct prompt shape of ``requests``.
         """
@@ -219,7 +208,7 @@ class StepProfile:
         batches.append(max_aggregate)
         lo = min(r.input_len for r in requests)
         hi = max(r.max_context_len for r in requests)
-        n = scheduler_config.context_grid_points
+        n = CONTEXT_GRID_POINTS
         ratio = (hi / lo) ** (1.0 / (n - 1)) if hi > lo else 1.0
         contexts = [int(round(lo * ratio ** i)) for i in range(n)]
         contexts.append(hi)
@@ -545,7 +534,7 @@ class ContinuousBatchScheduler:
         profile = StepProfile.for_workload(self.estimator, requests,
                                            self.config)
         telemetry = current_telemetry()
-        span_cap = self.config.span_cap if telemetry is not None else 0
+        span_cap = DEFAULT_SPAN_CAP if telemetry is not None else 0
 
         def serve(reads: _ReadResolves) -> _Pass:
             return self._serve(workload, trace, requests, arrivals,
@@ -604,7 +593,7 @@ class ContinuousBatchScheduler:
         occupancy_time = 0.0
         occupancy_peak = 0
         policy_resolves = 0
-        penalty = cfg.cxl_step_penalty
+        penalty = CXL_STEP_PENALTY
         #: Peak live bytes per tier; tier usage only grows on admission.
         kv_peak = [0.0, 0.0, 0.0]
         #: Whether the last turn's steps finished a request: with an
@@ -758,7 +747,7 @@ class ContinuousBatchScheduler:
         if span_rows and dropped > 0:
             note_dropped_spans(telemetry, dropped, report.iterations,
                                component="scheduler",
-                               cap=self.config.span_cap)
+                               cap=DEFAULT_SPAN_CAP)
 
 
 def run_continuous_fleet(estimator: "LiaEstimator",

@@ -344,18 +344,18 @@ class ServingReport:
                               if value > 0.0 else None, low, high))
         return values
 
-    def summary(self, percentiles: Sequence[float] = (0.50, 0.95, 0.99)
-                ) -> dict:
-        """Every standard statistic in one call (the same bits the
-        individual properties return)."""
+    def summary(self) -> dict:
+        """Every standard statistic in one call, p50/p95/p99 included
+        (the same bits the individual properties return)."""
         result = {
             "utilization": self.utilization,
             "mean_queue_delay_s": self.mean_queue_delay,
             "makespan_s": self.makespan,
             "throughput_tokens_per_s": self.throughput_tokens_per_s,
         }
-        for fraction, value in zip(
-                percentiles, self.latency_percentiles(percentiles)):
+        fractions = (0.50, 0.95, 0.99)
+        for fraction, value in zip(fractions,
+                                   self.latency_percentiles(fractions)):
             result[f"p{round(fraction * 100)}"] = value
         return result
 

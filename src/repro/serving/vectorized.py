@@ -111,26 +111,13 @@ class WorkloadVector:
 
     @classmethod
     def sample_mix(cls, shapes: Sequence[InferenceRequest],
-                   n_requests: int, seed: int = 0,
-                   weights: Optional[Sequence[float]] = None
-                   ) -> "WorkloadVector":
-        """A seeded i.i.d. mix of ``shapes`` (optionally weighted)."""
+                   n_requests: int, seed: int = 0) -> "WorkloadVector":
+        """A seeded i.i.d. uniform mix of ``shapes``."""
         if n_requests < 1:
             raise ConfigurationError(
                 f"n_requests must be >= 1, got {n_requests}")
-        probabilities = None
-        if weights is not None:
-            if len(weights) != len(shapes):
-                raise ConfigurationError(
-                    "weights and shapes must have equal length")
-            total = float(sum(weights))
-            if total <= 0.0 or any(w < 0.0 for w in weights):
-                raise ConfigurationError(
-                    "weights must be non-negative with a positive sum")
-            probabilities = [w / total for w in weights]
         rng = np.random.default_rng(seed)
-        codes = rng.choice(len(shapes), size=n_requests,
-                           p=probabilities)
+        codes = rng.choice(len(shapes), size=n_requests)
         return cls(shapes=tuple(shapes),
                    codes=codes.astype(np.int64))
 

@@ -8,6 +8,9 @@ from typing import Dict, List
 
 from repro.errors import SimulationError
 
+#: Columns of :meth:`Timeline.render_gantt`.
+GANTT_WIDTH = 72
+
 
 @dataclass(frozen=True)
 class TaskRecord:
@@ -81,8 +84,9 @@ class Timeline:
             grouped.setdefault(rec.resource, []).append(rec)
         return grouped
 
-    def render_gantt(self, width: int = 72) -> str:
-        """ASCII Gantt chart, one row per resource.
+    def render_gantt(self) -> str:
+        """ASCII Gantt chart, one row per resource, :data:`GANTT_WIDTH`
+        columns wide.
 
         Each task is drawn as a run of ``#`` proportional to its
         duration; idle time is ``.``.  Used by the quickstart example
@@ -91,6 +95,7 @@ class Timeline:
         makespan = self.makespan
         if makespan == 0.0:
             return "(empty timeline)"
+        width = GANTT_WIDTH
         lines = []
         for resource, records in sorted(self.by_resource().items()):
             row = ["."] * width
@@ -108,8 +113,8 @@ class Timeline:
         lines.append(f"{'':>12}  makespan = {makespan * 1e3:.3f} ms")
         return "\n".join(lines)
 
-    def to_trace_events(self, time_scale: float = 1e6) -> List[dict]:
+    def to_trace_events(self) -> List[dict]:
         """Chrome trace events for this timeline (one lane per
         resource); see :mod:`repro.telemetry.bridge`."""
         from repro.telemetry.bridge import timeline_to_trace_events
-        return timeline_to_trace_events(self, time_scale=time_scale)
+        return timeline_to_trace_events(self)

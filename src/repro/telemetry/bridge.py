@@ -10,7 +10,7 @@ subsystem.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.telemetry.export import spans_to_trace_events
 from repro.telemetry.metrics import MetricsRegistry
@@ -50,13 +50,9 @@ def timeline_to_spans(timeline) -> List[Span]:
             for record in timeline]
 
 
-def timeline_to_trace_events(timeline, time_scale: float = 1e6,
-                             track_ids: Optional[Dict[str, int]] = None
-                             ) -> List[dict]:
+def timeline_to_trace_events(timeline) -> List[dict]:
     """Chrome trace events for a DES timeline (Fig. 7 in Perfetto)."""
-    return spans_to_trace_events(timeline_to_spans(timeline),
-                                 time_scale=time_scale,
-                                 track_ids=track_ids)
+    return spans_to_trace_events(timeline_to_spans(timeline))
 
 
 def scheduler_report_to_metrics(report, metrics: MetricsRegistry,
@@ -147,8 +143,7 @@ def vectorized_report_to_metrics(report, metrics: MetricsRegistry,
     metrics.gauge("serving.makespan_s", **labels).set(report.makespan)
 
 
-def vectorized_report_to_spans(report,
-                               cap: int = 1024) -> Tuple[List[Span], int]:
+def vectorized_report_to_spans(report, cap: int) -> Tuple[List[Span], int]:
     """Per-request spans for the first ``cap`` served requests of a
     :class:`ServingReport`, plus the count of requests whose spans
     were dropped.
@@ -158,7 +153,7 @@ def vectorized_report_to_spans(report,
     and start goes on the ``queue`` track.
     """
     n = report.n_served
-    emit = n if cap < 0 else min(n, cap)
+    emit = min(n, cap)
     spans: List[Span] = []
     shapes = report.workload.shapes
     rows = zip(report.workload.codes[:emit].tolist(),

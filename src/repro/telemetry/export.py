@@ -3,8 +3,8 @@
 The trace format is the Trace Event Format's JSON-object flavour —
 ``{"traceEvents": [...]}`` with complete ("X") duration events and
 thread-name ("M") metadata — which both Perfetto and chrome://tracing
-load directly.  Timestamps are microseconds; sim-time seconds are
-scaled by ``time_scale`` (default 1e6).
+load directly.  Timestamps are microseconds (sim-time seconds times
+:data:`US_PER_S`).
 
 A metric dump is the registry snapshot under a title: one row per
 metric series.
@@ -23,23 +23,18 @@ from repro.telemetry.spans import Span
 
 #: pid used for every track; the repro is one logical process.
 TRACE_PID = 1
+#: Trace timestamps are microseconds of sim time.
+US_PER_S = 1e6
 
 
-def spans_to_trace_events(spans: Sequence[Span],
-                          time_scale: float = 1e6,
-                          track_ids: Optional[Dict[str, int]] = None
-                          ) -> List[dict]:
+def spans_to_trace_events(spans: Sequence[Span]) -> List[dict]:
     """Convert spans to Chrome complete events plus track metadata.
 
     Tracks become "threads": each distinct track name gets a tid and
     a ``thread_name`` metadata event, so Perfetto shows one swim lane
-    per device/resource.  ``track_ids`` lets callers merge several
-    span sources into one consistent tid space.
+    per device/resource.
     """
-    if time_scale <= 0.0:
-        raise ConfigurationError(
-            f"time_scale must be positive, got {time_scale}")
-    track_ids = {} if track_ids is None else track_ids
+    track_ids: Dict[str, int] = {}
     events: List[dict] = []
     for span in spans:
         if span.track not in track_ids:
@@ -52,8 +47,8 @@ def spans_to_trace_events(spans: Sequence[Span],
             "ph": "X",
             "name": span.name,
             "cat": span.track,
-            "ts": span.start * time_scale,
-            "dur": span.duration * time_scale,
+            "ts": span.start * US_PER_S,
+            "dur": span.duration * US_PER_S,
             "pid": TRACE_PID,
             "tid": track_ids[span.track],
             "args": dict(span.args),
@@ -74,10 +69,10 @@ def build_chrome_trace(events: Iterable[dict],
 
 def write_chrome_trace(path, spans: Sequence[Span] = (),
                        extra_events: Iterable[dict] = (),
-                       metadata: Optional[Dict[str, object]] = None,
-                       time_scale: float = 1e6) -> Path:
+                       metadata: Optional[Dict[str, object]] = None
+                       ) -> Path:
     """Write spans (plus pre-built events) as a ``.trace.json`` file."""
-    events = spans_to_trace_events(spans, time_scale=time_scale)
+    events = spans_to_trace_events(spans)
     events.extend(extra_events)
     if not events:
         raise ConfigurationError("nothing to export: no trace events")
@@ -96,23 +91,19 @@ def write_chrome_trace(path, spans: Sequence[Span] = (),
 TIMESERIES_PERCENTILES = (0.50, 0.95, 0.99)
 
 
-def timeseries_to_counter_events(series, time_scale: float = 1e6,
-                                 prefix: str = "serving",
-                                 pid: int = TRACE_PID) -> List[dict]:
+def timeseries_to_counter_events(series) -> List[dict]:
     """Chrome counter-track ("C") events from a windowed series.
 
-    Each channel becomes one counter track sampled at every window's
+    Each channel becomes one ``serving.<channel>`` counter track
+    sampled at every window's
     left edge (a counter holds its value until the next sample), so
     Perfetto renders queue depth, utilization, throughput, and
     windowed percentiles as area charts alongside the span swim
     lanes.  Windows with no latency samples are skipped on the
     percentile tracks — counter events must stay finite.
     """
-    if time_scale <= 0.0:
-        raise ConfigurationError(
-            f"time_scale must be positive, got {time_scale}")
     edges = series.grid.edges
-    timestamps = [edge * time_scale for edge in edges[:-1].tolist()]
+    timestamps = [edge * US_PER_S for edge in edges[:-1].tolist()]
 
     channels: List[tuple] = [
         ("queue_depth", series.queue_depth.tolist()),
@@ -130,11 +121,11 @@ def timeseries_to_counter_events(series, time_scale: float = 1e6,
 
     events: List[dict] = []
     for name, values in channels:
-        track = f"{prefix}.{name}"
+        track = f"serving.{name}"
         for ts, value in zip(timestamps, values):
             if value != value:  # NaN: empty percentile window
                 continue
-            events.append({"ph": "C", "name": track, "pid": pid,
+            events.append({"ph": "C", "name": track, "pid": TRACE_PID,
                            "ts": ts, "args": {"value": float(value)}})
     return events
 

@@ -211,10 +211,10 @@ class StreamingHistogram:
                 return self.bucket_value(index, self.min, self.max)
         return self.max
 
-    def percentiles(self, fractions=(0.5, 0.95, 0.99)) -> Dict[str, float]:
-        """The standard latency summary, keyed ``p50``/``p95``/...."""
+    def percentiles(self) -> Dict[str, float]:
+        """The standard latency summary, keyed ``p50``/``p95``/``p99``."""
         return {f"p{round(fraction * 100):d}": self.quantile(fraction)
-                for fraction in fractions}
+                for fraction in (0.5, 0.95, 0.99)}
 
 
 class MetricsRegistry:

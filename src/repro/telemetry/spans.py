@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List
 
 from repro.errors import ConfigurationError
 
@@ -52,7 +52,7 @@ class TickClock:
     def __call__(self) -> float:
         return self.now
 
-    def advance(self, ticks: float = 1.0) -> float:
+    def advance(self, ticks: float) -> float:
         if ticks < 0.0:
             raise ConfigurationError(
                 f"clock cannot run backwards (advance by {ticks})")
@@ -63,12 +63,12 @@ class TickClock:
 class Tracer:
     """Collects spans against a clock callable returning sim-time.
 
-    ``clock`` defaults to a fresh :class:`TickClock`; simulators that
+    ``clock`` starts as a fresh :class:`TickClock`; simulators that
     already know start/finish times bypass it via :meth:`add_span`.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.clock = clock if clock is not None else TickClock()
+    def __init__(self) -> None:
+        self.clock: Callable[[], float] = TickClock()
         self._spans: List[Span] = []
 
     @property

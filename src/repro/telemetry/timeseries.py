@@ -105,28 +105,26 @@ class WindowGrid:
 
     @classmethod
     def cover(cls, horizon: float, n_windows: int = DEFAULT_N_WINDOWS,
-              window_s: Optional[float] = None,
-              t0: float = 0.0) -> "WindowGrid":
-        """A grid spanning ``[t0, horizon]``.
+              window_s: Optional[float] = None) -> "WindowGrid":
+        """A grid spanning ``[0, horizon]``.
 
         With ``window_s`` given, the window count is derived
         (``ceil``); otherwise the span is split into ``n_windows``
-        equal windows.  A degenerate span (all events at ``t0``)
-        gets one-second windows rather than a zero division.
+        equal windows.  A degenerate span (all events at 0) gets
+        one-second windows rather than a zero division.
         """
         if window_s is None and n_windows < 1:
             raise ConfigurationError(
                 f"n_windows must be >= 1, got {n_windows}")
-        span = horizon - t0
         if window_s is not None:
             if window_s <= 0.0:
                 raise ConfigurationError(
                     f"window_s must be positive, got {window_s}")
-            count = max(1, int(math.ceil(span / window_s)))
-            return cls(t0=t0, window_s=float(window_s), n_windows=count)
-        if span <= 0.0:
-            return cls(t0=t0, window_s=1.0, n_windows=1)
-        return cls(t0=t0, window_s=span / n_windows,
+            count = max(1, int(math.ceil(horizon / window_s)))
+            return cls(t0=0.0, window_s=float(window_s), n_windows=count)
+        if horizon <= 0.0:
+            return cls(t0=0.0, window_s=1.0, n_windows=1)
+        return cls(t0=0.0, window_s=horizon / n_windows,
                    n_windows=n_windows)
 
     @property
@@ -245,12 +243,11 @@ class _LatencySource:
     __slots__ = ("_arrivals", "_finishes", "bounds", "_latencies")
 
     def __init__(self, arrivals: np.ndarray, finishes: np.ndarray,
-                 bounds: np.ndarray,
-                 latencies: Optional[np.ndarray] = None) -> None:
+                 bounds: np.ndarray) -> None:
         self._arrivals = arrivals
         self._finishes = finishes
         self.bounds = bounds
-        self._latencies = latencies
+        self._latencies: Optional[np.ndarray] = None
 
     @property
     def latencies(self) -> np.ndarray:
@@ -432,9 +429,9 @@ class ServingTimeseries:
         )
 
     # ------------------------------------------------------------------
-    def to_dict(self, percentiles: Sequence[float] = (0.50, 0.95, 0.99)
-                ) -> Dict[str, object]:
-        """JSON-ready channel dump (NaN percentiles become None)."""
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-ready channel dump: p50, p95 and p99 per window (NaN
+        percentiles become None)."""
         document: Dict[str, object] = {
             "t0": self.grid.t0,
             "window_s": self.grid.window_s,
@@ -456,7 +453,7 @@ class ServingTimeseries:
             document["replicas"] = self.replicas.tolist()
         if self.availability is not None:
             document["availability"] = self.availability.tolist()
-        for fraction in percentiles:
+        for fraction in (0.50, 0.95, 0.99):
             values = self.percentile(fraction)
             document[f"p{round(fraction * 100)}_s"] = [
                 None if math.isnan(value) else value
@@ -490,11 +487,10 @@ def compute_timeseries(arrivals: np.ndarray, starts: np.ndarray,
                        finishes: np.ndarray, *,
                        grid: Optional[WindowGrid] = None,
                        n_windows: int = DEFAULT_N_WINDOWS,
-                       window_s: Optional[float] = None,
                        weights: Optional[Dict[str, np.ndarray]] = None,
                        dropped_arrivals: Optional[np.ndarray] = None,
-                       assume_sorted: Optional[bool] = None,
-                       n_servers: int = 1) -> ServingTimeseries:
+                       assume_sorted: Optional[bool] = None
+                       ) -> ServingTimeseries:
     """Windowed series from one timeline (see module docstring).
 
     ``weights`` maps channel names to per-request values (aligned
@@ -530,8 +526,7 @@ def compute_timeseries(arrivals: np.ndarray, starts: np.ndarray,
                 "timeline arrays")
         weights[name] = values
     if grid is None:
-        grid = WindowGrid.cover(float(np.max(f)), n_windows=n_windows,
-                                window_s=window_s)
+        grid = WindowGrid.cover(float(np.max(f)), n_windows=n_windows)
     if assume_sorted is None:
         assume_sorted = (_is_sorted(a) and _is_sorted(s)
                          and _is_sorted(f))
@@ -589,7 +584,6 @@ def compute_timeseries(arrivals: np.ndarray, starts: np.ndarray,
         busy_s=busy,
         weighted=weighted,
         dropped=dropped,
-        n_servers=n_servers,
         percentile_stride=stride,
         _sources=[source],
         _bucket_counts=histogram,
@@ -603,10 +597,7 @@ def compute_timeseries(arrivals: np.ndarray, starts: np.ndarray,
 # Report adapters
 # ----------------------------------------------------------------------
 def timeseries_from_report(report, *,
-                           grid: Optional[WindowGrid] = None,
-                           n_windows: int = DEFAULT_N_WINDOWS,
-                           window_s: Optional[float] = None,
-                           assume_sorted: Optional[bool] = None
+                           n_windows: int = DEFAULT_N_WINDOWS
                            ) -> ServingTimeseries:
     """A :class:`ServingTimeseries` from any serving report.
 
@@ -621,25 +612,21 @@ def timeseries_from_report(report, *,
     from repro.serving.replicas import ScaleOutReport
 
     if isinstance(report, ScaleOutReport):
-        return fleet_timeseries(
-            report, grid=grid, n_windows=n_windows, window_s=window_s)
+        return fleet_timeseries(report, n_windows=n_windows)
     # Fault-injected reports expose the dropped requests' arrival
     # timestamps; they populate the ``dropped`` channel.
     series = compute_timeseries(
         report.arrivals, report.starts, report.finishes,
-        grid=grid, n_windows=n_windows, window_s=window_s,
+        n_windows=n_windows,
         weights={"tokens": report.workload.tokens_per_request()},
-        dropped_arrivals=report.dropped_arrivals,
-        assume_sorted=assume_sorted)
+        dropped_arrivals=report.dropped_arrivals)
     if isinstance(report, FleetReport):
         report.attach_control_channels(series)
     return series
 
 
 def fleet_timeseries(report, *,
-                     grid: Optional[WindowGrid] = None,
-                     n_windows: int = DEFAULT_N_WINDOWS,
-                     window_s: Optional[float] = None
+                     n_windows: int = DEFAULT_N_WINDOWS
                      ) -> ServingTimeseries:
     """The series of a :class:`~repro.serving.replicas.ScaleOutReport`.
 
@@ -649,10 +636,7 @@ def fleet_timeseries(report, *,
     (count channels exactly equal a direct computation over the
     interleaved fleet timeline).
     """
-    if grid is None:
-        grid = WindowGrid.cover(report.makespan,
-                                n_windows=n_windows,
-                                window_s=window_s)
+    grid = WindowGrid.cover(report.makespan, n_windows=n_windows)
     merged_series: Optional[ServingTimeseries] = None
     for sub in report.per_replica:
         if sub.n_served == 0:
@@ -696,25 +680,23 @@ class SLOPolicy:
     long_window_s: float = 0.0
     short_window_s: float = 0.0
     burn_rate_threshold: float = 2.0
-    #: Alerts are attributed to fault windows overlapping the alert
-    #: interval extended this far into the past (queues drain slowly:
-    #: a fault's latency echo outlives the fault).  ``None`` uses the
-    #: long lookback.
-    attribution_lookback_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.latency_threshold_s <= 0.0:
-            raise ConfigurationError(
-                "latency_threshold_s must be positive, "
-                f"got {self.latency_threshold_s}")
+        for name in ("latency_threshold_s", "burn_rate_threshold"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.error_budget <= 1.0:
             raise ConfigurationError(
                 f"error_budget must be in (0, 1], "
                 f"got {self.error_budget}")
-        if self.burn_rate_threshold <= 0.0:
-            raise ConfigurationError(
-                "burn_rate_threshold must be positive, "
-                f"got {self.burn_rate_threshold}")
+        for name in ("long_window_s", "short_window_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be finite (0 picks the default), "
+                    f"got {value}")
 
     def windows(self, grid: WindowGrid) -> Tuple[int, int]:
         """(long, short) lookbacks in whole windows (>= 1 each)."""
@@ -730,8 +712,9 @@ class SLOPolicy:
         return long_w, min(short_w, long_w)
 
     def lookback_s(self, grid: WindowGrid) -> float:
-        if self.attribution_lookback_s is not None:
-            return self.attribution_lookback_s
+        """How far before an alert a fault window still claims it: the
+        long lookback (queues drain slowly, so a fault's latency echo
+        outlives the fault)."""
         long_w, __ = self.windows(grid)
         return long_w * grid.window_s
 
@@ -933,10 +916,7 @@ def attribute_alerts(alerts: Sequence[SLOAlert], events: Sequence,
 
 
 def monitor_report(report, policy: SLOPolicy, *,
-                   grid: Optional[WindowGrid] = None,
-                   n_windows: int = DEFAULT_N_WINDOWS,
-                   window_s: Optional[float] = None,
-                   assume_sorted: Optional[bool] = None
+                   n_windows: int = DEFAULT_N_WINDOWS
                    ) -> MonitoringReport:
     """Timeseries + SLO evaluation + fault attribution in one call.
 
@@ -944,9 +924,7 @@ def monitor_report(report, policy: SLOPolicy, *,
     windows drive attribution automatically.  Fault-free reports get
     pure organic-load attribution.
     """
-    series = timeseries_from_report(
-        report, grid=grid, n_windows=n_windows, window_s=window_s,
-        assume_sorted=assume_sorted)
+    series = timeseries_from_report(report, n_windows=n_windows)
     scenario = report.scenario
     events = scenario.events if scenario is not None else ()
     return evaluate_slo(series, policy, events=events,

@@ -50,7 +50,8 @@ class CalibrationCheck:
                 f"band=[{self.low:g}, {self.high:g}] {self.unit}")
 
 
-def _gemm_tput_tflops(engine, bl: int = 36864) -> float:
+def _gemm_tput_tflops(engine) -> float:
+    bl = 36864
     spec = get_model("opt-175b")
     d = spec.d_model
     return engine.matmul_throughput(8.0 * bl * d * d,

@@ -12,6 +12,7 @@ packing of ``tests/oracles/eq1_scalar.py``.
 
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.core import terms
 from repro.core.config import KvCachePlacement, LiaConfig
 from repro.core.estimator import LiaEstimator, RequestTables
 from repro.errors import CapacityError, ConfigurationError
-from repro.experiments import (fig10_online_latency,
+from repro.experiments import (fig10_online_latency, frameworks,
                                fig11_offline_throughput)
 from repro.experiments.frameworks import (EVAL_CONFIG, build_estimator,
                                           estimate_frameworks,
@@ -81,10 +82,12 @@ def test_shared_tables_match_standalone_estimates(model, system, config,
                                                   requests, enforce):
     spec, platform = MODELS[model], SYSTEMS[system]
     config = replace(CONFIGS[config], enforce_host_capacity=enforce)
-    shared = estimate_frameworks(TABLE_FRAMEWORKS, spec, platform,
-                                 requests, config)
-    marked = estimates_or_oom(TABLE_FRAMEWORKS, spec, platform, requests,
-                              config)
+    # The drivers' one config, patched to the drawn one.
+    with mock.patch.object(frameworks, "EVAL_CONFIG", config):
+        shared = estimate_frameworks(TABLE_FRAMEWORKS, spec, platform,
+                                     requests)
+        marked = estimates_or_oom(TABLE_FRAMEWORKS, spec, platform,
+                                  requests)
     assert list(shared) == list(TABLE_FRAMEWORKS)
     for framework in TABLE_FRAMEWORKS:
         standalone = build_estimator(framework, spec, platform,

@@ -68,12 +68,6 @@ def test_format_table_empty():
     assert format_table([]) == "(no rows)"
 
 
-def test_format_table_column_selection():
-    rows = [{"a": 1, "b": 2}]
-    table = format_table(rows, columns=["b"])
-    assert "a" not in table.splitlines()[0]
-
-
 def test_format_table_unions_heterogeneous_rows():
     rows = [{"panel": "a", "gb_per_s": 29.4},
             {"panel": "b", "series": "decode-S2", "ratio": 0.2}]

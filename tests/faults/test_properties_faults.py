@@ -17,6 +17,7 @@ from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
 from repro.serving.simulator import ServingSimulator
 from repro.workloads.traces import arrivals_poisson
+from tests.oracles.fifo_loop import rng_for
 
 CONFIG = LiaConfig(enforce_host_capacity=False)
 
@@ -95,8 +96,8 @@ def test_fault_window_is_half_open(start, duration, probe):
 @given(seed=st.integers(0, 2 ** 32), index=st.integers(0, 2 ** 16))
 def test_rng_streams_are_reproducible(seed, index):
     scenario = FaultScenario(seed=seed)
-    assert (scenario.rng_for(index).random()
-            == scenario.rng_for(index).random())
+    assert (rng_for(scenario, index).random()
+            == rng_for(scenario, index).random())
 
 
 @settings(max_examples=100, deadline=None)

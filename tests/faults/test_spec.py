@@ -9,6 +9,7 @@ from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy,
                                event_from_dict, load_scenario,
                                scenario_from_dict, scenario_to_dict)
+from tests.oracles.fifo_loop import rng_for
 
 
 # ----------------------------------------------------------------------
@@ -98,15 +99,15 @@ def test_idle_means_no_events_and_no_admission():
 
 def test_rng_for_is_deterministic_and_independent():
     scenario = FaultScenario(seed=42)
-    a1 = [scenario.rng_for(7).random() for __ in range(3)]
-    a2 = [scenario.rng_for(7).random() for __ in range(3)]
+    a1 = [rng_for(scenario, 7).random() for __ in range(3)]
+    a2 = [rng_for(scenario, 7).random() for __ in range(3)]
     assert a1 == a2
-    assert scenario.rng_for(7).random() != scenario.rng_for(8).random()
+    assert rng_for(scenario, 7).random() != rng_for(scenario, 8).random()
     # Different seeds give different streams for the same index.
-    assert (FaultScenario(seed=1).rng_for(0).random()
-            != FaultScenario(seed=2).rng_for(0).random())
+    assert (rng_for(FaultScenario(seed=1), 0).random()
+            != rng_for(FaultScenario(seed=2), 0).random())
     with pytest.raises(ConfigurationError):
-        scenario.rng_for(-1)
+        rng_for(scenario, -1)
 
 
 # ----------------------------------------------------------------------

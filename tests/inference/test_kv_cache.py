@@ -23,14 +23,14 @@ def test_append_and_grow():
 
 
 def test_cpu_generated_kv_incurs_no_store_traffic():
-    cache = KVCache(home_device="cpu")
+    cache = KVCache()
     log = TransferLog()
     cache.append(_kv(1, 4, 8, "cpu"), _kv(1, 4, 8, "cpu"), log, layer=0)
     assert log.total_bytes == 0
 
 
 def test_gpu_generated_kv_logs_eq9_store():
-    cache = KVCache(home_device="cpu")
+    cache = KVCache()
     log = TransferLog()
     cache.append(_kv(1, 4, 8, "gpu"), _kv(1, 4, 8, "gpu"), log, layer=3)
     # K and V, BF16 bytes each.

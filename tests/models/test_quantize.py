@@ -44,8 +44,6 @@ def test_double_quantization_rejected(opt_30b):
     int8 = quantize_weights(opt_30b)
     with pytest.raises(ConfigurationError, match="not shrink"):
         quantize_weights(int8)
-    with pytest.raises(ConfigurationError):
-        quantize_weights(opt_30b, bytes_per_param=0)
 
 
 def test_quantized_inference_is_faster(opt_30b, spr_a100, eval_config):

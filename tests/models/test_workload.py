@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.models.workload import (
     InferenceRequest,
     RequestPoints,
-    TraceKind,
     azure_trace_lengths,
     make_request,
     max_input_len,
@@ -89,16 +88,15 @@ def test_paper_lmax_values():
 
 def test_azure_trace_is_deterministic_and_bounded():
     opt = get_model("opt-175b")
-    first = azure_trace_lengths(50, opt, TraceKind.CODE, seed=7)
-    second = azure_trace_lengths(50, opt, TraceKind.CODE, seed=7)
+    first = azure_trace_lengths(50, opt, seed=7)
+    second = azure_trace_lengths(50, opt, seed=7)
     assert first == second
-    assert all(r.output_len == 32 for r in first)
-    assert all(32 <= r.input_len <= 2016 for r in first)
+    assert all(32 <= r.input_len <= 1792 for r in first)
 
 
 def test_azure_trace_conversation_output_len():
     opt = get_model("opt-175b")
-    requests = azure_trace_lengths(10, opt, TraceKind.CONVERSATION)
+    requests = azure_trace_lengths(10, opt)
     assert all(r.output_len == 256 for r in requests)
 
 

@@ -14,7 +14,7 @@ the recurrence reads on paper:
   per attempt on the degraded platform, halving the batch until it
   fits, with no help from the engine's plan columns;
 * :func:`chunk_stalls` / :func:`retry_succeeds` — one request's
-  transfer-stall draws, one fresh ``FaultScenario.rng_for`` generator
+  transfer-stall draws, one fresh :func:`rng_for` generator
   per key, which :func:`transfer_penalty` folds and the engine's block
   of draws (``piecewise._stall_outcomes``) must replay;
 * :func:`run_admission_sequential` — the fault-injected loop with the
@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -375,20 +376,28 @@ def note_plan(controller: DegradationController, plan: Plan, index: int,
                          halvings=plan.shrinks)
 
 
+def rng_for(scenario: FaultScenario, index: int) -> random.Random:
+    """A fresh deterministic RNG for decision ``index`` of
+    ``scenario``, seeded with :meth:`FaultScenario.rng_key`."""
+    if index < 0:
+        raise ConfigurationError(f"index must be >= 0, got {index}")
+    return random.Random(scenario.rng_key(index))
+
+
 def chunk_stalls(injector: FaultInjector, time: float, index: int,
                  n_chunks: int) -> Tuple[int, ...]:
     """Indices of the transfer chunks that stall for request ``index``
     when its service starts at ``time``.
 
     Deterministic in (scenario seed, request index): the draw uses
-    :meth:`FaultScenario.rng_for`, never a shared RNG stream.
+    :func:`rng_for`, never a shared RNG stream.
     """
     if n_chunks < 0:
         raise ConfigurationError(f"n_chunks must be >= 0, got {n_chunks}")
     probability = injector.stall_probability(time)
     if probability <= 0.0 or n_chunks == 0:
         return ()
-    rng = injector.scenario.rng_for(index)
+    rng = rng_for(injector.scenario, index)
     return tuple(chunk for chunk in range(n_chunks)
                  if rng.random() < probability)
 
@@ -403,8 +412,8 @@ def retry_succeeds(injector: FaultInjector, index: int, chunk: int,
     probability = injector.stall_probability(time)
     if probability <= 0.0:
         return True
-    rng = injector.scenario.rng_for(
-        (index + 1) * 1_000_003 + chunk * 1_009 + attempt)
+    rng = rng_for(injector.scenario,
+                  (index + 1) * 1_000_003 + chunk * 1_009 + attempt)
     return rng.random() >= probability
 
 

@@ -36,6 +36,7 @@ from repro.cxl.residency import KV_TIERS, kv_capacities_from_system
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.sublayers import Stage, Sublayer
 from repro.models.workload import InferenceRequest
+from repro.serving import scheduler as scheduler_module
 from repro.serving.scheduler import (ContinuousBatchScheduler,
                                      ContinuousServingReport, StepProfile)
 from repro.serving.simulator import validate_arrivals
@@ -163,7 +164,8 @@ def run_loop(scheduler: ContinuousBatchScheduler,
     members: frozenset = frozenset()
     kv_on_cpu = False
     #: (start, finish, n_running, aggregate_batch) per iteration,
-    #: capped at cfg.span_cap; the total count feeds the drop note.
+    #: capped at the engine's span cap; the total count feeds the drop
+    #: note.
     span_rows: List[Tuple[float, float, int, int]] = []
 
     while pending or running:
@@ -237,20 +239,21 @@ def run_loop(scheduler: ContinuousBatchScheduler,
                         for entry in running)
         context = max(entry.context_len for entry in running)
         step = profile.decode_step_time(aggregate, context)
-        if kv_on_cpu and cfg.cxl_step_penalty > 0.0:
+        penalty = scheduler_module.CXL_STEP_PENALTY
+        if kv_on_cpu and penalty > 0.0:
             total_kv = residency.total_used
             if total_kv > 0.0:
                 cxl_fraction = residency.used("cxl") / total_kv
                 # Observation-2: CPU attention reading CXL-resident
                 # KV runs at expander, not DDR, bandwidth.
-                step *= 1.0 + cfg.cxl_step_penalty * cxl_fraction
+                step *= 1.0 + penalty * cxl_fraction
         step_start = clock
         clock += step
         busy_time += step
         occupancy_time += step * len(running)
         if len(running) > occupancy_peak:
             occupancy_peak = len(running)
-        if len(span_rows) < cfg.span_cap:
+        if len(span_rows) < scheduler_module.DEFAULT_SPAN_CAP:
             span_rows.append((step_start, clock, len(running),
                               aggregate))
 

@@ -18,6 +18,8 @@ The properties pinned here are the PR's acceptance bar:
   than the static fleet sized for the same SLO.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,6 +374,14 @@ def test_autoscaler_beats_static_fleet_on_diurnal_trace(estimator):
     assert report.replica_seconds <= 0.7 * static_seconds
 
 
+@pytest.mark.parametrize("field, value", [
+    ("slo_p95_s", math.nan), ("interval_s", math.nan),
+    ("interval_s", math.inf)])
+def test_autoscaler_rejects_nan_and_infinite_values(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        AutoscalerPolicy(**{"slo_p95_s": 10.0, field: value})
+
+
 def test_autoscaler_respects_replica_bounds(estimator):
     policy = AutoscalerPolicy(slo_p95_s=10.0, min_replicas=2,
                               max_replicas=4, interval_s=30.0,
@@ -459,8 +469,9 @@ def test_monitor_attributes_alerts_to_the_replica_crash(estimator):
     report = preset.simulator(estimator).run(workload, trace)
     (crash,) = report.scenario.faults
     threshold = 1.5 * report.latency_percentile(0.5)
+    # About one-minute windows.
     monitoring = report.monitor(SLOPolicy(latency_threshold_s=threshold),
-                                window_s=60.0)
+                                n_windows=math.ceil(report.makespan / 60))
     assert monitoring.scenario_name == "replica-crash"
     inside = [alert for alert in monitoring.alerts
               if alert.start_s < crash.end and alert.end_s > crash.start]

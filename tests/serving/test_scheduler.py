@@ -263,12 +263,6 @@ def test_config_validation_is_a_clean_error():
         SchedulerConfig(max_batch_requests=0)
     with pytest.raises(ConfigurationError):
         SchedulerConfig(join="sometimes")
-    with pytest.raises(ConfigurationError):
-        SchedulerConfig(cxl_step_penalty=-0.1)
-    with pytest.raises(ConfigurationError):
-        SchedulerConfig(context_grid_points=1)
-    with pytest.raises(ConfigurationError):
-        SchedulerConfig(span_cap=-1)
 
 
 # ----------------------------------------------------------------------

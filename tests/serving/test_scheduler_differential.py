@@ -12,6 +12,7 @@ tight HBM/DDR/CXL budgets that push KV into CXL.
 
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,17 +106,21 @@ def cases(draw):
     config = SchedulerConfig(
         max_batch_requests=draw(st.integers(1, 6)),
         join=draw(st.sampled_from(["step", "drain"])),
-        kv_capacities=capacities,
-        cxl_step_penalty=draw(st.sampled_from([0.0, 0.15, 2.0])),
-        context_grid_points=draw(st.sampled_from([2, 3, 8])),
-        span_cap=draw(st.sampled_from([0, 1, 5, 1024])))
-    return requests, arrivals, config
+        kv_capacities=capacities)
+    #: The engine's constants, patched in both engine and oracle.
+    constants = dict(
+        CXL_STEP_PENALTY=draw(st.sampled_from([0.0, 0.15, 2.0])),
+        CONTEXT_GRID_POINTS=draw(st.sampled_from([2, 3, 8])),
+        DEFAULT_SPAN_CAP=draw(st.sampled_from([0, 1, 5, 1024])))
+    return requests, arrivals, config, constants
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=cases())
 def test_scheduler_matches_per_iteration_oracle(case):
-    assert_matches_oracle(*case)
+    requests, arrivals, config, constants = case
+    with mock.patch.multiple(scheduler_module, **constants):
+        assert_matches_oracle(requests, arrivals, config)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -131,26 +136,27 @@ def test_continuous_kv_streams_match_the_oracle(seed):
     assert spilled == (seed in (0, 3))
 
 
-def _spilling_case(join="step", penalty=0.15):
+def _spilling_case(monkeypatch, join="step"):
     """Two big prompts that cannot share the tiers, with a small one
     queued behind: the second big head is refused while the first
-    runs, and the budgets push part of every big KV into CXL."""
+    runs, and the budgets push part of every big KV into CXL.  Five
+    step spans are kept, so the drop note fires."""
+    monkeypatch.setattr(scheduler_module, "DEFAULT_SPAN_CAP", 5)
     big, small = (8, 512, 20), (1, 64, 4)
     unit = _kv_bytes(big)
     requests = [InferenceRequest(*shape)
                 for shape in (small, big, big, small, small)]
     arrivals = [0.0, 0.01, 0.02, 0.03, 0.5]
     config = SchedulerConfig(
-        max_batch_requests=4, join=join, cxl_step_penalty=penalty,
+        max_batch_requests=4, join=join,
         kv_capacities=KvTierCapacities(0.25 * unit, 0.25 * unit,
-                                       unit),
-        span_cap=5)
+                                       unit))
     return requests, arrivals, config
 
 
 @pytest.mark.parametrize("join", ["step", "drain"])
-def test_refused_head_waits_for_a_release(join):
-    requests, arrivals, config = _spilling_case(join)
+def test_refused_head_waits_for_a_release(monkeypatch, join):
+    requests, arrivals, config = _spilling_case(monkeypatch, join)
     assert_matches_oracle(requests, arrivals, config)
     report = ContinuousBatchScheduler(ESTIMATOR, config).run(requests,
                                                              arrivals)
@@ -228,7 +234,7 @@ def test_resolves_are_guessed_checked_and_counted_once(monkeypatch):
     reads nothing.  Every re-solve counts as one search
     in a single count, as many as the oracle's."""
     solved, counted, checks = _spy_resolves(monkeypatch)
-    requests, arrivals, config = _spilling_case()
+    requests, arrivals, config = _spilling_case(monkeypatch)
     (fields, __), searches, *__ = assert_matches_oracle(
         requests, arrivals, config)
     resolves = fields[REPORT_FIELDS.index("policy_resolves")]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import trace
 from repro.sim.trace import TaskRecord, Timeline
 
 
@@ -46,7 +47,7 @@ def test_empty_timeline():
 
 
 def test_gantt_rendering_has_rows_per_resource():
-    text = _timeline().render_gantt(width=40)
+    text = _timeline().render_gantt()
     lines = text.splitlines()
     assert any("cpu" in line for line in lines)
     assert any("pcie" in line for line in lines)
@@ -85,20 +86,21 @@ def test_gantt_sub_pixel_task_still_renders():
         TaskRecord("long", "cpu", "long", 0.0, 100.0),
         TaskRecord("blip", "pcie", "blip", 50.0, 50.001),
     ])
-    text = timeline.render_gantt(width=40)
+    text = timeline.render_gantt()
     pcie_row = next(line for line in text.splitlines()
                     if "pcie" in line)
     assert pcie_row.count("#") == 1
 
 
-def test_gantt_task_ending_at_makespan_fills_last_column():
+def test_gantt_task_ending_at_makespan_fills_last_column(monkeypatch):
     timeline = Timeline([
         TaskRecord("a", "cpu", "a", 0.0, 4.0),
         TaskRecord("b", "cpu", "b", 4.0, 8.0),
     ])
     for width in (7, 8, 72):
+        monkeypatch.setattr(trace, "GANTT_WIDTH", width)
         row = next(line for line in
-                   timeline.render_gantt(width=width).splitlines()
+                   timeline.render_gantt().splitlines()
                    if "cpu" in line)
         cells = row.split("|")[1]
         assert len(cells) == width

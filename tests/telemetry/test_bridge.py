@@ -66,7 +66,7 @@ def test_serving_report_metrics():
 
 
 def test_serving_report_spans_split_queue_and_service():
-    spans, dropped = vectorized_report_to_spans(_report())
+    spans, dropped = vectorized_report_to_spans(_report(), 1024)
     assert dropped == 0
     server = [s for s in spans if s.track == "server"]
     queue = [s for s in spans if s.track == "queue"]

@@ -55,17 +55,6 @@ def test_spans_to_trace_events_structure():
     assert len(set(tids.values())) == 3
 
 
-def test_shared_track_ids_across_sources():
-    track_ids = {}
-    first = spans_to_trace_events(_spans(), track_ids=track_ids)
-    second = spans_to_trace_events(
-        [Span("more", "cpu", 3.0, 4.0, {})], track_ids=track_ids)
-    cpu_tid = next(e["tid"] for e in first
-                   if e["ph"] == "X" and e["cat"] == "cpu")
-    assert second[0]["tid"] == cpu_tid  # no duplicate metadata either
-    assert all(e["ph"] == "X" for e in second)
-
-
 def test_written_trace_passes_schema_validator(tmp_path):
     path = write_chrome_trace(tmp_path / "out.trace.json", _spans(),
                               metadata={"mode": "test"})

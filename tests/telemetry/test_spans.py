@@ -9,7 +9,7 @@ from repro.telemetry.spans import Span, TickClock, Tracer
 def test_tick_clock_advances_and_rejects_reverse():
     clock = TickClock()
     assert clock() == 0.0
-    clock.advance()
+    clock.advance(1.0)
     clock.advance(2.5)
     assert clock() == 3.5
     with pytest.raises(ConfigurationError):
@@ -52,7 +52,8 @@ def test_add_span_with_explicit_times():
 
 
 def test_tick_requires_tick_clock():
-    tracer = Tracer(clock=lambda: 42.0)
+    tracer = Tracer()
+    tracer.clock = lambda: 42.0
     with pytest.raises(ConfigurationError):
         tracer.tick()
     with tracer.span("s", track="t"):

@@ -14,6 +14,8 @@ The contracts under test:
   organic load.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -326,8 +328,7 @@ def test_burn_rate_alert_fires_on_spike_and_attributes_fault():
 def test_alert_far_from_fault_window_stays_organic():
     series = _synthetic_spike_series()
     policy = SLOPolicy(latency_threshold_s=1.0, error_budget=0.02,
-                       long_window_s=40.0, short_window_s=8.0,
-                       attribution_lookback_s=20.0)
+                       long_window_s=40.0, short_window_s=8.0)
     # A fault window long before the spike (and outside the
     # lookback) must not claim the alert.
     event = FaultEvent(FaultKind.PCIE_DOWNSHIFT, start=0.0,
@@ -479,3 +480,15 @@ def test_dashboard_fleet_section_reads_the_scale_out_report(tmp_path,
     assert [row[3] for row in rows] == [
         f"{sub.busy_s / report.makespan * 100:.1f}"
         for sub in report.per_replica]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("latency_threshold_s", math.nan), ("latency_threshold_s", math.inf),
+    ("burn_rate_threshold", math.nan), ("burn_rate_threshold", math.inf),
+    ("long_window_s", math.nan), ("long_window_s", math.inf),
+    ("short_window_s", math.nan), ("short_window_s", -math.inf),
+])
+def test_slo_policy_rejects_nan_and_infinite_values(field, value):
+    fields = {"latency_threshold_s": 1.0, field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        SLOPolicy(**fields)

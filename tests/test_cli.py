@@ -503,6 +503,13 @@ def test_partial_kv_override_keeps_the_derived_tiers(tmp_path):
      "--max-batch, --join need --scheduler continuous"),
     (["fleet", "--max-batch", "0"],
      "--max-batch needs --scheduler continuous"),
+    (["monitor", "--num-requests", "50", "--long-window", "inf"],
+     "long_window_s must be finite"),
+    (["monitor", "--num-requests", "50", "--short-window", "inf"],
+     "short_window_s must be finite"),
+    (["monitor", "--num-requests", "50", "--burn-threshold", "nan"],
+     "burn_rate_threshold must be positive and finite, got nan"),
+    (["fleet", "--windows", "-3"], "n_windows must be >= 1, got -3"),
 ])
 def test_rejected_inputs_are_one_line_errors(capsys, tmp_path,
                                               monkeypatch, argv, message):
@@ -523,3 +530,36 @@ def test_continuous_flags_at_their_defaults_run_fifo(capsys, argv):
     so the FIFO engines accept it."""
     assert main([*argv, "--num-requests", "50"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_fleet_bad_windows_fail_before_any_work_or_output(capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fleet", "--windows", "0", "--json", "a.json",
+                 "--html", "b.html"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --windows: n_windows must be >= 1, "
+                            "got 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--json", "--out"])
+def test_output_into_a_missing_directory_is_created(capsys, tmp_path,
+                                                    flag):
+    path = tmp_path / "new" / "dir" / "faults.json"
+    assert main(["faults", "--requests", "6", flag, str(path)]) == 0
+    assert path.is_file()
+    assert f"wrote {path}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--json", "--out"])
+def test_unwritable_output_path_is_one_line_error(capsys, tmp_path, flag):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["faults", "--requests", "6", flag,
+                 str(blocker / "faults.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a-file" in err
+    assert len(err.strip().splitlines()) == 1
