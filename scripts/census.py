@@ -34,9 +34,12 @@ each checked against its witness:
 - ``flag``    a CLI flag feeds it; the witness is the flag (``--x``),
   which ``repro/cli.py`` must define;
 - ``spec``    a spec file or preset sets it through ``repro.specs``;
-  the witness is the loader's ``path:qualname``;
+  the witness is the loader's ``path:qualname``, whose return
+  annotation names a spec dataclass that declares the knob: as its
+  own field or a field of a dataclass its fields name (transitively),
+  or as the knob's annotated type;
 - ``sweep``   a driver grid parameter that tests and perfbench narrow;
-  the witness is the driver's ``path:qualname`` under
+  the witness is the knob's own driver, ``path:qualname`` under
   ``repro/experiments``;
 - ``paper``   the paper names it; the witness is ``<ref>: <what>``,
   and PAPER.md must cite ``<ref>`` (``Fig. 15``, ``§6``, ...);
@@ -62,6 +65,7 @@ import dataclasses
 import gc
 import io
 import os
+import re
 import runpy
 import sys
 import tempfile
@@ -90,6 +94,7 @@ class Def(NamedTuple):
     line: int  # the ``def`` line
     lines: int  # first decorator to last body line
     parent: str  # key of the enclosing def, "" at class or module level
+    returns: str  # the return annotation's source, "" if none
 
 
 class Knob(NamedTuple):
@@ -99,6 +104,7 @@ class Knob(NamedTuple):
     key: str
     owner: str
     param: str
+    annotation: str  # the annotation's source, "" if none
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -134,6 +140,10 @@ def _is_frozen(node: ast.ClassDef) -> bool:
     return any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
                and kw.value.value for deco in node.decorator_list
                if isinstance(deco, ast.Call) for kw in deco.keywords)
+
+
+def _source(node: Optional[ast.expr]) -> str:
+    return "" if node is None else ast.unparse(node)
 
 
 def _stored_attributes(trees: List[ast.AST]) -> Set[str]:
@@ -179,7 +189,8 @@ def package_census(package: Path = PACKAGE,
                                 + [child.lineno])
                     key = f"{rel}:{qualname}"
                     defs.append(Def(key, child.name, first, child.lineno,
-                                    child.end_lineno - first + 1, parent))
+                                    child.end_lineno - first + 1, parent,
+                                    _source(child.returns)))
                     args = child.args
                     positional = args.posonlyargs + args.args
                     named = positional[len(positional)
@@ -187,7 +198,8 @@ def package_census(package: Path = PACKAGE,
                     named += [arg for arg, default in
                               zip(args.kwonlyargs, args.kw_defaults)
                               if default is not None]
-                    knobs.extend(Knob(f"{key}.{arg.arg}", key, arg.arg)
+                    knobs.extend(Knob(f"{key}.{arg.arg}", key, arg.arg,
+                                      _source(arg.annotation))
                                  for arg in named)
                     walk(child, qualname + ".<locals>.", key)
                 elif isinstance(child, ast.ClassDef):
@@ -197,14 +209,46 @@ def package_census(package: Path = PACKAGE,
                             name = _field_knob(stmt)
                             if name and (_is_frozen(child)
                                          or name not in state):
-                                knobs.append(Knob(f"{key}.{name}", key,
-                                                  name))
+                                knobs.append(Knob(
+                                    f"{key}.{name}", key, name,
+                                    _source(stmt.annotation)))
                     walk(child, prefix + child.name + ".", parent)
                 else:
                     walk(child, prefix, parent)
 
         walk(tree, "", "")
     return defs, knobs
+
+
+def dataclass_fields(package: Path = PACKAGE) -> Dict[str, Dict[str, str]]:
+    """Every dataclass under ``package`` by class name: its fields'
+    names and annotation sources."""
+    classes: Dict[str, Dict[str, str]] = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                classes.setdefault(node.name, {}).update(
+                    (stmt.target.id, _source(stmt.annotation))
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name))
+    return classes
+
+
+def _spec_classes(annotation: str, classes: Dict[str, Dict[str, str]]
+                  ) -> Dict[str, Dict[str, str]]:
+    """The dataclasses ``annotation`` names, and those their fields'
+    annotations name, transitively."""
+    reached: Dict[str, Dict[str, str]] = {}
+    pending = re.findall(r"\w+", annotation)
+    while pending:
+        name = pending.pop()
+        if name in classes and name not in reached:
+            reached[name] = classes[name]
+            for field_annotation in classes[name].values():
+                pending += re.findall(r"\w+", field_annotation)
+    return reached
 
 
 # ----------------------------------------------------------------------
@@ -506,8 +550,12 @@ def read_allowlist(path: Path = ALLOWLIST) -> Dict[str, Tuple[str, str]]:
 
 
 def witness_problem(knob: Knob, reason: str, witness: str,
-                    def_keys: Set[str], root: Path = ROOT) -> str:
-    """Why ``witness`` does not back ``knob``'s ``reason``, or ``""``."""
+                    defs: Dict[str, Def],
+                    classes: Dict[str, Dict[str, str]],
+                    root: Path = ROOT) -> str:
+    """Why ``witness`` does not back ``knob``'s ``reason``, or ``""``.
+    ``defs`` holds the package's defs by key, ``classes`` its
+    dataclasses' fields (:func:`dataclass_fields`)."""
     def text(relative: str) -> str:
         path = root / relative
         return path.read_text("utf-8") if path.is_file() else ""
@@ -516,9 +564,13 @@ def witness_problem(knob: Knob, reason: str, witness: str,
         ok = witness.startswith("--") and \
             f'"{witness}"' in text("src/repro/cli.py")
     elif reason == "spec":
-        ok = witness in def_keys
+        loader = defs.get(witness)
+        specs = _spec_classes(loader.returns if loader else "", classes)
+        ok = any(knob.param in fields for fields in specs.values()) or \
+            not specs.keys().isdisjoint(re.findall(r"\w+",
+                                                   knob.annotation))
     elif reason == "sweep":
-        ok = witness in def_keys and \
+        ok = witness == knob.owner and \
             witness.startswith("repro/experiments/")
     elif reason == "paper":
         ok = ":" in witness and \
@@ -533,7 +585,8 @@ def witness_problem(knob: Knob, reason: str, witness: str,
 def check(defs: List[Def], missed: List[Def], knobs: List[Knob],
           status: Dict[str, str], allowed: Dict[str, Tuple[str, str]],
           root: Path = ROOT) -> List[str]:
-    def_keys = {d.key for d in defs}
+    defs_by_key = {d.key: d for d in defs}
+    classes = dataclass_fields(root / "src" / "repro")
     missed_keys = {d.key for d in missed}
     by_key = {knob.key: knob for knob in knobs}
     problems = [f"unreached and not allowlisted: {d.key} ({d.lines} lines)"
@@ -549,10 +602,10 @@ def check(defs: List[Def], missed: List[Def], knobs: List[Knob],
                 problems.append(f"allowlisted but now {status[key]}: {key}")
             else:
                 problem = witness_problem(by_key[key], reason, witness,
-                                          def_keys, root)
+                                          defs_by_key, classes, root)
                 if problem:
                     problems.append(problem)
-        elif key not in def_keys:
+        elif key not in defs_by_key:
             problems.append(f"allowlisted but no longer defined: {key}")
         elif key not in missed_keys:
             problems.append(f"allowlisted but now reached: {key}")

@@ -925,10 +925,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 0
 
     def override(spelled, default, load, get):
-        # A spec file when the path exists, else a preset name.
+        # A spec file when the value looks like a path (a spec suffix
+        # or a directory part; a missing one is a read error) or names
+        # an existing file, else a preset name.
         if not spelled:
             return default
-        return load(spelled) if os.path.exists(spelled) else get(spelled)
+        is_file = (spelled.endswith((".json", ".yaml", ".yml"))
+                   or os.path.dirname(spelled)
+                   or os.path.exists(spelled))
+        return load(spelled) if is_file else get(spelled)
 
     _reject_negative(args, "num_requests")
     _reject_continuous_only(args, "max_batch")

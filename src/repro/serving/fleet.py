@@ -347,7 +347,7 @@ class _Attempt:
 
     def __init__(self, ok: bool, start: float = 0.0,
                  finish: float = 0.0, fail_time: float = 0.0,
-                 reason: str = "", in_flight: bool = False,
+                 reason: str = "", *, in_flight: bool,
                  slow_factor: float = 1.0) -> None:
         self.ok = ok
         self.start = start
@@ -503,7 +503,7 @@ def simulate_fleet(workload: WorkloadVector, trace: np.ndarray,
             replica.state == "half-open" and replica.probes_left > 0)
 
     def eligible(effective: float,
-                 exclude: Optional[_Replica] = None) -> Optional[_Replica]:
+                 exclude: Optional[_Replica]) -> Optional[_Replica]:
         """Next replica other than ``exclude`` that the dispatcher
         trusts at ``effective`` (round-robin advances the rotation
         pointer past the pick; least-loaded joins the earliest-free
@@ -550,13 +550,13 @@ def simulate_fleet(workload: WorkloadVector, trace: np.ndarray,
                 return _Attempt(
                     False, fail_time=(effective if effective > fault.start
                                       else fault.start),
-                    reason=fault.kind.value)
+                    reason=fault.kind.value, in_flight=False)
             if finish > fault.start:
                 return _Attempt(False, fail_time=fault.start,
                                 reason=fault.kind.value, in_flight=True)
             break
         return _Attempt(True, start=start, finish=finish,
-                        slow_factor=factor)
+                        in_flight=False, slow_factor=factor)
 
     def record_failure(replica: _Replica, time: float) -> None:
         replica.consecutive += 1
@@ -602,7 +602,7 @@ def simulate_fleet(workload: WorkloadVector, trace: np.ndarray,
         winner = -1
         last_reason = "no-healthy-replica"
         while attempts_left > 0:
-            replica = eligible(effective)
+            replica = eligible(effective, None)
             if replica is None:
                 break
             attempts_left -= 1

@@ -44,8 +44,7 @@ from repro.models.workload import InferenceRequest, _integer
 from repro.serving.degradation import PlanTable
 from repro.serving.fleet import AutoscalerPolicy, FleetReport, simulate_fleet
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
-                                     _rank_index, validate_arrivals,
-                                     validate_stream)
+                                     _rank_index, validate_stream)
 from repro.serving.vectorized import WorkloadVector
 from repro.telemetry.metrics import StreamingHistogram
 from repro.telemetry.runtime import Telemetry
@@ -145,20 +144,25 @@ class MultiReplicaSimulator:
     def run(self, requests: Union[Sequence[InferenceRequest],
                                   WorkloadVector],
             arrivals: ArrayLike,
-            scenario: Optional["FaultScenario"] = None,
-            _plans: Optional[PlanTable] = None
+            scenario: Optional["FaultScenario"] = None
             ) -> Union[ScaleOutReport, FleetReport]:
         """Dispatch ``requests`` over the fleet.
 
         ``scenario`` runs every replica under the fault layer
         (round-robin dispatch only — least-loaded assignment depends
         on every earlier finish, which shedding makes dispatch-order
-        ambiguous — and not with ``chaos`` or an autoscaler).  Every
-        replica plans from one
-        :class:`~repro.serving.degradation.PlanTable`: the run's own,
-        or the ``_plans`` of a search over fleet sizes.
+        ambiguous — and not with ``chaos`` or an autoscaler).
         """
         workload, trace = validate_stream(requests, arrivals)
+        return self._run(workload, trace, scenario,
+                         PlanTable(self.estimator))
+
+    def _run(self, workload: WorkloadVector, trace: np.ndarray,
+             scenario: Optional["FaultScenario"], plans: PlanTable
+             ) -> Union[ScaleOutReport, FleetReport]:
+        """:meth:`run` on a stream :func:`validate_stream` already
+        checked.  Every replica plans from ``plans``: the run's own,
+        or the one table of a search over fleet sizes."""
         if scenario is not None and scenario.idle:
             scenario = None
         controlled = self.chaos is not None or self.autoscaler is not None
@@ -173,7 +177,6 @@ class MultiReplicaSimulator:
                 "finish, which admission shedding makes "
                 "dispatch-order ambiguous")
         telemetry = current_telemetry()
-        plans = PlanTable(self.estimator) if _plans is None else _plans
         report: Union[ScaleOutReport, FleetReport]
         if controlled:
             report = simulate_fleet(
@@ -424,16 +427,12 @@ def replicas_needed(estimator: LiaEstimator,
         raise ConfigurationError(
             f"slo_p95_seconds must be positive, got {slo_p95_seconds}")
     max_replicas = _fleet_size("max_replicas", max_replicas)
-    workload = (requests if isinstance(requests, WorkloadVector)
-                else WorkloadVector.from_requests(requests))
-    trace = validate_arrivals(arrivals)
+    workload, trace = validate_stream(requests, arrivals)
     plans = PlanTable(estimator)
-    # Malformed input is left to the first simulation's checks.  A
-    # shape that does not fit raises its CapacityError here, as the
+    # A shape that does not fit raises its CapacityError here, as the
     # first simulation would.
     services = (plans.service_times(workload)
-                if dispatch == "round-robin"
-                and 0 < trace.size == workload.n_requests else None)
+                if dispatch == "round-robin" else None)
     # Every probe folds into this one buffer (untouched, so free,
     # when nothing is probed).
     scratch = np.empty(trace.size)
@@ -451,8 +450,8 @@ def replicas_needed(estimator: LiaEstimator,
                 trace, services, k, bound_limit, scratch):
             return math.inf, None
         report = cast(ScaleOutReport, MultiReplicaSimulator(
-            estimator, k, dispatch=dispatch).run(workload, trace,
-                                                 _plans=plans))
+            estimator, k, dispatch=dispatch)._run(workload, trace, None,
+                                                  plans))
         return report.latency_percentile(0.95), report
 
     low = high = 1

@@ -42,6 +42,7 @@ from repro.models.workload import InferenceRequest, RequestPoints
 from repro.models.zoo import get_model
 from repro.telemetry import Telemetry, activate
 from tests.oracles import eq1_scalar
+from tests.oracles.differentials import check_candidate_scores
 
 MODELS = {
     "opt-30b": get_model("opt-30b"),
@@ -332,14 +333,10 @@ def test_every_candidate_score_matches_scalar_scan(
         weights_resident):
     """All 64 scores of the prefix-fold kernel, not only the winner,
     equal the scalar scan's serial layer times as uint64s."""
-    args = (MODELS[model], stage, batch, length, SYSTEMS[system],
-            CONFIGS[config])
-    terms = layer_terms(*args, kv_resident=kv_resident)
-    scores = candidate_scores(terms, weights_resident)
-    assert scores.shape == (64,)
-    expected = eq1_scalar.candidate_scores(
-        *args, weights_resident=weights_resident, kv_resident=kv_resident)
-    assert np.array_equal(_bits(scores), _bits(expected))
+    check_candidate_scores(MODELS[model], stage, batch, length,
+                           SYSTEMS[system], CONFIGS[config],
+                           kv_resident=kv_resident,
+                           weights_resident=weights_resident)
 
 
 @pytest.mark.parametrize("stage", list(Stage), ids=lambda s: s.value)

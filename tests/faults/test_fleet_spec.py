@@ -216,10 +216,13 @@ def test_replica_fault_from_dict_unknown_kind_lists_known():
 
 
 def test_load_fleet_scenario_json_round_trip(tmp_path):
-    scenario = get_fleet_scenario("bursty-chaos")
-    path = tmp_path / "chaos.json"
-    path.write_text(json.dumps(fleet_to_dict(scenario)))
-    assert load_fleet_scenario(str(path)) == scenario
+    """Every built-in scenario dumps as strict JSON and loads back
+    equal."""
+    for name, scenario in builtin_fleet_scenarios().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(fleet_to_dict(scenario),
+                                   allow_nan=False))
+        assert load_fleet_scenario(str(path)) == scenario, name
 
 
 def test_load_fleet_scenario_missing_file_is_one_line(tmp_path):

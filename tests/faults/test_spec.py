@@ -9,6 +9,7 @@ from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy,
                                event_from_dict, load_scenario,
                                scenario_from_dict, scenario_to_dict)
+from repro.faults.scenarios import builtin_scenarios
 from tests.oracles.fifo_loop import rng_for
 
 
@@ -123,6 +124,14 @@ def test_dict_round_trip():
         admission=AdmissionPolicy(max_queue_depth=8, max_deferrals=2),
         chunks_per_request=4)
     assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+
+
+def test_every_builtin_scenario_round_trips_through_strict_json(tmp_path):
+    for name, scenario in builtin_scenarios().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario),
+                                   allow_nan=False))
+        assert load_scenario(str(path)) == scenario, name
 
 
 @pytest.mark.parametrize("data,fragment", [

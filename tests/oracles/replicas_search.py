@@ -23,7 +23,7 @@ from repro.models.workload import InferenceRequest
 from repro.serving.degradation import PlanTable
 from repro.serving.replicas import (MultiReplicaSimulator, ScaleOutReport,
                                     _over_slo_message)
-from repro.serving.simulator import validate_arrivals
+from repro.serving.simulator import validate_stream
 from repro.serving.vectorized import WorkloadVector
 
 
@@ -40,17 +40,15 @@ def replicas_needed_exhaustive(
     if max_replicas < 1:
         raise ConfigurationError(
             f"max_replicas must be >= 1, got {max_replicas}")
-    workload = (requests if isinstance(requests, WorkloadVector)
-                else WorkloadVector.from_requests(requests))
-    trace = validate_arrivals(arrivals)
+    workload, trace = validate_stream(requests, arrivals)
     plans = PlanTable(estimator)
     probed: List[int] = []
 
     def evaluate(k: int) -> Tuple[float, ScaleOutReport]:
         probed.append(k)
         report = MultiReplicaSimulator(
-            estimator, k, dispatch=dispatch).run(workload, trace,
-                                                 _plans=plans)
+            estimator, k, dispatch=dispatch)._run(workload, trace, None,
+                                                  plans)
         return report.latency_percentile(0.95), report
 
     low = high = 1

@@ -24,6 +24,7 @@ from repro.serving.replicas import _bound_misses, backlog_bound
 from repro.serving.simulator import (DEFAULT_EXACT_PERCENTILE_LIMIT,
                                      ServingReport, nearest_rank)
 from repro.telemetry.metrics import StreamingHistogram
+from tests.oracles.differentials import check_capacity_search
 from tests.oracles.replicas_search import (fleet_size_summary,
                                            replicas_needed_exhaustive)
 
@@ -172,13 +173,13 @@ def _count_runs(monkeypatch):
     import repro.serving.replicas as replicas_module
 
     simulated = []
-    original_run = replicas_module.MultiReplicaSimulator.run
+    original_run = replicas_module.MultiReplicaSimulator._run
 
     def counting_run(self, *args, **kwargs):
         simulated.append(self.n_replicas)
         return original_run(self, *args, **kwargs)
 
-    monkeypatch.setattr(replicas_module.MultiReplicaSimulator, "run",
+    monkeypatch.setattr(replicas_module.MultiReplicaSimulator, "_run",
                         counting_run)
     return simulated
 
@@ -192,28 +193,11 @@ def _count_runs(monkeypatch):
     (DEFAULT_EXACT_PERCENTILE_LIMIT + 40_000, 1.6, 5, 60.0,
      "round-robin"),
 ])
-def test_search_matches_exhaustive_oracle(estimator, monkeypatch, n,
-                                          rate, seed, slo, dispatch):
+def test_search_matches_exhaustive_oracle(estimator, n, rate, seed, slo,
+                                          dispatch):
     workload = WorkloadVector.sample_mix(SHAPES, n, seed=seed)
     arrivals = np.asarray(arrivals_poisson(n, rate, seed=seed + 100))
-    oracle_k, oracle, probed = replicas_needed_exhaustive(
-        estimator, workload, arrivals, slo, dispatch=dispatch)
-    simulated = _count_runs(monkeypatch)
-    k, report = replicas_needed(estimator, workload, arrivals, slo,
-                                dispatch=dispatch)
-    assert k == oracle_k
-    assert fleet_size_summary(report) == fleet_size_summary(oracle)
-    assert oracle.streaming_percentiles == (
-        n > DEFAULT_EXACT_PERCENTILE_LIMIT)
-    # Only probed sizes are simulated, each once, the answer always.
-    assert set(simulated) <= set(probed)
-    assert len(simulated) == len(set(simulated))
-    assert k in simulated
-    if dispatch == "least-loaded":
-        assert simulated == probed
-    elif k > 1:
-        # Overloaded sizes are settled by the bound.
-        assert len(simulated) < len(probed)
+    check_capacity_search(estimator, workload, arrivals, slo, dispatch)
 
 
 @pytest.mark.parametrize("k_slo", [1, 5, 12])

@@ -23,15 +23,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import LiaConfig
 from repro.core.estimator import LiaEstimator
-from repro.errors import CapacityError, ConfigurationError
-from repro.faults.scenarios import builtin_scenarios, get_scenario
+from repro.errors import ConfigurationError
+from repro.faults.scenarios import get_scenario
 from repro.faults.spec import (AdmissionPolicy, FaultEvent, FaultKind,
                                FaultScenario, RetryPolicy)
 from repro.hardware.system import get_system
 from repro.models.workload import InferenceRequest
 from repro.models.zoo import get_model
-from repro.serving import (MultiReplicaSimulator, ScaleOutReport,
-                           ServingReport, ServingSimulator,
+from repro.serving import (MultiReplicaSimulator, ServingReport,
+                           ServingSimulator,
                            WorkloadVector, arrivals_poisson,
                            lindley_timeline, run_fifo)
 from repro.serving import piecewise
@@ -40,13 +40,14 @@ from repro.serving.piecewise import _apply_stall_ops, _stall_outcomes
 from repro.telemetry.runtime import Telemetry, activate
 from repro.telemetry.timeseries import (fleet_timeseries,
                                         timeseries_from_report)
-from tests.oracles.fifo_loop import (LoopReport, admit, loop_timeseries,
+from tests.oracles.differentials import (DEGRADED_SHAPES as SHAPES,
+                                         assert_parity,
+                                         check_preset_parity,
+                                         check_unfit_shape, composite,
+                                         degraded_presets)
+from tests.oracles.fifo_loop import (admit, loop_timeseries,
                                      run_admission_sequential,
-                                     run_degraded, run_fleet_loop,
-                                     transfer_penalty)
-
-SHAPES = [InferenceRequest(8, 512, 64), InferenceRequest(4, 256, 32),
-          InferenceRequest(1, 128, 16)]
+                                     run_degraded, transfer_penalty)
 
 
 @pytest.fixture
@@ -69,43 +70,13 @@ def _run_both(simulator, workload, arrivals, scenario):
     return loop, vec
 
 
-def _assert_parity(loop, vec):
-    """Every bit-comparable surface of the two reports."""
-    assert isinstance(loop, LoopReport)
-    assert isinstance(vec, ServingReport)
-    assert vec.arrivals.tolist() == [r.arrival for r in loop.served]
-    assert vec.starts.tolist() == [r.start for r in loop.served]
-    assert vec.finishes.tolist() == [r.finish for r in loop.served]
-    assert vec.served_index.tolist() == list(loop.served_index)
-    assert vec.dropped_index.tolist() == list(loop.dropped_index)
-    assert [d.arrival for d in vec.dropped] == \
-        [d.arrival for d in loop.dropped]
-    assert [d.reason for d in vec.dropped] == \
-        [d.reason for d in loop.dropped]
-    assert [d.request for d in vec.dropped] == \
-        [d.request for d in loop.dropped]
-    assert vec.stats.as_dict() == loop.stats.as_dict()
-    assert vec.n_offered == loop.n_offered
-    assert vec.drop_rate == loop.drop_rate
-    assert vec.makespan == loop.makespan
-    assert vec.mean_queue_delay == loop.mean_queue_delay
-    if loop.served:
-        assert vec.utilization == loop.utilization
-        for fraction in (0.25, 0.5, 0.95, 0.99, 1.0):
-            assert vec.latency_percentile(fraction) == \
-                loop.latency_percentile(fraction)
-
-
 # ----------------------------------------------------------------------
-# Tentpole: every built-in preset is bit-identical across engines
+# Tentpole: every preset is bit-identical across engines (2,000
+# requests each: ``lanes/``)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+@pytest.mark.parametrize("name", sorted(degraded_presets(1.0)))
 def test_presets_bit_identical(simulator, name):
-    scenario = get_scenario(name)
-    workload = _workload(300, seed=3)
-    arrivals = arrivals_poisson(300, 2.0, seed=3)
-    loop, vec = _run_both(simulator, workload, arrivals, scenario)
-    _assert_parity(loop, vec)
+    check_preset_parity(simulator.estimator, name, 300, 2.0, 3, 4)
 
 
 def _telemetry_rows(telemetry):
@@ -163,7 +134,7 @@ def test_window_edges_exactly_on_arrivals(simulator):
         ),
         chunks_per_request=6)
     loop, vec = _run_both(simulator, workload, arrivals, scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
 
 
 def test_near_zero_windows_bit_identical(simulator):
@@ -183,7 +154,7 @@ def test_near_zero_windows_bit_identical(simulator):
         ),
         chunks_per_request=4)
     loop, vec = _run_both(simulator, workload, arrivals, scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
 
 
 def test_zero_length_windows_are_unconstructible():
@@ -231,7 +202,7 @@ def test_overlapping_windows_fuzz_bit_identity(simulator, seed):
     workload = _workload(n, seed=seed)
     scenario = _fuzz_scenario(seed)
     loop, vec = _run_both(simulator, workload, arrivals, scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
 
 
 def test_backlog_carries_across_boundary(simulator):
@@ -249,7 +220,7 @@ def test_backlog_carries_across_boundary(simulator):
                            duration=base_latency * 3.0,
                            magnitude=0.25),))
     loop, vec = _run_both(simulator, workload, arrivals, scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
     # The window outlives fewer than all 30 burst requests, so some
     # started degraded and some healthy: both plans were exercised.
     assert vec.stats.policy_resolves > 0
@@ -287,7 +258,7 @@ def test_resolve_matches_the_oracle_planner():
                             SHRINK_AND_SHIFT)
     with activate(t_vec):
         vec = run_fifo(estimator, workload, arrivals, SHRINK_AND_SHIFT)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
     assert vec.stats.batch_shrinks > 0 and vec.stats.policy_shifts > 0
     assert vec.stats.transfer_stalls > 0
     shrinks = [[(s.name, s.start, s.args) for s in t.tracer.spans
@@ -295,26 +266,6 @@ def test_resolve_matches_the_oracle_planner():
     assert shrinks[0] == shrinks[1] and shrinks[0]
     assert _telemetry_rows(t_loop) == _telemetry_rows(t_vec)
     assert _span_set(t_loop) == _span_set(t_vec)
-
-
-#: The composite schedule of perfbench's serve-faults workload: (kind,
-#: start, duration, magnitude), start and duration as fractions of the
-#: trace.
-COMPOSITE_WINDOWS = (("pcie-downshift", 0.06, 0.20, 0.6),
-                     ("gpu-hbm-pressure", 0.22, 0.18, 0.35),
-                     ("pcie-stall", 0.33, 0.03, 0.05),
-                     ("cxl-contention", 0.55, 0.20, 0.55),
-                     ("cpu-preemption", 0.80, 0.10, 0.3))
-
-
-def _composite(horizon):
-    return FaultScenario(
-        name="composite", seed=7, chunks_per_request=12,
-        events=tuple(FaultEvent(FaultKind(kind), start=start * horizon,
-                                duration=duration * horizon,
-                                magnitude=magnitude)
-                     for kind, start, duration, magnitude
-                     in COMPOSITE_WINDOWS))
 
 
 #: A 64-deep queue that the capacity mix at rho ~ 0.95 saturates.
@@ -338,9 +289,9 @@ def test_block_cap_splits_keep_parity(simulator, monkeypatch, name,
     workload = _workload(n, seed=5)
     arrivals = arrivals_poisson(n, 0.14, seed=5)
     scenario = replace(get_scenario(name) if name == "gpu-pressure"
-                       else _composite(arrivals[-1]), admission=admission)
+                       else composite(arrivals[-1]), admission=admission)
     loop, vec = _run_both(simulator, workload, arrivals, scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
     assert vec.n_served + len(vec.dropped) == n
 
 
@@ -356,9 +307,9 @@ def test_composite_at_scale_matches_loop(simulator, admission):
               InferenceRequest(1, 512, 32), InferenceRequest(8, 256, 32)]
     workload = WorkloadVector.sample_mix(shapes, n, seed=0)
     arrivals = arrivals_poisson(n, 0.21, seed=0)
-    scenario = replace(_composite(arrivals[-1]), admission=admission)
+    scenario = replace(composite(arrivals[-1]), admission=admission)
     loop, vec = _run_both(simulator, workload, arrivals, scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
     assert vec.stats.transfer_stalls > 0
     assert bool(vec.dropped) == admission.enabled
 
@@ -540,7 +491,7 @@ def test_shed_requests_never_inflate_later_probes(simulator):
     vec = run_fifo(simulator.estimator,
                    WorkloadVector.from_requests(requests), arrivals,
                    scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -860,7 +811,7 @@ def test_run_vectorized_true_is_honored_under_scenario(simulator):
                                 scenario=scenario)
     loop = run_degraded(_fresh(simulator), workload.to_requests(),
                         arrivals, scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
 
 
 def test_run_columnar_workload_takes_piecewise_engine(simulator):
@@ -887,7 +838,7 @@ def test_run_auto_vectorize_threshold_applies_to_degraded(simulator):
         requests = workload.to_requests()[:n]
         loop = run_degraded(_fresh(simulator), requests, arrivals[:n],
                             scenario)
-        _assert_parity(loop, _fresh(simulator).run(
+        assert_parity(loop, _fresh(simulator).run(
             requests, arrivals[:n], scenario=scenario))
         healthy = _fresh(simulator).run(requests, arrivals[:n])
         assert healthy.stats is None and healthy.dropped_index is None
@@ -899,17 +850,7 @@ def test_run_auto_vectorize_threshold_applies_to_degraded(simulator):
 @pytest.mark.parametrize("name", ["gpu-pressure", "pcie-flaky",
                                   "noisy-neighbor"])
 def test_fleet_degraded_engines_bit_identical(simulator, name):
-    scenario = get_scenario(name)
-    workload = _workload(200, seed=6)
-    arrivals = arrivals_poisson(200, 3.0, seed=6)
-    loop_fleet = run_fleet_loop(_fresh(simulator), workload, arrivals,
-                                scenario, 4)
-    vec_fleet = MultiReplicaSimulator(simulator.estimator, 4).run(
-        workload, arrivals, scenario=scenario)
-    assert isinstance(vec_fleet, ScaleOutReport)
-    _assert_parity(loop_fleet, vec_fleet)
-    assert vec_fleet.stats.as_dict() == loop_fleet.stats.as_dict()
-    assert vec_fleet.n_dropped == len(loop_fleet.dropped)
+    check_preset_parity(simulator.estimator, name, 200, 3.0, 6, 4)
 
 
 def test_fleet_single_replica_matches_single_server(simulator):
@@ -945,25 +886,7 @@ def test_unfit_shape_raises_before_admission_sheds_it():
     """A shape too large for the healthy platform fails the stream
     with one error at the API boundary, in every engine and the loop
     oracle alike, even when admission would shed its request."""
-    estimator = LiaEstimator(get_model("opt-175b"), get_system("spr-a100"))
-    requests = [InferenceRequest(1, 128, 8), InferenceRequest(2048, 2048, 8)]
-    arrivals = [0.0, 0.0]
-    scenario = FaultScenario(
-        name="capacity",
-        admission=AdmissionPolicy(max_queue_depth=1, max_deferrals=1))
-    messages = []
-    for run in (
-            lambda: ServingSimulator(estimator).run(requests, arrivals,
-                                                    scenario=scenario),
-            lambda: run_degraded(ServingSimulator(estimator), requests,
-                                 arrivals, scenario),
-            lambda: MultiReplicaSimulator(estimator, 2).run(
-                requests, arrivals, scenario=scenario)):
-        with pytest.raises(CapacityError) as error:
-            run()
-        messages.append(str(error.value))
-    assert messages == [
-        "spr-a100: DDR needs 19213.2 GiB but has 512.0 GiB"] * 3
+    check_unfit_shape(2)
 
 
 # ----------------------------------------------------------------------
@@ -1007,7 +930,7 @@ def test_timeseries_engine_invariant_with_drops(simulator):
     workload = _workload(200, seed=14)
     arrivals = arrivals_poisson(200, 3.0, seed=14)
     loop, vec = _run_both(simulator, workload, arrivals, scenario)
-    _assert_parity(loop, vec)
+    assert_parity(loop, vec)
     series_loop = loop_timeseries(loop, n_windows=24)
     series_vec = timeseries_from_report(vec, n_windows=24)
     for channel in ("arrived", "started", "finished", "queue_depth",

@@ -241,13 +241,13 @@ def test_replicas_needed_simulates_each_fleet_size_once(estimator,
     import repro.serving.replicas as replicas_module
 
     evaluated = []
-    original_run = replicas_module.MultiReplicaSimulator.run
+    original_run = replicas_module.MultiReplicaSimulator._run
 
     def counting_run(self, *args, **kwargs):
         evaluated.append(self.n_replicas)
         return original_run(self, *args, **kwargs)
 
-    monkeypatch.setattr(replicas_module.MultiReplicaSimulator, "run",
+    monkeypatch.setattr(replicas_module.MultiReplicaSimulator, "_run",
                         counting_run)
     workload = _workload(150, seed=4)
     arrivals = arrivals_poisson(150, 2.0, seed=4)

@@ -1,9 +1,7 @@
 """Chrome trace and metric-dump exporters, checked against the
 schema validator CI uses (scripts/validate_trace.py)."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
@@ -14,20 +12,9 @@ from repro.telemetry.export import (build_chrome_trace, render_metrics,
                                     write_metrics_json)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Span
+from tests.oracles import cli_smokes
 
-_VALIDATOR_PATH = (Path(__file__).resolve().parents[2] / "scripts"
-                   / "validate_trace.py")
-
-
-def _load_validator():
-    spec = importlib.util.spec_from_file_location("validate_trace",
-                                                  _VALIDATOR_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-validate_trace = _load_validator()
+validate_trace = cli_smokes.validator()
 
 
 def _spans():

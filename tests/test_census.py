@@ -124,3 +124,49 @@ def test_check_fails_on_stale_knob_entries(toy):
                                   "toy/mod.py:window.width")
                for problem in problems)
     assert len(problems) == 5
+
+
+@pytest.fixture(scope="module")
+def witness():
+    """``witness_problem`` for one knob of the real package."""
+    defs, knobs = census.package_census()
+    knobs = {knob.key: knob for knob in knobs}
+    defs = {d.key: d for d in defs}
+    classes = census.dataclass_fields()
+    return lambda key, reason, witness: census.witness_problem(
+        knobs[key], reason, witness, defs, classes)
+
+
+@pytest.mark.parametrize("key, reason, spelled", [
+    # a field of the loader's spec class
+    ("repro/workloads/spec.py:TraceSpec.sigma", "spec",
+     "repro/workloads/spec.py:load_trace"),
+    # a field of a dataclass nested in it
+    ("repro/faults/fleet.py:HealthPolicy.failure_threshold", "spec",
+     "repro/faults/fleet.py:load_fleet_scenario"),
+    # the knob's annotated type
+    ("repro/serving/planner.py:choose_system.scenario", "spec",
+     "repro/faults/spec.py:load_scenario"),
+    ("repro/experiments/ext_kv_tiering.py:run.model", "sweep",
+     "repro/experiments/ext_kv_tiering.py:run"),
+])
+def test_witness_that_reaches_its_knob_holds(witness, key, reason,
+                                             spelled):
+    assert witness(key, reason, spelled) == ""
+
+
+@pytest.mark.parametrize("key, reason, spelled", [
+    # a def that loads no spec
+    ("repro/workloads/spec.py:TraceSpec.sigma", "spec",
+     "repro/cli.py:main"),
+    # a loader whose spec class does not declare the knob
+    ("repro/workloads/spec.py:TraceSpec.sigma", "spec",
+     "repro/faults/spec.py:load_scenario"),
+    # a driver, but not the knob's own
+    ("repro/experiments/ext_kv_tiering.py:run.model", "sweep",
+     "repro/experiments/goldens.py:golden_dir"),
+])
+def test_witness_that_misses_its_knob_fails(witness, key, reason,
+                                            spelled):
+    assert witness(key, reason, spelled).startswith(
+        f"{reason} witness does not hold: {key}")

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from tests.oracles import cli_smokes
+from tests.oracles.cli_smokes import validate_trace_file
 
 
 def test_models_listing(capsys):
@@ -116,29 +118,15 @@ def test_unknown_names_exit_nonzero_with_one_line_error(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
-def _load_trace_validator():
-    import importlib.util
-    from pathlib import Path
-
-    path = (Path(__file__).resolve().parents[1] / "scripts"
-            / "validate_trace.py")
-    spec = importlib.util.spec_from_file_location("validate_trace", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_trace_engine_mode_writes_valid_trace(capsys, tmp_path):
     import json
 
-    out = tmp_path / "run.trace.json"
-    assert main(["trace", "--model", "opt-tiny", "--decode-policy",
-                 "011000", "--input-len", "4", "--output-len", "2",
-                 "--out", str(out)]) == 0
+    out = cli_smokes.check_trace(tmp_path, "--model", "opt-tiny",
+                                 "--decode-policy", "011000",
+                                 "--input-len", "4", "--output-len", "2")
     printed = capsys.readouterr().out
     assert "PCIe bytes" in printed
     assert "pcie.bytes" in printed
-    assert _load_trace_validator().validate_trace_file(out) == []
     metrics_path = tmp_path / "run.metrics.json"
     assert metrics_path.exists()
     document = json.loads(metrics_path.read_text())
@@ -149,20 +137,16 @@ def test_trace_engine_mode_writes_valid_trace(capsys, tmp_path):
 
 
 def test_trace_serving_mode(capsys, tmp_path):
-    out = tmp_path / "serving.trace.json"
-    assert main(["trace", "--mode", "serving", "--model", "opt-30b",
-                 "--requests", "4", "--out", str(out)]) == 0
+    cli_smokes.check_trace(tmp_path, "--mode", "serving", "--model",
+                           "opt-30b", "--requests", "4")
     assert "served 4 requests" in capsys.readouterr().out
-    assert _load_trace_validator().validate_trace_file(out) == []
 
 
 def test_trace_schedule_mode(capsys, tmp_path):
-    out = tmp_path / "schedule.trace.json"
-    assert main(["trace", "--mode", "schedule", "--model", "opt-30b",
-                 "--batch", "64", "--input-len", "256",
-                 "--out", str(out)]) == 0
+    cli_smokes.check_trace(tmp_path, "--mode", "schedule", "--model",
+                           "opt-30b", "--batch", "64", "--input-len",
+                           "256")
     assert "makespan" in capsys.readouterr().out
-    assert _load_trace_validator().validate_trace_file(out) == []
 
 
 def test_trace_engine_rejects_large_models(capsys, tmp_path):
@@ -172,19 +156,11 @@ def test_trace_engine_rejects_large_models(capsys, tmp_path):
 
 
 def test_sweep(capsys, tmp_path):
-    out_json = tmp_path / "sweep.json"
-    assert main(["sweep", "--model", "opt-30b", "--system", "spr-a100",
-                 "--batches", "1", "16", "--input-lens", "32",
-                 "--output-lens", "8", "--json", str(out_json)]) == 0
+    rows = cli_smokes.check_sweep(tmp_path, [1, 16], [32], [8])
     out = capsys.readouterr().out
     assert "2 grid points" in out  # 2 batches x 1 len x 1 len
     assert "opt-30b on spr-a100" in out
-    import json
-
-    payload = json.loads(out_json.read_text())
-    assert payload["model"] == "opt-30b"
-    assert len(payload["rows"]) == 2
-    assert all(row["latency_s"] > 0 for row in payload["rows"])
+    assert all(row["latency_s"] > 0 for row in rows)
 
 
 def test_faults_list_presets(capsys):
@@ -206,10 +182,11 @@ def test_faults_preset_run_writes_trace_and_report(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "scenario noisy-neighbor" in out
     assert "fault events" in out
-    assert _load_trace_validator().validate_trace_file(trace) == []
+    assert validate_trace_file(trace) == []
     payload = json.loads(report.read_text())
     assert payload["scenario"]["name"] == "noisy-neighbor"
     assert payload["fault_stats"]["policy_resolves"] > 0
+    assert sum(payload["fault_stats"].values()) > 0
     assert payload["percentiles"]["p99"] >= payload["percentiles"]["p50"]
     metrics = json.loads((tmp_path / "faults.metrics.json").read_text())
     names = {row["metric"] for row in metrics["metrics"]}
@@ -229,23 +206,21 @@ def test_faults_scenario_file(capsys, tmp_path):
     assert "scenario file-scenario" in capsys.readouterr().out
 
 
-def test_faults_without_scenario_matches_fault_free(capsys):
+def test_faults_without_scenario_matches_fault_free(capsys, tmp_path):
     """No scenario: the faults command takes the plain serving path
     and reports the exact fault-free numbers."""
-    assert main(["faults", "--requests", "6"]) == 0
+    plain_json = cli_smokes.run_json(tmp_path, "free.json", "faults",
+                                     "--requests", "6")
     plain = capsys.readouterr().out
     assert "(fault-free)" in plain
     assert "fault events" not in plain
     # Idle scenario file: same numbers, bit for bit.
-    import json
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".json",
-                                     delete=False) as handle:
-        json.dump({"name": "armed-idle", "seed": 1, "events": []},
-                  handle)
-        path = handle.name
-    assert main(["faults", "--scenario", path, "--requests", "6"]) == 0
+    path = tmp_path / "idle-scenario.json"
+    path.write_text('{"name": "armed-idle", "seed": 1, "events": []}')
+    idle_json = cli_smokes.run_json(tmp_path, "idle.json", "faults",
+                                    "--scenario", str(path),
+                                    "--requests", "6")
+    assert plain_json["served"] == idle_json["served"]
     idle = capsys.readouterr().out
     strip = lambda text: [line for line in text.splitlines()
                           if line.lstrip().startswith(("p50", "p95",
@@ -255,33 +230,14 @@ def test_faults_without_scenario_matches_fault_free(capsys):
 
 
 def test_monitor_writes_all_exports(capsys, tmp_path):
-    import json
-
-    trace = tmp_path / "monitor.trace.json"
-    csv_path = tmp_path / "monitor.csv"
-    html = tmp_path / "monitor.html"
-    report = tmp_path / "monitor.json"
-    assert main(["monitor", "--model", "opt-30b",
-                 "--num-requests", "400", "--rate", "0.2",
-                 "--windows", "32", "--out", str(trace),
-                 "--csv", str(csv_path), "--html", str(html),
-                 "--json", str(report)]) == 0
+    cli_smokes.check_monitor(tmp_path, 400, 32)
     out = capsys.readouterr().out
     assert "monitored 400 requests" in out
     assert "SLO threshold" in out and "auto: 1.25 x p95" in out
-    assert _load_trace_validator().validate_trace_file(trace) == []
-    trace_doc = json.loads(trace.read_text())
-    counter_names = {event["name"]
-                     for event in trace_doc["traceEvents"]
-                     if event.get("ph") == "C"}
-    assert "serving.queue_depth" in counter_names
-    assert html.read_text().startswith("<!DOCTYPE html>")
-    lines = csv_path.read_text().splitlines()
-    assert len(lines) == 2 + 32  # title comment + header + windows
-    payload = json.loads(report.read_text())
-    assert payload["monitoring"]["total_requests"] == 400
-    assert len(payload["monitoring"]["burn_long"]) == 32
-    assert payload["series"]["n_windows"] == 32
+
+
+def test_monitor_fleet_dashboard_lists_every_replica(tmp_path):
+    cli_smokes.check_monitor_fleet(tmp_path, 400)
 
 
 def test_monitor_preset_attributes_alerts(capsys):
@@ -350,18 +306,12 @@ def test_serve_fixed_fleet(capsys):
     assert "per-replica" in out
 
 
-def test_serve_json_payload(capsys, tmp_path):
-    import json
-
-    path = tmp_path / "serve.json"
-    assert main(["serve", "--num-requests", "150", "--rate", "0.3",
-                 "--shape", "1,128,16", "--shape", "8,256,32",
-                 "--json", str(path)]) == 0
-    payload = json.loads(path.read_text())
+def test_serve_json_payload(tmp_path):
+    payload = cli_smokes.check_serve(
+        tmp_path, "--num-requests", "150", "--rate", "0.3", "--shape",
+        "1,128,16", "--shape", "8,256,32")
     assert payload["num_requests"] == 150
     assert payload["shapes"] == [[1, 128, 16], [8, 256, 32]]
-    assert payload["percentiles"]["p99"] >= payload["percentiles"]["p50"]
-    assert 0.0 < payload["utilization"] <= 1.0
     assert payload["replica_utilizations"]
 
 
@@ -399,12 +349,34 @@ def test_serve_bad_shape_is_clean_error(capsys):
 @pytest.mark.parametrize("flag", ["--chaos", "--trace"])
 def test_fleet_malformed_spec_file_is_one_line_error(capsys, tmp_path,
                                                      flag):
-    pytest.importorskip("yaml")
+    """Without PyYAML the error says so, on one line too."""
     path = tmp_path / "bad.yaml"
     path.write_text("name: x\nfaults: [ {kind: replica-crash\n")
     assert main(["fleet", flag, str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "not valid YAML" in err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    try:
+        import yaml  # noqa: F401
+    except ImportError:
+        assert "PyYAML is not installed" in err
+    else:
+        assert "not valid YAML" in err
+
+
+@pytest.mark.parametrize("flag, what", [("--trace", "trace spec"),
+                                        ("--chaos", "fleet scenario")])
+@pytest.mark.parametrize("path", ["nope.json", "nope.yml",
+                                  "specs/nope"])
+def test_fleet_missing_spec_file_is_a_read_error(capsys, tmp_path,
+                                                 monkeypatch, flag, what,
+                                                 path):
+    """A spec suffix or a directory separator marks a file: a missing
+    one is a read error, not an unknown preset name."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["fleet", flag, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} '{path}': ")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -417,20 +389,17 @@ def test_fleet_list_presets(capsys):
 
 
 def test_fleet_preset_run_writes_json(capsys, tmp_path):
-    import json
-
-    payload_path = tmp_path / "fleet.json"
-    assert main(["fleet", "--preset", "replica-crash",
-                 "--num-requests", "300",
-                 "--json", str(payload_path)]) == 0
+    """Failover is load-bearing (2,000 requests: ``lanes/``)."""
+    cli_smokes.check_fleet_failover(tmp_path, 300)
     out = capsys.readouterr().out
     assert "served/dropped" in out
     assert "availability" in out
-    payload = json.loads(payload_path.read_text())
-    assert payload["n_served"] + payload["n_dropped"] \
-        == payload["n_offered"]
-    assert payload["scenario"] == "replica-crash"
-    assert len(payload["replica_counts"]) >= 1
+
+
+@pytest.mark.parametrize("check", cli_smokes.CONTINUOUS_SMOKES,
+                         ids=lambda check: check.__name__)
+def test_continuous_scheduler_smokes(tmp_path, check):
+    check(tmp_path, 200)
 
 
 def test_fleet_chaos_file_override(capsys, tmp_path):

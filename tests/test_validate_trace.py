@@ -1,35 +1,26 @@
 """scripts/validate_trace.py — counter-track ("C") schema checks.
 
 The validator is stdlib-only and lives outside the package, so it is
-loaded by file path (the same pattern tests/test_cli.py uses).  The
+loaded by file path (``tests.oracles.cli_smokes.validator``).  The
 golden trace under tests/data/ pins the accepted shape of a
 span+counter trace; the mutation tests pin each rejection rule.
 """
 
 import copy
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from tests.oracles import cli_smokes
+
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden_counter.trace.json"
 
 
-def _load_validator():
-    path = (Path(__file__).resolve().parents[1] / "scripts"
-            / "validate_trace.py")
-    spec = importlib.util.spec_from_file_location("validate_trace",
-                                                  path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def validator():
-    return _load_validator()
+    return cli_smokes.validator()
 
 
 @pytest.fixture

@@ -137,10 +137,13 @@ def test_round_trip_preserves_custom_fields():
 
 
 def test_load_trace_json_round_trip(tmp_path):
-    spec = get_trace("diurnal").scaled(99)
-    path = tmp_path / "trace.json"
-    path.write_text(json.dumps(trace_to_dict(spec)))
-    assert load_trace(str(path)) == spec
+    """Every preset, and a scaled one, dumps as strict JSON and loads
+    back equal."""
+    specs = {**builtin_traces(), "scaled": get_trace("diurnal").scaled(99)}
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(trace_to_dict(spec), allow_nan=False))
+        assert load_trace(str(path)) == spec, name
 
 
 def test_load_trace_missing_file_is_one_line(tmp_path):
