@@ -35,9 +35,10 @@ each checked against its witness:
   which ``repro/cli.py`` must define;
 - ``spec``    a spec file or preset sets it through ``repro.specs``;
   the witness is the loader's ``path:qualname``, whose return
-  annotation names a spec dataclass that declares the knob: as its
-  own field or a field of a dataclass its fields name (transitively),
-  or as the knob's annotated type;
+  annotation names the spec dataclasses (and, transitively, those
+  their fields name).  A dataclass field's own class must be one of
+  them; a parameter must share a name with one of their fields or
+  have one of them as its annotated type;
 - ``sweep``   a driver grid parameter that tests and perfbench narrow;
   the witness is the knob's own driver, ``path:qualname`` under
   ``repro/experiments``;
@@ -167,12 +168,18 @@ def _stored_attributes(trees: List[ast.AST]) -> Set[str]:
     return names
 
 
-def package_census(package: Path = PACKAGE,
-                   src: Path = SRC) -> Tuple[List[Def], List[Knob]]:
-    """Every function and method defined under ``package``, and every
-    defaulted parameter and dataclass field that is not state."""
+#: ``{path:qualname: {field: annotation source}}`` of every dataclass.
+Classes = Dict[str, Dict[str, str]]
+
+
+def package_census(package: Path = PACKAGE, src: Path = SRC
+                   ) -> Tuple[List[Def], List[Knob], Classes]:
+    """Every function and method defined under ``package``, every
+    defaulted parameter and dataclass field that is not state, and
+    every dataclass's fields."""
     defs: List[Def] = []
     knobs: List[Knob] = []
+    classes: Classes = {}
     paths = sorted(package.rglob("*.py"))
     trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in paths]
@@ -205,6 +212,11 @@ def package_census(package: Path = PACKAGE,
                 elif isinstance(child, ast.ClassDef):
                     key = f"{rel}:{prefix}{child.name}"
                     if _is_dataclass(child):
+                        classes[key] = {
+                            stmt.target.id: _source(stmt.annotation)
+                            for stmt in child.body
+                            if isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)}
                         for stmt in child.body:
                             name = _field_knob(stmt)
                             if name and (_is_frozen(child)
@@ -217,37 +229,28 @@ def package_census(package: Path = PACKAGE,
                     walk(child, prefix, parent)
 
         walk(tree, "", "")
-    return defs, knobs
+    return defs, knobs, classes
 
 
-def dataclass_fields(package: Path = PACKAGE) -> Dict[str, Dict[str, str]]:
-    """Every dataclass under ``package`` by class name: its fields'
-    names and annotation sources."""
-    classes: Dict[str, Dict[str, str]] = {}
-    for path in sorted(package.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                classes.setdefault(node.name, {}).update(
-                    (stmt.target.id, _source(stmt.annotation))
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name))
-    return classes
+def _class_name(key: str) -> str:
+    return key.split(":", 1)[1].split(".")[-1]
 
 
-def _spec_classes(annotation: str, classes: Dict[str, Dict[str, str]]
-                  ) -> Dict[str, Dict[str, str]]:
-    """The dataclasses ``annotation`` names, and those their fields'
-    annotations name, transitively."""
-    reached: Dict[str, Dict[str, str]] = {}
+def _spec_classes(annotation: str, classes: Classes) -> Set[str]:
+    """The keys of the dataclasses ``annotation`` names, and of those
+    their fields' annotations name, transitively.  A name matches every
+    dataclass so named."""
+    by_name: Dict[str, List[str]] = defaultdict(list)
+    for key in classes:
+        by_name[_class_name(key)].append(key)
+    reached: Set[str] = set()
     pending = re.findall(r"\w+", annotation)
     while pending:
-        name = pending.pop()
-        if name in classes and name not in reached:
-            reached[name] = classes[name]
-            for field_annotation in classes[name].values():
-                pending += re.findall(r"\w+", field_annotation)
+        for key in by_name.get(pending.pop(), ()):
+            if key not in reached:
+                reached.add(key)
+                for field_annotation in classes[key].values():
+                    pending += re.findall(r"\w+", field_annotation)
     return reached
 
 
@@ -550,12 +553,11 @@ def read_allowlist(path: Path = ALLOWLIST) -> Dict[str, Tuple[str, str]]:
 
 
 def witness_problem(knob: Knob, reason: str, witness: str,
-                    defs: Dict[str, Def],
-                    classes: Dict[str, Dict[str, str]],
+                    defs: Dict[str, Def], classes: Classes,
                     root: Path = ROOT) -> str:
     """Why ``witness`` does not back ``knob``'s ``reason``, or ``""``.
     ``defs`` holds the package's defs by key, ``classes`` its
-    dataclasses' fields (:func:`dataclass_fields`)."""
+    dataclasses' fields (:func:`package_census`)."""
     def text(relative: str) -> str:
         path = root / relative
         return path.read_text("utf-8") if path.is_file() else ""
@@ -566,9 +568,12 @@ def witness_problem(knob: Knob, reason: str, witness: str,
     elif reason == "spec":
         loader = defs.get(witness)
         specs = _spec_classes(loader.returns if loader else "", classes)
-        ok = any(knob.param in fields for fields in specs.values()) or \
-            not specs.keys().isdisjoint(re.findall(r"\w+",
-                                                   knob.annotation))
+        if knob.owner in classes:  # a field: its own class is loaded
+            ok = knob.owner in specs
+        else:  # a parameter: a loaded field or its type is the spec's
+            ok = any(knob.param in classes[key] for key in specs) or \
+                not {_class_name(key) for key in specs}.isdisjoint(
+                    re.findall(r"\w+", knob.annotation))
     elif reason == "sweep":
         ok = witness == knob.owner and \
             witness.startswith("repro/experiments/")
@@ -584,9 +589,8 @@ def witness_problem(knob: Knob, reason: str, witness: str,
 
 def check(defs: List[Def], missed: List[Def], knobs: List[Knob],
           status: Dict[str, str], allowed: Dict[str, Tuple[str, str]],
-          root: Path = ROOT) -> List[str]:
+          classes: Classes, root: Path = ROOT) -> List[str]:
     defs_by_key = {d.key: d for d in defs}
-    classes = dataclass_fields(root / "src" / "repro")
     missed_keys = {d.key for d in missed}
     by_key = {knob.key: knob for knob in knobs}
     problems = [f"unreached and not allowlisted: {d.key} ({d.lines} lines)"
@@ -620,7 +624,7 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(entry) for entry in IMPORT_ROOTS
                     if str(entry) not in sys.path]
-    defs, knobs = package_census()
+    defs, knobs, classes = package_census()
     run = profiled_run(SURFACE, knobbed_code(defs, knobs))
     missed = unreached(defs, run.reached)
     status = knob_status(defs, knobs, run)
@@ -637,7 +641,7 @@ def main(argv: List[str] | None = None) -> int:
                 print(f"{key}  reason?")
         print(summary)
         return 0
-    problems = check(defs, missed, knobs, status, allowed)
+    problems = check(defs, missed, knobs, status, allowed, classes)
     for problem in problems:
         print(problem)
     print(summary + ("" if problems else f"; all in {ALLOWLIST.name}"))

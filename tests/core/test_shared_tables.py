@@ -177,17 +177,18 @@ def call_counts(monkeypatch):
 def test_figure_pair_call_builds_two_tables(figure, call_counts):
     """One (system, model) pair of Fig. 10 or 11 builds one prefill
     and one decode table for its three frameworks, and plans FlexGen
-    with no one-request ``_plan`` call (no row is OOM).  Its LIA and
-    FlexGen rows equal the scalar oracle (every pair and output
-    length: ``lanes/``)."""
-    result = figure.run(pairs=(("spr-a100", "opt-30b"),),
-                        output_lens=(32,))
+    with no one-request ``_plan`` call (no row is OOM), at both output
+    lengths.  Its output-32 LIA and FlexGen rows equal the scalar
+    oracle (every pair and output length: ``lanes/``)."""
+    result = figure.run(pairs=(("spr-a100", "opt-30b"),))
     assert {row["framework"] for row in result.rows} == set(
         TABLE_FRAMEWORKS)
     assert call_counts == {"layer_terms": 2, "flexgen_plan": 0}
     metric = ("latency_s" if figure is fig10_online_latency
               else "tokens_per_s")
-    assert check_figure_rows(result.rows, metric) > 0
+    assert {row["output_len"] for row in result.rows} == {32, 256}
+    assert check_figure_rows([row for row in result.rows
+                              if row["output_len"] == 32], metric) > 0
 
 
 def test_forced_policy_winners_are_not_scored(monkeypatch):

@@ -75,7 +75,7 @@ def _surface():
 
 
 def _census(package, src):
-    defs, knobs = census.package_census(package, src)
+    defs, knobs, __ = census.package_census(package, src)
     run = census.profiled_run([_surface], census.knobbed_code(defs, knobs),
                               package, src)
     return defs, knobs, run, census.knob_status(defs, knobs, run)
@@ -109,7 +109,7 @@ def test_check_fails_on_stale_knob_entries(toy):
         "toy/mod.py:serve.batch": ("flag", "--batch"),   # now varied
         "toy/mod.py:gone.limit": ("flag", "--limit"),    # deleted
     }
-    problems = census.check(defs, missed, knobs, status, allowed,
+    problems = census.check(defs, missed, knobs, status, allowed, {},
                             root=src)
     assert "never varied and not allowlisted: toy/mod.py:untouched.limit" \
         in problems
@@ -129,10 +129,9 @@ def test_check_fails_on_stale_knob_entries(toy):
 @pytest.fixture(scope="module")
 def witness():
     """``witness_problem`` for one knob of the real package."""
-    defs, knobs = census.package_census()
+    defs, knobs, classes = census.package_census()
     knobs = {knob.key: knob for knob in knobs}
     defs = {d.key: d for d in defs}
-    classes = census.dataclass_fields()
     return lambda key, reason, witness: census.witness_problem(
         knobs[key], reason, witness, defs, classes)
 
@@ -161,6 +160,10 @@ def test_witness_that_reaches_its_knob_holds(witness, key, reason,
      "repro/cli.py:main"),
     # a loader whose spec class does not declare the knob
     ("repro/workloads/spec.py:TraceSpec.sigma", "spec",
+     "repro/faults/spec.py:load_scenario"),
+    # a loader whose spec classes have a field of that name, but not
+    # the knob's own class
+    ("repro/workloads/spec.py:TraceSpec.seed", "spec",
      "repro/faults/spec.py:load_scenario"),
     # a driver, but not the knob's own
     ("repro/experiments/ext_kv_tiering.py:run.model", "sweep",
