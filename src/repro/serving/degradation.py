@@ -170,7 +170,8 @@ class DegradationController:
 
     One controller serves one ``run``: it holds the run's
     :class:`FaultStats` and fault injector, and ``plans``, the call's
-    :class:`PlanTable`.
+    :class:`PlanTable`; its fault spans and counters go to
+    ``telemetry`` as they happen.
     """
 
     def __init__(self, plans: PlanTable, scenario: FaultScenario,

@@ -58,7 +58,7 @@ from numpy.typing import ArrayLike
 
 from repro.arrays import left_fold
 from repro.core.estimator import LiaEstimator
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import CapacityError
 from repro.faults.injector import FaultSignature
 from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest
@@ -66,9 +66,9 @@ from repro.serving.degradation import DegradationController, PlanTable
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      validate_stream)
 from repro.serving.vectorized import WorkloadVector, lindley_timeline
-from repro.telemetry.bridge import (note_dropped_spans,
-                                    vectorized_report_to_metrics,
-                                    vectorized_report_to_spans)
+from repro.telemetry.bridge import (Extra, emit_report, request_spans,
+                                    run_labels)
+from repro.telemetry.runtime import Telemetry
 from repro.telemetry.runtime import current as current_telemetry
 
 #: Speculative block size inside finite segments.  Commits are exact,
@@ -228,7 +228,7 @@ class _PlanColumns:
             return
         plans = controller.plans
         wanted = [shapes[code] for code in missing]
-        # run_fifo has checked every used shape against the healthy
+        # serve_fifo has checked every used shape against the healthy
         # platform, so these lookups find estimates.
         healthy = [plans.estimate((), shape) for shape in wanted]
         chunks = controller.scenario.chunks_per_request
@@ -271,86 +271,60 @@ def serve_healthy(workload: WorkloadVector, trace: np.ndarray,
 def run_fifo(estimator: LiaEstimator,
              requests: Union[Sequence[InferenceRequest], WorkloadVector],
              arrivals: ArrayLike,
-             scenario: Optional[FaultScenario] = None,
-             indices: Optional[ArrayLike] = None,
-             quiet: bool = False,
-             _plans: Optional[PlanTable] = None) -> ServingReport:
+             scenario: Optional[FaultScenario] = None) -> ServingReport:
     """Serve ``requests`` at ``arrivals`` through the FIFO engine,
     with service times from ``estimator``.
 
     ``scenario`` injects faults; ``None`` or an idle scenario serves
     the healthy platform (:func:`serve_healthy`) and returns a report
-    without drop columns or :class:`FaultStats`.  ``indices`` relabels
-    each position with a global request index, so a replica's RNG
-    draws and span names match a single-server run over the same
-    requests.  ``quiet`` suppresses telemetry (the fleet emits one
-    merged view instead).
-    Otherwise, under an active
-    :class:`~repro.telemetry.runtime.Telemetry`, the run emits the
-    ``serving.*``/``faults.*`` metrics
-    and per-request spans for the first :data:`DEFAULT_SPAN_CAP` served
-    requests;
-    the rest are counted in ``serving.spans_dropped``.  A call that
-    runs several replicas or fleet sizes passes its one
-    :class:`~repro.serving.degradation.PlanTable` as ``_plans``.
+    without drop columns or :class:`FaultStats`.  Under an active
+    :class:`~repro.telemetry.runtime.Telemetry` the run records its
+    fault events as they happen, then emits its report once, with
+    ``serving.estimates`` and spans for the first
+    :data:`DEFAULT_SPAN_CAP` served requests.
     """
     workload, trace = validate_stream(requests, arrivals)
-    idx: Optional[np.ndarray] = None
-    if indices is not None:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size != workload.n_requests:
-            raise ConfigurationError(
-                "indices and requests must have equal length")
-    if scenario is not None and scenario.idle:
-        scenario = None
-    telemetry = None if quiet else current_telemetry()
-    plans = PlanTable(estimator) if _plans is None else _plans
-    # A used shape too large for the healthy platform raises its
-    # CapacityError before anything is served, whether or not
-    # admission control would shed its requests.
-    present = len(plans.used_estimates(workload))
+    telemetry = current_telemetry()
+    report = serve_fifo(PlanTable(estimator), workload, trace, scenario,
+                        None, telemetry)
     if telemetry is not None:
         # The estimates a per-request loop with a shape memo counts:
         # one computed per distinct shape, one memoized per repeat.
-        estimates = telemetry.metrics.counter
-        estimates("serving.estimates", result="computed").inc(present)
-        if workload.n_requests > present:
-            estimates("serving.estimates", result="memoized").inc(
-                workload.n_requests - present)
-    if scenario is None:
-        report = serve_healthy(workload, trace,
-                               plans.service_times(workload))
-    else:
-        controller = DegradationController(plans, scenario, telemetry)
-        served_index, starts, finishes, dropped_index, reasons = _serve(
-            controller, workload, trace, idx)
-        report = ServingReport(
-            workload, trace, starts, finishes, served_index=served_index,
-            dropped_index=dropped_index, dropped_reasons=reasons,
-            stats=controller.stats, scenario=scenario)
-    if telemetry is not None:
-        system = estimator.system.name
-        model = estimator.spec.name
-        vectorized_report_to_metrics(report, telemetry.metrics,
-                                     system=system, model=model)
-        spans, dropped_spans = vectorized_report_to_spans(
-            report, DEFAULT_SPAN_CAP)
-        for span in spans:
-            telemetry.tracer.add_span(span.name, span.track,
-                                      span.start, span.finish,
-                                      **span.args)
-        if dropped_spans:
-            telemetry.metrics.counter(
-                "serving.spans_dropped", system=system,
-                model=model).inc(dropped_spans)
-            note_dropped_spans(telemetry, dropped_spans,
-                               report.n_served, component="serving.fifo",
-                               cap=DEFAULT_SPAN_CAP)
-        if scenario is not None:
-            telemetry.metrics.gauge(
-                "faults.dropped_requests",
-                scenario=scenario.name).set(report.n_dropped)
+        computed = int(np.count_nonzero(workload.counts()))
+        extras: List[Extra] = [
+            ("counter", "serving.estimates", {"result": result}, count)
+            for result, count in (("computed", computed), (
+                "memoized", workload.n_requests - computed)) if count]
+        emit_report(telemetry, report, run_labels(estimator), extras,
+                    request_spans(report, None, DEFAULT_SPAN_CAP),
+                    report.n_served, "serving.fifo")
     return report
+
+
+def serve_fifo(plans: PlanTable, workload: WorkloadVector,
+               trace: np.ndarray, scenario: Optional[FaultScenario],
+               idx: Optional[np.ndarray],
+               telemetry: Optional[Telemetry]) -> ServingReport:
+    """The FIFO report of a checked stream, planned from ``plans``,
+    its fault events recorded in ``telemetry``.
+
+    ``idx`` relabels each position with a global request index, so a
+    replica's RNG draws and fault span names match a single-server run
+    over the same requests.  A used shape too large for the healthy
+    platform raises its :class:`CapacityError` before anything is
+    served, whether or not admission control would shed its requests.
+    """
+    if scenario is None or scenario.idle:
+        return serve_healthy(workload, trace,
+                             plans.service_times(workload))
+    plans.used_estimates(workload)
+    controller = DegradationController(plans, scenario, telemetry)
+    served_index, starts, finishes, dropped_index, reasons = _serve(
+        controller, workload, trace, idx)
+    return ServingReport(
+        workload, trace, starts, finishes, served_index=served_index,
+        dropped_index=dropped_index, dropped_reasons=reasons,
+        stats=controller.stats, scenario=scenario)
 
 
 def _serve(controller: DegradationController, workload: WorkloadVector,

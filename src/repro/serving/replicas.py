@@ -31,8 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import fields
-from typing import (TYPE_CHECKING, Any, List, Optional, Sequence, Tuple,
-                    Union, cast)
+from typing import Any, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -40,19 +39,20 @@ from numpy.typing import ArrayLike
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
 from repro.faults.fleet import FleetScenario
+from repro.faults.spec import FaultScenario
 from repro.models.workload import InferenceRequest, _integer
-from repro.serving.degradation import PlanTable
+from repro.serving.degradation import FaultStats, PlanTable
 from repro.serving.fleet import AutoscalerPolicy, FleetReport, simulate_fleet
+from repro.serving.piecewise import serve_fifo, serve_healthy
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
-                                     _rank_index, validate_stream)
+                                     _rank_index, nearest_rank,
+                                     validate_stream)
 from repro.serving.vectorized import WorkloadVector
+from repro.telemetry.bridge import (Extra, emit_report, request_spans,
+                                    run_labels)
 from repro.telemetry.metrics import StreamingHistogram
 from repro.telemetry.runtime import Telemetry
 from repro.telemetry.runtime import current as current_telemetry
-
-if TYPE_CHECKING:
-    from repro.faults.spec import FaultScenario
-    from repro.serving.degradation import FaultStats
 
 DISPATCH_POLICIES = ("round-robin", "least-loaded")
 
@@ -96,10 +96,8 @@ class ScaleOutReport(ServingReport):
                 if makespan else 0.0)
 
 
-def _fold_stats(per_replica_stats: Sequence["FaultStats"]) -> "FaultStats":
+def _fold_stats(per_replica_stats: Sequence[FaultStats]) -> FaultStats:
     """Merge per-replica stats field by field, in replica-id order."""
-    from repro.serving.degradation import FaultStats
-
     merged = FaultStats()
     for stats in per_replica_stats:
         for item in fields(FaultStats):
@@ -144,25 +142,64 @@ class MultiReplicaSimulator:
     def run(self, requests: Union[Sequence[InferenceRequest],
                                   WorkloadVector],
             arrivals: ArrayLike,
-            scenario: Optional["FaultScenario"] = None
+            scenario: Optional[FaultScenario] = None
             ) -> Union[ScaleOutReport, FleetReport]:
         """Dispatch ``requests`` over the fleet.
 
         ``scenario`` runs every replica under the fault layer
         (round-robin dispatch only — least-loaded assignment depends
         on every earlier finish, which shedding makes dispatch-order
-        ambiguous — and not with ``chaos`` or an autoscaler).
+        ambiguous — and not with ``chaos`` or an autoscaler).  Under an
+        active telemetry the replicas record their fault events as they
+        happen, and the call emits the fleet's report once, its
+        per-request spans on the ``server[j]``/``queue[j]`` tracks of
+        the replica that served them.
         """
         workload, trace = validate_stream(requests, arrivals)
-        return self._run(workload, trace, scenario,
-                         PlanTable(self.estimator))
+        telemetry = current_telemetry()
+        report = self._run(workload, trace, scenario,
+                           PlanTable(self.estimator), telemetry)
+        if telemetry is None:
+            return report
+        labels = run_labels(self.estimator)
+        extras: List[Extra]
+        if isinstance(report, FleetReport):
+            stats = report.stats
+            extras = [("gauge", "fleet.replicas", labels,
+                       float(report.replica_counts()[-1])),
+                      ("gauge", "fleet.replica_seconds", labels,
+                       report.replica_seconds)]
+            extras += [("counter", "fleet.control",
+                        {"event": event, **labels}, value)
+                       for event, value in (
+                           ("retries", stats.retries), ("drops", stats.drops),
+                           ("hedges", stats.hedges),
+                           ("ejections", stats.breaker_ejections),
+                           ("scale_ups", stats.scale_ups),
+                           ("scale_downs", stats.scale_downs)) if value]
+            replicas = report.assignment
+        else:
+            extras = [("gauge", "serving.replicas", labels,
+                       report.n_replicas)]
+            extras += [("gauge", "serving.replica_utilization",
+                        {"replica": str(replica), **labels},
+                        sub.utilization) for replica, sub in zip(
+                            report.replica_ids, report.per_replica)]
+            replicas = report.assignment[report.served_index]
+        emit_report(telemetry, report, labels, extras,
+                    request_spans(report, replicas, DEFAULT_SPAN_CAP),
+                    report.n_served, "serving.replicas")
+        return report
 
     def _run(self, workload: WorkloadVector, trace: np.ndarray,
-             scenario: Optional["FaultScenario"], plans: PlanTable
+             scenario: Optional[FaultScenario], plans: PlanTable,
+             telemetry: Optional[Telemetry]
              ) -> Union[ScaleOutReport, FleetReport]:
         """:meth:`run` on a stream :func:`validate_stream` already
-        checked.  Every replica plans from ``plans``: the run's own,
-        or the one table of a search over fleet sizes."""
+        checked, before its report is emitted.  Every replica plans
+        from ``plans``: the run's own, or the one table of a search
+        over fleet sizes; faulted ones record fault events in
+        ``telemetry``."""
         if scenario is not None and scenario.idle:
             scenario = None
         controlled = self.chaos is not None or self.autoscaler is not None
@@ -176,28 +213,23 @@ class MultiReplicaSimulator:
                 "least-loaded assignment depends on every earlier "
                 "finish, which admission shedding makes "
                 "dispatch-order ambiguous")
-        telemetry = current_telemetry()
-        report: Union[ScaleOutReport, FleetReport]
         if controlled:
-            report = simulate_fleet(
+            return simulate_fleet(
                 workload, trace, plans.service_times(workload),
                 self.n_replicas, self.dispatch,
                 self.chaos or FleetScenario(name="idle"),
                 self.autoscaler)
-        elif self.dispatch == "round-robin":
-            report = self._run_round_robin(workload, trace, scenario,
-                                           plans)
-        else:
-            report = self._run_least_loaded(workload, trace, plans)
-        if telemetry is not None:
-            self._emit_telemetry(report, telemetry)
-        return report
+        if self.dispatch == "round-robin":
+            return self._run_round_robin(workload, trace, scenario,
+                                         plans, telemetry)
+        return self._run_least_loaded(workload, trace, plans)
 
     # ------------------------------------------------------------------
     def _run_round_robin(self, workload: WorkloadVector,
                          trace: np.ndarray,
-                         scenario: Optional["FaultScenario"],
-                         plans: PlanTable) -> ScaleOutReport:
+                         scenario: Optional[FaultScenario],
+                         plans: PlanTable,
+                         telemetry: Optional[Telemetry]) -> ScaleOutReport:
         """Request *i* goes to replica ``i mod k``.
 
         A healthy replica is :func:`~repro.serving.piecewise.
@@ -207,15 +239,12 @@ class MultiReplicaSimulator:
         keeps it, and windowed metrics re-read it).  Under a fault
         scenario each replica runs the FIFO engine with *global*
         request indices, so every RNG draw (stall outcomes, deferral
-        backoff) keys exactly as a single-server run over the same
-        requests would.  Replicas run ``quiet``; :meth:`run` emits one
-        merged fleet view.  The split and the merge of healthy
-        timelines go block by block (:func:`_split`, :func:`_merge`); a
-        faulted replica's rows go back through its stride, or, when it
-        dropped requests, to their global positions.
+        backoff) and fault span keys exactly as a single-server run
+        over the same requests would.  The split and the merge of
+        healthy timelines go block by block (:func:`_split`,
+        :func:`_merge`); a faulted replica's rows go back through its
+        stride, or, when it dropped requests, to their global positions.
         """
-        from repro.serving.piecewise import run_fifo, serve_healthy
-
         n = trace.size
         k = self.n_replicas
         live = min(k, n)
@@ -244,9 +273,8 @@ class MultiReplicaSimulator:
         for replica, arrivals in enumerate(parts):
             rows = slice(replica, None, k)
             index = np.arange(replica, n, k, dtype=np.int64)
-            sub = run_fifo(self.estimator, workload.subset(rows), arrivals,
-                           scenario, indices=index, quiet=True,
-                           _plans=plans)
+            sub = serve_fifo(plans, workload.subset(rows), arrivals,
+                             scenario, index, telemetry)
             per_replica.append(sub)
             if sub.n_dropped:
                 index_served = index[sub.served_index]
@@ -332,62 +360,6 @@ class MultiReplicaSimulator:
             finishes[i] = finish
         return assignment
 
-    def _emit_telemetry(self, report: Union[ScaleOutReport, FleetReport],
-                        telemetry: Telemetry) -> None:
-        from repro.telemetry.bridge import (note_dropped_spans,
-                                            vectorized_report_to_metrics,
-                                            vectorized_report_to_spans)
-
-        system = self.estimator.system.name
-        model = self.estimator.spec.name
-        metrics = telemetry.metrics
-        vectorized_report_to_metrics(report, metrics, system=system,
-                                     model=model)
-        if isinstance(report, FleetReport):
-            metrics.gauge("fleet.replicas", system=system,
-                          model=model).set(
-                float(report.replica_counts()[-1]))
-            metrics.gauge("fleet.replica_seconds", system=system,
-                          model=model).set(report.replica_seconds)
-            stats = report.stats
-            for key, value in (("retries", stats.retries),
-                               ("drops", stats.drops),
-                               ("hedges", stats.hedges),
-                               ("ejections", stats.breaker_ejections),
-                               ("scale_ups", stats.scale_ups),
-                               ("scale_downs", stats.scale_downs)):
-                if value:
-                    metrics.counter("fleet.control", event=key,
-                                    system=system, model=model).inc(value)
-            return
-        metrics.gauge("serving.replicas", system=system,
-                      model=model).set(report.n_replicas)
-        for replica, sub_report in zip(report.replica_ids,
-                                       report.per_replica):
-            metrics.gauge(
-                "serving.replica_utilization", system=system,
-                model=model, replica=str(replica)).set(
-                    sub_report.utilization)
-        spans, dropped = vectorized_report_to_spans(report,
-                                                    DEFAULT_SPAN_CAP)
-        assignment = report.assignment.tolist()
-        # Span names index the *served* substream; ``served_index``
-        # maps those back to offered positions.
-        served_index = report.served_index.tolist()
-        for span in spans:
-            index = int(span.name[len("request["):-1])
-            replica = assignment[served_index[index]]
-            track = f"{span.track}[{replica}]"
-            telemetry.tracer.add_span(span.name, track, span.start,
-                                      span.finish, **span.args)
-        if dropped:
-            metrics.counter("serving.spans_dropped", system=system,
-                            model=model).inc(dropped)
-            note_dropped_spans(telemetry, dropped,
-                               report.n_served,
-                               component="serving.replicas",
-                               cap=DEFAULT_SPAN_CAP)
-
 
 def replicas_needed(estimator: LiaEstimator,
                     requests: Union[Sequence[InferenceRequest],
@@ -451,7 +423,7 @@ def replicas_needed(estimator: LiaEstimator,
             return math.inf, None
         report = cast(ScaleOutReport, MultiReplicaSimulator(
             estimator, k, dispatch=dispatch)._run(workload, trace, None,
-                                                  plans))
+                                                  plans, None))
         return report.latency_percentile(0.95), report
 
     low = high = 1
@@ -568,8 +540,7 @@ def _fleet_size(name: str, value: Any) -> int:
 def _over_slo_message(report: ScaleOutReport, p95: float,
                       slo_p95_seconds: float, max_replicas: int) -> str:
     """Why the ``max_replicas`` fleet still misses the SLO."""
-    service_p95 = float(np.quantile(report.service_times, 0.95,
-                                    method="inverted_cdf"))
+    service_p95 = nearest_rank(report.service_times, 0.95)
     head = (f"p95 {p95:.1f}s still exceeds the {slo_p95_seconds:.1f}s "
             f"SLO at the {max_replicas}-replica cap")
     if service_p95 > slo_p95_seconds:

@@ -60,12 +60,15 @@ from repro.cxl.residency import (KV_TIERS, KvResidency, KvTierCapacities,
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.sublayers import USES_KV_CACHE, Stage
 from repro.models.workload import InferenceRequest
+from repro.serving.degradation import PlanTable
+from repro.serving.piecewise import serve_healthy
+from repro.serving.replicas import _fleet_size
 from repro.serving.simulator import (DEFAULT_SPAN_CAP, ServingReport,
                                      validate_stream)
 from repro.serving.vectorized import WorkloadVector
-from repro.telemetry.bridge import note_dropped_spans
-from repro.telemetry.runtime import Telemetry
+from repro.telemetry.bridge import Extra, emit_report, run_labels
 from repro.telemetry.runtime import current as current_telemetry
+from repro.telemetry.spans import Span
 
 if TYPE_CHECKING:
     from repro.core.estimator import LiaEstimator
@@ -435,10 +438,13 @@ class ContinuousServingReport(ServingReport):
             (self.arrivals, self.starts, self.finishes)).tobytes()
 
 
+#: One decode step's span row: (start, finish, running requests,
+#: aggregate batch).
+_StepRow = Tuple[float, float, int, int]
 #: One pass of the turn loop: its report, or the capacity error it hit;
-#: its step spans; its Eq. (1) re-solve count.
+#: its step rows; its Eq. (1) re-solve count.
 _Pass = Tuple[Union[ContinuousServingReport, CapacityError],
-              List[Tuple[float, float, int, int]], int]
+              List[_StepRow], int]
 
 
 class ContinuousBatchScheduler:
@@ -462,12 +468,58 @@ class ContinuousBatchScheduler:
         """Serve ``requests`` arriving at ``arrivals`` (seconds).
 
         Inside ``with repro.telemetry.activate(telemetry):`` the run
-        feeds the ``scheduler.*`` metrics and ``decode-step`` spans.
+        emits its report once: the ``serving.*`` and ``scheduler.*``
+        metrics and ``decode-step`` spans on the ``scheduler`` track.
         """
         workload, trace = validate_stream(requests, arrivals)
-        if self.config.is_fifo_degenerate:
-            return self._run_degenerate(workload, trace)
-        return self._run_iterative(workload, trace)
+        return self._serve_fleet(workload, trace, None)
+
+    def _serve_fleet(self, workload: WorkloadVector, trace: np.ndarray,
+                     replicas: Optional[int]) -> ContinuousServingReport:
+        """Serve a checked stream on this scheduler (``replicas``
+        ``None``) or round-robin over ``replicas`` copies of it, and
+        emit the report once.  Each replica records its first
+        :data:`DEFAULT_SPAN_CAP` step rows; the call keeps the
+        earliest-starting :data:`DEFAULT_SPAN_CAP` of them all, each on
+        its replica's ``scheduler[j]`` track."""
+        telemetry = current_telemetry()
+        span_cap = DEFAULT_SPAN_CAP if telemetry is not None else 0
+        k = replicas or 1
+        passes = [self._run_iterative(workload.subset(rows), trace[rows],
+                                      span_cap)
+                  for rows in (slice(j, None, k)
+                               for j in range(min(k, trace.size)))]
+        report = (passes[0][0] if len(passes) == 1 else _merged(
+            workload, [sub for sub, __ in passes]))
+        if telemetry is None:
+            return report
+        tracks = (["scheduler"] if replicas is None
+                  else [f"scheduler[{j}]" for j in range(len(passes))])
+        # A stable sort: the lower replica first at equal starts.
+        rows = sorted(((row, track) for track, (__, replica_rows)
+                       in zip(tracks, passes) for row in replica_rows),
+                      key=lambda item: item[0][0])[:span_cap]
+        labels = run_labels(self.estimator)
+        extras: List[Extra] = [
+            (kind, f"scheduler.{name}", labels, value)
+            for kind, name, value in (
+                ("counter", "iterations", report.iterations),
+                ("counter", "admissions", report.admissions),
+                ("counter", "completions", report.n_served),
+                ("counter", "policy_resolves", report.policy_resolves),
+                ("counter", "kv_demotions", report.kv_demotions),
+                ("gauge", "occupancy_mean", report.occupancy_mean),
+                ("gauge", "occupancy_peak", float(report.occupancy_peak)))]
+        extras += [("gauge", "scheduler.kv_peak_bytes",
+                    {"tier": tier, **labels}, peak)
+                   for tier, peak in report.kv_peak_bytes.items()]
+        spans = [[Span("decode-step", track, start, finish,
+                       {"n_running": n_running,
+                        "aggregate_batch": aggregate})]
+                 for (start, finish, n_running, aggregate), track in rows]
+        emit_report(telemetry, report, labels, extras, spans,
+                    report.iterations, "scheduler")
+        return report
 
     # ------------------------------------------------------------------
     def _run_degenerate(self, workload: WorkloadVector,
@@ -479,12 +531,12 @@ class ContinuousBatchScheduler:
         timeline is the FIFO engine's, and the report is bit-identical
         to :meth:`ServingSimulator.run` by construction.
         """
-        from repro.serving.piecewise import run_fifo
-
-        fifo = run_fifo(self.estimator, workload, trace, quiet=True)
+        fifo = serve_healthy(workload, trace,
+                             PlanTable(self.estimator).service_times(
+                                 workload))
         busy = fifo.busy_s
         n = fifo.n_served
-        report = ContinuousServingReport(
+        return ContinuousServingReport(
             workload, trace, fifo.starts, fifo.finishes,
             iterations=n,
             admissions=n,
@@ -498,14 +550,11 @@ class ContinuousBatchScheduler:
             # weighs the occupancy of 1.
             decode_busy_s=busy,
         )
-        telemetry = current_telemetry()
-        if telemetry is not None:
-            self._emit_telemetry(telemetry, report, span_rows=[])
-        return report
 
     # ------------------------------------------------------------------
-    def _run_iterative(self, workload: WorkloadVector,
-                       trace: np.ndarray) -> ContinuousServingReport:
+    def _run_iterative(self, workload: WorkloadVector, trace: np.ndarray,
+                       span_cap: int
+                       ) -> Tuple[ContinuousServingReport, List[_StepRow]]:
         """Serve from one membership event to the next.
 
         Between events the running set, its aggregate batch, the KV
@@ -523,8 +572,11 @@ class ContinuousBatchScheduler:
         every read solved on the spot; a :class:`CapacityError` is
         raised only from a pass whose guesses hold.  Every re-solve,
         read or not, is one ``policy.searches`` point, as in the
-        oracle.
+        oracle.  Returns the report and its first ``span_cap`` step
+        rows; the FIFO-degenerate config takes :meth:`_run_degenerate`.
         """
+        if self.config.is_fifo_degenerate:
+            return self._run_degenerate(workload, trace), []
         requests = workload.to_requests()
         arrivals = trace.tolist()
         capacities = self.config.kv_capacities
@@ -533,8 +585,6 @@ class ContinuousBatchScheduler:
                                                    self.estimator.system)
         profile = StepProfile.for_workload(self.estimator, requests,
                                            self.config)
-        telemetry = current_telemetry()
-        span_cap = DEFAULT_SPAN_CAP if telemetry is not None else 0
 
         def serve(reads: _ReadResolves) -> _Pass:
             return self._serve(workload, trace, requests, arrivals,
@@ -549,9 +599,7 @@ class ContinuousBatchScheduler:
             count_searches(Stage.DECODE, self.estimator.config, resolves)
         if isinstance(report, CapacityError):
             raise report
-        if telemetry is not None:
-            self._emit_telemetry(telemetry, report, span_rows)
-        return report
+        return report, span_rows
 
     def _serve(self, workload: WorkloadVector, trace: np.ndarray,
                requests: List[InferenceRequest], arrivals: List[float],
@@ -603,9 +651,8 @@ class ContinuousBatchScheduler:
         #: Whether steps stretch: KV sits in CXL and Eq. (1) computes
         #: attention on the CPU.
         stretched = False
-        #: (start, finish, n_running, aggregate_batch) per iteration,
-        #: for the telemetry only.
-        span_rows: List[Tuple[float, float, int, int]] = []
+        #: The first ``span_cap`` steps' rows, for the telemetry only.
+        span_rows: List[_StepRow] = []
 
         try:
             while pending or n_running:
@@ -728,27 +775,6 @@ class ContinuousBatchScheduler:
         )
         return report, span_rows, policy_resolves
 
-    # ------------------------------------------------------------------
-    def _emit_telemetry(self, telemetry: Telemetry,
-                        report: ContinuousServingReport,
-                        span_rows: List[Tuple[float, float, int, int]]
-                        ) -> None:
-        from repro.telemetry.bridge import scheduler_report_to_metrics
-
-        scheduler_report_to_metrics(
-            report, telemetry.metrics,
-            system=self.estimator.system.name,
-            model=self.estimator.spec.name)
-        for start, finish, n_running, aggregate in span_rows:
-            telemetry.tracer.add_span(
-                "decode-step", "scheduler", start, finish,
-                n_running=n_running, aggregate_batch=aggregate)
-        dropped = report.iterations - len(span_rows)
-        if span_rows and dropped > 0:
-            note_dropped_spans(telemetry, dropped, report.iterations,
-                               component="scheduler",
-                               cap=DEFAULT_SPAN_CAP)
-
 
 def run_continuous_fleet(estimator: "LiaEstimator",
                          requests: Union[
@@ -764,32 +790,28 @@ def run_continuous_fleet(estimator: "LiaEstimator",
     The dispatch is keyed on the request *index* (``i % replicas``),
     so the partition — and therefore the merged report — is
     deterministic.  Replicas run one after another on the calling
-    thread.
+    thread.  Inside ``with repro.telemetry.activate(telemetry):`` the
+    call emits the fleet's report once, its step spans on per-replica
+    ``scheduler[j]`` tracks.
     """
-    if replicas < 1:
-        raise ConfigurationError(
-            f"replicas must be >= 1, got {replicas}")
+    replicas = _fleet_size("replicas", replicas)
     workload, trace = validate_stream(requests, arrivals)
-    if replicas == 1:
-        return ContinuousBatchScheduler(estimator, scheduler_config).run(
-            workload, trace)
+    return ContinuousBatchScheduler(estimator, scheduler_config)._serve_fleet(
+        workload, trace, replicas)
 
-    n = trace.size
-    shards = [np.arange(replica, n, replicas, dtype=np.int64)
-              for replica in range(min(replicas, n))]
 
-    def serve(shard: np.ndarray) -> ContinuousServingReport:
-        scheduler = ContinuousBatchScheduler(estimator, scheduler_config)
-        return scheduler.run(workload.subset(shard), trace[shard])
-
-    reports = [serve(shard) for shard in shards]
+def _merged(workload: WorkloadVector,
+            reports: List[ContinuousServingReport]
+            ) -> ContinuousServingReport:
+    """The fleet report of the replicas' ``reports`` over ``workload``:
+    the served rows in arrival order, counts summed, peaks maxed."""
     decode_busy = math.fsum(r.decode_busy_s for r in reports)
     codes = np.concatenate([r.workload.codes for r in reports])
     arrivals_all = np.concatenate([r.arrivals for r in reports])
     starts = np.concatenate([r.starts for r in reports])
     finishes = np.concatenate([r.finishes for r in reports])
     order = np.lexsort((finishes, starts, arrivals_all))
-    merged = ContinuousServingReport(
+    return ContinuousServingReport(
         WorkloadVector(shapes=workload.shapes, codes=codes[order]),
         arrivals_all[order], starts[order], finishes[order],
         iterations=sum(r.iterations for r in reports),
@@ -815,14 +837,3 @@ def run_continuous_fleet(estimator: "LiaEstimator",
                        / len(reports)),
         decode_busy_s=decode_busy,
     )
-    telemetry = current_telemetry()
-    if telemetry is not None:
-        # Each replica's run set the gauges from its own report; the
-        # fleet's come from the merged one.  Counters and histograms
-        # already count each request once.
-        from repro.telemetry.bridge import scheduler_report_to_gauges
-
-        scheduler_report_to_gauges(merged, telemetry.metrics,
-                                   system=estimator.system.name,
-                                   model=estimator.spec.name)
-    return merged

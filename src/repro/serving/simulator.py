@@ -38,9 +38,9 @@ if TYPE_CHECKING:
 #: of sorting the latency vector exactly.
 DEFAULT_EXACT_PERCENTILE_LIMIT = 262_144
 
-#: Per-request span emission cap: the first this many served requests
-#: get ``server``/``queue`` spans; the rest are counted in
-#: ``serving.spans_dropped``.
+#: Span cap of one serving call: its first this many served requests
+#: (continuous batching: its earliest decode steps) get spans; the
+#: rest are counted in ``serving.spans_dropped``.
 DEFAULT_SPAN_CAP = 1024
 
 
@@ -434,13 +434,9 @@ class ServingReport:
 
 
 class ServingSimulator:
-    """Single-server FIFO simulation driven by an estimator.
-
-    Inside ``with repro.telemetry.activate(telemetry):`` every run
-    emits per-request ``server``/``queue`` spans in sim-seconds (up to
-    :data:`DEFAULT_SPAN_CAP` requests) and feeds the ``serving.*``
-    queue-delay / service-time / latency histograms.  The
-    continuous-batching engine is
+    """Single-server FIFO simulation driven by an estimator: its
+    engine and telemetry are :func:`~repro.serving.piecewise.run_fifo`.
+    The continuous-batching engine is
     :class:`~repro.serving.scheduler.ContinuousBatchScheduler`.
     """
 

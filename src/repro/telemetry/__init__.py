@@ -15,8 +15,8 @@ The unified observability layer (see docs/OBSERVABILITY.md):
 * Exporters — Chrome trace-event JSON (Perfetto /
   chrome://tracing) with span and counter tracks, JSON metric
   dumps, windowed CSV series, and a self-contained HTML dashboard.
-* Bridges — adapters from ``Timeline`` and ``ServingReport`` into
-  the above.
+* Bridges — ``Timeline`` into spans, and :func:`emit_report`, the
+  one exit every serving run's report takes into the above.
 
 Typical use::
 
@@ -29,12 +29,9 @@ Typical use::
 """
 
 from repro.telemetry.bridge import (
-    note_dropped_spans,
-    scheduler_report_to_metrics,
+    emit_report,
     timeline_to_spans,
     timeline_to_trace_events,
-    vectorized_report_to_metrics,
-    vectorized_report_to_spans,
 )
 from repro.telemetry.dashboard import write_dashboard_html
 from repro.telemetry.export import (
@@ -102,10 +99,7 @@ __all__ = [
     "write_dashboard_html",
     "write_metrics_json",
     "write_timeseries_csv",
-    "note_dropped_spans",
-    "scheduler_report_to_metrics",
+    "emit_report",
     "timeline_to_spans",
     "timeline_to_trace_events",
-    "vectorized_report_to_metrics",
-    "vectorized_report_to_spans",
 ]

@@ -1,44 +1,31 @@
-"""Bridges from pre-telemetry structures into the telemetry layer.
+"""Bridges from the repro's evidence containers into the telemetry layer.
 
-The repro grew ad-hoc evidence containers before it had telemetry:
-``Timeline`` (DES gantt data) and ``ServingReport`` (queueing
-statistics).  These adapters round-trip each of them into
-spans/counters/histograms so one exporter path serves every
-subsystem.
+``Timeline`` (DES gantt data) converts to spans.  A serving run's
+report leaves through :func:`emit_report`, the one exit every serving
+engine's public call takes once, after the run: the ``serving.*``
+histograms, counters and gauges, the engine's own metrics, the capped
+spans and their truncation note.  In-run events (fault spans and
+counters, Eq. (1) search counts) are recorded where they happen.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.telemetry.export import spans_to_trace_events
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Span
 
 if TYPE_CHECKING:
-    from repro.serving.scheduler import ContinuousServingReport
+    from repro.serving.simulator import ServingReport
+    from repro.telemetry.runtime import Telemetry
 
-
-def note_dropped_spans(telemetry, dropped: int, total: int,
-                       component: str, cap: int) -> None:
-    """Make span-cap truncation loud: counter + one-line warning.
-
-    A capped trace looks complete in Perfetto; without this, a
-    1M-request run silently renders as its first ``cap`` requests.
-    The ``telemetry.spans.dropped`` counter makes the loss queryable,
-    the :class:`RuntimeWarning` makes it visible at the console.
-    Callers still keep their domain-specific drop counters.
-    """
-    if dropped <= 0:
-        return
-    telemetry.metrics.counter(
-        "telemetry.spans.dropped", component=component).inc(dropped)
-    warnings.warn(
-        f"{component}: span cap truncated the trace — emitted spans "
-        f"for {total - dropped} of {total} requests (cap={cap}); "
-        "windowed metrics (repro.telemetry.timeseries) cover the "
-        "full run", RuntimeWarning, stacklevel=3)
+#: One engine-specific metric of a report: ``(kind, name, labels,
+#: value)``; a ``"counter"`` is incremented by the value, a ``"gauge"``
+#: set to it.
+Extra = Tuple[str, str, Dict[str, str], float]
 
 
 def timeline_to_spans(timeline) -> List[Span]:
@@ -55,124 +42,87 @@ def timeline_to_trace_events(timeline) -> List[dict]:
     return spans_to_trace_events(timeline_to_spans(timeline))
 
 
-def scheduler_report_to_metrics(report, metrics: MetricsRegistry,
-                                system: str = "",
-                                model: str = "") -> None:
-    """Fold a :class:`ContinuousServingReport` into the registry.
+def run_labels(estimator) -> Dict[str, str]:
+    """The (system, model) labels of a run's ``serving.*`` metrics."""
+    return {"system": estimator.system.name, "model": estimator.spec.name}
 
-    Emits the shared ``serving.*`` histograms (the report is a
-    :class:`ServingReport`), then the scheduler-specific evidence:
-    iteration/admission/policy-resolve counters, the batch-occupancy
-    gauges, and per-tier peak KV bytes under
-    ``scheduler.kv_peak_bytes{tier=...}``.
+
+def request_spans(report: "ServingReport", replicas: Optional[np.ndarray],
+                  cap: int) -> List[List[Span]]:
+    """The spans of a FIFO report's first ``cap`` served requests, one
+    list each: the wait between arrival and start on ``queue`` (when
+    there was one), the service on ``server``.  ``replicas``, each
+    served request's replica, puts them on ``queue[j]``/``server[j]``.
     """
-    vectorized_report_to_metrics(report, metrics, system=system,
-                                 model=model)
-    labels = {}
-    if system:
-        labels["system"] = system
-    if model:
-        labels["model"] = model
-    metrics.counter("scheduler.iterations",
-                    **labels).inc(report.iterations)
-    metrics.counter("scheduler.admissions",
-                    **labels).inc(report.admissions)
-    metrics.counter("scheduler.completions",
-                    **labels).inc(report.n_served)
-    metrics.counter("scheduler.policy_resolves",
-                    **labels).inc(report.policy_resolves)
-    metrics.counter("scheduler.kv_demotions",
-                    **labels).inc(report.kv_demotions)
-    scheduler_report_to_gauges(report, metrics, system=system,
-                               model=model)
+    emit = min(report.n_served, cap)
+    shapes = report.workload.shapes
+    suffixes = ([""] * emit if replicas is None
+                else [f"[{j}]" for j in replicas[:emit].tolist()])
+    spans: List[List[Span]] = []
+    for index, (code, arrival, start, finish, suffix) in enumerate(zip(
+            report.workload.codes[:emit].tolist(),
+            report.arrivals[:emit].tolist(), report.starts[:emit].tolist(),
+            report.finishes[:emit].tolist(), suffixes)):
+        name = f"request[{index}]"
+        request = shapes[code]
+        served = Span(name, "server" + suffix, start, finish,
+                      {"batch": request.batch_size,
+                       "input_len": request.input_len,
+                       "output_len": request.output_len,
+                       "latency_s": finish - arrival})
+        wait = start - arrival
+        spans.append([served] if wait <= 0.0 else [
+            Span(name, "queue" + suffix, arrival, start,
+                 {"queue_delay_s": wait}), served])
+    return spans
 
 
-def scheduler_report_to_gauges(report: "ContinuousServingReport",
-                               metrics: MetricsRegistry,
-                               system: str = "",
-                               model: str = "") -> None:
-    """Set the gauges of a :class:`ContinuousServingReport`: serving
-    utilization and makespan, batch occupancy and per-tier peak KV
-    bytes.  A continuous fleet sets them once more from its merged
-    report, over the values its last replica's run left."""
-    labels = {}
-    if system:
-        labels["system"] = system
-    if model:
-        labels["model"] = model
-    metrics.gauge("serving.utilization",
-                  **labels).set(report.utilization)
-    metrics.gauge("serving.makespan_s", **labels).set(report.makespan)
-    metrics.gauge("scheduler.occupancy_mean",
-                  **labels).set(report.occupancy_mean)
-    metrics.gauge("scheduler.occupancy_peak",
-                  **labels).set(float(report.occupancy_peak))
-    for tier, peak in report.kv_peak_bytes.items():
-        metrics.gauge("scheduler.kv_peak_bytes", tier=tier,
-                      **labels).set(peak)
+def emit_report(telemetry: "Telemetry", report: "ServingReport",
+                labels: Dict[str, str], extras: Sequence[Extra],
+                spans: Sequence[Sequence[Span]], total: int,
+                component: str) -> None:
+    """Emit a serving run's final report into ``telemetry``, once.
 
-
-def vectorized_report_to_metrics(report, metrics: MetricsRegistry,
-                                 system: str = "", model: str = "",
-                                 **extra: str) -> None:
-    """Fold a :class:`ServingReport` into histograms and counters.
-
-    Batch-feeds the ``serving.*`` histograms/counters/gauges from the
-    report's timeline arrays; the labels identify the (model, system)
-    pair so several runs can share one registry.  The registry state
-    is bit-identical to observing every request in order
-    (``StreamingHistogram.observe_array`` folds totals in the same
-    order and re-checks bucket boundaries against ``math.log``).
+    The ``serving.*`` metrics carry ``labels`` (the run's system and
+    model); ``extras`` are the engine's own metrics; a run under a
+    fault or chaos scenario sets ``faults.dropped_requests{scenario}``
+    to its drops.  ``spans`` hold
+    one list per spanned row (a served request, a decode step) for the
+    first rows of ``total``, up to the call's span cap; the rest are
+    counted in ``serving.spans_dropped`` and
+    ``telemetry.spans.dropped{component}``, and a
+    :class:`RuntimeWarning` says the trace was truncated.
     """
-    labels = dict(extra)
-    if system:
-        labels["system"] = system
-    if model:
-        labels["model"] = model
-    metrics.histogram("serving.queue_delay_s",
-                      **labels).observe_array(report.queue_delays)
-    metrics.histogram("serving.service_time_s",
-                      **labels).observe_array(report.service_times)
-    metrics.histogram("serving.latency_s",
-                      **labels).observe_array(report.latencies)
+    metrics = telemetry.metrics
+    for name, values in (("queue_delay_s", report.queue_delays),
+                         ("service_time_s", report.service_times),
+                         ("latency_s", report.latencies)):
+        metrics.histogram(f"serving.{name}", **labels).observe_array(values)
     metrics.counter("serving.requests", **labels).inc(report.n_served)
     metrics.counter("serving.generated_tokens", **labels).inc(
         report.workload.total_generated_tokens)
-    metrics.gauge("serving.utilization",
-                  **labels).set(report.utilization)
+    metrics.gauge("serving.utilization", **labels).set(report.utilization)
     metrics.gauge("serving.makespan_s", **labels).set(report.makespan)
-
-
-def vectorized_report_to_spans(report, cap: int) -> Tuple[List[Span], int]:
-    """Per-request spans for the first ``cap`` served requests of a
-    :class:`ServingReport`, plus the count of requests whose spans
-    were dropped.
-
-    Service intervals go on the ``server`` track (they are disjoint —
-    the FIFO serves one request at a time); the wait between arrival
-    and start goes on the ``queue`` track.
-    """
-    n = report.n_served
-    emit = min(n, cap)
-    spans: List[Span] = []
-    shapes = report.workload.shapes
-    rows = zip(report.workload.codes[:emit].tolist(),
-               report.arrivals[:emit].tolist(),
-               report.starts[:emit].tolist(),
-               report.finishes[:emit].tolist())
-    for index, (code, arrival, start, finish) in enumerate(rows):
-        name = f"request[{index}]"
-        queue_delay = start - arrival
-        if queue_delay > 0.0:
-            spans.append(Span(name=name, track="queue",
-                              start=arrival, finish=start,
-                              args={"queue_delay_s": queue_delay}))
-        request = shapes[code]
-        spans.append(Span(
-            name=name, track="server",
-            start=start, finish=finish,
-            args={"batch": request.batch_size,
-                  "input_len": request.input_len,
-                  "output_len": request.output_len,
-                  "latency_s": finish - arrival}))
-    return spans, n - emit
+    if report.scenario is not None:
+        metrics.gauge("faults.dropped_requests",
+                      scenario=report.scenario.name).set(report.n_dropped)
+    for kind, name, extra_labels, value in extras:
+        if kind == "counter":
+            metrics.counter(name, **extra_labels).inc(value)
+        else:
+            metrics.gauge(name, **extra_labels).set(value)
+    add_span = telemetry.tracer.add_span
+    for row in spans:
+        for span in row:
+            add_span(span.name, span.track, span.start, span.finish,
+                     **span.args)
+    dropped = total - len(spans)
+    if dropped > 0:
+        metrics.counter("serving.spans_dropped", **labels).inc(dropped)
+        metrics.counter("telemetry.spans.dropped",
+                        component=component).inc(dropped)
+        warnings.warn(
+            f"{component}: span cap truncated the trace — emitted spans "
+            f"for the first {len(spans)} of {total} rows; windowed "
+            "metrics (repro.telemetry.timeseries) cover the full run",
+            RuntimeWarning, stacklevel=3)

@@ -472,7 +472,8 @@ def run_degraded(simulator: ServingSimulator,
     """Serve ``requests`` one at a time under ``scenario``.
 
     ``indices`` relabels each position with a global request index
-    (RNG keys and span names); ``quiet`` suppresses telemetry.
+    (RNG keys and span names); ``quiet`` leaves the report's telemetry
+    to the caller, so a fleet replica records only its fault events.
     """
     if len(requests) != len(arrivals):
         raise ConfigurationError(
@@ -483,14 +484,16 @@ def run_degraded(simulator: ServingSimulator,
     # first), even when admission would shed it.
     for request in dict.fromkeys(requests):
         simulator.estimator.estimate(request)
-    telemetry = None if quiet else current_telemetry()
+    telemetry = current_telemetry()
     controller = DegradationController(PlanTable(simulator.estimator),
                                        scenario, telemetry)
-    distinct = len(set(requests))
-    controller._count("serving.estimates", distinct, result="computed")
-    if len(requests) > distinct:
-        controller._count("serving.estimates", len(requests) - distinct,
-                          result="memoized")
+    if not quiet:
+        distinct = len(set(requests))
+        controller._count("serving.estimates", distinct,
+                          result="computed")
+        if len(requests) > distinct:
+            controller._count("serving.estimates",
+                              len(requests) - distinct, result="memoized")
     served, starts, finishes, dropped, reasons = run_admission_sequential(
         controller, WorkloadVector.from_requests(requests), trace,
         None if indices is None else np.asarray(indices, dtype=np.int64))
@@ -504,7 +507,7 @@ def run_degraded(simulator: ServingSimulator,
          for p, reason in zip(dropped.tolist(), reasons)],
         stats=controller.stats, scenario=scenario,
         served_index=served.tolist(), dropped_index=dropped.tolist())
-    if telemetry is not None:
+    if telemetry is not None and not quiet:
         _emit(simulator, report)
         telemetry.metrics.gauge(
             "faults.dropped_requests",

@@ -48,7 +48,7 @@ def replicas_needed_exhaustive(
         probed.append(k)
         report = MultiReplicaSimulator(
             estimator, k, dispatch=dispatch)._run(workload, trace, None,
-                                                  plans)
+                                                  plans, None)
         return report.latency_percentile(0.95), report
 
     low = high = 1

@@ -41,7 +41,9 @@ from repro.serving.scheduler import (ContinuousBatchScheduler,
                                      ContinuousServingReport, StepProfile)
 from repro.serving.simulator import validate_arrivals
 from repro.serving.vectorized import WorkloadVector
+from repro.telemetry.bridge import emit_report
 from repro.telemetry.runtime import current as current_telemetry
+from repro.telemetry.spans import Span
 from tests.oracles.kv_ledger import KvResidency
 
 
@@ -283,5 +285,25 @@ def run_loop(scheduler: ContinuousBatchScheduler,
         decode_busy_s=busy_time,
     )
     if telemetry is not None:
-        scheduler._emit_telemetry(telemetry, report, span_rows)
+        labels = {"system": system.name, "model": spec.name}
+        extras = [("counter", f"scheduler.{name}", labels, value)
+                  for name, value in (
+                      ("iterations", iterations),
+                      ("admissions", admissions),
+                      ("completions", len(requests)),
+                      ("policy_resolves", policy_resolves),
+                      ("kv_demotions", residency.demotions))]
+        extras += [("gauge", "scheduler.occupancy_mean", labels,
+                    report.occupancy_mean),
+                   ("gauge", "scheduler.occupancy_peak", labels,
+                    float(occupancy_peak))]
+        extras += [("gauge", "scheduler.kv_peak_bytes",
+                    {"tier": tier, **labels}, peak)
+                   for tier, peak in kv_peak.items()]
+        spans = [[Span("decode-step", "scheduler", start, finish,
+                       {"n_running": n_running,
+                        "aggregate_batch": aggregate})]
+                 for start, finish, n_running, aggregate in span_rows]
+        emit_report(telemetry, report, labels, extras, spans, iterations,
+                    "scheduler")
     return report

@@ -5,11 +5,16 @@ import pytest
 
 from repro.core.estimator import LiaEstimator
 from repro.errors import CapacityError, ConfigurationError
+from repro.faults import get_scenario
 from repro.models.workload import InferenceRequest
 from repro.serving import (MultiReplicaSimulator, ServingSimulator,
                            WorkloadVector, arrivals_poisson,
-                           replicas_needed)
+                           replicas_needed, run_continuous_fleet)
 from repro.serving.piecewise import run_fifo
+from repro.serving.replicas import _over_slo_message
+from repro.serving.simulator import ServingReport
+from repro.telemetry import Telemetry, activate
+from tests.oracles.fifo_loop import run_fleet_loop
 
 SHAPES = [InferenceRequest(1, 128, 16), InferenceRequest(1, 256, 32)]
 
@@ -146,6 +151,10 @@ def test_fleet_size_must_be_an_integer(estimator, size):
                        match="n_replicas must be an integer"):
         MultiReplicaSimulator(estimator, size)
     with pytest.raises(ConfigurationError,
+                       match="^replicas must be an integer"):
+        run_continuous_fleet(estimator, _workload(10),
+                             arrivals_poisson(10, 0.5, seed=0), size)
+    with pytest.raises(ConfigurationError,
                        match="max_replicas must be an integer"):
         replicas_needed(estimator, _workload(10),
                         arrivals_poisson(10, 0.01, seed=0),
@@ -272,3 +281,64 @@ def test_replica_telemetry_gauges(estimator):
     assert gauge.value == 2.0
     tracks = telemetry.tracer.tracks()
     assert any(track.startswith("server[") for track in tracks)
+
+
+def test_over_slo_message_reads_the_nearest_rank_p95():
+    """0.95 x 20 is the integer 19, so the nearest-rank p95 of service
+    times 1..20 is the 19th smallest, 19.0 s (linear interpolation
+    would say 19.05 s)."""
+    request = InferenceRequest(1, 8, 4)
+    report = ServingReport(
+        WorkloadVector(shapes=(request,), codes=np.zeros(20, np.int64)),
+        np.zeros(20), np.zeros(20), np.arange(1.0, 21.0))
+    message = _over_slo_message(report, 30.0, 10.0, 4)
+    assert "the p95 service time 19.0s alone violates the SLO" in message
+
+
+#: Each integer ``faults.*`` counter and the ``FaultStats`` field it
+#: counts.
+FAULT_COUNTERS = {
+    "faults.transfer.stalls": "transfer_stalls",
+    "faults.transfer.retries": "transfer_retries",
+    "faults.transfer.failures": "transfer_failures",
+    "faults.unservable": "unservable",
+    "faults.policy_resolves": "policy_resolves",
+    "faults.policy_shifts": "policy_shifts",
+    "faults.batch_shrinks": "batch_shrinks",
+    "faults.admission.deferred": "deferred",
+    "faults.admission.dropped": "dropped",
+}
+
+
+def test_faulted_fleet_emits_its_fault_telemetry(estimator):
+    """A 2-replica fleet under ``pcie-flaky``: its integer ``faults.*``
+    counters equal the folded ``FaultStats``, and its replicas' fault
+    spans and counters are the round-robin loop oracle's."""
+    workload = _workload(300)
+    arrivals = arrivals_poisson(300, 0.2, seed=0)
+    scenario = get_scenario("pcie-flaky")
+    telemetry = Telemetry()
+    with activate(telemetry):
+        report = MultiReplicaSimulator(estimator, 2).run(
+            workload, arrivals, scenario=scenario)
+    oracle = Telemetry()
+    with activate(oracle):
+        run_fleet_loop(ServingSimulator(estimator), workload, arrivals,
+                       scenario, 2)
+
+    def faults(sink):
+        counters = {counter.name: counter.value
+                    for counter in sink.metrics.counters()
+                    if counter.name.startswith("faults.")}
+        spans = [(span.name, span.start, span.finish, span.args)
+                 for span in sink.tracer.spans if span.track == "faults"]
+        return counters, spans
+
+    counters, spans = faults(telemetry)
+    assert report.stats.transfer_stalls > 0 and spans
+    for name, field in FAULT_COUNTERS.items():
+        assert counters.get(name, 0.0) == getattr(report.stats, field), name
+    assert (counters, spans) == faults(oracle)
+    assert telemetry.metrics.gauge(
+        "faults.dropped_requests",
+        scenario=scenario.name).value == report.n_dropped

@@ -314,9 +314,8 @@ def test_fleet_occupancy_weighs_replicas_by_decode_busy_time(estimator):
 
 
 def test_fleet_telemetry_gauges_read_the_merged_report(estimator):
-    """Every replica's run sets the gauges from its own report; the
-    fleet's gauges must read the merged report, while counters and
-    histograms still count each request once."""
+    """The fleet emits its report once: the gauges read the merged
+    report, and counters and histograms count each request once."""
     from repro.telemetry import Telemetry, activate
 
     requests, arrivals = _mix(60)
@@ -340,6 +339,55 @@ def test_fleet_telemetry_gauges_read_the_merged_report(estimator):
     assert metrics.counter_value("serving.requests", **labels) == 60
     assert metrics.counter_value("scheduler.completions", **labels) == 60
     assert metrics.histogram("serving.latency_s", **labels).count == 60
+
+
+def test_fleet_step_spans_share_one_cap_on_replica_tracks(estimator):
+    """A 2-replica fleet keeps the earliest DEFAULT_SPAN_CAP step spans
+    of both replicas together, each on its replica's track, where no
+    two overlap, and warns about the truncation once."""
+    import warnings
+
+    from repro.serving import scheduler as scheduler_module
+    from repro.telemetry import Telemetry, activate
+
+    requests, arrivals = _mix(60)
+    telemetry = Telemetry()
+    with activate(telemetry), warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        report = run_continuous_fleet(
+            estimator, requests, arrivals, replicas=2,
+            scheduler_config=SchedulerConfig(max_batch_requests=4))
+    cap = scheduler_module.DEFAULT_SPAN_CAP
+    assert report.iterations > cap
+    steps = [s for s in telemetry.tracer.spans if s.name == "decode-step"]
+    assert len(steps) == cap
+    assert {s.track for s in steps} == {"scheduler[0]", "scheduler[1]"}
+    for track in ("scheduler[0]", "scheduler[1]"):
+        mine = [s for s in steps if s.track == track]
+        assert all(a.finish <= b.start for a, b in zip(mine, mine[1:]))
+    assert [s.start for s in steps] == sorted(s.start for s in steps)
+    truncations = [w for w in seen if "span cap truncated" in str(w.message)]
+    assert len(truncations) == 1
+    labels = {"system": estimator.system.name,
+              "model": estimator.spec.name}
+    assert telemetry.metrics.counter_value(
+        "serving.spans_dropped", **labels) == report.iterations - cap
+    assert telemetry.metrics.counter_value(
+        "scheduler.iterations", **labels) == report.iterations
+
+
+@pytest.mark.parametrize("max_batch", [1, 2, 3, 8])
+def test_running_set_never_exceeds_max_batch(estimator, max_batch):
+    """A saturated stream (every request waiting at t=0, KV unbounded)
+    fills the running set to ``max_batch_requests`` and never past
+    it."""
+    requests = [InferenceRequest(1, 64, 4 + i % 5) for i in range(24)]
+    config = SchedulerConfig(max_batch_requests=max_batch,
+                             kv_capacities=KvTierCapacities.unbounded())
+    report = ContinuousBatchScheduler(estimator, config).run(
+        requests, [0.0] * len(requests))
+    assert report.occupancy_peak == max_batch
+    assert report.occupancy_mean <= max_batch
 
 
 def test_session_trace_never_deadlocks(estimator):

@@ -7,10 +7,9 @@ from repro.serving.simulator import ServingReport
 from repro.serving.vectorized import WorkloadVector
 from repro.models.workload import InferenceRequest
 from repro.sim.trace import TaskRecord, Timeline
-from repro.telemetry.bridge import (timeline_to_spans,
-                                    vectorized_report_to_metrics,
-                                    vectorized_report_to_spans)
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.bridge import (emit_report, request_spans,
+                                    timeline_to_spans)
+from repro.telemetry.runtime import Telemetry
 
 
 def _timeline():
@@ -49,25 +48,34 @@ def _report():
         np.array([1.0, 2.0]))
 
 
+LABELS = {"system": "spr-a100", "model": "opt-30b"}
+
+
 def test_serving_report_metrics():
-    registry = MetricsRegistry()
-    vectorized_report_to_metrics(_report(), registry,
-                                 system="spr-a100", model="opt-30b")
-    latency = registry.histogram("serving.latency_s",
-                                 system="spr-a100", model="opt-30b")
+    telemetry = Telemetry()
+    emit_report(telemetry, _report(), LABELS,
+                [("gauge", "serving.replicas", LABELS, 1.0)], [], 0,
+                "serving.fifo")
+    registry = telemetry.metrics
+    latency = registry.histogram("serving.latency_s", **LABELS)
     assert latency.count == 2
     assert latency.max == pytest.approx(1.5)
-    assert registry.counter_value("serving.requests",
-                                  system="spr-a100",
-                                  model="opt-30b") == 2
+    assert registry.counter_value("serving.requests", **LABELS) == 2
     assert registry.counter_value("serving.generated_tokens",
-                                  system="spr-a100",
-                                  model="opt-30b") == 8
+                                  **LABELS) == 8
+    assert registry.gauge("serving.replicas", **LABELS).value == 1.0
+    assert not telemetry.tracer.spans
 
 
 def test_serving_report_spans_split_queue_and_service():
-    spans, dropped = vectorized_report_to_spans(_report(), 1024)
-    assert dropped == 0
+    telemetry = Telemetry()
+    report = _report()
+    emit_report(telemetry, report, LABELS, [],
+                request_spans(report, None, 1024), report.n_served,
+                "serving.fifo")
+    spans = telemetry.tracer.spans
+    assert telemetry.metrics.counter_value("serving.spans_dropped",
+                                           **LABELS) == 0
     server = [s for s in spans if s.track == "server"]
     queue = [s for s in spans if s.track == "queue"]
     assert len(server) == 2
@@ -75,3 +83,18 @@ def test_serving_report_spans_split_queue_and_service():
     assert queue[0].start == 0.5 and queue[0].finish == 1.0
     # Service spans are disjoint on the single server.
     assert server[0].finish <= server[1].start
+
+
+def test_capped_spans_on_replica_tracks_warn_once():
+    telemetry = Telemetry()
+    report = _report()
+    spans = request_spans(report, np.array([1, 0]), 1)
+    with pytest.warns(RuntimeWarning, match="first 1 of 2 rows"):
+        emit_report(telemetry, report, LABELS, [], spans,
+                    report.n_served, "serving.replicas")
+    assert [(s.name, s.track) for s in telemetry.tracer.spans] == [
+        ("request[0]", "server[1]")]
+    assert telemetry.metrics.counter_value("serving.spans_dropped",
+                                           **LABELS) == 1
+    assert telemetry.metrics.counter_value(
+        "telemetry.spans.dropped", component="serving.replicas") == 1
