@@ -21,7 +21,7 @@ the recurrence reads on paper:
   engine's kernel signature, so a test can run it beside the engine's
   batched depth probes and admission rounds on one controller type;
 * :func:`run_fleet_loop` — round-robin replicas of
-  :func:`run_degraded`, merged back into arrival order.
+  :func:`serve_degraded`, merged back into arrival order.
 
 Their reports (:class:`LoopReport`) hold per-request records and fold
 every statistic left to right with ``functools.reduce``, so the
@@ -466,15 +466,34 @@ def transfer_penalty(controller: DegradationController, start: float,
 
 def run_degraded(simulator: ServingSimulator,
                  requests: Sequence[InferenceRequest],
-                 arrivals: Sequence[float], scenario: FaultScenario,
-                 indices: Optional[Sequence[int]] = None,
-                 quiet: bool = False) -> LoopReport:
-    """Serve ``requests`` one at a time under ``scenario``.
+                 arrivals: Sequence[float],
+                 scenario: FaultScenario) -> LoopReport:
+    """Serve ``requests`` one at a time under ``scenario``, then emit
+    the report's telemetry."""
+    report = serve_degraded(simulator, requests, arrivals, scenario,
+                            None)
+    telemetry = current_telemetry()
+    if telemetry is not None:
+        distinct = len(set(requests))
+        counter = telemetry.metrics.counter
+        counter("serving.estimates", result="computed").inc(distinct)
+        if len(requests) > distinct:
+            counter("serving.estimates", result="memoized").inc(
+                len(requests) - distinct)
+        _emit(simulator, report)
+        telemetry.metrics.gauge(
+            "faults.dropped_requests",
+            scenario=scenario.name).set(len(report.dropped))
+    return report
 
-    ``indices`` relabels each position with a global request index
-    (RNG keys and span names); ``quiet`` leaves the report's telemetry
-    to the caller, so a fleet replica records only its fault events.
-    """
+
+def serve_degraded(simulator: ServingSimulator,
+                   requests: Sequence[InferenceRequest],
+                   arrivals: Sequence[float], scenario: FaultScenario,
+                   indices: Optional[Sequence[int]]) -> LoopReport:
+    """The loop of :func:`run_degraded`, recording only its fault
+    events; ``indices`` relabels each position with a global request
+    index (RNG keys and span names)."""
     if len(requests) != len(arrivals):
         raise ConfigurationError(
             "requests and arrivals must have equal length")
@@ -484,20 +503,12 @@ def run_degraded(simulator: ServingSimulator,
     # first), even when admission would shed it.
     for request in dict.fromkeys(requests):
         simulator.estimator.estimate(request)
-    telemetry = current_telemetry()
     controller = DegradationController(PlanTable(simulator.estimator),
-                                       scenario, telemetry)
-    if not quiet:
-        distinct = len(set(requests))
-        controller._count("serving.estimates", distinct,
-                          result="computed")
-        if len(requests) > distinct:
-            controller._count("serving.estimates",
-                              len(requests) - distinct, result="memoized")
+                                       scenario, current_telemetry())
     served, starts, finishes, dropped, reasons = run_admission_sequential(
         controller, WorkloadVector.from_requests(requests), trace,
         None if indices is None else np.asarray(indices, dtype=np.int64))
-    report = LoopReport(
+    return LoopReport(
         [ServedRequest(request=requests[p], arrival=arrivals[p],
                        start=start, finish=finish)
          for p, start, finish in zip(served.tolist(), starts.tolist(),
@@ -507,12 +518,6 @@ def run_degraded(simulator: ServingSimulator,
          for p, reason in zip(dropped.tolist(), reasons)],
         stats=controller.stats, scenario=scenario,
         served_index=served.tolist(), dropped_index=dropped.tolist())
-    if telemetry is not None and not quiet:
-        _emit(simulator, report)
-        telemetry.metrics.gauge(
-            "faults.dropped_requests",
-            scenario=scenario.name).set(len(report.dropped))
-    return report
 
 
 def run_admission_sequential(controller: DegradationController,
@@ -589,7 +594,7 @@ def run_fleet_loop(simulator: ServingSimulator, workload: WorkloadVector,
                    arrivals: Sequence[float], scenario: FaultScenario,
                    n_replicas: int) -> LoopReport:
     """Request *i* to replica ``i mod k``; each replica is
-    :func:`run_degraded` over its substream with global indices, and
+    :func:`serve_degraded` over its substream with global indices, and
     the records merge back into offered order."""
     requests = workload.to_requests()
     arrivals = list(arrivals)
@@ -598,9 +603,9 @@ def run_fleet_loop(simulator: ServingSimulator, workload: WorkloadVector,
     stats: List[FaultStats] = []
     for replica in range(min(n_replicas, len(requests))):
         index = list(range(replica, len(requests), n_replicas))
-        sub = run_degraded(simulator, [requests[i] for i in index],
-                           [arrivals[i] for i in index], scenario,
-                           indices=index, quiet=True)
+        sub = serve_degraded(simulator, [requests[i] for i in index],
+                             [arrivals[i] for i in index], scenario,
+                             index)
         served += [(index[p], r)
                    for p, r in zip(sub.served_index, sub.served)]
         dropped += [(index[p], d)
